@@ -1,6 +1,6 @@
 //! Criterion bench for Fig. 8(a): validity checking (`IsValid`), plus the
-//! encoding-option ablations called out in DESIGN.md (paper-faithful vs
-//! totality, full vs lazy transitivity).
+//! `EncodeOptions` ablations (paper-faithful vs totality, full vs lazy
+//! transitivity).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

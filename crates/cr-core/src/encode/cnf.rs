@@ -806,7 +806,7 @@ impl EncodedSpec {
 
     /// Applies a **value revision**: the cell `(tuple, attr)` changed from
     /// `old` to its current value in `after` (the specification *after* the
-    /// spec-level replacement — [`Specification::with_replaced_value`]).
+    /// spec-level replacement — [`Specification::replace_value`]).
     /// Requires a revisable encoding.
     ///
     /// The revision is absorbed without rebuilding anything:
@@ -1938,7 +1938,8 @@ mod tests {
         assert!(extended_ok(enc.extend_with_input(&spec, &input)).is_empty());
         assert!(enc.cnf().num_clauses() > before, "unit clauses appended");
 
-        let (extended, _, _) = spec.apply_user_input(&input);
+        let mut extended = spec.clone();
+        extended.apply_user_input(&input);
         let scratch = EncodedSpec::encode(&extended);
         let od_inc = crate::deduce::deduce_order(&enc).unwrap();
         let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
@@ -2057,7 +2058,8 @@ mod tests {
         assert!(!od.contains(city, ny, la), "CFD must not fire after retraction");
         assert!(!od.contains(city, la, ny));
         // And the scratch re-encode agrees.
-        let (extended, _, _) = spec.apply_user_input(&input);
+        let mut extended = spec.clone();
+        extended.apply_user_input(&input);
         let scratch = EncodedSpec::encode(&extended);
         let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
         let ny_s = scratch.value_id(city, &Value::str("NY")).unwrap();
@@ -2121,8 +2123,8 @@ mod tests {
 
         // Out-of-domain growth: only Ω clauses are appended, never triples.
         let clauses_before = enc.cnf().num_clauses();
-        let (extended, _, _) =
-            spec.apply_user_input(&UserInput::single(status, Value::str("retired")));
+        let mut extended = spec.clone();
+        extended.apply_user_input(&UserInput::single(status, Value::str("retired")));
         assert!(extended_ok(enc.extend_with_input(
             &extended,
             &UserInput::single(status, Value::str("deceased"))
@@ -2231,7 +2233,8 @@ mod tests {
         // Revise the only NY cell to LA: NY retires, its order variables
         // stay allocated, and top-assumption probes stop quantifying over
         // it.
-        let after = spec.with_replaced_value(cr_types::TupleId(0), city, Value::str("LA"));
+        let mut after = spec.clone();
+        after.replace_value(cr_types::TupleId(0), city, Value::str("LA"));
         let groups =
             enc.replace_value(&after, cr_types::TupleId(0), city, &Value::str("NY"));
         // The CFD references city (RHS): its group was re-derived.
@@ -2242,8 +2245,8 @@ mod tests {
         assert!(enc.top_assumptions(city, la).unwrap().is_empty(), "LA dominates nothing live");
 
         // Revise back: NY revives through its original variables.
-        let back = after.with_replaced_value(cr_types::TupleId(0), city, Value::str("NY"));
-        enc.replace_value(&back, cr_types::TupleId(0), city, &Value::str("LA"));
+        after.replace_value(cr_types::TupleId(0), city, Value::str("NY"));
+        enc.replace_value(&after, cr_types::TupleId(0), city, &Value::str("LA"));
         assert!(enc.space().is_live(city, ny));
         assert_eq!(enc.top_assumptions(city, la).unwrap().len(), 1);
     }

@@ -99,7 +99,7 @@
 //! (`tests/lazy_differential.rs`), including out-of-domain and CFD-LHS
 //! user answers.
 //!
-//! ## Semantics notes (see DESIGN.md §4)
+//! ## Semantics notes
 //!
 //! * The value space of attribute `Ai` is its active domain plus `null` when
 //!   null occurs; nulls are *strict bottoms* (unit clauses `null ≺v a`),
@@ -173,10 +173,10 @@ pub struct EncodeOptions {
     /// are partial orders that may not extend to a valid completion, and
     /// literals can hold in every valid completion without being implied by
     /// `Φ(Se)` (Lemmas 5/6 break on corner cases — see
-    /// `encoding_gaps::paper_encoding_misses_disjunctive_facts` and
-    /// DESIGN.md §4). With totality the models of `Φ(Se)` are exactly the
-    /// value-level completions. Default `true`; set `false` for the
-    /// paper-faithful ablation.
+    /// `encoding_gaps::paper_encoding_misses_disjunctive_facts`). With
+    /// totality the models of `Φ(Se)` are exactly the value-level
+    /// completions. Default `true`; set `false` for the paper-faithful
+    /// ablation.
     pub totality: bool,
     /// Emit every CFD's instance constraints as a *guard-literal clause
     /// group* (see the guard-group lifecycle in the `cnf` module docs).

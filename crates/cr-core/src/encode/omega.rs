@@ -246,7 +246,8 @@ impl OmegaSink for Vec<InstanceConstraint> {
 ///   counted true, the user-input tuple `to` (null everywhere but the
 ///   answered attributes) would fire rules like ϕ8 and claim the user's
 ///   answers are stale; a null conclusion carries no strict obligation
-///   (`to` must not force "value ≺ null"). See DESIGN.md §4.
+///   (`to` must not force "value ≺ null"). See the semantics notes in the
+///   [`crate::encode`] module docs.
 /// * `cmp(p)` evaluates a comparison predicate on the pair.
 ///
 /// Returns `None` when a comparison fails or any atom is vacuous; the

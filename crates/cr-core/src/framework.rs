@@ -790,9 +790,8 @@ impl Resolver {
             }
             interactions += 1;
             user_values += input.values.len();
-            let (extended, _to, added) = current.apply_user_input(&input);
+            let (_to, added) = current.apply_user_input(&input);
             ot_size += added;
-            current = extended;
         }
 
         ResolutionOutcome {

@@ -819,15 +819,17 @@ impl ResolutionSession {
         self.up.replay_stats()
     }
 
-    /// Absorbs one round of user input: extends `current` by the induced
-    /// tuple/orders and the encoding by the delta clauses. Returns the size
-    /// of the induced order extension `|Ot|` added.
+    /// Absorbs one round of user input: extends the encoding by the delta
+    /// clauses, then `current` in place by the induced tuple/orders.
+    /// Returns the size of the induced order extension `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
         assert!(
             self.batch.is_none(),
             "apply_input mid-batch: seal the open revision batch first"
         );
-        let (extended, to, added) = self.current.apply_user_input(input);
+        // The encoder derives the delta from the pre-input specification.
+        let outcome = self.enc.extend_with_input(&self.current, input);
+        let (to, added) = self.current.apply_user_input(input);
         // Record each accepted answer with the causal knowledge it was
         // given under (the frontier's delivered vector): a later correction
         // beyond that vector is concurrent with the answer and may re-open
@@ -841,7 +843,7 @@ impl ResolutionSession {
                 );
             }
         }
-        match self.enc.extend_with_input(&self.current, input) {
+        match outcome {
             ExtendOutcome::Extended { retracted_groups } => {
                 self.up.retract_groups(&retracted_groups);
                 self.redeliver_revived();
@@ -856,8 +858,8 @@ impl ResolutionSession {
                 self.solver.compact_learnts(cap);
             }
             // Legacy fallback (`rebuild_fallback`): out-of-domain answers
-            // change the value spaces — rebuild once, then continue
-            // incrementally from the new state.
+            // change the value spaces — rebuild once from the extended
+            // specification, then continue incrementally from the new state.
             ExtendOutcome::NeedsRebuild => {
                 let rebuilds = self.rebuilds + 1;
                 let injected_carry = self.injected_axioms();
@@ -869,7 +871,7 @@ impl ResolutionSession {
                 let frontier = std::mem::take(&mut self.frontier);
                 let answers = std::mem::take(&mut self.answers);
                 let epoch = self.epoch;
-                *self = ResolutionSession::new(&self.config, &extended);
+                *self = ResolutionSession::new(&self.config, &self.current);
                 self.rebuilds = rebuilds;
                 self.injected_carry = injected_carry;
                 self.revisions = revisions;
@@ -882,7 +884,6 @@ impl ResolutionSession {
                 self.epoch = epoch;
             }
         }
-        self.current = extended;
         // An absorbed input round is a committed mutation batch of its
         // own: it seals an epoch.
         self.epoch = self.epoch.next();
@@ -937,9 +938,9 @@ impl ResolutionSession {
 
     /// Validates `rev` against the current session state without touching
     /// anything: every panic path of the underlying spec application
-    /// (`without_cfd`, `with_order_withdrawn`, `with_replaced_value` on ids
-    /// that don't exist) is caught here and reported as a typed
-    /// [`RevisionError`] instead.
+    /// (`remove_cfd`, `withdraw_order`, `replace_value` on ids that don't
+    /// exist) is caught here and reported as a typed [`RevisionError`]
+    /// instead.
     pub fn validate_revision(&self, rev: &Revision) -> Result<(), RevisionError> {
         let len = self.current.entity().len();
         let arity = self.current.schema().arity();
@@ -1026,13 +1027,12 @@ impl ResolutionSession {
                 self.enc.retract_cfd(*cfd)
             }
             Revision::WithdrawOrder { attr, lo, hi } => {
-                self.current = self.current.with_order_withdrawn(*attr, *lo, *hi);
+                self.current.withdraw_order(*attr, *lo, *hi);
                 self.enc.withdraw_order(*attr, *lo, *hi)
             }
             Revision::WithdrawAnswer { attr, tuple } => {
                 let old = self.current.entity().tuple(*tuple).get(*attr).clone();
-                let (next, removed) = self.current.with_answer_withdrawn(*attr, *tuple);
-                self.current = next;
+                let removed = self.current.withdraw_answer(*attr, *tuple);
                 if self.answers.get(attr).is_some_and(|a| a.tuple == *tuple) {
                     self.answers.remove(attr);
                 }
@@ -1046,12 +1046,10 @@ impl ResolutionSession {
                 groups
             }
             Revision::ReplaceValue { tuple, attr, value } => {
-                let old = self.current.entity().tuple(*tuple).get(*attr).clone();
-                if old == *value {
+                if self.current.entity().tuple(*tuple).get(*attr) == value {
                     Vec::new() // vacuous correction
                 } else {
-                    self.current =
-                        self.current.with_replaced_value(*tuple, *attr, value.clone());
+                    let old = self.current.replace_value(*tuple, *attr, value.clone());
                     self.enc.replace_value(&self.current, *tuple, *attr, &old)
                 }
             }
@@ -1774,22 +1772,20 @@ impl SpecMirror {
                 self.retired_cfds.insert(*cfd);
             }
             Revision::WithdrawOrder { attr, lo, hi } => {
-                self.spec = self.spec.with_order_withdrawn(*attr, *lo, *hi);
+                self.spec.withdraw_order(*attr, *lo, *hi);
             }
             Revision::WithdrawAnswer { attr, tuple } => {
-                let (next, _removed) = self.spec.with_answer_withdrawn(*attr, *tuple);
-                self.spec = next;
+                self.spec.withdraw_answer(*attr, *tuple);
             }
             Revision::ReplaceValue { tuple, attr, value } => {
-                self.spec = self.spec.with_replaced_value(*tuple, *attr, value.clone());
+                self.spec.replace_value(*tuple, *attr, value.clone());
             }
         }
     }
 
     /// Folds one round of user input into the mirror (`Se ⊕ Ot`).
     pub fn apply_input(&mut self, input: &UserInput) {
-        let (extended, _, _) = self.spec.apply_user_input(input);
-        self.spec = extended;
+        self.spec.apply_user_input(input);
     }
 
     /// The materialised post-revision specification: retired CFDs removed

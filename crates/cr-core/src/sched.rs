@@ -555,10 +555,11 @@ mod tests {
 
     #[test]
     fn bounded_queue_blocks_at_cap_without_deadlock() {
-        // Producer pushes 64 items through a cap-4 queue while a slow
-        // consumer drains: occupancy must never exceed the cap, the
-        // producer must stall at least once, and the whole thing must
-        // terminate (no deadlock at the cap boundary).
+        // Producer pushes 64 items through a cap-4 queue. The consumer
+        // starts only once the producer has filled the queue and stalled
+        // on the next push, so the stall is forced rather than left to
+        // thread timing. Occupancy must never exceed the cap, and the
+        // whole thing must terminate (no deadlock at the cap boundary).
         const N: usize = 64;
         const CAP: usize = 4;
         let q: BoundedQueue<usize> = BoundedQueue::new(CAP);
@@ -574,6 +575,10 @@ mod tests {
                 }
                 q.close();
             });
+            while q.stats().1 == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(q.len(), CAP, "the producer stalls only on a full queue");
             while let Some(i) = q.pop() {
                 if q.len() > CAP {
                     over_cap.store(true, Ordering::Relaxed);
@@ -584,7 +589,7 @@ mod tests {
         assert_eq!(seen, (0..N).collect::<Vec<_>>(), "FIFO, nothing lost");
         assert!(!over_cap.load(Ordering::Relaxed), "occupancy stayed ≤ cap");
         let (high_water, stalls) = q.stats();
-        assert!(high_water <= CAP);
+        assert_eq!(high_water, CAP);
         assert!(stalls > 0, "a 64-item burst through cap 4 must stall");
     }
 

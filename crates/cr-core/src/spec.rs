@@ -17,10 +17,12 @@ use crate::orders::PartialOrders;
 /// **compiled constraint program** ([`CompiledProgram`]) — the per-dataset
 /// derivations (referenced-attribute sets, premise shapes, CFD pattern
 /// tableaus) the SAT encoder projects every entity through. The cache is
-/// shared by clones, so the per-round specifications of one resolution and
-/// all entities stamped by a dataset generator
-/// ([`Specification::set_compiled_program`]) reuse one program; mutating
-/// Σ/Γ ([`Specification::with_constraint_fraction`]) clears it.
+/// shared by clones, so all entities stamped by a dataset generator
+/// ([`Specification::set_compiled_program`]) reuse one program. The
+/// in-place mutators that leave Σ/Γ alone (user input, value replacement,
+/// order and answer withdrawal) keep it; changing Σ/Γ
+/// ([`Specification::remove_cfd`],
+/// [`Specification::with_constraint_fraction`]) clears it.
 #[derive(Clone, Debug)]
 pub struct Specification {
     entity: EntityInstance,
@@ -117,21 +119,20 @@ impl Specification {
         out
     }
 
-    /// Applies user input per Section III Remark (1): a fresh tuple `to`
-    /// carrying the answered values (null elsewhere) is appended, ranked
-    /// strictly above every existing tuple on each non-null attribute.
-    /// Returns the extended specification, the new tuple's id and the size
-    /// `|Ot|` of the induced order extension.
-    #[must_use]
-    pub fn apply_user_input(&self, input: &UserInput) -> (Specification, TupleId, usize) {
-        let mut out = self.clone();
-        let arity = out.entity.schema().arity();
+    /// Applies user input per Section III Remark (1), in place: a fresh
+    /// tuple `to` carrying the answered values (null elsewhere) is appended,
+    /// ranked strictly above every existing tuple on each non-null
+    /// attribute. Returns the new tuple's id and the size `|Ot|` of the
+    /// induced order extension. Σ/Γ are untouched, so the cached compiled
+    /// program stays valid.
+    pub fn apply_user_input(&mut self, input: &UserInput) -> (TupleId, usize) {
+        let arity = self.entity.schema().arity();
         let mut values = vec![Value::Null; arity];
         for (attr, v) in &input.values {
             values[attr.index()] = v.clone();
         }
-        let existing: Vec<TupleId> = out.entity.tuple_ids().collect();
-        let to = out
+        let existing = self.entity.len() as u32;
+        let to = self
             .entity
             .push(Tuple::from_values(values))
             .expect("arity checked above");
@@ -140,12 +141,12 @@ impl Specification {
             if v.is_null() {
                 continue;
             }
-            for t in &existing {
-                out.orders.add(*attr, *t, to);
+            for t in (0..existing).map(TupleId) {
+                self.orders.add(*attr, t, to);
                 added += 1;
             }
         }
-        (out, to, added)
+        (to, added)
     }
 
     /// Per-attribute sizes useful for reporting: `(|Ie|, |Σ|, |Γ|)`.
@@ -153,56 +154,41 @@ impl Specification {
         (self.entity.len(), self.sigma.len(), self.gamma.len())
     }
 
-    /// A copy with the value at `(tid, attr)` replaced — the spec-level
-    /// effect of an upstream *value revision* (see [`crate::ingest`]). Σ/Γ
-    /// are untouched, so the cached compiled program is carried over.
-    #[must_use]
-    pub fn with_replaced_value(&self, tid: TupleId, attr: AttrId, value: Value) -> Specification {
-        let mut out = self.clone();
-        out.entity.replace_value(tid, attr, value);
-        out
+    /// Replaces the value at `(tid, attr)` in place and returns the previous
+    /// value — the spec-level effect of an upstream *value revision* (see
+    /// [`crate::ingest`]). Σ/Γ are untouched, so the cached compiled program
+    /// stays valid.
+    pub fn replace_value(&mut self, tid: TupleId, attr: AttrId, value: Value) -> Value {
+        self.entity.replace_value(tid, attr, value)
     }
 
-    /// A copy with the base order `t1 ≺_attr t2` withdrawn (no-op if the
-    /// pair was never asserted) — the spec-level effect of an upstream
-    /// *order withdrawal*. The compiled program is carried over.
-    #[must_use]
-    pub fn with_order_withdrawn(&self, attr: AttrId, t1: TupleId, t2: TupleId) -> Specification {
-        let mut out = self.clone();
-        out.orders.remove(attr, t1, t2);
-        out
+    /// Withdraws the base order `t1 ≺_attr t2` in place, returning whether
+    /// it was present (withdrawing an absent pair is a no-op) — the
+    /// spec-level effect of an upstream *order withdrawal*. The compiled
+    /// program stays valid.
+    pub fn withdraw_order(&mut self, attr: AttrId, t1: TupleId, t2: TupleId) -> bool {
+        self.orders.remove(attr, t1, t2)
     }
 
-    /// A copy with the user answer `(attr, tuple)` withdrawn — the
-    /// spec-level effect of an upstream *answer withdrawal*: every order
-    /// pair ranking `tuple` on top of `attr` is removed and the answered
-    /// cell reverts to null (the input tuple itself remains, null-padded).
-    /// Returns the copy and the removed pairs. Σ/Γ are untouched, so the
-    /// cached compiled program is carried over.
-    #[must_use]
-    pub fn with_answer_withdrawn(
-        &self,
-        attr: AttrId,
-        tuple: TupleId,
-    ) -> (Specification, Vec<(TupleId, TupleId)>) {
-        let mut out = self.clone();
-        let removed = out.orders.remove_pairs_above(attr, tuple);
-        out.entity.replace_value(tuple, attr, Value::Null);
-        (out, removed)
+    /// Withdraws the user answer `(attr, tuple)` in place — the spec-level
+    /// effect of an upstream *answer withdrawal*: every order pair ranking
+    /// `tuple` on top of `attr` is removed and the answered cell reverts to
+    /// null (the input tuple itself remains, null-padded). Returns the
+    /// removed pairs. The compiled program stays valid.
+    pub fn withdraw_answer(&mut self, attr: AttrId, tuple: TupleId) -> Vec<(TupleId, TupleId)> {
+        let removed = self.orders.remove_pairs_above(attr, tuple);
+        self.entity.replace_value(tuple, attr, Value::Null);
+        removed
     }
 
-    /// A copy with `gamma[cfd]` removed — the spec-level effect of an
-    /// upstream *CFD retraction*. Γ changes, so the cached compiled program
-    /// is cleared (the from-scratch mirror of a revision differential
-    /// recompiles; the incremental engine never consults the program for a
+    /// Removes `gamma[cfd]` in place — the spec-level effect of an upstream
+    /// *CFD retraction*. Γ changes, so the cached compiled program is
+    /// cleared (the incremental engine never consults the program for a
     /// retired CFD and keeps its own Γ indexing intact instead — see
     /// [`crate::ingest`]).
-    #[must_use]
-    pub fn without_cfd(&self, cfd: usize) -> Specification {
-        let mut out = self.clone();
-        out.gamma.remove(cfd);
-        out.program = OnceLock::new();
-        out
+    pub fn remove_cfd(&mut self, cfd: usize) {
+        self.gamma.remove(cfd);
+        self.program = OnceLock::new();
     }
 
     /// Returns a copy keeping only the first `frac·|Σ|` currency constraints
@@ -279,7 +265,10 @@ impl UserInput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use cr_types::{Schema, Tuple};
+    use proptest::collection::vec as vec_of;
 
     fn spec() -> Specification {
         let s = Schema::new("r", ["a", "b"]).unwrap();
@@ -297,16 +286,180 @@ mod tests {
     #[test]
     fn user_input_appends_ranked_tuple() {
         let sp = spec();
+        let mut ext = sp.clone();
         let input = UserInput::single(AttrId(1), Value::str("z"));
-        let (ext, to, added) = sp.apply_user_input(&input);
+        let (to, added) = ext.apply_user_input(&input);
         assert_eq!(ext.entity().len(), 3);
         assert_eq!(to, TupleId(2));
         assert_eq!(added, 2); // above both existing tuples on attr b
         assert!(ext.entity().tuple(to).get(AttrId(0)).is_null());
         assert_eq!(ext.entity().tuple(to).get(AttrId(1)), &Value::str("z"));
         assert_eq!(ext.orders().size(), 2);
-        // Original untouched.
+        // The clone taken before the input is untouched.
         assert_eq!(sp.entity().len(), 2);
+    }
+
+    #[test]
+    fn in_place_mutators_keep_or_clear_the_compiled_program() {
+        let s = Schema::new("r", ["a", "b"]).unwrap();
+        let e = EntityInstance::new(
+            s.clone(),
+            vec![
+                Tuple::of([Value::int(1), Value::str("x")]),
+                Tuple::of([Value::int(2), Value::str("y")]),
+            ],
+        )
+        .unwrap();
+        let cfd = cr_constraints::parser::parse_cfds(&s, "a = 1 -> b = \"x\"").unwrap();
+        let mut sp = Specification::without_orders(e, vec![], cfd);
+        let program = Arc::clone(sp.compiled_program());
+        sp.apply_user_input(&UserInput::single(AttrId(0), Value::int(3)));
+        sp.replace_value(TupleId(0), AttrId(1), Value::str("w"));
+        sp.withdraw_order(AttrId(0), TupleId(0), TupleId(2));
+        sp.withdraw_answer(AttrId(0), TupleId(2));
+        assert!(Arc::ptr_eq(sp.compiled_program(), &program), "Σ/Γ unchanged: program kept");
+        sp.remove_cfd(0);
+        assert!(sp.gamma().is_empty());
+        assert_eq!(sp.compiled_program().sizes(), (0, 0), "Γ changed: program recompiled");
+    }
+
+    /// The observable mutable state of a specification, as plain data: the
+    /// rows (read through both the tuples and the dense id rows) and every
+    /// order pair.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Model {
+        rows: Vec<Vec<Value>>,
+        pairs: BTreeSet<(AttrId, TupleId, TupleId)>,
+    }
+
+    fn observe(sp: &Specification) -> Model {
+        let e = sp.entity();
+        let attrs: Vec<AttrId> = sp.schema().attr_ids().collect();
+        let rows = e
+            .tuple_ids()
+            .map(|t| {
+                attrs
+                    .iter()
+                    .map(|&a| {
+                        let v = e.tuple(t).get(a).clone();
+                        assert_eq!(e.dense_value(e.dense_id(t, a)), &v, "dense row out of sync");
+                        assert_eq!(e.is_null_at(t, a), v.is_null());
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
+        let pairs = attrs
+            .iter()
+            .flat_map(|&a| sp.orders().pairs(a).map(move |(lo, hi)| (a, lo, hi)))
+            .collect();
+        Model { rows, pairs }
+    }
+
+    fn cell(v: i64) -> Value {
+        if v == 0 {
+            Value::Null
+        } else {
+            Value::int(v)
+        }
+    }
+
+    const ARITY: usize = 3;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Random sequences of the in-place mutators agree, step by step,
+        /// with a plain model of rows and order pairs, and never reach a
+        /// clone taken before the step.
+        #[test]
+        fn in_place_mutators_match_a_plain_model(
+            base in vec_of(vec_of(0i64..5, ARITY), 1..5),
+            seed_pairs in vec_of((0usize..ARITY, 0u32..4, 0u32..4), 0..6),
+            steps in vec_of((0u8..4, 0usize..64, 0usize..64, 0i64..5, 0u8..8), 1..24),
+        ) {
+            let schema = Schema::new("r", ["a", "b", "c"]).unwrap();
+            let rows: Vec<Vec<Value>> =
+                base.iter().map(|r| r.iter().map(|&v| cell(v)).collect()).collect();
+            let tuples = rows.iter().map(|r| Tuple::from_values(r.clone())).collect();
+            let entity = EntityInstance::new(schema, tuples).unwrap();
+            let mut orders = PartialOrders::empty(ARITY);
+            let mut model = Model { rows, pairs: BTreeSet::new() };
+            for &(a, lo, hi) in &seed_pairs {
+                let n = model.rows.len() as u32;
+                let (lo, hi) = (TupleId(lo % n), TupleId(hi % n));
+                if lo != hi {
+                    orders.add(AttrId(a as u16), lo, hi);
+                    model.pairs.insert((AttrId(a as u16), lo, hi));
+                }
+            }
+            let mut sp = Specification::new(entity, orders, vec![], vec![]);
+            proptest::prop_assert_eq!(observe(&sp), model.clone());
+
+            for (kind, x, y, v, mask) in steps {
+                let before = sp.clone();
+                let model_before = model.clone();
+                let n = model.rows.len();
+                let attr = AttrId((x % ARITY) as u16);
+                let t = TupleId((y % n) as u32);
+                match kind {
+                    0 => {
+                        // Answer the attributes in `mask`, with `v` (or null).
+                        let mut input = UserInput::empty();
+                        let mut row = vec![Value::Null; ARITY];
+                        for a in (0..ARITY).filter(|a| mask & (1 << a) != 0) {
+                            input.values.insert(AttrId(a as u16), cell(v + a as i64));
+                            row[a] = cell(v + a as i64);
+                        }
+                        let to = TupleId(n as u32);
+                        let mut added = 0;
+                        for (&a, value) in &input.values {
+                            if !value.is_null() {
+                                for lo in 0..n as u32 {
+                                    model.pairs.insert((a, TupleId(lo), to));
+                                    added += 1;
+                                }
+                            }
+                        }
+                        model.rows.push(row);
+                        proptest::prop_assert_eq!(sp.apply_user_input(&input), (to, added));
+                    }
+                    1 => {
+                        let slot = &mut model.rows[t.index()][attr.index()];
+                        let old = std::mem::replace(slot, cell(v));
+                        proptest::prop_assert_eq!(sp.replace_value(t, attr, cell(v)), old);
+                    }
+                    2 => {
+                        // Withdraw an asserted pair when one exists, else a
+                        // random (usually absent) one.
+                        let (a, lo, hi) = model
+                            .pairs
+                            .iter()
+                            .nth(x % model.pairs.len().max(1))
+                            .copied()
+                            .filter(|_| mask % 2 == 0)
+                            .unwrap_or((attr, TupleId((x % n) as u32), t));
+                        let present = model.pairs.remove(&(a, lo, hi));
+                        proptest::prop_assert_eq!(sp.withdraw_order(a, lo, hi), present);
+                    }
+                    _ => {
+                        let removed: Vec<(TupleId, TupleId)> = model
+                            .pairs
+                            .iter()
+                            .filter(|&&(a, _, hi)| a == attr && hi == t)
+                            .map(|&(_, lo, hi)| (lo, hi))
+                            .collect();
+                        for &(lo, hi) in &removed {
+                            model.pairs.remove(&(attr, lo, hi));
+                        }
+                        model.rows[t.index()][attr.index()] = Value::Null;
+                        proptest::prop_assert_eq!(sp.withdraw_answer(attr, t), removed);
+                    }
+                }
+                proptest::prop_assert_eq!(observe(&sp), model.clone());
+                proptest::prop_assert_eq!(observe(&before), model_before);
+            }
+        }
     }
 
     #[test]

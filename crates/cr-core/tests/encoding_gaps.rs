@@ -1,7 +1,7 @@
 //! Documents the gap between the paper's encoding (Section V-A:
 //! transitivity and asymmetry, **no totality**) and the completion
-//! semantics, and shows the totality clauses close it. See DESIGN.md §4 and
-//! `EncodeOptions::paper_faithful`.
+//! semantics, and shows the totality clauses close it. See
+//! `EncodeOptions::totality` and `EncodeOptions::paper_faithful`.
 
 use proptest::prelude::*;
 

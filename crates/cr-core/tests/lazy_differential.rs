@@ -137,7 +137,8 @@ fn compiled_omega_matches_reference_on_seed_datasets() {
                 ds.truth(i).get(cr_types::AttrId(0)).clone(),
             );
             if !input.values[&cr_types::AttrId(0)].is_null() {
-                let (extended, _, _) = spec.apply_user_input(&input);
+                let mut extended = spec.clone();
+                extended.apply_user_input(&input);
                 assert_omega_matches_reference(&extended);
             }
         }
@@ -299,7 +300,8 @@ proptest! {
             }
         }
         if !input.is_empty() {
-            let (extended, _, _) = spec.apply_user_input(&input);
+            let mut extended = spec.clone();
+            extended.apply_user_input(&input);
             assert_omega_matches_reference(&extended);
         }
     }

@@ -13,7 +13,7 @@
 //! (careers only move to higher-indexed affiliations, and country groups
 //! increase with the index), which keeps the dataset-wide constraint set
 //! acyclic — a property the published constraint set must implicitly have
-//! had, since its specifications validate (DESIGN.md §3).
+//! had, since its specifications validate.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -14,8 +14,9 @@
 //!   `affiliation → city, country` CFD with ~347 patterns).
 //!
 //! The real NBA and CAREER scrapes are not redistributable/available
-//! offline; DESIGN.md §3 documents why these generators preserve the
-//! behaviour the experiments measure.
+//! offline. The generators keep what the experiments measure: entity sizes
+//! and the forms and counts of the constraints, which fix the encoding size
+//! and the solver work; only the concrete values are synthetic.
 
 pub mod career;
 pub mod chaos;

@@ -10,8 +10,10 @@
 //! `points`, `poss`, `min`, `tname`) and 3 arena-propagation rules (ϕ4-form,
 //! for `opened`, `capacity`, `city`) — plus 58 `arena → city` constant CFDs.
 //!
-//! This generator reproduces those shape statistics over a synthetic league
-//! (see DESIGN.md §3 for the substitution argument). The ϕ3/ϕ4 premises use
+//! This generator reproduces those shape statistics over a synthetic league:
+//! the real scrape is not available offline, and the experiments measure
+//! costs driven by entity sizes and constraint forms and counts, not by the
+//! particular teams and arenas. The ϕ3/ϕ4 premises use
 //! `t1[B] != t2[B]` (the PDF's `t1[B] = t2[B]` is a typographic loss of the
 //! negation — with equality the conclusion would be vacuous).
 

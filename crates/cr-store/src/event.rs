@@ -592,6 +592,12 @@ pub struct ReplayPlan {
 /// [`reference_of`](crate::reference_of) replay through this one planner,
 /// so the recovery differential compares like against like.
 pub fn plan_replay(records: &[LogRecord]) -> ReplayPlan {
+    plan_replay_owned(records.iter().cloned())
+}
+
+/// [`plan_replay`] over owned records, moved into the steps instead of
+/// copied — what rehydration uses on a freshly decoded log.
+pub(crate) fn plan_replay_owned(records: impl IntoIterator<Item = LogRecord>) -> ReplayPlan {
     // Runs flushed by a type split stay *staged* until a committing record
     // (marker, input or snapshot) arrives: everything after the last
     // committing record is one uncommitted suffix, dropped as a unit, so a
@@ -608,19 +614,19 @@ pub fn plan_replay(records: &[LogRecord]) -> ReplayPlan {
     let mut staged: Vec<ReplayStep> = Vec::new();
     let mut causal: Vec<CausalRevision> = Vec::new();
     let mut revs: Vec<Revision> = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
+    for (i, rec) in records.into_iter().enumerate() {
         match rec {
             LogRecord::Causal(ev) => {
                 if !revs.is_empty() {
                     flush(&mut staged, &mut causal, &mut revs);
                 }
-                causal.push(ev.clone());
+                causal.push(ev);
             }
             LogRecord::Revision(rev) => {
                 if !causal.is_empty() {
                     flush(&mut staged, &mut causal, &mut revs);
                 }
-                revs.push(rev.clone());
+                revs.push(rev);
             }
             LogRecord::BatchMark { .. } => {
                 flush(&mut staged, &mut causal, &mut revs);
@@ -630,13 +636,13 @@ pub fn plan_replay(records: &[LogRecord]) -> ReplayPlan {
             LogRecord::Input(input) => {
                 flush(&mut staged, &mut causal, &mut revs);
                 plan.steps.append(&mut staged);
-                plan.steps.push(ReplayStep::Input(input.clone()));
+                plan.steps.push(ReplayStep::Input(input));
                 plan.used_records = i + 1;
             }
             LogRecord::Snapshot(snap) => {
                 flush(&mut staged, &mut causal, &mut revs);
                 plan.steps.append(&mut staged);
-                plan.steps.push(ReplayStep::Snapshot(snap.clone()));
+                plan.steps.push(ReplayStep::Snapshot(snap));
                 plan.used_records = i + 1;
             }
         }

@@ -22,7 +22,7 @@ use cr_core::ResolutionConfig;
 use cr_types::codec::{write_frame, CodecError};
 
 use crate::backend::{SessionId, StorageBackend};
-use crate::event::{decode_log_offsets, plan_replay, LogRecord, ReplayStep, SnapshotRecord};
+use crate::event::{decode_log_offsets, plan_replay_owned, LogRecord, ReplayStep, SnapshotRecord};
 
 /// Errors surfaced by the store and its backends.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -343,7 +343,6 @@ impl<B: StorageBackend> SessionStore<B> {
     /// The live session for `id`, rehydrating from the log if cold.
     pub fn session(&mut self, id: SessionId) -> Result<&mut ResolutionSession, StoreError> {
         self.touch(id)?;
-        self.enforce_live_cap(id);
         Ok(self
             .entries
             .get_mut(&id.0)
@@ -475,7 +474,7 @@ impl<B: StorageBackend> SessionStore<B> {
         self.backend.sync(id)
     }
 
-    /// Post-apply bookkeeping: snapshot cadence and the live cap.
+    /// Post-apply bookkeeping: the snapshot cadence.
     fn after_event(&mut self, id: SessionId, count: usize) -> Result<(), StoreError> {
         let entry = self.entries.get_mut(&id.0).expect("caller touched");
         entry.events_total += count as u64;
@@ -485,12 +484,13 @@ impl<B: StorageBackend> SessionStore<B> {
         {
             self.snapshot(id)?;
         }
-        self.enforce_live_cap(id);
         Ok(())
     }
 
     /// Ensures `id` is registered and live, rehydrating from the log if
-    /// necessary, and stamps its LRU clock.
+    /// necessary, and stamps its LRU clock. A rehydration is the only way a
+    /// session becomes live, so it is also the only point where the live
+    /// cap can be exceeded and has to be enforced.
     fn touch(&mut self, id: SessionId) -> Result<(), StoreError> {
         if !self.entries.contains_key(&id.0) {
             return Err(StoreError::UnknownSession(id));
@@ -499,6 +499,7 @@ impl<B: StorageBackend> SessionStore<B> {
         let clock = self.clock;
         if self.entries.get(&id.0).expect("checked").live.is_none() {
             self.rehydrate(id)?;
+            self.enforce_live_cap(id);
         }
         self.entries.get_mut(&id.0).expect("checked").last_used = clock;
         Ok(())
@@ -522,9 +523,9 @@ impl<B: StorageBackend> SessionStore<B> {
             self.backend.sync(id)?;
         }
 
-        let records: Vec<LogRecord> = offsets.iter().map(|(rec, _)| rec.clone()).collect();
-        let plan = plan_replay(&records);
-        if plan.used_records < records.len() {
+        let (records, ends): (Vec<LogRecord>, Vec<usize>) = offsets.into_iter().unzip();
+        let mut plan = plan_replay_owned(records);
+        if plan.used_records < ends.len() {
             // Events after the last commit point are an uncommitted batch
             // (the crash hit before its marker landed). Drop them and cut
             // the log back to the batch boundary, so every later recovery
@@ -532,7 +533,7 @@ impl<B: StorageBackend> SessionStore<B> {
             let boundary = if plan.used_records == 0 {
                 0
             } else {
-                offsets[plan.used_records - 1].1
+                ends[plan.used_records - 1]
             };
             self.recovery.partial_batch_truncations += 1;
             self.recovery.truncated_bytes += (valid_len - boundary) as u64;
@@ -540,18 +541,19 @@ impl<B: StorageBackend> SessionStore<B> {
             self.backend.sync(id)?;
         }
 
-        let entry = self.entries.get(&id.0).expect("caller checked");
-        let base = entry.base.clone();
+        let base = &self.entries.get(&id.0).expect("caller checked").base;
         // Restore from the last usable snapshot; an unusable one (version
         // accepted but inconsistent with the base) falls back to the next
         // older snapshot, ultimately to a from-scratch replay — snapshots
-        // are an optimization, never the source of truth.
+        // are an optimization, never the source of truth. The tried
+        // snapshot's state moves into the restore: replay below only needs
+        // to know where the snapshots were.
         let mut start = 0;
         let mut session = None;
-        for (i, step) in plan.steps.iter().enumerate().rev() {
+        for (i, step) in plan.steps.iter_mut().enumerate().rev() {
             if let ReplayStep::Snapshot(snap) = step {
-                match ResolutionSession::restore(&self.config.resolution, &base, snap.state.clone())
-                {
+                let state = std::mem::take(&mut snap.state);
+                match ResolutionSession::restore(&self.config.resolution, base, state) {
                     Ok(s) => {
                         session = Some(s);
                         start = i + 1;
@@ -563,13 +565,13 @@ impl<B: StorageBackend> SessionStore<B> {
             }
         }
         let mut session = session
-            .unwrap_or_else(|| ResolutionSession::new_revisable(&self.config.resolution, &base));
+            .unwrap_or_else(|| ResolutionSession::new_revisable(&self.config.resolution, base));
         session.set_revision_policy(self.config.policy);
 
         let mut replayed = 0u64;
         let mut since_snapshot = 0usize;
         let mut total = 0u64;
-        for (i, step) in plan.steps.iter().enumerate() {
+        for (i, step) in plan.steps.into_iter().enumerate() {
             if let ReplayStep::Snapshot(_) = step {
                 if i < start {
                     continue;
@@ -587,16 +589,16 @@ impl<B: StorageBackend> SessionStore<B> {
             replayed += count as u64;
             match step {
                 ReplayStep::Input(input) => {
-                    session.apply_input(input);
+                    session.apply_input(&input);
                 }
                 ReplayStep::CausalBatch(batch) => {
                     session
-                        .ingest_causal(batch.clone())
+                        .ingest_causal(batch)
                         .expect("store policy is never Reject");
                 }
                 ReplayStep::RevisionBatch(batch) => {
                     session
-                        .absorb_revision_batch(batch)
+                        .absorb_revision_batch(&batch)
                         .expect("store policy is never Reject");
                 }
                 ReplayStep::Snapshot(_) => unreachable!("handled above"),

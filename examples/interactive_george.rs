@@ -62,7 +62,8 @@ fn main() {
     println!("\nUser answers: status = retired");
     let status = spec.schema().attr_id("status").expect("attr");
     let input = UserInput::single(status, Value::str("retired"));
-    let (extended, _, ot_size) = spec.apply_user_input(&input);
+    let mut extended = spec.clone();
+    let (_, ot_size) = extended.apply_user_input(&input);
     println!("  |Ot| added: {ot_size}");
 
     println!("\nRound 1 — after the answer:");
