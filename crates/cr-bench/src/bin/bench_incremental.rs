@@ -12,8 +12,7 @@
 //!
 //! Every dataset is resolved on four paths — (lazy | eager axioms) ×
 //! (incremental | scratch) — and the run **fails loudly** on any outcome
-//! divergence, nonzero engine rebuild count, or (lazy paths) zero recorded
-//! axiom telemetry where injection was expected. `--smoke` runs exactly
+//! divergence or (lazy paths) zero recorded axiom telemetry where injection was expected. `--smoke` runs exactly
 //! those checks in CI. The JSON report additionally records round-0 encode
 //! clause counts and wall time per axiom mode plus the injected-axiom
 //! counts of the lazy resolutions.
@@ -46,7 +45,7 @@
 //! delivery drain-first (the successor overtakes its predecessor, forcing
 //! frontier buffering, and must converge post-drain) — and the smoke gates
 //! require nonzero duplicate-drops and buffering, zero quarantines on the
-//! clean streams, zero rebuilds, and exact convergence everywhere.
+//! clean streams, and exact convergence everywhere.
 //!
 //! The `ingest-batch` workload proves the **coalesced batch path** live:
 //! every entity's revision timeline is applied twice — event-at-a-time and
@@ -104,7 +103,7 @@
 //! smoke mode runs a serial-vs-parallel agreement pass at this width),
 //! `--sched-entities N` (scale of the non-smoke scheduler run, default
 //! 100000), `--out PATH` (default `BENCH_10.json`), `--smoke` (tiny CI
-//! mode: check agreement, compile-once, zero-rebuild, live-cone,
+//! mode: check agreement, compile-once, live-cone,
 //! parallel-path, scheduler, durability and serving invariants, skip the
 //! timing sweep).
 
@@ -291,7 +290,6 @@ struct IngestStats {
     retracted_groups: usize,
     invalidated: usize,
     reemitted_clauses: usize,
-    rebuilds: usize,
 }
 
 /// Differentially verifies the ingest workload — the revision replay must
@@ -321,20 +319,15 @@ fn check_ingest(w: &IngestWorkload, rounds: usize) -> IngestStats {
 
 /// Serial wall-clock seconds for one pass of the unchecked production path
 /// (`resolve_with_revisions`) over the ingest workload (best of `reps`).
-/// Also accumulates the path's rebuild count into `stats`.
-fn time_ingest(w: &IngestWorkload, rounds: usize, reps: usize, stats: &mut IngestStats) -> f64 {
+fn time_ingest(w: &IngestWorkload, rounds: usize, reps: usize) -> f64 {
     let r = Resolver::new(ResolutionConfig { max_rounds: rounds, ..Default::default() });
     let mut best = f64::INFINITY;
-    for rep in 0..reps.max(1) {
+    for _ in 0..reps.max(1) {
         let t = Instant::now();
         for ((spec, truth), timeline) in w.specs.iter().zip(&w.truths).zip(&w.timelines) {
             let mut oracle = GroundTruthOracle::with_cap(truth.clone(), 1);
             let mut source = ScriptedRevisions::new(timeline.clone());
-            let outcome =
-                std::hint::black_box(r.resolve_with_revisions(spec, &mut oracle, &mut source));
-            if rep == 0 {
-                stats.rebuilds += outcome.rebuilds;
-            }
+            std::hint::black_box(r.resolve_with_revisions(spec, &mut oracle, &mut source));
         }
         best = best.min(t.elapsed().as_secs_f64());
     }
@@ -553,7 +546,6 @@ struct ChaosStats {
     buffered: usize,
     quarantined: usize,
     reopened: usize,
-    rebuilds: usize,
     secs: f64,
 }
 
@@ -586,7 +578,6 @@ fn check_chaos(w: &ChaosWorkload, rounds: usize, seed: u64) -> ChaosStats {
                     std::process::exit(1);
                 });
             stats.quarantined += replay.revisions.quarantined;
-            stats.rebuilds += replay.rebuilds;
             replay
         };
 
@@ -660,7 +651,6 @@ fn check_parallel(w: &Workload, rounds: usize, threads: usize) {
             "{}: parallel fan-out diverged from serial on entity {i}",
             w.label
         );
-        assert_eq!(p.rebuilds, 0, "{}: parallel path rebuilt on entity {i}", w.label);
     }
 }
 
@@ -731,17 +721,15 @@ struct RetractionStats {
 }
 
 /// All four paths must produce identical resolution outcomes. Returns the
-/// total engine rebuild count (must be 0 with the guard-group engine), the
 /// injected-axiom count of the lazy incremental path and its retraction
 /// telemetry.
-fn check_agreement(w: &Workload, rounds: usize) -> (usize, usize, RetractionStats) {
+fn check_agreement(w: &Workload, rounds: usize) -> (usize, RetractionStats) {
     let paths = [
         ("lazy/incremental", EncodeOptions::lazy(), true),
         ("eager/incremental", EncodeOptions::eager(), true),
         ("lazy/scratch", EncodeOptions::lazy(), false),
         ("eager/scratch", EncodeOptions::eager(), false),
     ];
-    let mut rebuilds = 0;
     let mut injected = 0;
     let mut retraction = RetractionStats::default();
     for (spec, truth) in w.specs.iter().zip(&w.truths) {
@@ -770,7 +758,6 @@ fn check_agreement(w: &Workload, rounds: usize) -> (usize, usize, RetractionStat
                 w.label
             );
         }
-        rebuilds += outcomes[0].rebuilds + outcomes[1].rebuilds;
         injected += outcomes[0].injected_axioms;
         retraction.replays += outcomes[0].retraction_replays;
         retraction.invalidated += outcomes[0].retraction_invalidated;
@@ -781,7 +768,7 @@ fn check_agreement(w: &Workload, rounds: usize) -> (usize, usize, RetractionStat
             .filter(|r| r.retraction_invalidated > 0)
             .count();
     }
-    (rebuilds, injected, retraction)
+    (injected, retraction)
 }
 
 /// Round-0 encode comparison: clause counts and encode wall time per axiom
@@ -1282,7 +1269,7 @@ fn main() {
     // must not count against the compile-once invariant of the measured
     // phase below).
     let ingest = ingest_workload(entities.clamp(2, 8));
-    let mut ingest_stats = check_ingest(&ingest, rounds);
+    let ingest_stats = check_ingest(&ingest, rounds);
 
     // Batched-vs-sequential differential at the requested thread width:
     // run at setup for the same compile-once reason (the scratch mirrors
@@ -1328,15 +1315,12 @@ fn main() {
     let mut total_scratch = 0.0;
     let mut total_lazy = 0.0;
     let mut total_eager = 0.0;
-    let mut total_rebuilds = 0;
     let mut lazy_injection_seen = false;
     let mut retraction_replays_seen = 0;
     for w in &workloads {
-        let (rebuilds, injected, retraction) = check_agreement(w, rounds);
-        total_rebuilds += rebuilds;
+        let (injected, retraction) = check_agreement(w, rounds);
         lazy_injection_seen |= injected > 0;
         retraction_replays_seen += retraction.replays;
-        report.context(format!("rebuilds/{}", w.label), rebuilds);
         report.context(format!("injected_axioms/{}", w.label), injected);
         report.context(format!("retraction/{}/replays", w.label), retraction.replays);
         report.context(format!("retraction/{}/invalidated", w.label), retraction.invalidated);
@@ -1350,15 +1334,11 @@ fn main() {
             format!("retraction/{}/invalidated_per_round", w.label),
             format!("{per_round:.2}"),
         );
-        if rebuilds != 0 {
-            eprintln!("{:>8}: ZERO-REBUILD VIOLATION: {rebuilds} engine rebuilds", w.label);
-        } else {
-            println!(
-                "{:>8}: rebuilds 0, injected axioms {injected}, retraction replays {}                  ({} literals invalidated, {:.2}/round, {} full resets)",
-                w.label, retraction.replays, retraction.invalidated, per_round,
-                retraction.full_resets,
-            );
-        }
+        println!(
+            "{:>8}: injected axioms {injected}, retraction replays {} ({} literals invalidated, {:.2}/round, {} full resets)",
+            w.label, retraction.replays, retraction.invalidated, per_round,
+            retraction.full_resets,
+        );
         // Uniform revision telemetry: interactive workloads have no
         // revision stream, so the explicit zero distinguishes "nothing
         // scheduled" from a dead counter on the ingest workload below.
@@ -1415,9 +1395,7 @@ fn main() {
     // Push-based ingestion: replay-vs-scratch was verified at setup
     // (`check_ingest` aborts on divergence); report its telemetry and time
     // the unchecked production path (`resolve_with_revisions`).
-    let ingest_secs = time_ingest(&ingest, rounds, if smoke { 1 } else { reps }, &mut ingest_stats);
-    total_rebuilds += ingest_stats.rebuilds;
-    report.context("rebuilds/ingest", ingest_stats.rebuilds);
+    let ingest_secs = time_ingest(&ingest, rounds, if smoke { 1 } else { reps });
     report.context("revisions/ingest/events", ingest_stats.events);
     report.context("revisions/ingest/retracted_groups", ingest_stats.retracted_groups);
     report.context("revisions/ingest/invalidated", ingest_stats.invalidated);
@@ -1433,8 +1411,8 @@ fn main() {
     if !smoke {
         report.measure("end_to_end/ingest/incremental_revisions", ingest_secs);
         println!(
-            "{:>8}: revision-streamed end-to-end {ingest_secs:.4}s (lazy incremental, {} rebuilds)",
-            "ingest", ingest_stats.rebuilds,
+            "{:>8}: revision-streamed end-to-end {ingest_secs:.4}s (lazy incremental)",
+            "ingest",
         );
     }
 
@@ -1471,8 +1449,6 @@ fn main() {
 
     // Causal chaos workload: telemetry with explicit zeros, convergence
     // already enforced by `check_chaos` (it aborts on divergence).
-    total_rebuilds += chaos_stats.rebuilds;
-    report.context("rebuilds/ingest-chaos", chaos_stats.rebuilds);
     report.context("revisions/ingest-chaos/applied", chaos_stats.applied);
     report.context(
         "revisions/ingest-chaos/duplicates_dropped",
@@ -1629,7 +1605,6 @@ fn main() {
         );
     }
 
-    report.context("rebuilds_total", total_rebuilds);
     if !smoke {
         let speedup = total_scratch / total_lazy;
         report.measure("end_to_end/total/scratch", total_scratch);
@@ -1646,10 +1621,6 @@ fn main() {
         );
         report.write(&out).expect("write bench report");
         println!("wrote {out}");
-    }
-    if total_rebuilds != 0 {
-        eprintln!("FAIL: incremental engine rebuilt {total_rebuilds} times (expected 0)");
-        std::process::exit(1);
     }
     if !lazy_injection_seen {
         eprintln!("FAIL: lazy path recorded no injected axioms on any workload (telemetry dead?)");

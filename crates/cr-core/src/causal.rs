@@ -416,9 +416,6 @@ pub struct CausalCheckedReplay {
     pub revisions: RevisionTelemetry,
     /// Provenance-replay telemetry `(replays, invalidated, full resets)`.
     pub replay_stats: (usize, usize, usize),
-    /// Engine rebuilds (always 0 on the revisable path — re-opening an
-    /// attribute is retraction + replay, never a rebuild).
-    pub rebuilds: usize,
     /// Engine-vs-scratch equivalence checks performed.
     pub checks: usize,
     /// The session's quarantine log (empty in clean runs).
@@ -563,7 +560,6 @@ pub fn resolve_causal_checked(
         round_reports,
         revisions: session.revision_telemetry(),
         replay_stats: session.replays(),
-        rebuilds: session.rebuilds(),
         checks,
         quarantined: session.quarantined().to_vec(),
     })

@@ -90,7 +90,10 @@ pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
 /// shared encoding is untouched); the engine uses
 /// [`deduce_order_recording`] instead so injections reach its other
 /// consumers through the CNF.
-pub fn deduce_order_from(up: &mut UnitPropagator, enc: &EncodedSpec) -> Option<DeducedOrders> {
+pub(crate) fn deduce_order_from(
+    up: &mut UnitPropagator,
+    enc: &EncodedSpec,
+) -> Option<DeducedOrders> {
     let implied = if enc.options().is_lazy() {
         let mut source = TransientAxiomSource::new(enc);
         up.propagate_to_fixpoint_lazy(&mut source)?
@@ -105,7 +108,7 @@ pub fn deduce_order_from(up: &mut UnitPropagator, enc: &EncodedSpec) -> Option<D
 /// propagation are also appended to `enc`'s CNF, so the engine's warm
 /// solver and the MaxSAT repair's borrowed hard base see them via the
 /// ordinary clause-tail sync.
-pub fn deduce_order_recording(
+pub(crate) fn deduce_order_recording(
     up: &mut UnitPropagator,
     enc: &mut EncodedSpec,
 ) -> Option<DeducedOrders> {
@@ -156,7 +159,7 @@ pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
 /// phases and across rounds). Lazily instantiated axioms go to the solver
 /// only; the engine uses [`naive_deduce_recording`] to persist them in the
 /// encoding's CNF as well.
-pub fn naive_deduce_with(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
+pub(crate) fn naive_deduce_with(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
     if enc.options().is_lazy() {
         let mut source = TransientAxiomSource::new(enc);
@@ -168,7 +171,7 @@ pub fn naive_deduce_with(solver: &mut Solver, enc: &EncodedSpec) -> Option<Deduc
 
 /// [`naive_deduce_with`] with **recording** lazy instantiation: probe-time
 /// axiom injections are appended to `enc`'s CNF too (engine integration).
-pub fn naive_deduce_recording(
+pub(crate) fn naive_deduce_recording(
     solver: &mut Solver,
     enc: &mut EncodedSpec,
 ) -> Option<DeducedOrders> {

@@ -182,37 +182,20 @@ impl OmegaSink for EncoderSink<'_> {
     }
 }
 
-/// Outcome of [`EncodedSpec::extend_with_input`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ExtendOutcome {
-    /// The encoding was extended in place; new clauses were appended to the
-    /// CNF (sync solvers with the clause tail). `retracted_groups` lists
-    /// the clause groups withdrawn in the process (stale CFD emissions) —
-    /// callers holding a live `UnitPropagator` must forward them to
-    /// `retract_group` before syncing the tail.
-    Extended {
-        /// Groups retracted by this extension, in retraction order.
-        retracted_groups: Vec<GroupId>,
-    },
-    /// The input cannot be expressed as a pure extension: an answer
-    /// introduces a new value while CFDs are unguarded
-    /// (`EncodeOptions::guarded_cfds` off). The caller must re-encode from
-    /// scratch.
-    NeedsRebuild,
-}
-
 /// The encoded form of a specification: the CNF `Φ(Se)`, the value spaces,
 /// the variable table for order atoms and the instance constraints Ω(Se)
 /// they came from. All downstream algorithms (`IsValid`, `DeduceOrder`,
 /// `Suggest`, the exact true-value queries) run off this struct.
 ///
 /// The encoding supports **delta extension** with user input
-/// ([`EncodedSpec::extend_with_input`]): a round of the Fig. 4 loop only
-/// appends the clauses induced by the fresh user-input tuple instead of
-/// re-deriving the whole CNF. With guarded CFDs (see the module docs) this
-/// covers *every* input, including answers outside the interned value
-/// space: the new value's order variables and axioms are appended, and the
-/// affected CFDs are retracted and re-emitted under fresh guards.
+/// (`EncodedSpec::extend_with_input`, driven by
+/// [`ResolutionSession::apply_input`](crate::ingest::ResolutionSession::apply_input)):
+/// a round of the Fig. 4 loop only appends the clauses induced by the
+/// fresh user-input tuple instead of re-deriving the whole CNF. With
+/// guarded CFDs (see the module docs) this covers *every* input, including
+/// answers outside the interned value space: the new value's order
+/// variables and axioms are appended, and the affected CFDs are retracted
+/// and re-emitted under fresh guards.
 pub struct EncodedSpec {
     space: AttrValueSpace,
     vars: VarTable,
@@ -495,14 +478,20 @@ impl EncodedSpec {
     /// module docs for the lifecycle).
     ///
     /// `spec` must be the specification this encoding currently represents
-    /// (i.e. *before* the input is applied). Returns
-    /// [`ExtendOutcome::NeedsRebuild`] — with `self` untouched — when an
-    /// answer lies outside the interned space and CFDs are unguarded.
-    pub fn extend_with_input(
+    /// (i.e. *before* the input is applied). Returns the clause groups
+    /// withdrawn in the process (stale CFD emissions), in retraction order:
+    /// callers holding a live `UnitPropagator` must forward them to
+    /// `retract_group` before syncing the clause tail.
+    ///
+    /// # Panics
+    ///
+    /// If an answer lies outside the interned space and CFDs are unguarded
+    /// — such an input is not expressible as a pure extension.
+    pub(crate) fn extend_with_input(
         &mut self,
         spec: &Specification,
         input: &UserInput,
-    ) -> ExtendOutcome {
+    ) -> Vec<GroupId> {
         let mut answered: Vec<(AttrId, ValueId)> = Vec::new();
         let mut grown: Vec<AttrId> = Vec::new();
         for (attr, v) in &input.values {
@@ -520,8 +509,13 @@ impl EncodedSpec {
                     }
                     answered.push((*attr, id));
                 }
-                None if self.options.guarded_cfds => grown.push(*attr),
-                None => return ExtendOutcome::NeedsRebuild,
+                None => {
+                    assert!(
+                        self.options.guarded_cfds,
+                        "out-of-domain answers extend only encodings with guarded CFDs"
+                    );
+                    grown.push(*attr);
+                }
             }
         }
 
@@ -685,7 +679,7 @@ impl EncodedSpec {
                 }
             }
         }
-        ExtendOutcome::Extended { retracted_groups }
+        retracted_groups
     }
 
     /// Appends a brand-new value to `attr`'s space: interns it, regrows the
@@ -1343,7 +1337,7 @@ impl EncodedSpec {
 
     /// Axiom clauses recorded into the CNF by lazy instantiation so far
     /// (monotone; 0 for eager encodings and for consumers that only used
-    /// [`TransientAxiomSource`]).
+    /// transient, non-recording instantiation).
     pub fn injected_axioms(&self) -> usize {
         self.injected_axioms
     }
@@ -1373,8 +1367,8 @@ impl EncodedSpec {
     /// total asymmetric relation is transitive iff its score sequence is a
     /// permutation) and only walks triples when a violation exists.
     ///
-    /// Returned clauses are **not** recorded — see [`RecordingAxiomSource`]
-    /// vs [`TransientAxiomSource`] for the two integration policies.
+    /// Returned clauses are **not** recorded — see the module docs for the
+    /// recording and transient integration policies.
     pub fn violated_axioms(
         &self,
         value: &dyn Fn(Var) -> Option<bool>,
@@ -1583,13 +1577,13 @@ impl EncodedSpec {
 /// solver and unit propagator exchange injected axioms through the ordinary
 /// clause-tail sync, and the MaxSAT repair's borrowed hard base sees them
 /// for free.
-pub struct RecordingAxiomSource<'a> {
+pub(crate) struct RecordingAxiomSource<'a> {
     enc: &'a mut EncodedSpec,
 }
 
 impl<'a> RecordingAxiomSource<'a> {
     /// A recording source over `enc` (which must be a lazy encoding).
-    pub fn new(enc: &'a mut EncodedSpec) -> Self {
+    pub(crate) fn new(enc: &'a mut EncodedSpec) -> Self {
         debug_assert_eq!(enc.options().axioms, AxiomMode::Lazy);
         RecordingAxiomSource { enc }
     }
@@ -1612,20 +1606,20 @@ impl cr_sat::LazyAxiomSource for RecordingAxiomSource<'_> {
 /// untouched. Used by the standalone entry points (`deduce_order`,
 /// `is_valid`, the exact true-value queries, `suggest`'s probe) that only
 /// hold `&EncodedSpec`.
-pub struct TransientAxiomSource<'a> {
+pub(crate) struct TransientAxiomSource<'a> {
     enc: &'a EncodedSpec,
 }
 
 impl<'a> TransientAxiomSource<'a> {
     /// A non-recording source over `enc` (which must be a lazy encoding).
-    pub fn new(enc: &'a EncodedSpec) -> Self {
+    pub(crate) fn new(enc: &'a EncodedSpec) -> Self {
         debug_assert_eq!(enc.options().axioms, AxiomMode::Lazy);
         TransientAxiomSource { enc }
     }
 
     /// `Some(Self::new(enc))` when `lazy`, else `None` — for probe loops
     /// that branch on the encoding mode around one optional source.
-    pub fn new_if(enc: &'a EncodedSpec, lazy: bool) -> Option<Self> {
+    pub(crate) fn new_if(enc: &'a EncodedSpec, lazy: bool) -> Option<Self> {
         lazy.then(|| Self::new(enc))
     }
 }
@@ -1666,13 +1660,6 @@ mod tests {
             parse_currency_constraint(&s, "t1 <[status] t2 -> t1 <[job] t2").unwrap(),
         ];
         Specification::without_orders(e, sigma, vec![])
-    }
-
-    fn extended_ok(outcome: ExtendOutcome) -> Vec<GroupId> {
-        match outcome {
-            ExtendOutcome::Extended { retracted_groups } => retracted_groups,
-            ExtendOutcome::NeedsRebuild => panic!("expected pure extension"),
-        }
     }
 
     #[test]
@@ -1935,7 +1922,7 @@ mod tests {
         let input = UserInput::single(city, Value::str("LA"));
 
         let before = enc.cnf().num_clauses();
-        assert!(extended_ok(enc.extend_with_input(&spec, &input)).is_empty());
+        assert!(enc.extend_with_input(&spec, &input).is_empty());
         assert!(enc.cnf().num_clauses() > before, "unit clauses appended");
 
         let mut extended = spec.clone();
@@ -1959,24 +1946,20 @@ mod tests {
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
-        assert!(extended_ok(enc.extend_with_input(&spec, &input)).is_empty());
+        assert!(enc.extend_with_input(&spec, &input).is_empty());
         let od = crate::deduce::deduce_order(&enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
     }
 
     #[test]
-    fn unguarded_extension_rejects_out_of_domain_values() {
+    #[should_panic(expected = "guarded CFDs")]
+    fn unguarded_extension_panics_on_out_of_domain_values() {
         let spec = tiny_spec();
         let mut enc = EncodedSpec::encode(&spec);
-        let clauses = enc.cnf().num_clauses();
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
-        assert_eq!(
-            enc.extend_with_input(&spec, &input),
-            ExtendOutcome::NeedsRebuild
-        );
-        assert_eq!(enc.cnf().num_clauses(), clauses, "encoding untouched");
+        enc.extend_with_input(&spec, &input);
     }
 
     #[test]
@@ -1989,7 +1972,7 @@ mod tests {
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
         // No CFDs → nothing to retract, but the extension must succeed.
-        assert!(extended_ok(enc.extend_with_input(&spec, &input)).is_empty());
+        assert!(enc.extend_with_input(&spec, &input).is_empty());
         let deceased = enc.value_id(status, &Value::str("deceased")).expect("interned");
         let od = crate::deduce::deduce_order(&enc).unwrap();
         for old in ["working", "retired"] {
@@ -2032,7 +2015,7 @@ mod tests {
         assert!(old_cfd_instances > 0);
 
         let input = UserInput::single(ac, Value::int(999));
-        let retracted = extended_ok(enc.extend_with_input(&spec, &input));
+        let retracted = enc.extend_with_input(&spec, &input);
         assert_eq!(retracted.len(), 1, "the CFD's group must be retracted");
 
         // Re-emitted instances now range over the grown AC space: the ωX
@@ -2093,7 +2076,7 @@ mod tests {
 
         let ac = spec.schema().attr_id("AC").unwrap();
         let input = UserInput::single(ac, Value::int(999));
-        let retracted = extended_ok(enc.extend_with_input(&spec, &input));
+        let retracted = enc.extend_with_input(&spec, &input);
         assert!(retracted.is_empty(), "nothing was emitted before");
         assert_eq!(enc.active_guards().len(), 1, "the CFD now has a live group");
 
@@ -2113,10 +2096,9 @@ mod tests {
         let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
-        assert!(extended_ok(
-            enc.extend_with_input(&spec, &UserInput::single(status, Value::str("retired")))
-        )
-        .is_empty());
+        assert!(enc
+            .extend_with_input(&spec, &UserInput::single(status, Value::str("retired")))
+            .is_empty());
         let od = crate::deduce::deduce_order(&enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
@@ -2125,11 +2107,9 @@ mod tests {
         let clauses_before = enc.cnf().num_clauses();
         let mut extended = spec.clone();
         extended.apply_user_input(&UserInput::single(status, Value::str("retired")));
-        assert!(extended_ok(enc.extend_with_input(
-            &extended,
-            &UserInput::single(status, Value::str("deceased"))
-        ))
-        .is_empty());
+        assert!(enc
+            .extend_with_input(&extended, &UserInput::single(status, Value::str("deceased")))
+            .is_empty());
         let appended = enc.cnf().num_clauses() - clauses_before;
         // 3 base-order units for the grown space (working, retired and the
         // previous user tuple's value are all interned already) — nothing
@@ -2188,10 +2168,7 @@ mod tests {
 
         // An out-of-domain answer growing `AC` must NOT re-emit the CFD.
         let input = UserInput::single(AttrId(0), Value::int(9));
-        assert!(matches!(
-            enc.extend_with_input(&spec, &input),
-            ExtendOutcome::Extended { .. }
-        ));
+        enc.extend_with_input(&spec, &input);
         assert!(enc.omega().iter().all(|c| c.origin != super::super::Origin::Cfd(0)));
     }
 

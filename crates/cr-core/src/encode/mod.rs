@@ -34,7 +34,11 @@
 //! * **Guarded CFDs** ([`EncodeOptions::guarded_cfds`], orthogonal to the
 //!   axiom mode): each CFD's instance constraints form a retractable
 //!   clause group, which is what lets the incremental resolution engine
-//!   absorb out-of-domain user answers without ever rebuilding. The full
+//!   absorb every user answer — out-of-domain values included — as a pure
+//!   extension of the encoding. Extending an *unguarded* encoding with an
+//!   out-of-domain answer is a programming error (it panics); the
+//!   engine always guards, while the from-scratch loop encodes unguarded
+//!   and re-encodes every round instead of extending. The full
 //!   emission → activation → retraction lifecycle is documented in the
 //!   `cnf` module docs; the engine side lives in `framework`'s module
 //!   docs. Lazily injected axiom clauses are never guarded — they are
@@ -66,14 +70,15 @@
 //!    global-id lookup. A `debug_assert` rejects projecting a program
 //!    compiled against one `ValueTable` onto an entity interned against
 //!    another (in release the dense-id shortcuts are simply bypassed).
-//! 3. *Extend per round.* [`EncodedSpec::extend_with_input`] reuses the
-//!    compiled premise shapes to filter Σ and locate affected CFDs; the
-//!    program itself never changes during a resolution (user input adds
-//!    tuples and values, not constraints), so every round of every entity
-//!    of a dataset shares one `Arc<CompiledProgram>` — including across
-//!    the `resolve_all_parallel` thread fan-out (`CompiledProgram` is
-//!    immutable after compile, hence freely `Send + Sync`-shared; entities
-//!    only read it).
+//! 3. *Extend per round.* `EncodedSpec::extend_with_input`, driven by
+//!    [`ResolutionSession::apply_input`](crate::ingest::ResolutionSession::apply_input),
+//!    reuses the compiled premise shapes to filter Σ and locate affected
+//!    CFDs; the program itself never changes during a resolution (user
+//!    input adds tuples and values, not constraints), so every round of
+//!    every entity of a dataset shares one `Arc<CompiledProgram>` —
+//!    including across the `resolve_all_parallel` thread fan-out
+//!    (`CompiledProgram` is immutable after compile, hence freely
+//!    `Send + Sync`-shared; entities only read it).
 //!
 //! The guarded-CFD mode interacts with the program only at *emission*: the
 //! compiled tableau decides which instances a CFD produces, the guard
@@ -117,9 +122,8 @@ mod cnf;
 mod omega;
 mod program;
 
-pub use cnf::{
-    ClauseKind, EncodedSpec, ExtendOutcome, GroupId, RecordingAxiomSource, TransientAxiomSource,
-};
+pub use cnf::{ClauseKind, EncodedSpec, GroupId};
+pub(crate) use cnf::{RecordingAxiomSource, TransientAxiomSource};
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub(crate) use omega::SplitPlan;
 pub use program::{compile_count, CompiledProgram};

@@ -16,7 +16,7 @@
 //! rounds instead of rebuilding them:
 //!
 //! * the [`EncodedSpec`] — user answers drawn from the interned value
-//!   space are absorbed by [`EncodedSpec::extend_with_input`], which
+//!   space are absorbed by [`ResolutionSession::apply_input`], which
 //!   appends the unit clauses and Σ instances induced by the fresh
 //!   user-input tuple (value spaces and the Ω(Se) instantiation of the
 //!   original tuples are invariant under such input);
@@ -67,11 +67,11 @@
 //! CEGAR loop (`cr_sat::Solver::solve_lazy_with_assumptions`), deduction
 //! interleaves root propagation with on-demand instantiation
 //! (`cr_sat::UnitPropagator::propagate_to_fixpoint_lazy`), and both consult
-//! the encoding through a [`RecordingAxiomSource`], which appends every
+//! the encoding through a recording axiom source, which appends every
 //! handed-out axiom clause to `Φ(Se)` — so the warm solver and the unit
 //! propagator exchange injected axioms via the ordinary clause-tail sync,
 //! and the MaxSAT repair's borrowed hard base sees them for free. The
-//! suggestion step records too (`suggest_with_engine`): the clique probe's
+//! suggestion step records too: the clique probe's
 //! CEGAR injections and the MaxSAT repair's discoveries all land in the
 //! CNF, so later probes start from the full already-injected theory and
 //! the tail sync can never re-feed the warm solver a duplicate instance.
@@ -79,14 +79,18 @@
 //! the "Encoding modes" section of the encode module docs for the
 //! eager/lazy/guarded matrix and the differential-test coverage.
 //!
-//! The legacy rebuild fallback survives only behind the
-//! [`ResolutionConfig::rebuild_fallback`] debug/differential flag (it
-//! disables guarded CFDs, so out-of-domain answers rebuild the engine, as
-//! in the first incremental version); [`ResolutionOutcome::rebuilds`]
-//! counts how often that path fired. The from-scratch loop is kept (set
-//! `incremental: false`) for differential testing — see
-//! `tests/incremental_differential.rs` — and as the paper-faithful
-//! baseline for benchmarks.
+//! # The from-scratch oracle
+//!
+//! With `incremental: false` the same loop body runs on a **fresh
+//! [`ResolutionSession`] per round**: the session is opened on the
+//! extended specification with [`ResolutionConfig::encode`] exactly as
+//! given (unguarded CFDs), answered against, and discarded — an answer
+//! extends a copy of the specification, never the session. Every round
+//! therefore re-encodes and constructs fresh solvers, as the paper
+//! describes the loop, and the guard-group lifecycle above is checked
+//! against plain CFD clauses. This is the differential-testing baseline
+//! (`tests/incremental_differential.rs`) and the paper-faithful baseline
+//! for benchmarks.
 //!
 //! Independent entities share no *mutable* state;
 //! [`Resolver::resolve_all_parallel`] fans a batch of resolutions across
@@ -110,15 +114,12 @@ use std::time::{Duration, Instant};
 
 use cr_types::{Schema, Tuple};
 
-use crate::deduce::{
-    deduce_order_recording, deduce_order_from, naive_deduce_recording, naive_deduce_with,
-    DeducedOrders,
-};
-use crate::encode::{EncodeOptions, EncodedSpec, RecordingAxiomSource};
+use crate::deduce::DeducedOrders;
+use crate::encode::{EncodeOptions, EncodedSpec};
 use crate::ingest::{CompetingCell, ResolutionSession, RevisionSource, RevisionTelemetry};
 use crate::spec::{Specification, UserInput};
-use crate::suggest::{suggest_with_engine, Suggestion};
-use crate::truevalue::{true_values_from_orders, TrueValues};
+use crate::suggest::Suggestion;
+use crate::truevalue::TrueValues;
 
 /// How implied orders are deduced in step (2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -140,16 +141,10 @@ pub struct ResolutionConfig {
     /// CNF generation options.
     pub encode: EncodeOptions,
     /// Reuse the encoding, solver and unit propagator across rounds (see
-    /// the module docs). `false` re-derives everything from scratch every
-    /// round, exactly as the paper describes the loop.
+    /// the module docs). `false` opens a fresh session on the extended
+    /// specification every round, re-deriving everything exactly as the
+    /// paper describes the loop.
     pub incremental: bool,
-    /// Debug/differential flag: run the incremental engine **without**
-    /// guarded CFD groups, restoring the legacy behaviour where an
-    /// out-of-domain answer rebuilds the engine for that round (counted in
-    /// [`ResolutionOutcome::rebuilds`]). Kept for differential testing of
-    /// the guarded-extension path; production configurations leave it off
-    /// and never rebuild.
-    pub rebuild_fallback: bool,
 }
 
 impl Default for ResolutionConfig {
@@ -164,7 +159,6 @@ impl Default for ResolutionConfig {
             // fully materialised differential baseline.
             encode: EncodeOptions::lazy(),
             incremental: true,
-            rebuild_fallback: false,
         }
     }
 }
@@ -174,7 +168,10 @@ impl Default for ResolutionConfig {
 pub struct RoundReport {
     /// Round number (0 = before any interaction).
     pub round: usize,
-    /// Time spent in validity checking (encode + SAT).
+    /// Time spent in validity checking: the SAT solve, plus — on the
+    /// from-scratch loop's rounds after the first — re-opening the session
+    /// (encode + solver construction). Round 0's session is opened before
+    /// the loop in both modes and is not timed here.
     pub validity: Duration,
     /// Time spent deducing orders and true values.
     pub deduce: Duration,
@@ -260,16 +257,12 @@ pub struct ResolutionOutcome {
     pub user_values: usize,
     /// Total size of the order extension `|Ot|` accumulated from input.
     pub ot_size: usize,
-    /// Engine rebuilds the incremental path performed (always 0 unless the
-    /// [`ResolutionConfig::rebuild_fallback`] debug flag forced the legacy
-    /// fallback; 0 by definition on the scratch path, which re-encodes
-    /// every round by design).
-    pub rebuilds: usize,
     /// Axiom clauses lazily instantiated *and recorded* into `Φ(Se)` over
     /// the whole resolution ([`AxiomMode::Lazy`](crate::encode::AxiomMode)
     /// encodings; 0 in eager mode). Suggestion probes and MaxSAT repair
-    /// rounds record their injections too (`suggest_with_engine`), so every
-    /// instantiated axiom is counted exactly once.
+    /// rounds record their injections too, so every instantiated axiom is
+    /// counted exactly once per session (the from-scratch loop sums its
+    /// per-round sessions).
     pub injected_axioms: usize,
     /// Provenance-scoped retraction replays the warm unit propagator
     /// performed (out-of-domain answers retracting CFD groups; 0 on the
@@ -370,15 +363,12 @@ impl Resolver {
         Resolver::new(ResolutionConfig::default())
     }
 
-    /// Runs the loop of Fig. 4 on `spec` with `oracle` as the user,
-    /// dispatching to the incremental engine or the from-scratch loop per
-    /// [`ResolutionConfig::incremental`].
+    /// Runs the loop of Fig. 4 on `spec` with `oracle` as the user, on the
+    /// incremental engine or — with [`ResolutionConfig::incremental`] off —
+    /// on a fresh session per round.
     pub fn resolve(&self, spec: &Specification, oracle: &mut dyn UserOracle) -> ResolutionOutcome {
-        if self.config.incremental {
-            self.resolve_incremental(spec, oracle, None)
-        } else {
-            self.resolve_scratch(spec, oracle)
-        }
+        let session = ResolutionSession::with_options(spec, self.engine_encode_options());
+        self.drive_session(spec, oracle, None, session).0
     }
 
     /// [`Resolver::resolve`] for the scheduler's shard workers: an
@@ -388,8 +378,6 @@ impl Resolver {
     /// [`Resolver::resolve`] — the scratch-built solver starts in the same
     /// state as a fresh one, and a pre-built encoding is byte-identical to
     /// the inline encode (see `EncodedSpec::encode_with_omega_chunks`).
-    /// The from-scratch loop (`incremental: false`) rebuilds per round, so
-    /// it takes neither and falls through unchanged.
     pub(crate) fn resolve_pooled(
         &self,
         spec: &Specification,
@@ -397,23 +385,26 @@ impl Resolver {
         enc: Option<EncodedSpec>,
         scratch: &mut Option<cr_sat::SolverScratch>,
     ) -> ResolutionOutcome {
-        if !self.config.incremental {
-            return self.resolve_scratch(spec, oracle);
-        }
-        let enc = enc.unwrap_or_else(|| {
-            EncodedSpec::encode_with(spec, ResolutionSession::engine_options(&self.config))
-        });
-        let session = ResolutionSession::from_encoded(&self.config, spec, enc, scratch.take());
+        let enc =
+            enc.unwrap_or_else(|| EncodedSpec::encode_with(spec, self.engine_encode_options()));
+        let session = ResolutionSession::from_encoded(spec, enc, scratch.take());
         let (outcome, session) = self.drive_session(spec, oracle, None, session);
         *scratch = Some(session.into_solver_scratch());
         outcome
     }
 
-    /// The [`EncodeOptions`] [`Resolver::resolve`] encodes with on the
-    /// incremental path — what split tasks must use for their pre-built
-    /// encodings to match.
+    /// The [`EncodeOptions`] [`Resolver::resolve`] opens its round-0
+    /// session with — what split tasks must use for their pre-built
+    /// encodings to match. The incremental engine guards its CFDs; the
+    /// from-scratch loop encodes with [`ResolutionConfig::encode`] exactly
+    /// as given, so the oracle checks the guard-group machinery against
+    /// plain CFD clauses.
     pub(crate) fn engine_encode_options(&self) -> EncodeOptions {
-        ResolutionSession::engine_options(&self.config)
+        if self.config.incremental {
+            ResolutionSession::engine_options(&self.config)
+        } else {
+            self.config.encode
+        }
     }
 
     /// This resolver's configuration.
@@ -431,11 +422,12 @@ impl Resolver {
     /// [`ResolutionOutcome::revisions`] reports the events applied, the
     /// retracted groups, the replay cone sizes and the re-emitted clauses.
     ///
-    /// Always runs the incremental engine (streaming corrections into a
-    /// from-scratch loop would just re-encode — the paper-faithful baseline
-    /// for that comparison is a fresh [`Resolver::resolve`] on the
-    /// post-revision specification, which is exactly what the differential
-    /// harness [`crate::ingest::resolve_with_revisions_checked`] proves
+    /// Always runs one revisable session across all rounds (streaming
+    /// corrections into a from-scratch loop would just re-encode — the
+    /// paper-faithful baseline for that comparison is a fresh
+    /// [`Resolver::resolve`] on the post-revision specification, which is
+    /// exactly what the differential harness
+    /// [`crate::ingest::resolve_with_revisions_checked`] proves
     /// equivalent).
     pub fn resolve_with_revisions(
         &self,
@@ -443,31 +435,21 @@ impl Resolver {
         oracle: &mut dyn UserOracle,
         source: &mut dyn RevisionSource,
     ) -> ResolutionOutcome {
-        self.resolve_incremental(spec, oracle, Some(source))
+        let session = ResolutionSession::new_revisable(&self.config, spec);
+        self.drive_session(spec, oracle, Some(source), session).0
     }
 
-    /// The Fig. 4 loop on a round-persistent [`ResolutionSession`],
-    /// optionally fed by a revision stream (which forces the revisable
-    /// encoding — per-order and per-constraint guard groups).
-    fn resolve_incremental(
-        &self,
-        spec: &Specification,
-        oracle: &mut dyn UserOracle,
-        source: Option<&mut dyn RevisionSource>,
-    ) -> ResolutionOutcome {
-        let session = if source.is_some() {
-            ResolutionSession::new_revisable(&self.config, spec)
-        } else {
-            ResolutionSession::new(&self.config, spec)
-        };
-        self.drive_session(spec, oracle, source, session).0
-    }
-
-    /// The Fig. 4 loop body over a pre-built session, returning the spent
-    /// session alongside the outcome so callers can recycle its solver
-    /// allocations ([`ResolutionSession::into_solver_scratch`]) — the
-    /// scheduler's shard workers resolve thousands of entities each and
-    /// pool their scratch across resolutions.
+    /// The Fig. 4 loop body over a pre-built round-0 session, returning
+    /// the spent session alongside the outcome so callers can recycle its
+    /// solver allocations ([`ResolutionSession::into_solver_scratch`]) —
+    /// the scheduler's shard workers resolve thousands of entities each
+    /// and pool their scratch across resolutions.
+    ///
+    /// The incremental engine absorbs each answer into the live session.
+    /// The from-scratch loop ([`ResolutionConfig::incremental`] off, no
+    /// revision stream) never extends a session: it applies the answer to
+    /// a copy of the current specification and re-opens the next round's
+    /// session on it, inside that round's validity timer.
     pub(crate) fn drive_session(
         &self,
         spec: &Specification,
@@ -475,14 +457,22 @@ impl Resolver {
         mut source: Option<&mut dyn RevisionSource>,
         mut session: ResolutionSession,
     ) -> (ResolutionOutcome, ResolutionSession) {
+        // A revision stream mutates the live session, so it always runs
+        // on one session.
+        let from_scratch = !self.config.incremental && source.is_none();
         let mut rounds = Vec::new();
         let mut interactions = 0;
         let mut user_values = 0;
         let mut ot_size = 0;
+        // From scratch: the extended specification the next round re-opens
+        // on, and the axioms recorded by the sessions already discarded.
+        let mut reopen: Option<Specification> = None;
+        let mut discarded_axioms = 0;
         let arity = spec.schema().arity();
         let mut last_values = TrueValues::new(vec![None; arity]);
 
         let outcome = |session: &ResolutionSession,
+                       discarded_axioms: usize,
                        resolved: TrueValues,
                        valid: bool,
                        complete: bool,
@@ -497,8 +487,7 @@ impl Resolver {
                 interactions,
                 user_values,
                 ot_size,
-                rebuilds: session.rebuilds(),
-                injected_axioms: session.injected_axioms(),
+                injected_axioms: discarded_axioms + session.injected_axioms(),
                 retraction_replays: session.replays().0,
                 retraction_invalidated: session.replays().1,
                 retraction_full_resets: session.replays().2,
@@ -552,9 +541,14 @@ impl Resolver {
                 report.competing = std::mem::take(&mut competing);
             };
 
-            // (1) Validity checking. Round 0 pays the encode + solver
-            // construction; later rounds only re-solve after the delta.
+            // (1) Validity checking. The incremental engine only re-solves
+            // after the delta; from scratch, every round after the first
+            // re-encodes and constructs fresh solvers here.
             let t0 = Instant::now();
+            if let Some(next) = reopen.take() {
+                discarded_axioms += session.injected_axioms();
+                session = ResolutionSession::with_options(&next, self.config.encode);
+            }
             let valid = session.is_valid();
             let validity = t0.elapsed();
             if !valid {
@@ -562,7 +556,14 @@ impl Resolver {
                 stamp_revisions(&mut report);
                 rounds.push(report);
                 let o = outcome(
-                    &session, last_values, false, false, interactions, user_values, ot_size,
+                    &session,
+                    discarded_axioms,
+                    last_values,
+                    false,
+                    false,
+                    interactions,
+                    user_values,
+                    ot_size,
                     rounds,
                 );
                 return (o, session);
@@ -584,7 +585,15 @@ impl Resolver {
                 stamp_revisions(&mut report);
                 rounds.push(report);
                 let o = outcome(
-                    &session, values, true, true, interactions, user_values, ot_size, rounds,
+                    &session,
+                    discarded_axioms,
+                    values,
+                    true,
+                    true,
+                    interactions,
+                    user_values,
+                    ot_size,
+                    rounds,
                 );
                 return (o, session);
             }
@@ -631,15 +640,22 @@ impl Resolver {
             }
             interactions += 1;
             user_values += input.values.len();
-            let invalidated_before = session.replays().1;
-            ot_size += session.apply_input(&input);
-            if let Some(report) = rounds.last_mut() {
-                report.retraction_invalidated = session.replays().1 - invalidated_before;
+            if from_scratch {
+                let mut next = session.current().clone();
+                ot_size += next.apply_user_input(&input).1;
+                reopen = Some(next);
+            } else {
+                let invalidated_before = session.replays().1;
+                ot_size += session.apply_input(&input);
+                if let Some(report) = rounds.last_mut() {
+                    report.retraction_invalidated = session.replays().1 - invalidated_before;
+                }
             }
         }
 
         let o = outcome(
             &session,
+            discarded_axioms,
             last_values.clone(),
             true,
             last_values.complete(),
@@ -649,166 +665,6 @@ impl Resolver {
             rounds,
         );
         (o, session)
-    }
-
-    /// The Fig. 4 loop exactly as the paper describes it: every round
-    /// re-encodes the extended specification and constructs fresh solvers.
-    /// Kept as the differential-testing baseline for the incremental path
-    /// (with either axiom mode — a lazy scratch round runs the same CEGAR
-    /// loops on its throwaway solver/propagator).
-    fn resolve_scratch(&self, spec: &Specification, oracle: &mut dyn UserOracle) -> ResolutionOutcome {
-        let mut current = spec.clone();
-        let mut rounds = Vec::new();
-        let mut interactions = 0;
-        let mut user_values = 0;
-        let mut ot_size = 0;
-        let mut injected_axioms = 0;
-        let arity = spec.schema().arity();
-        let mut last_values = TrueValues::new(vec![None; arity]);
-        let lazy = self.config.encode.is_lazy();
-
-        for round in 0..=self.config.max_rounds {
-            // (1) Validity checking.
-            let t0 = Instant::now();
-            let mut enc = EncodedSpec::encode_with(&current, self.config.encode);
-            // fresh_solver asserts active guard groups — required if the
-            // caller configured the scratch path with guarded CFDs.
-            let mut solver = enc.fresh_solver();
-            let valid = if lazy {
-                let mut source = RecordingAxiomSource::new(&mut enc);
-                solver.solve_lazy(&mut source) == cr_sat::SolveResult::Sat
-            } else {
-                solver.solve() == cr_sat::SolveResult::Sat
-            };
-            // Clauses the solver holds (lazy-solve recordings included).
-            let mut synced = enc.cnf().num_clauses();
-            let validity = t0.elapsed();
-            if !valid {
-                // With a trusted oracle this means the *initial* Se has
-                // conflicts; report invalid.
-                rounds.push(RoundReport::settled(round, validity, Duration::ZERO, 0));
-                return ResolutionOutcome {
-                    resolved: last_values,
-                    valid: false,
-                    complete: false,
-                    interactions,
-                    user_values,
-                    ot_size,
-                    rebuilds: 0,
-                    injected_axioms: injected_axioms + enc.injected_axioms(),
-                    retraction_replays: 0,
-                    retraction_invalidated: 0,
-                    retraction_full_resets: 0,
-                    revisions: RevisionTelemetry::default(),
-                    rounds,
-                };
-            }
-
-            // (2) True value deducing.
-            let t1 = Instant::now();
-            let od: DeducedOrders = match self.config.deduction {
-                DeductionMethod::UnitPropagation => {
-                    let mut up = enc.fresh_propagator();
-                    if lazy {
-                        deduce_order_recording(&mut up, &mut enc)
-                    } else {
-                        deduce_order_from(&mut up, &enc)
-                    }
-                }
-                DeductionMethod::NaiveSat => {
-                    let od = if lazy {
-                        naive_deduce_recording(&mut solver, &mut enc)
-                    } else {
-                        naive_deduce_with(&mut solver, &enc)
-                    };
-                    // Probe-time recordings went through this solver too.
-                    synced = enc.cnf().num_clauses();
-                    od
-                }
-            }
-            .expect("deduction cannot conflict on a valid specification");
-            let values = true_values_from_orders(&enc, &od);
-            let deduce = t1.elapsed();
-            last_values = values.clone();
-
-            // (3) T(Se ⊕ Ot) exists?
-            if values.complete() {
-                rounds.push(RoundReport::settled(round, validity, deduce, values.known_count()));
-                return ResolutionOutcome {
-                    resolved: values,
-                    valid: true,
-                    complete: true,
-                    interactions,
-                    user_values,
-                    ot_size,
-                    rebuilds: 0,
-                    injected_axioms: injected_axioms + enc.injected_axioms(),
-                    retraction_replays: 0,
-                    retraction_invalidated: 0,
-                    retraction_full_resets: 0,
-                    revisions: RevisionTelemetry::default(),
-                    rounds,
-                };
-            }
-            if round == self.config.max_rounds {
-                rounds.push(RoundReport::settled(round, validity, deduce, values.known_count()));
-                injected_axioms += enc.injected_axioms();
-                break;
-            }
-
-            // (4) Generate a suggestion and ask the user. Deduction may
-            // have recorded axioms the solver has not seen; sync the tail
-            // first (the engine invariant suggest_with_engine relies on).
-            let t2 = Instant::now();
-            if synced < enc.cnf().num_clauses() {
-                solver.extend_from_cnf(enc.cnf(), synced);
-            }
-            let (sug, _solver_synced) =
-                suggest_with_engine(&current, &mut enc, &od, &values, &mut solver);
-            injected_axioms += enc.injected_axioms();
-            let suggest_time = t2.elapsed();
-            let input = oracle.provide(spec.schema(), &sug);
-            rounds.push(RoundReport {
-                round,
-                validity,
-                deduce,
-                suggest: suggest_time,
-                known_after_deduce: values.known_count(),
-                suggestion_size: sug.len(),
-                user_answers: input.values.len(),
-                retraction_invalidated: 0,
-                revision_events: 0,
-                revision_invalidated: 0,
-                revision_quarantined: 0,
-                revision_coalesced: 0,
-                revision_cone_union: 0,
-                revision_replays_saved: 0,
-                competing: Vec::new(),
-            });
-            if input.is_empty() {
-                break; // user settles with partial true values
-            }
-            interactions += 1;
-            user_values += input.values.len();
-            let (_to, added) = current.apply_user_input(&input);
-            ot_size += added;
-        }
-
-        ResolutionOutcome {
-            complete: last_values.complete(),
-            resolved: last_values,
-            valid: true,
-            interactions,
-            user_values,
-            ot_size,
-            rebuilds: 0,
-            injected_axioms,
-            retraction_replays: 0,
-            retraction_invalidated: 0,
-            retraction_full_resets: 0,
-            revisions: RevisionTelemetry::default(),
-            rounds,
-        }
     }
 }
 
@@ -1071,7 +927,6 @@ mod tests {
             "the CFD retraction must be a provenance replay: {outcome:?}"
         );
         assert_eq!(outcome.retraction_full_resets, 0);
-        assert_eq!(outcome.rebuilds, 0);
     }
 
     #[test]

@@ -168,7 +168,7 @@ use crate::deduce::{
     deduce_order, deduce_order_from, deduce_order_recording, naive_deduce_recording,
     naive_deduce_with, DeducedOrders,
 };
-use crate::encode::{EncodeOptions, EncodedSpec, ExtendOutcome, GroupId, RecordingAxiomSource};
+use crate::encode::{EncodeOptions, EncodedSpec, GroupId, RecordingAxiomSource};
 use crate::framework::{DeductionMethod, ResolutionConfig, UserOracle};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_with_engine, Suggestion};
@@ -512,10 +512,9 @@ struct SealedOutcome {
 ///
 /// The solver and the propagator consume the CNF at different points, so
 /// each carries its own watermark; lazily instantiated axioms recorded into
-/// the CNF by one consumer (see [`RecordingAxiomSource`]) reach the other
-/// through the ordinary tail sync.
+/// the CNF by one consumer (through a recording axiom source) reach the
+/// other through the ordinary tail sync.
 pub struct ResolutionSession {
-    config: ResolutionConfig,
     current: Specification,
     pub(crate) enc: EncodedSpec,
     pub(crate) solver: cr_sat::Solver,
@@ -524,10 +523,6 @@ pub struct ResolutionSession {
     pub(crate) synced_solver: usize,
     /// Clauses of `enc.cnf()` already in `up`.
     synced_up: usize,
-    /// Engine rebuilds performed (legacy fallback path only).
-    pub(crate) rebuilds: usize,
-    /// Axioms recorded by encodings discarded in rebuilds.
-    injected_carry: usize,
     revisions: RevisionTelemetry,
     /// Degradation policy for revisions that fail validation.
     policy: RevisionPolicy,
@@ -574,25 +569,22 @@ struct AcceptedAnswer {
 }
 
 impl ResolutionSession {
-    /// Opens a session on `spec` with the ordinary interactive engine
-    /// (guard-group CFDs unless the legacy rebuild fallback is forced; no
-    /// revision support — no per-order guard variables are allocated).
+    /// Opens a session on `spec` with the ordinary interactive engine:
+    /// guard-group CFDs, so every user answer — in the interned value
+    /// space or not — is absorbed by [`ResolutionSession::apply_input`] as
+    /// a pure extension of the encoding. No revision support: no
+    /// per-order guard variables are allocated.
     pub fn new(config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(config, spec, Self::engine_options(config))
+        Self::with_options(spec, Self::engine_options(config))
     }
 
     /// The [`EncodeOptions`] the ordinary interactive engine encodes with:
     /// guarded CFD groups are what make every user answer a pure
-    /// extension; the debug flag restores the unguarded legacy encoding
-    /// whose out-of-domain answers rebuild. The scheduler's split tasks
-    /// pre-encode with exactly these options so the session they feed is
-    /// byte-identical to one the engine would have built itself.
+    /// extension. The scheduler's split tasks pre-encode with exactly these
+    /// options so the session they feed is byte-identical to one the
+    /// engine would have built itself.
     pub(crate) fn engine_options(config: &ResolutionConfig) -> EncodeOptions {
-        if config.rebuild_fallback {
-            config.encode
-        } else {
-            config.encode.with_guarded_cfds()
-        }
+        config.encode.with_guarded_cfds()
     }
 
     /// Opens a **revisable** session: every revision-sensitive clause is
@@ -600,16 +592,15 @@ impl ResolutionSession {
     /// [`ResolutionSession::apply_revision`] can absorb upstream
     /// corrections without rebuilding.
     pub fn new_revisable(config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(config, spec, config.encode.with_revisable())
+        Self::with_options(spec, config.encode.with_revisable())
     }
 
-    fn with_options(
-        config: &ResolutionConfig,
-        spec: &Specification,
-        options: EncodeOptions,
-    ) -> Self {
+    /// Opens a session on `spec` encoded with `options` as given. The
+    /// from-scratch loop opens one per round with the caller's unguarded
+    /// options and never extends it.
+    pub(crate) fn with_options(spec: &Specification, options: EncodeOptions) -> Self {
         let enc = EncodedSpec::encode_with(spec, options);
-        Self::from_encoded(config, spec, enc, None)
+        Self::from_encoded(spec, enc, None)
     }
 
     /// Opens a session over a pre-built encoding — the scheduler's entry
@@ -620,7 +611,6 @@ impl ResolutionSession {
     /// (`cr_sat::Solver::from_cnf_with_scratch`), so sessions opened here
     /// resolve exactly like [`ResolutionSession::new`] ones.
     pub(crate) fn from_encoded(
-        config: &ResolutionConfig,
         spec: &Specification,
         enc: EncodedSpec,
         scratch: Option<cr_sat::SolverScratch>,
@@ -634,15 +624,12 @@ impl ResolutionSession {
         let mut up = cr_sat::UnitPropagator::new(&cr_sat::Cnf::new());
         let synced_up = Self::sync_propagator(&mut up, &enc, 0);
         ResolutionSession {
-            config: *config,
             current: spec.clone(),
             enc,
             solver,
             up,
             synced_solver,
             synced_up,
-            rebuilds: 0,
-            injected_carry: 0,
             revisions: RevisionTelemetry::default(),
             policy: RevisionPolicy::default(),
             quarantine: Vec::new(),
@@ -803,14 +790,9 @@ impl ResolutionSession {
         }
     }
 
-    /// Total lazily recorded axioms, including encodings lost to rebuilds.
+    /// Total lazily recorded axioms.
     pub fn injected_axioms(&self) -> usize {
-        self.injected_carry + self.enc.injected_axioms()
-    }
-
-    /// Engine rebuilds performed (0 unless the legacy fallback is forced).
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
+        self.enc.injected_axioms()
     }
 
     /// Retraction telemetry of the warm unit propagator: `(provenance
@@ -828,7 +810,7 @@ impl ResolutionSession {
             "apply_input mid-batch: seal the open revision batch first"
         );
         // The encoder derives the delta from the pre-input specification.
-        let outcome = self.enc.extend_with_input(&self.current, input);
+        let retracted_groups = self.enc.extend_with_input(&self.current, input);
         let (to, added) = self.current.apply_user_input(input);
         // Record each accepted answer with the causal knowledge it was
         // given under (the frontier's delivered vector): a later correction
@@ -843,47 +825,16 @@ impl ResolutionSession {
                 );
             }
         }
-        match outcome {
-            ExtendOutcome::Extended { retracted_groups } => {
-                self.up.retract_groups(&retracted_groups);
-                self.redeliver_revived();
-                self.sync_solver();
-                self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-                // Guard set may have changed (retractions and fresh CFD
-                // emissions).
-                self.solver.set_persistent_assumptions(self.enc.active_guards());
-                // Round-boundary sweep: learnt clauses accumulate over a
-                // resolve(); keep the database proportional to the formula.
-                let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
-                self.solver.compact_learnts(cap);
-            }
-            // Legacy fallback (`rebuild_fallback`): out-of-domain answers
-            // change the value spaces — rebuild once from the extended
-            // specification, then continue incrementally from the new state.
-            ExtendOutcome::NeedsRebuild => {
-                let rebuilds = self.rebuilds + 1;
-                let injected_carry = self.injected_axioms();
-                let revisions = self.revisions;
-                let policy = self.policy;
-                let quarantine = std::mem::take(&mut self.quarantine);
-                let quarantine_cap = self.quarantine_cap;
-                let competing = std::mem::take(&mut self.competing);
-                let frontier = std::mem::take(&mut self.frontier);
-                let answers = std::mem::take(&mut self.answers);
-                let epoch = self.epoch;
-                *self = ResolutionSession::new(&self.config, &self.current);
-                self.rebuilds = rebuilds;
-                self.injected_carry = injected_carry;
-                self.revisions = revisions;
-                self.policy = policy;
-                self.quarantine = quarantine;
-                self.quarantine_cap = quarantine_cap;
-                self.competing = competing;
-                self.frontier = frontier;
-                self.answers = answers;
-                self.epoch = epoch;
-            }
-        }
+        self.up.retract_groups(&retracted_groups);
+        self.redeliver_revived();
+        self.sync_solver();
+        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
+        // Guard set may have changed (retractions and fresh CFD emissions).
+        self.solver.set_persistent_assumptions(self.enc.active_guards());
+        // Round-boundary sweep: learnt clauses accumulate over a resolve();
+        // keep the database proportional to the formula.
+        let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
+        self.solver.compact_learnts(cap);
         // An absorbed input round is a committed mutation batch of its
         // own: it seals an epoch.
         self.epoch = self.epoch.next();

@@ -49,14 +49,8 @@ pub mod spec;
 pub mod suggest;
 pub mod truevalue;
 
-pub use deduce::{
-    deduce_order, deduce_order_from, deduce_order_recording, naive_deduce, naive_deduce_fresh,
-    naive_deduce_recording, naive_deduce_with, DeducedOrders,
-};
-pub use encode::{
-    compile_count, AxiomMode, CompiledProgram, EncodeOptions, EncodedSpec, ExtendOutcome,
-    RecordingAxiomSource, TransientAxiomSource,
-};
+pub use deduce::{deduce_order, naive_deduce, naive_deduce_fresh, DeducedOrders};
+pub use encode::{compile_count, AxiomMode, CompiledProgram, EncodeOptions, EncodedSpec};
 pub use deadline::{DeadlineExceeded, PhaseDeadline};
 pub use framework::{ResolutionConfig, ResolutionOutcome, Resolver, RoundReport};
 pub use causal::{
@@ -78,7 +72,7 @@ pub use sched::{
     resolve_batch, resolve_stream, BoundedQueue, Placement, SchedTelemetry, SchedulerConfig,
 };
 pub use spec::{Specification, UserInput};
-pub use suggest::{suggest, suggest_with_engine, suggest_with_solver, Suggestion};
+pub use suggest::{suggest, Suggestion};
 pub use truevalue::{
     exact_true_values, possible_current_values, true_values_from_orders, TrueValues,
 };

@@ -53,33 +53,21 @@ pub fn suggest(
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Suggestion {
-    let mut solver = enc.fresh_solver();
-    suggest_with_solver(spec, enc, od, known, &mut solver)
-}
-
-/// [`suggest`] against a caller-owned solver already loaded with `Φ(Se)`
-/// (plus any learnt clauses). The resolution engine passes its warm
-/// incremental solver here, so the common case of `GetSug` — the whole
-/// clique is consistent — costs one assumption probe instead of copying
-/// `Φ(Se)` into a fresh MaxSAT instance.
-pub fn suggest_with_solver(
-    spec: &Specification,
-    enc: &EncodedSpec,
-    od: &DeducedOrders,
-    known: &TrueValues,
-    solver: &mut cr_sat::Solver,
-) -> Suggestion {
     // DeriveVR + TrueDer + CompGraph + MaxClique.
     let rules = true_der(spec, enc, od, known);
     let graph = compatibility_graph(&rules);
     let clique = find_max_clique(&graph, CliqueStrategy::default());
 
     // GetSug: retain a maximum subset of the clique consistent with Φ(Se).
-    let selected = max_consistent_subset(enc, &rules, &clique, solver);
+    let mut solver = enc.fresh_solver();
+    let selected = max_consistent_subset(enc, &rules, &clique, &mut solver);
     assemble_suggestion(spec, enc, od, known, rules, selected)
 }
 
-/// [`suggest_with_solver`] for the incremental engine: the clique probe and
+/// [`suggest`] against the resolution engine's warm solver: the common
+/// case of `GetSug` — the whole clique is consistent — costs one
+/// assumption probe instead of copying `Φ(Se)` into a fresh MaxSAT
+/// instance. The clique probe and
 /// the MaxSAT repair's CEGAR rounds **record** their lazily instantiated
 /// axioms into the encoding's CNF instead of running transient loops — the
 /// warm solver therefore starts every later probe from the full
@@ -92,7 +80,7 @@ pub fn suggest_with_solver(
 /// sync watermark: clauses recorded by the probe already reached the solver
 /// through its CEGAR loop, clauses recorded by the MaxSAT repair did not
 /// and stay above the watermark for the next ordinary tail sync.
-pub fn suggest_with_engine(
+pub(crate) fn suggest_with_engine(
     spec: &Specification,
     enc: &mut EncodedSpec,
     od: &DeducedOrders,

@@ -1,8 +1,10 @@
 //! Differential tests: the incremental resolution engine must produce
-//! exactly the same [`ResolutionOutcome`] as the from-scratch Fig. 4 loop —
-//! same resolved tuples, same interaction counts, same order-extension
-//! sizes — on every workload, including rounds where user answers fall
-//! outside the interned value space (the engine's rebuild fallback).
+//! exactly the same [`ResolutionOutcome`] as the from-scratch Fig. 4 loop
+//! (a fresh, unguarded session per round) — same resolved tuples, same
+//! interaction counts, same order-extension sizes, same per-round progress
+//! — on every workload, including rounds where user answers fall outside
+//! the interned value space (which the engine absorbs by guard-group
+//! retraction and re-emission, and the oracle by re-encoding).
 
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, SilentOracle, UserOracle,
@@ -23,6 +25,17 @@ fn resolve_both(
     (a, b)
 }
 
+/// Per-round progress: `(known_after_deduce, suggestion_size,
+/// user_answers)` of every round, so a skewed round shows up even when the
+/// final outcomes coincide.
+fn round_trace(outcome: &ResolutionOutcome) -> Vec<(usize, usize, usize)> {
+    outcome
+        .rounds
+        .iter()
+        .map(|r| (r.known_after_deduce, r.suggestion_size, r.user_answers))
+        .collect()
+}
+
 fn assert_outcomes_match(spec: &Specification, truth: &Tuple, cap: usize, config: ResolutionConfig) {
     let (a, b) = resolve_both(
         spec,
@@ -36,10 +49,7 @@ fn assert_outcomes_match(spec: &Specification, truth: &Tuple, cap: usize, config
     assert_eq!(a.user_values, b.user_values, "answer counts diverged");
     assert_eq!(a.ot_size, b.ot_size, "|Ot| diverged");
     assert_eq!(a.rounds.len(), b.rounds.len(), "round counts diverged");
-    if !config.rebuild_fallback {
-        assert_eq!(a.rebuilds, 0, "guarded incremental engine must never rebuild");
-    }
-    assert_eq!(b.rebuilds, 0, "scratch path never counts rebuilds");
+    assert_eq!(round_trace(&a), round_trace(&b), "per-round progress diverged");
 }
 
 fn default_config(max_rounds: usize) -> ResolutionConfig {
@@ -69,7 +79,7 @@ fn person_dataset_identical() {
     let ds = cr_data::person::generate_with_sizes(&[40, 90, 140], 7);
     for i in 0..ds.len() {
         // Person truths routinely carry values outside the active domain,
-        // exercising the engine's rebuild fallback.
+        // exercising guard-group retraction and re-emission.
         assert_outcomes_match(&ds.spec(i), ds.truth(i), 1, default_config(10));
     }
 }
@@ -83,12 +93,19 @@ fn sparse_constraints_force_many_rounds_and_agree() {
 
 #[test]
 fn naive_sat_deduction_agrees() {
-    let ds = cr_data::nba::generate_with_sizes(&[27], 5);
     let config = ResolutionConfig {
         deduction: DeductionMethod::NaiveSat,
         ..default_config(5)
     };
+    let ds = cr_data::nba::generate_with_sizes(&[27], 5);
     assert_outcomes_match(&ds.spec(0), ds.truth(0), 1, config);
+    // Out-of-domain answers on CFD attributes: the engine's NaiveSat probes
+    // run on the warm solver across guard-group retraction, the oracle's on
+    // a fresh unguarded session per round.
+    for (ac_new, city_new) in [(true, true), (true, false), (false, true)] {
+        let (spec, truth) = cfd_lhs_spec(3, ac_new, city_new);
+        assert_outcomes_match(&spec, &truth, 1, config);
+    }
 }
 
 #[test]
@@ -112,8 +129,7 @@ fn silent_oracle_agrees() {
 fn out_of_domain_answer_extends_in_place_and_agrees() {
     // City has two conflicting values; the user asserts a third one that is
     // not in the active domain — the guarded incremental engine absorbs it
-    // as a pure extension (zero rebuilds) and still matches the scratch
-    // loop.
+    // as a pure extension and still matches the scratch loop.
     let s = Schema::new("p", ["name", "city"]).unwrap();
     let e = EntityInstance::new(
         s,
@@ -126,12 +142,11 @@ fn out_of_domain_answer_extends_in_place_and_agrees() {
     let spec = Specification::without_orders(e, vec![], vec![]);
     let truth = Tuple::of([Value::str("X"), Value::str("Chicago")]);
     assert_outcomes_match(&spec, &truth, 1, default_config(10));
-    // And the resolution really adopts the new value, without rebuilding.
+    // And the resolution really adopts the new value.
     let outcome = Resolver::new(default_config(10))
         .resolve(&spec, &mut GroundTruthOracle::new(truth.clone()));
     assert!(outcome.complete);
     assert_eq!(outcome.resolved.to_tuple().unwrap().values(), truth.values());
-    assert_eq!(outcome.rebuilds, 0);
 }
 
 /// A conflict-heavy spec whose CFDs put `AC` on the LHS and `city` on the
@@ -181,26 +196,8 @@ fn out_of_domain_cfd_lhs_answer_never_rebuilds_and_agrees() {
     assert_outcomes_match(&spec, &truth, 1, default_config(10));
     let outcome = Resolver::new(default_config(10))
         .resolve(&spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1));
-    assert_eq!(outcome.rebuilds, 0);
     assert!(outcome.complete);
     assert_eq!(outcome.resolved.to_tuple().unwrap().values(), truth.values());
-}
-
-#[test]
-fn legacy_rebuild_fallback_still_agrees_and_counts() {
-    // With the debug flag the engine encodes unguarded CFDs: out-of-domain
-    // answers must take the (counted) rebuild path and still match scratch.
-    let (spec, truth) = cfd_lhs_spec(3, true, true);
-    let config = ResolutionConfig { rebuild_fallback: true, ..default_config(10) };
-    assert_outcomes_match(&spec, &truth, 1, config);
-    let outcome = Resolver::new(config)
-        .resolve(&spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1));
-    assert!(outcome.rebuilds > 0, "fallback path must actually rebuild");
-    // Same resolution either way.
-    let guarded = Resolver::new(default_config(10))
-        .resolve(&spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1));
-    assert_eq!(outcome.resolved, guarded.resolved);
-    assert_eq!(outcome.interactions, guarded.interactions);
 }
 
 #[test]
@@ -265,11 +262,12 @@ proptest! {
         prop_assert_eq!(a.interactions, b.interactions);
         prop_assert_eq!(a.user_values, b.user_values);
         prop_assert_eq!(a.ot_size, b.ot_size);
+        prop_assert_eq!(round_trace(&a), round_trace(&b), "per-round progress diverged");
     }
 
-    /// Guarded-extension resolution must equal from-scratch resolution (and
-    /// the legacy rebuild fallback) on specs whose CFDs sit on attributes
-    /// the user answers with out-of-domain values — the retraction path.
+    /// Guarded-extension resolution must equal from-scratch resolution on
+    /// specs whose CFDs sit on attributes the user answers with
+    /// out-of-domain values — the retraction path.
     #[test]
     fn out_of_domain_cfd_lhs_answers_agree(
         n in 2usize..6,
@@ -290,12 +288,7 @@ proptest! {
         prop_assert_eq!(a.interactions, b.interactions);
         prop_assert_eq!(a.user_values, b.user_values);
         prop_assert_eq!(a.ot_size, b.ot_size);
-        prop_assert_eq!(a.rebuilds, 0, "guarded engine must never rebuild");
-        // The legacy rebuild fallback resolves identically.
-        let legacy = Resolver::new(ResolutionConfig { rebuild_fallback: true, ..config });
-        let c = legacy.resolve(&spec, &mut GroundTruthOracle::with_cap(truth.clone(), cap));
-        prop_assert_eq!(&c.resolved, &a.resolved, "legacy fallback diverged");
-        prop_assert_eq!(c.interactions, a.interactions);
+        prop_assert_eq!(round_trace(&a), round_trace(&b), "per-round progress diverged");
     }
 
     /// Same for NBA entities (deeper constraint chains, CFD-free).

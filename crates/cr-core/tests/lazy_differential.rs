@@ -49,8 +49,6 @@ fn assert_four_agree(spec: &Specification, truth: &Tuple, cap: usize) {
         assert_eq!(lazy_inc.user_values, other.user_values, "answer count diverged vs {label}");
         assert_eq!(lazy_inc.ot_size, other.ot_size, "|Ot| diverged vs {label}");
     }
-    assert_eq!(lazy_inc.rebuilds, 0, "lazy guarded engine must never rebuild");
-    assert_eq!(eager_inc.rebuilds, 0, "eager guarded engine must never rebuild");
     assert_eq!(eager_inc.injected_axioms, 0, "eager mode never injects");
     assert_eq!(eager_scr.injected_axioms, 0, "eager scratch never injects");
 }
