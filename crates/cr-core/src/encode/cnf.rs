@@ -36,9 +36,13 @@
 //! all: [`EncodedSpec::violated_axioms`] answers a
 //! [`cr_sat::LazyAxiomSource`] consultation by scanning the candidate
 //! assignment against the dense `attr × lo × hi` variable table and
-//! returning exactly the asymmetry/totality/transitivity instances the
+//! appending exactly the asymmetry/totality/transitivity instances the
 //! candidate violates (total models) or that became unit under it (root
-//! fixpoints). Two adapters integrate it:
+//! fixpoints) to the caller's flat clause buffer. The scans read the
+//! assignment into per-value bit rows and find the third value of each
+//! triple by word operations (see [`EncodedSpec::violated_axioms`]); the
+//! value-by-value scans they replaced are kept as test oracles with an
+//! identical output sequence. Two adapters integrate it:
 //! [`RecordingAxiomSource`] additionally appends every handed-out clause
 //! to the encoding's CNF — keeping it the single source of truth, so the
 //! engine's other consumers (the warm solver ↔ unit propagator, and the
@@ -50,7 +54,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cr_sat::{Cnf, Lit, Var};
+use cr_sat::{Assignment, ClauseBuffer, Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, TupleId, Value, ValueId};
 
 use super::AxiomMode;
@@ -58,7 +62,7 @@ use super::AxiomMode;
 use super::omega::{
     base_order_instance, build_spaces, cfd_instances, emit_base_orders, emit_null_bottoms,
     emit_sigma_gamma, instantiate_pair, sigma_constraint_instances, Conclusion,
-    InstanceConstraint, OmegaSink, OrderAtom, Premise,
+    InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
 };
 use super::EncodeOptions;
 use crate::spec::{Specification, UserInput};
@@ -619,17 +623,26 @@ impl EncodedSpec {
         let to = cr_types::Tuple::from_values(values);
         let answered_attr = |attr: AttrId| answered.iter().any(|&(a, _)| a == attr);
         let program = spec.compiled_program().clone();
-        for (ci, cc) in program.sigma.iter().enumerate() {
-            // A pair involving `to` instantiates only if the conclusion is
-            // non-null on `to`'s side, and order / tuple-comparison
-            // premises need both sides non-null — so those attributes must
-            // all be among the answered ones. Σ can be large (hundreds of
-            // constraints on generated workloads); these O(|ω|) checks —
-            // over the compiled premise shapes, nothing re-derived — skip
-            // the per-tuple work for the vast majority.
-            if !answered_attr(cc.conclusion_attr) {
-                continue;
-            }
+        // A pair involving `to` instantiates only if the conclusion is
+        // non-null on `to`'s side, so only the constraints concluding on an
+        // answered attribute are visited (in Σ order, as a full walk would).
+        let mut concluding: Vec<usize> = answered
+            .iter()
+            .filter_map(|&(a, _)| program.by_conclusion.get(a.index()))
+            .flatten()
+            .copied()
+            .collect();
+        concluding.sort_unstable();
+        concluding.dedup();
+        let projections = ProjectionCache::new(&program);
+        for ci in concluding {
+            let cc = &program.sigma[ci];
+            // Order / tuple-comparison premises need both sides non-null —
+            // so those attributes must all be among the answered ones. Σ
+            // can be large (hundreds of constraints on generated
+            // workloads); these O(|ω|) checks — over the compiled premise
+            // shapes, nothing re-derived — skip the per-tuple work for the
+            // vast majority.
             if cc.order_premises.iter().any(|a| !answered_attr(*a))
                 || cc.tuple_cmps.iter().any(|(a, _)| !answered_attr(*a))
             {
@@ -644,20 +657,10 @@ impl EncodedSpec {
                 continue;
             }
             let constraint = &spec.sigma()[ci];
-            // Distinct projections over the dense id rows — integer keys,
-            // no Value hashing; the projection key comes precomputed from
-            // the compiled program.
-            let mut seen: std::collections::HashSet<Vec<u32>> =
-                std::collections::HashSet::new();
-            for tid in entity.tuple_ids() {
-                let projection: Vec<u32> = cc
-                    .referenced_attrs
-                    .iter()
-                    .map(|&a| entity.dense_id(tid, a))
-                    .collect();
-                if !seen.insert(projection) {
-                    continue;
-                }
+            // One representative per distinct projection — the first
+            // occurring, in tuple-id order — grouped once per projection
+            // class for the whole input.
+            for &tid in &projections.get(&program, entity, cc.class).reps {
                 let t = entity.tuple(tid);
                 // Revisable mode: delta instances join the constraint's
                 // retractable group, so a later revision touching the
@@ -883,6 +886,7 @@ impl EncodedSpec {
         // groups can have changed. Re-projection reuses the compiled
         // program's referenced-attribute keys.
         let program = after.compiled_program().clone();
+        let projections = ProjectionCache::new(&program);
         for (ci, cc) in program.sigma.iter().enumerate() {
             if !cc.referenced_attrs.contains(&attr) {
                 continue;
@@ -891,7 +895,8 @@ impl EncodedSpec {
                 self.retract_group(group);
                 retracted.push(group);
             }
-            let instances = sigma_constraint_instances(after, ci, &cc.referenced_attrs, &self.space);
+            let reps = &projections.get(&program, after.entity(), cc.class).reps;
+            let instances = sigma_constraint_instances(after, ci, reps, &self.space);
             if !instances.is_empty() {
                 let group = self.new_group();
                 self.sigma_groups[ci] = Some(group);
@@ -1343,33 +1348,304 @@ impl EncodedSpec {
     }
 
     /// Appends lazily instantiated axiom clauses to the CNF as permanent
-    /// clauses (axioms are theory-valid independently of any CFD group).
-    pub(crate) fn record_axiom_clauses(&mut self, clauses: &[Vec<Lit>]) {
-        for clause in clauses {
+    /// clauses (axioms are theory-valid independently of any CFD group):
+    /// the clauses of `clauses` from index `from` on.
+    pub(crate) fn record_axiom_clauses(&mut self, clauses: &ClauseBuffer, from: usize) {
+        for clause in clauses.iter_from(from) {
             self.push_clause(clause.iter().copied(), NO_GROUP);
         }
-        self.injected_axioms += clauses.len();
+        self.injected_axioms += clauses.len() - from;
     }
 
     /// The order-axiom instances violated by (or unit under) a candidate
     /// assignment — the detection half of [`cr_sat::LazyAxiomSource`] for
-    /// [`AxiomMode::Lazy`] encodings.
+    /// [`AxiomMode::Lazy`] encodings — appended to `out`.
     ///
-    /// `value(v)` is the candidate truth of variable `v`. With
-    /// `delta = Some(lits)` (a root fixpoint's newly assigned literals) the
-    /// scan is restricted to axiom instances touching a delta variable and
-    /// returns every instance with no true literal and at most one
+    /// With `delta = Some(lits)` (a root fixpoint's newly assigned literals)
+    /// the scan is restricted to axiom instances touching a delta variable
+    /// and appends every instance with no true literal and at most one
     /// unassigned literal — i.e. exactly the clauses eager unit propagation
     /// could fire next; completeness across rounds follows because a clause
     /// can only *become* unit through a new assignment. With `delta = None`
-    /// (a total model) all instances with no true literal are returned;
+    /// (a total model) all instances with no true literal are appended;
     /// per attribute the scan is `O(n²)` on theory-satisfying models (a
     /// total asymmetric relation is transitive iff its score sequence is a
     /// permutation) and only walks triples when a violation exists.
     ///
-    /// Returned clauses are **not** recorded — see the module docs for the
+    /// Both scans first copy the assignment into per-value bit rows (the
+    /// truth and falsity of `x ≺ c` and `c ≺ x` over every value `c`, one
+    /// bit per value; the delta scan builds rows only for the values its
+    /// literals touch) and then find the third value of each triple by word
+    /// operations, visiting it in ascending order — so the emitted clause
+    /// sequence is the one a value-by-value walk produces.
+    ///
+    /// Appended clauses are **not** recorded — see the module docs for the
     /// recording and transient integration policies.
     pub fn violated_axioms(
+        &self,
+        assignment: Assignment<'_>,
+        delta: Option<&[Lit]>,
+        out: &mut ClauseBuffer,
+    ) {
+        debug_assert_eq!(self.options.axioms, AxiomMode::Lazy);
+        match delta {
+            Some(lits) => self.violated_axioms_delta(assignment, lits, out),
+            None => self.violated_axioms_total(assignment, out),
+        }
+    }
+
+    /// Delta scan for partial (root-fixpoint) assignments: for each newly
+    /// assigned order atom, enumerate the `O(n)` axiom instances it
+    /// participates in and keep those that are unit or conflicting.
+    fn violated_axioms_delta(
+        &self,
+        assignment: Assignment<'_>,
+        delta: &[Lit],
+        out: &mut ClauseBuffer,
+    ) {
+        // Dedup within the call: the same instance can be reached from two
+        // delta atoms. Key: (attr, a, b, c) for triples ("x_ab ∧ x_bc →
+        // x_ac"), (attr, a, b, MAX) for asymmetry on {a, b} and (attr, a,
+        // b, MAX-1) for totality (a < b). Asymmetry and totality need
+        // distinct keys: retraction redelivery presents *both* polarities
+        // of an unassigned variable, and a shared key would let the
+        // asymmetry emission starve the totality instance for the pair.
+        let mut seen: HashSet<(AttrId, u32, u32, u32)> = HashSet::new();
+        let mut rows: Vec<Option<AttrRows>> = Vec::new();
+        rows.resize_with(self.space.arity(), || None);
+        for &lit in delta {
+            let Some(OrderAtom { attr, lo: a, hi: b }) = self.order_atom(lit.var()) else {
+                continue; // guard or other auxiliary variable
+            };
+            let r = rows[attr.index()].get_or_insert_with(|| AttrRows::new(&self.space, attr));
+            // The active axiom scheme ranges over *live* values only — a
+            // from-scratch encode of the materialised specification never
+            // interns a retired value, so instantiating its axioms here
+            // (most visibly totality) would let the replay derive order
+            // facts the scratch encoding cannot.
+            if !r.is_live(a) || !r.is_live(b) {
+                continue;
+            }
+            let table = &self.vars.per_attr[attr.index()];
+            let n = self.vars.width[attr.index()];
+            let var = |x: u32, y: u32| Var(table[x as usize * n + y as usize]);
+            debug_assert_eq!(n, self.space.attr(attr).len());
+            let (a, b) = (a.0, b.0);
+            // Candidate third values in word `w`: live, and neither a nor b.
+            let third = |r: &AttrRows, w: usize| {
+                let mut m = r.live[w];
+                for x in [a, b] {
+                    if x as usize / 64 == w {
+                        m &= !(1u64 << (x % 64));
+                    }
+                }
+                m
+            };
+            let asym_key = (attr, a.min(b), a.max(b), u32::MAX);
+            let total_key = (attr, a.min(b), a.max(b), u32::MAX - 1);
+            if lit.is_positive() {
+                r.ensure_out(a, table, n, assignment);
+                r.ensure_out(b, table, n, assignment);
+                r.ensure_in(a, table, n, assignment);
+                r.ensure_in(b, table, n, assignment);
+                let r = &*r;
+                // x_ab = true. Asymmetry ¬x_ab ∨ ¬x_ba is unit (or
+                // conflicting) unless x_ba is already false.
+                let x_ba_false = r.out_false(b)[a as usize / 64] >> (a % 64) & 1 != 0;
+                if !x_ba_false && seen.insert(asym_key) {
+                    out.push(&[var(a, b).negative(), var(b, a).negative()]);
+                }
+                let (at, af) = (r.out_true(a), r.out_false(a));
+                let (bt, bf) = (r.out_true(b), r.out_false(b));
+                let (iat, iaf) = (r.in_true(a), r.in_false(a));
+                let (ibt, ibf) = (r.in_true(b), r.in_false(b));
+                for w in 0..r.words {
+                    // (a, b, c): ¬x_ab ∨ ¬x_bc ∨ x_ac — x_bc not false, x_ac
+                    // not true, at most one of them unassigned.
+                    let (u_ac, u_bc) = (!(at[w] | af[w]), !(bt[w] | bf[w]));
+                    let abc = !bf[w] & !at[w] & !(u_ac & u_bc);
+                    // (c, a, b): ¬x_ca ∨ ¬x_ab ∨ x_cb.
+                    let (u_ca, u_cb) = (!(iat[w] | iaf[w]), !(ibt[w] | ibf[w]));
+                    let cab = !iaf[w] & !ibt[w] & !(u_ca & u_cb);
+                    let mut m = (abc | cab) & third(r, w);
+                    while m != 0 {
+                        let bit = m & m.wrapping_neg();
+                        m ^= bit;
+                        let c = (w * 64) as u32 + bit.trailing_zeros();
+                        if abc & bit != 0 && seen.insert((attr, a, b, c)) {
+                            out.push(&[
+                                var(a, b).negative(),
+                                var(b, c).negative(),
+                                var(a, c).positive(),
+                            ]);
+                        }
+                        if cab & bit != 0 && seen.insert((attr, c, a, b)) {
+                            out.push(&[
+                                var(c, a).negative(),
+                                var(a, b).negative(),
+                                var(c, b).positive(),
+                            ]);
+                        }
+                    }
+                }
+            } else {
+                // x_ab = false. Totality x_ab ∨ x_ba is unit unless x_ba is
+                // already true.
+                if self.options.totality
+                    && assignment.value(var(b, a)) != Some(true)
+                    && seen.insert(total_key)
+                {
+                    out.push(&[var(a, b).positive(), var(b, a).positive()]);
+                }
+                r.ensure_out(a, table, n, assignment);
+                r.ensure_in(b, table, n, assignment);
+                let r = &*r;
+                // x_ab is the conclusion of the triples (a, c, b):
+                // ¬x_ac ∨ ¬x_cb ∨ x_ab.
+                let (at, af) = (r.out_true(a), r.out_false(a));
+                let (ibt, ibf) = (r.in_true(b), r.in_false(b));
+                for w in 0..r.words {
+                    let (u_ac, u_cb) = (!(at[w] | af[w]), !(ibt[w] | ibf[w]));
+                    let mut m = !af[w] & !ibf[w] & !(u_ac & u_cb) & third(r, w);
+                    while m != 0 {
+                        let bit = m & m.wrapping_neg();
+                        m ^= bit;
+                        let c = (w * 64) as u32 + bit.trailing_zeros();
+                        if seen.insert((attr, a, c, b)) {
+                            out.push(&[
+                                var(a, c).negative(),
+                                var(c, b).negative(),
+                                var(a, b).positive(),
+                            ]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Total-model scan: per attribute, check pair axioms in `O(n²)`, then
+    /// transitivity via the tournament score-sequence criterion — only a
+    /// genuinely intransitive relation pays the triple walk.
+    fn violated_axioms_total(&self, assignment: Assignment<'_>, out: &mut ClauseBuffer) {
+        let mut ids: Vec<usize> = Vec::new();
+        let mut m: Vec<u64> = Vec::new();
+        let mut col: Vec<u64> = Vec::new();
+        for attr in (0..self.space.arity() as u16).map(AttrId) {
+            // Restrict to live values: retired values are outside the
+            // active axiom scheme (a from-scratch encode never interns
+            // them), so constraining their pairs — totality above all —
+            // would over-constrain the model relative to scratch.
+            ids.clear();
+            ids.extend(self.space.attr(attr).live_ids().map(|id| id.index()));
+            let n = ids.len();
+            if n < 2 {
+                continue;
+            }
+            let table = &self.vars.per_attr[attr.index()];
+            let width = self.vars.width[attr.index()];
+            let var = |x: usize, y: usize| Var(table[ids[x] * width + ids[y]]);
+            // Truth rows over the live positions, `m` row-major and `col`
+            // its transpose (unassigned model slots read as false, matching
+            // `Solver::model` semantics for unconstrained variables).
+            let words = n.div_ceil(64);
+            m.clear();
+            m.resize(n * words, 0);
+            col.clear();
+            col.resize(n * words, 0);
+            for x in 0..n {
+                let row = &table[ids[x] * width..(ids[x] + 1) * width];
+                for y in 0..n {
+                    if x != y && assignment.value(Var(row[ids[y]])) == Some(true) {
+                        m[x * words + y / 64] |= 1 << (y % 64);
+                        col[y * words + x / 64] |= 1 << (x % 64);
+                    }
+                }
+            }
+            let row = |x: usize| &m[x * words..(x + 1) * words];
+            let above = |x: usize, w: usize| -> u64 {
+                // Positions y with x < y < n, in word w.
+                let lo = (x + 1).saturating_sub(w * 64).min(64);
+                let hi = n.saturating_sub(w * 64).min(64);
+                let upto = |k: usize| if k >= 64 { u64::MAX } else { (1u64 << k) - 1 };
+                upto(hi) & !upto(lo)
+            };
+            let mut tournament = true;
+            for x in 0..n {
+                let (rx, cx) = (row(x), &col[x * words..(x + 1) * words]);
+                for w in x / 64..words {
+                    let both = rx[w] & cx[w];
+                    let mut viol = (both | !(rx[w] | cx[w])) & above(x, w);
+                    while viol != 0 {
+                        let bit = viol & viol.wrapping_neg();
+                        viol ^= bit;
+                        let y = w * 64 + bit.trailing_zeros() as usize;
+                        tournament = false;
+                        if both & bit != 0 {
+                            out.push(&[var(x, y).negative(), var(y, x).negative()]);
+                        } else if self.options.totality {
+                            out.push(&[var(x, y).positive(), var(y, x).positive()]);
+                        }
+                    }
+                }
+            }
+            if tournament {
+                // A tournament is transitive iff its score sequence is a
+                // permutation of 0..n.
+                let mut score_seen = vec![false; n];
+                let mut transitive = true;
+                for x in 0..n {
+                    let s: usize = row(x).iter().map(|w| w.count_ones() as usize).sum();
+                    if score_seen[s] {
+                        transitive = false;
+                        break;
+                    }
+                    score_seen[s] = true;
+                }
+                if transitive {
+                    continue;
+                }
+            }
+            for x in 0..n {
+                let rx = row(x);
+                for wy in 0..words {
+                    let mut ys = rx[wy];
+                    while ys != 0 {
+                        let ybit = ys & ys.wrapping_neg();
+                        ys ^= ybit;
+                        let y = wy * 64 + ybit.trailing_zeros() as usize;
+                        let ry = row(y);
+                        for wz in 0..words {
+                            // z ≠ y holds already (no diagonal bits).
+                            let mut zs = ry[wz] & !rx[wz];
+                            if x / 64 == wz {
+                                zs &= !(1u64 << (x % 64));
+                            }
+                            while zs != 0 {
+                                let zbit = zs & zs.wrapping_neg();
+                                zs ^= zbit;
+                                let z = wz * 64 + zbit.trailing_zeros() as usize;
+                                out.push(&[
+                                    var(x, y).negative(),
+                                    var(y, z).negative(),
+                                    var(x, z).positive(),
+                                ]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The value-by-value axiom scans [`EncodedSpec::violated_axioms`] replaced:
+/// every probe goes through a closure and every instance is its own
+/// vector. Kept as the oracle the bit-row scans are proven against
+/// (clause-sequence equality, see the tests below).
+#[cfg(test)]
+impl EncodedSpec {
+    fn violated_axioms_reference(
         &self,
         value: &dyn Fn(Var) -> Option<bool>,
         delta: Option<&[Lit]>,
@@ -1377,8 +1653,8 @@ impl EncodedSpec {
         debug_assert_eq!(self.options.axioms, AxiomMode::Lazy);
         let mut out = Vec::new();
         match delta {
-            Some(lits) => self.violated_axioms_delta(value, lits, &mut out),
-            None => self.violated_axioms_total(value, &mut out),
+            Some(lits) => self.violated_axioms_delta_reference(value, lits, &mut out),
+            None => self.violated_axioms_total_reference(value, &mut out),
         }
         out
     }
@@ -1386,7 +1662,7 @@ impl EncodedSpec {
     /// Delta scan for partial (root-fixpoint) assignments: for each newly
     /// assigned order atom, enumerate the `O(n)` axiom instances it
     /// participates in and keep those that are unit or conflicting.
-    fn violated_axioms_delta(
+    fn violated_axioms_delta_reference(
         &self,
         value: &dyn Fn(Var) -> Option<bool>,
         delta: &[Lit],
@@ -1493,7 +1769,11 @@ impl EncodedSpec {
     /// Total-model scan: per attribute, check pair axioms in `O(n²)`, then
     /// transitivity via the tournament score-sequence criterion — only a
     /// genuinely intransitive relation pays the `O(n³)` triple walk.
-    fn violated_axioms_total(&self, value: &dyn Fn(Var) -> Option<bool>, out: &mut Vec<Vec<Lit>>) {
+    fn violated_axioms_total_reference(
+        &self,
+        value: &dyn Fn(Var) -> Option<bool>,
+        out: &mut Vec<Vec<Lit>>,
+    ) {
         for attr in (0..self.space.arity() as u16).map(AttrId) {
             // Restrict to live values: retired values are outside the
             // active axiom scheme (a from-scratch encode never interns
@@ -1570,6 +1850,110 @@ impl EncodedSpec {
     }
 }
 
+/// Bit rows of one attribute for one lazy-axiom consultation (see
+/// [`EncodedSpec::violated_axioms`]). For a value `x`, the *out* rows hold
+/// the candidate truth and falsity of `x ≺ c` and the *in* rows those of
+/// `c ≺ x`, one bit per value id `c` (unassigned = neither bit). Rows are
+/// read from the assignment the first time a scan needs them, so a delta
+/// touching one pair reads no more assignment slots than a value-by-value
+/// walk would.
+struct AttrRows {
+    /// `u64` words per row.
+    words: usize,
+    /// Live value ids (bits beyond the space are clear).
+    live: Vec<u64>,
+    /// Per value id, four rows: out-true, out-false, in-true, in-false.
+    rows: Vec<u64>,
+    out_built: Vec<bool>,
+    in_built: Vec<bool>,
+}
+
+impl AttrRows {
+    fn new(space: &AttrValueSpace, attr: AttrId) -> Self {
+        let interner = space.attr(attr);
+        let n = interner.len();
+        let words = n.div_ceil(64).max(1);
+        let mut live = vec![0u64; words];
+        for id in interner.live_ids() {
+            live[id.index() / 64] |= 1 << (id.index() % 64);
+        }
+        AttrRows {
+            words,
+            live,
+            rows: vec![0; 4 * n * words],
+            out_built: vec![false; n],
+            in_built: vec![false; n],
+        }
+    }
+
+    #[inline]
+    fn is_live(&self, x: ValueId) -> bool {
+        self.live[x.index() / 64] >> (x.index() % 64) & 1 != 0
+    }
+
+    #[inline]
+    fn row(&self, x: u32, k: usize) -> &[u64] {
+        let start = (x as usize * 4 + k) * self.words;
+        &self.rows[start..start + self.words]
+    }
+
+    fn out_true(&self, x: u32) -> &[u64] {
+        self.row(x, 0)
+    }
+
+    fn out_false(&self, x: u32) -> &[u64] {
+        self.row(x, 1)
+    }
+
+    fn in_true(&self, x: u32) -> &[u64] {
+        self.row(x, 2)
+    }
+
+    fn in_false(&self, x: u32) -> &[u64] {
+        self.row(x, 3)
+    }
+
+    /// Reads `x ≺ c` for every `c` into `x`'s out rows (once).
+    fn ensure_out(&mut self, x: u32, table: &[u32], n: usize, assignment: Assignment<'_>) {
+        if std::mem::replace(&mut self.out_built[x as usize], true) {
+            return;
+        }
+        let vars = &table[x as usize * n..(x as usize + 1) * n];
+        self.fill(x, 0, n, assignment, |c| vars[c]);
+    }
+
+    /// Reads `c ≺ x` for every `c` into `x`'s in rows (once).
+    fn ensure_in(&mut self, x: u32, table: &[u32], n: usize, assignment: Assignment<'_>) {
+        if std::mem::replace(&mut self.in_built[x as usize], true) {
+            return;
+        }
+        self.fill(x, 2, n, assignment, |c| table[c * n + x as usize]);
+    }
+
+    fn fill(
+        &mut self,
+        x: u32,
+        k: usize,
+        n: usize,
+        assignment: Assignment<'_>,
+        var: impl Fn(usize) -> u32,
+    ) {
+        let words = self.words;
+        let start = (x as usize * 4 + k) * words;
+        let (truth, falsity) = self.rows[start..start + 2 * words].split_at_mut(words);
+        for c in 0..n {
+            if c == x as usize {
+                continue;
+            }
+            match assignment.value(Var(var(c))) {
+                Some(true) => truth[c / 64] |= 1 << (c % 64),
+                Some(false) => falsity[c / 64] |= 1 << (c % 64),
+                None => {}
+            }
+        }
+    }
+}
+
 /// A [`cr_sat::LazyAxiomSource`] over an [`AxiomMode::Lazy`] encoding that
 /// **records** every handed-out axiom clause into the encoding's CNF (as a
 /// permanent, ungrouped clause). The incremental resolution engine uses
@@ -1592,12 +1976,13 @@ impl<'a> RecordingAxiomSource<'a> {
 impl cr_sat::LazyAxiomSource for RecordingAxiomSource<'_> {
     fn instantiate(
         &mut self,
-        value: &dyn Fn(Var) -> Option<bool>,
+        assignment: Assignment<'_>,
         delta: Option<&[Lit]>,
-    ) -> Vec<Vec<Lit>> {
-        let clauses = self.enc.violated_axioms(value, delta);
-        self.enc.record_axiom_clauses(&clauses);
-        clauses
+        out: &mut ClauseBuffer,
+    ) {
+        let from = out.len();
+        self.enc.violated_axioms(assignment, delta, out);
+        self.enc.record_axiom_clauses(out, from);
     }
 }
 
@@ -1627,10 +2012,11 @@ impl<'a> TransientAxiomSource<'a> {
 impl cr_sat::LazyAxiomSource for TransientAxiomSource<'_> {
     fn instantiate(
         &mut self,
-        value: &dyn Fn(Var) -> Option<bool>,
+        assignment: Assignment<'_>,
         delta: Option<&[Lit]>,
-    ) -> Vec<Vec<Lit>> {
-        self.enc.violated_axioms(value, delta)
+        out: &mut ClauseBuffer,
+    ) {
+        self.enc.violated_axioms(assignment, delta, out);
     }
 }
 
@@ -1638,6 +2024,7 @@ impl cr_sat::LazyAxiomSource for TransientAxiomSource<'_> {
 mod tests {
     use super::*;
     use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
+    use cr_sat::lit::LBool;
     use cr_sat::{SolveResult, Solver};
     use cr_types::{EntityInstance, Schema, Tuple};
 
@@ -1707,9 +2094,12 @@ mod tests {
         let b = enc.value_id(status, &Value::str("retired")).unwrap();
         let x_ab = enc.var_of(status, a, b).unwrap();
         let x_ba = enc.var_of(status, b, a).unwrap();
-        let value = |v: cr_sat::Var| if v == x_ab { Some(false) } else { None };
+        let mut assign = vec![cr_sat::lit::LBool::Undef; enc.cnf().num_vars() as usize];
+        assign[x_ab.index()] = cr_sat::lit::LBool::False;
         let delta = [x_ab.positive(), x_ab.negative()];
-        let out = enc.violated_axioms(&value, Some(&delta));
+        let mut buf = ClauseBuffer::new();
+        enc.violated_axioms(Assignment::Lifted(&assign), Some(&delta), &mut buf);
+        let out: Vec<Vec<Lit>> = buf.iter().map(<[Lit]>::to_vec).collect();
         let mut asym = vec![x_ab.negative(), x_ba.negative()];
         let mut total = vec![x_ab.positive(), x_ba.positive()];
         asym.sort_unstable_by_key(|l| l.index());
@@ -2226,5 +2616,153 @@ mod tests {
         enc.replace_value(&after, cr_types::TupleId(0), city, &Value::str("LA"));
         assert!(enc.space().is_live(city, ny));
         assert_eq!(enc.top_assumptions(city, la).unwrap().len(), 1);
+    }
+
+    /// A lazy encoding whose attribute `i` has exactly `widths[i]`
+    /// distinct non-null values (plus null when `with_null`), and no Σ/Γ:
+    /// the order-variable table is all the axiom scans read.
+    fn lazy_wide_encoding(widths: &[usize], with_null: bool, totality: bool) -> EncodedSpec {
+        let names: Vec<String> = (0..widths.len()).map(|i| format!("a{i}")).collect();
+        let s = Schema::new("w", names.iter().map(String::as_str)).unwrap();
+        let rows = widths.iter().copied().max().unwrap_or(0) + usize::from(with_null);
+        let tuples = (0..rows)
+            .map(|r| {
+                Tuple::of(widths.iter().map(|&w| {
+                    if r < w {
+                        Value::int(r as i64)
+                    } else if with_null {
+                        Value::Null
+                    } else {
+                        Value::int(0)
+                    }
+                }))
+            })
+            .collect();
+        let entity = EntityInstance::new(s, tuples).unwrap();
+        let spec = Specification::without_orders(entity, vec![], vec![]);
+        EncodedSpec::encode_with(&spec, EncodeOptions { totality, ..EncodeOptions::lazy() })
+    }
+
+    /// SplitMix64 step — the axiom proptest derives every random choice
+    /// from one drawn seed.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn buffer_clauses(buf: &ClauseBuffer) -> Vec<Vec<Lit>> {
+        buf.iter().map(<[Lit]>::to_vec).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The bit-row axiom scans emit exactly the clause sequence of the
+        /// value-by-value reference scans — same instances, same order,
+        /// same dedup — on random partial assignments with random deltas
+        /// (retraction redelivery pairs and non-order variables included),
+        /// on random total models (transitive, intransitive-tournament and
+        /// arbitrary), with retired values, and across multi-word rows.
+        #[test]
+        fn bit_row_axiom_scans_match_the_reference(
+            widths in proptest::collection::vec(0usize..10, 1..4),
+            wide in 0usize..4,
+            with_null in 0u8..2,
+            totality in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut widths = widths;
+            // One attribute in four spans two bit-row words.
+            if wide == 0 {
+                widths[0] = 60 + (seed % 12) as usize;
+            }
+            let mut rng = seed;
+            let mut enc = lazy_wide_encoding(&widths, with_null == 1, totality == 1);
+            let num_vars = enc.cnf().num_vars() as usize;
+            // Retire a random few values (revisable encodings' liveness).
+            for ai in 0..widths.len() {
+                let attr = AttrId(ai as u16);
+                for id in enc.space.attr(attr).ids().collect::<Vec<_>>() {
+                    if splitmix(&mut rng).is_multiple_of(7) {
+                        enc.space.set_live(attr, id, false);
+                    }
+                }
+            }
+            let mut buf = ClauseBuffer::new();
+
+            // Partial assignments with deltas.
+            for _ in 0..4 {
+                let undef_weight = splitmix(&mut rng) % 4;
+                let assign: Vec<LBool> = (0..num_vars)
+                    .map(|_| match splitmix(&mut rng) % (2 + undef_weight) {
+                        0 => LBool::True,
+                        1 => LBool::False,
+                        _ => LBool::Undef,
+                    })
+                    .collect();
+                let mut delta: Vec<Lit> = Vec::new();
+                for _ in 0..(splitmix(&mut rng) % 24) {
+                    let v = Var((splitmix(&mut rng) % (num_vars as u64 + 2)) as u32);
+                    match splitmix(&mut rng) % 3 {
+                        0 => delta.push(v.positive()),
+                        1 => delta.push(v.negative()),
+                        // Retraction redelivery: both polarities.
+                        _ => delta.extend([v.positive(), v.negative()]),
+                    }
+                }
+                let lookup = |v: Var| assign.get(v.index()).and_then(|b| b.to_option());
+                buf.clear();
+                enc.violated_axioms(Assignment::Lifted(&assign), Some(&delta), &mut buf);
+                proptest::prop_assert_eq!(
+                    buffer_clauses(&buf),
+                    enc.violated_axioms_reference(&lookup, Some(&delta))
+                );
+            }
+
+            // Total models: a random linear order per attribute, then a few
+            // flipped pairs (an intransitive tournament) or noise.
+            let mode = splitmix(&mut rng) % 3;
+            let mut model = vec![false; num_vars];
+            for (var, atom) in enc.order_vars().collect::<Vec<_>>() {
+                let rank = |x: ValueId| (u64::from(x.0) * 0x9E37_79B9).wrapping_add(seed) % 1009;
+                model[var.index()] = (rank(atom.lo), atom.lo) < (rank(atom.hi), atom.hi);
+            }
+            let order_vars: Vec<(Var, OrderAtom)> = enc.order_vars().collect();
+            if !order_vars.is_empty() {
+                for _ in 0..mode * 3 {
+                    let pick = (splitmix(&mut rng) % order_vars.len() as u64) as usize;
+                    let (var, atom) = order_vars[pick];
+                    if mode == 1 {
+                        // Flip the pair: still a tournament.
+                        let back = enc.var_of(atom.attr, atom.hi, atom.lo).unwrap();
+                        model[var.index()] = !model[var.index()];
+                        model[back.index()] = !model[back.index()];
+                    } else {
+                        model[var.index()] = splitmix(&mut rng).is_multiple_of(2);
+                    }
+                }
+            }
+            let lookup = |v: Var| model.get(v.index()).copied();
+            buf.clear();
+            enc.violated_axioms(Assignment::Total(&model), None, &mut buf);
+            let reference = enc.violated_axioms_reference(&lookup, None);
+            proptest::prop_assert_eq!(buffer_clauses(&buf), reference);
+            // The same model as a lifted assignment with unassigned slots.
+            let lifted: Vec<LBool> = model
+                .iter()
+                .map(|&b| match splitmix(&mut rng).is_multiple_of(5) {
+                    true => LBool::Undef,
+                    false => LBool::from_bool(b),
+                })
+                .collect();
+            let lookup = |v: Var| lifted.get(v.index()).and_then(|b| b.to_option());
+            buf.clear();
+            enc.violated_axioms(Assignment::Lifted(&lifted), None, &mut buf);
+            let reference = enc.violated_axioms_reference(&lookup, None);
+            proptest::prop_assert_eq!(buffer_clauses(&buf), reference);
+        }
     }
 }

@@ -26,7 +26,7 @@
 //!   but **no** axiom clauses are emitted. Consumers drive solving through
 //!   the [`cr_sat::LazyAxiomSource`] hook —
 //!   [`EncodedSpec::violated_axioms`] inspects a candidate assignment via
-//!   the dense table and returns exactly the axiom instances the candidate
+//!   the dense table and appends exactly the axiom instances the candidate
 //!   violates (or that became unit under it), which the solver/propagator
 //!   then injects and re-checks until the theory is satisfied. Resolution
 //!   outcomes are **identical** to eager mode (differentially tested, see
@@ -65,8 +65,10 @@
 //!    CI.
 //! 2. *Project per entity.* `Instantiation(Se)` walks instance-local
 //!    `u32` rows against the compiled tableaus: projection grouping sorts
-//!    packed integer keys, unary conjuncts are evaluated once per distinct
-//!    projection (never per ordered pair), and CFD patterns resolve by
+//!    packed integer keys once per projection class (not per constraint),
+//!    unary conjuncts are evaluated once per distinct projection (never per
+//!    ordered pair) — or, for sides pinned by string constants, only on the
+//!    one projection a key lookup finds — and CFD patterns resolve by
 //!    global-id lookup. A `debug_assert` rejects projecting a program
 //!    compiled against one `ValueTable` onto an entity interned against
 //!    another (in release the dense-id shortcuts are simply bypassed).

@@ -20,8 +20,42 @@
 //! per-tuple key vectors. The pre-compilation per-entity derivation is
 //! kept as [`instantiate_reference`] — the differential-testing and
 //! benchmarking baseline the compiled path is proven against.
+//!
+//! ## Projection classes and pinned lookup
+//!
+//! Σ instantiation does lookups, not enumeration:
+//!
+//! * **Projection classes.** Constraints with the same referenced
+//!   attributes group an entity's tuples identically, so the grouping is
+//!   done once per *class* (the compiled program's distinct
+//!   referenced-attribute sets) and entity, in a [`ProjectionCache`] —
+//!   not once per constraint. Generated Person specifications keep
+//!   hundreds of constraints in two classes. The serial encode, the
+//!   scheduler's split subtasks (`SplitPlan`, one cache shared by all
+//!   ranges) and the revisable re-emission path
+//!   ([`sigma_constraint_instances`]) all read the cache.
+//! * **Pinned lookup.** A constraint side is *pinned* when its `Eq`
+//!   conjuncts equate every referenced attribute to a string constant
+//!   (e.g. `t1[status] = "working"`): at most one projection can pass it —
+//!   the one carrying exactly those values — and it is found by turning the
+//!   constants' table ids into the entity's local ids and binary-searching
+//!   the class's packed keys. Only that projection has its constants
+//!   evaluated. The lookup is conclusive only when every cell value has a
+//!   table id (values pushed by user input or value revisions have none;
+//!   such entities, and entities without a table, evaluate every
+//!   projection) and only for string constants: numerically equal `Int`
+//!   and `Float` values are semantically equal under different ids, so a
+//!   numeric constant can match several projections and keeps the
+//!   evaluated path.
+//!
+//! Both change which projections are *visited*, not what is emitted: each
+//! side's candidates stay in tuple-id order and every constraint still
+//! hints its pair bound to the sink, so the instance stream — hence the
+//! CNF, clause for clause — equals the per-constraint emission, which is
+//! kept as a test oracle.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use cr_constraints::Predicate;
 use cr_types::{AttrValueSpace, TupleId, Value, ValueId, NULL_VALUE_ID};
@@ -499,10 +533,39 @@ pub(crate) fn base_order_instance(
 /// All instances of one currency constraint over the entity's current
 /// tuples — the per-constraint *re-emission* path of the revisable encoder
 /// (a value revision retracts the constraint's clause group and re-derives
-/// it from the updated entity). Projection-grouped exactly like the
-/// reference instantiation, so the re-derived set equals what a from-scratch
-/// encode of the revised specification would produce for this constraint.
+/// it from the updated entity). `reps` are the distinct projections of the
+/// constraint's class ([`ProjectionCache::get`] on `spec`'s entity), so the
+/// re-derived set equals what a from-scratch encode of the revised
+/// specification would produce for this constraint.
 pub(crate) fn sigma_constraint_instances(
+    spec: &Specification,
+    ci: usize,
+    reps: &[TupleId],
+    space: &AttrValueSpace,
+) -> Vec<InstanceConstraint> {
+    let entity = spec.entity();
+    let constraint = &spec.sigma()[ci];
+    let mut out = Vec::new();
+    for &r1 in reps {
+        for &r2 in reps {
+            if r1 == r2 {
+                continue;
+            }
+            if let Some(c) =
+                instantiate_pair(space, constraint, ci, entity.tuple(r1), entity.tuple(r2))
+            {
+                out.push(c);
+            }
+        }
+    }
+    out
+}
+
+/// The per-constraint re-emission [`sigma_constraint_instances`] replaced:
+/// it regroups the entity's tuples for every constraint. Kept as the
+/// oracle the class-cached re-emission is proven against.
+#[cfg(test)]
+fn sigma_constraint_instances_reference(
     spec: &Specification,
     ci: usize,
     referenced_attrs: &[cr_types::AttrId],
@@ -510,7 +573,7 @@ pub(crate) fn sigma_constraint_instances(
 ) -> Vec<InstanceConstraint> {
     let entity = spec.entity();
     let constraint = &spec.sigma()[ci];
-    let reps = group_projections(entity, referenced_attrs);
+    let reps = group_projections(entity, referenced_attrs).reps;
     let mut out = Vec::new();
     for &r1 in &reps {
         for &r2 in &reps {
@@ -527,15 +590,48 @@ pub(crate) fn sigma_constraint_instances(
     out
 }
 
+/// The distinct projections of one entity's tuples on one projection
+/// class's attributes.
+pub(crate) struct ClassProjections {
+    /// First-occurring representative of each distinct projection, sorted
+    /// by tuple id (Ω(Se) must be deterministic — rule derivation is order
+    /// sensitive).
+    pub(crate) reps: Vec<TupleId>,
+    /// `(packed key, representative)` sorted by key — the index pinned
+    /// constraints look their projection up in. Empty when the keys do not
+    /// pack into a `u64`.
+    by_key: Vec<(u64, TupleId)>,
+    /// Radix of the packed keys (the entity's dense-id bound).
+    radix: u64,
+}
+
+impl ClassProjections {
+    /// The representative whose projection carries exactly the table
+    /// values `pin` (one per class attribute, in class order), if any.
+    /// Sound only when every non-null value of `entity` has a table id
+    /// (see [`table_interned`]) and the class's keys pack (`by_key` is
+    /// non-empty for a non-empty entity).
+    fn pinned(&self, entity: &cr_types::EntityInstance, pin: &[u32]) -> Option<TupleId> {
+        let mut key = 0u64;
+        for &gid in pin {
+            key = key * self.radix + u64::from(entity.local_of_global(gid)?);
+        }
+        let i = self.by_key.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(self.by_key[i].1)
+    }
+}
+
 /// Distinct projections of the entity's tuples on `attrs`, each with its
-/// first-occurring representative, sorted by tuple id (Ω(Se) must be
-/// deterministic — rule derivation is order sensitive).
+/// first-occurring representative.
 ///
 /// Keys are the instance-local dense ids packed into one `u64` whenever
 /// `dense_id_bound ^ |attrs|` fits, so grouping is a sort over plain
 /// integers; the per-tuple key-vector hashing survives only as the
 /// overflow fallback (very wide projections on very wide entities).
-fn group_projections(entity: &cr_types::EntityInstance, attrs: &[cr_types::AttrId]) -> Vec<TupleId> {
+fn group_projections(
+    entity: &cr_types::EntityInstance,
+    attrs: &[cr_types::AttrId],
+) -> ClassProjections {
     let radix = (entity.dense_id_bound() as u64).max(1);
     let packable = {
         let mut cap: u64 = 1;
@@ -547,32 +643,66 @@ fn group_projections(entity: &cr_types::EntityInstance, attrs: &[cr_types::AttrI
             None => false,
         })
     };
-    let mut reps: Vec<TupleId> = if packable {
-        let mut keyed: Vec<(u64, u32)> = entity
+    let (mut reps, by_key) = if packable {
+        let mut keyed: Vec<(u64, TupleId)> = entity
             .tuple_ids()
             .map(|tid| {
                 let mut key = 0u64;
                 for &a in attrs {
                     key = key * radix + u64::from(entity.dense_id(tid, a));
                 }
-                (key, tid.0)
+                (key, tid)
             })
             .collect();
         // Sorting by (key, tid) keeps the smallest — i.e. first-occurring —
         // tuple id of each projection, matching the reference grouping.
         keyed.sort_unstable();
         keyed.dedup_by_key(|&mut (key, _)| key);
-        keyed.into_iter().map(|(_, tid)| TupleId(tid)).collect()
+        (keyed.iter().map(|&(_, tid)| tid).collect::<Vec<_>>(), keyed)
     } else {
         let mut map: HashMap<Vec<u32>, TupleId> = HashMap::new();
         for tid in entity.tuple_ids() {
             let key: Vec<u32> = attrs.iter().map(|&a| entity.dense_id(tid, a)).collect();
             map.entry(key).or_insert(tid);
         }
-        map.into_values().collect()
+        (map.into_values().collect(), Vec::new())
     };
     reps.sort_unstable();
-    reps
+    ClassProjections { reps, by_key, radix }
+}
+
+/// Per-entity cache of [`ClassProjections`], one slot per projection class
+/// of a [`CompiledProgram`], each filled on first use — so an entity's
+/// tuples are grouped once per class instead of once per constraint.
+/// Slots are `OnceLock`s: split subtasks share one cache across threads.
+pub(crate) struct ProjectionCache {
+    classes: Vec<OnceLock<ClassProjections>>,
+}
+
+impl ProjectionCache {
+    pub(crate) fn new(program: &CompiledProgram) -> Self {
+        ProjectionCache { classes: program.classes.iter().map(|_| OnceLock::new()).collect() }
+    }
+
+    /// The projections of `entity` on `program`'s class `class`. Every
+    /// call on one cache must pass the same entity.
+    pub(crate) fn get(
+        &self,
+        program: &CompiledProgram,
+        entity: &cr_types::EntityInstance,
+        class: usize,
+    ) -> &ClassProjections {
+        self.classes[class].get_or_init(|| group_projections(entity, &program.classes[class]))
+    }
+}
+
+/// True iff every non-null value of `entity` carries a table id — then a
+/// string constant's table id leads to the one local id equal to it, and a
+/// miss proves absence. Values pushed by user input or value revisions
+/// have no table id; such entities take the evaluated path.
+fn table_interned(entity: &cr_types::EntityInstance) -> bool {
+    (1..entity.dense_id_bound() as u32)
+        .all(|l| entity.global_of_local(l) != cr_types::NO_GLOBAL_VALUE)
 }
 
 /// Runs `Instantiation(Se)` (Section V-A) by projecting the entity through
@@ -604,7 +734,8 @@ pub(crate) fn emit_sigma_gamma(
     sink: &mut impl OmegaSink,
 ) {
     let total = program.sigma.len() + program.gamma.len();
-    emit_sigma_gamma_range(spec, program, space, g2l, 0..total, sink);
+    let projections = ProjectionCache::new(program);
+    emit_sigma_gamma_range(spec, program, space, g2l, &projections, 0..total, sink);
 }
 
 /// [`emit_sigma_gamma`] restricted to a contiguous slice of the combined
@@ -614,8 +745,204 @@ pub(crate) fn emit_sigma_gamma(
 /// in order reproduces the full emission stream byte-for-byte — this is
 /// what lets the scheduler split one oversized entity's instantiation
 /// across stealable subtasks (see `crate::sched`) without perturbing the
-/// encoding.
+/// encoding. `projections` must be a cache for `spec`'s entity; ranges of
+/// one entity share it.
 pub(crate) fn emit_sigma_gamma_range(
+    spec: &Specification,
+    program: &CompiledProgram,
+    space: &AttrValueSpace,
+    g2l: &GlobalToLocal,
+    projections: &ProjectionCache,
+    range: std::ops::Range<usize>,
+    sink: &mut impl OmegaSink,
+) {
+    let entity = spec.entity();
+    if let (Some(pt), Some(et)) = (program.table_token(), entity.table_token()) {
+        debug_assert_eq!(
+            pt, et,
+            "CompiledProgram built from one ValueTable used with an entity \
+             interned against another"
+        );
+    }
+    // Dense global-id shortcuts are sound only when the program's constants
+    // and the entity's cells reference the same id universe.
+    let use_gids = program.table_token().is_some()
+        && program.table_token() == entity.table_token();
+    // Pinned lookups additionally need every cell value to carry its id.
+    let pin_lookup = use_gids && table_interned(entity);
+
+    // 4. Currency constraints, instantiated over distinct *projections*.
+    //
+    // Every predicate of ω references only the values of t1/t2 on the
+    // constraint's attributes, so tuples sharing a projection on those
+    // attributes produce identical instance constraints. Grouping tuples by
+    // projection turns the paper's O(|Σ||It|²) instantiation into
+    // O(Σ_ϕ #proj²) — the worst case is unchanged, but real entity
+    // instances have few distinct projections (many near-duplicate tuples).
+    // Constraints sharing a referenced-attribute set share one grouping
+    // (the projection class), computed on first use.
+    let mut t1_cands: Vec<TupleId> = Vec::new();
+    let mut t2_cands: Vec<TupleId> = Vec::new();
+    let sigma_range = range.start.min(program.sigma.len())..range.end.min(program.sigma.len());
+    for (ci, cc) in program.sigma[sigma_range.clone()].iter().enumerate() {
+        let ci = ci + sigma_range.start;
+        let proj = projections.get(program, entity, cc.class);
+        let reps = &proj.reps;
+        sink.hint(reps.len() * reps.len().saturating_sub(1));
+
+        // Fast path for the dominant Σ shape — a pure propagation
+        // constraint `t1 ≺[p] t2 → t1 ≺[c] t2` with distinct attributes:
+        // pre-translate both columns to space-local ids once, then the
+        // pair loop is integer compares and emission only.
+        if cc.tuple_cmps.is_empty()
+            && cc.t1_consts.is_empty()
+            && cc.t2_consts.is_empty()
+            && cc.order_premises.len() == 1
+            && cc.order_premises[0] != cc.conclusion_attr
+        {
+            const VACUOUS: u32 = u32::MAX;
+            let (ap, ac) = (cc.order_premises[0], cc.conclusion_attr);
+            let (g2l_p, g2l_c) = (g2l.row(ap), g2l.row(ac));
+            let translate = |attr: cr_types::AttrId, row: &[u32]| -> Vec<u32> {
+                reps.iter()
+                    .map(|&r| {
+                        let g = entity.dense_id(r, attr);
+                        if g == NULL_VALUE_ID {
+                            VACUOUS
+                        } else {
+                            row[g as usize]
+                        }
+                    })
+                    .collect()
+            };
+            let col_p = translate(ap, g2l_p);
+            let col_c = translate(ac, g2l_c);
+            for i in 0..reps.len() {
+                let (p1, c1) = (col_p[i], col_c[i]);
+                if p1 == VACUOUS || c1 == VACUOUS {
+                    continue;
+                }
+                for j in 0..reps.len() {
+                    let (p2, c2) = (col_p[j], col_c[j]);
+                    if i == j || p2 == p1 || p2 == VACUOUS || c2 == c1 || c2 == VACUOUS {
+                        continue;
+                    }
+                    let mut premise = Premise::new();
+                    premise.push(OrderAtom { attr: ap, lo: ValueId(p1), hi: ValueId(p2) });
+                    sink.emit(InstanceConstraint {
+                        premise,
+                        conclusion: Conclusion::Atom(OrderAtom {
+                            attr: ac,
+                            lo: ValueId(c1),
+                            hi: ValueId(c2),
+                        }),
+                        origin: Origin::Currency(ci),
+                    });
+                }
+            }
+            continue;
+        }
+
+        // Unary conjuncts hold or fail per *projection*, not per pair: each
+        // side's candidates are the representatives passing its constants,
+        // in tuple-id order. A pinned side has at most one — the projection
+        // carrying its constants, found by table-id lookup — so only that
+        // one is evaluated.
+        let candidates = |consts: &[super::program::CompiledConstCmp],
+                          pin: Option<u32>,
+                          out: &mut Vec<TupleId>| {
+            out.clear();
+            let ok = |r: TupleId| consts.iter().all(|c| c.eval_gated(entity, r, use_gids));
+            match pin {
+                Some(start) if pin_lookup && !proj.by_key.is_empty() => {
+                    let pin = program.pin(cc, start);
+                    out.extend(proj.pinned(entity, pin).filter(|&r| ok(r)));
+                }
+                _ => out.extend(reps.iter().copied().filter(|&r| ok(r))),
+            }
+        };
+        candidates(&cc.t1_consts, cc.t1_pin, &mut t1_cands);
+        if t1_cands.is_empty() {
+            continue;
+        }
+        candidates(&cc.t2_consts, cc.t2_pin, &mut t2_cands);
+
+        for &r1 in &t1_cands {
+            let row1 = entity.dense_row(r1);
+            'pair: for &r2 in &t2_cands {
+                if r1 == r2 {
+                    continue;
+                }
+                let row2 = entity.dense_row(r2);
+                // Binary comparison conjuncts: null operands fail
+                // (eval_comparison semantics). Equal dense ids mean equal
+                // values, but distinct ids are *not* conclusive — the
+                // semantic ordering equates e.g. `Int(3)` and `Float(3.0)`
+                // — so only id equality short-circuits.
+                for &(attr, op) in &cc.tuple_cmps {
+                    let g1 = row1[attr.index()];
+                    let g2 = row2[attr.index()];
+                    if g1 == NULL_VALUE_ID || g2 == NULL_VALUE_ID {
+                        continue 'pair;
+                    }
+                    let holds = if g1 == g2 {
+                        op.eval_ordering(std::cmp::Ordering::Equal)
+                    } else {
+                        op.eval(entity.dense_value(g1), entity.dense_value(g2))
+                    };
+                    if !holds {
+                        continue 'pair;
+                    }
+                }
+                // Order premises and conclusion on dense ids; equal or null
+                // sides make the atom vacuous and drop the instance
+                // (build_instance semantics).
+                let pair = |attr: cr_types::AttrId| -> Option<(ValueId, ValueId)> {
+                    let g1 = row1[attr.index()];
+                    let g2 = row2[attr.index()];
+                    if g1 == g2 || g1 == NULL_VALUE_ID || g2 == NULL_VALUE_ID {
+                        return None;
+                    }
+                    Some((g2l.local(attr, g1), g2l.local(attr, g2)))
+                };
+                let mut premise = Premise::with_capacity(cc.order_premises.len());
+                for &attr in &cc.order_premises {
+                    match pair(attr) {
+                        Some((lo, hi)) => premise.push(OrderAtom { attr, lo, hi }),
+                        None => continue 'pair,
+                    }
+                }
+                let Some((lo, hi)) = pair(cc.conclusion_attr) else {
+                    continue;
+                };
+                premise.canonicalize();
+                sink.emit(InstanceConstraint {
+                    premise,
+                    conclusion: Conclusion::Atom(OrderAtom { attr: cc.conclusion_attr, lo, hi }),
+                    origin: Origin::Currency(ci),
+                });
+            }
+        }
+    }
+
+    // 5. Constant CFDs, patterns resolved through dense global ids.
+    let gamma_range = range.start.saturating_sub(program.sigma.len())
+        ..range.end.saturating_sub(program.sigma.len());
+    for (gi, cfd) in program.gamma[gamma_range.clone()].iter().enumerate() {
+        let gi = gi + gamma_range.start;
+        for c in compiled_cfd_instances(space, g2l, entity, gi, cfd, use_gids) {
+            sink.emit(c);
+        }
+    }
+}
+
+/// The per-constraint Σ emission [`emit_sigma_gamma_range`] replaced: it
+/// regroups the entity's tuples for every constraint and evaluates every
+/// side's constants on every projection. Kept as the oracle the
+/// class-cached, pinned emission is proven against (event-sequence
+/// equality, see the tests below).
+#[cfg(test)]
+fn emit_sigma_gamma_range_reference(
     spec: &Specification,
     program: &CompiledProgram,
     space: &AttrValueSpace,
@@ -649,7 +976,7 @@ pub(crate) fn emit_sigma_gamma_range(
     let sigma_range = range.start.min(program.sigma.len())..range.end.min(program.sigma.len());
     for (ci, cc) in program.sigma[sigma_range.clone()].iter().enumerate() {
         let ci = ci + sigma_range.start;
-        let reps = group_projections(entity, &cc.referenced_attrs);
+        let reps = group_projections(entity, &cc.referenced_attrs).reps;
         sink.hint(reps.len() * reps.len().saturating_sub(1));
 
         // Fast path for the dominant Σ shape — a pure propagation
@@ -793,10 +1120,13 @@ pub(crate) fn emit_sigma_gamma_range(
 /// Pre-built context for splitting one entity's Σ/Γ instantiation across
 /// subtasks: the value spaces and translation table (deterministic
 /// functions of the specification, so every subtask and the final chunked
-/// encode agree on value ids) plus the combined constraint count.
+/// encode agree on value ids), the entity's projection-class cache (shared
+/// by the subtasks, each class grouped once) plus the combined constraint
+/// count.
 pub(crate) struct SplitPlan {
     space: AttrValueSpace,
     g2l: GlobalToLocal,
+    projections: ProjectionCache,
     total: usize,
 }
 
@@ -805,7 +1135,7 @@ impl SplitPlan {
         let program = spec.compiled_program();
         let (space, g2l) = build_spaces(spec);
         let total = program.sigma.len() + program.gamma.len();
-        SplitPlan { space, g2l, total }
+        SplitPlan { space, g2l, projections: ProjectionCache::new(program), total }
     }
 
     /// Number of combined Σ/Γ constraint indices (the splittable space).
@@ -817,7 +1147,8 @@ impl SplitPlan {
     /// body of a stealable split subtask. Covering `[0, total)` with
     /// adjacent ranges in order and feeding the chunks to
     /// `EncodedSpec::encode_with_omega_chunks` reproduces the serial
-    /// encoding exactly.
+    /// encoding exactly. `spec` must be the specification the plan was
+    /// built from.
     pub(crate) fn instantiate_range(
         &self,
         spec: &Specification,
@@ -825,7 +1156,15 @@ impl SplitPlan {
     ) -> Vec<InstanceConstraint> {
         let program = spec.compiled_program().clone();
         let mut out: Vec<InstanceConstraint> = Vec::new();
-        emit_sigma_gamma_range(spec, &program, &self.space, &self.g2l, range, &mut out);
+        emit_sigma_gamma_range(
+            spec,
+            &program,
+            &self.space,
+            &self.g2l,
+            &self.projections,
+            range,
+            &mut out,
+        );
         out
     }
 }
@@ -1317,5 +1656,199 @@ mod tests {
         // Two non-LA cities, each must sit below LA when AC=213 tops.
         assert_eq!(cfd.len(), 2);
         assert!(cfd.iter().all(|c| c.premise.len() == 2)); // 212≺213, 415≺213
+    }
+
+    /// Records the sink protocol — hints and instances in call order — so
+    /// the Σ proptest compares capacities as well as clauses.
+    #[derive(Debug, PartialEq)]
+    enum SinkEvent {
+        Hint(usize),
+        Emit(InstanceConstraint),
+    }
+
+    impl OmegaSink for Vec<SinkEvent> {
+        fn hint(&mut self, additional: usize) {
+            self.push(SinkEvent::Hint(additional));
+        }
+        fn emit(&mut self, c: InstanceConstraint) {
+            self.push(SinkEvent::Emit(c));
+        }
+    }
+
+    /// Cell and constant pool of the Σ proptest: nulls, strings, and
+    /// numerically equal `Int`/`Float` pairs. Indices from 8 on never
+    /// occur in generated cells (out-of-domain constants).
+    fn pool(i: u8) -> Value {
+        match i {
+            0 => Value::Null,
+            1 => Value::str("s0"),
+            2 => Value::str("s1"),
+            3 => Value::str("s2"),
+            4 => Value::int(1),
+            5 => Value::float(1.0),
+            6 => Value::int(2),
+            7 => Value::float(2.0),
+            8 => Value::str("s9"),
+            _ => Value::int(9),
+        }
+    }
+
+    /// `pool(i)` as a constraint-language literal.
+    fn literal(i: u8) -> String {
+        match pool(i) {
+            Value::Str(s) => format!("{s:?}"),
+            Value::Float(f) => format!("{:.1}", f.get()),
+            v => v.to_string(),
+        }
+    }
+
+    const SIGMA_ARITY: usize = 3;
+
+    /// One generated currency constraint: `kind` picks the shape, `a`/`b`
+    /// the attributes, `c`/`d` the constants and `op` a comparison.
+    fn sigma_constraint(
+        s: &std::sync::Arc<Schema>,
+        (kind, a, b, c, d, op): (u8, usize, usize, u8, u8, u8),
+    ) -> cr_constraints::CurrencyConstraint {
+        let (a, b) = (format!("a{a}"), format!("a{b}"));
+        let (c, d) = (literal(c), literal(d));
+        let op = ["=", "!=", "<", "<="][op as usize % 4];
+        let text = match kind {
+            // Both sides pinned (one attribute).
+            0 => format!("t1[{a}] = {c} && t2[{a}] = {d} -> t1 <[{a}] t2"),
+            // Both sides pinned over two attributes.
+            1 => format!(
+                "t1[{a}] = {c} && t1[{b}] = {d} && t2[{a}] = {d} && t2[{b}] = {c} -> t1 <[{b}] t2"
+            ),
+            // Propagation (the fast path when a ≠ b).
+            2 => format!("t1 <[{a}] t2 -> t1 <[{b}] t2"),
+            // Binary comparison.
+            3 => format!("t1[{a}] {op} t2[{a}] -> t1 <[{b}] t2"),
+            // t1 pinned, t2 free.
+            4 => format!("t1[{a}] = {c} && t1[{b}] = {d} -> t1 <[{a}] t2"),
+            // t1 pinned, t2 filtered by a non-Eq constant.
+            5 => format!("t1[{a}] = {c} && t2[{a}] {op} {d} -> t1 <[{a}] t2"),
+            // Constants plus an order premise.
+            6 => format!("t1[{a}] = {c} && t2[{a}] = {d} && t1 <[{b}] t2 -> t1 <[{a}] t2"),
+            // Two Eq constants on one attribute of one side.
+            _ => format!("t1[{a}] = {c} && t1[{a}] = {d} && t2[{a}] = {c} -> t1 <[{a}] t2"),
+        };
+        parse_currency_constraint(s, &text).unwrap_or_else(|e| panic!("{text}: {e}"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        /// Σ emission with projection classes and pinned lookup produces
+        /// exactly the event sequence (hints and instances, in order) of
+        /// the per-constraint reference — serially, split into ranges
+        /// through `SplitPlan`, as CNF clauses, and on the revisable
+        /// re-emission path before and after a value revision. Covers
+        /// nulls, duplicate projections, numerically equal `Int`/`Float`
+        /// cells against string and numeric constants, out-of-domain
+        /// constants, constants missing from the table, entities without a
+        /// table and entities with pushed (table-less) values.
+        #[test]
+        fn class_cached_sigma_emission_matches_the_reference(
+            rows in proptest::collection::vec(proptest::collection::vec(0u8..8, SIGMA_ARITY), 1..9),
+            constraints in proptest::collection::vec(
+                (0u8..8, 0usize..SIGMA_ARITY, 0usize..SIGMA_ARITY, 1u8..10, 1u8..10, 0u8..4),
+                1..14,
+            ),
+            in_table in proptest::collection::vec(0u8..2, 10),
+            table_mode in 0u8..3,
+            pushed in proptest::collection::vec(0u8..10, SIGMA_ARITY),
+            revision in (0usize..8, 0usize..SIGMA_ARITY, 0u8..10),
+            split in 0usize..16,
+        ) {
+            let s = Schema::new("p", ["a0", "a1", "a2"]).unwrap();
+            let tuples: Vec<Tuple> =
+                rows.iter().map(|r| Tuple::of(r.iter().map(|&i| pool(i)))).collect();
+            let sigma: Vec<_> = constraints.iter().map(|&c| sigma_constraint(&s, c)).collect();
+            let mut table = cr_types::ValueTable::new();
+            table.intern_tuples(tuples.iter());
+            // Some pool constants join the table without occurring in the
+            // entity; the others stay out of it.
+            for (i, &keep) in in_table.iter().enumerate() {
+                if keep == 1 {
+                    table.intern(&pool(i as u8));
+                }
+            }
+            let mut entity = if table_mode == 0 {
+                EntityInstance::new(s.clone(), tuples).unwrap()
+            } else {
+                EntityInstance::with_table(s.clone(), tuples, &table).unwrap()
+            };
+            if table_mode == 2 {
+                entity.push(Tuple::of(pushed.iter().map(|&i| pool(i)))).unwrap();
+            }
+            let spec = Specification::without_orders(entity, sigma, vec![]);
+            let program = std::sync::Arc::new(super::super::program::CompiledProgram::compile(
+                spec.sigma(),
+                spec.gamma(),
+                (table_mode != 0).then_some(&table),
+            ));
+            spec.set_compiled_program(program.clone());
+            let (space, g2l) = build_spaces(&spec);
+            let total = program.sigma.len();
+
+            let mut production: Vec<SinkEvent> = Vec::new();
+            emit_sigma_gamma(&spec, &program, &space, &g2l, &mut production);
+            let mut reference: Vec<SinkEvent> = Vec::new();
+            emit_sigma_gamma_range_reference(
+                &spec,
+                &program,
+                &space,
+                &g2l,
+                0..total,
+                &mut reference,
+            );
+            proptest::prop_assert_eq!(&production, &reference);
+
+            // Split subtasks sharing one plan (and its class cache).
+            let plan = SplitPlan::new(&spec);
+            let mid = split.min(total);
+            let mut chunks = plan.instantiate_range(&spec, mid..total);
+            let mut first = plan.instantiate_range(&spec, 0..mid);
+            first.append(&mut chunks);
+            let instances: Vec<InstanceConstraint> = reference
+                .into_iter()
+                .filter_map(|e| match e {
+                    SinkEvent::Emit(c) => Some(c),
+                    SinkEvent::Hint(_) => None,
+                })
+                .collect();
+            proptest::prop_assert_eq!(&first, &instances);
+
+            // The same stream as CNF clauses.
+            let options = super::super::EncodeOptions::lazy().with_revisable();
+            let production_cnf = super::super::EncodedSpec::encode_with(&spec, options);
+            let reference_cnf = super::super::EncodedSpec::encode_with_omega_chunks(
+                &spec,
+                options,
+                vec![instances],
+            );
+            proptest::prop_assert!(production_cnf
+                .cnf()
+                .clauses()
+                .eq(reference_cnf.cnf().clauses()));
+
+            // Revisable re-emission, before and after a value revision.
+            let mut revised = spec.clone();
+            let (tuple, attr, value) = revision;
+            let tuple = TupleId((tuple % revised.entity().len()) as u32);
+            revised.replace_value(tuple, cr_types::AttrId(attr as u16), pool(value));
+            for sp in [&spec, &revised] {
+                let (space, _) = build_spaces(sp);
+                let projections = ProjectionCache::new(&program);
+                for (ci, cc) in program.sigma.iter().enumerate() {
+                    let reps = &projections.get(&program, sp.entity(), cc.class).reps;
+                    proptest::prop_assert_eq!(
+                        sigma_constraint_instances(sp, ci, reps, &space),
+                        sigma_constraint_instances_reference(sp, ci, &cc.referenced_attrs, &space)
+                    );
+                }
+            }
+        }
     }
 }

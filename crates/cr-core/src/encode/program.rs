@@ -11,6 +11,17 @@
 //!   unary (constant, per-side) and binary (tuple) conjuncts — so pair
 //!   instantiation can pre-evaluate the unary conjuncts once per distinct
 //!   projection instead of once per ordered pair;
+//! * the **projection classes** of Σ — its distinct referenced-attribute
+//!   sets, each constraint tagged with its class id — so an entity's
+//!   tuples are grouped once per class, not once per constraint;
+//! * per constraint side, its **pin**: when the side's `Eq` conjuncts
+//!   equate every referenced attribute to a *string* constant with a table
+//!   id, those ids, in class-attribute order — the key that finds the one
+//!   projection the side can match by lookup instead of evaluating every
+//!   projection. Numeric constants never pin: `Int(3)` and `Float(3.0)`
+//!   are semantically equal under different ids, so a numeric `Eq` can
+//!   match more than one projection (see the `omega` module docs for when
+//!   the lookup is conclusive);
 //! * per constant CFD, the pattern constants resolved to the dataset
 //!   [`ValueTable`]'s dense [`GlobalValueId`]s — so per-entity pattern
 //!   matching is an integer lookup against the entity's global-id rows
@@ -94,6 +105,33 @@ impl CompiledConstCmp {
     }
 }
 
+/// Appends the pin of one constraint side to `pins` and returns where it
+/// starts: for every referenced attribute, the table id of a string
+/// constant the side's `Eq` conjuncts equate it to. Only strings qualify —
+/// numerically equal `Int`/`Float` values are semantically equal under
+/// distinct ids, so a numeric constant can match more than one projection.
+fn push_pin(
+    attrs: &[AttrId],
+    consts: &[CompiledConstCmp],
+    pins: &mut Vec<GlobalValueId>,
+) -> Option<u32> {
+    let start = pins.len();
+    for &a in attrs {
+        let gid = consts
+            .iter()
+            .find(|c| c.attr == a && c.op == CompOp::Eq && matches!(c.constant, Value::Str(_)))
+            .and_then(|c| c.gid);
+        match gid {
+            Some(g) => pins.push(g),
+            None => {
+                pins.truncate(start);
+                return None;
+            }
+        }
+    }
+    Some(start as u32)
+}
+
 /// One currency constraint with its per-dataset derivations (see the
 /// module docs). Field order mirrors evaluation order in the encoder.
 #[derive(Clone, Debug)]
@@ -101,6 +139,17 @@ pub(crate) struct CompiledConstraint {
     /// Sorted, deduplicated premise ∪ conclusion attributes — the
     /// projection-grouping key of `Instantiation(Se)` step 4.
     pub referenced_attrs: Vec<AttrId>,
+    /// The constraint's projection class: index into
+    /// [`CompiledProgram::classes`], shared by every constraint with the
+    /// same `referenced_attrs`.
+    pub class: usize,
+    /// Per side, where the table ids that *pin* the side's projection (see
+    /// the module docs) start in [`CompiledProgram::pins`] — one id per
+    /// referenced attribute, in `referenced_attrs` order — when the side's
+    /// string `Eq` constants fix every referenced attribute; `None`
+    /// otherwise.
+    pub t1_pin: Option<u32>,
+    pub t2_pin: Option<u32>,
     /// Attributes of the symbolic order premises, in premise order.
     pub order_premises: Vec<AttrId>,
     /// Binary comparison conjuncts `t1[attr] op t2[attr]`.
@@ -129,6 +178,16 @@ pub(crate) struct CompiledCfd {
 pub struct CompiledProgram {
     pub(crate) sigma: Vec<CompiledConstraint>,
     pub(crate) gamma: Vec<CompiledCfd>,
+    /// The distinct referenced-attribute sets of Σ, in first-occurrence
+    /// order — the projection classes entities are grouped by.
+    pub(crate) classes: Vec<Vec<AttrId>>,
+    /// The pins of all constraint sides, back to back (see
+    /// [`CompiledProgram::pin`]).
+    pub(crate) pins: Vec<GlobalValueId>,
+    /// Per attribute index, the Σ indices (ascending) concluding on it —
+    /// the only constraints a user answer on that attribute can
+    /// instantiate on the answer tuple.
+    pub(crate) by_conclusion: Vec<Vec<usize>>,
     /// [`ValueTable::token`] of the table the constants were resolved
     /// against, if one was supplied.
     table_token: Option<u64>,
@@ -147,11 +206,26 @@ impl CompiledProgram {
     ) -> Self {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
         let resolve = |v: &Value| table.and_then(|t| t.get(v));
-        let sigma = sigma
+        // Σ has few classes (hundreds of generated Person constraints fall
+        // into two), so a linear scan finds a constraint's class.
+        let mut classes: Vec<Vec<AttrId>> = Vec::new();
+        let mut pins: Vec<GlobalValueId> = Vec::new();
+        let sigma: Vec<CompiledConstraint> = sigma
             .iter()
             .map(|c| {
+                let referenced_attrs = c.referenced_attrs();
+                let class = match classes.iter().position(|k| *k == referenced_attrs) {
+                    Some(class) => class,
+                    None => {
+                        classes.push(referenced_attrs.clone());
+                        classes.len() - 1
+                    }
+                };
                 let mut cc = CompiledConstraint {
-                    referenced_attrs: c.referenced_attrs(),
+                    referenced_attrs,
+                    class,
+                    t1_pin: None,
+                    t2_pin: None,
                     order_premises: Vec::new(),
                     tuple_cmps: Vec::new(),
                     t1_consts: Vec::new(),
@@ -176,6 +250,8 @@ impl CompiledProgram {
                         }
                     }
                 }
+                cc.t1_pin = push_pin(&cc.referenced_attrs, &cc.t1_consts, &mut pins);
+                cc.t2_pin = push_pin(&cc.referenced_attrs, &cc.t2_consts, &mut pins);
                 cc
             })
             .collect();
@@ -193,7 +269,29 @@ impl CompiledProgram {
                 },
             })
             .collect();
-        CompiledProgram { sigma, gamma, table_token: table.map(|t| t.token()) }
+        let mut by_conclusion: Vec<Vec<usize>> = Vec::new();
+        for (ci, cc) in sigma.iter().enumerate() {
+            let a = cc.conclusion_attr.index();
+            if by_conclusion.len() <= a {
+                by_conclusion.resize_with(a + 1, Vec::new);
+            }
+            by_conclusion[a].push(ci);
+        }
+        CompiledProgram {
+            sigma,
+            gamma,
+            classes,
+            pins,
+            by_conclusion,
+            table_token: table.map(|t| t.token()),
+        }
+    }
+
+    /// The pin of one constraint side, given its start (a
+    /// [`CompiledConstraint`]'s `t1_pin`/`t2_pin`).
+    pub(crate) fn pin(&self, cc: &CompiledConstraint, start: u32) -> &[GlobalValueId] {
+        let start = start as usize;
+        &self.pins[start..start + cc.referenced_attrs.len()]
     }
 
     /// Token of the [`ValueTable`] the constants were resolved against.
@@ -244,5 +342,45 @@ mod tests {
         // "nurse" is not in the table: falls back to Value matching.
         assert_eq!(p.gamma[0].lhs[0].2, Some(working));
         assert_eq!(p.gamma[0].rhs.2, None);
+        // One projection class; t1's constant fixes only `status`, so no
+        // side is pinned; the constraint concludes on `job`.
+        assert_eq!(p.classes, vec![vec![status, job, kids]]);
+        assert_eq!(cc.class, 0);
+        assert_eq!((cc.t1_pin, cc.t2_pin), (None, None));
+        assert_eq!(p.by_conclusion[job.index()], vec![0]);
+    }
+
+    #[test]
+    fn compile_groups_classes_and_pins_string_constants_only() {
+        let s = Schema::new("p", ["status", "kids"]).unwrap();
+        let mut table = ValueTable::new();
+        let working = table.intern(&Value::str("working"));
+        let retired = table.intern(&Value::str("retired"));
+        table.intern(&Value::int(3));
+        let sigma: Vec<_> = [
+            r#"t1[status] = "working" && t2[status] = "retired" -> t1 <[status] t2"#,
+            // Numeric constants never pin.
+            "t1[kids] = 3 && t2[kids] = 4 -> t1 <[kids] t2",
+            r#"t1[status] = "retired" && t2[status] = "working" -> t1 <[status] t2"#,
+            // A constant missing from the table cannot pin.
+            r#"t1[status] = "deceased" -> t1 <[status] t2"#,
+        ]
+        .iter()
+        .map(|c| parse_currency_constraint(&s, c).unwrap())
+        .collect();
+        let p = CompiledProgram::compile(&sigma, &[], Some(&table));
+        let status = s.attr_id("status").unwrap();
+        let kids = s.attr_id("kids").unwrap();
+        assert_eq!(p.classes, vec![vec![status], vec![kids]]);
+        let class: Vec<usize> = p.sigma.iter().map(|cc| cc.class).collect();
+        assert_eq!(class, vec![0, 1, 0, 0]);
+        let pin = |ci: usize, side: Option<u32>| side.map(|start| p.pin(&p.sigma[ci], start).to_vec());
+        assert_eq!(pin(0, p.sigma[0].t1_pin), Some(vec![working]));
+        assert_eq!(pin(0, p.sigma[0].t2_pin), Some(vec![retired]));
+        assert_eq!((p.sigma[1].t1_pin, p.sigma[1].t2_pin), (None, None));
+        assert_eq!(pin(2, p.sigma[2].t1_pin), Some(vec![retired]));
+        assert_eq!((p.sigma[3].t1_pin, p.sigma[3].t2_pin), (None, None));
+        assert_eq!(p.by_conclusion[status.index()], vec![0, 2, 3]);
+        assert_eq!(p.by_conclusion[kids.index()], vec![1]);
     }
 }

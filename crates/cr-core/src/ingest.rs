@@ -1618,8 +1618,7 @@ impl ResolutionSession {
             }
             orders.add(attr, lo, hi);
         }
-        let spec =
-            Specification::new(entity, orders, base.sigma().to_vec(), base.gamma().to_vec());
+        let spec = base.with_instance(entity, orders);
         let mut session = ResolutionSession::new_revisable(config, &spec);
         for &cfd in &state.retired_cfds {
             session
@@ -1740,22 +1739,16 @@ impl SpecMirror {
     }
 
     /// The materialised post-revision specification: retired CFDs removed
-    /// for real. Compiles its own constraint program on first encode.
+    /// for real. Shares the mirror's Σ (and, while no CFD is retired, its Γ
+    /// and compiled program); removing a CFD copies Γ once and leaves the
+    /// program to be recompiled on first encode.
     pub fn materialise(&self) -> Specification {
-        let gamma: Vec<_> = self
-            .spec
-            .gamma()
-            .iter()
-            .enumerate()
-            .filter(|(gi, _)| !self.retired_cfds.contains(gi))
-            .map(|(_, cfd)| cfd.clone())
-            .collect();
-        Specification::new(
-            self.spec.entity().clone(),
-            self.spec.orders().clone(),
-            self.spec.sigma().to_vec(),
-            gamma,
-        )
+        let mut out = self.spec.clone();
+        // Descending, so the remaining original indices stay valid.
+        for &gi in self.retired_cfds.iter().rev() {
+            out.remove_cfd(gi);
+        }
+        out
     }
 }
 

@@ -23,12 +23,16 @@ use crate::orders::PartialOrders;
 /// order and answer withdrawal) keep it; changing Σ/Γ
 /// ([`Specification::remove_cfd`],
 /// [`Specification::with_constraint_fraction`]) clears it.
+///
+/// Σ and Γ themselves sit behind `Arc`s, so a clone — and a session
+/// restored from a snapshot — shares them instead of copying every
+/// constraint.
 #[derive(Clone, Debug)]
 pub struct Specification {
     entity: EntityInstance,
     orders: PartialOrders,
-    sigma: Vec<CurrencyConstraint>,
-    gamma: Vec<ConstantCfd>,
+    sigma: Arc<Vec<CurrencyConstraint>>,
+    gamma: Arc<Vec<ConstantCfd>>,
     program: OnceLock<Arc<CompiledProgram>>,
 }
 
@@ -45,7 +49,38 @@ impl Specification {
             entity.schema().arity(),
             "order arity must match schema arity"
         );
-        Specification { entity, orders, sigma, gamma, program: OnceLock::new() }
+        Specification {
+            entity,
+            orders,
+            sigma: Arc::new(sigma),
+            gamma: Arc::new(gamma),
+            program: OnceLock::new(),
+        }
+    }
+
+    /// A specification over another temporal instance with this one's Σ/Γ
+    /// and compiled program, both shared (nothing is copied or
+    /// recompiled) — how sessions restored from snapshots rebuild their
+    /// specification. The orders' arity must match the schema.
+    pub(crate) fn with_instance(
+        &self,
+        entity: EntityInstance,
+        orders: PartialOrders,
+    ) -> Specification {
+        assert_eq!(
+            orders.arity(),
+            entity.schema().arity(),
+            "order arity must match schema arity"
+        );
+        let out = Specification {
+            entity,
+            orders,
+            sigma: Arc::clone(&self.sigma),
+            gamma: Arc::clone(&self.gamma),
+            program: OnceLock::new(),
+        };
+        out.set_compiled_program(Arc::clone(self.compiled_program()));
+        out
     }
 
     /// A specification with empty currency orders (the setting of all the
@@ -187,7 +222,7 @@ impl Specification {
     /// retired CFD and keeps its own Γ indexing intact instead — see
     /// [`crate::ingest`]).
     pub fn remove_cfd(&mut self, cfd: usize) {
-        self.gamma.remove(cfd);
+        Arc::make_mut(&mut self.gamma).remove(cfd);
         self.program = OnceLock::new();
     }
 
@@ -202,8 +237,8 @@ impl Specification {
         seed: u64,
     ) -> Specification {
         let mut out = self.clone();
-        out.sigma = sample(&self.sigma, sigma_frac, seed);
-        out.gamma = sample(&self.gamma, gamma_frac, seed.wrapping_add(1));
+        out.sigma = Arc::new(sample(&self.sigma, sigma_frac, seed));
+        out.gamma = Arc::new(sample(&self.gamma, gamma_frac, seed.wrapping_add(1)));
         // Σ/Γ changed: the cached compiled program no longer applies.
         out.program = OnceLock::new();
         out

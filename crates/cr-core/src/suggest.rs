@@ -204,22 +204,23 @@ fn max_consistent_subset(
     }
     // Axiom clauses added by repair CEGAR rounds (lazy encodings only) --
     // transient: they live only in this loop's instances.
-    let mut extra_axioms: Vec<Vec<cr_sat::Lit>> = Vec::new();
+    let mut extra_axioms = cr_sat::ClauseBuffer::new();
     let mut scratch: Vec<cr_sat::Lit> = Vec::new();
     loop {
         let (mut inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
-        for clause in &extra_axioms {
+        for clause in extra_axioms.iter() {
             inst.add_hard(clause.iter().copied());
         }
         match maxsat_solve(&inst, MaxSatStrategy::default()) {
             Some(result) => {
                 if lazy {
-                    let violated = enc.violated_axioms(
-                        &|v| result.assignment.get(v.index()).copied(),
+                    let before = extra_axioms.len();
+                    enc.violated_axioms(
+                        cr_sat::Assignment::Total(&result.assignment),
                         None,
+                        &mut extra_axioms,
                     );
-                    if !violated.is_empty() {
-                        extra_axioms.extend(violated);
+                    if extra_axioms.len() > before {
                         continue;
                     }
                 }
@@ -264,21 +265,24 @@ fn max_consistent_subset_recording(
         return (clique.to_vec(), synced);
     }
     let mut scratch: Vec<cr_sat::Lit> = Vec::new();
+    let mut violated = cr_sat::ClauseBuffer::new();
     loop {
         let (inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
         match maxsat_solve(&inst, MaxSatStrategy::default()) {
             Some(result) => {
                 if lazy {
-                    let violated = enc.violated_axioms(
-                        &|v| result.assignment.get(v.index()).copied(),
+                    violated.clear();
+                    enc.violated_axioms(
+                        cr_sat::Assignment::Total(&result.assignment),
                         None,
+                        &mut violated,
                     );
                     if !violated.is_empty() {
                         // Recorded into the CNF: the next iteration's
                         // borrowed hard base (and all later consumers via
                         // the tail sync) see them; `synced` stays below so
                         // the engine feeds them to the solver ordinarily.
-                        enc.record_axiom_clauses(&violated);
+                        enc.record_axiom_clauses(&violated, 0);
                         continue;
                     }
                 }

@@ -15,8 +15,9 @@
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use cr_core::ingest::{
-    resolve_with_revisions_checked, Revision, ScriptedRevisions,
+    resolve_with_revisions_checked, ResolutionSession, Revision, ScriptedRevisions,
 };
+use cr_core::spec::UserInput;
 use cr_core::Specification;
 use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value};
 
@@ -477,4 +478,29 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
         "the no-op withdrawal must add nothing to the retraction cone"
     );
     assert_eq!(checked.revisions.events, baseline.revisions.events + 1);
+}
+
+/// A session rebuilt from a snapshot reuses the base specification's Σ/Γ
+/// and compiled program instead of deep-copying the constraints and
+/// compiling a fresh, table-less program. Pointer identity, not a
+/// `compile_count` delta: the global counter races with parallel tests.
+#[test]
+fn restored_session_shares_the_base_program_and_constraints() {
+    let (spec, _) = firing_cfd_spec();
+    let job = spec.schema().attr_id("job").unwrap();
+    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    session.apply_input(&UserInput::single(job, Value::str("n/a")));
+    session
+        .apply_revision(&Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: spec.schema().attr_id("city").unwrap(),
+            value: Value::str("SF"),
+        })
+        .unwrap();
+    let restored = ResolutionSession::restore(&config(), &spec, session.state()).unwrap();
+    let current = restored.current();
+    assert!(std::sync::Arc::ptr_eq(current.compiled_program(), spec.compiled_program()));
+    assert!(std::ptr::eq(current.sigma(), spec.sigma()), "Σ shared, not copied");
+    assert!(std::ptr::eq(current.gamma(), spec.gamma()), "Γ shared, not copied");
+    assert_eq!(current.entity().len(), session.current().entity().len());
 }

@@ -21,6 +21,14 @@
 //!   propagation step uses a clause that is unit under the partial
 //!   assignment, and exactly those clauses are handed over on demand.
 //!
+//! The oracle sees the candidate through an [`Assignment`] view — the
+//! caller's own assignment storage borrowed as a slice, so a source can
+//! copy what it needs into its own scan structures (the conflict-resolution
+//! encoder reads it into per-value bit rows once per consultation) — and
+//! appends its clauses to a flat [`ClauseBuffer`] the caller reuses across
+//! consultations, so handing over thousands of instances allocates nothing
+//! per clause.
+//!
 //! Axiom instances injected this way are ordinary **problem clauses**: they
 //! are theory-valid regardless of any retractable clause group, so they are
 //! never guarded, survive `retract_group`/persistent-assumption changes, and
@@ -31,7 +39,91 @@
 //! [`UnitPropagator::propagate_to_fixpoint_lazy`]: crate::UnitPropagator::propagate_to_fixpoint_lazy
 //! [`Solver::compact_learnts`]: crate::Solver::compact_learnts
 
-use crate::lit::{Lit, Var};
+use crate::lit::{LBool, Lit, Var};
+
+/// A read-only view of the candidate assignment shown to a
+/// [`LazyAxiomSource`]: the consulting solver's own assignment storage,
+/// borrowed as a slice. Sources read it by [`Assignment::value`] — a slice
+/// load, not a virtual call — which lets them copy the values an axiom
+/// scheme needs into their own bit rows once per consultation.
+#[derive(Clone, Copy, Debug)]
+pub enum Assignment<'a> {
+    /// Three-valued: the solver's model or the propagator's root
+    /// assignment (`LBool::Undef` = unassigned).
+    Lifted(&'a [LBool]),
+    /// Two-valued: a total model from a solver that has no unassigned
+    /// state (e.g. a MaxSAT assignment).
+    Total(&'a [bool]),
+}
+
+impl Assignment<'_> {
+    /// The candidate truth of `v` (`None` = unassigned, including every
+    /// variable beyond the viewed slice).
+    #[inline]
+    pub fn value(&self, v: Var) -> Option<bool> {
+        match self {
+            Assignment::Lifted(s) => s.get(v.index()).and_then(|b| b.to_option()),
+            Assignment::Total(s) => s.get(v.index()).copied(),
+        }
+    }
+}
+
+/// A flat, reusable buffer of clauses: every clause's literals are
+/// appended to one arena, so handing over `k` axiom instances costs no
+/// per-clause allocation. Callers keep one buffer per loop and clear it
+/// before each consultation.
+#[derive(Clone, Debug, Default)]
+pub struct ClauseBuffer {
+    lits: Vec<Lit>,
+    /// End offset (exclusive) of each clause in `lits`.
+    ends: Vec<u32>,
+}
+
+impl ClauseBuffer {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one clause.
+    #[inline]
+    pub fn push(&mut self, clause: &[Lit]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len() as u32);
+    }
+
+    /// Number of clauses held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True iff the buffer holds no clause.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Removes every clause, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.lits.clear();
+        self.ends.clear();
+    }
+
+    /// Clause `i` (in push order).
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.lits[start..self.ends[i] as usize]
+    }
+
+    /// The clauses from index `from` on, in push order.
+    pub fn iter_from(&self, from: usize) -> impl Iterator<Item = &[Lit]> + '_ {
+        (from..self.len()).map(move |i| self.clause(i))
+    }
+
+    /// All clauses, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        self.iter_from(0)
+    }
+}
 
 /// An oracle for on-demand axiom instantiation (see the module docs).
 ///
@@ -41,27 +133,33 @@ use crate::lit::{Lit, Var};
 /// 1. **Validity** — every returned clause is entailed by the intended
 ///    theory (it may only cut assignments that no theory model has), and
 /// 2. **Completeness at fixpoint** — if the candidate assignment satisfies
-///    every instantiable axiom, an empty vector is returned; conversely a
-///    violated (or, for partial candidates, unit) axiom not yet known to
-///    the caller must eventually be returned. Since callers add everything
-///    handed to them and their candidates satisfy all clauses they hold,
-///    returning only *currently violated/unit* clauses never repeats work.
+///    every instantiable axiom, nothing is returned; conversely a violated
+///    (or, for partial candidates, unit) axiom not yet known to the caller
+///    must eventually be returned. Since callers add everything handed to
+///    them and their candidates satisfy all clauses they hold, returning
+///    only *currently violated/unit* clauses never repeats work.
 pub trait LazyAxiomSource {
-    /// Inspects a candidate assignment and returns the axiom clauses it
-    /// violates (or that are unit under it).
+    /// Inspects a candidate assignment and appends the axiom clauses it
+    /// violates (or that are unit under it) to `out`.
     ///
-    /// `value(v)` is the candidate truth of variable `v` (`None` =
-    /// unassigned). `delta` is `Some(lits)` when the caller knows exactly
-    /// which literals were assigned since this source was last consulted —
-    /// root-level unit propagation passes its implied-literal tail, so the
-    /// source may restrict attention to axioms touching those variables.
-    /// `None` means the candidate is a fresh total model and everything must
-    /// be inspected.
+    /// `assignment` is a view of the candidate (see [`Assignment`]);
+    /// it does not change during the call, so a source may read it once
+    /// into its own scan structures. `delta` is `Some(lits)` when the
+    /// caller knows exactly which literals were assigned since this source
+    /// was last consulted — root-level unit propagation passes its
+    /// implied-literal tail, so the source may restrict attention to axioms
+    /// touching those variables. `None` means the candidate is a fresh
+    /// total model and everything must be inspected.
+    ///
+    /// Callers pass an empty `out`, reused across consultations, and add
+    /// whatever it holds afterwards; an empty `out` means the candidate
+    /// satisfies the theory.
     fn instantiate(
         &mut self,
-        value: &dyn Fn(Var) -> Option<bool>,
+        assignment: Assignment<'_>,
         delta: Option<&[Lit]>,
-    ) -> Vec<Vec<Lit>>;
+        out: &mut ClauseBuffer,
+    );
 }
 
 #[cfg(test)]
@@ -81,24 +179,24 @@ mod tests {
     impl LazyAxiomSource for ToySource {
         fn instantiate(
             &mut self,
-            value: &dyn Fn(Var) -> Option<bool>,
+            assignment: Assignment<'_>,
             _delta: Option<&[Lit]>,
-        ) -> Vec<Vec<Lit>> {
+            out: &mut ClauseBuffer,
+        ) {
             self.calls += 1;
-            let mut out = Vec::new();
+            let value = |v: Var| assignment.value(v);
             // ¬x0 ∨ ¬x1 ∨ ¬x2: inject when no literal is true and at most
             // one variable is unassigned.
             let vals = [value(Var(0)), value(Var(1)), value(Var(2))];
             let trues = vals.iter().filter(|v| **v == Some(true)).count();
             let unassigned = vals.iter().filter(|v| v.is_none()).count();
             if trues + unassigned == 3 && unassigned <= 1 {
-                out.push(vec![Var(0).negative(), Var(1).negative(), Var(2).negative()]);
+                out.push(&[Var(0).negative(), Var(1).negative(), Var(2).negative()]);
             }
             // x0 → x3.
             if value(Var(0)) == Some(true) && value(Var(3)) != Some(true) {
-                out.push(vec![Var(0).negative(), Var(3).positive()]);
+                out.push(&[Var(0).negative(), Var(3).positive()]);
             }
-            out
         }
     }
 
@@ -244,11 +342,11 @@ mod tests {
         impl LazyAxiomSource for DeltaRecorder {
             fn instantiate(
                 &mut self,
-                _value: &dyn Fn(Var) -> Option<bool>,
+                _assignment: Assignment<'_>,
                 delta: Option<&[Lit]>,
-            ) -> Vec<Vec<Lit>> {
+                _out: &mut ClauseBuffer,
+            ) {
                 self.seen.push(delta.expect("UP always passes a delta").to_vec());
-                Vec::new()
             }
         }
         let mut up = UnitPropagator::new(&Cnf::new());
@@ -271,14 +369,14 @@ mod tests {
         impl LazyAxiomSource for Chain {
             fn instantiate(
                 &mut self,
-                value: &dyn Fn(Var) -> Option<bool>,
+                assignment: Assignment<'_>,
                 _delta: Option<&[Lit]>,
-            ) -> Vec<Vec<Lit>> {
+                out: &mut ClauseBuffer,
+            ) {
                 // Theory: x0 → x1.
+                let value = |v: Var| assignment.value(v);
                 if value(Var(0)) == Some(true) && value(Var(1)) != Some(true) {
-                    vec![vec![Var(0).negative(), Var(1).positive()]]
-                } else {
-                    Vec::new()
+                    out.push(&[Var(0).negative(), Var(1).positive()]);
                 }
             }
         }

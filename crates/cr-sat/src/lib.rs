@@ -51,7 +51,7 @@ pub mod stats;
 pub mod unit_propagation;
 
 pub use cnf::Cnf;
-pub use lazy::LazyAxiomSource;
+pub use lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverScratch};
 pub use stats::SolverStats;

@@ -515,6 +515,7 @@ impl Solver {
         assumptions: &[Lit],
         source: &mut dyn crate::LazyAxiomSource,
     ) -> SolveResult {
+        let mut clauses = crate::lazy::ClauseBuffer::new();
         loop {
             if self.solve_with_assumptions(assumptions) == SolveResult::Unsat {
                 return SolveResult::Unsat;
@@ -522,14 +523,14 @@ impl Solver {
             // Hand the model to the source without aliasing `self` (clauses
             // are added right after); the model buffer is moved out and back.
             let model = std::mem::take(&mut self.model);
-            let clauses =
-                source.instantiate(&|v| model.get(v.index()).and_then(|b| b.to_option()), None);
+            clauses.clear();
+            source.instantiate(crate::lazy::Assignment::Lifted(&model), None, &mut clauses);
             self.model = model;
             if clauses.is_empty() {
                 return SolveResult::Sat;
             }
-            for clause in clauses {
-                self.add_clause(clause);
+            for clause in clauses.iter() {
+                self.add_clause(clause.iter().copied());
             }
         }
     }

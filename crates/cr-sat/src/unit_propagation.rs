@@ -82,6 +82,13 @@ pub struct UnitPropagator {
     /// Clause group tags ([`NO_GROUP`] = permanent) and retraction flags.
     group_of: Vec<u32>,
     dead: Vec<bool>,
+    /// Per-group clause chains, so retraction marks exactly a group's
+    /// clauses instead of scanning every clause: `group_last[g]` is the
+    /// newest clause of group `g` (indexed by tag; group tags are dense
+    /// small integers) and `group_prev[ci]`, parallel to `clauses`, the
+    /// previous clause of `ci`'s group (`NO_CLAUSE` ends a chain).
+    group_last: Vec<u32>,
+    group_prev: Vec<u32>,
     /// Prefix of `implied` already shown to a [`crate::LazyAxiomSource`]
     /// (see [`UnitPropagator::propagate_to_fixpoint_lazy`]); on retraction
     /// it shrinks by the invalidated prefix entries only, so re-derived
@@ -93,6 +100,8 @@ pub struct UnitPropagator {
     /// can become unit *on* a freshly unassigned variable without any of
     /// its surviving literals re-entering the delta).
     redeliver: Vec<Lit>,
+    /// Reused clause buffer of the lazy consultation loop.
+    lazy_buf: crate::lazy::ClauseBuffer,
     /// Telemetry: provenance-scoped replays performed, literals they
     /// invalidated, and full `O(|Φ|)` fallback resets.
     replays: usize,
@@ -102,6 +111,9 @@ pub struct UnitPropagator {
 
 /// Group tag of a permanent (non-retractable) clause.
 pub const NO_GROUP: u32 = u32::MAX;
+
+/// End of a per-group clause chain.
+const NO_CLAUSE: u32 = u32::MAX;
 
 /// 64-bit signature of one clause group (see the module docs): permanent
 /// clauses have the empty signature.
@@ -130,8 +142,11 @@ impl UnitPropagator {
             var_sig: vec![0; num_vars],
             group_of: Vec::with_capacity(cnf.num_clauses()),
             dead: Vec::with_capacity(cnf.num_clauses()),
+            group_last: Vec::new(),
+            group_prev: Vec::with_capacity(cnf.num_clauses()),
             lazy_cursor: 0,
             redeliver: Vec::new(),
+            lazy_buf: crate::lazy::ClauseBuffer::new(),
             replays: 0,
             replay_invalidated: 0,
             full_resets: 0,
@@ -217,6 +232,16 @@ impl UnitPropagator {
         self.false_count.push(n_false);
         self.group_of.push(group);
         self.dead.push(false);
+        if group == NO_GROUP {
+            self.group_prev.push(NO_CLAUSE);
+        } else {
+            let g = group as usize;
+            if self.group_last.len() <= g {
+                self.group_last.resize(g + 1, NO_CLAUSE);
+            }
+            self.group_prev.push(self.group_last[g]);
+            self.group_last[g] = idx;
+        }
     }
 
     /// Withdraws every clause of `group` and undoes exactly the retracted
@@ -232,18 +257,25 @@ impl UnitPropagator {
     }
 
     /// [`UnitPropagator::retract_group`] for a batch: all groups are marked
-    /// dead first, then one replay covers the union of their cones.
+    /// dead first (through the per-group clause chains, so marking costs the
+    /// groups' own clauses, not a scan of every clause), then one replay
+    /// covers the union of their cones.
     pub fn retract_groups(&mut self, groups: &[u32]) {
         if groups.is_empty() {
             return;
         }
         debug_assert!(groups.iter().all(|&g| g != NO_GROUP), "cannot retract permanent clauses");
-        for (ci, g) in self.group_of.iter().enumerate() {
-            if groups.contains(g) && !self.dead[ci] {
-                self.dead[ci] = true;
-                // Permanently neutralised; the full-reset path recomputes
-                // this anyway, the replay path relies on it.
-                self.satisfied[ci] = true;
+        for &g in groups {
+            let mut ci = self.group_last.get(g as usize).copied().unwrap_or(NO_CLAUSE);
+            while ci != NO_CLAUSE {
+                let c = ci as usize;
+                if !self.dead[c] {
+                    self.dead[c] = true;
+                    // Permanently neutralised; the full-reset path
+                    // recomputes this anyway, the replay path relies on it.
+                    self.satisfied[c] = true;
+                }
+                ci = self.group_prev[c];
             }
         }
         // Provenance summarises completed derivations only: in conflict or
@@ -510,35 +542,34 @@ impl UnitPropagator {
         &mut self,
         source: &mut dyn crate::LazyAxiomSource,
     ) -> Option<&[Lit]> {
-        loop {
-            self.propagate_to_fixpoint()?;
-            let clauses = {
-                let assign = &self.assign;
-                let value = |v: crate::lit::Var| assign.get(v.index()).and_then(|b| b.to_option());
-                if self.redeliver.is_empty() {
-                    source.instantiate(&value, Some(&self.implied[self.lazy_cursor..]))
-                } else {
-                    // Retraction redelivery: prepend both polarities of the
-                    // invalidated variables so the source revisits
-                    // instances that are newly unit on them (module docs).
-                    let delta: Vec<Lit> = self
-                        .redeliver
-                        .iter()
-                        .chain(self.implied[self.lazy_cursor..].iter())
-                        .copied()
-                        .collect();
-                    source.instantiate(&value, Some(&delta))
-                }
-            };
+        let mut clauses = std::mem::take(&mut self.lazy_buf);
+        let result = loop {
+            if self.propagate_to_fixpoint().is_none() {
+                break false;
+            }
+            clauses.clear();
+            let assignment = crate::lazy::Assignment::Lifted(&self.assign);
+            if self.redeliver.is_empty() {
+                let delta = &self.implied[self.lazy_cursor..];
+                source.instantiate(assignment, Some(delta), &mut clauses);
+            } else {
+                // Retraction redelivery: prepend both polarities of the
+                // invalidated variables so the source revisits instances
+                // that are newly unit on them (module docs).
+                self.redeliver.extend_from_slice(&self.implied[self.lazy_cursor..]);
+                source.instantiate(assignment, Some(&self.redeliver), &mut clauses);
+            }
             self.redeliver.clear();
             self.lazy_cursor = self.implied.len();
             if clauses.is_empty() {
-                return Some(&self.implied);
+                break true;
             }
-            for clause in &clauses {
+            for clause in clauses.iter() {
                 self.add_clause(clause);
             }
-        }
+        };
+        self.lazy_buf = clauses;
+        result.then_some(&self.implied[..])
     }
 
     /// The current truth value of a literal after [`UnitPropagator::run`].
@@ -767,14 +798,14 @@ mod tests {
         impl crate::LazyAxiomSource for DeltaRecorder {
             fn instantiate(
                 &mut self,
-                _value: &dyn Fn(Var) -> Option<bool>,
+                _assignment: crate::lazy::Assignment<'_>,
                 delta: Option<&[Lit]>,
-            ) -> Vec<Vec<Lit>> {
+                _out: &mut crate::lazy::ClauseBuffer,
+            ) {
                 let delta = delta.expect("UP always passes a delta");
                 if !delta.is_empty() {
                     self.seen.push(delta.to_vec());
                 }
-                Vec::new()
             }
         }
         let a = Var(0);
