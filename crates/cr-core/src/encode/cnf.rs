@@ -623,26 +623,18 @@ impl EncodedSpec {
         let to = cr_types::Tuple::from_values(values);
         let answered_attr = |attr: AttrId| answered.iter().any(|&(a, _)| a == attr);
         let program = spec.compiled_program().clone();
-        // A pair involving `to` instantiates only if the conclusion is
-        // non-null on `to`'s side, so only the constraints concluding on an
-        // answered attribute are visited (in Σ order, as a full walk would).
-        let mut concluding: Vec<usize> = answered
-            .iter()
-            .filter_map(|&(a, _)| program.by_conclusion.get(a.index()))
-            .flatten()
-            .copied()
-            .collect();
-        concluding.sort_unstable();
-        concluding.dedup();
         let projections = ProjectionCache::new(&program);
-        for ci in concluding {
-            let cc = &program.sigma[ci];
-            // Order / tuple-comparison premises need both sides non-null —
-            // so those attributes must all be among the answered ones. Σ
-            // can be large (hundreds of constraints on generated
-            // workloads); these O(|ω|) checks — over the compiled premise
-            // shapes, nothing re-derived — skip the per-tuple work for the
-            // vast majority.
+        for (ci, cc) in program.sigma.iter().enumerate() {
+            // A pair involving `to` instantiates only if the conclusion is
+            // non-null on `to`'s side, and order / tuple-comparison
+            // premises need both sides non-null — so those attributes must
+            // all be among the answered ones. Σ can be large (hundreds of
+            // constraints on generated workloads); these O(|ω|) checks —
+            // over the compiled premise shapes, nothing re-derived — skip
+            // the per-tuple work for the vast majority.
+            if !answered_attr(cc.conclusion_attr) {
+                continue;
+            }
             if cc.order_premises.iter().any(|a| !answered_attr(*a))
                 || cc.tuple_cmps.iter().any(|(a, _)| !answered_attr(*a))
             {

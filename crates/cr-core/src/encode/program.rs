@@ -184,10 +184,6 @@ pub struct CompiledProgram {
     /// The pins of all constraint sides, back to back (see
     /// [`CompiledProgram::pin`]).
     pub(crate) pins: Vec<GlobalValueId>,
-    /// Per attribute index, the Σ indices (ascending) concluding on it —
-    /// the only constraints a user answer on that attribute can
-    /// instantiate on the answer tuple.
-    pub(crate) by_conclusion: Vec<Vec<usize>>,
     /// [`ValueTable::token`] of the table the constants were resolved
     /// against, if one was supplied.
     table_token: Option<u64>,
@@ -210,7 +206,7 @@ impl CompiledProgram {
         // into two), so a linear scan finds a constraint's class.
         let mut classes: Vec<Vec<AttrId>> = Vec::new();
         let mut pins: Vec<GlobalValueId> = Vec::new();
-        let sigma: Vec<CompiledConstraint> = sigma
+        let sigma = sigma
             .iter()
             .map(|c| {
                 let referenced_attrs = c.referenced_attrs();
@@ -269,20 +265,11 @@ impl CompiledProgram {
                 },
             })
             .collect();
-        let mut by_conclusion: Vec<Vec<usize>> = Vec::new();
-        for (ci, cc) in sigma.iter().enumerate() {
-            let a = cc.conclusion_attr.index();
-            if by_conclusion.len() <= a {
-                by_conclusion.resize_with(a + 1, Vec::new);
-            }
-            by_conclusion[a].push(ci);
-        }
         CompiledProgram {
             sigma,
             gamma,
             classes,
             pins,
-            by_conclusion,
             table_token: table.map(|t| t.token()),
         }
     }
@@ -343,11 +330,10 @@ mod tests {
         assert_eq!(p.gamma[0].lhs[0].2, Some(working));
         assert_eq!(p.gamma[0].rhs.2, None);
         // One projection class; t1's constant fixes only `status`, so no
-        // side is pinned; the constraint concludes on `job`.
+        // side is pinned.
         assert_eq!(p.classes, vec![vec![status, job, kids]]);
         assert_eq!(cc.class, 0);
         assert_eq!((cc.t1_pin, cc.t2_pin), (None, None));
-        assert_eq!(p.by_conclusion[job.index()], vec![0]);
     }
 
     #[test]
@@ -380,7 +366,5 @@ mod tests {
         assert_eq!((p.sigma[1].t1_pin, p.sigma[1].t2_pin), (None, None));
         assert_eq!(pin(2, p.sigma[2].t1_pin), Some(vec![retired]));
         assert_eq!((p.sigma[3].t1_pin, p.sigma[3].t2_pin), (None, None));
-        assert_eq!(p.by_conclusion[status.index()], vec![0, 2, 3]);
-        assert_eq!(p.by_conclusion[kids.index()], vec![1]);
     }
 }
