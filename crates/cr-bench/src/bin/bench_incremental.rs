@@ -10,12 +10,13 @@
 //! (`cr_data::gen`, conflict density 1.0) isolates the `O(n³)` transitivity
 //! cost that lazy axiom instantiation removes.
 //!
-//! Every dataset is resolved on four paths — (lazy | eager axioms) ×
-//! (incremental | scratch) — and the run **fails loudly** on any outcome
-//! divergence or (lazy paths) zero recorded axiom telemetry where injection was expected. `--smoke` runs exactly
-//! those checks in CI. The JSON report additionally records round-0 encode
-//! clause counts and wall time per axiom mode plus the injected-axiom
-//! counts of the lazy resolutions.
+//! Every dataset is resolved on the engine (lazy, incremental) and on the
+//! from-scratch loop (lazy, a fresh session per round), and the run
+//! **fails loudly** on any outcome divergence or zero recorded axiom
+//! telemetry where injection was expected. `--smoke` runs exactly those
+//! checks in CI. The JSON report additionally records round-0 encode
+//! clause counts and wall time of a lazy and a one-shot eager encode plus
+//! the injected-axiom counts of the engine's resolutions.
 //!
 //! Three further invariants are enforced alongside the outcome checks:
 //! **compile-once** — every workload's constraint program is compiled at
@@ -87,10 +88,8 @@
 //! split entities (the pinned giant must split), or any backpressure
 //! stall on the clean stream (whose queue capacity exceeds the entity
 //! count, so a stall there is a false positive). The same workload
-//! accounts the **Ω-free memory diet**: a sample of entities is encoded
-//! with and without retained Ω and the report records bytes per entity
-//! for both (the Ω-free encoding must be strictly smaller, with an
-//! identical CNF). Outside smoke, a `--sched-entities`-sized power-law
+//! records the engine encoding's bytes per entity over a sample of
+//! entities. Outside smoke, a `--sched-entities`-sized power-law
 //! dataset (default 10⁵) is resolved end-to-end twice — serially and
 //! through `resolve_stream` at the `--threads` width under the default
 //! bounded queue — with an order-insensitive outcome digest proving
@@ -633,17 +632,18 @@ fn check_chaos(w: &ChaosWorkload, rounds: usize, seed: u64) -> ChaosStats {
 /// One serial-vs-parallel agreement pass at the requested fan-out width
 /// (run in smoke so `--threads N` exercises the parallel path in CI).
 fn check_parallel(w: &Workload, rounds: usize, threads: usize) {
-    let r = resolver(EncodeOptions::lazy(), true, rounds);
+    let r = resolver(true, rounds);
     let serial: Vec<_> = w
         .specs
         .iter()
         .zip(&w.truths)
         .map(|(spec, truth)| r.resolve(spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1)))
         .collect();
-    let parallel = r.resolve_all_parallel_with_threads(
+    let (parallel, _) = resolve_batch(
+        &r,
         &w.specs,
-        |i| GroundTruthOracle::with_cap(w.truths[i].clone(), 1),
-        threads,
+        &|i| GroundTruthOracle::with_cap(w.truths[i].clone(), 1),
+        &SchedulerConfig::with_workers(threads),
     );
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(
@@ -654,19 +654,13 @@ fn check_parallel(w: &Workload, rounds: usize, threads: usize) {
     }
 }
 
-fn resolver(encode: EncodeOptions, incremental: bool, max_rounds: usize) -> Resolver {
-    Resolver::new(ResolutionConfig { max_rounds, incremental, encode, ..Default::default() })
+fn resolver(incremental: bool, max_rounds: usize) -> Resolver {
+    Resolver::new(ResolutionConfig { max_rounds, incremental, ..Default::default() })
 }
 
 /// Serial wall-clock seconds for one pass over the workload (best of `reps`).
-fn time_serial(
-    w: &Workload,
-    encode: EncodeOptions,
-    incremental: bool,
-    rounds: usize,
-    reps: usize,
-) -> f64 {
-    let r = resolver(encode, incremental, rounds);
+fn time_serial(w: &Workload, incremental: bool, rounds: usize, reps: usize) -> f64 {
+    let r = resolver(incremental, rounds);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
@@ -679,16 +673,18 @@ fn time_serial(
     best
 }
 
-/// Parallel fan-out wall-clock seconds on the (lazy) engine default.
+/// Parallel fan-out wall-clock seconds on the incremental engine.
 fn time_parallel(w: &Workload, rounds: usize, reps: usize, threads: usize) -> f64 {
-    let r = resolver(EncodeOptions::lazy(), true, rounds);
+    let r = resolver(true, rounds);
+    let config = SchedulerConfig::with_workers(threads);
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t = Instant::now();
-        std::hint::black_box(r.resolve_all_parallel_with_threads(
+        std::hint::black_box(resolve_batch(
+            &r,
             &w.specs,
-            |i| GroundTruthOracle::with_cap(w.truths[i].clone(), 1),
-            threads,
+            &|i| GroundTruthOracle::with_cap(w.truths[i].clone(), 1),
+            &config,
         ));
         best = best.min(t.elapsed().as_secs_f64());
     }
@@ -709,7 +705,7 @@ fn share_workload_program(specs: &[Specification], table: Option<&cr_types::Valu
     }
 }
 
-/// Retraction-replay telemetry summed over a workload's lazy-incremental
+/// Retraction-replay telemetry summed over a workload's incremental
 /// resolutions.
 #[derive(Default)]
 struct RetractionStats {
@@ -720,49 +716,37 @@ struct RetractionStats {
     rounds_with_retraction: usize,
 }
 
-/// All four paths must produce identical resolution outcomes. Returns the
-/// injected-axiom count of the lazy incremental path and its retraction
-/// telemetry.
+/// The incremental engine and the from-scratch loop must produce identical
+/// resolution outcomes. Returns the engine's injected-axiom count and its
+/// retraction telemetry.
 fn check_agreement(w: &Workload, rounds: usize) -> (usize, RetractionStats) {
-    let paths = [
-        ("lazy/incremental", EncodeOptions::lazy(), true),
-        ("eager/incremental", EncodeOptions::eager(), true),
-        ("lazy/scratch", EncodeOptions::lazy(), false),
-        ("eager/scratch", EncodeOptions::eager(), false),
-    ];
+    let (engine, scratch) = (resolver(true, rounds), resolver(false, rounds));
     let mut injected = 0;
     let mut retraction = RetractionStats::default();
     for (spec, truth) in w.specs.iter().zip(&w.truths) {
-        let outcomes: Vec<_> = paths
-            .iter()
-            .map(|&(_, encode, incremental)| {
-                resolver(encode, incremental, rounds)
-                    .resolve(spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1))
-            })
-            .collect();
-        let reference = &outcomes[0];
-        for ((label, ..), outcome) in paths.iter().zip(&outcomes).skip(1) {
-            assert_eq!(
-                reference.resolved, outcome.resolved,
-                "{}: resolved tuples diverged on {label}",
-                w.label
-            );
-            assert_eq!(
-                reference.interactions, outcome.interactions,
-                "{}: interaction counts diverged on {label}",
-                w.label
-            );
-            assert_eq!(
-                reference.user_values, outcome.user_values,
-                "{}: answer counts diverged on {label}",
-                w.label
-            );
-        }
-        injected += outcomes[0].injected_axioms;
-        retraction.replays += outcomes[0].retraction_replays;
-        retraction.invalidated += outcomes[0].retraction_invalidated;
-        retraction.full_resets += outcomes[0].retraction_full_resets;
-        retraction.rounds_with_retraction += outcomes[0]
+        let oracle = || GroundTruthOracle::with_cap(truth.clone(), 1);
+        let reference = engine.resolve(spec, &mut oracle());
+        let outcome = scratch.resolve(spec, &mut oracle());
+        assert_eq!(
+            reference.resolved, outcome.resolved,
+            "{}: resolved tuples diverged on scratch",
+            w.label
+        );
+        assert_eq!(
+            reference.interactions, outcome.interactions,
+            "{}: interaction counts diverged on scratch",
+            w.label
+        );
+        assert_eq!(
+            reference.user_values, outcome.user_values,
+            "{}: answer counts diverged on scratch",
+            w.label
+        );
+        injected += reference.injected_axioms;
+        retraction.replays += reference.retraction_replays;
+        retraction.invalidated += reference.retraction_invalidated;
+        retraction.full_resets += reference.retraction_full_resets;
+        retraction.rounds_with_retraction += reference
             .rounds
             .iter()
             .filter(|r| r.retraction_invalidated > 0)
@@ -906,7 +890,7 @@ fn check_rehydrate(seed: u64, events: usize, reps: usize) -> RehydrateStats {
     stats
 }
 
-/// Work-stealing scheduler telemetry plus the Ω-free memory-diet
+/// Work-stealing scheduler telemetry plus the engine encoding's memory
 /// accounting (explicit zeros: the smoke gates below distinguish a dead
 /// steal/batch/split counter from a clean run).
 struct SchedStats {
@@ -922,12 +906,8 @@ struct SchedStats {
     scale_stream_secs: f64,
     /// Entities behind the bytes-per-entity sample.
     sample: usize,
-    /// Summed `approx_bytes` of the sample, Ω-free (engine default).
+    /// Summed `approx_bytes` of the sample's engine encodings.
     lean_bytes: usize,
-    /// Summed `approx_bytes` of the sample with Ω retained.
-    fat_bytes: usize,
-    /// The retained instance constraints alone (`omega_bytes`).
-    fat_omega_bytes: usize,
 }
 
 /// Order-insensitive digest of one entity's outcome — summed with
@@ -1022,26 +1002,15 @@ fn check_sched(seed: u64, smoke: bool, threads: usize, scale_entities: usize) ->
         "sched: stream outcomes diverged from serial"
     );
 
-    // Ω-free memory diet: the engine encoding must carry no retained
-    // instance constraints and be strictly smaller than the retained-Ω
-    // twin, with a byte-identical CNF (suggestion rules are scanned from
-    // the clause arena instead — `cr-core/tests/omega_free_rules.rs`).
+    // Memory accounting: the encoding keeps no Ω(Se) list beside its
+    // clauses (suggestion rules are scanned from the clause arena —
+    // `cr-core/tests/omega_free_rules.rs`).
     let sample = specs.len().min(12);
-    let (mut lean_bytes, mut fat_bytes, mut fat_omega_bytes) = (0usize, 0usize, 0usize);
-    for spec in specs.iter().take(sample) {
-        let lean = EncodedSpec::encode_with(spec, EncodeOptions::lazy());
-        let fat = EncodedSpec::encode_with(spec, EncodeOptions::lazy().with_retained_omega());
-        assert_eq!(lean.omega_bytes(), 0, "engine encoding must drop Ω");
-        assert_eq!(
-            lean.cnf().num_clauses(),
-            fat.cnf().num_clauses(),
-            "Ω retention must not change the CNF"
-        );
-        lean_bytes += lean.approx_bytes();
-        fat_bytes += fat.approx_bytes();
-        fat_omega_bytes += fat.omega_bytes();
-    }
-    assert!(lean_bytes < fat_bytes, "Ω-free encodings must be smaller than retained-Ω ones");
+    let lean_bytes: usize = specs
+        .iter()
+        .take(sample)
+        .map(|spec| EncodedSpec::encode_with(spec, EncodeOptions::lazy()).approx_bytes())
+        .sum();
 
     // At-scale run (non-smoke): a `--sched-entities` power-law population
     // resolved serially and through the default bounded queue, compared
@@ -1099,8 +1068,6 @@ fn check_sched(seed: u64, smoke: bool, threads: usize, scale_entities: usize) ->
         scale_stream_secs,
         sample,
         lean_bytes,
-        fat_bytes,
-        fat_omega_bytes,
     }
 }
 
@@ -1293,7 +1260,7 @@ fn main() {
     // fleet's scenario compiles its own program — see `check_serve`).
     let (serve_clean, serve_faulty) = check_serve(seed, smoke);
 
-    // Work-stealing scheduler + Ω-free memory diet: agreement proven AND
+    // Work-stealing scheduler + encoding bytes per entity: agreement proven AND
     // timed at setup (each power-law dataset compiles its one shared
     // program at construction — see `check_sched`).
     let sched_stats = check_sched(seed, smoke, threads, sched_entities);
@@ -1314,7 +1281,6 @@ fn main() {
 
     let mut total_scratch = 0.0;
     let mut total_lazy = 0.0;
-    let mut total_eager = 0.0;
     let mut lazy_injection_seen = false;
     let mut retraction_replays_seen = 0;
     for w in &workloads {
@@ -1370,25 +1336,20 @@ fn main() {
             continue;
         }
 
-        let scratch = time_serial(w, EncodeOptions::eager(), false, rounds, reps);
-        let eager = time_serial(w, EncodeOptions::eager(), true, rounds, reps);
-        let lazy = time_serial(w, EncodeOptions::lazy(), true, rounds, reps);
+        let scratch = time_serial(w, false, rounds, reps);
+        let lazy = time_serial(w, true, rounds, reps);
         let parallel = time_parallel(w, rounds, reps, threads);
         total_scratch += scratch;
-        total_eager += eager;
         total_lazy += lazy;
-        report.measure(format!("end_to_end/{}/scratch", w.label), scratch);
-        report.measure(format!("end_to_end/{}/incremental_eager", w.label), eager);
+        report.measure(format!("end_to_end/{}/scratch_lazy", w.label), scratch);
         report.measure(format!("end_to_end/{}/incremental", w.label), lazy);
         report.measure(format!("end_to_end/{}/incremental_parallel", w.label), parallel);
         println!(
-            "{:>8}: scratch {:>8.4}s  eager-inc {:>8.4}s  lazy-inc {:>8.4}s  ({:.2}x vs scratch, {:.2}x vs eager)  parallel {:>8.4}s",
+            "{:>8}: scratch(lazy) {:>8.4}s  incremental {:>8.4}s  ({:.2}x vs scratch)  parallel {:>8.4}s",
             w.label,
             scratch,
-            eager,
             lazy,
             scratch / lazy,
-            eager / lazy,
             parallel,
         );
     }
@@ -1537,7 +1498,7 @@ fn main() {
 
     // Work-stealing scheduler: serial ≡ parallel was asserted inside
     // `check_sched` (it aborts on divergence); report the telemetry and
-    // the Ω-free memory diet, then gate on liveness below.
+    // the encoding bytes per entity, then gate on liveness below.
     let sb = &sched_stats.batch;
     report.context("sched/entities", sched_stats.liveness_entities);
     report.context("sched/workers", sb.workers);
@@ -1572,17 +1533,11 @@ fn main() {
         sched_stats.liveness_entities + 1,
         sched_stats.stream.backpressure_stalls,
     );
-    let per_entity = |bytes: usize| bytes / sched_stats.sample.max(1);
-    report.context("sched/bytes_per_entity/omega_free", per_entity(sched_stats.lean_bytes));
-    report.context("sched/bytes_per_entity/retained_omega", per_entity(sched_stats.fat_bytes));
-    report.context("sched/bytes_per_entity/omega_only", per_entity(sched_stats.fat_omega_bytes));
+    let bytes_per_entity = sched_stats.lean_bytes / sched_stats.sample.max(1);
+    report.context("sched/bytes_per_entity/omega_free", bytes_per_entity);
     println!(
-        "{:>8}: memory diet over {} sampled entities: {} B/entity Ω-free vs {} B/entity retained ({} B/entity of Ω dropped, CNF identical)",
-        "sched",
-        sched_stats.sample,
-        per_entity(sched_stats.lean_bytes),
-        per_entity(sched_stats.fat_bytes),
-        per_entity(sched_stats.fat_omega_bytes),
+        "{:>8}: engine encoding over {} sampled entities: {} B/entity",
+        "sched", sched_stats.sample, bytes_per_entity,
     );
     if let Some(st) = &sched_stats.scale {
         report.context("sched/scale/entities", sched_stats.scale_entities);
@@ -1607,18 +1562,10 @@ fn main() {
 
     if !smoke {
         let speedup = total_scratch / total_lazy;
-        report.measure("end_to_end/total/scratch", total_scratch);
-        report.measure("end_to_end/total/incremental_eager", total_eager);
+        report.measure("end_to_end/total/scratch_lazy", total_scratch);
         report.measure("end_to_end/total/incremental", total_lazy);
         report.context("speedup_lazy_vs_scratch", format!("{speedup:.2}"));
-        report.context(
-            "speedup_lazy_vs_eager_incremental",
-            format!("{:.2}", total_eager / total_lazy),
-        );
-        println!(
-            "overall: lazy incremental {speedup:.2}x vs scratch, {:.2}x vs eager incremental",
-            total_eager / total_lazy
-        );
+        println!("overall: incremental {speedup:.2}x vs scratch (lazy)");
         report.write(&out).expect("write bench report");
         println!("wrote {out}");
     }

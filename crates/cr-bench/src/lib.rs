@@ -7,6 +7,7 @@
 use std::time::{Duration, Instant};
 
 use cr_core::framework::{DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver};
+use cr_core::sched::{resolve_batch, SchedulerConfig};
 use cr_core::{
     deduce_order, naive_deduce, pick_baseline, true_values_from_orders, Accuracy, EncodedSpec,
     Specification,
@@ -163,7 +164,7 @@ impl ConstraintMode {
 /// the largest number of rounds any entity used.
 ///
 /// Entities are independent, so they are fanned out across all cores via
-/// [`Resolver::resolve_all_parallel`]; accuracy is accumulated from the
+/// [`resolve_batch`]; accuracy is accumulated from the
 /// in-order results, keeping the output deterministic.
 pub fn run_dataset(
     dataset: &Dataset,
@@ -184,9 +185,13 @@ pub fn run_dataset(
     // Like the paper's simulated users, answer sparingly (one attribute
     // per round) — k rounds therefore cost k answers. With max_rounds == 0
     // the oracle is never consulted, matching the old SilentOracle branch.
-    let outcomes = resolver.resolve_all_parallel(&specs, |i| {
-        GroundTruthOracle::with_cap(dataset.truth(i).clone(), 1)
-    });
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (outcomes, _) = resolve_batch(
+        &resolver,
+        &specs,
+        &|i| GroundTruthOracle::with_cap(dataset.truth(i).clone(), 1),
+        &SchedulerConfig::with_workers(workers),
+    );
     let mut acc = Accuracy::new();
     let mut max_used = 0;
     for (i, outcome) in outcomes.iter().enumerate() {

@@ -71,29 +71,15 @@ impl DeducedOrders {
 /// [`UnitPropagator::propagate_to_fixpoint_lazy`], interleaving on-demand
 /// axiom instantiation with propagation; the derived set equals the eager
 /// fixpoint (an eager step needs a clause that is unit under the current
-/// assignment, and exactly those are instantiated).
+/// assignment, and exactly those are instantiated). The instantiated
+/// axioms are handed to the propagator only (the encoding is untouched);
+/// the engine records them instead so injections reach its other
+/// consumers through the CNF.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
 pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
     let mut up = enc.fresh_propagator();
-    deduce_order_from(&mut up, enc)
-}
-
-/// `DeduceOrder` over a caller-owned [`UnitPropagator`] — the incremental
-/// engine keeps one propagator alive across all rounds of a `resolve()`
-/// call, feeding it the per-round clause deltas, so each round only
-/// propagates the consequences of the new clauses. The propagator's
-/// accumulated implied set covers all rounds so far.
-///
-/// Lazily instantiated axioms are handed to the propagator only (the
-/// shared encoding is untouched); the engine uses
-/// [`deduce_order_recording`] instead so injections reach its other
-/// consumers through the CNF.
-pub(crate) fn deduce_order_from(
-    up: &mut UnitPropagator,
-    enc: &EncodedSpec,
-) -> Option<DeducedOrders> {
     let implied = if enc.options().is_lazy() {
         let mut source = TransientAxiomSource::new(enc);
         up.propagate_to_fixpoint_lazy(&mut source)?
@@ -103,11 +89,13 @@ pub(crate) fn deduce_order_from(
     Some(orders_from_implied(enc, implied))
 }
 
-/// [`deduce_order_from`] for [`AxiomMode::Lazy`](crate::encode::AxiomMode)
-/// encodings with **recording** instantiation: axiom clauses pulled during
-/// propagation are also appended to `enc`'s CNF, so the engine's warm
-/// solver and the MaxSAT repair's borrowed hard base see them via the
-/// ordinary clause-tail sync.
+/// `DeduceOrder` on the engine's warm propagator, which the session keeps
+/// alive across all rounds and feeds the per-round clause deltas, so each
+/// round only propagates the consequences of the new clauses. Lazy axiom
+/// instantiation is **recorded**: axiom clauses pulled during propagation
+/// are also appended to `enc`'s CNF, so the engine's warm solver and the
+/// MaxSAT repair's borrowed hard base see them via the ordinary clause-tail
+/// sync.
 pub(crate) fn deduce_order_recording(
     up: &mut UnitPropagator,
     enc: &mut EncodedSpec,
@@ -146,31 +134,25 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
 /// (injected axioms are entailed by the eager formula) and a `Sat` probe is
 /// exact (the final model satisfies the full theory), so the deduced set
 /// equals the eager one. Axioms injected by one probe persist in the
-/// solver and sharpen all later probes.
+/// solver and sharpen all later probes; they go to the solver only (the
+/// engine records them in the encoding's CNF as well).
 ///
 /// Returns `None` if `Φ(Se)` itself is unsatisfiable.
 pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
     let mut solver = enc.fresh_solver();
-    naive_deduce_with(&mut solver, enc)
-}
-
-/// `NaiveDeduce` over a caller-owned incremental [`Solver`] (the engine
-/// reuses the validity-check solver, so learnt clauses carry across both
-/// phases and across rounds). Lazily instantiated axioms go to the solver
-/// only; the engine uses [`naive_deduce_recording`] to persist them in the
-/// encoding's CNF as well.
-pub(crate) fn naive_deduce_with(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
     if enc.options().is_lazy() {
         let mut source = TransientAxiomSource::new(enc);
-        naive_probe_loop(solver, enc.space().arity(), &plan, Some(&mut source))
+        naive_probe_loop(&mut solver, enc.space().arity(), &plan, Some(&mut source))
     } else {
-        naive_probe_loop(solver, enc.space().arity(), &plan, None)
+        naive_probe_loop(&mut solver, enc.space().arity(), &plan, None)
     }
 }
 
-/// [`naive_deduce_with`] with **recording** lazy instantiation: probe-time
-/// axiom injections are appended to `enc`'s CNF too (engine integration).
+/// `NaiveDeduce` on the engine's warm solver (it reuses the validity-check
+/// solver, so learnt clauses carry across both phases and across rounds)
+/// with **recording** lazy instantiation: probe-time axiom injections are
+/// appended to `enc`'s CNF too.
 pub(crate) fn naive_deduce_recording(
     solver: &mut Solver,
     enc: &mut EncodedSpec,

@@ -82,8 +82,7 @@ pub type GroupId = u32;
 const NO_GROUP: GroupId = cr_sat::NO_GROUP;
 
 /// Classification of one CNF clause, parallel to the clause list. One byte
-/// per clause is what lets the suggestion path drop the retained Ω(Se)
-/// instance list (`EncodeOptions::retain_omega` off, the default): rule
+/// per clause is what lets the encoding keep no Ω(Se) instance list: rule
 /// derivation re-reads its Currency/BaseOrder implications straight from
 /// the flat literal arena via [`EncodedSpec::for_each_order_rule`] instead
 /// of keeping a second materialised copy of every instance constraint.
@@ -170,13 +169,10 @@ struct EncoderSink<'a> {
 impl OmegaSink for EncoderSink<'_> {
     fn hint(&mut self, additional: usize) {
         // `additional` is a pair-count *upper bound* (vacuous pairs emit
-        // nothing); reserving it in full routinely over-allocates the Ω
+        // nothing); reserving it in full routinely over-allocates the clause
         // storage 2–3× and pushes every encode into fresh large mappings.
         // Cap the hint and let amortised growth cover dense constraints.
         let capped = additional.min(4096);
-        if self.enc.options.retain_omega {
-            self.enc.omega.reserve(capped);
-        }
         self.enc.clause_groups.reserve(capped);
         self.enc.clause_kinds.reserve(capped);
         self.enc.cnf.reserve_clauses(capped);
@@ -186,10 +182,10 @@ impl OmegaSink for EncoderSink<'_> {
     }
 }
 
-/// The encoded form of a specification: the CNF `Φ(Se)`, the value spaces,
-/// the variable table for order atoms and the instance constraints Ω(Se)
-/// they came from. All downstream algorithms (`IsValid`, `DeduceOrder`,
-/// `Suggest`, the exact true-value queries) run off this struct.
+/// The encoded form of a specification: the CNF `Φ(Se)`, the value spaces
+/// and the variable table for order atoms. All downstream algorithms
+/// (`IsValid`, `DeduceOrder`, `Suggest`, the exact true-value queries) run
+/// off this struct.
 ///
 /// The encoding supports **delta extension** with user input
 /// (`EncodedSpec::extend_with_input`, driven by
@@ -198,8 +194,9 @@ impl OmegaSink for EncoderSink<'_> {
 /// fresh user-input tuple instead of re-deriving the whole CNF. With
 /// guarded CFDs (see the module docs) this covers *every* input, including
 /// answers outside the interned value space: the new value's order
-/// variables and axioms are appended, and the affected CFDs are retracted
-/// and re-emitted under fresh guards.
+/// variables are appended, and the affected CFDs are retracted and
+/// re-emitted under fresh guards. Only lazy encodings are extended; an
+/// eager one is one-shot.
 pub struct EncodedSpec {
     space: AttrValueSpace,
     vars: VarTable,
@@ -232,10 +229,6 @@ pub struct EncodedSpec {
     /// liveness mask. Indexed `[attr][value id]`; empty on non-revisable
     /// encodings.
     live_counts: Vec<Vec<u32>>,
-    omega: Vec<InstanceConstraint>,
-    /// Group tag per Ω instance, parallel to `omega` (`NO_GROUP` =
-    /// permanent) — retracting a group removes exactly its instances.
-    omega_groups: Vec<GroupId>,
     options: EncodeOptions,
     /// Axiom clauses recorded into the CNF by lazy instantiation
     /// ([`RecordingAxiomSource`]); 0 for eager encodings.
@@ -302,8 +295,6 @@ impl EncodedSpec {
             order_groups: HashMap::new(),
             sigma_groups: vec![None; spec.sigma().len()],
             live_counts: Vec::new(),
-            omega: Vec::new(),
-            omega_groups: Vec::new(),
             options,
             injected_axioms: 0,
             revived: Vec::new(),
@@ -340,8 +331,8 @@ impl EncodedSpec {
         enc.var_atom = (0..idx).collect();
 
         // Ω(Se), streamed straight from the compiled-program projection
-        // into clause emission — instance construction, clause conversion
-        // and Ω recording happen in one pass with no intermediate buffer.
+        // into clause emission — instance construction and clause
+        // conversion happen in one pass with no intermediate buffer.
         // CFD instances optionally go into one retractable group per CFD;
         // in revisable mode Σ instances are grouped per constraint (routed
         // by `route_omega`) and base orders per order pair (below);
@@ -473,11 +464,10 @@ impl EncodedSpec {
     ///
     /// Answers **outside** the interned value space are handled additively
     /// when the encoding was built with guarded CFDs: the new value id
-    /// appends a row to the dense attr×lo×hi variable table, its order
-    /// axioms are appended (eager mode; lazy mode only allocates the new
-    /// pair variables — the lazy source reads the grown table and
-    /// instantiates their axioms on demand) together with the null-bottom
-    /// unit, and every CFD referencing the grown attribute is retracted
+    /// appends a row to the dense attr×lo×hi variable table and allocates
+    /// its pair variables (the lazy source reads the grown table and
+    /// instantiates their axioms on demand), its null-bottom unit is
+    /// appended, and every CFD referencing the grown attribute is retracted
     /// and re-emitted over the new space under a fresh guard group (see the
     /// module docs for the lifecycle).
     ///
@@ -559,7 +549,6 @@ impl EncodedSpec {
                 if let Some(group) = self.cfd_groups[gi].take() {
                     self.retract_group(group);
                     retracted_groups.push(group);
-                    self.remove_omega_group(group);
                 }
                 let instances = cfd_instances(&self.space, gi, cfd);
                 if !instances.is_empty() {
@@ -679,13 +668,12 @@ impl EncodedSpec {
 
     /// Appends a brand-new value to `attr`'s space: interns it, regrows the
     /// variable table, allocates the order variables of every pair
-    /// involving it and (in eager mode) emits the
-    /// asymmetry/totality/transitivity axioms for those pairs plus the
-    /// null-bottom unit — exactly the delta a from-scratch re-encode of the
-    /// grown space would produce for the order-axiom part of Φ(Se). In lazy
-    /// mode the axioms stay unmaterialised: the lazy source's scans read
-    /// the grown table and value space directly.
+    /// involving it and emits its null-bottom units. The order axioms of
+    /// the new pairs stay unmaterialised: the lazy source's scans read the
+    /// grown table and value space directly. Only lazy encodings grow — an
+    /// eager one would need its axioms appended here.
     fn append_value(&mut self, attr: AttrId, v: &Value) -> ValueId {
+        debug_assert!(self.options.is_lazy(), "eager encodings are one-shot and never grow");
         debug_assert!(self.space.get(attr, v).is_none());
         let vid = self.space.intern(attr, v);
         let n = self.space.attr(attr).len();
@@ -695,37 +683,6 @@ impl EncodedSpec {
         for &w in &olds {
             self.var(OrderAtom { attr, lo: w, hi: vid });
             self.var(OrderAtom { attr, lo: vid, hi: w });
-        }
-        if self.options.axioms == AxiomMode::Eager {
-            // Asymmetry and (optional) totality for the new pairs.
-            for &w in &olds {
-                let xwv = self.vars.get(attr, w, vid).expect("just allocated");
-                let xvw = self.vars.get(attr, vid, w).expect("just allocated");
-                self.push_clause([xwv.negative(), xvw.negative()], NO_GROUP);
-                if self.options.totality {
-                    self.push_clause([xwv.positive(), xvw.positive()], NO_GROUP);
-                }
-            }
-            // Transitivity: all triples containing the new value, i.e. the
-            // three placements of `vid` over each ordered pair of old values.
-            for &a in &olds {
-                for &b in &olds {
-                    if a == b {
-                        continue;
-                    }
-                    let xab = self.vars.get(attr, a, b).expect("full encoding");
-                    let xav = self.vars.get(attr, a, vid).expect("just allocated");
-                    let xvb = self.vars.get(attr, vid, b).expect("just allocated");
-                    let xbv = self.vars.get(attr, b, vid).expect("just allocated");
-                    let xva = self.vars.get(attr, vid, a).expect("just allocated");
-                    // (vid, a, b): x_va ∧ x_ab → x_vb
-                    self.push_clause([xva.negative(), xab.negative(), xvb.positive()], NO_GROUP);
-                    // (a, vid, b): x_av ∧ x_vb → x_ab
-                    self.push_clause([xav.negative(), xvb.negative(), xab.positive()], NO_GROUP);
-                    // (a, b, vid): x_ab ∧ x_bv → x_av
-                    self.push_clause([xab.negative(), xbv.negative(), xav.positive()], NO_GROUP);
-                }
-            }
         }
         if v.is_null() {
             // Null joining late (a value revision nulled a cell of a
@@ -752,25 +709,24 @@ impl EncodedSpec {
 
     /// Withdraws CFD `gamma[gi]` permanently — the encoding-level half of an
     /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's clause
-    /// group is retracted (root `¬g` unit, Ω instances dropped) and the CFD
-    /// is marked retired so no later extension or revision re-emits it.
-    /// Requires a revisable encoding. Returns the retracted groups (callers
-    /// holding a live `UnitPropagator` forward them to `retract_groups`
-    /// before syncing the clause tail).
-    pub fn retract_cfd(&mut self, gi: usize) -> Vec<GroupId> {
+    /// group is retracted (root `¬g` unit) and the CFD is marked retired so
+    /// no later extension or revision re-emits it. Requires a revisable
+    /// encoding. Returns the retracted groups (callers holding a live
+    /// `UnitPropagator` forward them to `retract_groups` before syncing the
+    /// clause tail).
+    pub(crate) fn retract_cfd(&mut self, gi: usize) -> Vec<GroupId> {
         debug_assert!(self.options.revisable, "CFD retraction needs a revisable encoding");
         self.cfd_retired[gi] = true;
         match self.cfd_groups[gi].take() {
             Some(group) => {
                 self.retract_group(group);
-                self.remove_omega_group(group);
                 vec![group]
             }
             None => Vec::new(),
         }
     }
 
-    /// True iff CFD `gamma[gi]` was withdrawn by [`EncodedSpec::retract_cfd`].
+    /// True iff CFD `gamma[gi]` was withdrawn by `EncodedSpec::retract_cfd`.
     /// Rule derivation (`TrueDer`) skips retired CFDs.
     pub fn is_cfd_retired(&self, gi: usize) -> bool {
         self.cfd_retired.get(gi).copied().unwrap_or(false)
@@ -781,12 +737,16 @@ impl EncodedSpec {
     /// pairs alike). A vacuous pair (equal or null-sided values — no clause
     /// was ever emitted) is a no-op. Requires a revisable encoding. Returns
     /// the retracted groups.
-    pub fn withdraw_order(&mut self, attr: AttrId, t1: TupleId, t2: TupleId) -> Vec<GroupId> {
+    pub(crate) fn withdraw_order(
+        &mut self,
+        attr: AttrId,
+        t1: TupleId,
+        t2: TupleId,
+    ) -> Vec<GroupId> {
         debug_assert!(self.options.revisable, "order withdrawal needs a revisable encoding");
         match self.order_groups.remove(&(attr, t1, t2)) {
             Some(group) => {
                 self.retract_group(group);
-                self.remove_omega_group(group);
                 vec![group]
             }
             None => Vec::new(),
@@ -801,8 +761,8 @@ impl EncodedSpec {
     /// The revision is absorbed without rebuilding anything:
     ///
     /// * the new value joins the space if unseen
-    ///   (order variables + axioms appended, exactly like an out-of-domain
-    ///   user answer), and the liveness refcounts shift — a value whose
+    ///   (order variables appended, exactly like an out-of-domain user
+    ///   answer), and the liveness refcounts shift — a value whose
     ///   last occurrence was revised away is *retired* from the query
     ///   surface while its variables stay allocated;
     /// * every base-order pair group touching `(attr, tuple)` is retracted
@@ -815,7 +775,7 @@ impl EncodedSpec {
     ///   the revised (live-masked) space.
     ///
     /// Returns the retracted groups in retraction order.
-    pub fn replace_value(
+    pub(crate) fn replace_value(
         &mut self,
         after: &Specification,
         tuple: TupleId,
@@ -922,13 +882,10 @@ impl EncodedSpec {
                 }
             }
         }
-        // Drop every retracted group's Ω instances in one pass (re-emitted
-        // instances above carry fresh group ids, so deferring is safe).
-        self.remove_omega_groups(&retracted);
         retracted
     }
 
-    /// Records an instance constraint and adds its clause to the CNF.
+    /// Adds the clause of an instance constraint to the CNF.
     ///
     /// Delta constraints from [`EncodedSpec::extend_with_input`] may
     /// duplicate already-instantiated projections — harmless: duplicate
@@ -938,37 +895,6 @@ impl EncodedSpec {
     /// ordering.
     fn add_omega_constraint(&mut self, c: InstanceConstraint) {
         self.add_omega_constraint_in(c, NO_GROUP);
-    }
-
-    /// [`EncodedSpec::add_omega_constraint`] into a clause group: the
-    /// group's guard literal `¬g` is appended to the clause. The instance
-    /// itself is only recorded under [`EncodeOptions::retain_omega`] — on
-    /// the default memory diet the clause (tagged with its [`ClauseKind`])
-    /// is the sole representation.
-    fn add_omega_constraint_in(&mut self, c: InstanceConstraint, group: GroupId) {
-        self.emit_omega_clause(&c, group);
-        if self.options.retain_omega {
-            self.omega.push(c);
-            self.omega_groups.push(group);
-        }
-    }
-
-    /// Removes the Ω instances of one retracted clause group.
-    fn remove_omega_group(&mut self, group: GroupId) {
-        self.remove_omega_groups(&[group]);
-    }
-
-    /// Removes the Ω instances of a batch of retracted clause groups in one
-    /// pass (a value revision can retract several Σ/Γ/order groups at
-    /// once; scanning Ω per group would be `O(k·|Ω|)`).
-    fn remove_omega_groups(&mut self, groups: &[GroupId]) {
-        if groups.is_empty() {
-            return;
-        }
-        let tags = std::mem::take(&mut self.omega_groups);
-        let mut it = tags.iter();
-        self.omega.retain(|_| !groups.contains(it.next().expect("parallel")));
-        self.omega_groups = tags.into_iter().filter(|g| !groups.contains(g)).collect();
     }
 
     /// The active clause group of Σ constraint `ci` (revisable mode),
@@ -1054,10 +980,12 @@ impl EncodedSpec {
         }
     }
 
-    /// Emits the clause of one instance constraint (without recording the
-    /// instance): literals go straight into the CNF's flat arena — no
-    /// per-clause allocation, no intermediate buffer.
-    fn emit_omega_clause(&mut self, c: &InstanceConstraint, group: GroupId) {
+    /// [`EncodedSpec::add_omega_constraint`] into a clause group: the
+    /// group's guard literal `¬g` is appended to the clause. Literals go
+    /// straight into the CNF's flat arena — no per-clause allocation, no
+    /// intermediate buffer — and the clause, tagged with its
+    /// [`ClauseKind`], is the instance's sole representation.
+    fn add_omega_constraint_in(&mut self, c: InstanceConstraint, group: GroupId) {
         for a in c.premise.iter() {
             let lit = self.var(*a).negative();
             self.cnf.push_clause_lit(lit);
@@ -1142,25 +1070,14 @@ impl EncodedSpec {
         self.options
     }
 
-    /// The instance constraints Ω(Se) — **empty unless the encoding was
-    /// built with [`EncodeOptions::retain_omega`]**. On the default memory
-    /// diet the clauses of the CNF are the only representation of Ω;
-    /// rule derivation walks them through
-    /// [`EncodedSpec::for_each_order_rule`]. When retained, instances of
-    /// retracted CFD groups are removed on re-emission, so the slice
-    /// always reflects the live constraint set.
-    pub fn omega(&self) -> &[InstanceConstraint] {
-        &self.omega
-    }
-
     /// Walks every **live** order-rule clause — the Σ-currency and
     /// base-order implications with an order-atom conclusion, i.e. exactly
     /// the Ω(Se) subset the paper's rule derivation (`TrueDer`,
     /// Section VI) consumes — reconstructing each rule's premise atoms and
     /// conclusion atom from the flat literal arena via the var → atom
     /// table. Guard literals are skipped (they map to no atom); clauses of
-    /// retracted groups are skipped, so the visit order is the same
-    /// subsequence of emission order a retained Ω slice would yield.
+    /// retracted groups are skipped, so the visit order is emission order
+    /// restricted to the live order rules.
     ///
     /// The premise slice is a scratch buffer reused across clauses; copy
     /// out whatever must outlive the callback.
@@ -1193,10 +1110,9 @@ impl EncodedSpec {
     }
 
     /// Approximate heap footprint of the encoding in bytes: the CNF arena,
-    /// the per-clause group/kind tags, the dense variable table, the atom
-    /// tables and — when retained — the materialised Ω(Se) instance list
-    /// (see [`EncodedSpec::omega_bytes`]). Feeds the bytes-per-entity
-    /// accounting of `bench_incremental`.
+    /// the per-clause group/kind tags, the dense variable table and the
+    /// atom tables. Feeds the bytes-per-entity accounting of the
+    /// benchmarks.
     pub fn approx_bytes(&self) -> usize {
         let vars: usize = self
             .vars
@@ -1211,18 +1127,6 @@ impl EncodedSpec {
             + self.atoms.capacity() * std::mem::size_of::<OrderAtom>()
             + self.atom_vars.capacity() * std::mem::size_of::<Var>()
             + self.var_atom.capacity() * std::mem::size_of::<u32>()
-            + self.omega_bytes()
-    }
-
-    /// Approximate heap bytes of the retained Ω(Se) instance list (0 on
-    /// the default Ω-free diet): the instance vector, its group tags, and
-    /// each instance's boxed premise. This is exactly the memory the
-    /// Ω-free rule scan saves per entity.
-    pub fn omega_bytes(&self) -> usize {
-        let premises: usize = self.omega.iter().map(|c| c.premise.heap_bytes()).sum();
-        self.omega.capacity() * std::mem::size_of::<InstanceConstraint>()
-            + self.omega_groups.capacity() * std::mem::size_of::<GroupId>()
-            + premises
     }
 
     /// The per-attribute value spaces (active domain + null).
@@ -2041,6 +1945,35 @@ mod tests {
         Specification::without_orders(e, sigma, vec![])
     }
 
+    /// The clauses of `group` while it is active, read back from the
+    /// clause arena as (premise atoms, conclusion atom) — guard literals
+    /// map to no atom and are skipped. Empty for no group or a retracted
+    /// one.
+    fn live_group_clauses(
+        enc: &EncodedSpec,
+        group: Option<GroupId>,
+    ) -> Vec<(Vec<OrderAtom>, Option<OrderAtom>)> {
+        let Some(group) = group.filter(|&g| enc.is_group_active(g)) else {
+            return Vec::new();
+        };
+        (0..enc.cnf().num_clauses())
+            .filter(|&idx| enc.clause_group(idx).is_some_and(|(g, _)| g == group))
+            .map(|idx| {
+                let mut premise = Vec::new();
+                let mut conclusion = None;
+                for &lit in enc.cnf().clause(idx) {
+                    let Some(atom) = enc.order_atom(lit.var()) else { continue };
+                    if lit.is_positive() {
+                        conclusion = Some(atom);
+                    } else {
+                        premise.push(atom);
+                    }
+                }
+                (premise, conclusion)
+            })
+            .collect()
+    }
+
     #[test]
     fn full_encoding_allocates_all_pairs() {
         let spec = tiny_spec();
@@ -2299,7 +2232,7 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
         let city = spec.schema().attr_id("city").unwrap();
         let input = UserInput::single(city, Value::str("LA"));
 
@@ -2324,7 +2257,7 @@ mod tests {
         // creates the pair (t_working, to) whose instance forces the job
         // order too.
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode(&spec);
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
@@ -2338,7 +2271,7 @@ mod tests {
     #[should_panic(expected = "guarded CFDs")]
     fn unguarded_extension_panics_on_out_of_domain_values() {
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode(&spec);
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
         enc.extend_with_input(&spec, &input);
@@ -2349,8 +2282,7 @@ mod tests {
         // The answered value is new: the space grows, the new value tops
         // the attribute, and deduction still works on the extended CNF.
         let spec = tiny_spec();
-        let mut enc =
-            EncodedSpec::encode_with(&spec, EncodeOptions::default().with_guarded_cfds());
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
         // No CFDs → nothing to retract, but the extension must succeed.
@@ -2361,10 +2293,9 @@ mod tests {
             let oid = enc.value_id(status, &Value::str(old)).unwrap();
             assert!(od.contains(status, oid, deceased), "{old} must sit below");
         }
-        // The grown space stays internally consistent (asymmetry +
-        // transitivity were appended).
-        let mut solver = enc.fresh_solver();
-        assert_eq!(solver.solve(), SolveResult::Sat);
+        // The grown space stays internally consistent: the lazy source
+        // covers the new pairs' asymmetry and transitivity.
+        assert!(crate::isvalid::is_valid_encoded(&enc).valid);
     }
 
     #[test]
@@ -2383,38 +2314,28 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_with(
-            &spec,
-            EncodeOptions::default().with_guarded_cfds().with_retained_omega(),
-        );
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
         let ac = spec.schema().attr_id("AC").unwrap();
         let city = spec.schema().attr_id("city").unwrap();
-        let old_cfd_instances = enc
-            .omega()
-            .iter()
-            .filter(|c| c.origin == super::super::Origin::Cfd(0))
-            .count();
-        assert!(old_cfd_instances > 0);
+        let old_group = enc.cfd_groups[0];
+        assert!(!live_group_clauses(&enc, old_group).is_empty());
 
         let input = UserInput::single(ac, Value::int(999));
         let retracted = enc.extend_with_input(&spec, &input);
         assert_eq!(retracted.len(), 1, "the CFD's group must be retracted");
+        assert!(live_group_clauses(&enc, old_group).is_empty(), "stale group stays dead");
 
         // Re-emitted instances now range over the grown AC space: the ωX
         // premise contains 999 ≺ 213, which contradicts the base-order unit
         // 213 ≺ 999 — so the CFD is dead and city stays ambiguous.
         let nid = enc.value_id(ac, &Value::int(999)).unwrap();
         let cid213 = enc.value_id(ac, &Value::int(213)).unwrap();
-        let reemitted: Vec<_> = enc
-            .omega()
-            .iter()
-            .filter(|c| c.origin == super::super::Origin::Cfd(0))
-            .collect();
+        let reemitted = live_group_clauses(&enc, enc.cfd_groups[0]);
         assert!(!reemitted.is_empty());
         assert!(
-            reemitted.iter().all(|c| c
-                .premise
-                .contains(&OrderAtom { attr: ac, lo: nid, hi: cid213 })),
+            reemitted
+                .iter()
+                .all(|(premise, _)| premise.contains(&OrderAtom { attr: ac, lo: nid, hi: cid213 })),
             "re-emitted ωX must mention the new value"
         );
         let od = crate::deduce::deduce_order(&enc).unwrap();
@@ -2449,11 +2370,8 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 999 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_with(
-            &spec,
-            EncodeOptions::default().with_guarded_cfds().with_retained_omega(),
-        );
-        assert!(enc.omega().iter().all(|c| c.origin != super::super::Origin::Cfd(0)));
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
+        assert!(live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
         assert!(enc.active_guards().is_empty());
 
         let ac = spec.schema().attr_id("AC").unwrap();
@@ -2461,6 +2379,7 @@ mod tests {
         let retracted = enc.extend_with_input(&spec, &input);
         assert!(retracted.is_empty(), "nothing was emitted before");
         assert_eq!(enc.active_guards().len(), 1, "the CFD now has a live group");
+        assert!(!live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
 
         let city = spec.schema().attr_id("city").unwrap();
         let od = crate::deduce::deduce_order(&enc).unwrap();
@@ -2471,9 +2390,9 @@ mod tests {
 
     #[test]
     fn lazy_extension_is_a_pure_extension_too() {
-        // In-domain answers extend lazily encoded specs exactly like eager
-        // ones; out-of-domain answers grow the table without emitting
-        // axiom clauses (the lazy source covers the grown space).
+        // In-domain answers extend the encoding with Σ instances;
+        // out-of-domain answers grow the table without emitting axiom
+        // clauses (the lazy source covers the grown space).
         let spec = tiny_spec();
         let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
         let status = spec.schema().attr_id("status").unwrap();
@@ -2526,24 +2445,22 @@ mod tests {
     #[test]
     fn retract_cfd_neutralises_the_group_and_blocks_reemission() {
         let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_with(
-            &spec,
-            EncodeOptions::default().with_revisable().with_retained_omega(),
-        );
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         // The CFD fires (AC base order implies 1 ≺ 2): NY ≺ LA implied.
         let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(od.contains(city, ny, la));
-        assert!(enc.omega().iter().any(|c| c.origin == super::super::Origin::Cfd(0)));
+        let group = enc.cfd_groups[0];
+        assert!(!live_group_clauses(&enc, group).is_empty());
 
         let groups = enc.retract_cfd(0);
         assert_eq!(groups.len(), 1);
         assert!(enc.is_cfd_retired(0));
         assert!(
-            enc.omega().iter().all(|c| c.origin != super::super::Origin::Cfd(0)),
-            "retired CFD instances must leave Ω"
+            live_group_clauses(&enc, group).is_empty(),
+            "retired CFD clauses must be neutralised"
         );
         let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(!od.contains(city, ny, la), "the domination dies with the CFD");
@@ -2551,27 +2468,28 @@ mod tests {
         // An out-of-domain answer growing `AC` must NOT re-emit the CFD.
         let input = UserInput::single(AttrId(0), Value::int(9));
         enc.extend_with_input(&spec, &input);
-        assert!(enc.omega().iter().all(|c| c.origin != super::super::Origin::Cfd(0)));
+        assert!(enc.cfd_groups[0].is_none(), "a retired CFD is never re-emitted");
     }
 
     #[test]
     fn withdraw_order_removes_exactly_one_pair() {
         let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_with(
-            &spec,
-            EncodeOptions::default().with_revisable().with_retained_omega(),
-        );
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
         let ac = AttrId(0);
         let one = enc.value_id(ac, &Value::int(1)).unwrap();
         let two = enc.value_id(ac, &Value::int(2)).unwrap();
         let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(od.contains(ac, one, two));
+        let pair = (ac, cr_types::TupleId(0), cr_types::TupleId(1));
+        let group = enc.order_groups.get(&pair).copied();
+        let unit = OrderAtom { attr: ac, lo: one, hi: two };
+        assert_eq!(live_group_clauses(&enc, group), vec![(Vec::new(), Some(unit))]);
 
         let groups = enc.withdraw_order(ac, cr_types::TupleId(0), cr_types::TupleId(1));
         assert_eq!(groups.len(), 1);
         assert!(
-            enc.omega().iter().all(|c| c.origin != super::super::Origin::BaseOrder),
-            "the withdrawn pair's unit must leave Ω"
+            live_group_clauses(&enc, group).is_empty() && enc.order_groups.is_empty(),
+            "the withdrawn pair's unit must be neutralised"
         );
         let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(!od.contains(ac, one, two));
@@ -2582,8 +2500,7 @@ mod tests {
     #[test]
     fn replace_value_retires_revives_and_regrows_the_query_surface() {
         let spec = revisable_cfd_spec();
-        let mut enc =
-            EncodedSpec::encode_with(&spec, EncodeOptions::default().with_revisable());
+        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         assert!(enc.space().is_live(city, ny));

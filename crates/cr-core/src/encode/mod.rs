@@ -10,18 +10,11 @@
 //! ## Encoding modes
 //!
 //! The axioms are the bulk of `Φ(Se)` — `O(n³)` transitivity clauses per
-//! attribute over `n` realised values, versus `O(|Ω|)` instance clauses —
-//! and three modes control how they are produced:
+//! attribute over `n` realised values, versus `O(|Ω|)` instance clauses.
+//! The resolution engine always produces them lazily; eager encodings
+//! are one-shot:
 //!
-//! * **Eager** ([`AxiomMode::Eager`], the [`EncodeOptions::default`]):
-//!   every asymmetry/totality/transitivity instance is materialised at
-//!   encode time. `Φ(Se)` is then self-contained: any SAT solver or unit
-//!   propagator over [`EncodedSpec::cnf`] is complete without further
-//!   cooperation. This is the right mode for one-shot consumers
-//!   (`bruteforce` comparisons, `implication`, ad-hoc analysis) and the
-//!   paper-faithful baseline.
-//! * **Lazy** ([`AxiomMode::Lazy`], the *engine default* via
-//!   [`ResolutionConfig`](crate::framework::ResolutionConfig)): the dense
+//! * **Lazy** ([`AxiomMode::Lazy`], the engine's only mode): the dense
 //!   `attr × lo × hi` variable table is still fully allocated (`O(n²)`),
 //!   but **no** axiom clauses are emitted. Consumers drive solving through
 //!   the [`cr_sat::LazyAxiomSource`] hook —
@@ -29,20 +22,31 @@
 //!   the dense table and appends exactly the axiom instances the candidate
 //!   violates (or that became unit under it), which the solver/propagator
 //!   then injects and re-checks until the theory is satisfied. Resolution
-//!   outcomes are **identical** to eager mode (differentially tested, see
-//!   below); round-0 encode cost drops from `O(n³)` to `O(n²)`.
-//! * **Guarded CFDs** ([`EncodeOptions::guarded_cfds`], orthogonal to the
-//!   axiom mode): each CFD's instance constraints form a retractable
-//!   clause group, which is what lets the incremental resolution engine
-//!   absorb every user answer — out-of-domain values included — as a pure
-//!   extension of the encoding. Extending an *unguarded* encoding with an
-//!   out-of-domain answer is a programming error (it panics); the
-//!   engine always guards, while the from-scratch loop encodes unguarded
-//!   and re-encodes every round instead of extending. The full
-//!   emission → activation → retraction lifecycle is documented in the
-//!   `cnf` module docs; the engine side lives in `framework`'s module
-//!   docs. Lazily injected axiom clauses are never guarded — they are
-//!   theory-valid regardless of any CFD, so they survive retraction.
+//!   outcomes are **identical** to an eager encoding of the same
+//!   specification (differentially tested, see below); round-0 encode cost
+//!   drops from `O(n³)` to `O(n²)`. Only lazy encodings are ever extended
+//!   with user input or revised.
+//! * **Eager** ([`AxiomMode::Eager`], the [`EncodeOptions::default`]):
+//!   every asymmetry/totality/transitivity instance is materialised at
+//!   encode time. `Φ(Se)` is then self-contained: any SAT solver or unit
+//!   propagator over [`EncodedSpec::cnf`] is complete without further
+//!   cooperation. It is one-shot — encoded once, queried, never extended —
+//!   and serves standalone consumers (`bruteforce` comparisons,
+//!   `implication`, the Fig. 8 ablations), the paper-faithful baseline and
+//!   the engine's per-round oracle
+//!   ([`check_session_against_scratch`](crate::ingest::check_session_against_scratch)).
+//! * **Guarded CFDs** ([`EncodeOptions::guarded_cfds`]): each CFD's
+//!   instance constraints form a retractable clause group, which is what
+//!   lets the interactive session absorb every user answer — out-of-domain
+//!   values included — as a pure extension of the encoding. Extending an
+//!   *unguarded* encoding with an out-of-domain answer is a programming
+//!   error (it panics); the session always guards, while the from-scratch
+//!   loop encodes unguarded and re-encodes every round instead of
+//!   extending. The full emission → activation → retraction lifecycle is
+//!   documented in the `cnf` module docs; the engine side lives in
+//!   `framework`'s module docs. Lazily injected axiom clauses are never
+//!   guarded — they are theory-valid regardless of any CFD, so they
+//!   survive retraction.
 //!
 //! ## Compiled constraint programs
 //!
@@ -78,7 +82,7 @@
 //!    CFDs; the program itself never changes during a resolution (user
 //!    input adds tuples and values, not constraints), so every round of
 //!    every entity of a dataset shares one `Arc<CompiledProgram>` —
-//!    including across the `resolve_all_parallel` thread fan-out
+//!    including across the `sched::resolve_batch` worker fan-out
 //!    (`CompiledProgram` is immutable after compile, hence freely
 //!    `Send + Sync`-shared; entities only read it).
 //!
@@ -93,18 +97,21 @@
 //!
 //! **Defaults.** [`EncodeOptions::default`] is *eager and unguarded* so
 //! that standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines
-//! stay complete with zero cooperation. The resolution engine defaults to
-//! *lazy* ([`EncodeOptions::lazy`] via `ResolutionConfig::default`) and
-//! adds guarded CFDs on top; the two defaults intentionally differ and are
-//! each documented where they apply. Both defaults run the compiled
-//! projection — the program is orthogonal to the axiom and guard modes.
+//! stay complete with zero cooperation. The engine's encodings are fixed:
+//! an interactive session encodes with
+//! `EncodeOptions::lazy().with_guarded_cfds()`, a revisable one with
+//! `EncodeOptions::lazy().with_revisable()`, and the from-scratch oracle
+//! (`ResolutionConfig::incremental` off) with plain unguarded
+//! [`EncodeOptions::lazy`]. Every encode runs the compiled projection —
+//! the program is orthogonal to the axiom and guard modes.
 //!
-//! **Differential testing.** Lazy vs eager vs from-scratch resolution are
-//! proven outcome-identical on the four seed datasets
-//! (`tests/incremental_differential.rs`, `bench_incremental --smoke`) and
-//! on randomized scenarios from `cr_data::gen`
-//! (`tests/lazy_differential.rs`), including out-of-domain and CFD-LHS
-//! user answers.
+//! **Differential testing.** The lazy engine is checked against its
+//! from-scratch loop on the four seed datasets
+//! (`tests/incremental_differential.rs`, `bench_incremental --smoke`) and,
+//! after every answer, against an eager self-contained encode of the
+//! current specification on the seed datasets and on randomized scenarios
+//! from `cr_data::gen` (`tests/lazy_differential.rs`), including
+//! out-of-domain and CFD-LHS user answers.
 //!
 //! ## Semantics notes
 //!
@@ -167,9 +174,8 @@ pub enum AxiomMode {
 #[derive(Clone, Copy, Debug)]
 pub struct EncodeOptions {
     /// Eager or lazy order-axiom generation. [`EncodeOptions::default`] is
-    /// [`AxiomMode::Eager`] (self-contained CNF for standalone consumers);
-    /// the resolution engine defaults to [`AxiomMode::Lazy`] via
-    /// [`ResolutionConfig::default`](crate::framework::ResolutionConfig).
+    /// [`AxiomMode::Eager`] (self-contained CNF for one-shot consumers);
+    /// the resolution engine always encodes with [`AxiomMode::Lazy`].
     pub axioms: AxiomMode,
     /// Include totality clauses `x^A_{a,b} ∨ x^A_{b,a}` for every value pair
     /// (eagerly or through the lazy source, per [`EncodeOptions::axioms`]).
@@ -213,18 +219,6 @@ pub struct EncodeOptions {
     /// allocated). Default `false`: one-shot encodings and the ordinary
     /// interactive engine skip the extra guard variables.
     pub revisable: bool,
-    /// Retain the instance constraints Ω(Se) as structured data
-    /// ([`EncodedSpec::omega`]) alongside their clauses. Default `false`:
-    /// after clause conversion the engine derives everything it needs —
-    /// including the suggestion step's true-value derivation rules — back
-    /// from the clause arena via [`EncodedSpec::order_atom`] (the Ω-free
-    /// memory diet; per-entity Ω retention was the largest allocation
-    /// between the engine and million-entity residency). Turn it on for
-    /// differential tests and ad-hoc inspection of the instantiation
-    /// (`true_der` vs its retained-Ω reference is proven
-    /// suggestion-for-suggestion identical in
-    /// `cr-core/tests/omega_free_rules.rs`).
-    pub retain_omega: bool,
 }
 
 impl Default for EncodeOptions {
@@ -234,15 +228,14 @@ impl Default for EncodeOptions {
             totality: true,
             guarded_cfds: false,
             revisable: false,
-            retain_omega: false,
         }
     }
 }
 
 impl EncodeOptions {
-    /// Lazy axiom instantiation with totality, unguarded — what
-    /// [`ResolutionConfig::default`](crate::framework::ResolutionConfig)
-    /// uses (the engine adds guarded CFDs itself).
+    /// Lazy axiom instantiation with totality, unguarded — the
+    /// from-scratch oracle's encoding; sessions add guarded CFDs or full
+    /// revision support on top.
     pub fn lazy() -> Self {
         EncodeOptions { axioms: AxiomMode::Lazy, ..Default::default() }
     }
@@ -268,12 +261,6 @@ impl EncodeOptions {
     /// CFDs — see [`EncodeOptions::revisable`]).
     pub fn with_revisable(self) -> Self {
         EncodeOptions { revisable: true, guarded_cfds: true, ..self }
-    }
-
-    /// These options with Ω(Se) retained as structured data (differential
-    /// tests and inspection — see [`EncodeOptions::retain_omega`]).
-    pub fn with_retained_omega(self) -> Self {
-        EncodeOptions { retain_omega: true, ..self }
     }
 
     /// True iff axioms are lazily instantiated.

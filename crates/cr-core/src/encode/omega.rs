@@ -169,16 +169,6 @@ impl Premise {
         }
     }
 
-    /// Heap bytes behind the premise — 0 for inline premises, the spill
-    /// vector's capacity otherwise. Feeds the retained-Ω byte accounting
-    /// of `EncodedSpec::omega_bytes`.
-    pub fn heap_bytes(&self) -> usize {
-        match &self.0 {
-            PremiseRepr::Inline { .. } => 0,
-            PremiseRepr::Spill(spill) => spill.capacity() * std::mem::size_of::<OrderAtom>(),
-        }
-    }
-
     /// Sorts by `(attr, lo, hi)` and deduplicates — the canonical premise
     /// form (`build_instance` contract).
     pub fn canonicalize(&mut self) {

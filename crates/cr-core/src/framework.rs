@@ -59,11 +59,12 @@
 //! database (`cr_sat::Solver::compact_learnts`), bounding memory over
 //! arbitrarily long interactions.
 //!
-//! # Lazy axiom instantiation (engine default)
+//! # Lazy axiom instantiation
 //!
-//! The engine encodes with [`AxiomMode::Lazy`](crate::encode::AxiomMode)
-//! (`ResolutionConfig::default`): the `O(n³)`-per-attribute order axioms
-//! are never materialised at encode time. Validity checks run the solver's
+//! The engine always encodes with
+//! [`AxiomMode::Lazy`](crate::encode::AxiomMode): the
+//! `O(n³)`-per-attribute order axioms are never materialised at encode
+//! time. Validity checks run the solver's
 //! CEGAR loop (`cr_sat::Solver::solve_lazy_with_assumptions`), deduction
 //! interleaves root propagation with on-demand instantiation
 //! (`cr_sat::UnitPropagator::propagate_to_fixpoint_lazy`), and both consult
@@ -76,24 +77,25 @@
 //! CNF, so later probes start from the full already-injected theory and
 //! the tail sync can never re-feed the warm solver a duplicate instance.
 //! [`ResolutionOutcome::injected_axioms`] counts the recorded clauses; see
-//! the "Encoding modes" section of the encode module docs for the
-//! eager/lazy/guarded matrix and the differential-test coverage.
+//! the "Encoding modes" section of the encode module docs for the fixed
+//! engine encodings, the one-shot eager encoding and the differential-test
+//! coverage.
 //!
 //! # The from-scratch oracle
 //!
 //! With `incremental: false` the same loop body runs on a **fresh
 //! [`ResolutionSession`] per round**: the session is opened on the
-//! extended specification with [`ResolutionConfig::encode`] exactly as
-//! given (unguarded CFDs), answered against, and discarded — an answer
-//! extends a copy of the specification, never the session. Every round
-//! therefore re-encodes and constructs fresh solvers, as the paper
-//! describes the loop, and the guard-group lifecycle above is checked
-//! against plain CFD clauses. This is the differential-testing baseline
+//! extended specification with plain [`EncodeOptions::lazy`] (unguarded
+//! CFDs), answered against, and discarded — an answer extends a copy of
+//! the specification, never the session. Every round therefore re-encodes
+//! and constructs fresh solvers, as the paper describes the loop, and the
+//! guard-group lifecycle above is checked against plain CFD clauses. This
+//! is the differential-testing baseline
 //! (`tests/incremental_differential.rs`) and the paper-faithful baseline
 //! for benchmarks.
 //!
 //! Independent entities share no *mutable* state;
-//! [`Resolver::resolve_all_parallel`] fans a batch of resolutions across
+//! [`crate::sched::resolve_batch`] fans a batch of resolutions across
 //! the sharded work-stealing scheduler of [`crate::sched`]: each worker
 //! owns a deque of deterministically pre-built tasks (small entities
 //! batched together, oversized entities' Ω instantiation split into
@@ -138,8 +140,6 @@ pub struct ResolutionConfig {
     pub max_rounds: usize,
     /// Deduction algorithm.
     pub deduction: DeductionMethod,
-    /// CNF generation options.
-    pub encode: EncodeOptions,
     /// Reuse the encoding, solver and unit propagator across rounds (see
     /// the module docs). `false` opens a fresh session on the extended
     /// specification every round, re-deriving everything exactly as the
@@ -152,12 +152,6 @@ impl Default for ResolutionConfig {
         ResolutionConfig {
             max_rounds: 10,
             deduction: DeductionMethod::UnitPropagation,
-            // The engine default is *lazy* axiom instantiation
-            // (`EncodeOptions::default()` stays eager for standalone
-            // consumers — see the "Encoding modes" section of the encode
-            // module docs). Set `encode: EncodeOptions::eager()` for the
-            // fully materialised differential baseline.
-            encode: EncodeOptions::lazy(),
             incremental: true,
         }
     }
@@ -258,8 +252,7 @@ pub struct ResolutionOutcome {
     /// Total size of the order extension `|Ot|` accumulated from input.
     pub ot_size: usize,
     /// Axiom clauses lazily instantiated *and recorded* into `Φ(Se)` over
-    /// the whole resolution ([`AxiomMode::Lazy`](crate::encode::AxiomMode)
-    /// encodings; 0 in eager mode). Suggestion probes and MaxSAT repair
+    /// the whole resolution. Suggestion probes and MaxSAT repair
     /// rounds record their injections too, so every instantiated axiom is
     /// counted exactly once per session (the from-scratch loop sums its
     /// per-round sessions).
@@ -396,14 +389,14 @@ impl Resolver {
     /// The [`EncodeOptions`] [`Resolver::resolve`] opens its round-0
     /// session with — what split tasks must use for their pre-built
     /// encodings to match. The incremental engine guards its CFDs; the
-    /// from-scratch loop encodes with [`ResolutionConfig::encode`] exactly
-    /// as given, so the oracle checks the guard-group machinery against
-    /// plain CFD clauses.
+    /// from-scratch loop encodes with plain unguarded
+    /// [`EncodeOptions::lazy`], so the oracle checks the guard-group
+    /// machinery against plain CFD clauses.
     pub(crate) fn engine_encode_options(&self) -> EncodeOptions {
         if self.config.incremental {
-            ResolutionSession::engine_options(&self.config)
+            ResolutionSession::engine_options()
         } else {
-            self.config.encode
+            EncodeOptions::lazy()
         }
     }
 
@@ -547,7 +540,7 @@ impl Resolver {
             let t0 = Instant::now();
             if let Some(next) = reopen.take() {
                 discarded_axioms += session.injected_axioms();
-                session = ResolutionSession::with_options(&next, self.config.encode);
+                session = ResolutionSession::with_options(&next, EncodeOptions::lazy());
             }
             let valid = session.is_valid();
             let validity = t0.elapsed();
@@ -665,51 +658,6 @@ impl Resolver {
             rounds,
         );
         (o, session)
-    }
-}
-
-impl Resolver {
-    /// Resolves a batch of independent entities in parallel on the sharded
-    /// work-stealing scheduler ([`crate::sched`]): per-worker deques with
-    /// deterministic task construction — small entities batched into one
-    /// task, oversized entities' instantiation split across stealable
-    /// subtasks — and stealing between workers when a deque runs dry
-    /// (entity costs vary wildly, so static chunking would leave cores
-    /// idle). `make_oracle` builds the per-entity user oracle from the
-    /// entity's index. Results are returned in input order, and are
-    /// identical at every width: tasks only vary *where* work runs, never
-    /// what is encoded or solved.
-    ///
-    /// This is the entry point `cr-bench` and the fig8 binaries use for
-    /// dataset-wide sweeps. For telemetry (steals, batches, splits) or
-    /// backpressured streaming ingestion, drive [`crate::sched`] directly.
-    pub fn resolve_all_parallel_with_threads<O, F>(
-        &self,
-        specs: &[Specification],
-        make_oracle: F,
-        threads: usize,
-    ) -> Vec<ResolutionOutcome>
-    where
-        O: UserOracle,
-        F: Fn(usize) -> O + Sync,
-    {
-        let config = crate::sched::SchedulerConfig::with_workers(threads);
-        crate::sched::resolve_batch(self, specs, &make_oracle, &config).0
-    }
-
-    /// [`Resolver::resolve_all_parallel_with_threads`] with one thread per
-    /// available core.
-    pub fn resolve_all_parallel<O, F>(
-        &self,
-        specs: &[Specification],
-        make_oracle: F,
-    ) -> Vec<ResolutionOutcome>
-    where
-        O: UserOracle,
-        F: Fn(usize) -> O + Sync,
-    {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.resolve_all_parallel_with_threads(specs, make_oracle, threads)
     }
 }
 

@@ -19,8 +19,8 @@
 //!   (encoding + warm CDCL solver + root unit propagator), now stepwise
 //!   drivable and able to absorb revisions **without rebuilding**: every
 //!   event routes through guard-group retraction
-//!   ([`EncodedSpec::retract_cfd`] / [`EncodedSpec::withdraw_order`] /
-//!   [`EncodedSpec::replace_value`]), the unit propagator's
+//!   (`EncodedSpec::retract_cfd` / `EncodedSpec::withdraw_order` /
+//!   `EncodedSpec::replace_value`), the unit propagator's
 //!   provenance-scoped replay (which undoes exactly the retracted
 //!   derivation cone — *non-empty* for a fired CFD or a load-bearing order
 //!   — and rolls the lazy-instantiation cursor back by the invalidated
@@ -165,8 +165,7 @@ use crate::deadline::{DeadlineExceeded, PhaseDeadline};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{
-    deduce_order, deduce_order_from, deduce_order_recording, naive_deduce_recording,
-    naive_deduce_with, DeducedOrders,
+    deduce_order, deduce_order_recording, naive_deduce_recording, DeducedOrders,
 };
 use crate::encode::{EncodeOptions, EncodedSpec, GroupId, RecordingAxiomSource};
 use crate::framework::{DeductionMethod, ResolutionConfig, UserOracle};
@@ -574,30 +573,37 @@ impl ResolutionSession {
     /// space or not — is absorbed by [`ResolutionSession::apply_input`] as
     /// a pure extension of the encoding. No revision support: no
     /// per-order guard variables are allocated.
-    pub fn new(config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, Self::engine_options(config))
+    ///
+    /// The encoding is fixed (`EncodeOptions::lazy().with_guarded_cfds()`);
+    /// `_config` does not select it and is kept for signature stability.
+    pub fn new(_config: &ResolutionConfig, spec: &Specification) -> Self {
+        Self::with_options(spec, Self::engine_options())
     }
 
     /// The [`EncodeOptions`] the ordinary interactive engine encodes with:
-    /// guarded CFD groups are what make every user answer a pure
-    /// extension. The scheduler's split tasks pre-encode with exactly these
-    /// options so the session they feed is byte-identical to one the
-    /// engine would have built itself.
-    pub(crate) fn engine_options(config: &ResolutionConfig) -> EncodeOptions {
-        config.encode.with_guarded_cfds()
+    /// lazy axioms, and guarded CFD groups, which are what make every user
+    /// answer a pure extension. The scheduler's split tasks pre-encode with
+    /// exactly these options so the session they feed is byte-identical to
+    /// one the engine would have built itself.
+    pub(crate) fn engine_options() -> EncodeOptions {
+        EncodeOptions::lazy().with_guarded_cfds()
     }
 
     /// Opens a **revisable** session: every revision-sensitive clause is
     /// emitted retractably (see [`EncodeOptions::revisable`]) so
     /// [`ResolutionSession::apply_revision`] can absorb upstream
     /// corrections without rebuilding.
-    pub fn new_revisable(config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, config.encode.with_revisable())
+    ///
+    /// The encoding is fixed (`EncodeOptions::lazy().with_revisable()`);
+    /// `_config` does not select it and is kept for signature stability.
+    pub fn new_revisable(_config: &ResolutionConfig, spec: &Specification) -> Self {
+        Self::with_options(spec, EncodeOptions::lazy().with_revisable())
     }
 
-    /// Opens a session on `spec` encoded with `options` as given. The
-    /// from-scratch loop opens one per round with the caller's unguarded
-    /// options and never extends it.
+    /// Opens a session on `spec` encoded with `options`, which must be
+    /// lazy: every session query drives its solvers through the lazy axiom
+    /// source. The from-scratch loop opens one per round with unguarded
+    /// [`EncodeOptions::lazy`] and never extends it.
     pub(crate) fn with_options(spec: &Specification, options: EncodeOptions) -> Self {
         let enc = EncodedSpec::encode_with(spec, options);
         Self::from_encoded(spec, enc, None)
@@ -851,9 +857,6 @@ impl ResolutionSession {
     /// the entries.
     fn redeliver_revived(&mut self) {
         let revived = self.enc.take_revived();
-        if revived.is_empty() || !self.enc.options().is_lazy() {
-            return;
-        }
         for (attr, vid) in revived {
             let others: Vec<_> =
                 self.enc.space().attr(attr).live_ids().filter(|&o| o != vid).collect();
@@ -875,13 +878,8 @@ impl ResolutionSession {
     /// synced after the last deduction may still sit in the queue.
     fn settle_propagator(&mut self) {
         self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-        if self.enc.options().is_lazy() {
-            let ResolutionSession { enc, up, .. } = self;
-            let mut source = RecordingAxiomSource::new(enc);
-            let _ = up.propagate_to_fixpoint_lazy(&mut source);
-        } else {
-            let _ = self.up.propagate_to_fixpoint();
-        }
+        let ResolutionSession { enc, up, .. } = self;
+        let _ = up.propagate_to_fixpoint_lazy(&mut RecordingAxiomSource::new(enc));
         // Lazily recorded axioms went to both the CNF and the propagator;
         // the solver picks them up at its next ordinary tail sync.
         self.synced_up = self.enc.cnf().num_clauses();
@@ -1398,12 +1396,7 @@ impl ResolutionSession {
         }
         self.sync_solver();
         let ResolutionSession { enc, solver, .. } = self;
-        let sat = if enc.options().is_lazy() {
-            let mut source = RecordingAxiomSource::new(enc);
-            solver.solve_lazy(&mut source)
-        } else {
-            solver.solve()
-        };
+        let sat = solver.solve_lazy(&mut RecordingAxiomSource::new(enc));
         // Everything recorded during the lazy solve is already in the
         // solver (the CEGAR loop adds each handed-out clause).
         self.synced_solver = self.enc.cnf().num_clauses();
@@ -1424,11 +1417,7 @@ impl ResolutionSession {
             DeductionMethod::UnitPropagation => {
                 self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
                 let ResolutionSession { enc, up, .. } = self;
-                let od = if enc.options().is_lazy() {
-                    deduce_order_recording(up, enc)
-                } else {
-                    deduce_order_from(up, enc)
-                };
+                let od = deduce_order_recording(up, enc);
                 // Lazily recorded axioms went to both the CNF and `up`.
                 self.synced_up = self.enc.cnf().num_clauses();
                 od
@@ -1436,11 +1425,7 @@ impl ResolutionSession {
             DeductionMethod::NaiveSat => {
                 self.sync_solver();
                 let ResolutionSession { enc, solver, .. } = self;
-                let od = if enc.options().is_lazy() {
-                    naive_deduce_recording(solver, enc)
-                } else {
-                    naive_deduce_with(solver, enc)
-                };
+                let od = naive_deduce_recording(solver, enc);
                 self.synced_solver = self.enc.cnf().num_clauses();
                 od
             }
@@ -1589,6 +1574,10 @@ impl ResolutionSession {
     /// Fails with a descriptive error — never panics — when the snapshot is
     /// inconsistent with `base` (wrong arity, out-of-range ids), which a
     /// checksummed log should have made impossible.
+    ///
+    /// The restored session encodes like
+    /// [`ResolutionSession::new_revisable`]; `config` does not select the
+    /// encoding and is kept for signature stability.
     pub fn restore(
         config: &ResolutionConfig,
         base: &Specification,

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use cr_types::{AttrId, Value, ValueId};
 
 use crate::deduce::DeducedOrders;
-use crate::encode::{Conclusion, EncodedSpec, OrderAtom, Origin};
+use crate::encode::{Conclusion, EncodedSpec, InstanceConstraint, OrderAtom, Origin};
 use crate::spec::Specification;
 use crate::truevalue::TrueValues;
 
@@ -70,25 +70,24 @@ pub fn true_der(
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Vec<DerivationRule> {
-    true_der_impl(spec, enc, od, known, enc.options().retain_omega)
+    true_der_impl(spec, enc, od, known, None)
 }
 
-/// [`true_der`] forced onto the retained-Ω path. Requires an encoding
-/// built with `EncodeOptions::retain_omega`; kept as the differential
-/// baseline for the Ω-free clause scan (see
-/// `cr-core/tests/omega_free_rules.rs`), not for production use.
+/// [`true_der`] reading the order-rule implications from an explicit
+/// Ω(Se) slice instead of the clause arena. `omega` must be the instance
+/// list `enc` was emitted from (e.g. `encode::omega_compiled(spec)` for an
+/// unguarded, never-extended encoding). Kept as the differential baseline
+/// for the clause scan (see `cr-core/tests/omega_free_rules.rs`), not for
+/// production use.
 #[doc(hidden)]
 pub fn true_der_retained(
     spec: &Specification,
     enc: &EncodedSpec,
+    omega: &[InstanceConstraint],
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Vec<DerivationRule> {
-    debug_assert!(
-        enc.options().retain_omega,
-        "true_der_retained needs EncodeOptions::retain_omega"
-    );
-    true_der_impl(spec, enc, od, known, true)
+    true_der_impl(spec, enc, od, known, Some(omega))
 }
 
 fn true_der_impl(
@@ -96,7 +95,7 @@ fn true_der_impl(
     enc: &EncodedSpec,
     od: &DeducedOrders,
     known: &TrueValues,
-    use_retained: bool,
+    omega: Option<&[InstanceConstraint]>,
 ) -> Vec<DerivationRule> {
     let mut rules = Vec::new();
     let arity = spec.schema().arity();
@@ -169,12 +168,12 @@ fn true_der_impl(
 
     // (2) Rules from instance constraints representing currency constraints
     // and currency orders: partition the order-rule implications of Ω(Se)
-    // by conclusion (B, b), then cover U(B,b). On the default memory diet
-    // the implications are re-read straight from the CNF's clause arena
-    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised; the
-    // retained path survives as the differential baseline. Both visit the
-    // same subsequence of the emission stream, and the premise pools are
-    // canonicalised below, so the two paths derive identical rules.
+    // by conclusion (B, b), then cover U(B,b). The implications are re-read
+    // straight from the CNF's clause arena
+    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised; an
+    // explicit Ω slice survives as the differential baseline. Both visit
+    // the same subsequence of the emission stream, and the premise pools
+    // are canonicalised below, so the two paths derive identical rules.
     //
     // Index: (battr, b) → list of (premise) for constraints concluding
     // bi ≺v b, keyed further by bi.
@@ -219,8 +218,8 @@ fn true_der_impl(
                     .push(premise);
             }
         };
-        if use_retained {
-            for c in enc.omega() {
+        if let Some(omega) = omega {
+            for c in omega {
                 if !matches!(c.origin, Origin::Currency(_) | Origin::BaseOrder) {
                     continue;
                 }

@@ -4,8 +4,8 @@
 //! 10⁵–10⁶-entity datasets the paper's motivation cites) is a batch of
 //! *independent* per-entity resolutions whose costs follow a heavy tail:
 //! most entities are a handful of tuples, a few are hundreds. A flat
-//! atomic-counter fan-out (the previous `resolve_all_parallel`) handles
-//! the average case but has two structural problems this module fixes:
+//! atomic-counter fan-out handles the average case but has two structural
+//! problems this module fixes:
 //!
 //! * **Per-entity queue traffic.** Tiny entities resolve in well under the
 //!   cost of a queue round-trip; the scheduler *batches* runs of small
@@ -95,8 +95,8 @@ pub struct SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// The default configuration at a given worker count — what
-    /// [`Resolver::resolve_all_parallel_with_threads`] uses.
+    /// The default configuration at a given worker count — what dataset
+    /// sweeps pass to [`resolve_batch`].
     pub fn with_workers(workers: usize) -> Self {
         SchedulerConfig {
             workers,
@@ -188,8 +188,12 @@ enum Task {
 }
 
 /// Resolves `specs` on the work-stealing pool and returns the outcomes in
-/// input order plus the run's telemetry. Outcomes are identical for every
-/// `config.workers` and [`Placement`] — see the module docs.
+/// input order plus the run's telemetry. `make_oracle` builds the
+/// per-entity user oracle from the entity's index. Outcomes are identical
+/// for every `config.workers` and [`Placement`] — see the module docs.
+///
+/// This is the entry point for dataset-wide sweeps: pass
+/// [`SchedulerConfig::with_workers`] for the default task shapes.
 pub fn resolve_batch<O, F>(
     resolver: &Resolver,
     specs: &[Specification],

@@ -251,13 +251,8 @@ fn max_consistent_subset_recording(
         return (Vec::new(), enc.cnf().num_clauses());
     }
     let assumptions = clique_assumptions(enc, rules, clique);
-    let lazy = enc.options().is_lazy();
-    let sat = if lazy {
-        let mut source = crate::encode::RecordingAxiomSource::new(enc);
-        solver.solve_lazy_with_assumptions(&assumptions, &mut source)
-    } else {
-        solver.solve_with_assumptions(&assumptions)
-    };
+    let mut source = crate::encode::RecordingAxiomSource::new(enc);
+    let sat = solver.solve_lazy_with_assumptions(&assumptions, &mut source);
     // Everything the probe handed to the solver was recorded into the CNF
     // in the same step: the solver is in sync up to here.
     let synced = enc.cnf().num_clauses();
@@ -270,21 +265,19 @@ fn max_consistent_subset_recording(
         let (inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
         match maxsat_solve(&inst, MaxSatStrategy::default()) {
             Some(result) => {
-                if lazy {
-                    violated.clear();
-                    enc.violated_axioms(
-                        cr_sat::Assignment::Total(&result.assignment),
-                        None,
-                        &mut violated,
-                    );
-                    if !violated.is_empty() {
-                        // Recorded into the CNF: the next iteration's
-                        // borrowed hard base (and all later consumers via
-                        // the tail sync) see them; `synced` stays below so
-                        // the engine feeds them to the solver ordinarily.
-                        enc.record_axiom_clauses(&violated, 0);
-                        continue;
-                    }
+                violated.clear();
+                enc.violated_axioms(
+                    cr_sat::Assignment::Total(&result.assignment),
+                    None,
+                    &mut violated,
+                );
+                if !violated.is_empty() {
+                    // Recorded into the CNF: the next iteration's borrowed
+                    // hard base (and all later consumers via the tail sync)
+                    // see them; `synced` stays below so the engine feeds
+                    // them to the solver ordinarily.
+                    enc.record_axiom_clauses(&violated, 0);
+                    continue;
                 }
                 return (retained_clique(clique, &selectors, &result.assignment), synced);
             }

@@ -9,6 +9,7 @@
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, SilentOracle, UserOracle,
 };
+use cr_core::sched::{resolve_batch, SchedulerConfig};
 use cr_core::{ResolutionOutcome, Specification};
 use cr_types::{EntityInstance, Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -224,9 +225,13 @@ fn parallel_fan_out_matches_serial_resolution() {
     let ds = cr_data::nba::generate_with_sizes(&[27, 41, 67, 81], 13);
     let specs: Vec<Specification> = (0..ds.len()).map(|i| ds.spec(i)).collect();
     let resolver = Resolver::new(default_config(10));
-    let parallel = resolver.resolve_all_parallel(&specs, |i| {
-        GroundTruthOracle::with_cap(ds.truth(i).clone(), 1)
-    });
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (parallel, _) = resolve_batch(
+        &resolver,
+        &specs,
+        &|i| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1),
+        &SchedulerConfig::with_workers(workers),
+    );
     for (i, outcome) in parallel.iter().enumerate() {
         let mut oracle = GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
         let serial = resolver.resolve(&specs[i], &mut oracle);

@@ -1,56 +1,91 @@
-//! Differential tests for lazy axiom instantiation: resolution with the
-//! lazy engine default must produce exactly the same outcome as the eager
-//! engine and both from-scratch baselines — on curated specs, the seed
-//! datasets, and randomized scenarios from `cr_data::gen` (including
-//! out-of-domain and CFD-LHS user answers).
+//! Differential tests for lazy axiom instantiation: the lazy engine must
+//! resolve exactly like its from-scratch loop, and after every answer its
+//! session must agree with an eager, self-contained encode of the current
+//! specification — on curated specs, the seed datasets, and randomized
+//! scenarios from `cr_data::gen` (including out-of-domain and CFD-LHS user
+//! answers).
 //!
 //! Component-level equalities (validity, deduction, exact true values) are
 //! checked too: they are what the outcome equality rests on.
 
-use cr_core::framework::{DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver};
+use cr_core::framework::{
+    DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, UserOracle,
+};
 use cr_core::{
-    deduce_order, exact_true_values, is_valid_encoded, naive_deduce, EncodeOptions, EncodedSpec,
-    ResolutionOutcome, Specification,
+    check_session_against_scratch, deduce_order, exact_true_values, is_valid_encoded,
+    naive_deduce, EncodeOptions, EncodedSpec, ResolutionOutcome, ResolutionSession,
+    Specification, SpecMirror,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
 use cr_types::Tuple;
 use proptest::prelude::*;
 
-/// Resolves `spec` on all four paths: (lazy, eager) × (incremental,
-/// scratch). The lazy incremental configuration is the engine default.
-fn resolve_four(spec: &Specification, truth: &Tuple, cap: usize) -> [ResolutionOutcome; 4] {
-    let run = |encode: EncodeOptions, incremental: bool| {
-        let config = ResolutionConfig { encode, incremental, ..Default::default() };
+/// Resolves `spec` on the engine (lazy, incremental) and on the
+/// from-scratch loop, asserts they agree, and re-runs the engine loop
+/// round by round against the eager per-round oracle
+/// ([`assert_rounds_match_eager`]). Returns the engine's outcome.
+fn assert_paths_agree(
+    spec: &Specification,
+    truth: &Tuple,
+    cap: usize,
+    deduction: DeductionMethod,
+) -> ResolutionOutcome {
+    let run = |incremental: bool| {
+        let config = ResolutionConfig { deduction, incremental, ..Default::default() };
         let mut oracle = GroundTruthOracle::with_cap(truth.clone(), cap);
         Resolver::new(config).resolve(spec, &mut oracle)
     };
-    [
-        run(EncodeOptions::lazy(), true),
-        run(EncodeOptions::eager(), true),
-        run(EncodeOptions::lazy(), false),
-        run(EncodeOptions::eager(), false),
-    ]
+    let engine = run(true);
+    let scratch = run(false);
+    assert_eq!(engine.valid, scratch.valid, "validity diverged vs scratch");
+    assert_eq!(engine.complete, scratch.complete, "completeness diverged vs scratch");
+    assert_eq!(engine.resolved, scratch.resolved, "resolved tuple diverged vs scratch");
+    assert_eq!(engine.interactions, scratch.interactions, "interaction count diverged");
+    assert_eq!(engine.user_values, scratch.user_values, "answer count diverged vs scratch");
+    assert_eq!(engine.ot_size, scratch.ot_size, "|Ot| diverged vs scratch");
+    assert_rounds_match_eager(spec, truth, cap, deduction);
+    engine
 }
 
-fn assert_four_agree(spec: &Specification, truth: &Tuple, cap: usize) {
-    let [lazy_inc, eager_inc, lazy_scr, eager_scr] = resolve_four(spec, truth, cap);
-    for (label, other) in [
-        ("eager incremental", &eager_inc),
-        ("lazy scratch", &lazy_scr),
-        ("eager scratch", &eager_scr),
-    ] {
-        assert_eq!(lazy_inc.valid, other.valid, "validity diverged vs {label}");
-        assert_eq!(lazy_inc.complete, other.complete, "completeness diverged vs {label}");
-        assert_eq!(lazy_inc.resolved, other.resolved, "resolved tuple diverged vs {label}");
-        assert_eq!(
-            lazy_inc.interactions, other.interactions,
-            "interaction count diverged vs {label}"
-        );
-        assert_eq!(lazy_inc.user_values, other.user_values, "answer count diverged vs {label}");
-        assert_eq!(lazy_inc.ot_size, other.ot_size, "|Ot| diverged vs {label}");
+/// Drives a lazy [`ResolutionSession`] through the Fig. 4 loop one public
+/// call at a time (`is_valid` → `deduce` → `true_values` → `suggest` →
+/// `apply_input`) and, before the first round and after every answer,
+/// checks it with [`check_session_against_scratch`]: validity, deduced
+/// value orders and true values must equal those of an eager,
+/// self-contained encode of the session's current specification.
+fn assert_rounds_match_eager(
+    spec: &Specification,
+    truth: &Tuple,
+    cap: usize,
+    deduction: DeductionMethod,
+) {
+    let config = ResolutionConfig { deduction, ..Default::default() };
+    let mut session = ResolutionSession::new(&config, spec);
+    let mut oracle = GroundTruthOracle::with_cap(truth.clone(), cap);
+    let check = |session: &mut ResolutionSession, answers: usize| {
+        let mirror = SpecMirror::new(session.current());
+        if let Err(e) = check_session_against_scratch(session, &mirror) {
+            panic!("session diverged from the eager oracle after {answers} answer rounds: {e}");
+        }
+    };
+    check(&mut session, 0);
+    for round in 0..=config.max_rounds {
+        if !session.is_valid() {
+            break;
+        }
+        let od = session.deduce(deduction).expect("valid specification");
+        let values = session.true_values(&od);
+        if values.complete() || round == config.max_rounds {
+            break;
+        }
+        let sug = session.suggest(&od, &values);
+        let input = oracle.provide(spec.schema(), &sug);
+        if input.is_empty() {
+            break;
+        }
+        session.apply_input(&input);
+        check(&mut session, round + 1);
     }
-    assert_eq!(eager_inc.injected_axioms, 0, "eager mode never injects");
-    assert_eq!(eager_scr.injected_axioms, 0, "eager scratch never injects");
 }
 
 /// Component-level differential: validity, UP deduction, complete (NaiveSat)
@@ -144,24 +179,25 @@ fn compiled_omega_matches_reference_on_seed_datasets() {
 }
 
 #[test]
-fn seed_datasets_agree_on_all_four_paths() {
-    // The acceptance bar: lazy ≡ eager ≡ scratch on all four seed datasets.
+fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
+    // The acceptance bar: engine ≡ scratch ≡ per-round eager oracle on all
+    // four seed datasets.
     let vjday = [
         (cr_data::vjday::edith_spec(), cr_data::vjday::edith_truth()),
         (cr_data::vjday::george_spec(), cr_data::vjday::george_truth()),
     ];
     for (spec, truth) in &vjday {
-        assert_four_agree(spec, truth, 1);
+        assert_paths_agree(spec, truth, 1, DeductionMethod::UnitPropagation);
         assert_components_agree(spec);
     }
     let nba = cr_data::nba::generate_with_sizes(&[27, 81], 7);
     for i in 0..nba.len() {
-        assert_four_agree(&nba.spec(i), nba.truth(i), 1);
+        assert_paths_agree(&nba.spec(i), nba.truth(i), 1, DeductionMethod::UnitPropagation);
     }
     let person = cr_data::person::generate_with_sizes(&[40, 120], 7);
     for i in 0..person.len() {
         // Person truths routinely carry out-of-domain values.
-        assert_four_agree(&person.spec(i), person.truth(i), 1);
+        assert_paths_agree(&person.spec(i), person.truth(i), 1, DeductionMethod::UnitPropagation);
     }
     let career = cr_data::career::generate(cr_data::career::CareerConfig {
         entities: 3,
@@ -169,7 +205,7 @@ fn seed_datasets_agree_on_all_four_paths() {
         ..Default::default()
     });
     for i in 0..career.len() {
-        assert_four_agree(&career.spec(i), career.truth(i), 1);
+        assert_paths_agree(&career.spec(i), career.truth(i), 1, DeductionMethod::UnitPropagation);
     }
 }
 
@@ -197,7 +233,7 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
          (axioms {axiom_clauses}, instance clauses {})",
         lazy.cnf().num_clauses()
     );
-    let [lazy_inc, ..] = resolve_four(&s.spec, &s.truth, 1);
+    let lazy_inc = assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::UnitPropagation);
     assert!(
         lazy_inc.injected_axioms < axiom_clauses / 2,
         "lazy resolution must not re-materialise the eager axiom set \
@@ -208,30 +244,17 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
 
 #[test]
 fn naive_sat_deduction_agrees_across_modes() {
+    // NaiveSat engine ≡ NaiveSat scratch, and the NaiveSat-driven session
+    // matches the eager oracle after every answer.
     let s = cr_data::gen::scenario(&ScenarioConfig { seed: 3, ..Default::default() });
-    for incremental in [true, false] {
-        let run = |encode: EncodeOptions| {
-            let config = ResolutionConfig {
-                deduction: DeductionMethod::NaiveSat,
-                encode,
-                incremental,
-                ..Default::default()
-            };
-            let mut oracle = GroundTruthOracle::with_cap(s.truth.clone(), 1);
-            Resolver::new(config).resolve(&s.spec, &mut oracle)
-        };
-        let lazy = run(EncodeOptions::lazy());
-        let eager = run(EncodeOptions::eager());
-        assert_eq!(lazy.resolved, eager.resolved, "NaiveSat resolution diverged");
-        assert_eq!(lazy.interactions, eager.interactions);
-    }
+    assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::NaiveSat);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized scenarios (in-domain answers): all four paths agree and
-    /// components match.
+    /// Randomized scenarios (in-domain answers): engine ≡ scratch ≡ the
+    /// per-round eager oracle.
     #[test]
     fn random_scenarios_agree(
         seed in 0u64..10_000,
@@ -241,7 +264,7 @@ proptest! {
         cap in 1usize..3,
     ) {
         let Scenario { spec, truth } = scenario_from_raw(seed, tuples, domain, density, false);
-        assert_four_agree(&spec, &truth, cap);
+        assert_paths_agree(&spec, &truth, cap, DeductionMethod::UnitPropagation);
     }
 
     /// Randomized scenarios whose truths carry out-of-domain values: oracle
@@ -255,7 +278,7 @@ proptest! {
         density in 0u32..100,
     ) {
         let Scenario { spec, truth } = scenario_from_raw(seed, tuples, domain, density, true);
-        assert_four_agree(&spec, &truth, 1);
+        assert_paths_agree(&spec, &truth, 1, DeductionMethod::UnitPropagation);
     }
 
     /// Component-level equality on randomized scenarios (cheaper than full

@@ -1,49 +1,60 @@
-//! Differential tests for the Ω-free memory diet: with the default
-//! `EncodeOptions` the encoder no longer retains the instantiated Ω(Se)
-//! constraint list, and `TrueDer` re-derives suggestion rules on demand
-//! by scanning the CNF clause arena (`EncodedSpec::for_each_order_rule`).
-//! These tests prove the scan is *exactly* equivalent to the retained-Ω
-//! baseline (`true_der_retained` over `with_retained_omega()`), and that
-//! dropping Ω actually shrinks the encoding.
+//! Differential tests for the Ω-free encoding: the encoder keeps no
+//! instantiated Ω(Se) constraint list, and `TrueDer` re-derives suggestion
+//! rules on demand by scanning the CNF clause arena
+//! (`EncodedSpec::for_each_order_rule`). These tests prove the scan is
+//! *exactly* equivalent to the slice-fed baseline (`true_der_retained`
+//! over `encode::omega_compiled`), after first proving that slice is
+//! exactly what the encoder emitted.
 
-use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
+use cr_core::encode::{omega_compiled, Conclusion, InstanceConstraint, Origin};
 use cr_core::rules::{true_der, true_der_retained};
-use cr_core::{deduce_order, EncodeOptions, EncodedSpec, Specification};
 use cr_core::truevalue::true_values_from_orders;
+use cr_core::{deduce_order, EncodeOptions, EncodedSpec, Specification};
 use cr_data::gen::{scenario_from_raw, PowerLawConfig, PowerLawDataset};
 use proptest::prelude::*;
 
-/// Renders both paths' rule lists on one specification. Each path renders
-/// against its own encoding (value ids are per-encoding), so equality is
-/// checked on the human-readable rule forms.
-fn rules_both_paths(spec: &Specification) -> (Vec<String>, Vec<String>) {
-    let lean = EncodedSpec::encode_with(spec, EncodeOptions::default());
-    assert!(lean.omega().is_empty(), "default encodes must not retain Ω");
-    let od = deduce_order(&lean).unwrap();
-    let known = true_values_from_orders(&lean, &od);
-    let scan: Vec<String> = true_der(spec, &lean, &od, &known)
-        .iter()
-        .map(|r| r.display(&lean, spec.schema()))
-        .collect();
+/// A fresh unguarded lazy encode of `spec` and the Ω(Se) slice it was
+/// emitted from, after asserting the two coincide clause for clause: the
+/// encode's CNF is exactly the slice's instances converted in order
+/// (premise atoms negated, then the conclusion atom, if any).
+fn encode_with_omega(spec: &Specification) -> (EncodedSpec, Vec<InstanceConstraint>) {
+    let enc = EncodedSpec::encode_with(spec, EncodeOptions::lazy());
+    let omega = omega_compiled(spec);
+    assert_eq!(enc.cnf().num_clauses(), omega.len(), "one clause per Ω instance");
+    for (idx, c) in omega.iter().enumerate() {
+        let var = |a: &cr_core::encode::OrderAtom| {
+            enc.var_of(a.attr, a.lo, a.hi).expect("Ω atoms have order variables")
+        };
+        let mut expected: Vec<cr_sat::Lit> = c.premise.iter().map(|a| var(a).negative()).collect();
+        if let Conclusion::Atom(a) = &c.conclusion {
+            expected.push(var(a).positive());
+        }
+        assert_eq!(enc.cnf().clause(idx), &expected[..], "clause {idx} is not Ω instance {idx}");
+    }
+    (enc, omega)
+}
 
-    let fat = EncodedSpec::encode_with(spec, EncodeOptions::default().with_retained_omega());
-    assert!(!fat.omega().is_empty() || fat.cnf().num_clauses() == lean.cnf().num_clauses());
-    let od = deduce_order(&fat).unwrap();
-    let known = true_values_from_orders(&fat, &od);
-    let retained: Vec<String> = true_der_retained(spec, &fat, &od, &known)
-        .iter()
-        .map(|r| r.display(&fat, spec.schema()))
-        .collect();
+/// Renders both paths' rule lists on one specification: the clause-arena
+/// scan and the reference fed the emitted Ω slice, over the same encoding.
+fn rules_both_paths(spec: &Specification) -> (Vec<String>, Vec<String>) {
+    let (enc, omega) = encode_with_omega(spec);
+    let od = deduce_order(&enc).unwrap();
+    let known = true_values_from_orders(&enc, &od);
+    let render = |rules: Vec<cr_core::rules::DerivationRule>| {
+        rules.iter().map(|r| r.display(&enc, spec.schema())).collect::<Vec<_>>()
+    };
+    let scan = render(true_der(spec, &enc, &od, &known));
+    let retained = render(true_der_retained(spec, &enc, &omega, &od, &known));
     (scan, retained)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized scenarios: the clause-arena scan and the retained-Ω
+    /// Randomized scenarios: the clause-arena scan and the slice-fed
     /// baseline must derive the *same rules in the same order* (the scan
-    /// visits clauses in emission order, which is the retained list's
-    /// order filtered to order rules).
+    /// visits clauses in emission order, which is the slice's order
+    /// filtered to order rules).
     #[test]
     fn scan_rules_equal_retained_rules(
         seed in 0u64..5_000,
@@ -58,63 +69,11 @@ proptest! {
         let (scan, retained) = rules_both_paths(&s.spec);
         prop_assert_eq!(scan, retained);
     }
-
-    /// End-to-end: resolution (which consumes the rules through the
-    /// suggestion engine) is unchanged by retaining Ω.
-    #[test]
-    fn resolution_is_invariant_in_retain_omega(
-        seed in 0u64..2_000,
-        tuples in 2usize..14,
-        cap in 1usize..3,
-    ) {
-        let s = scenario_from_raw(seed, tuples, 6, (seed % 90) as u32, false);
-        let run = |encode: EncodeOptions| {
-            let config = ResolutionConfig { encode, ..Default::default() };
-            let mut oracle = GroundTruthOracle::with_cap(s.truth.clone(), cap);
-            Resolver::new(config).resolve(&s.spec, &mut oracle)
-        };
-        let lean = run(EncodeOptions::default());
-        let fat = run(EncodeOptions::default().with_retained_omega());
-        prop_assert_eq!(lean.valid, fat.valid);
-        prop_assert_eq!(lean.resolved, fat.resolved);
-        prop_assert_eq!(lean.interactions, fat.interactions);
-        prop_assert_eq!(lean.rounds.len(), fat.rounds.len());
-    }
 }
 
-/// The diet is real: on power-law entities the Ω-free encoding is
-/// strictly smaller than the retained one, and the gap is exactly the
-/// retained Ω list.
-#[test]
-fn omega_free_encoding_is_smaller() {
-    let ds = PowerLawDataset::new(&PowerLawConfig {
-        seed: 21,
-        entities: 3,
-        min_tuples: 40,
-        max_tuples: 80,
-        ..Default::default()
-    });
-    for i in 0..ds.len() {
-        let spec = ds.spec(i);
-        let lean = EncodedSpec::encode_with(&spec, EncodeOptions::default());
-        let fat = EncodedSpec::encode_with(&spec, EncodeOptions::default().with_retained_omega());
-        assert_eq!(lean.omega_bytes(), 0, "no retained Ω by default");
-        assert!(fat.omega_bytes() > 0, "baseline retains Ω");
-        assert!(
-            lean.approx_bytes() < fat.approx_bytes(),
-            "entity {i}: lean {} >= fat {}",
-            lean.approx_bytes(),
-            fat.approx_bytes()
-        );
-        // Same CNF either way — the diet only drops the side list.
-        assert_eq!(lean.cnf().num_clauses(), fat.cnf().num_clauses());
-        assert_eq!(lean.cnf().num_vars(), fat.cnf().num_vars());
-    }
-}
-
-/// The scan reconstructs premises and conclusions faithfully on a curated
-/// spec where the expected rules are known (Example 10 shape, as in the
-/// `rules` module's own tests).
+/// The scan reconstructs premises and conclusions faithfully on power-law
+/// entities: its (premise, conclusion) pairs are exactly the order-rule
+/// instances of the emitted Ω slice, in order.
 #[test]
 fn scan_visits_order_rules_with_reconstructed_premises() {
     let ds = PowerLawDataset::new(&PowerLawConfig {
@@ -125,26 +84,21 @@ fn scan_visits_order_rules_with_reconstructed_premises() {
         ..Default::default()
     });
     let spec = ds.spec(0);
-    let lean = EncodedSpec::encode_with(&spec, EncodeOptions::default());
-    let fat = EncodedSpec::encode_with(&spec, EncodeOptions::default().with_retained_omega());
+    let (enc, omega) = encode_with_omega(&spec);
 
-    // Collect (premise, conclusion) pairs from the scan and the retained
-    // list; they must match pairwise in order.
+    // Collect (premise, conclusion) pairs from the scan and the emitted
+    // slice; they must match pairwise in order.
     let mut scanned: Vec<(Vec<String>, String)> = Vec::new();
-    lean.for_each_order_rule(|premise, conclusion| {
+    enc.for_each_order_rule(|premise, conclusion| {
         scanned.push((
             premise.iter().map(|a| format!("{a:?}")).collect(),
             format!("{conclusion:?}"),
         ));
     });
-    let retained: Vec<(Vec<String>, String)> = fat
-        .omega()
+    let retained: Vec<(Vec<String>, String)> = omega
         .iter()
         .filter_map(|c| match (&c.origin, &c.conclusion) {
-            (
-                cr_core::encode::Origin::Currency(_) | cr_core::encode::Origin::BaseOrder,
-                cr_core::encode::Conclusion::Atom(a),
-            ) => Some((
+            (Origin::Currency(_) | Origin::BaseOrder, Conclusion::Atom(a)) => Some((
                 c.premise.iter().map(|x| format!("{x:?}")).collect(),
                 format!("{a:?}"),
             )),

@@ -195,27 +195,23 @@ fn stream_matches_serial_and_respects_queue_cap() {
     }
 }
 
-/// The public entry point (`resolve_all_parallel_with_threads`) rides the
-/// scheduler and stays width-invariant, including degenerate widths.
+/// The public batch entry point (`resolve_batch` with
+/// `SchedulerConfig::with_workers`) stays width-invariant, including
+/// degenerate widths.
 #[test]
 fn public_parallel_entry_point_is_width_invariant() {
     let ds = dataset(29, 12, 0);
     let specs = ds.specs();
     let resolver = Resolver::new(ResolutionConfig::default());
     let serial = serial_outcomes(&resolver, &ds, &specs);
-    for threads in [0usize, 1, 3, 16] {
-        let outcomes = resolver.resolve_all_parallel_with_threads(
-            &specs,
-            |i| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1),
-            threads,
-        );
-        assert_outcomes_equal(&format!("threads={threads}"), &serial, &outcomes);
+    let oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
+    for workers in [0usize, 1, 3, 16] {
+        let (outcomes, _) =
+            resolve_batch(&resolver, &specs, &oracle, &SchedulerConfig::with_workers(workers));
+        assert_outcomes_equal(&format!("workers={workers}"), &serial, &outcomes);
     }
     let empty: Vec<Specification> = Vec::new();
-    let outcomes = resolver.resolve_all_parallel_with_threads(
-        &empty,
-        |_| GroundTruthOracle::with_cap(ds.truth(0).clone(), 1),
-        4,
-    );
+    let (outcomes, _) =
+        resolve_batch(&resolver, &empty, &oracle, &SchedulerConfig::with_workers(4));
     assert!(outcomes.is_empty());
 }
