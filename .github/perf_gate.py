@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Perf-regression gate over the repository benchmark (perfbench).
+
+Usage: perf_gate.py BASE_DIR HEAD_DIR
+
+BASE_DIR and HEAD_DIR are two checkouts of the repository: the commit a
+change is measured against and the change itself. The benchmark command,
+its workloads and its end-to-end metrics (with `better` and `bound`) come
+from BASE_DIR's BENCHMARK.json, so a change cannot loosen its own gate.
+
+For every workload the script runs PAIRS alternating base/head pairs of
+SECONDS-second untraced runs, pair i at seed SEEDS[i] in both trees. It
+fails if any run does not end with `"correct": true` and `"failed": 0`, or
+if a head median is worse than the base median by more than the metric's
+bound (relative: lower-better metrics may grow by at most `bound`,
+higher-better ones shrink by at most `bound`).
+
+Every invocation also re-judges the head medians with a synthetic 2x
+regression applied (lower-better x2, higher-better /2). That verdict must
+fail; if it passes, the gate cannot detect a regression and exits non-zero.
+
+Exit status: 0 when the real verdict passes and the injected one fails,
+1 otherwise, 2 on a usage error.
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 3
+SECONDS = 5
+SEEDS = [101, 102, 103]
+INJECTED_FACTOR = 2.0
+
+
+def run_once(tree, command, workload, seed):
+    """Runs one untraced benchmark run in `tree`; returns (metrics, problem)."""
+    cmd = command + ["--workload", workload, "--seed", str(seed),
+                     "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    where = f"{workload} seed {seed} in {tree}"
+    if proc.returncode != 0 or not lines:
+        return {}, f"{where}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    try:
+        report = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return {}, f"{where}: last line is not JSON: {lines[-1][:200]}"
+    metrics = {name: m["value"] for name, m in report.get("metrics", {}).items()}
+    if report.get("correct") is not True or report.get("failed") != 0:
+        return metrics, (f"{where}: correct={report.get('correct')} "
+                         f"failed={report.get('failed')}: {proc.stderr.strip()[-500:]}")
+    return metrics, None
+
+
+def worsening(metric, base, head):
+    """Relative change of `head` against `base`, positive when worse."""
+    if base == 0:
+        return 0.0 if head == base else float("inf")
+    change = (head - base) / base
+    return change if metric["better"] == "lower" else -change
+
+
+def judge(metrics, base_medians, head_medians):
+    """Returns (rows, failed) for one workload's medians."""
+    rows, failed = [], False
+    for metric in metrics:
+        name = metric["name"]
+        if name not in base_medians or name not in head_medians:
+            continue
+        worse = worsening(metric, base_medians[name], head_medians[name])
+        bad = worse > metric["bound"]
+        failed |= bad
+        rows.append((name, base_medians[name], head_medians[name], worse, metric["bound"], bad))
+    return rows, failed
+
+
+def inject(metrics, head_medians):
+    """The head medians with a synthetic 2x regression on every metric."""
+    better = {m["name"]: m["better"] for m in metrics}
+    return {name: value * INJECTED_FACTOR if better.get(name) == "lower"
+            else value / INJECTED_FACTOR
+            for name, value in head_medians.items()}
+
+
+def medians(runs):
+    names = set().union(*runs) if runs else set()
+    return {n: statistics.median(r[n] for r in runs if n in r) for n in sorted(names)}
+
+
+def print_rows(title, rows):
+    print(f"  {title}")
+    for name, base, head, worse, bound, bad in rows:
+        verdict = "FAIL" if bad else "ok"
+        print(f"    {name:<24} base {base:>12.4f}  head {head:>12.4f}  "
+              f"worse {worse:>+8.1%}  bound {bound:.0%}  {verdict}")
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    base_dir, head_dir = Path(argv[1]).resolve(), Path(argv[2]).resolve()
+    spec = json.loads((base_dir / "BENCHMARK.json").read_text())
+    command, metrics = spec["command"], spec["end_to_end"]
+
+    problems, real_failed, injected_failed = [], False, False
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = {"base": [], "head": []}
+        for pair in range(PAIRS):
+            order = ["base", "head"] if pair % 2 == 0 else ["head", "base"]
+            for side in order:
+                tree = base_dir if side == "base" else head_dir
+                values, problem = run_once(tree, command, workload, SEEDS[pair])
+                if problem:
+                    problems.append(problem)
+                runs[side].append(values)
+        base_medians, head_medians = medians(runs["base"]), medians(runs["head"])
+        rows, failed = judge(metrics, base_medians, head_medians)
+        real_failed |= failed
+        print(f"{workload}: {'FAIL' if failed else 'ok'} "
+              f"({PAIRS} pairs, {SECONDS} s runs, seeds {SEEDS[:PAIRS]})")
+        print_rows("head vs base", rows)
+        injected_rows, injected = judge(metrics, base_medians, inject(metrics, head_medians))
+        injected_failed |= injected
+        print_rows(f"head with an injected {INJECTED_FACTOR:g}x regression", injected_rows)
+
+    for problem in problems:
+        print(f"output check failed: {problem}")
+    ok = not problems and not real_failed
+    print(f"verdict: {'pass' if ok else 'FAIL'}")
+    print(f"injected {INJECTED_FACTOR:g}x regression verdict: "
+          f"{'FAIL (the gate can trip)' if injected_failed else 'pass (the gate cannot trip)'}")
+    return 0 if ok and injected_failed else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -32,7 +32,7 @@
 
 use std::time::Instant;
 
-use cr_bench::{arg_seed, arg_value};
+use cr_bench::{arg_or, arg_seed};
 use cr_core::causal::{
     resolve_causal_checked, CausalCheckedReplay, CausalReplayConfig, ScriptedCausalRevisions,
 };
@@ -53,7 +53,7 @@ struct Totals {
 }
 
 fn main() {
-    let budget: f64 = arg_value("seconds").and_then(|v| v.parse().ok()).unwrap_or(60.0);
+    let budget: f64 = arg_or("seconds", 60.0);
     let base_seed = arg_seed(1);
     let config = ResolutionConfig::default();
 

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use cr_bench::{arg_seed, arg_value};
+use cr_bench::{arg_or, arg_seed};
 use cr_data::fleet::{run_fleet, ChannelFaults, FleetConfig};
 use cr_server::admission::AdmissionConfig;
 
@@ -47,7 +47,7 @@ struct Totals {
 }
 
 fn main() {
-    let budget: f64 = arg_value("seconds").and_then(|v| v.parse().ok()).unwrap_or(60.0);
+    let budget: f64 = arg_or("seconds", 60.0);
     let base_seed = arg_seed(1);
 
     let mut totals = Totals {

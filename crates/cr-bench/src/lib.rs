@@ -2,8 +2,11 @@
 //!
 //! Each `fig8*` binary regenerates one panel group; the `summary` binary prints the
 //! headline comparisons of Section VI. Binaries accept `--entities N`,
-//! `--seed S` and `--full` (paper-scale sizes) via simple flags.
+//! `--seed S` and `--full` (paper-scale sizes) via simple flags; the soak
+//! binaries also take `--seconds T`. A flag whose value is missing or does
+//! not parse exits with status 2 ([`arg_or`]).
 
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use cr_core::framework::{DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver};
@@ -14,31 +17,49 @@ use cr_core::{
 };
 use cr_data::Dataset;
 
-pub mod perf;
-
-/// Simple CLI flag access: `--name value`.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == &format!("--{name}"))
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 /// Simple CLI boolean flag: `--name`.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))
 }
 
+/// The value of `--name` in `args` parsed as a `T`: `Ok(None)` when the
+/// flag is absent, `Err` naming the flag when it has no value or its value
+/// does not parse.
+pub fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let flag = format!("--{name}");
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag} takes a {}, got {value:?}", std::any::type_name::<T>()))
+}
+
+/// Parses `--name` from the command line, defaulting to `default` when the
+/// flag is absent. A missing or malformed value prints a usage message and
+/// exits with status 2 instead of silently running the default.
+pub fn arg_or<T: FromStr>(name: &str, default: T) -> T {
+    let args: Vec<String> = std::env::args().collect();
+    match parse_flag(&args, name) {
+        Ok(value) => value.unwrap_or(default),
+        Err(msg) => {
+            let bin = args.first().map_or("cr-bench", String::as_str);
+            eprintln!("{bin}: {msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Parses `--entities`, defaulting to `default`.
 pub fn arg_entities(default: usize) -> usize {
-    arg_value("entities")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    arg_or("entities", default)
 }
 
 /// Parses `--seed`, defaulting to `default`.
 pub fn arg_seed(default: u64) -> u64 {
-    arg_value("seed").and_then(|v| v.parse().ok()).unwrap_or(default)
+    arg_or("seed", default)
 }
 
 /// The NBA size bins of Fig. 8(a): `\[1,27\] … \[109,135\]`.
@@ -243,98 +264,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Machine-readable benchmark reports (`BENCH_*.json`).
-///
-/// Future PRs diff these files to track the perf trajectory; keep the
-/// format append-friendly: a flat `measurements` list of named wall-clock
-/// timings plus free-form string context.
-pub mod json {
-    use std::io;
-    use std::path::Path;
-
-    /// One named wall-clock measurement.
-    pub struct Measurement {
-        /// Measurement identifier, e.g. `end_to_end/nba/incremental`.
-        pub name: String,
-        /// Wall-clock seconds.
-        pub seconds: f64,
-    }
-
-    /// A benchmark report serialised as `BENCH_<n>.json`.
-    #[derive(Default)]
-    pub struct BenchReport {
-        /// Report name, e.g. `incremental-engine`.
-        pub name: String,
-        /// Free-form context: dataset sizes, seeds, hardware notes.
-        pub context: Vec<(String, String)>,
-        /// Recorded measurements in insertion order.
-        pub measurements: Vec<Measurement>,
-    }
-
-    impl BenchReport {
-        /// An empty report.
-        pub fn new(name: impl Into<String>) -> Self {
-            BenchReport { name: name.into(), ..Default::default() }
-        }
-
-        /// Adds a context entry.
-        pub fn context(&mut self, key: impl Into<String>, value: impl std::fmt::Display) {
-            self.context.push((key.into(), value.to_string()));
-        }
-
-        /// Records a measurement.
-        pub fn measure(&mut self, name: impl Into<String>, seconds: f64) {
-            self.measurements.push(Measurement { name: name.into(), seconds });
-        }
-
-        /// The report as a JSON document.
-        pub fn to_json(&self) -> String {
-            let mut out = String::from("{\n");
-            out.push_str(&format!("  \"name\": \"{}\",\n", escape(&self.name)));
-            out.push_str("  \"context\": {\n");
-            for (i, (k, v)) in self.context.iter().enumerate() {
-                let comma = if i + 1 < self.context.len() { "," } else { "" };
-                out.push_str(&format!("    \"{}\": \"{}\"{comma}\n", escape(k), escape(v)));
-            }
-            out.push_str("  },\n  \"measurements\": [\n");
-            for (i, m) in self.measurements.iter().enumerate() {
-                let comma = if i + 1 < self.measurements.len() { "," } else { "" };
-                out.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"seconds\": {:.6}}}{comma}\n",
-                    escape(&m.name),
-                    m.seconds
-                ));
-            }
-            out.push_str("  ]\n}\n");
-            out
-        }
-
-        /// Writes the report to `path`.
-        pub fn write(&self, path: impl AsRef<Path>) -> io::Result<()> {
-            std::fs::write(path, self.to_json())
-        }
-    }
-
-    fn escape(s: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", c as u32);
-                }
-                c => out.push(c),
-            }
-        }
-        out
-    }
-}
-
 /// Standard quick-mode datasets used across binaries.
 pub mod quick {
     use cr_data::career::{self, CareerConfig};
@@ -360,5 +289,25 @@ pub mod quick {
             max_tuples: 60,
             seed,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_flag_reads_absent_valid_and_malformed_values() {
+        let cmd = args(&["soak", "--seconds", "4.5", "--seed", "4O", "--entities"]);
+        assert_eq!(parse_flag::<f64>(&cmd, "seconds"), Ok(Some(4.5)));
+        assert_eq!(parse_flag::<u64>(&cmd, "rounds"), Ok(None));
+        let malformed = parse_flag::<u64>(&cmd, "seed").unwrap_err();
+        assert!(malformed.contains("--seed") && malformed.contains("4O"), "{malformed}");
+        let missing = parse_flag::<usize>(&cmd, "entities").unwrap_err();
+        assert!(missing.contains("needs a value"), "{missing}");
     }
 }

@@ -64,9 +64,9 @@
 //!    and stamp the program onto every entity specification
 //!    (`Specification::set_compiled_program`); `Specification` otherwise
 //!    compiles lazily (without a table) on first encode, and clones share
-//!    the cache. [`compile_count`] counts compilations so
-//!    `bench_incremental --smoke` can enforce compile-once-per-dataset in
-//!    CI.
+//!    the cache. [`compile_count`] counts compilations so the
+//!    workspace's `tests/compile_once.rs` can enforce
+//!    compile-once-per-dataset.
 //! 2. *Project per entity.* `Instantiation(Se)` walks instance-local
 //!    `u32` rows against the compiled tableaus: projection grouping sorts
 //!    packed integer keys once per projection class (not per constraint),
@@ -107,7 +107,8 @@
 //!
 //! **Differential testing.** The lazy engine is checked against its
 //! from-scratch loop on the four seed datasets
-//! (`tests/incremental_differential.rs`, `bench_incremental --smoke`) and,
+//! (`tests/incremental_differential.rs`, the workspace's
+//! `tests/compile_once.rs`) and,
 //! after every answer, against an eager self-contained encode of the
 //! current specification on the seed datasets and on randomized scenarios
 //! from `cr_data::gen` (`tests/lazy_differential.rs`), including
@@ -138,8 +139,8 @@ pub(crate) use omega::SplitPlan;
 pub use program::{compile_count, CompiledProgram};
 
 /// The instance constraints Ω(Se) via the **reference** (pre-compilation)
-/// per-entity instantiation — exposed for differential tests and the
-/// `compile_program` criterion bench only.
+/// per-entity instantiation — exposed for differential tests only
+/// (`tests/lazy_differential.rs`).
 #[doc(hidden)]
 pub fn omega_reference(spec: &crate::spec::Specification) -> Vec<InstanceConstraint> {
     omega::instantiate_reference(spec).omega
@@ -147,7 +148,7 @@ pub fn omega_reference(spec: &crate::spec::Specification) -> Vec<InstanceConstra
 
 /// The instance constraints Ω(Se) via the compiled-program projection —
 /// the production path, exposed alongside [`omega_reference`] for
-/// differential tests and benches.
+/// differential tests.
 #[doc(hidden)]
 pub fn omega_compiled(spec: &crate::spec::Specification) -> Vec<InstanceConstraint> {
     omega::instantiate(spec).omega

@@ -41,7 +41,8 @@ use cr_constraints::{CompOp, ConstantCfd, CurrencyConstraint, Predicate, TupleRe
 use cr_types::{AttrId, GlobalValueId, Value, ValueTable};
 
 /// Global count of [`CompiledProgram::compile`] runs — telemetry for the
-/// compile-once-per-dataset invariant (`bench_incremental --smoke`).
+/// compile-once-per-dataset invariant (the workspace's
+/// `tests/compile_once.rs`).
 static COMPILE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of constraint programs compiled so far in this process.

@@ -1774,8 +1774,10 @@ pub struct CheckedReplay {
 /// other on the full logical state ([`diff_logical_states`]) — the
 /// three-way batched ≡ sequential ≡ scratch differential.
 ///
-/// This is the harness behind `tests/` and the `ingest`/`ingest-batch`
-/// smoke invariants of `bench_incremental`; the unchecked production path
+/// This is the harness behind `tests/revision_differential.rs` (non-empty
+/// retraction cones on fired CFDs and load-bearing orders) and
+/// `tests/revision_proptest.rs` (randomized timelines, batched ≡
+/// sequential ≡ scratch, live coalescing); the unchecked production path
 /// is
 /// [`Resolver::resolve_with_revisions`](crate::framework::Resolver::resolve_with_revisions).
 pub fn resolve_with_revisions_checked(

@@ -44,10 +44,10 @@
 //! [`BoundedQueue`]: when resolution falls behind, the producer blocks in
 //! `push` instead of buffering unboundedly — the queue's high-water mark
 //! and stall count are reported in [`SchedTelemetry`]. This is the
-//! memory-bounded path `bench_incremental` uses for its 10⁵-entity
-//! power-law run: entities are generated on demand, at most
-//! `queue_cap + workers` specifications are alive at once, and outcomes
-//! are folded into the caller's sink as they complete.
+//! memory-bounded path the repository benchmark's `batch` workload
+//! (`perfbench/`) drives over its 10⁵-entity power-law population: at
+//! most `queue_cap + workers` specifications are alive at once, and
+//! outcomes are folded into the caller's sink as they complete.
 //!
 //! # Outcome equality
 //!
@@ -57,7 +57,9 @@
 //! in-order concatenation is the serial emission stream; pooled scratch
 //! yields state-identical solvers. `tests/sched_equivalence.rs` sweeps
 //! worker counts and placements over seeded power-law batches and asserts
-//! outcome equality against the single-threaded run.
+//! outcome equality against the single-threaded run; it also proves the
+//! steal path live under [`Placement::Skewed`] and that a never-full
+//! stream records no backpressure stall.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

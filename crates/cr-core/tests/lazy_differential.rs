@@ -211,8 +211,8 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
 
 #[test]
 fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
-    // Wide-domain scenario: the lazy path must stay well under the eager
-    // clause count while resolving identically.
+    // Wide-domain scenario: the lazy path must inject axioms, yet stay well
+    // under the eager clause count while resolving identically.
     let s = cr_data::gen::scenario(&ScenarioConfig {
         seed: 11,
         attrs: 4,
@@ -234,6 +234,10 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
         lazy.cnf().num_clauses()
     );
     let lazy_inc = assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::UnitPropagation);
+    assert!(
+        lazy_inc.injected_axioms > 0,
+        "a wide conflicting domain needs axioms on demand: the lazy injection path is dead"
+    );
     assert!(
         lazy_inc.injected_axioms < axiom_clauses / 2,
         "lazy resolution must not re-materialise the eager axiom set \

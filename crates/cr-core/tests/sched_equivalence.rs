@@ -215,3 +215,54 @@ fn public_parallel_entry_point_is_width_invariant() {
         resolve_batch(&resolver, &empty, &oracle, &SchedulerConfig::with_workers(4));
     assert!(outcomes.is_empty());
 }
+
+/// Steal liveness under skew. Every task starts on shard 0, so a second
+/// task can only start while the first is still running if the other
+/// worker stole it. The oracle factory's first call blocks until a second
+/// factory call arrives, which forces exactly that overlap without any
+/// sleep or timing assumption (a 10 s timeout panics instead of hanging).
+#[test]
+fn skewed_placement_forces_a_steal() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    let ds = dataset(31, 4, 0);
+    let specs = ds.specs();
+    let resolver = Resolver::new(ResolutionConfig::default());
+    let serial = serial_outcomes(&resolver, &ds, &specs);
+    let calls = AtomicUsize::new(0);
+    let make_oracle = |i: usize| {
+        if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while calls.load(Ordering::SeqCst) < 2 {
+                assert!(Instant::now() < deadline, "no second task started: the steal path is dead");
+                std::thread::yield_now();
+            }
+        }
+        GroundTruthOracle::with_cap(ds.truth(i).clone(), 1)
+    };
+    let config = SchedulerConfig {
+        placement: Placement::Skewed,
+        batch_max_entities: 1,
+        split_tuple_threshold: usize::MAX,
+        ..SchedulerConfig::with_workers(2)
+    };
+    let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
+    assert_outcomes_equal("skewed", &serial, &outcomes);
+    assert_eq!(telemetry.tasks, specs.len(), "one task per entity");
+    assert!(telemetry.steals >= 1, "the second worker lives off steals, got {telemetry:?}");
+}
+
+/// A stream whose queue holds every entity never fills, so the producer
+/// never blocks: any backpressure stall recorded here is a false positive.
+#[test]
+fn never_full_stream_records_no_stalls() {
+    let ds = dataset(37, 24, 0);
+    let specs = ds.specs();
+    let resolver = Resolver::new(ResolutionConfig::default());
+    let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
+    let config = SchedulerConfig { queue_cap: specs.len() + 1, ..SchedulerConfig::with_workers(2) };
+    let telemetry = resolve_stream(&resolver, ds.stream(), &make_oracle, &config, &|_, _| {});
+    assert_eq!(telemetry.tasks, specs.len());
+    assert_eq!(telemetry.backpressure_stalls, 0, "a never-full queue cannot stall");
+}

@@ -105,14 +105,13 @@ fn fully_hostile_wire_preserves_the_differential() {
     }
 }
 
-#[test]
-fn overloaded_tenants_are_shed_with_typed_errors_and_still_finish() {
-    // Eight clients folded onto two tenants, against a tight token budget
-    // and short queues: admission must shed, clients must back off on the
-    // retry-after hint, and every operation must still complete.
-    let cfg = FleetConfig {
+/// Eight clients folded onto two tenants, against a tight token budget and
+/// short queues.
+fn overloaded(faults: ChannelFaults) -> FleetConfig {
+    FleetConfig {
         clients: 8,
         tenants: 2,
+        faults,
         max_attempts: 40,
         max_ticks: 20_000,
         admission: AdmissionConfig {
@@ -123,7 +122,14 @@ fn overloaded_tenants_are_shed_with_typed_errors_and_still_finish() {
             ..AdmissionConfig::default()
         },
         ..base(7)
-    };
+    }
+}
+
+#[test]
+fn overloaded_tenants_are_shed_with_typed_errors_and_still_finish() {
+    // Admission must shed, clients must back off on the retry-after hint,
+    // and every operation must still complete.
+    let cfg = overloaded(ChannelFaults::clean());
     let report = run_fleet(&cfg).expect("overloaded fleet converges");
     assert_eq!(report.acked, report.ops);
     assert!(
@@ -137,4 +143,16 @@ fn overloaded_tenants_are_shed_with_typed_errors_and_still_finish() {
         "every shed surfaces to a client as a typed Overloaded reply"
     );
     assert!(report.retries > 0);
+}
+
+/// The hostile wire under the same overload: admission control must still
+/// shed, clients must retry, and the run must still converge exactly once.
+#[test]
+fn hostile_wire_under_overload_sheds_and_retries() {
+    let report = run_fleet(&overloaded(ChannelFaults::faulty())).expect("hostile fleet converges");
+    assert_eq!(report.acked, report.ops);
+    let shed = report.serve.shed_rate + report.serve.shed_queue;
+    assert!(shed > 0, "this profile must shed: {}", report.serve);
+    assert!(report.overloaded_replies <= shed, "a dropped reply never reaches the client");
+    assert!(report.retries > 0, "a hostile wire must force retries");
 }

@@ -67,7 +67,7 @@ impl Cnf {
 
     /// Approximate heap footprint of the formula in bytes (the literal
     /// arena plus the clause-bounds index, counted at capacity). Feeds the
-    /// bytes-per-entity accounting of `bench_incremental`.
+    /// benchmark's `encode.bytes_per_entity` metric.
     pub fn approx_bytes(&self) -> usize {
         self.lits.capacity() * std::mem::size_of::<Lit>()
             + self.bounds.capacity() * std::mem::size_of::<u32>()

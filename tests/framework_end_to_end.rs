@@ -9,6 +9,8 @@ use conflict_resolution::core::{Accuracy, Specification, UserInput};
 use conflict_resolution::data::{career, nba, person, vjday};
 use conflict_resolution::types::{Schema, Tuple, Value};
 
+mod common;
+
 #[test]
 fn more_rounds_never_hurt() {
     let ds = person::generate(person::PersonConfig {
@@ -159,4 +161,29 @@ fn per_round_reports_are_coherent() {
     }
     let answered: usize = outcome.rounds.iter().map(|r| r.user_answers).sum();
     assert_eq!(answered, outcome.user_values);
+}
+
+/// Out-of-domain `AC`/`city` answers retract CFD guard groups mid-
+/// interaction: the engine's provenance-scoped retraction replay must run,
+/// and it must resolve exactly like the from-scratch loop.
+#[test]
+fn out_of_domain_answers_replay_retractions_and_match_scratch() {
+    let resolver = |incremental| {
+        Resolver::new(ResolutionConfig { max_rounds: 10, incremental, ..Default::default() })
+    };
+    let (engine, scratch) = (resolver(true), resolver(false));
+    for (i, (spec, truth)) in common::retraction_specs(4).iter().enumerate() {
+        let oracle = || GroundTruthOracle::with_cap(truth.clone(), 1);
+        let inc = engine.resolve(spec, &mut oracle());
+        let reference = scratch.resolve(spec, &mut oracle());
+        assert_eq!(inc.resolved, reference.resolved, "entity {i}: resolution diverged");
+        assert_eq!(inc.interactions, reference.interactions, "entity {i}: interactions diverged");
+        assert_eq!(inc.user_values, reference.user_values, "entity {i}: answers diverged");
+        assert_eq!(inc.resolved.to_tuple().as_ref(), Some(truth), "entity {i}: reaches the truth");
+        assert!(
+            inc.retraction_replays > 0,
+            "entity {i}: out-of-domain answers must replay CFD retractions, got {}",
+            inc.retraction_replays
+        );
+    }
 }

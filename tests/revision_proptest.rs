@@ -8,7 +8,7 @@
 use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use conflict_resolution::core::ingest::{
     check_session_against_scratch, diff_logical_states, resolve_with_revisions_checked,
-    ResolutionSession, RevisionSource, SpecMirror,
+    ResolutionSession, RevisionSource, RevisionTelemetry, SpecMirror,
 };
 use conflict_resolution::data::gen::{
     revision_timeline, scenario_from_raw, RevisionTimelineConfig, Scenario,
@@ -116,69 +116,94 @@ proptest! {
         events in 1usize..7,
         burst in 1usize..4,
     ) {
-        let Scenario { spec, .. } = scenario_from_raw(seed, tuples, domain, density, false);
-        let rounds = 4usize;
-        let mut source = revision_timeline(&spec, &RevisionTimelineConfig {
-            seed: seed.wrapping_mul(61).wrapping_add(29),
-            events,
-            rounds,
-            burst,
-            ..Default::default()
-        });
-        let config = ResolutionConfig::default();
-        let mut batched = ResolutionSession::new_revisable(&config, &spec);
-        let mut sequential = ResolutionSession::new_revisable(&config, &spec);
-        let mut mirror = SpecMirror::new(&spec);
+        batched_ingestion_matches(seed, tuples, domain, density, events, burst)?;
+    }
+}
 
-        let mut applied_batches = 0usize;
-        let mut expected_saved = 0usize;
-        for round in 0..rounds {
-            let poll = source.poll(round, batched.current());
-            let (report, applied) = batched
-                .absorb_revision_batch(&poll)
-                .map_err(|e| TestCaseError::fail(format!("batched ingestion rejected: {e:?}")))?;
-            prop_assert_eq!(report.events, poll.len(), "every pushed event is accounted");
-            if report.applied > 0 {
-                applied_batches += 1;
-                expected_saved += report.applied - 1;
-                prop_assert!(
-                    report.union_cone >= report.max_member_cone,
-                    "the union cone dominates its largest member ({} < {})",
-                    report.union_cone,
-                    report.max_member_cone
-                );
-            } else {
-                prop_assert_eq!(report.invalidated, 0, "an empty batch disturbs nothing");
-            }
+/// Batched ≡ sequential ≡ scratch on one generated scenario and timeline
+/// (see `batched_ingestion_equals_sequential_and_scratch`). Returns the
+/// batched session's revision telemetry.
+fn batched_ingestion_matches(
+    seed: u64,
+    tuples: usize,
+    domain: usize,
+    density: u32,
+    events: usize,
+    burst: usize,
+) -> Result<RevisionTelemetry, TestCaseError> {
+    let Scenario { spec, .. } = scenario_from_raw(seed, tuples, domain, density, false);
+    let rounds = 4usize;
+    let mut source = revision_timeline(&spec, &RevisionTimelineConfig {
+        seed: seed.wrapping_mul(61).wrapping_add(29),
+        events,
+        rounds,
+        burst,
+        ..Default::default()
+    });
+    let config = ResolutionConfig::default();
+    let mut batched = ResolutionSession::new_revisable(&config, &spec);
+    let mut sequential = ResolutionSession::new_revisable(&config, &spec);
+    let mut mirror = SpecMirror::new(&spec);
 
-            // The sequential twin absorbs the identical poll one event at
-            // a time; the mirror replays exactly the applied subset.
-            for (rev, ok) in poll.iter().zip(&applied) {
-                let twin_ok = sequential
-                    .absorb_revision(rev)
-                    .map_err(|e| TestCaseError::fail(format!("sequential twin rejected: {e:?}")))?;
-                prop_assert_eq!(twin_ok, *ok, "batched and sequential validation agree");
-                if *ok {
-                    mirror.apply(rev);
-                }
-            }
-
-            diff_logical_states(&batched.state(), &sequential.state())
-                .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ sequential: {e}")))?;
-            check_session_against_scratch(&mut batched, &mirror)
-                .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ scratch: {e}")))?;
+    let mut applied_batches = 0usize;
+    let mut expected_saved = 0usize;
+    for round in 0..rounds {
+        let poll = source.poll(round, batched.current());
+        let (report, applied) = batched
+            .absorb_revision_batch(&poll)
+            .map_err(|e| TestCaseError::fail(format!("batched ingestion rejected: {e:?}")))?;
+        prop_assert_eq!(report.events, poll.len(), "every pushed event is accounted");
+        if report.applied > 0 {
+            applied_batches += 1;
+            expected_saved += report.applied - 1;
+            prop_assert!(
+                report.union_cone >= report.max_member_cone,
+                "the union cone dominates its largest member ({} < {})",
+                report.union_cone,
+                report.max_member_cone
+            );
+        } else {
+            prop_assert_eq!(report.invalidated, 0, "an empty batch disturbs nothing");
         }
 
-        // Coalescing telemetry: the per-event twin never coalesces; the
-        // batched run saves exactly one replay per coalesced event beyond
-        // each batch's first; epochs advance per batch vs per event.
-        let b = batched.revision_telemetry();
-        let s = sequential.revision_telemetry();
-        prop_assert_eq!(s.events_coalesced, 0, "a batch of one coalesces nothing");
-        prop_assert_eq!(s.replays_saved, 0);
-        prop_assert_eq!(b.events, s.events, "same applied event set");
-        prop_assert_eq!(b.replays_saved, expected_saved);
-        prop_assert_eq!(batched.epoch().0 as usize, applied_batches, "one epoch per applied batch");
-        prop_assert_eq!(sequential.epoch().0 as usize, s.events, "one epoch per applied event");
+        // The sequential twin absorbs the identical poll one event at
+        // a time; the mirror replays exactly the applied subset.
+        for (rev, ok) in poll.iter().zip(&applied) {
+            let twin_ok = sequential
+                .absorb_revision(rev)
+                .map_err(|e| TestCaseError::fail(format!("sequential twin rejected: {e:?}")))?;
+            prop_assert_eq!(twin_ok, *ok, "batched and sequential validation agree");
+            if *ok {
+                mirror.apply(rev);
+            }
+        }
+
+        diff_logical_states(&batched.state(), &sequential.state())
+            .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ sequential: {e}")))?;
+        check_session_against_scratch(&mut batched, &mirror)
+            .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ scratch: {e}")))?;
     }
+
+    // Coalescing telemetry: the per-event twin never coalesces; the
+    // batched run saves exactly one replay per coalesced event beyond
+    // each batch's first; epochs advance per batch vs per event.
+    let b = batched.revision_telemetry();
+    let s = sequential.revision_telemetry();
+    prop_assert_eq!(s.events_coalesced, 0, "a batch of one coalesces nothing");
+    prop_assert_eq!(s.replays_saved, 0);
+    prop_assert_eq!(b.events, s.events, "same applied event set");
+    prop_assert_eq!(b.replays_saved, expected_saved);
+    prop_assert_eq!(batched.epoch().0 as usize, applied_batches, "one epoch per applied batch");
+    prop_assert_eq!(sequential.epoch().0 as usize, s.events, "one epoch per applied event");
+    Ok(b)
+}
+
+/// The coalescing path is live: a multi-event round is absorbed as one
+/// batch, with one union-cone retraction and one replay instead of one per
+/// event.
+#[test]
+fn multi_event_rounds_coalesce_into_one_replay() {
+    let b = batched_ingestion_matches(5, 8, 4, 60, 6, 3).expect("batched ≡ sequential ≡ scratch");
+    assert!(b.events_coalesced >= 2, "no multi-event batch was coalesced: {b:?}");
+    assert!(b.replays_saved >= 1, "coalescing saved no replay: {b:?}");
 }
