@@ -19,6 +19,13 @@ Every invocation also re-judges the head medians with a synthetic 2x
 regression applied (lower-better x2, higher-better /2). That verdict must
 fail; if it passes, the gate cannot detect a regression and exits non-zero.
 
+After the verdict, the script runs one traced run (`--trace 1`) per
+workload in each tree, at SEEDS[0] and SECONDS, and prints every per-layer
+metric whose unit is `count` with its base and head values side by side,
+marking the ones that differ. Counts repeat exactly for a given seed, so a
+difference means the change moved engine, store or server work; it is
+reported, not judged, because a change may move counts on purpose.
+
 Exit status: 0 when the real verdict passes and the injected one fails,
 1 otherwise, 2 on a usage error.
 """
@@ -35,10 +42,10 @@ SEEDS = [101, 102, 103]
 INJECTED_FACTOR = 2.0
 
 
-def run_once(tree, command, workload, seed):
-    """Runs one untraced benchmark run in `tree`; returns (metrics, problem)."""
+def run_once(tree, command, workload, seed, trace=0):
+    """Runs one benchmark run in `tree`; returns (metrics, problem)."""
     cmd = command + ["--workload", workload, "--seed", str(seed),
-                     "--seconds", str(SECONDS), "--trace", "0"]
+                     "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     where = f"{workload} seed {seed} in {tree}"
@@ -98,6 +105,25 @@ def print_rows(title, rows):
               f"worse {worse:>+8.1%}  bound {bound:.0%}  {verdict}")
 
 
+def print_counts(spec, base_dir, head_dir):
+    """Prints one traced run's count metrics per workload, base beside head."""
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    print(f"count metrics (one traced run per tree, seed {SEEDS[0]}, {SECONDS} s; "
+          "not part of the verdict)")
+    for workload in (w["name"] for w in spec["workloads"]):
+        traced = {}
+        for side, tree in (("base", base_dir), ("head", head_dir)):
+            traced[side], problem = run_once(tree, spec["command"], workload, SEEDS[0], trace=1)
+            if problem:
+                print(f"  traced run failed: {problem}")
+        moved = [n for n in counts if traced["base"].get(n) != traced["head"].get(n)]
+        print(f"  {workload}: {len(moved)} of {len(counts)} counts differ")
+        for name in counts:
+            base, head = traced["base"].get(name), traced["head"].get(name)
+            mark = "DIFFERS" if name in moved else ""
+            print(f"    {name:<32} base {base!s:>14}  head {head!s:>14}  {mark}")
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -133,6 +159,7 @@ def main(argv):
     print(f"verdict: {'pass' if ok else 'FAIL'}")
     print(f"injected {INJECTED_FACTOR:g}x regression verdict: "
           f"{'FAIL (the gate can trip)' if injected_failed else 'pass (the gate cannot trip)'}")
+    print_counts(spec, base_dir, head_dir)
     return 0 if ok and injected_failed else 1
 
 

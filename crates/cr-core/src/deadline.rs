@@ -8,11 +8,10 @@
 //! repair pass) threads one [`PhaseDeadline`] through its phases: each
 //! phase first *checks* the budget and then *charges* its cost, so a
 //! request can expire mid-flight between phases instead of only at queue
-//! boundaries. The session entry points that consume these budgets are
-//! [`ResolutionSession::is_valid_within`] and friends.
+//! boundaries. The caller enters one phase
+//! ([`PhaseDeadline::enter_phase`]) before each engine step it runs.
 //!
 //! [`cr-server`]: https://docs.rs/cr-server
-//! [`ResolutionSession::is_valid_within`]: crate::ingest::ResolutionSession::is_valid_within
 
 /// A request ran past its deadline. Carries the tick the budget expired at
 /// and how far past it the violating phase would have landed, so callers
@@ -61,7 +60,7 @@ impl PhaseDeadline {
     }
 
     /// An effectively unbounded budget (deadline `u64::MAX`), for callers
-    /// that want the `*_within` entry points without a timeout.
+    /// that charge phases without a timeout.
     pub fn unbounded() -> Self {
         Self { now: 0, deadline: u64::MAX, cost_per_phase: 0 }
     }

@@ -505,7 +505,7 @@ impl Resolver {
                         // malformed event is logged and counted, not
                         // propagated.
                         session
-                            .apply_revision_batch(&revs)
+                            .absorb_revision_batch(&revs)
                             .expect("default policy never rejects");
                     }
                     let after = session.revision_telemetry();

@@ -71,10 +71,9 @@
 //!   [`ResolutionSession::branch_tips`]), which makes the final cell state
 //!   a function of the delivered event *set*, independent of arrival order;
 //! * malformed events degrade per [`RevisionPolicy`]: rejected with a typed
-//!   [`RevisionError`], quarantined into a per-session log, or silently
-//!   counted — one bad event never poisons the stream (its stamp still
-//!   advances the frontier, so later events from that source stay
-//!   deliverable).
+//!   [`RevisionError`] or quarantined into a bounded per-session log —
+//!   one bad event never poisons the stream (its stamp still advances the
+//!   frontier, so later events from that source stay deliverable).
 //!
 //! # Re-opening a resolved attribute
 //!
@@ -106,19 +105,20 @@
 //!
 //! A bursty upstream delivers many corrections per poll. Applying them
 //! one at a time pays one propagator settle and one provenance replay
-//! *per event*; the batch path ([`ResolutionSession::apply_revision_batch`],
-//! the staged [`ResolutionSession::begin_batch`] API, and everything
-//! routed through [`ResolutionSession::ingest_causal`]) pays them once
-//! per batch. Events are validated and folded into the specification and
-//! the encoding strictly in event order — identical checks, identical
-//! quarantine decisions, identical spec mutations as the sequential
-//! path, because every mid-stream decision (validation, the re-open
-//! predicate, the write-log LWW pick) reads only spec-level state, never
-//! the solver or the propagator. What is deferred to the seal is
-//! exclusively the *engine* work: the per-event retraction cones are
-//! collected into one deduplicated **union cone**, and the seal performs
-//! a single `retract_groups(union)` + revived-value redelivery + solver
-//! and propagator tail sync + guard-assumption refresh.
+//! *per event*; [`ResolutionSession::absorb_revision_batch`] (and
+//! [`ResolutionSession::ingest_causal`]) pays them once per batch. Events
+//! are validated and folded into the specification and the encoding
+//! strictly in event order — identical checks, identical quarantine
+//! decisions, identical spec mutations as one-event batches, because
+//! every mid-stream decision (validation, the re-open predicate, the
+//! write-log LWW pick) reads only spec-level state, never the solver or
+//! the propagator. What is deferred to the seal is exclusively the
+//! *engine* work: the per-event retraction cones are collected into one
+//! deduplicated **union cone**, and the seal performs a single
+//! `retract_groups(union)` + revived-value redelivery + solver and
+//! propagator tail sync + guard-assumption refresh. The seal advances the
+//! session's monotone [`cr_types::Epoch`] once if at least one event
+//! applied (an absorbed input round advances it too).
 //!
 //! Why one union replay is equivalent to N sequential replays: group
 //! retraction is idempotent and order-independent — a clause group is
@@ -136,32 +136,12 @@
 //! same tail); the propagator-side tail sync skips clauses whose group is
 //! already inactive ([`EncodedSpec::is_group_active`]) so it never
 //! ingests a live clause of a dead group.
-//!
-//! # Epoch-snapshot reads
-//!
-//! The session carries a monotone [`cr_types::Epoch`], sealed once per
-//! committed mutation batch (an input round, a revision batch that
-//! applied at least one event). The staged batch API
-//! ([`ResolutionSession::begin_batch`] / [`ResolutionSession::batch_push`]
-//! / [`ResolutionSession::seal_batch`]) captures a copy-on-write summary
-//! of the *settled* outcome — validity, deduced orders, true values,
-//! undrained competing cells — before opening the batch; while the batch
-//! is mid-flight, `is_valid`, `deduce`, `true_values` and
-//! `take_competing` answer from that sealed snapshot, so a reader never
-//! observes a half-applied batch. Sealed reads are equivalent to
-//! quiescent reads at the previous epoch by construction: the snapshot
-//! *is* the quiescent answer, captured while the engine was settled, and
-//! nothing mutates it afterwards. The atomic wrappers
-//! (`apply_revision_batch`, `ingest_causal`) hold `&mut self` for the
-//! whole batch — their intermediate states are unobservable, so they
-//! skip the capture and pay nothing for it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cr_types::{AttrId, EntityInstance, Epoch, SourceId, Tuple, TupleId, Value, VectorClock};
 
 use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
-use crate::deadline::{DeadlineExceeded, PhaseDeadline};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{
@@ -217,10 +197,11 @@ pub enum Revision {
 }
 
 /// Why a revision could not be applied. Returned by
-/// [`ResolutionSession::apply_revision`] instead of panicking; under
+/// [`ResolutionSession::absorb_revision_batch`] under
+/// [`RevisionPolicy::Reject`] instead of panicking; under
 /// [`RevisionPolicy::Quarantine`] the `(revision, error)` pair lands in the
-/// per-session quarantine log. An `Err` always means the session state is
-/// untouched by the offending event.
+/// per-session quarantine log. The session state is always untouched by
+/// the offending event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RevisionError {
     /// `RetractCfd` names an index outside the original Γ.
@@ -294,12 +275,11 @@ pub enum RevisionPolicy {
     Reject,
     /// Log the `(revision, error)` pair in the per-session quarantine log
     /// ([`ResolutionSession::quarantined`]), count it, and keep going. The
-    /// production default: one bad event never poisons the stream.
+    /// production default: one bad event never poisons the stream. A cap
+    /// of 0 ([`ResolutionSession::set_quarantine_cap`]) counts without
+    /// logging.
     #[default]
     Quarantine,
-    /// Count the event as quarantined but keep no log — best-effort
-    /// ingestion for memory-constrained deployments.
-    BestEffort,
 }
 
 /// Default bound on the per-session quarantine log (see
@@ -373,8 +353,8 @@ pub struct RevisionTelemetry {
     /// buffered at the frontier (each counted once, at buffering time; 0 on
     /// non-causal streams).
     pub buffered: usize,
-    /// Events that failed validation and were quarantined (or best-effort
-    /// dropped) per [`RevisionPolicy`].
+    /// Events that failed validation and were quarantined per
+    /// [`RevisionPolicy`].
     pub quarantined: usize,
     /// Resolved attributes re-opened because a late causally-concurrent
     /// correction contradicted the accepted answer.
@@ -448,8 +428,7 @@ pub struct CompetingCell {
 }
 
 /// Outcome of one sealed revision batch
-/// ([`ResolutionSession::apply_revision_batch`] /
-/// [`ResolutionSession::seal_batch`]).
+/// ([`ResolutionSession::absorb_revision_batch`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// The epoch the seal advanced to (unchanged if nothing applied).
@@ -470,7 +449,8 @@ pub struct BatchReport {
 
 /// Engine bookkeeping of one open revision batch: the deferred union
 /// retraction cone plus the watermarks per-batch telemetry is computed
-/// from at the seal.
+/// from at the seal. Opened and sealed within a single `&mut self` call,
+/// so no reader ever observes a half-applied batch.
 struct BatchState {
     /// Deduplicated union of the groups retracted by the batch's events.
     union: BTreeSet<GroupId>,
@@ -484,22 +464,6 @@ struct BatchState {
     clauses_before: usize,
     /// Propagator invalidation counter at batch open (cone-size delta).
     invalidated_before: usize,
-}
-
-/// The copy-on-write settled-outcome summary captured by
-/// [`ResolutionSession::begin_batch`]; mid-flight snapshot reads answer
-/// from it.
-struct SealedOutcome {
-    /// The epoch the summary was captured at.
-    epoch: Epoch,
-    /// Validity at the sealed epoch.
-    valid: bool,
-    /// Deduced orders at the sealed epoch (`None` iff invalid).
-    orders: Option<DeducedOrders>,
-    /// True values at the sealed epoch (`None` iff invalid).
-    values: Option<TrueValues>,
-    /// The undrained competing-cell buffer at the sealed epoch.
-    competing: Vec<CompetingCell>,
 }
 
 /// Round-persistent state of the incremental resolution path: the extended
@@ -545,12 +509,6 @@ pub struct ResolutionSession {
     /// batch (an absorbed input round, a sealed revision batch that
     /// applied at least one event).
     epoch: Epoch,
-    /// Engine bookkeeping of the open revision batch, if any.
-    batch: Option<BatchState>,
-    /// Sealed-epoch snapshot mid-flight reads answer from; `Some` only
-    /// between [`ResolutionSession::begin_batch`] and
-    /// [`ResolutionSession::seal_batch`].
-    sealed: Option<SealedOutcome>,
 }
 
 /// One accepted user answer, with the causal knowledge it was given under.
@@ -591,7 +549,7 @@ impl ResolutionSession {
 
     /// Opens a **revisable** session: every revision-sensitive clause is
     /// emitted retractably (see [`EncodeOptions::revisable`]) so
-    /// [`ResolutionSession::apply_revision`] can absorb upstream
+    /// [`ResolutionSession::absorb_revision_batch`] can absorb upstream
     /// corrections without rebuilding.
     ///
     /// The encoding is fixed (`EncodeOptions::lazy().with_revisable()`);
@@ -644,8 +602,6 @@ impl ResolutionSession {
             frontier: CausalFrontier::new(),
             answers: BTreeMap::new(),
             epoch: Epoch::ZERO,
-            batch: None,
-            sealed: None,
         }
     }
 
@@ -704,16 +660,7 @@ impl ResolutionSession {
     /// causally-concurrent branch tips, or whose accepted answer a
     /// concurrent correction re-opened. Surfaced per round through
     /// [`crate::framework::RoundReport::competing`].
-    ///
-    /// While a staged batch is mid-flight this is a **non-destructive
-    /// snapshot read**: it returns the sealed epoch's buffer without
-    /// draining the live one (cells the open batch already recorded are
-    /// drained after the seal, so nothing is lost or double-consumed on
-    /// the quiescent path).
     pub fn take_competing(&mut self) -> Vec<CompetingCell> {
-        if self.batch.is_some() {
-            return self.sealed_snapshot().competing.clone();
-        }
         std::mem::take(&mut self.competing)
     }
 
@@ -811,10 +758,6 @@ impl ResolutionSession {
     /// clauses, then `current` in place by the induced tuple/orders.
     /// Returns the size of the induced order extension `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
-        assert!(
-            self.batch.is_none(),
-            "apply_input mid-batch: seal the open revision batch first"
-        );
         // The encoder derives the delta from the pre-input specification.
         let retracted_groups = self.enc.extend_with_input(&self.current, input);
         let (to, added) = self.current.apply_user_input(input);
@@ -890,7 +833,7 @@ impl ResolutionSession {
     /// (`remove_cfd`, `withdraw_order`, `replace_value` on ids that don't
     /// exist) is caught here and reported as a typed [`RevisionError`]
     /// instead.
-    pub fn validate_revision(&self, rev: &Revision) -> Result<(), RevisionError> {
+    fn validate_revision(&self, rev: &Revision) -> Result<(), RevisionError> {
         let len = self.current.entity().len();
         let arity = self.current.schema().arity();
         let check_attr = |attr: AttrId| {
@@ -940,34 +883,33 @@ impl ResolutionSession {
         Ok(())
     }
 
-    /// Opens the engine-side batch bookkeeping: settles the propagator
-    /// (so the seal's union replay can use provenance cones instead of a
-    /// full reset) and starts collecting retraction cones. Every engine
-    /// sync is deferred to [`ResolutionSession::close_batch`].
-    fn open_batch(&mut self) {
-        assert!(self.batch.is_none(), "revision batch already open");
+    /// Opens a revision batch: settles the propagator (so the seal's
+    /// union replay can use provenance cones instead of a full reset) and
+    /// starts collecting retraction cones. Every engine sync is deferred
+    /// to [`ResolutionSession::close_batch`].
+    fn open_batch(&mut self) -> BatchState {
         self.settle_propagator();
-        self.batch = Some(BatchState {
+        BatchState {
             union: BTreeSet::new(),
             max_member: 0,
             pushed: 0,
             applied: 0,
             clauses_before: self.enc.cnf().num_clauses(),
             invalidated_before: self.up.replay_stats().1,
-        });
+        }
     }
 
-    /// Validates and stages one event into the open batch. The
-    /// specification and the encoding mutate immediately and in event
-    /// order — later events validate against the updated state, exactly
-    /// like the sequential path — while the event's retraction cone only
-    /// joins the deferred union. An `Err` leaves the session untouched by
-    /// the offending event.
-    fn push_revision(&mut self, rev: &Revision) -> Result<(), RevisionError> {
-        self.batch
-            .as_mut()
-            .expect("push_revision requires an open batch")
-            .pushed += 1;
+    /// Validates and stages one event into `batch`. The specification and
+    /// the encoding mutate immediately and in event order — later events
+    /// validate against the updated state, exactly like one-event batches
+    /// — while the event's retraction cone only joins the deferred union.
+    /// An `Err` leaves the session untouched by the offending event.
+    fn push_revision(
+        &mut self,
+        batch: &mut BatchState,
+        rev: &Revision,
+    ) -> Result<(), RevisionError> {
+        batch.pushed += 1;
         self.validate_revision(rev)?;
         let groups = match rev {
             Revision::RetractCfd { cfd } => {
@@ -1003,22 +945,33 @@ impl ResolutionSession {
                 }
             }
         };
-        let batch = self.batch.as_mut().expect("open batch outlives the push");
         batch.applied += 1;
         batch.max_member = batch.max_member.max(groups.len());
         batch.union.extend(groups);
         Ok(())
     }
 
-    /// Seals the open batch with the single deferred engine pass (see the
-    /// module docs for the union-cone equivalence argument): one
-    /// provenance replay over the deduplicated union cone, one
-    /// revived-value redelivery, one solver + propagator tail sync, one
-    /// guard-assumption refresh — regardless of how many events were
-    /// pushed. A batch that applied nothing is a no-op and does not
-    /// advance the epoch.
-    fn close_batch(&mut self) -> BatchReport {
-        let batch = self.batch.take().expect("close_batch requires an open batch");
+    /// [`ResolutionSession::push_revision`] with a validation failure
+    /// routed through the session policy: `Ok(true)` applied, `Ok(false)`
+    /// degraded, `Err` only under [`RevisionPolicy::Reject`].
+    fn push_or_degrade(
+        &mut self,
+        batch: &mut BatchState,
+        rev: &Revision,
+    ) -> Result<bool, RevisionError> {
+        match self.push_revision(batch, rev) {
+            Ok(()) => Ok(true),
+            Err(err) => self.degrade(rev.clone(), err).map(|()| false),
+        }
+    }
+
+    /// Seals `batch` with the single deferred engine pass (see the module
+    /// docs for the union-cone equivalence argument): one provenance
+    /// replay over the deduplicated union cone, one revived-value
+    /// redelivery, one solver + propagator tail sync, one guard-assumption
+    /// refresh — regardless of how many events were pushed. A batch that
+    /// applied nothing is a no-op and does not advance the epoch.
+    fn close_batch(&mut self, batch: BatchState) -> BatchReport {
         if batch.applied == 0 {
             return BatchReport {
                 epoch: self.epoch,
@@ -1058,150 +1011,30 @@ impl ResolutionSession {
         }
     }
 
-    /// Absorbs one upstream correction **without rebuilding**: the event's
-    /// stale clause groups are retracted (guard units through the ordinary
-    /// clause tail), the unit propagator replays exactly the retracted
-    /// derivation cone (rolling its lazy cursor back by the invalidated
-    /// prefix), and the disturbed constraints re-emit through the compiled
-    /// program. Requires a session opened with
-    /// [`ResolutionSession::new_revisable`]. Internally a batch of one —
-    /// per-event and batched ingestion share a single code path.
+    /// Absorbs a poll's worth of upstream corrections **without
+    /// rebuilding**, in one engine pass — the one entry point for plain
+    /// revisions. Each event's stale clause groups are retracted (guard
+    /// units through the ordinary clause tail) and the disturbed
+    /// constraints re-emit through the compiled program; the unit
+    /// propagator then replays exactly the union of the retracted
+    /// derivation cones once, at the seal. Requires a session opened with
+    /// [`ResolutionSession::new_revisable`].
     ///
-    /// Returns a typed [`RevisionError`] (leaving the session untouched)
-    /// when the event fails validation; see
-    /// [`ResolutionSession::absorb_revision`] for the policy-driven wrapper.
-    pub fn apply_revision(&mut self, rev: &Revision) -> Result<(), RevisionError> {
-        self.open_batch();
-        let result = self.push_revision(rev);
-        self.close_batch();
-        result
-    }
-
-    /// Absorbs a whole poll batch in one engine pass: events validate and
-    /// fold into the specification strictly in event order (identical
-    /// decisions to N sequential [`ResolutionSession::apply_revision`]
-    /// calls), but the engine pays a single union-cone
-    /// settle/replay/re-emission at the seal. Invalid events degrade per
-    /// the session [`RevisionPolicy`]; under [`RevisionPolicy::Reject`]
-    /// the already-pushed prefix is sealed (matching the sequential
-    /// prefix-applied semantics) and the first error is returned.
-    pub fn apply_revision_batch(
-        &mut self,
-        revs: &[Revision],
-    ) -> Result<BatchReport, RevisionError> {
-        self.absorb_revision_batch(revs).map(|(report, _)| report)
-    }
-
-    /// [`ResolutionSession::apply_revision_batch`] with per-event outcome
-    /// flags (`true` = applied, `false` = degraded per policy) — what a
-    /// replay harness needs to mirror exactly the applied subset.
+    /// Events validate and fold into the specification strictly in event
+    /// order. Invalid events degrade per the session [`RevisionPolicy`];
+    /// the flags say which applied (`true`) and which degraded (`false`) —
+    /// what a replay harness needs to mirror exactly the applied subset.
+    /// Under [`RevisionPolicy::Reject`] the already-pushed prefix is sealed
+    /// and the first error is returned.
     pub fn absorb_revision_batch(
         &mut self,
         revs: &[Revision],
     ) -> Result<(BatchReport, Vec<bool>), RevisionError> {
-        self.open_batch();
-        let mut applied = Vec::with_capacity(revs.len());
-        for rev in revs {
-            match self.push_revision(rev) {
-                Ok(()) => applied.push(true),
-                Err(err) => match self.policy {
-                    RevisionPolicy::Reject => {
-                        self.close_batch();
-                        return Err(err);
-                    }
-                    RevisionPolicy::Quarantine => {
-                        self.quarantine_push(rev.clone(), err);
-                        applied.push(false);
-                    }
-                    RevisionPolicy::BestEffort => {
-                        self.revisions.quarantined += 1;
-                        applied.push(false);
-                    }
-                },
-            }
-        }
-        Ok((self.close_batch(), applied))
-    }
-
-    /// Opens a **staged** batch with snapshot reads: captures a
-    /// copy-on-write summary of the settled outcome at the current epoch
-    /// — validity, deduced orders, true values, undrained competing cells
-    /// — then opens the batch. Until [`ResolutionSession::seal_batch`],
-    /// reads ([`ResolutionSession::is_valid`],
-    /// [`ResolutionSession::deduce`], [`ResolutionSession::true_values`],
-    /// [`ResolutionSession::take_competing`]) answer from the captured
-    /// summary, so a reader never observes the half-applied batch. Push
-    /// events with [`ResolutionSession::batch_push`].
-    pub fn begin_batch(&mut self) {
-        assert!(self.batch.is_none(), "revision batch already open");
-        self.sealed = Some(self.seal_outcome());
-        self.open_batch();
-    }
-
-    /// Pushes one event into the staged batch opened by
-    /// [`ResolutionSession::begin_batch`], degrading invalid events per
-    /// the session policy: `Ok(true)` applied, `Ok(false)` degraded,
-    /// `Err` only under [`RevisionPolicy::Reject`].
-    pub fn batch_push(&mut self, rev: &Revision) -> Result<bool, RevisionError> {
-        assert!(self.batch.is_some(), "batch_push requires begin_batch");
-        match self.push_revision(rev) {
-            Ok(()) => Ok(true),
-            Err(err) => match self.policy {
-                RevisionPolicy::Reject => Err(err),
-                RevisionPolicy::Quarantine => {
-                    self.quarantine_push(rev.clone(), err);
-                    Ok(false)
-                }
-                RevisionPolicy::BestEffort => {
-                    self.revisions.quarantined += 1;
-                    Ok(false)
-                }
-            },
-        }
-    }
-
-    /// Seals the staged batch: performs the single union-cone engine
-    /// pass, advances the epoch (if anything applied) and drops the read
-    /// snapshot — subsequent reads see the new epoch live.
-    pub fn seal_batch(&mut self) -> BatchReport {
-        assert!(self.batch.is_some(), "seal_batch requires begin_batch");
-        let report = self.close_batch();
-        self.sealed = None;
-        report
-    }
-
-    /// Computes the settled-outcome summary at the current (quiescent)
-    /// epoch: validity, deduced orders (unit propagation), true values
-    /// and a copy of the undrained competing-cell buffer.
-    fn seal_outcome(&mut self) -> SealedOutcome {
-        debug_assert!(self.batch.is_none(), "seal_outcome requires a quiescent engine");
-        let valid = self.is_valid();
-        let (orders, values) = if valid {
-            let od = self
-                .deduce(DeductionMethod::UnitPropagation)
-                .expect("deduction cannot conflict on a valid specification");
-            let tv = self.true_values(&od);
-            (Some(od), Some(tv))
-        } else {
-            (None, None)
-        };
-        SealedOutcome {
-            epoch: self.epoch,
-            valid,
-            orders,
-            values,
-            competing: self.competing.clone(),
-        }
-    }
-
-    /// The sealed snapshot mid-flight reads answer from. Only the staged
-    /// `begin_batch` path supports mid-flight reads; the atomic wrappers
-    /// hold `&mut self` for the whole batch, so their intermediate states
-    /// are unobservable and carry no snapshot.
-    fn sealed_snapshot(&self) -> &SealedOutcome {
-        self.sealed
-            .as_ref()
-            .expect("mid-flight reads are only supported for staged batches (begin_batch)")
+        let mut batch = self.open_batch();
+        let applied: Result<Vec<bool>, RevisionError> =
+            revs.iter().map(|rev| self.push_or_degrade(&mut batch, rev)).collect();
+        let report = self.close_batch(batch);
+        Ok((report, applied?))
     }
 
     /// The session's current epoch: the number of committed mutation
@@ -1209,33 +1042,6 @@ impl ResolutionSession {
     /// least one event) absorbed so far.
     pub fn epoch(&self) -> Epoch {
         self.epoch
-    }
-
-    /// The epoch mid-flight snapshot reads answer against while a staged
-    /// batch is open (`None` when quiescent or inside an atomic wrapper).
-    pub fn sealed_epoch(&self) -> Option<Epoch> {
-        self.sealed.as_ref().map(|s| s.epoch)
-    }
-
-    /// Policy-driven [`ResolutionSession::apply_revision`]: a valid event
-    /// applies (returns `Ok(true)`); an invalid one degrades per the
-    /// session's [`RevisionPolicy`] — rejected (`Err`), quarantined into
-    /// the session log, or best-effort counted (`Ok(false)`).
-    pub fn absorb_revision(&mut self, rev: &Revision) -> Result<bool, RevisionError> {
-        match self.apply_revision(rev) {
-            Ok(()) => Ok(true),
-            Err(err) => match self.policy {
-                RevisionPolicy::Reject => Err(err),
-                RevisionPolicy::Quarantine => {
-                    self.quarantine_push(rev.clone(), err);
-                    Ok(false)
-                }
-                RevisionPolicy::BestEffort => {
-                    self.revisions.quarantined += 1;
-                    Ok(false)
-                }
-            },
-        }
     }
 
     /// Ingests one poll's worth of causally-stamped events: the frontier
@@ -1264,72 +1070,67 @@ impl ResolutionSession {
         let delivered = self.frontier.ingest(events);
         self.revisions.duplicates_dropped = self.frontier.duplicates_dropped();
         self.revisions.buffered = self.frontier.buffered_events();
+        let mut batch = self.open_batch();
+        let effective = self.deliver_causal(&mut batch, delivered);
+        self.close_batch(batch);
+        effective
+    }
+
+    /// Stages the frontier's delivered events into `batch` (the body of
+    /// [`ResolutionSession::ingest_causal`]); returns the effective plain
+    /// revisions, or the first error under [`RevisionPolicy::Reject`].
+    fn deliver_causal(
+        &mut self,
+        batch: &mut BatchState,
+        delivered: Vec<CausalRevision>,
+    ) -> Result<Vec<Revision>, RevisionError> {
         let mut effective = Vec::new();
-        self.open_batch();
         for ev in delivered {
-            match &ev.rev {
-                Revision::ReplaceValue { tuple, attr, value } => {
-                    // Validate before the write log: a malformed correction
-                    // is quarantined per policy and never pollutes the
-                    // branch-tip state (its stamp already advanced the
-                    // frontier, so the source stays deliverable).
-                    if let Err(err) = self.validate_revision(&ev.rev) {
-                        // push_revision's attempt counter never saw this
-                        // event; account it so `BatchReport::events` still
-                        // covers degraded deliveries.
-                        self.batch.as_mut().expect("open batch").pushed += 1;
-                        if let Err(err) = self.degrade(ev.rev.clone(), err) {
-                            self.close_batch();
-                            return Err(err);
-                        }
-                        continue;
-                    }
-                    // Re-open: the accepted answer did not causally see
-                    // this correction (its recorded frontier is behind the
-                    // correction's sequence number) and the asserted value
-                    // contradicts it.
-                    let reopen = self.answers.get(attr).and_then(|ans| {
-                        let concurrent = ans.deps.get(ev.stamp.source) < ev.stamp.seq();
-                        let conflicts = !value.is_null() && *value != ans.value;
-                        (concurrent && conflicts).then(|| (ans.tuple, ans.value.clone()))
-                    });
-                    let mut withdrawn_answer = None;
-                    if let Some((answer_tuple, answer_value)) = reopen {
-                        let withdraw =
-                            Revision::WithdrawAnswer { attr: *attr, tuple: answer_tuple };
-                        self.push_revision(&withdraw)
-                            .expect("recorded answer tuple is always in range");
-                        self.revisions.reopened += 1;
-                        withdrawn_answer = Some(answer_value);
-                        effective.push(withdraw);
-                    }
-                    let canonical =
-                        self.frontier.record_write(*tuple, *attr, &ev.stamp, value);
-                    let old = self.current.entity().tuple(*tuple).get(*attr);
-                    if canonical != *old {
-                        let rev = Revision::ReplaceValue {
-                            tuple: *tuple,
-                            attr: *attr,
-                            value: canonical,
-                        };
-                        self.push_revision(&rev)
-                            .expect("canonical write was validated above");
-                        effective.push(rev);
-                    }
-                    self.record_competing(*tuple, *attr, withdrawn_answer);
+            let Revision::ReplaceValue { tuple, attr, value } = &ev.rev else {
+                if self.push_or_degrade(batch, &ev.rev)? {
+                    effective.push(ev.rev);
                 }
-                _ => match self.push_revision(&ev.rev) {
-                    Ok(()) => effective.push(ev.rev),
-                    Err(err) => {
-                        if let Err(err) = self.degrade(ev.rev.clone(), err) {
-                            self.close_batch();
-                            return Err(err);
-                        }
-                    }
-                },
+                continue;
+            };
+            // Validate before the write log: a malformed correction is
+            // quarantined per policy and never pollutes the branch-tip
+            // state (its stamp already advanced the frontier, so the
+            // source stays deliverable).
+            if let Err(err) = self.validate_revision(&ev.rev) {
+                // push_revision's attempt counter never saw this event;
+                // account it so `BatchReport::events` still covers
+                // degraded deliveries.
+                batch.pushed += 1;
+                self.degrade(ev.rev.clone(), err)?;
+                continue;
             }
+            // Re-open: the accepted answer did not causally see this
+            // correction (its recorded frontier is behind the
+            // correction's sequence number) and the asserted value
+            // contradicts it.
+            let reopen = self.answers.get(attr).and_then(|ans| {
+                let concurrent = ans.deps.get(ev.stamp.source) < ev.stamp.seq();
+                let conflicts = !value.is_null() && *value != ans.value;
+                (concurrent && conflicts).then(|| (ans.tuple, ans.value.clone()))
+            });
+            let mut withdrawn_answer = None;
+            if let Some((answer_tuple, answer_value)) = reopen {
+                let withdraw = Revision::WithdrawAnswer { attr: *attr, tuple: answer_tuple };
+                self.push_revision(batch, &withdraw)
+                    .expect("recorded answer tuple is always in range");
+                self.revisions.reopened += 1;
+                withdrawn_answer = Some(answer_value);
+                effective.push(withdraw);
+            }
+            let canonical = self.frontier.record_write(*tuple, *attr, &ev.stamp, value);
+            let old = self.current.entity().tuple(*tuple).get(*attr);
+            if canonical != *old {
+                let rev = Revision::ReplaceValue { tuple: *tuple, attr: *attr, value: canonical };
+                self.push_revision(batch, &rev).expect("canonical write was validated above");
+                effective.push(rev);
+            }
+            self.record_competing(*tuple, *attr, withdrawn_answer);
         }
-        self.close_batch();
         Ok(effective)
     }
 
@@ -1368,8 +1169,8 @@ impl ResolutionSession {
         }
     }
 
-    /// Routes one failed event through the session policy (shared by the
-    /// causal path, which validates before the write log).
+    /// Routes one failed event through the session policy — the one place
+    /// a [`RevisionPolicy`] is decided.
     fn degrade(&mut self, rev: Revision, err: RevisionError) -> Result<(), RevisionError> {
         match self.policy {
             RevisionPolicy::Reject => Err(err),
@@ -1377,23 +1178,12 @@ impl ResolutionSession {
                 self.quarantine_push(rev, err);
                 Ok(())
             }
-            RevisionPolicy::BestEffort => {
-                self.revisions.quarantined += 1;
-                Ok(())
-            }
         }
     }
 
     /// Step (1) of Fig. 4 on the warm engine: is the current specification
     /// valid?
-    ///
-    /// While a staged batch is mid-flight this answers at the **sealed
-    /// epoch** (the snapshot captured by
-    /// [`ResolutionSession::begin_batch`]) — never the half-applied state.
     pub fn is_valid(&mut self) -> bool {
-        if self.batch.is_some() {
-            return self.sealed_snapshot().valid;
-        }
         self.sync_solver();
         let ResolutionSession { enc, solver, .. } = self;
         let sat = solver.solve_lazy(&mut RecordingAxiomSource::new(enc));
@@ -1404,15 +1194,7 @@ impl ResolutionSession {
     }
 
     /// Step (2) of Fig. 4: deduce implied value orders on the warm engine.
-    ///
-    /// While a staged batch is mid-flight this returns the **sealed
-    /// epoch's** deduced orders (`None` iff that epoch was invalid); the
-    /// requested `method` is irrelevant to a snapshot — nothing is
-    /// recomputed.
     pub fn deduce(&mut self, method: DeductionMethod) -> Option<DeducedOrders> {
-        if self.batch.is_some() {
-            return self.sealed_snapshot().orders.clone();
-        }
         match method {
             DeductionMethod::UnitPropagation => {
                 self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
@@ -1433,28 +1215,13 @@ impl ResolutionSession {
     }
 
     /// True values extracted from deduced orders (live-masked tops).
-    ///
-    /// While a staged batch is mid-flight this returns the **sealed
-    /// epoch's** true values and ignores `od` (the sealed values pair
-    /// with the sealed orders); an invalid sealed epoch yields the
-    /// all-unresolved vector.
     pub fn true_values(&self, od: &DeducedOrders) -> TrueValues {
-        if self.batch.is_some() {
-            let sealed = self.sealed_snapshot();
-            return sealed.values.clone().unwrap_or_else(|| {
-                TrueValues::new(vec![None; self.current.schema().arity()])
-            });
-        }
         true_values_from_orders(&self.enc, od)
     }
 
     /// Step (4) of Fig. 4: a suggestion against the warm solver, recording
     /// probe/repair axiom injections into the shared CNF.
     pub fn suggest(&mut self, od: &DeducedOrders, known: &TrueValues) -> Suggestion {
-        assert!(
-            self.batch.is_none(),
-            "suggest requires a sealed epoch: close the open revision batch first"
-        );
         self.sync_solver();
         let (sug, solver_synced) = {
             let ResolutionSession { current, enc, solver, .. } = self;
@@ -1462,56 +1229,6 @@ impl ResolutionSession {
         };
         self.synced_solver = solver_synced;
         sug
-    }
-
-    /// Deadline-aware [`ResolutionSession::is_valid`]: admits one phase
-    /// against `budget` before solving, charging it after. A spent budget
-    /// fails *before* touching the solver, so an expired request costs the
-    /// engine nothing.
-    pub fn is_valid_within(
-        &mut self,
-        budget: &mut PhaseDeadline,
-    ) -> Result<bool, DeadlineExceeded> {
-        budget.enter_phase()?;
-        Ok(self.is_valid())
-    }
-
-    /// Deadline-aware [`ResolutionSession::deduce`]: one budget phase.
-    pub fn deduce_within(
-        &mut self,
-        method: DeductionMethod,
-        budget: &mut PhaseDeadline,
-    ) -> Result<Option<DeducedOrders>, DeadlineExceeded> {
-        budget.enter_phase()?;
-        Ok(self.deduce(method))
-    }
-
-    /// Deadline-aware [`ResolutionSession::true_values`]: one budget
-    /// phase. A full `TrueValues` request chains
-    /// [`ResolutionSession::is_valid_within`] →
-    /// [`ResolutionSession::deduce_within`] → this, so it spends three
-    /// phases and can expire between any two of them — mid-request, at a
-    /// deterministic tick.
-    pub fn true_values_within(
-        &self,
-        od: &DeducedOrders,
-        budget: &mut PhaseDeadline,
-    ) -> Result<TrueValues, DeadlineExceeded> {
-        budget.enter_phase()?;
-        Ok(self.true_values(od))
-    }
-
-    /// Deadline-aware [`ResolutionSession::suggest`]: one budget phase
-    /// (a full `Suggest` request spends four — validity, deduction,
-    /// extraction, then the repair/probe pass here).
-    pub fn suggest_within(
-        &mut self,
-        od: &DeducedOrders,
-        known: &TrueValues,
-        budget: &mut PhaseDeadline,
-    ) -> Result<Suggestion, DeadlineExceeded> {
-        budget.enter_phase()?;
-        Ok(self.suggest(od, known))
     }
 
     /// Snapshots the session's *logical* state as plain data — everything
@@ -1610,9 +1327,12 @@ impl ResolutionSession {
         let spec = base.with_instance(entity, orders);
         let mut session = ResolutionSession::new_revisable(config, &spec);
         for &cfd in &state.retired_cfds {
-            session
-                .apply_revision(&Revision::RetractCfd { cfd })
-                .map_err(|e| format!("snapshot CFD retraction rejected: {e}"))?;
+            // Strict, one retraction per batch: a snapshot naming an
+            // unknown or already-retired CFD is inconsistent, not noise.
+            let mut batch = session.open_batch();
+            let pushed = session.push_revision(&mut batch, &Revision::RetractCfd { cfd });
+            session.close_batch(batch);
+            pushed.map_err(|e| format!("snapshot CFD retraction rejected: {e}"))?;
         }
         for a in state.answers {
             if a.attr.index() >= arity || a.tuple.index() >= session.current.entity().len() {
@@ -1767,12 +1487,13 @@ pub struct CheckedReplay {
 /// coincide with a fresh eager encoding of the [`SpecMirror`]. Returns an
 /// error describing the first divergence, if any.
 ///
-/// The primary session absorbs each poll through the **batched** path
-/// ([`ResolutionSession::apply_revision_batch`]); an event-at-a-time twin
-/// absorbs the same events through [`ResolutionSession::apply_revision`],
-/// and both are checked against the scratch mirror *and* against each
-/// other on the full logical state ([`diff_logical_states`]) — the
-/// three-way batched ≡ sequential ≡ scratch differential.
+/// The primary session absorbs each poll as one batch
+/// ([`ResolutionSession::absorb_revision_batch`]); an event-at-a-time twin
+/// absorbs the same events as one-event batches, and both are checked
+/// against the scratch mirror *and* against each other on the full logical
+/// state ([`diff_logical_states`]) — the three-way batched ≡ sequential ≡
+/// scratch differential. Both run under [`RevisionPolicy::Reject`], so a
+/// malformed scripted event is an error, never a silent quarantine.
 ///
 /// This is the harness behind `tests/revision_differential.rs` (non-empty
 /// retraction cones on fired CFDs and load-bearing orders) and
@@ -1788,6 +1509,8 @@ pub fn resolve_with_revisions_checked(
 ) -> Result<CheckedReplay, String> {
     let mut session = ResolutionSession::new_revisable(config, spec);
     let mut twin = ResolutionSession::new_revisable(config, spec);
+    session.set_revision_policy(RevisionPolicy::Reject);
+    twin.set_revision_policy(RevisionPolicy::Reject);
     let mut mirror = SpecMirror::new(spec);
     let mut interactions = 0;
     let mut checks = 0;
@@ -1800,10 +1523,10 @@ pub fn resolve_with_revisions_checked(
         let had_revisions = !revs.is_empty();
         if had_revisions {
             session
-                .apply_revision_batch(&revs)
+                .absorb_revision_batch(&revs)
                 .map_err(|e| format!("scripted revision rejected by batch: {e}"))?;
             for rev in &revs {
-                twin.apply_revision(rev)
+                twin.absorb_revision_batch(std::slice::from_ref(rev))
                     .map_err(|e| format!("scripted revision rejected: {e} ({rev:?})"))?;
                 mirror.apply(rev);
             }

@@ -1,12 +1,10 @@
-//! Batched ingestion and epoch-snapshot reads: deterministic differentials.
+//! Batched ingestion and epochs: deterministic differentials.
 //!
-//! The staged batch path (`begin_batch` / `batch_push` / `seal_batch`)
-//! promises that a reader mid-flight **never observes a half-applied
-//! batch**: `is_valid`, `deduce`, `true_values` and `take_competing`
-//! answer at the last sealed epoch until the seal, and the epoch advances
-//! exactly once per applied batch. These tests pin that down one scenario
-//! at a time, next to the duplicate-redelivery idempotence of re-opening
-//! corrections (the double-count regression). Randomized batch-partition
+//! `absorb_revision_batch` seals one epoch per batch that applied at
+//! least one event and none for an empty or all-degraded batch. These
+//! tests pin that down one scenario at a time, next to the
+//! duplicate-redelivery idempotence of re-opening corrections (the
+//! double-count regression). Randomized batch-partition
 //! equivalence lives in `tests/causal_proptest.rs` and
 //! `tests/revision_proptest.rs` at the workspace level.
 
@@ -15,9 +13,7 @@ use cr_core::causal::{
     resolve_causal_checked, CausalReplayConfig, CausalRevision, ScriptedCausalRevisions,
 };
 use cr_core::framework::{DeductionMethod, GroundTruthOracle, ResolutionConfig};
-use cr_core::ingest::{
-    check_session_against_scratch, diff_logical_states, ResolutionSession, Revision, SpecMirror,
-};
+use cr_core::ingest::{check_session_against_scratch, ResolutionSession, Revision, SpecMirror};
 use cr_core::Specification;
 use cr_data::chaos::{chaos, ChaosConfig};
 use cr_types::{EntityInstance, Schema, SourceClock, SourceId, Tuple, TupleId, Value};
@@ -81,27 +77,22 @@ fn config() -> ResolutionConfig {
     ResolutionConfig::default()
 }
 
-/// The acceptance case for epoch reads: while a staged batch is mid-flight,
-/// every read answers at the sealed epoch — bit-identical to the pre-batch
-/// answers — even though the pushed events have already mutated the
-/// underlying engine. The seal advances the epoch exactly once and flips
-/// reads to the new state, which must equal an atomic
-/// `apply_revision_batch` twin.
+/// A revision batch is one epoch: the epoch rises by exactly one per
+/// applied batch, and the sealed state un-resolves what the CFD retraction
+/// took away and matches scratch.
 #[test]
-fn mid_batch_reads_answer_at_the_sealed_epoch() {
+fn a_batch_advances_one_epoch_and_matches_scratch() {
     let (spec, _) = firing_cfd_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let mut session = ResolutionSession::new_revisable(&config(), &spec);
-    let mut twin = ResolutionSession::new_revisable(&config(), &spec);
 
     // Settled pre-batch reads: the CFD fires, so `city` resolves.
     let pre_epoch = session.epoch();
     assert!(session.is_valid());
     let pre_od = session.deduce(DeductionMethod::UnitPropagation).expect("valid spec");
-    let pre_tv = session.true_values(&pre_od);
-    assert_eq!(pre_tv.get(city), Some(&Value::str("LA")), "psi1 resolves city");
+    assert_eq!(session.true_values(&pre_od).get(city), Some(&Value::str("LA")), "psi1 resolves city");
 
-    // Retracting the CFD un-resolves `city` — but not until the seal.
+    // Retracting the CFD un-resolves `city`.
     let batch = [
         Revision::RetractCfd { cfd: 0 },
         Revision::ReplaceValue {
@@ -110,63 +101,38 @@ fn mid_batch_reads_answer_at_the_sealed_epoch() {
             value: Value::str("Boston"),
         },
     ];
-    session.begin_batch();
-    assert_eq!(session.sealed_epoch(), Some(pre_epoch), "snapshot pins the sealed epoch");
-    for rev in &batch {
-        assert_eq!(session.batch_push(rev), Ok(true));
-        // Mid-flight, after every push: all four reads still answer the
-        // sealed epoch, never the half-applied batch.
-        assert_eq!(session.epoch(), pre_epoch, "the epoch advances only at the seal");
-        assert!(session.is_valid());
-        let mid_od = session.deduce(DeductionMethod::UnitPropagation).expect("sealed orders");
-        for attr in spec.schema().attr_ids() {
-            let mut mid: Vec<_> = mid_od.pairs(attr).collect();
-            let mut pre: Vec<_> = pre_od.pairs(attr).collect();
-            mid.sort_unstable();
-            pre.sort_unstable();
-            assert_eq!(mid, pre, "mid-batch deduce answers the sealed epoch ({attr:?})");
-        }
-        let mid_tv = session.true_values(&mid_od);
-        assert_eq!(
-            mid_tv.get(city),
-            Some(&Value::str("LA")),
-            "mid-batch true values answer the sealed epoch"
-        );
-        assert!(session.take_competing().is_empty());
-    }
-
-    let report = session.seal_batch();
+    let (report, applied) = session.absorb_revision_batch(&batch).expect("batch applies");
+    assert_eq!(applied, vec![true, true]);
     assert_eq!(report.applied, 2);
     assert_eq!(report.epoch, session.epoch());
     assert_eq!(session.epoch().0, pre_epoch.0 + 1, "one batch, one epoch bump");
-    assert_eq!(session.sealed_epoch(), None, "the seal drops the read snapshot");
 
-    // Post-seal reads see the batch: the retraction un-resolved `city`.
     assert!(session.is_valid());
     let post_od = session.deduce(DeductionMethod::UnitPropagation).expect("still valid");
-    let post_tv = session.true_values(&post_od);
-    assert_eq!(post_tv.get(city), None, "the CFD retraction un-resolves city");
-
-    // The staged path lands on the exact state of an atomic batch apply.
-    let twin_report = twin.apply_revision_batch(&batch).expect("atomic batch applies");
-    assert_eq!(twin_report.applied, 2);
-    assert_eq!(twin_report.epoch, report.epoch);
-    diff_logical_states(&session.state(), &twin.state())
-        .expect("staged and atomic batches land on the same state");
+    assert_eq!(session.true_values(&post_od).get(city), None, "the CFD retraction un-resolves city");
 
     let mut mirror = SpecMirror::new(&spec);
     for rev in &batch {
         mirror.apply(rev);
     }
     check_session_against_scratch(&mut session, &mirror).expect("sealed state ≡ scratch");
+
+    // A second applied batch is a second epoch.
+    let (report, _) = session
+        .absorb_revision_batch(&[Revision::ReplaceValue {
+            tuple: TupleId(1),
+            attr: city,
+            value: Value::str("SF"),
+        }])
+        .expect("batch applies");
+    assert_eq!(report.epoch.0, pre_epoch.0 + 2, "one epoch per applied batch");
 }
 
-/// Mid-batch `take_competing` is a non-destructive snapshot read: it
-/// returns the sealed epoch's undrained cells without consuming them, and
-/// the post-seal drain yields everything (sealed + batch-recorded) exactly
+/// An empty or all-degraded batch applies nothing and leaves the epoch
+/// where it was; undrained competing cells survive it and drain exactly
 /// once.
 #[test]
-fn mid_batch_take_competing_is_a_nondestructive_snapshot() {
+fn degraded_batches_keep_the_epoch_and_competing_cells_drain_once() {
     let spec = two_city_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let mut s1 = SourceClock::new(SourceId(1));
@@ -189,22 +155,25 @@ fn mid_batch_take_competing_is_a_nondestructive_snapshot() {
     session.ingest_causal(vec![a, b]).unwrap();
     let sealed_before = session.epoch();
 
-    session.begin_batch();
-    let mid = session.take_competing();
-    assert_eq!(mid.len(), 1, "the sealed epoch's cell is visible mid-batch");
-    assert_eq!((mid[0].tuple, mid[0].attr), (TupleId(0), city));
-    assert_eq!(
-        session.take_competing(),
-        mid,
-        "mid-batch reads are snapshots: nothing drains"
-    );
-    let report = session.seal_batch();
-    assert_eq!(report.applied, 0, "an empty batch applies nothing");
+    let (report, applied) = session.absorb_revision_batch(&[]).unwrap();
+    assert_eq!((report.events, report.applied), (0, 0), "an empty batch applies nothing");
+    assert!(applied.is_empty());
     assert_eq!(session.epoch(), sealed_before, "an empty batch does not advance the epoch");
 
-    // The quiescent drain still yields the cell exactly once.
+    let bad = [Revision::RetractCfd { cfd: 3 }, Revision::ReplaceValue {
+        tuple: TupleId(9),
+        attr: city,
+        value: Value::Null,
+    }];
+    let (report, applied) = session.absorb_revision_batch(&bad).unwrap();
+    assert_eq!((report.events, report.applied), (2, 0), "both events degrade");
+    assert_eq!(applied, vec![false, false]);
+    assert_eq!(report.epoch, sealed_before);
+    assert_eq!(session.epoch(), sealed_before, "an all-degraded batch does not advance the epoch");
+
     let drained = session.take_competing();
-    assert_eq!(drained, mid, "the sealed cell survives the snapshot reads");
+    assert_eq!(drained.len(), 1, "the concurrent cell survives the batches");
+    assert_eq!((drained[0].tuple, drained[0].attr), (TupleId(0), city));
     assert!(session.take_competing().is_empty(), "drained exactly once");
 }
 

@@ -80,6 +80,12 @@ fn config() -> ResolutionConfig {
     ResolutionConfig::default()
 }
 
+/// Absorbs `rev` as a one-event batch: `Ok(true)` applied, `Ok(false)`
+/// degraded, `Err` under `RevisionPolicy::Reject`.
+fn absorb_one(session: &mut ResolutionSession, rev: &Revision) -> Result<bool, RevisionError> {
+    session.absorb_revision_batch(std::slice::from_ref(rev)).map(|(_, applied)| applied[0])
+}
+
 /// The acceptance-criterion case: the user answers `job`, then a remote
 /// correction that never saw the answer (causally concurrent) asserts a
 /// conflicting job value. The session must re-open exactly that attribute
@@ -295,7 +301,8 @@ fn concurrent_writes_converge_by_lww_in_either_delivery_order() {
 
 /// Every malformed-event shape maps to its typed [`RevisionError`] variant,
 /// and a failed application leaves the session state untouched (still
-/// equivalent to a mirror that never saw the bad events).
+/// equivalent to a mirror that never saw the bad events). Under `Reject`
+/// a batch returns its first error with the applied prefix sealed.
 #[test]
 fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
     let (spec, _) = firing_cfd_spec();
@@ -306,11 +313,11 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
     let mut mirror = SpecMirror::new(&spec);
 
     assert_eq!(
-        session.apply_revision(&Revision::RetractCfd { cfd: 5 }),
+        absorb_one(&mut session, &Revision::RetractCfd { cfd: 5 }),
         Err(RevisionError::UnknownCfd { cfd: 5, gamma_len: 1 })
     );
     assert_eq!(
-        session.apply_revision(&Revision::WithdrawOrder {
+        absorb_one(&mut session, &Revision::WithdrawOrder {
             attr: cr_types::AttrId(99),
             lo: TupleId(0),
             hi: TupleId(1),
@@ -318,7 +325,7 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
         Err(RevisionError::UnknownAttr { attr: cr_types::AttrId(99), arity: 4 })
     );
     assert_eq!(
-        session.apply_revision(&Revision::WithdrawOrder {
+        absorb_one(&mut session, &Revision::WithdrawOrder {
             attr: city,
             lo: TupleId(0),
             hi: TupleId(1),
@@ -327,7 +334,7 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
         "withdrawing a never-asserted pair is a typed error"
     );
     assert_eq!(
-        session.apply_revision(&Revision::ReplaceValue {
+        absorb_one(&mut session, &Revision::ReplaceValue {
             tuple: TupleId(9),
             attr: city,
             value: Value::Null,
@@ -335,39 +342,49 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
         Err(RevisionError::UnknownTuple { tuple: TupleId(9), len: 2 })
     );
     assert_eq!(
-        session.apply_revision(&Revision::WithdrawAnswer { attr: job, tuple: TupleId(7) }),
+        absorb_one(&mut session, &Revision::WithdrawAnswer { attr: job, tuple: TupleId(7) }),
         Err(RevisionError::UnknownTuple { tuple: TupleId(7), len: 2 })
     );
+    assert_eq!(session.epoch().0, 0, "rejected events seal no epoch");
 
-    // A valid retraction still applies; repeating it is stale.
-    session.apply_revision(&Revision::RetractCfd { cfd: 0 }).unwrap();
-    mirror.apply(&Revision::RetractCfd { cfd: 0 });
+    // A valid retraction still applies; repeating it is stale. The batch
+    // stops at the stale event: the valid prefix is sealed, the event
+    // after the error never runs.
+    let trailing =
+        Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") };
     assert_eq!(
-        session.apply_revision(&Revision::RetractCfd { cfd: 0 }),
+        session.absorb_revision_batch(&[
+            Revision::RetractCfd { cfd: 0 },
+            Revision::RetractCfd { cfd: 0 },
+            trailing,
+        ]),
         Err(RevisionError::StaleCfd { cfd: 0 })
     );
+    mirror.apply(&Revision::RetractCfd { cfd: 0 });
+    assert_eq!(session.epoch().0, 1, "the applied prefix is sealed");
 
     // The errors above changed nothing: the session still matches a mirror
     // that only saw the one valid event.
     check_session_against_scratch(&mut session, &mirror)
         .expect("failed applications must leave the session untouched");
     assert_eq!(session.revision_telemetry().events, 1);
+    assert!(session.quarantined().is_empty(), "reject logs nothing");
 
     // Display renders something useful for logs.
     let msg = RevisionError::UnknownCfd { cfd: 5, gamma_len: 1 }.to_string();
     assert!(msg.contains("unknown CFD"), "got: {msg}");
 }
 
-/// The three degradation policies: reject propagates, quarantine logs and
-/// counts, best-effort only counts.
+/// The two degradation policies: reject propagates, quarantine logs and
+/// counts; a quarantine cap of 0 counts without logging.
 #[test]
-fn degradation_policies_reject_quarantine_and_best_effort() {
+fn degradation_policies_reject_and_quarantine() {
     let (spec, _) = firing_cfd_spec();
     let bad = Revision::RetractCfd { cfd: 42 };
 
     // Default policy: quarantine.
     let mut session = ResolutionSession::new_revisable(&config(), &spec);
-    assert_eq!(session.absorb_revision(&bad), Ok(false));
+    assert_eq!(absorb_one(&mut session, &bad), Ok(false));
     assert_eq!(session.revision_telemetry().quarantined, 1);
     assert_eq!(session.quarantined().len(), 1);
     assert_eq!(session.quarantined()[0].0, bad);
@@ -376,22 +393,22 @@ fn degradation_policies_reject_quarantine_and_best_effort() {
         RevisionError::UnknownCfd { cfd: 42, gamma_len: 1 }
     );
     // A good event still applies afterwards: the stream is not poisoned.
-    assert_eq!(session.absorb_revision(&Revision::RetractCfd { cfd: 0 }), Ok(true));
+    assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }), Ok(true));
     assert_eq!(session.revision_telemetry().events, 1);
 
     // Reject: the error propagates, nothing is logged.
     let mut session = ResolutionSession::new_revisable(&config(), &spec);
     session.set_revision_policy(RevisionPolicy::Reject);
     assert_eq!(
-        session.absorb_revision(&bad),
+        absorb_one(&mut session, &bad),
         Err(RevisionError::UnknownCfd { cfd: 42, gamma_len: 1 })
     );
     assert!(session.quarantined().is_empty());
 
-    // Best-effort: counted, not logged.
+    // Quarantine with a zero cap: counted, not logged.
     let mut session = ResolutionSession::new_revisable(&config(), &spec);
-    session.set_revision_policy(RevisionPolicy::BestEffort);
-    assert_eq!(session.absorb_revision(&bad), Ok(false));
+    session.set_quarantine_cap(0);
+    assert_eq!(absorb_one(&mut session, &bad), Ok(false));
     assert_eq!(session.revision_telemetry().quarantined, 1);
     assert!(session.quarantined().is_empty());
 }
@@ -502,7 +519,7 @@ fn quarantine_log_is_bounded_with_eviction_telemetry() {
     assert_eq!(session.quarantine_cap(), 2);
 
     for cfd in 10..14 {
-        assert_eq!(session.absorb_revision(&Revision::RetractCfd { cfd }), Ok(false));
+        assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd }), Ok(false));
     }
     assert_eq!(session.revision_telemetry().quarantined, 4, "all four count");
     assert_eq!(session.quarantined().len(), 2, "only the cap is retained");
@@ -517,7 +534,7 @@ fn quarantine_log_is_bounded_with_eviction_telemetry() {
     assert_eq!(session.revision_telemetry().quarantine_evicted, 3);
 
     // The session itself is unharmed: a good event still applies.
-    assert_eq!(session.absorb_revision(&Revision::RetractCfd { cfd: 0 }), Ok(true));
+    assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }), Ok(true));
 }
 
 /// Regression (found by the crash-and-rehydrate soak): a causal

@@ -266,7 +266,7 @@ fn revived_value_returns_to_the_query_surface() {
 
     let retire =
         Revision::ReplaceValue { tuple: TupleId(1), attr: city, value: Value::str("NY") };
-    session.apply_revision(&retire).expect("retirement is well-formed");
+    session.absorb_revision_batch(std::slice::from_ref(&retire)).expect("retirement is well-formed");
     mirror.apply(&retire);
     check_session_against_scratch(&mut session, &mirror).expect("retirement step");
     assert!(session.is_valid());
@@ -279,7 +279,7 @@ fn revived_value_returns_to_the_query_surface() {
 
     let revive =
         Revision::ReplaceValue { tuple: TupleId(1), attr: city, value: Value::str("LA") };
-    session.apply_revision(&revive).expect("revival is well-formed");
+    session.absorb_revision_batch(std::slice::from_ref(&revive)).expect("revival is well-formed");
     mirror.apply(&revive);
     check_session_against_scratch(&mut session, &mirror).expect("revival step");
     let od = session.deduce(DeductionMethod::UnitPropagation).unwrap();
@@ -491,11 +491,11 @@ fn restored_session_shares_the_base_program_and_constraints() {
     let mut session = ResolutionSession::new_revisable(&config(), &spec);
     session.apply_input(&UserInput::single(job, Value::str("n/a")));
     session
-        .apply_revision(&Revision::ReplaceValue {
+        .absorb_revision_batch(&[Revision::ReplaceValue {
             tuple: TupleId(0),
             attr: spec.schema().attr_id("city").unwrap(),
             value: Value::str("SF"),
-        })
+        }])
         .unwrap();
     let restored = ResolutionSession::restore(&config(), &spec, session.state()).unwrap();
     let current = restored.current();

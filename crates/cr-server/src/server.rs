@@ -307,12 +307,13 @@ impl<B: StorageBackend> Server<B> {
         match req {
             Request::IsValid => {
                 let session = self.store.session(id).map_err(store_err)?;
-                let valid = session.is_valid_within(pd).map_err(deadline_err)?;
-                Ok(Response::Valid(valid))
+                pd.enter_phase().map_err(deadline_err)?;
+                Ok(Response::Valid(session.is_valid()))
             }
             Request::Deduce { method } => {
                 let session = self.store.session(id).map_err(store_err)?;
-                let od = session.deduce_within(*method, pd).map_err(deadline_err)?;
+                pd.enter_phase().map_err(deadline_err)?;
+                let od = session.deduce(*method);
                 Ok(Response::Deduced {
                     found: od.is_some(),
                     order_pairs: od.map_or(0, |od| od.size() as u64),
@@ -320,29 +321,28 @@ impl<B: StorageBackend> Server<B> {
             }
             Request::TrueValues { method } => {
                 let session = self.store.session(id).map_err(store_err)?;
-                let valid = session.is_valid_within(pd).map_err(deadline_err)?;
-                if !valid {
+                pd.enter_phase().map_err(deadline_err)?;
+                if !session.is_valid() {
                     return Ok(Response::TrueValues { values: Vec::new() });
                 }
-                let od = session
-                    .deduce_within(*method, pd)
-                    .map_err(deadline_err)?
-                    .expect("valid specifications always deduce");
-                let tv = session.true_values_within(&od, pd).map_err(deadline_err)?;
+                pd.enter_phase().map_err(deadline_err)?;
+                let od = session.deduce(*method).expect("valid specifications always deduce");
+                pd.enter_phase().map_err(deadline_err)?;
+                let tv = session.true_values(&od);
                 Ok(Response::TrueValues { values: tv.as_slice().to_vec() })
             }
             Request::Suggest { method } => {
                 let session = self.store.session(id).map_err(store_err)?;
-                let valid = session.is_valid_within(pd).map_err(deadline_err)?;
-                if !valid {
+                pd.enter_phase().map_err(deadline_err)?;
+                if !session.is_valid() {
                     return Ok(Response::Suggest { ask: Vec::new(), derived: Vec::new() });
                 }
-                let od = session
-                    .deduce_within(*method, pd)
-                    .map_err(deadline_err)?
-                    .expect("valid specifications always deduce");
-                let tv = session.true_values_within(&od, pd).map_err(deadline_err)?;
-                let sug = session.suggest_within(&od, &tv, pd).map_err(deadline_err)?;
+                pd.enter_phase().map_err(deadline_err)?;
+                let od = session.deduce(*method).expect("valid specifications always deduce");
+                pd.enter_phase().map_err(deadline_err)?;
+                let tv = session.true_values(&od);
+                pd.enter_phase().map_err(deadline_err)?;
+                let sug = session.suggest(&od, &tv);
                 Ok(Response::Suggest {
                     ask: sug.ask.into_iter().collect(),
                     derived: sug.derived,

@@ -12,7 +12,7 @@ use cr_server::proto::{Reply, Request, Response, ServeError};
 use cr_server::{AdmissionConfig, Server};
 use cr_store::{MemoryBackend, SessionId, SessionStore, StoreConfig};
 use cr_types::wire::{Envelope, IdemKey, RequestId, TenantId};
-use cr_types::AttrId;
+use cr_types::{AttrId, Value};
 
 fn server_with(
     admission: AdmissionConfig,
@@ -294,4 +294,198 @@ fn cold_sessions_cost_more_to_admit() {
     // 2-token deficit at 1 token/tick.
     let reply = server.submit(0, env(0, 0, 1), Request::IsValid).expect("shed");
     assert_eq!(reply.outcome, Err(ServeError::Overloaded { retry_after: 2 }));
+}
+
+/// Regression: an `ApplyInput` naming an attribute past the schema's arity
+/// used to be logged write-ahead and then panic the engine, and every later
+/// rehydration replayed the record and panicked again. It is now refused
+/// with a typed error before anything is logged, and the session keeps
+/// serving — also after eviction and rehydration.
+#[test]
+fn out_of_range_apply_input_is_refused_before_logging() {
+    let mut server =
+        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    assert!(server.submit(0, env(0, 0, 1), Request::IsValid).is_none());
+    assert!(matches!(ok_response(&server.dispatch(1)[0]), Response::Valid(_)));
+    let log_before = server.store().log_len(SessionId(0)).unwrap();
+
+    let input = UserInput::single(AttrId(999), Value::int(1));
+    assert!(server.submit(2, env(0, 0, 2), Request::ApplyInput { input }).is_none());
+    let replies = server.dispatch(3);
+    assert_eq!(replies.len(), 1);
+    match &replies[0].outcome {
+        Err(ServeError::Store { message }) => {
+            assert!(message.contains("unknown attribute"), "got: {message}")
+        }
+        other => panic!("expected a typed store error, got {other:?}"),
+    }
+    assert_eq!(server.store().log_len(SessionId(0)).unwrap(), log_before, "nothing logged");
+    assert_eq!(server.telemetry().failed, 1);
+
+    assert!(server.submit(4, env(0, 0, 3), Request::IsValid).is_none());
+    assert!(matches!(ok_response(&server.dispatch(5)[0]), Response::Valid(_)));
+
+    let rehydrations = server.store().recovery().rehydrations;
+    assert!(server.store_mut().evict(SessionId(0)).unwrap());
+    assert!(server.submit(6, env(0, 0, 4), Request::IsValid).is_none());
+    assert!(matches!(ok_response(&server.dispatch(7)[0]), Response::Valid(_)));
+    assert_eq!(server.store().recovery().rehydrations, rehydrations + 1);
+}
+
+mod hostile {
+    //! Hostile requests: every request variant, decoded off the wire, with
+    //! attribute, tuple and CFD ids drawn past the session's arity, entity
+    //! length and |Γ|, and random values and causal stamps.
+
+    use super::*;
+    use cr_core::causal::CausalRevision;
+    use cr_core::ingest::Revision;
+    use cr_server::proto::{decode_message, encode_message, Message};
+    use cr_types::{CausalStamp, Hlc, SourceId, TupleId, VectorClock};
+    use proptest::prelude::*;
+
+    fn value() -> BoxedStrategy<Value> {
+        prop_oneof![
+            Just(Value::Null),
+            (-4i64..4).prop_map(Value::int),
+            "[a-c]{0,2}".prop_map(Value::str),
+        ]
+        .boxed()
+    }
+
+    /// Arities are 3–5: ids past them, up to the largest id.
+    fn attr() -> BoxedStrategy<AttrId> {
+        prop_oneof![(0u16..8).prop_map(AttrId), Just(AttrId(u16::MAX))].boxed()
+    }
+
+    /// Entities start at 4 tuples and grow one per input.
+    fn tuple_id() -> BoxedStrategy<TupleId> {
+        prop_oneof![(0u32..12).prop_map(TupleId), Just(TupleId(u32::MAX))].boxed()
+    }
+
+    /// |Γ| is 0–3.
+    fn cfd() -> BoxedStrategy<usize> {
+        prop_oneof![0usize..6, Just(usize::MAX)].boxed()
+    }
+
+    fn revision() -> BoxedStrategy<Revision> {
+        prop_oneof![
+            cfd().prop_map(|cfd| Revision::RetractCfd { cfd }),
+            (attr(), tuple_id(), tuple_id())
+                .prop_map(|(attr, lo, hi)| Revision::WithdrawOrder { attr, lo, hi }),
+            (attr(), tuple_id())
+                .prop_map(|(attr, tuple)| Revision::WithdrawAnswer { attr, tuple }),
+            (tuple_id(), attr(), value())
+                .prop_map(|(tuple, attr, value)| Revision::ReplaceValue { tuple, attr, value }),
+        ]
+        .boxed()
+    }
+
+    fn stamp() -> BoxedStrategy<CausalStamp> {
+        let vclock = prop::collection::vec(((0u32..4).prop_map(SourceId), 0u64..6), 0..3)
+            .prop_map(|entries| {
+                let mut vc = VectorClock::new();
+                for (s, n) in entries {
+                    vc.observe(s, n);
+                }
+                vc
+            });
+        ((0u32..4).prop_map(SourceId), (0u64..8, 0u32..2), vclock)
+            .prop_map(|(source, (p, l), vclock)| CausalStamp {
+                source,
+                hlc: Hlc::new(p, l),
+                vclock,
+            })
+            .boxed()
+    }
+
+    fn method() -> BoxedStrategy<DeductionMethod> {
+        prop_oneof![Just(DeductionMethod::UnitPropagation), Just(DeductionMethod::NaiveSat)]
+            .boxed()
+    }
+
+    fn request() -> BoxedStrategy<Request> {
+        prop_oneof![
+            Just(Request::IsValid),
+            method().prop_map(|method| Request::Deduce { method }),
+            method().prop_map(|method| Request::TrueValues { method }),
+            method().prop_map(|method| Request::Suggest { method }),
+            prop::collection::vec((attr(), value()), 0..3).prop_map(|pairs| {
+                let mut input = UserInput::empty();
+                input.values.extend(pairs);
+                Request::ApplyInput { input }
+            }),
+            prop::collection::vec(
+                (stamp(), revision()).prop_map(|(stamp, rev)| CausalRevision { stamp, rev }),
+                0..3,
+            )
+            .prop_map(|events| Request::IngestCausal { events }),
+            prop::collection::vec(revision(), 0..3)
+                .prop_map(|revs| Request::AbsorbBatch { revs }),
+            Just(Request::Snapshot),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every reply is `Ok` or a typed `ServeError`, nothing panics,
+        /// the serving telemetry reconciles, and every session still
+        /// rehydrates and serves a read after eviction.
+        #[test]
+        fn hostile_requests_get_typed_replies_and_sessions_rehydrate(
+            seed in 0u64..64,
+            // (session, idempotency key, request); session 2 is unknown.
+            script in prop::collection::vec(
+                (0u64..3, prop::option::of(0u64..4), request()),
+                1..24,
+            ),
+        ) {
+            let store = StoreConfig { snapshot_every: 4, ..StoreConfig::default() };
+            let mut server = server_with(AdmissionConfig::default(), store, 2, seed);
+            let mut now = 0;
+            for (rid, (session, idem, req)) in script.into_iter().enumerate() {
+                let mut e = env(0, session, rid as u64);
+                e.idempotency = idem.map(IdemKey);
+                let bytes = encode_message(&Message::Request { env: e, req });
+                let Ok(Message::Request { env: e, req }) = decode_message(&bytes) else {
+                    return Err(TestCaseError::fail("request did not decode"));
+                };
+                // Submit-time rejections and dispatched replies are both
+                // `Reply`s: their outcome type admits only `Ok` or a
+                // typed `ServeError`.
+                let _ = server.submit(now, e, req);
+                now += 1;
+                let _ = server.dispatch(now);
+            }
+            while server.queued() > 0 {
+                now += 1;
+                let _ = server.dispatch(now);
+            }
+            let t = server.telemetry();
+            prop_assert_eq!(
+                t.admitted,
+                t.served + t.failed + t.expired_in_queue + t.expired_mid_request,
+                "telemetry does not reconcile: {}",
+                t
+            );
+
+            for session in 0..2u64 {
+                server.store_mut().evict(SessionId(session)).unwrap();
+                let rehydrations = server.store().recovery().rehydrations;
+                now += 1;
+                prop_assert!(server.submit(now, env(1, session, 1_000 + session), Request::IsValid).is_none());
+                let replies = server.dispatch(now);
+                prop_assert_eq!(replies.len(), 1);
+                prop_assert!(
+                    matches!(replies[0].outcome, Ok(Response::Valid(_))),
+                    "session {} did not serve after eviction: {:?}",
+                    session,
+                    replies[0].outcome
+                );
+                prop_assert_eq!(server.store().recovery().rehydrations, rehydrations + 1);
+            }
+        }
+    }
 }

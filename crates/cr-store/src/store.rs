@@ -20,6 +20,7 @@ use cr_core::ingest::{BatchReport, ResolutionSession, Revision, RevisionPolicy};
 use cr_core::spec::{Specification, UserInput};
 use cr_core::ResolutionConfig;
 use cr_types::codec::{write_frame, CodecError};
+use cr_types::AttrId;
 
 use crate::backend::{SessionId, StorageBackend};
 use crate::event::{decode_log_offsets, plan_replay_owned, LogRecord, ReplayStep, SnapshotRecord};
@@ -35,6 +36,14 @@ pub enum StoreError {
     Io(String),
     /// The session was never [`open`](SessionStore::open)ed in this store.
     UnknownSession(SessionId),
+    /// A user input names an attribute outside the session's schema. It
+    /// is refused before anything is logged, so replay never meets it.
+    UnknownAttr {
+        /// The offending attribute.
+        attr: AttrId,
+        /// The schema's arity.
+        arity: usize,
+    },
     /// The store refuses [`RevisionPolicy::Reject`]: replay of a durable
     /// log must be total, and a policy that aborts mid-stream would leave
     /// rehydration unable to reach the log's end.
@@ -50,10 +59,12 @@ impl fmt::Display for StoreError {
             StoreError::Codec(e) => write!(f, "log corrupt: {e}"),
             StoreError::Io(msg) => write!(f, "storage error: {msg}"),
             StoreError::UnknownSession(id) => write!(f, "unknown session {id}"),
-            StoreError::RejectPolicy => write!(
-                f,
-                "RevisionPolicy::Reject is not replayable; use Quarantine or BestEffort"
-            ),
+            StoreError::UnknownAttr { attr, arity } => {
+                write!(f, "input names unknown attribute {attr:?} (arity {arity})")
+            }
+            StoreError::RejectPolicy => {
+                write!(f, "RevisionPolicy::Reject is not replayable; use Quarantine")
+            }
             StoreError::Restore(msg) => write!(f, "snapshot restore failed: {msg}"),
         }
     }
@@ -352,9 +363,15 @@ impl<B: StorageBackend> SessionStore<B> {
             .expect("touch ensured live state"))
     }
 
-    /// Absorbs one round of user input durably: logged and synced first,
-    /// then applied. Returns the engine's `|Ot|` extension size.
+    /// Absorbs one round of user input durably: validated against the
+    /// session's schema, logged and synced, then applied. Returns the
+    /// engine's `|Ot|` extension size.
     pub fn apply_input(&mut self, id: SessionId, input: &UserInput) -> Result<usize, StoreError> {
+        let entry = self.entries.get(&id.0).ok_or(StoreError::UnknownSession(id))?;
+        let arity = entry.base.schema().arity();
+        if let Some(&attr) = input.values.keys().find(|a| a.index() >= arity) {
+            return Err(StoreError::UnknownAttr { attr, arity });
+        }
         self.touch(id)?;
         self.log_event(id, &LogRecord::Input(input.clone()))?;
         let entry = self.entries.get_mut(&id.0).expect("touched");
@@ -393,14 +410,6 @@ impl<B: StorageBackend> SessionStore<B> {
         self.commit_batch(id, epoch, count)?;
         self.after_event(id, count)?;
         Ok(effective)
-    }
-
-    /// Absorbs one plain (unstamped) revision durably, as a batch of one.
-    /// Returns whether it was applied (`false` = quarantined), as
-    /// [`ResolutionSession::absorb_revision`] does.
-    pub fn absorb_revision(&mut self, id: SessionId, rev: &Revision) -> Result<bool, StoreError> {
-        let (_, applied) = self.absorb_revision_batch(id, std::slice::from_ref(rev))?;
-        Ok(applied.first().copied().unwrap_or(false))
     }
 
     /// Absorbs a batch of plain revisions durably and atomically: appended

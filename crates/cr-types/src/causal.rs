@@ -48,9 +48,8 @@ impl std::fmt::Display for SourceId {
 
 /// A monotone session version number. The resolution session seals one
 /// epoch per committed mutation batch (a round of user input, a revision
-/// batch); readers that must never observe a half-applied batch are
-/// answered against the last *sealed* epoch while a batch is mid-flight
-/// (MVCC-style snapshot reads — see the ingest module of `cr-core`).
+/// batch that applied at least one event), so an epoch names a settled
+/// state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epoch(pub u64);
 

@@ -169,10 +169,10 @@ fn batched_ingestion_matches(
         // The sequential twin absorbs the identical poll one event at
         // a time; the mirror replays exactly the applied subset.
         for (rev, ok) in poll.iter().zip(&applied) {
-            let twin_ok = sequential
-                .absorb_revision(rev)
+            let (_, twin_ok) = sequential
+                .absorb_revision_batch(std::slice::from_ref(rev))
                 .map_err(|e| TestCaseError::fail(format!("sequential twin rejected: {e:?}")))?;
-            prop_assert_eq!(twin_ok, *ok, "batched and sequential validation agree");
+            prop_assert_eq!(twin_ok[0], *ok, "batched and sequential validation agree");
             if *ok {
                 mirror.apply(rev);
             }
