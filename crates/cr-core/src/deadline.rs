@@ -59,12 +59,6 @@ impl PhaseDeadline {
         Self { now, deadline, cost_per_phase }
     }
 
-    /// An effectively unbounded budget (deadline `u64::MAX`), for callers
-    /// that charge phases without a timeout.
-    pub fn unbounded() -> Self {
-        Self { now: 0, deadline: u64::MAX, cost_per_phase: 0 }
-    }
-
     /// The virtual tick the budget has advanced to.
     pub fn now(&self) -> u64 {
         self.now
@@ -120,13 +114,5 @@ mod tests {
     fn already_late_fails_immediately() {
         let mut b = PhaseDeadline::new(9, 3, 1);
         assert!(b.enter_phase().is_err());
-    }
-
-    #[test]
-    fn unbounded_never_expires() {
-        let mut b = PhaseDeadline::unbounded();
-        for _ in 0..1000 {
-            assert!(b.enter_phase().is_ok());
-        }
     }
 }

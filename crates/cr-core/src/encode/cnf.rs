@@ -61,7 +61,7 @@ use super::AxiomMode;
 
 use super::omega::{
     base_order_instance, build_spaces, cfd_instances, emit_base_orders, emit_null_bottoms,
-    emit_sigma_gamma, instantiate_pair, sigma_constraint_instances, Conclusion,
+    emit_sigma_gamma, instantiate_pair, sigma_constraint_instances, Conclusion, GlobalToLocal,
     InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
 };
 use super::EncodeOptions;
@@ -249,31 +249,37 @@ impl EncodedSpec {
 
     /// Encodes `spec` with explicit [`EncodeOptions`].
     pub fn encode_with(spec: &Specification, options: EncodeOptions) -> Self {
-        Self::encode_impl(spec, options, None)
+        let program = spec.compiled_program().clone();
+        Self::encode_impl(spec, options, |space, g2l, sink| {
+            emit_sigma_gamma(spec, &program, space, g2l, sink)
+        })
     }
 
-    /// Encodes `spec` with the Σ/Γ instance constraints supplied by the
-    /// caller instead of instantiated inline. `chunks` must be the
-    /// instantiations of adjacent ranges covering the combined constraint
-    /// index space `[0, |Σ| + |Γ|)` in order (see
-    /// `super::omega::SplitPlan`); the result is then byte-identical to
-    /// [`EncodedSpec::encode_with`]. This is the merge half of the
-    /// scheduler's split tasks: subtasks instantiate ranges in parallel,
-    /// the finisher replays them here through the ordinary sink path.
-    pub(crate) fn encode_with_omega_chunks(
+    /// [`EncodedSpec::encode_with`] over a supplied Σ/Γ instance list
+    /// instead of the compiled-program projection — the reference path the
+    /// tests encode a reference instance stream with, to prove the
+    /// production CNF equal to it clause for clause.
+    #[cfg(test)]
+    pub(crate) fn encode_with_omega(
         spec: &Specification,
         options: EncodeOptions,
-        chunks: Vec<Vec<InstanceConstraint>>,
+        omega: Vec<InstanceConstraint>,
     ) -> Self {
-        Self::encode_impl(spec, options, Some(chunks))
+        Self::encode_impl(spec, options, |_, _, sink| {
+            for c in omega {
+                sink.emit(c);
+            }
+        })
     }
 
+    /// The encode, with steps 4–5 of `Instantiation(Se)` (the Σ/Γ instance
+    /// stream) supplied by `sigma_gamma` between the base orders and the
+    /// revisable groups.
     fn encode_impl(
         spec: &Specification,
         options: EncodeOptions,
-        chunks: Option<Vec<Vec<InstanceConstraint>>>,
+        sigma_gamma: impl FnOnce(&AttrValueSpace, &GlobalToLocal, &mut EncoderSink<'_>),
     ) -> Self {
-        let program = spec.compiled_program().clone();
         let (space, g2l) = build_spaces(spec);
         let widths: Vec<usize> = (0..space.arity())
             .map(|i| space.attr(AttrId(i as u16)).len())
@@ -343,20 +349,7 @@ impl EncodedSpec {
             if !options.revisable {
                 emit_base_orders(spec, &g2l, &mut sink);
             }
-            match chunks {
-                None => emit_sigma_gamma(spec, &program, &space, &g2l, &mut sink),
-                // Split subtasks already instantiated the Σ/Γ ranges;
-                // replaying them in range order through the same sink
-                // reproduces the inline emission stream exactly.
-                Some(chunks) => {
-                    for chunk in chunks {
-                        sink.hint(chunk.len().min(4096));
-                        for c in chunk {
-                            sink.emit(c);
-                        }
-                    }
-                }
-            }
+            sigma_gamma(&space, &g2l, &mut sink);
         }
         if options.revisable {
             // Base currency orders, one retractable group per tuple-level

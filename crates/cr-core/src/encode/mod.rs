@@ -82,7 +82,7 @@
 //!    CFDs; the program itself never changes during a resolution (user
 //!    input adds tuples and values, not constraints), so every round of
 //!    every entity of a dataset shares one `Arc<CompiledProgram>` —
-//!    including across the `sched::resolve_batch` worker fan-out
+//!    including across the worker threads of `sched::resolve_batch`
 //!    (`CompiledProgram` is immutable after compile, hence freely
 //!    `Send + Sync`-shared; entities only read it).
 //!
@@ -135,7 +135,6 @@ mod program;
 pub use cnf::{ClauseKind, EncodedSpec, GroupId};
 pub(crate) use cnf::{RecordingAxiomSource, TransientAxiomSource};
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
-pub(crate) use omega::SplitPlan;
 pub use program::{compile_count, CompiledProgram};
 
 /// The instance constraints Ω(Se) via the **reference** (pre-compilation)

@@ -30,10 +30,9 @@
 //!   done once per *class* (the compiled program's distinct
 //!   referenced-attribute sets) and entity, in a [`ProjectionCache`] —
 //!   not once per constraint. Generated Person specifications keep
-//!   hundreds of constraints in two classes. The serial encode, the
-//!   scheduler's split subtasks (`SplitPlan`, one cache shared by all
-//!   ranges) and the revisable re-emission path
-//!   ([`sigma_constraint_instances`]) all read the cache.
+//!   hundreds of constraints in two classes. The encode and the revisable
+//!   re-emission path ([`sigma_constraint_instances`]) both read the
+//!   cache.
 //! * **Pinned lookup.** A constraint side is *pinned* when its `Eq`
 //!   conjuncts equate every referenced attribute to a string constant
 //!   (e.g. `t1[status] = "working"`): at most one projection can pass it —
@@ -54,8 +53,8 @@
 //! CNF, clause for clause — equals the per-constraint emission, which is
 //! kept as a test oracle.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use cr_constraints::Predicate;
 use cr_types::{AttrValueSpace, TupleId, Value, ValueId, NULL_VALUE_ID};
@@ -664,14 +663,13 @@ fn group_projections(
 /// Per-entity cache of [`ClassProjections`], one slot per projection class
 /// of a [`CompiledProgram`], each filled on first use — so an entity's
 /// tuples are grouped once per class instead of once per constraint.
-/// Slots are `OnceLock`s: split subtasks share one cache across threads.
 pub(crate) struct ProjectionCache {
-    classes: Vec<OnceLock<ClassProjections>>,
+    classes: Vec<OnceCell<ClassProjections>>,
 }
 
 impl ProjectionCache {
     pub(crate) fn new(program: &CompiledProgram) -> Self {
-        ProjectionCache { classes: program.classes.iter().map(|_| OnceLock::new()).collect() }
+        ProjectionCache { classes: program.classes.iter().map(|_| OnceCell::new()).collect() }
     }
 
     /// The projections of `entity` on `program`'s class `class`. Every
@@ -723,29 +721,7 @@ pub(crate) fn emit_sigma_gamma(
     g2l: &GlobalToLocal,
     sink: &mut impl OmegaSink,
 ) {
-    let total = program.sigma.len() + program.gamma.len();
     let projections = ProjectionCache::new(program);
-    emit_sigma_gamma_range(spec, program, space, g2l, &projections, 0..total, sink);
-}
-
-/// [`emit_sigma_gamma`] restricted to a contiguous slice of the combined
-/// constraint index space `[0, |Σ| + |Γ|)`: indices below `|Σ|` are
-/// currency constraints, the rest are CFDs (offset by `|Σ|`). Constraints
-/// are mutually independent, so covering `[0, total)` with adjacent ranges
-/// in order reproduces the full emission stream byte-for-byte — this is
-/// what lets the scheduler split one oversized entity's instantiation
-/// across stealable subtasks (see `crate::sched`) without perturbing the
-/// encoding. `projections` must be a cache for `spec`'s entity; ranges of
-/// one entity share it.
-pub(crate) fn emit_sigma_gamma_range(
-    spec: &Specification,
-    program: &CompiledProgram,
-    space: &AttrValueSpace,
-    g2l: &GlobalToLocal,
-    projections: &ProjectionCache,
-    range: std::ops::Range<usize>,
-    sink: &mut impl OmegaSink,
-) {
     let entity = spec.entity();
     if let (Some(pt), Some(et)) = (program.table_token(), entity.table_token()) {
         debug_assert_eq!(
@@ -773,9 +749,7 @@ pub(crate) fn emit_sigma_gamma_range(
     // (the projection class), computed on first use.
     let mut t1_cands: Vec<TupleId> = Vec::new();
     let mut t2_cands: Vec<TupleId> = Vec::new();
-    let sigma_range = range.start.min(program.sigma.len())..range.end.min(program.sigma.len());
-    for (ci, cc) in program.sigma[sigma_range.clone()].iter().enumerate() {
-        let ci = ci + sigma_range.start;
+    for (ci, cc) in program.sigma.iter().enumerate() {
         let proj = projections.get(program, entity, cc.class);
         let reps = &proj.reps;
         sink.hint(reps.len() * reps.len().saturating_sub(1));
@@ -916,28 +890,24 @@ pub(crate) fn emit_sigma_gamma_range(
     }
 
     // 5. Constant CFDs, patterns resolved through dense global ids.
-    let gamma_range = range.start.saturating_sub(program.sigma.len())
-        ..range.end.saturating_sub(program.sigma.len());
-    for (gi, cfd) in program.gamma[gamma_range.clone()].iter().enumerate() {
-        let gi = gi + gamma_range.start;
+    for (gi, cfd) in program.gamma.iter().enumerate() {
         for c in compiled_cfd_instances(space, g2l, entity, gi, cfd, use_gids) {
             sink.emit(c);
         }
     }
 }
 
-/// The per-constraint Σ emission [`emit_sigma_gamma_range`] replaced: it
+/// The per-constraint Σ emission [`emit_sigma_gamma`] replaced: it
 /// regroups the entity's tuples for every constraint and evaluates every
 /// side's constants on every projection. Kept as the oracle the
 /// class-cached, pinned emission is proven against (event-sequence
 /// equality, see the tests below).
 #[cfg(test)]
-fn emit_sigma_gamma_range_reference(
+fn emit_sigma_gamma_reference(
     spec: &Specification,
     program: &CompiledProgram,
     space: &AttrValueSpace,
     g2l: &GlobalToLocal,
-    range: std::ops::Range<usize>,
     sink: &mut impl OmegaSink,
 ) {
     let entity = spec.entity();
@@ -963,9 +933,7 @@ fn emit_sigma_gamma_range_reference(
     // instances have few distinct projections (many near-duplicate tuples).
     let mut t1_ok: Vec<bool> = Vec::new();
     let mut t2_ok: Vec<bool> = Vec::new();
-    let sigma_range = range.start.min(program.sigma.len())..range.end.min(program.sigma.len());
-    for (ci, cc) in program.sigma[sigma_range.clone()].iter().enumerate() {
-        let ci = ci + sigma_range.start;
+    for (ci, cc) in program.sigma.iter().enumerate() {
         let reps = group_projections(entity, &cc.referenced_attrs).reps;
         sink.hint(reps.len() * reps.len().saturating_sub(1));
 
@@ -1097,65 +1065,10 @@ fn emit_sigma_gamma_range_reference(
     }
 
     // 5. Constant CFDs, patterns resolved through dense global ids.
-    let gamma_range = range.start.saturating_sub(program.sigma.len())
-        ..range.end.saturating_sub(program.sigma.len());
-    for (gi, cfd) in program.gamma[gamma_range.clone()].iter().enumerate() {
-        let gi = gi + gamma_range.start;
+    for (gi, cfd) in program.gamma.iter().enumerate() {
         for c in compiled_cfd_instances(space, g2l, entity, gi, cfd, use_gids) {
             sink.emit(c);
         }
-    }
-}
-
-/// Pre-built context for splitting one entity's Σ/Γ instantiation across
-/// subtasks: the value spaces and translation table (deterministic
-/// functions of the specification, so every subtask and the final chunked
-/// encode agree on value ids), the entity's projection-class cache (shared
-/// by the subtasks, each class grouped once) plus the combined constraint
-/// count.
-pub(crate) struct SplitPlan {
-    space: AttrValueSpace,
-    g2l: GlobalToLocal,
-    projections: ProjectionCache,
-    total: usize,
-}
-
-impl SplitPlan {
-    pub(crate) fn new(spec: &Specification) -> Self {
-        let program = spec.compiled_program();
-        let (space, g2l) = build_spaces(spec);
-        let total = program.sigma.len() + program.gamma.len();
-        SplitPlan { space, g2l, projections: ProjectionCache::new(program), total }
-    }
-
-    /// Number of combined Σ/Γ constraint indices (the splittable space).
-    pub(crate) fn total_constraints(&self) -> usize {
-        self.total
-    }
-
-    /// Instantiates the constraints of one index range into a buffer — the
-    /// body of a stealable split subtask. Covering `[0, total)` with
-    /// adjacent ranges in order and feeding the chunks to
-    /// `EncodedSpec::encode_with_omega_chunks` reproduces the serial
-    /// encoding exactly. `spec` must be the specification the plan was
-    /// built from.
-    pub(crate) fn instantiate_range(
-        &self,
-        spec: &Specification,
-        range: std::ops::Range<usize>,
-    ) -> Vec<InstanceConstraint> {
-        let program = spec.compiled_program().clone();
-        let mut out: Vec<InstanceConstraint> = Vec::new();
-        emit_sigma_gamma_range(
-            spec,
-            &program,
-            &self.space,
-            &self.g2l,
-            &self.projections,
-            range,
-            &mut out,
-        );
-        out
     }
 }
 
@@ -1731,8 +1644,8 @@ mod tests {
 
         /// Σ emission with projection classes and pinned lookup produces
         /// exactly the event sequence (hints and instances, in order) of
-        /// the per-constraint reference — serially, split into ranges
-        /// through `SplitPlan`, as CNF clauses, and on the revisable
+        /// the per-constraint reference — as instance events, as CNF
+        /// clauses, and on the revisable
         /// re-emission path before and after a value revision. Covers
         /// nulls, duplicate projections, numerically equal `Int`/`Float`
         /// cells against string and numeric constants, out-of-domain
@@ -1749,7 +1662,6 @@ mod tests {
             table_mode in 0u8..3,
             pushed in proptest::collection::vec(0u8..10, SIGMA_ARITY),
             revision in (0usize..8, 0usize..SIGMA_ARITY, 0u8..10),
-            split in 0usize..16,
         ) {
             let s = Schema::new("p", ["a0", "a1", "a2"]).unwrap();
             let tuples: Vec<Tuple> =
@@ -1780,27 +1692,15 @@ mod tests {
             ));
             spec.set_compiled_program(program.clone());
             let (space, g2l) = build_spaces(&spec);
-            let total = program.sigma.len();
 
             let mut production: Vec<SinkEvent> = Vec::new();
             emit_sigma_gamma(&spec, &program, &space, &g2l, &mut production);
             let mut reference: Vec<SinkEvent> = Vec::new();
-            emit_sigma_gamma_range_reference(
-                &spec,
-                &program,
-                &space,
-                &g2l,
-                0..total,
-                &mut reference,
-            );
+            emit_sigma_gamma_reference(&spec, &program, &space, &g2l, &mut reference);
             proptest::prop_assert_eq!(&production, &reference);
 
-            // Split subtasks sharing one plan (and its class cache).
-            let plan = SplitPlan::new(&spec);
-            let mid = split.min(total);
-            let mut chunks = plan.instantiate_range(&spec, mid..total);
-            let mut first = plan.instantiate_range(&spec, 0..mid);
-            first.append(&mut chunks);
+            // The same stream as CNF clauses: the production encode equals
+            // an encode of the reference instance stream.
             let instances: Vec<InstanceConstraint> = reference
                 .into_iter()
                 .filter_map(|e| match e {
@@ -1808,16 +1708,10 @@ mod tests {
                     SinkEvent::Hint(_) => None,
                 })
                 .collect();
-            proptest::prop_assert_eq!(&first, &instances);
-
-            // The same stream as CNF clauses.
             let options = super::super::EncodeOptions::lazy().with_revisable();
             let production_cnf = super::super::EncodedSpec::encode_with(&spec, options);
-            let reference_cnf = super::super::EncodedSpec::encode_with_omega_chunks(
-                &spec,
-                options,
-                vec![instances],
-            );
+            let reference_cnf =
+                super::super::EncodedSpec::encode_with_omega(&spec, options, instances);
             proptest::prop_assert!(production_cnf
                 .cnf()
                 .clauses()

@@ -15,11 +15,12 @@
 //! loop runs on an engine that keeps three pieces of state alive across
 //! rounds instead of rebuilding them:
 //!
-//! * the [`EncodedSpec`] — user answers drawn from the interned value
-//!   space are absorbed by [`ResolutionSession::apply_input`], which
-//!   appends the unit clauses and Σ instances induced by the fresh
-//!   user-input tuple (value spaces and the Ω(Se) instantiation of the
-//!   original tuples are invariant under such input);
+//! * the [`EncodedSpec`](crate::encode::EncodedSpec) — user answers
+//!   drawn from the interned value space are absorbed by
+//!   [`ResolutionSession::apply_input`], which appends the unit clauses
+//!   and Σ instances induced by the fresh user-input tuple (value spaces
+//!   and the Ω(Se) instantiation of the original tuples are invariant
+//!   under such input);
 //! * one CDCL [`cr_sat::Solver`] shared by the validity check and (for
 //!   [`DeductionMethod::NaiveSat`]) the deduction probes — clauses learnt
 //!   in any phase of any round prune the search in all later ones;
@@ -96,28 +97,23 @@
 //!
 //! Independent entities share no *mutable* state;
 //! [`crate::sched::resolve_batch`] fans a batch of resolutions across
-//! the sharded work-stealing scheduler of [`crate::sched`]: each worker
-//! owns a deque of deterministically pre-built tasks (small entities
-//! batched together, oversized entities' Ω instantiation split into
-//! stealable subtasks) and steals from its siblings when its own deque
-//! runs dry, so a handful of giant entities cannot strand the other
-//! cores. What entities do share is the dataset's immutable
+//! the worker threads of [`crate::sched`], which pop whole entities off
+//! one bounded queue. What entities do share is the dataset's immutable
 //! `Arc<CompiledProgram>` (stamped by the dataset generators): Σ/Γ are
 //! compiled once per dataset and every entity on every thread only
 //! projects through the shared program — see the "Compiled constraint
 //! programs" section of the encode module docs. Workers additionally pool
 //! per-entity solver scratch ([`ResolutionSession`] teardown feeds the
-//! next resolution's solver construction), and streaming ingestion can be
-//! coupled to resolution through the scheduler's bounded queue
-//! ([`crate::sched::resolve_stream`]) so unresolved entities never pile
-//! up unboundedly ahead of the workers.
+//! next resolution's solver construction), and streaming ingestion feeds
+//! the same queue ([`crate::sched::resolve_stream`]) so unresolved
+//! entities never pile up unboundedly ahead of the workers.
 
 use std::time::{Duration, Instant};
 
 use cr_types::{Schema, Tuple};
 
 use crate::deduce::DeducedOrders;
-use crate::encode::{EncodeOptions, EncodedSpec};
+use crate::encode::EncodeOptions;
 use crate::ingest::{CompetingCell, ResolutionSession, RevisionSource, RevisionTelemetry};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::Suggestion;
@@ -360,39 +356,33 @@ impl Resolver {
     /// incremental engine or — with [`ResolutionConfig::incremental`] off —
     /// on a fresh session per round.
     pub fn resolve(&self, spec: &Specification, oracle: &mut dyn UserOracle) -> ResolutionOutcome {
-        let session = ResolutionSession::with_options(spec, self.engine_encode_options());
-        self.drive_session(spec, oracle, None, session).0
+        self.resolve_pooled(spec, oracle, &mut None)
     }
 
-    /// [`Resolver::resolve`] for the scheduler's shard workers: an
-    /// optional pre-built encoding (split tasks encode oversized entities
-    /// off the worker's critical path) and a pooled solver scratch cycled
-    /// across the worker's resolutions. Outcome-identical to
-    /// [`Resolver::resolve`] — the scratch-built solver starts in the same
-    /// state as a fresh one, and a pre-built encoding is byte-identical to
-    /// the inline encode (see `EncodedSpec::encode_with_omega_chunks`).
+    /// [`Resolver::resolve`] with a solver scratch the scheduler's workers
+    /// cycle across their resolutions: the round-0 session's solver is
+    /// built from `scratch` and the spent session is torn back into it.
+    /// Outcome-identical to a fresh solver — a scratch-built solver starts
+    /// in the same state.
     pub(crate) fn resolve_pooled(
         &self,
         spec: &Specification,
         oracle: &mut dyn UserOracle,
-        enc: Option<EncodedSpec>,
         scratch: &mut Option<cr_sat::SolverScratch>,
     ) -> ResolutionOutcome {
-        let enc =
-            enc.unwrap_or_else(|| EncodedSpec::encode_with(spec, self.engine_encode_options()));
-        let session = ResolutionSession::from_encoded(spec, enc, scratch.take());
+        let session =
+            ResolutionSession::with_options(spec, self.engine_encode_options(), scratch.take());
         let (outcome, session) = self.drive_session(spec, oracle, None, session);
         *scratch = Some(session.into_solver_scratch());
         outcome
     }
 
     /// The [`EncodeOptions`] [`Resolver::resolve`] opens its round-0
-    /// session with — what split tasks must use for their pre-built
-    /// encodings to match. The incremental engine guards its CFDs; the
+    /// session with. The incremental engine guards its CFDs; the
     /// from-scratch loop encodes with plain unguarded
     /// [`EncodeOptions::lazy`], so the oracle checks the guard-group
     /// machinery against plain CFD clauses.
-    pub(crate) fn engine_encode_options(&self) -> EncodeOptions {
+    fn engine_encode_options(&self) -> EncodeOptions {
         if self.config.incremental {
             ResolutionSession::engine_options()
         } else {
@@ -435,7 +425,7 @@ impl Resolver {
     /// The Fig. 4 loop body over a pre-built round-0 session, returning
     /// the spent session alongside the outcome so callers can recycle its
     /// solver allocations ([`ResolutionSession::into_solver_scratch`]) —
-    /// the scheduler's shard workers resolve thousands of entities each
+    /// the scheduler's workers resolve thousands of entities each
     /// and pool their scratch across resolutions.
     ///
     /// The incremental engine absorbs each answer into the live session.
@@ -540,7 +530,7 @@ impl Resolver {
             let t0 = Instant::now();
             if let Some(next) = reopen.take() {
                 discarded_axioms += session.injected_axioms();
-                session = ResolutionSession::with_options(&next, EncodeOptions::lazy());
+                session = ResolutionSession::with_options(&next, EncodeOptions::lazy(), None);
             }
             let valid = session.is_valid();
             let validity = t0.elapsed();

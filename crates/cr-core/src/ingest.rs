@@ -535,14 +535,12 @@ impl ResolutionSession {
     /// The encoding is fixed (`EncodeOptions::lazy().with_guarded_cfds()`);
     /// `_config` does not select it and is kept for signature stability.
     pub fn new(_config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, Self::engine_options())
+        Self::with_options(spec, Self::engine_options(), None)
     }
 
     /// The [`EncodeOptions`] the ordinary interactive engine encodes with:
     /// lazy axioms, and guarded CFD groups, which are what make every user
-    /// answer a pure extension. The scheduler's split tasks pre-encode with
-    /// exactly these options so the session they feed is byte-identical to
-    /// one the engine would have built itself.
+    /// answer a pure extension.
     pub(crate) fn engine_options() -> EncodeOptions {
         EncodeOptions::lazy().with_guarded_cfds()
     }
@@ -555,30 +553,22 @@ impl ResolutionSession {
     /// The encoding is fixed (`EncodeOptions::lazy().with_revisable()`);
     /// `_config` does not select it and is kept for signature stability.
     pub fn new_revisable(_config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, EncodeOptions::lazy().with_revisable())
+        Self::with_options(spec, EncodeOptions::lazy().with_revisable(), None)
     }
 
     /// Opens a session on `spec` encoded with `options`, which must be
     /// lazy: every session query drives its solvers through the lazy axiom
     /// source. The from-scratch loop opens one per round with unguarded
-    /// [`EncodeOptions::lazy`] and never extends it.
-    pub(crate) fn with_options(spec: &Specification, options: EncodeOptions) -> Self {
-        let enc = EncodedSpec::encode_with(spec, options);
-        Self::from_encoded(spec, enc, None)
-    }
-
-    /// Opens a session over a pre-built encoding — the scheduler's entry
-    /// point: split tasks encode `spec` off-thread (with
-    /// [`ResolutionSession::engine_options`]) and shard workers recycle
-    /// per-entity solver allocations through `scratch`. A scratch-built
-    /// solver is state-identical to a fresh one
-    /// (`cr_sat::Solver::from_cnf_with_scratch`), so sessions opened here
-    /// resolve exactly like [`ResolutionSession::new`] ones.
-    pub(crate) fn from_encoded(
+    /// [`EncodeOptions::lazy`] and never extends it. The scheduler's
+    /// workers pass the `scratch` of their previous resolution to recycle
+    /// its solver allocations; a scratch-built solver is state-identical to
+    /// a fresh one (`cr_sat::Solver::from_cnf_with_scratch`).
+    pub(crate) fn with_options(
         spec: &Specification,
-        enc: EncodedSpec,
+        options: EncodeOptions,
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
+        let enc = EncodedSpec::encode_with(spec, options);
         let mut solver = match scratch {
             Some(s) => cr_sat::Solver::from_cnf_with_scratch(enc.cnf(), s),
             None => cr_sat::Solver::from_cnf(enc.cnf()),
@@ -606,7 +596,7 @@ impl ResolutionSession {
     }
 
     /// Tears the session down into reusable solver scratch (cleared
-    /// allocations: clause arena, watch lists, literal buffers). Shard
+    /// allocations: clause arena, watch lists, literal buffers). Scheduler
     /// workers call this between entities so per-entity solver allocation
     /// cost is paid once per worker, not once per entity.
     pub(crate) fn into_solver_scratch(self) -> cr_sat::SolverScratch {

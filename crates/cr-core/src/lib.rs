@@ -20,8 +20,8 @@
 //!   `MaxClique` + `MaxSat`-repair and suggestion generation (Section V-C);
 //! * [`framework`] — the interactive loop of Fig. 4 with pluggable user
 //!   oracles;
-//! * [`sched`] — the sharded work-stealing scheduler behind dataset-wide
-//!   parallel resolution, with streaming backpressure and telemetry;
+//! * [`sched`] — the bounded-queue scheduler behind dataset-wide parallel
+//!   resolution, with streaming backpressure and telemetry;
 //! * [`implication`] — the `Se |= Ot` decision procedure (Section IV) and
 //!   minimal-core explanations for invalid specifications;
 //! * [`pick`] — the traditional `Pick` baseline used in the evaluation;
@@ -68,9 +68,7 @@ pub use isvalid::{is_valid, is_valid_encoded, Validity};
 pub use metrics::{Accuracy, FMeasure};
 pub use orders::PartialOrders;
 pub use pick::pick_baseline;
-pub use sched::{
-    resolve_batch, resolve_stream, BoundedQueue, Placement, SchedTelemetry, SchedulerConfig,
-};
+pub use sched::{resolve_batch, resolve_stream, SchedTelemetry, SchedulerConfig};
 pub use spec::{Specification, UserInput};
 pub use suggest::{suggest, Suggestion};
 pub use truevalue::{

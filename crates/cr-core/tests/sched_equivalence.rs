@@ -1,14 +1,14 @@
-//! Differential tests for the sharded work-stealing scheduler
-//! (`cr_core::sched`): resolution outcomes must be *identical* to the
-//! single-threaded baseline at every worker count, placement, batching
-//! and splitting configuration — scheduling must only move work between
-//! threads, never change it.
+//! Differential tests for the scheduler (`cr_core::sched`): resolution
+//! outcomes must be *identical* to the single-threaded baseline at every
+//! worker count and queue capacity — scheduling must only move whole
+//! entities between threads, never change their resolution.
 
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
-use cr_core::sched::{resolve_batch, resolve_stream, Placement, SchedulerConfig};
+use cr_core::sched::{resolve_batch, resolve_stream, SchedulerConfig};
 use cr_core::{ResolutionOutcome, Specification};
 use cr_data::gen::{PowerLawConfig, PowerLawDataset};
 use proptest::prelude::*;
+use std::borrow::Borrow;
 use std::sync::Mutex;
 
 fn dataset(seed: u64, entities: usize, giants: usize) -> PowerLawDataset {
@@ -53,11 +53,36 @@ fn assert_outcomes_equal(label: &str, serial: &[ResolutionOutcome], other: &[Res
     }
 }
 
+/// Collects a [`resolve_stream`] run over `n` entities into input order,
+/// asserting each entity is resolved exactly once.
+fn stream_outcomes<I>(
+    resolver: &Resolver,
+    n: usize,
+    entities: I,
+    make_oracle: &(impl Fn(usize) -> GroundTruthOracle + Sync),
+    config: &SchedulerConfig,
+) -> (Vec<ResolutionOutcome>, cr_core::SchedTelemetry)
+where
+    I: Iterator,
+    I::Item: Borrow<Specification> + Send,
+{
+    let slots: Vec<Mutex<Option<ResolutionOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let telemetry = resolve_stream(resolver, entities, make_oracle, config, &|i, outcome| {
+        let prev = slots[i].lock().unwrap().replace(outcome);
+        assert!(prev.is_none(), "entity {i} resolved twice");
+    });
+    let outcomes = slots
+        .into_iter()
+        .map(|s| s.into_inner().unwrap().expect("every entity resolved"))
+        .collect();
+    (outcomes, telemetry)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Seeded power-law batches across worker widths and both placements:
-    /// every configuration must reproduce the single-threaded outcomes.
+    /// Seeded power-law batches with one giant entity across worker
+    /// widths: every width must reproduce the single-threaded outcomes.
     #[test]
     fn width_sweep_matches_serial(seed in 0u64..200, inc_bit in 0u32..2) {
         let incremental = inc_bit == 1;
@@ -67,91 +92,41 @@ proptest! {
         let serial = serial_outcomes(&resolver, &ds, &specs);
         let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
         for workers in [1usize, 2, 4, 8] {
-            for placement in [Placement::RoundRobin, Placement::Skewed] {
-                let config = SchedulerConfig {
-                    placement,
-                    // Low thresholds so batching AND splitting genuinely
-                    // engage on these small test datasets.
-                    batch_max_entities: 4,
-                    large_tuple_threshold: 12,
-                    split_tuple_threshold: 48,
-                    ..SchedulerConfig::with_workers(workers)
-                };
-                let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
-                let label = format!("workers={workers} placement={placement:?} incremental={incremental}");
-                assert_outcomes_equal(&label, &serial, &outcomes);
-                prop_assert_eq!(telemetry.workers, workers.min(specs.len()));
-                prop_assert!(telemetry.tasks > 0);
-            }
+            let config = SchedulerConfig::with_workers(workers);
+            let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
+            let label = format!("workers={workers} incremental={incremental}");
+            assert_outcomes_equal(&label, &serial, &outcomes);
+            prop_assert_eq!(telemetry.workers, workers.min(specs.len()));
+            prop_assert_eq!(telemetry.tasks, specs.len());
         }
     }
 }
 
-/// One pinned oversized entity with a low split threshold: the scheduler
-/// must actually split it (deterministic task construction ⇒ exact
-/// telemetry), and the split-instantiated encoding must resolve to the
-/// serial outcome.
+/// The batch entry point and the stream entry point are one scheduler:
+/// on the same seeded batch with a giant entity, in both engine modes and
+/// at every width from 0 to 16, `resolve_batch` ≡ `resolve_stream` ≡
+/// serial, entity by entity.
 #[test]
-fn split_tasks_reproduce_serial_outcomes() {
-    let ds = dataset(77, 6, 1);
+fn batch_and_stream_match_serial_at_every_width() {
+    let ds = dataset(41, 16, 1);
     assert!(ds.sizes()[0] >= 96, "giant pinned to max_tuples");
     let specs = ds.specs();
-    let resolver = Resolver::new(ResolutionConfig::default());
-    assert!(resolver.config().incremental, "split path needs the incremental engine");
-    let serial = serial_outcomes(&resolver, &ds, &specs);
     let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
-    let config = SchedulerConfig {
-        split_tuple_threshold: 90,
-        split_max_subtasks: 3,
-        ..SchedulerConfig::with_workers(4)
-    };
-    let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
-    assert_outcomes_equal("split", &serial, &outcomes);
-    assert_eq!(telemetry.split_entities, 1, "exactly the giant splits");
-    assert!(
-        (2..=3).contains(&telemetry.split_subtasks),
-        "subtasks bounded by config, got {}",
-        telemetry.split_subtasks
-    );
-
-    // The same batch with splitting disabled also agrees — splitting is
-    // purely a scheduling decision.
-    let no_split = SchedulerConfig {
-        split_tuple_threshold: usize::MAX,
-        ..SchedulerConfig::with_workers(4)
-    };
-    let (outcomes2, telemetry2) = resolve_batch(&resolver, &specs, &make_oracle, &no_split);
-    assert_outcomes_equal("no-split", &serial, &outcomes2);
-    assert_eq!(telemetry2.split_entities, 0);
-}
-
-/// Small entities with batching engaged: batch telemetry is deterministic
-/// and the fused tasks resolve identically.
-#[test]
-fn batched_small_entities_match_serial() {
-    let ds = PowerLawDataset::new(&PowerLawConfig {
-        seed: 5,
-        entities: 30,
-        min_tuples: 2,
-        max_tuples: 6, // everything is "small"
-        ..Default::default()
-    });
-    let specs = ds.specs();
-    let resolver = Resolver::new(ResolutionConfig::default());
-    let serial = serial_outcomes(&resolver, &ds, &specs);
-    let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
-    let config = SchedulerConfig {
-        batch_max_entities: 8,
-        large_tuple_threshold: 100,
-        ..SchedulerConfig::with_workers(3)
-    };
-    let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
-    assert_outcomes_equal("batched", &serial, &outcomes);
-    // 30 small entities at batch size 8 → deterministic 4 run tasks.
-    assert_eq!(telemetry.tasks, 4);
-    assert_eq!(telemetry.batch_tasks, 4);
-    assert_eq!(telemetry.batched_entities, 30);
-    assert_eq!(telemetry.max_batch, 8);
+    for incremental in [true, false] {
+        let resolver = Resolver::new(ResolutionConfig { incremental, ..Default::default() });
+        let serial = serial_outcomes(&resolver, &ds, &specs);
+        for workers in 0usize..=16 {
+            let config = SchedulerConfig::with_workers(workers);
+            let label = format!("workers={workers} incremental={incremental}");
+            let (batch, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
+            assert_outcomes_equal(&format!("batch {label}"), &serial, &batch);
+            assert_eq!(telemetry.workers, workers.clamp(1, specs.len()), "{label}");
+            let (stream, telemetry) =
+                stream_outcomes(&resolver, specs.len(), specs.iter(), &make_oracle, &config);
+            assert_outcomes_equal(&format!("stream {label}"), &serial, &stream);
+            assert_eq!(telemetry.tasks, specs.len(), "{label}");
+        }
+    }
 }
 
 /// Streaming resolution through the bounded ingestion queue: outcomes
@@ -169,22 +144,8 @@ fn stream_matches_serial_and_respects_queue_cap() {
             queue_cap: cap,
             ..SchedulerConfig::with_workers(workers)
         };
-        let slots: Vec<Mutex<Option<ResolutionOutcome>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        let telemetry = resolve_stream(
-            &resolver,
-            ds.stream(),
-            &make_oracle,
-            &config,
-            &|i, outcome| {
-                let prev = slots[i].lock().unwrap().replace(outcome);
-                assert!(prev.is_none(), "entity {i} resolved twice");
-            },
-        );
-        let outcomes: Vec<ResolutionOutcome> = slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("every entity resolved"))
-            .collect();
+        let (outcomes, telemetry) =
+            stream_outcomes(&resolver, specs.len(), ds.stream(), &make_oracle, &config);
         assert_outcomes_equal(&format!("stream workers={workers} cap={cap}"), &serial, &outcomes);
         assert_eq!(telemetry.tasks, specs.len());
         assert!(
@@ -197,7 +158,7 @@ fn stream_matches_serial_and_respects_queue_cap() {
 
 /// The public batch entry point (`resolve_batch` with
 /// `SchedulerConfig::with_workers`) stays width-invariant, including
-/// degenerate widths.
+/// degenerate widths and an empty batch.
 #[test]
 fn public_parallel_entry_point_is_width_invariant() {
     let ds = dataset(29, 12, 0);
@@ -211,46 +172,10 @@ fn public_parallel_entry_point_is_width_invariant() {
         assert_outcomes_equal(&format!("workers={workers}"), &serial, &outcomes);
     }
     let empty: Vec<Specification> = Vec::new();
-    let (outcomes, _) =
+    let (outcomes, telemetry) =
         resolve_batch(&resolver, &empty, &oracle, &SchedulerConfig::with_workers(4));
     assert!(outcomes.is_empty());
-}
-
-/// Steal liveness under skew. Every task starts on shard 0, so a second
-/// task can only start while the first is still running if the other
-/// worker stole it. The oracle factory's first call blocks until a second
-/// factory call arrives, which forces exactly that overlap without any
-/// sleep or timing assumption (a 10 s timeout panics instead of hanging).
-#[test]
-fn skewed_placement_forces_a_steal() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::{Duration, Instant};
-
-    let ds = dataset(31, 4, 0);
-    let specs = ds.specs();
-    let resolver = Resolver::new(ResolutionConfig::default());
-    let serial = serial_outcomes(&resolver, &ds, &specs);
-    let calls = AtomicUsize::new(0);
-    let make_oracle = |i: usize| {
-        if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while calls.load(Ordering::SeqCst) < 2 {
-                assert!(Instant::now() < deadline, "no second task started: the steal path is dead");
-                std::thread::yield_now();
-            }
-        }
-        GroundTruthOracle::with_cap(ds.truth(i).clone(), 1)
-    };
-    let config = SchedulerConfig {
-        placement: Placement::Skewed,
-        batch_max_entities: 1,
-        split_tuple_threshold: usize::MAX,
-        ..SchedulerConfig::with_workers(2)
-    };
-    let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
-    assert_outcomes_equal("skewed", &serial, &outcomes);
-    assert_eq!(telemetry.tasks, specs.len(), "one task per entity");
-    assert!(telemetry.steals >= 1, "the second worker lives off steals, got {telemetry:?}");
+    assert_eq!(telemetry.workers, 0, "an empty batch starts no worker");
 }
 
 /// A stream whose queue holds every entity never fills, so the producer

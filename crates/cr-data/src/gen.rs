@@ -584,8 +584,8 @@ pub fn causal_timeline(
 
 /// Knobs of a seeded **power-law dataset**: many independent entities
 /// whose sizes follow a heavy-tailed (Pareto) distribution — the shape
-/// the work-stealing scheduler (`cr_core::sched`) is built for. Most
-/// entities are a few tuples (batched), a few are hundreds (split).
+/// of a dataset sweep through the scheduler (`cr_core::sched`). Most
+/// entities are a few tuples, a few are hundreds.
 ///
 /// Unlike [`ScenarioConfig`] (one adversarial entity per call, private
 /// value table, private Σ/Γ), a power-law dataset shares one value pool,
@@ -621,7 +621,7 @@ pub struct PowerLawConfig {
     /// (sampled linearly, consistent with the timeline).
     pub order_density: f64,
     /// The first `giants` entities are pinned to `max_tuples` — a
-    /// deterministic way for tests to guarantee split-worthy entities.
+    /// deterministic way for tests to guarantee an oversized entity.
     pub giants: usize,
 }
 

@@ -332,6 +332,28 @@ fn out_of_range_apply_input_is_refused_before_logging() {
     assert_eq!(server.store().recovery().rehydrations, rehydrations + 1);
 }
 
+/// An `ApplyInput` with no values carries no information: it is answered
+/// with an empty extension, logs nothing and leaves the entity (and so
+/// the encoding) as it was.
+#[test]
+fn empty_apply_input_logs_nothing_and_keeps_the_entity() {
+    let mut server =
+        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let id = SessionId(0);
+    let log_before = server.store().log_len(id).unwrap();
+    let tuples_before = server.store_mut().session(id).unwrap().current().entity().len();
+
+    let input = UserInput::empty();
+    assert!(server.submit(0, env(0, 0, 1), Request::ApplyInput { input }).is_none());
+    let replies = server.dispatch(1);
+    assert_eq!(replies.len(), 1);
+    assert!(matches!(ok_response(&replies[0]), Response::Applied { added: 0 }));
+
+    assert_eq!(server.store().log_len(id).unwrap(), log_before, "nothing logged");
+    let session = server.store_mut().session(id).unwrap();
+    assert_eq!(session.current().entity().len(), tuples_before, "no tuple pushed");
+}
+
 mod hostile {
     //! Hostile requests: every request variant, decoded off the wire, with
     //! attribute, tuple and CFD ids drawn past the session's arity, entity

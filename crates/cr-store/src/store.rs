@@ -36,8 +36,9 @@ pub enum StoreError {
     Io(String),
     /// The session was never [`open`](SessionStore::open)ed in this store.
     UnknownSession(SessionId),
-    /// A user input names an attribute outside the session's schema. It
-    /// is refused before anything is logged, so replay never meets it.
+    /// A user input names an attribute outside the session's schema. A
+    /// live input is refused before anything is logged; one already in a
+    /// log (written before the check existed) fails its rehydration.
     UnknownAttr {
         /// The offending attribute.
         attr: AttrId,
@@ -365,14 +366,16 @@ impl<B: StorageBackend> SessionStore<B> {
 
     /// Absorbs one round of user input durably: validated against the
     /// session's schema, logged and synced, then applied. Returns the
-    /// engine's `|Ot|` extension size.
+    /// engine's `|Ot|` extension size. An input with no values carries no
+    /// information: it is answered `Ok(0)` without logging or touching the
+    /// engine, as [`SessionStore::ingest_causal`] does for an empty poll.
     pub fn apply_input(&mut self, id: SessionId, input: &UserInput) -> Result<usize, StoreError> {
         let entry = self.entries.get(&id.0).ok_or(StoreError::UnknownSession(id))?;
-        let arity = entry.base.schema().arity();
-        if let Some(&attr) = input.values.keys().find(|a| a.index() >= arity) {
-            return Err(StoreError::UnknownAttr { attr, arity });
-        }
+        check_input(&entry.base, input)?;
         self.touch(id)?;
+        if input.values.is_empty() {
+            return Ok(0);
+        }
         self.log_event(id, &LogRecord::Input(input.clone()))?;
         let entry = self.entries.get_mut(&id.0).expect("touched");
         let added = entry.live.as_mut().expect("touched").apply_input(input);
@@ -598,6 +601,7 @@ impl<B: StorageBackend> SessionStore<B> {
             replayed += count as u64;
             match step {
                 ReplayStep::Input(input) => {
+                    check_input(base, &input)?;
                     session.apply_input(&input);
                 }
                 ReplayStep::CausalBatch(batch) => {
@@ -645,5 +649,18 @@ impl<B: StorageBackend> SessionStore<B> {
             entry.live = None;
             self.recovery.evictions += 1;
         }
+    }
+}
+
+/// Refuses a user input naming an attribute outside `base`'s schema — the
+/// one check both the live path ([`SessionStore::apply_input`], before
+/// logging) and rehydration (before replaying a logged input) run, so an
+/// out-of-range input is a typed error on either path, never a panic in
+/// the engine.
+fn check_input(base: &Specification, input: &UserInput) -> Result<(), StoreError> {
+    let arity = base.schema().arity();
+    match input.values.keys().find(|a| a.index() >= arity) {
+        Some(&attr) => Err(StoreError::UnknownAttr { attr, arity }),
+        None => Ok(()),
     }
 }

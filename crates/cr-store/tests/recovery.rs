@@ -361,6 +361,40 @@ fn unknown_version_record_is_truncated_like_corruption() {
     assert_eq!(store.log_len(ID).unwrap(), good_len);
 }
 
+/// A logged input naming an attribute outside the schema (a log written
+/// before inputs were checked ahead of logging) fails rehydration with a
+/// typed error, every time the session is touched, instead of panicking
+/// in the engine.
+#[test]
+fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
+    let Scenario { spec, truth } = scenario_from_raw(23, 4, 3, 50, false);
+    let steps = steps_for(&spec, &truth, 23, 2);
+    let arity = spec.schema().arity();
+
+    let mut store = fresh_store(0);
+    store.open(ID, &spec);
+    for step in &steps {
+        apply_step(&mut store, step);
+    }
+    let mut frame = Vec::new();
+    let record = LogRecord::Input(UserInput::single(AttrId(999), cr_types::Value::int(1)));
+    write_frame(&mut frame, &record.encode());
+    store.backend_mut().append(ID, &frame).unwrap();
+    store.backend_mut().sync(ID).unwrap();
+
+    assert!(store.evict(ID).unwrap());
+    for _ in 0..2 {
+        match store.session(ID) {
+            Err(StoreError::UnknownAttr { attr, arity: a }) => {
+                assert_eq!((attr, a), (AttrId(999), arity));
+            }
+            Err(other) => panic!("expected UnknownAttr, got {other:?}"),
+            Ok(_) => panic!("expected UnknownAttr, got a session"),
+        }
+        assert!(!store.is_live(ID), "a failed rehydration leaves the session cold");
+    }
+}
+
 /// Typed error paths: a Reject policy is refused up front, and touching an
 /// unopened session is an [`StoreError::UnknownSession`].
 #[test]
