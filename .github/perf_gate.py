@@ -19,12 +19,15 @@ Every invocation also re-judges the head medians with a synthetic 2x
 regression applied (lower-better x2, higher-better /2). That verdict must
 fail; if it passes, the gate cannot detect a regression and exits non-zero.
 
-After the verdict, the script runs one traced run (`--trace 1`) per
-workload in each tree, at SEEDS[0] and SECONDS, and prints every per-layer
-metric whose unit is `count` with its base and head values side by side,
-marking the ones that differ. Counts repeat exactly for a given seed, so a
-difference means the change moved engine, store or server work; it is
-reported, not judged, because a change may move counts on purpose.
+After the verdict, the script runs traced runs (`--trace 1`) per workload
+at SEEDS[0] and SECONDS, two in the base tree and one in the head tree,
+and prints every per-layer metric whose unit is `count`. A count on which
+the two base runs disagree depends on thread timing (such as
+`sched.backpressure_stalls`); it is listed apart as timing-dependent and
+never marked. Every other count repeats for a given seed, so a head value
+that differs from it is marked MOVED: the change moved engine, store or
+server work. Counts are reported, not judged, because a change may move
+them on purpose.
 
 Exit status: 0 when the real verdict passes and the injected one fails,
 1 otherwise, 2 on a usage error.
@@ -106,22 +109,32 @@ def print_rows(title, rows):
 
 
 def print_counts(spec, base_dir, head_dir):
-    """Prints one traced run's count metrics per workload, base beside head."""
+    """Prints traced count metrics per workload: two base runs beside one
+    head run, with counts the base runs disagree on listed apart."""
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
-    print(f"count metrics (one traced run per tree, seed {SEEDS[0]}, {SECONDS} s; "
-          "not part of the verdict)")
+    print(f"count metrics (two traced base runs, one traced head run, seed {SEEDS[0]}, "
+          f"{SECONDS} s; not part of the verdict)")
     for workload in (w["name"] for w in spec["workloads"]):
         traced = {}
-        for side, tree in (("base", base_dir), ("head", head_dir)):
+        for side, tree in (("base", base_dir), ("base2", base_dir), ("head", head_dir)):
             traced[side], problem = run_once(tree, spec["command"], workload, SEEDS[0], trace=1)
             if problem:
                 print(f"  traced run failed: {problem}")
-        moved = [n for n in counts if traced["base"].get(n) != traced["head"].get(n)]
-        print(f"  {workload}: {len(moved)} of {len(counts)} counts differ")
-        for name in counts:
-            base, head = traced["base"].get(name), traced["head"].get(name)
-            mark = "DIFFERS" if name in moved else ""
+        values = {n: [traced[side].get(n) for side in ("base", "base2", "head")] for n in counts}
+        repeatable = [n for n in counts if values[n][0] == values[n][1]]
+        timing = [n for n in counts if n not in repeatable]
+        moved = [n for n in repeatable if values[n][0] != values[n][2]]
+        print(f"  {workload}: {len(moved)} of {len(repeatable)} repeatable counts moved; "
+              f"{len(timing)} timing-dependent")
+        for name in repeatable:
+            base, _, head = values[name]
+            mark = "MOVED" if name in moved else ""
             print(f"    {name:<32} base {base!s:>14}  head {head!s:>14}  {mark}")
+        if timing:
+            print("    timing-dependent (the two base runs disagree):")
+        for name in timing:
+            base, base2, head = values[name]
+            print(f"    {name:<32} base {base!s:>14} / {base2!s:<14} head {head!s:>14}")
 
 
 def main(argv):

@@ -118,7 +118,7 @@ pub struct PhaseTimes {
 /// user input) — the measurement behind Fig. 8(a)/(c)/(d).
 pub fn time_phases(spec: &Specification) -> PhaseTimes {
     let t0 = Instant::now();
-    let enc = EncodedSpec::encode(spec);
+    let mut enc = EncodedSpec::encode(spec);
     let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     let valid = solver.solve() == cr_sat::SolveResult::Sat;
     let validity = t0.elapsed();
@@ -126,12 +126,12 @@ pub fn time_phases(spec: &Specification) -> PhaseTimes {
         return PhaseTimes { validity, ..Default::default() };
     }
     let t1 = Instant::now();
-    let od = deduce_order(&enc).expect("valid spec");
+    let od = deduce_order(&mut enc).expect("valid spec");
     let known = true_values_from_orders(&enc, &od);
     let deduce = t1.elapsed();
     let t2 = Instant::now();
     if !known.complete() {
-        let _ = cr_core::suggest(spec, &enc, &od, &known);
+        let _ = cr_core::suggest(spec, &mut enc, &od, &known);
     }
     let suggest = t2.elapsed();
     PhaseTimes { validity, deduce, suggest }
@@ -141,15 +141,15 @@ pub fn time_phases(spec: &Specification) -> PhaseTimes {
 /// (unit propagation, incremental NaiveDeduce, paper-faithful fresh-solver
 /// NaiveDeduce).
 pub fn time_deduction(spec: &Specification) -> (Duration, Duration, Duration) {
-    let enc = EncodedSpec::encode(spec);
+    let mut enc = EncodedSpec::encode(spec);
     let t0 = Instant::now();
-    let up = deduce_order(&enc);
+    let up = deduce_order(&mut enc);
     let up_time = t0.elapsed();
     let t1 = Instant::now();
-    let naive = naive_deduce(&enc);
+    let naive = naive_deduce(&mut enc);
     let naive_time = t1.elapsed();
     let t2 = Instant::now();
-    let _ = cr_core::naive_deduce_fresh(&enc);
+    let _ = cr_core::naive_deduce_fresh(&mut enc);
     let fresh_time = t2.elapsed();
     // Sanity: both agree on validity; naive is a superset.
     if let (Some(a), Some(b)) = (up, naive) {

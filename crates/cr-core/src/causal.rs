@@ -482,25 +482,12 @@ pub fn resolve_causal_checked(
             check_session_against_scratch(&mut session, &mirror)?;
             checks += 1;
         }
-        {
-            let after = session.revision_telemetry();
-            let mut report = RoundReport::settled(
-                round,
-                std::time::Duration::ZERO,
-                std::time::Duration::ZERO,
-                0,
-            );
-            report.revision_events = after.events - telemetry_before.events;
-            report.revision_invalidated = after.invalidated - telemetry_before.invalidated;
-            report.revision_quarantined = after.quarantined - telemetry_before.quarantined;
-            report.revision_coalesced =
-                after.events_coalesced - telemetry_before.events_coalesced;
-            report.revision_cone_union = after.cone_union - telemetry_before.cone_union;
-            report.revision_replays_saved =
-                after.replays_saved - telemetry_before.replays_saved;
-            report.competing = session.take_competing();
-            round_reports.push(report);
-        }
+        let zero = std::time::Duration::ZERO;
+        round_reports.push(RoundReport {
+            revisions: session.revision_telemetry().since(&telemetry_before),
+            competing: session.take_competing(),
+            ..RoundReport::settled(round, zero, zero, 0)
+        });
         let streaming = source.remaining() > 0 || session.frontier().pending() > 0;
         valid = session.is_valid();
         if valid {

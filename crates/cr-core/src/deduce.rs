@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use cr_sat::{SolveResult, Solver, UnitPropagator};
 use cr_types::{AttrId, ValueId};
 
-use crate::encode::{EncodedSpec, OrderAtom, RecordingAxiomSource, TransientAxiomSource};
+use crate::encode::{EncodedSpec, OrderAtom};
 
 /// A deduced partial order `Od` at the value level: `Se |= Od`.
 #[derive(Clone, Debug, Default)]
@@ -67,45 +67,31 @@ impl DeducedOrders {
 /// `x^A_{a1,a2}` yields `a1 ≺v a2`; a negative one yields `a2 ≺v a1`
 /// (sound because valid completions induce *total* value orders).
 ///
-/// Lazy encodings propagate through
-/// [`UnitPropagator::propagate_to_fixpoint_lazy`], interleaving on-demand
-/// axiom instantiation with propagation; the derived set equals the eager
+/// Propagation runs through
+/// [`UnitPropagator::propagate_to_fixpoint_lazy`] with the encoding as the
+/// axiom source: on lazy encodings it interleaves on-demand axiom
+/// instantiation with propagation, and the derived set equals the eager
 /// fixpoint (an eager step needs a clause that is unit under the current
 /// assignment, and exactly those are instantiated). The instantiated
-/// axioms are handed to the propagator only (the encoding is untouched);
-/// the engine records them instead so injections reach its other
-/// consumers through the CNF.
+/// axioms are recorded into `enc`'s CNF; an eager encoding records
+/// nothing.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
-pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
-    let mut up = enc.fresh_propagator();
-    let implied = if enc.options().is_lazy() {
-        let mut source = TransientAxiomSource::new(enc);
-        up.propagate_to_fixpoint_lazy(&mut source)?
-    } else {
-        up.propagate_to_fixpoint()?
-    };
-    Some(orders_from_implied(enc, implied))
+pub fn deduce_order(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
+    deduce_order_on(&mut enc.fresh_propagator(), enc)
 }
 
-/// `DeduceOrder` on the engine's warm propagator, which the session keeps
-/// alive across all rounds and feeds the per-round clause deltas, so each
-/// round only propagates the consequences of the new clauses. Lazy axiom
-/// instantiation is **recorded**: axiom clauses pulled during propagation
-/// are also appended to `enc`'s CNF, so the engine's warm solver and the
-/// MaxSAT repair's borrowed hard base see them via the ordinary clause-tail
-/// sync.
-pub(crate) fn deduce_order_recording(
+/// The body of [`deduce_order`] over a propagator that holds every clause
+/// of `enc`'s CNF: the one-shot call passes a fresh one, the session its
+/// warm propagator, which it keeps alive across all rounds and feeds the
+/// per-round clause deltas, so each round only propagates the
+/// consequences of the new clauses.
+pub(crate) fn deduce_order_on(
     up: &mut UnitPropagator,
     enc: &mut EncodedSpec,
 ) -> Option<DeducedOrders> {
-    {
-        let mut source = RecordingAxiomSource::new(enc);
-        up.propagate_to_fixpoint_lazy(&mut source)?;
-    }
-    // Fixpoint already reached; this re-borrows the accumulated set.
-    let implied = up.propagate_to_fixpoint().expect("fixpoint just reached");
+    let implied = up.propagate_to_fixpoint_lazy(enc)?;
     Some(orders_from_implied(enc, implied))
 }
 
@@ -129,38 +115,60 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
 /// variable `x`, probe `Φ(Se) ∧ ¬x` and `Φ(Se) ∧ x` with the SAT solver;
 /// an unsatisfiable probe means the opposite literal is implied.
 ///
-/// Probes on lazy encodings run the CEGAR loop
-/// ([`Solver::solve_lazy_with_assumptions`]): an `Unsat` probe is sound
-/// (injected axioms are entailed by the eager formula) and a `Sat` probe is
-/// exact (the final model satisfies the full theory), so the deduced set
-/// equals the eager one. Axioms injected by one probe persist in the
-/// solver and sharpen all later probes; they go to the solver only (the
-/// engine records them in the encoding's CNF as well).
+/// Probes run the CEGAR loop
+/// ([`Solver::solve_lazy_with_assumptions`]) with the encoding as the
+/// axiom source: on lazy encodings an `Unsat` probe is sound (injected
+/// axioms are entailed by the eager formula) and a `Sat` probe is exact
+/// (the final model satisfies the full theory), so the deduced set equals
+/// the eager one. Axioms injected by one probe persist in the solver and
+/// sharpen all later probes; they are recorded into `enc`'s CNF too.
 ///
 /// Returns `None` if `Φ(Se)` itself is unsatisfiable.
-pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
-    let mut solver = enc.fresh_solver();
-    let plan = probe_plan(enc);
-    if enc.options().is_lazy() {
-        let mut source = TransientAxiomSource::new(enc);
-        naive_probe_loop(&mut solver, enc.space().arity(), &plan, Some(&mut source))
-    } else {
-        naive_probe_loop(&mut solver, enc.space().arity(), &plan, None)
-    }
+pub fn naive_deduce(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
+    naive_deduce_on(&mut enc.fresh_solver(), enc)
 }
 
-/// `NaiveDeduce` on the engine's warm solver (it reuses the validity-check
-/// solver, so learnt clauses carry across both phases and across rounds)
-/// with **recording** lazy instantiation: probe-time axiom injections are
-/// appended to `enc`'s CNF too.
-pub(crate) fn naive_deduce_recording(
+/// The body of [`naive_deduce`] over a solver that holds every clause of
+/// `enc`'s CNF: the one-shot call passes a fresh one, the session its warm
+/// solver (shared with the validity check, so learnt clauses carry across
+/// both phases and across rounds). Any variable already fixed by
+/// root-level propagation is implied and recorded without a SAT call.
+pub(crate) fn naive_deduce_on(
     solver: &mut Solver,
     enc: &mut EncodedSpec,
 ) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
-    let arity = enc.space().arity();
-    let mut source = RecordingAxiomSource::new(enc);
-    naive_probe_loop(solver, arity, &plan, Some(&mut source))
+    if solver.solve_lazy(enc) == SolveResult::Unsat {
+        return None;
+    }
+    let mut od = DeducedOrders::empty(enc.space().arity());
+    for (var, OrderAtom { attr, lo, hi }) in plan {
+        // The symmetric variable's probes already decided this pair.
+        if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
+            continue;
+        }
+        // Fixed at the root by propagation (original clauses or units
+        // learnt from earlier probes): implied, no SAT call needed.
+        match solver.root_value(var) {
+            Some(true) => {
+                od.insert(attr, lo, hi);
+                continue;
+            }
+            Some(false) => {
+                od.insert(attr, hi, lo);
+                continue;
+            }
+            None => {}
+        }
+        if solver.solve_lazy_with_assumptions(&[var.negative()], enc) == SolveResult::Unsat {
+            od.insert(attr, lo, hi);
+        } else if solver.solve_lazy_with_assumptions(&[var.positive()], enc)
+            == SolveResult::Unsat
+        {
+            od.insert(attr, hi, lo);
+        }
+    }
+    Some(od)
 }
 
 /// Probe order: descending CNF occurrence count — a static VSIDS-style
@@ -179,85 +187,36 @@ fn probe_plan(enc: &EncodedSpec) -> Vec<(cr_sat::Var, OrderAtom)> {
     probe_order
 }
 
-/// The probe loop shared by the transient/recording/eager entry points.
-/// Any variable already fixed by root-level propagation is implied and
-/// recorded without touching the solver.
-fn naive_probe_loop(
-    solver: &mut Solver,
-    arity: usize,
-    plan: &[(cr_sat::Var, OrderAtom)],
-    mut source: Option<&mut dyn cr_sat::LazyAxiomSource>,
-) -> Option<DeducedOrders> {
-    let mut probe = |solver: &mut Solver, assumptions: &[cr_sat::Lit]| match source.as_deref_mut()
-    {
-        Some(src) => solver.solve_lazy_with_assumptions(assumptions, src),
-        None => solver.solve_with_assumptions(assumptions),
-    };
-    if probe(solver, &[]) == SolveResult::Unsat {
-        return None;
-    }
-    let mut od = DeducedOrders::empty(arity);
-    for &(var, OrderAtom { attr, lo, hi }) in plan {
-        // The symmetric variable's probes already decided this pair.
-        if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
-            continue;
-        }
-        // Fixed at the root by propagation (original clauses or units
-        // learnt from earlier probes): implied, no SAT call needed.
-        match solver.root_value(var) {
-            Some(true) => {
-                od.insert(attr, lo, hi);
-                continue;
-            }
-            Some(false) => {
-                od.insert(attr, hi, lo);
-                continue;
-            }
-            None => {}
-        }
-        if probe(solver, &[var.negative()]) == SolveResult::Unsat {
-            od.insert(attr, lo, hi);
-        } else if probe(solver, &[var.positive()]) == SolveResult::Unsat {
-            od.insert(attr, hi, lo);
-        }
-    }
-    Some(od)
-}
-
 /// The paper's `NaiveDeduce` exactly as described: a **fresh** SAT-solver
 /// invocation per probe ("this approach … calls the SAT-solver |It|² times").
 /// [`naive_deduce`] improves on it by keeping one incremental solver (learnt
 /// clauses carry across probes); this variant exists for the Fig. 8(b)
-/// ablation quantifying that difference.
-pub fn naive_deduce_fresh(enc: &EncodedSpec) -> Option<DeducedOrders> {
-    // One-shot solve over a fresh solver (lazy encodings run the CEGAR
-    // loop against a throwaway source — the paper-faithful ablation pays
-    // the instantiation again per solver, by design).
-    let fresh_solve = |extra: Option<cr_sat::Lit>| {
+/// ablation quantifying that difference. On a lazy encoding each probe's
+/// injected axioms are recorded into `enc`'s CNF, so later fresh solvers
+/// start from them; the ablation runs eager encodings, which record
+/// nothing.
+pub fn naive_deduce_fresh(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
+    let fresh_solve = |enc: &mut EncodedSpec, extra: Option<cr_sat::Lit>| {
         let mut solver = enc.fresh_solver();
         if let Some(lit) = extra {
             solver.add_clause([lit]);
         }
-        if enc.options().is_lazy() {
-            let mut source = TransientAxiomSource::new(enc);
-            solver.solve_lazy(&mut source)
-        } else {
-            solver.solve()
-        }
+        solver.solve_lazy(enc)
     };
-    if fresh_solve(None) == SolveResult::Unsat {
+    if fresh_solve(enc, None) == SolveResult::Unsat {
         return None;
     }
     let mut od = DeducedOrders::empty(enc.space().arity());
-    for (var, OrderAtom { attr, lo, hi }) in enc.order_vars() {
+    let order_vars: Vec<_> = enc.order_vars().collect();
+    for (var, OrderAtom { attr, lo, hi }) in order_vars {
         if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
             continue;
         }
-        if fresh_solve(Some(var.negative())) == SolveResult::Unsat {
+        if fresh_solve(enc, Some(var.negative())) == SolveResult::Unsat {
             od.insert(attr, lo, hi);
             continue;
         }
-        if fresh_solve(Some(var.positive())) == SolveResult::Unsat {
+        if fresh_solve(enc, Some(var.positive())) == SolveResult::Unsat {
             od.insert(attr, hi, lo);
         }
     }
@@ -299,8 +258,8 @@ mod tests {
     #[test]
     fn deduce_order_matches_example_9_prefix() {
         let spec = george_like();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).expect("valid spec");
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).expect("valid spec");
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let kids = spec.schema().attr_id("kids").unwrap();
@@ -320,9 +279,9 @@ mod tests {
     #[test]
     fn naive_deduce_is_a_superset_of_deduce_order() {
         let spec = george_like();
-        let enc = EncodedSpec::encode(&spec);
-        let up = deduce_order(&enc).unwrap();
-        let naive = naive_deduce(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let up = deduce_order(&mut enc).unwrap();
+        let naive = naive_deduce(&mut enc).unwrap();
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in up.pairs(attr) {
                 assert!(
@@ -337,8 +296,8 @@ mod tests {
     #[test]
     fn candidates_shrink_with_deduction() {
         let spec = george_like();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let status = spec.schema().attr_id("status").unwrap();
         let kids = spec.schema().attr_id("kids").unwrap();
         // kids: only 2 remains (0 is dominated).
@@ -376,35 +335,35 @@ mod tests {
         ]
         .concat();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let enc = EncodedSpec::encode(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let city = spec.schema().attr_id("city").unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
-        let naive = naive_deduce(&enc).unwrap();
+        let naive = naive_deduce(&mut enc).unwrap();
         assert!(naive.contains(city, ny, la), "complete deduction finds NY ≺ LA");
         // Documented incompleteness of the heuristic:
-        let up = deduce_order(&enc).unwrap();
+        let up = deduce_order(&mut enc).unwrap();
         assert!(!up.contains(city, ny, la), "UP alone cannot branch");
 
         // Reproduction finding: with the paper-faithful encoding (no
         // totality clauses) even NaiveDeduce misses the fact, because Φ(Se)
         // then has models that are not completions.
-        let paper = EncodedSpec::encode_with(
+        let mut paper = EncodedSpec::encode_with(
             &spec,
             crate::encode::EncodeOptions::paper_faithful(),
         );
         let ny_p = paper.value_id(city, &Value::str("NY")).unwrap();
         let la_p = paper.value_id(city, &Value::str("LA")).unwrap();
-        let naive_paper = naive_deduce(&paper).unwrap();
+        let naive_paper = naive_deduce(&mut paper).unwrap();
         assert!(!naive_paper.contains(city, ny_p, la_p));
     }
 
     #[test]
     fn fresh_and_incremental_naive_agree() {
         let spec = george_like();
-        let enc = EncodedSpec::encode(&spec);
-        let a = naive_deduce(&enc).unwrap();
-        let b = naive_deduce_fresh(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let a = naive_deduce(&mut enc).unwrap();
+        let b = naive_deduce_fresh(&mut enc).unwrap();
         assert_eq!(a.size(), b.size());
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in a.pairs(attr) {
@@ -425,8 +384,8 @@ mod tests {
         orders.add(AttrId(0), cr_types::TupleId(0), cr_types::TupleId(1));
         orders.add(AttrId(0), cr_types::TupleId(1), cr_types::TupleId(0));
         let spec = Specification::new(e, orders, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        assert!(deduce_order(&enc).is_none());
-        assert!(naive_deduce(&enc).is_none());
+        let mut enc = EncodedSpec::encode(&spec);
+        assert!(deduce_order(&mut enc).is_none());
+        assert!(naive_deduce(&mut enc).is_none());
     }
 }

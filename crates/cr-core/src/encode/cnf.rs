@@ -42,13 +42,17 @@
 //! assignment into per-value bit rows and find the third value of each
 //! triple by word operations (see [`EncodedSpec::violated_axioms`]); the
 //! value-by-value scans they replaced are kept as test oracles with an
-//! identical output sequence. Two adapters integrate it:
-//! [`RecordingAxiomSource`] additionally appends every handed-out clause
-//! to the encoding's CNF — keeping it the single source of truth, so the
-//! engine's other consumers (the warm solver ↔ unit propagator, and the
-//! MaxSAT repair's borrowed hard base) pick injected axioms up through the
-//! ordinary clause-tail sync — while [`TransientAxiomSource`] leaves the
-//! encoding untouched for throwaway solvers over a shared `&EncodedSpec`.
+//! identical output sequence.
+//!
+//! `EncodedSpec` is itself the [`cr_sat::LazyAxiomSource`] every consumer
+//! hands its solver or propagator: each consultation appends the violated
+//! (or unit) instances to the caller's buffer **and** records them into the
+//! CNF. The CNF therefore stays the single source of truth: the session's
+//! warm solver and unit propagator exchange injected axioms through the
+//! ordinary clause-tail sync, the MaxSAT repair's borrowed hard base sees
+//! them, and a one-shot query leaves its instantiations behind for the
+//! next. An eager encoding answers every consultation with nothing — its
+//! axioms are already clauses — so callers never branch on the mode.
 //! Injected clauses are permanent (`NO_GROUP`): axioms hold regardless of
 //! any CFD group, so retraction never touches them.
 
@@ -230,8 +234,8 @@ pub struct EncodedSpec {
     /// encodings.
     live_counts: Vec<Vec<u32>>,
     options: EncodeOptions,
-    /// Axiom clauses recorded into the CNF by lazy instantiation
-    /// ([`RecordingAxiomSource`]); 0 for eager encodings.
+    /// Axiom clauses recorded into the CNF by lazy instantiation (the
+    /// [`cr_sat::LazyAxiomSource`] impl); 0 for eager encodings.
     injected_axioms: usize,
     /// Revisable mode: values whose liveness flipped retired → live since
     /// the last [`EncodedSpec::take_revived`] drain. Revival re-admits the
@@ -1230,20 +1234,9 @@ impl EncodedSpec {
     }
 
     /// Axiom clauses recorded into the CNF by lazy instantiation so far
-    /// (monotone; 0 for eager encodings and for consumers that only used
-    /// transient, non-recording instantiation).
+    /// (monotone; 0 for eager encodings).
     pub fn injected_axioms(&self) -> usize {
         self.injected_axioms
-    }
-
-    /// Appends lazily instantiated axiom clauses to the CNF as permanent
-    /// clauses (axioms are theory-valid independently of any CFD group):
-    /// the clauses of `clauses` from index `from` on.
-    pub(crate) fn record_axiom_clauses(&mut self, clauses: &ClauseBuffer, from: usize) {
-        for clause in clauses.iter_from(from) {
-            self.push_clause(clause.iter().copied(), NO_GROUP);
-        }
-        self.injected_axioms += clauses.len() - from;
     }
 
     /// The order-axiom instances violated by (or unit under) a candidate
@@ -1268,8 +1261,8 @@ impl EncodedSpec {
     /// operations, visiting it in ascending order — so the emitted clause
     /// sequence is the one a value-by-value walk produces.
     ///
-    /// Appended clauses are **not** recorded — see the module docs for the
-    /// recording and transient integration policies.
+    /// Appended clauses are **not** recorded; the
+    /// [`cr_sat::LazyAxiomSource`] impl records them (see the module docs).
     pub fn violated_axioms(
         &self,
         assignment: Assignment<'_>,
@@ -1843,69 +1836,26 @@ impl AttrRows {
     }
 }
 
-/// A [`cr_sat::LazyAxiomSource`] over an [`AxiomMode::Lazy`] encoding that
-/// **records** every handed-out axiom clause into the encoding's CNF (as a
-/// permanent, ungrouped clause). The incremental resolution engine uses
-/// this adapter so the CNF stays the single source of truth: its warm
-/// solver and unit propagator exchange injected axioms through the ordinary
-/// clause-tail sync, and the MaxSAT repair's borrowed hard base sees them
-/// for free.
-pub(crate) struct RecordingAxiomSource<'a> {
-    enc: &'a mut EncodedSpec,
-}
-
-impl<'a> RecordingAxiomSource<'a> {
-    /// A recording source over `enc` (which must be a lazy encoding).
-    pub(crate) fn new(enc: &'a mut EncodedSpec) -> Self {
-        debug_assert_eq!(enc.options().axioms, AxiomMode::Lazy);
-        RecordingAxiomSource { enc }
-    }
-}
-
-impl cr_sat::LazyAxiomSource for RecordingAxiomSource<'_> {
+/// The encoding as its own axiom source (see the module docs): violated
+/// (or unit) instances go to the consulting solver or propagator **and**
+/// into the CNF as permanent clauses. An eager encoding already holds
+/// every axiom and returns at once.
+impl cr_sat::LazyAxiomSource for EncodedSpec {
     fn instantiate(
         &mut self,
         assignment: Assignment<'_>,
         delta: Option<&[Lit]>,
         out: &mut ClauseBuffer,
     ) {
+        if !self.options.is_lazy() {
+            return;
+        }
         let from = out.len();
-        self.enc.violated_axioms(assignment, delta, out);
-        self.enc.record_axiom_clauses(out, from);
-    }
-}
-
-/// A [`cr_sat::LazyAxiomSource`] over a **shared** lazy encoding: handed-out
-/// clauses go only to the consulting solver/propagator, the encoding is
-/// untouched. Used by the standalone entry points (`deduce_order`,
-/// `is_valid`, the exact true-value queries, `suggest`'s probe) that only
-/// hold `&EncodedSpec`.
-pub(crate) struct TransientAxiomSource<'a> {
-    enc: &'a EncodedSpec,
-}
-
-impl<'a> TransientAxiomSource<'a> {
-    /// A non-recording source over `enc` (which must be a lazy encoding).
-    pub(crate) fn new(enc: &'a EncodedSpec) -> Self {
-        debug_assert_eq!(enc.options().axioms, AxiomMode::Lazy);
-        TransientAxiomSource { enc }
-    }
-
-    /// `Some(Self::new(enc))` when `lazy`, else `None` — for probe loops
-    /// that branch on the encoding mode around one optional source.
-    pub(crate) fn new_if(enc: &'a EncodedSpec, lazy: bool) -> Option<Self> {
-        lazy.then(|| Self::new(enc))
-    }
-}
-
-impl cr_sat::LazyAxiomSource for TransientAxiomSource<'_> {
-    fn instantiate(
-        &mut self,
-        assignment: Assignment<'_>,
-        delta: Option<&[Lit]>,
-        out: &mut ClauseBuffer,
-    ) {
-        self.enc.violated_axioms(assignment, delta, out);
+        self.violated_axioms(assignment, delta, out);
+        for clause in out.iter_from(from) {
+            self.push_clause(clause.iter().copied(), NO_GROUP);
+        }
+        self.injected_axioms += out.len() - from;
     }
 }
 
@@ -2083,14 +2033,13 @@ mod tests {
     fn lazy_encoding_matches_eager_on_validity() {
         let spec = tiny_spec();
         let eager = EncodedSpec::encode(&spec);
-        let lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
         // Same variables, strictly fewer clauses (no axioms materialised).
         assert_eq!(lazy.num_order_vars(), eager.num_order_vars());
         assert!(lazy.cnf().num_clauses() < eager.cnf().num_clauses());
         let mut s1 = Solver::from_cnf(eager.cnf());
         let mut s2 = Solver::from_cnf(lazy.cnf());
-        let mut src = TransientAxiomSource::new(&lazy);
-        assert_eq!(s1.solve(), s2.solve_lazy(&mut src));
+        assert_eq!(s1.solve(), s2.solve_lazy(&mut lazy));
     }
 
     #[test]
@@ -2098,10 +2047,10 @@ mod tests {
         // The φ-chain of `tiny_spec` must propagate identically whether the
         // axioms are materialised or pulled on demand.
         let spec = tiny_spec();
-        let eager = EncodedSpec::encode(&spec);
-        let lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
-        let od_eager = crate::deduce::deduce_order(&eager).unwrap();
-        let od_lazy = crate::deduce::deduce_order(&lazy).unwrap();
+        let mut eager = EncodedSpec::encode(&spec);
+        let mut lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let od_eager = crate::deduce::deduce_order(&mut eager).unwrap();
+        let od_lazy = crate::deduce::deduce_order(&mut lazy).unwrap();
         assert_eq!(od_eager.size(), od_lazy.size());
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in od_eager.pairs(attr) {
@@ -2117,10 +2066,7 @@ mod tests {
         let before = enc.cnf().num_clauses();
         assert_eq!(enc.injected_axioms(), 0);
         let mut up = enc.fresh_propagator();
-        let implied = {
-            let mut src = RecordingAxiomSource::new(&mut enc);
-            up.propagate_to_fixpoint_lazy(&mut src).expect("valid").len()
-        };
+        let implied = up.propagate_to_fixpoint_lazy(&mut enc).expect("valid").len();
         assert!(implied > 0);
         assert!(enc.injected_axioms() > 0, "the chain forces axiom injection");
         assert_eq!(enc.cnf().num_clauses(), before + enc.injected_axioms());
@@ -2235,9 +2181,9 @@ mod tests {
 
         let mut extended = spec.clone();
         extended.apply_user_input(&input);
-        let scratch = EncodedSpec::encode(&extended);
-        let od_inc = crate::deduce::deduce_order(&enc).unwrap();
-        let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
+        let mut scratch = EncodedSpec::encode(&extended);
+        let od_inc = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od_scr = crate::deduce::deduce_order(&mut scratch).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(od_inc.contains(city, ny, la));
@@ -2255,7 +2201,7 @@ mod tests {
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
         assert!(enc.extend_with_input(&spec, &input).is_empty());
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
     }
@@ -2281,14 +2227,14 @@ mod tests {
         // No CFDs → nothing to retract, but the extension must succeed.
         assert!(enc.extend_with_input(&spec, &input).is_empty());
         let deceased = enc.value_id(status, &Value::str("deceased")).expect("interned");
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         for old in ["working", "retired"] {
             let oid = enc.value_id(status, &Value::str(old)).unwrap();
             assert!(od.contains(status, oid, deceased), "{old} must sit below");
         }
         // The grown space stays internally consistent: the lazy source
         // covers the new pairs' asymmetry and transitivity.
-        assert!(crate::isvalid::is_valid_encoded(&enc).valid);
+        assert!(crate::isvalid::is_valid_encoded(&mut enc).valid);
     }
 
     #[test]
@@ -2331,7 +2277,7 @@ mod tests {
                 .all(|(premise, _)| premise.contains(&OrderAtom { attr: ac, lo: nid, hi: cid213 })),
             "re-emitted ωX must mention the new value"
         );
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(!od.contains(city, ny, la), "CFD must not fire after retraction");
@@ -2339,8 +2285,8 @@ mod tests {
         // And the scratch re-encode agrees.
         let mut extended = spec.clone();
         extended.apply_user_input(&input);
-        let scratch = EncodedSpec::encode(&extended);
-        let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
+        let mut scratch = EncodedSpec::encode(&extended);
+        let od_scr = crate::deduce::deduce_order(&mut scratch).unwrap();
         let ny_s = scratch.value_id(city, &Value::str("NY")).unwrap();
         let la_s = scratch.value_id(city, &Value::str("LA")).unwrap();
         assert!(!od_scr.contains(city, ny_s, la_s));
@@ -2375,7 +2321,7 @@ mod tests {
         assert!(!live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
 
         let city = spec.schema().attr_id("city").unwrap();
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(od.contains(city, ny, la), "revived CFD must fire");
@@ -2393,7 +2339,7 @@ mod tests {
         assert!(enc
             .extend_with_input(&spec, &UserInput::single(status, Value::str("retired")))
             .is_empty());
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
 
@@ -2410,7 +2356,7 @@ mod tests {
         // cubic.
         assert!(appended <= 4, "lazy growth appended {appended} clauses");
         let deceased = enc.value_id(status, &Value::str("deceased")).expect("interned");
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         for old in ["working", "retired"] {
             let oid = enc.value_id(status, &Value::str(old)).unwrap();
             assert!(od.contains(status, oid, deceased), "{old} must sit below");
@@ -2443,7 +2389,7 @@ mod tests {
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         // The CFD fires (AC base order implies 1 ≺ 2): NY ≺ LA implied.
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(od.contains(city, ny, la));
         let group = enc.cfd_groups[0];
         assert!(!live_group_clauses(&enc, group).is_empty());
@@ -2455,7 +2401,7 @@ mod tests {
             live_group_clauses(&enc, group).is_empty(),
             "retired CFD clauses must be neutralised"
         );
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(!od.contains(city, ny, la), "the domination dies with the CFD");
 
         // An out-of-domain answer growing `AC` must NOT re-emit the CFD.
@@ -2471,7 +2417,7 @@ mod tests {
         let ac = AttrId(0);
         let one = enc.value_id(ac, &Value::int(1)).unwrap();
         let two = enc.value_id(ac, &Value::int(2)).unwrap();
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(od.contains(ac, one, two));
         let pair = (ac, cr_types::TupleId(0), cr_types::TupleId(1));
         let group = enc.order_groups.get(&pair).copied();
@@ -2484,7 +2430,7 @@ mod tests {
             live_group_clauses(&enc, group).is_empty() && enc.order_groups.is_empty(),
             "the withdrawn pair's unit must be neutralised"
         );
-        let od = crate::deduce::deduce_order(&enc).unwrap();
+        let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(!od.contains(ac, one, two));
         // Withdrawing again (or a vacuous pair) is a no-op.
         assert!(enc.withdraw_order(ac, cr_types::TupleId(0), cr_types::TupleId(1)).is_empty());

@@ -16,12 +16,14 @@
 //!
 //! * **Lazy** ([`AxiomMode::Lazy`], the engine's only mode): the dense
 //!   `attr × lo × hi` variable table is still fully allocated (`O(n²)`),
-//!   but **no** axiom clauses are emitted. Consumers drive solving through
-//!   the [`cr_sat::LazyAxiomSource`] hook —
+//!   but **no** axiom clauses are emitted. The encoding is itself the
+//!   [`cr_sat::LazyAxiomSource`] its solvers and propagators consult:
 //!   [`EncodedSpec::violated_axioms`] inspects a candidate assignment via
 //!   the dense table and appends exactly the axiom instances the candidate
 //!   violates (or that became unit under it), which the solver/propagator
-//!   then injects and re-checks until the theory is satisfied. Resolution
+//!   then injects and re-checks until the theory is satisfied; the
+//!   encoding records each injected instance into its own CNF, so every
+//!   later consumer starts from it. Resolution
 //!   outcomes are **identical** to an eager encoding of the same
 //!   specification (differentially tested, see below); round-0 encode cost
 //!   drops from `O(n³)` to `O(n²)`. Only lazy encodings are ever extended
@@ -30,7 +32,9 @@
 //!   every asymmetry/totality/transitivity instance is materialised at
 //!   encode time. `Φ(Se)` is then self-contained: any SAT solver or unit
 //!   propagator over [`EncodedSpec::cnf`] is complete without further
-//!   cooperation. It is one-shot — encoded once, queried, never extended —
+//!   cooperation, and the encoding answers every axiom consultation with
+//!   nothing — the Fig. 4 steps run one body over both modes, and this
+//!   module is the only one that reads the mode. It is one-shot — encoded once, queried, never extended —
 //!   and serves standalone consumers (`bruteforce` comparisons,
 //!   `implication`, the Fig. 8 ablations), the paper-faithful baseline and
 //!   the engine's per-round oracle
@@ -133,7 +137,6 @@ mod omega;
 mod program;
 
 pub use cnf::{ClauseKind, EncodedSpec, GroupId};
-pub(crate) use cnf::{RecordingAxiomSource, TransientAxiomSource};
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub use program::{compile_count, CompiledProgram};
 
@@ -165,8 +168,9 @@ pub enum AxiomMode {
     #[default]
     Eager,
     /// Allocate the dense order-variable table but emit no axiom clauses;
-    /// consumers instantiate violated/unit instances on demand through
-    /// [`cr_sat::LazyAxiomSource`] (see [`EncodedSpec::violated_axioms`]).
+    /// the encoding instantiates violated/unit instances on demand as the
+    /// [`cr_sat::LazyAxiomSource`] of its consumers (see
+    /// [`EncodedSpec::violated_axioms`]) and records them into its CNF.
     Lazy,
 }
 

@@ -69,14 +69,17 @@
 //! CEGAR loop (`cr_sat::Solver::solve_lazy_with_assumptions`), deduction
 //! interleaves root propagation with on-demand instantiation
 //! (`cr_sat::UnitPropagator::propagate_to_fixpoint_lazy`), and both consult
-//! the encoding through a recording axiom source, which appends every
-//! handed-out axiom clause to `Φ(Se)` — so the warm solver and the unit
+//! the encoding itself as their axiom source, which records every
+//! handed-out axiom clause into `Φ(Se)` — so the warm solver and the unit
 //! propagator exchange injected axioms via the ordinary clause-tail sync,
 //! and the MaxSAT repair's borrowed hard base sees them for free. The
-//! suggestion step records too: the clique probe's
-//! CEGAR injections and the MaxSAT repair's discoveries all land in the
-//! CNF, so later probes start from the full already-injected theory and
-//! the tail sync can never re-feed the warm solver a duplicate instance.
+//! session's steps run the same bodies as the one-shot `is_valid_encoded`,
+//! `deduce_order`, `naive_deduce` and `suggest`, over warm consumers
+//! instead of fresh ones. The suggestion step records too: the clique
+//! probe's CEGAR injections and the MaxSAT repair's discoveries all land
+//! in the CNF, so later probes start from the full already-injected theory
+//! and the tail sync can never re-feed the warm solver a duplicate
+//! instance.
 //! [`ResolutionOutcome::injected_axioms`] counts the recorded clauses; see
 //! the "Encoding modes" section of the encode module docs for the fixed
 //! engine encodings, the one-shot eager encoding and the differential-test
@@ -178,29 +181,15 @@ pub struct RoundReport {
     /// retraction and on the scratch path). Compare against the fixpoint
     /// size to see the replay staying sub-linear.
     pub retraction_invalidated: usize,
-    /// Upstream revision events absorbed before this round's validity
-    /// check (push-based correction ingestion; 0 without a revision
-    /// source).
-    pub revision_events: usize,
-    /// Root literals the revision replays of this round invalidated — the
-    /// *cone size* of the round's corrections (non-empty when a fired CFD
-    /// or a load-bearing order was withdrawn).
-    pub revision_invalidated: usize,
-    /// Revision events of this round that failed validation and were
-    /// quarantined per the session's
-    /// [`RevisionPolicy`](crate::ingest::RevisionPolicy) (0 on clean
-    /// streams and without a revision source).
-    pub revision_quarantined: usize,
-    /// Revision events of this round that shared a multi-event batch's
-    /// single settle/replay/re-emission pass (0 when every poll held at
-    /// most one event).
-    pub revision_coalesced: usize,
-    /// Deduplicated union-cone size of this round's multi-event batches —
-    /// groups retracted in one coalesced replay.
-    pub revision_cone_union: usize,
-    /// Settle + provenance-replay passes the round's batching saved over
-    /// event-at-a-time ingestion.
-    pub revision_replays_saved: usize,
+    /// Revision telemetry of the events absorbed before this round's
+    /// validity check — the round's delta of the session's
+    /// [`ResolutionSession::revision_telemetry`] (all 0 without a revision
+    /// source). `revisions.invalidated` is the *cone size* of the round's
+    /// corrections; `events_coalesced`, `cone_union` and `replays_saved`
+    /// report what its multi-event batches shared; `quarantined` counts
+    /// the events that failed validation under the session's
+    /// [`RevisionPolicy`](crate::ingest::RevisionPolicy).
+    pub revisions: RevisionTelemetry,
     /// Cells holding causally-concurrent competing candidates after this
     /// round's revision drain — the branch tips (plus any re-opened local
     /// answer) a caller should present to the user instead of a bare
@@ -221,12 +210,7 @@ impl RoundReport {
             suggestion_size: 0,
             user_answers: 0,
             retraction_invalidated: 0,
-            revision_events: 0,
-            revision_invalidated: 0,
-            revision_quarantined: 0,
-            revision_coalesced: 0,
-            revision_cone_union: 0,
-            revision_replays_saved: 0,
+            revisions: RevisionTelemetry::default(),
             competing: Vec::new(),
         }
     }
@@ -483,44 +467,28 @@ impl Resolver {
             // (0) Drain the correction stream: upstream events that arrived
             // since the last round are absorbed before validity is
             // re-checked (their retraction cones replay here).
-            let revision_deltas = match source.as_deref_mut() {
-                Some(src) => {
-                    let revs = src.poll(round, session.current());
-                    let before = session.revision_telemetry();
-                    if !revs.is_empty() {
-                        // The whole poll is one batch: one union-cone
-                        // settle/replay/re-emission pass regardless of the
-                        // poll size. The production session runs under its
-                        // degradation policy (default: quarantine), so a
-                        // malformed event is logged and counted, not
-                        // propagated.
-                        session
-                            .absorb_revision_batch(&revs)
-                            .expect("default policy never rejects");
-                    }
-                    let after = session.revision_telemetry();
-                    (
-                        after.events - before.events,
-                        after.invalidated - before.invalidated,
-                        after.quarantined - before.quarantined,
-                        after.events_coalesced - before.events_coalesced,
-                        after.cone_union - before.cone_union,
-                        after.replays_saved - before.replays_saved,
-                    )
+            let before = session.revision_telemetry();
+            if let Some(src) = source.as_deref_mut() {
+                let revs = src.poll(round, session.current());
+                if !revs.is_empty() {
+                    // The whole poll is one batch: one union-cone
+                    // settle/replay/re-emission pass regardless of the
+                    // poll size. The production session runs under its
+                    // degradation policy (default: quarantine), so a
+                    // malformed event is logged and counted, not
+                    // propagated.
+                    session
+                        .absorb_revision_batch(&revs)
+                        .expect("default policy never rejects");
                 }
-                None => (0, 0, 0, 0, 0, 0),
-            };
+            }
+            let revisions = session.revision_telemetry().since(&before);
             // Competing-candidate cells drained once per round (populated
             // only by causally-stamped streams; empty here unless a custom
             // driver interleaved `ingest_causal` calls).
             let mut competing = session.take_competing();
             let mut stamp_revisions = |report: &mut RoundReport| {
-                report.revision_events = revision_deltas.0;
-                report.revision_invalidated = revision_deltas.1;
-                report.revision_quarantined = revision_deltas.2;
-                report.revision_coalesced = revision_deltas.3;
-                report.revision_cone_union = revision_deltas.4;
-                report.revision_replays_saved = revision_deltas.5;
+                report.revisions = revisions;
                 report.competing = std::mem::take(&mut competing);
             };
 
@@ -591,30 +559,19 @@ impl Resolver {
             // (4) Generate a suggestion and ask the user. The warm solver
             // must hold every CNF clause first (lazy deduction may have
             // recorded axioms the solver has not seen yet). The probe and
-            // the MaxSAT repair *record* their axiom injections
-            // (`suggest_with_engine`), so later rounds start from the full
-            // already-injected theory and the tail sync never re-feeds the
-            // solver an instance it already holds.
+            // the MaxSAT repair record their axiom injections into the CNF,
+            // so later rounds start from the full already-injected theory
+            // and the tail sync never re-feeds the solver an instance it
+            // already holds.
             let t2 = Instant::now();
             let sug = session.suggest(&od, &values);
             let suggest_time = t2.elapsed();
             let input = oracle.provide(spec.schema(), &sug);
             let mut report = RoundReport {
-                round,
-                validity,
-                deduce,
                 suggest: suggest_time,
-                known_after_deduce: values.known_count(),
                 suggestion_size: sug.len(),
                 user_answers: input.values.len(),
-                retraction_invalidated: 0,
-                revision_events: 0,
-                revision_invalidated: 0,
-                revision_quarantined: 0,
-                revision_coalesced: 0,
-                revision_cone_union: 0,
-                revision_replays_saved: 0,
-                competing: Vec::new(),
+                ..RoundReport::settled(round, validity, deduce, values.known_count())
             };
             stamp_revisions(&mut report);
             rounds.push(report);

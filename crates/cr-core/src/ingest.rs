@@ -144,13 +144,11 @@ use cr_types::{AttrId, EntityInstance, Epoch, SourceId, Tuple, TupleId, Value, V
 use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
-use crate::deduce::{
-    deduce_order, deduce_order_recording, naive_deduce_recording, DeducedOrders,
-};
-use crate::encode::{EncodeOptions, EncodedSpec, GroupId, RecordingAxiomSource};
+use crate::deduce::{deduce_order, deduce_order_on, naive_deduce_on, DeducedOrders};
+use crate::encode::{EncodeOptions, EncodedSpec, GroupId};
 use crate::framework::{DeductionMethod, ResolutionConfig, UserOracle};
 use crate::spec::{Specification, UserInput};
-use crate::suggest::{suggest_with_engine, Suggestion};
+use crate::suggest::{suggest_on, Suggestion};
 use crate::truevalue::{true_values_from_orders, TrueValues};
 
 /// One upstream correction event.
@@ -381,6 +379,28 @@ pub struct RevisionTelemetry {
     pub replays_saved: usize,
 }
 
+impl RevisionTelemetry {
+    /// The counts accumulated since `before`, an earlier reading of the
+    /// same session — one round's delta.
+    pub(crate) fn since(&self, before: &RevisionTelemetry) -> RevisionTelemetry {
+        RevisionTelemetry {
+            events: self.events - before.events,
+            retracted_groups: self.retracted_groups - before.retracted_groups,
+            invalidated: self.invalidated - before.invalidated,
+            reemitted_clauses: self.reemitted_clauses - before.reemitted_clauses,
+            duplicates_dropped: self.duplicates_dropped - before.duplicates_dropped,
+            buffered: self.buffered - before.buffered,
+            quarantined: self.quarantined - before.quarantined,
+            reopened: self.reopened - before.reopened,
+            quarantine_evicted: self.quarantine_evicted - before.quarantine_evicted,
+            batches: self.batches - before.batches,
+            events_coalesced: self.events_coalesced - before.events_coalesced,
+            cone_union: self.cone_union - before.cone_union,
+            replays_saved: self.replays_saved - before.replays_saved,
+        }
+    }
+}
+
 impl std::fmt::Display for RevisionTelemetry {
     /// One human-readable row per session, for soak and harness failure
     /// output — e.g.
@@ -475,7 +495,7 @@ struct BatchState {
 ///
 /// The solver and the propagator consume the CNF at different points, so
 /// each carries its own watermark; lazily instantiated axioms recorded into
-/// the CNF by one consumer (through a recording axiom source) reach the
+/// the CNF by one consumer (the encoding is their axiom source) reach the
 /// other through the ordinary tail sync.
 pub struct ResolutionSession {
     current: Specification,
@@ -812,7 +832,7 @@ impl ResolutionSession {
     fn settle_propagator(&mut self) {
         self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
         let ResolutionSession { enc, up, .. } = self;
-        let _ = up.propagate_to_fixpoint_lazy(&mut RecordingAxiomSource::new(enc));
+        let _ = up.propagate_to_fixpoint_lazy(enc);
         // Lazily recorded axioms went to both the CNF and the propagator;
         // the solver picks them up at its next ordinary tail sync.
         self.synced_up = self.enc.cnf().num_clauses();
@@ -1176,7 +1196,7 @@ impl ResolutionSession {
     pub fn is_valid(&mut self) -> bool {
         self.sync_solver();
         let ResolutionSession { enc, solver, .. } = self;
-        let sat = solver.solve_lazy(&mut RecordingAxiomSource::new(enc));
+        let sat = solver.solve_lazy(enc);
         // Everything recorded during the lazy solve is already in the
         // solver (the CEGAR loop adds each handed-out clause).
         self.synced_solver = self.enc.cnf().num_clauses();
@@ -1189,7 +1209,7 @@ impl ResolutionSession {
             DeductionMethod::UnitPropagation => {
                 self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
                 let ResolutionSession { enc, up, .. } = self;
-                let od = deduce_order_recording(up, enc);
+                let od = deduce_order_on(up, enc);
                 // Lazily recorded axioms went to both the CNF and `up`.
                 self.synced_up = self.enc.cnf().num_clauses();
                 od
@@ -1197,7 +1217,7 @@ impl ResolutionSession {
             DeductionMethod::NaiveSat => {
                 self.sync_solver();
                 let ResolutionSession { enc, solver, .. } = self;
-                let od = naive_deduce_recording(solver, enc);
+                let od = naive_deduce_on(solver, enc);
                 self.synced_solver = self.enc.cnf().num_clauses();
                 od
             }
@@ -1215,7 +1235,7 @@ impl ResolutionSession {
         self.sync_solver();
         let (sug, solver_synced) = {
             let ResolutionSession { current, enc, solver, .. } = self;
-            suggest_with_engine(current, enc, od, known, solver)
+            suggest_on(current, enc, od, known, solver)
         };
         self.synced_solver = solver_synced;
         sug
@@ -1641,9 +1661,8 @@ pub fn check_session_against_scratch(
     mirror: &SpecMirror,
 ) -> Result<(), String> {
     let scratch_spec = mirror.materialise();
-    let scratch = EncodedSpec::encode_with(&scratch_spec, EncodeOptions::eager());
-    let mut scratch_solver = scratch.fresh_solver();
-    let scratch_valid = scratch_solver.solve() == cr_sat::SolveResult::Sat;
+    let mut scratch = EncodedSpec::encode_with(&scratch_spec, EncodeOptions::eager());
+    let scratch_valid = crate::isvalid::is_valid_encoded(&mut scratch).valid;
     let session_valid = session.is_valid();
     if session_valid != scratch_valid {
         return Err(format!(
@@ -1658,7 +1677,7 @@ pub fn check_session_against_scratch(
         .deduce(DeductionMethod::UnitPropagation)
         .ok_or_else(|| "replay deduced a conflict on a valid spec".to_string())?;
     let scratch_od =
-        deduce_order(&scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
+        deduce_order(&mut scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
 
     // Compare at the value level over non-null lower bounds: the two
     // encodings number their variables differently, and the replay's space

@@ -19,23 +19,18 @@ pub struct Validity {
 /// Checks whether `spec` is valid: encodes it to `Φ(Se)` and runs the CDCL
 /// solver (Lemma 5: `Se` is valid iff `Φ(Se)` is satisfiable).
 pub fn is_valid(spec: &Specification) -> Validity {
-    let enc = EncodedSpec::encode(spec);
-    is_valid_encoded(&enc)
+    is_valid_encoded(&mut EncodedSpec::encode(spec))
 }
 
 /// Validity of an already encoded specification (avoids re-encoding when the
-/// caller also needs the encoding for deduction). Lazy encodings run the
-/// CEGAR loop against a throwaway axiom source — `Unsat` is sound (injected
-/// axioms are entailed by the eager formula) and `Sat` is exact (the final
-/// model satisfies the full theory).
-pub fn is_valid_encoded(enc: &EncodedSpec) -> Validity {
+/// caller also needs the encoding for deduction). The solver runs the CEGAR
+/// loop with the encoding as the axiom source — on lazy encodings `Unsat`
+/// is sound (injected axioms are entailed by the eager formula) and `Sat`
+/// is exact (the final model satisfies the full theory); the injected
+/// axioms are recorded into `enc`'s CNF.
+pub fn is_valid_encoded(enc: &mut EncodedSpec) -> Validity {
     let mut solver = enc.fresh_solver();
-    let valid = if enc.options().is_lazy() {
-        let mut source = crate::encode::TransientAxiomSource::new(enc);
-        solver.solve_lazy(&mut source) == SolveResult::Sat
-    } else {
-        solver.solve() == SolveResult::Sat
-    };
+    let valid = solver.solve_lazy(enc) == SolveResult::Sat;
     Validity {
         valid,
         conflicts: solver.stats().conflicts,

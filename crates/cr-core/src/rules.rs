@@ -365,8 +365,8 @@ mod tests {
     #[test]
     fn rules_match_example_10_shape() {
         let spec = george();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         let rules = true_der(&spec, &enc, &od, &known);
         let s = spec.schema();
@@ -390,8 +390,8 @@ mod tests {
     #[test]
     fn rules_never_conclude_known_attributes() {
         let spec = george();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         let rules = true_der(&spec, &enc, &od, &known);
         for r in &rules {
@@ -422,8 +422,8 @@ mod tests {
         // 401 is dominated by 212 after deduction → rule pattern dead.
         let gamma = parse_cfds(&s, "AC = 401 -> city = \"Newport\"").unwrap();
         let spec = Specification::without_orders(e, sigma, gamma);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         let rules = true_der(&spec, &enc, &od, &known);
         assert!(

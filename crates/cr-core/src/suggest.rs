@@ -46,41 +46,35 @@ impl Suggestion {
 }
 
 /// Computes a suggestion for `spec` given the deduced orders `od` and the
-/// validated/deduced true values `known` (the `VB` of the paper).
+/// validated/deduced true values `known` (the `VB` of the paper). Axioms
+/// the consistency probe and the MaxSAT repair instantiate on a lazy
+/// encoding are recorded into `enc`'s CNF.
 pub fn suggest(
     spec: &Specification,
-    enc: &EncodedSpec,
+    enc: &mut EncodedSpec,
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Suggestion {
-    // DeriveVR + TrueDer + CompGraph + MaxClique.
-    let rules = true_der(spec, enc, od, known);
-    let graph = compatibility_graph(&rules);
-    let clique = find_max_clique(&graph, CliqueStrategy::default());
-
-    // GetSug: retain a maximum subset of the clique consistent with Φ(Se).
     let mut solver = enc.fresh_solver();
-    let selected = max_consistent_subset(enc, &rules, &clique, &mut solver);
-    assemble_suggestion(spec, enc, od, known, rules, selected)
+    suggest_on(spec, enc, od, known, &mut solver).0
 }
 
-/// [`suggest`] against the resolution engine's warm solver: the common
-/// case of `GetSug` — the whole clique is consistent — costs one
-/// assumption probe instead of copying `Φ(Se)` into a fresh MaxSAT
-/// instance. The clique probe and
-/// the MaxSAT repair's CEGAR rounds **record** their lazily instantiated
-/// axioms into the encoding's CNF instead of running transient loops — the
-/// warm solver therefore starts every later probe from the full
-/// already-injected theory, and the clause-tail sync can never re-feed an
-/// instance the solver already holds (the bounded duplicate copies of the
-/// transient era are gone).
+/// The body of [`suggest`] over a solver that holds every clause of `enc`'s
+/// CNF: the one-shot call passes a fresh one, the session its warm solver
+/// (it syncs before suggesting). `DeriveVR` + `TrueDer` + `CompGraph` +
+/// `MaxClique`, then `GetSug`. The common case of `GetSug` — the whole
+/// clique is consistent — costs one assumption probe instead of copying
+/// `Φ(Se)` into a fresh MaxSAT instance. The clique probe and the MaxSAT
+/// repair's CEGAR rounds record their lazily instantiated axioms into the
+/// encoding's CNF, so a warm solver starts every later probe from the full
+/// already-injected theory and the clause-tail sync never re-feeds it an
+/// instance it already holds.
 ///
-/// `solver` must hold every clause of `enc.cnf()` on entry (the engine
-/// syncs before suggesting). Returns the suggestion plus the solver's new
-/// sync watermark: clauses recorded by the probe already reached the solver
-/// through its CEGAR loop, clauses recorded by the MaxSAT repair did not
-/// and stay above the watermark for the next ordinary tail sync.
-pub(crate) fn suggest_with_engine(
+/// Returns the suggestion plus the solver's new sync watermark: clauses
+/// recorded by the probe already reached the solver through its CEGAR
+/// loop, clauses recorded by the MaxSAT repair did not and stay above the
+/// watermark for the next ordinary tail sync.
+pub(crate) fn suggest_on(
     spec: &Specification,
     enc: &mut EncodedSpec,
     od: &DeducedOrders,
@@ -90,13 +84,13 @@ pub(crate) fn suggest_with_engine(
     let rules = true_der(spec, enc, od, known);
     let graph = compatibility_graph(&rules);
     let clique = find_max_clique(&graph, CliqueStrategy::default());
-    let (selected, synced) = max_consistent_subset_recording(enc, &rules, &clique, solver);
+    let (selected, synced) = max_consistent_subset(enc, &rules, &clique, solver);
     (assemble_suggestion(spec, enc, od, known, rules, selected), synced)
 }
 
-/// The post-selection half of `GetSug`, shared by the transient and
-/// recording paths: compute `A'` (derivable attributes) by chaining the
-/// selected rules and assemble `A = R \ (A' ∪ B)` with candidate values.
+/// The post-selection half of `GetSug`: compute `A'` (derivable
+/// attributes) by chaining the selected rules and assemble
+/// `A = R \ (A' ∪ B)` with candidate values.
 fn assemble_suggestion(
     spec: &Specification,
     enc: &EncodedSpec,
@@ -165,7 +159,8 @@ fn assemble_suggestion(
 /// MaxSAT repair: hard clauses are `Φ(Se)`; each clique rule gets a selector
 /// implying "all its asserted values are tops of their attributes"; soft
 /// unit clauses maximise the number of selected rules. Returns the indices
-/// (into `rules`) of the retained clique members.
+/// (into `rules`) of the retained clique members and the solver's
+/// clause-sync watermark.
 ///
 /// Fast path: when the clique's combined assertions are jointly satisfiable
 /// with `Φ(Se)` — one incremental probe on `solver`, assembled into a
@@ -176,72 +171,13 @@ fn assemble_suggestion(
 /// ([`MaxSatInstance::with_hard_base`]) instead of copying it, so even the
 /// fallback is `O(clique)` in construction cost.
 ///
-/// On lazy encodings the probe runs the CEGAR loop (axioms injected into
-/// the warm solver persist across rounds), the borrowed hard base already
-/// contains every axiom the engine recorded, and the repair itself is
-/// CEGAR-wrapped: a repair assignment violating an uninstantiated axiom
-/// adds it as an owned hard clause and re-solves, so the optimum equals the
-/// eager repair.
+/// The probe runs the CEGAR loop with the encoding as the axiom source,
+/// so axioms it instantiates land in the CNF **and** the solver at once.
+/// The repair is CEGAR-wrapped too: a repair assignment violating an
+/// uninstantiated axiom records it into the CNF — the next round's borrowed
+/// hard base sees it — and re-solves, so the optimum equals the eager
+/// repair. On an eager encoding neither loop finds anything to add.
 fn max_consistent_subset(
-    enc: &EncodedSpec,
-    rules: &[DerivationRule],
-    clique: &[usize],
-    solver: &mut cr_sat::Solver,
-) -> Vec<usize> {
-    if clique.is_empty() {
-        return Vec::new();
-    }
-    let assumptions = clique_assumptions(enc, rules, clique);
-    let lazy = enc.options().is_lazy();
-    let sat = if lazy {
-        let mut source = crate::encode::TransientAxiomSource::new(enc);
-        solver.solve_lazy_with_assumptions(&assumptions, &mut source)
-    } else {
-        solver.solve_with_assumptions(&assumptions)
-    };
-    if sat == cr_sat::SolveResult::Sat {
-        return clique.to_vec();
-    }
-    // Axiom clauses added by repair CEGAR rounds (lazy encodings only) --
-    // transient: they live only in this loop's instances.
-    let mut extra_axioms = cr_sat::ClauseBuffer::new();
-    let mut scratch: Vec<cr_sat::Lit> = Vec::new();
-    loop {
-        let (mut inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
-        for clause in extra_axioms.iter() {
-            inst.add_hard(clause.iter().copied());
-        }
-        match maxsat_solve(&inst, MaxSatStrategy::default()) {
-            Some(result) => {
-                if lazy {
-                    let before = extra_axioms.len();
-                    enc.violated_axioms(
-                        cr_sat::Assignment::Total(&result.assignment),
-                        None,
-                        &mut extra_axioms,
-                    );
-                    if extra_axioms.len() > before {
-                        continue;
-                    }
-                }
-                return retained_clique(clique, &selectors, &result.assignment);
-            }
-            // Hard clauses unsatisfiable: the specification itself is
-            // invalid; callers check IsValid first, so this is defensive.
-            None => return Vec::new(),
-        }
-    }
-}
-
-/// [`max_consistent_subset`] for the incremental engine (see
-/// [`suggest_with_engine`]): the consistent-clique probe consults a
-/// [`crate::encode::RecordingAxiomSource`], so axioms it instantiates land
-/// in the CNF **and** the warm solver at once, and every repair-CEGAR
-/// discovery is recorded into the CNF too — the borrowed hard base of the
-/// next repair round (and every later probe of the resolution) starts from
-/// the full already-injected theory. Returns the retained clique indices
-/// and the solver's clause-sync watermark.
-fn max_consistent_subset_recording(
     enc: &mut EncodedSpec,
     rules: &[DerivationRule],
     clique: &[usize],
@@ -251,8 +187,7 @@ fn max_consistent_subset_recording(
         return (Vec::new(), enc.cnf().num_clauses());
     }
     let assumptions = clique_assumptions(enc, rules, clique);
-    let mut source = crate::encode::RecordingAxiomSource::new(enc);
-    let sat = solver.solve_lazy_with_assumptions(&assumptions, &mut source);
+    let sat = solver.solve_lazy_with_assumptions(&assumptions, enc);
     // Everything the probe handed to the solver was recorded into the CNF
     // in the same step: the solver is in sync up to here.
     let synced = enc.cnf().num_clauses();
@@ -266,17 +201,17 @@ fn max_consistent_subset_recording(
         match maxsat_solve(&inst, MaxSatStrategy::default()) {
             Some(result) => {
                 violated.clear();
-                enc.violated_axioms(
+                // Recorded into the CNF: the next iteration's borrowed hard
+                // base (and all later consumers via the tail sync) see
+                // them; `synced` stays below so the engine feeds them to
+                // the solver ordinarily.
+                cr_sat::LazyAxiomSource::instantiate(
+                    enc,
                     cr_sat::Assignment::Total(&result.assignment),
                     None,
                     &mut violated,
                 );
                 if !violated.is_empty() {
-                    // Recorded into the CNF: the next iteration's borrowed
-                    // hard base (and all later consumers via the tail sync)
-                    // see them; `synced` stays below so the engine feeds
-                    // them to the solver ordinarily.
-                    enc.record_axiom_clauses(&violated, 0);
                     continue;
                 }
                 return (retained_clique(clique, &selectors, &result.assignment), synced);
@@ -289,7 +224,7 @@ fn max_consistent_subset_recording(
 }
 
 /// The clique's combined "these values are tops" assumption set, sorted
-/// and deduplicated — shared by the transient and recording probes.
+/// and deduplicated.
 fn clique_assumptions(
     enc: &EncodedSpec,
     rules: &[DerivationRule],
@@ -311,8 +246,7 @@ fn clique_assumptions(
 /// active guard groups asserted, one selector variable per clique rule
 /// implying "all its asserted values are tops", and unit-weight soft
 /// selectors. Returns the instance and the selector variables (parallel to
-/// `clique`). Shared by the transient and recording repair loops so the
-/// selector encoding can never diverge between them.
+/// `clique`).
 fn build_repair_instance<'a>(
     enc: &'a EncodedSpec,
     rules: &[DerivationRule],
@@ -446,8 +380,8 @@ mod tests {
     #[test]
     fn george_suggestion_is_status_only() {
         let spec = george();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         // Example 3: only name and kids are deducible automatically.
         let s = spec.schema();
@@ -455,7 +389,7 @@ mod tests {
         assert_eq!(known.get(s.attr_id("kids").unwrap()), Some(&Value::int(2)));
         assert_eq!(known.known_count(), 2);
 
-        let sug = suggest(&spec, &enc, &od, &known);
+        let sug = suggest(&spec, &mut enc, &od, &known);
         let ask_names: Vec<&str> = sug.ask.keys().map(|a| s.attr_name(*a)).collect();
         assert_eq!(ask_names, vec!["status"], "suggestion should be exactly status");
         // Candidates for status per Example 12: retired and unemployed.
@@ -474,10 +408,10 @@ mod tests {
     #[test]
     fn suggestion_rules_are_mutually_consistent_with_spec() {
         let spec = george();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
-        let sug = suggest(&spec, &enc, &od, &known);
+        let sug = suggest(&spec, &mut enc, &od, &known);
         // Selected rules must not assert two different values of the same
         // attribute (clique property) and must be jointly satisfiable with
         // Φ(Se) (MaxSAT hard constraints) — check the first property here.
@@ -497,11 +431,11 @@ mod tests {
         let s = Schema::new("p", ["a"]).unwrap();
         let e = EntityInstance::new(s, vec![Tuple::of([Value::int(1)])]).unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         assert!(known.complete());
-        let sug = suggest(&spec, &enc, &od, &known);
+        let sug = suggest(&spec, &mut enc, &od, &known);
         assert!(sug.is_empty());
         assert!(sug.derived.is_empty());
     }
@@ -518,10 +452,10 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
-        let sug = suggest(&spec, &enc, &od, &known);
+        let sug = suggest(&spec, &mut enc, &od, &known);
         assert_eq!(sug.len(), 2);
         for cands in sug.ask.values() {
             assert_eq!(cands.len(), 2);

@@ -119,18 +119,13 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
 ///
 /// This is the complete counterpart of the candidate sets `V(A)` that
 /// `DeriveVR` obtains heuristically from `Od`; it decides the (coNP-hard)
-/// true-value problem exactly on the encoded instance.
-pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> {
+/// true-value problem exactly on the encoded instance. Probes run the
+/// CEGAR loop with the encoding as the axiom source: axioms injected by
+/// one probe persist in the solver, sharpen the rest, and are recorded
+/// into `enc`'s CNF.
+pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<ValueId> {
     let mut solver = enc.fresh_solver();
-    // Lazy encodings probe through the CEGAR loop; axioms injected by one
-    // probe persist in this solver and sharpen the rest.
-    let lazy = enc.options().is_lazy();
-    let mut source = crate::encode::TransientAxiomSource::new_if(enc, lazy);
-    let mut probe = |solver: &mut cr_sat::Solver, assumptions: &[cr_sat::Lit]| match &mut source {
-        Some(src) => solver.solve_lazy_with_assumptions(assumptions, src),
-        None => solver.solve_with_assumptions(assumptions),
-    };
-    if probe(&mut solver, &[]) == SolveResult::Unsat {
+    if solver.solve_lazy(enc) == SolveResult::Unsat {
         return Vec::new();
     }
     let mut possible = Vec::new();
@@ -140,7 +135,7 @@ pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> 
         let Some(assumptions) = enc.top_assumptions(attr, v) else {
             continue;
         };
-        if probe(&mut solver, &assumptions) == SolveResult::Sat {
+        if solver.solve_lazy_with_assumptions(&assumptions, enc) == SolveResult::Sat {
             possible.push(v);
         }
     }
@@ -148,7 +143,7 @@ pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> 
 }
 
 /// Exact true values for every attribute via [`possible_current_values`].
-pub fn exact_true_values(enc: &EncodedSpec) -> TrueValues {
+pub fn exact_true_values(enc: &mut EncodedSpec) -> TrueValues {
     let arity = enc.space().arity();
     let mut out = Vec::with_capacity(arity);
     for attr in (0..arity as u16).map(AttrId) {
@@ -197,8 +192,8 @@ mod tests {
     #[test]
     fn chain_gives_complete_true_values() {
         let spec = chain_spec();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert!(tv.complete());
         let t = tv.to_tuple().unwrap();
@@ -214,24 +209,24 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert!(!tv.complete());
         assert_eq!(tv.known_count(), 0);
         assert_eq!(tv.unknown_attrs(), vec![AttrId(0)]);
         // Exact analysis agrees: both cities are possible tops.
-        assert_eq!(possible_current_values(&enc, AttrId(0)).len(), 2);
-        assert!(!exact_true_values(&enc).complete());
+        assert_eq!(possible_current_values(&mut enc, AttrId(0)).len(), 2);
+        assert!(!exact_true_values(&mut enc).complete());
     }
 
     #[test]
     fn exact_agrees_with_up_on_chains() {
         let spec = chain_spec();
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let heuristic = true_values_from_orders(&enc, &od);
-        let exact = exact_true_values(&enc);
+        let exact = exact_true_values(&mut enc);
         assert_eq!(heuristic, exact);
     }
 
@@ -247,8 +242,8 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert_eq!(tv.get(AttrId(0)), Some(&Value::str("Edith")));
         assert_eq!(tv.get(AttrId(1)), None);
@@ -263,8 +258,8 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).unwrap();
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert_eq!(tv.get(AttrId(0)), Some(&Value::int(3)));
     }

@@ -161,8 +161,8 @@ proptest! {
         if !brute_force_valid(&spec, LIMIT) {
             return Ok(());
         }
-        let enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&enc).expect("valid spec propagates without conflict");
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&mut enc).expect("valid spec propagates without conflict");
         let implied = brute_force_implied_orders(&spec, LIMIT);
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in od.pairs(attr) {
@@ -185,8 +185,8 @@ proptest! {
         if !brute_force_valid(&spec, LIMIT) {
             return Ok(());
         }
-        let enc = EncodedSpec::encode(&spec);
-        let od = naive_deduce(&enc).expect("valid");
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = naive_deduce(&mut enc).expect("valid");
         let implied = brute_force_implied_orders(&spec, LIMIT);
         // Completeness: every semantically implied pair is found.
         for (attr, vlo, vhi) in &implied {
@@ -220,8 +220,8 @@ proptest! {
         if !bf_valid {
             return Ok(());
         }
-        let enc = EncodedSpec::encode(&spec);
-        let od = naive_deduce(&enc).expect("valid");
+        let mut enc = EncodedSpec::encode(&spec);
+        let od = naive_deduce(&mut enc).expect("valid");
         let tv = true_values_from_orders(&enc, &od);
         for attr in spec.schema().attr_ids() {
             // Complete deduction must match the consensus exactly.

@@ -13,8 +13,8 @@ use cr_core::framework::{
 };
 use cr_core::{
     check_session_against_scratch, deduce_order, exact_true_values, is_valid_encoded,
-    naive_deduce, EncodeOptions, EncodedSpec, ResolutionOutcome, ResolutionSession,
-    Specification, SpecMirror,
+    naive_deduce, suggest, true_values_from_orders, EncodeOptions, EncodedSpec,
+    ResolutionOutcome, ResolutionSession, Specification, SpecMirror,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
 use cr_types::Tuple;
@@ -89,24 +89,48 @@ fn assert_rounds_match_eager(
 }
 
 /// Component-level differential: validity, UP deduction, complete (NaiveSat)
-/// deduction and the exact true values must agree between a lazy and an
-/// eager encoding of the same spec.
-fn assert_components_agree(spec: &Specification) {
-    let eager = EncodedSpec::encode_with(spec, EncodeOptions::eager());
-    let lazy = EncodedSpec::encode_with(spec, EncodeOptions::lazy());
+/// deduction, the exact true values and the suggestion must agree between
+/// a lazy and an eager encoding of the same spec.
+///
+/// Also checks the recording contract of the encoding as its own axiom
+/// source: the one-shot steps leave an eager encoding untouched, and on a
+/// lazy one every axiom they instantiate is recorded — the CNF grows by
+/// exactly `injected_axioms()`. Returns the lazy encoding's injections.
+fn assert_components_agree(spec: &Specification) -> usize {
+    let mut eager = EncodedSpec::encode_with(spec, EncodeOptions::eager());
+    let mut lazy = EncodedSpec::encode_with(spec, EncodeOptions::lazy());
+    let eager_clauses = eager.cnf().num_clauses();
+    let lazy_clauses = lazy.cnf().num_clauses();
     assert!(
-        lazy.cnf().num_clauses() <= eager.cnf().num_clauses(),
+        lazy_clauses <= eager_clauses,
         "lazy must not materialise more clauses than eager"
     );
-    let v_eager = is_valid_encoded(&eager).valid;
-    let v_lazy = is_valid_encoded(&lazy).valid;
+    let v_eager = is_valid_encoded(&mut eager).valid;
+    let v_lazy = is_valid_encoded(&mut lazy).valid;
     assert_eq!(v_eager, v_lazy, "validity diverged");
-    if !v_eager {
-        return;
+    if v_eager {
+        assert_valid_components_agree(spec, &mut eager, &mut lazy);
     }
+    assert_eq!(eager.cnf().num_clauses(), eager_clauses, "an eager encoding records nothing");
+    assert_eq!(eager.injected_axioms(), 0, "an eager encoding injects nothing");
+    assert_eq!(
+        lazy.cnf().num_clauses(),
+        lazy_clauses + lazy.injected_axioms(),
+        "a lazy encoding records exactly the axioms it injects"
+    );
+    lazy.injected_axioms()
+}
+
+/// The steps after a successful validity check, for
+/// [`assert_components_agree`].
+fn assert_valid_components_agree(
+    spec: &Specification,
+    eager: &mut EncodedSpec,
+    lazy: &mut EncodedSpec,
+) {
     // DeduceOrder (unit propagation + lazy instantiation).
-    let od_eager = deduce_order(&eager).expect("valid");
-    let od_lazy = deduce_order(&lazy).expect("valid");
+    let od_eager = deduce_order(eager).expect("valid");
+    let od_lazy = deduce_order(lazy).expect("valid");
     assert_eq!(od_eager.size(), od_lazy.size(), "UP deduction sizes diverged");
     for attr in spec.schema().attr_ids() {
         for (lo, hi) in od_eager.pairs(attr) {
@@ -114,8 +138,8 @@ fn assert_components_agree(spec: &Specification) {
         }
     }
     // NaiveDeduce (CEGAR probes) — complete, so sizes must match exactly.
-    let nd_eager = naive_deduce(&eager).expect("valid");
-    let nd_lazy = naive_deduce(&lazy).expect("valid");
+    let nd_eager = naive_deduce(eager).expect("valid");
+    let nd_lazy = naive_deduce(lazy).expect("valid");
     assert_eq!(nd_eager.size(), nd_lazy.size(), "NaiveDeduce sizes diverged");
     for attr in spec.schema().attr_ids() {
         for (lo, hi) in nd_eager.pairs(attr) {
@@ -123,11 +147,14 @@ fn assert_components_agree(spec: &Specification) {
         }
     }
     // Exact true values (possible-current-value probes).
-    assert_eq!(
-        exact_true_values(&eager),
-        exact_true_values(&lazy),
-        "exact true values diverged"
-    );
+    assert_eq!(exact_true_values(eager), exact_true_values(lazy), "exact true values diverged");
+    // Suggest (clique probe + MaxSAT repair) from the UP deduction.
+    let known = true_values_from_orders(eager, &od_eager);
+    assert_eq!(known, true_values_from_orders(lazy, &od_lazy), "true values diverged");
+    let sug_eager = suggest(spec, eager, &od_eager, &known);
+    let sug_lazy = suggest(spec, lazy, &od_lazy, &known);
+    assert_eq!(sug_eager.ask, sug_lazy.ask, "suggested attributes diverged");
+    assert_eq!(sug_eager.derived, sug_lazy.derived, "derivable attributes diverged");
 }
 
 /// The compiled-program projection must produce **exactly** the reference
@@ -244,6 +271,25 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
          (injected {} of {axiom_clauses})",
         lazy_inc.injected_axioms
     );
+}
+
+#[test]
+fn one_shot_steps_record_on_lazy_and_leave_eager_untouched() {
+    // The same wide conflicting domain: the one-shot steps must instantiate
+    // axioms on the lazy encoding, so the recording half of the contract is
+    // exercised, not vacuous.
+    let s = cr_data::gen::scenario(&ScenarioConfig {
+        seed: 11,
+        attrs: 4,
+        tuples: 30,
+        domain: 24,
+        conflict_density: 1.0,
+        null_density: 0.0,
+        sigma: 6,
+        gamma: 2,
+        ..Default::default()
+    });
+    assert!(assert_components_agree(&s.spec) > 0, "the one-shot steps injected no axiom");
 }
 
 #[test]

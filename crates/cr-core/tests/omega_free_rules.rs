@@ -37,8 +37,8 @@ fn encode_with_omega(spec: &Specification) -> (EncodedSpec, Vec<InstanceConstrai
 /// Renders both paths' rule lists on one specification: the clause-arena
 /// scan and the reference fed the emitted Ω slice, over the same encoding.
 fn rules_both_paths(spec: &Specification) -> (Vec<String>, Vec<String>) {
-    let (enc, omega) = encode_with_omega(spec);
-    let od = deduce_order(&enc).unwrap();
+    let (mut enc, omega) = encode_with_omega(spec);
+    let od = deduce_order(&mut enc).unwrap();
     let known = true_values_from_orders(&enc, &od);
     let render = |rules: Vec<cr_core::rules::DerivationRule>| {
         rules.iter().map(|r| r.display(&enc, spec.schema())).collect::<Vec<_>>()

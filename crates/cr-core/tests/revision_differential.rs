@@ -194,7 +194,7 @@ fn resolve_with_revisions_reports_telemetry_and_agrees_with_checked() {
     assert!(outcome.revisions.retracted_groups >= 1);
     assert!(outcome.revisions.invalidated > 0, "non-empty cone end-to-end");
     assert!(
-        outcome.rounds.iter().any(|r| r.revision_events > 0),
+        outcome.rounds.iter().any(|r| r.revisions.events > 0),
         "per-round revision telemetry must be stamped"
     );
     // The production path resolves to the same tuple as the checked one.

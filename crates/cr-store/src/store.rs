@@ -569,13 +569,13 @@ impl<B: StorageBackend> SessionStore<B> {
                     Ok(s) => {
                         session = Some(s);
                         start = i + 1;
-                        self.recovery.snapshots_used += 1;
                         break;
                     }
                     Err(_) => continue,
                 }
             }
         }
+        let from_snapshot = session.is_some();
         let mut session = session
             .unwrap_or_else(|| ResolutionSession::new_revisable(&self.config.resolution, base));
         session.set_revision_policy(self.config.policy);
@@ -618,7 +618,10 @@ impl<B: StorageBackend> SessionStore<B> {
             }
         }
 
+        // Counted only once the tail replayed: a failed replay leaves the
+        // session cold and is retried on the next touch.
         self.recovery.rehydrations += 1;
+        self.recovery.snapshots_used += u64::from(from_snapshot);
         self.recovery.events_replayed += replayed;
         let entry = self.entries.get_mut(&id.0).expect("caller checked");
         entry.live = Some(session);

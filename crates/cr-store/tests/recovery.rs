@@ -395,6 +395,43 @@ fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
     }
 }
 
+/// A snapshot restores before the replay reaches a poisoned input: the
+/// failed rehydration counts neither the rehydration nor the snapshot, so
+/// repeated touches of the cold session never count snapshots the store
+/// did not end up using.
+#[test]
+fn failed_replay_after_a_snapshot_counts_no_snapshot() {
+    let Scenario { spec, truth } = scenario_from_raw(23, 4, 3, 50, false);
+    let steps = steps_for(&spec, &truth, 23, 4);
+
+    let mut store = fresh_store(2);
+    store.open(ID, &spec);
+    for step in &steps {
+        apply_step(&mut store, step);
+    }
+    let mut frame = Vec::new();
+    let record = LogRecord::Input(UserInput::single(AttrId(999), cr_types::Value::int(1)));
+    write_frame(&mut frame, &record.encode());
+    store.backend_mut().append(ID, &frame).unwrap();
+    store.backend_mut().sync(ID).unwrap();
+    let (records, _, _) = decode_log(&store.backend().read_log(ID).unwrap());
+    assert!(
+        records.iter().any(|r| matches!(r, LogRecord::Snapshot(_))),
+        "the log holds a snapshot ahead of the poisoned input"
+    );
+
+    assert!(store.evict(ID).unwrap());
+    let t0 = store.recovery();
+    for _ in 0..2 {
+        assert!(matches!(store.session(ID), Err(StoreError::UnknownAttr { .. })));
+    }
+    let t = store.recovery();
+    assert!(
+        t.snapshots_used - t0.snapshots_used <= t.rehydrations - t0.rehydrations,
+        "snapshots counted without a rehydration: {t0:?} -> {t:?}"
+    );
+}
+
 /// Typed error paths: a Reject policy is refused up front, and touching an
 /// unopened session is an [`StoreError::UnknownSession`].
 #[test]

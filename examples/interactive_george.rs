@@ -18,8 +18,8 @@ use conflict_resolution::data::vjday;
 use conflict_resolution::types::Value;
 
 fn show_deduction(spec: &Specification) -> (EncodedSpec, bool) {
-    let enc = EncodedSpec::encode(spec);
-    let od = deduce_order(&enc).expect("valid specification");
+    let mut enc = EncodedSpec::encode(spec);
+    let od = deduce_order(&mut enc).expect("valid specification");
     let known = true_values_from_orders(&enc, &od);
     println!("  deduced so far: {}", render_resolved(spec.schema(), &known));
     (enc, known.complete())
@@ -34,14 +34,14 @@ fn main() {
 
     // Step 1-2 of the framework: validity + automatic deduction.
     println!("\nRound 0 — automatic deduction only:");
-    let enc = EncodedSpec::encode(&spec);
-    let od = deduce_order(&enc).expect("valid specification");
+    let mut enc = EncodedSpec::encode(&spec);
+    let od = deduce_order(&mut enc).expect("valid specification");
     let known = true_values_from_orders(&enc, &od);
     println!("  deduced: {}", render_resolved(spec.schema(), &known));
     assert_eq!(known.known_count(), 2, "Example 3: only name and kids");
 
     // Step 4: suggestion generation (Example 12).
-    let sug = suggest(&spec, &enc, &od, &known);
+    let sug = suggest(&spec, &mut enc, &od, &known);
     println!("\nSuggestion (ask the user about these attributes):");
     for (attr, candidates) in &sug.ask {
         let cands: Vec<String> = candidates.iter().map(|v| v.to_string()).collect();

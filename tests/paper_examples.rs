@@ -28,8 +28,8 @@ fn example_2_edith_resolves_automatically() {
 #[test]
 fn example_2_inference_steps_visible_in_orders() {
     let spec = vjday::edith_spec();
-    let enc = EncodedSpec::encode(&spec);
-    let od = deduce_order(&enc).expect("valid");
+    let mut enc = EncodedSpec::encode(&spec);
+    let od = deduce_order(&mut enc).expect("valid");
     let s = spec.schema();
     let check = |attr: &str, lo: Value, hi: Value| {
         let a = s.attr_id(attr).expect("attr");
@@ -57,8 +57,8 @@ fn example_2_inference_steps_visible_in_orders() {
 #[test]
 fn example_3_george_partial_deduction() {
     let spec = vjday::george_spec();
-    let enc = EncodedSpec::encode(&spec);
-    let od = deduce_order(&enc).expect("valid");
+    let mut enc = EncodedSpec::encode(&spec);
+    let od = deduce_order(&mut enc).expect("valid");
     let known = true_values_from_orders(&enc, &od);
     let s = spec.schema();
     assert_eq!(
@@ -74,11 +74,11 @@ fn example_3_george_partial_deduction() {
 #[test]
 fn example_4_possible_current_values() {
     let spec = vjday::george_spec();
-    let enc = EncodedSpec::encode(&spec);
+    let mut enc = EncodedSpec::encode(&spec);
     let s = spec.schema();
     // status can still be retired or unemployed (working is dominated).
     let status = s.attr_id("status").unwrap();
-    let possible: Vec<&Value> = possible_current_values(&enc, status)
+    let possible: Vec<&Value> = possible_current_values(&mut enc, status)
         .into_iter()
         .map(|v| enc.value(status, v))
         .collect();
@@ -87,7 +87,7 @@ fn example_4_possible_current_values() {
     assert!(possible.contains(&&Value::str("unemployed")));
     // kids is pinned to 2.
     let kids = s.attr_id("kids").unwrap();
-    assert_eq!(possible_current_values(&enc, kids).len(), 1);
+    assert_eq!(possible_current_values(&mut enc, kids).len(), 1);
 }
 
 /// Example 6: supplying the order r6 ≺_status r5 as a partial temporal
@@ -100,8 +100,8 @@ fn example_6_order_extension_completes_george() {
     // r6 is tuple index 2, r5 is index 1 in E2.
     ot.add(status, TupleId(2), TupleId(1));
     let extended = spec.extend_with_orders(&ot);
-    let enc = EncodedSpec::encode(&extended);
-    let od = deduce_order(&enc).expect("valid");
+    let mut enc = EncodedSpec::encode(&extended);
+    let od = deduce_order(&mut enc).expect("valid");
     let known = true_values_from_orders(&enc, &od);
     assert!(known.complete(), "Ot = {{r6 ≺status r5}} suffices");
     assert_eq!(
@@ -115,10 +115,10 @@ fn example_6_order_extension_completes_george() {
 #[test]
 fn example_12_george_suggestion() {
     let spec = vjday::george_spec();
-    let enc = EncodedSpec::encode(&spec);
-    let od = deduce_order(&enc).expect("valid");
+    let mut enc = EncodedSpec::encode(&spec);
+    let od = deduce_order(&mut enc).expect("valid");
     let known = true_values_from_orders(&enc, &od);
-    let sug = suggest(&spec, &enc, &od, &known);
+    let sug = suggest(&spec, &mut enc, &od, &known);
     let s = spec.schema();
     let ask: Vec<&str> = sug.ask.keys().map(|a| s.attr_name(*a)).collect();
     assert_eq!(ask, vec!["status"]);

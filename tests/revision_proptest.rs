@@ -92,8 +92,8 @@ proptest! {
         prop_assert_eq!(outcome.revisions.events, checked.revisions.events);
 
         // Per-round stamps sum to the totals.
-        let round_events: usize = outcome.rounds.iter().map(|r| r.revision_events).sum();
-        let round_cones: usize = outcome.rounds.iter().map(|r| r.revision_invalidated).sum();
+        let round_events: usize = outcome.rounds.iter().map(|r| r.revisions.events).sum();
+        let round_cones: usize = outcome.rounds.iter().map(|r| r.revisions.invalidated).sum();
         prop_assert_eq!(round_events, outcome.revisions.events);
         prop_assert_eq!(round_cones, outcome.revisions.invalidated);
     }
