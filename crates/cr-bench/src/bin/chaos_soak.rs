@@ -33,13 +33,12 @@
 use std::time::Instant;
 
 use cr_bench::{arg_or, arg_seed};
-use cr_core::causal::{
-    resolve_causal_checked, CausalCheckedReplay, CausalReplayConfig, ScriptedCausalRevisions,
-};
+use cr_core::causal::ScriptedCausalRevisions;
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig};
 use cr_core::ingest::RevisionPolicy;
 use cr_data::chaos::{chaos, ChaosConfig};
 use cr_data::gen::{causal_timeline, scenario_from_raw, CausalTimelineConfig, Scenario};
+use cr_oracle::{resolve_causal_checked, CausalCheckedReplay, CausalReplayConfig};
 
 struct Totals {
     scenarios: usize,

@@ -1,7 +1,7 @@
 //! Causal delivery for correction streams: the frontier that turns an
 //! adversarial event stream (out-of-order, duplicated, delayed, partly
 //! corrupt) into the in-order, exactly-once stream the revision engine
-//! consumes, plus the checked causal resolution harness.
+//! consumes.
 //!
 //! The delivery rule is Birman–Schiper–Stephenson causal ordering over the
 //! per-source vector clocks of [`cr_types::CausalStamp`]: an event from
@@ -16,21 +16,16 @@
 //! **branch tips**. Because the tip set and the LWW pick are functions of
 //! the delivered event *set*, the final cell state is independent of
 //! delivery order — the property the convergence differentials
-//! ([`resolve_causal_checked`] under `cr_data`'s chaos adapter) verify
-//! end-to-end against scratch re-resolution.
+//! (`cr_oracle::resolve_causal_checked` under `cr_data`'s chaos adapter)
+//! verify end-to-end against scratch re-resolution.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use cr_types::{AttrId, CausalStamp, Hlc, SourceId, TupleId, Value};
 use cr_types::VectorClock;
 
-use crate::framework::{ResolutionConfig, RoundReport, UserOracle};
-use crate::ingest::{
-    check_session_against_scratch, ResolutionSession, Revision, RevisionError, RevisionPolicy,
-    RevisionTelemetry, SpecMirror,
-};
+use crate::ingest::Revision;
 use crate::spec::Specification;
-use crate::truevalue::TrueValues;
 
 /// One causally-stamped upstream correction.
 #[derive(Clone, Debug, PartialEq)]
@@ -351,203 +346,4 @@ impl CausalFrontier {
         f.concurrent_conflicts = state.concurrent_conflicts as usize;
         f
     }
-}
-
-/// How [`resolve_causal_checked`] drives the session.
-#[derive(Clone, Copy, Debug)]
-pub struct CausalReplayConfig {
-    /// Degradation policy for events that fail validation.
-    /// [`RevisionPolicy::Reject`] makes the harness strict (any bad event
-    /// is a harness error); [`RevisionPolicy::Quarantine`] lets corrupt
-    /// chaos events through into the quarantine log.
-    pub policy: RevisionPolicy,
-    /// When `false`, the user-interaction loop is held off until the
-    /// stream is fully drained (source exhausted *and* frontier empty):
-    /// the post-drain state is then a pure function of the event set, so
-    /// *arbitrary* delivery schedules (cross-round delays included)
-    /// converge. When `true`, interactions interleave with delivery —
-    /// convergence then holds for schedule-preserving permutations
-    /// (within-round reorder, duplicates), and late concurrent corrections
-    /// exercise the re-open path.
-    pub interact_while_streaming: bool,
-    /// Maximum events per [`ResolutionSession::ingest_causal`] call: `0`
-    /// feeds the whole poll as one batch (the production shape — one
-    /// union-cone engine pass per poll), `1` feeds events one at a time
-    /// (each a batch of one), `k` splits the poll into chunks of at most
-    /// `k`. Soaks seed this to interleave batched and per-event
-    /// ingestion; the delivered state must not depend on it.
-    pub max_batch: usize,
-}
-
-impl Default for CausalReplayConfig {
-    fn default() -> Self {
-        CausalReplayConfig {
-            policy: RevisionPolicy::Reject,
-            interact_while_streaming: true,
-            max_batch: 0,
-        }
-    }
-}
-
-/// Result of a checked causal replay (see [`resolve_causal_checked`]).
-pub struct CausalCheckedReplay {
-    /// Final resolution of the revision-driven session. All-`None` when
-    /// the final specification is invalid: an invalid spec has no
-    /// resolution, and reporting the last valid round's values would make
-    /// `resolved` depend on delivery *timing* rather than on the delivered
-    /// event set (breaking convergence comparisons between runs that go
-    /// invalid at different points of their drains).
-    pub resolved: TrueValues,
-    /// True iff the final specification was valid.
-    pub valid: bool,
-    /// True iff all attributes resolved.
-    pub complete: bool,
-    /// Interaction rounds that involved the user.
-    pub interactions: usize,
-    /// Total driver rounds (delivery + interaction).
-    pub rounds: usize,
-    /// Per-round reports (zero durations — the checked harness measures
-    /// nothing), carrying the revision deltas and the competing-candidate
-    /// cells ([`RoundReport::competing`]) each round surfaced: the branch
-    /// tips a caller presents instead of a bare re-open.
-    pub round_reports: Vec<RoundReport>,
-    /// Revision telemetry of the session (applied / duplicate-dropped /
-    /// buffered / quarantined / reopened).
-    pub revisions: RevisionTelemetry,
-    /// Provenance-replay telemetry `(replays, invalidated, full resets)`.
-    pub replay_stats: (usize, usize, usize),
-    /// Engine-vs-scratch equivalence checks performed.
-    pub checks: usize,
-    /// The session's quarantine log (empty in clean runs).
-    pub quarantined: Vec<(Revision, RevisionError)>,
-}
-
-/// Runs the Fig. 4 loop on a revisable [`ResolutionSession`] fed by a
-/// causally-stamped stream, and after every effective revision batch
-/// differentially verifies the replayed engine against a from-scratch
-/// re-resolution of the mirrored post-revision specification.
-///
-/// Unlike [`crate::ingest::resolve_with_revisions_checked`], transient
-/// invalidity does **not** end the run: a later delivery may withdraw the
-/// offending constraint, so the loop skips deduction for that round and
-/// keeps draining; it only concludes once the source is exhausted and the
-/// frontier holds nothing undeliverable.
-pub fn resolve_causal_checked(
-    config: &ResolutionConfig,
-    spec: &Specification,
-    oracle: &mut dyn UserOracle,
-    source: &mut dyn CausalRevisionSource,
-    causal: &CausalReplayConfig,
-) -> Result<CausalCheckedReplay, String> {
-    let mut session = ResolutionSession::new_revisable(config, spec);
-    session.set_revision_policy(causal.policy);
-    let mut mirror = SpecMirror::new(spec);
-    let mut interactions = 0;
-    let mut checks = 0;
-    let arity = spec.schema().arity();
-    let mut last_values = TrueValues::new(vec![None; arity]);
-    // Assigned on every loop iteration before any break.
-    let mut valid;
-    let mut round = 0;
-    // Interaction budget plus slack for delayed deliveries: scripted and
-    // chaos schedules bound their round assignments well below this.
-    let cap = config.max_rounds + source.remaining() + 8;
-    let mut round_reports: Vec<RoundReport> = Vec::new();
-    loop {
-        let events = source.poll(round, session.current());
-        let telemetry_before = session.revision_telemetry();
-        let effective = if causal.max_batch == 0 || events.len() <= causal.max_batch {
-            session
-                .ingest_causal(events)
-                .map_err(|e| format!("causal revision rejected: {e}"))?
-        } else {
-            // Seeded batch split: the poll is fed in chunks of at most
-            // `max_batch` events, interleaving batched and per-event
-            // ingestion — the delivered state must be identical either way
-            // (the scratch check below proves it).
-            let mut effective = Vec::new();
-            for chunk in events.chunks(causal.max_batch) {
-                effective.extend(
-                    session
-                        .ingest_causal(chunk.to_vec())
-                        .map_err(|e| format!("causal revision rejected: {e}"))?,
-                );
-            }
-            effective
-        };
-        for rev in &effective {
-            mirror.apply(rev);
-        }
-        if !effective.is_empty() {
-            check_session_against_scratch(&mut session, &mirror)?;
-            checks += 1;
-        }
-        let zero = std::time::Duration::ZERO;
-        round_reports.push(RoundReport {
-            revisions: session.revision_telemetry().since(&telemetry_before),
-            competing: session.take_competing(),
-            ..RoundReport::settled(round, zero, zero, 0)
-        });
-        let streaming = source.remaining() > 0 || session.frontier().pending() > 0;
-        valid = session.is_valid();
-        if valid {
-            let od = session
-                .deduce(config.deduction)
-                .expect("deduction cannot conflict on a valid specification");
-            let values = session.true_values(&od);
-            last_values = values.clone();
-            if values.complete() && !streaming {
-                break;
-            }
-            let may_interact = causal.interact_while_streaming || !streaming;
-            if may_interact && !values.complete() && interactions < config.max_rounds {
-                let sug = session.suggest(&od, &values);
-                let input = oracle.provide(spec.schema(), &sug);
-                if input.is_empty() {
-                    if !streaming {
-                        break;
-                    }
-                } else {
-                    interactions += 1;
-                    if let Some(r) = round_reports.last_mut() {
-                        r.user_answers = input.values.len();
-                    }
-                    session.apply_input(&input);
-                    mirror.apply_input(&input);
-                }
-            } else if !streaming {
-                break; // interaction budget exhausted, stream drained
-            }
-        } else if !streaming {
-            break; // invalid with nothing left that could cure it
-        }
-        round += 1;
-        if round > cap {
-            if streaming {
-                return Err(format!(
-                    "stream not drained after {round} rounds: {} undelivered, {} buffered",
-                    source.remaining(),
-                    session.frontier().pending()
-                ));
-            }
-            break;
-        }
-    }
-
-    // Final state check — covers runs that ended on an interaction round.
-    check_session_against_scratch(&mut session, &mirror)?;
-    checks += 1;
-
-    Ok(CausalCheckedReplay {
-        complete: valid && last_values.complete(),
-        resolved: if valid { last_values } else { TrueValues::new(vec![None; arity]) },
-        valid,
-        interactions,
-        rounds: round,
-        round_reports,
-        revisions: session.revision_telemetry(),
-        replay_stats: session.replays(),
-        checks,
-        quarantined: session.quarantined().to_vec(),
-    })
 }

@@ -34,11 +34,11 @@
 //!   propagator over [`EncodedSpec::cnf`] is complete without further
 //!   cooperation, and the encoding answers every axiom consultation with
 //!   nothing — the Fig. 4 steps run one body over both modes, and this
-//!   module is the only one that reads the mode. It is one-shot — encoded once, queried, never extended —
-//!   and serves standalone consumers (`bruteforce` comparisons,
-//!   `implication`, the Fig. 8 ablations), the paper-faithful baseline and
-//!   the engine's per-round oracle
-//!   ([`check_session_against_scratch`](crate::ingest::check_session_against_scratch)).
+//!   module is the only one that reads the mode. It is one-shot — encoded
+//!   once, queried, never extended — and serves standalone consumers
+//!   (`implication`, the Fig. 8 ablations), the paper-faithful baseline and
+//!   the oracles of the `cr-oracle` crate (exhaustive-completion
+//!   comparisons, the per-round session ≡ scratch check).
 //! * **Guarded CFDs** ([`EncodeOptions::guarded_cfds`]): each CFD's
 //!   instance constraints form a retractable clause group, which is what
 //!   lets the interactive session absorb every user answer — out-of-domain
@@ -94,10 +94,10 @@
 //! compiled tableau decides which instances a CFD produces, the guard
 //! machinery decides which clause group they land in, and re-emission
 //! after value growth re-reads the same compiled pattern (resolving any
-//! grown, non-table value by `Value` lookup). The pre-compilation
-//! per-entity derivation survives as the differential baseline
-//! (`tests/lazy_differential.rs` proves compiled ≡ reference Ω(Se) exactly
-//! on the seed datasets and randomized scenarios).
+//! grown, non-table value by `Value` lookup). `cr-oracle` keeps a
+//! per-entity derivation over this crate's public API as the differential
+//! baseline (`tests/lazy_differential.rs` proves `omega_compiled` ≡
+//! reference Ω(Se) exactly on the seed datasets and randomized scenarios).
 //!
 //! **Defaults.** [`EncodeOptions::default`] is *eager and unguarded* so
 //! that standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines
@@ -140,17 +140,10 @@ pub use cnf::{ClauseKind, EncodedSpec, GroupId};
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub use program::{compile_count, CompiledProgram};
 
-/// The instance constraints Ω(Se) via the **reference** (pre-compilation)
-/// per-entity instantiation — exposed for differential tests only
-/// (`tests/lazy_differential.rs`).
-#[doc(hidden)]
-pub fn omega_reference(spec: &crate::spec::Specification) -> Vec<InstanceConstraint> {
-    omega::instantiate_reference(spec).omega
-}
-
 /// The instance constraints Ω(Se) via the compiled-program projection —
-/// the production path, exposed alongside [`omega_reference`] for
-/// differential tests.
+/// exactly the instances an unguarded encode emits, in emission order.
+/// The one test hook into instantiation: differential tests compare it
+/// with `cr_oracle::omega_reference` and with the clause arena.
 #[doc(hidden)]
 pub fn omega_compiled(spec: &crate::spec::Specification) -> Vec<InstanceConstraint> {
     omega::instantiate(spec).omega

@@ -18,8 +18,8 @@
 //! evaluated once per distinct projection, never once per ordered pair,
 //! and projection grouping sorts packed `u64` keys instead of hashing
 //! per-tuple key vectors. The pre-compilation per-entity derivation is
-//! kept as [`instantiate_reference`] — the differential-testing and
-//! benchmarking baseline the compiled path is proven against.
+//! kept outside this crate, over its public API, as `cr-oracle`'s
+//! `omega_reference` — the baseline the compiled path is proven against.
 //!
 //! ## Projection classes and pinned lookup
 //!
@@ -169,7 +169,7 @@ impl Premise {
     }
 
     /// Sorts by `(attr, lo, hi)` and deduplicates — the canonical premise
-    /// form (`build_instance` contract).
+    /// form every instantiation path emits.
     pub fn canonicalize(&mut self) {
         match &mut self.0 {
             PremiseRepr::Inline { len, atoms } => {
@@ -258,60 +258,23 @@ impl OmegaSink for Vec<InstanceConstraint> {
     }
 }
 
-/// Core of `ins(ω, s1, s2)` (Section V-A), shared by the Value-based and
-/// dense-id pair instantiators so the vacuity/canonicalisation rules can
-/// never diverge between the scratch and incremental paths:
+/// `ins(ω, s1, s2)` (Section V-A): instantiates currency constraint
+/// `sigma[ci]` on the ordered tuple pair `(t1, t2)`. Returns `None` when a
+/// comparison conjunct fails or any order atom is **vacuous** — the two
+/// values are equal (they satisfy only ⪯) or either side is null. A
+/// premise instantiated on *missing* data is vacuous: were "null ≺ a"
+/// premises counted true, the user-input tuple `to` (null everywhere but
+/// the answered attributes) would fire rules like ϕ8 and claim the user's
+/// answers are stale; a null conclusion carries no strict obligation (`to`
+/// must not force "value ≺ null"). See the semantics notes in the
+/// [`crate::encode`] module docs. The premise is canonicalised (sorted,
+/// deduplicated).
 ///
-/// * `pair(attr)` yields the `(lo, hi)` space-local ids of the two tuples'
-///   values on `attr`, or `None` when the atom is **vacuous** — the values
-///   are equal (they satisfy only ⪯) or either side is null. A premise
-///   instantiated on *missing* data is vacuous: were "null ≺ a" premises
-///   counted true, the user-input tuple `to` (null everywhere but the
-///   answered attributes) would fire rules like ϕ8 and claim the user's
-///   answers are stale; a null conclusion carries no strict obligation
-///   (`to` must not force "value ≺ null"). See the semantics notes in the
-///   [`crate::encode`] module docs.
-/// * `cmp(p)` evaluates a comparison predicate on the pair.
-///
-/// Returns `None` when a comparison fails or any atom is vacuous; the
-/// premise is canonicalised (sorted, deduplicated).
-fn build_instance(
-    constraint: &cr_constraints::CurrencyConstraint,
-    ci: usize,
-    mut pair: impl FnMut(cr_types::AttrId) -> Option<(ValueId, ValueId)>,
-    mut cmp: impl FnMut(&Predicate) -> bool,
-) -> Option<InstanceConstraint> {
-    // Data half of ins(ω, s1, s2): comparison conjuncts.
-    let mut premise = Premise::new();
-    for p in constraint.premises() {
-        match p {
-            Predicate::Order { attr } => {
-                let (lo, hi) = pair(*attr)?;
-                premise.push(OrderAtom { attr: *attr, lo, hi });
-            }
-            other => {
-                if !cmp(other) {
-                    return None;
-                }
-            }
-        }
-    }
-    // Conclusion t1 ≺_Ar t2 on values.
-    let ar = constraint.conclusion_attr();
-    let (lo, hi) = pair(ar)?;
-    premise.canonicalize();
-    Some(InstanceConstraint {
-        premise,
-        conclusion: Conclusion::Atom(OrderAtom { attr: ar, lo, hi }),
-        origin: Origin::Currency(ci),
-    })
-}
-
-/// Instantiates currency constraint `sigma[ci]` on the ordered tuple pair
-/// `(t1, t2)` — [`build_instance`] over the tuples' actual values. Used by
+/// Used by
 /// [`EncodedSpec::extend_with_input`](super::EncodedSpec::extend_with_input)
 /// for the pairs involving a freshly appended user-input tuple (which has
-/// no dense row in the entity).
+/// no dense row in the entity) and by the revisable re-emission path; the
+/// dense walk of [`emit_sigma_gamma`] applies the same rules to id rows.
 pub(crate) fn instantiate_pair(
     space: &AttrValueSpace,
     constraint: &cr_constraints::CurrencyConstraint,
@@ -319,22 +282,35 @@ pub(crate) fn instantiate_pair(
     t1: &cr_types::Tuple,
     t2: &cr_types::Tuple,
 ) -> Option<InstanceConstraint> {
-    build_instance(
-        constraint,
-        ci,
-        |attr| {
-            let v1 = t1.get(attr);
-            let v2 = t2.get(attr);
-            if v1 == v2 || v1.is_null() || v2.is_null() {
-                return None;
+    let pair = |attr: cr_types::AttrId| {
+        let (v1, v2) = (t1.get(attr), t2.get(attr));
+        if v1 == v2 || v1.is_null() || v2.is_null() {
+            return None;
+        }
+        Some(OrderAtom {
+            attr,
+            lo: space.get(attr, v1).expect("interned"),
+            hi: space.get(attr, v2).expect("interned"),
+        })
+    };
+    let mut premise = Premise::new();
+    for p in constraint.premises() {
+        match p {
+            Predicate::Order { attr } => premise.push(pair(*attr)?),
+            other => {
+                if !other.eval_comparison(t1, t2).expect("comparison predicate") {
+                    return None;
+                }
             }
-            Some((
-                space.get(attr, v1).expect("interned"),
-                space.get(attr, v2).expect("interned"),
-            ))
-        },
-        |p| p.eval_comparison(t1, t2).expect("comparison predicate"),
-    )
+        }
+    }
+    let conclusion = pair(constraint.conclusion_attr())?;
+    premise.canonicalize();
+    Some(InstanceConstraint {
+        premise,
+        conclusion: Conclusion::Atom(conclusion),
+        origin: Origin::Currency(ci),
+    })
 }
 
 /// Sentinel in the global → local translation table: value not in this
@@ -695,7 +671,8 @@ fn table_interned(entity: &cr_types::EntityInstance) -> bool {
 
 /// Runs `Instantiation(Se)` (Section V-A) by projecting the entity through
 /// the specification's [`CompiledProgram`] — the production path. Proven
-/// equivalent to [`instantiate_reference`] by `tests/lazy_differential.rs`.
+/// equivalent to `cr_oracle::omega_reference` by
+/// `tests/lazy_differential.rs`.
 pub(crate) fn instantiate(spec: &Specification) -> Instantiated {
     let program = spec.compiled_program().clone();
     instantiate_with(spec, &program)
@@ -860,7 +837,7 @@ pub(crate) fn emit_sigma_gamma(
                 }
                 // Order premises and conclusion on dense ids; equal or null
                 // sides make the atom vacuous and drop the instance
-                // (build_instance semantics).
+                // ([`instantiate_pair`] semantics).
                 let pair = |attr: cr_types::AttrId| -> Option<(ValueId, ValueId)> {
                     let g1 = row1[attr.index()];
                     let g2 = row2[attr.index()];
@@ -1035,7 +1012,7 @@ fn emit_sigma_gamma_reference(
                 }
                 // Order premises and conclusion on dense ids; equal or null
                 // sides make the atom vacuous and drop the instance
-                // (build_instance semantics).
+                // ([`instantiate_pair`] semantics).
                 let pair = |attr: cr_types::AttrId| -> Option<(ValueId, ValueId)> {
                     let g1 = row1[attr.index()];
                     let g2 = row2[attr.index()];
@@ -1070,80 +1047,6 @@ fn emit_sigma_gamma_reference(
             sink.emit(c);
         }
     }
-}
-
-/// The pre-compilation `Instantiation(Se)`: re-derives every constraint's
-/// referenced attributes and pattern lookups per entity and evaluates all
-/// comparison conjuncts per ordered pair. Kept as the differential-testing
-/// and benchmarking baseline for [`instantiate`].
-pub(crate) fn instantiate_reference(spec: &Specification) -> Instantiated {
-    let entity = spec.entity();
-    let (space, g2l) = build_spaces(spec);
-    let mut omega: Vec<InstanceConstraint> = Vec::new();
-    emit_base(spec, &space, &g2l, &mut omega);
-
-    // 4. Currency constraints over distinct projections (per-entity
-    // derivation of the projection key, per-pair comparison evaluation).
-    for (ci, constraint) in spec.sigma().iter().enumerate() {
-        let attrs = constraint.referenced_attrs();
-        let mut reps: Vec<TupleId> = {
-            let mut map: HashMap<Vec<u32>, TupleId> = HashMap::new();
-            for tid in entity.tuple_ids() {
-                let key: Vec<u32> = attrs.iter().map(|&a| entity.dense_id(tid, a)).collect();
-                map.entry(key).or_insert(tid);
-            }
-            map.into_values().collect()
-        };
-        reps.sort_unstable();
-
-        for &r1 in &reps {
-            for &r2 in &reps {
-                if r1 == r2 {
-                    continue;
-                }
-                if let Some(c) = instantiate_pair_dense(&g2l, constraint, ci, entity, r1, r2) {
-                    omega.push(c);
-                }
-            }
-        }
-    }
-
-    // 5. Constant CFDs via per-entity `Value` lookups.
-    for (gi, cfd) in spec.gamma().iter().enumerate() {
-        omega.extend(cfd_instances(&space, gi, cfd));
-    }
-
-    Instantiated { space, omega }
-}
-
-/// [`instantiate_pair`] on a tuple pair *inside* the entity —
-/// [`build_instance`] over the dense id rows: equality/null checks are
-/// integer compares and space-local ids come from the flat translation
-/// table. Comparison predicates still evaluate on the actual values.
-fn instantiate_pair_dense(
-    g2l: &GlobalToLocal,
-    constraint: &cr_constraints::CurrencyConstraint,
-    ci: usize,
-    entity: &cr_types::EntityInstance,
-    t1: TupleId,
-    t2: TupleId,
-) -> Option<InstanceConstraint> {
-    build_instance(
-        constraint,
-        ci,
-        |attr| {
-            let g1 = entity.dense_id(t1, attr);
-            let g2 = entity.dense_id(t2, attr);
-            if g1 == g2 || g1 == NULL_VALUE_ID || g2 == NULL_VALUE_ID {
-                return None;
-            }
-            Some((g2l.local(attr, g1), g2l.local(attr, g2)))
-        },
-        |p| {
-            p.eval_comparison(entity.tuple(t1), entity.tuple(t2))
-                .expect("comparison predicate")
-        },
-    )
 }
 
 /// The instance constraints of one constant CFD over the given value
@@ -1418,84 +1321,6 @@ mod tests {
             .collect();
         assert_eq!(base.len(), 1);
         assert!(base[0].premise.is_empty());
-    }
-
-    /// Regression (review finding): a CFD constant present in the shared
-    /// table but entering the entity only through a *push* (user input
-    /// bypasses table interning, so the local id has no global id) must
-    /// still resolve — the compiled path falls back to the `Value` lookup
-    /// instead of declaring the constant out of domain.
-    #[test]
-    fn compiled_cfd_resolves_values_pushed_outside_the_table() {
-        let s = Schema::new("p", ["AC", "city"]).unwrap();
-        let rows = vec![
-            Tuple::of([Value::int(212), Value::str("NY")]),
-            Tuple::of([Value::int(213), Value::str("SF")]),
-        ];
-        let mut table = cr_types::ValueTable::new();
-        table.intern_tuples(rows.iter());
-        table.intern(&Value::str("LA")); // in the table, not in this entity
-        let mut e = EntityInstance::with_table(s.clone(), rows, &table).unwrap();
-        // User-input style push: "LA" gets a local id with NO global id.
-        e.push(Tuple::of([Value::Null, Value::str("LA")])).unwrap();
-        let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
-        let spec = Specification::without_orders(e, vec![], gamma);
-        spec.set_compiled_program(std::sync::Arc::new(
-            super::super::program::CompiledProgram::compile(
-                spec.sigma(),
-                spec.gamma(),
-                Some(&table),
-            ),
-        ));
-        let reference = instantiate_reference(&spec).omega;
-        let compiled = instantiate(&spec).omega;
-        assert_eq!(reference, compiled);
-        // The CFD must emit real domination conclusions, not a False stub.
-        assert!(compiled
-            .iter()
-            .any(|c| c.origin == Origin::Cfd(0)
-                && matches!(c.conclusion, Conclusion::Atom(_))));
-    }
-
-    /// Regression (review finding): `Int(3)` and `Float(3.0)` intern to
-    /// distinct dense ids but compare semantically equal — dense-id
-    /// inequality must not decide Eq/Neq comparisons on either the binary
-    /// (tuple) or unary (constant, table-compiled) fast paths.
-    #[test]
-    fn compiled_eq_comparisons_honour_semantic_numeric_equality() {
-        let s = Schema::new("p", ["kids", "status"]).unwrap();
-        let rows = vec![
-            Tuple::of([Value::int(3), Value::str("working")]),
-            Tuple::of([Value::float(3.0), Value::str("retired")]),
-        ];
-        let mut table = cr_types::ValueTable::new();
-        table.intern_tuples(rows.iter());
-        table.intern(&Value::int(3));
-        let e = EntityInstance::with_table(s.clone(), rows, &table).unwrap();
-        let sigma = vec![
-            // Binary: t1[kids] = t2[kids] holds across Int(3)/Float(3.0).
-            parse_currency_constraint(&s, "t1[kids] = t2[kids] -> t1 <[status] t2").unwrap(),
-            // Unary with a table-resolved constant: Float(3.0) = 3 holds
-            // even though the global ids differ.
-            parse_currency_constraint(&s, "t1[kids] = 3 -> t1 <[status] t2").unwrap(),
-        ];
-        let spec = Specification::without_orders(e, sigma, vec![]);
-        spec.set_compiled_program(std::sync::Arc::new(
-            super::super::program::CompiledProgram::compile(
-                spec.sigma(),
-                spec.gamma(),
-                Some(&table),
-            ),
-        ));
-        let reference = instantiate_reference(&spec).omega;
-        let compiled = instantiate(&spec).omega;
-        assert_eq!(reference, compiled);
-        for ci in 0..2 {
-            assert!(
-                compiled.iter().any(|c| c.origin == Origin::Currency(ci)),
-                "constraint {ci} must instantiate despite distinct dense ids"
-            );
-        }
     }
 
     #[test]

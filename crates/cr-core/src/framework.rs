@@ -394,8 +394,7 @@ impl Resolver {
     /// paper-faithful baseline for that comparison is a fresh
     /// [`Resolver::resolve`] on the post-revision specification, which is
     /// exactly what the differential harness
-    /// [`crate::ingest::resolve_with_revisions_checked`] proves
-    /// equivalent).
+    /// `cr_oracle::resolve_with_revisions_checked` proves equivalent).
     pub fn resolve_with_revisions(
         &self,
         spec: &Specification,

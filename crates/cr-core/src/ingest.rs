@@ -26,12 +26,14 @@
 //!   — and rolls the lazy-instantiation cursor back by the invalidated
 //!   prefix), and compiled-program-aware re-emission of the disturbed Σ/Γ
 //!   clause groups;
-//! * [`resolve_with_revisions_checked`] — the differential harness: drives
-//!   a session against a revision stream and, after every revision batch,
-//!   proves the replayed engine state equivalent to a **from-scratch
-//!   re-resolution of the post-revision specification** (validity, deduced
-//!   value orders and true values all compared on a fresh eager encoding of
-//!   the [`SpecMirror`]).
+//!
+//! The differential harness lives outside this crate:
+//! `cr_oracle::resolve_with_revisions_checked` drives a session against a
+//! revision stream and, after every revision batch, proves the replayed
+//! engine state equivalent to a **from-scratch re-resolution of the
+//! post-revision specification** (validity, deduced value orders and true
+//! values compared on a fresh eager encoding of `cr_store`'s
+//! `SpecMirror`).
 //!
 //! # Equivalence and value liveness
 //!
@@ -144,9 +146,9 @@ use cr_types::{AttrId, EntityInstance, Epoch, SourceId, Tuple, TupleId, Value, V
 use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
-use crate::deduce::{deduce_order, deduce_order_on, naive_deduce_on, DeducedOrders};
+use crate::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
 use crate::encode::{EncodeOptions, EncodedSpec, GroupId};
-use crate::framework::{DeductionMethod, ResolutionConfig, UserOracle};
+use crate::framework::{DeductionMethod, ResolutionConfig};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_on, Suggestion};
 use crate::truevalue::{true_values_from_orders, TrueValues};
@@ -382,7 +384,7 @@ pub struct RevisionTelemetry {
 impl RevisionTelemetry {
     /// The counts accumulated since `before`, an earlier reading of the
     /// same session — one round's delta.
-    pub(crate) fn since(&self, before: &RevisionTelemetry) -> RevisionTelemetry {
+    pub fn since(&self, before: &RevisionTelemetry) -> RevisionTelemetry {
         RevisionTelemetry {
             events: self.events - before.events,
             retracted_groups: self.retracted_groups - before.retracted_groups,
@@ -1065,8 +1067,8 @@ impl ResolutionSession {
     /// answer; the interaction loop re-asks).
     ///
     /// Returns the *effective* plain revisions applied to the session, in
-    /// application order — exactly what a [`SpecMirror`] must replay to
-    /// stay equivalent. `Err` is only possible under
+    /// application order — exactly what `cr_store`'s `SpecMirror` must
+    /// replay to stay equivalent. `Err` is only possible under
     /// [`RevisionPolicy::Reject`].
     ///
     /// The whole poll is one revision batch: every delivered event
@@ -1417,305 +1419,4 @@ pub struct SessionState {
     pub quarantine_cap: usize,
     /// The session epoch at snapshot time.
     pub epoch: Epoch,
-}
-
-/// The *post-revision* specification, materialised: the mirror a checked
-/// replay is compared against. Tracks retired CFDs separately so revision
-/// events can keep referring to original Γ indices, and materialises a
-/// plain [`Specification`] (with retired CFDs actually removed) on demand.
-pub struct SpecMirror {
-    spec: Specification,
-    retired_cfds: BTreeSet<usize>,
-}
-
-impl SpecMirror {
-    /// A mirror starting at `spec`.
-    pub fn new(spec: &Specification) -> Self {
-        SpecMirror { spec: spec.clone(), retired_cfds: BTreeSet::new() }
-    }
-
-    /// Folds one revision into the mirror.
-    pub fn apply(&mut self, rev: &Revision) {
-        match rev {
-            Revision::RetractCfd { cfd } => {
-                self.retired_cfds.insert(*cfd);
-            }
-            Revision::WithdrawOrder { attr, lo, hi } => {
-                self.spec.withdraw_order(*attr, *lo, *hi);
-            }
-            Revision::WithdrawAnswer { attr, tuple } => {
-                self.spec.withdraw_answer(*attr, *tuple);
-            }
-            Revision::ReplaceValue { tuple, attr, value } => {
-                self.spec.replace_value(*tuple, *attr, value.clone());
-            }
-        }
-    }
-
-    /// Folds one round of user input into the mirror (`Se ⊕ Ot`).
-    pub fn apply_input(&mut self, input: &UserInput) {
-        self.spec.apply_user_input(input);
-    }
-
-    /// The materialised post-revision specification: retired CFDs removed
-    /// for real. Shares the mirror's Σ (and, while no CFD is retired, its Γ
-    /// and compiled program); removing a CFD copies Γ once and leaves the
-    /// program to be recompiled on first encode.
-    pub fn materialise(&self) -> Specification {
-        let mut out = self.spec.clone();
-        // Descending, so the remaining original indices stay valid.
-        for &gi in self.retired_cfds.iter().rev() {
-            out.remove_cfd(gi);
-        }
-        out
-    }
-}
-
-/// Result of a checked replay (see [`resolve_with_revisions_checked`]).
-pub struct CheckedReplay {
-    /// Resolution outcome of the revision-driven session.
-    pub resolved: TrueValues,
-    /// True iff the final specification was valid.
-    pub valid: bool,
-    /// True iff all attributes resolved.
-    pub complete: bool,
-    /// Interaction rounds that involved the user.
-    pub interactions: usize,
-    /// Revision telemetry of the session.
-    pub revisions: RevisionTelemetry,
-    /// Provenance-replay telemetry `(replays, invalidated, full resets)`.
-    pub replay_stats: (usize, usize, usize),
-    /// Engine-vs-scratch equivalence checks performed.
-    pub checks: usize,
-}
-
-/// Runs the Fig. 4 loop on a revisable [`ResolutionSession`] fed by
-/// `source`, and after **every** revision batch differentially verifies the
-/// replayed engine state against a from-scratch re-resolution of the
-/// post-revision specification: validity, deduced value orders (compared at
-/// the value level over the live space) and extracted true values must all
-/// coincide with a fresh eager encoding of the [`SpecMirror`]. Returns an
-/// error describing the first divergence, if any.
-///
-/// The primary session absorbs each poll as one batch
-/// ([`ResolutionSession::absorb_revision_batch`]); an event-at-a-time twin
-/// absorbs the same events as one-event batches, and both are checked
-/// against the scratch mirror *and* against each other on the full logical
-/// state ([`diff_logical_states`]) — the three-way batched ≡ sequential ≡
-/// scratch differential. Both run under [`RevisionPolicy::Reject`], so a
-/// malformed scripted event is an error, never a silent quarantine.
-///
-/// This is the harness behind `tests/revision_differential.rs` (non-empty
-/// retraction cones on fired CFDs and load-bearing orders) and
-/// `tests/revision_proptest.rs` (randomized timelines, batched ≡
-/// sequential ≡ scratch, live coalescing); the unchecked production path
-/// is
-/// [`Resolver::resolve_with_revisions`](crate::framework::Resolver::resolve_with_revisions).
-pub fn resolve_with_revisions_checked(
-    config: &ResolutionConfig,
-    spec: &Specification,
-    oracle: &mut dyn UserOracle,
-    source: &mut dyn RevisionSource,
-) -> Result<CheckedReplay, String> {
-    let mut session = ResolutionSession::new_revisable(config, spec);
-    let mut twin = ResolutionSession::new_revisable(config, spec);
-    session.set_revision_policy(RevisionPolicy::Reject);
-    twin.set_revision_policy(RevisionPolicy::Reject);
-    let mut mirror = SpecMirror::new(spec);
-    let mut interactions = 0;
-    let mut checks = 0;
-    let arity = spec.schema().arity();
-    let mut last_values = TrueValues::new(vec![None; arity]);
-    let mut valid = true;
-
-    for round in 0..=config.max_rounds {
-        let revs = source.poll(round, session.current());
-        let had_revisions = !revs.is_empty();
-        if had_revisions {
-            session
-                .absorb_revision_batch(&revs)
-                .map_err(|e| format!("scripted revision rejected by batch: {e}"))?;
-            for rev in &revs {
-                twin.absorb_revision_batch(std::slice::from_ref(rev))
-                    .map_err(|e| format!("scripted revision rejected: {e} ({rev:?})"))?;
-                mirror.apply(rev);
-            }
-            check_session_against_scratch(&mut session, &mirror)?;
-            check_session_against_scratch(&mut twin, &mirror)?;
-            diff_logical_states(&session.state(), &twin.state())
-                .map_err(|e| format!("batched vs sequential ingestion diverged: {e}"))?;
-            checks += 2;
-        }
-
-        if !session.is_valid() {
-            valid = false;
-            break;
-        }
-        let od = session
-            .deduce(config.deduction)
-            .expect("deduction cannot conflict on a valid specification");
-        let values = session.true_values(&od);
-        last_values = values.clone();
-        if values.complete() || round == config.max_rounds {
-            break;
-        }
-        let sug = session.suggest(&od, &values);
-        let input = oracle.provide(spec.schema(), &sug);
-        if input.is_empty() {
-            break;
-        }
-        interactions += 1;
-        session.apply_input(&input);
-        twin.apply_input(&input);
-        mirror.apply_input(&input);
-    }
-
-    // Final state check — covers the case where the last event batch
-    // arrived on the closing round.
-    check_session_against_scratch(&mut session, &mirror)?;
-    check_session_against_scratch(&mut twin, &mirror)?;
-    diff_logical_states(&session.state(), &twin.state())
-        .map_err(|e| format!("batched vs sequential ingestion diverged at close: {e}"))?;
-    checks += 2;
-
-    Ok(CheckedReplay {
-        complete: last_values.complete(),
-        resolved: last_values,
-        valid,
-        interactions,
-        revisions: session.revision_telemetry(),
-        replay_stats: session.replays(),
-        checks,
-    })
-}
-
-/// Compares the batching-independent fields of two [`SessionState`]s:
-/// entity rows, order pairs, retired CFDs, accepted answers, the causal
-/// frontier, the competing-cell buffer, the quarantine log and its cap,
-/// plus the delivery-level telemetry that must not depend on how events
-/// were partitioned into batches (applied events, duplicates, buffering,
-/// quarantining, re-opens, evictions). Engine-cost counters (invalidated
-/// cones, re-emitted clauses) and the batch-shape counters (batches,
-/// coalescing, epoch) legitimately differ between batched and sequential
-/// ingestion of the same stream and are excluded.
-pub fn diff_logical_states(a: &SessionState, b: &SessionState) -> Result<(), String> {
-    if a.tuples != b.tuples {
-        return Err(format!("entity rows diverged: {:?} vs {:?}", a.tuples, b.tuples));
-    }
-    if a.orders != b.orders {
-        return Err(format!("order pairs diverged: {:?} vs {:?}", a.orders, b.orders));
-    }
-    if a.retired_cfds != b.retired_cfds {
-        return Err(format!(
-            "retired CFDs diverged: {:?} vs {:?}",
-            a.retired_cfds, b.retired_cfds
-        ));
-    }
-    if a.answers != b.answers {
-        return Err(format!("answers diverged: {:?} vs {:?}", a.answers, b.answers));
-    }
-    if a.frontier != b.frontier {
-        return Err(format!("frontier diverged: {:?} vs {:?}", a.frontier, b.frontier));
-    }
-    if a.competing != b.competing {
-        return Err(format!(
-            "competing cells diverged: {:?} vs {:?}",
-            a.competing, b.competing
-        ));
-    }
-    if a.quarantine != b.quarantine {
-        return Err(format!(
-            "quarantine logs diverged: {:?} vs {:?}",
-            a.quarantine, b.quarantine
-        ));
-    }
-    if a.quarantine_cap != b.quarantine_cap {
-        return Err(format!(
-            "quarantine caps diverged: {} vs {}",
-            a.quarantine_cap, b.quarantine_cap
-        ));
-    }
-    let ta = &a.telemetry;
-    let tb = &b.telemetry;
-    let pick = |t: &RevisionTelemetry| {
-        (t.events, t.duplicates_dropped, t.buffered, t.quarantined, t.reopened,
-         t.quarantine_evicted)
-    };
-    if pick(ta) != pick(tb) {
-        return Err(format!(
-            "delivery telemetry diverged: {:?} vs {:?}",
-            pick(ta),
-            pick(tb)
-        ));
-    }
-    Ok(())
-}
-
-/// One engine-vs-scratch equivalence check: encode the mirror's
-/// materialised specification from scratch (eager, self-contained) and
-/// compare validity, deduced value orders and true values against the
-/// replayed session. Public so custom drivers (tests, benches) can
-/// interleave their own revision/input schedules with verification.
-pub fn check_session_against_scratch(
-    session: &mut ResolutionSession,
-    mirror: &SpecMirror,
-) -> Result<(), String> {
-    let scratch_spec = mirror.materialise();
-    let mut scratch = EncodedSpec::encode_with(&scratch_spec, EncodeOptions::eager());
-    let scratch_valid = crate::isvalid::is_valid_encoded(&mut scratch).valid;
-    let session_valid = session.is_valid();
-    if session_valid != scratch_valid {
-        return Err(format!(
-            "validity diverged: replay says {session_valid}, scratch says {scratch_valid}"
-        ));
-    }
-    if !session_valid {
-        return Ok(()); // both invalid: nothing further to compare
-    }
-
-    let session_od = session
-        .deduce(DeductionMethod::UnitPropagation)
-        .ok_or_else(|| "replay deduced a conflict on a valid spec".to_string())?;
-    let scratch_od =
-        deduce_order(&mut scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
-
-    // Compare at the value level over non-null lower bounds: the two
-    // encodings number their variables differently, and the replay's space
-    // retains retired values (which never appear in implied literals) plus
-    // permanent null-bottom units for them (filtered with the null side).
-    // Actual `Value`s, not renderings — `Int(3)` and `Str("3")` display
-    // alike but must never be conflated.
-    let project = |enc: &EncodedSpec, od: &DeducedOrders| -> BTreeSet<(AttrId, Value, Value)> {
-        let mut out = BTreeSet::new();
-        for ai in 0..enc.space().arity() as u16 {
-            let attr = AttrId(ai);
-            for (lo, hi) in od.pairs(attr) {
-                let lo_v = enc.value(attr, lo);
-                let hi_v = enc.value(attr, hi);
-                if lo_v.is_null() || hi_v.is_null() {
-                    continue;
-                }
-                out.insert((attr, lo_v.clone(), hi_v.clone()));
-            }
-        }
-        out
-    };
-    let replay_pairs = project(session.encoded(), &session_od);
-    let scratch_pairs = project(&scratch, &scratch_od);
-    if replay_pairs != scratch_pairs {
-        let only_replay: Vec<_> = replay_pairs.difference(&scratch_pairs).take(5).collect();
-        let only_scratch: Vec<_> = scratch_pairs.difference(&replay_pairs).take(5).collect();
-        return Err(format!(
-            "deduced orders diverged: only-replay {only_replay:?}, only-scratch {only_scratch:?}"
-        ));
-    }
-
-    let replay_tv = session.true_values(&session_od);
-    let scratch_tv = true_values_from_orders(&scratch, &scratch_od);
-    if replay_tv != scratch_tv {
-        return Err(format!(
-            "true values diverged: replay {replay_tv:?}, scratch {scratch_tv:?}"
-        ));
-    }
-    Ok(())
 }

@@ -25,12 +25,12 @@
 //! * [`implication`] — the `Se |= Ot` decision procedure (Section IV) and
 //!   minimal-core explanations for invalid specifications;
 //! * [`pick`] — the traditional `Pick` baseline used in the evaluation;
-//! * [`metrics`] — precision / recall / F-measure accounting (Section VI);
-//! * [`bruteforce`] — a reference implementation that enumerates all
-//!   value-level completions of small specifications, used to validate the
-//!   encoder and the deduction algorithms.
+//! * [`metrics`] — precision / recall / F-measure accounting (Section VI).
+//!
+//! The oracles the engine is tested against — exhaustive completion
+//! enumeration, the checked replay harnesses and the reference Ω(Se) — live
+//! in the `cr-oracle` crate and use only this crate's public API.
 
-pub mod bruteforce;
 pub mod causal;
 pub mod compat;
 pub mod deadline;
@@ -54,14 +54,12 @@ pub use encode::{compile_count, AxiomMode, CompiledProgram, EncodeOptions, Encod
 pub use deadline::{DeadlineExceeded, PhaseDeadline};
 pub use framework::{ResolutionConfig, ResolutionOutcome, Resolver, RoundReport};
 pub use causal::{
-    resolve_causal_checked, CausalCheckedReplay, CausalFrontier, CausalReplayConfig,
-    CausalRevision, CausalRevisionSource, FrontierState, ScriptedCausalRevisions,
+    CausalFrontier, CausalRevision, CausalRevisionSource, FrontierState, ScriptedCausalRevisions,
 };
 pub use ingest::{
-    check_session_against_scratch, diff_logical_states, resolve_with_revisions_checked,
-    AnswerState, BatchReport, CheckedReplay, CompetingCell, ResolutionSession, Revision,
-    RevisionError, RevisionPolicy, RevisionSource, RevisionTelemetry, ScriptedRevisions,
-    SessionState, SpecMirror, DEFAULT_QUARANTINE_CAP,
+    AnswerState, BatchReport, CompetingCell, ResolutionSession, Revision, RevisionError,
+    RevisionPolicy, RevisionSource, RevisionTelemetry, ScriptedRevisions, SessionState,
+    DEFAULT_QUARANTINE_CAP,
 };
 pub use implication::{explain_invalidity, implies, ConflictPart};
 pub use isvalid::{is_valid, is_valid_encoded, Validity};

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use cr_types::{AttrId, Value, ValueId};
 
 use crate::deduce::DeducedOrders;
-use crate::encode::{Conclusion, EncodedSpec, InstanceConstraint, OrderAtom, Origin};
+use crate::encode::EncodedSpec;
 use crate::spec::Specification;
 use crate::truevalue::TrueValues;
 
@@ -69,33 +69,6 @@ pub fn true_der(
     enc: &EncodedSpec,
     od: &DeducedOrders,
     known: &TrueValues,
-) -> Vec<DerivationRule> {
-    true_der_impl(spec, enc, od, known, None)
-}
-
-/// [`true_der`] reading the order-rule implications from an explicit
-/// Ω(Se) slice instead of the clause arena. `omega` must be the instance
-/// list `enc` was emitted from (e.g. `encode::omega_compiled(spec)` for an
-/// unguarded, never-extended encoding). Kept as the differential baseline
-/// for the clause scan (see `cr-core/tests/omega_free_rules.rs`), not for
-/// production use.
-#[doc(hidden)]
-pub fn true_der_retained(
-    spec: &Specification,
-    enc: &EncodedSpec,
-    omega: &[InstanceConstraint],
-    od: &DeducedOrders,
-    known: &TrueValues,
-) -> Vec<DerivationRule> {
-    true_der_impl(spec, enc, od, known, Some(omega))
-}
-
-fn true_der_impl(
-    spec: &Specification,
-    enc: &EncodedSpec,
-    od: &DeducedOrders,
-    known: &TrueValues,
-    omega: Option<&[InstanceConstraint]>,
 ) -> Vec<DerivationRule> {
     let mut rules = Vec::new();
     let arity = spec.schema().arity();
@@ -170,68 +143,53 @@ fn true_der_impl(
     // and currency orders: partition the order-rule implications of Ω(Se)
     // by conclusion (B, b), then cover U(B,b). The implications are re-read
     // straight from the CNF's clause arena
-    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised; an
-    // explicit Ω slice survives as the differential baseline. Both visit
-    // the same subsequence of the emission stream, and the premise pools
-    // are canonicalised below, so the two paths derive identical rules.
+    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised. On an
+    // unguarded, never-extended encoding the scan visits exactly the
+    // order-rule subsequence of `encode::omega_compiled`
+    // (`tests/omega_free_rules.rs`).
     //
     // Index: (battr, b) → list of (premise) for constraints concluding
     // bi ≺v b, keyed further by bi.
     type Premise = Vec<(AttrId, ValueId)>; // asserted tops, from ω atoms
     let mut by_conclusion: HashMap<(AttrId, ValueId), HashMap<ValueId, Vec<Premise>>> =
         HashMap::new();
-    {
-        // Premise atoms a1 ≺ a2 become "a2 is the top of its attribute";
-        // atoms already implied by Od need no assumption at all.
-        let mut ingest = |premise_atoms: &[OrderAtom], atom: OrderAtom| {
-            let mut premise: Premise = Vec::new();
-            let mut usable = true;
-            for p in premise_atoms {
-                if od.contains(p.attr, p.lo, p.hi) {
-                    continue;
-                }
-                // Conflicting instantiation within one constraint: the same
-                // attribute asserted at two different tops.
-                if let Some((_, prev)) = premise.iter().find(|(a, _)| *a == p.attr) {
-                    if *prev != p.hi {
-                        usable = false;
-                        break;
-                    }
-                    continue;
-                }
-                // Incompatible with a validated value.
-                if let Some(k) = known_ids[p.attr.index()] {
-                    if k != p.hi {
-                        usable = false;
-                        break;
-                    }
-                    continue;
-                }
-                premise.push((p.attr, p.hi));
+    // Premise atoms a1 ≺ a2 become "a2 is the top of its attribute";
+    // atoms already implied by Od need no assumption at all.
+    enc.for_each_order_rule(|premise_atoms, atom| {
+        let mut premise: Premise = Vec::new();
+        let mut usable = true;
+        for p in premise_atoms {
+            if od.contains(p.attr, p.lo, p.hi) {
+                continue;
             }
-            if usable {
-                by_conclusion
-                    .entry((atom.attr, atom.hi))
-                    .or_default()
-                    .entry(atom.lo)
-                    .or_default()
-                    .push(premise);
-            }
-        };
-        if let Some(omega) = omega {
-            for c in omega {
-                if !matches!(c.origin, Origin::Currency(_) | Origin::BaseOrder) {
-                    continue;
+            // Conflicting instantiation within one constraint: the same
+            // attribute asserted at two different tops.
+            if let Some((_, prev)) = premise.iter().find(|(a, _)| *a == p.attr) {
+                if *prev != p.hi {
+                    usable = false;
+                    break;
                 }
-                let Conclusion::Atom(atom) = c.conclusion else {
-                    continue;
-                };
-                ingest(&c.premise, atom);
+                continue;
             }
-        } else {
-            enc.for_each_order_rule(|premise_atoms, atom| ingest(premise_atoms, atom));
+            // Incompatible with a validated value.
+            if let Some(k) = known_ids[p.attr.index()] {
+                if k != p.hi {
+                    usable = false;
+                    break;
+                }
+                continue;
+            }
+            premise.push((p.attr, p.hi));
         }
-    }
+        if usable {
+            by_conclusion
+                .entry((atom.attr, atom.hi))
+                .or_default()
+                .entry(atom.lo)
+                .or_default()
+                .push(premise);
+        }
+    });
 
     // Canonicalise the premise pools: shortest (weakest-assumption)
     // premises first, ties broken lexicographically, duplicates removed.

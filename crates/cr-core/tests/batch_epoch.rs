@@ -9,13 +9,13 @@
 //! `tests/revision_proptest.rs` at the workspace level.
 
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
-use cr_core::causal::{
-    resolve_causal_checked, CausalReplayConfig, CausalRevision, ScriptedCausalRevisions,
-};
+use cr_core::causal::{CausalRevision, ScriptedCausalRevisions};
 use cr_core::framework::{DeductionMethod, GroundTruthOracle, ResolutionConfig};
-use cr_core::ingest::{check_session_against_scratch, ResolutionSession, Revision, SpecMirror};
+use cr_core::ingest::{ResolutionSession, Revision};
 use cr_core::Specification;
 use cr_data::chaos::{chaos, ChaosConfig};
+use cr_oracle::{resolve_causal_checked, CausalReplayConfig};
+use cr_store::{check_session_against_scratch, SpecMirror};
 use cr_types::{EntityInstance, Schema, SourceClock, SourceId, Tuple, TupleId, Value};
 
 /// The PR 5 fixture: the CFD fires automatically (AC resolves to 2 through

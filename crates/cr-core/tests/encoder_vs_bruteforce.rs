@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use cr_constraints::{CompOp, CurrencyConstraint, Predicate, TupleRef};
-use cr_core::bruteforce::{
+use cr_oracle::bruteforce::{
     brute_force_implied_orders, brute_force_true_values, brute_force_valid,
 };
 use cr_core::encode::EncodedSpec;

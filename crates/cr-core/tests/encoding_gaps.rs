@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use cr_constraints::parser::parse_cfd_file;
-use cr_core::bruteforce::brute_force_valid;
+use cr_oracle::bruteforce::brute_force_valid;
 use cr_core::encode::{EncodeOptions, EncodedSpec};
 use cr_core::Specification;
 use cr_sat::{SolveResult, Solver};

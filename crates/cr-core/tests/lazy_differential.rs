@@ -11,13 +11,17 @@
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, UserOracle,
 };
+use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
+use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::{
-    check_session_against_scratch, deduce_order, exact_true_values, is_valid_encoded,
-    naive_deduce, suggest, true_values_from_orders, EncodeOptions, EncodedSpec,
-    ResolutionOutcome, ResolutionSession, Specification, SpecMirror,
+    deduce_order, exact_true_values, is_valid_encoded, naive_deduce, suggest,
+    true_values_from_orders, CompiledProgram, EncodeOptions, EncodedSpec, ResolutionOutcome,
+    ResolutionSession, Specification,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
-use cr_types::Tuple;
+use cr_oracle::omega_reference;
+use cr_store::{check_session_against_scratch, SpecMirror};
+use cr_types::{EntityInstance, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 /// Resolves `spec` on the engine (lazy, incremental) and on the
@@ -161,8 +165,8 @@ fn assert_valid_components_agree(
 /// per-entity instantiation's Ω(Se) — same instances, same order (rule
 /// derivation is order sensitive, so set equality is not enough).
 fn assert_omega_matches_reference(spec: &Specification) {
-    let reference = cr_core::encode::omega_reference(spec);
-    let compiled = cr_core::encode::omega_compiled(spec);
+    let reference = omega_reference(spec);
+    let compiled = omega_compiled(spec);
     assert_eq!(
         reference.len(),
         compiled.len(),
@@ -202,6 +206,78 @@ fn compiled_omega_matches_reference_on_seed_datasets() {
                 assert_omega_matches_reference(&extended);
             }
         }
+    }
+}
+
+/// Regression (review finding): a CFD constant present in the shared
+/// table but entering the entity only through a *push* (user input
+/// bypasses table interning, so the local id has no global id) must
+/// still resolve — the compiled path falls back to the `Value` lookup
+/// instead of declaring the constant out of domain.
+#[test]
+fn compiled_cfd_resolves_values_pushed_outside_the_table() {
+    let s = Schema::new("p", ["AC", "city"]).unwrap();
+    let rows = vec![
+        Tuple::of([Value::int(212), Value::str("NY")]),
+        Tuple::of([Value::int(213), Value::str("SF")]),
+    ];
+    let mut table = cr_types::ValueTable::new();
+    table.intern_tuples(rows.iter());
+    table.intern(&Value::str("LA")); // in the table, not in this entity
+    let mut e = EntityInstance::with_table(s.clone(), rows, &table).unwrap();
+    // User-input style push: "LA" gets a local id with NO global id.
+    e.push(Tuple::of([Value::Null, Value::str("LA")])).unwrap();
+    let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
+    let spec = Specification::without_orders(e, vec![], gamma);
+    spec.set_compiled_program(std::sync::Arc::new(CompiledProgram::compile(
+        spec.sigma(),
+        spec.gamma(),
+        Some(&table),
+    )));
+    let compiled = omega_compiled(&spec);
+    assert_eq!(omega_reference(&spec), compiled);
+    // The CFD must emit real domination conclusions, not a False stub.
+    assert!(compiled
+        .iter()
+        .any(|c| c.origin == Origin::Cfd(0)
+            && matches!(c.conclusion, Conclusion::Atom(_))));
+}
+
+/// Regression (review finding): `Int(3)` and `Float(3.0)` intern to
+/// distinct dense ids but compare semantically equal — dense-id
+/// inequality must not decide Eq/Neq comparisons on either the binary
+/// (tuple) or unary (constant, table-compiled) fast paths.
+#[test]
+fn compiled_eq_comparisons_honour_semantic_numeric_equality() {
+    let s = Schema::new("p", ["kids", "status"]).unwrap();
+    let rows = vec![
+        Tuple::of([Value::int(3), Value::str("working")]),
+        Tuple::of([Value::float(3.0), Value::str("retired")]),
+    ];
+    let mut table = cr_types::ValueTable::new();
+    table.intern_tuples(rows.iter());
+    table.intern(&Value::int(3));
+    let e = EntityInstance::with_table(s.clone(), rows, &table).unwrap();
+    let sigma = vec![
+        // Binary: t1[kids] = t2[kids] holds across Int(3)/Float(3.0).
+        parse_currency_constraint(&s, "t1[kids] = t2[kids] -> t1 <[status] t2").unwrap(),
+        // Unary with a table-resolved constant: Float(3.0) = 3 holds
+        // even though the global ids differ.
+        parse_currency_constraint(&s, "t1[kids] = 3 -> t1 <[status] t2").unwrap(),
+    ];
+    let spec = Specification::without_orders(e, sigma, vec![]);
+    spec.set_compiled_program(std::sync::Arc::new(CompiledProgram::compile(
+        spec.sigma(),
+        spec.gamma(),
+        Some(&table),
+    )));
+    let compiled = omega_compiled(&spec);
+    assert_eq!(omega_reference(&spec), compiled);
+    for ci in 0..2 {
+        assert!(
+            compiled.iter().any(|c| c.origin == Origin::Currency(ci)),
+            "constraint {ci} must instantiate despite distinct dense ids"
+        );
     }
 }
 

@@ -14,9 +14,8 @@
 
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
-use cr_core::ingest::{
-    resolve_with_revisions_checked, ResolutionSession, Revision, ScriptedRevisions,
-};
+use cr_core::ingest::{ResolutionSession, Revision, ScriptedRevisions};
+use cr_oracle::resolve_with_revisions_checked;
 use cr_core::spec::UserInput;
 use cr_core::Specification;
 use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value};
@@ -249,7 +248,7 @@ fn revived_value_returns_to_the_query_surface() {
     // resolution loop would settle after the retirement and never see the
     // revival.
     use cr_core::framework::DeductionMethod;
-    use cr_core::ingest::{check_session_against_scratch, ResolutionSession, SpecMirror};
+    use cr_store::{check_session_against_scratch, SpecMirror};
     let s = Schema::new("p", ["name", "city"]).unwrap();
     let e = EntityInstance::new(
         s.clone(),

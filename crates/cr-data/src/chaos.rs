@@ -75,7 +75,7 @@ impl ChaosConfig {
     /// A fully adversarial profile: reorder, duplicates and cross-round
     /// delays (splits/merges batches and forces buffering). Convergence
     /// with canonical delivery is guaranteed for drain-first runs
-    /// (`CausalReplayConfig { interact_while_streaming: false, .. }`),
+    /// (`cr_oracle::CausalReplayConfig { interact_while_streaming: false, .. }`),
     /// where the post-drain state is a pure function of the event set.
     pub fn adversarial(seed: u64) -> Self {
         ChaosConfig { seed, delay_density: 0.6, ..Default::default() }

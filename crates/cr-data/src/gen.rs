@@ -270,7 +270,7 @@ pub fn scenario(cfg: &ScenarioConfig) -> Scenario {
 /// the interaction rounds — the push-based ingestion counterpart of
 /// [`ScenarioConfig`]. Feed the resulting source to
 /// `Resolver::resolve_with_revisions` or the checked differential harness
-/// (`cr_core::ingest::resolve_with_revisions_checked`).
+/// (`cr_oracle::resolve_with_revisions_checked`).
 #[derive(Clone, Debug)]
 pub struct RevisionTimelineConfig {
     /// RNG seed; equal configs generate identical timelines.

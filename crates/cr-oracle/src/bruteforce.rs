@@ -14,7 +14,7 @@
 use cr_constraints::Predicate;
 use cr_types::{AttrId, Value};
 
-use crate::spec::Specification;
+use cr_core::Specification;
 
 /// All valid completions of `spec`, each given as one permutation of the
 /// non-null active-domain values per attribute (least current first).

@@ -34,10 +34,9 @@
 //! surviving tail. The rebuilt session must agree with a *fresh* session
 //! that replayed the same surviving records from scratch — on validity,
 //! deduced value orders, true values (via
-//! [`cr_core::check_session_against_scratch`] against a
-//! [`SpecMirror`](cr_core::SpecMirror) of the surviving prefix), and on
-//! the full logical state (entity rows, order pairs, retired CFDs,
-//! accepted answers, causal frontier). [`harness`] packages that
+//! [`check_session_against_scratch`] against a [`SpecMirror`] of the
+//! surviving prefix), and on the full logical state (entity rows, order
+//! pairs, retired CFDs, accepted answers, causal frontier). [`harness`] packages that
 //! differential; `cr-store`'s recovery tests and the `crash_soak` CI
 //! binary drive it at **every** event boundary under all four fault modes.
 //! Recovery is never silent: [`RecoveryTelemetry`]
@@ -73,5 +72,8 @@ pub use event::{
     SnapshotRecord, FORMAT_VERSION,
 };
 pub use fault::{CrashReport, Fault, FaultyBackend};
-pub use harness::{reference_of, verify_recovery, ReplayedReference};
+pub use harness::{
+    check_session_against_scratch, diff_logical_states, reference_of, verify_recovery,
+    ReplayedReference, SpecMirror,
+};
 pub use store::{AdmissionProbe, RecoveryTelemetry, SessionStore, StoreConfig, StoreError};

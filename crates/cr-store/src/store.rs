@@ -134,18 +134,22 @@ pub struct RecoveryTelemetry {
     /// crash landed mid-batch; recovery restored the previous batch
     /// boundary. Bytes cut land in `truncated_bytes`.
     pub partial_batch_truncations: u64,
+    /// Rehydrations whose replay failed (a logged input naming an unknown
+    /// attribute). Counted once per session: the entry keeps the error and
+    /// later touches return it without reading the log again.
+    pub failed_rehydrations: u64,
 }
 
 impl fmt::Display for RecoveryTelemetry {
     /// One human-readable row per store, for soak and harness failure
     /// output — e.g.
-    /// `recovery: 3 rehydrations (2 via snapshot, 47 events replayed), 5 evictions, 1 corrupt truncations (12 bytes, 1 checksum), 0 partial batches`.
+    /// `recovery: 3 rehydrations (2 via snapshot, 47 events replayed), 5 evictions, 1 corrupt truncations (12 bytes, 1 checksum), 0 partial batches, 0 failed rehydrations`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "recovery: {} rehydrations ({} via snapshot, {} events replayed), \
              {} evictions, {} corrupt truncations ({} bytes, {} checksum), \
-             {} partial batches",
+             {} partial batches, {} failed rehydrations",
             self.rehydrations,
             self.snapshots_used,
             self.events_replayed,
@@ -154,6 +158,7 @@ impl fmt::Display for RecoveryTelemetry {
             self.truncated_bytes,
             self.checksum_failures,
             self.partial_batch_truncations,
+            self.failed_rehydrations,
         )
     }
 }
@@ -176,6 +181,11 @@ pub struct AdmissionProbe {
 struct Entry {
     base: Specification,
     live: Option<ResolutionSession>,
+    /// Why the log does not replay, once a rehydration failed on it. Every
+    /// store call that appends touches the session first, so the log stays
+    /// as it was and every later touch returns this error instead of
+    /// replaying again; re-[`open`](SessionStore::open)ing clears it.
+    failed: Option<StoreError>,
     /// Events appended since the last snapshot record.
     events_since_snapshot: usize,
     /// Events appended over the session's lifetime (snapshot metadata).
@@ -253,11 +263,13 @@ impl<B: StorageBackend> SessionStore<B> {
             .entry(id.0)
             .and_modify(|e| {
                 e.base = base.clone();
+                e.failed = None; // the new base may accept the log
                 e.last_used = clock;
             })
             .or_insert_with(|| Entry {
                 base: base.clone(),
                 live: None,
+                failed: None,
                 events_since_snapshot: 0,
                 events_total: 0,
                 last_used: clock,
@@ -504,12 +516,14 @@ impl<B: StorageBackend> SessionStore<B> {
     /// session becomes live, so it is also the only point where the live
     /// cap can be exceeded and has to be enforced.
     fn touch(&mut self, id: SessionId) -> Result<(), StoreError> {
-        if !self.entries.contains_key(&id.0) {
-            return Err(StoreError::UnknownSession(id));
+        let entry = self.entries.get(&id.0).ok_or(StoreError::UnknownSession(id))?;
+        if let Some(e) = &entry.failed {
+            return Err(e.clone());
         }
+        let cold = entry.live.is_none();
         self.clock += 1;
         let clock = self.clock;
-        if self.entries.get(&id.0).expect("checked").live.is_none() {
+        if cold {
             self.rehydrate(id)?;
             self.enforce_live_cap(id);
         }
@@ -583,6 +597,7 @@ impl<B: StorageBackend> SessionStore<B> {
         let mut replayed = 0u64;
         let mut since_snapshot = 0usize;
         let mut total = 0u64;
+        let mut failed = None;
         for (i, step) in plan.steps.into_iter().enumerate() {
             if let ReplayStep::Snapshot(_) = step {
                 if i < start {
@@ -601,7 +616,10 @@ impl<B: StorageBackend> SessionStore<B> {
             replayed += count as u64;
             match step {
                 ReplayStep::Input(input) => {
-                    check_input(base, &input)?;
+                    if let Err(e) = check_input(base, &input) {
+                        failed = Some(e);
+                        break;
+                    }
                     session.apply_input(&input);
                 }
                 ReplayStep::CausalBatch(batch) => {
@@ -618,12 +636,17 @@ impl<B: StorageBackend> SessionStore<B> {
             }
         }
 
-        // Counted only once the tail replayed: a failed replay leaves the
-        // session cold and is retried on the next touch.
+        let entry = self.entries.get_mut(&id.0).expect("caller checked");
+        if let Some(e) = failed {
+            // Cold for good: the failure is kept and counted once, and no
+            // rehydration or snapshot use is counted.
+            self.recovery.failed_rehydrations += 1;
+            entry.failed = Some(e.clone());
+            return Err(e);
+        }
         self.recovery.rehydrations += 1;
         self.recovery.snapshots_used += u64::from(from_snapshot);
         self.recovery.events_replayed += replayed;
-        let entry = self.entries.get_mut(&id.0).expect("caller checked");
         entry.live = Some(session);
         entry.events_total = total;
         entry.events_since_snapshot = since_snapshot;
@@ -656,11 +679,12 @@ impl<B: StorageBackend> SessionStore<B> {
 }
 
 /// Refuses a user input naming an attribute outside `base`'s schema — the
-/// one check both the live path ([`SessionStore::apply_input`], before
-/// logging) and rehydration (before replaying a logged input) run, so an
-/// out-of-range input is a typed error on either path, never a panic in
-/// the engine.
-fn check_input(base: &Specification, input: &UserInput) -> Result<(), StoreError> {
+/// one check the live path ([`SessionStore::apply_input`], before
+/// logging), rehydration and the reference replay
+/// ([`reference_of`](crate::harness::reference_of)) run before a logged
+/// input, so an out-of-range input is a typed error on every path, never a
+/// panic in the engine.
+pub(crate) fn check_input(base: &Specification, input: &UserInput) -> Result<(), StoreError> {
     let arity = base.schema().arity();
     match input.values.keys().find(|a| a.index() >= arity) {
         Some(&attr) => Err(StoreError::UnknownAttr { attr, arity }),

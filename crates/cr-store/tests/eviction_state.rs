@@ -10,10 +10,12 @@
 //! field, not just a blanket diff.
 
 use cr_core::causal::CausalRevision;
-use cr_core::ingest::{diff_logical_states, Revision};
+use cr_core::ingest::Revision;
 use cr_core::spec::UserInput;
 use cr_core::Specification;
-use cr_store::{FaultyBackend, MemoryBackend, SessionId, SessionStore, StoreConfig};
+use cr_store::{
+    diff_logical_states, FaultyBackend, MemoryBackend, SessionId, SessionStore, StoreConfig,
+};
 use cr_types::{EntityInstance, Schema, SourceClock, SourceId, Tuple, TupleId, Value};
 
 const ID: SessionId = SessionId(3);

@@ -10,8 +10,10 @@
 //! truncated and counted, lost-sync crashes (intact shorter logs) never
 //! reported as checksum failures.
 
+use std::cell::Cell;
+
 use cr_core::causal::CausalRevision;
-use cr_core::ingest::RevisionPolicy;
+use cr_core::ingest::{ResolutionSession, RevisionPolicy};
 use cr_core::spec::{Specification, UserInput};
 use cr_core::ResolutionConfig;
 use cr_data::gen::{causal_timeline, scenario_from_raw, CausalTimelineConfig, Scenario};
@@ -68,7 +70,7 @@ fn fresh_store(
     .unwrap()
 }
 
-fn apply_step(store: &mut SessionStore<FaultyBackend<MemoryBackend>>, step: &Step) {
+fn apply_step<B: StorageBackend>(store: &mut SessionStore<B>, step: &Step) {
     match step {
         Step::Input(input) => {
             store.apply_input(ID, input).unwrap();
@@ -361,19 +363,48 @@ fn unknown_version_record_is_truncated_like_corruption() {
     assert_eq!(store.log_len(ID).unwrap(), good_len);
 }
 
-/// A logged input naming an attribute outside the schema (a log written
-/// before inputs were checked ahead of logging) fails rehydration with a
-/// typed error, every time the session is touched, instead of panicking
-/// in the engine.
-#[test]
-fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
-    let Scenario { spec, truth } = scenario_from_raw(23, 4, 3, 50, false);
-    let steps = steps_for(&spec, &truth, 23, 2);
-    let arity = spec.schema().arity();
+/// Counts `read_log` calls on the wrapped backend.
+#[derive(Default)]
+struct CountingReads {
+    inner: MemoryBackend,
+    reads: Cell<u64>,
+}
 
-    let mut store = fresh_store(0);
+impl StorageBackend for CountingReads {
+    fn append(&mut self, id: SessionId, frame: &[u8]) -> Result<(), StoreError> {
+        self.inner.append(id, frame)
+    }
+    fn read_log(&self, id: SessionId) -> Result<Vec<u8>, StoreError> {
+        self.reads.set(self.reads.get() + 1);
+        self.inner.read_log(id)
+    }
+    fn truncate(&mut self, id: SessionId, len: u64) -> Result<(), StoreError> {
+        self.inner.truncate(id, len)
+    }
+    fn sync(&mut self, id: SessionId) -> Result<(), StoreError> {
+        self.inner.sync(id)
+    }
+    fn sessions(&self) -> Result<Vec<SessionId>, StoreError> {
+        self.inner.sessions()
+    }
+    fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
+        self.inner.remove(id)
+    }
+}
+
+/// An evicted session whose log ends in an input naming attribute 999,
+/// appended straight to the backend (as a log written before inputs were
+/// checked ahead of logging would hold it). Returns the store, the base
+/// specification and the logged records.
+fn poisoned_store(
+    snapshot_every: usize,
+    events: usize,
+) -> (SessionStore<CountingReads>, Specification, Vec<LogRecord>) {
+    let Scenario { spec, truth } = scenario_from_raw(23, 4, 3, 50, false);
+    let mut store =
+        SessionStore::new(CountingReads::default(), store_config(snapshot_every)).unwrap();
     store.open(ID, &spec);
-    for step in &steps {
+    for step in &steps_for(&spec, &truth, 23, events) {
         apply_step(&mut store, step);
     }
     let mut frame = Vec::new();
@@ -381,8 +412,18 @@ fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
     write_frame(&mut frame, &record.encode());
     store.backend_mut().append(ID, &frame).unwrap();
     store.backend_mut().sync(ID).unwrap();
-
     assert!(store.evict(ID).unwrap());
+    let (records, _, _) = decode_log(&store.backend().read_log(ID).unwrap());
+    (store, spec, records)
+}
+
+/// A logged input naming an attribute outside the schema fails
+/// rehydration with a typed error, every time the session is touched,
+/// instead of panicking in the engine.
+#[test]
+fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
+    let (mut store, spec, _) = poisoned_store(0, 2);
+    let arity = spec.schema().arity();
     for _ in 0..2 {
         match store.session(ID) {
             Err(StoreError::UnknownAttr { attr, arity: a }) => {
@@ -395,41 +436,49 @@ fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
     }
 }
 
+/// The reference replay runs rehydration's input check: the same poisoned
+/// log is a typed error from `store.session`, from `reference_of` and from
+/// `verify_recovery`, and nothing panics.
+#[test]
+fn reference_replay_of_an_out_of_range_input_is_a_typed_error() {
+    let (mut store, spec, records) = poisoned_store(0, 2);
+    let expected = StoreError::UnknownAttr { attr: AttrId(999), arity: spec.schema().arity() };
+    assert_eq!(store.session(ID).err(), Some(expected.clone()));
+
+    let config = store_config(0);
+    let mut reference = reference_of(&config.resolution, config.policy, &spec, &records);
+    assert_eq!(reference.error, Some(expected.clone()));
+    let mut fresh = ResolutionSession::new_revisable(&config.resolution, &spec);
+    let err = verify_recovery(&mut fresh, &mut reference).unwrap_err();
+    assert!(err.contains(&expected.to_string()), "{err}");
+}
+
 /// A snapshot restores before the replay reaches a poisoned input: the
-/// failed rehydration counts neither the rehydration nor the snapshot, so
-/// repeated touches of the cold session never count snapshots the store
-/// did not end up using.
+/// failed rehydration counts neither the rehydration nor the snapshot but
+/// one failed rehydration, and the session keeps the error — the second
+/// touch returns it without reading the log again.
 #[test]
 fn failed_replay_after_a_snapshot_counts_no_snapshot() {
-    let Scenario { spec, truth } = scenario_from_raw(23, 4, 3, 50, false);
-    let steps = steps_for(&spec, &truth, 23, 4);
-
-    let mut store = fresh_store(2);
-    store.open(ID, &spec);
-    for step in &steps {
-        apply_step(&mut store, step);
-    }
-    let mut frame = Vec::new();
-    let record = LogRecord::Input(UserInput::single(AttrId(999), cr_types::Value::int(1)));
-    write_frame(&mut frame, &record.encode());
-    store.backend_mut().append(ID, &frame).unwrap();
-    store.backend_mut().sync(ID).unwrap();
-    let (records, _, _) = decode_log(&store.backend().read_log(ID).unwrap());
+    let (mut store, _, records) = poisoned_store(2, 4);
     assert!(
         records.iter().any(|r| matches!(r, LogRecord::Snapshot(_))),
         "the log holds a snapshot ahead of the poisoned input"
     );
 
-    assert!(store.evict(ID).unwrap());
     let t0 = store.recovery();
+    let mut reads = Vec::new();
     for _ in 0..2 {
+        let before = store.backend().reads.get();
         assert!(matches!(store.session(ID), Err(StoreError::UnknownAttr { .. })));
+        reads.push(store.backend().reads.get() - before);
     }
     let t = store.recovery();
     assert!(
         t.snapshots_used - t0.snapshots_used <= t.rehydrations - t0.rehydrations,
         "snapshots counted without a rehydration: {t0:?} -> {t:?}"
     );
+    assert_eq!(t.failed_rehydrations - t0.failed_rehydrations, 1, "{t0:?} -> {t:?}");
+    assert_eq!(reads, [1, 0], "the kept failure is returned without reading the log");
 }
 
 /// Typed error paths: a Reject policy is refused up front, and touching an

@@ -19,15 +19,14 @@
 //! from dedicated sources land in the quarantine log — all of them, only
 //! them — without disturbing the clean stream's resolution.
 
-use conflict_resolution::core::causal::{
-    resolve_causal_checked, CausalReplayConfig, ScriptedCausalRevisions,
-};
+use conflict_resolution::core::causal::ScriptedCausalRevisions;
 use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig};
 use conflict_resolution::core::ingest::RevisionPolicy;
 use conflict_resolution::data::chaos::{chaos, ChaosConfig};
 use conflict_resolution::data::gen::{
     causal_timeline, scenario_from_raw, CausalTimelineConfig, Scenario,
 };
+use cr_oracle::{resolve_causal_checked, CausalReplayConfig};
 use proptest::prelude::*;
 
 fn timeline_cfg(seed: u64, events: usize, sources: usize) -> CausalTimelineConfig {

@@ -6,13 +6,12 @@
 //! specification, with sane cone telemetry throughout.
 
 use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
-use conflict_resolution::core::ingest::{
-    check_session_against_scratch, diff_logical_states, resolve_with_revisions_checked,
-    ResolutionSession, RevisionSource, RevisionTelemetry, SpecMirror,
-};
+use conflict_resolution::core::ingest::{ResolutionSession, RevisionSource, RevisionTelemetry};
 use conflict_resolution::data::gen::{
     revision_timeline, scenario_from_raw, RevisionTimelineConfig, Scenario,
 };
+use cr_oracle::resolve_with_revisions_checked;
+use cr_store::{check_session_against_scratch, diff_logical_states, SpecMirror};
 use proptest::prelude::*;
 
 proptest! {
