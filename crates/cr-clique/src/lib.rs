@@ -6,7 +6,7 @@
 //! approximation \[16\]; compatibility graphs are small (≤ |R|·|It| nodes), so
 //! this crate provides an **exact** Tomita-style branch-and-bound with a
 //! greedy-colouring upper bound, falling back to a multi-seed greedy
-//! heuristic above a configurable node threshold.
+//! heuristic above a fixed node limit.
 
 pub mod exact;
 pub mod graph;
@@ -14,39 +14,16 @@ pub mod greedy;
 
 pub use graph::Graph;
 
-/// Strategy selection for [`find_max_clique`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CliqueStrategy {
-    /// Exact branch-and-bound regardless of size.
-    Exact,
-    /// Greedy heuristic regardless of size.
-    Greedy,
-    /// Exact up to the node threshold, greedy beyond (default).
-    Auto {
-        /// Largest node count still solved exactly.
-        exact_threshold: usize,
-    },
-}
+/// Largest node count [`find_max_clique`] still solves exactly.
+const EXACT_NODE_LIMIT: usize = 160;
 
-impl Default for CliqueStrategy {
-    fn default() -> Self {
-        CliqueStrategy::Auto { exact_threshold: 160 }
-    }
-}
-
-/// Finds a (maximum or maximal, depending on strategy) clique of `g`,
-/// returned as sorted vertex indices.
-pub fn find_max_clique(g: &Graph, strategy: CliqueStrategy) -> Vec<usize> {
-    let mut clique = match strategy {
-        CliqueStrategy::Exact => exact::max_clique(g),
-        CliqueStrategy::Greedy => greedy::greedy_clique(g),
-        CliqueStrategy::Auto { exact_threshold } => {
-            if g.len() <= exact_threshold {
-                exact::max_clique(g)
-            } else {
-                greedy::greedy_clique(g)
-            }
-        }
+/// Finds a clique of `g` — maximum (exact branch-and-bound) up to 160
+/// nodes, maximal (greedy) beyond — returned as sorted vertex indices.
+pub fn find_max_clique(g: &Graph) -> Vec<usize> {
+    let mut clique = if g.len() <= EXACT_NODE_LIMIT {
+        exact::max_clique(g)
+    } else {
+        greedy::greedy_clique(g)
     };
     clique.sort_unstable();
     debug_assert!(g.is_clique(&clique));
@@ -69,11 +46,12 @@ mod tests {
     fn strategies_agree_on_small_graph() {
         // Triangle 0-1-2 plus pendant 3.
         let g = graph_with_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
-        let exact = find_max_clique(&g, CliqueStrategy::Exact);
+        let mut exact = exact::max_clique(&g);
+        exact.sort_unstable();
         assert_eq!(exact, vec![0, 1, 2]);
-        let auto = find_max_clique(&g, CliqueStrategy::default());
+        let auto = find_max_clique(&g);
         assert_eq!(auto, exact);
-        let greedy = find_max_clique(&g, CliqueStrategy::Greedy);
+        let greedy = greedy::greedy_clique(&g);
         assert!(g.is_clique(&greedy));
         assert!(greedy.len() >= 2);
     }
@@ -81,8 +59,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_graphs() {
         let g = Graph::new(0);
-        assert!(find_max_clique(&g, CliqueStrategy::Exact).is_empty());
+        assert!(exact::max_clique(&g).is_empty());
         let g1 = Graph::new(1);
-        assert_eq!(find_max_clique(&g1, CliqueStrategy::Exact), vec![0]);
+        assert_eq!(exact::max_clique(&g1), vec![0]);
     }
 }

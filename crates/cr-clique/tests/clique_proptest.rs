@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use cr_clique::{find_max_clique, CliqueStrategy, Graph};
+use cr_clique::exact::max_clique;
+use cr_clique::greedy::greedy_clique;
+use cr_clique::Graph;
 
 fn build(n: usize, edges: &[(usize, usize)]) -> Graph {
     let mut g = Graph::new(n);
@@ -33,7 +35,7 @@ proptest! {
         edges in prop::collection::vec((0usize..13, 0usize..13), 0..40),
     ) {
         let g = build(n, &edges);
-        let exact = find_max_clique(&g, CliqueStrategy::Exact);
+        let exact = max_clique(&g);
         prop_assert!(g.is_clique(&exact));
         prop_assert_eq!(exact.len(), brute_force_max_clique(&g));
     }
@@ -44,8 +46,8 @@ proptest! {
         edges in prop::collection::vec((0usize..20, 0usize..20), 0..80),
     ) {
         let g = build(n, &edges);
-        let greedy = find_max_clique(&g, CliqueStrategy::Greedy);
-        let exact = find_max_clique(&g, CliqueStrategy::Exact);
+        let greedy = greedy_clique(&g);
+        let exact = max_clique(&g);
         prop_assert!(g.is_clique(&greedy));
         prop_assert!(!greedy.is_empty() || g.is_empty());
         prop_assert!(greedy.len() <= exact.len());

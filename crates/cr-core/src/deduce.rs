@@ -348,10 +348,7 @@ mod tests {
         // Reproduction finding: with the paper-faithful encoding (no
         // totality clauses) even NaiveDeduce misses the fact, because Φ(Se)
         // then has models that are not completions.
-        let mut paper = EncodedSpec::encode_with(
-            &spec,
-            crate::encode::EncodeOptions::paper_faithful(),
-        );
+        let mut paper = EncodedSpec::encode_paper_faithful(&spec);
         let ny_p = paper.value_id(city, &Value::str("NY")).unwrap();
         let la_p = paper.value_id(city, &Value::str("LA")).unwrap();
         let naive_paper = naive_deduce(&mut paper).unwrap();

@@ -2,9 +2,10 @@
 //!
 //! # Guard-literal clause groups
 //!
-//! With [`EncodeOptions::guarded_cfds`] the CFD instance constraints are
-//! emitted as **retractable clause groups**, one group per CFD. The
-//! lifecycle:
+//! The lazy kinds ([`EncodedSpec::encode_lazy`] and the revisable kind;
+//! see the "Encoding kinds" section of the encode module docs) emit the
+//! CFD instance constraints as **retractable clause groups**, one group per
+//! CFD. The eager kinds emit them as plain clauses. The lifecycle:
 //!
 //! 1. *Emission* — a group allocates a fresh guard variable `g`; every
 //!    clause of the group carries the extra literal `¬g`, so the clauses
@@ -32,8 +33,8 @@
 //!
 //! # Lazy axiom instantiation
 //!
-//! With [`AxiomMode::Lazy`] the order axioms are not part of the CNF at
-//! all: [`EncodedSpec::violated_axioms`] answers a
+//! In the lazy kinds the order axioms are not part of the CNF at all:
+//! [`EncodedSpec::violated_axioms`] answers a
 //! [`cr_sat::LazyAxiomSource`] consultation by scanning the candidate
 //! assignment against the dense `attr × lo × hi` variable table and
 //! appending exactly the asymmetry/totality/transitivity instances the
@@ -52,7 +53,7 @@
 //! ordinary clause-tail sync, the MaxSAT repair's borrowed hard base sees
 //! them, and a one-shot query leaves its instantiations behind for the
 //! next. An eager encoding answers every consultation with nothing — its
-//! axioms are already clauses — so callers never branch on the mode.
+//! axioms are already clauses — so callers never branch on the kind.
 //! Injected clauses are permanent (`NO_GROUP`): axioms hold regardless of
 //! any CFD group, so retraction never touches them.
 
@@ -61,14 +62,11 @@ use std::collections::{HashMap, HashSet};
 use cr_sat::{Assignment, ClauseBuffer, Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, TupleId, Value, ValueId};
 
-use super::AxiomMode;
-
 use super::omega::{
     base_order_instance, build_spaces, cfd_instances, emit_base_orders, emit_null_bottoms,
     emit_sigma_gamma, instantiate_pair, sigma_constraint_instances, Conclusion, GlobalToLocal,
     InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
 };
-use super::EncodeOptions;
 use crate::spec::{Specification, UserInput};
 
 /// Sentinel for an unallocated slot in [`VarTable`].
@@ -84,6 +82,28 @@ pub type GroupId = u32;
 
 /// Group tag of permanent clauses.
 const NO_GROUP: GroupId = cr_sat::NO_GROUP;
+
+/// Which of the four encodings an [`EncodedSpec`] is — see the "Encoding
+/// kinds" section of the encode module docs. Guarded CFD groups come with
+/// the lazy kinds, totality with every kind but the paper-faithful one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    /// Every axiom materialised, plain CFD clauses; one-shot.
+    Eager,
+    /// [`Kind::Eager`] without totality clauses (Section V-A as written).
+    PaperFaithful,
+    /// Lazy axioms, guarded CFD groups: the engine's encoding.
+    Lazy,
+    /// [`Kind::Lazy`] with every revision-sensitive clause retractable.
+    Revisable,
+}
+
+impl Kind {
+    /// Axioms instantiated on demand, CFDs guarded.
+    fn is_lazy(self) -> bool {
+        matches!(self, Kind::Lazy | Kind::Revisable)
+    }
+}
 
 /// Classification of one CNF clause, parallel to the clause list. One byte
 /// per clause is what lets the encoding keep no Ω(Se) instance list: rule
@@ -164,10 +184,9 @@ struct GroupState {
 }
 
 /// [`OmegaSink`] adapter converting streamed instances to clauses on the
-/// spot (see [`EncodedSpec::encode_with`]).
+/// spot (see [`EncodedSpec::encode`]).
 struct EncoderSink<'a> {
     enc: &'a mut EncodedSpec,
-    guarded: bool,
 }
 
 impl OmegaSink for EncoderSink<'_> {
@@ -182,7 +201,7 @@ impl OmegaSink for EncoderSink<'_> {
         self.enc.cnf.reserve_clauses(capped);
     }
     fn emit(&mut self, c: InstanceConstraint) {
-        self.enc.route_omega(c, self.guarded);
+        self.enc.route_omega(c);
     }
 }
 
@@ -223,21 +242,21 @@ pub struct EncodedSpec {
     /// ([`EncodedSpec::retract_cfd`]); never re-emitted. All `false` on
     /// non-revisable encodings.
     cfd_retired: Vec<bool>,
-    /// Revisable mode: the active clause group of each tuple-level base
+    /// Revisable kind: the active clause group of each tuple-level base
     /// order pair `(attr, t1, t2)` (vacuous pairs have none).
     order_groups: HashMap<(AttrId, TupleId, TupleId), GroupId>,
-    /// Revisable mode: the active clause group of each Σ constraint.
+    /// Revisable kind: the active clause group of each Σ constraint.
     sigma_groups: Vec<Option<GroupId>>,
-    /// Revisable mode: per-attribute refcounts of the entity cells (and
+    /// Revisable kind: per-attribute refcounts of the entity cells (and
     /// user answers) realising each interned value — drives the space's
     /// liveness mask. Indexed `[attr][value id]`; empty on non-revisable
     /// encodings.
     live_counts: Vec<Vec<u32>>,
-    options: EncodeOptions,
+    kind: Kind,
     /// Axiom clauses recorded into the CNF by lazy instantiation (the
     /// [`cr_sat::LazyAxiomSource`] impl); 0 for eager encodings.
     injected_axioms: usize,
-    /// Revisable mode: values whose liveness flipped retired → live since
+    /// Revisable kind: values whose liveness flipped retired → live since
     /// the last [`EncodedSpec::take_revived`] drain. Revival re-admits the
     /// value's order axioms to the lazy scheme without any of its atoms
     /// re-entering the propagator's delta, so the engine redelivers its
@@ -246,30 +265,51 @@ pub struct EncodedSpec {
 }
 
 impl EncodedSpec {
-    /// Encodes `spec` with default options.
+    /// The eager encoding of `spec`: every order axiom (totality included)
+    /// materialised, CFD clauses plain — self-contained and one-shot.
     pub fn encode(spec: &Specification) -> Self {
-        Self::encode_with(spec, EncodeOptions::default())
+        Self::encode_kind(spec, Kind::Eager)
     }
 
-    /// Encodes `spec` with explicit [`EncodeOptions`].
-    pub fn encode_with(spec: &Specification, options: EncodeOptions) -> Self {
+    /// The paper-faithful encoding of `spec`: eager, without totality
+    /// clauses — Section V-A exactly (see the encode module docs for what
+    /// the missing totality breaks).
+    pub fn encode_paper_faithful(spec: &Specification) -> Self {
+        Self::encode_kind(spec, Kind::PaperFaithful)
+    }
+
+    /// The engine's encoding of `spec`: lazy order axioms (totality
+    /// included) and guarded CFD groups, extensible with every user
+    /// answer. Consumers activate the guards through
+    /// [`EncodedSpec::fresh_solver`] / [`EncodedSpec::fresh_propagator`].
+    pub fn encode_lazy(spec: &Specification) -> Self {
+        Self::encode_kind(spec, Kind::Lazy)
+    }
+
+    /// The revisable encoding of `spec`: [`EncodedSpec::encode_lazy`] with
+    /// every revision-sensitive clause in a retractable group and value
+    /// liveness tracked.
+    pub(crate) fn encode_revisable(spec: &Specification) -> Self {
+        Self::encode_kind(spec, Kind::Revisable)
+    }
+
+    fn encode_kind(spec: &Specification, kind: Kind) -> Self {
         let program = spec.compiled_program().clone();
-        Self::encode_impl(spec, options, |space, g2l, sink| {
+        Self::encode_impl(spec, kind, |space, g2l, sink| {
             emit_sigma_gamma(spec, &program, space, g2l, sink)
         })
     }
 
-    /// [`EncodedSpec::encode_with`] over a supplied Σ/Γ instance list
-    /// instead of the compiled-program projection — the reference path the
-    /// tests encode a reference instance stream with, to prove the
-    /// production CNF equal to it clause for clause.
+    /// The revisable encode over a supplied Σ/Γ instance list instead of
+    /// the compiled-program projection — the reference path the tests
+    /// encode a reference instance stream with, to prove the production
+    /// CNF equal to it clause for clause.
     #[cfg(test)]
-    pub(crate) fn encode_with_omega(
+    pub(crate) fn encode_revisable_with_omega(
         spec: &Specification,
-        options: EncodeOptions,
         omega: Vec<InstanceConstraint>,
     ) -> Self {
-        Self::encode_impl(spec, options, |_, _, sink| {
+        Self::encode_impl(spec, Kind::Revisable, |_, _, sink| {
             for c in omega {
                 sink.emit(c);
             }
@@ -281,7 +321,7 @@ impl EncodedSpec {
     /// revisable groups.
     fn encode_impl(
         spec: &Specification,
-        options: EncodeOptions,
+        kind: Kind,
         sigma_gamma: impl FnOnce(&AttrValueSpace, &GlobalToLocal, &mut EncoderSink<'_>),
     ) -> Self {
         let (space, g2l) = build_spaces(spec);
@@ -305,14 +345,14 @@ impl EncodedSpec {
             order_groups: HashMap::new(),
             sigma_groups: vec![None; spec.sigma().len()],
             live_counts: Vec::new(),
-            options,
+            kind,
             injected_axioms: 0,
             revived: Vec::new(),
         };
 
-        // Variables for every ordered pair of distinct values. Both axiom
-        // modes allocate the full dense table (`O(n²)` per attribute): the
-        // lazy mode needs it to detect violated instances, and downstream
+        // Variables for every ordered pair of distinct values. Every kind
+        // allocates the full dense table (`O(n²)` per attribute): the
+        // lazy kinds need it to detect violated instances, and downstream
         // consumers (`top_assumptions`, suggestion literals) rely on every
         // pair variable existing. The table is empty here, so the atoms can
         // be bulk-allocated in row-major walk order without the per-atom
@@ -343,19 +383,20 @@ impl EncodedSpec {
         // Ω(Se), streamed straight from the compiled-program projection
         // into clause emission — instance construction and clause
         // conversion happen in one pass with no intermediate buffer.
-        // CFD instances optionally go into one retractable group per CFD;
-        // in revisable mode Σ instances are grouped per constraint (routed
-        // by `route_omega`) and base orders per order pair (below);
+        // The lazy kinds put CFD instances into one retractable group per
+        // CFD; the revisable kind also groups Σ instances per constraint
+        // (routed by `route_omega`) and base orders per order pair (below);
         // everything else is permanent.
+        let revisable = kind == Kind::Revisable;
         {
-            let mut sink = EncoderSink { enc: &mut enc, guarded: options.guarded_cfds };
+            let mut sink = EncoderSink { enc: &mut enc };
             emit_null_bottoms(spec, &space, &mut sink);
-            if !options.revisable {
+            if !revisable {
                 emit_base_orders(spec, &g2l, &mut sink);
             }
             sigma_gamma(&space, &g2l, &mut sink);
         }
-        if options.revisable {
+        if revisable {
             // Base currency orders, one retractable group per tuple-level
             // pair, so upstream corrections can withdraw a single asserted
             // order (or re-derive the pairs a value revision touches).
@@ -392,9 +433,9 @@ impl EncodedSpec {
         enc.space = space;
 
         // Transitivity and asymmetry per attribute, over the realised
-        // variable set. Lazy mode emits nothing here: the axioms flow in on
-        // demand through `violated_axioms` (see the module docs).
-        if options.axioms == AxiomMode::Lazy {
+        // variable set. The lazy kinds emit nothing here: the axioms flow
+        // in on demand through `violated_axioms` (see the module docs).
+        if kind.is_lazy() {
             return enc;
         }
         let mut per_attr: Vec<Vec<ValueId>> = vec![Vec::new(); enc.space.arity()];
@@ -406,15 +447,15 @@ impl EncodedSpec {
             vals.sort_unstable();
             vals.dedup();
             let attr = AttrId(ai as u16);
-            // Asymmetry: ¬x_ab ∨ ¬x_ba for unordered pairs; optionally
-            // totality: x_ab ∨ x_ba (see EncodeOptions::totality).
+            // Asymmetry: ¬x_ab ∨ ¬x_ba for unordered pairs; totality
+            // x_ab ∨ x_ba unless paper-faithful (see the encode module docs).
             for (i, &a) in vals.iter().enumerate() {
                 for &b in &vals[i + 1..] {
                     if let (Some(xab), Some(xba)) =
                         (enc.vars.get(attr, a, b), enc.vars.get(attr, b, a))
                     {
                         enc.push_clause([xab.negative(), xba.negative()], NO_GROUP);
-                        if options.totality {
+                        if kind != Kind::PaperFaithful {
                             enc.push_clause([xab.positive(), xba.positive()], NO_GROUP);
                         }
                     }
@@ -460,7 +501,7 @@ impl EncodedSpec {
     ///    (pairs among the original tuples are already instantiated).
     ///
     /// Answers **outside** the interned value space are handled additively
-    /// when the encoding was built with guarded CFDs: the new value id
+    /// by the guarded CFD groups of the lazy kinds: the new value id
     /// appends a row to the dense attr×lo×hi variable table and allocates
     /// its pair variables (the lazy source reads the grown table and
     /// instantiates their axioms on demand), its null-bottom unit is
@@ -473,11 +514,6 @@ impl EncodedSpec {
     /// withdrawn in the process (stale CFD emissions), in retraction order:
     /// callers holding a live `UnitPropagator` must forward them to
     /// `retract_group` before syncing the clause tail.
-    ///
-    /// # Panics
-    ///
-    /// If an answer lies outside the interned space and CFDs are unguarded
-    /// — such an input is not expressible as a pure extension.
     pub(crate) fn extend_with_input(
         &mut self,
         spec: &Specification,
@@ -490,7 +526,7 @@ impl EncodedSpec {
                 continue;
             }
             match self.space.get(*attr, v) {
-                // A retired value (revisable mode) is interned but out of the
+                // A retired value (revisable kind) is interned but out of the
                 // live domain; answering it revives it, which grows the live
                 // space exactly like an out-of-domain answer — the attribute's
                 // CFD instances must be re-emitted over the wider space.
@@ -500,13 +536,7 @@ impl EncodedSpec {
                     }
                     answered.push((*attr, id));
                 }
-                None => {
-                    assert!(
-                        self.options.guarded_cfds,
-                        "out-of-domain answers extend only encodings with guarded CFDs"
-                    );
-                    grown.push(*attr);
-                }
+                None => grown.push(*attr),
             }
         }
 
@@ -559,12 +589,12 @@ impl EncodedSpec {
         }
 
         // (1) Base-order units: the answered value tops its attribute. In
-        // revisable mode each induced tuple-level pair `(attr, t, to)` gets
-        // its own retractable group, mirroring the order extension
+        // the revisable kind each induced tuple-level pair `(attr, t, to)`
+        // gets its own retractable group, mirroring the order extension
         // `Specification::apply_user_input` records — so an upstream
         // correction can later withdraw the answer pair by pair (and a
         // value revision of `t` re-derives exactly the touched pairs).
-        if self.options.revisable {
+        if self.kind == Kind::Revisable {
             let to = TupleId(spec.entity().len() as u32);
             for &(attr, vid) in &answered {
                 let hi = self.space.value(attr, vid).clone();
@@ -640,10 +670,10 @@ impl EncodedSpec {
             // class for the whole input.
             for &tid in &projections.get(&program, entity, cc.class).reps {
                 let t = entity.tuple(tid);
-                // Revisable mode: delta instances join the constraint's
+                // Revisable kind: delta instances join the constraint's
                 // retractable group, so a later revision touching the
                 // constraint withdraws and re-derives them with the rest.
-                let group = if self.options.revisable {
+                let group = if self.kind == Kind::Revisable {
                     self.sigma_group(ci)
                 } else {
                     NO_GROUP
@@ -670,7 +700,7 @@ impl EncodedSpec {
     /// grown table and value space directly. Only lazy encodings grow — an
     /// eager one would need its axioms appended here.
     fn append_value(&mut self, attr: AttrId, v: &Value) -> ValueId {
-        debug_assert!(self.options.is_lazy(), "eager encodings are one-shot and never grow");
+        debug_assert!(self.kind.is_lazy(), "eager encodings are one-shot and never grow");
         debug_assert!(self.space.get(attr, v).is_none());
         let vid = self.space.intern(attr, v);
         let n = self.space.attr(attr).len();
@@ -712,7 +742,7 @@ impl EncodedSpec {
     /// `UnitPropagator` forward them to `retract_groups` before syncing the
     /// clause tail).
     pub(crate) fn retract_cfd(&mut self, gi: usize) -> Vec<GroupId> {
-        debug_assert!(self.options.revisable, "CFD retraction needs a revisable encoding");
+        debug_assert_eq!(self.kind, Kind::Revisable, "CFD retraction needs a revisable encoding");
         self.cfd_retired[gi] = true;
         match self.cfd_groups[gi].take() {
             Some(group) => {
@@ -740,7 +770,7 @@ impl EncodedSpec {
         t1: TupleId,
         t2: TupleId,
     ) -> Vec<GroupId> {
-        debug_assert!(self.options.revisable, "order withdrawal needs a revisable encoding");
+        debug_assert_eq!(self.kind, Kind::Revisable, "order withdrawal needs a revisable encoding");
         match self.order_groups.remove(&(attr, t1, t2)) {
             Some(group) => {
                 self.retract_group(group);
@@ -779,7 +809,7 @@ impl EncodedSpec {
         attr: AttrId,
         old: &Value,
     ) -> Vec<GroupId> {
-        debug_assert!(self.options.revisable, "value revision needs a revisable encoding");
+        debug_assert_eq!(self.kind, Kind::Revisable, "value revision needs a revisable encoding");
         let mut retracted = Vec::new();
 
         // Liveness swap: count the new value in before discounting the old
@@ -894,7 +924,7 @@ impl EncodedSpec {
         self.add_omega_constraint_in(c, NO_GROUP);
     }
 
-    /// The active clause group of Σ constraint `ci` (revisable mode),
+    /// The active clause group of Σ constraint `ci` (revisable kind),
     /// allocating one on first use.
     fn sigma_group(&mut self, ci: usize) -> GroupId {
         match self.sigma_groups[ci] {
@@ -908,12 +938,12 @@ impl EncodedSpec {
     }
 
     /// Routes one streamed Ω instance to its clause group: CFD instances go
-    /// into their (lazily created) retractable group when `guarded`, Σ
-    /// instances into their per-constraint group in revisable mode,
-    /// everything else is permanent.
-    fn route_omega(&mut self, c: InstanceConstraint, guarded: bool) {
+    /// into their retractable group (created on first use) in the lazy
+    /// kinds, Σ instances into their per-constraint group in the revisable
+    /// kind, everything else is permanent.
+    fn route_omega(&mut self, c: InstanceConstraint) {
         match c.origin {
-            super::Origin::Cfd(gi) if guarded => {
+            super::Origin::Cfd(gi) if self.kind.is_lazy() => {
                 let group = match self.cfd_groups[gi] {
                     Some(g) => g,
                     None => {
@@ -924,7 +954,7 @@ impl EncodedSpec {
                 };
                 self.add_omega_constraint_in(c, group);
             }
-            super::Origin::Currency(ci) if self.options.revisable => {
+            super::Origin::Currency(ci) if self.kind == Kind::Revisable => {
                 let group = self.sigma_group(ci);
                 self.add_omega_constraint_in(c, group);
             }
@@ -932,10 +962,10 @@ impl EncodedSpec {
         }
     }
 
-    /// Revisable-mode liveness bookkeeping: one more cell (or user answer)
+    /// Revisable-kind liveness bookkeeping: one more cell (or user answer)
     /// realises `(attr, vid)`. No-op on ordinary encodings.
     fn cell_added(&mut self, attr: AttrId, vid: ValueId) {
-        if !self.options.revisable {
+        if self.kind != Kind::Revisable {
             return;
         }
         let counts = &mut self.live_counts[attr.index()];
@@ -960,13 +990,13 @@ impl EncodedSpec {
         std::mem::take(&mut self.revived)
     }
 
-    /// Revisable-mode liveness bookkeeping: one fewer cell realises
+    /// Revisable-kind liveness bookkeeping: one fewer cell realises
     /// `(attr, vid)`; the value is *retired* when its last occurrence goes
     /// (null is exempt — null-bottom units are permanent clauses and a live
     /// null is always dominated, so keeping it live can never change a
     /// query result; see the ingest module docs).
     fn cell_removed(&mut self, attr: AttrId, vid: ValueId) {
-        if !self.options.revisable {
+        if self.kind != Kind::Revisable {
             return;
         }
         let counts = &mut self.live_counts[attr.index()];
@@ -1060,11 +1090,6 @@ impl EncodedSpec {
     /// The CNF `Φ(Se)`.
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
-    }
-
-    /// The options this specification was encoded with.
-    pub fn options(&self) -> EncodeOptions {
-        self.options
     }
 
     /// Walks every **live** order-rule clause — the Σ-currency and
@@ -1218,7 +1243,7 @@ impl EncodedSpec {
     /// `attr`": every other **live** value of the space sits strictly below
     /// `v` (on ordinary encodings every value is live; on revisable ones
     /// retired values are out of the active domain and impose nothing).
-    /// (The dense variable table is fully allocated in every axiom mode, so
+    /// (The dense variable table is fully allocated in every kind, so
     /// the lookup always succeeds for interned ids; `None` is kept for
     /// defensive callers.)
     pub fn top_assumptions(&self, attr: AttrId, v: ValueId) -> Option<Vec<Lit>> {
@@ -1241,7 +1266,7 @@ impl EncodedSpec {
 
     /// The order-axiom instances violated by (or unit under) a candidate
     /// assignment — the detection half of [`cr_sat::LazyAxiomSource`] for
-    /// [`AxiomMode::Lazy`] encodings — appended to `out`.
+    /// the lazy kinds — appended to `out`.
     ///
     /// With `delta = Some(lits)` (a root fixpoint's newly assigned literals)
     /// the scan is restricted to axiom instances touching a delta variable
@@ -1269,7 +1294,7 @@ impl EncodedSpec {
         delta: Option<&[Lit]>,
         out: &mut ClauseBuffer,
     ) {
-        debug_assert_eq!(self.options.axioms, AxiomMode::Lazy);
+        debug_assert!(self.kind.is_lazy());
         match delta {
             Some(lits) => self.violated_axioms_delta(assignment, lits, out),
             None => self.violated_axioms_total(assignment, out),
@@ -1373,10 +1398,7 @@ impl EncodedSpec {
             } else {
                 // x_ab = false. Totality x_ab ∨ x_ba is unit unless x_ba is
                 // already true.
-                if self.options.totality
-                    && assignment.value(var(b, a)) != Some(true)
-                    && seen.insert(total_key)
-                {
+                if assignment.value(var(b, a)) != Some(true) && seen.insert(total_key) {
                     out.push(&[var(a, b).positive(), var(b, a).positive()]);
                 }
                 r.ensure_out(a, table, n, assignment);
@@ -1465,7 +1487,7 @@ impl EncodedSpec {
                         tournament = false;
                         if both & bit != 0 {
                             out.push(&[var(x, y).negative(), var(y, x).negative()]);
-                        } else if self.options.totality {
+                        } else {
                             out.push(&[var(x, y).positive(), var(y, x).positive()]);
                         }
                     }
@@ -1532,7 +1554,7 @@ impl EncodedSpec {
         value: &dyn Fn(Var) -> Option<bool>,
         delta: Option<&[Lit]>,
     ) -> Vec<Vec<Lit>> {
-        debug_assert_eq!(self.options.axioms, AxiomMode::Lazy);
+        debug_assert!(self.kind.is_lazy());
         let mut out = Vec::new();
         match delta {
             Some(lits) => self.violated_axioms_delta_reference(value, lits, &mut out),
@@ -1618,10 +1640,7 @@ impl EncodedSpec {
             } else {
                 // x_ab = false. Totality x_ab ∨ x_ba is unit unless x_ba is
                 // already true.
-                if self.options.totality
-                    && val(b, a) != Some(true)
-                    && seen.insert(total_key)
-                {
+                if val(b, a) != Some(true) && seen.insert(total_key) {
                     out.push(vec![var(a, b).positive(), var(b, a).positive()]);
                 }
                 // x_ab is the conclusion of the triples (a, c, b):
@@ -1689,9 +1708,7 @@ impl EncodedSpec {
                         tournament = false;
                     } else if !xy && !yx {
                         tournament = false;
-                        if self.options.totality {
-                            out.push(vec![var(x, y).positive(), var(y, x).positive()]);
-                        }
+                        out.push(vec![var(x, y).positive(), var(y, x).positive()]);
                     }
                 }
             }
@@ -1847,7 +1864,7 @@ impl cr_sat::LazyAxiomSource for EncodedSpec {
         delta: Option<&[Lit]>,
         out: &mut ClauseBuffer,
     ) {
-        if !self.options.is_lazy() {
+        if !self.kind.is_lazy() {
             return;
         }
         let from = out.len();
@@ -1956,7 +1973,7 @@ mod tests {
         // used to let the first emission starve the second, permanently
         // losing the totality clause.
         let spec = tiny_spec();
-        let enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let a = enc.value_id(status, &Value::str("working")).unwrap();
         let b = enc.value_id(status, &Value::str("retired")).unwrap();
@@ -2033,12 +2050,12 @@ mod tests {
     fn lazy_encoding_matches_eager_on_validity() {
         let spec = tiny_spec();
         let eager = EncodedSpec::encode(&spec);
-        let mut lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut lazy = EncodedSpec::encode_lazy(&spec);
         // Same variables, strictly fewer clauses (no axioms materialised).
         assert_eq!(lazy.num_order_vars(), eager.num_order_vars());
         assert!(lazy.cnf().num_clauses() < eager.cnf().num_clauses());
         let mut s1 = Solver::from_cnf(eager.cnf());
-        let mut s2 = Solver::from_cnf(lazy.cnf());
+        let mut s2 = lazy.fresh_solver();
         assert_eq!(s1.solve(), s2.solve_lazy(&mut lazy));
     }
 
@@ -2048,7 +2065,7 @@ mod tests {
         // axioms are materialised or pulled on demand.
         let spec = tiny_spec();
         let mut eager = EncodedSpec::encode(&spec);
-        let mut lazy = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut lazy = EncodedSpec::encode_lazy(&spec);
         let od_eager = crate::deduce::deduce_order(&mut eager).unwrap();
         let od_lazy = crate::deduce::deduce_order(&mut lazy).unwrap();
         assert_eq!(od_eager.size(), od_lazy.size());
@@ -2062,7 +2079,7 @@ mod tests {
     #[test]
     fn recording_source_appends_to_the_cnf() {
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let before = enc.cnf().num_clauses();
         assert_eq!(enc.injected_axioms(), 0);
         let mut up = enc.fresh_propagator();
@@ -2118,8 +2135,10 @@ mod tests {
 
     #[test]
     fn guarded_encoding_matches_unguarded_once_activated() {
-        // Same spec as above, but with guarded CFDs: the bare CNF no longer
-        // forces the CFD (guards free), while the activated encoding does.
+        // Same spec as above, encoded lazily (guarded CFDs) and eagerly
+        // (plain CFD clauses): the bare lazy CNF no longer forces the CFD
+        // (guards free), while the activated encoding does, like the eager
+        // one.
         let s = Schema::new("p", ["status", "AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
@@ -2139,22 +2158,35 @@ mod tests {
         ];
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, sigma, gamma);
-        let enc = EncodedSpec::encode_with(&spec, EncodeOptions::default().with_guarded_cfds());
-        assert_eq!(enc.active_guards().len(), 1);
+        let mut lazy = EncodedSpec::encode_lazy(&spec);
+        let eager = EncodedSpec::encode(&spec);
+        assert_eq!(lazy.active_guards().len(), 1);
+        assert!(eager.active_guards().is_empty(), "eager CFD clauses are plain");
         let city = spec.schema().attr_id("city").unwrap();
-        let ny = enc.value_id(city, &Value::str("NY")).unwrap();
-        let la = enc.value_id(city, &Value::str("LA")).unwrap();
-        let x = enc.var_of(city, ny, la).unwrap();
-        let mut activated = enc.fresh_solver();
+        let ny = lazy.value_id(city, &Value::str("NY")).unwrap();
+        let la = lazy.value_id(city, &Value::str("LA")).unwrap();
+        let x = lazy.var_of(city, ny, la).unwrap();
+        let x_eager = eager
+            .var_of(
+                city,
+                eager.value_id(city, &Value::str("NY")).unwrap(),
+                eager.value_id(city, &Value::str("LA")).unwrap(),
+            )
+            .unwrap();
+        let mut bare = Solver::from_cnf(lazy.cnf());
+        assert_eq!(bare.solve_with_assumptions(&[x.negative()]), SolveResult::Sat);
+        let mut plain = Solver::from_cnf(eager.cnf());
+        assert_eq!(plain.solve_with_assumptions(&[x_eager.negative()]), SolveResult::Unsat);
+        let mut activated = lazy.fresh_solver();
         assert_eq!(
-            activated.solve_with_assumptions(&[x.negative()]),
+            activated.solve_lazy_with_assumptions(&[x.negative()], &mut lazy),
             SolveResult::Unsat
         );
-        assert_eq!(activated.solve(), SolveResult::Sat);
+        assert_eq!(activated.solve_lazy(&mut lazy), SolveResult::Sat);
         // Guard variables are not order atoms.
-        let guard = enc.active_guards()[0].var();
-        assert!(enc.order_atom(guard).is_none());
-        assert!(enc.order_atom(x).is_some());
+        let guard = lazy.active_guards()[0].var();
+        assert!(lazy.order_atom(guard).is_none());
+        assert!(lazy.order_atom(x).is_some());
     }
 
     #[test]
@@ -2171,7 +2203,7 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let city = spec.schema().attr_id("city").unwrap();
         let input = UserInput::single(city, Value::str("LA"));
 
@@ -2196,7 +2228,7 @@ mod tests {
         // creates the pair (t_working, to) whose instance forces the job
         // order too.
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
@@ -2207,21 +2239,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "guarded CFDs")]
-    fn unguarded_extension_panics_on_out_of_domain_values() {
-        let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy());
-        let status = spec.schema().attr_id("status").unwrap();
-        let input = UserInput::single(status, Value::str("deceased"));
-        enc.extend_with_input(&spec, &input);
-    }
-
-    #[test]
     fn guarded_extension_absorbs_out_of_domain_values() {
         // The answered value is new: the space grows, the new value tops
         // the attribute, and deduction still works on the extended CNF.
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
         // No CFDs → nothing to retract, but the extension must succeed.
@@ -2253,7 +2275,7 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let ac = spec.schema().attr_id("AC").unwrap();
         let city = spec.schema().attr_id("city").unwrap();
         let old_group = enc.cfd_groups[0];
@@ -2309,7 +2331,7 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 999 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         assert!(live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
         assert!(enc.active_guards().is_empty());
 
@@ -2333,7 +2355,7 @@ mod tests {
         // out-of-domain answers grow the table without emitting axiom
         // clauses (the lazy source covers the grown space).
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_guarded_cfds());
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         assert!(enc
@@ -2384,7 +2406,7 @@ mod tests {
     #[test]
     fn retract_cfd_neutralises_the_group_and_blocks_reemission() {
         let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
+        let mut enc = EncodedSpec::encode_revisable(&spec);
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
@@ -2413,7 +2435,7 @@ mod tests {
     #[test]
     fn withdraw_order_removes_exactly_one_pair() {
         let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
+        let mut enc = EncodedSpec::encode_revisable(&spec);
         let ac = AttrId(0);
         let one = enc.value_id(ac, &Value::int(1)).unwrap();
         let two = enc.value_id(ac, &Value::int(2)).unwrap();
@@ -2439,7 +2461,7 @@ mod tests {
     #[test]
     fn replace_value_retires_revives_and_regrows_the_query_surface() {
         let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_with(&spec, EncodeOptions::lazy().with_revisable());
+        let mut enc = EncodedSpec::encode_revisable(&spec);
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         assert!(enc.space().is_live(city, ny));
@@ -2469,7 +2491,7 @@ mod tests {
     /// A lazy encoding whose attribute `i` has exactly `widths[i]`
     /// distinct non-null values (plus null when `with_null`), and no Σ/Γ:
     /// the order-variable table is all the axiom scans read.
-    fn lazy_wide_encoding(widths: &[usize], with_null: bool, totality: bool) -> EncodedSpec {
+    fn lazy_wide_encoding(widths: &[usize], with_null: bool) -> EncodedSpec {
         let names: Vec<String> = (0..widths.len()).map(|i| format!("a{i}")).collect();
         let s = Schema::new("w", names.iter().map(String::as_str)).unwrap();
         let rows = widths.iter().copied().max().unwrap_or(0) + usize::from(with_null);
@@ -2488,7 +2510,7 @@ mod tests {
             .collect();
         let entity = EntityInstance::new(s, tuples).unwrap();
         let spec = Specification::without_orders(entity, vec![], vec![]);
-        EncodedSpec::encode_with(&spec, EncodeOptions { totality, ..EncodeOptions::lazy() })
+        EncodedSpec::encode_lazy(&spec)
     }
 
     /// SplitMix64 step — the axiom proptest derives every random choice
@@ -2519,7 +2541,6 @@ mod tests {
             widths in proptest::collection::vec(0usize..10, 1..4),
             wide in 0usize..4,
             with_null in 0u8..2,
-            totality in 0u8..2,
             seed in 0u64..u64::MAX,
         ) {
             let mut widths = widths;
@@ -2528,7 +2549,7 @@ mod tests {
                 widths[0] = 60 + (seed % 12) as usize;
             }
             let mut rng = seed;
-            let mut enc = lazy_wide_encoding(&widths, with_null == 1, totality == 1);
+            let mut enc = lazy_wide_encoding(&widths, with_null == 1);
             let num_vars = enc.cnf().num_vars() as usize;
             // Retire a random few values (revisable encodings' liveness).
             for ai in 0..widths.len() {

@@ -7,50 +7,73 @@
 //! implication to a clause, adding transitivity and asymmetry axioms so that
 //! satisfying assignments correspond to valid completions (Lemma 5).
 //!
-//! ## Encoding modes
+//! ## Encoding kinds
 //!
 //! The axioms are the bulk of `Φ(Se)` — `O(n³)` transitivity clauses per
 //! attribute over `n` realised values, versus `O(|Ω|)` instance clauses.
-//! The resolution engine always produces them lazily; eager encodings
-//! are one-shot:
+//! An [`EncodedSpec`] is one of four kinds, each with its own constructor;
+//! no other mix of axiom generation, totality and clause grouping exists:
 //!
-//! * **Lazy** ([`AxiomMode::Lazy`], the engine's only mode): the dense
-//!   `attr × lo × hi` variable table is still fully allocated (`O(n²)`),
-//!   but **no** axiom clauses are emitted. The encoding is itself the
-//!   [`cr_sat::LazyAxiomSource`] its solvers and propagators consult:
-//!   [`EncodedSpec::violated_axioms`] inspects a candidate assignment via
-//!   the dense table and appends exactly the axiom instances the candidate
-//!   violates (or that became unit under it), which the solver/propagator
-//!   then injects and re-checks until the theory is satisfied; the
-//!   encoding records each injected instance into its own CNF, so every
-//!   later consumer starts from it. Resolution
-//!   outcomes are **identical** to an eager encoding of the same
-//!   specification (differentially tested, see below); round-0 encode cost
-//!   drops from `O(n³)` to `O(n²)`. Only lazy encodings are ever extended
-//!   with user input or revised.
-//! * **Eager** ([`AxiomMode::Eager`], the [`EncodeOptions::default`]):
-//!   every asymmetry/totality/transitivity instance is materialised at
-//!   encode time. `Φ(Se)` is then self-contained: any SAT solver or unit
+//! * **Eager** ([`EncodedSpec::encode`]): every asymmetry, totality and
+//!   transitivity instance is materialised at encode time and CFD clauses
+//!   are plain. `Φ(Se)` is then self-contained: any SAT solver or unit
 //!   propagator over [`EncodedSpec::cnf`] is complete without further
 //!   cooperation, and the encoding answers every axiom consultation with
-//!   nothing — the Fig. 4 steps run one body over both modes, and this
-//!   module is the only one that reads the mode. It is one-shot — encoded
+//!   nothing — the Fig. 4 steps run one body over every kind, and this
+//!   module is the only one that reads the kind. It is one-shot — encoded
 //!   once, queried, never extended — and serves standalone consumers
-//!   (`implication`, the Fig. 8 ablations), the paper-faithful baseline and
-//!   the oracles of the `cr-oracle` crate (exhaustive-completion
-//!   comparisons, the per-round session ≡ scratch check).
-//! * **Guarded CFDs** ([`EncodeOptions::guarded_cfds`]): each CFD's
-//!   instance constraints form a retractable clause group, which is what
-//!   lets the interactive session absorb every user answer — out-of-domain
-//!   values included — as a pure extension of the encoding. Extending an
-//!   *unguarded* encoding with an out-of-domain answer is a programming
-//!   error (it panics); the session always guards, while the from-scratch
-//!   loop encodes unguarded and re-encodes every round instead of
-//!   extending. The full emission → activation → retraction lifecycle is
-//!   documented in the `cnf` module docs; the engine side lives in
-//!   `framework`'s module docs. Lazily injected axiom clauses are never
-//!   guarded — they are theory-valid regardless of any CFD, so they
-//!   survive retraction.
+//!   (`implication`, the Fig. 8 ablations) and the oracles of the
+//!   `cr-oracle` crate and `cr-store`'s harness (exhaustive-completion
+//!   comparisons, the per-round session ≡ scratch check, which checks the
+//!   engine's guarded CFD groups against plain CFD clauses).
+//! * **Paper-faithful** ([`EncodedSpec::encode_paper_faithful`]): eager,
+//!   without the totality clauses `x^A_{a,b} ∨ x^A_{b,a}` — Section V-A as
+//!   written. **Reproduction finding:** without totality, satisfying
+//!   assignments of `Φ(Se)` are partial orders that may not extend to a
+//!   valid completion, and literals can hold in every valid completion
+//!   without being implied by `Φ(Se)` (Lemmas 5/6 break on corner cases —
+//!   see `encoding_gaps::paper_encoding_misses_disjunctive_facts`). With
+//!   totality the models of `Φ(Se)` are exactly the value-level
+//!   completions, so every other kind includes it.
+//! * **Lazy** ([`EncodedSpec::encode_lazy`], the engine's encoding): the
+//!   dense `attr × lo × hi` variable table is still fully allocated
+//!   (`O(n²)`), but **no** axiom clauses are emitted. The encoding is
+//!   itself the [`cr_sat::LazyAxiomSource`] its solvers and propagators
+//!   consult: [`EncodedSpec::violated_axioms`] inspects a candidate
+//!   assignment via the dense table and appends exactly the axiom
+//!   instances the candidate violates (or that became unit under it),
+//!   which the solver/propagator then injects and re-checks until the
+//!   theory is satisfied; the encoding records each injected instance
+//!   into its own CNF, so every later consumer starts from it. Each CFD's
+//!   instance constraints form a retractable **guarded clause group**,
+//!   which is what lets a session absorb every user answer — out-of-domain
+//!   values included — as a pure extension of the encoding; consumers
+//!   activate the guards ([`EncodedSpec::fresh_solver`],
+//!   [`EncodedSpec::fresh_propagator`]). The emission → activation →
+//!   retraction lifecycle is documented in the `cnf` module docs; the
+//!   engine side lives in `framework`'s module docs. Lazily injected axiom
+//!   clauses are never guarded — they are theory-valid regardless of any
+//!   CFD, so they survive retraction. Resolution outcomes are
+//!   **identical** to an eager encoding of the same specification
+//!   (differentially tested, see below); round-0 encode cost drops from
+//!   `O(n³)` to `O(n²)`.
+//! * **Revisable** (opened by
+//!   [`ResolutionSession::new_revisable`](crate::ingest::ResolutionSession::new_revisable)):
+//!   lazy, with **every** revision-sensitive clause retractable, not just
+//!   the CFDs — base currency orders land in one clause group per
+//!   tuple-level order pair, Σ instances in one group per currency
+//!   constraint, and user-answer rankings in per-pair groups — so
+//!   push-based correction ingestion ([`crate::ingest`]) can withdraw an
+//!   upstream CFD, a previously-asserted order or a user answer, or
+//!   replace a tuple's attribute value, all without rebuilding the
+//!   encoding. It also keeps per-value *liveness* refcounts: a value whose
+//!   last occurrence is revised away is retired from the query surface —
+//!   tops, candidates, ωX premises — while its order variables stay
+//!   allocated. The ordinary engine skips the extra guard variables.
+//!
+//! So "guarded CFDs" means "lazy", and "totality" means "not
+//! paper-faithful". Only the lazy and revisable kinds are extended with
+//! user input; only the revisable kind is revised.
 //!
 //! ## Compiled constraint programs
 //!
@@ -90,30 +113,30 @@
 //!    (`CompiledProgram` is immutable after compile, hence freely
 //!    `Send + Sync`-shared; entities only read it).
 //!
-//! The guarded-CFD mode interacts with the program only at *emission*: the
-//! compiled tableau decides which instances a CFD produces, the guard
-//! machinery decides which clause group they land in, and re-emission
+//! The guarded CFD groups of the lazy kinds meet the program only at
+//! *emission*: the compiled tableau decides which instances a CFD
+//! produces, the guard machinery decides which clause group they land in,
+//! and re-emission
 //! after value growth re-reads the same compiled pattern (resolving any
 //! grown, non-table value by `Value` lookup). `cr-oracle` keeps a
 //! per-entity derivation over this crate's public API as the differential
 //! baseline (`tests/lazy_differential.rs` proves `omega_compiled` ≡
 //! reference Ω(Se) exactly on the seed datasets and randomized scenarios).
 //!
-//! **Defaults.** [`EncodeOptions::default`] is *eager and unguarded* so
-//! that standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines
-//! stay complete with zero cooperation. The engine's encodings are fixed:
-//! an interactive session encodes with
-//! `EncodeOptions::lazy().with_guarded_cfds()`, a revisable one with
-//! `EncodeOptions::lazy().with_revisable()`, and the from-scratch oracle
-//! (`ResolutionConfig::incremental` off) with plain unguarded
-//! [`EncodeOptions::lazy`]. Every encode runs the compiled projection —
-//! the program is orthogonal to the axiom and guard modes.
+//! **Which kind where.** [`EncodedSpec::encode`] is eager so that
+//! standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines stay
+//! complete with zero cooperation. The engine's encodings are fixed: an
+//! interactive session — and every round of the from-scratch loop
+//! (`ResolutionConfig::incremental` off) — encodes lazily, a revisable
+//! session (and a restored one) with the revisable kind, and the
+//! per-round oracle eagerly. Every encode runs the compiled projection —
+//! the program is orthogonal to the kind.
 //!
-//! **Differential testing.** The lazy engine is checked against its
-//! from-scratch loop on the four seed datasets
+//! **Differential testing.** The incremental engine is checked against
+//! its from-scratch loop (a fresh lazy session per round, re-encoded and
+//! never extended) on the four seed datasets
 //! (`tests/incremental_differential.rs`, the workspace's
-//! `tests/compile_once.rs`) and,
-//! after every answer, against an eager self-contained encode of the
+//! `tests/compile_once.rs`) and, after every answer, against an eager self-contained encode of the
 //! current specification on the seed datasets and on randomized scenarios
 //! from `cr_data::gen` (`tests/lazy_differential.rs`), including
 //! out-of-domain and CFD-LHS user answers.
@@ -141,7 +164,8 @@ pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub use program::{compile_count, CompiledProgram};
 
 /// The instance constraints Ω(Se) via the compiled-program projection —
-/// exactly the instances an unguarded encode emits, in emission order.
+/// exactly the instances every encode emits, in emission order (the lazy
+/// kinds append a guard literal to each CFD clause).
 /// The one test hook into instantiation: differential tests compare it
 /// with `cr_oracle::omega_reference` and with the clause arena.
 #[doc(hidden)]
@@ -150,121 +174,6 @@ pub fn omega_compiled(spec: &crate::spec::Specification) -> Vec<InstanceConstrai
 }
 
 use cr_types::{AttrId, ValueId};
-
-/// How the order axioms (asymmetry, totality, transitivity) of `Φ(Se)` are
-/// produced — see the "Encoding modes" section of the [module docs](self).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AxiomMode {
-    /// Materialise every axiom instance at encode time: `O(n³)` transitivity
-    /// clauses per attribute (the paper's encoding). `Φ(Se)` is
-    /// self-contained.
-    #[default]
-    Eager,
-    /// Allocate the dense order-variable table but emit no axiom clauses;
-    /// the encoding instantiates violated/unit instances on demand as the
-    /// [`cr_sat::LazyAxiomSource`] of its consumers (see
-    /// [`EncodedSpec::violated_axioms`]) and records them into its CNF.
-    Lazy,
-}
-
-/// Options controlling CNF generation.
-#[derive(Clone, Copy, Debug)]
-pub struct EncodeOptions {
-    /// Eager or lazy order-axiom generation. [`EncodeOptions::default`] is
-    /// [`AxiomMode::Eager`] (self-contained CNF for one-shot consumers);
-    /// the resolution engine always encodes with [`AxiomMode::Lazy`].
-    pub axioms: AxiomMode,
-    /// Include totality clauses `x^A_{a,b} ∨ x^A_{b,a}` for every value pair
-    /// (eagerly or through the lazy source, per [`EncodeOptions::axioms`]).
-    ///
-    /// **Reproduction finding.** The paper's encoding has transitivity and
-    /// asymmetry but *not* totality, so satisfying assignments of `Φ(Se)`
-    /// are partial orders that may not extend to a valid completion, and
-    /// literals can hold in every valid completion without being implied by
-    /// `Φ(Se)` (Lemmas 5/6 break on corner cases — see
-    /// `encoding_gaps::paper_encoding_misses_disjunctive_facts`). With
-    /// totality the models of `Φ(Se)` are exactly the value-level
-    /// completions. Default `true`; set `false` for the paper-faithful
-    /// ablation.
-    pub totality: bool,
-    /// Emit every CFD's instance constraints as a *guard-literal clause
-    /// group* (see the guard-group lifecycle in the `cnf` module docs).
-    /// Guarded CFD clauses carry an extra `¬g` literal and are only active
-    /// while `g` is asserted — via [`EncodedSpec::active_guards`] units in
-    /// fresh solvers, or as persistent assumptions on the incremental
-    /// engine's warm solver — which makes them *retractable*: when a user
-    /// answer introduces a new value, the affected CFDs' stale groups are
-    /// withdrawn and re-emitted over the grown value space instead of
-    /// rebuilding the whole encoding. Default `false` (one-shot encodings
-    /// never retract and skip the guard plumbing); the incremental
-    /// resolution engine turns it on. Orthogonal to the compiled
-    /// constraint program (see the module docs): the compiled CFD tableau
-    /// decides *which* instances are emitted, this flag decides whether
-    /// they land in a retractable group.
-    pub guarded_cfds: bool,
-    /// Emit **every revision-sensitive** clause retractably, not just the
-    /// CFDs: base currency orders land in one clause group per tuple-level
-    /// order pair, Σ instances in one group per currency constraint, and
-    /// user-answer rankings in per-pair groups — so push-based correction
-    /// ingestion ([`crate::ingest`]) can withdraw an upstream CFD, a
-    /// previously-asserted order or a user answer, or replace a tuple's
-    /// attribute value, all without rebuilding the encoding. Implies the
-    /// full guard-group lifecycle of [`EncodeOptions::guarded_cfds`] and
-    /// additionally maintains per-value *liveness* refcounts (a value whose
-    /// last occurrence is revised away is retired from the query surface —
-    /// tops, candidates, ωX premises — while its order variables stay
-    /// allocated). Default `false`: one-shot encodings and the ordinary
-    /// interactive engine skip the extra guard variables.
-    pub revisable: bool,
-}
-
-impl Default for EncodeOptions {
-    fn default() -> Self {
-        EncodeOptions {
-            axioms: AxiomMode::Eager,
-            totality: true,
-            guarded_cfds: false,
-            revisable: false,
-        }
-    }
-}
-
-impl EncodeOptions {
-    /// Lazy axiom instantiation with totality, unguarded — the
-    /// from-scratch oracle's encoding; sessions add guarded CFDs or full
-    /// revision support on top.
-    pub fn lazy() -> Self {
-        EncodeOptions { axioms: AxiomMode::Lazy, ..Default::default() }
-    }
-
-    /// The fully materialised encoding (synonym of [`EncodeOptions::default`],
-    /// spelled out for differential-test call sites).
-    pub fn eager() -> Self {
-        EncodeOptions::default()
-    }
-
-    /// The encoding exactly as described in Section V-A of the paper
-    /// (eager, no totality clauses).
-    pub fn paper_faithful() -> Self {
-        EncodeOptions { totality: false, ..Default::default() }
-    }
-
-    /// These options with guarded CFD emission enabled.
-    pub fn with_guarded_cfds(self) -> Self {
-        EncodeOptions { guarded_cfds: true, ..self }
-    }
-
-    /// These options with full revision support enabled (implies guarded
-    /// CFDs — see [`EncodeOptions::revisable`]).
-    pub fn with_revisable(self) -> Self {
-        EncodeOptions { revisable: true, guarded_cfds: true, ..self }
-    }
-
-    /// True iff axioms are lazily instantiated.
-    pub fn is_lazy(&self) -> bool {
-        self.axioms == AxiomMode::Lazy
-    }
-}
 
 /// A value-order literal `(attr, lo, hi)` read as `lo ≺v_attr hi`, plus a
 /// sign for deduced results.

@@ -407,7 +407,7 @@ pub(crate) fn build_spaces(spec: &Specification) -> (AttrValueSpace, GlobalToLoc
 /// orders, streamed into `sink`. Shared verbatim by the compiled and
 /// reference walks; the *revisable* encoder streams step 2 only and emits
 /// each base order into its own retractable clause group instead (see
-/// [`super::EncodedSpec::encode_with`]).
+/// [`super::EncodedSpec::encode_revisable`]).
 pub(crate) fn emit_base(
     spec: &Specification,
     space: &AttrValueSpace,
@@ -688,7 +688,7 @@ pub(crate) fn instantiate_with(spec: &Specification, program: &CompiledProgram) 
 }
 
 /// Steps 4–5 of `Instantiation(Se)` over the compiled program, streamed
-/// into `sink`. [`EncodedSpec::encode_with`] streams straight into clause
+/// into `sink`. [`EncodedSpec::encode`] streams straight into clause
 /// emission (no intermediate instance buffer);
 /// [`instantiate_with`] collects into `Ω(Se)` for standalone consumers.
 pub(crate) fn emit_sigma_gamma(
@@ -1533,10 +1533,9 @@ mod tests {
                     SinkEvent::Hint(_) => None,
                 })
                 .collect();
-            let options = super::super::EncodeOptions::lazy().with_revisable();
-            let production_cnf = super::super::EncodedSpec::encode_with(&spec, options);
+            let production_cnf = super::super::EncodedSpec::encode_revisable(&spec);
             let reference_cnf =
-                super::super::EncodedSpec::encode_with_omega(&spec, options, instances);
+                super::super::EncodedSpec::encode_revisable_with_omega(&spec, instances);
             proptest::prop_assert!(production_cnf
                 .cnf()
                 .clauses()

@@ -32,9 +32,10 @@
 //!
 //! Answers outside the interned space ("new values" in the paper's
 //! terminology) change the value spaces and the Γ instantiation. The
-//! engine encodes with guarded CFDs (`EncodeOptions::guarded_cfds`), which
-//! makes those changes expressible as a pure extension — the loop **never
-//! rebuilds**:
+//! engine's lazy encoding guards its CFDs
+//! ([`EncodedSpec::encode_lazy`](crate::encode::EncodedSpec::encode_lazy)),
+//! which makes those changes expressible as a pure extension — the loop
+//! **never rebuilds**:
 //!
 //! * every CFD's instance constraints form a *clause group* guarded by a
 //!   literal `g`; the engine keeps the active guards asserted on the warm
@@ -62,8 +63,7 @@
 //!
 //! # Lazy axiom instantiation
 //!
-//! The engine always encodes with
-//! [`AxiomMode::Lazy`](crate::encode::AxiomMode): the
+//! The engine always encodes with a lazy kind: the
 //! `O(n³)`-per-attribute order axioms are never materialised at encode
 //! time. Validity checks run the solver's
 //! CEGAR loop (`cr_sat::Solver::solve_lazy_with_assumptions`), deduction
@@ -81,7 +81,7 @@
 //! and the tail sync can never re-feed the warm solver a duplicate
 //! instance.
 //! [`ResolutionOutcome::injected_axioms`] counts the recorded clauses; see
-//! the "Encoding modes" section of the encode module docs for the fixed
+//! the "Encoding kinds" section of the encode module docs for the fixed
 //! engine encodings, the one-shot eager encoding and the differential-test
 //! coverage.
 //!
@@ -89,14 +89,17 @@
 //!
 //! With `incremental: false` the same loop body runs on a **fresh
 //! [`ResolutionSession`] per round**: the session is opened on the
-//! extended specification with plain [`EncodeOptions::lazy`] (unguarded
-//! CFDs), answered against, and discarded — an answer extends a copy of
-//! the specification, never the session. Every round therefore re-encodes
-//! and constructs fresh solvers, as the paper describes the loop, and the
-//! guard-group lifecycle above is checked against plain CFD clauses. This
-//! is the differential-testing baseline
+//! extended specification with the engine's lazy encoding, answered
+//! against, and discarded — an answer extends a copy of the
+//! specification, never the session. Every round therefore re-encodes
+//! and constructs fresh solvers, as the paper describes the loop, so
+//! extension, retraction and provenance replay are checked against
+//! re-encoding. This is the differential-testing baseline
 //! (`tests/incremental_differential.rs`) and the paper-faithful baseline
-//! for benchmarks.
+//! for benchmarks. The guard groups themselves are checked against plain
+//! CFD clauses by the per-round eager oracle (`check_session_against_scratch`
+//! in `cr-store`'s harness, run by `tests/lazy_differential.rs` and every
+//! replay and recovery differential).
 //!
 //! Independent entities share no *mutable* state;
 //! [`crate::sched::resolve_batch`] fans a batch of resolutions across
@@ -116,7 +119,6 @@ use std::time::{Duration, Instant};
 use cr_types::{Schema, Tuple};
 
 use crate::deduce::DeducedOrders;
-use crate::encode::EncodeOptions;
 use crate::ingest::{CompetingCell, ResolutionSession, RevisionSource, RevisionTelemetry};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::Suggestion;
@@ -354,24 +356,10 @@ impl Resolver {
         oracle: &mut dyn UserOracle,
         scratch: &mut Option<cr_sat::SolverScratch>,
     ) -> ResolutionOutcome {
-        let session =
-            ResolutionSession::with_options(spec, self.engine_encode_options(), scratch.take());
+        let session = ResolutionSession::with_scratch(spec, scratch.take());
         let (outcome, session) = self.drive_session(spec, oracle, None, session);
         *scratch = Some(session.into_solver_scratch());
         outcome
-    }
-
-    /// The [`EncodeOptions`] [`Resolver::resolve`] opens its round-0
-    /// session with. The incremental engine guards its CFDs; the
-    /// from-scratch loop encodes with plain unguarded
-    /// [`EncodeOptions::lazy`], so the oracle checks the guard-group
-    /// machinery against plain CFD clauses.
-    fn engine_encode_options(&self) -> EncodeOptions {
-        if self.config.incremental {
-            ResolutionSession::engine_options()
-        } else {
-            EncodeOptions::lazy()
-        }
     }
 
     /// This resolver's configuration.
@@ -401,7 +389,7 @@ impl Resolver {
         oracle: &mut dyn UserOracle,
         source: &mut dyn RevisionSource,
     ) -> ResolutionOutcome {
-        let session = ResolutionSession::new_revisable(&self.config, spec);
+        let session = ResolutionSession::new_revisable(spec);
         self.drive_session(spec, oracle, Some(source), session).0
     }
 
@@ -497,7 +485,7 @@ impl Resolver {
             let t0 = Instant::now();
             if let Some(next) = reopen.take() {
                 discarded_axioms += session.injected_axioms();
-                session = ResolutionSession::with_options(&next, EncodeOptions::lazy(), None);
+                session = ResolutionSession::with_scratch(&next, None);
             }
             let valid = session.is_valid();
             let validity = t0.elapsed();

@@ -14,7 +14,7 @@
 use cr_sat::SolveResult;
 use cr_types::{AttrId, TupleId};
 
-use crate::encode::{EncodeOptions, EncodedSpec};
+use crate::encode::EncodedSpec;
 use crate::orders::PartialOrders;
 use crate::spec::Specification;
 
@@ -121,7 +121,7 @@ pub fn explain_invalidity(spec: &Specification) -> Option<Vec<ConflictPart>> {
 }
 
 fn is_sat(spec: &Specification) -> bool {
-    let enc = EncodedSpec::encode_with(spec, EncodeOptions::default());
+    let enc = EncodedSpec::encode(spec);
     let mut solver = enc.fresh_solver();
     solver.solve() == SolveResult::Sat
 }

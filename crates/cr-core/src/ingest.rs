@@ -147,7 +147,7 @@ use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
-use crate::encode::{EncodeOptions, EncodedSpec, GroupId};
+use crate::encode::{EncodedSpec, GroupId};
 use crate::framework::{DeductionMethod, ResolutionConfig};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_on, Suggestion};
@@ -548,49 +548,48 @@ struct AcceptedAnswer {
 }
 
 impl ResolutionSession {
-    /// Opens a session on `spec` with the ordinary interactive engine:
-    /// guard-group CFDs, so every user answer — in the interned value
-    /// space or not — is absorbed by [`ResolutionSession::apply_input`] as
-    /// a pure extension of the encoding. No revision support: no
-    /// per-order guard variables are allocated.
+    /// Opens a session on `spec` with the ordinary interactive engine: the
+    /// lazy encoding ([`EncodedSpec::encode_lazy`]), whose guarded CFD
+    /// groups let [`ResolutionSession::apply_input`] absorb every user
+    /// answer — in the interned value space or not — as a pure extension
+    /// of the encoding. No revision support: no per-order guard variables
+    /// are allocated.
     ///
-    /// The encoding is fixed (`EncodeOptions::lazy().with_guarded_cfds()`);
-    /// `_config` does not select it and is kept for signature stability.
+    /// `_config` is inert — the encoding is fixed. The parameter stays
+    /// because the benchmark (`perfbench/src/drive.rs`) passes it.
     pub fn new(_config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, Self::engine_options(), None)
-    }
-
-    /// The [`EncodeOptions`] the ordinary interactive engine encodes with:
-    /// lazy axioms, and guarded CFD groups, which are what make every user
-    /// answer a pure extension.
-    pub(crate) fn engine_options() -> EncodeOptions {
-        EncodeOptions::lazy().with_guarded_cfds()
+        Self::with_scratch(spec, None)
     }
 
     /// Opens a **revisable** session: every revision-sensitive clause is
-    /// emitted retractably (see [`EncodeOptions::revisable`]) so
+    /// emitted retractably (the revisable kind of the "Encoding kinds"
+    /// section of the encode module docs), so
     /// [`ResolutionSession::absorb_revision_batch`] can absorb upstream
     /// corrections without rebuilding.
-    ///
-    /// The encoding is fixed (`EncodeOptions::lazy().with_revisable()`);
-    /// `_config` does not select it and is kept for signature stability.
-    pub fn new_revisable(_config: &ResolutionConfig, spec: &Specification) -> Self {
-        Self::with_options(spec, EncodeOptions::lazy().with_revisable(), None)
+    pub fn new_revisable(spec: &Specification) -> Self {
+        Self::open(spec, EncodedSpec::encode_revisable(spec), None)
     }
 
-    /// Opens a session on `spec` encoded with `options`, which must be
-    /// lazy: every session query drives its solvers through the lazy axiom
-    /// source. The from-scratch loop opens one per round with unguarded
-    /// [`EncodeOptions::lazy`] and never extends it. The scheduler's
-    /// workers pass the `scratch` of their previous resolution to recycle
-    /// its solver allocations; a scratch-built solver is state-identical to
-    /// a fresh one (`cr_sat::Solver::from_cnf_with_scratch`).
-    pub(crate) fn with_options(
+    /// [`ResolutionSession::new`] with its solver built from `scratch`.
+    /// The scheduler's workers pass the scratch of their previous
+    /// resolution to recycle its solver allocations; a scratch-built solver
+    /// is state-identical to a fresh one
+    /// (`cr_sat::Solver::from_cnf_with_scratch`). The from-scratch loop
+    /// opens one per round and never extends it.
+    pub(crate) fn with_scratch(
         spec: &Specification,
-        options: EncodeOptions,
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
-        let enc = EncodedSpec::encode_with(spec, options);
+        Self::open(spec, EncodedSpec::encode_lazy(spec), scratch)
+    }
+
+    /// A session over `enc`, a lazy or revisable encoding of `spec`: every
+    /// session query drives its solvers through the lazy axiom source.
+    fn open(
+        spec: &Specification,
+        enc: EncodedSpec,
+        scratch: Option<cr_sat::SolverScratch>,
+    ) -> Self {
         let mut solver = match scratch {
             Some(s) => cr_sat::Solver::from_cnf_with_scratch(enc.cnf(), s),
             None => cr_sat::Solver::from_cnf(enc.cnf()),
@@ -1305,13 +1304,8 @@ impl ResolutionSession {
     /// checksummed log should have made impossible.
     ///
     /// The restored session encodes like
-    /// [`ResolutionSession::new_revisable`]; `config` does not select the
-    /// encoding and is kept for signature stability.
-    pub fn restore(
-        config: &ResolutionConfig,
-        base: &Specification,
-        state: SessionState,
-    ) -> Result<ResolutionSession, String> {
+    /// [`ResolutionSession::new_revisable`].
+    pub fn restore(base: &Specification, state: SessionState) -> Result<ResolutionSession, String> {
         let schema = base.schema().clone();
         let arity = schema.arity();
         let mut tuples = Vec::with_capacity(state.tuples.len());
@@ -1337,7 +1331,7 @@ impl ResolutionSession {
             orders.add(attr, lo, hi);
         }
         let spec = base.with_instance(entity, orders);
-        let mut session = ResolutionSession::new_revisable(config, &spec);
+        let mut session = ResolutionSession::new_revisable(&spec);
         for &cfd in &state.retired_cfds {
             // Strict, one retraction per batch: a snapshot naming an
             // unknown or already-retired CFD is inconsistent, not noise.

@@ -50,7 +50,7 @@ pub mod suggest;
 pub mod truevalue;
 
 pub use deduce::{deduce_order, naive_deduce, naive_deduce_fresh, DeducedOrders};
-pub use encode::{compile_count, AxiomMode, CompiledProgram, EncodeOptions, EncodedSpec};
+pub use encode::{compile_count, CompiledProgram, EncodedSpec};
 pub use deadline::{DeadlineExceeded, PhaseDeadline};
 pub use framework::{ResolutionConfig, ResolutionOutcome, Resolver, RoundReport};
 pub use causal::{

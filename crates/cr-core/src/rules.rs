@@ -143,8 +143,8 @@ pub fn true_der(
     // and currency orders: partition the order-rule implications of Ω(Se)
     // by conclusion (B, b), then cover U(B,b). The implications are re-read
     // straight from the CNF's clause arena
-    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised. On an
-    // unguarded, never-extended encoding the scan visits exactly the
+    // ([`EncodedSpec::for_each_order_rule`]) — Ω is not materialised. On a
+    // never-extended encoding the scan visits exactly the
     // order-rule subsequence of `encode::omega_compiled`
     // (`tests/omega_free_rules.rs`).
     //

@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use cr_clique::{find_max_clique, CliqueStrategy};
-use cr_maxsat::{solve as maxsat_solve, MaxSatInstance, MaxSatStrategy};
+use cr_clique::find_max_clique;
+use cr_maxsat::{solve as maxsat_solve, MaxSatInstance};
 use cr_types::{AttrId, Value, ValueId};
 
 use crate::compat::compatibility_graph;
@@ -83,7 +83,7 @@ pub(crate) fn suggest_on(
 ) -> (Suggestion, usize) {
     let rules = true_der(spec, enc, od, known);
     let graph = compatibility_graph(&rules);
-    let clique = find_max_clique(&graph, CliqueStrategy::default());
+    let clique = find_max_clique(&graph);
     let (selected, synced) = max_consistent_subset(enc, &rules, &clique, solver);
     (assemble_suggestion(spec, enc, od, known, rules, selected), synced)
 }
@@ -198,7 +198,7 @@ fn max_consistent_subset(
     let mut violated = cr_sat::ClauseBuffer::new();
     loop {
         let (inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
-        match maxsat_solve(&inst, MaxSatStrategy::default()) {
+        match maxsat_solve(&inst) {
             Some(result) => {
                 violated.clear();
                 // Recorded into the CNF: the next iteration's borrowed hard

@@ -47,16 +47,6 @@ impl TrueValues {
             .collect()
     }
 
-    /// Attributes with a known true value.
-    pub fn known_attrs(&self) -> Vec<AttrId> {
-        self.per_attr
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_some())
-            .map(|(i, _)| AttrId(i as u16))
-            .collect()
-    }
-
     /// The full per-attribute vector.
     pub fn as_slice(&self) -> &[Option<Value>] {
         &self.per_attr

@@ -203,7 +203,7 @@ fn out_of_order_events_buffer_and_duplicates_drop() {
         },
     };
 
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     let mut mirror = SpecMirror::new(&spec);
 
     // The successor arrives first: nothing deliverable yet.
@@ -267,7 +267,7 @@ fn concurrent_writes_converge_by_lww_in_either_delivery_order() {
     };
 
     for order in [vec![a.clone(), b.clone()], vec![b.clone(), a.clone()]] {
-        let mut session = ResolutionSession::new_revisable(&config(), &spec);
+        let mut session = ResolutionSession::new_revisable(&spec);
         let mut mirror = SpecMirror::new(&spec);
         for ev in order {
             for rev in session.ingest_causal(vec![ev]).unwrap() {
@@ -307,7 +307,7 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
     let (spec, _) = firing_cfd_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let job = spec.schema().attr_id("job").unwrap();
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     session.set_revision_policy(RevisionPolicy::Reject);
     let mut mirror = SpecMirror::new(&spec);
 
@@ -382,7 +382,7 @@ fn degradation_policies_reject_and_quarantine() {
     let bad = Revision::RetractCfd { cfd: 42 };
 
     // Default policy: quarantine.
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     assert_eq!(absorb_one(&mut session, &bad), Ok(false));
     assert_eq!(session.revision_telemetry().quarantined, 1);
     assert_eq!(session.quarantined().len(), 1);
@@ -396,7 +396,7 @@ fn degradation_policies_reject_and_quarantine() {
     assert_eq!(session.revision_telemetry().events, 1);
 
     // Reject: the error propagates, nothing is logged.
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     session.set_revision_policy(RevisionPolicy::Reject);
     assert_eq!(
         absorb_one(&mut session, &bad),
@@ -405,7 +405,7 @@ fn degradation_policies_reject_and_quarantine() {
     assert!(session.quarantined().is_empty());
 
     // Quarantine with a zero cap: counted, not logged.
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     session.set_quarantine_cap(0);
     assert_eq!(absorb_one(&mut session, &bad), Ok(false));
     assert_eq!(session.revision_telemetry().quarantined, 1);
@@ -512,7 +512,7 @@ fn reopen_surfaces_competing_candidates_in_round_reports() {
 #[test]
 fn quarantine_log_is_bounded_with_eviction_telemetry() {
     let (spec, _) = firing_cfd_spec();
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     assert_eq!(session.quarantine_cap(), DEFAULT_QUARANTINE_CAP);
     session.set_quarantine_cap(2);
     assert_eq!(session.quarantine_cap(), 2);
@@ -571,7 +571,7 @@ fn guard_vars_without_clauses_still_reach_the_solver() {
     let mut input = UserInput::empty();
     input.values.insert(AttrId(1), truth.get(AttrId(1)).clone());
 
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     let mut mirror = SpecMirror::new(&spec);
     for rev in session.ingest_causal(vec![ev0]).unwrap() {
         mirror.apply(&rev);

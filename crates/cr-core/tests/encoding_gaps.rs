@@ -1,13 +1,14 @@
 //! Documents the gap between the paper's encoding (Section V-A:
 //! transitivity and asymmetry, **no totality**) and the completion
 //! semantics, and shows the totality clauses close it. See
-//! `EncodeOptions::totality` and `EncodeOptions::paper_faithful`.
+//! `EncodedSpec::encode_paper_faithful` and the "Encoding kinds" section
+//! of the encode module docs.
 
 use proptest::prelude::*;
 
 use cr_constraints::parser::parse_cfd_file;
 use cr_oracle::bruteforce::brute_force_valid;
-use cr_core::encode::{EncodeOptions, EncodedSpec};
+use cr_core::encode::EncodedSpec;
 use cr_core::Specification;
 use cr_sat::{SolveResult, Solver};
 use cr_types::{EntityInstance, Schema, Tuple, Value};
@@ -53,7 +54,7 @@ fn paper_encoding_reports_an_invalid_spec_as_valid() {
     );
 
     // Paper-faithful: Φ(Se) is satisfiable — the documented gap.
-    let paper = EncodedSpec::encode_with(&spec, EncodeOptions::paper_faithful());
+    let paper = EncodedSpec::encode_paper_faithful(&spec);
     let mut solver = Solver::from_cnf(paper.cnf());
     assert_eq!(
         solver.solve(),
@@ -73,7 +74,7 @@ fn totality_never_changes_the_answer_on_satisfiable_side() {
     // (its clause set is a subset).
     let spec = gap_spec();
     let full = EncodedSpec::encode(&spec);
-    let paper = EncodedSpec::encode_with(&spec, EncodeOptions::paper_faithful());
+    let paper = EncodedSpec::encode_paper_faithful(&spec);
     assert!(paper.cnf().num_clauses() < full.cnf().num_clauses());
 }
 
@@ -107,7 +108,7 @@ proptest! {
             .collect();
         let spec = Specification::without_orders(e, vec![], gamma);
         let semantic = brute_force_valid(&spec, 1_000_000);
-        let paper = EncodedSpec::encode_with(&spec, EncodeOptions::paper_faithful());
+        let paper = EncodedSpec::encode_paper_faithful(&spec);
         let mut solver = Solver::from_cnf(paper.cnf());
         let paper_valid = solver.solve() == SolveResult::Sat;
         // semantic ⇒ paper_valid.

@@ -1,6 +1,6 @@
 //! Differential tests: the incremental resolution engine must produce
 //! exactly the same [`ResolutionOutcome`] as the from-scratch Fig. 4 loop
-//! (a fresh, unguarded session per round) — same resolved tuples, same
+//! (a fresh session per round, re-encoded) — same resolved tuples, same
 //! interaction counts, same order-extension sizes, same per-round progress
 //! — on every workload, including rounds where user answers fall outside
 //! the interned value space (which the engine absorbs by guard-group
@@ -102,7 +102,7 @@ fn naive_sat_deduction_agrees() {
     assert_outcomes_match(&ds.spec(0), ds.truth(0), 1, config);
     // Out-of-domain answers on CFD attributes: the engine's NaiveSat probes
     // run on the warm solver across guard-group retraction, the oracle's on
-    // a fresh unguarded session per round.
+    // a fresh session per round.
     for (ac_new, city_new) in [(true, true), (true, false), (false, true)] {
         let (spec, truth) = cfd_lhs_spec(3, ac_new, city_new);
         assert_outcomes_match(&spec, &truth, 1, config);

@@ -15,7 +15,7 @@ use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
 use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::{
     deduce_order, exact_true_values, is_valid_encoded, naive_deduce, suggest,
-    true_values_from_orders, CompiledProgram, EncodeOptions, EncodedSpec, ResolutionOutcome,
+    true_values_from_orders, CompiledProgram, EncodedSpec, ResolutionOutcome,
     ResolutionSession, Specification,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
@@ -101,8 +101,8 @@ fn assert_rounds_match_eager(
 /// lazy one every axiom they instantiate is recorded — the CNF grows by
 /// exactly `injected_axioms()`. Returns the lazy encoding's injections.
 fn assert_components_agree(spec: &Specification) -> usize {
-    let mut eager = EncodedSpec::encode_with(spec, EncodeOptions::eager());
-    let mut lazy = EncodedSpec::encode_with(spec, EncodeOptions::lazy());
+    let mut eager = EncodedSpec::encode(spec);
+    let mut lazy = EncodedSpec::encode_lazy(spec);
     let eager_clauses = eager.cnf().num_clauses();
     let lazy_clauses = lazy.cnf().num_clauses();
     assert!(
@@ -327,8 +327,8 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
         gamma: 2,
         ..Default::default()
     });
-    let eager = EncodedSpec::encode_with(&s.spec, EncodeOptions::eager());
-    let lazy = EncodedSpec::encode_with(&s.spec, EncodeOptions::lazy());
+    let eager = EncodedSpec::encode(&s.spec);
+    let lazy = EncodedSpec::encode_lazy(&s.spec);
     let axiom_clauses = eager.cnf().num_clauses() - lazy.cnf().num_clauses();
     assert!(
         axiom_clauses > 10 * lazy.cnf().num_clauses(),

@@ -240,6 +240,36 @@ fn retired_values_drop_out_of_candidates_and_suggestions() {
 }
 
 #[test]
+fn a_twin_that_skipped_an_event_is_caught_and_named() {
+    // The batched ≡ sequential ≡ scratch check builds its scratch side
+    // once and compares both sessions with it: a twin that missed the CFD
+    // retraction still deduces the CFD's city order, and the error must
+    // say which session diverged.
+    use cr_store::{check_sessions_against_scratch, SpecMirror};
+    let (spec, _) = firing_cfd_spec();
+    let mut batched = ResolutionSession::new_revisable(&spec);
+    let mut twin = ResolutionSession::new_revisable(&spec);
+    let mut mirror = SpecMirror::new(&spec);
+    let retract = Revision::RetractCfd { cfd: 0 };
+    batched
+        .absorb_revision_batch(std::slice::from_ref(&retract))
+        .expect("well-formed");
+    mirror.apply(&retract);
+    check_sessions_against_scratch(&mirror, &mut [("batched", &mut batched)])
+        .expect("the session that absorbed the event matches scratch");
+    let err = check_sessions_against_scratch(
+        &mirror,
+        &mut [("batched", &mut batched), ("sequential", &mut twin)],
+    )
+    .expect_err("the twin skipped the retraction");
+    assert!(
+        err.starts_with("sequential session: "),
+        "error must name the twin: {err}"
+    );
+    assert!(err.contains("deduced orders diverged"), "{err}");
+}
+
+#[test]
 fn revived_value_returns_to_the_query_surface() {
     // Retire LA (replace it with NY), then replace it back: the session
     // must agree with scratch at both steps — including the revival, where
@@ -260,7 +290,7 @@ fn revived_value_returns_to_the_query_surface() {
     .unwrap();
     let spec = Specification::without_orders(e, vec![], vec![]);
     let city = s.attr_id("city").unwrap();
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     let mut mirror = SpecMirror::new(&spec);
 
     let retire =
@@ -487,7 +517,7 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
 fn restored_session_shares_the_base_program_and_constraints() {
     let (spec, _) = firing_cfd_spec();
     let job = spec.schema().attr_id("job").unwrap();
-    let mut session = ResolutionSession::new_revisable(&config(), &spec);
+    let mut session = ResolutionSession::new_revisable(&spec);
     session.apply_input(&UserInput::single(job, Value::str("n/a")));
     session
         .absorb_revision_batch(&[Revision::ReplaceValue {
@@ -496,7 +526,7 @@ fn restored_session_shares_the_base_program_and_constraints() {
             value: Value::str("SF"),
         }])
         .unwrap();
-    let restored = ResolutionSession::restore(&config(), &spec, session.state()).unwrap();
+    let restored = ResolutionSession::restore(&spec, session.state()).unwrap();
     let current = restored.current();
     assert!(std::sync::Arc::ptr_eq(current.compiled_program(), spec.compiled_program()));
     assert!(std::ptr::eq(current.sigma(), spec.sigma()), "Σ shared, not copied");

@@ -212,14 +212,10 @@ mod tests {
         assert!(inst.hard_satisfied(&[true, false, true]));
         assert!(!inst.hard_satisfied(&[true, true, true]));
         // Both solvers honour the borrowed base.
-        let res = crate::solve(&inst, crate::MaxSatStrategy::Exact).unwrap();
+        let res = crate::exact::solve_exact(&inst).unwrap();
         assert_eq!(res.total_weight, 1);
         assert!(inst.hard_satisfied(&res.assignment));
-        let ls = crate::solve(
-            &inst,
-            crate::MaxSatStrategy::LocalSearch { max_flips: 1000, seed: 1 },
-        )
-        .unwrap();
+        let ls = crate::walksat::solve_walksat(&inst, 1000, 1).unwrap();
         assert!(inst.hard_satisfied(&ls.assignment));
     }
 }

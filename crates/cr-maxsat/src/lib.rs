@@ -20,47 +20,22 @@ pub mod walksat;
 
 pub use instance::{MaxSatInstance, MaxSatResult};
 
-/// Strategy selection for [`solve`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaxSatStrategy {
-    /// Complete search (unit weights only).
-    Exact,
-    /// WalkSAT local search with the given flip budget.
-    LocalSearch {
-        /// Maximum variable flips.
-        max_flips: u64,
-        /// RNG seed.
-        seed: u64,
-    },
-    /// Exact when `soft count ≤ exact_threshold` and weights are unit,
-    /// local search otherwise (default).
-    Auto {
-        /// Largest soft-clause count still solved exactly.
-        exact_threshold: usize,
-    },
-}
+/// Largest unit-weight soft-clause count [`solve`] still solves exactly.
+const EXACT_SOFT_LIMIT: usize = 96;
+/// WalkSAT flip budget of [`solve`] beyond the exact limit.
+const WALKSAT_FLIPS: u64 = 200_000;
+/// WalkSAT seed of [`solve`].
+const WALKSAT_SEED: u64 = 0x5EED;
 
-impl Default for MaxSatStrategy {
-    fn default() -> Self {
-        MaxSatStrategy::Auto { exact_threshold: 96 }
-    }
-}
-
-/// Solves a partial MaxSAT instance. Returns `None` when the hard clauses
-/// alone are unsatisfiable.
-pub fn solve(instance: &MaxSatInstance<'_>, strategy: MaxSatStrategy) -> Option<MaxSatResult> {
-    match strategy {
-        MaxSatStrategy::Exact => exact::solve_exact(instance),
-        MaxSatStrategy::LocalSearch { max_flips, seed } => {
-            walksat::solve_walksat(instance, max_flips, seed)
-        }
-        MaxSatStrategy::Auto { exact_threshold } => {
-            if instance.soft_len() <= exact_threshold && instance.has_unit_weights() {
-                exact::solve_exact(instance)
-            } else {
-                walksat::solve_walksat(instance, 200_000, 0x5EED)
-            }
-        }
+/// Solves a partial MaxSAT instance: exactly when it has at most 96 soft
+/// clauses, all of unit weight, and otherwise by WalkSAT local search
+/// (200,000 flips, seed `0x5EED`). Returns `None` when the hard clauses alone are
+/// unsatisfiable.
+pub fn solve(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
+    if instance.soft_len() <= EXACT_SOFT_LIMIT && instance.has_unit_weights() {
+        exact::solve_exact(instance)
+    } else {
+        walksat::solve_walksat(instance, WALKSAT_FLIPS, WALKSAT_SEED)
     }
 }
 
@@ -83,13 +58,13 @@ mod tests {
     #[test]
     fn auto_exact_and_walksat_agree_on_optimum() {
         let inst = small_instance();
-        for strat in [
-            MaxSatStrategy::Exact,
-            MaxSatStrategy::LocalSearch { max_flips: 10_000, seed: 1 },
-            MaxSatStrategy::default(),
+        for (name, res) in [
+            ("exact", exact::solve_exact(&inst)),
+            ("walksat", walksat::solve_walksat(&inst, 10_000, 1)),
+            ("solve", solve(&inst)),
         ] {
-            let res = solve(&inst, strat).expect("hard clauses satisfiable");
-            assert_eq!(res.total_weight, 2, "{strat:?}");
+            let res = res.expect("hard clauses satisfiable");
+            assert_eq!(res.total_weight, 2, "{name}");
             assert!(inst.hard_satisfied(&res.assignment));
         }
     }
@@ -100,18 +75,16 @@ mod tests {
         inst.add_hard([Var(0).positive()]);
         inst.add_hard([Var(0).negative()]);
         inst.add_soft([Var(0).positive()], 1);
-        assert!(solve(&inst, MaxSatStrategy::default()).is_none());
-        assert!(solve(&inst, MaxSatStrategy::Exact).is_none());
-        assert!(
-            solve(&inst, MaxSatStrategy::LocalSearch { max_flips: 1000, seed: 3 }).is_none()
-        );
+        assert!(solve(&inst).is_none());
+        assert!(exact::solve_exact(&inst).is_none());
+        assert!(walksat::solve_walksat(&inst, 1000, 3).is_none());
     }
 
     #[test]
     fn no_soft_clauses_is_plain_sat() {
         let mut inst = MaxSatInstance::new(1);
         inst.add_hard([Var(0).positive()]);
-        let res = solve(&inst, MaxSatStrategy::default()).unwrap();
+        let res = solve(&inst).unwrap();
         assert_eq!(res.total_weight, 0);
         assert!(res.assignment[0]);
     }

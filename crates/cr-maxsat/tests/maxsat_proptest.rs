@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use cr_maxsat::{solve, MaxSatInstance, MaxSatStrategy};
+use cr_maxsat::exact::solve_exact;
+use cr_maxsat::walksat::solve_walksat;
+use cr_maxsat::MaxSatInstance;
 use cr_sat::Var;
 
 #[derive(Clone, Debug)]
@@ -62,7 +64,7 @@ proptest! {
     fn exact_matches_brute_force(inst in inst_strategy()) {
         let instance = to_instance(&inst);
         let expected = brute_force(&instance);
-        match solve(&instance, MaxSatStrategy::Exact) {
+        match solve_exact(&instance) {
             None => prop_assert_eq!(expected, None),
             Some(result) => {
                 prop_assert!(result.optimal);
@@ -85,7 +87,7 @@ proptest! {
     fn walksat_is_feasible_and_bounded(inst in inst_strategy()) {
         let instance = to_instance(&inst);
         let expected = brute_force(&instance);
-        match solve(&instance, MaxSatStrategy::LocalSearch { max_flips: 3000, seed: 7 }) {
+        match solve_walksat(&instance, 3000, 7) {
             None => prop_assert_eq!(expected, None),
             Some(result) => {
                 prop_assert!(instance.hard_satisfied(&result.assignment));

@@ -1,7 +1,7 @@
 //! Checked replay harnesses: the Fig. 4 loop on a revisable session fed by a
 //! revision stream, with the session proven equivalent to a from-scratch
 //! re-resolution of the post-revision specification after every batch
-//! ([`cr_store::check_session_against_scratch`] against the session's
+//! ([`cr_store::check_sessions_against_scratch`] against the session's
 //! [`cr_store::SpecMirror`]).
 //!
 //! * [`resolve_with_revisions_checked`] — plain revisions, batched and
@@ -20,7 +20,7 @@ use cr_core::ingest::{
     ResolutionSession, Revision, RevisionError, RevisionPolicy, RevisionSource, RevisionTelemetry,
 };
 use cr_core::{Specification, TrueValues};
-use cr_store::{check_session_against_scratch, diff_logical_states, ReplayedReference};
+use cr_store::{check_sessions_against_scratch, diff_logical_states, ReplayedReference};
 
 /// Result of a checked replay (see [`resolve_with_revisions_checked`]).
 pub struct CheckedReplay {
@@ -61,14 +61,17 @@ pub fn resolve_with_revisions_checked(
     oracle: &mut dyn UserOracle,
     source: &mut dyn RevisionSource,
 ) -> Result<CheckedReplay, String> {
-    let mut checked = ReplayedReference::new(config, RevisionPolicy::Reject, spec);
-    let mut twin = ResolutionSession::new_revisable(config, spec);
+    let mut checked = ReplayedReference::new(RevisionPolicy::Reject, spec);
+    let mut twin = ResolutionSession::new_revisable(spec);
     twin.set_revision_policy(RevisionPolicy::Reject);
     let mut checks = 0;
-    // Both sessions against the mirror, then against each other.
+    // Both sessions against one scratch encoding of the mirror, then
+    // against each other.
     let mut check_both = |checked: &mut ReplayedReference, twin: &mut ResolutionSession| {
-        checked.check()?;
-        check_session_against_scratch(twin, &checked.mirror)?;
+        check_sessions_against_scratch(
+            &checked.mirror,
+            &mut [("batched", &mut checked.session), ("sequential", twin)],
+        )?;
         checks += 2;
         diff_logical_states(&checked.session.state(), &twin.state())
             .map_err(|e| format!("batched vs sequential ingestion diverged: {e}"))
@@ -215,7 +218,7 @@ pub fn resolve_causal_checked(
     source: &mut dyn CausalRevisionSource,
     causal: &CausalReplayConfig,
 ) -> Result<CausalCheckedReplay, String> {
-    let mut checked = ReplayedReference::new(config, causal.policy, spec);
+    let mut checked = ReplayedReference::new(causal.policy, spec);
     let mut interactions = 0;
     let mut checks = 0;
     let arity = spec.schema().arity();

@@ -261,11 +261,6 @@ impl Solver {
         self.clauses.iter().filter(|c| !c.deleted && !c.learnt).count()
     }
 
-    /// Number of learnt clauses currently alive.
-    pub fn num_learnts(&self) -> usize {
-        self.learnt_refs.len()
-    }
-
     /// Search statistics.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
@@ -474,11 +469,6 @@ impl Solver {
     /// `¬g` by construction of conflict analysis).
     pub fn set_persistent_assumptions(&mut self, lits: Vec<Lit>) {
         self.persistent = lits;
-    }
-
-    /// The currently registered persistent assumptions.
-    pub fn persistent_assumptions(&self) -> &[Lit] {
-        &self.persistent
     }
 
     /// Solves under the given assumption literals (plus any persistent

@@ -87,18 +87,6 @@ impl Request {
         )
     }
 
-    /// Deadline-budget phases the request spends when executed: reads
-    /// spend one phase per engine step (`TrueValues` = 3, `Suggest` = 4),
-    /// mutations are atomic and spend one.
-    pub fn phases(&self) -> u64 {
-        match self {
-            Request::IsValid | Request::Deduce { .. } => 1,
-            Request::TrueValues { .. } => 3,
-            Request::Suggest { .. } => 4,
-            _ => 1,
-        }
-    }
-
     /// Short stable name for telemetry and bench labels.
     pub fn kind(&self) -> &'static str {
         match self {

@@ -150,11 +150,6 @@ impl<B: StorageBackend> Server<B> {
         &mut self.store
     }
 
-    /// Consumes the server, returning the store.
-    pub fn into_store(self) -> SessionStore<B> {
-        self.store
-    }
-
     /// Total requests currently queued across all tenants.
     pub fn queued(&self) -> usize {
         self.tenants.values().map(|t| t.queue.len()).sum()

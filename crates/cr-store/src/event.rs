@@ -504,12 +504,6 @@ impl LogRecord {
         d.finish()?;
         Ok(rec)
     }
-
-    /// True iff the record is an event (input/revision) — not a snapshot
-    /// and not a batch marker.
-    pub fn is_event(&self) -> bool {
-        !matches!(self, LogRecord::Snapshot(_) | LogRecord::BatchMark { .. })
-    }
 }
 
 /// Scans raw log bytes into decoded records. Returns the surviving prefix:

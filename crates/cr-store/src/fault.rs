@@ -93,12 +93,6 @@ impl<B: StorageBackend> FaultyBackend<B> {
         self.inner
     }
 
-    /// The synced watermark of `id`: bytes guaranteed to survive
-    /// [`Fault::LostSync`].
-    pub fn synced_len(&self, id: SessionId) -> u64 {
-        self.tracked.get(&id.0).map_or(0, |t| t.synced)
-    }
-
     /// Simulates a crash of the given mode on `id`'s log and rewrites the
     /// inner log to the post-crash bytes. After this returns, the backend
     /// behaves like a freshly opened store on the damaged log.

@@ -5,7 +5,8 @@
 //!   a plain [`Specification`];
 //! * [`check_session_against_scratch`] compares a session with a fresh
 //!   eager encoding of that mirror (validity, deduced value orders, true
-//!   values);
+//!   values); [`check_sessions_against_scratch`] compares several sessions
+//!   with one such encoding;
 //! * [`diff_logical_states`] compares two sessions' logical
 //!   [`SessionState`]s.
 //!
@@ -34,7 +35,7 @@ use cr_core::ingest::{
 };
 use cr_core::spec::{Specification, UserInput};
 use cr_core::{deduce_order, is_valid_encoded, true_values_from_orders};
-use cr_core::{EncodeOptions, EncodedSpec, ResolutionConfig};
+use cr_core::{EncodedSpec, ResolutionConfig, TrueValues};
 use cr_types::{AttrId, Value};
 
 use crate::event::{plan_replay, LogRecord, ReplayStep};
@@ -101,64 +102,98 @@ pub fn check_session_against_scratch(
     session: &mut ResolutionSession,
     mirror: &SpecMirror,
 ) -> Result<(), String> {
-    let scratch_spec = mirror.materialise();
-    let mut scratch = EncodedSpec::encode_with(&scratch_spec, EncodeOptions::eager());
-    let scratch_valid = is_valid_encoded(&mut scratch).valid;
-    let session_valid = session.is_valid();
-    if session_valid != scratch_valid {
-        return Err(format!(
-            "validity diverged: replay says {session_valid}, scratch says {scratch_valid}"
-        ));
-    }
-    if !session_valid {
-        return Ok(()); // both invalid: nothing further to compare
-    }
+    Scratch::of(mirror)?.check(session)
+}
 
-    let session_od = session
-        .deduce(DeductionMethod::UnitPropagation)
-        .ok_or_else(|| "replay deduced a conflict on a valid spec".to_string())?;
-    let scratch_od =
-        deduce_order(&mut scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
+/// [`check_session_against_scratch`] of several sessions absorbing the
+/// same history: the scratch side is built once and every session is
+/// compared with it. The error names the first session that diverged.
+pub fn check_sessions_against_scratch(
+    mirror: &SpecMirror,
+    sessions: &mut [(&str, &mut ResolutionSession)],
+) -> Result<(), String> {
+    let scratch = Scratch::of(mirror)?;
+    for (name, session) in sessions.iter_mut() {
+        scratch
+            .check(session)
+            .map_err(|e| format!("{name} session: {e}"))?;
+    }
+    Ok(())
+}
 
-    // Compare at the value level over non-null lower bounds: the two
-    // encodings number their variables differently, and the replay's space
-    // retains retired values (which never appear in implied literals) plus
-    // permanent null-bottom units for them (filtered with the null side).
-    // Actual `Value`s, not renderings — `Int(3)` and `Str("3")` display
-    // alike but must never be conflated.
-    let project = |enc: &EncodedSpec, od: &DeducedOrders| -> BTreeSet<(AttrId, Value, Value)> {
-        let mut out = BTreeSet::new();
-        for ai in 0..enc.space().arity() as u16 {
-            let attr = AttrId(ai);
-            for (lo, hi) in od.pairs(attr) {
-                let lo_v = enc.value(attr, lo);
-                let hi_v = enc.value(attr, hi);
-                if lo_v.is_null() || hi_v.is_null() {
-                    continue;
-                }
+/// Deduced value orders compared at the value level over non-null lower
+/// bounds: the two encodings number their variables differently, and a
+/// replay's space retains retired values (which never appear in implied
+/// literals) plus permanent null-bottom units for them (filtered with the
+/// null side). Actual `Value`s, not renderings — `Int(3)` and `Str("3")`
+/// display alike but must never be conflated.
+type ValuePairs = BTreeSet<(AttrId, Value, Value)>;
+
+fn value_pairs(enc: &EncodedSpec, od: &DeducedOrders) -> ValuePairs {
+    let mut out = BTreeSet::new();
+    for ai in 0..enc.space().arity() as u16 {
+        let attr = AttrId(ai);
+        for (lo, hi) in od.pairs(attr) {
+            let (lo_v, hi_v) = (enc.value(attr, lo), enc.value(attr, hi));
+            if !lo_v.is_null() && !hi_v.is_null() {
                 out.insert((attr, lo_v.clone(), hi_v.clone()));
             }
         }
-        out
-    };
-    let replay_pairs = project(session.encoded(), &session_od);
-    let scratch_pairs = project(&scratch, &scratch_od);
-    if replay_pairs != scratch_pairs {
-        let only_replay: Vec<_> = replay_pairs.difference(&scratch_pairs).take(5).collect();
-        let only_scratch: Vec<_> = scratch_pairs.difference(&replay_pairs).take(5).collect();
-        return Err(format!(
-            "deduced orders diverged: only-replay {only_replay:?}, only-scratch {only_scratch:?}"
-        ));
+    }
+    out
+}
+
+/// The scratch side of a session ≡ scratch check, built once per mirror
+/// state: `None` when the materialised specification is invalid, else its
+/// deduced value pairs and true values.
+struct Scratch(Option<(ValuePairs, TrueValues)>);
+
+impl Scratch {
+    fn of(mirror: &SpecMirror) -> Result<Self, String> {
+        let mut scratch = EncodedSpec::encode(&mirror.materialise());
+        if !is_valid_encoded(&mut scratch).valid {
+            return Ok(Scratch(None));
+        }
+        let od =
+            deduce_order(&mut scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
+        Ok(Scratch(Some((
+            value_pairs(&scratch, &od),
+            true_values_from_orders(&scratch, &od),
+        ))))
     }
 
-    let replay_tv = session.true_values(&session_od);
-    let scratch_tv = true_values_from_orders(&scratch, &scratch_od);
-    if replay_tv != scratch_tv {
-        return Err(format!(
-            "true values diverged: replay {replay_tv:?}, scratch {scratch_tv:?}"
-        ));
+    fn check(&self, session: &mut ResolutionSession) -> Result<(), String> {
+        let scratch_valid = self.0.is_some();
+        let session_valid = session.is_valid();
+        if session_valid != scratch_valid {
+            return Err(format!(
+                "validity diverged: replay says {session_valid}, scratch says {scratch_valid}"
+            ));
+        }
+        let Some((scratch_pairs, scratch_tv)) = &self.0 else {
+            return Ok(()); // both invalid: nothing further to compare
+        };
+
+        let session_od = session
+            .deduce(DeductionMethod::UnitPropagation)
+            .ok_or_else(|| "replay deduced a conflict on a valid spec".to_string())?;
+        let replay_pairs = value_pairs(session.encoded(), &session_od);
+        if &replay_pairs != scratch_pairs {
+            let only_replay: Vec<_> = replay_pairs.difference(scratch_pairs).take(5).collect();
+            let only_scratch: Vec<_> = scratch_pairs.difference(&replay_pairs).take(5).collect();
+            return Err(format!(
+                "deduced orders diverged: only-replay {only_replay:?}, only-scratch {only_scratch:?}"
+            ));
+        }
+
+        let replay_tv = session.true_values(&session_od);
+        if &replay_tv != scratch_tv {
+            return Err(format!(
+                "true values diverged: replay {replay_tv:?}, scratch {scratch_tv:?}"
+            ));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// One named field of two states must agree.
@@ -218,8 +253,8 @@ pub struct ReplayedReference {
 
 impl ReplayedReference {
     /// A revisable session over `base` under `policy`, and its mirror.
-    pub fn new(config: &ResolutionConfig, policy: RevisionPolicy, base: &Specification) -> Self {
-        let mut session = ResolutionSession::new_revisable(config, base);
+    pub fn new(policy: RevisionPolicy, base: &Specification) -> Self {
+        let mut session = ResolutionSession::new_revisable(base);
         session.set_revision_policy(policy);
         ReplayedReference { session, mirror: SpecMirror::new(base), error: None }
     }
@@ -246,9 +281,11 @@ impl ReplayedReference {
 /// records the error in [`ReplayedReference::error`].
 ///
 /// `policy` must not be [`RevisionPolicy::Reject`] — replay of a durable
-/// log is total by construction.
+/// log is total by construction. `_config` is inert (the reference is a
+/// revisable session, whose encoding is fixed); it stays because the
+/// benchmark's `serve` workload (`perfbench/src/serve.rs`) passes it.
 pub fn reference_of(
-    config: &ResolutionConfig,
+    _config: &ResolutionConfig,
     policy: RevisionPolicy,
     base: &Specification,
     records: &[LogRecord],
@@ -257,7 +294,7 @@ pub fn reference_of(
         !matches!(policy, RevisionPolicy::Reject),
         "reference replay requires a non-Reject policy"
     );
-    let mut reference = ReplayedReference::new(config, policy, base);
+    let mut reference = ReplayedReference::new(policy, base);
     for step in plan_replay(records).steps {
         match step {
             ReplayStep::Input(input) => {
@@ -298,11 +335,11 @@ pub fn reference_of(
 /// surviving records replayed from scratch). A reference whose replay
 /// stopped on a bad input is an error.
 ///
-/// Equivalence is checked two ways: both sessions against the reference
-/// mirror's materialised specification (validity / deduced orders / true
-/// values), then on the logical state ([`diff_logical_states`]'s fields)
-/// plus the epoch. Telemetry is *not* compared (cost counters depend on
-/// engine history).
+/// Equivalence is checked two ways: both sessions against one scratch
+/// encoding of the reference mirror's materialised specification
+/// (validity / deduced orders / true values), then on the logical state
+/// ([`diff_logical_states`]'s fields) plus the epoch. Telemetry is *not*
+/// compared (cost counters depend on engine history).
 pub fn verify_recovery(
     rehydrated: &mut ResolutionSession,
     reference: &mut ReplayedReference,
@@ -310,11 +347,14 @@ pub fn verify_recovery(
     if let Some(e) = &reference.error {
         return Err(format!("surviving prefix does not replay: {e}"));
     }
-    check_session_against_scratch(rehydrated, &reference.mirror)
-        .map_err(|e| format!("rehydrated session diverged from surviving prefix: {e}"))?;
-    reference
-        .check()
-        .map_err(|e| format!("reference replay diverged from its own mirror: {e}"))?;
+    check_sessions_against_scratch(
+        &reference.mirror,
+        &mut [
+            ("rehydrated", rehydrated),
+            ("reference", &mut reference.session),
+        ],
+    )
+    .map_err(|e| format!("diverged from the surviving prefix: {e}"))?;
     let (got, want) = (rehydrated.state(), reference.session.state());
     diff_logical_fields(&got, &want)
         .and_then(|()| field("epoch", &got.epoch, &want.epoch))

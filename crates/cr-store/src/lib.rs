@@ -34,9 +34,10 @@
 //! surviving tail. The rebuilt session must agree with a *fresh* session
 //! that replayed the same surviving records from scratch — on validity,
 //! deduced value orders, true values (via
-//! [`check_session_against_scratch`] against a [`SpecMirror`] of the
-//! surviving prefix), and on the full logical state (entity rows, order
-//! pairs, retired CFDs, accepted answers, causal frontier). [`harness`] packages that
+//! [`check_sessions_against_scratch`]: both sessions against one scratch
+//! encoding of a [`SpecMirror`] of the surviving prefix), and on the full
+//! logical state (entity rows, order pairs, retired CFDs, accepted
+//! answers, causal frontier). [`harness`] packages that
 //! differential; `cr-store`'s recovery tests and the `crash_soak` CI
 //! binary drive it at **every** event boundary under all four fault modes.
 //! Recovery is never silent: [`RecoveryTelemetry`]
@@ -73,7 +74,7 @@ pub use event::{
 };
 pub use fault::{CrashReport, Fault, FaultyBackend};
 pub use harness::{
-    check_session_against_scratch, diff_logical_states, reference_of, verify_recovery,
-    ReplayedReference, SpecMirror,
+    check_session_against_scratch, check_sessions_against_scratch, diff_logical_states,
+    reference_of, verify_recovery, ReplayedReference, SpecMirror,
 };
 pub use store::{AdmissionProbe, RecoveryTelemetry, SessionStore, StoreConfig, StoreError};

@@ -82,7 +82,10 @@ impl From<CodecError> for StoreError {
 /// Store configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Engine configuration for every hosted session.
+    /// Inert: hosted sessions are revisable sessions, whose engine
+    /// configuration is fixed, so this selects nothing. The field stays
+    /// because the benchmark's `serve` workload (`perfbench/src/serve.rs`)
+    /// reads it.
     pub resolution: ResolutionConfig,
     /// Revision policy for every hosted session. Must not be
     /// [`RevisionPolicy::Reject`] (see [`StoreError::RejectPolicy`]).
@@ -278,11 +281,6 @@ impl<B: StorageBackend> SessionStore<B> {
             });
     }
 
-    /// Sessions currently registered, ascending.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.entries.keys().map(|&k| SessionId(k)).collect()
-    }
-
     /// Whether `id` currently holds live engine state.
     pub fn is_live(&self, id: SessionId) -> bool {
         self.entries.get(&id.0).is_some_and(|e| e.live.is_some())
@@ -357,11 +355,6 @@ impl<B: StorageBackend> SessionStore<B> {
             entry.idem.remove(&oldest);
         }
         Ok(())
-    }
-
-    /// Number of replies currently held in `id`'s idempotency ledger.
-    pub fn ledger_len(&self, id: SessionId) -> usize {
-        self.entries.get(&id.0).map_or(0, |e| e.idem.len())
     }
 
     /// The live session for `id`, rehydrating from the log if cold.
@@ -579,7 +572,7 @@ impl<B: StorageBackend> SessionStore<B> {
         for (i, step) in plan.steps.iter_mut().enumerate().rev() {
             if let ReplayStep::Snapshot(snap) = step {
                 let state = std::mem::take(&mut snap.state);
-                match ResolutionSession::restore(&self.config.resolution, base, state) {
+                match ResolutionSession::restore(base, state) {
                     Ok(s) => {
                         session = Some(s);
                         start = i + 1;
@@ -590,8 +583,7 @@ impl<B: StorageBackend> SessionStore<B> {
             }
         }
         let from_snapshot = session.is_some();
-        let mut session = session
-            .unwrap_or_else(|| ResolutionSession::new_revisable(&self.config.resolution, base));
+        let mut session = session.unwrap_or_else(|| ResolutionSession::new_revisable(base));
         session.set_revision_policy(self.config.policy);
 
         let mut replayed = 0u64;

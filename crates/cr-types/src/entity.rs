@@ -311,11 +311,6 @@ impl EntityInstance {
         vals
     }
 
-    /// True iff `value` occurs (non-null) in attribute `attr`.
-    pub fn adom_contains(&self, attr: AttrId, value: &Value) -> bool {
-        !value.is_null() && self.tuples.iter().any(|t| t.get(attr) == value)
-    }
-
     /// Tuples whose `attr` value equals `value`.
     pub fn tuples_with_value(&self, attr: AttrId, value: &Value) -> Vec<TupleId> {
         self.iter()

@@ -234,11 +234,6 @@ impl AttrValueSpace {
         &self.per_attr[attr.index()]
     }
 
-    /// Mutable interner for `attr`.
-    pub fn attr_mut(&mut self, attr: AttrId) -> &mut ValueInterner {
-        &mut self.per_attr[attr.index()]
-    }
-
     /// Interns `v` in the value space of `attr`.
     pub fn intern(&mut self, attr: AttrId, v: &Value) -> ValueId {
         self.per_attr[attr.index()].intern(v)

@@ -139,9 +139,8 @@ fn batched_ingestion_matches(
         burst,
         ..Default::default()
     });
-    let config = ResolutionConfig::default();
-    let mut batched = ResolutionSession::new_revisable(&config, &spec);
-    let mut sequential = ResolutionSession::new_revisable(&config, &spec);
+    let mut batched = ResolutionSession::new_revisable(&spec);
+    let mut sequential = ResolutionSession::new_revisable(&spec);
     let mut mirror = SpecMirror::new(&spec);
 
     let mut applied_batches = 0usize;
