@@ -14,7 +14,11 @@ impl Graph {
     /// A graph with `n` isolated vertices.
     pub fn new(n: usize) -> Self {
         let words = n.div_ceil(64);
-        Graph { n, words, adj: vec![0; n * words] }
+        Graph {
+            n,
+            words,
+            adj: vec![0; n * words],
+        }
     }
 
     /// Number of vertices.
@@ -99,7 +103,9 @@ impl VertexSet {
     }
 
     pub(crate) fn empty(n: usize) -> Self {
-        VertexSet { words: vec![0; n.div_ceil(64)] }
+        VertexSet {
+            words: vec![0; n.div_ceil(64)],
+        }
     }
 
     pub(crate) fn contains(&self, v: usize) -> bool {

@@ -25,9 +25,7 @@ pub fn greedy_clique(g: &Graph) -> Vec<usize> {
             let mut best_v = usize::MAX;
             let mut best_deg = 0usize;
             for v in candidates.iter() {
-                let deg = candidates
-                    .intersect_row(g.row(v))
-                    .count();
+                let deg = candidates.intersect_row(g.row(v)).count();
                 if best_v == usize::MAX || deg > best_deg {
                     best_v = v;
                     best_deg = deg;

@@ -41,10 +41,7 @@ impl DeducedOrders {
     }
 
     /// Values of `attr` not dominated by any other value — the candidate
-    /// true values `V(attr)` of `DeriveVR` (Section V-C.2). Quantifies over
-    /// the **live** values of the space: on ordinary encodings that is
-    /// every interned value; on revisable encodings, values retired by
-    /// upstream corrections are no possible current values and drop out.
+    /// true values `V(attr)` of `DeriveVR` (Section V-C.2).
     ///
     /// Single pass over the deduced pairs marking dominated values in a
     /// bitvec; the previous formulation probed the hash set `O(n²)` times
@@ -56,7 +53,7 @@ impl DeducedOrders {
             dominated[lo.index()] = true;
         }
         interner
-            .live_ids()
+            .ids()
             .filter(|v| !dominated[v.index()])
             .collect()
     }

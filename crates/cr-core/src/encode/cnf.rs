@@ -2,10 +2,10 @@
 //!
 //! # Guard-literal clause groups
 //!
-//! The lazy kinds ([`EncodedSpec::encode_lazy`] and the revisable kind;
-//! see the "Encoding kinds" section of the encode module docs) emit the
-//! CFD instance constraints as **retractable clause groups**, one group per
-//! CFD. The eager kinds emit them as plain clauses. The lifecycle:
+//! The lazy kind ([`EncodedSpec::encode_lazy`]; see the "Encoding kinds"
+//! section of the encode module docs) emits the CFD instance constraints
+//! as **retractable clause groups**, one group per CFD. The eager kinds
+//! emit them as plain clauses. The lifecycle:
 //!
 //! 1. *Emission* — a group allocates a fresh guard variable `g`; every
 //!    clause of the group carries the extra literal `¬g`, so the clauses
@@ -23,7 +23,9 @@
 //!    the group's clauses *and* every clause the warm solver learnt from
 //!    them (learnt clauses depending on the group contain `¬g` by
 //!    construction of conflict analysis). The CFD is then re-emitted over
-//!    the grown value space under a fresh guard.
+//!    the grown value space under a fresh guard. A CFD withdrawn upstream
+//!    ([`EncodedSpec::retract_cfd`]) is retracted the same way and never
+//!    re-emitted.
 //!
 //! The CNF therefore remains the single append-only source of truth:
 //! solvers sync by ingesting the clause tail, and the retraction unit
@@ -33,7 +35,7 @@
 //!
 //! # Lazy axiom instantiation
 //!
-//! In the lazy kinds the order axioms are not part of the CNF at all:
+//! In the lazy kind the order axioms are not part of the CNF at all:
 //! [`EncodedSpec::violated_axioms`] answers a
 //! [`cr_sat::LazyAxiomSource`] consultation by scanning the candidate
 //! assignment against the dense `attr × lo × hi` variable table and
@@ -57,14 +59,13 @@
 //! Injected clauses are permanent (`NO_GROUP`): axioms hold regardless of
 //! any CFD group, so retraction never touches them.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use cr_sat::{Assignment, ClauseBuffer, Cnf, Lit, Var};
-use cr_types::{AttrId, AttrValueSpace, TupleId, Value, ValueId};
+use cr_types::{AttrId, AttrValueSpace, Value, ValueId};
 
 use super::omega::{
-    base_order_instance, build_spaces, cfd_instances, emit_base_orders, emit_null_bottoms,
-    emit_sigma_gamma, instantiate_pair, sigma_constraint_instances, Conclusion, GlobalToLocal,
+    build_spaces, cfd_instances, emit_base, emit_sigma_gamma, instantiate_pair, Conclusion,
     InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
 };
 use crate::spec::{Specification, UserInput};
@@ -83,9 +84,9 @@ pub type GroupId = u32;
 /// Group tag of permanent clauses.
 const NO_GROUP: GroupId = cr_sat::NO_GROUP;
 
-/// Which of the four encodings an [`EncodedSpec`] is — see the "Encoding
+/// Which of the three encodings an [`EncodedSpec`] is — see the "Encoding
 /// kinds" section of the encode module docs. Guarded CFD groups come with
-/// the lazy kinds, totality with every kind but the paper-faithful one.
+/// the lazy kind, totality with every kind but the paper-faithful one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Kind {
     /// Every axiom materialised, plain CFD clauses; one-shot.
@@ -94,15 +95,6 @@ enum Kind {
     PaperFaithful,
     /// Lazy axioms, guarded CFD groups: the engine's encoding.
     Lazy,
-    /// [`Kind::Lazy`] with every revision-sensitive clause retractable.
-    Revisable,
-}
-
-impl Kind {
-    /// Axioms instantiated on demand, CFDs guarded.
-    fn is_lazy(self) -> bool {
-        matches!(self, Kind::Lazy | Kind::Revisable)
-    }
 }
 
 /// Classification of one CNF clause, parallel to the clause list. One byte
@@ -176,7 +168,8 @@ impl VarTable {
     }
 }
 
-/// A retractable clause group: its guard variable and liveness.
+/// A retractable clause group: its guard variable and whether it is still
+/// active.
 #[derive(Clone, Copy, Debug)]
 struct GroupState {
     guard: Var,
@@ -239,29 +232,12 @@ pub struct EncodedSpec {
     /// Per CFD index: its currently active group, if emitted.
     cfd_groups: Vec<Option<GroupId>>,
     /// Per CFD index: withdrawn by an upstream correction
-    /// ([`EncodedSpec::retract_cfd`]); never re-emitted. All `false` on
-    /// non-revisable encodings.
+    /// ([`EncodedSpec::retract_cfd`]); never re-emitted.
     cfd_retired: Vec<bool>,
-    /// Revisable kind: the active clause group of each tuple-level base
-    /// order pair `(attr, t1, t2)` (vacuous pairs have none).
-    order_groups: HashMap<(AttrId, TupleId, TupleId), GroupId>,
-    /// Revisable kind: the active clause group of each Σ constraint.
-    sigma_groups: Vec<Option<GroupId>>,
-    /// Revisable kind: per-attribute refcounts of the entity cells (and
-    /// user answers) realising each interned value — drives the space's
-    /// liveness mask. Indexed `[attr][value id]`; empty on non-revisable
-    /// encodings.
-    live_counts: Vec<Vec<u32>>,
     kind: Kind,
     /// Axiom clauses recorded into the CNF by lazy instantiation (the
     /// [`cr_sat::LazyAxiomSource`] impl); 0 for eager encodings.
     injected_axioms: usize,
-    /// Revisable kind: values whose liveness flipped retired → live since
-    /// the last [`EncodedSpec::take_revived`] drain. Revival re-admits the
-    /// value's order axioms to the lazy scheme without any of its atoms
-    /// re-entering the propagator's delta, so the engine redelivers its
-    /// order variables to the lazy source (see the ingest module).
-    revived: Vec<(AttrId, ValueId)>,
 }
 
 impl EncodedSpec {
@@ -286,44 +262,7 @@ impl EncodedSpec {
         Self::encode_kind(spec, Kind::Lazy)
     }
 
-    /// The revisable encoding of `spec`: [`EncodedSpec::encode_lazy`] with
-    /// every revision-sensitive clause in a retractable group and value
-    /// liveness tracked.
-    pub(crate) fn encode_revisable(spec: &Specification) -> Self {
-        Self::encode_kind(spec, Kind::Revisable)
-    }
-
     fn encode_kind(spec: &Specification, kind: Kind) -> Self {
-        let program = spec.compiled_program().clone();
-        Self::encode_impl(spec, kind, |space, g2l, sink| {
-            emit_sigma_gamma(spec, &program, space, g2l, sink)
-        })
-    }
-
-    /// The revisable encode over a supplied Σ/Γ instance list instead of
-    /// the compiled-program projection — the reference path the tests
-    /// encode a reference instance stream with, to prove the production
-    /// CNF equal to it clause for clause.
-    #[cfg(test)]
-    pub(crate) fn encode_revisable_with_omega(
-        spec: &Specification,
-        omega: Vec<InstanceConstraint>,
-    ) -> Self {
-        Self::encode_impl(spec, Kind::Revisable, |_, _, sink| {
-            for c in omega {
-                sink.emit(c);
-            }
-        })
-    }
-
-    /// The encode, with steps 4–5 of `Instantiation(Se)` (the Σ/Γ instance
-    /// stream) supplied by `sigma_gamma` between the base orders and the
-    /// revisable groups.
-    fn encode_impl(
-        spec: &Specification,
-        kind: Kind,
-        sigma_gamma: impl FnOnce(&AttrValueSpace, &GlobalToLocal, &mut EncoderSink<'_>),
-    ) -> Self {
         let (space, g2l) = build_spaces(spec);
         let widths: Vec<usize> = (0..space.arity())
             .map(|i| space.attr(AttrId(i as u16)).len())
@@ -342,17 +281,13 @@ impl EncodedSpec {
             groups: Vec::new(),
             cfd_groups: vec![None; spec.gamma().len()],
             cfd_retired: vec![false; spec.gamma().len()],
-            order_groups: HashMap::new(),
-            sigma_groups: vec![None; spec.sigma().len()],
-            live_counts: Vec::new(),
             kind,
             injected_axioms: 0,
-            revived: Vec::new(),
         };
 
         // Variables for every ordered pair of distinct values. Every kind
         // allocates the full dense table (`O(n²)` per attribute): the
-        // lazy kinds need it to detect violated instances, and downstream
+        // lazy kind needs it to detect violated instances, and downstream
         // consumers (`top_assumptions`, suggestion literals) rely on every
         // pair variable existing. The table is empty here, so the atoms can
         // be bulk-allocated in row-major walk order without the per-atom
@@ -383,59 +318,20 @@ impl EncodedSpec {
         // Ω(Se), streamed straight from the compiled-program projection
         // into clause emission — instance construction and clause
         // conversion happen in one pass with no intermediate buffer.
-        // The lazy kinds put CFD instances into one retractable group per
-        // CFD; the revisable kind also groups Σ instances per constraint
-        // (routed by `route_omega`) and base orders per order pair (below);
-        // everything else is permanent.
-        let revisable = kind == Kind::Revisable;
+        // The lazy kind puts CFD instances into one retractable group per
+        // CFD (routed by `route_omega`); everything else is permanent.
         {
+            let program = spec.compiled_program().clone();
             let mut sink = EncoderSink { enc: &mut enc };
-            emit_null_bottoms(spec, &space, &mut sink);
-            if !revisable {
-                emit_base_orders(spec, &g2l, &mut sink);
-            }
-            sigma_gamma(&space, &g2l, &mut sink);
-        }
-        if revisable {
-            // Base currency orders, one retractable group per tuple-level
-            // pair, so upstream corrections can withdraw a single asserted
-            // order (or re-derive the pairs a value revision touches).
-            let entity = spec.entity();
-            for attr in spec.schema().attr_ids() {
-                for (t1, t2) in spec.orders().pairs(attr) {
-                    let instance = base_order_instance(
-                        &space,
-                        attr,
-                        entity.tuple(t1).get(attr),
-                        entity.tuple(t2).get(attr),
-                    );
-                    if let Some(c) = instance {
-                        let group = enc.new_group();
-                        enc.order_groups.insert((attr, t1, t2), group);
-                        enc.add_omega_constraint_in(c, group);
-                    }
-                }
-            }
-            // Liveness refcounts: one count per cell realising the value.
-            enc.live_counts = (0..space.arity())
-                .map(|ai| vec![0u32; space.attr(AttrId(ai as u16)).len()])
-                .collect();
-            for tid in entity.tuple_ids() {
-                for attr in spec.schema().attr_ids() {
-                    let v = entity.tuple(tid).get(attr);
-                    if !v.is_null() {
-                        let vid = space.get(attr, v).expect("cell values are interned");
-                        enc.live_counts[attr.index()][vid.index()] += 1;
-                    }
-                }
-            }
+            emit_base(spec, &space, &g2l, &mut sink);
+            emit_sigma_gamma(spec, &program, &space, &g2l, &mut sink);
         }
         enc.space = space;
 
         // Transitivity and asymmetry per attribute, over the realised
-        // variable set. The lazy kinds emit nothing here: the axioms flow
+        // variable set. The lazy kind emits nothing here: the axioms flow
         // in on demand through `violated_axioms` (see the module docs).
-        if kind.is_lazy() {
+        if kind == Kind::Lazy {
             return enc;
         }
         let mut per_attr: Vec<Vec<ValueId>> = vec![Vec::new(); enc.space.arity()];
@@ -501,7 +397,7 @@ impl EncodedSpec {
     ///    (pairs among the original tuples are already instantiated).
     ///
     /// Answers **outside** the interned value space are handled additively
-    /// by the guarded CFD groups of the lazy kinds: the new value id
+    /// by the guarded CFD groups of the lazy kind: the new value id
     /// appends a row to the dense attr×lo×hi variable table and allocates
     /// its pair variables (the lazy source reads the grown table and
     /// instantiates their axioms on demand), its null-bottom unit is
@@ -526,37 +422,21 @@ impl EncodedSpec {
                 continue;
             }
             match self.space.get(*attr, v) {
-                // A retired value (revisable kind) is interned but out of the
-                // live domain; answering it revives it, which grows the live
-                // space exactly like an out-of-domain answer — the attribute's
-                // CFD instances must be re-emitted over the wider space.
-                Some(id) => {
-                    if !self.space.is_live(*attr, id) {
-                        grown.push(*attr);
-                    }
-                    answered.push((*attr, id));
-                }
+                Some(id) => answered.push((*attr, id)),
                 None => grown.push(*attr),
             }
         }
 
-        // Out-of-domain answers: append the new values and their axioms.
-        // Then — for grown *and* revived attributes alike — retract and
-        // re-emit every CFD whose premise or conclusion ranges over the
-        // attribute, so ωX premises and domination sets quantify over the
-        // current live space. The revival itself (`cell_added`) must happen
-        // before `cfd_instances` reads the space.
+        // Out-of-domain answers: append the new values and their axioms,
+        // then retract and re-emit every CFD whose premise or conclusion
+        // ranges over a grown attribute, so ωX premises and domination sets
+        // quantify over the current space.
         let mut retracted_groups: Vec<GroupId> = Vec::new();
         for (attr, v) in &input.values {
             if !v.is_null() && self.space.get(*attr, v).is_none() {
                 let vid = self.append_value(*attr, v);
                 answered.push((*attr, vid));
             }
-        }
-        // The fresh tuple's cells realise the answered values (reviving any
-        // retired ones — before `cfd_instances` reads the live space below).
-        for &(attr, vid) in &answered {
-            self.cell_added(attr, vid);
         }
         if !grown.is_empty() {
             grown.sort_unstable();
@@ -588,41 +468,21 @@ impl EncodedSpec {
             }
         }
 
-        // (1) Base-order units: the answered value tops its attribute. In
-        // the revisable kind each induced tuple-level pair `(attr, t, to)`
-        // gets its own retractable group, mirroring the order extension
-        // `Specification::apply_user_input` records — so an upstream
-        // correction can later withdraw the answer pair by pair (and a
-        // value revision of `t` re-derives exactly the touched pairs).
-        if self.kind == Kind::Revisable {
-            let to = TupleId(spec.entity().len() as u32);
-            for &(attr, vid) in &answered {
-                let hi = self.space.value(attr, vid).clone();
-                for t in spec.entity().tuple_ids() {
-                    let lo = spec.entity().tuple(t).get(attr);
-                    if let Some(c) = base_order_instance(&self.space, attr, lo, &hi) {
-                        let group = self.new_group();
-                        self.order_groups.insert((attr, t, to), group);
-                        self.add_omega_constraint_in(c, group);
-                    }
-                }
-            }
-        } else {
-            for &(attr, vid) in &answered {
-                let below: Vec<ValueId> = self
-                    .space
-                    .attr(attr)
-                    .iter()
-                    .filter(|(id, v)| *id != vid && !v.is_null())
-                    .map(|(id, _)| id)
-                    .collect();
-                for lo in below {
-                    self.add_omega_constraint(InstanceConstraint {
-                        premise: Premise::new(),
-                        conclusion: Conclusion::Atom(OrderAtom { attr, lo, hi: vid }),
-                        origin: super::Origin::BaseOrder,
-                    });
-                }
+        // (1) Base-order units: the answered value tops its attribute.
+        for &(attr, vid) in &answered {
+            let below: Vec<ValueId> = self
+                .space
+                .attr(attr)
+                .iter()
+                .filter(|(id, v)| *id != vid && !v.is_null())
+                .map(|(id, _)| id)
+                .collect();
+            for lo in below {
+                self.add_omega_constraint(InstanceConstraint {
+                    premise: Premise::new(),
+                    conclusion: Conclusion::Atom(OrderAtom { attr, lo, hi: vid }),
+                    origin: super::Origin::BaseOrder,
+                });
             }
         }
 
@@ -670,22 +530,14 @@ impl EncodedSpec {
             // class for the whole input.
             for &tid in &projections.get(&program, entity, cc.class).reps {
                 let t = entity.tuple(tid);
-                // Revisable kind: delta instances join the constraint's
-                // retractable group, so a later revision touching the
-                // constraint withdraws and re-derives them with the rest.
-                let group = if self.kind == Kind::Revisable {
-                    self.sigma_group(ci)
-                } else {
-                    NO_GROUP
-                };
                 if to_second {
                     if let Some(c) = instantiate_pair(&self.space, constraint, ci, t, &to) {
-                        self.add_omega_constraint_in(c, group);
+                        self.add_omega_constraint(c);
                     }
                 }
                 if to_first {
                     if let Some(c) = instantiate_pair(&self.space, constraint, ci, &to, t) {
-                        self.add_omega_constraint_in(c, group);
+                        self.add_omega_constraint(c);
                     }
                 }
             }
@@ -695,13 +547,14 @@ impl EncodedSpec {
 
     /// Appends a brand-new value to `attr`'s space: interns it, regrows the
     /// variable table, allocates the order variables of every pair
-    /// involving it and emits its null-bottom units. The order axioms of
+    /// involving it and emits its null-bottom unit. The order axioms of
     /// the new pairs stay unmaterialised: the lazy source's scans read the
     /// grown table and value space directly. Only lazy encodings grow — an
-    /// eager one would need its axioms appended here.
+    /// eager one would need its axioms appended here. Null is never
+    /// appended: user answers are non-null.
     fn append_value(&mut self, attr: AttrId, v: &Value) -> ValueId {
-        debug_assert!(self.kind.is_lazy(), "eager encodings are one-shot and never grow");
-        debug_assert!(self.space.get(attr, v).is_none());
+        debug_assert_eq!(self.kind, Kind::Lazy, "eager encodings are one-shot and never grow");
+        debug_assert!(!v.is_null() && self.space.get(attr, v).is_none());
         let vid = self.space.intern(attr, v);
         let n = self.space.attr(attr).len();
         debug_assert_eq!(vid.index(), n - 1);
@@ -711,19 +564,7 @@ impl EncodedSpec {
             self.var(OrderAtom { attr, lo: w, hi: vid });
             self.var(OrderAtom { attr, lo: vid, hi: w });
         }
-        if v.is_null() {
-            // Null joining late (a value revision nulled a cell of a
-            // previously all-non-null attribute): it is a strict bottom
-            // below every existing value, exactly as a from-scratch encode
-            // of the revised specification would emit.
-            for &w in &olds {
-                self.add_omega_constraint(InstanceConstraint {
-                    premise: Premise::new(),
-                    conclusion: Conclusion::Atom(OrderAtom { attr, lo: vid, hi: w }),
-                    origin: super::Origin::NullBottom,
-                });
-            }
-        } else if let Some(null_id) = self.space.get(attr, &Value::Null) {
+        if let Some(null_id) = self.space.get(attr, &Value::Null) {
             // Null stays a strict bottom below the new value.
             self.add_omega_constraint(InstanceConstraint {
                 premise: Premise::new(),
@@ -737,19 +578,14 @@ impl EncodedSpec {
     /// Withdraws CFD `gamma[gi]` permanently — the encoding-level half of an
     /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's clause
     /// group is retracted (root `¬g` unit) and the CFD is marked retired so
-    /// no later extension or revision re-emits it. Requires a revisable
-    /// encoding. Returns the retracted groups (callers holding a live
-    /// `UnitPropagator` forward them to `retract_groups` before syncing the
-    /// clause tail).
-    pub(crate) fn retract_cfd(&mut self, gi: usize) -> Vec<GroupId> {
-        debug_assert_eq!(self.kind, Kind::Revisable, "CFD retraction needs a revisable encoding");
+    /// no later extension re-emits it. Requires a lazy encoding; a session
+    /// calls it on each fresh encoding of its specification, before any
+    /// solver or propagator reads the CNF.
+    pub(crate) fn retract_cfd(&mut self, gi: usize) {
+        debug_assert_eq!(self.kind, Kind::Lazy, "CFD retraction needs a lazy encoding");
         self.cfd_retired[gi] = true;
-        match self.cfd_groups[gi].take() {
-            Some(group) => {
-                self.retract_group(group);
-                vec![group]
-            }
-            None => Vec::new(),
+        if let Some(group) = self.cfd_groups[gi].take() {
+            self.retract_group(group);
         }
     }
 
@@ -757,159 +593,6 @@ impl EncodedSpec {
     /// Rule derivation (`TrueDer`) skips retired CFDs.
     pub fn is_cfd_retired(&self, gi: usize) -> bool {
         self.cfd_retired.get(gi).copied().unwrap_or(false)
-    }
-
-    /// Withdraws the base order `t1 ≺_attr t2` — the encoding-level half of
-    /// an upstream **order withdrawal** (initial orders and answer-induced
-    /// pairs alike). A vacuous pair (equal or null-sided values — no clause
-    /// was ever emitted) is a no-op. Requires a revisable encoding. Returns
-    /// the retracted groups.
-    pub(crate) fn withdraw_order(
-        &mut self,
-        attr: AttrId,
-        t1: TupleId,
-        t2: TupleId,
-    ) -> Vec<GroupId> {
-        debug_assert_eq!(self.kind, Kind::Revisable, "order withdrawal needs a revisable encoding");
-        match self.order_groups.remove(&(attr, t1, t2)) {
-            Some(group) => {
-                self.retract_group(group);
-                vec![group]
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Applies a **value revision**: the cell `(tuple, attr)` changed from
-    /// `old` to its current value in `after` (the specification *after* the
-    /// spec-level replacement — [`Specification::replace_value`]).
-    /// Requires a revisable encoding.
-    ///
-    /// The revision is absorbed without rebuilding anything:
-    ///
-    /// * the new value joins the space if unseen
-    ///   (order variables appended, exactly like an out-of-domain user
-    ///   answer), and the liveness refcounts shift — a value whose
-    ///   last occurrence was revised away is *retired* from the query
-    ///   surface while its variables stay allocated;
-    /// * every base-order pair group touching `(attr, tuple)` is retracted
-    ///   and re-derived from the revised values (pairs that became vacuous
-    ///   stay retracted, pairs that became meaningful gain a fresh group);
-    /// * every Σ constraint referencing `attr` has its clause group
-    ///   retracted and re-projected over the revised entity through the
-    ///   compiled program's projection keys;
-    /// * every live CFD referencing `attr` is retracted and re-emitted over
-    ///   the revised (live-masked) space.
-    ///
-    /// Returns the retracted groups in retraction order.
-    pub(crate) fn replace_value(
-        &mut self,
-        after: &Specification,
-        tuple: TupleId,
-        attr: AttrId,
-        old: &Value,
-    ) -> Vec<GroupId> {
-        debug_assert_eq!(self.kind, Kind::Revisable, "value revision needs a revisable encoding");
-        let mut retracted = Vec::new();
-
-        // Liveness swap: count the new value in before discounting the old
-        // one, so a self-replacement can never transiently retire a value.
-        let new_value = after.entity().tuple(tuple).get(attr).clone();
-        if new_value.is_null() {
-            // A from-scratch encode of the revised specification interns
-            // null for this attribute now — mirror it (with its bottom
-            // units); null is never refcounted and never retires.
-            if self.space.get(attr, &Value::Null).is_none() {
-                self.append_value(attr, &Value::Null);
-            }
-        } else {
-            let vid = match self.space.get(attr, &new_value) {
-                Some(id) => id,
-                None => self.append_value(attr, &new_value),
-            };
-            self.cell_added(attr, vid);
-        }
-        if !old.is_null() {
-            let vid = self.space.get(attr, old).expect("revised-away value was interned");
-            self.cell_removed(attr, vid);
-        }
-
-        // Base-order pairs touching the revised cell: retract and re-derive
-        // with the updated values.
-        let entity = after.entity();
-        let pairs: Vec<(TupleId, TupleId)> = after
-            .orders()
-            .pairs(attr)
-            .filter(|&(t1, t2)| t1 == tuple || t2 == tuple)
-            .collect();
-        for (t1, t2) in pairs {
-            if let Some(group) = self.order_groups.remove(&(attr, t1, t2)) {
-                self.retract_group(group);
-                retracted.push(group);
-            }
-            let instance = base_order_instance(
-                &self.space,
-                attr,
-                entity.tuple(t1).get(attr),
-                entity.tuple(t2).get(attr),
-            );
-            if let Some(c) = instance {
-                let group = self.new_group();
-                self.order_groups.insert((attr, t1, t2), group);
-                self.add_omega_constraint_in(c, group);
-            }
-        }
-
-        // Σ constraints referencing the revised attribute: their instances
-        // are derived from the referenced attributes' values, so only those
-        // groups can have changed. Re-projection reuses the compiled
-        // program's referenced-attribute keys.
-        let program = after.compiled_program().clone();
-        let projections = ProjectionCache::new(&program);
-        for (ci, cc) in program.sigma.iter().enumerate() {
-            if !cc.referenced_attrs.contains(&attr) {
-                continue;
-            }
-            if let Some(group) = self.sigma_groups[ci].take() {
-                self.retract_group(group);
-                retracted.push(group);
-            }
-            let reps = &projections.get(&program, after.entity(), cc.class).reps;
-            let instances = sigma_constraint_instances(after, ci, reps, &self.space);
-            if !instances.is_empty() {
-                let group = self.new_group();
-                self.sigma_groups[ci] = Some(group);
-                for c in instances {
-                    self.add_omega_constraint_in(c, group);
-                }
-            }
-        }
-
-        // Live CFDs referencing the revised attribute: ωX premises and
-        // domination sets quantify over the (live) space, which just moved.
-        for (gi, cfd) in after.gamma().iter().enumerate() {
-            if self.cfd_retired[gi] {
-                continue;
-            }
-            let touched =
-                cfd.lhs().iter().any(|(a, _)| *a == attr) || cfd.rhs().0 == attr;
-            if !touched {
-                continue;
-            }
-            if let Some(group) = self.cfd_groups[gi].take() {
-                self.retract_group(group);
-                retracted.push(group);
-            }
-            let instances = cfd_instances(&self.space, gi, cfd);
-            if !instances.is_empty() {
-                let group = self.new_group();
-                self.cfd_groups[gi] = Some(group);
-                for c in instances {
-                    self.add_omega_constraint_in(c, group);
-                }
-            }
-        }
-        retracted
     }
 
     /// Adds the clause of an instance constraint to the CNF.
@@ -924,26 +607,12 @@ impl EncodedSpec {
         self.add_omega_constraint_in(c, NO_GROUP);
     }
 
-    /// The active clause group of Σ constraint `ci` (revisable kind),
-    /// allocating one on first use.
-    fn sigma_group(&mut self, ci: usize) -> GroupId {
-        match self.sigma_groups[ci] {
-            Some(g) => g,
-            None => {
-                let g = self.new_group();
-                self.sigma_groups[ci] = Some(g);
-                g
-            }
-        }
-    }
-
     /// Routes one streamed Ω instance to its clause group: CFD instances go
     /// into their retractable group (created on first use) in the lazy
-    /// kinds, Σ instances into their per-constraint group in the revisable
     /// kind, everything else is permanent.
     fn route_omega(&mut self, c: InstanceConstraint) {
         match c.origin {
-            super::Origin::Cfd(gi) if self.kind.is_lazy() => {
+            super::Origin::Cfd(gi) if self.kind == Kind::Lazy => {
                 let group = match self.cfd_groups[gi] {
                     Some(g) => g,
                     None => {
@@ -954,56 +623,7 @@ impl EncodedSpec {
                 };
                 self.add_omega_constraint_in(c, group);
             }
-            super::Origin::Currency(ci) if self.kind == Kind::Revisable => {
-                let group = self.sigma_group(ci);
-                self.add_omega_constraint_in(c, group);
-            }
             _ => self.add_omega_constraint(c),
-        }
-    }
-
-    /// Revisable-kind liveness bookkeeping: one more cell (or user answer)
-    /// realises `(attr, vid)`. No-op on ordinary encodings.
-    fn cell_added(&mut self, attr: AttrId, vid: ValueId) {
-        if self.kind != Kind::Revisable {
-            return;
-        }
-        let counts = &mut self.live_counts[attr.index()];
-        if counts.len() <= vid.index() {
-            counts.resize(vid.index() + 1, 0);
-        }
-        counts[vid.index()] += 1;
-        if !self.space.is_live(attr, vid) {
-            // Retired → live flip: queue for axiom-scheme redelivery.
-            self.revived.push((attr, vid));
-        }
-        self.space.set_live(attr, vid, true);
-    }
-
-    /// Drains the values revived (retired → live) since the last call. The
-    /// engine redelivers their order variables to the warm propagator's
-    /// lazy source after each revision/input so the re-admitted axiom
-    /// instances are scanned (their atoms never re-enter the delta on
-    /// their own — revival is the second non-monotone step next to group
-    /// retraction).
-    pub fn take_revived(&mut self) -> Vec<(AttrId, ValueId)> {
-        std::mem::take(&mut self.revived)
-    }
-
-    /// Revisable-kind liveness bookkeeping: one fewer cell realises
-    /// `(attr, vid)`; the value is *retired* when its last occurrence goes
-    /// (null is exempt — null-bottom units are permanent clauses and a live
-    /// null is always dominated, so keeping it live can never change a
-    /// query result; see the ingest module docs).
-    fn cell_removed(&mut self, attr: AttrId, vid: ValueId) {
-        if self.kind != Kind::Revisable {
-            return;
-        }
-        let counts = &mut self.live_counts[attr.index()];
-        debug_assert!(counts[vid.index()] > 0, "liveness refcount underflow");
-        counts[vid.index()] -= 1;
-        if counts[vid.index()] == 0 && !self.space.value(attr, vid).is_null() {
-            self.space.set_live(attr, vid, false);
         }
     }
 
@@ -1192,10 +812,10 @@ impl EncodedSpec {
     }
 
     /// Whether `group` is still active (not yet retracted). The engine's
-    /// tail sync consults this so clauses emitted for a group that was
-    /// retracted *later in the same batch* are never fed live to the
-    /// group-aware propagator — the solver side is already safe because
-    /// the group's `¬g` unit travels in the same tail.
+    /// tail sync consults this so clauses of a group retracted before the
+    /// sync reached them (a retired CFD on a fresh encoding) are never fed
+    /// live to the group-aware propagator — the solver side is already
+    /// safe because the group's `¬g` unit travels in the same tail.
     pub fn is_group_active(&self, group: GroupId) -> bool {
         self.groups[group as usize].active
     }
@@ -1240,16 +860,14 @@ impl EncodedSpec {
     }
 
     /// Assumption literals asserting "`v` is the most current value of
-    /// `attr`": every other **live** value of the space sits strictly below
-    /// `v` (on ordinary encodings every value is live; on revisable ones
-    /// retired values are out of the active domain and impose nothing).
+    /// `attr`": every other value of the space sits strictly below `v`.
     /// (The dense variable table is fully allocated in every kind, so
     /// the lookup always succeeds for interned ids; `None` is kept for
     /// defensive callers.)
     pub fn top_assumptions(&self, attr: AttrId, v: ValueId) -> Option<Vec<Lit>> {
         let interner = self.space.attr(attr);
         let mut lits = Vec::with_capacity(interner.len().saturating_sub(1));
-        for o in interner.live_ids() {
+        for o in interner.ids() {
             if o == v {
                 continue;
             }
@@ -1266,7 +884,7 @@ impl EncodedSpec {
 
     /// The order-axiom instances violated by (or unit under) a candidate
     /// assignment — the detection half of [`cr_sat::LazyAxiomSource`] for
-    /// the lazy kinds — appended to `out`.
+    /// the lazy kind — appended to `out`.
     ///
     /// With `delta = Some(lits)` (a root fixpoint's newly assigned literals)
     /// the scan is restricted to axiom instances touching a delta variable
@@ -1294,7 +912,7 @@ impl EncodedSpec {
         delta: Option<&[Lit]>,
         out: &mut ClauseBuffer,
     ) {
-        debug_assert!(self.kind.is_lazy());
+        debug_assert_eq!(self.kind, Kind::Lazy);
         match delta {
             Some(lits) => self.violated_axioms_delta(assignment, lits, out),
             None => self.violated_axioms_total(assignment, out),
@@ -1324,23 +942,17 @@ impl EncodedSpec {
             let Some(OrderAtom { attr, lo: a, hi: b }) = self.order_atom(lit.var()) else {
                 continue; // guard or other auxiliary variable
             };
-            let r = rows[attr.index()].get_or_insert_with(|| AttrRows::new(&self.space, attr));
-            // The active axiom scheme ranges over *live* values only — a
-            // from-scratch encode of the materialised specification never
-            // interns a retired value, so instantiating its axioms here
-            // (most visibly totality) would let the replay derive order
-            // facts the scratch encoding cannot.
-            if !r.is_live(a) || !r.is_live(b) {
-                continue;
-            }
             let table = &self.vars.per_attr[attr.index()];
             let n = self.vars.width[attr.index()];
-            let var = |x: u32, y: u32| Var(table[x as usize * n + y as usize]);
             debug_assert_eq!(n, self.space.attr(attr).len());
+            let r = rows[attr.index()].get_or_insert_with(|| AttrRows::new(n));
+            let var = |x: u32, y: u32| Var(table[x as usize * n + y as usize]);
             let (a, b) = (a.0, b.0);
-            // Candidate third values in word `w`: live, and neither a nor b.
-            let third = |r: &AttrRows, w: usize| {
-                let mut m = r.live[w];
+            // Candidate third values in word `w`: neither a nor b. Bits past
+            // the space need no mask — their rows read as unassigned on
+            // both sides, which no scan below accepts.
+            let third = |w: usize| {
+                let mut m = u64::MAX;
                 for x in [a, b] {
                     if x as usize / 64 == w {
                         m &= !(1u64 << (x % 64));
@@ -1374,7 +986,7 @@ impl EncodedSpec {
                     // (c, a, b): ¬x_ca ∨ ¬x_ab ∨ x_cb.
                     let (u_ca, u_cb) = (!(iat[w] | iaf[w]), !(ibt[w] | ibf[w]));
                     let cab = !iaf[w] & !ibt[w] & !(u_ca & u_cb);
-                    let mut m = (abc | cab) & third(r, w);
+                    let mut m = (abc | cab) & third(w);
                     while m != 0 {
                         let bit = m & m.wrapping_neg();
                         m ^= bit;
@@ -1410,7 +1022,7 @@ impl EncodedSpec {
                 let (ibt, ibf) = (r.in_true(b), r.in_false(b));
                 for w in 0..r.words {
                     let (u_ac, u_cb) = (!(at[w] | af[w]), !(ibt[w] | ibf[w]));
-                    let mut m = !af[w] & !ibf[w] & !(u_ac & u_cb) & third(r, w);
+                    let mut m = !af[w] & !ibf[w] & !(u_ac & u_cb) & third(w);
                     while m != 0 {
                         let bit = m & m.wrapping_neg();
                         m ^= bit;
@@ -1432,35 +1044,27 @@ impl EncodedSpec {
     /// transitivity via the tournament score-sequence criterion — only a
     /// genuinely intransitive relation pays the triple walk.
     fn violated_axioms_total(&self, assignment: Assignment<'_>, out: &mut ClauseBuffer) {
-        let mut ids: Vec<usize> = Vec::new();
         let mut m: Vec<u64> = Vec::new();
         let mut col: Vec<u64> = Vec::new();
         for attr in (0..self.space.arity() as u16).map(AttrId) {
-            // Restrict to live values: retired values are outside the
-            // active axiom scheme (a from-scratch encode never interns
-            // them), so constraining their pairs — totality above all —
-            // would over-constrain the model relative to scratch.
-            ids.clear();
-            ids.extend(self.space.attr(attr).live_ids().map(|id| id.index()));
-            let n = ids.len();
+            let n = self.vars.width[attr.index()];
             if n < 2 {
                 continue;
             }
             let table = &self.vars.per_attr[attr.index()];
-            let width = self.vars.width[attr.index()];
-            let var = |x: usize, y: usize| Var(table[ids[x] * width + ids[y]]);
-            // Truth rows over the live positions, `m` row-major and `col`
-            // its transpose (unassigned model slots read as false, matching
-            // `Solver::model` semantics for unconstrained variables).
+            let var = |x: usize, y: usize| Var(table[x * n + y]);
+            // Truth rows, `m` row-major and `col` its transpose (unassigned
+            // model slots read as false, matching `Solver::model` semantics
+            // for unconstrained variables).
             let words = n.div_ceil(64);
             m.clear();
             m.resize(n * words, 0);
             col.clear();
             col.resize(n * words, 0);
             for x in 0..n {
-                let row = &table[ids[x] * width..(ids[x] + 1) * width];
+                let row = &table[x * n..(x + 1) * n];
                 for y in 0..n {
-                    if x != y && assignment.value(Var(row[ids[y]])) == Some(true) {
+                    if x != y && assignment.value(Var(row[y])) == Some(true) {
                         m[x * words + y / 64] |= 1 << (y % 64);
                         col[y * words + x / 64] |= 1 << (x % 64);
                     }
@@ -1554,7 +1158,7 @@ impl EncodedSpec {
         value: &dyn Fn(Var) -> Option<bool>,
         delta: Option<&[Lit]>,
     ) -> Vec<Vec<Lit>> {
-        debug_assert!(self.kind.is_lazy());
+        debug_assert_eq!(self.kind, Kind::Lazy);
         let mut out = Vec::new();
         match delta {
             Some(lits) => self.violated_axioms_delta_reference(value, lits, &mut out),
@@ -1584,15 +1188,6 @@ impl EncodedSpec {
             let Some(OrderAtom { attr, lo: a, hi: b }) = self.order_atom(lit.var()) else {
                 continue; // guard or other auxiliary variable
             };
-            // The active axiom scheme ranges over *live* values only — a
-            // from-scratch encode of the materialised specification never
-            // interns a retired value, so instantiating its axioms here
-            // (most visibly totality) would let the replay derive order
-            // facts the scratch encoding cannot.
-            let live = |x: ValueId| self.space.is_live(attr, x);
-            if !live(a) || !live(b) {
-                continue;
-            }
             let n = self.space.attr(attr).len() as u32;
             let var = |x: ValueId, y: ValueId| self.vars.get(attr, x, y).expect("dense table");
             let val = |x: ValueId, y: ValueId| value(var(x, y));
@@ -1605,7 +1200,7 @@ impl EncodedSpec {
                     out.push(vec![var(a, b).negative(), var(b, a).negative()]);
                 }
                 for c in (0..n).map(ValueId) {
-                    if c == a || c == b || !live(c) {
+                    if c == a || c == b {
                         continue;
                     }
                     // (a, b, c): ¬x_ab ∨ ¬x_bc ∨ x_ac.
@@ -1646,7 +1241,7 @@ impl EncodedSpec {
                 // x_ab is the conclusion of the triples (a, c, b):
                 // ¬x_ac ∨ ¬x_cb ∨ x_ab.
                 for c in (0..n).map(ValueId) {
-                    if c == a || c == b || !live(c) {
+                    if c == a || c == b {
                         continue;
                     }
                     let ac = val(a, c);
@@ -1676,17 +1271,12 @@ impl EncodedSpec {
         out: &mut Vec<Vec<Lit>>,
     ) {
         for attr in (0..self.space.arity() as u16).map(AttrId) {
-            // Restrict to live values: retired values are outside the
-            // active axiom scheme (a from-scratch encode never interns
-            // them), so constraining their pairs — totality above all —
-            // would over-constrain the model relative to scratch.
-            let ids: Vec<ValueId> = self.space.attr(attr).live_ids().collect();
-            let n = ids.len();
+            let n = self.space.attr(attr).len();
             if n < 2 {
                 continue;
             }
             let var = |x: usize, y: usize| {
-                self.vars.get(attr, ids[x], ids[y]).expect("dense table")
+                self.vars.get(attr, ValueId(x as u32), ValueId(y as u32)).expect("dense table")
             };
             // Truth matrix (unassigned model slots read as false, matching
             // `Solver::model` semantics for unconstrained variables).
@@ -1759,8 +1349,6 @@ impl EncodedSpec {
 struct AttrRows {
     /// `u64` words per row.
     words: usize,
-    /// Live value ids (bits beyond the space are clear).
-    live: Vec<u64>,
     /// Per value id, four rows: out-true, out-false, in-true, in-false.
     rows: Vec<u64>,
     out_built: Vec<bool>,
@@ -1768,26 +1356,15 @@ struct AttrRows {
 }
 
 impl AttrRows {
-    fn new(space: &AttrValueSpace, attr: AttrId) -> Self {
-        let interner = space.attr(attr);
-        let n = interner.len();
+    /// Empty rows for an attribute with `n` values.
+    fn new(n: usize) -> Self {
         let words = n.div_ceil(64).max(1);
-        let mut live = vec![0u64; words];
-        for id in interner.live_ids() {
-            live[id.index() / 64] |= 1 << (id.index() % 64);
-        }
         AttrRows {
             words,
-            live,
             rows: vec![0; 4 * n * words],
             out_built: vec![false; n],
             in_built: vec![false; n],
         }
-    }
-
-    #[inline]
-    fn is_live(&self, x: ValueId) -> bool {
-        self.live[x.index() / 64] >> (x.index() % 64) & 1 != 0
     }
 
     #[inline]
@@ -1864,7 +1441,7 @@ impl cr_sat::LazyAxiomSource for EncodedSpec {
         delta: Option<&[Lit]>,
         out: &mut ClauseBuffer,
     ) {
-        if !self.kind.is_lazy() {
+        if self.kind != Kind::Lazy {
             return;
         }
         let from = out.len();
@@ -2385,9 +1962,9 @@ mod tests {
         }
     }
 
-    /// A revisable spec whose CFD fires: AC order via the base order pair,
-    /// city via the CFD's domination.
-    fn revisable_cfd_spec() -> Specification {
+    /// A spec whose CFD fires: AC order via the base order pair, city via
+    /// the CFD's domination.
+    fn fired_cfd_spec() -> Specification {
         let s = Schema::new("p", ["AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
@@ -2405,8 +1982,8 @@ mod tests {
 
     #[test]
     fn retract_cfd_neutralises_the_group_and_blocks_reemission() {
-        let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_revisable(&spec);
+        let spec = fired_cfd_spec();
+        let mut enc = EncodedSpec::encode_lazy(&spec);
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
@@ -2416,8 +1993,7 @@ mod tests {
         let group = enc.cfd_groups[0];
         assert!(!live_group_clauses(&enc, group).is_empty());
 
-        let groups = enc.retract_cfd(0);
-        assert_eq!(groups.len(), 1);
+        enc.retract_cfd(0);
         assert!(enc.is_cfd_retired(0));
         assert!(
             live_group_clauses(&enc, group).is_empty(),
@@ -2430,62 +2006,6 @@ mod tests {
         let input = UserInput::single(AttrId(0), Value::int(9));
         enc.extend_with_input(&spec, &input);
         assert!(enc.cfd_groups[0].is_none(), "a retired CFD is never re-emitted");
-    }
-
-    #[test]
-    fn withdraw_order_removes_exactly_one_pair() {
-        let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_revisable(&spec);
-        let ac = AttrId(0);
-        let one = enc.value_id(ac, &Value::int(1)).unwrap();
-        let two = enc.value_id(ac, &Value::int(2)).unwrap();
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
-        assert!(od.contains(ac, one, two));
-        let pair = (ac, cr_types::TupleId(0), cr_types::TupleId(1));
-        let group = enc.order_groups.get(&pair).copied();
-        let unit = OrderAtom { attr: ac, lo: one, hi: two };
-        assert_eq!(live_group_clauses(&enc, group), vec![(Vec::new(), Some(unit))]);
-
-        let groups = enc.withdraw_order(ac, cr_types::TupleId(0), cr_types::TupleId(1));
-        assert_eq!(groups.len(), 1);
-        assert!(
-            live_group_clauses(&enc, group).is_empty() && enc.order_groups.is_empty(),
-            "the withdrawn pair's unit must be neutralised"
-        );
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
-        assert!(!od.contains(ac, one, two));
-        // Withdrawing again (or a vacuous pair) is a no-op.
-        assert!(enc.withdraw_order(ac, cr_types::TupleId(0), cr_types::TupleId(1)).is_empty());
-    }
-
-    #[test]
-    fn replace_value_retires_revives_and_regrows_the_query_surface() {
-        let spec = revisable_cfd_spec();
-        let mut enc = EncodedSpec::encode_revisable(&spec);
-        let city = AttrId(1);
-        let ny = enc.value_id(city, &Value::str("NY")).unwrap();
-        assert!(enc.space().is_live(city, ny));
-        assert_eq!(enc.top_assumptions(city, ny).unwrap().len(), 1);
-
-        // Revise the only NY cell to LA: NY retires, its order variables
-        // stay allocated, and top-assumption probes stop quantifying over
-        // it.
-        let mut after = spec.clone();
-        after.replace_value(cr_types::TupleId(0), city, Value::str("LA"));
-        let groups =
-            enc.replace_value(&after, cr_types::TupleId(0), city, &Value::str("NY"));
-        // The CFD references city (RHS): its group was re-derived.
-        assert!(!groups.is_empty());
-        assert!(!enc.space().is_live(city, ny));
-        assert!(enc.var_of(city, ny, enc.value_id(city, &Value::str("LA")).unwrap()).is_some());
-        let la = enc.value_id(city, &Value::str("LA")).unwrap();
-        assert!(enc.top_assumptions(city, la).unwrap().is_empty(), "LA dominates nothing live");
-
-        // Revise back: NY revives through its original variables.
-        after.replace_value(cr_types::TupleId(0), city, Value::str("NY"));
-        enc.replace_value(&after, cr_types::TupleId(0), city, &Value::str("LA"));
-        assert!(enc.space().is_live(city, ny));
-        assert_eq!(enc.top_assumptions(city, la).unwrap().len(), 1);
     }
 
     /// A lazy encoding whose attribute `i` has exactly `widths[i]`
@@ -2535,7 +2055,7 @@ mod tests {
         /// same dedup — on random partial assignments with random deltas
         /// (retraction redelivery pairs and non-order variables included),
         /// on random total models (transitive, intransitive-tournament and
-        /// arbitrary), with retired values, and across multi-word rows.
+        /// arbitrary), and across multi-word rows.
         #[test]
         fn bit_row_axiom_scans_match_the_reference(
             widths in proptest::collection::vec(0usize..10, 1..4),
@@ -2549,17 +2069,8 @@ mod tests {
                 widths[0] = 60 + (seed % 12) as usize;
             }
             let mut rng = seed;
-            let mut enc = lazy_wide_encoding(&widths, with_null == 1);
+            let enc = lazy_wide_encoding(&widths, with_null == 1);
             let num_vars = enc.cnf().num_vars() as usize;
-            // Retire a random few values (revisable encodings' liveness).
-            for ai in 0..widths.len() {
-                let attr = AttrId(ai as u16);
-                for id in enc.space.attr(attr).ids().collect::<Vec<_>>() {
-                    if splitmix(&mut rng).is_multiple_of(7) {
-                        enc.space.set_live(attr, id, false);
-                    }
-                }
-            }
             let mut buf = ClauseBuffer::new();
 
             // Partial assignments with deltas.

@@ -11,7 +11,7 @@
 //!
 //! The axioms are the bulk of `Φ(Se)` — `O(n³)` transitivity clauses per
 //! attribute over `n` realised values, versus `O(|Ω|)` instance clauses.
-//! An [`EncodedSpec`] is one of four kinds, each with its own constructor;
+//! An [`EncodedSpec`] is one of three kinds, each with its own constructor;
 //! no other mix of axiom generation, totality and clause grouping exists:
 //!
 //! * **Eager** ([`EncodedSpec::encode`]): every asymmetry, totality and
@@ -56,24 +56,13 @@
 //!   CFD, so they survive retraction. Resolution outcomes are
 //!   **identical** to an eager encoding of the same specification
 //!   (differentially tested, see below); round-0 encode cost drops from
-//!   `O(n³)` to `O(n²)`.
-//! * **Revisable** (opened by
-//!   [`ResolutionSession::new_revisable`](crate::ingest::ResolutionSession::new_revisable)):
-//!   lazy, with **every** revision-sensitive clause retractable, not just
-//!   the CFDs — base currency orders land in one clause group per
-//!   tuple-level order pair, Σ instances in one group per currency
-//!   constraint, and user-answer rankings in per-pair groups — so
-//!   push-based correction ingestion ([`crate::ingest`]) can withdraw an
-//!   upstream CFD, a previously-asserted order or a user answer, or
-//!   replace a tuple's attribute value, all without rebuilding the
-//!   encoding. It also keeps per-value *liveness* refcounts: a value whose
-//!   last occurrence is revised away is retired from the query surface —
-//!   tops, candidates, ωX premises — while its order variables stay
-//!   allocated. The ordinary engine skips the extra guard variables.
+//!   `O(n³)` to `O(n²)`. Upstream corrections ([`crate::ingest`]) never
+//!   edit an encoding: they edit the session's specification, which the
+//!   session then re-encodes with this kind, retracting withdrawn CFDs'
+//!   groups (`EncodedSpec::retract_cfd`).
 //!
 //! So "guarded CFDs" means "lazy", and "totality" means "not
-//! paper-faithful". Only the lazy and revisable kinds are extended with
-//! user input; only the revisable kind is revised.
+//! paper-faithful". Only the lazy kind is extended with user input.
 //!
 //! ## Compiled constraint programs
 //!
@@ -113,7 +102,7 @@
 //!    (`CompiledProgram` is immutable after compile, hence freely
 //!    `Send + Sync`-shared; entities only read it).
 //!
-//! The guarded CFD groups of the lazy kinds meet the program only at
+//! The guarded CFD groups of the lazy kind meet the program only at
 //! *emission*: the compiled tableau decides which instances a CFD
 //! produces, the guard machinery decides which clause group they land in,
 //! and re-emission
@@ -125,11 +114,12 @@
 //!
 //! **Which kind where.** [`EncodedSpec::encode`] is eager so that
 //! standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines stay
-//! complete with zero cooperation. The engine's encodings are fixed: an
-//! interactive session — and every round of the from-scratch loop
-//! (`ResolutionConfig::incremental` off) — encodes lazily, a revisable
-//! session (and a restored one) with the revisable kind, and the
-//! per-round oracle eagerly. Every encode runs the compiled projection —
+//! complete with zero cooperation. The engine's encoding is fixed: every
+//! session — interactive, scheduled, store-hosted, restored or revised,
+//! and every round of the from-scratch loop
+//! (`ResolutionConfig::incremental` off) — encodes lazily, and the
+//! per-round oracle eagerly. The paper-faithful kind serves only
+//! `tests/encoding_gaps.rs` and one unit test. Every encode runs the compiled projection —
 //! the program is orthogonal to the kind.
 //!
 //! **Differential testing.** The incremental engine is checked against

@@ -30,9 +30,8 @@
 //!   done once per *class* (the compiled program's distinct
 //!   referenced-attribute sets) and entity, in a [`ProjectionCache`] —
 //!   not once per constraint. Generated Person specifications keep
-//!   hundreds of constraints in two classes. The encode and the revisable
-//!   re-emission path ([`sigma_constraint_instances`]) both read the
-//!   cache.
+//!   hundreds of constraints in two classes. The encode and the user-input
+//!   extension both read the cache.
 //! * **Pinned lookup.** A constraint side is *pinned* when its `Eq`
 //!   conjuncts equate every referenced attribute to a string constant
 //!   (e.g. `t1[status] = "working"`): at most one projection can pass it —
@@ -273,8 +272,8 @@ impl OmegaSink for Vec<InstanceConstraint> {
 /// Used by
 /// [`EncodedSpec::extend_with_input`](super::EncodedSpec::extend_with_input)
 /// for the pairs involving a freshly appended user-input tuple (which has
-/// no dense row in the entity) and by the revisable re-emission path; the
-/// dense walk of [`emit_sigma_gamma`] applies the same rules to id rows.
+/// no dense row in the entity); the dense walk of [`emit_sigma_gamma`]
+/// applies the same rules to id rows.
 pub(crate) fn instantiate_pair(
     space: &AttrValueSpace,
     constraint: &cr_constraints::CurrencyConstraint,
@@ -405,9 +404,7 @@ pub(crate) fn build_spaces(spec: &Specification) -> (AttrValueSpace, GlobalToLoc
 
 /// Steps 2–3 of `Instantiation(Se)` — null-bottom axioms and base currency
 /// orders, streamed into `sink`. Shared verbatim by the compiled and
-/// reference walks; the *revisable* encoder streams step 2 only and emits
-/// each base order into its own retractable clause group instead (see
-/// [`super::EncodedSpec::encode_revisable`]).
+/// reference walks.
 pub(crate) fn emit_base(
     spec: &Specification,
     space: &AttrValueSpace,
@@ -468,91 +465,6 @@ pub(crate) fn emit_base_orders(
             });
         }
     }
-}
-
-/// The instance constraint of one tuple-level base order pair, resolved
-/// through the value space (`None` when the pair is vacuous: equal or
-/// null-sided values). Value-based twin of the dense walk in
-/// [`emit_base_orders`], used by the revisable encoder, which must be able
-/// to re-derive a single pair's unit after a value revision.
-pub(crate) fn base_order_instance(
-    space: &AttrValueSpace,
-    attr: cr_types::AttrId,
-    v1: &Value,
-    v2: &Value,
-) -> Option<InstanceConstraint> {
-    if v1 == v2 || v1.is_null() || v2.is_null() {
-        return None;
-    }
-    Some(InstanceConstraint {
-        premise: Premise::new(),
-        conclusion: Conclusion::Atom(OrderAtom {
-            attr,
-            lo: space.get(attr, v1).expect("interned"),
-            hi: space.get(attr, v2).expect("interned"),
-        }),
-        origin: Origin::BaseOrder,
-    })
-}
-
-/// All instances of one currency constraint over the entity's current
-/// tuples — the per-constraint *re-emission* path of the revisable encoder
-/// (a value revision retracts the constraint's clause group and re-derives
-/// it from the updated entity). `reps` are the distinct projections of the
-/// constraint's class ([`ProjectionCache::get`] on `spec`'s entity), so the
-/// re-derived set equals what a from-scratch encode of the revised
-/// specification would produce for this constraint.
-pub(crate) fn sigma_constraint_instances(
-    spec: &Specification,
-    ci: usize,
-    reps: &[TupleId],
-    space: &AttrValueSpace,
-) -> Vec<InstanceConstraint> {
-    let entity = spec.entity();
-    let constraint = &spec.sigma()[ci];
-    let mut out = Vec::new();
-    for &r1 in reps {
-        for &r2 in reps {
-            if r1 == r2 {
-                continue;
-            }
-            if let Some(c) =
-                instantiate_pair(space, constraint, ci, entity.tuple(r1), entity.tuple(r2))
-            {
-                out.push(c);
-            }
-        }
-    }
-    out
-}
-
-/// The per-constraint re-emission [`sigma_constraint_instances`] replaced:
-/// it regroups the entity's tuples for every constraint. Kept as the
-/// oracle the class-cached re-emission is proven against.
-#[cfg(test)]
-fn sigma_constraint_instances_reference(
-    spec: &Specification,
-    ci: usize,
-    referenced_attrs: &[cr_types::AttrId],
-    space: &AttrValueSpace,
-) -> Vec<InstanceConstraint> {
-    let entity = spec.entity();
-    let constraint = &spec.sigma()[ci];
-    let reps = group_projections(entity, referenced_attrs).reps;
-    let mut out = Vec::new();
-    for &r1 in &reps {
-        for &r2 in &reps {
-            if r1 == r2 {
-                continue;
-            }
-            if let Some(c) =
-                instantiate_pair(space, constraint, ci, entity.tuple(r1), entity.tuple(r2))
-            {
-                out.push(c);
-            }
-        }
-    }
-    out
 }
 
 /// The distinct projections of one entity's tuples on one projection
@@ -1065,20 +977,15 @@ pub(crate) fn cfd_instances(
     gi: usize,
     cfd: &cr_constraints::ConstantCfd,
 ) -> Vec<InstanceConstraint> {
-    // A retired value (revisable encodings) is out of the active domain
-    // even though its id stays allocated.
-    let live_id = |attr: cr_types::AttrId, v: &Value| {
-        space.get(attr, v).filter(|&id| space.is_live(attr, id))
-    };
     let mut lhs_ids = Vec::with_capacity(cfd.lhs().len());
     for (attr, c) in cfd.lhs() {
-        let Some(cid) = live_id(*attr, c) else {
+        let Some(cid) = space.get(*attr, c) else {
             return Vec::new();
         };
         lhs_ids.push((*attr, cid));
     }
     let (battr, bval) = cfd.rhs();
-    cfd_instances_ids(space, gi, &lhs_ids, *battr, live_id(*battr, bval))
+    cfd_instances_ids(space, gi, &lhs_ids, *battr, space.get(*battr, bval))
 }
 
 /// [`cfd_instances`] after pattern resolution through the compiled
@@ -1107,8 +1014,6 @@ fn compiled_cfd_instances(
                 .or_else(|| space.get(attr, v)),
             _ => space.get(attr, v),
         }
-        // Retired values (revisable encodings) are out of the active domain.
-        .filter(|&id| space.is_live(attr, id))
     };
     let mut lhs_ids = Vec::with_capacity(cfd.lhs.len());
     for (attr, v, gid) in &cfd.lhs {
@@ -1124,14 +1029,6 @@ fn compiled_cfd_instances(
 /// Shared emission core: ωX premise plus domination conclusions, from
 /// already-resolved pattern ids. `rhs_id == None` means the pattern's
 /// B-value is outside the active domain (the premise must fail).
-///
-/// Quantification ranges over the **live** values of each attribute's
-/// space: on ordinary encodings every interned value is live, so this is
-/// the paper's "every other value of the active domain"; on revisable
-/// encodings, values retired by upstream corrections keep their (allocated)
-/// order variables but drop out of ωX and the domination set — exactly as
-/// if the CFD had been instantiated on the revised specification from
-/// scratch.
 fn cfd_instances_ids(
     space: &AttrValueSpace,
     gi: usize,
@@ -1143,7 +1040,7 @@ fn cfd_instances_ids(
     // constant.
     let mut premise = Premise::new();
     for &(attr, cid) in lhs_ids {
-        for (vid, v) in space.attr(attr).iter_live() {
+        for (vid, v) in space.attr(attr).iter() {
             if vid != cid && !v.is_null() {
                 premise.push(OrderAtom { attr, lo: vid, hi: cid });
             }
@@ -1152,7 +1049,7 @@ fn cfd_instances_ids(
     let mut out = Vec::new();
     match rhs_id {
         Some(bid) => {
-            for (vid, v) in space.attr(battr).iter_live() {
+            for (vid, v) in space.attr(battr).iter() {
                 if vid != bid && !v.is_null() {
                     out.push(InstanceConstraint {
                         premise: premise.clone(),
@@ -1469,9 +1366,8 @@ mod tests {
 
         /// Σ emission with projection classes and pinned lookup produces
         /// exactly the event sequence (hints and instances, in order) of
-        /// the per-constraint reference — as instance events, as CNF
-        /// clauses, and on the revisable
-        /// re-emission path before and after a value revision. Covers
+        /// the per-constraint reference, before and after a value revision
+        /// (the entity a session re-encodes after a correction). Covers
         /// nulls, duplicate projections, numerically equal `Int`/`Float`
         /// cells against string and numeric constants, out-of-domain
         /// constants, constants missing from the table, entities without a
@@ -1516,46 +1412,17 @@ mod tests {
                 (table_mode != 0).then_some(&table),
             ));
             spec.set_compiled_program(program.clone());
-            let (space, g2l) = build_spaces(&spec);
-
-            let mut production: Vec<SinkEvent> = Vec::new();
-            emit_sigma_gamma(&spec, &program, &space, &g2l, &mut production);
-            let mut reference: Vec<SinkEvent> = Vec::new();
-            emit_sigma_gamma_reference(&spec, &program, &space, &g2l, &mut reference);
-            proptest::prop_assert_eq!(&production, &reference);
-
-            // The same stream as CNF clauses: the production encode equals
-            // an encode of the reference instance stream.
-            let instances: Vec<InstanceConstraint> = reference
-                .into_iter()
-                .filter_map(|e| match e {
-                    SinkEvent::Emit(c) => Some(c),
-                    SinkEvent::Hint(_) => None,
-                })
-                .collect();
-            let production_cnf = super::super::EncodedSpec::encode_revisable(&spec);
-            let reference_cnf =
-                super::super::EncodedSpec::encode_revisable_with_omega(&spec, instances);
-            proptest::prop_assert!(production_cnf
-                .cnf()
-                .clauses()
-                .eq(reference_cnf.cnf().clauses()));
-
-            // Revisable re-emission, before and after a value revision.
             let mut revised = spec.clone();
             let (tuple, attr, value) = revision;
             let tuple = TupleId((tuple % revised.entity().len()) as u32);
             revised.replace_value(tuple, cr_types::AttrId(attr as u16), pool(value));
             for sp in [&spec, &revised] {
-                let (space, _) = build_spaces(sp);
-                let projections = ProjectionCache::new(&program);
-                for (ci, cc) in program.sigma.iter().enumerate() {
-                    let reps = &projections.get(&program, sp.entity(), cc.class).reps;
-                    proptest::prop_assert_eq!(
-                        sigma_constraint_instances(sp, ci, reps, &space),
-                        sigma_constraint_instances_reference(sp, ci, &cc.referenced_attrs, &space)
-                    );
-                }
+                let (space, g2l) = build_spaces(sp);
+                let mut production: Vec<SinkEvent> = Vec::new();
+                emit_sigma_gamma(sp, &program, &space, &g2l, &mut production);
+                let mut reference: Vec<SinkEvent> = Vec::new();
+                emit_sigma_gamma_reference(sp, &program, &space, &g2l, &mut reference);
+                proptest::prop_assert_eq!(&production, &reference);
             }
         }
     }

@@ -186,10 +186,9 @@ pub struct RoundReport {
     /// Revision telemetry of the events absorbed before this round's
     /// validity check — the round's delta of the session's
     /// [`ResolutionSession::revision_telemetry`] (all 0 without a revision
-    /// source). `revisions.invalidated` is the *cone size* of the round's
-    /// corrections; `events_coalesced`, `cone_union` and `replays_saved`
-    /// report what its multi-event batches shared; `quarantined` counts
-    /// the events that failed validation under the session's
+    /// source). `events_coalesced` and `replays_saved` report what its
+    /// multi-event batches shared; `quarantined` counts the events that
+    /// failed validation under the session's
     /// [`RevisionPolicy`](crate::ingest::RevisionPolicy).
     pub revisions: RevisionTelemetry,
     /// Cells holding causally-concurrent competing candidates after this
@@ -239,9 +238,9 @@ pub struct ResolutionOutcome {
     /// counted exactly once per session (the from-scratch loop sums its
     /// per-round sessions).
     pub injected_axioms: usize,
-    /// Provenance-scoped retraction replays the warm unit propagator
-    /// performed (out-of-domain answers retracting CFD groups; 0 on the
-    /// scratch path).
+    /// Provenance-scoped retraction replays the session's unit
+    /// propagators performed (out-of-domain answers retracting CFD groups;
+    /// 0 on the scratch path).
     pub retraction_replays: usize,
     /// Total root literals those replays invalidated — the re-derivation
     /// work actually paid, versus re-deriving the whole fixpoint per
@@ -251,9 +250,8 @@ pub struct ResolutionOutcome {
     /// retractions; 0 on healthy interactive runs).
     pub retraction_full_resets: usize,
     /// Push-based correction telemetry: upstream revision events absorbed,
-    /// clause groups they retracted, the replay cone sizes and the
-    /// re-emitted clauses (all 0 without a revision source — see
-    /// [`Resolver::resolve_with_revisions`]).
+    /// delivered, degraded and coalesced (all 0 without a revision source
+    /// — see [`Resolver::resolve_with_revisions`]).
     pub revisions: RevisionTelemetry,
     /// Per-round timing/progress reports.
     pub rounds: Vec<RoundReport>,
@@ -370,26 +368,23 @@ impl Resolver {
     /// [`Resolver::resolve`] with a **push stream of upstream corrections**:
     /// before each interaction round the `source` is polled and every
     /// pending [`crate::ingest::Revision`] — a retracted CFD, a withdrawn
-    /// currency order or user answer, a corrected value — is absorbed by
-    /// the warm engine *without rebuilding*, through guard-group
-    /// retraction, provenance-scoped replay and compiled-program-aware
-    /// re-emission (see the [`crate::ingest`] module docs).
-    /// [`ResolutionOutcome::revisions`] reports the events applied, the
-    /// retracted groups, the replay cone sizes and the re-emitted clauses.
+    /// currency order or user answer, a corrected value — is absorbed into
+    /// the session's specification as one batch; the round's validity check
+    /// then re-encodes it (see the [`crate::ingest`] module docs).
+    /// [`ResolutionOutcome::revisions`] reports the events applied,
+    /// degraded and coalesced.
     ///
-    /// Always runs one revisable session across all rounds (streaming
-    /// corrections into a from-scratch loop would just re-encode — the
-    /// paper-faithful baseline for that comparison is a fresh
-    /// [`Resolver::resolve`] on the post-revision specification, which is
-    /// exactly what the differential harness
-    /// `cr_oracle::resolve_with_revisions_checked` proves equivalent).
+    /// Always runs one session across all rounds, opened like
+    /// [`ResolutionSession::new`]; the differential harness
+    /// `cr_oracle::resolve_with_revisions_checked` proves it equivalent to
+    /// a fresh resolution of the post-revision specification.
     pub fn resolve_with_revisions(
         &self,
         spec: &Specification,
         oracle: &mut dyn UserOracle,
         source: &mut dyn RevisionSource,
     ) -> ResolutionOutcome {
-        let session = ResolutionSession::new_revisable(spec);
+        let session = ResolutionSession::new(&self.config, spec);
         self.drive_session(spec, oracle, Some(source), session).0
     }
 
@@ -453,17 +448,16 @@ impl Resolver {
         for round in 0..=self.config.max_rounds {
             // (0) Drain the correction stream: upstream events that arrived
             // since the last round are absorbed before validity is
-            // re-checked (their retraction cones replay here).
+            // re-checked (which re-encodes the corrected specification).
             let before = session.revision_telemetry();
             if let Some(src) = source.as_deref_mut() {
                 let revs = src.poll(round, session.current());
                 if !revs.is_empty() {
-                    // The whole poll is one batch: one union-cone
-                    // settle/replay/re-emission pass regardless of the
-                    // poll size. The production session runs under its
-                    // degradation policy (default: quarantine), so a
-                    // malformed event is logged and counted, not
-                    // propagated.
+                    // The whole poll is one batch, and the engine
+                    // re-encodes once regardless of the poll size. The
+                    // production session runs under its degradation
+                    // policy (default: quarantine), so a malformed event
+                    // is logged and counted, not propagated.
                     session
                         .absorb_revision_batch(&revs)
                         .expect("default policy never rejects");

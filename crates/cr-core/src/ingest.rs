@@ -1,14 +1,12 @@
 //! Push-based correction ingestion: streaming upstream revisions applied
 //! mid-resolution.
 //!
-//! The Fig. 4 loop of the paper only ever *adds* user facts, so the
-//! provenance-scoped retraction replay of the incremental engine runs with
-//! empty cones on every end-to-end path (a fired CFD's attributes are
-//! already settled and never re-asked). Real deployments also receive
-//! **corrections**: upstream sources withdraw previously-trusted constant
-//! CFDs and currency orders, or revise a reported value (cf. trust-mapping
-//! revisions in Gatterbauer & Suciu and priority updates in Staworko &
-//! Chomicki). This module makes those corrections first-class:
+//! The Fig. 4 loop of the paper only ever *adds* user facts. Real
+//! deployments also receive **corrections**: upstream sources withdraw
+//! previously-trusted constant CFDs and currency orders, or revise a
+//! reported value (cf. trust-mapping revisions in Gatterbauer & Suciu and
+//! priority updates in Staworko & Chomicki). This module makes those
+//! corrections first-class:
 //!
 //! * [`Revision`] — one upstream event: retract a CFD from Γ, withdraw a
 //!   previously-asserted currency order or a whole user answer, or replace
@@ -16,39 +14,34 @@
 //! * [`RevisionSource`] — a push stream of revisions polled between
 //!   interaction rounds ([`ScriptedRevisions`] replays a fixed timeline);
 //! * [`ResolutionSession`] — the round-persistent resolution engine
-//!   (encoding + warm CDCL solver + root unit propagator), now stepwise
-//!   drivable and able to absorb revisions **without rebuilding**: every
-//!   event routes through guard-group retraction
-//!   (`EncodedSpec::retract_cfd` / `EncodedSpec::withdraw_order` /
-//!   `EncodedSpec::replace_value`), the unit propagator's
-//!   provenance-scoped replay (which undoes exactly the retracted
-//!   derivation cone — *non-empty* for a fired CFD or a load-bearing order
-//!   — and rolls the lazy-instantiation cursor back by the invalidated
-//!   prefix), and compiled-program-aware re-emission of the disturbed Σ/Γ
-//!   clause groups;
+//!   (encoding + warm CDCL solver + root unit propagator), stepwise
+//!   drivable. A correction edits only the session's specification and
+//!   its retired-CFD set; the engine re-encodes the specification at its
+//!   next call (see "Re-encoding" below).
 //!
 //! The differential harness lives outside this crate:
 //! `cr_oracle::resolve_with_revisions_checked` drives a session against a
-//! revision stream and, after every revision batch, proves the replayed
-//! engine state equivalent to a **from-scratch re-resolution of the
+//! revision stream and, after every revision batch, proves the engine
+//! state equivalent to a **from-scratch re-resolution of the
 //! post-revision specification** (validity, deduced value orders and true
 //! values compared on a fresh eager encoding of `cr_store`'s
 //! `SpecMirror`).
 //!
-//! # Equivalence and value liveness
+//! # Re-encoding
 //!
-//! A revision can shrink an attribute's active domain (the last occurrence
-//! of a value is revised away). Dense variable tables never shrink —
-//! instead the encoding *retires* the value (`cr_types::ValueInterner`
-//! liveness): its order variables stay allocated but it drops out of every
-//! query that quantifies over "the values of the attribute" (true-value
-//! tops, suggestion candidates, CFD ωX premises, top-assumption probes).
-//! Retired variables appear only in permanent order axioms and null-bottom
-//! units, which cannot imply any literal over live variables at the root,
-//! and any model over the live variables extends to the full variable set —
-//! so validity, root implications over live pairs, and MaxSAT repairs all
-//! coincide exactly with the from-scratch encoding of the revised
-//! specification. That is what the checked differential asserts.
+//! The paper derives Φ(Se) from Se (`Instantiation` and `ConvertToCNF`,
+//! Section V-A), and a correction only changes Se. An event lands in the
+//! session's logical state alone: `current`, through the in-place
+//! [`Specification`] mutators, and the set of retired CFDs. A revision
+//! batch that applied an event marks the engine *stale*; the next engine
+//! call ([`ResolutionSession::is_valid`], [`ResolutionSession::deduce`],
+//! [`ResolutionSession::suggest`] or [`ResolutionSession::apply_input`])
+//! re-encodes `current` with [`EncodedSpec::encode_lazy`], retracts the
+//! retired CFDs (`EncodedSpec::retract_cfd`) and builds a fresh solver —
+//! on the old solver's recycled allocations — and unit propagator over the
+//! new CNF. A revised session is therefore the from-scratch encoding of its
+//! specification by construction. However many events and batches arrive
+//! between two engine calls, they cost one re-encode.
 //!
 //! CFD retraction keeps Γ's *indexing* intact on the session side (the
 //! encoding flags the entry retired; `TrueDer` and extension skip it) so
@@ -86,58 +79,27 @@
 //! sequence number) and its asserted value contradicts the accepted one,
 //! the two are causally concurrent and the session **re-opens** the
 //! attribute: it withdraws the accepted answer (a
-//! [`Revision::WithdrawAnswer`], retracting the answer-induced order cone —
-//! non-empty whenever the answer was load-bearing), applies the correction,
-//! and the interaction loop re-asks. Corrections the answer *did* see, and
+//! [`Revision::WithdrawAnswer`]: the answer-induced order pairs go and the
+//! answered cell reverts to null), applies the correction, and the
+//! interaction loop re-asks. Corrections the answer *did* see, and
 //! concurrent corrections that agree (or assert null), leave the answer
 //! standing — so whether the correction lands before or after the answer,
-//! both delivery orders converge to the same final resolution.
+//! both delivery orders converge to the same final resolution. A later
+//! re-answer extends the re-encoded engine exactly as a fresh answer
+//! extends a specification that never held the withdrawn one.
 //!
-//! Re-opening composes with the value-liveness argument above unchanged:
-//! withdrawing an answer only *removes* occurrences (the answer-induced
-//! pairs retract, the answered cell reverts to null, the input tuple stays
-//! null-padded), so a value whose last live occurrence was the withdrawn
-//! cell is retired exactly as under any other revision — retired variables
-//! appear only in permanent order axioms and null-bottom units and cannot
-//! leak into the re-opened attribute's query surface. A later re-answer
-//! re-activates values through the ordinary extension path, identical to a
-//! fresh answer on a specification that never held the withdrawn one.
+//! # Batched ingestion
 //!
-//! # Batched ingestion and the union-cone equivalence
-//!
-//! A bursty upstream delivers many corrections per poll. Applying them
-//! one at a time pays one propagator settle and one provenance replay
-//! *per event*; [`ResolutionSession::absorb_revision_batch`] (and
-//! [`ResolutionSession::ingest_causal`]) pays them once per batch. Events
-//! are validated and folded into the specification and the encoding
-//! strictly in event order — identical checks, identical quarantine
-//! decisions, identical spec mutations as one-event batches, because
-//! every mid-stream decision (validation, the re-open predicate, the
-//! write-log LWW pick) reads only spec-level state, never the solver or
-//! the propagator. What is deferred to the seal is exclusively the
-//! *engine* work: the per-event retraction cones are collected into one
-//! deduplicated **union cone**, and the seal performs a single
-//! `retract_groups(union)` + revived-value redelivery + solver and
-//! propagator tail sync + guard-assumption refresh. The seal advances the
-//! session's monotone [`cr_types::Epoch`] once if at least one event
-//! applied (an absorbed input round advances it too).
-//!
-//! Why one union replay is equivalent to N sequential replays: group
-//! retraction is idempotent and order-independent — a clause group is
-//! dead iff its guard's `¬g` unit is in the CNF, and the `¬g` units the
-//! batch appends are exactly the union of the per-event retraction sets
-//! (encoding mutations never retract a group twice, so the union is a
-//! disjoint union). The propagator's provenance replay is a function of
-//! *(synced clause set, retracted set)*: replaying the union once
-//! invalidates exactly the union of the per-event cones, and the
-//! re-derivation fixpoint over the final clause set is the same fixpoint
-//! the sequential path reaches after its last event. One hazard is
-//! specific to batching: a group can be freshly *emitted* by event `i`
-//! and retracted by event `j > i` before any tail sync ran. The solver
-//! side is safe unconditionally (the group's `¬g` unit travels in the
-//! same tail); the propagator-side tail sync skips clauses whose group is
-//! already inactive ([`EncodedSpec::is_group_active`]) so it never
-//! ingests a live clause of a dead group.
+//! A bursty upstream delivers many corrections per poll;
+//! [`ResolutionSession::absorb_revision_batch`] (and
+//! [`ResolutionSession::ingest_causal`]) take them as one batch. Events
+//! are validated and folded into the specification strictly in event
+//! order — identical checks, identical quarantine decisions, identical
+//! spec mutations as one-event batches, because every mid-stream decision
+//! (validation, the re-open predicate, the write-log LWW pick) reads only
+//! spec-level state. The seal advances the session's monotone
+//! [`cr_types::Epoch`] once if at least one event applied (an absorbed
+//! input round advances it too) and marks the engine stale.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -147,7 +109,7 @@ use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
-use crate::encode::{EncodedSpec, GroupId};
+use crate::encode::EncodedSpec;
 use crate::framework::{DeductionMethod, ResolutionConfig};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_on, Suggestion};
@@ -275,17 +237,16 @@ pub enum RevisionPolicy {
     Reject,
     /// Log the `(revision, error)` pair in the per-session quarantine log
     /// ([`ResolutionSession::quarantined`]), count it, and keep going. The
-    /// production default: one bad event never poisons the stream. A cap
-    /// of 0 ([`ResolutionSession::set_quarantine_cap`]) counts without
-    /// logging.
+    /// production default: one bad event never poisons the stream.
     #[default]
     Quarantine,
 }
 
-/// Default bound on the per-session quarantine log (see
-/// [`ResolutionSession::set_quarantine_cap`]): a hostile stream of
-/// malformed events grows the eviction *counter*, not session memory.
-pub const DEFAULT_QUARANTINE_CAP: usize = 256;
+/// Bound on the per-session quarantine log: overflow evicts the oldest
+/// entries, so a hostile stream of malformed events grows the eviction
+/// *counter* ([`RevisionTelemetry::quarantine_evicted`]), not session
+/// memory.
+pub const QUARANTINE_CAP: usize = 256;
 
 /// A push stream of upstream corrections, polled by the resolution loop
 /// between rounds. `current` is the specification the session presently
@@ -331,21 +292,12 @@ impl RevisionSource for ScriptedRevisions {
     }
 }
 
-/// Revision telemetry of one resolution: how many events were absorbed and
-/// what the provenance-scoped replay actually paid for them.
+/// Revision telemetry of one resolution: how many events were absorbed,
+/// delivered and degraded, and how they were batched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RevisionTelemetry {
     /// Upstream events applied.
     pub events: usize,
-    /// Clause groups the events retracted (stale CFD emissions, withdrawn
-    /// order pairs, Σ groups disturbed by value revisions).
-    pub retracted_groups: usize,
-    /// Root literals invalidated by the replays — the *cone sizes*: the
-    /// re-derivation work actually paid, versus resetting the fixpoint.
-    pub invalidated: usize,
-    /// Clauses appended while absorbing the events (retraction units plus
-    /// compiled-program re-emissions).
-    pub reemitted_clauses: usize,
     /// Redelivered events dropped by `(source, hlc)` dedup at the causal
     /// frontier (0 on non-causal streams).
     pub duplicates_dropped: usize,
@@ -360,24 +312,22 @@ pub struct RevisionTelemetry {
     /// correction contradicted the accepted answer.
     pub reopened: usize,
     /// Quarantined `(revision, error)` pairs evicted (oldest first) once
-    /// the bounded quarantine log exceeded its cap
-    /// ([`ResolutionSession::set_quarantine_cap`]) — a hostile stream can
-    /// grow the *count*, never the memory.
+    /// the bounded quarantine log exceeded [`QUARANTINE_CAP`] — a hostile
+    /// stream can grow the *count*, never the memory.
     pub quarantine_evicted: usize,
     /// Revision batches sealed with at least one applied event (a
     /// per-event apply counts as a batch of one).
     pub batches: usize,
-    /// Events that shared a multi-event batch's single settle + replay +
-    /// re-emission pass: Σ of the applied sizes of every sealed batch
-    /// with ≥ 2 applied events. 0 means ingestion never actually
-    /// coalesced anything.
+    /// Events that shared a multi-event batch's single engine rebuild: Σ of
+    /// the applied sizes of every sealed batch with ≥ 2 applied events. 0
+    /// means ingestion never actually coalesced anything.
     pub events_coalesced: usize,
-    /// Deduplicated union-cone sizes of multi-event batches: groups
-    /// retracted in one pass where a sequential ingest would have spread
-    /// them over per-event replays.
+    /// Always 0: a correction no longer retracts clause groups in place,
+    /// so there is no union retraction cone to measure. Kept because the
+    /// benchmark reads it.
     pub cone_union: usize,
-    /// Settle + provenance-replay passes saved by coalescing: Σ over
-    /// multi-event batches of (applied events − 1).
+    /// Engine rebuilds saved by coalescing: Σ over multi-event batches of
+    /// (applied events − 1).
     pub replays_saved: usize,
 }
 
@@ -387,9 +337,6 @@ impl RevisionTelemetry {
     pub fn since(&self, before: &RevisionTelemetry) -> RevisionTelemetry {
         RevisionTelemetry {
             events: self.events - before.events,
-            retracted_groups: self.retracted_groups - before.retracted_groups,
-            invalidated: self.invalidated - before.invalidated,
-            reemitted_clauses: self.reemitted_clauses - before.reemitted_clauses,
             duplicates_dropped: self.duplicates_dropped - before.duplicates_dropped,
             buffered: self.buffered - before.buffered,
             quarantined: self.quarantined - before.quarantined,
@@ -406,20 +353,16 @@ impl RevisionTelemetry {
 impl std::fmt::Display for RevisionTelemetry {
     /// One human-readable row per session, for soak and harness failure
     /// output — e.g.
-    /// `revisions: 12 events in 5 batches (3 coalesced, 2 replays saved), cone 7/9 union, 4 clauses reemitted, dropped 1 dup, 0 buffered, 2 quarantined (1 evicted), 1 reopened`.
+    /// `revisions: 12 events in 5 batches (3 coalesced, 2 replays saved), dropped 1 dup, 0 buffered, 2 quarantined (1 evicted), 1 reopened`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "revisions: {} events in {} batches ({} coalesced, {} replays saved), \
-             cone {}/{} union, {} clauses reemitted, dropped {} dup, {} buffered, \
-             {} quarantined ({} evicted), {} reopened",
+             dropped {} dup, {} buffered, {} quarantined ({} evicted), {} reopened",
             self.events,
             self.batches,
             self.events_coalesced,
             self.replays_saved,
-            self.invalidated,
-            self.cone_union,
-            self.reemitted_clauses,
             self.duplicates_dropped,
             self.buffered,
             self.quarantined,
@@ -459,38 +402,23 @@ pub struct BatchReport {
     pub events: usize,
     /// Events that applied (validated and folded into the session).
     pub applied: usize,
-    /// Size of the deduplicated union retraction cone replayed at the
-    /// seal. Structurally ≥ `max_member_cone`: every member cone is a
-    /// subset of the union.
-    pub union_cone: usize,
-    /// Largest single-event retraction cone in the batch.
-    pub max_member_cone: usize,
-    /// Root literals invalidated by the single union replay.
-    pub invalidated: usize,
 }
 
-/// Engine bookkeeping of one open revision batch: the deferred union
-/// retraction cone plus the watermarks per-batch telemetry is computed
-/// from at the seal. Opened and sealed within a single `&mut self` call,
-/// so no reader ever observes a half-applied batch.
+/// Event counts of one open revision batch. Opened and sealed within a
+/// single `&mut self` call, so no reader ever observes a half-applied
+/// batch.
+#[derive(Default)]
 struct BatchState {
-    /// Deduplicated union of the groups retracted by the batch's events.
-    union: BTreeSet<GroupId>,
-    /// Largest single-event retraction cone staged so far.
-    max_member: usize,
     /// Events pushed (applied + failed validation).
     pushed: usize,
-    /// Events that applied (validated; spec + encoding mutated).
+    /// Events that applied (validated and folded into `current`).
     applied: usize,
-    /// CNF clause count at batch open (re-emission delta).
-    clauses_before: usize,
-    /// Propagator invalidation counter at batch open (cone-size delta).
-    invalidated_before: usize,
 }
 
-/// Round-persistent state of the incremental resolution path: the extended
-/// encoding plus the warm CDCL solver and root unit propagator kept in sync
-/// with its CNF — the engine behind
+/// Round-persistent state of the incremental resolution path: the
+/// session's specification plus the engine over it — the extended
+/// encoding, the warm CDCL solver and the root unit propagator kept in sync
+/// with its CNF. It is the engine behind
 /// [`Resolver::resolve`](crate::framework::Resolver::resolve), exposed as a
 /// stepwise-drivable session so push-based correction ingestion (and its
 /// differential harness) can interleave revisions with interaction rounds.
@@ -498,26 +426,35 @@ struct BatchState {
 /// The solver and the propagator consume the CNF at different points, so
 /// each carries its own watermark; lazily instantiated axioms recorded into
 /// the CNF by one consumer (the encoding is their axiom source) reach the
-/// other through the ordinary tail sync.
+/// other through the ordinary tail sync. Corrections leave the engine
+/// stale; the next engine call rebuilds it (see the module docs).
 pub struct ResolutionSession {
     current: Specification,
-    pub(crate) enc: EncodedSpec,
-    pub(crate) solver: cr_sat::Solver,
+    /// CFDs withdrawn upstream, as indices into the original Γ: `current`
+    /// keeps Γ intact and every fresh encoding retracts these.
+    retired: BTreeSet<usize>,
+    enc: EncodedSpec,
+    solver: cr_sat::Solver,
     up: cr_sat::UnitPropagator,
     /// Clauses of `enc.cnf()` already in `solver`.
-    pub(crate) synced_solver: usize,
+    synced_solver: usize,
     /// Clauses of `enc.cnf()` already in `up`.
     synced_up: usize,
+    /// A revision batch applied an event since `enc` was encoded: the
+    /// next engine call re-encodes `current`.
+    stale: bool,
+    /// Axioms recorded by the encodings, and replay counters of the
+    /// propagators, that rebuilds replaced — so
+    /// [`ResolutionSession::injected_axioms`] and
+    /// [`ResolutionSession::replays`] stay monotone.
+    replaced_axioms: usize,
+    replaced_replays: (usize, usize, usize),
     revisions: RevisionTelemetry,
     /// Degradation policy for revisions that fail validation.
     policy: RevisionPolicy,
     /// `(revision, error)` pairs quarantined under
-    /// [`RevisionPolicy::Quarantine`], bounded by `quarantine_cap`.
+    /// [`RevisionPolicy::Quarantine`], bounded by [`QUARANTINE_CAP`].
     quarantine: Vec<(Revision, RevisionError)>,
-    /// Maximum `(revision, error)` pairs the quarantine log may hold;
-    /// overflow evicts the oldest entries (counted in
-    /// [`RevisionTelemetry::quarantine_evicted`]).
-    quarantine_cap: usize,
     /// Competing-candidate cells observed since the last
     /// [`ResolutionSession::take_competing`] drain.
     competing: Vec<CompetingCell>,
@@ -547,27 +484,40 @@ struct AcceptedAnswer {
     deps: VectorClock,
 }
 
+/// The engine over a specification: its lazy encoding with the `retired`
+/// CFDs retracted, a solver (built from `scratch` when given) with the
+/// active guards as persistent assumptions, and a unit propagator, both
+/// synced to the whole CNF.
+fn build_engine(
+    spec: &Specification,
+    retired: &BTreeSet<usize>,
+    scratch: Option<cr_sat::SolverScratch>,
+) -> (EncodedSpec, cr_sat::Solver, cr_sat::UnitPropagator) {
+    let mut enc = EncodedSpec::encode_lazy(spec);
+    for &gi in retired {
+        enc.retract_cfd(gi);
+    }
+    let mut solver = match scratch {
+        Some(s) => cr_sat::Solver::from_cnf_with_scratch(enc.cnf(), s),
+        None => cr_sat::Solver::from_cnf(enc.cnf()),
+    };
+    solver.set_persistent_assumptions(enc.active_guards());
+    let mut up = cr_sat::UnitPropagator::new(&cr_sat::Cnf::new());
+    ResolutionSession::sync_propagator(&mut up, &enc, 0);
+    (enc, solver, up)
+}
+
 impl ResolutionSession {
-    /// Opens a session on `spec` with the ordinary interactive engine: the
-    /// lazy encoding ([`EncodedSpec::encode_lazy`]), whose guarded CFD
-    /// groups let [`ResolutionSession::apply_input`] absorb every user
-    /// answer — in the interned value space or not — as a pure extension
-    /// of the encoding. No revision support: no per-order guard variables
-    /// are allocated.
+    /// Opens a session on `spec`: the lazy encoding
+    /// ([`EncodedSpec::encode_lazy`]), whose guarded CFD groups let
+    /// [`ResolutionSession::apply_input`] absorb every user answer — in the
+    /// interned value space or not — as a pure extension of the encoding,
+    /// and whose specification every correction edits (module docs).
     ///
     /// `_config` is inert — the encoding is fixed. The parameter stays
     /// because the benchmark (`perfbench/src/drive.rs`) passes it.
     pub fn new(_config: &ResolutionConfig, spec: &Specification) -> Self {
         Self::with_scratch(spec, None)
-    }
-
-    /// Opens a **revisable** session: every revision-sensitive clause is
-    /// emitted retractably (the revisable kind of the "Encoding kinds"
-    /// section of the encode module docs), so
-    /// [`ResolutionSession::absorb_revision_batch`] can absorb upstream
-    /// corrections without rebuilding.
-    pub fn new_revisable(spec: &Specification) -> Self {
-        Self::open(spec, EncodedSpec::encode_revisable(spec), None)
     }
 
     /// [`ResolutionSession::new`] with its solver built from `scratch`.
@@ -580,40 +530,56 @@ impl ResolutionSession {
         spec: &Specification,
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
-        Self::open(spec, EncodedSpec::encode_lazy(spec), scratch)
+        Self::open(spec.clone(), BTreeSet::new(), scratch)
     }
 
-    /// A session over `enc`, a lazy or revisable encoding of `spec`: every
-    /// session query drives its solvers through the lazy axiom source.
+    /// A session on `current` with the `retired` CFDs withdrawn.
     fn open(
-        spec: &Specification,
-        enc: EncodedSpec,
+        current: Specification,
+        retired: BTreeSet<usize>,
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
-        let mut solver = match scratch {
-            Some(s) => cr_sat::Solver::from_cnf_with_scratch(enc.cnf(), s),
-            None => cr_sat::Solver::from_cnf(enc.cnf()),
-        };
-        solver.set_persistent_assumptions(enc.active_guards());
-        let synced_solver = enc.cnf().num_clauses();
-        let mut up = cr_sat::UnitPropagator::new(&cr_sat::Cnf::new());
-        let synced_up = Self::sync_propagator(&mut up, &enc, 0);
+        let (enc, solver, up) = build_engine(&current, &retired, scratch);
+        let synced = enc.cnf().num_clauses();
         ResolutionSession {
-            current: spec.clone(),
+            current,
+            retired,
             enc,
             solver,
             up,
-            synced_solver,
-            synced_up,
+            synced_solver: synced,
+            synced_up: synced,
+            stale: false,
+            replaced_axioms: 0,
+            replaced_replays: (0, 0, 0),
             revisions: RevisionTelemetry::default(),
             policy: RevisionPolicy::default(),
             quarantine: Vec::new(),
-            quarantine_cap: DEFAULT_QUARANTINE_CAP,
             competing: Vec::new(),
             frontier: CausalFrontier::new(),
             answers: BTreeMap::new(),
             epoch: Epoch::ZERO,
         }
+    }
+
+    /// Rebuilds a stale engine over `current` (see the module docs): a
+    /// fresh lazy encoding with the retired CFDs retracted, a solver on the
+    /// old solver's recycled allocations and a fresh propagator. A no-op
+    /// while no correction applied since the last build.
+    fn refresh(&mut self) {
+        if !std::mem::take(&mut self.stale) {
+            return;
+        }
+        let scratch = std::mem::take(&mut self.solver).into_scratch();
+        let (enc, solver, up) = build_engine(&self.current, &self.retired, Some(scratch));
+        self.replaced_axioms += self.enc.injected_axioms();
+        let (r, i, f) = self.up.replay_stats();
+        self.replaced_replays.0 += r;
+        self.replaced_replays.1 += i;
+        self.replaced_replays.2 += f;
+        self.synced_solver = enc.cnf().num_clauses();
+        self.synced_up = self.synced_solver;
+        (self.enc, self.solver, self.up) = (enc, solver, up);
     }
 
     /// Tears the session down into reusable solver scratch (cleared
@@ -630,38 +596,20 @@ impl ResolutionSession {
         self.policy = policy;
     }
 
-    /// Bounds the quarantine log at `cap` entries (default
-    /// [`DEFAULT_QUARANTINE_CAP`]). Overflow evicts the oldest entries and
-    /// counts them in [`RevisionTelemetry::quarantine_evicted`]; shrinking
-    /// the cap below the current length evicts immediately.
-    pub fn set_quarantine_cap(&mut self, cap: usize) {
-        self.quarantine_cap = cap;
-        self.evict_quarantine_overflow();
-    }
-
-    /// The current quarantine-log bound.
-    pub fn quarantine_cap(&self) -> usize {
-        self.quarantine_cap
-    }
-
-    fn evict_quarantine_overflow(&mut self) {
-        if self.quarantine.len() > self.quarantine_cap {
-            let excess = self.quarantine.len() - self.quarantine_cap;
-            self.quarantine.drain(..excess);
-            self.revisions.quarantine_evicted += excess;
-        }
-    }
-
-    /// Logs one failed event in the bounded quarantine and counts it.
+    /// Logs one failed event in the bounded quarantine and counts it;
+    /// past [`QUARANTINE_CAP`] the oldest entry is evicted.
     fn quarantine_push(&mut self, rev: Revision, err: RevisionError) {
         self.quarantine.push((rev, err));
         self.revisions.quarantined += 1;
-        self.evict_quarantine_overflow();
+        if self.quarantine.len() > QUARANTINE_CAP {
+            self.quarantine.remove(0);
+            self.revisions.quarantine_evicted += 1;
+        }
     }
 
     /// The `(revision, error)` pairs quarantined so far (only populated
-    /// under [`RevisionPolicy::Quarantine`]; bounded — see
-    /// [`ResolutionSession::set_quarantine_cap`]).
+    /// under [`RevisionPolicy::Quarantine`]; bounded by
+    /// [`QUARANTINE_CAP`]).
     pub fn quarantined(&self) -> &[(Revision, RevisionError)] {
         &self.quarantine
     }
@@ -698,7 +646,8 @@ impl ResolutionSession {
         &self.current
     }
 
-    /// The live encoding (retraction-aware Ω, value liveness, guards).
+    /// The engine's encoding. After a correction it still encodes the
+    /// pre-correction specification until the next engine call rebuilds it.
     pub fn encoded(&self) -> &EncodedSpec {
         &self.enc
     }
@@ -721,11 +670,11 @@ impl ResolutionSession {
             let idx = from + i;
             match enc.clause_group(idx) {
                 Some((group, guard)) => {
-                    // A group can be retracted *after* emission but before
-                    // this sync (event j of a batch retracting a group
-                    // event i freshly emitted). Its clauses must never
-                    // enter the propagator live — the solver side is
-                    // neutralised by the group's ¬g unit in the same tail.
+                    // A group can be retracted after emission but before
+                    // this sync (a retired CFD on a fresh encoding). Its
+                    // clauses must never enter the propagator live — the
+                    // solver side is neutralised by the group's ¬g unit in
+                    // the same tail.
                     if !enc.is_group_active(group) {
                         continue;
                     }
@@ -754,21 +703,26 @@ impl ResolutionSession {
         }
     }
 
-    /// Total lazily recorded axioms.
+    /// Total lazily recorded axioms, over every encoding the session has
+    /// built.
     pub fn injected_axioms(&self) -> usize {
-        self.enc.injected_axioms()
+        self.replaced_axioms + self.enc.injected_axioms()
     }
 
-    /// Retraction telemetry of the warm unit propagator: `(provenance
-    /// replays, literals invalidated, full fallback resets)`.
+    /// Retraction telemetry of the session's unit propagators:
+    /// `(provenance replays, literals invalidated, full fallback resets)`.
     pub fn replays(&self) -> (usize, usize, usize) {
-        self.up.replay_stats()
+        let (r, i, f) = self.up.replay_stats();
+        let (pr, pi, pf) = self.replaced_replays;
+        (pr + r, pi + i, pf + f)
     }
 
     /// Absorbs one round of user input: extends the encoding by the delta
-    /// clauses, then `current` in place by the induced tuple/orders.
-    /// Returns the size of the induced order extension `|Ot|` added.
+    /// clauses (rebuilding a stale engine first), then `current` in place
+    /// by the induced tuple/orders. Returns the size of the induced order
+    /// extension `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
+        self.refresh();
         // The encoder derives the delta from the pre-input specification.
         let retracted_groups = self.enc.extend_with_input(&self.current, input);
         let (to, added) = self.current.apply_user_input(input);
@@ -786,7 +740,6 @@ impl ResolutionSession {
             }
         }
         self.up.retract_groups(&retracted_groups);
-        self.redeliver_revived();
         self.sync_solver();
         self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
         // Guard set may have changed (retractions and fresh CFD emissions).
@@ -799,44 +752,6 @@ impl ResolutionSession {
         // own: it seals an epoch.
         self.epoch = self.epoch.next();
         added
-    }
-
-    /// Redelivers the order variables of values the latest encoding
-    /// mutation revived (retired → live) to the warm propagator's lazy
-    /// source: revival re-admits the value's axiom instances to the active
-    /// scheme, and — like group retraction, the other non-monotone step —
-    /// none of its atoms re-enter the delta on their own. Called after
-    /// `retract_groups` so a full-reset fallback (which clears pending
-    /// redeliveries along with the rest of the derived state) cannot drop
-    /// the entries.
-    fn redeliver_revived(&mut self) {
-        let revived = self.enc.take_revived();
-        for (attr, vid) in revived {
-            let others: Vec<_> =
-                self.enc.space().attr(attr).live_ids().filter(|&o| o != vid).collect();
-            for o in others {
-                if let Some(v) = self.enc.var_of(attr, vid, o) {
-                    self.up.redeliver_var(v);
-                }
-                if let Some(v) = self.enc.var_of(attr, o, vid) {
-                    self.up.redeliver_var(v);
-                }
-            }
-        }
-    }
-
-    /// Brings the warm unit propagator to a fixpoint over everything synced
-    /// so far. Provenance-scoped retraction replay requires a settled
-    /// propagator (mid-propagation signatures are not a faithful cone
-    /// summary, and the replay would fall back to the full reset) — clauses
-    /// synced after the last deduction may still sit in the queue.
-    fn settle_propagator(&mut self) {
-        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-        let ResolutionSession { enc, up, .. } = self;
-        let _ = up.propagate_to_fixpoint_lazy(enc);
-        // Lazily recorded axioms went to both the CNF and the propagator;
-        // the solver picks them up at its next ordinary tail sync.
-        self.synced_up = self.enc.cnf().num_clauses();
     }
 
     /// Validates `rev` against the current session state without touching
@@ -867,7 +782,7 @@ impl ResolutionSession {
                 if *cfd >= gamma_len {
                     return Err(RevisionError::UnknownCfd { cfd: *cfd, gamma_len });
                 }
-                if self.enc.is_cfd_retired(*cfd) {
+                if self.retired.contains(cfd) {
                     return Err(RevisionError::StaleCfd { cfd: *cfd });
                 }
             }
@@ -894,27 +809,11 @@ impl ResolutionSession {
         Ok(())
     }
 
-    /// Opens a revision batch: settles the propagator (so the seal's
-    /// union replay can use provenance cones instead of a full reset) and
-    /// starts collecting retraction cones. Every engine sync is deferred
-    /// to [`ResolutionSession::close_batch`].
-    fn open_batch(&mut self) -> BatchState {
-        self.settle_propagator();
-        BatchState {
-            union: BTreeSet::new(),
-            max_member: 0,
-            pushed: 0,
-            applied: 0,
-            clauses_before: self.enc.cnf().num_clauses(),
-            invalidated_before: self.up.replay_stats().1,
-        }
-    }
-
-    /// Validates and stages one event into `batch`. The specification and
-    /// the encoding mutate immediately and in event order — later events
-    /// validate against the updated state, exactly like one-event batches
-    /// — while the event's retraction cone only joins the deferred union.
-    /// An `Err` leaves the session untouched by the offending event.
+    /// Validates and applies one event to the session's logical state:
+    /// `current` (Γ kept intact — a CFD retraction joins the retired set)
+    /// and the accepted answers. Later events validate against the updated
+    /// state, exactly like one-event batches. An `Err` leaves the session
+    /// untouched by the offending event.
     fn push_revision(
         &mut self,
         batch: &mut BatchState,
@@ -922,43 +821,24 @@ impl ResolutionSession {
     ) -> Result<(), RevisionError> {
         batch.pushed += 1;
         self.validate_revision(rev)?;
-        let groups = match rev {
+        match rev {
             Revision::RetractCfd { cfd } => {
-                // `current` keeps Γ intact: the encoding flags the entry
-                // retired and every consumer skips it (module docs).
-                self.enc.retract_cfd(*cfd)
+                self.retired.insert(*cfd);
             }
             Revision::WithdrawOrder { attr, lo, hi } => {
                 self.current.withdraw_order(*attr, *lo, *hi);
-                self.enc.withdraw_order(*attr, *lo, *hi)
             }
             Revision::WithdrawAnswer { attr, tuple } => {
-                let old = self.current.entity().tuple(*tuple).get(*attr).clone();
-                let removed = self.current.withdraw_answer(*attr, *tuple);
+                self.current.withdraw_answer(*attr, *tuple);
                 if self.answers.get(attr).is_some_and(|a| a.tuple == *tuple) {
                     self.answers.remove(attr);
                 }
-                let mut groups = Vec::new();
-                for (t1, t2) in removed {
-                    groups.extend(self.enc.withdraw_order(*attr, t1, t2));
-                }
-                if !old.is_null() {
-                    groups.extend(self.enc.replace_value(&self.current, *tuple, *attr, &old));
-                }
-                groups
             }
             Revision::ReplaceValue { tuple, attr, value } => {
-                if self.current.entity().tuple(*tuple).get(*attr) == value {
-                    Vec::new() // vacuous correction
-                } else {
-                    let old = self.current.replace_value(*tuple, *attr, value.clone());
-                    self.enc.replace_value(&self.current, *tuple, *attr, &old)
-                }
+                self.current.replace_value(*tuple, *attr, value.clone());
             }
-        };
+        }
         batch.applied += 1;
-        batch.max_member = batch.max_member.max(groups.len());
-        batch.union.extend(groups);
         Ok(())
     }
 
@@ -976,60 +856,27 @@ impl ResolutionSession {
         }
     }
 
-    /// Seals `batch` with the single deferred engine pass (see the module
-    /// docs for the union-cone equivalence argument): one provenance
-    /// replay over the deduplicated union cone, one revived-value
-    /// redelivery, one solver + propagator tail sync, one guard-assumption
-    /// refresh — regardless of how many events were pushed. A batch that
-    /// applied nothing is a no-op and does not advance the epoch.
+    /// Seals `batch`: a batch that applied an event counts in the
+    /// telemetry, advances the epoch and marks the engine stale; one that
+    /// applied nothing is a no-op.
     fn close_batch(&mut self, batch: BatchState) -> BatchReport {
-        if batch.applied == 0 {
-            return BatchReport {
-                epoch: self.epoch,
-                events: batch.pushed,
-                ..BatchReport::default()
-            };
+        if batch.applied > 0 {
+            self.stale = true;
+            self.revisions.events += batch.applied;
+            self.revisions.batches += 1;
+            if batch.applied > 1 {
+                self.revisions.events_coalesced += batch.applied;
+                self.revisions.replays_saved += batch.applied - 1;
+            }
+            self.epoch = self.epoch.next();
         }
-        let union: Vec<GroupId> = batch.union.iter().copied().collect();
-        // Provenance-scoped replay: undo exactly the union of the
-        // retracted cones, then pick the re-emitted groups up through the
-        // ordinary tail sync.
-        self.up.retract_groups(&union);
-        self.redeliver_revived();
-        self.sync_solver();
-        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-        self.solver.set_persistent_assumptions(self.enc.active_guards());
-        let invalidated = self.up.replay_stats().1 - batch.invalidated_before;
-        self.revisions.events += batch.applied;
-        self.revisions.retracted_groups += union.len();
-        self.revisions.invalidated += invalidated;
-        self.revisions.reemitted_clauses +=
-            self.enc.cnf().num_clauses() - batch.clauses_before;
-        self.revisions.batches += 1;
-        if batch.applied > 1 {
-            self.revisions.events_coalesced += batch.applied;
-            self.revisions.cone_union += union.len();
-            self.revisions.replays_saved += batch.applied - 1;
-        }
-        self.epoch = self.epoch.next();
-        BatchReport {
-            epoch: self.epoch,
-            events: batch.pushed,
-            applied: batch.applied,
-            union_cone: union.len(),
-            max_member_cone: batch.max_member,
-            invalidated,
-        }
+        BatchReport { epoch: self.epoch, events: batch.pushed, applied: batch.applied }
     }
 
-    /// Absorbs a poll's worth of upstream corrections **without
-    /// rebuilding**, in one engine pass — the one entry point for plain
-    /// revisions. Each event's stale clause groups are retracted (guard
-    /// units through the ordinary clause tail) and the disturbed
-    /// constraints re-emit through the compiled program; the unit
-    /// propagator then replays exactly the union of the retracted
-    /// derivation cones once, at the seal. Requires a session opened with
-    /// [`ResolutionSession::new_revisable`].
+    /// Absorbs a poll's worth of upstream corrections as one batch — the
+    /// one entry point for plain revisions. Each applied event edits the
+    /// session's specification; the engine re-encodes it at its next call
+    /// (module docs), once for the whole batch.
     ///
     /// Events validate and fold into the specification strictly in event
     /// order. Invalid events degrade per the session [`RevisionPolicy`];
@@ -1041,7 +888,7 @@ impl ResolutionSession {
         &mut self,
         revs: &[Revision],
     ) -> Result<(BatchReport, Vec<bool>), RevisionError> {
-        let mut batch = self.open_batch();
+        let mut batch = BatchState::default();
         let applied: Result<Vec<bool>, RevisionError> =
             revs.iter().map(|rev| self.push_or_degrade(&mut batch, rev)).collect();
         let report = self.close_batch(batch);
@@ -1072,8 +919,8 @@ impl ResolutionSession {
     ///
     /// The whole poll is one revision batch: every delivered event
     /// (including buffered predecessors the frontier just released)
-    /// stages into a single batch, and the engine pays one union-cone
-    /// settle/replay/re-emission pass at the seal (module docs).
+    /// stages into a single batch, and the engine re-encodes once, at its
+    /// next call (module docs).
     pub fn ingest_causal(
         &mut self,
         events: Vec<CausalRevision>,
@@ -1081,7 +928,7 @@ impl ResolutionSession {
         let delivered = self.frontier.ingest(events);
         self.revisions.duplicates_dropped = self.frontier.duplicates_dropped();
         self.revisions.buffered = self.frontier.buffered_events();
-        let mut batch = self.open_batch();
+        let mut batch = BatchState::default();
         let effective = self.deliver_causal(&mut batch, delivered);
         self.close_batch(batch);
         effective
@@ -1195,6 +1042,7 @@ impl ResolutionSession {
     /// Step (1) of Fig. 4 on the warm engine: is the current specification
     /// valid?
     pub fn is_valid(&mut self) -> bool {
+        self.refresh();
         self.sync_solver();
         let ResolutionSession { enc, solver, .. } = self;
         let sat = solver.solve_lazy(enc);
@@ -1206,6 +1054,7 @@ impl ResolutionSession {
 
     /// Step (2) of Fig. 4: deduce implied value orders on the warm engine.
     pub fn deduce(&mut self, method: DeductionMethod) -> Option<DeducedOrders> {
+        self.refresh();
         match method {
             DeductionMethod::UnitPropagation => {
                 self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
@@ -1225,7 +1074,8 @@ impl ResolutionSession {
         }
     }
 
-    /// True values extracted from deduced orders (live-masked tops).
+    /// True values extracted from `od`, the orders this session's latest
+    /// [`ResolutionSession::deduce`] returned.
     pub fn true_values(&self, od: &DeducedOrders) -> TrueValues {
         true_values_from_orders(&self.enc, od)
     }
@@ -1233,6 +1083,7 @@ impl ResolutionSession {
     /// Step (4) of Fig. 4: a suggestion against the warm solver, recording
     /// probe/repair axiom injections into the shared CNF.
     pub fn suggest(&mut self, od: &DeducedOrders, known: &TrueValues) -> Suggestion {
+        self.refresh();
         self.sync_solver();
         let (sug, solver_synced) = {
             let ResolutionSession { current, enc, solver, .. } = self;
@@ -1248,9 +1099,9 @@ impl ResolutionSession {
     /// pairs (user input and value corrections folded in), retired CFD
     /// indices, accepted answers with their causal dependency vectors, the
     /// full delivery frontier, the undrained competing-cell buffer, the
-    /// quarantine log and its cap, the session epoch, and the revision
-    /// telemetry. Engine internals (CNF, solver, propagator) are *derived*
-    /// state and deliberately excluded.
+    /// quarantine log, the session epoch, and the revision telemetry.
+    /// Engine internals (CNF, solver, propagator) are *derived* state and
+    /// deliberately excluded.
     pub fn state(&self) -> SessionState {
         let orders = self
             .current
@@ -1267,9 +1118,7 @@ impl ResolutionSession {
                 .map(|t| t.values().to_vec())
                 .collect(),
             orders,
-            retired_cfds: (0..self.current.gamma().len())
-                .filter(|&i| self.enc.is_cfd_retired(i))
-                .collect(),
+            retired_cfds: self.retired.iter().copied().collect(),
             answers: self
                 .answers
                 .iter()
@@ -1284,7 +1133,6 @@ impl ResolutionSession {
             telemetry: self.revisions,
             competing: self.competing.clone(),
             quarantine: self.quarantine.clone(),
-            quarantine_cap: self.quarantine_cap,
             epoch: self.epoch,
         }
     }
@@ -1292,19 +1140,18 @@ impl ResolutionSession {
     /// Rebuilds a session from a [`SessionState`] snapshot taken against
     /// `base` — the specification (schema, Σ, Γ, *original* entity and
     /// orders are ignored in favour of the snapshot's) the original session
-    /// was opened on. The restored session is revisable and behaviourally
-    /// equivalent to the snapshotted one: the current specification,
-    /// retired-CFD flags, accepted answers and delivery frontier fully
-    /// determine all subsequent `ingest_causal`/`apply_input` behaviour
-    /// (engine internals are re-derived; cost telemetry of later events may
-    /// differ, logical outcomes cannot).
+    /// was opened on. The restored session is behaviourally equivalent to
+    /// the snapshotted one: the current specification, retired CFDs,
+    /// accepted answers and delivery frontier fully determine all
+    /// subsequent `ingest_causal`/`apply_input` behaviour. Its engine is
+    /// the encoding of the snapshot's specification with the retired CFDs
+    /// retracted — what the snapshotted session would build at its next
+    /// call.
     ///
     /// Fails with a descriptive error — never panics — when the snapshot is
-    /// inconsistent with `base` (wrong arity, out-of-range ids), which a
-    /// checksummed log should have made impossible.
-    ///
-    /// The restored session encodes like
-    /// [`ResolutionSession::new_revisable`].
+    /// inconsistent with `base` (wrong arity, out-of-range ids, an unknown
+    /// or repeated retired CFD), which a checksummed log should have made
+    /// impossible.
     pub fn restore(base: &Specification, state: SessionState) -> Result<ResolutionSession, String> {
         let schema = base.schema().clone();
         let arity = schema.arity();
@@ -1331,15 +1178,14 @@ impl ResolutionSession {
             orders.add(attr, lo, hi);
         }
         let spec = base.with_instance(entity, orders);
-        let mut session = ResolutionSession::new_revisable(&spec);
+        let mut retired = BTreeSet::new();
         for &cfd in &state.retired_cfds {
-            // Strict, one retraction per batch: a snapshot naming an
-            // unknown or already-retired CFD is inconsistent, not noise.
-            let mut batch = session.open_batch();
-            let pushed = session.push_revision(&mut batch, &Revision::RetractCfd { cfd });
-            session.close_batch(batch);
-            pushed.map_err(|e| format!("snapshot CFD retraction rejected: {e}"))?;
+            // A snapshot naming an unknown or repeated CFD is inconsistent.
+            if cfd >= spec.gamma().len() || !retired.insert(cfd) {
+                return Err(format!("snapshot retires CFD {cfd} twice or out of range"));
+            }
         }
+        let mut session = ResolutionSession::open(spec, retired, None);
         for a in state.answers {
             if a.attr.index() >= arity || a.tuple.index() >= session.current.entity().len() {
                 return Err(format!(
@@ -1353,15 +1199,12 @@ impl ResolutionSession {
         }
         session.frontier = CausalFrontier::from_state(state.frontier);
         // Buffers the snapshot captured verbatim: the undrained competing
-        // cells, the quarantine log and its bound, and the epoch — a
-        // rehydrated session must not silently lose what its twin still
-        // holds (the eviction/rehydration state-loss regression).
+        // cells, the quarantine log and the epoch — a rehydrated session
+        // must not silently lose what its twin still holds (the
+        // eviction/rehydration state-loss regression).
         session.competing = state.competing;
         session.quarantine = state.quarantine;
-        session.quarantine_cap = state.quarantine_cap;
         session.epoch = state.epoch;
-        // The snapshot's cumulative telemetry replaces the restore-time
-        // bookkeeping (the CFD retractions above counted as fresh events).
         session.revisions = state.telemetry;
         Ok(session)
     }
@@ -1386,9 +1229,9 @@ pub struct AnswerState {
 /// rehydration replays only the log tail.
 ///
 /// Two sessions that processed the same events agree on every field here
-/// *except possibly the engine-cost counters inside `telemetry`*
-/// (invalidated cone sizes and re-emitted clause counts depend on engine
-/// history); equivalence harnesses compare the logical fields.
+/// *except possibly the batch-shape counters inside `telemetry`* and the
+/// epoch (both depend on how the events were batched); equivalence
+/// harnesses compare the logical fields.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionState {
     /// Entity rows of the current specification (base rows plus
@@ -1407,10 +1250,8 @@ pub struct SessionState {
     /// Undrained competing-candidate cells (the
     /// [`ResolutionSession::take_competing`] buffer).
     pub competing: Vec<CompetingCell>,
-    /// Quarantined `(revision, error)` pairs, bounded by `quarantine_cap`.
+    /// Quarantined `(revision, error)` pairs, bounded by [`QUARANTINE_CAP`].
     pub quarantine: Vec<(Revision, RevisionError)>,
-    /// The quarantine-log bound at snapshot time.
-    pub quarantine_cap: usize,
     /// The session epoch at snapshot time.
     pub epoch: Epoch,
 }

@@ -59,7 +59,7 @@ pub use causal::{
 pub use ingest::{
     AnswerState, BatchReport, CompetingCell, ResolutionSession, Revision, RevisionError,
     RevisionPolicy, RevisionSource, RevisionTelemetry, ScriptedRevisions, SessionState,
-    DEFAULT_QUARANTINE_CAP,
+    QUARANTINE_CAP,
 };
 pub use implication::{explain_invalidity, implies, ConflictPart};
 pub use isvalid::{is_valid, is_valid_encoded, Validity};

@@ -95,8 +95,8 @@ pub fn true_der(
     // (1) Rules from constant CFDs (paper: provided the pattern values do
     // not conflict with validated true values / candidate sets). CFDs
     // withdrawn by upstream corrections no longer license derivations
-    // (revisable engine sessions keep Γ's indexing intact and flag retired
-    // entries on the encoding instead — see the ingest module docs).
+    // (engine sessions keep Γ's indexing intact and flag retired entries
+    // on the encoding instead — see the ingest module docs).
     for (gi, cfd) in spec.gamma().iter().enumerate() {
         if enc.is_cfd_retired(gi) {
             continue;

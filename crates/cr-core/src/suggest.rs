@@ -287,13 +287,12 @@ fn retained_clique(clique: &[usize], selectors: &[cr_sat::Var], assignment: &[bo
 }
 
 /// Appends the literals asserting "`v` is the top of `attr`" to `out` —
-/// every other *live* value sits below `v` (retired values are out of the
-/// active domain on revisable encodings; ordinary encodings are all-live).
+/// every other value sits below `v`.
 fn push_top_literals(enc: &EncodedSpec, attr: AttrId, v: ValueId, out: &mut Vec<cr_sat::Lit>) {
     out.extend(
         enc.space()
             .attr(attr)
-            .live_ids()
+            .ids()
             .filter(|&o| o != v)
             .filter_map(|o| enc.var_of(attr, o, v).map(|var| var.positive())),
     );

@@ -64,13 +64,9 @@ impl TrueValues {
 }
 
 /// Extracts true values from deduced orders: `a` is the true value of `Ai`
-/// iff every other **live** value of the space is deduced `≺v a` (Section
-/// V-B, "True value deduction"). On ordinary encodings every interned value
-/// is live; on revisable encodings values retired by upstream corrections
-/// drop out of the quantification — matching a from-scratch encode of the
-/// revised specification, whose space never contained them. Attributes
-/// whose space is a single value (including the all-null case) are
-/// trivially known.
+/// iff every other value of the space is deduced `≺v a` (Section V-B,
+/// "True value deduction"). Attributes whose space is a single value
+/// (including the all-null case) are trivially known.
 pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueValues {
     let arity = enc.space().arity();
     let mut out = Vec::with_capacity(arity);
@@ -83,20 +79,14 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
             out.push(Some(Value::Null));
             continue;
         }
-        // `a` is the top iff every other live value is deduced below it:
-        // count distinct dominated values per candidate in one pass over
-        // the deduced pairs instead of probing the set O(n²) times.
-        // (Retired values are never deduced below anything — their
-        // variables appear in no live clause — so the per-candidate counts
-        // need no masking, only the candidate set and the target count do.)
+        // `a` is the top iff every other value is deduced below it: count
+        // distinct dominated values per candidate in one pass over the
+        // deduced pairs instead of probing the set O(n²) times.
         let mut below = vec![0u32; n];
         for (_, hi) in od.pairs(attr) {
             below[hi.index()] += 1;
         }
-        let live = interner.live_len();
-        let top = interner
-            .live_ids()
-            .find(|a| below[a.index()] as usize == live - 1);
+        let top = interner.ids().find(|a| below[a.index()] as usize == n - 1);
         out.push(top.map(|t| enc.value(attr, t).clone()));
     }
     TrueValues::new(out)
@@ -119,9 +109,7 @@ pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<Value
         return Vec::new();
     }
     let mut possible = Vec::new();
-    // Only live values can be current (retired values no longer occur in
-    // the revised instance; on ordinary encodings everything is live).
-    for v in enc.space().attr(attr).live_ids().collect::<Vec<_>>() {
+    for v in enc.space().attr(attr).ids() {
         let Some(assumptions) = enc.top_assumptions(attr, v) else {
             continue;
         };

@@ -84,7 +84,7 @@ fn config() -> ResolutionConfig {
 fn a_batch_advances_one_epoch_and_matches_scratch() {
     let (spec, _) = firing_cfd_spec();
     let city = spec.schema().attr_id("city").unwrap();
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&ResolutionConfig::default(), &spec);
 
     // Settled pre-batch reads: the CFD fires, so `city` resolves.
     let pre_epoch = session.epoch();
@@ -151,7 +151,7 @@ fn degraded_batches_keep_the_epoch_and_competing_cells_drain_once() {
     };
 
     // Concurrent writes leave one undrained competing cell.
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&ResolutionConfig::default(), &spec);
     session.ingest_causal(vec![a, b]).unwrap();
     let sealed_before = session.epoch();
 

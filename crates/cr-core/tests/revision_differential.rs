@@ -1,16 +1,16 @@
-//! Push-based correction ingestion: revision-replay ≡ from-scratch
-//! re-resolution on the post-revision specification.
+//! Push-based correction ingestion: session ≡ from-scratch re-resolution
+//! on the post-revision specification.
 //!
-//! Every test drives a revisable [`ResolutionSession`] through
+//! Most tests drive a [`ResolutionSession`] through
 //! [`resolve_with_revisions_checked`], which — after **every** revision
 //! batch — encodes the mirrored post-revision specification from scratch
 //! and asserts that validity, the deduced value orders and the extracted
-//! true values coincide with the replayed warm engine. The deterministic
-//! cases additionally pin down the *cone* behaviour: withdrawing a fired
-//! CFD or a load-bearing order must invalidate a non-empty derivation cone
-//! (the partial-invalidation path PR 4 could only exercise at the cr-sat
-//! unit level), while the engine never falls back to a full propagation
-//! reset.
+//! true values coincide with the session's engine; the rest drive the
+//! session API by hand and run the same check. The deterministic cases
+//! cover corrections that undo a derivation (a fired CFD, a load-bearing
+//! order, an accepted answer), values that vanish from and return to the
+//! instance, and the stale-engine interleavings: revisions followed by an
+//! answer before any query, and a restore from a snapshot.
 
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
@@ -67,7 +67,7 @@ fn config() -> ResolutionConfig {
 }
 
 #[test]
-fn retracting_a_fired_cfd_has_a_nonempty_cone_and_matches_scratch() {
+fn retracting_a_fired_cfd_matches_scratch() {
     let (spec, truth) = firing_cfd_spec();
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source =
@@ -78,11 +78,6 @@ fn retracting_a_fired_cfd_has_a_nonempty_cone_and_matches_scratch() {
     assert!(checked.valid);
     assert!(checked.complete, "oracle answers the re-opened attributes");
     assert_eq!(checked.revisions.events, 1);
-    assert!(
-        checked.revisions.invalidated > 0,
-        "the CFD had fired: its derivation cone must be non-empty, got {:?}",
-        checked.revisions
-    );
     assert_eq!(checked.replay_stats.2, 0, "no full propagation resets");
     assert!(checked.checks >= 2);
 }
@@ -111,11 +106,6 @@ fn withdrawing_a_load_bearing_order_reopens_the_attribute() {
             .expect("replay must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
-    assert!(
-        checked.revisions.invalidated > 0,
-        "the base order was load-bearing: non-empty cone expected, got {:?}",
-        checked.revisions
-    );
     assert_eq!(checked.replay_stats.2, 0);
 }
 
@@ -190,8 +180,6 @@ fn resolve_with_revisions_reports_telemetry_and_agrees_with_checked() {
     assert!(outcome.valid);
     assert!(outcome.complete);
     assert_eq!(outcome.revisions.events, 1);
-    assert!(outcome.revisions.retracted_groups >= 1);
-    assert!(outcome.revisions.invalidated > 0, "non-empty cone end-to-end");
     assert!(
         outcome.rounds.iter().any(|r| r.revisions.events > 0),
         "per-round revision telemetry must be stamped"
@@ -208,9 +196,10 @@ fn resolve_with_revisions_reports_telemetry_and_agrees_with_checked() {
 
 #[test]
 fn retired_values_drop_out_of_candidates_and_suggestions() {
-    // Two city values; revising the only "NY" cell away must retire NY:
-    // the attribute then has a single live value and settles without any
-    // user interaction — exactly like the revised spec from scratch.
+    // Two city values; revising the only "NY" cell away removes NY from
+    // the instance: the attribute then has a single value and settles
+    // without any user interaction — exactly like the revised spec from
+    // scratch.
     let s = Schema::new("p", ["name", "city"]).unwrap();
     let e = EntityInstance::new(
         s.clone(),
@@ -233,7 +222,7 @@ fn retired_values_drop_out_of_candidates_and_suggestions() {
     assert!(checked.valid);
     assert!(
         checked.complete,
-        "after NY retires, LA is the unique live value: {:?}",
+        "after NY goes, LA is the unique value: {:?}",
         checked.resolved
     );
     assert_eq!(checked.resolved.get(city), Some(&Value::str("LA")));
@@ -247,8 +236,8 @@ fn a_twin_that_skipped_an_event_is_caught_and_named() {
     // say which session diverged.
     use cr_store::{check_sessions_against_scratch, SpecMirror};
     let (spec, _) = firing_cfd_spec();
-    let mut batched = ResolutionSession::new_revisable(&spec);
-    let mut twin = ResolutionSession::new_revisable(&spec);
+    let mut batched = ResolutionSession::new(&config(), &spec);
+    let mut twin = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);
     let retract = Revision::RetractCfd { cfd: 0 };
     batched
@@ -271,12 +260,11 @@ fn a_twin_that_skipped_an_event_is_caught_and_named() {
 
 #[test]
 fn revived_value_returns_to_the_query_surface() {
-    // Retire LA (replace it with NY), then replace it back: the session
+    // Remove LA (replace it with NY), then replace it back: the session
     // must agree with scratch at both steps — including the revival, where
-    // LA re-enters candidates through its *original* (still allocated)
-    // order variables. Driven manually on the public session API: the
-    // resolution loop would settle after the retirement and never see the
-    // revival.
+    // LA re-enters the candidates. Driven manually on the public session
+    // API: the resolution loop would settle after the removal and never
+    // see the revival.
     use cr_core::framework::DeductionMethod;
     use cr_store::{check_session_against_scratch, SpecMirror};
     let s = Schema::new("p", ["name", "city"]).unwrap();
@@ -290,7 +278,7 @@ fn revived_value_returns_to_the_query_surface() {
     .unwrap();
     let spec = Specification::without_orders(e, vec![], vec![]);
     let city = s.attr_id("city").unwrap();
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);
 
     let retire =
@@ -303,7 +291,7 @@ fn revived_value_returns_to_the_query_surface() {
     assert_eq!(
         session.true_values(&od).get(city),
         Some(&Value::str("NY")),
-        "NY is the unique live city after LA retires"
+        "NY is the unique city after LA goes"
     );
 
     let revive =
@@ -323,11 +311,10 @@ fn revived_value_returns_to_the_query_surface() {
 #[test]
 fn nulling_every_cell_of_an_attribute_interns_null_late_and_matches_scratch() {
     // Regression (review finding): the attribute has no nulls initially,
-    // so its space lacks a null id; revising *every* cell to null must
-    // intern null late (with its bottom units) — a from-scratch encode of
-    // the revised spec has space {null} and trivially resolves the
-    // attribute to Null, and the replay must agree instead of leaving the
-    // attribute unresolved over an all-retired live set.
+    // so its space lacks a null id; revising *every* cell to null leaves a
+    // from-scratch encode of the revised spec with space {null}, which
+    // trivially resolves the attribute to Null, and the session must
+    // agree.
     let s = Schema::new("p", ["name", "city"]).unwrap();
     let e = EntityInstance::new(
         s.clone(),
@@ -346,7 +333,7 @@ fn nulling_every_cell_of_an_attribute_interns_null_late_and_matches_scratch() {
     ]);
     let checked =
         resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("late-null interning must match scratch");
+            .expect("an all-null attribute must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
     assert_eq!(checked.resolved.get(city), Some(&Value::Null));
@@ -391,7 +378,7 @@ fn randomized_timelines_replay_equals_scratch() {
     // batch. Covers CFD retraction, order withdrawal, value replacement
     // (shared / fresh / null) and answer withdrawal interleaved with
     // ordinary (including out-of-domain) oracle answers.
-    let mut nonempty_cones = 0;
+    let mut applied = 0;
     for seed in 0..12u64 {
         let scenario = cr_data::gen::scenario(&cr_data::gen::ScenarioConfig {
             seed,
@@ -423,20 +410,15 @@ fn randomized_timelines_replay_equals_scratch() {
             &mut source,
         )
         .unwrap_or_else(|e| panic!("seed {seed}: replay diverged from scratch: {e}"));
-        if checked.revisions.invalidated > 0 {
-            nonempty_cones += 1;
-        }
+        applied += checked.revisions.events;
     }
-    assert!(
-        nonempty_cones > 0,
-        "the randomized timelines must exercise non-empty retraction cones"
-    );
+    assert!(applied > 0, "the randomized timelines must apply corrections");
 }
 
 #[test]
 fn empty_timeline_is_a_plain_resolution_with_a_final_check() {
     // A revision source that never delivers anything must behave exactly
-    // like the plain interactive loop — zero events, zero cones, and the
+    // like the plain interactive loop — zero events, zero batches, and the
     // final scratch check still runs.
     let (spec, truth) = firing_cfd_spec();
     let mut oracle = GroundTruthOracle::new(truth);
@@ -447,16 +429,15 @@ fn empty_timeline_is_a_plain_resolution_with_a_final_check() {
     assert!(checked.valid);
     assert!(checked.complete);
     assert_eq!(checked.revisions.events, 0);
-    assert_eq!(checked.revisions.invalidated, 0);
+    assert_eq!(checked.revisions.batches, 0);
     assert!(checked.checks >= 1, "the closing equivalence check always runs");
 }
 
 #[test]
 fn batch_targeting_an_already_retired_value_matches_scratch() {
-    // One round-1 batch: the first event retires "NY" (the only cell
-    // carrying it is replaced), the second — in the same batch — targets
-    // the now-retired value, writing it back. The revival must go through
-    // the ordinary extension path — never divergence from scratch.
+    // One round-1 batch: the first event removes "NY" (the only cell
+    // carrying it is replaced), the second — in the same batch — writes
+    // it back. The session must never diverge from scratch.
     let (spec, truth) = firing_cfd_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let mut oracle = GroundTruthOracle::new(truth);
@@ -479,7 +460,7 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
     // that now-null cell: no order pairs rank t0 on job and the cell is
     // already null, so the withdrawal is a permissive no-op. The run must
     // end exactly where a run with only the nulling event ends — same
-    // resolution, same cone, one extra (no-op) event.
+    // resolution, one extra (no-op) event.
     let (spec, truth) = firing_cfd_spec();
     let job = spec.schema().attr_id("job").unwrap();
     let null_job =
@@ -502,10 +483,6 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
             .expect("baseline");
     assert_eq!(checked.resolved, baseline.resolved);
     assert_eq!(checked.interactions, baseline.interactions);
-    assert_eq!(
-        checked.revisions.invalidated, baseline.revisions.invalidated,
-        "the no-op withdrawal must add nothing to the retraction cone"
-    );
     assert_eq!(checked.revisions.events, baseline.revisions.events + 1);
 }
 
@@ -517,7 +494,7 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
 fn restored_session_shares_the_base_program_and_constraints() {
     let (spec, _) = firing_cfd_spec();
     let job = spec.schema().attr_id("job").unwrap();
-    let mut session = ResolutionSession::new_revisable(&spec);
+    let mut session = ResolutionSession::new(&config(), &spec);
     session.apply_input(&UserInput::single(job, Value::str("n/a")));
     session
         .absorb_revision_batch(&[Revision::ReplaceValue {
@@ -532,4 +509,118 @@ fn restored_session_shares_the_base_program_and_constraints() {
     assert!(std::ptr::eq(current.sigma(), spec.sigma()), "Σ shared, not copied");
     assert!(std::ptr::eq(current.gamma(), spec.gamma()), "Γ shared, not copied");
     assert_eq!(current.entity().len(), session.current().entity().len());
+}
+
+/// Regression: a session opened with the public `ResolutionSession::new`
+/// absorbs corrections like any other. Withdrawing the only base order
+/// behind a deduction un-derives it, and a later value replacement keeps
+/// it withdrawn.
+#[test]
+fn a_plain_session_absorbs_an_order_withdrawal_then_a_replacement() {
+    use cr_core::framework::DeductionMethod;
+    use cr_store::{check_session_against_scratch, SpecMirror};
+    let s = Schema::new("p", ["city", "name"]).unwrap();
+    let e = EntityInstance::new(
+        s.clone(),
+        vec![
+            Tuple::of([Value::str("NY"), Value::str("X")]),
+            Tuple::of([Value::str("LA"), Value::str("X")]),
+        ],
+    )
+    .unwrap();
+    let city = s.attr_id("city").unwrap();
+    let name = s.attr_id("name").unwrap();
+    let mut orders = cr_core::PartialOrders::empty(2);
+    orders.add(city, TupleId(0), TupleId(1));
+    let spec = Specification::new(e, orders, vec![], vec![]);
+    let mut session = ResolutionSession::new(&config(), &spec);
+    let mut mirror = SpecMirror::new(&spec);
+    check_session_against_scratch(&mut session, &mirror).expect("before the corrections");
+    let od = session.deduce(DeductionMethod::UnitPropagation).unwrap();
+    assert_eq!(session.true_values(&od).get(city), Some(&Value::str("LA")));
+
+    for rev in [
+        Revision::WithdrawOrder { attr: city, lo: TupleId(0), hi: TupleId(1) },
+        Revision::ReplaceValue { tuple: TupleId(0), attr: name, value: Value::str("Y") },
+    ] {
+        let (report, applied) =
+            session.absorb_revision_batch(std::slice::from_ref(&rev)).expect("well-formed");
+        assert_eq!((report.applied, applied), (1, vec![true]), "{rev:?}");
+        mirror.apply(&rev);
+        check_session_against_scratch(&mut session, &mirror)
+            .unwrap_or_else(|e| panic!("after {rev:?}: {e}"));
+    }
+    let od = session.deduce(DeductionMethod::UnitPropagation).unwrap();
+    assert_eq!(session.true_values(&od).get(city), None, "the city is ambiguous again");
+}
+
+/// The stale-engine path, pinned down: two revision batches, then an
+/// answer before any query, then a query. The session under test never
+/// queries between the steps, so its `apply_input` rebuilds the engine;
+/// a twin absorbing the same steps is checked against scratch after each
+/// one, and the session is checked at the end.
+#[test]
+fn revisions_then_an_answer_before_any_query_match_scratch() {
+    use cr_store::{check_session_against_scratch, diff_logical_states, SpecMirror};
+    let (spec, _) = firing_cfd_spec();
+    let attr = |n: &str| spec.schema().attr_id(n).unwrap();
+    let batches = [
+        vec![
+            Revision::RetractCfd { cfd: 0 },
+            Revision::ReplaceValue { tuple: TupleId(0), attr: attr("job"), value: Value::str("clerk") },
+        ],
+        vec![Revision::ReplaceValue { tuple: TupleId(1), attr: attr("city"), value: Value::str("SF") }],
+    ];
+    // An out-of-domain AC answer grows the attribute the retired CFD
+    // reads: the extension must not re-emit it.
+    let mut input = UserInput::single(attr("AC"), Value::int(3));
+    input.values.insert(attr("job"), Value::str("n/a"));
+
+    let mut session = ResolutionSession::new(&config(), &spec);
+    let mut twin = ResolutionSession::new(&config(), &spec);
+    let mut mirror = SpecMirror::new(&spec);
+    for (i, batch) in batches.iter().enumerate() {
+        session.absorb_revision_batch(batch).expect("well-formed");
+        twin.absorb_revision_batch(batch).expect("well-formed");
+        for rev in batch {
+            mirror.apply(rev);
+        }
+        check_session_against_scratch(&mut twin, &mirror)
+            .unwrap_or_else(|e| panic!("twin after batch {i}: {e}"));
+    }
+    session.apply_input(&input);
+    twin.apply_input(&input);
+    mirror.apply_input(&input);
+    check_session_against_scratch(&mut twin, &mirror).expect("twin after the answer");
+    check_session_against_scratch(&mut session, &mirror).expect("session after the answer");
+    diff_logical_states(&session.state(), &twin.state()).expect("same logical state");
+    assert_eq!(session.epoch(), twin.epoch());
+}
+
+/// A restore from a snapshot holding a retired CFD and a replaced value,
+/// then a query, matches scratch — and so does a later answer.
+#[test]
+fn restore_with_a_retired_cfd_and_a_replaced_value_matches_scratch() {
+    use cr_store::{check_session_against_scratch, SpecMirror};
+    let (spec, _) = firing_cfd_spec();
+    let attr = |n: &str| spec.schema().attr_id(n).unwrap();
+    let batch = [
+        Revision::RetractCfd { cfd: 0 },
+        Revision::ReplaceValue { tuple: TupleId(0), attr: attr("city"), value: Value::str("SF") },
+    ];
+    let mut session = ResolutionSession::new(&config(), &spec);
+    let mut mirror = SpecMirror::new(&spec);
+    session.absorb_revision_batch(&batch).expect("well-formed");
+    for rev in &batch {
+        mirror.apply(rev);
+    }
+    let state = session.state();
+    assert_eq!(state.retired_cfds, vec![0]);
+    let mut restored = ResolutionSession::restore(&spec, state).expect("consistent snapshot");
+    check_session_against_scratch(&mut restored, &mirror).expect("restored session");
+
+    let input = UserInput::single(attr("city"), Value::str("LA"));
+    restored.apply_input(&input);
+    mirror.apply_input(&input);
+    check_session_against_scratch(&mut restored, &mirror).expect("restored session, answered");
 }

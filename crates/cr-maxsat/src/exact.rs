@@ -131,9 +131,7 @@ mod tests {
         let mut count = 0;
         for mask in 0u32..(1 << n) {
             let mut solver = Solver::from_cnf(&cnf);
-            let assumptions: Vec<Lit> = (0..n)
-                .map(|i| vars[i].lit(mask >> i & 1 == 1))
-                .collect();
+            let assumptions: Vec<Lit> = (0..n).map(|i| vars[i].lit(mask >> i & 1 == 1)).collect();
             if solver.solve_with_assumptions(&assumptions) == SolveResult::Sat {
                 count += 1;
             }

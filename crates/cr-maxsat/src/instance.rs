@@ -38,7 +38,12 @@ impl Default for MaxSatInstance<'_> {
 impl<'a> MaxSatInstance<'a> {
     /// An instance over `num_vars` variables (more are added on demand).
     pub fn new(num_vars: u32) -> Self {
-        MaxSatInstance { num_vars, base: None, hard: Vec::new(), soft: Vec::new() }
+        MaxSatInstance {
+            num_vars,
+            base: None,
+            hard: Vec::new(),
+            soft: Vec::new(),
+        }
     }
 
     /// An instance whose hard clauses start as a **borrowed** formula (not
@@ -166,7 +171,12 @@ impl MaxSatResult {
             .filter(|(_, sat)| **sat)
             .map(|(s, _)| s.weight)
             .sum();
-        MaxSatResult { assignment, satisfied_soft, total_weight, optimal }
+        MaxSatResult {
+            assignment,
+            satisfied_soft,
+            total_weight,
+            optimal,
+        }
     }
 }
 

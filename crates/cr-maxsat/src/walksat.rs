@@ -38,7 +38,11 @@ pub fn solve_walksat(
     assignment.resize(n, false);
 
     if instance.soft_len() == 0 || max_flips == 0 {
-        return Some(MaxSatResult::from_assignment(instance, assignment, instance.soft_len() == 0));
+        return Some(MaxSatResult::from_assignment(
+            instance,
+            assignment,
+            instance.soft_len() == 0,
+        ));
     }
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -54,7 +58,11 @@ pub fn solve_walksat(
     }
     let clauses: Vec<LsClause> = instance
         .hard_iter()
-        .map(|c| LsClause { lits: c, weight: 0, hard: true })
+        .map(|c| LsClause {
+            lits: c,
+            weight: 0,
+            hard: true,
+        })
         .chain(instance.soft().iter().map(|s| LsClause {
             lits: s.lits.as_slice(),
             weight: s.weight,
@@ -127,7 +135,11 @@ pub fn solve_walksat(
             }
         }
     }
-    Some(MaxSatResult::from_assignment(instance, best, best_weight == total))
+    Some(MaxSatResult::from_assignment(
+        instance,
+        best,
+        best_weight == total,
+    ))
 }
 
 #[cfg(test)]

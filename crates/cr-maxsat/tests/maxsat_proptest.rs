@@ -46,15 +46,20 @@ fn brute_force(inst: &MaxSatInstance) -> Option<u64> {
 }
 
 fn inst_strategy() -> impl Strategy<Value = Inst> {
-    let clause = prop::collection::vec((1i32..=6).prop_flat_map(|v| {
-        prop_oneof![Just(v), Just(-v)]
-    }), 1..4);
+    let clause = prop::collection::vec(
+        (1i32..=6).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]),
+        1..4,
+    );
     (
         2u32..7,
         prop::collection::vec(clause.clone(), 0..6),
         prop::collection::vec(clause, 1..8),
     )
-        .prop_map(|(num_vars, hard, soft)| Inst { num_vars, hard, soft })
+        .prop_map(|(num_vars, hard, soft)| Inst {
+            num_vars,
+            hard,
+            soft,
+        })
 }
 
 proptest! {

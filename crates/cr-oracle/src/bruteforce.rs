@@ -212,10 +212,7 @@ pub fn brute_force_valid(spec: &Specification, limit: usize) -> bool {
 /// Brute-force true values: the per-attribute consensus of the current
 /// tuples of all valid completions (`None` where completions disagree or
 /// none exist). The boolean is `false` when the spec is invalid.
-pub fn brute_force_true_values(
-    spec: &Specification,
-    limit: usize,
-) -> (bool, Vec<Option<Value>>) {
+pub fn brute_force_true_values(spec: &Specification, limit: usize) -> (bool, Vec<Option<Value>>) {
     let completions = valid_completions(spec, limit);
     let arity = spec.schema().arity();
     if completions.is_empty() {
@@ -255,10 +252,7 @@ pub fn brute_force_implied_orders(
                 if v1 == v2 {
                     continue;
                 }
-                if completions
-                    .iter()
-                    .all(|c| strictly_before(c, attr, v1, v2))
-                {
+                if completions.iter().all(|c| strictly_before(c, attr, v1, v2)) {
                     out.push((attr, v1.clone(), v2.clone()));
                 }
             }
@@ -357,11 +351,8 @@ mod tests {
     #[test]
     fn blowup_guard_panics() {
         let s = Schema::new("p", ["a"]).unwrap();
-        let e = EntityInstance::new(
-            s,
-            (0..6).map(|i| Tuple::of([Value::int(i)])).collect(),
-        )
-        .unwrap();
+        let e =
+            EntityInstance::new(s, (0..6).map(|i| Tuple::of([Value::int(i)])).collect()).unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
         let res = std::panic::catch_unwind(|| valid_completions(&spec, 10));
         assert!(res.is_err());

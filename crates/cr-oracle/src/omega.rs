@@ -108,7 +108,10 @@ pub fn omega_reference(spec: &Specification) -> Vec<InstanceConstraint> {
     // forces ¬ωX.
     let others = |attr: AttrId, top: &Value| {
         let top = top.clone();
-        entity.active_domain(attr).into_iter().filter(move |v| *v != top)
+        entity
+            .active_domain(attr)
+            .into_iter()
+            .filter(move |v| *v != top)
     };
     for (gi, cfd) in spec.gamma().iter().enumerate() {
         if cfd.lhs().iter().any(|(a, c)| space.get(*a, c).is_none()) {
@@ -123,7 +126,11 @@ pub fn omega_reference(spec: &Specification) -> Vec<InstanceConstraint> {
         let (b, bv) = cfd.rhs();
         if space.get(*b, bv).is_none() {
             let origin = Origin::Cfd(gi);
-            omega.push(InstanceConstraint { premise, conclusion: Conclusion::False, origin });
+            omega.push(InstanceConstraint {
+                premise,
+                conclusion: Conclusion::False,
+                origin,
+            });
             continue;
         }
         for v in others(*b, bv) {

@@ -1,4 +1,4 @@
-//! Checked replay harnesses: the Fig. 4 loop on a revisable session fed by a
+//! Checked replay harnesses: the Fig. 4 loop on a session fed by a
 //! revision stream, with the session proven equivalent to a from-scratch
 //! re-resolution of the post-revision specification after every batch
 //! ([`cr_store::check_sessions_against_scratch`] against the session's
@@ -40,11 +40,11 @@ pub struct CheckedReplay {
     pub checks: usize,
 }
 
-/// Runs the Fig. 4 loop on a revisable [`ResolutionSession`] fed by
-/// `source`, and after **every** revision batch differentially verifies the
-/// replayed engine state against a from-scratch re-resolution of the
-/// post-revision specification: validity, deduced value orders (compared at
-/// the value level over the live space) and extracted true values must all
+/// Runs the Fig. 4 loop on a [`ResolutionSession`] fed by `source`, and
+/// after **every** revision batch differentially verifies the engine state
+/// against a from-scratch re-resolution of the post-revision
+/// specification: validity, deduced value orders (compared at the value
+/// level) and extracted true values must all
 /// coincide with a fresh eager encoding of the mirror. Returns an error
 /// describing the first divergence, if any.
 ///
@@ -62,7 +62,7 @@ pub fn resolve_with_revisions_checked(
     source: &mut dyn RevisionSource,
 ) -> Result<CheckedReplay, String> {
     let mut checked = ReplayedReference::new(RevisionPolicy::Reject, spec);
-    let mut twin = ResolutionSession::new_revisable(spec);
+    let mut twin = ResolutionSession::new(config, spec);
     twin.set_revision_policy(RevisionPolicy::Reject);
     let mut checks = 0;
     // Both sessions against one scratch encoding of the mirror, then
@@ -151,7 +151,7 @@ pub struct CausalReplayConfig {
     pub interact_while_streaming: bool,
     /// Maximum events per [`ResolutionSession::ingest_causal`] call: `0`
     /// feeds the whole poll as one batch (the production shape — one
-    /// union-cone engine pass per poll), `1` feeds events one at a time
+    /// re-encode per poll), `1` feeds events one at a time
     /// (each a batch of one), `k` splits the poll into chunks of at most
     /// `k`. Soaks seed this to interleave batched and per-event
     /// ingestion; the delivered state must not depend on it.
@@ -201,7 +201,7 @@ pub struct CausalCheckedReplay {
     pub quarantined: Vec<(Revision, RevisionError)>,
 }
 
-/// Runs the Fig. 4 loop on a revisable [`ResolutionSession`] fed by a
+/// Runs the Fig. 4 loop on a [`ResolutionSession`] fed by a
 /// causally-stamped stream, and after every effective revision batch
 /// differentially verifies the replayed engine against a from-scratch
 /// re-resolution of the mirrored post-revision specification.
@@ -319,7 +319,11 @@ pub fn resolve_causal_checked(
     let session = &checked.session;
     Ok(CausalCheckedReplay {
         complete: valid && last_values.complete(),
-        resolved: if valid { last_values } else { TrueValues::new(vec![None; arity]) },
+        resolved: if valid {
+            last_values
+        } else {
+            TrueValues::new(vec![None; arity])
+        },
         valid,
         interactions,
         rounds: round,

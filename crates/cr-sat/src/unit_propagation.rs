@@ -412,16 +412,6 @@ impl UnitPropagator {
         }
     }
 
-    /// Queues both polarities of `v` for redelivery to the next lazy
-    /// consult (see the module docs on retraction redelivery). The
-    /// resolution engine calls this when a retired value is revived: the
-    /// value's axiom instances re-enter the active scheme without any of
-    /// its atoms re-entering the delta on their own.
-    pub fn redeliver_var(&mut self, v: crate::lit::Var) {
-        self.redeliver.push(v.positive());
-        self.redeliver.push(v.negative());
-    }
-
     /// Telemetry: `(provenance replays, literals they invalidated, full
     /// O(|Φ|) fallback resets)` since construction.
     pub fn replay_stats(&self) -> (usize, usize, usize) {

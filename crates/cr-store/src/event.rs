@@ -26,7 +26,11 @@ use cr_types::{AttrId, Epoch, TupleId};
 /// *v2*: batch-boundary markers ([`LogRecord::BatchMark`]), coalescing
 /// telemetry counters, and the competing / quarantine / epoch fields of
 /// [`SessionState`].
-pub const FORMAT_VERSION: u8 = 2;
+///
+/// *v3*: [`SessionState`] drops the quarantine cap and the engine-cost
+/// telemetry counters (retracted groups, invalidated literals, re-emitted
+/// clauses).
+pub const FORMAT_VERSION: u8 = 3;
 
 const TAG_INPUT: u8 = 0;
 const TAG_CAUSAL: u8 = 1;
@@ -243,9 +247,6 @@ fn decode_frontier(d: &mut Dec<'_>) -> Result<FrontierState, CodecError> {
 
 fn encode_telemetry(e: &mut Enc, t: &RevisionTelemetry) {
     e.put_varint(t.events as u64);
-    e.put_varint(t.retracted_groups as u64);
-    e.put_varint(t.invalidated as u64);
-    e.put_varint(t.reemitted_clauses as u64);
     e.put_varint(t.duplicates_dropped as u64);
     e.put_varint(t.buffered as u64);
     e.put_varint(t.quarantined as u64);
@@ -260,9 +261,6 @@ fn encode_telemetry(e: &mut Enc, t: &RevisionTelemetry) {
 fn decode_telemetry(d: &mut Dec<'_>) -> Result<RevisionTelemetry, CodecError> {
     Ok(RevisionTelemetry {
         events: get_usize(d)?,
-        retracted_groups: get_usize(d)?,
-        invalidated: get_usize(d)?,
-        reemitted_clauses: get_usize(d)?,
         duplicates_dropped: get_usize(d)?,
         buffered: get_usize(d)?,
         quarantined: get_usize(d)?,
@@ -399,7 +397,6 @@ pub fn encode_session_state(e: &mut Enc, s: &SessionState) {
         encode_revision(e, rev);
         encode_revision_error(e, err);
     }
-    e.put_varint(s.quarantine_cap as u64);
     e.put_varint(s.epoch.0);
 }
 
@@ -439,7 +436,6 @@ pub fn decode_session_state(d: &mut Dec<'_>) -> Result<SessionState, CodecError>
         let err = decode_revision_error(d)?;
         s.quarantine.push((rev, err));
     }
-    s.quarantine_cap = get_usize(d)?;
     s.epoch = Epoch(d.varint()?);
     Ok(s)
 }

@@ -122,11 +122,10 @@ pub fn check_sessions_against_scratch(
 }
 
 /// Deduced value orders compared at the value level over non-null lower
-/// bounds: the two encodings number their variables differently, and a
-/// replay's space retains retired values (which never appear in implied
-/// literals) plus permanent null-bottom units for them (filtered with the
-/// null side). Actual `Value`s, not renderings — `Int(3)` and `Str("3")`
-/// display alike but must never be conflated.
+/// bounds: the two encodings number their variables differently, and an
+/// extended session never interns the null cells of its user-input tuples
+/// (filtered with the null side). Actual `Value`s, not renderings —
+/// `Int(3)` and `Str("3")` display alike but must never be conflated.
 type ValuePairs = BTreeSet<(AttrId, Value, Value)>;
 
 fn value_pairs(enc: &EncodedSpec, od: &DeducedOrders) -> ValuePairs {
@@ -208,7 +207,7 @@ fn field<T: PartialEq + Debug>(name: &str, a: &T, b: &T) -> Result<(), String> {
 /// The logical fields every equivalence of two sessions compares: entity
 /// rows, order pairs, retired CFDs, accepted answers, the causal frontier,
 /// the competing-cell buffer (assuming neither side drained
-/// `take_competing` differently), the quarantine log and its cap.
+/// `take_competing` differently) and the quarantine log.
 fn diff_logical_fields(a: &SessionState, b: &SessionState) -> Result<(), String> {
     field("entity rows", &a.tuples, &b.tuples)?;
     field("order pairs", &a.orders, &b.orders)?;
@@ -216,17 +215,15 @@ fn diff_logical_fields(a: &SessionState, b: &SessionState) -> Result<(), String>
     field("answers", &a.answers, &b.answers)?;
     field("frontier", &a.frontier, &b.frontier)?;
     field("competing cells", &a.competing, &b.competing)?;
-    field("quarantine logs", &a.quarantine, &b.quarantine)?;
-    field("quarantine caps", &a.quarantine_cap, &b.quarantine_cap)
+    field("quarantine logs", &a.quarantine, &b.quarantine)
 }
 
 /// Compares the batching-independent fields of two [`SessionState`]s: the
 /// logical state plus the delivery-level telemetry that must not depend on
 /// how events were partitioned into batches (applied events, duplicates,
-/// buffering, quarantining, re-opens, evictions). Engine-cost counters
-/// (invalidated cones, re-emitted clauses) and the batch-shape counters
-/// (batches, coalescing, epoch) legitimately differ between batched and
-/// sequential ingestion of the same stream and are excluded.
+/// buffering, quarantining, re-opens, evictions). The batch-shape
+/// counters (batches, coalescing, epoch) legitimately differ between
+/// batched and sequential ingestion of the same stream and are excluded.
 pub fn diff_logical_states(a: &SessionState, b: &SessionState) -> Result<(), String> {
     diff_logical_fields(a, b)?;
     let delivery = |t: &RevisionTelemetry| {
@@ -252,9 +249,9 @@ pub struct ReplayedReference {
 }
 
 impl ReplayedReference {
-    /// A revisable session over `base` under `policy`, and its mirror.
+    /// A session over `base` under `policy`, and its mirror.
     pub fn new(policy: RevisionPolicy, base: &Specification) -> Self {
-        let mut session = ResolutionSession::new_revisable(base);
+        let mut session = ResolutionSession::new(&ResolutionConfig::default(), base);
         session.set_revision_policy(policy);
         ReplayedReference { session, mirror: SpecMirror::new(base), error: None }
     }
@@ -281,9 +278,10 @@ impl ReplayedReference {
 /// records the error in [`ReplayedReference::error`].
 ///
 /// `policy` must not be [`RevisionPolicy::Reject`] — replay of a durable
-/// log is total by construction. `_config` is inert (the reference is a
-/// revisable session, whose encoding is fixed); it stays because the
-/// benchmark's `serve` workload (`perfbench/src/serve.rs`) passes it.
+/// log is total by construction. `_config` is inert (the reference opens
+/// like `ResolutionSession::new`, whose encoding is fixed); it stays
+/// because the benchmark's `serve` workload (`perfbench/src/serve.rs`)
+/// passes it.
 pub fn reference_of(
     _config: &ResolutionConfig,
     policy: RevisionPolicy,

@@ -47,7 +47,7 @@
 //! # Snapshot format version policy
 //!
 //! Every record payload begins with a format version byte
-//! ([`event::FORMAT_VERSION`], currently 2). Decoders accept **exactly**
+//! ([`event::FORMAT_VERSION`], currently 3). Decoders accept **exactly**
 //! the versions they know and fail with a typed
 //! [`CodecError::UnsupportedVersion`](cr_types::CodecError) otherwise —
 //! recovery then treats the record like any other corruption: the log is

@@ -82,8 +82,8 @@ impl From<CodecError> for StoreError {
 /// Store configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Inert: hosted sessions are revisable sessions, whose engine
-    /// configuration is fixed, so this selects nothing. The field stays
+    /// Inert: hosted sessions open like `ResolutionSession::new`, whose
+    /// engine configuration is fixed, so this selects nothing. The field stays
     /// because the benchmark's `serve` workload (`perfbench/src/serve.rs`)
     /// reads it.
     pub resolution: ResolutionConfig,
@@ -583,7 +583,7 @@ impl<B: StorageBackend> SessionStore<B> {
             }
         }
         let from_snapshot = session.is_some();
-        let mut session = session.unwrap_or_else(|| ResolutionSession::new_revisable(base));
+        let mut session = session.unwrap_or_else(|| ResolutionSession::new(&ResolutionConfig::default(), base));
         session.set_revision_policy(self.config.policy);
 
         let mut replayed = 0u64;

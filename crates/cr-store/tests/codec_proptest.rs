@@ -160,15 +160,14 @@ fn session_state() -> BoxedStrategy<SessionState> {
         ),
         frontier(),
         (
-            prop::collection::vec(0usize..10_000, 13),
+            prop::collection::vec(0usize..10_000, 10),
             prop::collection::vec(competing(), 0..3),
             prop::collection::vec((revision(), revision_error()), 0..3),
-            0usize..64,
             0u64..10_000,
         ),
     )
         .prop_map(
-            |(tuples, orders, retired_cfds, answers, frontier, (t, competing, quarantine, cap, e))| {
+            |(tuples, orders, retired_cfds, answers, frontier, (t, competing, quarantine, e))| {
                 SessionState {
                     tuples,
                     orders,
@@ -177,22 +176,18 @@ fn session_state() -> BoxedStrategy<SessionState> {
                     frontier,
                     telemetry: RevisionTelemetry {
                         events: t[0],
-                        retracted_groups: t[1],
-                        invalidated: t[2],
-                        reemitted_clauses: t[3],
-                        duplicates_dropped: t[4],
-                        buffered: t[5],
-                        quarantined: t[6],
-                        reopened: t[7],
-                        quarantine_evicted: t[8],
-                        batches: t[9],
-                        events_coalesced: t[10],
-                        cone_union: t[11],
-                        replays_saved: t[12],
+                        duplicates_dropped: t[1],
+                        buffered: t[2],
+                        quarantined: t[3],
+                        reopened: t[4],
+                        quarantine_evicted: t[5],
+                        batches: t[6],
+                        events_coalesced: t[7],
+                        cone_union: t[8],
+                        replays_saved: t[9],
                     },
                     competing,
                     quarantine,
-                    quarantine_cap: cap,
                     epoch: Epoch(e),
                 }
             },

@@ -448,7 +448,7 @@ fn reference_replay_of_an_out_of_range_input_is_a_typed_error() {
     let config = store_config(0);
     let mut reference = reference_of(&config.resolution, config.policy, &spec, &records);
     assert_eq!(reference.error, Some(expected.clone()));
-    let mut fresh = ResolutionSession::new_revisable(&spec);
+    let mut fresh = ResolutionSession::new(&config.resolution, &spec);
     let err = verify_recovery(&mut fresh, &mut reference).unwrap_err();
     assert!(err.contains(&expected.to_string()), "{err}");
 }

@@ -119,22 +119,13 @@ impl ValueId {
     }
 }
 
-/// Interner for the values of a single attribute.
-///
-/// Every value additionally carries a **liveness** flag (default: live).
-/// Interning never removes ids — dense id spaces must stay stable for the
-/// SAT encoder's variable tables — but push-based correction ingestion can
-/// *retire* a value whose last occurrence was revised away: retired values
-/// keep their id (and their order variables) yet are skipped by every
-/// consumer that quantifies over "the values of this attribute" (true-value
-/// tops, suggestion candidates, CFD ωX premises). Values are revived when a
-/// later revision or user answer realises them again.
+/// Interner for the values of a single attribute. Interning never removes
+/// ids: dense id spaces must stay stable for the SAT encoder's variable
+/// tables.
 #[derive(Clone, Default, Debug)]
 pub struct ValueInterner {
     by_value: HashMap<Value, ValueId>,
     values: Vec<Value>,
-    /// Liveness per id, parallel to `values`; retired ids stay allocated.
-    live: Vec<bool>,
 }
 
 impl ValueInterner {
@@ -143,44 +134,15 @@ impl ValueInterner {
         Self::default()
     }
 
-    /// Interns `v`, returning its stable id. (Re-)interning marks the value
-    /// live.
+    /// Interns `v`, returning its stable id.
     pub fn intern(&mut self, v: &Value) -> ValueId {
         if let Some(&id) = self.by_value.get(v) {
-            self.live[id.index()] = true;
             return id;
         }
         let id = ValueId(self.values.len() as u32);
         self.values.push(v.clone());
-        self.live.push(true);
         self.by_value.insert(v.clone(), id);
         id
-    }
-
-    /// Sets the liveness of an interned value (see the type docs).
-    pub fn set_live(&mut self, id: ValueId, live: bool) {
-        self.live[id.index()] = live;
-    }
-
-    /// True iff `id` is live (never retired, or revived since).
-    #[inline]
-    pub fn is_live(&self, id: ValueId) -> bool {
-        self.live[id.index()]
-    }
-
-    /// Number of live values.
-    pub fn live_len(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
-    }
-
-    /// Iterates over live `(ValueId, &Value)` pairs in interning order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (ValueId, &Value)> {
-        self.iter().filter(|(id, _)| self.live[id.index()])
-    }
-
-    /// Live ids in interning order.
-    pub fn live_ids(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.ids().filter(|id| self.live[id.index()])
     }
 
     /// Looks up an already interned value.
@@ -242,17 +204,6 @@ impl AttrValueSpace {
     /// Looks up `(attr, v)` without interning.
     pub fn get(&self, attr: AttrId, v: &Value) -> Option<ValueId> {
         self.per_attr[attr.index()].get(v)
-    }
-
-    /// True iff `(attr, id)` is live (see [`ValueInterner::is_live`]).
-    #[inline]
-    pub fn is_live(&self, attr: AttrId, id: ValueId) -> bool {
-        self.per_attr[attr.index()].is_live(id)
-    }
-
-    /// Sets the liveness of `(attr, id)`.
-    pub fn set_live(&mut self, attr: AttrId, id: ValueId, live: bool) {
-        self.per_attr[attr.index()].set_live(id, live);
     }
 
     /// The value behind `(attr, id)`.

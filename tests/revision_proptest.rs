@@ -1,9 +1,9 @@
 //! Property tests for push-based correction ingestion: randomized revision
 //! timelines (CFD retractions, order withdrawals, value replacements —
 //! shared, fresh and null — and user-answer withdrawals) interleaved with
-//! ordinary oracle answers must keep the revision-replayed engine exactly
+//! ordinary oracle answers must keep the session's engine exactly
 //! equivalent to a from-scratch re-resolution of the post-revision
-//! specification, with sane cone telemetry throughout.
+//! specification, with sane batching telemetry throughout.
 
 use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use conflict_resolution::core::ingest::{ResolutionSession, RevisionSource, RevisionTelemetry};
@@ -17,10 +17,10 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Revision-replay ≡ from-scratch re-resolution on the post-revision
-    /// spec, checked after every revision batch, across randomized
-    /// scenarios × randomized timelines. Also asserts telemetry sanity:
-    /// cones only exist when events were applied.
+    /// Session ≡ from-scratch re-resolution on the post-revision spec,
+    /// checked after every revision batch, across randomized scenarios ×
+    /// randomized timelines. Also asserts telemetry sanity: batches only
+    /// exist when events were applied.
     #[test]
     fn random_revision_timelines_replay_equals_scratch(
         seed in 0u64..10_000,
@@ -44,15 +44,10 @@ proptest! {
         let checked = resolve_with_revisions_checked(&config, &spec, &mut oracle, &mut source)
             .map_err(|e| TestCaseError::fail(format!("replay diverged from scratch: {e}")))?;
 
-        // Telemetry sanity: cone literals and retracted groups exist only
-        // when events were actually absorbed; every check ran.
+        // Telemetry sanity: batches exist only when events were actually
+        // absorbed; every check ran.
         prop_assert!(checked.checks >= 1);
-        if checked.revisions.events == 0 {
-            prop_assert_eq!(checked.revisions.retracted_groups, 0);
-            prop_assert_eq!(checked.revisions.invalidated, 0);
-            prop_assert_eq!(checked.revisions.reemitted_clauses, 0);
-        }
-        prop_assert!(checked.revisions.invalidated == 0 || checked.revisions.events > 0);
+        prop_assert_eq!(checked.revisions.batches == 0, checked.revisions.events == 0);
     }
 
     /// The unchecked production path (`Resolver::resolve_with_revisions`)
@@ -92,9 +87,9 @@ proptest! {
 
         // Per-round stamps sum to the totals.
         let round_events: usize = outcome.rounds.iter().map(|r| r.revisions.events).sum();
-        let round_cones: usize = outcome.rounds.iter().map(|r| r.revisions.invalidated).sum();
+        let round_batches: usize = outcome.rounds.iter().map(|r| r.revisions.batches).sum();
         prop_assert_eq!(round_events, outcome.revisions.events);
-        prop_assert_eq!(round_cones, outcome.revisions.invalidated);
+        prop_assert_eq!(round_batches, outcome.revisions.batches);
     }
 
     /// Batched ≡ sequential ≡ scratch: every generated timeline, polled
@@ -103,9 +98,8 @@ proptest! {
     /// twin that absorbs the same events **one at a time** — and both
     /// equivalent to a from-scratch encode of the [`SpecMirror`]'s
     /// materialised spec after every round. Also pins the coalescing
-    /// telemetry: a batch of one coalesces nothing, the union cone always
-    /// dominates its largest member, and the batched epoch advances once
-    /// per applied batch (not once per event).
+    /// telemetry: a batch of one coalesces nothing, and the batched epoch
+    /// advances once per applied batch (not once per event).
     #[test]
     fn batched_ingestion_equals_sequential_and_scratch(
         seed in 0u64..10_000,
@@ -139,8 +133,9 @@ fn batched_ingestion_matches(
         burst,
         ..Default::default()
     });
-    let mut batched = ResolutionSession::new_revisable(&spec);
-    let mut sequential = ResolutionSession::new_revisable(&spec);
+    let config = ResolutionConfig::default();
+    let mut batched = ResolutionSession::new(&config, &spec);
+    let mut sequential = ResolutionSession::new(&config, &spec);
     let mut mirror = SpecMirror::new(&spec);
 
     let mut applied_batches = 0usize;
@@ -154,14 +149,6 @@ fn batched_ingestion_matches(
         if report.applied > 0 {
             applied_batches += 1;
             expected_saved += report.applied - 1;
-            prop_assert!(
-                report.union_cone >= report.max_member_cone,
-                "the union cone dominates its largest member ({} < {})",
-                report.union_cone,
-                report.max_member_cone
-            );
-        } else {
-            prop_assert_eq!(report.invalidated, 0, "an empty batch disturbs nothing");
         }
 
         // The sequential twin absorbs the identical poll one event at
@@ -197,8 +184,7 @@ fn batched_ingestion_matches(
 }
 
 /// The coalescing path is live: a multi-event round is absorbed as one
-/// batch, with one union-cone retraction and one replay instead of one per
-/// event.
+/// batch, with one engine rebuild instead of one per event.
 #[test]
 fn multi_event_rounds_coalesce_into_one_replay() {
     let b = batched_ingestion_matches(5, 8, 4, 60, 6, 3).expect("batched ≡ sequential ≡ scratch");
