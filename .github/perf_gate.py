@@ -13,7 +13,10 @@ SECONDS-second untraced runs, pair i at seed SEEDS[i] in both trees. It
 fails if any run does not end with `"correct": true` and `"failed": 0`, or
 if a head median is worse than the base median by more than the metric's
 bound (relative: lower-better metrics may grow by at most `bound`,
-higher-better ones shrink by at most `bound`).
+higher-better ones shrink by at most `bound`). Beside each pair of medians
+it prints the base runs' interquartile range and in how many of the pairs
+the head run was better than its base run, so a reader can tell a shift
+from run-to-run spread; neither enters the verdict.
 
 Every invocation also re-judges the head medians with a synthetic 2x
 regression applied (lower-better x2, higher-better /2). That verdict must
@@ -39,9 +42,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PAIRS = 3
+PAIRS = 10
 SECONDS = 5
-SEEDS = [101, 102, 103]
+SEEDS = list(range(101, 101 + PAIRS))
 INJECTED_FACTOR = 2.0
 
 
@@ -100,12 +103,32 @@ def medians(runs):
     return {n: statistics.median(r[n] for r in runs if n in r) for n in sorted(names)}
 
 
-def print_rows(title, rows):
+def spread(metrics, runs):
+    """Per metric: the base runs' interquartile range and the number of
+    pairs in which the head run was better than its base run."""
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        pairs = [(b[name], h[name]) for b, h in zip(runs["base"], runs["head"])
+                 if name in b and name in h]
+        if len(pairs) < 2:
+            continue
+        q1, _, q3 = statistics.quantiles([b for b, _ in pairs], n=4)
+        wins = sum(worsening(metric, b, h) < 0 for b, h in pairs)
+        out[name] = (q3 - q1, f"{wins}/{len(pairs)}")
+    return out
+
+
+def print_rows(title, rows, stats=None):
     print(f"  {title}")
     for name, base, head, worse, bound, bad in rows:
         verdict = "FAIL" if bad else "ok"
+        extra = ""
+        if stats and name in stats:
+            iqr, wins = stats[name]
+            extra = f"  base IQR {iqr:>10.4f}  head better {wins:>5}"
         print(f"    {name:<24} base {base:>12.4f}  head {head:>12.4f}  "
-              f"worse {worse:>+8.1%}  bound {bound:.0%}  {verdict}")
+              f"worse {worse:>+8.1%}  bound {bound:.0%}{extra}  {verdict}")
 
 
 def print_counts(spec, base_dir, head_dir):
@@ -161,7 +184,7 @@ def main(argv):
         real_failed |= failed
         print(f"{workload}: {'FAIL' if failed else 'ok'} "
               f"({PAIRS} pairs, {SECONDS} s runs, seeds {SEEDS[:PAIRS]})")
-        print_rows("head vs base", rows)
+        print_rows("head vs base", rows, spread(metrics, runs))
         injected_rows, injected = judge(metrics, base_medians, inject(metrics, head_medians))
         injected_failed |= injected
         print_rows(f"head with an injected {INJECTED_FACTOR:g}x regression", injected_rows)

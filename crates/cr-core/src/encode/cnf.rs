@@ -409,7 +409,7 @@ impl EncodedSpec {
     /// (i.e. *before* the input is applied). Returns the clause groups
     /// withdrawn in the process (stale CFD emissions), in retraction order:
     /// callers holding a live `UnitPropagator` must forward them to
-    /// `retract_group` before syncing the clause tail.
+    /// `retract_groups` before syncing the clause tail.
     pub(crate) fn extend_with_input(
         &mut self,
         spec: &Specification,
@@ -454,7 +454,7 @@ impl EncodedSpec {
                     continue;
                 }
                 if let Some(group) = self.cfd_groups[gi].take() {
-                    self.retract_group(group);
+                    self.deactivate_group(group);
                     retracted_groups.push(group);
                 }
                 let instances = cfd_instances(&self.space, gi, cfd);
@@ -585,7 +585,7 @@ impl EncodedSpec {
         debug_assert_eq!(self.kind, Kind::Lazy, "CFD retraction needs a lazy encoding");
         self.cfd_retired[gi] = true;
         if let Some(group) = self.cfd_groups[gi].take() {
-            self.retract_group(group);
+            self.deactivate_group(group);
         }
     }
 
@@ -685,7 +685,7 @@ impl EncodedSpec {
     /// Retracts a clause group: marks it inactive and appends the root unit
     /// `¬g` to the CNF, which permanently satisfies the group's clauses
     /// (and any clauses a solver learnt from them) once synced.
-    fn retract_group(&mut self, group: GroupId) {
+    fn deactivate_group(&mut self, group: GroupId) {
         let state = &mut self.groups[group as usize];
         debug_assert!(state.active, "group retracted twice");
         state.active = false;
@@ -1527,10 +1527,7 @@ mod tests {
         let spec = tiny_spec();
         let enc = EncodedSpec::encode(&spec);
         let mut up = cr_sat::UnitPropagator::new(enc.cnf());
-        let implied = match up.run() {
-            cr_sat::UpOutcome::Fixpoint { implied } => implied,
-            cr_sat::UpOutcome::Conflict => panic!("valid spec"),
-        };
+        let implied = up.propagate_to_fixpoint().expect("valid spec").to_vec();
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let sid = |v: &str| enc.value_id(status, &Value::str(v)).unwrap();

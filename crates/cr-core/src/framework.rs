@@ -47,15 +47,11 @@
 //!   unit `¬g` travels to the solver through the ordinary clause-tail sync,
 //!   killing the group's clauses and everything learnt from them) and
 //!   *re-emitted* over the grown space under a fresh guard;
-//! * the unit propagator is told to [`cr_sat::UnitPropagator::retract_group`]
-//!   the stale groups; its **per-group implication provenance** (see the
-//!   `cr_sat::unit_propagation` module docs) undoes exactly the retracted
-//!   derivation cone and re-queues its frontier, so the replay cost is
-//!   proportional to what the retraction actually disturbed — usually
-//!   nothing, because a fired CFD's attributes are already settled — and
-//!   never `O(|Φ|)` ([`ResolutionOutcome::retraction_replays`] /
-//!   [`RoundReport::retraction_invalidated`] report it per resolution and
-//!   per round).
+//! * the unit propagator is told to
+//!   [`cr_sat::UnitPropagator::retract_groups`] the stale groups: it drops
+//!   their clauses and re-derives the surviving fixpoint at its next run,
+//!   at most the from-scratch `DeduceOrder` the paper pays every round
+//!   ([`ResolutionOutcome::retractions`] counts them per resolution).
 //!
 //! At each round boundary the engine also compacts the solver's learnt
 //! database (`cr_sat::Solver::compact_learnts`), bounding memory over
@@ -178,11 +174,6 @@ pub struct RoundReport {
     pub suggestion_size: usize,
     /// Attributes the user answered.
     pub user_answers: usize,
-    /// Root literals invalidated by provenance-scoped retraction replay
-    /// while absorbing this round's user input (0 on rounds without CFD
-    /// retraction and on the scratch path). Compare against the fixpoint
-    /// size to see the replay staying sub-linear.
-    pub retraction_invalidated: usize,
     /// Revision telemetry of the events absorbed before this round's
     /// validity check — the round's delta of the session's
     /// [`ResolutionSession::revision_telemetry`] (all 0 without a revision
@@ -210,7 +201,6 @@ impl RoundReport {
             known_after_deduce: known,
             suggestion_size: 0,
             user_answers: 0,
-            retraction_invalidated: 0,
             revisions: RevisionTelemetry::default(),
             competing: Vec::new(),
         }
@@ -238,17 +228,9 @@ pub struct ResolutionOutcome {
     /// counted exactly once per session (the from-scratch loop sums its
     /// per-round sessions).
     pub injected_axioms: usize,
-    /// Provenance-scoped retraction replays the session's unit
-    /// propagators performed (out-of-domain answers retracting CFD groups;
-    /// 0 on the scratch path).
-    pub retraction_replays: usize,
-    /// Total root literals those replays invalidated — the re-derivation
-    /// work actually paid, versus re-deriving the whole fixpoint per
-    /// retraction.
-    pub retraction_invalidated: usize,
-    /// Full `O(|Φ|)` fallback resets (conflicting or mid-propagation
-    /// retractions; 0 on healthy interactive runs).
-    pub retraction_full_resets: usize,
+    /// Retractions the session's unit propagators performed (out-of-domain
+    /// answers retracting CFD groups; 0 on the scratch path).
+    pub retractions: usize,
     /// Push-based correction telemetry: upstream revision events absorbed,
     /// delivered, degraded and coalesced (all 0 without a revision source
     /// — see [`Resolver::resolve_with_revisions`]).
@@ -437,9 +419,7 @@ impl Resolver {
                 user_values,
                 ot_size,
                 injected_axioms: discarded_axioms + session.injected_axioms(),
-                retraction_replays: session.replays().0,
-                retraction_invalidated: session.replays().1,
-                retraction_full_resets: session.replays().2,
+                retractions: session.replays().0,
                 revisions: session.revision_telemetry(),
                 rounds,
             }
@@ -566,11 +546,7 @@ impl Resolver {
                 ot_size += next.apply_user_input(&input).1;
                 reopen = Some(next);
             } else {
-                let invalidated_before = session.replays().1;
                 ot_size += session.apply_input(&input);
-                if let Some(report) = rounds.last_mut() {
-                    report.retraction_invalidated = session.replays().1 - invalidated_before;
-                }
             }
         }
 
@@ -780,10 +756,10 @@ mod tests {
     }
 
     #[test]
-    fn out_of_domain_answer_triggers_provenance_replay() {
+    fn out_of_domain_answer_triggers_a_retraction() {
         // CFD: AC = 213 → city = "LA". The truth's AC is outside the active
         // domain, so the oracle's answer grows the space, retracts the
-        // CFD's guard group and must show up as a provenance replay.
+        // CFD's guard group and must show up as a propagator retraction.
         let s = Schema::new("p", ["AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
@@ -799,10 +775,9 @@ mod tests {
         let outcome = resolve_with_truth(&spec, &truth);
         assert!(outcome.complete, "resolution must finish");
         assert!(
-            outcome.retraction_replays > 0,
-            "the CFD retraction must be a provenance replay: {outcome:?}"
+            outcome.retractions > 0,
+            "the CFD retraction must reach the propagator: {outcome:?}"
         );
-        assert_eq!(outcome.retraction_full_resets, 0);
     }
 
     #[test]

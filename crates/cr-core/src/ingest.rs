@@ -443,12 +443,12 @@ pub struct ResolutionSession {
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
-    /// Axioms recorded by the encodings, and replay counters of the
+    /// Axioms recorded by the encodings, and retractions counted by the
     /// propagators, that rebuilds replaced — so
     /// [`ResolutionSession::injected_axioms`] and
     /// [`ResolutionSession::replays`] stay monotone.
     replaced_axioms: usize,
-    replaced_replays: (usize, usize, usize),
+    replaced_retractions: usize,
     revisions: RevisionTelemetry,
     /// Degradation policy for revisions that fail validation.
     policy: RevisionPolicy,
@@ -551,7 +551,7 @@ impl ResolutionSession {
             synced_up: synced,
             stale: false,
             replaced_axioms: 0,
-            replaced_replays: (0, 0, 0),
+            replaced_retractions: 0,
             revisions: RevisionTelemetry::default(),
             policy: RevisionPolicy::default(),
             quarantine: Vec::new(),
@@ -573,10 +573,7 @@ impl ResolutionSession {
         let scratch = std::mem::take(&mut self.solver).into_scratch();
         let (enc, solver, up) = build_engine(&self.current, &self.retired, Some(scratch));
         self.replaced_axioms += self.enc.injected_axioms();
-        let (r, i, f) = self.up.replay_stats();
-        self.replaced_replays.0 += r;
-        self.replaced_replays.1 += i;
-        self.replaced_replays.2 += f;
+        self.replaced_retractions += self.up.retractions();
         self.synced_solver = enc.cnf().num_clauses();
         self.synced_up = self.synced_solver;
         (self.enc, self.solver, self.up) = (enc, solver, up);
@@ -710,11 +707,12 @@ impl ResolutionSession {
     }
 
     /// Retraction telemetry of the session's unit propagators:
-    /// `(provenance replays, literals invalidated, full fallback resets)`.
+    /// `(retractions, 0, 0)`. Each retraction re-derives the propagator's
+    /// fixpoint (see `cr_sat::unit_propagation`); the last two fields are
+    /// always 0 and kept only because the benchmark reads this triple, as
+    /// it does [`RevisionTelemetry::cone_union`].
     pub fn replays(&self) -> (usize, usize, usize) {
-        let (r, i, f) = self.up.replay_stats();
-        let (pr, pi, pf) = self.replaced_replays;
-        (pr + r, pi + i, pf + f)
+        (self.replaced_retractions + self.up.retractions(), 0, 0)
     }
 
     /// Absorbs one round of user input: extends the encoding by the delta

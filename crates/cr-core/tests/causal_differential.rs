@@ -123,7 +123,6 @@ fn late_concurrent_correction_reopens_exactly_the_answered_attribute() {
         replay.interactions, 2,
         "job is asked once before and once after the re-open"
     );
-    assert_eq!(replay.replay_stats.2, 0, "no full propagation resets");
     assert_eq!(replay.resolved.get(job), Some(&Value::str("n/a")));
     assert!(replay.quarantined.is_empty());
     assert_eq!(replay.revisions.quarantined, 0);

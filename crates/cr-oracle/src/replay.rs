@@ -34,8 +34,6 @@ pub struct CheckedReplay {
     pub interactions: usize,
     /// Revision telemetry of the session.
     pub revisions: RevisionTelemetry,
-    /// Provenance-replay telemetry `(replays, invalidated, full resets)`.
-    pub replay_stats: (usize, usize, usize),
     /// Engine-vs-scratch equivalence checks performed.
     pub checks: usize,
 }
@@ -127,7 +125,6 @@ pub fn resolve_with_revisions_checked(
         valid,
         interactions,
         revisions: checked.session.revision_telemetry(),
-        replay_stats: checked.session.replays(),
         checks,
     })
 }
@@ -193,8 +190,6 @@ pub struct CausalCheckedReplay {
     /// Revision telemetry of the session (applied / duplicate-dropped /
     /// buffered / quarantined / reopened).
     pub revisions: RevisionTelemetry,
-    /// Provenance-replay telemetry `(replays, invalidated, full resets)`.
-    pub replay_stats: (usize, usize, usize),
     /// Engine-vs-scratch equivalence checks performed.
     pub checks: usize,
     /// The session's quarantine log (empty in clean runs).
@@ -264,7 +259,6 @@ pub fn resolve_causal_checked(
             known_after_deduce: 0,
             suggestion_size: 0,
             user_answers: 0,
-            retraction_invalidated: 0,
             revisions: session.revision_telemetry().since(&telemetry_before),
             competing: session.take_competing(),
         });
@@ -329,7 +323,6 @@ pub fn resolve_causal_checked(
         rounds: round,
         round_reports,
         revisions: session.revision_telemetry(),
-        replay_stats: session.replays(),
         checks,
         quarantined: session.quarantined().to_vec(),
     })

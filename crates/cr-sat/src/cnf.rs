@@ -27,7 +27,11 @@ pub struct Cnf {
 
 impl Default for Cnf {
     fn default() -> Self {
-        Cnf { num_vars: 0, lits: Vec::new(), bounds: vec![0] }
+        Cnf {
+            num_vars: 0,
+            lits: Vec::new(),
+            bounds: vec![0],
+        }
     }
 }
 
@@ -109,7 +113,10 @@ impl Cnf {
     /// must already be allocated (bulk encoders only).
     #[inline]
     pub fn push_clause_lit(&mut self, l: Lit) {
-        debug_assert!(l.var().0 < self.num_vars, "push_clause_lit requires an allocated variable");
+        debug_assert!(
+            l.var().0 < self.num_vars,
+            "push_clause_lit requires an allocated variable"
+        );
         self.lits.push(l);
     }
 
@@ -201,10 +208,7 @@ mod tests {
         let mut cnf = Cnf::new();
         let (a, b, c) = (cnf.new_var(), cnf.new_var(), cnf.new_var());
         cnf.add_implication(&[a.positive(), b.positive()], c.positive());
-        assert_eq!(
-            cnf.clause(0),
-            [a.negative(), b.negative(), c.positive()]
-        );
+        assert_eq!(cnf.clause(0), [a.negative(), b.negative(), c.positive()]);
         cnf.add_negated_conjunction(&[a.positive()]);
         assert_eq!(cnf.clause(1), [a.negative()]);
     }

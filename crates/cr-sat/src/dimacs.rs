@@ -117,9 +117,18 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        assert!(matches!(parse("p cnf x 2\n"), Err(DimacsError::BadHeader(_))));
-        assert!(matches!(parse("p cnf 1 1\n1 q 0\n"), Err(DimacsError::BadToken(_))));
-        assert!(matches!(parse("p cnf 1 1\n1"), Err(DimacsError::UnterminatedClause)));
+        assert!(matches!(
+            parse("p cnf x 2\n"),
+            Err(DimacsError::BadHeader(_))
+        ));
+        assert!(matches!(
+            parse("p cnf 1 1\n1 q 0\n"),
+            Err(DimacsError::BadToken(_))
+        ));
+        assert!(matches!(
+            parse("p cnf 1 1\n1"),
+            Err(DimacsError::UnterminatedClause)
+        ));
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //!
 //! Axiom instances injected this way are ordinary **problem clauses**: they
 //! are theory-valid regardless of any retractable clause group, so they are
-//! never guarded, survive `retract_group`/persistent-assumption changes, and
-//! are exempt from learnt-database sweeps ([`Solver::compact_learnts`] only
-//! deletes learnt clauses).
+//! never guarded, survive group retraction (the propagator's
+//! `retract_groups`, the solver's persistent-assumption changes), and are
+//! exempt from learnt-database sweeps ([`Solver::compact_learnts`] only
+//! deletes learnt clauses). A propagator retraction re-derives the fixpoint
+//! and shows it to the source whole, so a delta-scoped source revisits
+//! every instance the retraction may have re-opened.
 //!
 //! [`Solver::solve_lazy_with_assumptions`]: crate::Solver::solve_lazy_with_assumptions
 //! [`UnitPropagator::propagate_to_fixpoint_lazy`]: crate::UnitPropagator::propagate_to_fixpoint_lazy
@@ -239,11 +242,17 @@ mod tests {
         let mut src = ToySource { calls: 0 };
         // Assume x0, x1: theory forces ¬x2 (and x3).
         let a = [Var(0).positive(), Var(1).positive()];
-        assert_eq!(s.solve_lazy_with_assumptions(&a, &mut src), SolveResult::Sat);
+        assert_eq!(
+            s.solve_lazy_with_assumptions(&a, &mut src),
+            SolveResult::Sat
+        );
         assert_eq!(s.model_value(Var(2)), Some(false));
         // Probing the forced literal is now Unsat under the assumptions.
         let b = [Var(0).positive(), Var(1).positive(), Var(2).positive()];
-        assert_eq!(s.solve_lazy_with_assumptions(&b, &mut src), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_lazy_with_assumptions(&b, &mut src),
+            SolveResult::Unsat
+        );
         // Without assumptions everything is satisfiable again.
         assert_eq!(s.solve_lazy(&mut src), SolveResult::Sat);
     }
@@ -346,7 +355,8 @@ mod tests {
                 delta: Option<&[Lit]>,
                 _out: &mut ClauseBuffer,
             ) {
-                self.seen.push(delta.expect("UP always passes a delta").to_vec());
+                self.seen
+                    .push(delta.expect("UP always passes a delta").to_vec());
             }
         }
         let mut up = UnitPropagator::new(&Cnf::new());
@@ -364,7 +374,7 @@ mod tests {
     fn up_lazy_redelivers_delta_after_retraction() {
         // Retraction resets the propagator's assignment, so the re-derived
         // fixpoint must be handed to the source from scratch — the
-        // regression guard for axiom re-derivation after `retract_group`.
+        // regression guard for axiom re-derivation after `retract_groups`.
         struct Chain;
         impl LazyAxiomSource for Chain {
             fn instantiate(
@@ -386,9 +396,12 @@ mod tests {
         assert!(implied.contains(&Var(1).positive()));
         // Retract the group that seeded x0: both x0 and its lazily injected
         // consequence x1 must vanish…
-        up.retract_group(1);
+        up.retract_groups(&[1]);
         let implied = up.propagate_to_fixpoint_lazy(&mut Chain).unwrap();
-        assert!(implied.is_empty(), "retraction must clear lazy consequences");
+        assert!(
+            implied.is_empty(),
+            "retraction must clear lazy consequences"
+        );
         // …and a fresh permanent x0 re-derives x1 through the (surviving)
         // injected axiom — and through re-consultation of the source.
         up.add_clause(&[Var(0).positive()]);

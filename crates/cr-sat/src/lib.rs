@@ -15,7 +15,8 @@
 //!   the solver activates guard literals as persistent assumptions
 //!   ([`Solver::set_persistent_assumptions`]) so a group can be withdrawn
 //!   by a single root unit, and the unit propagator tags clauses with group
-//!   ids and re-derives its fixpoint on [`UnitPropagator::retract_group`],
+//!   ids and re-derives the surviving fixpoint on
+//!   [`UnitPropagator::retract_groups`],
 //! * *lazy axiom instantiation* ([`LazyAxiomSource`], [`lazy`]): large
 //!   axiom schemes stay unmaterialised; the solver's CEGAR-style
 //!   [`Solver::solve_lazy_with_assumptions`] and the propagator's
@@ -55,4 +56,4 @@ pub use lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverScratch};
 pub use stats::SolverStats;
-pub use unit_propagation::{UnitPropagator, UpOutcome, NO_GROUP};
+pub use unit_propagation::{UnitPropagator, NO_GROUP};

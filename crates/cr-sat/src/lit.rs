@@ -86,7 +86,12 @@ impl Lit {
 
 impl fmt::Debug for Lit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", if self.is_positive() { "" } else { "¬" }, self.var().0)
+        write!(
+            f,
+            "{}{}",
+            if self.is_positive() { "" } else { "¬" },
+            self.var().0
+        )
     }
 }
 

@@ -151,7 +151,10 @@ mod tests {
         let even = [[1i64, 2, -3], [1, -2, 3], [-1, 2, 3], [-1, -2, -3]];
         let odd = [[-1i64, -2, 3], [-1, 2, -3], [1, -2, -3], [1, 2, 3]];
         for c in even.iter().chain(odd.iter()) {
-            s.add_clause(c.iter().map(|&x| v[(x.unsigned_abs() - 1) as usize].lit(x > 0)));
+            s.add_clause(
+                c.iter()
+                    .map(|&x| v[(x.unsigned_abs() - 1) as usize].lit(x > 0)),
+            );
         }
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
@@ -162,7 +165,9 @@ mod tests {
         // A modest pigeonhole instance exercises minimisation.
         let mut s = Solver::new();
         let n = 5;
-        let p: Vec<Vec<_>> = (0..n).map(|_| (0..n - 1).map(|_| s.new_var()).collect()).collect();
+        let p: Vec<Vec<_>> = (0..n)
+            .map(|_| (0..n - 1).map(|_| s.new_var()).collect())
+            .collect();
         for row in &p {
             s.add_clause(row.iter().map(|v| v.positive()));
         }

@@ -117,7 +117,9 @@ impl Default for SolverScratch {
 impl SolverScratch {
     /// Empty scratch (no recycled capacity); useful as a pool seed.
     pub fn new() -> Self {
-        SolverScratch { solver: Solver::new() }
+        SolverScratch {
+            solver: Solver::new(),
+        }
     }
 }
 
@@ -258,7 +260,10 @@ impl Solver {
 
     /// Number of original (problem) clauses currently alive.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted && !c.learnt).count()
+        self.clauses
+            .iter()
+            .filter(|c| !c.deleted && !c.learnt)
+            .count()
     }
 
     /// Search statistics.
@@ -396,11 +401,22 @@ impl Solver {
     pub(crate) fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len() as ClauseRef;
-        let w0 = Watcher { cref, blocker: lits[1] };
-        let w1 = Watcher { cref, blocker: lits[0] };
+        let w0 = Watcher {
+            cref,
+            blocker: lits[1],
+        };
+        let w1 = Watcher {
+            cref,
+            blocker: lits[0],
+        };
         self.watches[lits[0].index()].push(w0);
         self.watches[lits[1].index()].push(w1);
-        self.clauses.push(Clause { lits, activity: 0.0, learnt, deleted: false });
+        self.clauses.push(Clause {
+            lits,
+            activity: 0.0,
+            learnt,
+            deleted: false,
+        });
         if learnt {
             self.learnt_refs.push(cref);
             self.stats.learnt_clauses += 1;
@@ -712,7 +728,10 @@ mod tests {
         let v = nvars(&mut s, 1);
         s.add_clause(lits(&v, &[1]));
         assert_eq!(s.solve_with_assumptions(&lits(&v, &[1])), SolveResult::Sat);
-        assert_eq!(s.solve_with_assumptions(&lits(&v, &[-1])), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_with_assumptions(&lits(&v, &[-1])),
+            SolveResult::Unsat
+        );
         assert_eq!(s.solve(), SolveResult::Sat);
     }
 
@@ -721,7 +740,9 @@ mod tests {
     fn pigeonhole_3_into_2_is_unsat() {
         // p_{i,j}: pigeon i in hole j; i in 0..3, j in 0..2.
         let mut s = Solver::new();
-        let p: Vec<Vec<Var>> = (0..3).map(|_| (0..2).map(|_| s.new_var()).collect()).collect();
+        let p: Vec<Vec<Var>> = (0..3)
+            .map(|_| (0..2).map(|_| s.new_var()).collect())
+            .collect();
         for i in 0..3 {
             s.add_clause([p[i][0].positive(), p[i][1].positive()]);
         }
@@ -794,7 +815,10 @@ mod tests {
         s.add_clause([g.negative(), x.positive()]);
         s.set_persistent_assumptions(vec![g.positive()]);
         // Active: ¬x contradicts the group.
-        assert_eq!(s.solve_with_assumptions(&[x.negative()]), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_with_assumptions(&[x.negative()]),
+            SolveResult::Unsat
+        );
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_value(x), Some(true));
         // Retract: the group no longer constrains x.
@@ -812,8 +836,9 @@ mod tests {
         // none of the learnt clauses may constrain the pigeon variables.
         let mut s = Solver::new();
         let g = s.new_var();
-        let p: Vec<Vec<Var>> =
-            (0..4).map(|_| (0..3).map(|_| s.new_var()).collect()).collect();
+        let p: Vec<Vec<Var>> = (0..4)
+            .map(|_| (0..3).map(|_| s.new_var()).collect())
+            .collect();
         for row in &p {
             let mut lits: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
             lits.push(g.negative());
@@ -840,8 +865,9 @@ mod tests {
     fn compact_learnts_bounds_the_database() {
         let mut s = Solver::new();
         let n = 7;
-        let p: Vec<Vec<Var>> =
-            (0..n).map(|_| (0..n).map(|_| s.new_var()).collect()).collect();
+        let p: Vec<Vec<Var>> = (0..n)
+            .map(|_| (0..n).map(|_| s.new_var()).collect())
+            .collect();
         for row in &p {
             s.add_clause(row.iter().map(|v| v.positive()));
         }

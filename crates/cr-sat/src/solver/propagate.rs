@@ -40,7 +40,10 @@ impl Solver {
                 }
                 debug_assert_eq!(clause.lits[1], false_lit);
                 let first = clause.lits[0];
-                let new_watcher = Watcher { cref: w.cref, blocker: first };
+                let new_watcher = Watcher {
+                    cref: w.cref,
+                    blocker: first,
+                };
                 if first != w.blocker && self.value_lit(first) == LBool::True {
                     watchers[keep] = new_watcher;
                     keep += 1;

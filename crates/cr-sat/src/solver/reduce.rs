@@ -31,8 +31,7 @@ impl Solver {
     /// therefore must not be deleted.
     fn locked(&self, cref: ClauseRef) -> bool {
         let first = self.clauses[cref as usize].lits[0];
-        self.value_lit(first) == LBool::True
-            && self.reason[first.var().index()] == Some(cref)
+        self.value_lit(first) == LBool::True && self.reason[first.var().index()] == Some(cref)
     }
 
     /// Deletes the least active half of the learnt clauses (keeping binary
@@ -73,7 +72,11 @@ impl Solver {
             (ca.lits.len() > 2)
                 .cmp(&(cb.lits.len() > 2))
                 .reverse()
-                .then(ca.activity.partial_cmp(&cb.activity).unwrap_or(std::cmp::Ordering::Equal))
+                .then(
+                    ca.activity
+                        .partial_cmp(&cb.activity)
+                        .unwrap_or(std::cmp::Ordering::Equal),
+                )
         });
         let mut kept = Vec::with_capacity(refs.len().saturating_sub(target));
         for (i, cref) in refs.iter().copied().enumerate() {
@@ -102,7 +105,9 @@ mod tests {
         // A satisfiable but conflict-rich instance: overlapping pigeonhole
         // fragments plus a large satisfiable core.
         let n = 7;
-        let p: Vec<Vec<_>> = (0..n).map(|_| (0..n).map(|_| s.new_var()).collect()).collect();
+        let p: Vec<Vec<_>> = (0..n)
+            .map(|_| (0..n).map(|_| s.new_var()).collect())
+            .collect();
         for row in &p {
             s.add_clause(row.iter().map(|v| v.positive()));
         }

@@ -26,7 +26,9 @@ mod tests {
 
     #[test]
     fn luby_prefix_matches_reference() {
-        let expected = [1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 8.0];
+        let expected = [
+            1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 4.0, 8.0,
+        ];
         for (i, &e) in expected.iter().enumerate() {
             assert_eq!(luby(2.0, i as u64), e, "position {i}");
         }

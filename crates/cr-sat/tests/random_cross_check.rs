@@ -2,7 +2,7 @@
 //! on small random k-SAT instances, and reported models must satisfy the
 //! formula.
 
-use cr_sat::{Cnf, SolveResult, Solver, UnitPropagator, UpOutcome};
+use cr_sat::{Cnf, SolveResult, Solver, UnitPropagator};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -41,12 +41,21 @@ fn cdcl_agrees_with_brute_force_on_random_instances() {
         let mut solver = Solver::from_cnf(&cnf);
         match solver.solve() {
             SolveResult::Sat => {
-                assert!(expected, "round {round}: solver said SAT, brute force says UNSAT");
+                assert!(
+                    expected,
+                    "round {round}: solver said SAT, brute force says UNSAT"
+                );
                 let model = solver.model();
-                assert!(cnf.eval(&model), "round {round}: model does not satisfy formula");
+                assert!(
+                    cnf.eval(&model),
+                    "round {round}: model does not satisfy formula"
+                );
             }
             SolveResult::Unsat => {
-                assert!(!expected, "round {round}: solver said UNSAT, brute force says SAT");
+                assert!(
+                    !expected,
+                    "round {round}: solver said UNSAT, brute force says SAT"
+                );
             }
         }
     }
@@ -86,16 +95,16 @@ fn unit_propagation_literals_are_implied() {
         let num_clauses = rng.gen_range(1..=num_vars as usize * 4);
         let cnf = random_cnf(&mut rng, num_vars, num_clauses, 3);
         let mut up = UnitPropagator::new(&cnf);
-        match up.run() {
-            UpOutcome::Conflict => {
+        match up.propagate_to_fixpoint() {
+            None => {
                 assert!(!brute_force_sat(&cnf), "UP conflict on satisfiable formula");
             }
-            UpOutcome::Fixpoint { implied } => {
+            Some(implied) => {
                 let n = cnf.num_vars();
                 for bits in 0..(1u64 << n) {
                     let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
                     if cnf.eval(&assignment) {
-                        for l in &implied {
+                        for l in implied {
                             assert_eq!(
                                 assignment[l.var().index()],
                                 l.is_positive(),

@@ -26,7 +26,9 @@ use cr_core::spec::UserInput;
 use cr_store::event::{
     decode_causal, decode_input, decode_revision, encode_causal, encode_input, encode_revision,
 };
-use cr_types::codec::{decode_value, encode_value, CodecError, Dec, Enc};
+use cr_types::codec::{
+    decode_value, encode_value, get_attr, get_usize, put_attr, CodecError, Dec, Enc,
+};
 use cr_types::wire::{decode_envelope, encode_envelope, Envelope, RequestId};
 use cr_types::{AttrId, Value};
 
@@ -278,18 +280,6 @@ fn get_method(d: &mut Dec<'_>) -> Result<DeductionMethod, CodecError> {
         1 => Ok(DeductionMethod::NaiveSat),
         tag => Err(CodecError::BadTag { what: "DeductionMethod", tag }),
     }
-}
-
-fn get_usize(d: &mut Dec<'_>) -> Result<usize, CodecError> {
-    usize::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)
-}
-
-fn put_attr(e: &mut Enc, attr: AttrId) {
-    e.put_varint(u64::from(attr.0));
-}
-
-fn get_attr(d: &mut Dec<'_>) -> Result<AttrId, CodecError> {
-    u16::try_from(d.varint()?).map(AttrId).map_err(|_| CodecError::BadVarint)
 }
 
 /// Encodes a [`Request`] body.

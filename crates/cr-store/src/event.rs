@@ -15,10 +15,10 @@ use cr_core::ingest::{
 use cr_core::spec::UserInput;
 use cr_types::codec::{
     decode_hlc, decode_source, decode_stamp, decode_value, decode_vclock, encode_hlc,
-    encode_source, encode_stamp, encode_value, encode_vclock, CodecError, Dec, Enc,
-    FrameScanner,
+    encode_source, encode_stamp, encode_value, encode_vclock, get_attr, get_tuple, get_usize,
+    put_attr, put_tuple, CodecError, Dec, Enc, FrameScanner,
 };
-use cr_types::{AttrId, Epoch, TupleId};
+use cr_types::Epoch;
 
 /// Current record format version. Bumped on any incompatible encoding
 /// change; decoders reject unknown versions with a typed error.
@@ -74,26 +74,6 @@ pub struct SnapshotRecord {
     pub events_covered: u64,
     /// The session's logical state at snapshot time.
     pub state: SessionState,
-}
-
-fn put_attr(e: &mut Enc, attr: AttrId) {
-    e.put_varint(u64::from(attr.0));
-}
-
-fn get_attr(d: &mut Dec<'_>) -> Result<AttrId, CodecError> {
-    Ok(AttrId(u16::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?))
-}
-
-fn put_tuple(e: &mut Enc, t: TupleId) {
-    e.put_varint(u64::from(t.0));
-}
-
-fn get_tuple(d: &mut Dec<'_>) -> Result<TupleId, CodecError> {
-    Ok(TupleId(u32::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?))
-}
-
-fn get_usize(d: &mut Dec<'_>) -> Result<usize, CodecError> {
-    usize::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)
 }
 
 /// Encodes a [`UserInput`] body.

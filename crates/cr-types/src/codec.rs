@@ -32,6 +32,8 @@
 //! forever so that recovery can always find frame boundaries.
 
 use crate::causal::{CausalStamp, Hlc, SourceId, VectorClock};
+use crate::entity::TupleId;
+use crate::schema::AttrId;
 use crate::value::{OrderedF64, Value};
 
 /// Typed decode failure. Every decoding function in this module and in
@@ -392,6 +394,35 @@ impl<'a> FrameScanner<'a> {
     pub fn frames(&self) -> usize {
         self.frames
     }
+}
+
+// ---------------------------------------------------------------------------
+// Id and length codecs (varints, range-checked on decode).
+// ---------------------------------------------------------------------------
+
+/// Encodes an [`AttrId`].
+pub fn put_attr(e: &mut Enc, attr: AttrId) {
+    e.put_varint(u64::from(attr.0));
+}
+
+/// Decodes an [`AttrId`]; a varint past `u16` is [`CodecError::BadVarint`].
+pub fn get_attr(d: &mut Dec<'_>) -> Result<AttrId, CodecError> {
+    u16::try_from(d.varint()?).map(AttrId).map_err(|_| CodecError::BadVarint)
+}
+
+/// Encodes a [`TupleId`].
+pub fn put_tuple(e: &mut Enc, t: TupleId) {
+    e.put_varint(u64::from(t.0));
+}
+
+/// Decodes a [`TupleId`]; a varint past `u32` is [`CodecError::BadVarint`].
+pub fn get_tuple(d: &mut Dec<'_>) -> Result<TupleId, CodecError> {
+    u32::try_from(d.varint()?).map(TupleId).map_err(|_| CodecError::BadVarint)
+}
+
+/// Decodes a count or index written with [`Enc::put_varint`].
+pub fn get_usize(d: &mut Dec<'_>) -> Result<usize, CodecError> {
+    usize::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)
 }
 
 // ---------------------------------------------------------------------------

@@ -181,9 +181,9 @@ fn out_of_domain_answers_replay_retractions_and_match_scratch() {
         assert_eq!(inc.user_values, reference.user_values, "entity {i}: answers diverged");
         assert_eq!(inc.resolved.to_tuple().as_ref(), Some(truth), "entity {i}: reaches the truth");
         assert!(
-            inc.retraction_replays > 0,
-            "entity {i}: out-of-domain answers must replay CFD retractions, got {}",
-            inc.retraction_replays
+            inc.retractions > 0,
+            "entity {i}: out-of-domain answers must retract CFD groups, got {}",
+            inc.retractions
         );
     }
 }

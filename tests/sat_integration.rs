@@ -3,7 +3,7 @@
 
 use conflict_resolution::core::{deduce_order, naive_deduce, EncodedSpec};
 use conflict_resolution::data::{nba, person, vjday};
-use conflict_resolution::sat::{dimacs, SolveResult, Solver, UnitPropagator, UpOutcome};
+use conflict_resolution::sat::{dimacs, SolveResult, Solver, UnitPropagator};
 
 #[test]
 fn encoded_specs_round_trip_through_dimacs() {
@@ -41,13 +41,10 @@ fn unit_propagation_agrees_with_cdcl_on_implied_literals() {
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
         let mut up = UnitPropagator::new(enc.cnf());
-        let implied = match up.run() {
-            UpOutcome::Fixpoint { implied } => implied,
-            UpOutcome::Conflict => panic!("valid spec"),
-        };
+        let implied = up.propagate_to_fixpoint().expect("valid spec");
         let mut solver = Solver::from_cnf(enc.cnf());
         assert_eq!(solver.solve(), SolveResult::Sat);
-        for lit in implied {
+        for &lit in implied {
             assert_eq!(
                 solver.solve_with_assumptions(&[lit.negate()]),
                 SolveResult::Unsat,
