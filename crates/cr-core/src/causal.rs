@@ -21,8 +21,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cr_types::{AttrId, CausalStamp, Hlc, SourceId, TupleId, Value};
 use cr_types::VectorClock;
+use cr_types::{AttrId, CausalStamp, Hlc, SourceId, TupleId, Value};
 
 use crate::ingest::Revision;
 use crate::spec::Specification;

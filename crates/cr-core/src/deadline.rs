@@ -56,7 +56,11 @@ impl PhaseDeadline {
     /// A budget dequeued at `now` that expires after tick `deadline`,
     /// charging `cost_per_phase` ticks per completed phase.
     pub fn new(now: u64, deadline: u64, cost_per_phase: u64) -> Self {
-        Self { now, deadline, cost_per_phase }
+        Self {
+            now,
+            deadline,
+            cost_per_phase,
+        }
     }
 
     /// The virtual tick the budget has advanced to.
@@ -73,7 +77,10 @@ impl PhaseDeadline {
     /// every phase boundary *before* the phase runs.
     pub fn check(&self) -> Result<(), DeadlineExceeded> {
         if self.now > self.deadline {
-            Err(DeadlineExceeded { deadline: self.deadline, now: self.now })
+            Err(DeadlineExceeded {
+                deadline: self.deadline,
+                now: self.now,
+            })
         } else {
             Ok(())
         }
@@ -106,8 +113,17 @@ mod tests {
         assert!(b.enter_phase().is_ok());
         assert!(b.enter_phase().is_ok());
         let err = b.enter_phase().unwrap_err();
-        assert_eq!(err, DeadlineExceeded { deadline: 12, now: 14 });
-        assert_eq!(err.to_string(), "deadline exceeded: at tick 14 with deadline 12 (late by 2)");
+        assert_eq!(
+            err,
+            DeadlineExceeded {
+                deadline: 12,
+                now: 14
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "deadline exceeded: at tick 14 with deadline 12 (late by 2)"
+        );
     }
 
     #[test]

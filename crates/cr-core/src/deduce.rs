@@ -17,7 +17,9 @@ pub struct DeducedOrders {
 impl DeducedOrders {
     /// Empty orders for `arity` attributes.
     pub fn empty(arity: usize) -> Self {
-        DeducedOrders { per_attr: vec![HashSet::new(); arity] }
+        DeducedOrders {
+            per_attr: vec![HashSet::new(); arity],
+        }
     }
 
     /// Records `lo ≺v_attr hi`.
@@ -52,10 +54,7 @@ impl DeducedOrders {
         for (lo, _) in self.pairs(attr) {
             dominated[lo.index()] = true;
         }
-        interner
-            .ids()
-            .filter(|v| !dominated[v.index()])
-            .collect()
+        interner.ids().filter(|v| !dominated[v.index()]).collect()
     }
 }
 
@@ -64,14 +63,13 @@ impl DeducedOrders {
 /// `x^A_{a1,a2}` yields `a1 ≺v a2`; a negative one yields `a2 ≺v a1`
 /// (sound because valid completions induce *total* value orders).
 ///
-/// Propagation runs through
-/// [`UnitPropagator::propagate_to_fixpoint_lazy`] with the encoding as the
-/// axiom source: on lazy encodings it interleaves on-demand axiom
-/// instantiation with propagation, and the derived set equals the eager
-/// fixpoint (an eager step needs a clause that is unit under the current
-/// assignment, and exactly those are instantiated). The instantiated
-/// axioms are recorded into `enc`'s CNF; an eager encoding records
-/// nothing.
+/// Propagation is plain [`UnitPropagator::propagate_to_fixpoint`]. On an
+/// eager encoding the order axioms are clauses; on a lazy one they are the
+/// propagator's order theory over the atoms the encoding registered
+/// ([`EncodedSpec::fresh_propagator`]), whose fixpoint equals propagation
+/// over the materialised axiom clauses. Nothing is instantiated or
+/// recorded: `enc` is taken mutably only for the uniformity of the
+/// one-shot Fig. 4 functions.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
@@ -80,15 +78,13 @@ pub fn deduce_order(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
 }
 
 /// The body of [`deduce_order`] over a propagator that holds every clause
-/// of `enc`'s CNF: the one-shot call passes a fresh one, the session its
-/// warm propagator, which it keeps alive across all rounds and feeds the
-/// per-round clause deltas, so each round only propagates the
-/// consequences of the new clauses.
-pub(crate) fn deduce_order_on(
-    up: &mut UnitPropagator,
-    enc: &mut EncodedSpec,
-) -> Option<DeducedOrders> {
-    let implied = up.propagate_to_fixpoint_lazy(enc)?;
+/// of `enc`'s CNF (recorded axioms aside) and its registered order atoms:
+/// the one-shot call passes a fresh one, the session its warm propagator,
+/// which it keeps alive across all rounds and feeds the per-round clause
+/// and atom deltas, so each round only propagates the consequences of the
+/// new clauses.
+pub(crate) fn deduce_order_on(up: &mut UnitPropagator, enc: &EncodedSpec) -> Option<DeducedOrders> {
+    let implied = up.propagate_to_fixpoint()?;
     Some(orders_from_implied(enc, implied))
 }
 
@@ -130,10 +126,7 @@ pub fn naive_deduce(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
 /// solver (shared with the validity check, so learnt clauses carry across
 /// both phases and across rounds). Any variable already fixed by
 /// root-level propagation is implied and recorded without a SAT call.
-pub(crate) fn naive_deduce_on(
-    solver: &mut Solver,
-    enc: &mut EncodedSpec,
-) -> Option<DeducedOrders> {
+pub(crate) fn naive_deduce_on(solver: &mut Solver, enc: &mut EncodedSpec) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
     if solver.solve_lazy(enc) == SolveResult::Unsat {
         return None;
@@ -159,9 +152,7 @@ pub(crate) fn naive_deduce_on(
         }
         if solver.solve_lazy_with_assumptions(&[var.negative()], enc) == SolveResult::Unsat {
             od.insert(attr, lo, hi);
-        } else if solver.solve_lazy_with_assumptions(&[var.positive()], enc)
-            == SolveResult::Unsat
-        {
+        } else if solver.solve_lazy_with_assumptions(&[var.positive()], enc) == SolveResult::Unsat {
             od.insert(attr, hi, lo);
         }
     }
@@ -337,7 +328,10 @@ mod tests {
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         let naive = naive_deduce(&mut enc).unwrap();
-        assert!(naive.contains(city, ny, la), "complete deduction finds NY ≺ LA");
+        assert!(
+            naive.contains(city, ny, la),
+            "complete deduction finds NY ≺ LA"
+        );
         // Documented incompleteness of the heuristic:
         let up = deduce_order(&mut enc).unwrap();
         assert!(!up.contains(city, ny, la), "UP alone cannot branch");

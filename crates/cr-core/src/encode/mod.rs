@@ -37,14 +37,15 @@
 //!   completions, so every other kind includes it.
 //! * **Lazy** ([`EncodedSpec::encode_lazy`], the engine's encoding): the
 //!   dense `attr × lo × hi` variable table is still fully allocated
-//!   (`O(n²)`), but **no** axiom clauses are emitted. The encoding is
-//!   itself the [`cr_sat::LazyAxiomSource`] its solvers and propagators
-//!   consult: [`EncodedSpec::violated_axioms`] inspects a candidate
-//!   assignment via the dense table and appends exactly the axiom
-//!   instances the candidate violates (or that became unit under it),
-//!   which the solver/propagator then injects and re-checks until the
-//!   theory is satisfied; the encoding records each injected instance
-//!   into its own CNF, so every later consumer starts from it. Each CFD's
+//!   (`O(n²)`), but **no** axiom clauses are emitted. A unit propagator
+//!   gets the axioms as its order theory over the registered atoms
+//!   ([`EncodedSpec::fresh_propagator`]). A solver gets them from the
+//!   encoding itself, its [`cr_sat::LazyAxiomSource`]:
+//!   [`EncodedSpec::violated_axioms`] inspects a candidate model via the
+//!   dense table and appends exactly the axiom instances it violates,
+//!   which the solver injects and re-checks until the theory is
+//!   satisfied; the encoding records each injected instance into its own
+//!   CNF, so every later solver starts from it. Each CFD's
 //!   instance constraints form a retractable **guarded clause group**,
 //!   which is what lets a session absorb every user answer — out-of-domain
 //!   values included — as a pure extension of the encoding; consumers

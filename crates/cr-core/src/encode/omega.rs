@@ -120,13 +120,19 @@ enum PremiseRepr {
 
 /// Inline slots before spilling (the zero atom is never read beyond `len`).
 const PREMISE_INLINE: usize = 2;
-const ZERO_ATOM: OrderAtom =
-    OrderAtom { attr: cr_types::AttrId(0), lo: ValueId(0), hi: ValueId(0) };
+const ZERO_ATOM: OrderAtom = OrderAtom {
+    attr: cr_types::AttrId(0),
+    lo: ValueId(0),
+    hi: ValueId(0),
+};
 
 impl Premise {
     /// An empty premise (`true →`).
     pub fn new() -> Self {
-        Premise(PremiseRepr::Inline { len: 0, atoms: [ZERO_ATOM; PREMISE_INLINE] })
+        Premise(PremiseRepr::Inline {
+            len: 0,
+            atoms: [ZERO_ATOM; PREMISE_INLINE],
+        })
     }
 
     /// An empty premise with room for `n` atoms (pre-sizes the spill vector
@@ -428,7 +434,11 @@ pub(crate) fn emit_null_bottoms(
                 if !v.is_null() {
                     sink.emit(InstanceConstraint {
                         premise: Premise::new(),
-                        conclusion: Conclusion::Atom(OrderAtom { attr, lo: null_id, hi: vid }),
+                        conclusion: Conclusion::Atom(OrderAtom {
+                            attr,
+                            lo: null_id,
+                            hi: vid,
+                        }),
                         origin: Origin::NullBottom,
                     });
                 }
@@ -545,7 +555,11 @@ fn group_projections(
         (map.into_values().collect(), Vec::new())
     };
     reps.sort_unstable();
-    ClassProjections { reps, by_key, radix }
+    ClassProjections {
+        reps,
+        by_key,
+        radix,
+    }
 }
 
 /// Per-entity cache of [`ClassProjections`], one slot per projection class
@@ -557,7 +571,9 @@ pub(crate) struct ProjectionCache {
 
 impl ProjectionCache {
     pub(crate) fn new(program: &CompiledProgram) -> Self {
-        ProjectionCache { classes: program.classes.iter().map(|_| OnceCell::new()).collect() }
+        ProjectionCache {
+            classes: program.classes.iter().map(|_| OnceCell::new()).collect(),
+        }
     }
 
     /// The projections of `entity` on `program`'s class `class`. Every
@@ -621,8 +637,7 @@ pub(crate) fn emit_sigma_gamma(
     }
     // Dense global-id shortcuts are sound only when the program's constants
     // and the entity's cells reference the same id universe.
-    let use_gids = program.table_token().is_some()
-        && program.table_token() == entity.table_token();
+    let use_gids = program.table_token().is_some() && program.table_token() == entity.table_token();
     // Pinned lookups additionally need every cell value to carry its id.
     let pin_lookup = use_gids && table_interned(entity);
 
@@ -681,7 +696,11 @@ pub(crate) fn emit_sigma_gamma(
                         continue;
                     }
                     let mut premise = Premise::new();
-                    premise.push(OrderAtom { attr: ap, lo: ValueId(p1), hi: ValueId(p2) });
+                    premise.push(OrderAtom {
+                        attr: ap,
+                        lo: ValueId(p1),
+                        hi: ValueId(p2),
+                    });
                     sink.emit(InstanceConstraint {
                         premise,
                         conclusion: Conclusion::Atom(OrderAtom {
@@ -771,7 +790,11 @@ pub(crate) fn emit_sigma_gamma(
                 premise.canonicalize();
                 sink.emit(InstanceConstraint {
                     premise,
-                    conclusion: Conclusion::Atom(OrderAtom { attr: cc.conclusion_attr, lo, hi }),
+                    conclusion: Conclusion::Atom(OrderAtom {
+                        attr: cc.conclusion_attr,
+                        lo,
+                        hi,
+                    }),
                     origin: Origin::Currency(ci),
                 });
             }
@@ -809,8 +832,7 @@ fn emit_sigma_gamma_reference(
     }
     // Dense global-id shortcuts are sound only when the program's constants
     // and the entity's cells reference the same id universe.
-    let use_gids = program.table_token().is_some()
-        && program.table_token() == entity.table_token();
+    let use_gids = program.table_token().is_some() && program.table_token() == entity.table_token();
 
     // 4. Currency constraints, instantiated over distinct *projections*.
     //
@@ -864,7 +886,11 @@ fn emit_sigma_gamma_reference(
                         continue;
                     }
                     let mut premise = Premise::new();
-                    premise.push(OrderAtom { attr: ap, lo: ValueId(p1), hi: ValueId(p2) });
+                    premise.push(OrderAtom {
+                        attr: ap,
+                        lo: ValueId(p1),
+                        hi: ValueId(p2),
+                    });
                     sink.emit(InstanceConstraint {
                         premise,
                         conclusion: Conclusion::Atom(OrderAtom {
@@ -882,15 +908,17 @@ fn emit_sigma_gamma_reference(
         // Unary conjuncts hold or fail per *projection*, not per pair:
         // evaluate each side once per representative.
         t1_ok.clear();
-        t1_ok.extend(
-            reps.iter()
-                .map(|&r| cc.t1_consts.iter().all(|c| c.eval_gated(entity, r, use_gids))),
-        );
+        t1_ok.extend(reps.iter().map(|&r| {
+            cc.t1_consts
+                .iter()
+                .all(|c| c.eval_gated(entity, r, use_gids))
+        }));
         t2_ok.clear();
-        t2_ok.extend(
-            reps.iter()
-                .map(|&r| cc.t2_consts.iter().all(|c| c.eval_gated(entity, r, use_gids))),
-        );
+        t2_ok.extend(reps.iter().map(|&r| {
+            cc.t2_consts
+                .iter()
+                .all(|c| c.eval_gated(entity, r, use_gids))
+        }));
 
         for (i, &r1) in reps.iter().enumerate() {
             if !t1_ok[i] {
@@ -946,7 +974,11 @@ fn emit_sigma_gamma_reference(
                 premise.canonicalize();
                 sink.emit(InstanceConstraint {
                     premise,
-                    conclusion: Conclusion::Atom(OrderAtom { attr: cc.conclusion_attr, lo, hi }),
+                    conclusion: Conclusion::Atom(OrderAtom {
+                        attr: cc.conclusion_attr,
+                        lo,
+                        hi,
+                    }),
                     origin: Origin::Currency(ci),
                 });
             }
@@ -1042,7 +1074,11 @@ fn cfd_instances_ids(
     for &(attr, cid) in lhs_ids {
         for (vid, v) in space.attr(attr).iter() {
             if vid != cid && !v.is_null() {
-                premise.push(OrderAtom { attr, lo: vid, hi: cid });
+                premise.push(OrderAtom {
+                    attr,
+                    lo: vid,
+                    hi: cid,
+                });
             }
         }
     }

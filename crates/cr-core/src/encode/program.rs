@@ -233,7 +233,12 @@ impl CompiledProgram {
                     match p {
                         Predicate::Order { attr } => cc.order_premises.push(*attr),
                         Predicate::TupleCmp { attr, op } => cc.tuple_cmps.push((*attr, *op)),
-                        Predicate::ConstCmp { tuple, attr, op, constant } => {
+                        Predicate::ConstCmp {
+                            tuple,
+                            attr,
+                            op,
+                            constant,
+                        } => {
                             let compiled = CompiledConstCmp {
                                 attr: *attr,
                                 op: *op,
@@ -361,7 +366,8 @@ mod tests {
         assert_eq!(p.classes, vec![vec![status], vec![kids]]);
         let class: Vec<usize> = p.sigma.iter().map(|cc| cc.class).collect();
         assert_eq!(class, vec![0, 1, 0, 0]);
-        let pin = |ci: usize, side: Option<u32>| side.map(|start| p.pin(&p.sigma[ci], start).to_vec());
+        let pin =
+            |ci: usize, side: Option<u32>| side.map(|start| p.pin(&p.sigma[ci], start).to_vec());
         assert_eq!(pin(0, p.sigma[0].t1_pin), Some(vec![working]));
         assert_eq!(pin(0, p.sigma[0].t2_pin), Some(vec![retired]));
         assert_eq!((p.sigma[1].t1_pin, p.sigma[1].t2_pin), (None, None));

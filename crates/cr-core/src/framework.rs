@@ -61,15 +61,16 @@
 //!
 //! The engine always encodes with a lazy kind: the
 //! `O(n³)`-per-attribute order axioms are never materialised at encode
-//! time. Validity checks run the solver's
-//! CEGAR loop (`cr_sat::Solver::solve_lazy_with_assumptions`), deduction
-//! interleaves root propagation with on-demand instantiation
-//! (`cr_sat::UnitPropagator::propagate_to_fixpoint_lazy`), and both consult
-//! the encoding itself as their axiom source, which records every
-//! handed-out axiom clause into `Φ(Se)` — so the warm solver and the unit
-//! propagator exchange injected axioms via the ordinary clause-tail sync,
-//! and the MaxSAT repair's borrowed hard base sees them for free. The
-//! session's steps run the same bodies as the one-shot `is_valid_encoded`,
+//! time. Deduction is plain root propagation
+//! (`cr_sat::UnitPropagator::propagate_to_fixpoint`): the encoding
+//! registers its order atoms with the propagator, which holds the axioms
+//! as a built-in order theory and instantiates nothing. The solver has
+//! the one consultation driver, the CEGAR loop
+//! (`cr_sat::Solver::solve_lazy_with_assumptions`), which consults the
+//! encoding itself as its axiom source; the encoding records every
+//! handed-out axiom clause into `Φ(Se)`, so the warm solver keeps them
+//! across rounds and the MaxSAT repair's borrowed hard base sees them for
+//! free. The session's steps run the same bodies as the one-shot `is_valid_encoded`,
 //! `deduce_order`, `naive_deduce` and `suggest`, over warm consumers
 //! instead of fresh ones. The suggestion step records too: the clique
 //! probe's CEGAR injections and the MaxSAT repair's discoveries all land
@@ -192,7 +193,12 @@ pub struct RoundReport {
 impl RoundReport {
     /// A report for a round that ended without a suggestion: invalid
     /// specification, complete true values, or the final allowed round.
-    pub(crate) fn settled(round: usize, validity: Duration, deduce: Duration, known: usize) -> Self {
+    pub(crate) fn settled(
+        round: usize,
+        validity: Duration,
+        deduce: Duration,
+        known: usize,
+    ) -> Self {
         RoundReport {
             round,
             validity,
@@ -267,12 +273,18 @@ pub struct GroundTruthOracle {
 impl GroundTruthOracle {
     /// An oracle answering every asked attribute from `truth`.
     pub fn new(truth: Tuple) -> Self {
-        GroundTruthOracle { truth, max_attrs_per_round: usize::MAX }
+        GroundTruthOracle {
+            truth,
+            max_attrs_per_round: usize::MAX,
+        }
     }
 
     /// An oracle answering at most `cap` attributes per round.
     pub fn with_cap(truth: Tuple, cap: usize) -> Self {
-        GroundTruthOracle { truth, max_attrs_per_round: cap }
+        GroundTruthOracle {
+            truth,
+            max_attrs_per_round: cap,
+        }
     }
 }
 
@@ -518,8 +530,8 @@ impl Resolver {
             }
 
             // (4) Generate a suggestion and ask the user. The warm solver
-            // must hold every CNF clause first (lazy deduction may have
-            // recorded axioms the solver has not seen yet). The probe and
+            // must hold every CNF clause first (an earlier MaxSAT repair may
+            // have recorded axioms the solver has not seen yet). The probe and
             // the MaxSAT repair record their axiom injections into the CNF,
             // so later rounds start from the full already-injected theory
             // and the tail sync never re-feeds the solver an instance it
@@ -595,7 +607,6 @@ pub fn render_resolved(schema: &Schema, values: &TrueValues) -> String {
     format!("({})", parts.join(", "))
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,7 +616,9 @@ mod tests {
     fn edith_spec_and_truth() -> (Specification, Tuple) {
         let s = Schema::new(
             "person",
-            ["name", "status", "job", "kids", "city", "AC", "zip", "county"],
+            [
+                "name", "status", "job", "kids", "city", "AC", "zip", "county",
+            ],
         )
         .unwrap();
         let e = EntityInstance::new(

@@ -238,7 +238,10 @@ mod tests {
         let core = explain_invalidity(&spec).expect("invalid spec");
         assert_eq!(
             core,
-            vec![ConflictPart::Currency { index: 0 }, ConflictPart::Currency { index: 1 }]
+            vec![
+                ConflictPart::Currency { index: 0 },
+                ConflictPart::Currency { index: 1 }
+            ]
         );
         let rendered = render_explanation(&spec, &core);
         assert!(rendered[0].starts_with("currency: c0"));

@@ -109,7 +109,7 @@ use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
-use crate::encode::EncodedSpec;
+use crate::encode::{ClauseKind, EncodedSpec};
 use crate::framework::{DeductionMethod, ResolutionConfig};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_on, Suggestion};
@@ -212,7 +212,10 @@ impl std::fmt::Display for RevisionError {
                 write!(f, "unknown CFD index {cfd} (|Γ| = {gamma_len})")
             }
             RevisionError::StaleCfd { cfd } => {
-                write!(f, "CFD {cfd} already retracted (stale/duplicate withdrawal)")
+                write!(
+                    f,
+                    "CFD {cfd} already retracted (stale/duplicate withdrawal)"
+                )
             }
             RevisionError::UnknownAttr { attr, arity } => {
                 write!(f, "unknown attribute {attr:?} (arity {arity})")
@@ -424,9 +427,11 @@ struct BatchState {
 /// differential harness) can interleave revisions with interaction rounds.
 ///
 /// The solver and the propagator consume the CNF at different points, so
-/// each carries its own watermark; lazily instantiated axioms recorded into
-/// the CNF by one consumer (the encoding is their axiom source) reach the
-/// other through the ordinary tail sync. Corrections leave the engine
+/// each carries its own watermark. The propagator also registers the
+/// encoding's order atoms behind an atom watermark and holds the order
+/// axioms as its theory; the axioms the solver's CEGAR loop records into
+/// the CNF (the encoding is its axiom source) reach only later solves, and
+/// the propagator's tail sync skips them. Corrections leave the engine
 /// stale; the next engine call rebuilds it (see the module docs).
 pub struct ResolutionSession {
     current: Specification,
@@ -438,8 +443,8 @@ pub struct ResolutionSession {
     up: cr_sat::UnitPropagator,
     /// Clauses of `enc.cnf()` already in `solver`.
     synced_solver: usize,
-    /// Clauses of `enc.cnf()` already in `up`.
-    synced_up: usize,
+    /// Clauses and order atoms of `enc` already in `up`.
+    synced_up: PropagatorSync,
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
@@ -484,6 +489,14 @@ struct AcceptedAnswer {
     deps: VectorClock,
 }
 
+/// How far a unit propagator has consumed an encoding: the clauses of its
+/// CNF and its order atoms (allocation order).
+#[derive(Clone, Copy, Debug, Default)]
+struct PropagatorSync {
+    clauses: usize,
+    atoms: usize,
+}
+
 /// The engine over a specification: its lazy encoding with the `retired`
 /// CFDs retracted, a solver (built from `scratch` when given) with the
 /// active guards as persistent assumptions, and a unit propagator, both
@@ -503,7 +516,7 @@ fn build_engine(
     };
     solver.set_persistent_assumptions(enc.active_guards());
     let mut up = cr_sat::UnitPropagator::new(&cr_sat::Cnf::new());
-    ResolutionSession::sync_propagator(&mut up, &enc, 0);
+    ResolutionSession::sync_propagator(&mut up, &enc, PropagatorSync::default());
     (enc, solver, up)
 }
 
@@ -540,15 +553,17 @@ impl ResolutionSession {
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
         let (enc, solver, up) = build_engine(&current, &retired, scratch);
-        let synced = enc.cnf().num_clauses();
         ResolutionSession {
             current,
             retired,
+            synced_solver: enc.cnf().num_clauses(),
+            synced_up: PropagatorSync {
+                clauses: enc.cnf().num_clauses(),
+                atoms: enc.num_order_vars(),
+            },
             enc,
             solver,
             up,
-            synced_solver: synced,
-            synced_up: synced,
             stale: false,
             replaced_axioms: 0,
             replaced_retractions: 0,
@@ -575,7 +590,10 @@ impl ResolutionSession {
         self.replaced_axioms += self.enc.injected_axioms();
         self.replaced_retractions += self.up.retractions();
         self.synced_solver = enc.cnf().num_clauses();
-        self.synced_up = self.synced_solver;
+        self.synced_up = PropagatorSync {
+            clauses: enc.cnf().num_clauses(),
+            atoms: enc.num_order_vars(),
+        };
         (self.enc, self.solver, self.up) = (enc, solver, up);
     }
 
@@ -654,17 +672,29 @@ impl ResolutionSession {
         self.revisions
     }
 
-    /// Feeds `up` the CNF tail starting at clause `from`, stripping guard
-    /// literals from grouped clauses and tagging them with their group so
-    /// they stay retractable. Returns the new sync watermark.
+    /// Brings `up` up to date with `enc` from the watermark `from`: first
+    /// registers the order atoms allocated since (their attributes are
+    /// laid out again as order domains), then feeds the CNF tail,
+    /// stripping guard literals from grouped clauses and tagging them with
+    /// their group so they stay retractable. Recorded axiom clauses are
+    /// skipped: the propagator's order theory covers them. Returns the new
+    /// watermark.
     fn sync_propagator(
         up: &mut cr_sat::UnitPropagator,
         enc: &EncodedSpec,
-        from: usize,
-    ) -> usize {
+        from: PropagatorSync,
+    ) -> PropagatorSync {
         up.ensure_vars(enc.cnf().num_vars() as usize);
-        for (i, clause) in enc.cnf().clauses_from(from).enumerate() {
-            let idx = from + i;
+        let atoms = if from.atoms < enc.num_order_vars() {
+            enc.register_order_atoms(up, from.atoms)
+        } else {
+            from.atoms
+        };
+        for (i, clause) in enc.cnf().clauses_from(from.clauses).enumerate() {
+            let idx = from.clauses + i;
+            if enc.clause_kind(idx) == ClauseKind::Axiom {
+                continue;
+            }
             match enc.clause_group(idx) {
                 Some((group, guard)) => {
                     // A group can be retracted after emission but before
@@ -675,18 +705,25 @@ impl ResolutionSession {
                     if !enc.is_group_active(group) {
                         continue;
                     }
-                    let stripped: Vec<cr_sat::Lit> =
-                        clause.iter().copied().filter(|l| l.var() != guard).collect();
+                    let stripped: Vec<cr_sat::Lit> = clause
+                        .iter()
+                        .copied()
+                        .filter(|l| l.var() != guard)
+                        .collect();
                     up.add_clause_grouped(&stripped, group);
                 }
                 None => up.add_clause(clause),
             }
         }
-        enc.cnf().num_clauses()
+        PropagatorSync {
+            clauses: enc.cnf().num_clauses(),
+            atoms,
+        }
     }
 
     /// Brings the warm solver up to date with the CNF (axioms recorded by
-    /// the propagator's lazy deduction, extension deltas). Variables can
+    /// one-shot probes such as the suggestion's MaxSAT repair, extension
+    /// deltas). Variables can
     /// grow without any new clause — an input extension may allocate guard
     /// variables for emission groups whose instances are all vacuous — and
     /// those guards still enter the persistent assumptions, so the var
@@ -695,7 +732,8 @@ impl ResolutionSession {
         if self.synced_solver < self.enc.cnf().num_clauses()
             || self.solver.num_vars() < self.enc.cnf().num_vars()
         {
-            self.solver.extend_from_cnf(self.enc.cnf(), self.synced_solver);
+            self.solver
+                .extend_from_cnf(self.enc.cnf(), self.synced_solver);
             self.synced_solver = self.enc.cnf().num_clauses();
         }
     }
@@ -733,7 +771,11 @@ impl ResolutionSession {
             if !value.is_null() {
                 self.answers.insert(
                     *attr,
-                    AcceptedAnswer { tuple: to, value: value.clone(), deps: deps.clone() },
+                    AcceptedAnswer {
+                        tuple: to,
+                        value: value.clone(),
+                        deps: deps.clone(),
+                    },
                 );
             }
         }
@@ -741,7 +783,8 @@ impl ResolutionSession {
         self.sync_solver();
         self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
         // Guard set may have changed (retractions and fresh CFD emissions).
-        self.solver.set_persistent_assumptions(self.enc.active_guards());
+        self.solver
+            .set_persistent_assumptions(self.enc.active_guards());
         // Round-boundary sweep: learnt clauses accumulate over a resolve();
         // keep the database proportional to the formula.
         let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
@@ -778,7 +821,10 @@ impl ResolutionSession {
             Revision::RetractCfd { cfd } => {
                 let gamma_len = self.current.gamma().len();
                 if *cfd >= gamma_len {
-                    return Err(RevisionError::UnknownCfd { cfd: *cfd, gamma_len });
+                    return Err(RevisionError::UnknownCfd {
+                        cfd: *cfd,
+                        gamma_len,
+                    });
                 }
                 if self.retired.contains(cfd) {
                     return Err(RevisionError::StaleCfd { cfd: *cfd });
@@ -789,7 +835,11 @@ impl ResolutionSession {
                 check_tuple(*lo)?;
                 check_tuple(*hi)?;
                 if !self.current.orders().contains(*attr, *lo, *hi) {
-                    return Err(RevisionError::UnknownOrder { attr: *attr, lo: *lo, hi: *hi });
+                    return Err(RevisionError::UnknownOrder {
+                        attr: *attr,
+                        lo: *lo,
+                        hi: *hi,
+                    });
                 }
             }
             Revision::WithdrawAnswer { attr, tuple } => {
@@ -868,7 +918,11 @@ impl ResolutionSession {
             }
             self.epoch = self.epoch.next();
         }
-        BatchReport { epoch: self.epoch, events: batch.pushed, applied: batch.applied }
+        BatchReport {
+            epoch: self.epoch,
+            events: batch.pushed,
+            applied: batch.applied,
+        }
     }
 
     /// Absorbs a poll's worth of upstream corrections as one batch — the
@@ -887,8 +941,10 @@ impl ResolutionSession {
         revs: &[Revision],
     ) -> Result<(BatchReport, Vec<bool>), RevisionError> {
         let mut batch = BatchState::default();
-        let applied: Result<Vec<bool>, RevisionError> =
-            revs.iter().map(|rev| self.push_or_degrade(&mut batch, rev)).collect();
+        let applied: Result<Vec<bool>, RevisionError> = revs
+            .iter()
+            .map(|rev| self.push_or_degrade(&mut batch, rev))
+            .collect();
         let report = self.close_batch(batch);
         Ok((report, applied?))
     }
@@ -971,7 +1027,10 @@ impl ResolutionSession {
             });
             let mut withdrawn_answer = None;
             if let Some((answer_tuple, answer_value)) = reopen {
-                let withdraw = Revision::WithdrawAnswer { attr: *attr, tuple: answer_tuple };
+                let withdraw = Revision::WithdrawAnswer {
+                    attr: *attr,
+                    tuple: answer_tuple,
+                };
                 self.push_revision(batch, &withdraw)
                     .expect("recorded answer tuple is always in range");
                 self.revisions.reopened += 1;
@@ -981,8 +1040,13 @@ impl ResolutionSession {
             let canonical = self.frontier.record_write(*tuple, *attr, &ev.stamp, value);
             let old = self.current.entity().tuple(*tuple).get(*attr);
             if canonical != *old {
-                let rev = Revision::ReplaceValue { tuple: *tuple, attr: *attr, value: canonical };
-                self.push_revision(batch, &rev).expect("canonical write was validated above");
+                let rev = Revision::ReplaceValue {
+                    tuple: *tuple,
+                    attr: *attr,
+                    value: canonical,
+                };
+                self.push_revision(batch, &rev)
+                    .expect("canonical write was validated above");
                 effective.push(rev);
             }
             self.record_competing(*tuple, *attr, withdrawn_answer);
@@ -995,12 +1059,7 @@ impl ResolutionSession {
     /// re-opened one — gets (or refreshes) a [`CompetingCell`] entry;
     /// `withdrawn_answer` is the re-opened local answer, appended as a
     /// [`SourceId::LOCAL`] candidate.
-    fn record_competing(
-        &mut self,
-        tuple: TupleId,
-        attr: AttrId,
-        withdrawn_answer: Option<Value>,
-    ) {
+    fn record_competing(&mut self, tuple: TupleId, attr: AttrId, withdrawn_answer: Option<Value>) {
         let reopened = withdrawn_answer.is_some();
         let mut candidates: Vec<(SourceId, Value)> = self
             .frontier
@@ -1014,13 +1073,22 @@ impl ResolutionSession {
         if let Some(value) = withdrawn_answer {
             candidates.push((SourceId::LOCAL, value));
         }
-        match self.competing.iter_mut().find(|c| c.tuple == tuple && c.attr == attr) {
+        match self
+            .competing
+            .iter_mut()
+            .find(|c| c.tuple == tuple && c.attr == attr)
+        {
             Some(cell) => {
                 cell.reopened |= reopened;
                 cell.candidates = candidates;
             }
             None => {
-                self.competing.push(CompetingCell { tuple, attr, reopened, candidates });
+                self.competing.push(CompetingCell {
+                    tuple,
+                    attr,
+                    reopened,
+                    candidates,
+                });
             }
         }
     }
@@ -1056,11 +1124,7 @@ impl ResolutionSession {
         match method {
             DeductionMethod::UnitPropagation => {
                 self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-                let ResolutionSession { enc, up, .. } = self;
-                let od = deduce_order_on(up, enc);
-                // Lazily recorded axioms went to both the CNF and `up`.
-                self.synced_up = self.enc.cnf().num_clauses();
-                od
+                deduce_order_on(&mut self.up, &self.enc)
             }
             DeductionMethod::NaiveSat => {
                 self.sync_solver();
@@ -1084,7 +1148,12 @@ impl ResolutionSession {
         self.refresh();
         self.sync_solver();
         let (sug, solver_synced) = {
-            let ResolutionSession { current, enc, solver, .. } = self;
+            let ResolutionSession {
+                current,
+                enc,
+                solver,
+                ..
+            } = self;
             suggest_on(current, enc, od, known, solver)
         };
         self.synced_solver = solver_synced;
@@ -1105,7 +1174,12 @@ impl ResolutionSession {
             .current
             .schema()
             .attr_ids()
-            .flat_map(|a| self.current.orders().pairs(a).map(move |(lo, hi)| (a, lo, hi)))
+            .flat_map(|a| {
+                self.current
+                    .orders()
+                    .pairs(a)
+                    .map(move |(lo, hi)| (a, lo, hi))
+            })
             .collect();
         SessionState {
             tuples: self
@@ -1167,11 +1241,10 @@ impl ResolutionSession {
             .map_err(|e| format!("snapshot entity rejected: {e}"))?;
         let mut orders = PartialOrders::empty(arity);
         for &(attr, lo, hi) in &state.orders {
-            if attr.index() >= arity
-                || lo.index() >= entity.len()
-                || hi.index() >= entity.len()
-            {
-                return Err(format!("snapshot order {lo:?} <_{attr:?} {hi:?} out of range"));
+            if attr.index() >= arity || lo.index() >= entity.len() || hi.index() >= entity.len() {
+                return Err(format!(
+                    "snapshot order {lo:?} <_{attr:?} {hi:?} out of range"
+                ));
             }
             orders.add(attr, lo, hi);
         }
@@ -1191,9 +1264,14 @@ impl ResolutionSession {
                     a.attr, a.tuple
                 ));
             }
-            session
-                .answers
-                .insert(a.attr, AcceptedAnswer { tuple: a.tuple, value: a.value, deps: a.deps });
+            session.answers.insert(
+                a.attr,
+                AcceptedAnswer {
+                    tuple: a.tuple,
+                    value: a.value,
+                    deps: a.deps,
+                },
+            );
         }
         session.frontier = CausalFrontier::from_state(state.frontier);
         // Buffers the snapshot captured verbatim: the undrained competing
@@ -1252,4 +1330,54 @@ pub struct SessionState {
     pub quarantine: Vec<(Revision, RevisionError)>,
     /// The session epoch at snapshot time.
     pub epoch: Epoch,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cr_types::Schema;
+
+    /// The order-atom literals of a fixpoint, sorted (`None` on conflict).
+    fn order_fixpoint(
+        up: &mut cr_sat::UnitPropagator,
+        enc: &EncodedSpec,
+    ) -> Option<Vec<cr_sat::Lit>> {
+        let mut lits: Vec<cr_sat::Lit> = up
+            .propagate_to_fixpoint()?
+            .iter()
+            .copied()
+            .filter(|l| enc.order_atom(l.var()).is_some())
+            .collect();
+        lits.sort_unstable();
+        Some(lits)
+    }
+
+    #[test]
+    fn warm_propagator_registers_grown_domains() {
+        // An out-of-domain answer appends a value, and its atoms, to
+        // `city`. The warm propagator must register the grown attribute
+        // again: its fixpoint then equals a fresh propagator's over the
+        // grown encoding, including the asymmetry consequences ¬(SF ≺ w)
+        // of the answer's base-order units w ≺ SF.
+        let s = Schema::new("p", ["name", "city"]).unwrap();
+        let e = EntityInstance::new(
+            s,
+            vec![
+                Tuple::of([Value::str("X"), Value::str("NY")]),
+                Tuple::of([Value::str("X"), Value::str("LA")]),
+            ],
+        )
+        .unwrap();
+        let spec = Specification::without_orders(e, vec![], vec![]);
+        let mut session = ResolutionSession::new(&ResolutionConfig::default(), &spec);
+        let city = AttrId(1);
+        session.apply_input(&UserInput::single(city, Value::str("SF")));
+        assert!(session.deduce(DeductionMethod::UnitPropagation).is_some());
+        let enc = &session.enc;
+        let sf = enc.value_id(city, &Value::str("SF")).unwrap();
+        let ny = enc.value_id(city, &Value::str("NY")).unwrap();
+        let warm = order_fixpoint(&mut session.up, enc).unwrap();
+        assert!(warm.contains(&enc.var_of(city, sf, ny).unwrap().negative()));
+        assert_eq!(Some(warm), order_fixpoint(&mut enc.fresh_propagator(), enc));
+    }
 }

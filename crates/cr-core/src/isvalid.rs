@@ -68,10 +68,7 @@ mod tests {
         let s = Schema::new("p", ["status"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
-            vec![
-                Tuple::of([Value::str("a")]),
-                Tuple::of([Value::str("b")]),
-            ],
+            vec![Tuple::of([Value::str("a")]), Tuple::of([Value::str("b")])],
         )
         .unwrap();
         let sigma = vec![

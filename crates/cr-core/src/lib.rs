@@ -49,19 +49,19 @@ pub mod spec;
 pub mod suggest;
 pub mod truevalue;
 
-pub use deduce::{deduce_order, naive_deduce, naive_deduce_fresh, DeducedOrders};
-pub use encode::{compile_count, CompiledProgram, EncodedSpec};
-pub use deadline::{DeadlineExceeded, PhaseDeadline};
-pub use framework::{ResolutionConfig, ResolutionOutcome, Resolver, RoundReport};
 pub use causal::{
     CausalFrontier, CausalRevision, CausalRevisionSource, FrontierState, ScriptedCausalRevisions,
 };
+pub use deadline::{DeadlineExceeded, PhaseDeadline};
+pub use deduce::{deduce_order, naive_deduce, naive_deduce_fresh, DeducedOrders};
+pub use encode::{compile_count, CompiledProgram, EncodedSpec};
+pub use framework::{ResolutionConfig, ResolutionOutcome, Resolver, RoundReport};
+pub use implication::{explain_invalidity, implies, ConflictPart};
 pub use ingest::{
     AnswerState, BatchReport, CompetingCell, ResolutionSession, Revision, RevisionError,
     RevisionPolicy, RevisionSource, RevisionTelemetry, ScriptedRevisions, SessionState,
     QUARANTINE_CAP,
 };
-pub use implication::{explain_invalidity, implies, ConflictPart};
 pub use isvalid::{is_valid, is_valid_encoded, Validity};
 pub use metrics::{Accuracy, FMeasure};
 pub use orders::PartialOrders;

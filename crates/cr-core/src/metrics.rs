@@ -28,14 +28,26 @@ pub struct FMeasure {
 impl FMeasure {
     /// Builds from raw counts.
     pub fn from_counts(correct: usize, deduced: usize, relevant: usize) -> FMeasure {
-        let precision = if deduced == 0 { 0.0 } else { correct as f64 / deduced as f64 };
-        let recall = if relevant == 0 { 1.0 } else { correct as f64 / relevant as f64 };
+        let precision = if deduced == 0 {
+            0.0
+        } else {
+            correct as f64 / deduced as f64
+        };
+        let recall = if relevant == 0 {
+            1.0
+        } else {
+            correct as f64 / relevant as f64
+        };
         let f_measure = if precision + recall == 0.0 {
             0.0
         } else {
             2.0 * precision * recall / (precision + recall)
         };
-        FMeasure { precision, recall, f_measure }
+        FMeasure {
+            precision,
+            recall,
+            f_measure,
+        }
     }
 }
 
@@ -140,8 +152,18 @@ mod tests {
         let e = EntityInstance::new(
             s,
             vec![
-                Tuple::of([Value::str("X"), Value::str("working"), Value::int(0), Value::str("NY")]),
-                Tuple::of([Value::str("X"), Value::str("retired"), Value::int(3), Value::str("NY")]),
+                Tuple::of([
+                    Value::str("X"),
+                    Value::str("working"),
+                    Value::int(0),
+                    Value::str("NY"),
+                ]),
+                Tuple::of([
+                    Value::str("X"),
+                    Value::str("retired"),
+                    Value::int(3),
+                    Value::str("NY"),
+                ]),
             ],
         )
         .unwrap();

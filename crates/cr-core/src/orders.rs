@@ -22,7 +22,9 @@ pub struct PartialOrders {
 impl PartialOrders {
     /// Empty orders for a schema of `arity` attributes.
     pub fn empty(arity: usize) -> Self {
-        PartialOrders { per_attr: vec![BTreeSet::new(); arity] }
+        PartialOrders {
+            per_attr: vec![BTreeSet::new(); arity],
+        }
     }
 
     /// Number of attributes covered.

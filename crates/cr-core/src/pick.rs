@@ -128,7 +128,10 @@ mod tests {
                 picked.get(schema.attr_id("status").unwrap()),
                 Some(&Value::str("retired"))
             );
-            assert_eq!(picked.get(schema.attr_id("kids").unwrap()), Some(&Value::int(3)));
+            assert_eq!(
+                picked.get(schema.attr_id("kids").unwrap()),
+                Some(&Value::int(3))
+            );
         }
     }
 

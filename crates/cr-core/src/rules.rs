@@ -36,10 +36,7 @@ impl DerivationRule {
         if self.rhs.0 == attr {
             return Some(self.rhs.1);
         }
-        self.lhs
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, v)| *v)
+        self.lhs.iter().find(|(a, _)| *a == attr).map(|(_, v)| *v)
     }
 
     /// Human-readable rendering using the encoding's value table.
@@ -135,7 +132,10 @@ pub fn true_der(
         }
         if compatible {
             lhs.sort_unstable_by_key(|(a, _)| *a);
-            rules.push(DerivationRule { lhs, rhs: (*battr, bid) });
+            rules.push(DerivationRule {
+                lhs,
+                rhs: (*battr, bid),
+            });
         }
     }
 
@@ -248,7 +248,10 @@ pub fn true_der(
             }
             if !accumulated.is_empty() {
                 accumulated.sort_unstable_by_key(|(a, _)| *a);
-                rules.push(DerivationRule { lhs: accumulated, rhs: (battr, b) });
+                rules.push(DerivationRule {
+                    lhs: accumulated,
+                    rhs: (battr, b),
+                });
             }
         }
     }
@@ -260,11 +263,7 @@ pub fn true_der(
 
 /// Candidate true values `V(A)` per attribute, as concrete values (the
 /// suggestion payload shown to users).
-pub fn candidate_values(
-    enc: &EncodedSpec,
-    od: &DeducedOrders,
-    attr: AttrId,
-) -> Vec<Value> {
+pub fn candidate_values(enc: &EncodedSpec, od: &DeducedOrders, attr: AttrId) -> Vec<Value> {
     od.candidates(enc, attr)
         .into_iter()
         .map(|v| enc.value(attr, v).clone())
@@ -331,16 +330,22 @@ mod tests {
         let rendered: Vec<String> = rules.iter().map(|r| r.display(&enc, s)).collect();
         // n1/n6-style rules: status=retired → job=veteran, status=unemployed → job=n/a.
         assert!(
-            rendered.iter().any(|r| r == "(status=retired) -> (job=veteran)"),
+            rendered
+                .iter()
+                .any(|r| r == "(status=retired) -> (job=veteran)"),
             "missing n1-style rule in {rendered:?}"
         );
         assert!(
-            rendered.iter().any(|r| r == "(status=unemployed) -> (job=n/a)"),
+            rendered
+                .iter()
+                .any(|r| r == "(status=unemployed) -> (job=n/a)"),
             "missing n6-style rule in {rendered:?}"
         );
         // n2/n7-style: status → AC.
         assert!(rendered.iter().any(|r| r == "(status=retired) -> (AC=212)"));
-        assert!(rendered.iter().any(|r| r == "(status=unemployed) -> (AC=312)"));
+        assert!(rendered
+            .iter()
+            .any(|r| r == "(status=unemployed) -> (AC=312)"));
         // n5-style from the CFD: AC=212 → city=NY.
         assert!(rendered.iter().any(|r| r == "(AC=212) -> (city=NY)"));
     }
@@ -364,7 +369,11 @@ mod tests {
         let e = EntityInstance::new(
             s.clone(),
             vec![
-                Tuple::of([Value::str("working"), Value::int(401), Value::str("Newport")]),
+                Tuple::of([
+                    Value::str("working"),
+                    Value::int(401),
+                    Value::str("Newport"),
+                ]),
                 Tuple::of([Value::str("retired"), Value::int(212), Value::str("NY")]),
             ],
         )
@@ -385,7 +394,9 @@ mod tests {
         let known = true_values_from_orders(&enc, &od);
         let rules = true_der(&spec, &enc, &od, &known);
         assert!(
-            rules.iter().all(|r| spec.schema().attr_name(r.rhs.0) != "city"),
+            rules
+                .iter()
+                .all(|r| spec.schema().attr_name(r.rhs.0) != "city"),
             "dead CFD must not produce a city rule"
         );
     }

@@ -58,7 +58,10 @@ impl SchedulerConfig {
     /// The default configuration at a given worker count — what dataset
     /// sweeps pass to [`resolve_batch`].
     pub fn with_workers(workers: usize) -> Self {
-        SchedulerConfig { workers, queue_cap: 256 }
+        SchedulerConfig {
+            workers,
+            queue_cap: 256,
+        }
     }
 }
 
@@ -98,11 +101,20 @@ where
     if specs.is_empty() {
         return (Vec::new(), SchedTelemetry::default());
     }
-    let config = SchedulerConfig { workers: config.workers.clamp(1, specs.len()), ..*config };
+    let config = SchedulerConfig {
+        workers: config.workers.clamp(1, specs.len()),
+        ..*config
+    };
     let slots: Vec<OnceLock<ResolutionOutcome>> = specs.iter().map(|_| OnceLock::new()).collect();
-    let telemetry = resolve_stream(resolver, specs.iter(), make_oracle, &config, &|i, outcome| {
-        slots[i].set(outcome).expect("each entity resolved once");
-    });
+    let telemetry = resolve_stream(
+        resolver,
+        specs.iter(),
+        make_oracle,
+        &config,
+        &|i, outcome| {
+            slots[i].set(outcome).expect("each entity resolved once");
+        },
+    );
     let outcomes = slots
         .into_iter()
         .map(|slot| slot.into_inner().expect("every entity resolved"))

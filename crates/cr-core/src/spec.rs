@@ -352,10 +352,17 @@ mod tests {
         sp.replace_value(TupleId(0), AttrId(1), Value::str("w"));
         sp.withdraw_order(AttrId(0), TupleId(0), TupleId(2));
         sp.withdraw_answer(AttrId(0), TupleId(2));
-        assert!(Arc::ptr_eq(sp.compiled_program(), &program), "Σ/Γ unchanged: program kept");
+        assert!(
+            Arc::ptr_eq(sp.compiled_program(), &program),
+            "Σ/Γ unchanged: program kept"
+        );
         sp.remove_cfd(0);
         assert!(sp.gamma().is_empty());
-        assert_eq!(sp.compiled_program().sizes(), (0, 0), "Γ changed: program recompiled");
+        assert_eq!(
+            sp.compiled_program().sizes(),
+            (0, 0),
+            "Γ changed: program recompiled"
+        );
     }
 
     /// The observable mutable state of a specification, as plain data: the

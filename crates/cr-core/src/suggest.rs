@@ -85,7 +85,10 @@ pub(crate) fn suggest_on(
     let graph = compatibility_graph(&rules);
     let clique = find_max_clique(&graph);
     let (selected, synced) = max_consistent_subset(enc, &rules, &clique, solver);
-    (assemble_suggestion(spec, enc, od, known, rules, selected), synced)
+    (
+        assemble_suggestion(spec, enc, od, known, rules, selected),
+        synced,
+    )
 }
 
 /// The post-selection half of `GetSug`: compute `A'` (derivable
@@ -208,13 +211,15 @@ fn max_consistent_subset(
                 cr_sat::LazyAxiomSource::instantiate(
                     enc,
                     cr_sat::Assignment::Total(&result.assignment),
-                    None,
                     &mut violated,
                 );
                 if !violated.is_empty() {
                     continue;
                 }
-                return (retained_clique(clique, &selectors, &result.assignment), synced);
+                return (
+                    retained_clique(clique, &selectors, &result.assignment),
+                    synced,
+                );
             }
             // Hard clauses unsatisfiable: the specification itself is
             // invalid; callers check IsValid first, so this is defensive.
@@ -310,7 +315,9 @@ mod tests {
     fn george() -> Specification {
         let s = Schema::new(
             "person",
-            ["name", "status", "job", "kids", "city", "AC", "zip", "county"],
+            [
+                "name", "status", "job", "kids", "city", "AC", "zip", "county",
+            ],
         )
         .unwrap();
         let e = EntityInstance::new(
@@ -384,13 +391,20 @@ mod tests {
         let known = true_values_from_orders(&enc, &od);
         // Example 3: only name and kids are deducible automatically.
         let s = spec.schema();
-        assert_eq!(known.get(s.attr_id("name").unwrap()), Some(&Value::str("George")));
+        assert_eq!(
+            known.get(s.attr_id("name").unwrap()),
+            Some(&Value::str("George"))
+        );
         assert_eq!(known.get(s.attr_id("kids").unwrap()), Some(&Value::int(2)));
         assert_eq!(known.known_count(), 2);
 
         let sug = suggest(&spec, &mut enc, &od, &known);
         let ask_names: Vec<&str> = sug.ask.keys().map(|a| s.attr_name(*a)).collect();
-        assert_eq!(ask_names, vec!["status"], "suggestion should be exactly status");
+        assert_eq!(
+            ask_names,
+            vec!["status"],
+            "suggestion should be exactly status"
+        );
         // Candidates for status per Example 12: retired and unemployed.
         let status = s.attr_id("status").unwrap();
         let cands = &sug.ask[&status];

@@ -58,7 +58,10 @@ impl TrueValues {
             return None;
         }
         Some(cr_types::Tuple::from_values(
-            self.per_attr.iter().map(|v| v.clone().expect("complete")).collect(),
+            self.per_attr
+                .iter()
+                .map(|v| v.clone().expect("complete"))
+                .collect(),
         ))
     }
 }

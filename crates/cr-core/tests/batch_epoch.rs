@@ -89,8 +89,14 @@ fn a_batch_advances_one_epoch_and_matches_scratch() {
     // Settled pre-batch reads: the CFD fires, so `city` resolves.
     let pre_epoch = session.epoch();
     assert!(session.is_valid());
-    let pre_od = session.deduce(DeductionMethod::UnitPropagation).expect("valid spec");
-    assert_eq!(session.true_values(&pre_od).get(city), Some(&Value::str("LA")), "psi1 resolves city");
+    let pre_od = session
+        .deduce(DeductionMethod::UnitPropagation)
+        .expect("valid spec");
+    assert_eq!(
+        session.true_values(&pre_od).get(city),
+        Some(&Value::str("LA")),
+        "psi1 resolves city"
+    );
 
     // Retracting the CFD un-resolves `city`.
     let batch = [
@@ -101,15 +107,27 @@ fn a_batch_advances_one_epoch_and_matches_scratch() {
             value: Value::str("Boston"),
         },
     ];
-    let (report, applied) = session.absorb_revision_batch(&batch).expect("batch applies");
+    let (report, applied) = session
+        .absorb_revision_batch(&batch)
+        .expect("batch applies");
     assert_eq!(applied, vec![true, true]);
     assert_eq!(report.applied, 2);
     assert_eq!(report.epoch, session.epoch());
-    assert_eq!(session.epoch().0, pre_epoch.0 + 1, "one batch, one epoch bump");
+    assert_eq!(
+        session.epoch().0,
+        pre_epoch.0 + 1,
+        "one batch, one epoch bump"
+    );
 
     assert!(session.is_valid());
-    let post_od = session.deduce(DeductionMethod::UnitPropagation).expect("still valid");
-    assert_eq!(session.true_values(&post_od).get(city), None, "the CFD retraction un-resolves city");
+    let post_od = session
+        .deduce(DeductionMethod::UnitPropagation)
+        .expect("still valid");
+    assert_eq!(
+        session.true_values(&post_od).get(city),
+        None,
+        "the CFD retraction un-resolves city"
+    );
 
     let mut mirror = SpecMirror::new(&spec);
     for rev in &batch {
@@ -125,7 +143,11 @@ fn a_batch_advances_one_epoch_and_matches_scratch() {
             value: Value::str("SF"),
         }])
         .expect("batch applies");
-    assert_eq!(report.epoch.0, pre_epoch.0 + 2, "one epoch per applied batch");
+    assert_eq!(
+        report.epoch.0,
+        pre_epoch.0 + 2,
+        "one epoch per applied batch"
+    );
 }
 
 /// An empty or all-degraded batch applies nothing and leaves the epoch
@@ -139,7 +161,11 @@ fn degraded_batches_keep_the_epoch_and_competing_cells_drain_once() {
     let mut s2 = SourceClock::new(SourceId(2));
     let a = CausalRevision {
         stamp: s1.stamp(1),
-        rev: Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") },
+        rev: Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: city,
+            value: Value::str("SF"),
+        },
     };
     let b = CausalRevision {
         stamp: s2.stamp(2),
@@ -156,20 +182,39 @@ fn degraded_batches_keep_the_epoch_and_competing_cells_drain_once() {
     let sealed_before = session.epoch();
 
     let (report, applied) = session.absorb_revision_batch(&[]).unwrap();
-    assert_eq!((report.events, report.applied), (0, 0), "an empty batch applies nothing");
+    assert_eq!(
+        (report.events, report.applied),
+        (0, 0),
+        "an empty batch applies nothing"
+    );
     assert!(applied.is_empty());
-    assert_eq!(session.epoch(), sealed_before, "an empty batch does not advance the epoch");
+    assert_eq!(
+        session.epoch(),
+        sealed_before,
+        "an empty batch does not advance the epoch"
+    );
 
-    let bad = [Revision::RetractCfd { cfd: 3 }, Revision::ReplaceValue {
-        tuple: TupleId(9),
-        attr: city,
-        value: Value::Null,
-    }];
+    let bad = [
+        Revision::RetractCfd { cfd: 3 },
+        Revision::ReplaceValue {
+            tuple: TupleId(9),
+            attr: city,
+            value: Value::Null,
+        },
+    ];
     let (report, applied) = session.absorb_revision_batch(&bad).unwrap();
-    assert_eq!((report.events, report.applied), (2, 0), "both events degrade");
+    assert_eq!(
+        (report.events, report.applied),
+        (2, 0),
+        "both events degrade"
+    );
     assert_eq!(applied, vec![false, false]);
     assert_eq!(report.epoch, sealed_before);
-    assert_eq!(session.epoch(), sealed_before, "an all-degraded batch does not advance the epoch");
+    assert_eq!(
+        session.epoch(),
+        sealed_before,
+        "an all-degraded batch does not advance the epoch"
+    );
 
     let drained = session.take_competing();
     assert_eq!(drained.len(), 1, "the concurrent cell survives the batches");
@@ -215,19 +260,38 @@ fn duplicate_redelivery_of_a_reopening_correction_is_idempotent() {
 
     // Same-poll duplicate and later-poll redelivery.
     for (what, timeline) in [
-        ("same poll", vec![(1, make_correction()), (1, make_correction())]),
-        ("later poll", vec![(1, make_correction()), (2, make_correction())]),
+        (
+            "same poll",
+            vec![(1, make_correction()), (1, make_correction())],
+        ),
+        (
+            "later poll",
+            vec![(1, make_correction()), (2, make_correction())],
+        ),
     ] {
         let dup = run(timeline);
-        assert_eq!(dup.revisions.reopened, 1, "{what}: re-open must not double-count");
-        assert_eq!(dup.revisions.duplicates_dropped, 1, "{what}: the copy is dropped");
+        assert_eq!(
+            dup.revisions.reopened, 1,
+            "{what}: re-open must not double-count"
+        );
+        assert_eq!(
+            dup.revisions.duplicates_dropped, 1,
+            "{what}: the copy is dropped"
+        );
         assert_eq!(
             dup.interactions, base.interactions,
             "{what}: no extra re-ask from the duplicate"
         );
-        let cells: Vec<_> =
-            dup.round_reports.iter().flat_map(|r| r.competing.iter()).collect();
-        assert_eq!(cells.len(), 1, "{what}: exactly one competing cell surfaces");
+        let cells: Vec<_> = dup
+            .round_reports
+            .iter()
+            .flat_map(|r| r.competing.iter())
+            .collect();
+        assert_eq!(
+            cells.len(),
+            1,
+            "{what}: exactly one competing cell surfaces"
+        );
         assert_eq!(dup.resolved, base.resolved, "{what}: same final resolution");
         assert_eq!(dup.valid, base.valid);
         assert_eq!(dup.complete, base.complete);
@@ -243,14 +307,17 @@ fn chaos_duplicated_reopening_correction_reopens_once() {
     let (spec, truth) = firing_cfd_spec();
     let job = spec.schema().attr_id("job").unwrap();
     let mut s1 = SourceClock::new(SourceId(1));
-    let timeline = vec![(1usize, CausalRevision {
-        stamp: s1.stamp(1),
-        rev: Revision::ReplaceValue {
-            tuple: TupleId(0),
-            attr: job,
-            value: Value::str("vet"),
+    let timeline = vec![(
+        1usize,
+        CausalRevision {
+            stamp: s1.stamp(1),
+            rev: Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: job,
+                value: Value::str("vet"),
+            },
         },
-    })];
+    )];
 
     let mut oracle = GroundTruthOracle::new(truth.clone());
     let mut canonical = ScriptedCausalRevisions::new(timeline.clone());
@@ -266,7 +333,10 @@ fn chaos_duplicated_reopening_correction_reopens_once() {
 
     // With a single-event timeline every duplicate the chaos adapter
     // injects is a redelivery of the re-opening correction itself.
-    let cfg = ChaosConfig { duplicates: 2, ..ChaosConfig::schedule_preserving(0xD0D0) };
+    let cfg = ChaosConfig {
+        duplicates: 2,
+        ..ChaosConfig::schedule_preserving(0xD0D0)
+    };
     let mut oracle2 = GroundTruthOracle::new(truth);
     let mut chaotic = chaos(&timeline, &spec, &cfg);
     let run = resolve_causal_checked(
@@ -278,8 +348,14 @@ fn chaos_duplicated_reopening_correction_reopens_once() {
     )
     .expect("chaotic replay must match scratch");
 
-    assert_eq!(run.revisions.duplicates_dropped, 2, "both copies are dropped");
-    assert_eq!(run.revisions.reopened, 1, "redelivery must not re-open again");
+    assert_eq!(
+        run.revisions.duplicates_dropped, 2,
+        "both copies are dropped"
+    );
+    assert_eq!(
+        run.revisions.reopened, 1,
+        "redelivery must not re-open again"
+    );
     assert_eq!(run.interactions, base.interactions);
     assert_eq!(run.resolved, base.resolved);
     assert_eq!(run.valid, base.valid);

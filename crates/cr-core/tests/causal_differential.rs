@@ -12,9 +12,7 @@
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::causal::{CausalRevision, ScriptedCausalRevisions};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig};
-use cr_core::ingest::{
-    ResolutionSession, Revision, RevisionError, RevisionPolicy, QUARANTINE_CAP,
-};
+use cr_core::ingest::{ResolutionSession, Revision, RevisionError, RevisionPolicy, QUARANTINE_CAP};
 use cr_core::Specification;
 use cr_oracle::{resolve_causal_checked, CausalReplayConfig};
 use cr_store::{check_session_against_scratch, SpecMirror};
@@ -82,7 +80,9 @@ fn config() -> ResolutionConfig {
 /// Absorbs `rev` as a one-event batch: `Ok(true)` applied, `Ok(false)`
 /// degraded, `Err` under `RevisionPolicy::Reject`.
 fn absorb_one(session: &mut ResolutionSession, rev: &Revision) -> Result<bool, RevisionError> {
-    session.absorb_revision_batch(std::slice::from_ref(rev)).map(|(_, applied)| applied[0])
+    session
+        .absorb_revision_batch(std::slice::from_ref(rev))
+        .map(|(_, applied)| applied[0])
 }
 
 /// The acceptance-criterion case: the user answers `job`, then a remote
@@ -118,7 +118,10 @@ fn late_concurrent_correction_reopens_exactly_the_answered_attribute() {
 
     assert!(replay.valid);
     assert!(replay.complete, "the re-opened attribute is re-answered");
-    assert_eq!(replay.revisions.reopened, 1, "exactly one attribute re-opens");
+    assert_eq!(
+        replay.revisions.reopened, 1,
+        "exactly one attribute re-opens"
+    );
     assert_eq!(
         replay.interactions, 2,
         "job is asked once before and once after the re-open"
@@ -184,7 +187,11 @@ fn out_of_order_events_buffer_and_duplicates_drop() {
     let mut s1 = SourceClock::new(SourceId(1));
     let e1 = CausalRevision {
         stamp: s1.stamp(1),
-        rev: Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") },
+        rev: Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: city,
+            value: Value::str("SF"),
+        },
     };
     let e2 = CausalRevision {
         stamp: s1.stamp(2),
@@ -211,7 +218,11 @@ fn out_of_order_events_buffer_and_duplicates_drop() {
     assert_eq!(
         eff,
         vec![
-            Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") },
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: city,
+                value: Value::str("SF")
+            },
             Revision::ReplaceValue {
                 tuple: TupleId(0),
                 attr: city,
@@ -247,7 +258,11 @@ fn concurrent_writes_converge_by_lww_in_either_delivery_order() {
     let mut s2 = SourceClock::new(SourceId(2));
     let a = CausalRevision {
         stamp: s1.stamp(1),
-        rev: Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") },
+        rev: Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: city,
+            value: Value::str("SF"),
+        },
     };
     let b = CausalRevision {
         stamp: s2.stamp(2), // later HLC: the deterministic LWW winner
@@ -284,7 +299,9 @@ fn concurrent_writes_converge_by_lww_in_either_delivery_order() {
         assert_eq!((cell.tuple, cell.attr), (TupleId(0), city));
         assert!(!cell.reopened, "no accepted answer was involved");
         assert!(cell.candidates.contains(&(SourceId(1), Value::str("SF"))));
-        assert!(cell.candidates.contains(&(SourceId(2), Value::str("Boston"))));
+        assert!(cell
+            .candidates
+            .contains(&(SourceId(2), Value::str("Boston"))));
         assert!(session.take_competing().is_empty(), "take_competing drains");
         check_session_against_scratch(&mut session, &mirror).expect("replay ≡ scratch");
     }
@@ -305,44 +322,78 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
 
     assert_eq!(
         absorb_one(&mut session, &Revision::RetractCfd { cfd: 5 }),
-        Err(RevisionError::UnknownCfd { cfd: 5, gamma_len: 1 })
+        Err(RevisionError::UnknownCfd {
+            cfd: 5,
+            gamma_len: 1
+        })
     );
     assert_eq!(
-        absorb_one(&mut session, &Revision::WithdrawOrder {
+        absorb_one(
+            &mut session,
+            &Revision::WithdrawOrder {
+                attr: cr_types::AttrId(99),
+                lo: TupleId(0),
+                hi: TupleId(1),
+            }
+        ),
+        Err(RevisionError::UnknownAttr {
             attr: cr_types::AttrId(99),
-            lo: TupleId(0),
-            hi: TupleId(1),
-        }),
-        Err(RevisionError::UnknownAttr { attr: cr_types::AttrId(99), arity: 4 })
+            arity: 4
+        })
     );
     assert_eq!(
-        absorb_one(&mut session, &Revision::WithdrawOrder {
+        absorb_one(
+            &mut session,
+            &Revision::WithdrawOrder {
+                attr: city,
+                lo: TupleId(0),
+                hi: TupleId(1),
+            }
+        ),
+        Err(RevisionError::UnknownOrder {
             attr: city,
             lo: TupleId(0),
-            hi: TupleId(1),
+            hi: TupleId(1)
         }),
-        Err(RevisionError::UnknownOrder { attr: city, lo: TupleId(0), hi: TupleId(1) }),
         "withdrawing a never-asserted pair is a typed error"
     );
     assert_eq!(
-        absorb_one(&mut session, &Revision::ReplaceValue {
+        absorb_one(
+            &mut session,
+            &Revision::ReplaceValue {
+                tuple: TupleId(9),
+                attr: city,
+                value: Value::Null,
+            }
+        ),
+        Err(RevisionError::UnknownTuple {
             tuple: TupleId(9),
-            attr: city,
-            value: Value::Null,
-        }),
-        Err(RevisionError::UnknownTuple { tuple: TupleId(9), len: 2 })
+            len: 2
+        })
     );
     assert_eq!(
-        absorb_one(&mut session, &Revision::WithdrawAnswer { attr: job, tuple: TupleId(7) }),
-        Err(RevisionError::UnknownTuple { tuple: TupleId(7), len: 2 })
+        absorb_one(
+            &mut session,
+            &Revision::WithdrawAnswer {
+                attr: job,
+                tuple: TupleId(7)
+            }
+        ),
+        Err(RevisionError::UnknownTuple {
+            tuple: TupleId(7),
+            len: 2
+        })
     );
     assert_eq!(session.epoch().0, 0, "rejected events seal no epoch");
 
     // A valid retraction still applies; repeating it is stale. The batch
     // stops at the stale event: the valid prefix is sealed, the event
     // after the error never runs.
-    let trailing =
-        Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("SF") };
+    let trailing = Revision::ReplaceValue {
+        tuple: TupleId(0),
+        attr: city,
+        value: Value::str("SF"),
+    };
     assert_eq!(
         session.absorb_revision_batch(&[
             Revision::RetractCfd { cfd: 0 },
@@ -362,7 +413,11 @@ fn malformed_revisions_return_typed_errors_and_leave_state_untouched() {
     assert!(session.quarantined().is_empty(), "reject logs nothing");
 
     // Display renders something useful for logs.
-    let msg = RevisionError::UnknownCfd { cfd: 5, gamma_len: 1 }.to_string();
+    let msg = RevisionError::UnknownCfd {
+        cfd: 5,
+        gamma_len: 1,
+    }
+    .to_string();
     assert!(msg.contains("unknown CFD"), "got: {msg}");
 }
 
@@ -381,10 +436,16 @@ fn degradation_policies_reject_and_quarantine() {
     assert_eq!(session.quarantined()[0].0, bad);
     assert_eq!(
         session.quarantined()[0].1,
-        RevisionError::UnknownCfd { cfd: 42, gamma_len: 1 }
+        RevisionError::UnknownCfd {
+            cfd: 42,
+            gamma_len: 1
+        }
     );
     // A good event still applies afterwards: the stream is not poisoned.
-    assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }), Ok(true));
+    assert_eq!(
+        absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }),
+        Ok(true)
+    );
     assert_eq!(session.revision_telemetry().events, 1);
 
     // Reject: the error propagates, nothing is logged.
@@ -392,7 +453,10 @@ fn degradation_policies_reject_and_quarantine() {
     session.set_revision_policy(RevisionPolicy::Reject);
     assert_eq!(
         absorb_one(&mut session, &bad),
-        Err(RevisionError::UnknownCfd { cfd: 42, gamma_len: 1 })
+        Err(RevisionError::UnknownCfd {
+            cfd: 42,
+            gamma_len: 1
+        })
     );
     assert!(session.quarantined().is_empty());
 }
@@ -421,17 +485,17 @@ fn quarantined_corrupt_event_does_not_poison_the_causal_stream() {
         },
     };
     let mut oracle = GroundTruthOracle::new(truth);
-    let mut source = ScriptedCausalRevisions::new(vec![
-        (1, good),
-        (1, corrupt.clone()),
-        (2, trailing),
-    ]);
+    let mut source =
+        ScriptedCausalRevisions::new(vec![(1, good), (1, corrupt.clone()), (2, trailing)]);
     let replay = resolve_causal_checked(
         &config(),
         &spec,
         &mut oracle,
         &mut source,
-        &CausalReplayConfig { policy: RevisionPolicy::Quarantine, ..Default::default() },
+        &CausalReplayConfig {
+            policy: RevisionPolicy::Quarantine,
+            ..Default::default()
+        },
     )
     .expect("quarantine keeps the replay equivalent to scratch");
     assert!(replay.valid);
@@ -442,7 +506,10 @@ fn quarantined_corrupt_event_does_not_poison_the_causal_stream() {
         replay.revisions.events, 2,
         "the events around the corrupt one still apply"
     );
-    assert_eq!(replay.revisions.buffered, 0, "quarantining advances the frontier");
+    assert_eq!(
+        replay.revisions.buffered, 0,
+        "quarantining advances the frontier"
+    );
 }
 
 /// A re-open carries its competing candidates out through the round
@@ -473,8 +540,11 @@ fn reopen_surfaces_competing_candidates_in_round_reports() {
     .expect("causal replay must match scratch");
 
     assert_eq!(replay.revisions.reopened, 1);
-    let cells: Vec<_> =
-        replay.round_reports.iter().flat_map(|r| r.competing.iter()).collect();
+    let cells: Vec<_> = replay
+        .round_reports
+        .iter()
+        .flat_map(|r| r.competing.iter())
+        .collect();
     assert_eq!(cells.len(), 1, "exactly the re-opened cell competes");
     let cell = cells[0];
     assert_eq!((cell.tuple, cell.attr), (TupleId(0), job));
@@ -485,7 +555,8 @@ fn reopen_surfaces_competing_candidates_in_round_reports() {
         cell.candidates
     );
     assert!(
-        cell.candidates.contains(&(SourceId::LOCAL, Value::str("n/a"))),
+        cell.candidates
+            .contains(&(SourceId::LOCAL, Value::str("n/a"))),
         "the withdrawn local answer is presented alongside: {:?}",
         cell.candidates
     );
@@ -500,19 +571,38 @@ fn quarantine_log_is_bounded_with_eviction_telemetry() {
     let k = 2;
     let pushed = QUARANTINE_CAP + k;
     for cfd in 10..10 + pushed {
-        assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd }), Ok(false));
+        assert_eq!(
+            absorb_one(&mut session, &Revision::RetractCfd { cfd }),
+            Ok(false)
+        );
     }
-    assert_eq!(session.revision_telemetry().quarantined, pushed, "every event counts");
-    assert_eq!(session.quarantined().len(), QUARANTINE_CAP, "only the cap is retained");
-    assert_eq!(session.quarantined()[0].0, Revision::RetractCfd { cfd: 10 + k });
+    assert_eq!(
+        session.revision_telemetry().quarantined,
+        pushed,
+        "every event counts"
+    );
+    assert_eq!(
+        session.quarantined().len(),
+        QUARANTINE_CAP,
+        "only the cap is retained"
+    );
+    assert_eq!(
+        session.quarantined()[0].0,
+        Revision::RetractCfd { cfd: 10 + k }
+    );
     assert_eq!(
         session.quarantined()[QUARANTINE_CAP - 1].0,
-        Revision::RetractCfd { cfd: 10 + pushed - 1 }
+        Revision::RetractCfd {
+            cfd: 10 + pushed - 1
+        }
     );
     assert_eq!(session.revision_telemetry().quarantine_evicted, k);
 
     // The session itself is unharmed: a good event still applies.
-    assert_eq!(absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }), Ok(true));
+    assert_eq!(
+        absorb_one(&mut session, &Revision::RetractCfd { cfd: 0 }),
+        Ok(true)
+    );
 }
 
 /// Regression (found by the crash-and-rehydrate soak): a causal
@@ -545,7 +635,10 @@ fn guard_vars_without_clauses_still_reach_the_solver() {
     let ev0 = timeline[0].1.clone();
     assert!(matches!(
         ev0.rev,
-        Revision::ReplaceValue { value: Value::Null, .. }
+        Revision::ReplaceValue {
+            value: Value::Null,
+            ..
+        }
     ));
     let mut input = UserInput::empty();
     input.values.insert(AttrId(1), truth.get(AttrId(1)).clone());

@@ -11,11 +11,11 @@
 use proptest::prelude::*;
 
 use cr_constraints::{CompOp, CurrencyConstraint, Predicate, TupleRef};
+use cr_core::encode::EncodedSpec;
+use cr_core::{deduce_order, is_valid, naive_deduce, true_values_from_orders, Specification};
 use cr_oracle::bruteforce::{
     brute_force_implied_orders, brute_force_true_values, brute_force_valid,
 };
-use cr_core::encode::EncodedSpec;
-use cr_core::{deduce_order, is_valid, naive_deduce, true_values_from_orders, Specification};
 use cr_types::{AttrId, EntityInstance, Schema, Tuple, Value};
 
 const ATTRS: usize = 3;
@@ -32,7 +32,12 @@ struct SpecSeed {
 #[derive(Clone, Debug)]
 enum ConstraintSeed {
     /// t1[a]=c1 && t2[a]=c2 -> t1 <[r] t2
-    ConstPair { attr: usize, c1: i64, c2: i64, concl: usize },
+    ConstPair {
+        attr: usize,
+        c1: i64,
+        c2: i64,
+        concl: usize,
+    },
     /// t1[a] < t2[a] -> t1 <[r] t2
     Monotone { attr: usize, concl: usize },
     /// t1 <[a] t2 -> t1 <[r] t2
@@ -70,7 +75,12 @@ fn build_spec(seed: &SpecSeed) -> Option<Specification> {
     let mut sigma = Vec::new();
     for c in &seed.constraints {
         let constraint = match c {
-            ConstraintSeed::ConstPair { attr, c1, c2, concl } => CurrencyConstraint::new(
+            ConstraintSeed::ConstPair {
+                attr,
+                c1,
+                c2,
+                concl,
+            } => CurrencyConstraint::new(
                 s.clone(),
                 None,
                 vec![
@@ -92,13 +102,18 @@ fn build_spec(seed: &SpecSeed) -> Option<Specification> {
             ConstraintSeed::Monotone { attr, concl } => CurrencyConstraint::new(
                 s.clone(),
                 None,
-                vec![Predicate::TupleCmp { attr: AttrId(*attr as u16), op: CompOp::Lt }],
+                vec![Predicate::TupleCmp {
+                    attr: AttrId(*attr as u16),
+                    op: CompOp::Lt,
+                }],
                 AttrId(*concl as u16),
             ),
             ConstraintSeed::OrderProp { attr, concl } => CurrencyConstraint::new(
                 s.clone(),
                 None,
-                vec![Predicate::Order { attr: AttrId(*attr as u16) }],
+                vec![Predicate::Order {
+                    attr: AttrId(*attr as u16),
+                }],
                 AttrId(*concl as u16),
             ),
         }
@@ -128,18 +143,31 @@ fn seed_strategy() -> impl Strategy<Value = SpecSeed> {
     let tuples = prop::collection::vec(tuple, 1..4);
     let constraint = prop_oneof![
         (0..ATTRS, 0..VALUES_PER_ATTR, 0..VALUES_PER_ATTR, 0..ATTRS).prop_map(
-            |(attr, c1, c2, concl)| ConstraintSeed::ConstPair { attr, c1, c2, concl }
+            |(attr, c1, c2, concl)| ConstraintSeed::ConstPair {
+                attr,
+                c1,
+                c2,
+                concl
+            }
         ),
         (0..ATTRS, 0..ATTRS).prop_map(|(attr, concl)| ConstraintSeed::Monotone { attr, concl }),
         (0..ATTRS, 0..ATTRS).prop_map(|(attr, concl)| ConstraintSeed::OrderProp { attr, concl }),
     ];
     let constraints = prop::collection::vec(constraint, 0..5);
     let cfd = (0..ATTRS, 0..VALUES_PER_ATTR, 0..ATTRS, 0..VALUES_PER_ATTR).prop_map(
-        |(lhs_attr, lhs_val, rhs_attr, rhs_val)| CfdSeed { lhs_attr, lhs_val, rhs_attr, rhs_val },
+        |(lhs_attr, lhs_val, rhs_attr, rhs_val)| CfdSeed {
+            lhs_attr,
+            lhs_val,
+            rhs_attr,
+            rhs_val,
+        },
     );
     let cfds = prop::collection::vec(cfd, 0..3);
-    (tuples, constraints, cfds)
-        .prop_map(|(tuples, constraints, cfds)| SpecSeed { tuples, constraints, cfds })
+    (tuples, constraints, cfds).prop_map(|(tuples, constraints, cfds)| SpecSeed {
+        tuples,
+        constraints,
+        cfds,
+    })
 }
 
 const LIMIT: usize = 1_000_000;

@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 
 use cr_constraints::parser::parse_cfd_file;
-use cr_oracle::bruteforce::brute_force_valid;
 use cr_core::encode::EncodedSpec;
 use cr_core::Specification;
+use cr_oracle::bruteforce::brute_force_valid;
 use cr_sat::{SolveResult, Solver};
 use cr_types::{EntityInstance, Schema, Tuple, Value};
 

@@ -19,8 +19,14 @@ fn resolve_both(
     make_oracle: impl Fn() -> Box<dyn UserOracle>,
     config: ResolutionConfig,
 ) -> (ResolutionOutcome, ResolutionOutcome) {
-    let incremental = Resolver::new(ResolutionConfig { incremental: true, ..config });
-    let scratch = Resolver::new(ResolutionConfig { incremental: false, ..config });
+    let incremental = Resolver::new(ResolutionConfig {
+        incremental: true,
+        ..config
+    });
+    let scratch = Resolver::new(ResolutionConfig {
+        incremental: false,
+        ..config
+    });
     let a = incremental.resolve(spec, &mut *make_oracle());
     let b = scratch.resolve(spec, &mut *make_oracle());
     (a, b)
@@ -37,7 +43,12 @@ fn round_trace(outcome: &ResolutionOutcome) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-fn assert_outcomes_match(spec: &Specification, truth: &Tuple, cap: usize, config: ResolutionConfig) {
+fn assert_outcomes_match(
+    spec: &Specification,
+    truth: &Tuple,
+    cap: usize,
+    config: ResolutionConfig,
+) {
     let (a, b) = resolve_both(
         spec,
         || Box::new(GroundTruthOracle::with_cap(truth.clone(), cap)),
@@ -46,22 +57,35 @@ fn assert_outcomes_match(spec: &Specification, truth: &Tuple, cap: usize, config
     assert_eq!(a.valid, b.valid, "validity diverged");
     assert_eq!(a.complete, b.complete, "completeness diverged");
     assert_eq!(a.resolved, b.resolved, "resolved tuples diverged");
-    assert_eq!(a.interactions, b.interactions, "interaction counts diverged");
+    assert_eq!(
+        a.interactions, b.interactions,
+        "interaction counts diverged"
+    );
     assert_eq!(a.user_values, b.user_values, "answer counts diverged");
     assert_eq!(a.ot_size, b.ot_size, "|Ot| diverged");
     assert_eq!(a.rounds.len(), b.rounds.len(), "round counts diverged");
-    assert_eq!(round_trace(&a), round_trace(&b), "per-round progress diverged");
+    assert_eq!(
+        round_trace(&a),
+        round_trace(&b),
+        "per-round progress diverged"
+    );
 }
 
 fn default_config(max_rounds: usize) -> ResolutionConfig {
-    ResolutionConfig { max_rounds, ..Default::default() }
+    ResolutionConfig {
+        max_rounds,
+        ..Default::default()
+    }
 }
 
 #[test]
 fn vjday_examples_identical() {
     for (spec, truth) in [
         (cr_data::vjday::edith_spec(), cr_data::vjday::edith_truth()),
-        (cr_data::vjday::george_spec(), cr_data::vjday::george_truth()),
+        (
+            cr_data::vjday::george_spec(),
+            cr_data::vjday::george_truth(),
+        ),
     ] {
         assert_outcomes_match(&spec, &truth, 1, default_config(10));
     }
@@ -147,7 +171,10 @@ fn out_of_domain_answer_extends_in_place_and_agrees() {
     let outcome = Resolver::new(default_config(10))
         .resolve(&spec, &mut GroundTruthOracle::new(truth.clone()));
     assert!(outcome.complete);
-    assert_eq!(outcome.resolved.to_tuple().unwrap().values(), truth.values());
+    assert_eq!(
+        outcome.resolved.to_tuple().unwrap().values(),
+        truth.values()
+    );
 }
 
 /// A conflict-heavy spec whose CFDs put `AC` on the LHS and `city` on the
@@ -179,7 +206,11 @@ fn cfd_lhs_spec(n: usize, ac_new: bool, city_new: bool) -> (Specification, Tuple
     let truth = Tuple::of([
         Value::str("X"),
         Value::str("st_new"),
-        if ac_new { Value::int(999) } else { Value::int(200 + n as i64 - 1) },
+        if ac_new {
+            Value::int(999)
+        } else {
+            Value::int(200 + n as i64 - 1)
+        },
         if city_new {
             Value::str("city_new")
         } else {
@@ -198,7 +229,10 @@ fn out_of_domain_cfd_lhs_answer_never_rebuilds_and_agrees() {
     let outcome = Resolver::new(default_config(10))
         .resolve(&spec, &mut GroundTruthOracle::with_cap(truth.clone(), 1));
     assert!(outcome.complete);
-    assert_eq!(outcome.resolved.to_tuple().unwrap().values(), truth.values());
+    assert_eq!(
+        outcome.resolved.to_tuple().unwrap().values(),
+        truth.values()
+    );
 }
 
 #[test]

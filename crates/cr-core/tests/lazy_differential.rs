@@ -8,15 +8,15 @@
 //! Component-level equalities (validity, deduction, exact true values) are
 //! checked too: they are what the outcome equality rests on.
 
+use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
+use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, UserOracle,
 };
-use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
-use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::{
     deduce_order, exact_true_values, is_valid_encoded, naive_deduce, suggest,
-    true_values_from_orders, CompiledProgram, EncodedSpec, ResolutionOutcome,
-    ResolutionSession, Specification,
+    true_values_from_orders, CompiledProgram, EncodedSpec, ResolutionOutcome, ResolutionSession,
+    Specification,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
 use cr_oracle::omega_reference;
@@ -35,17 +35,33 @@ fn assert_paths_agree(
     deduction: DeductionMethod,
 ) -> ResolutionOutcome {
     let run = |incremental: bool| {
-        let config = ResolutionConfig { deduction, incremental, ..Default::default() };
+        let config = ResolutionConfig {
+            deduction,
+            incremental,
+            ..Default::default()
+        };
         let mut oracle = GroundTruthOracle::with_cap(truth.clone(), cap);
         Resolver::new(config).resolve(spec, &mut oracle)
     };
     let engine = run(true);
     let scratch = run(false);
     assert_eq!(engine.valid, scratch.valid, "validity diverged vs scratch");
-    assert_eq!(engine.complete, scratch.complete, "completeness diverged vs scratch");
-    assert_eq!(engine.resolved, scratch.resolved, "resolved tuple diverged vs scratch");
-    assert_eq!(engine.interactions, scratch.interactions, "interaction count diverged");
-    assert_eq!(engine.user_values, scratch.user_values, "answer count diverged vs scratch");
+    assert_eq!(
+        engine.complete, scratch.complete,
+        "completeness diverged vs scratch"
+    );
+    assert_eq!(
+        engine.resolved, scratch.resolved,
+        "resolved tuple diverged vs scratch"
+    );
+    assert_eq!(
+        engine.interactions, scratch.interactions,
+        "interaction count diverged"
+    );
+    assert_eq!(
+        engine.user_values, scratch.user_values,
+        "answer count diverged vs scratch"
+    );
     assert_eq!(engine.ot_size, scratch.ot_size, "|Ot| diverged vs scratch");
     assert_rounds_match_eager(spec, truth, cap, deduction);
     engine
@@ -63,7 +79,10 @@ fn assert_rounds_match_eager(
     cap: usize,
     deduction: DeductionMethod,
 ) {
-    let config = ResolutionConfig { deduction, ..Default::default() };
+    let config = ResolutionConfig {
+        deduction,
+        ..Default::default()
+    };
     let mut session = ResolutionSession::new(&config, spec);
     let mut oracle = GroundTruthOracle::with_cap(truth.clone(), cap);
     let check = |session: &mut ResolutionSession, answers: usize| {
@@ -115,8 +134,16 @@ fn assert_components_agree(spec: &Specification) -> usize {
     if v_eager {
         assert_valid_components_agree(spec, &mut eager, &mut lazy);
     }
-    assert_eq!(eager.cnf().num_clauses(), eager_clauses, "an eager encoding records nothing");
-    assert_eq!(eager.injected_axioms(), 0, "an eager encoding injects nothing");
+    assert_eq!(
+        eager.cnf().num_clauses(),
+        eager_clauses,
+        "an eager encoding records nothing"
+    );
+    assert_eq!(
+        eager.injected_axioms(),
+        0,
+        "an eager encoding injects nothing"
+    );
     assert_eq!(
         lazy.cnf().num_clauses(),
         lazy_clauses + lazy.injected_axioms(),
@@ -135,7 +162,11 @@ fn assert_valid_components_agree(
     // DeduceOrder (unit propagation + lazy instantiation).
     let od_eager = deduce_order(eager).expect("valid");
     let od_lazy = deduce_order(lazy).expect("valid");
-    assert_eq!(od_eager.size(), od_lazy.size(), "UP deduction sizes diverged");
+    assert_eq!(
+        od_eager.size(),
+        od_lazy.size(),
+        "UP deduction sizes diverged"
+    );
     for attr in spec.schema().attr_ids() {
         for (lo, hi) in od_eager.pairs(attr) {
             assert!(od_lazy.contains(attr, lo, hi), "UP pair missing under lazy");
@@ -144,21 +175,39 @@ fn assert_valid_components_agree(
     // NaiveDeduce (CEGAR probes) — complete, so sizes must match exactly.
     let nd_eager = naive_deduce(eager).expect("valid");
     let nd_lazy = naive_deduce(lazy).expect("valid");
-    assert_eq!(nd_eager.size(), nd_lazy.size(), "NaiveDeduce sizes diverged");
+    assert_eq!(
+        nd_eager.size(),
+        nd_lazy.size(),
+        "NaiveDeduce sizes diverged"
+    );
     for attr in spec.schema().attr_ids() {
         for (lo, hi) in nd_eager.pairs(attr) {
-            assert!(nd_lazy.contains(attr, lo, hi), "NaiveDeduce pair missing under lazy");
+            assert!(
+                nd_lazy.contains(attr, lo, hi),
+                "NaiveDeduce pair missing under lazy"
+            );
         }
     }
     // Exact true values (possible-current-value probes).
-    assert_eq!(exact_true_values(eager), exact_true_values(lazy), "exact true values diverged");
+    assert_eq!(
+        exact_true_values(eager),
+        exact_true_values(lazy),
+        "exact true values diverged"
+    );
     // Suggest (clique probe + MaxSAT repair) from the UP deduction.
     let known = true_values_from_orders(eager, &od_eager);
-    assert_eq!(known, true_values_from_orders(lazy, &od_lazy), "true values diverged");
+    assert_eq!(
+        known,
+        true_values_from_orders(lazy, &od_lazy),
+        "true values diverged"
+    );
     let sug_eager = suggest(spec, eager, &od_eager, &known);
     let sug_lazy = suggest(spec, lazy, &od_lazy, &known);
     assert_eq!(sug_eager.ask, sug_lazy.ask, "suggested attributes diverged");
-    assert_eq!(sug_eager.derived, sug_lazy.derived, "derivable attributes diverged");
+    assert_eq!(
+        sug_eager.derived, sug_lazy.derived,
+        "derivable attributes diverged"
+    );
 }
 
 /// The compiled-program projection must produce **exactly** the reference
@@ -172,7 +221,10 @@ fn assert_omega_matches_reference(spec: &Specification) {
         compiled.len(),
         "compiled Ω(Se) has a different instance count"
     );
-    assert_eq!(reference, compiled, "compiled Ω(Se) diverged from the reference path");
+    assert_eq!(
+        reference, compiled,
+        "compiled Ω(Se) diverged from the reference path"
+    );
 }
 
 #[test]
@@ -239,8 +291,7 @@ fn compiled_cfd_resolves_values_pushed_outside_the_table() {
     // The CFD must emit real domination conclusions, not a False stub.
     assert!(compiled
         .iter()
-        .any(|c| c.origin == Origin::Cfd(0)
-            && matches!(c.conclusion, Conclusion::Atom(_))));
+        .any(|c| c.origin == Origin::Cfd(0) && matches!(c.conclusion, Conclusion::Atom(_))));
 }
 
 /// Regression (review finding): `Int(3)` and `Float(3.0)` intern to
@@ -287,7 +338,10 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
     // four seed datasets.
     let vjday = [
         (cr_data::vjday::edith_spec(), cr_data::vjday::edith_truth()),
-        (cr_data::vjday::george_spec(), cr_data::vjday::george_truth()),
+        (
+            cr_data::vjday::george_spec(),
+            cr_data::vjday::george_truth(),
+        ),
     ];
     for (spec, truth) in &vjday {
         assert_paths_agree(spec, truth, 1, DeductionMethod::UnitPropagation);
@@ -295,12 +349,22 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
     }
     let nba = cr_data::nba::generate_with_sizes(&[27, 81], 7);
     for i in 0..nba.len() {
-        assert_paths_agree(&nba.spec(i), nba.truth(i), 1, DeductionMethod::UnitPropagation);
+        assert_paths_agree(
+            &nba.spec(i),
+            nba.truth(i),
+            1,
+            DeductionMethod::UnitPropagation,
+        );
     }
     let person = cr_data::person::generate_with_sizes(&[40, 120], 7);
     for i in 0..person.len() {
         // Person truths routinely carry out-of-domain values.
-        assert_paths_agree(&person.spec(i), person.truth(i), 1, DeductionMethod::UnitPropagation);
+        assert_paths_agree(
+            &person.spec(i),
+            person.truth(i),
+            1,
+            DeductionMethod::UnitPropagation,
+        );
     }
     let career = cr_data::career::generate(cr_data::career::CareerConfig {
         entities: 3,
@@ -308,7 +372,12 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
         ..Default::default()
     });
     for i in 0..career.len() {
-        assert_paths_agree(&career.spec(i), career.truth(i), 1, DeductionMethod::UnitPropagation);
+        assert_paths_agree(
+            &career.spec(i),
+            career.truth(i),
+            1,
+            DeductionMethod::UnitPropagation,
+        );
     }
 }
 
@@ -365,14 +434,20 @@ fn one_shot_steps_record_on_lazy_and_leave_eager_untouched() {
         gamma: 2,
         ..Default::default()
     });
-    assert!(assert_components_agree(&s.spec) > 0, "the one-shot steps injected no axiom");
+    assert!(
+        assert_components_agree(&s.spec) > 0,
+        "the one-shot steps injected no axiom"
+    );
 }
 
 #[test]
 fn naive_sat_deduction_agrees_across_modes() {
     // NaiveSat engine ≡ NaiveSat scratch, and the NaiveSat-driven session
     // matches the eager oracle after every answer.
-    let s = cr_data::gen::scenario(&ScenarioConfig { seed: 3, ..Default::default() });
+    let s = cr_data::gen::scenario(&ScenarioConfig {
+        seed: 3,
+        ..Default::default()
+    });
     assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::NaiveSat);
 }
 

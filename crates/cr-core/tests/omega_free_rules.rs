@@ -19,10 +19,15 @@ use proptest::prelude::*;
 fn encode_with_omega(spec: &Specification) -> (EncodedSpec, Vec<InstanceConstraint>) {
     let enc = EncodedSpec::encode_lazy(spec);
     let omega = omega_compiled(spec);
-    assert_eq!(enc.cnf().num_clauses(), omega.len(), "one clause per Ω instance");
+    assert_eq!(
+        enc.cnf().num_clauses(),
+        omega.len(),
+        "one clause per Ω instance"
+    );
     for (idx, c) in omega.iter().enumerate() {
         let var = |a: &cr_core::encode::OrderAtom| {
-            enc.var_of(a.attr, a.lo, a.hi).expect("Ω atoms have order variables")
+            enc.var_of(a.attr, a.lo, a.hi)
+                .expect("Ω atoms have order variables")
         };
         let mut expected: Vec<cr_sat::Lit> = c.premise.iter().map(|a| var(a).negative()).collect();
         if let Conclusion::Atom(a) = &c.conclusion {
@@ -101,6 +106,9 @@ fn scan_visits_order_rules_with_reconstructed_premises() {
         ..Default::default()
     });
     let (scanned, emitted) = order_rules_both_ways(&ds.spec(0));
-    assert!(!scanned.is_empty(), "power-law entities must emit order rules");
+    assert!(
+        !scanned.is_empty(),
+        "power-law entities must emit order rules"
+    );
     assert_eq!(scanned, emitted);
 }

@@ -15,9 +15,9 @@
 use cr_constraints::parser::{parse_cfd_file, parse_currency_file};
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use cr_core::ingest::{ResolutionSession, Revision, ScriptedRevisions};
-use cr_oracle::resolve_with_revisions_checked;
 use cr_core::spec::UserInput;
 use cr_core::Specification;
+use cr_oracle::resolve_with_revisions_checked;
 use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value};
 
 /// A spec whose CFD *fires* automatically at round 0 (status chain → AC
@@ -70,11 +70,9 @@ fn config() -> ResolutionConfig {
 fn retracting_a_fired_cfd_matches_scratch() {
     let (spec, truth) = firing_cfd_spec();
     let mut oracle = GroundTruthOracle::new(truth);
-    let mut source =
-        ScriptedRevisions::new(vec![(1, Revision::RetractCfd { cfd: 0 })]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("replay must match scratch");
+    let mut source = ScriptedRevisions::new(vec![(1, Revision::RetractCfd { cfd: 0 })]);
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("replay must match scratch");
     assert!(checked.valid);
     assert!(checked.complete, "oracle answers the re-opened attributes");
     assert_eq!(checked.revisions.events, 1);
@@ -98,11 +96,14 @@ fn withdrawing_a_load_bearing_order_reopens_the_attribute() {
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source = ScriptedRevisions::new(vec![(
         1,
-        Revision::WithdrawOrder { attr: city, lo: TupleId(0), hi: TupleId(1) },
+        Revision::WithdrawOrder {
+            attr: city,
+            lo: TupleId(0),
+            hi: TupleId(1),
+        },
     )]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("replay must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("replay must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
 }
@@ -113,18 +114,21 @@ fn value_replacement_shared_new_and_null_all_match_scratch() {
     let city = spec.schema().attr_id("city").unwrap();
     let job = spec.schema().attr_id("job").unwrap();
     for (label, value) in [
-        ("shared", Value::str("LA")),      // t0.city := LA (city space shrinks)
-        ("fresh", Value::str("Boston")),   // brand-new value mid-resolution
-        ("null", Value::Null),             // the source withdraws the cell
+        ("shared", Value::str("LA")),    // t0.city := LA (city space shrinks)
+        ("fresh", Value::str("Boston")), // brand-new value mid-resolution
+        ("null", Value::Null),           // the source withdraws the cell
     ] {
         let mut oracle = GroundTruthOracle::new(truth.clone());
         let mut source = ScriptedRevisions::new(vec![(
             1,
-            Revision::ReplaceValue { tuple: TupleId(0), attr: city, value },
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: city,
+                value,
+            },
         )]);
-        let checked =
-            resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-                .unwrap_or_else(|e| panic!("{label}: replay diverged: {e}"));
+        let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+            .unwrap_or_else(|e| panic!("{label}: replay diverged: {e}"));
         assert!(checked.valid, "{label}");
         assert_eq!(checked.revisions.events, 1, "{label}");
     }
@@ -134,11 +138,14 @@ fn value_replacement_shared_new_and_null_all_match_scratch() {
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source = ScriptedRevisions::new(vec![(
         1,
-        Revision::ReplaceValue { tuple: TupleId(0), attr: job, value: Value::str("n/a") },
+        Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: job,
+            value: Value::str("n/a"),
+        },
     )]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("job replacement must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("job replacement must match scratch");
     assert!(checked.valid);
 }
 
@@ -154,14 +161,22 @@ fn withdrawing_an_answer_reopens_it_and_matches_scratch() {
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source = ScriptedRevisions::new(vec![(
         1,
-        Revision::WithdrawAnswer { attr: job, tuple: to },
+        Revision::WithdrawAnswer {
+            attr: job,
+            tuple: to,
+        },
     )]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("answer withdrawal must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("answer withdrawal must match scratch");
     assert!(checked.valid);
-    assert!(checked.complete, "the oracle re-answers after the withdrawal");
-    assert!(checked.interactions >= 2, "withdrawal forces a second interaction");
+    assert!(
+        checked.complete,
+        "the oracle re-answers after the withdrawal"
+    );
+    assert!(
+        checked.interactions >= 2,
+        "withdrawal forces a second interaction"
+    );
 }
 
 #[test]
@@ -170,11 +185,7 @@ fn resolve_with_revisions_reports_telemetry_and_agrees_with_checked() {
     let events = vec![(1, Revision::RetractCfd { cfd: 0 })];
     let mut oracle = GroundTruthOracle::new(truth.clone());
     let mut source = ScriptedRevisions::new(events.clone());
-    let outcome = Resolver::new(config()).resolve_with_revisions(
-        &spec,
-        &mut oracle,
-        &mut source,
-    );
+    let outcome = Resolver::new(config()).resolve_with_revisions(&spec, &mut oracle, &mut source);
     assert!(outcome.valid);
     assert!(outcome.complete);
     assert_eq!(outcome.revisions.events, 1);
@@ -185,9 +196,8 @@ fn resolve_with_revisions_reports_telemetry_and_agrees_with_checked() {
     // The production path resolves to the same tuple as the checked one.
     let mut oracle2 = GroundTruthOracle::new(truth);
     let mut source2 = ScriptedRevisions::new(events);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle2, &mut source2)
-            .expect("checked replay");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle2, &mut source2)
+        .expect("checked replay");
     assert_eq!(outcome.resolved, checked.resolved);
     assert_eq!(outcome.interactions, checked.interactions);
 }
@@ -212,11 +222,14 @@ fn retired_values_drop_out_of_candidates_and_suggestions() {
     let mut oracle = cr_core::framework::SilentOracle;
     let mut source = ScriptedRevisions::new(vec![(
         0,
-        Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("LA") },
+        Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: city,
+            value: Value::str("LA"),
+        },
     )]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("retirement must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("retirement must match scratch");
     assert!(checked.valid);
     assert!(
         checked.complete,
@@ -279,9 +292,14 @@ fn revived_value_returns_to_the_query_surface() {
     let mut session = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);
 
-    let retire =
-        Revision::ReplaceValue { tuple: TupleId(1), attr: city, value: Value::str("NY") };
-    session.absorb_revision_batch(std::slice::from_ref(&retire)).expect("retirement is well-formed");
+    let retire = Revision::ReplaceValue {
+        tuple: TupleId(1),
+        attr: city,
+        value: Value::str("NY"),
+    };
+    session
+        .absorb_revision_batch(std::slice::from_ref(&retire))
+        .expect("retirement is well-formed");
     mirror.apply(&retire);
     check_session_against_scratch(&mut session, &mirror).expect("retirement step");
     assert!(session.is_valid());
@@ -292,9 +310,14 @@ fn revived_value_returns_to_the_query_surface() {
         "NY is the unique city after LA goes"
     );
 
-    let revive =
-        Revision::ReplaceValue { tuple: TupleId(1), attr: city, value: Value::str("LA") };
-    session.absorb_revision_batch(std::slice::from_ref(&revive)).expect("revival is well-formed");
+    let revive = Revision::ReplaceValue {
+        tuple: TupleId(1),
+        attr: city,
+        value: Value::str("LA"),
+    };
+    session
+        .absorb_revision_batch(std::slice::from_ref(&revive))
+        .expect("revival is well-formed");
     mirror.apply(&revive);
     check_session_against_scratch(&mut session, &mirror).expect("revival step");
     let od = session.deduce(DeductionMethod::UnitPropagation).unwrap();
@@ -326,12 +349,25 @@ fn nulling_every_cell_of_an_attribute_interns_null_late_and_matches_scratch() {
     let city = s.attr_id("city").unwrap();
     let mut oracle = cr_core::framework::SilentOracle;
     let mut source = ScriptedRevisions::new(vec![
-        (0, Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::Null }),
-        (0, Revision::ReplaceValue { tuple: TupleId(1), attr: city, value: Value::Null }),
+        (
+            0,
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: city,
+                value: Value::Null,
+            },
+        ),
+        (
+            0,
+            Revision::ReplaceValue {
+                tuple: TupleId(1),
+                attr: city,
+                value: Value::Null,
+            },
+        ),
     ]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("an all-null attribute must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("an all-null attribute must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
     assert_eq!(checked.resolved.get(city), Some(&Value::Null));
@@ -362,12 +398,18 @@ fn revisions_that_invalidate_the_spec_agree_with_scratch() {
     let mut oracle = cr_core::framework::SilentOracle;
     let mut source = ScriptedRevisions::new(vec![(
         0,
-        Revision::ReplaceValue { tuple: TupleId(2), attr: AttrId(0), value: Value::int(1) },
+        Revision::ReplaceValue {
+            tuple: TupleId(2),
+            attr: AttrId(0),
+            value: Value::int(1),
+        },
     )]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("replay and scratch must agree on invalidity");
-    assert!(!checked.valid, "the revision introduces a value-level cycle");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("replay and scratch must agree on invalidity");
+    assert!(
+        !checked.valid,
+        "the revision introduces a value-level cycle"
+    );
 }
 
 #[test]
@@ -401,16 +443,15 @@ fn randomized_timelines_replay_equals_scratch() {
             },
         );
         let mut oracle = GroundTruthOracle::with_cap(scenario.truth.clone(), 1);
-        let checked = resolve_with_revisions_checked(
-            &config(),
-            &scenario.spec,
-            &mut oracle,
-            &mut source,
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: replay diverged from scratch: {e}"));
+        let checked =
+            resolve_with_revisions_checked(&config(), &scenario.spec, &mut oracle, &mut source)
+                .unwrap_or_else(|e| panic!("seed {seed}: replay diverged from scratch: {e}"));
         applied += checked.revisions.events;
     }
-    assert!(applied > 0, "the randomized timelines must apply corrections");
+    assert!(
+        applied > 0,
+        "the randomized timelines must apply corrections"
+    );
 }
 
 #[test]
@@ -421,14 +462,16 @@ fn empty_timeline_is_a_plain_resolution_with_a_final_check() {
     let (spec, truth) = firing_cfd_spec();
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source = ScriptedRevisions::new(vec![]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("empty timeline must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("empty timeline must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
     assert_eq!(checked.revisions.events, 0);
     assert_eq!(checked.revisions.batches, 0);
-    assert!(checked.checks >= 1, "the closing equivalence check always runs");
+    assert!(
+        checked.checks >= 1,
+        "the closing equivalence check always runs"
+    );
 }
 
 #[test]
@@ -440,12 +483,25 @@ fn batch_targeting_an_already_retired_value_matches_scratch() {
     let city = spec.schema().attr_id("city").unwrap();
     let mut oracle = GroundTruthOracle::new(truth);
     let mut source = ScriptedRevisions::new(vec![
-        (1, Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("LA") }),
-        (1, Revision::ReplaceValue { tuple: TupleId(0), attr: city, value: Value::str("NY") }),
+        (
+            1,
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: city,
+                value: Value::str("LA"),
+            },
+        ),
+        (
+            1,
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: city,
+                value: Value::str("NY"),
+            },
+        ),
     ]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("retire-then-revive must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("retire-then-revive must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
     assert_eq!(checked.revisions.events, 2);
@@ -460,16 +516,24 @@ fn withdrawing_a_never_asked_answer_is_a_noop() {
     // resolution, one extra (no-op) event.
     let (spec, truth) = firing_cfd_spec();
     let job = spec.schema().attr_id("job").unwrap();
-    let null_job =
-        Revision::ReplaceValue { tuple: TupleId(0), attr: job, value: Value::Null };
+    let null_job = Revision::ReplaceValue {
+        tuple: TupleId(0),
+        attr: job,
+        value: Value::Null,
+    };
     let mut oracle = GroundTruthOracle::new(truth.clone());
     let mut source = ScriptedRevisions::new(vec![
         (1, null_job.clone()),
-        (1, Revision::WithdrawAnswer { attr: job, tuple: TupleId(0) }),
+        (
+            1,
+            Revision::WithdrawAnswer {
+                attr: job,
+                tuple: TupleId(0),
+            },
+        ),
     ]);
-    let checked =
-        resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
-            .expect("no-op withdrawal must match scratch");
+    let checked = resolve_with_revisions_checked(&config(), &spec, &mut oracle, &mut source)
+        .expect("no-op withdrawal must match scratch");
     assert!(checked.valid);
     assert!(checked.complete);
 
@@ -502,9 +566,18 @@ fn restored_session_shares_the_base_program_and_constraints() {
         .unwrap();
     let restored = ResolutionSession::restore(&spec, session.state()).unwrap();
     let current = restored.current();
-    assert!(std::sync::Arc::ptr_eq(current.compiled_program(), spec.compiled_program()));
-    assert!(std::ptr::eq(current.sigma(), spec.sigma()), "Σ shared, not copied");
-    assert!(std::ptr::eq(current.gamma(), spec.gamma()), "Γ shared, not copied");
+    assert!(std::sync::Arc::ptr_eq(
+        current.compiled_program(),
+        spec.compiled_program()
+    ));
+    assert!(
+        std::ptr::eq(current.sigma(), spec.sigma()),
+        "Σ shared, not copied"
+    );
+    assert!(
+        std::ptr::eq(current.gamma(), spec.gamma()),
+        "Γ shared, not copied"
+    );
     assert_eq!(current.entity().len(), session.current().entity().len());
 }
 
@@ -537,18 +610,31 @@ fn a_plain_session_absorbs_an_order_withdrawal_then_a_replacement() {
     assert_eq!(session.true_values(&od).get(city), Some(&Value::str("LA")));
 
     for rev in [
-        Revision::WithdrawOrder { attr: city, lo: TupleId(0), hi: TupleId(1) },
-        Revision::ReplaceValue { tuple: TupleId(0), attr: name, value: Value::str("Y") },
+        Revision::WithdrawOrder {
+            attr: city,
+            lo: TupleId(0),
+            hi: TupleId(1),
+        },
+        Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: name,
+            value: Value::str("Y"),
+        },
     ] {
-        let (report, applied) =
-            session.absorb_revision_batch(std::slice::from_ref(&rev)).expect("well-formed");
+        let (report, applied) = session
+            .absorb_revision_batch(std::slice::from_ref(&rev))
+            .expect("well-formed");
         assert_eq!((report.applied, applied), (1, vec![true]), "{rev:?}");
         mirror.apply(&rev);
         check_session_against_scratch(&mut session, &mirror)
             .unwrap_or_else(|e| panic!("after {rev:?}: {e}"));
     }
     let od = session.deduce(DeductionMethod::UnitPropagation).unwrap();
-    assert_eq!(session.true_values(&od).get(city), None, "the city is ambiguous again");
+    assert_eq!(
+        session.true_values(&od).get(city),
+        None,
+        "the city is ambiguous again"
+    );
 }
 
 /// The stale-engine path, pinned down: two revision batches, then an
@@ -564,9 +650,17 @@ fn revisions_then_an_answer_before_any_query_match_scratch() {
     let batches = [
         vec![
             Revision::RetractCfd { cfd: 0 },
-            Revision::ReplaceValue { tuple: TupleId(0), attr: attr("job"), value: Value::str("clerk") },
+            Revision::ReplaceValue {
+                tuple: TupleId(0),
+                attr: attr("job"),
+                value: Value::str("clerk"),
+            },
         ],
-        vec![Revision::ReplaceValue { tuple: TupleId(1), attr: attr("city"), value: Value::str("SF") }],
+        vec![Revision::ReplaceValue {
+            tuple: TupleId(1),
+            attr: attr("city"),
+            value: Value::str("SF"),
+        }],
     ];
     // An out-of-domain AC answer grows the attribute the retired CFD
     // reads: the extension must not re-emit it.
@@ -603,7 +697,11 @@ fn restore_with_a_retired_cfd_and_a_replaced_value_matches_scratch() {
     let attr = |n: &str| spec.schema().attr_id(n).unwrap();
     let batch = [
         Revision::RetractCfd { cfd: 0 },
-        Revision::ReplaceValue { tuple: TupleId(0), attr: attr("city"), value: Value::str("SF") },
+        Revision::ReplaceValue {
+            tuple: TupleId(0),
+            attr: attr("city"),
+            value: Value::str("SF"),
+        },
     ];
     let mut session = ResolutionSession::new(&config(), &spec);
     let mut mirror = SpecMirror::new(&spec);

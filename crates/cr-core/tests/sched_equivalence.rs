@@ -40,7 +40,10 @@ fn assert_outcomes_equal(label: &str, serial: &[ResolutionOutcome], other: &[Res
     assert_eq!(serial.len(), other.len(), "{label}: length");
     for (i, (s, o)) in serial.iter().zip(other).enumerate() {
         assert_eq!(s.valid, o.valid, "{label}: entity {i} validity diverged");
-        assert_eq!(s.resolved, o.resolved, "{label}: entity {i} resolution diverged");
+        assert_eq!(
+            s.resolved, o.resolved,
+            "{label}: entity {i} resolution diverged"
+        );
         assert_eq!(
             s.interactions, o.interactions,
             "{label}: entity {i} interaction count diverged"
@@ -113,7 +116,10 @@ fn batch_and_stream_match_serial_at_every_width() {
     let specs = ds.specs();
     let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
     for incremental in [true, false] {
-        let resolver = Resolver::new(ResolutionConfig { incremental, ..Default::default() });
+        let resolver = Resolver::new(ResolutionConfig {
+            incremental,
+            ..Default::default()
+        });
         let serial = serial_outcomes(&resolver, &ds, &specs);
         for workers in 0usize..=16 {
             let config = SchedulerConfig::with_workers(workers);
@@ -146,7 +152,11 @@ fn stream_matches_serial_and_respects_queue_cap() {
         };
         let (outcomes, telemetry) =
             stream_outcomes(&resolver, specs.len(), ds.stream(), &make_oracle, &config);
-        assert_outcomes_equal(&format!("stream workers={workers} cap={cap}"), &serial, &outcomes);
+        assert_outcomes_equal(
+            &format!("stream workers={workers} cap={cap}"),
+            &serial,
+            &outcomes,
+        );
         assert_eq!(telemetry.tasks, specs.len());
         assert!(
             telemetry.queue_high_water <= cap,
@@ -167,13 +177,21 @@ fn public_parallel_entry_point_is_width_invariant() {
     let serial = serial_outcomes(&resolver, &ds, &specs);
     let oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
     for workers in [0usize, 1, 3, 16] {
-        let (outcomes, _) =
-            resolve_batch(&resolver, &specs, &oracle, &SchedulerConfig::with_workers(workers));
+        let (outcomes, _) = resolve_batch(
+            &resolver,
+            &specs,
+            &oracle,
+            &SchedulerConfig::with_workers(workers),
+        );
         assert_outcomes_equal(&format!("workers={workers}"), &serial, &outcomes);
     }
     let empty: Vec<Specification> = Vec::new();
-    let (outcomes, telemetry) =
-        resolve_batch(&resolver, &empty, &oracle, &SchedulerConfig::with_workers(4));
+    let (outcomes, telemetry) = resolve_batch(
+        &resolver,
+        &empty,
+        &oracle,
+        &SchedulerConfig::with_workers(4),
+    );
     assert!(outcomes.is_empty());
     assert_eq!(telemetry.workers, 0, "an empty batch starts no worker");
 }
@@ -186,8 +204,14 @@ fn never_full_stream_records_no_stalls() {
     let specs = ds.specs();
     let resolver = Resolver::new(ResolutionConfig::default());
     let make_oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
-    let config = SchedulerConfig { queue_cap: specs.len() + 1, ..SchedulerConfig::with_workers(2) };
+    let config = SchedulerConfig {
+        queue_cap: specs.len() + 1,
+        ..SchedulerConfig::with_workers(2)
+    };
     let telemetry = resolve_stream(&resolver, ds.stream(), &make_oracle, &config, &|_, _| {});
     assert_eq!(telemetry.tasks, specs.len());
-    assert_eq!(telemetry.backpressure_stalls, 0, "a never-full queue cannot stall");
+    assert_eq!(
+        telemetry.backpressure_stalls, 0,
+        "a never-full queue cannot stall"
+    );
 }

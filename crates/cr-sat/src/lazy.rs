@@ -1,46 +1,39 @@
-//! Lazy (on-demand) axiom instantiation — the solver side of lazy clause
-//! generation à la SMT theory propagation.
+//! Lazy (on-demand) axiom instantiation for the CDCL solver — the
+//! counterexample-guided refinement (CEGAR) loop.
 //!
 //! Large axiom schemes (the conflict-resolution encoder's `O(n³)`
 //! transitivity clauses per attribute) usually constrain only a thin slice
 //! of the search. Instead of materialising every instance up front, a
-//! consumer registers a [`LazyAxiomSource`] — an oracle that, shown a
-//! candidate assignment, returns the axiom instances the candidate violates
-//! (or that have become unit under it). Two drivers integrate the oracle:
+//! consumer hands the solver a [`LazyAxiomSource`] — an oracle that, shown
+//! a candidate model, returns the axiom instances the model violates.
+//! There is one consultation driver:
+//! [`Solver::solve_lazy_with_assumptions`] solves, shows the model to the
+//! source, adds the returned clauses and re-solves, until the model
+//! satisfies the full theory (`Sat`) or the accumulated formula is
+//! contradictory (`Unsat`).
 //!
-//! * [`Solver::solve_lazy_with_assumptions`] runs the classic
-//!   counterexample-guided loop: solve, show the model to the source, add
-//!   the returned clauses, re-solve — until the model satisfies the full
-//!   theory (`Sat`) or the accumulated formula is contradictory (`Unsat`).
-//! * [`UnitPropagator::propagate_to_fixpoint_lazy`] interleaves root-level
-//!   propagation with instantiation: after each fixpoint the source sees the
-//!   literals assigned since its previous consultation and returns every
-//!   axiom clause that is now unit or conflicting; propagation resumes until
-//!   neither units nor instantiations remain. The combined fixpoint equals
-//!   unit propagation over the fully materialised axiom set: any eager
-//!   propagation step uses a clause that is unit under the partial
-//!   assignment, and exactly those clauses are handed over on demand.
+//! Root-level unit propagation needs no oracle: the order axioms are a
+//! theory inside [`UnitPropagator`] ([`crate::order`]), which derives
+//! their consequences as literals are assigned, so its fixpoint equals
+//! unit propagation over the fully materialised axiom set.
 //!
 //! The oracle sees the candidate through an [`Assignment`] view — the
-//! caller's own assignment storage borrowed as a slice, so a source can
-//! copy what it needs into its own scan structures (the conflict-resolution
+//! solver's own model storage borrowed as a slice, so a source can copy
+//! what it needs into its own scan structures (the conflict-resolution
 //! encoder reads it into per-value bit rows once per consultation) — and
-//! appends its clauses to a flat [`ClauseBuffer`] the caller reuses across
+//! appends its clauses to a flat [`ClauseBuffer`] the solver reuses across
 //! consultations, so handing over thousands of instances allocates nothing
 //! per clause.
 //!
 //! Axiom instances injected this way are ordinary **problem clauses**: they
 //! are theory-valid regardless of any retractable clause group, so they are
-//! never guarded, survive group retraction (the propagator's
-//! `retract_groups`, the solver's persistent-assumption changes), and are
-//! exempt from learnt-database sweeps ([`Solver::compact_learnts`] only
-//! deletes learnt clauses). A propagator retraction re-derives the fixpoint
-//! and shows it to the source whole, so a delta-scoped source revisits
-//! every instance the retraction may have re-opened.
+//! never guarded, survive the solver's persistent-assumption changes, and
+//! are exempt from learnt-database sweeps ([`Solver::compact_learnts`] only
+//! deletes learnt clauses).
 //!
 //! [`Solver::solve_lazy_with_assumptions`]: crate::Solver::solve_lazy_with_assumptions
-//! [`UnitPropagator::propagate_to_fixpoint_lazy`]: crate::UnitPropagator::propagate_to_fixpoint_lazy
 //! [`Solver::compact_learnts`]: crate::Solver::compact_learnts
+//! [`UnitPropagator`]: crate::UnitPropagator
 
 use crate::lit::{LBool, Lit, Var};
 
@@ -51,8 +44,7 @@ use crate::lit::{LBool, Lit, Var};
 /// scheme needs into their own bit rows once per consultation.
 #[derive(Clone, Copy, Debug)]
 pub enum Assignment<'a> {
-    /// Three-valued: the solver's model or the propagator's root
-    /// assignment (`LBool::Undef` = unassigned).
+    /// Three-valued: the solver's model (`LBool::Undef` = unassigned).
     Lifted(&'a [LBool]),
     /// Two-valued: a total model from a solver that has no unassigned
     /// state (e.g. a MaxSAT assignment).
@@ -135,42 +127,27 @@ impl ClauseBuffer {
 ///
 /// 1. **Validity** — every returned clause is entailed by the intended
 ///    theory (it may only cut assignments that no theory model has), and
-/// 2. **Completeness at fixpoint** — if the candidate assignment satisfies
-///    every instantiable axiom, nothing is returned; conversely a violated
-///    (or, for partial candidates, unit) axiom not yet known to the caller
-///    must eventually be returned. Since callers add everything handed to
-///    them and their candidates satisfy all clauses they hold, returning
-///    only *currently violated/unit* clauses never repeats work.
+/// 2. **Completeness** — if the candidate model satisfies every axiom,
+///    nothing is returned; otherwise at least one violated axiom is.
+///    Since the solver adds everything handed to it and its models satisfy
+///    all clauses it holds, returning only *currently violated* clauses
+///    never repeats work.
 pub trait LazyAxiomSource {
-    /// Inspects a candidate assignment and appends the axiom clauses it
-    /// violates (or that are unit under it) to `out`.
+    /// Inspects a candidate model and appends the axiom clauses it
+    /// violates to `out`.
     ///
-    /// `assignment` is a view of the candidate (see [`Assignment`]);
-    /// it does not change during the call, so a source may read it once
-    /// into its own scan structures. `delta` is `Some(lits)` when the
-    /// caller knows exactly which literals were assigned since this source
-    /// was last consulted — root-level unit propagation passes its
-    /// implied-literal tail, so the source may restrict attention to axioms
-    /// touching those variables. `None` means the candidate is a fresh
-    /// total model and everything must be inspected.
-    ///
-    /// Callers pass an empty `out`, reused across consultations, and add
-    /// whatever it holds afterwards; an empty `out` means the candidate
-    /// satisfies the theory.
-    fn instantiate(
-        &mut self,
-        assignment: Assignment<'_>,
-        delta: Option<&[Lit]>,
-        out: &mut ClauseBuffer,
-    );
+    /// `assignment` is a view of the candidate (see [`Assignment`]); it
+    /// does not change during the call, so a source may read it once into
+    /// its own scan structures. Callers pass an empty `out`, reused across
+    /// consultations, and add whatever it holds afterwards; an empty `out`
+    /// means the candidate satisfies the theory.
+    fn instantiate(&mut self, assignment: Assignment<'_>, out: &mut ClauseBuffer);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::Cnf;
     use crate::solver::{SolveResult, Solver};
-    use crate::unit_propagation::UnitPropagator;
 
     /// A toy theory: "x0, x1, x2 may not all be true" plus "x0 → x3",
     /// instantiated lazily. Mirrors the shape of the order-axiom source
@@ -180,16 +157,11 @@ mod tests {
     }
 
     impl LazyAxiomSource for ToySource {
-        fn instantiate(
-            &mut self,
-            assignment: Assignment<'_>,
-            _delta: Option<&[Lit]>,
-            out: &mut ClauseBuffer,
-        ) {
+        fn instantiate(&mut self, assignment: Assignment<'_>, out: &mut ClauseBuffer) {
             self.calls += 1;
             let value = |v: Var| assignment.value(v);
             // ¬x0 ∨ ¬x1 ∨ ¬x2: inject when no literal is true and at most
-            // one variable is unassigned.
+            // one variable is unassigned (unassigned model slots).
             let vals = [value(Var(0)), value(Var(1)), value(Var(2))];
             let trues = vals.iter().filter(|v| **v == Some(true)).count();
             let unassigned = vals.iter().filter(|v| v.is_none()).count();
@@ -320,93 +292,5 @@ mod tests {
             s.solve_with_assumptions(&[Var(0).positive(), Var(3).negative()]),
             SolveResult::Unsat
         );
-    }
-
-    #[test]
-    fn up_lazy_fixpoint_matches_eager_propagation() {
-        // Base: x0, x1. Lazy theory: the ToySource cut + implication. The
-        // combined fixpoint must derive ¬x2 and x3 exactly as if the axioms
-        // had been present from the start.
-        let mut cnf = Cnf::new();
-        for _ in 0..4 {
-            cnf.new_var();
-        }
-        cnf.add_clause([Var(0).positive()]);
-        cnf.add_clause([Var(1).positive()]);
-        let mut up = UnitPropagator::new(&cnf);
-        let mut src = ToySource { calls: 0 };
-        let implied = up
-            .propagate_to_fixpoint_lazy(&mut src)
-            .expect("consistent")
-            .to_vec();
-        assert!(implied.contains(&Var(2).negative()));
-        assert!(implied.contains(&Var(3).positive()));
-    }
-
-    #[test]
-    fn up_lazy_consults_only_the_delta() {
-        struct DeltaRecorder {
-            seen: Vec<Vec<Lit>>,
-        }
-        impl LazyAxiomSource for DeltaRecorder {
-            fn instantiate(
-                &mut self,
-                _assignment: Assignment<'_>,
-                delta: Option<&[Lit]>,
-                _out: &mut ClauseBuffer,
-            ) {
-                self.seen
-                    .push(delta.expect("UP always passes a delta").to_vec());
-            }
-        }
-        let mut up = UnitPropagator::new(&Cnf::new());
-        up.add_clause(&[Var(0).positive()]);
-        let mut src = DeltaRecorder { seen: Vec::new() };
-        up.propagate_to_fixpoint_lazy(&mut src).unwrap();
-        assert_eq!(src.seen, vec![vec![Var(0).positive()]]);
-        // A later run only reports the new assignments.
-        up.add_clause(&[Var(1).positive()]);
-        up.propagate_to_fixpoint_lazy(&mut src).unwrap();
-        assert_eq!(src.seen.last().unwrap(), &vec![Var(1).positive()]);
-    }
-
-    #[test]
-    fn up_lazy_redelivers_delta_after_retraction() {
-        // Retraction resets the propagator's assignment, so the re-derived
-        // fixpoint must be handed to the source from scratch — the
-        // regression guard for axiom re-derivation after `retract_groups`.
-        struct Chain;
-        impl LazyAxiomSource for Chain {
-            fn instantiate(
-                &mut self,
-                assignment: Assignment<'_>,
-                _delta: Option<&[Lit]>,
-                out: &mut ClauseBuffer,
-            ) {
-                // Theory: x0 → x1.
-                let value = |v: Var| assignment.value(v);
-                if value(Var(0)) == Some(true) && value(Var(1)) != Some(true) {
-                    out.push(&[Var(0).negative(), Var(1).positive()]);
-                }
-            }
-        }
-        let mut up = UnitPropagator::new(&Cnf::new());
-        up.add_clause_grouped(&[Var(0).positive()], 1);
-        let implied = up.propagate_to_fixpoint_lazy(&mut Chain).unwrap();
-        assert!(implied.contains(&Var(1).positive()));
-        // Retract the group that seeded x0: both x0 and its lazily injected
-        // consequence x1 must vanish…
-        up.retract_groups(&[1]);
-        let implied = up.propagate_to_fixpoint_lazy(&mut Chain).unwrap();
-        assert!(
-            implied.is_empty(),
-            "retraction must clear lazy consequences"
-        );
-        // …and a fresh permanent x0 re-derives x1 through the (surviving)
-        // injected axiom — and through re-consultation of the source.
-        up.add_clause(&[Var(0).positive()]);
-        let implied = up.propagate_to_fixpoint_lazy(&mut Chain).unwrap();
-        assert!(implied.contains(&Var(0).positive()));
-        assert!(implied.contains(&Var(1).positive()));
     }
 }

@@ -17,15 +17,17 @@
 //!   by a single root unit, and the unit propagator tags clauses with group
 //!   ids and re-derives the surviving fixpoint on
 //!   [`UnitPropagator::retract_groups`],
-//! * *lazy axiom instantiation* ([`LazyAxiomSource`], [`lazy`]): large
-//!   axiom schemes stay unmaterialised; the solver's CEGAR-style
-//!   [`Solver::solve_lazy_with_assumptions`] and the propagator's
-//!   [`UnitPropagator::propagate_to_fixpoint_lazy`] pull violated/unit
-//!   instances on demand,
+//! * *lazy axiom instantiation* for the solver ([`LazyAxiomSource`],
+//!   [`lazy`]): large axiom schemes stay unmaterialised, and the one
+//!   consultation driver, the CEGAR loop
+//!   [`Solver::solve_lazy_with_assumptions`], pulls the instances a
+//!   candidate model violates on demand,
 //! * a caller-driven learnt-database sweep ([`Solver::compact_learnts`])
 //!   keyed to interaction-round boundaries, and
 //! * a standalone root-level unit-propagation engine mirroring the
-//!   clause-reduction loop of `DeduceOrder` (Fig. 5 of the paper).
+//!   clause-reduction loop of `DeduceOrder` (Fig. 5 of the paper), with
+//!   the strict-total-order axioms as a built-in theory over registered
+//!   order atoms ([`UnitPropagator::register_order_domain`], [`order`]).
 //!
 //! # Example
 //! ```
@@ -47,6 +49,7 @@ pub mod cnf;
 pub mod dimacs;
 pub mod lazy;
 pub mod lit;
+pub mod order;
 pub mod solver;
 pub mod stats;
 pub mod unit_propagation;

@@ -12,6 +12,7 @@ mod reduce;
 mod restart;
 
 use crate::cnf::Cnf;
+use crate::lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 use crate::lit::{LBool, Lit, Var};
 use crate::stats::SolverStats;
 use decide::VarOrder;
@@ -94,6 +95,10 @@ pub struct Solver {
     /// many short-lived solvers run back to back (shard-local entity
     /// resolutions), so the pool keeps them alive across instances.
     pub(crate) spare_lits: Vec<Vec<Lit>>,
+
+    /// Reused clause buffer of the lazy-axiom loop
+    /// ([`Solver::solve_lazy_with_assumptions`]).
+    lazy_buf: ClauseBuffer,
 }
 
 /// Recycled allocation capacity of a torn-down [`Solver`]: every buffer is
@@ -161,6 +166,7 @@ impl Solver {
             model: Vec::new(),
             stats: SolverStats::default(),
             spare_lits: Vec::new(),
+            lazy_buf: ClauseBuffer::new(),
         }
     }
 
@@ -502,7 +508,7 @@ impl Solver {
     }
 
     /// [`Solver::solve_lazy_with_assumptions`] with no assumptions.
-    pub fn solve_lazy(&mut self, source: &mut dyn crate::LazyAxiomSource) -> SolveResult {
+    pub fn solve_lazy(&mut self, source: &mut dyn LazyAxiomSource) -> SolveResult {
         self.solve_lazy_with_assumptions(&[], source)
     }
 
@@ -519,26 +525,26 @@ impl Solver {
     pub fn solve_lazy_with_assumptions(
         &mut self,
         assumptions: &[Lit],
-        source: &mut dyn crate::LazyAxiomSource,
+        source: &mut dyn LazyAxiomSource,
     ) -> SolveResult {
-        let mut clauses = crate::lazy::ClauseBuffer::new();
-        loop {
+        // The buffer is moved out and back so clauses can be added to
+        // `self` while it is read.
+        let mut clauses = std::mem::take(&mut self.lazy_buf);
+        let result = loop {
             if self.solve_with_assumptions(assumptions) == SolveResult::Unsat {
-                return SolveResult::Unsat;
+                break SolveResult::Unsat;
             }
-            // Hand the model to the source without aliasing `self` (clauses
-            // are added right after); the model buffer is moved out and back.
-            let model = std::mem::take(&mut self.model);
             clauses.clear();
-            source.instantiate(crate::lazy::Assignment::Lifted(&model), None, &mut clauses);
-            self.model = model;
+            source.instantiate(Assignment::Lifted(&self.model), &mut clauses);
             if clauses.is_empty() {
-                return SolveResult::Sat;
+                break SolveResult::Sat;
             }
             for clause in clauses.iter() {
                 self.add_clause(clause.iter().copied());
             }
-        }
+        };
+        self.lazy_buf = clauses;
+        result
     }
 
     fn solve_with_all_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
@@ -564,7 +570,7 @@ impl Solver {
             }
         };
         if result == SolveResult::Sat {
-            self.model = self.assigns.clone();
+            self.model.clone_from(&self.assigns);
         }
         self.cancel_until(0);
         result

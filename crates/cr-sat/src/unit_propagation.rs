@@ -16,13 +16,19 @@
 //! ([`UnitPropagator::add_clause_grouped`]).
 //! [`UnitPropagator::retract_groups`] marks the groups' clauses dead and
 //! resets the propagation state to the surviving clauses' units, so the
-//! next fixpoint run re-derives the surviving formula's fixpoint — and
-//! [`UnitPropagator::propagate_to_fixpoint_lazy`] re-delivers all of it to
-//! its [`crate::LazyAxiomSource`]. A retraction thus costs at most the
-//! from-scratch `DeduceOrder` the paper runs every round.
+//! next fixpoint run re-derives the surviving formula's fixpoint, order
+//! theory included. A retraction thus costs at most the from-scratch
+//! `DeduceOrder` the paper runs every round.
+//!
+//! # Order atoms
+//!
+//! [`UnitPropagator::register_order_domain`] hands the propagator the
+//! atoms of a strict total order; the order axioms over them then take part
+//! in every fixpoint without being clauses (see [`crate::order`]).
 
 use crate::cnf::Cnf;
-use crate::lit::{LBool, Lit};
+use crate::lit::{LBool, Lit, Var};
+use crate::order::OrderTheory;
 
 /// Reusable root-level unit propagation engine.
 ///
@@ -48,12 +54,8 @@ pub struct UnitPropagator {
     /// Clause group tags ([`NO_GROUP`] = permanent) and retraction flags.
     group_of: Vec<u32>,
     dead: Vec<bool>,
-    /// Prefix of `implied` already shown to a [`crate::LazyAxiomSource`]
-    /// (see [`UnitPropagator::propagate_to_fixpoint_lazy`]); a retraction
-    /// resets it to 0.
-    lazy_cursor: usize,
-    /// Reused clause buffer of the lazy consultation loop.
-    lazy_buf: crate::lazy::ClauseBuffer,
+    /// The order axioms over the registered order atoms.
+    order: OrderTheory,
     /// Telemetry: [`UnitPropagator::retract_groups`] calls that withdrew
     /// at least one group.
     retractions: usize,
@@ -77,8 +79,7 @@ impl UnitPropagator {
             conflict: false,
             group_of: Vec::with_capacity(cnf.num_clauses()),
             dead: Vec::with_capacity(cnf.num_clauses()),
-            lazy_cursor: 0,
-            lazy_buf: crate::lazy::ClauseBuffer::new(),
+            order: OrderTheory::default(),
             retractions: 0,
         };
         for clause in cnf.clauses() {
@@ -93,6 +94,22 @@ impl UnitPropagator {
             self.assign.resize(n, LBool::Undef);
             self.occurs.resize(n * 2, Vec::new());
         }
+    }
+
+    /// Registers order domain `domain`: `n` values whose atom `lo ≺ hi`
+    /// is `var(lo, hi)` for every `lo ≠ hi`. From then on every fixpoint
+    /// includes the asymmetry, totality and transitivity axioms over these
+    /// atoms (see [`crate::order`]). Registering the domain again with
+    /// more values grows it; its atoms must be registered before any of
+    /// them is assigned.
+    pub fn register_order_domain(
+        &mut self,
+        domain: u32,
+        n: usize,
+        var: impl Fn(usize, usize) -> Var,
+    ) {
+        let num_vars = self.order.register_domain(domain, n, var, &self.assign);
+        self.ensure_vars(num_vars);
     }
 
     /// Adds one clause (used for incremental extension with user input).
@@ -163,7 +180,7 @@ impl UnitPropagator {
         self.implied.clear();
         self.queue.clear();
         self.conflict = false;
-        self.lazy_cursor = 0;
+        self.order.clear();
         self.false_count.fill(0);
         self.satisfied.copy_from_slice(&self.dead);
         for (clause, &dead) in self.clauses.iter().zip(&self.dead) {
@@ -210,6 +227,7 @@ impl UnitPropagator {
             }
             self.assign[lit.var().index()] = LBool::from_bool(lit.is_positive());
             self.implied.push(lit);
+            self.order.on_assign(lit, &self.assign, &mut self.queue);
 
             // Clauses containing `lit` become satisfied (removed).
             for &ci in &self.occurs[lit.index()] {
@@ -243,44 +261,6 @@ impl UnitPropagator {
             }
         }
         Some(&self.implied)
-    }
-
-    /// [`UnitPropagator::propagate_to_fixpoint`] interleaved with lazy
-    /// axiom instantiation: after each fixpoint, `source` is shown the
-    /// literals assigned since it was last consulted (the `delta`) and every
-    /// axiom clause it returns is added; propagation then resumes. The loop
-    /// ends when a fixpoint provokes no further instantiation — at which
-    /// point the accumulated implied set equals what unit propagation over
-    /// the fully materialised axiom scheme would have derived (an eager
-    /// propagation step needs a clause that is unit under the current
-    /// assignment, and exactly those clauses are requested on demand).
-    ///
-    /// The delta cursor survives across calls (the engine re-enters this
-    /// per interaction round); a retraction resets it to 0 together with
-    /// the assignment, so the re-derived fixpoint is re-delivered whole.
-    pub fn propagate_to_fixpoint_lazy(
-        &mut self,
-        source: &mut dyn crate::LazyAxiomSource,
-    ) -> Option<&[Lit]> {
-        let mut clauses = std::mem::take(&mut self.lazy_buf);
-        let result = loop {
-            if self.propagate_to_fixpoint().is_none() {
-                break false;
-            }
-            clauses.clear();
-            let assignment = crate::lazy::Assignment::Lifted(&self.assign);
-            let delta = &self.implied[self.lazy_cursor..];
-            source.instantiate(assignment, Some(delta), &mut clauses);
-            self.lazy_cursor = self.implied.len();
-            if clauses.is_empty() {
-                break true;
-            }
-            for clause in clauses.iter() {
-                self.add_clause(clause);
-            }
-        };
-        self.lazy_buf = clauses;
-        result.then_some(&self.implied[..])
     }
 }
 
@@ -513,107 +493,6 @@ mod tests {
                     "fixpoint diverged (seed {seed}, dead {dead:?})"
                 );
             }
-        }
-    }
-
-    /// Strict-order transitivity over `n` elements, instantiated lazily and
-    /// scoped to the delta the way the engine's order-axiom source is:
-    /// `x(i,j) = Var(i·n + j)`, and every instance `x(i,j) ∧ x(j,k) →
-    /// x(i,k)` touching a delta variable that is unit or violated under the
-    /// assignment is handed out.
-    struct Transitivity {
-        n: u32,
-    }
-
-    impl crate::LazyAxiomSource for Transitivity {
-        fn instantiate(
-            &mut self,
-            assignment: crate::lazy::Assignment<'_>,
-            delta: Option<&[Lit]>,
-            out: &mut crate::lazy::ClauseBuffer,
-        ) {
-            let n = self.n;
-            let x = |i: u32, j: u32| Var(i * n + j);
-            let delta = delta.expect("UP always passes a delta");
-            let touched = |v: Var| delta.iter().any(|l| l.var() == v);
-            for i in 0..n {
-                for j in (0..n).filter(|&j| j != i) {
-                    for k in (0..n).filter(|&k| k != i && k != j) {
-                        let clause = [x(i, j).negative(), x(j, k).negative(), x(i, k).positive()];
-                        if !clause.iter().any(|l| touched(l.var())) {
-                            continue;
-                        }
-                        let value =
-                            |l: &Lit| assignment.value(l.var()).map(|b| b == l.is_positive());
-                        let open = clause.iter().filter(|l| value(l).is_none()).count();
-                        if !clause.iter().any(|l| value(l) == Some(true)) && open <= 1 {
-                            out.push(&clause);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn randomized_lazy_retraction_matches_fresh_rederivation() {
-        // Grouped order units and binary clauses under a lazy transitivity
-        // source, retracted group by group: after every retraction the lazy
-        // fixpoint must equal a fresh propagator's over the surviving
-        // clauses with the same source. A delta-scoped source only sees
-        // what the cursor hands it, so this checks that a retraction
-        // re-delivers the re-derived fixpoint whole.
-        let n = 4u32;
-        let groups: [u32; 5] = [NO_GROUP, 1, 2, 3, 4];
-        for seed in 1..40u64 {
-            let mut r = Xorshift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-            let lit = |r: &mut Xorshift| {
-                let i = r.below(n as u64) as u32;
-                let j = (i + 1 + r.below(n as u64 - 1) as u32) % n;
-                let v = Var(i * n + j);
-                if r.below(4) == 0 {
-                    v.negative()
-                } else {
-                    v.positive()
-                }
-            };
-            let clauses: Vec<(Vec<Lit>, u32)> = (0..4 + r.below(10))
-                .map(|_| {
-                    let len = 1 + r.below(2) as usize;
-                    let lits = (0..len).map(|_| lit(&mut r)).collect();
-                    (lits, groups[r.below(groups.len() as u64) as usize])
-                })
-                .collect();
-            let mut up = UnitPropagator::new(&Cnf::new());
-            up.ensure_vars((n * n) as usize);
-            for (lits, group) in &clauses {
-                up.add_clause_grouped(lits, *group);
-            }
-            let lazy_fixpoint = |up: &mut UnitPropagator| {
-                up.propagate_to_fixpoint_lazy(&mut Transitivity { n })
-                    .map(|implied| {
-                        let mut implied = implied.to_vec();
-                        implied.sort_unstable();
-                        implied
-                    })
-            };
-            let _ = lazy_fixpoint(&mut up);
-            let mut dead: Vec<u32> = Vec::new();
-            for g in 1..groups.len() as u32 {
-                up.retract_groups(&[g]);
-                dead.push(g);
-                let mut fresh = UnitPropagator::new(&Cnf::new());
-                fresh.ensure_vars((n * n) as usize);
-                for (lits, group) in clauses.iter().filter(|(_, g)| !dead.contains(g)) {
-                    fresh.add_clause_grouped(lits, *group);
-                }
-                assert_eq!(
-                    lazy_fixpoint(&mut up),
-                    lazy_fixpoint(&mut fresh),
-                    "lazy fixpoint diverged (seed {seed}, dead {dead:?})"
-                );
-            }
-            assert_eq!(up.retractions(), groups.len() - 1);
         }
     }
 
