@@ -93,7 +93,7 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
     let mut od = DeducedOrders::empty(enc.space().arity());
     for &lit in implied {
         let Some(OrderAtom { attr, lo, hi }) = enc.order_atom(lit.var()) else {
-            continue; // auxiliary variable (guard, not an order atom)
+            continue;
         };
         if lit.is_positive() {
             od.insert(attr, lo, hi);
@@ -118,7 +118,7 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
 ///
 /// Returns `None` if `Φ(Se)` itself is unsatisfiable.
 pub fn naive_deduce(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
-    naive_deduce_on(&mut enc.fresh_solver(), enc)
+    naive_deduce_on(&mut Solver::from_cnf(enc.cnf()), enc)
 }
 
 /// The body of [`naive_deduce`] over a solver that holds every clause of
@@ -185,7 +185,7 @@ fn probe_plan(enc: &EncodedSpec) -> Vec<(cr_sat::Var, OrderAtom)> {
 /// nothing.
 pub fn naive_deduce_fresh(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
     let fresh_solve = |enc: &mut EncodedSpec, extra: Option<cr_sat::Lit>| {
-        let mut solver = enc.fresh_solver();
+        let mut solver = Solver::from_cnf(enc.cnf());
         if let Some(lit) = extra {
             solver.add_clause([lit]);
         }

@@ -1,37 +1,28 @@
 //! `ConvertToCNF`: from instance constraints to the CNF Φ(Se).
 //!
-//! # Guard-literal clause groups
+//! # CFD clauses and their deletion
 //!
-//! The lazy kind ([`EncodedSpec::encode_lazy`]; see the "Encoding kinds"
-//! section of the encode module docs) emits the CFD instance constraints
-//! as **retractable clause groups**, one group per CFD. The eager kinds
-//! emit them as plain clauses. The lifecycle:
+//! Every kind emits a CFD's instance constraints as plain clauses, each
+//! tagged with the CFD's index. Only CFD instances can go stale, and only
+//! in the lazy kind: Σ instances, base orders, null-bottom units and the
+//! order axioms are never invalidated by user input; new values only
+//! *add* to them.
 //!
-//! 1. *Emission* — a group allocates a fresh guard variable `g`; every
-//!    clause of the group carries the extra literal `¬g`, so the clauses
-//!    are vacuous until `g` is asserted.
-//! 2. *Activation* — consumers assert `g`: fresh solvers/propagators add
-//!    the unit clauses [`EncodedSpec::active_guards`]
-//!    (see [`EncodedSpec::fresh_solver`]); the incremental engine's warm
-//!    solver instead carries the guards as persistent *assumptions*
-//!    (`cr_sat::Solver::set_persistent_assumptions`), which keeps them
-//!    retractable.
-//! 3. *Retraction* — when a user answer introduces a new value on an
-//!    attribute referenced by a CFD, that CFD's ωX premise (and possibly
-//!    its domination conclusions) are stale: the group is retracted by
-//!    appending the root unit `¬g` to the CNF, which permanently satisfies
-//!    the group's clauses *and* every clause the warm solver learnt from
-//!    them (learnt clauses depending on the group contain `¬g` by
-//!    construction of conflict analysis). The CFD is then re-emitted over
-//!    the grown value space under a fresh guard. A CFD withdrawn upstream
-//!    ([`EncodedSpec::retract_cfd`]) is retracted the same way and never
-//!    re-emitted.
+//! * *Extension* — when a user answer introduces a new value on an
+//!   attribute a CFD ranges over, the CFD's ωX premise (and possibly its
+//!   domination conclusions) no longer quantify over the whole space.
+//!   [`EncodedSpec::extend_with_input`] deletes the CFD's clauses from
+//!   Φ(Se) and re-emits the CFD over the grown space at the end of the
+//!   CNF.
+//! * *Withdrawal* — a CFD withdrawn upstream
+//!   ([`EncodedSpec::retract_cfd`]) loses its clauses the same way and is
+//!   never re-emitted.
 //!
-//! The CNF therefore remains the single append-only source of truth:
-//! solvers sync by ingesting the clause tail, and the retraction unit
-//! travels through the same channel. Only CFD instances need groups — Σ
-//! instances, base orders, null-bottom axioms and the order axioms are
-//! never invalidated by user input; new values only *add* to them.
+//! Both go through one deletion primitive, which keeps the clause arena
+//! and the per-clause tags parallel. A deletion shifts clause indices, so
+//! a consumer that ingested the CNF by clause index (a solver, a unit
+//! propagator) is rebuilt from it; the engine does that at its next call
+//! (see the `crate::ingest` module docs).
 //!
 //! # Lazy axiom instantiation
 //!
@@ -61,9 +52,8 @@
 //! order atoms skips them in its tail sync, since its theory already
 //! covers them. An eager encoding answers every consultation with nothing
 //! and registers no atoms — its axioms are already clauses — so callers
-//! never branch on the kind. Recorded clauses are permanent (`NO_GROUP`):
-//! axioms hold regardless of any CFD group, so retraction never touches
-//! them.
+//! never branch on the kind. Recorded clauses carry no CFD tag: axioms
+//! hold whatever Γ says, so a deletion never touches them.
 
 use cr_sat::{Assignment, ClauseBuffer, Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, Value, ValueId};
@@ -77,27 +67,19 @@ use crate::spec::{Specification, UserInput};
 /// Sentinel for an unallocated slot in [`VarTable`].
 const NO_VAR: u32 = u32::MAX;
 
-/// Sentinel for a variable that is not an order atom (guard variables).
-const NO_ATOM: u32 = u32::MAX;
-
-/// Identifier of a retractable clause group (index into the encoding's
-/// group table). Also used as the group tag handed to
-/// `cr_sat::UnitPropagator::add_clause_grouped`.
-pub type GroupId = u32;
-
-/// Group tag of permanent clauses.
-const NO_GROUP: GroupId = cr_sat::NO_GROUP;
+/// CFD tag of a clause that is no CFD instance.
+const NO_CFD: u32 = u32::MAX;
 
 /// Which of the three encodings an [`EncodedSpec`] is — see the "Encoding
-/// kinds" section of the encode module docs. Guarded CFD groups come with
-/// the lazy kind, totality with every kind but the paper-faithful one.
+/// kinds" section of the encode module docs. Only the lazy kind is
+/// extended, totality comes with every kind but the paper-faithful one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Kind {
-    /// Every axiom materialised, plain CFD clauses; one-shot.
+    /// Every axiom materialised; one-shot.
     Eager,
     /// [`Kind::Eager`] without totality clauses (Section V-A as written).
     PaperFaithful,
-    /// Lazy axioms, guarded CFD groups: the engine's encoding.
+    /// Lazy axioms, extended with every answer: the engine's encoding.
     Lazy,
 }
 
@@ -111,8 +93,8 @@ enum Kind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum ClauseKind {
-    /// Eager axioms, CFD instances, guard units, deltas — everything
-    /// rule derivation ignores.
+    /// Eager axioms, CFD instances, null-bottom units — everything rule
+    /// derivation ignores.
     General = 0,
     /// A Σ-currency or base-order implication with an order-atom
     /// conclusion: exactly the Ω instances the paper's `TrueDer` rule
@@ -180,14 +162,6 @@ impl VarTable {
     }
 }
 
-/// A retractable clause group: its guard variable and whether it is still
-/// active.
-#[derive(Clone, Copy, Debug)]
-struct GroupState {
-    guard: Var,
-    active: bool,
-}
-
 /// [`OmegaSink`] adapter converting streamed instances to clauses on the
 /// spot (see [`EncodedSpec::encode`]).
 struct EncoderSink<'a> {
@@ -201,12 +175,12 @@ impl OmegaSink for EncoderSink<'_> {
         // storage 2–3× and pushes every encode into fresh large mappings.
         // Cap the hint and let amortised growth cover dense constraints.
         let capped = additional.min(4096);
-        self.enc.clause_groups.reserve(capped);
+        self.enc.clause_cfds.reserve(capped);
         self.enc.clause_kinds.reserve(capped);
         self.enc.cnf.reserve_clauses(capped);
     }
     fn emit(&mut self, c: InstanceConstraint) {
-        self.enc.route_omega(c);
+        self.enc.add_omega_constraint(c);
     }
 }
 
@@ -218,31 +192,24 @@ impl OmegaSink for EncoderSink<'_> {
 /// The encoding supports **delta extension** with user input
 /// (`EncodedSpec::extend_with_input`, driven by
 /// [`ResolutionSession::apply_input`](crate::ingest::ResolutionSession::apply_input)):
-/// a round of the Fig. 4 loop only appends the clauses induced by the
-/// fresh user-input tuple instead of re-deriving the whole CNF. With
-/// guarded CFDs (see the module docs) this covers *every* input, including
-/// answers outside the interned value space: the new value's order
-/// variables are appended, and the affected CFDs are retracted and
-/// re-emitted under fresh guards. Only lazy encodings are extended; an
-/// eager one is one-shot.
+/// a round of the Fig. 4 loop appends the clauses induced by the fresh
+/// user-input tuple instead of re-deriving the whole CNF. This covers
+/// *every* input, including answers outside the interned value space: the
+/// new value's order variables are appended, and the CFDs over a grown
+/// attribute lose their clauses and are re-emitted (see the module docs).
+/// Only lazy encodings are extended; an eager one is one-shot.
 pub struct EncodedSpec {
     space: AttrValueSpace,
     vars: VarTable,
-    /// Order atoms in allocation order, with their variables.
+    /// The order atom of every variable: variable `i` is atom `i`.
     atoms: Vec<OrderAtom>,
-    atom_vars: Vec<Var>,
-    /// Var index → index into `atoms` (`NO_ATOM` for guard variables).
-    var_atom: Vec<u32>,
     cnf: Cnf,
-    /// Group tag per CNF clause (`NO_GROUP` = permanent), parallel to
-    /// `cnf.clauses()`.
-    clause_groups: Vec<GroupId>,
-    /// [`ClauseKind`] per CNF clause, parallel to `clause_groups` — the
+    /// The CFD (index into Γ) each CNF clause instantiates, or [`NO_CFD`];
+    /// parallel to `cnf.clauses()`.
+    clause_cfds: Vec<u32>,
+    /// [`ClauseKind`] per CNF clause, parallel to `clause_cfds` — the
     /// one-byte tag behind the Ω-free rule scan.
     clause_kinds: Vec<ClauseKind>,
-    groups: Vec<GroupState>,
-    /// Per CFD index: its currently active group, if emitted.
-    cfd_groups: Vec<Option<GroupId>>,
     /// Per CFD index: withdrawn by an upstream correction
     /// ([`EncodedSpec::retract_cfd`]); never re-emitted.
     cfd_retired: Vec<bool>,
@@ -280,9 +247,9 @@ impl EncodedSpec {
     }
 
     /// The engine's encoding of `spec`: lazy order axioms (totality
-    /// included) and guarded CFD groups, extensible with every user
-    /// answer. Consumers activate the guards through
-    /// [`EncodedSpec::fresh_solver`] / [`EncodedSpec::fresh_propagator`].
+    /// included), extensible with every user answer. A unit propagator
+    /// learns the axioms from [`EncodedSpec::fresh_propagator`]; a solver
+    /// pulls them with the encoding as its [`cr_sat::LazyAxiomSource`].
     pub fn encode_lazy(spec: &Specification) -> Self {
         Self::encode_kind(spec, Kind::Lazy)
     }
@@ -298,13 +265,9 @@ impl EncodedSpec {
             // `space`) completes; swapped in below.
             space: AttrValueSpace::new(0),
             atoms: Vec::new(),
-            atom_vars: Vec::new(),
-            var_atom: Vec::new(),
             cnf: Cnf::new(),
-            clause_groups: Vec::new(),
+            clause_cfds: Vec::new(),
             clause_kinds: Vec::new(),
-            groups: Vec::new(),
-            cfd_groups: vec![None; spec.gamma().len()],
             cfd_retired: vec![false; spec.gamma().len()],
             kind,
             injected_axioms: 0,
@@ -340,16 +303,11 @@ impl EncodedSpec {
             }
         }
         debug_assert_eq!(idx as usize, total);
-        // Variable ↔ atom mappings are the identity over the bulk range.
         enc.cnf.ensure_vars(idx);
-        enc.atom_vars = (0..idx).map(Var).collect();
-        enc.var_atom = (0..idx).collect();
 
         // Ω(Se), streamed straight from the compiled-program projection
         // into clause emission — instance construction and clause
         // conversion happen in one pass with no intermediate buffer.
-        // The lazy kind puts CFD instances into one retractable group per
-        // CFD (routed by `route_omega`); everything else is permanent.
         {
             let program = spec.compiled_program().clone();
             let mut sink = EncoderSink { enc: &mut enc };
@@ -380,9 +338,9 @@ impl EncodedSpec {
                     if let (Some(xab), Some(xba)) =
                         (enc.vars.get(attr, a, b), enc.vars.get(attr, b, a))
                     {
-                        enc.push_clause([xab.negative(), xba.negative()], NO_GROUP);
+                        enc.push_clause([xab.negative(), xba.negative()]);
                         if kind != Kind::PaperFaithful {
-                            enc.push_clause([xab.positive(), xba.positive()], NO_GROUP);
+                            enc.push_clause([xab.positive(), xba.positive()]);
                         }
                     }
                 }
@@ -405,7 +363,7 @@ impl EncodedSpec {
                         else {
                             continue;
                         };
-                        enc.push_clause([xab.negative(), xbc.negative(), xac.positive()], NO_GROUP);
+                        enc.push_clause([xab.negative(), xbc.negative(), xac.positive()]);
                     }
                 }
             }
@@ -423,25 +381,19 @@ impl EncodedSpec {
     /// 2. the instance constraints of Σ on the tuple pairs involving `to`
     ///    (pairs among the original tuples are already instantiated).
     ///
-    /// Answers **outside** the interned value space are handled additively
-    /// by the guarded CFD groups of the lazy kind: the new value id
-    /// appends a row to the dense attr×lo×hi variable table and allocates
-    /// its pair variables (a propagator registers the grown attribute
-    /// again, and the lazy source reads the grown table), its null-bottom
-    /// unit is appended, and every CFD referencing the grown attribute is
-    /// retracted and re-emitted over the new space under a fresh guard
-    /// group (see the module docs for the lifecycle).
+    /// Answers **outside** the interned value space grow the space: the
+    /// new value id appends a row to the dense attr×lo×hi variable table
+    /// and allocates its pair variables (a propagator registers the grown
+    /// attribute again, and the lazy source reads the grown table), its
+    /// null-bottom unit is appended, and every CFD referencing the grown
+    /// attribute loses its clauses and is re-emitted over the new space
+    /// (see the module docs).
     ///
     /// `spec` must be the specification this encoding currently represents
-    /// (i.e. *before* the input is applied). Returns the clause groups
-    /// withdrawn in the process (stale CFD emissions), in retraction order:
-    /// callers holding a live `UnitPropagator` must forward them to
-    /// `retract_groups` before syncing the clause tail.
-    pub(crate) fn extend_with_input(
-        &mut self,
-        spec: &Specification,
-        input: &UserInput,
-    ) -> Vec<GroupId> {
+    /// (i.e. *before* the input is applied). Returns whether clauses were
+    /// deleted: a consumer synced by clause index must then be rebuilt
+    /// from the CNF instead of fed its tail.
+    pub(crate) fn extend_with_input(&mut self, spec: &Specification, input: &UserInput) -> bool {
         let mut answered: Vec<(AttrId, ValueId)> = Vec::new();
         let mut grown: Vec<AttrId> = Vec::new();
         for (attr, v) in &input.values {
@@ -454,11 +406,11 @@ impl EncodedSpec {
             }
         }
 
-        // Out-of-domain answers: append the new values and their axioms,
-        // then retract and re-emit every CFD whose premise or conclusion
-        // ranges over a grown attribute, so ωX premises and domination sets
-        // quantify over the current space.
-        let mut retracted_groups: Vec<GroupId> = Vec::new();
+        // Out-of-domain answers: append the new values, then delete and
+        // re-emit every CFD whose premise or conclusion ranges over a grown
+        // attribute, so ωX premises and domination sets quantify over the
+        // current space.
+        let mut deleted = false;
         for (attr, v) in &input.values {
             if !v.is_null() && self.space.get(*attr, v).is_none() {
                 let vid = self.append_value(*attr, v);
@@ -468,28 +420,25 @@ impl EncodedSpec {
         if !grown.is_empty() {
             grown.sort_unstable();
             grown.dedup();
+            // A CFD withdrawn upstream is never re-emitted.
+            let stale: Vec<bool> = spec
+                .gamma()
+                .iter()
+                .enumerate()
+                .map(|(gi, cfd)| {
+                    !self.cfd_retired[gi]
+                        && (cfd
+                            .lhs()
+                            .iter()
+                            .any(|(a, _)| grown.binary_search(a).is_ok())
+                            || grown.binary_search(&cfd.rhs().0).is_ok())
+                })
+                .collect();
+            deleted = self.delete_cfd_clauses(|gi| stale[gi]);
             for (gi, cfd) in spec.gamma().iter().enumerate() {
-                if self.cfd_retired[gi] {
-                    continue; // withdrawn upstream: never re-emitted
-                }
-                let touched = cfd
-                    .lhs()
-                    .iter()
-                    .any(|(a, _)| grown.binary_search(a).is_ok())
-                    || grown.binary_search(&cfd.rhs().0).is_ok();
-                if !touched {
-                    continue;
-                }
-                if let Some(group) = self.cfd_groups[gi].take() {
-                    self.deactivate_group(group);
-                    retracted_groups.push(group);
-                }
-                let instances = cfd_instances(&self.space, gi, cfd);
-                if !instances.is_empty() {
-                    let group = self.new_group();
-                    self.cfd_groups[gi] = Some(group);
-                    for c in instances {
-                        self.add_omega_constraint_in(c, group);
+                if stale[gi] {
+                    for c in cfd_instances(&self.space, gi, cfd) {
+                        self.add_omega_constraint(c);
                     }
                 }
             }
@@ -569,7 +518,7 @@ impl EncodedSpec {
                 }
             }
         }
-        retracted_groups
+        deleted
     }
 
     /// Appends a brand-new value to `attr`'s space: interns it, regrows the
@@ -619,11 +568,11 @@ impl EncodedSpec {
     }
 
     /// Withdraws CFD `gamma[gi]` permanently — the encoding-level half of an
-    /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's clause
-    /// group is retracted (root `¬g` unit) and the CFD is marked retired so
-    /// no later extension re-emits it. Requires a lazy encoding; a session
-    /// calls it on each fresh encoding of its specification, before any
-    /// solver or propagator reads the CNF.
+    /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's
+    /// clauses are deleted and the CFD is marked retired so no later
+    /// extension re-emits it. Requires a lazy encoding; a session calls it
+    /// on each fresh encoding of its specification, before any solver or
+    /// propagator reads the CNF.
     pub(crate) fn retract_cfd(&mut self, gi: usize) {
         debug_assert_eq!(
             self.kind,
@@ -631,9 +580,25 @@ impl EncodedSpec {
             "CFD retraction needs a lazy encoding"
         );
         self.cfd_retired[gi] = true;
-        if let Some(group) = self.cfd_groups[gi].take() {
-            self.deactivate_group(group);
+        self.delete_cfd_clauses(|c| c == gi);
+    }
+
+    /// Deletes the clauses of every CFD `stale` selects (by index into Γ)
+    /// from the CNF, keeping the per-clause tags parallel — the one
+    /// deletion of the encoding (see the module docs). Returns whether a
+    /// clause went.
+    fn delete_cfd_clauses(&mut self, stale: impl Fn(usize) -> bool) -> bool {
+        let stale_tag = |tag: u32| tag != NO_CFD && stale(tag as usize);
+        if !self.clause_cfds.iter().any(|&tag| stale_tag(tag)) {
+            return false;
         }
+        let tags = &self.clause_cfds;
+        self.cnf.retain_clauses(|idx| !stale_tag(tags[idx]));
+        let mut tags = tags.iter();
+        self.clause_kinds
+            .retain(|_| tags.next().is_some_and(|&tag| !stale_tag(tag)));
+        self.clause_cfds.retain(|&tag| !stale_tag(tag));
+        true
     }
 
     /// True iff CFD `gamma[gi]` was withdrawn by `EncodedSpec::retract_cfd`.
@@ -642,7 +607,11 @@ impl EncodedSpec {
         self.cfd_retired.get(gi).copied().unwrap_or(false)
     }
 
-    /// Adds the clause of an instance constraint to the CNF.
+    /// Adds the clause of an instance constraint to the CNF, tagged with
+    /// its [`ClauseKind`] and, for a CFD instance, its CFD. Literals go
+    /// straight into the CNF's flat arena — no per-clause allocation, no
+    /// intermediate buffer — and the clause is the instance's sole
+    /// representation.
     ///
     /// Delta constraints from [`EncodedSpec::extend_with_input`] may
     /// duplicate already-instantiated projections — harmless: duplicate
@@ -651,35 +620,6 @@ impl EncodedSpec {
     /// so deriving rules from Ω(Se) is insensitive to duplicates and
     /// ordering.
     fn add_omega_constraint(&mut self, c: InstanceConstraint) {
-        self.add_omega_constraint_in(c, NO_GROUP);
-    }
-
-    /// Routes one streamed Ω instance to its clause group: CFD instances go
-    /// into their retractable group (created on first use) in the lazy
-    /// kind, everything else is permanent.
-    fn route_omega(&mut self, c: InstanceConstraint) {
-        match c.origin {
-            super::Origin::Cfd(gi) if self.kind == Kind::Lazy => {
-                let group = match self.cfd_groups[gi] {
-                    Some(g) => g,
-                    None => {
-                        let g = self.new_group();
-                        self.cfd_groups[gi] = Some(g);
-                        g
-                    }
-                };
-                self.add_omega_constraint_in(c, group);
-            }
-            _ => self.add_omega_constraint(c),
-        }
-    }
-
-    /// [`EncodedSpec::add_omega_constraint`] into a clause group: the
-    /// group's guard literal `¬g` is appended to the clause. Literals go
-    /// straight into the CNF's flat arena — no per-clause allocation, no
-    /// intermediate buffer — and the clause, tagged with its
-    /// [`ClauseKind`], is the instance's sole representation.
-    fn add_omega_constraint_in(&mut self, c: InstanceConstraint, group: GroupId) {
         for a in c.premise.iter() {
             let lit = self.var(*a).negative();
             self.cnf.push_clause_lit(lit);
@@ -695,55 +635,21 @@ impl EncodedSpec {
                 kind = ClauseKind::OrderRule;
             }
         }
-        if group != NO_GROUP {
-            let guard = self.groups[group as usize].guard;
-            self.cnf.push_clause_lit(guard.negative());
-        }
         self.cnf.finish_clause();
-        self.clause_groups.push(group);
+        self.clause_cfds.push(match c.origin {
+            super::Origin::Cfd(gi) => gi as u32,
+            _ => NO_CFD,
+        });
         self.clause_kinds.push(kind);
     }
 
-    /// Appends one clause to the CNF, tagging it with its group (the
-    /// group's guard literal is appended automatically). Every clause of
-    /// the encoding goes through here so `clause_groups` stays parallel to
-    /// the clause list; every caller allocates its variables through
-    /// [`EncodedSpec::var`] / [`EncodedSpec::new_group`] first, so the CNF
-    /// skips its per-literal variable scan.
-    fn push_clause(&mut self, lits: impl IntoIterator<Item = Lit>, group: GroupId) {
-        if group == NO_GROUP {
-            self.cnf.add_clause_prealloc(lits);
-        } else {
-            let guard = self.groups[group as usize].guard;
-            self.cnf
-                .add_clause_prealloc(lits.into_iter().chain(std::iter::once(guard.negative())));
-        }
-        self.clause_groups.push(group);
+    /// Appends one untagged clause to the CNF. Every caller allocates its
+    /// variables through [`EncodedSpec::var`] first, so the CNF skips its
+    /// per-literal variable scan.
+    fn push_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        self.cnf.add_clause_prealloc(lits);
+        self.clause_cfds.push(NO_CFD);
         self.clause_kinds.push(ClauseKind::General);
-    }
-
-    /// Allocates a fresh, active clause group with its guard variable.
-    fn new_group(&mut self) -> GroupId {
-        let guard = self.cnf.new_var();
-        debug_assert_eq!(guard.index(), self.var_atom.len());
-        self.var_atom.push(NO_ATOM);
-        let id = self.groups.len() as GroupId;
-        self.groups.push(GroupState {
-            guard,
-            active: true,
-        });
-        id
-    }
-
-    /// Retracts a clause group: marks it inactive and appends the root unit
-    /// `¬g` to the CNF, which permanently satisfies the group's clauses
-    /// (and any clauses a solver learnt from them) once synced.
-    fn deactivate_group(&mut self, group: GroupId) {
-        let state = &mut self.groups[group as usize];
-        debug_assert!(state.active, "group retracted twice");
-        state.active = false;
-        let guard = state.guard;
-        self.push_clause([guard.negative()], NO_GROUP);
     }
 
     /// Allocates (or returns) the variable for an order atom.
@@ -752,11 +658,9 @@ impl EncodedSpec {
             return v;
         }
         let v = self.cnf.new_var();
-        debug_assert_eq!(v.index(), self.var_atom.len());
+        debug_assert_eq!(v.index(), self.atoms.len());
         self.vars.set(atom.attr, atom.lo, atom.hi, v);
-        self.var_atom.push(self.atoms.len() as u32);
         self.atoms.push(atom);
-        self.atom_vars.push(v);
         v
     }
 
@@ -765,14 +669,11 @@ impl EncodedSpec {
         &self.cnf
     }
 
-    /// Walks every **live** order-rule clause — the Σ-currency and
-    /// base-order implications with an order-atom conclusion, i.e. exactly
-    /// the Ω(Se) subset the paper's rule derivation (`TrueDer`,
-    /// Section VI) consumes — reconstructing each rule's premise atoms and
-    /// conclusion atom from the flat literal arena via the var → atom
-    /// table. Guard literals are skipped (they map to no atom); clauses of
-    /// retracted groups are skipped, so the visit order is emission order
-    /// restricted to the live order rules.
+    /// Walks every order-rule clause — the Σ-currency and base-order
+    /// implications with an order-atom conclusion, i.e. exactly the Ω(Se)
+    /// subset the paper's rule derivation (`TrueDer`, Section VI) consumes
+    /// — reconstructing each rule's premise atoms and conclusion atom from
+    /// the flat literal arena via the var → atom table, in emission order.
     ///
     /// The premise slice is a scratch buffer reused across clauses; copy
     /// out whatever must outlive the callback.
@@ -782,17 +683,10 @@ impl EncodedSpec {
             if self.clause_kinds[idx] != ClauseKind::OrderRule {
                 continue;
             }
-            let group = self.clause_groups[idx];
-            if group != NO_GROUP && !self.groups[group as usize].active {
-                continue;
-            }
             premise.clear();
             let mut conclusion = None;
             for &lit in self.cnf.clause(idx) {
-                // Guard literals have no atom behind their variable.
-                let Some(atom) = self.order_atom(lit.var()) else {
-                    continue;
-                };
+                let atom = self.atoms[lit.var().index()];
                 if lit.is_positive() {
                     conclusion = Some(atom);
                 } else {
@@ -805,8 +699,8 @@ impl EncodedSpec {
     }
 
     /// Approximate heap footprint of the encoding in bytes: the CNF arena,
-    /// the per-clause group/kind tags, the dense variable table and the
-    /// atom tables. Feeds the bytes-per-entity accounting of the
+    /// the per-clause CFD/kind tags, the dense variable table and the
+    /// atom table. Feeds the bytes-per-entity accounting of the
     /// benchmarks.
     pub fn approx_bytes(&self) -> usize {
         let vars: usize = self
@@ -816,12 +710,10 @@ impl EncodedSpec {
             .map(|t| t.capacity() * std::mem::size_of::<u32>())
             .sum();
         self.cnf.approx_bytes()
-            + self.clause_groups.capacity() * std::mem::size_of::<GroupId>()
+            + self.clause_cfds.capacity() * std::mem::size_of::<u32>()
             + self.clause_kinds.capacity() * std::mem::size_of::<ClauseKind>()
             + vars
             + self.atoms.capacity() * std::mem::size_of::<OrderAtom>()
-            + self.atom_vars.capacity() * std::mem::size_of::<Var>()
-            + self.var_atom.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The per-attribute value spaces (active domain + null).
@@ -834,75 +726,27 @@ impl EncodedSpec {
         self.vars.get(attr, lo, hi)
     }
 
-    /// The order atom behind a variable, or `None` for auxiliary (guard)
-    /// variables.
+    /// The order atom behind a variable, or `None` for a variable past the
+    /// encoding's (such as a MaxSAT selector).
     pub fn order_atom(&self, var: Var) -> Option<OrderAtom> {
-        let idx = *self.var_atom.get(var.index())?;
-        (idx != NO_ATOM).then(|| self.atoms[idx as usize])
+        self.atoms.get(var.index()).copied()
     }
 
     /// All order variables with their atoms, in allocation order.
     pub fn order_vars(&self) -> impl Iterator<Item = (Var, OrderAtom)> + '_ {
-        self.atom_vars
-            .iter()
-            .copied()
-            .zip(self.atoms.iter().copied())
+        (0..).map(Var).zip(self.atoms.iter().copied())
     }
 
-    /// Number of order variables (guard variables excluded).
+    /// Number of order variables — every variable of the encoding.
     pub fn num_order_vars(&self) -> usize {
         self.atoms.len()
     }
 
-    /// Positive literals of the guards of every **active** clause group.
-    /// Fresh solvers/propagators over [`EncodedSpec::cnf`] must assert
-    /// these (retracted groups are already neutralised by `¬g` units inside
-    /// the CNF); the incremental engine instead carries them as persistent
-    /// assumptions so they stay retractable.
-    pub fn active_guards(&self) -> Vec<Lit> {
-        self.groups
-            .iter()
-            .filter(|g| g.active)
-            .map(|g| g.guard.positive())
-            .collect()
-    }
-
-    /// Whether `group` is still active (not yet retracted). The engine's
-    /// tail sync consults this so clauses of a group retracted before the
-    /// sync reached them (a retired CFD on a fresh encoding) are never fed
-    /// live to the group-aware propagator — the solver side is already
-    /// safe because the group's `¬g` unit travels in the same tail.
-    pub fn is_group_active(&self, group: GroupId) -> bool {
-        self.groups[group as usize].active
-    }
-
-    /// The group and guard variable of CNF clause `idx`, or `None` for
-    /// permanent clauses. Used by the engine to strip guard literals when
-    /// syncing its group-aware unit propagator.
-    pub fn clause_group(&self, idx: usize) -> Option<(GroupId, Var)> {
-        let g = self.clause_groups[idx];
-        (g != NO_GROUP).then(|| (g, self.groups[g as usize].guard))
-    }
-
-    /// A CDCL solver over `Φ(Se)` with all active guard groups asserted as
-    /// root units — correct for any consumer that never retracts.
-    pub fn fresh_solver(&self) -> cr_sat::Solver {
-        let mut solver = cr_sat::Solver::from_cnf(&self.cnf);
-        for g in self.active_guards() {
-            solver.add_clause([g]);
-        }
-        solver
-    }
-
-    /// A root-level unit propagator over `Φ(Se)` with all active guard
-    /// groups asserted as units and, for the lazy kind, every order atom
-    /// registered — correct for any consumer that never retracts.
+    /// A root-level unit propagator over `Φ(Se)` with, for the lazy kind,
+    /// every order atom registered.
     pub fn fresh_propagator(&self) -> cr_sat::UnitPropagator {
         let mut up = cr_sat::UnitPropagator::new(&self.cnf);
         self.register_order_atoms(&mut up, 0);
-        for g in self.active_guards() {
-            up.add_clause(&[g]);
-        }
         up
     }
 
@@ -1190,7 +1034,7 @@ impl cr_sat::LazyAxiomSource for EncodedSpec {
         self.violated_axioms(assignment, out);
         for clause in out.iter_from(from) {
             self.cnf.add_clause_prealloc(clause.iter().copied());
-            self.clause_groups.push(NO_GROUP);
+            self.clause_cfds.push(NO_CFD);
             self.clause_kinds.push(ClauseKind::Axiom);
         }
         self.injected_axioms += out.len() - from;
@@ -1226,26 +1070,16 @@ mod tests {
         Specification::without_orders(e, sigma, vec![])
     }
 
-    /// The clauses of `group` while it is active, read back from the
-    /// clause arena as (premise atoms, conclusion atom) — guard literals
-    /// map to no atom and are skipped. Empty for no group or a retracted
-    /// one.
-    fn live_group_clauses(
-        enc: &EncodedSpec,
-        group: Option<GroupId>,
-    ) -> Vec<(Vec<OrderAtom>, Option<OrderAtom>)> {
-        let Some(group) = group.filter(|&g| enc.is_group_active(g)) else {
-            return Vec::new();
-        };
+    /// The clauses of CFD `gi`, read back from the clause arena as
+    /// (premise atoms, conclusion atom).
+    fn cfd_clauses(enc: &EncodedSpec, gi: usize) -> Vec<(Vec<OrderAtom>, Option<OrderAtom>)> {
         (0..enc.cnf().num_clauses())
-            .filter(|&idx| enc.clause_group(idx).is_some_and(|(g, _)| g == group))
+            .filter(|&idx| enc.clause_cfds[idx] == gi as u32)
             .map(|idx| {
                 let mut premise = Vec::new();
                 let mut conclusion = None;
                 for &lit in enc.cnf().clause(idx) {
-                    let Some(atom) = enc.order_atom(lit.var()) else {
-                        continue;
-                    };
+                    let atom = enc.order_atom(lit.var()).unwrap();
                     if lit.is_positive() {
                         conclusion = Some(atom);
                     } else {
@@ -1339,7 +1173,7 @@ mod tests {
         assert_eq!(lazy.num_order_vars(), eager.num_order_vars());
         assert!(lazy.cnf().num_clauses() < eager.cnf().num_clauses());
         let mut s1 = Solver::from_cnf(eager.cnf());
-        let mut s2 = lazy.fresh_solver();
+        let mut s2 = Solver::from_cnf(lazy.cnf());
         assert_eq!(s1.solve(), s2.solve_lazy(&mut lazy));
     }
 
@@ -1372,7 +1206,7 @@ mod tests {
         // is refuted only by the asymmetry axiom, which the CEGAR loop
         // must inject.
         let back = enc.var_of(status, sid("retired"), sid("working")).unwrap();
-        let mut solver = enc.fresh_solver();
+        let mut solver = Solver::from_cnf(enc.cnf());
         assert_eq!(
             solver.solve_lazy_with_assumptions(&[back.positive()], &mut enc),
             SolveResult::Unsat
@@ -1385,7 +1219,7 @@ mod tests {
         assert!((before..enc.cnf().num_clauses()).all(|i| enc.clause_kind(i) == ClauseKind::Axiom));
         // Recorded clauses are permanent: a fresh solver over the CNF sees
         // them without any lazy cooperation.
-        let mut solver = enc.fresh_solver();
+        let mut solver = Solver::from_cnf(enc.cnf());
         assert_eq!(
             solver.solve_with_assumptions(&[back.positive()]),
             SolveResult::Unsat
@@ -1430,11 +1264,10 @@ mod tests {
     }
 
     #[test]
-    fn guarded_encoding_matches_unguarded_once_activated() {
-        // Same spec as above, encoded lazily (guarded CFDs) and eagerly
-        // (plain CFD clauses): the bare lazy CNF no longer forces the CFD
-        // (guards free), while the activated encoding does, like the eager
-        // one.
+    fn lazy_cfd_clauses_match_eager() {
+        // Same spec as above, encoded lazily and eagerly: both kinds emit
+        // the CFD as the same plain clauses, and a solver over the lazy
+        // CNF forces the CFD like the eager one.
         let s = Schema::new("p", ["status", "AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
@@ -1456,42 +1289,28 @@ mod tests {
         let spec = Specification::without_orders(e, sigma, gamma);
         let mut lazy = EncodedSpec::encode_lazy(&spec);
         let eager = EncodedSpec::encode(&spec);
-        assert_eq!(lazy.active_guards().len(), 1);
-        assert!(
-            eager.active_guards().is_empty(),
-            "eager CFD clauses are plain"
-        );
+        assert!(!cfd_clauses(&lazy, 0).is_empty());
+        assert_eq!(cfd_clauses(&lazy, 0), cfd_clauses(&eager, 0));
         let city = spec.schema().attr_id("city").unwrap();
         let ny = lazy.value_id(city, &Value::str("NY")).unwrap();
         let la = lazy.value_id(city, &Value::str("LA")).unwrap();
         let x = lazy.var_of(city, ny, la).unwrap();
-        let x_eager = eager
-            .var_of(
-                city,
-                eager.value_id(city, &Value::str("NY")).unwrap(),
-                eager.value_id(city, &Value::str("LA")).unwrap(),
-            )
-            .unwrap();
-        let mut bare = Solver::from_cnf(lazy.cnf());
+        let mut solver = Solver::from_cnf(lazy.cnf());
         assert_eq!(
-            bare.solve_with_assumptions(&[x.negative()]),
-            SolveResult::Sat
-        );
-        let mut plain = Solver::from_cnf(eager.cnf());
-        assert_eq!(
-            plain.solve_with_assumptions(&[x_eager.negative()]),
+            solver.solve_lazy_with_assumptions(&[x.negative()], &mut lazy),
             SolveResult::Unsat
         );
-        let mut activated = lazy.fresh_solver();
+        assert_eq!(solver.solve_lazy(&mut lazy), SolveResult::Sat);
+        // Every variable is an order atom.
+        assert_eq!(lazy.num_order_vars(), lazy.cnf().num_vars() as usize);
         assert_eq!(
-            activated.solve_lazy_with_assumptions(&[x.negative()], &mut lazy),
-            SolveResult::Unsat
+            lazy.order_atom(x),
+            Some(OrderAtom {
+                attr: city,
+                lo: ny,
+                hi: la
+            })
         );
-        assert_eq!(activated.solve_lazy(&mut lazy), SolveResult::Sat);
-        // Guard variables are not order atoms.
-        let guard = lazy.active_guards()[0].var();
-        assert!(lazy.order_atom(guard).is_none());
-        assert!(lazy.order_atom(x).is_some());
     }
 
     #[test]
@@ -1513,7 +1332,7 @@ mod tests {
         let input = UserInput::single(city, Value::str("LA"));
 
         let before = enc.cnf().num_clauses();
-        assert!(enc.extend_with_input(&spec, &input).is_empty());
+        assert!(!enc.extend_with_input(&spec, &input));
         assert!(enc.cnf().num_clauses() > before, "unit clauses appended");
 
         let mut extended = spec.clone();
@@ -1537,7 +1356,7 @@ mod tests {
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
-        assert!(enc.extend_with_input(&spec, &input).is_empty());
+        assert!(!enc.extend_with_input(&spec, &input));
         let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
@@ -1551,8 +1370,8 @@ mod tests {
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
-        // No CFDs → nothing to retract, but the extension must succeed.
-        assert!(enc.extend_with_input(&spec, &input).is_empty());
+        // No CFDs → nothing to delete, but the extension must succeed.
+        assert!(!enc.extend_with_input(&spec, &input));
         let deceased = enc
             .value_id(status, &Value::str("deceased"))
             .expect("interned");
@@ -1567,7 +1386,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_extension_retracts_and_reemits_cfd_on_lhs_growth() {
+    fn extension_deletes_and_reemits_cfd_on_lhs_growth() {
         // CFD: AC = 213 → city = "LA". A new AC value must invalidate the
         // old ωX premise (which didn't mention it) — after answering
         // AC=999, the CFD may no longer fire, because 999 tops AC.
@@ -1585,15 +1404,13 @@ mod tests {
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let ac = spec.schema().attr_id("AC").unwrap();
         let city = spec.schema().attr_id("city").unwrap();
-        let old_group = enc.cfd_groups[0];
-        assert!(!live_group_clauses(&enc, old_group).is_empty());
+        let stale = cfd_clauses(&enc, 0);
+        assert!(!stale.is_empty());
 
         let input = UserInput::single(ac, Value::int(999));
-        let retracted = enc.extend_with_input(&spec, &input);
-        assert_eq!(retracted.len(), 1, "the CFD's group must be retracted");
         assert!(
-            live_group_clauses(&enc, old_group).is_empty(),
-            "stale group stays dead"
+            enc.extend_with_input(&spec, &input),
+            "the CFD's clauses must be deleted"
         );
 
         // Re-emitted instances now range over the grown AC space: the ωX
@@ -1601,8 +1418,12 @@ mod tests {
         // 213 ≺ 999 — so the CFD is dead and city stays ambiguous.
         let nid = enc.value_id(ac, &Value::int(999)).unwrap();
         let cid213 = enc.value_id(ac, &Value::int(213)).unwrap();
-        let reemitted = live_group_clauses(&enc, enc.cfd_groups[0]);
+        let reemitted = cfd_clauses(&enc, 0);
         assert!(!reemitted.is_empty());
+        assert!(
+            stale.iter().all(|c| !reemitted.contains(c)),
+            "no stale clause survives"
+        );
         assert!(
             reemitted
                 .iter()
@@ -1618,7 +1439,7 @@ mod tests {
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(
             !od.contains(city, ny, la),
-            "CFD must not fire after retraction"
+            "CFD must not fire after the deletion"
         );
         assert!(!od.contains(city, la, ny));
         // And the scratch re-encode agrees.
@@ -1633,7 +1454,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_extension_activates_previously_dead_cfd() {
+    fn extension_emits_previously_vacuous_cfd() {
         // CFD: AC = 999 → city = "LA". 999 is outside the domain at encode
         // time (CFD vacuous); answering AC=999 must bring it to life:
         // 999 tops AC, the ωX premise holds, NY ≺ LA becomes deducible.
@@ -1649,15 +1470,15 @@ mod tests {
         let gamma = parse_cfds(&s, "AC = 999 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
         let mut enc = EncodedSpec::encode_lazy(&spec);
-        assert!(live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
-        assert!(enc.active_guards().is_empty());
+        assert!(cfd_clauses(&enc, 0).is_empty());
 
         let ac = spec.schema().attr_id("AC").unwrap();
         let input = UserInput::single(ac, Value::int(999));
-        let retracted = enc.extend_with_input(&spec, &input);
-        assert!(retracted.is_empty(), "nothing was emitted before");
-        assert_eq!(enc.active_guards().len(), 1, "the CFD now has a live group");
-        assert!(!live_group_clauses(&enc, enc.cfd_groups[0]).is_empty());
+        assert!(
+            !enc.extend_with_input(&spec, &input),
+            "nothing was emitted before, so nothing is deleted"
+        );
+        assert!(!cfd_clauses(&enc, 0).is_empty(), "the CFD now has clauses");
 
         let city = spec.schema().attr_id("city").unwrap();
         let od = crate::deduce::deduce_order(&mut enc).unwrap();
@@ -1675,9 +1496,7 @@ mod tests {
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
-        assert!(enc
-            .extend_with_input(&spec, &UserInput::single(status, Value::str("retired")))
-            .is_empty());
+        assert!(!enc.extend_with_input(&spec, &UserInput::single(status, Value::str("retired"))));
         let od = crate::deduce::deduce_order(&mut enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
@@ -1686,12 +1505,10 @@ mod tests {
         let clauses_before = enc.cnf().num_clauses();
         let mut extended = spec.clone();
         extended.apply_user_input(&UserInput::single(status, Value::str("retired")));
-        assert!(enc
-            .extend_with_input(
-                &extended,
-                &UserInput::single(status, Value::str("deceased"))
-            )
-            .is_empty());
+        assert!(!enc.extend_with_input(
+            &extended,
+            &UserInput::single(status, Value::str("deceased"))
+        ));
         let appended = enc.cnf().num_clauses() - clauses_before;
         // 3 base-order units for the grown space (working, retired and the
         // previous user tuple's value are all interned already) — nothing
@@ -1726,7 +1543,7 @@ mod tests {
     }
 
     #[test]
-    fn retract_cfd_neutralises_the_group_and_blocks_reemission() {
+    fn retract_cfd_deletes_its_clauses_and_blocks_reemission() {
         let spec = fired_cfd_spec();
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let city = AttrId(1);
@@ -1735,15 +1552,18 @@ mod tests {
         // The CFD fires (AC base order implies 1 ≺ 2): NY ≺ LA implied.
         let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(od.contains(city, ny, la));
-        let group = enc.cfd_groups[0];
-        assert!(!live_group_clauses(&enc, group).is_empty());
+        assert!(!cfd_clauses(&enc, 0).is_empty());
+        let clauses = enc.cnf().num_clauses();
 
         enc.retract_cfd(0);
         assert!(enc.is_cfd_retired(0));
         assert!(
-            live_group_clauses(&enc, group).is_empty(),
-            "retired CFD clauses must be neutralised"
+            cfd_clauses(&enc, 0).is_empty(),
+            "retired CFD clauses are deleted"
         );
+        assert_eq!(enc.cnf().num_clauses(), enc.clause_kinds.len());
+        assert_eq!(enc.cnf().num_clauses(), enc.clause_cfds.len());
+        assert!(enc.cnf().num_clauses() < clauses);
         let od = crate::deduce::deduce_order(&mut enc).unwrap();
         assert!(
             !od.contains(city, ny, la),
@@ -1752,9 +1572,9 @@ mod tests {
 
         // An out-of-domain answer growing `AC` must NOT re-emit the CFD.
         let input = UserInput::single(AttrId(0), Value::int(9));
-        enc.extend_with_input(&spec, &input);
+        assert!(!enc.extend_with_input(&spec, &input));
         assert!(
-            enc.cfd_groups[0].is_none(),
+            cfd_clauses(&enc, 0).is_empty(),
             "a retired CFD is never re-emitted"
         );
     }

@@ -25,7 +25,7 @@
 //!   (`implication`, the Fig. 8 ablations) and the oracles of the
 //!   `cr-oracle` crate and `cr-store`'s harness (exhaustive-completion
 //!   comparisons, the per-round session ≡ scratch check, which checks the
-//!   engine's guarded CFD groups against plain CFD clauses).
+//!   engine's extended and rebuilt consumers against a fresh encoding).
 //! * **Paper-faithful** ([`EncodedSpec::encode_paper_faithful`]): eager,
 //!   without the totality clauses `x^A_{a,b} ∨ x^A_{b,a}` — Section V-A as
 //!   written. **Reproduction finding:** without totality, satisfying
@@ -45,25 +45,22 @@
 //!   dense table and appends exactly the axiom instances it violates,
 //!   which the solver injects and re-checks until the theory is
 //!   satisfied; the encoding records each injected instance into its own
-//!   CNF, so every later solver starts from it. Each CFD's
-//!   instance constraints form a retractable **guarded clause group**,
-//!   which is what lets a session absorb every user answer — out-of-domain
-//!   values included — as a pure extension of the encoding; consumers
-//!   activate the guards ([`EncodedSpec::fresh_solver`],
-//!   [`EncodedSpec::fresh_propagator`]). The emission → activation →
-//!   retraction lifecycle is documented in the `cnf` module docs; the
-//!   engine side lives in `framework`'s module docs. Lazily injected axiom
-//!   clauses are never guarded — they are theory-valid regardless of any
-//!   CFD, so they survive retraction. Resolution outcomes are
+//!   CNF, so every later solver starts from it. A session extends this
+//!   kind with every user answer; an out-of-domain answer deletes the
+//!   clauses of the CFDs over the grown attribute and re-emits them (see
+//!   the `cnf` module docs), and the solver and propagator, which are
+//!   views of Φ(Se), are rebuilt from it at the engine's next call
+//!   (`framework`'s module docs). Lazily injected axiom clauses carry no
+//!   CFD tag, so a deletion never touches them. Resolution outcomes are
 //!   **identical** to an eager encoding of the same specification
 //!   (differentially tested, see below); round-0 encode cost drops from
 //!   `O(n³)` to `O(n²)`. Upstream corrections ([`crate::ingest`]) never
 //!   edit an encoding: they edit the session's specification, which the
-//!   session then re-encodes with this kind, retracting withdrawn CFDs'
-//!   groups (`EncodedSpec::retract_cfd`).
+//!   session then re-encodes with this kind, deleting withdrawn CFDs'
+//!   clauses (`EncodedSpec::retract_cfd`).
 //!
-//! So "guarded CFDs" means "lazy", and "totality" means "not
-//! paper-faithful". Only the lazy kind is extended with user input.
+//! So "totality" means "not paper-faithful". Only the lazy kind is
+//! extended with user input.
 //!
 //! ## Compiled constraint programs
 //!
@@ -103,11 +100,9 @@
 //!    (`CompiledProgram` is immutable after compile, hence freely
 //!    `Send + Sync`-shared; entities only read it).
 //!
-//! The guarded CFD groups of the lazy kind meet the program only at
-//! *emission*: the compiled tableau decides which instances a CFD
-//! produces, the guard machinery decides which clause group they land in,
-//! and re-emission
-//! after value growth re-reads the same compiled pattern (resolving any
+//! A CFD's clauses meet the program only at *emission*: the compiled
+//! tableau decides which instances a CFD produces, and re-emission after
+//! value growth re-reads the same compiled pattern (resolving any
 //! grown, non-table value by `Value` lookup). `cr-oracle` keeps a
 //! per-entity derivation over this crate's public API as the differential
 //! baseline (`tests/lazy_differential.rs` proves `omega_compiled` ≡
@@ -150,13 +145,12 @@ mod cnf;
 mod omega;
 mod program;
 
-pub use cnf::{ClauseKind, EncodedSpec, GroupId};
+pub use cnf::{ClauseKind, EncodedSpec};
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub use program::{compile_count, CompiledProgram};
 
 /// The instance constraints Ω(Se) via the compiled-program projection —
-/// exactly the instances every encode emits, in emission order (the lazy
-/// kinds append a guard literal to each CFD clause).
+/// exactly the instances every encode emits, in emission order.
 /// The one test hook into instantiation: differential tests compare it
 /// with `cr_oracle::omega_reference` and with the clause arena.
 #[doc(hidden)]

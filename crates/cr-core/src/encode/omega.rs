@@ -996,8 +996,8 @@ fn emit_sigma_gamma_reference(
 /// The instance constraints of one constant CFD over the given value
 /// spaces — the ωX-premise/domination emission of `Instantiation(Se)` step
 /// 5, factored out so [`EncodedSpec::extend_with_input`] can *re-emit* a
-/// CFD under a fresh guard group after a new value grows a referenced
-/// attribute's space. Pattern constants are resolved by `Value` lookup;
+/// CFD, whose stale clauses it deleted, after a new value grows a
+/// referenced attribute's space. Pattern constants are resolved by `Value` lookup;
 /// the encode-time path resolves through dense global ids instead
 /// ([`compiled_cfd_instances`]).
 ///

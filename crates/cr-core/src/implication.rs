@@ -26,7 +26,7 @@ use crate::spec::Specification;
 /// ill-posed: the paper defines it for valid specifications only).
 pub fn implies(spec: &Specification, ot: &PartialOrders) -> Option<bool> {
     let enc = EncodedSpec::encode(spec);
-    let mut solver = enc.fresh_solver();
+    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     if solver.solve() == SolveResult::Unsat {
         return None;
     }
@@ -122,7 +122,7 @@ pub fn explain_invalidity(spec: &Specification) -> Option<Vec<ConflictPart>> {
 
 fn is_sat(spec: &Specification) -> bool {
     let enc = EncodedSpec::encode(spec);
-    let mut solver = enc.fresh_solver();
+    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     solver.solve() == SolveResult::Sat
 }
 

@@ -36,12 +36,13 @@
 //! batch that applied an event marks the engine *stale*; the next engine
 //! call ([`ResolutionSession::is_valid`], [`ResolutionSession::deduce`],
 //! [`ResolutionSession::suggest`] or [`ResolutionSession::apply_input`])
-//! re-encodes `current` with [`EncodedSpec::encode_lazy`], retracts the
-//! retired CFDs (`EncodedSpec::retract_cfd`) and builds a fresh solver —
-//! on the old solver's recycled allocations — and unit propagator over the
-//! new CNF. A revised session is therefore the from-scratch encoding of its
-//! specification by construction. However many events and batches arrive
-//! between two engine calls, they cost one re-encode.
+//! re-encodes `current` with [`EncodedSpec::encode_lazy`], deletes the
+//! retired CFDs' clauses (`EncodedSpec::retract_cfd`) and rebuilds its
+//! solver and unit propagator from the new CNF (see "Consumers are views
+//! of Φ(Se)" in [`crate::framework`]). A revised session is therefore the
+//! from-scratch encoding of its specification by construction. However
+//! many events and batches arrive between two engine calls, they cost one
+//! re-encode.
 //!
 //! CFD retraction keeps Γ's *indexing* intact on the session side (the
 //! encoding flags the entry retired; `TrueDer` and extension skip it) so
@@ -325,8 +326,8 @@ pub struct RevisionTelemetry {
     /// the applied sizes of every sealed batch with ≥ 2 applied events. 0
     /// means ingestion never actually coalesced anything.
     pub events_coalesced: usize,
-    /// Always 0: a correction no longer retracts clause groups in place,
-    /// so there is no union retraction cone to measure. Kept because the
+    /// Always 0: a correction re-encodes the specification, so there is
+    /// no union retraction cone to measure. Kept because the
     /// benchmark reads it.
     pub cone_union: usize,
     /// Engine rebuilds saved by coalescing: Σ over multi-event batches of
@@ -431,12 +432,14 @@ struct BatchState {
 /// encoding's order atoms behind an atom watermark and holds the order
 /// axioms as its theory; the axioms the solver's CEGAR loop records into
 /// the CNF (the encoding is its axiom source) reach only later solves, and
-/// the propagator's tail sync skips them. Corrections leave the engine
-/// stale; the next engine call rebuilds it (see the module docs).
+/// the propagator's tail sync skips them. Both are views of the CNF: a
+/// correction re-encodes the specification, an answer may delete CFD
+/// clauses from the CNF, and either way the next engine call rebuilds
+/// them from it.
 pub struct ResolutionSession {
     current: Specification,
     /// CFDs withdrawn upstream, as indices into the original Γ: `current`
-    /// keeps Γ intact and every fresh encoding retracts these.
+    /// keeps Γ intact and every fresh encoding deletes their clauses.
     retired: BTreeSet<usize>,
     enc: EncodedSpec,
     solver: cr_sat::Solver,
@@ -448,12 +451,15 @@ pub struct ResolutionSession {
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
-    /// Axioms recorded by the encodings, and retractions counted by the
-    /// propagators, that rebuilds replaced — so
-    /// [`ResolutionSession::injected_axioms`] and
-    /// [`ResolutionSession::replays`] stay monotone.
+    /// `enc` deleted clauses since `solver` and `up` were built from it:
+    /// the next engine call rebuilds them.
+    rebuild: bool,
+    /// Axioms recorded by the encodings that re-encodes replaced, so
+    /// [`ResolutionSession::injected_axioms`] stays monotone.
     replaced_axioms: usize,
-    replaced_retractions: usize,
+    /// Answers whose extension deleted CFD clauses, each costing one
+    /// rebuild ([`ResolutionSession::replays`]).
+    answer_rebuilds: usize,
     revisions: RevisionTelemetry,
     /// Degradation policy for revisions that fail validation.
     policy: RevisionPolicy,
@@ -497,35 +503,22 @@ struct PropagatorSync {
     atoms: usize,
 }
 
-/// The engine over a specification: its lazy encoding with the `retired`
-/// CFDs retracted, a solver (built from `scratch` when given) with the
-/// active guards as persistent assumptions, and a unit propagator, both
-/// synced to the whole CNF.
-fn build_engine(
-    spec: &Specification,
-    retired: &BTreeSet<usize>,
-    scratch: Option<cr_sat::SolverScratch>,
-) -> (EncodedSpec, cr_sat::Solver, cr_sat::UnitPropagator) {
+/// The engine's encoding of `spec`: its lazy encoding with the `retired`
+/// CFDs' clauses deleted.
+fn encode_engine(spec: &Specification, retired: &BTreeSet<usize>) -> EncodedSpec {
     let mut enc = EncodedSpec::encode_lazy(spec);
     for &gi in retired {
         enc.retract_cfd(gi);
     }
-    let mut solver = match scratch {
-        Some(s) => cr_sat::Solver::from_cnf_with_scratch(enc.cnf(), s),
-        None => cr_sat::Solver::from_cnf(enc.cnf()),
-    };
-    solver.set_persistent_assumptions(enc.active_guards());
-    let mut up = cr_sat::UnitPropagator::new(&cr_sat::Cnf::new());
-    ResolutionSession::sync_propagator(&mut up, &enc, PropagatorSync::default());
-    (enc, solver, up)
+    enc
 }
 
 impl ResolutionSession {
     /// Opens a session on `spec`: the lazy encoding
-    /// ([`EncodedSpec::encode_lazy`]), whose guarded CFD groups let
-    /// [`ResolutionSession::apply_input`] absorb every user answer — in the
-    /// interned value space or not — as a pure extension of the encoding,
-    /// and whose specification every correction edits (module docs).
+    /// ([`EncodedSpec::encode_lazy`]), which
+    /// [`ResolutionSession::apply_input`] extends with every user answer —
+    /// in the interned value space or not — and whose specification every
+    /// correction edits (module docs).
     ///
     /// `_config` is inert — the encoding is fixed. The parameter stays
     /// because the benchmark (`perfbench/src/drive.rs`) passes it.
@@ -543,30 +536,27 @@ impl ResolutionSession {
         spec: &Specification,
         scratch: Option<cr_sat::SolverScratch>,
     ) -> Self {
-        Self::open(spec.clone(), BTreeSet::new(), scratch)
+        Self::open(spec.clone(), BTreeSet::new(), scratch.unwrap_or_default())
     }
 
     /// A session on `current` with the `retired` CFDs withdrawn.
     fn open(
         current: Specification,
         retired: BTreeSet<usize>,
-        scratch: Option<cr_sat::SolverScratch>,
+        scratch: cr_sat::SolverScratch,
     ) -> Self {
-        let (enc, solver, up) = build_engine(&current, &retired, scratch);
-        ResolutionSession {
+        let mut session = ResolutionSession {
+            enc: encode_engine(&current, &retired),
             current,
             retired,
-            synced_solver: enc.cnf().num_clauses(),
-            synced_up: PropagatorSync {
-                clauses: enc.cnf().num_clauses(),
-                atoms: enc.num_order_vars(),
-            },
-            enc,
-            solver,
-            up,
+            solver: cr_sat::Solver::new(),
+            up: cr_sat::UnitPropagator::new(&cr_sat::Cnf::new()),
+            synced_solver: 0,
+            synced_up: PropagatorSync::default(),
             stale: false,
+            rebuild: false,
             replaced_axioms: 0,
-            replaced_retractions: 0,
+            answer_rebuilds: 0,
             revisions: RevisionTelemetry::default(),
             policy: RevisionPolicy::default(),
             quarantine: Vec::new(),
@@ -574,27 +564,36 @@ impl ResolutionSession {
             frontier: CausalFrontier::new(),
             answers: BTreeMap::new(),
             epoch: Epoch::ZERO,
+        };
+        session.rebuild_consumers(scratch);
+        session
+    }
+
+    /// Brings the engine up to date by one rule: a specification change
+    /// re-encodes `current` (module docs), a deletion from the encoding
+    /// rebuilds the solver and the propagator from Φ(Se), and both reset
+    /// the watermarks. A re-encode replaces the whole CNF, so it rebuilds
+    /// them too. A no-op while neither happened since the last call.
+    fn refresh(&mut self) {
+        if std::mem::take(&mut self.stale) {
+            self.replaced_axioms += self.enc.injected_axioms();
+            self.enc = encode_engine(&self.current, &self.retired);
+            self.rebuild = true;
+        }
+        if std::mem::take(&mut self.rebuild) {
+            let scratch = std::mem::take(&mut self.solver).into_scratch();
+            self.rebuild_consumers(scratch);
         }
     }
 
-    /// Rebuilds a stale engine over `current` (see the module docs): a
-    /// fresh lazy encoding with the retired CFDs retracted, a solver on the
-    /// old solver's recycled allocations and a fresh propagator. A no-op
-    /// while no correction applied since the last build.
-    fn refresh(&mut self) {
-        if !std::mem::take(&mut self.stale) {
-            return;
-        }
-        let scratch = std::mem::take(&mut self.solver).into_scratch();
-        let (enc, solver, up) = build_engine(&self.current, &self.retired, Some(scratch));
-        self.replaced_axioms += self.enc.injected_axioms();
-        self.replaced_retractions += self.up.retractions();
-        self.synced_solver = enc.cnf().num_clauses();
-        self.synced_up = PropagatorSync {
-            clauses: enc.cnf().num_clauses(),
-            atoms: enc.num_order_vars(),
-        };
-        (self.enc, self.solver, self.up) = (enc, solver, up);
+    /// Builds the solver, on `scratch`'s recycled allocations, and the unit
+    /// propagator, on its own, over the whole CNF, and sets both watermarks
+    /// to its end.
+    fn rebuild_consumers(&mut self, scratch: cr_sat::SolverScratch) {
+        self.solver = cr_sat::Solver::from_cnf_with_scratch(self.enc.cnf(), scratch);
+        self.synced_solver = self.enc.cnf().num_clauses();
+        self.up.clear();
+        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, PropagatorSync::default());
     }
 
     /// Tears the session down into reusable solver scratch (cleared
@@ -674,11 +673,9 @@ impl ResolutionSession {
 
     /// Brings `up` up to date with `enc` from the watermark `from`: first
     /// registers the order atoms allocated since (their attributes are
-    /// laid out again as order domains), then feeds the CNF tail,
-    /// stripping guard literals from grouped clauses and tagging them with
-    /// their group so they stay retractable. Recorded axiom clauses are
-    /// skipped: the propagator's order theory covers them. Returns the new
-    /// watermark.
+    /// laid out again as order domains), then feeds the CNF tail. Recorded
+    /// axiom clauses are skipped: the propagator's order theory covers
+    /// them. Returns the new watermark.
     fn sync_propagator(
         up: &mut cr_sat::UnitPropagator,
         enc: &EncodedSpec,
@@ -691,28 +688,8 @@ impl ResolutionSession {
             from.atoms
         };
         for (i, clause) in enc.cnf().clauses_from(from.clauses).enumerate() {
-            let idx = from.clauses + i;
-            if enc.clause_kind(idx) == ClauseKind::Axiom {
-                continue;
-            }
-            match enc.clause_group(idx) {
-                Some((group, guard)) => {
-                    // A group can be retracted after emission but before
-                    // this sync (a retired CFD on a fresh encoding). Its
-                    // clauses must never enter the propagator live — the
-                    // solver side is neutralised by the group's ¬g unit in
-                    // the same tail.
-                    if !enc.is_group_active(group) {
-                        continue;
-                    }
-                    let stripped: Vec<cr_sat::Lit> = clause
-                        .iter()
-                        .copied()
-                        .filter(|l| l.var() != guard)
-                        .collect();
-                    up.add_clause_grouped(&stripped, group);
-                }
-                None => up.add_clause(clause),
+            if enc.clause_kind(from.clauses + i) != ClauseKind::Axiom {
+                up.add_clause(clause);
             }
         }
         PropagatorSync {
@@ -721,13 +698,11 @@ impl ResolutionSession {
         }
     }
 
-    /// Brings the warm solver up to date with the CNF (axioms recorded by
-    /// one-shot probes such as the suggestion's MaxSAT repair, extension
-    /// deltas). Variables can
-    /// grow without any new clause — an input extension may allocate guard
-    /// variables for emission groups whose instances are all vacuous — and
-    /// those guards still enter the persistent assumptions, so the var
-    /// check cannot be folded into the clause-watermark check.
+    /// Brings the warm solver up to date with the CNF's tail (axioms
+    /// recorded by one-shot probes such as the suggestion's MaxSAT repair,
+    /// extension deltas). The variable count is compared too, so the
+    /// solver knows every variable an assumption can name even if no
+    /// synced clause mentions it.
     pub(crate) fn sync_solver(&mut self) {
         if self.synced_solver < self.enc.cnf().num_clauses()
             || self.solver.num_vars() < self.enc.cnf().num_vars()
@@ -744,23 +719,28 @@ impl ResolutionSession {
         self.replaced_axioms + self.enc.injected_axioms()
     }
 
-    /// Retraction telemetry of the session's unit propagators:
-    /// `(retractions, 0, 0)`. Each retraction re-derives the propagator's
-    /// fixpoint (see `cr_sat::unit_propagation`); the last two fields are
-    /// always 0 and kept only because the benchmark reads this triple, as
-    /// it does [`RevisionTelemetry::cone_union`].
+    /// Rebuild telemetry: `(rebuilds, 0, 0)`, where `rebuilds` counts the
+    /// answers whose extension deleted CFD clauses, each of which costs the
+    /// engine a solver and propagator rebuild at its next call. The last
+    /// two fields are always 0 and kept only because the benchmark reads
+    /// this triple, as it does [`RevisionTelemetry::cone_union`].
     pub fn replays(&self) -> (usize, usize, usize) {
-        (self.replaced_retractions + self.up.retractions(), 0, 0)
+        (self.answer_rebuilds, 0, 0)
     }
 
     /// Absorbs one round of user input: extends the encoding by the delta
-    /// clauses (rebuilding a stale engine first), then `current` in place
-    /// by the induced tuple/orders. Returns the size of the induced order
-    /// extension `|Ot|` added.
+    /// clauses (bringing the engine up to date first), then `current` in
+    /// place by the induced tuple/orders, and feeds the delta to the warm
+    /// consumers — unless the extension deleted CFD clauses, which leaves
+    /// their rebuild to the next engine call. Returns the size of the
+    /// induced order extension `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
         self.refresh();
         // The encoder derives the delta from the pre-input specification.
-        let retracted_groups = self.enc.extend_with_input(&self.current, input);
+        if self.enc.extend_with_input(&self.current, input) {
+            self.rebuild = true;
+            self.answer_rebuilds += 1;
+        }
         let (to, added) = self.current.apply_user_input(input);
         // Record each accepted answer with the causal knowledge it was
         // given under (the frontier's delivered vector): a later correction
@@ -779,16 +759,14 @@ impl ResolutionSession {
                 );
             }
         }
-        self.up.retract_groups(&retracted_groups);
-        self.sync_solver();
-        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-        // Guard set may have changed (retractions and fresh CFD emissions).
-        self.solver
-            .set_persistent_assumptions(self.enc.active_guards());
-        // Round-boundary sweep: learnt clauses accumulate over a resolve();
-        // keep the database proportional to the formula.
-        let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
-        self.solver.compact_learnts(cap);
+        if !self.rebuild {
+            self.sync_solver();
+            self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
+            // Round-boundary sweep: learnt clauses accumulate over a
+            // resolve(); keep the database proportional to the formula.
+            let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
+            self.solver.compact_learnts(cap);
+        }
         // An absorbed input round is a committed mutation batch of its
         // own: it seals an epoch.
         self.epoch = self.epoch.next();
@@ -1216,9 +1194,9 @@ impl ResolutionSession {
     /// the snapshotted one: the current specification, retired CFDs,
     /// accepted answers and delivery frontier fully determine all
     /// subsequent `ingest_causal`/`apply_input` behaviour. Its engine is
-    /// the encoding of the snapshot's specification with the retired CFDs
-    /// retracted — what the snapshotted session would build at its next
-    /// call.
+    /// the encoding of the snapshot's specification with the retired CFDs'
+    /// clauses deleted — what the snapshotted session would build at its
+    /// next call.
     ///
     /// Fails with a descriptive error — never panics — when the snapshot is
     /// inconsistent with `base` (wrong arity, out-of-range ids, an unknown
@@ -1256,7 +1234,7 @@ impl ResolutionSession {
                 return Err(format!("snapshot retires CFD {cfd} twice or out of range"));
             }
         }
-        let mut session = ResolutionSession::open(spec, retired, None);
+        let mut session = ResolutionSession::open(spec, retired, Default::default());
         for a in state.answers {
             if a.attr.index() >= arity || a.tuple.index() >= session.current.entity().len() {
                 return Err(format!(
@@ -1379,5 +1357,74 @@ mod tests {
         let warm = order_fixpoint(&mut session.up, enc).unwrap();
         assert!(warm.contains(&enc.var_of(city, sf, ny).unwrap().negative()));
         assert_eq!(Some(warm), order_fixpoint(&mut enc.fresh_propagator(), enc));
+    }
+
+    /// Deduced order pairs `lo ≺ hi` on `attr`, as values.
+    type ValueOrders = Vec<(AttrId, Value, Value)>;
+
+    /// Validity and the orders both deduction methods find, with value ids
+    /// read back as values so sessions with different encodings compare.
+    /// Pairs with a null side are left out: an extended session never
+    /// interns the null cells of its user-input tuples.
+    fn engine_view(session: &mut ResolutionSession) -> (bool, Vec<ValueOrders>) {
+        let valid = session.is_valid();
+        let orders = [DeductionMethod::UnitPropagation, DeductionMethod::NaiveSat]
+            .map(|method| {
+                let od = session.deduce(method).expect("a valid specification");
+                let enc = session.encoded();
+                let value = |attr, id| enc.value(attr, id).clone();
+                let mut pairs: ValueOrders = (0..enc.space().arity())
+                    .map(|i| AttrId(i as u16))
+                    .flat_map(|attr| {
+                        od.pairs(attr)
+                            .map(move |(lo, hi)| (attr, value(attr, lo), value(attr, hi)))
+                    })
+                    .filter(|(_, lo, hi)| !lo.is_null() && !hi.is_null())
+                    .collect();
+                pairs.sort_unstable();
+                pairs
+            })
+            .to_vec();
+        (valid, orders)
+    }
+
+    #[test]
+    fn out_of_domain_answer_on_a_fired_cfd_matches_a_fresh_session() {
+        // CFD: AC = 2 → city = "LA" fires: the base order puts AC 1 ≺ 2,
+        // so 2 tops AC and NY ≺ LA is deduced. The answer AC = 9 then tops
+        // AC, so the CFD must stop firing: its clauses over the old space
+        // are deleted, and the warm solver and propagator, which hold them,
+        // must be rebuilt before the next deduction.
+        let s = Schema::new("p", ["AC", "city"]).unwrap();
+        let e = EntityInstance::new(
+            s.clone(),
+            vec![
+                Tuple::of([Value::int(1), Value::str("NY")]),
+                Tuple::of([Value::int(2), Value::str("LA")]),
+            ],
+        )
+        .unwrap();
+        let mut orders = PartialOrders::empty(2);
+        orders.add(AttrId(0), TupleId(0), TupleId(1));
+        let gamma = cr_constraints::parser::parse_cfds(&s, "AC = 2 -> city = \"LA\"").unwrap();
+        let spec = Specification::new(e, orders, vec![], gamma);
+        let config = ResolutionConfig::default();
+        let mut session = ResolutionSession::new(&config, &spec);
+        let fired = (AttrId(1), Value::str("NY"), Value::str("LA"));
+        let (valid, before) = engine_view(&mut session);
+        assert!(valid);
+        assert!(before.iter().all(|od| od.contains(&fired)));
+
+        let input = UserInput::single(AttrId(0), Value::int(9));
+        session.apply_input(&input);
+        assert_eq!(session.replays().0, 1, "the answer deleted CFD clauses");
+        let mut answered = spec.clone();
+        answered.apply_user_input(&input);
+        let after = engine_view(&mut session);
+        assert!(after.1.iter().all(|od| !od.contains(&fired)));
+        assert_eq!(
+            after,
+            engine_view(&mut ResolutionSession::new(&config, &answered))
+        );
     }
 }

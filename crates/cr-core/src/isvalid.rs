@@ -29,7 +29,7 @@ pub fn is_valid(spec: &Specification) -> Validity {
 /// is exact (the final model satisfies the full theory); the injected
 /// axioms are recorded into `enc`'s CNF.
 pub fn is_valid_encoded(enc: &mut EncodedSpec) -> Validity {
-    let mut solver = enc.fresh_solver();
+    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     let valid = solver.solve_lazy(enc) == SolveResult::Sat;
     Validity {
         valid,

@@ -55,7 +55,7 @@ pub fn suggest(
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Suggestion {
-    let mut solver = enc.fresh_solver();
+    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     suggest_on(spec, enc, od, known, &mut solver).0
 }
 
@@ -247,11 +247,10 @@ fn clique_assumptions(
     assumptions
 }
 
-/// Builds one MaxSAT repair instance: the borrowed `Φ(Se)` hard base with
-/// active guard groups asserted, one selector variable per clique rule
-/// implying "all its asserted values are tops", and unit-weight soft
-/// selectors. Returns the instance and the selector variables (parallel to
-/// `clique`).
+/// Builds one MaxSAT repair instance: the borrowed `Φ(Se)` hard base, one
+/// selector variable per clique rule implying "all its asserted values are
+/// tops", and unit-weight soft selectors. Returns the instance and the
+/// selector variables (parallel to `clique`).
 fn build_repair_instance<'a>(
     enc: &'a EncodedSpec,
     rules: &[DerivationRule],
@@ -259,11 +258,6 @@ fn build_repair_instance<'a>(
     scratch: &mut Vec<cr_sat::Lit>,
 ) -> (MaxSatInstance<'a>, Vec<cr_sat::Var>) {
     let mut inst = MaxSatInstance::with_hard_base(enc.cnf());
-    // Active guard groups must hold inside the repair too (retracted ones
-    // are neutralised by the neg-guard units already present in the base).
-    for g in enc.active_guards() {
-        inst.add_hard([g]);
-    }
     let mut selectors = Vec::with_capacity(clique.len());
     for (offset, &ri) in clique.iter().enumerate() {
         let sel = cr_sat::Var(enc.cnf().num_vars() + offset as u32);

@@ -107,7 +107,7 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
 /// one probe persist in the solver, sharpen the rest, and are recorded
 /// into `enc`'s CNF.
 pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<ValueId> {
-    let mut solver = enc.fresh_solver();
+    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
     if solver.solve_lazy(enc) == SolveResult::Unsat {
         return Vec::new();
     }

@@ -607,11 +607,12 @@ fn quarantine_log_is_bounded_with_eviction_telemetry() {
 
 /// Regression (found by the crash-and-rehydrate soak): a causal
 /// `ReplaceValue` to Null followed by a user answer used to panic the
-/// solver inside `is_valid`. The input extension allocated fresh guard
-/// variables for emission groups whose instances were all vacuous — new
-/// variables but **zero** new clauses — so the clause-watermark solver
-/// sync skipped entirely and the persistent guard assumptions referenced
-/// variables the solver had never seen.
+/// solver inside `is_valid`. The input extension of the time, when CFD
+/// clauses still carried guard literals, allocated fresh guard variables
+/// for emission groups whose instances were all vacuous — new variables
+/// but **zero** new clauses — so the clause-watermark solver sync skipped
+/// entirely and the persistent guard assumptions referenced variables the
+/// solver had never seen.
 #[test]
 fn guard_vars_without_clauses_still_reach_the_solver() {
     use cr_core::spec::UserInput;

@@ -3,8 +3,9 @@
 //! (a fresh session per round, re-encoded) — same resolved tuples, same
 //! interaction counts, same order-extension sizes, same per-round progress
 //! — on every workload, including rounds where user answers fall outside
-//! the interned value space (which the engine absorbs by guard-group
-//! retraction and re-emission, and the oracle by re-encoding).
+//! the interned value space (which the engine absorbs by deleting and
+//! re-emitting CFD clauses and rebuilding its solver and propagator, and
+//! the oracle by re-encoding).
 
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, SilentOracle, UserOracle,
@@ -104,7 +105,7 @@ fn person_dataset_identical() {
     let ds = cr_data::person::generate_with_sizes(&[40, 90, 140], 7);
     for i in 0..ds.len() {
         // Person truths routinely carry values outside the active domain,
-        // exercising guard-group retraction and re-emission.
+        // exercising CFD clause deletion and re-emission.
         assert_outcomes_match(&ds.spec(i), ds.truth(i), 1, default_config(10));
     }
 }
@@ -125,8 +126,8 @@ fn naive_sat_deduction_agrees() {
     let ds = cr_data::nba::generate_with_sizes(&[27], 5);
     assert_outcomes_match(&ds.spec(0), ds.truth(0), 1, config);
     // Out-of-domain answers on CFD attributes: the engine's NaiveSat probes
-    // run on the warm solver across guard-group retraction, the oracle's on
-    // a fresh session per round.
+    // run on the engine's solver, rebuilt after each CFD clause deletion,
+    // the oracle's on a fresh session per round.
     for (ac_new, city_new) in [(true, true), (true, false), (false, true)] {
         let (spec, truth) = cfd_lhs_spec(3, ac_new, city_new);
         assert_outcomes_match(&spec, &truth, 1, config);
@@ -153,8 +154,8 @@ fn silent_oracle_agrees() {
 #[test]
 fn out_of_domain_answer_extends_in_place_and_agrees() {
     // City has two conflicting values; the user asserts a third one that is
-    // not in the active domain — the guarded incremental engine absorbs it
-    // as a pure extension and still matches the scratch loop.
+    // not in the active domain — the incremental engine absorbs it as a
+    // pure extension and still matches the scratch loop.
     let s = Schema::new("p", ["name", "city"]).unwrap();
     let e = EntityInstance::new(
         s,
@@ -178,7 +179,7 @@ fn out_of_domain_answer_extends_in_place_and_agrees() {
 }
 
 /// A conflict-heavy spec whose CFDs put `AC` on the LHS and `city` on the
-/// RHS: the oracle's out-of-domain answers exercise guard-group retraction
+/// RHS: the oracle's out-of-domain answers exercise CFD clause deletion
 /// and re-emission on both sides.
 fn cfd_lhs_spec(n: usize, ac_new: bool, city_new: bool) -> (Specification, Tuple) {
     let s = Schema::new("p", ["name", "status", "AC", "city"]).unwrap();
@@ -222,8 +223,8 @@ fn cfd_lhs_spec(n: usize, ac_new: bool, city_new: bool) -> (Specification, Tuple
 
 #[test]
 fn out_of_domain_cfd_lhs_answer_never_rebuilds_and_agrees() {
-    // The new AC value invalidates every CFD's ωX premise: the guarded
-    // engine retracts and re-emits them instead of rebuilding.
+    // The new AC value invalidates every CFD's ωX premise: the engine
+    // deletes and re-emits their clauses instead of re-encoding.
     let (spec, truth) = cfd_lhs_spec(3, true, true);
     assert_outcomes_match(&spec, &truth, 1, default_config(10));
     let outcome = Resolver::new(default_config(10))
@@ -304,9 +305,9 @@ proptest! {
         prop_assert_eq!(round_trace(&a), round_trace(&b), "per-round progress diverged");
     }
 
-    /// Guarded-extension resolution must equal from-scratch resolution on
-    /// specs whose CFDs sit on attributes the user answers with
-    /// out-of-domain values — the retraction path.
+    /// Incremental resolution must equal from-scratch resolution on specs
+    /// whose CFDs sit on attributes the user answers with out-of-domain
+    /// values — the deletion path.
     #[test]
     fn out_of_domain_cfd_lhs_answers_agree(
         n in 2usize..6,

@@ -127,6 +127,26 @@ impl Cnf {
         self.bounds.push(self.lits.len() as u32);
     }
 
+    /// Deletes every clause whose index `keep` rejects, compacting the
+    /// literal arena in place; the survivors keep their relative order.
+    /// Consumers that ingested the formula by clause index must rebuild.
+    pub fn retain_clauses(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let (mut lits, mut clauses, mut end) = (0, 0, 0);
+        for idx in 0..self.num_clauses() {
+            // `bounds[idx + 1]` is read before any write can reach it.
+            let start = end;
+            end = self.bounds[idx + 1] as usize;
+            if keep(idx) {
+                self.lits.copy_within(start..end, lits);
+                lits += end - start;
+                clauses += 1;
+                self.bounds[clauses] = lits as u32;
+            }
+        }
+        self.lits.truncate(lits);
+        self.bounds.truncate(clauses + 1);
+    }
+
     /// Adds the implication `premises → conclusion` as the clause
     /// `¬p1 ∨ … ∨ ¬pk ∨ conclusion`. This is exactly the `ConvertToCNF`
     /// rewrite of Section V-A.
@@ -211,6 +231,30 @@ mod tests {
         assert_eq!(cnf.clause(0), [a.negative(), b.negative(), c.positive()]);
         cnf.add_negated_conjunction(&[a.positive()]);
         assert_eq!(cnf.clause(1), [a.negative()]);
+    }
+
+    #[test]
+    fn retain_clauses_compacts_in_order() {
+        let mut cnf = Cnf::new();
+        let (a, b, c) = (cnf.new_var(), cnf.new_var(), cnf.new_var());
+        cnf.add_clause([a.positive(), b.positive()]);
+        cnf.add_clause([c.negative()]);
+        cnf.add_clause([]);
+        cnf.add_clause([b.negative(), c.positive(), a.negative()]);
+        cnf.retain_clauses(|idx| idx != 1);
+        let kept: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(
+            kept,
+            [
+                &[a.positive(), b.positive()][..],
+                &[],
+                &[b.negative(), c.positive(), a.negative()]
+            ]
+        );
+        assert_eq!(cnf.num_literals(), 5);
+        cnf.retain_clauses(|_| false);
+        assert_eq!((cnf.num_clauses(), cnf.num_literals()), (0, 0));
+        assert_eq!(cnf.num_vars(), 3, "variables are never deleted");
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! per clause.
 //!
 //! Axiom instances injected this way are ordinary **problem clauses**: they
-//! are theory-valid regardless of any retractable clause group, so they are
-//! never guarded, survive the solver's persistent-assumption changes, and
-//! are exempt from learnt-database sweeps ([`Solver::compact_learnts`] only
-//! deletes learnt clauses).
+//! are theory-valid whatever else the formula holds, and are exempt from
+//! learnt-database sweeps ([`Solver::compact_learnts`] only deletes learnt
+//! clauses).
 //!
 //! [`Solver::solve_lazy_with_assumptions`]: crate::Solver::solve_lazy_with_assumptions
 //! [`Solver::compact_learnts`]: crate::Solver::compact_learnts
@@ -260,37 +259,6 @@ mod tests {
             s.solve_with_assumptions(&[Var(3).negative()]),
             SolveResult::Unsat,
             "injected x0→x3 must survive the sweep"
-        );
-    }
-
-    #[test]
-    fn injected_axioms_survive_group_retraction() {
-        // A guarded group forces x0; the lazy source then injects x0 → x3.
-        // Retracting the group frees x0 but the axiom itself must remain:
-        // re-asserting x0 by assumption still forces x3.
-        let mut s = Solver::new();
-        for _ in 0..4 {
-            s.new_var();
-        }
-        let g = s.new_var();
-        s.add_clause([g.negative(), Var(0).positive()]);
-        s.add_clause([Var(1).negative()]); // keep the ToySource cut quiet
-        s.set_persistent_assumptions(vec![g.positive()]);
-        let mut src = ToySource { calls: 0 };
-        assert_eq!(s.solve_lazy(&mut src), SolveResult::Sat);
-        assert_eq!(s.model_value(Var(3)), Some(true));
-        // Retract the group.
-        s.set_persistent_assumptions(Vec::new());
-        s.add_clause([g.negative()]);
-        // x0 is free now…
-        assert_eq!(
-            s.solve_with_assumptions(&[Var(0).negative()]),
-            SolveResult::Sat
-        );
-        // …but the injected implication is permanent.
-        assert_eq!(
-            s.solve_with_assumptions(&[Var(0).positive(), Var(3).negative()]),
-            SolveResult::Unsat
         );
     }
 }

@@ -11,12 +11,11 @@
 //! * Luby restarts and activity-based learnt-clause database reduction,
 //! * incremental solving under assumptions (used by `NaiveDeduce` and the
 //!   exact true-value queries),
-//! * *retractable clause groups* for the zero-rebuild interaction loop:
-//!   the solver activates guard literals as persistent assumptions
-//!   ([`Solver::set_persistent_assumptions`]) so a group can be withdrawn
-//!   by a single root unit, and the unit propagator tags clauses with group
-//!   ids and re-derives the surviving fixpoint on
-//!   [`UnitPropagator::retract_groups`],
+//! * append-only consumers of a formula: the solver and the unit
+//!   propagator ingest a [`Cnf`]'s clause tail and never withdraw a
+//!   clause, so a formula that loses clauses ([`Cnf::retain_clauses`]) is
+//!   given to new ones ([`Solver::from_cnf_with_scratch`] recycles the old
+//!   solver's allocations),
 //! * *lazy axiom instantiation* for the solver ([`LazyAxiomSource`],
 //!   [`lazy`]): large axiom schemes stay unmaterialised, and the one
 //!   consultation driver, the CEGAR loop
@@ -59,4 +58,4 @@ pub use lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverScratch};
 pub use stats::SolverStats;
-pub use unit_propagation::{UnitPropagator, NO_GROUP};
+pub use unit_propagation::UnitPropagator;

@@ -25,8 +25,8 @@
 //! or the conflict, is that of unit propagation over every axiom clause.
 //! Conflicts surface when the propagator pops a literal whose negation
 //! holds; at the root no reason clause is needed. The theory keeps no
-//! provenance: a retraction resets the propagator, which clears the rows,
-//! and the re-derived fixpoint sets them again.
+//! provenance: the propagator never unassigns a literal, so the rows only
+//! gain bits, and a formula that lost clauses gets a new propagator.
 
 use crate::lit::{LBool, Lit, Var};
 
@@ -125,13 +125,6 @@ impl OrderTheory {
         atoms.len()
     }
 
-    /// Clears every row: the propagator's assignment was reset.
-    pub(crate) fn clear(&mut self) {
-        for d in &mut self.domains {
-            d.rows.fill(0);
-        }
-    }
-
     /// Records the assignment of `lit` (already made in `assign`) and
     /// pushes the literals the order axioms imply onto `queue` (see the
     /// module docs). Variables that are no order atom are ignored.
@@ -192,7 +185,7 @@ impl OrderTheory {
 mod tests {
     use crate::cnf::Cnf;
     use crate::lit::{Lit, Var};
-    use crate::unit_propagation::{UnitPropagator, NO_GROUP};
+    use crate::unit_propagation::UnitPropagator;
 
     /// SplitMix64: every random choice of a case derives from one seed.
     struct Rng(u64);
@@ -219,7 +212,9 @@ mod tests {
 
     /// A random order instance, built step by step: domains whose atoms
     /// are ordinary variables, extra variables that are no atom, and
-    /// grouped clauses over both. Each domain has a hidden ranking that
+    /// tagged clauses over both; deleting a tag's clauses clears the
+    /// propagator and refills it with the survivors, as the engine does
+    /// when an answer deletes a CFD's clauses. Each domain has a hidden ranking that
     /// most generated units agree with, so many cases reach a large
     /// consistent fixpoint.
     #[derive(Default)]
@@ -231,7 +226,6 @@ mod tests {
         rankings: Vec<Vec<usize>>,
         extras: Vec<Var>,
         clauses: Vec<(Vec<Lit>, u32)>,
-        retracted: Vec<u32>,
     }
 
     impl Instance {
@@ -287,20 +281,31 @@ mod tests {
             }
         }
 
-        fn add(&mut self, up: &mut UnitPropagator, lits: Vec<Lit>, group: u32) {
-            up.add_clause_grouped(&lits, group);
-            self.clauses.push((lits, group));
+        fn add(&mut self, up: &mut UnitPropagator, lits: Vec<Lit>, tag: u32) {
+            up.add_clause(&lits);
+            self.clauses.push((lits, tag));
         }
 
-        /// A fresh propagator over the live clauses plus every asymmetry,
+        /// Deletes the clauses tagged `tag`, then clears `up` and refills
+        /// it with every domain and the surviving clauses.
+        fn delete(&mut self, up: &mut UnitPropagator, tag: u32) {
+            self.clauses.retain(|&(_, t)| t != tag);
+            up.clear();
+            for (d, vars) in self.domains.iter().enumerate() {
+                up.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
+            }
+            for (lits, _) in &self.clauses {
+                up.add_clause(lits);
+            }
+        }
+
+        /// A fresh propagator over the clauses plus every asymmetry,
         /// totality and transitivity clause of every domain.
         fn eager(&self) -> UnitPropagator {
             let mut up = UnitPropagator::new(&Cnf::new());
             up.ensure_vars(self.num_vars as usize);
-            for (lits, g) in &self.clauses {
-                if !self.retracted.contains(g) {
-                    up.add_clause_grouped(lits, *g);
-                }
+            for (lits, _) in &self.clauses {
+                up.add_clause(lits);
             }
             for x in &self.domains {
                 let n = x.len();
@@ -336,17 +341,17 @@ mod tests {
         let mut up = UnitPropagator::new(&Cnf::new());
         inst.grow(&mut up, 0, 4, &mut Rng(1));
         let x = inst.domains[0].clone();
-        up.add_clause(&[x[0][1].positive()]);
-        up.add_clause(&[x[2][1].negative()]); // 1 ≺ 2, by totality
-        up.add_clause_grouped(&[x[2][3].positive()], 1);
+        inst.add(&mut up, vec![x[0][1].positive()], 0);
+        inst.add(&mut up, vec![x[2][1].negative()], 0); // 1 ≺ 2, by totality
+        inst.add(&mut up, vec![x[2][3].positive()], 1);
         let implied = up.propagate_to_fixpoint().unwrap().to_vec();
         for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)] {
             assert!(implied.contains(&x[a][b].positive()), "{a} ≺ {b}");
             assert!(implied.contains(&x[b][a].negative()), "not {b} ≺ {a}");
         }
-        up.add_clause(&[x[3][0].positive()]);
+        inst.add(&mut up, vec![x[3][0].positive()], 0);
         assert!(up.propagate_to_fixpoint().is_none(), "3 ≺ 0 closes a cycle");
-        up.retract_groups(&[1]);
+        inst.delete(&mut up, 1);
         let implied = sorted(up.propagate_to_fixpoint().expect("the cycle lost 2 ≺ 3"));
         assert!(implied.contains(&x[3][1].positive()));
         assert!(!implied.contains(&x[2][3].positive()));
@@ -365,14 +370,15 @@ mod tests {
             };
             inst.grow(&mut up, d, n, rng);
         }
-        let mut open_groups: Vec<u32> = vec![1];
-        let mut next_group = 2;
+        // Tag 0 is never deleted.
+        let mut open_tags: Vec<u32> = vec![1];
+        let mut next_tag = 2;
         let steps = 12 + rng.below(16);
         for step in 0..=steps {
-            let group = if rng.one_in(3) {
-                open_groups[rng.below(open_groups.len())]
+            let tag = if rng.one_in(3) {
+                open_tags[rng.below(open_tags.len())]
             } else {
-                NO_GROUP
+                0
             };
             let d = rng.below(num_domains);
             let n = inst.domains[d].len();
@@ -382,14 +388,13 @@ mod tests {
                     let _ = up.propagate_to_fixpoint();
                     inst.grow(&mut up, d, 1 + rng.below(4), rng);
                 }
-                // Retract a group; open another.
+                // Delete a tag's clauses and rebuild; open another tag.
                 1 => {
-                    if let Some(g) = open_groups.pop() {
-                        up.retract_groups(&[g]);
-                        inst.retracted.push(g);
+                    if let Some(t) = open_tags.pop() {
+                        inst.delete(&mut up, t);
                     }
-                    open_groups.push(next_group);
-                    next_group += 1;
+                    open_tags.push(next_tag);
+                    next_tag += 1;
                 }
                 // Compare with the eager clause set (a wide case's is
                 // large: only at the end).
@@ -406,7 +411,7 @@ mod tests {
                     let end = (start + 2 + rng.below(n.min(24))).min(n);
                     for i in start + 1..end {
                         let (p, q) = (inst.rankings[d][i - 1], inst.rankings[d][i]);
-                        inst.add(&mut up, vec![inst.domains[d][p][q].positive()], group);
+                        inst.add(&mut up, vec![inst.domains[d][p][q].positive()], tag);
                     }
                 }
                 // A clause of one to three literals; units mostly agree
@@ -428,7 +433,7 @@ mod tests {
                             lits.push(inst.ranked_lit(d, consistent, rng));
                         }
                     }
-                    inst.add(&mut up, lits, group);
+                    inst.add(&mut up, lits, tag);
                 }
             }
         }
@@ -441,8 +446,8 @@ mod tests {
         /// The theory's fixpoint (or conflict) equals that of a fresh
         /// propagator holding every axiom clause, on random order
         /// instances whose clause additions, domain growth (atoms
-        /// registered after propagation) and group retractions
-        /// interleave. One case in six has a domain of 60–70 values,
+        /// registered after propagation) and clause deletions (each
+        /// rebuilding the propagator) interleave. One case in six has a domain of 60–70 values,
         /// whose rows span two words.
         #[test]
         fn order_theory_matches_eager_axiom_clauses(

@@ -81,11 +81,6 @@ pub struct Solver {
     /// unsatisfiable regardless of assumptions.
     pub(crate) ok: bool,
 
-    /// Literals implicitly assumed by every solve — the *activation guards*
-    /// of the clause groups currently alive (see
-    /// [`Solver::set_persistent_assumptions`]).
-    pub(crate) persistent: Vec<Lit>,
-
     pub(crate) model: Vec<LBool>,
     pub(crate) stats: SolverStats,
 
@@ -162,7 +157,6 @@ impl Solver {
             max_learnts: 0.0,
             seen: Vec::new(),
             ok: true,
-            persistent: Vec::new(),
             model: Vec::new(),
             stats: SolverStats::default(),
             spare_lits: Vec::new(),
@@ -222,7 +216,6 @@ impl Solver {
         self.max_learnts = 0.0;
         self.seen.clear();
         self.ok = true;
-        self.persistent.clear();
         self.model.clear();
         self.stats = SolverStats::default();
         SolverScratch { solver: self }
@@ -480,31 +473,36 @@ impl Solver {
         self.solve_with_assumptions(&[])
     }
 
-    /// Registers literals assumed by **every** subsequent solve, prepended
-    /// to whatever per-call assumptions the caller passes.
-    ///
-    /// This is the solver half of retractable clause groups: group clauses
-    /// carry a guard literal `¬g`, the persistent assumption `g` activates
-    /// them, and retraction adds the root unit `¬g` (after *removing* `g`
-    /// from this set), which permanently satisfies the group's clauses and
-    /// every learnt clause derived from them (such learnt clauses contain
-    /// `¬g` by construction of conflict analysis).
-    pub fn set_persistent_assumptions(&mut self, lits: Vec<Lit>) {
-        self.persistent = lits;
-    }
-
-    /// Solves under the given assumption literals (plus any persistent
-    /// assumptions). The solver state is reusable afterwards (learnt clauses
-    /// are kept across calls), which is what `NaiveDeduce` relies on for its
-    /// `|It|²` SAT probes.
+    /// Solves under the given assumption literals. The solver state is
+    /// reusable afterwards (learnt clauses are kept across calls), which is
+    /// what `NaiveDeduce` relies on for its `|It|²` SAT probes.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        if self.persistent.is_empty() {
-            return self.solve_with_all_assumptions(assumptions);
+        self.cancel_until(0);
+        if !self.ok {
+            return SolveResult::Unsat;
         }
-        let mut all = Vec::with_capacity(self.persistent.len() + assumptions.len());
-        all.extend_from_slice(&self.persistent);
-        all.extend_from_slice(assumptions);
-        self.solve_with_all_assumptions(&all)
+        for a in assumptions {
+            debug_assert!(a.var().0 < self.num_vars(), "assumption over unknown var");
+        }
+        if self.max_learnts == 0.0 {
+            self.max_learnts = (self.clauses.len() as f64 / 3.0).max(2000.0);
+        }
+        let mut restarts = 0u64;
+        let result = loop {
+            let conflict_budget = restart::luby(2.0, restarts) * 100.0;
+            match self.search(conflict_budget as u64, assumptions) {
+                Some(res) => break res,
+                None => {
+                    restarts += 1;
+                    self.stats.restarts += 1;
+                }
+            }
+        };
+        if result == SolveResult::Sat {
+            self.model.clone_from(&self.assigns);
+        }
+        self.cancel_until(0);
+        result
     }
 
     /// [`Solver::solve_lazy_with_assumptions`] with no assumptions.
@@ -544,35 +542,6 @@ impl Solver {
             }
         };
         self.lazy_buf = clauses;
-        result
-    }
-
-    fn solve_with_all_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.cancel_until(0);
-        if !self.ok {
-            return SolveResult::Unsat;
-        }
-        for a in assumptions {
-            debug_assert!(a.var().0 < self.num_vars(), "assumption over unknown var");
-        }
-        if self.max_learnts == 0.0 {
-            self.max_learnts = (self.clauses.len() as f64 / 3.0).max(2000.0);
-        }
-        let mut restarts = 0u64;
-        let result = loop {
-            let conflict_budget = restart::luby(2.0, restarts) * 100.0;
-            match self.search(conflict_budget as u64, assumptions) {
-                Some(res) => break res,
-                None => {
-                    restarts += 1;
-                    self.stats.restarts += 1;
-                }
-            }
-        };
-        if result == SolveResult::Sat {
-            self.model.clone_from(&self.assigns);
-        }
-        self.cancel_until(0);
         result
     }
 
@@ -810,58 +779,33 @@ mod tests {
     }
 
     #[test]
-    fn guarded_group_activates_and_retracts() {
-        // Group clauses carry ¬g; g is a persistent assumption while the
-        // group is alive. Retracting = dropping the assumption and adding
-        // the root unit ¬g.
-        let mut s = Solver::new();
-        let x = s.new_var();
-        let g = s.new_var();
-        // Guarded unit: g → x.
-        s.add_clause([g.negative(), x.positive()]);
-        s.set_persistent_assumptions(vec![g.positive()]);
-        // Active: ¬x contradicts the group.
-        assert_eq!(
-            s.solve_with_assumptions(&[x.negative()]),
-            SolveResult::Unsat
-        );
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.model_value(x), Some(true));
-        // Retract: the group no longer constrains x.
-        s.set_persistent_assumptions(Vec::new());
-        s.add_clause([g.negative()]);
-        assert_eq!(s.solve_with_assumptions(&[x.negative()]), SolveResult::Sat);
-        assert_eq!(s.model_value(x), Some(false));
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)]
     fn retraction_neutralises_learnt_clauses() {
-        // A conflict-rich guarded pigeonhole fragment forces learning under
-        // the guard; after retraction the formula must be satisfiable and
-        // none of the learnt clauses may constrain the pigeon variables.
-        let mut s = Solver::new();
-        let g = s.new_var();
+        // A conflict-rich pigeonhole fragment forces learning until the
+        // formula is refuted. Deleting its at-most-one clauses from the
+        // CNF and rebuilding the solver on the old one's scratch must
+        // leave no learnt clause or refutation behind: all pigeons in the
+        // first hole violates only deleted clauses.
+        let mut cnf = Cnf::new();
         let p: Vec<Vec<Var>> = (0..4)
-            .map(|_| (0..3).map(|_| s.new_var()).collect())
+            .map(|_| (0..3).map(|_| cnf.new_var()).collect())
             .collect();
         for row in &p {
-            let mut lits: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
-            lits.push(g.negative());
-            s.add_clause(lits);
+            cnf.add_clause(row.iter().map(|v| v.positive()));
         }
+        let at_least_one = cnf.num_clauses();
         for j in 0..3 {
             for i1 in 0..4 {
                 for i2 in (i1 + 1)..4 {
-                    s.add_clause([p[i1][j].negative(), p[i2][j].negative(), g.negative()]);
+                    cnf.add_clause([p[i1][j].negative(), p[i2][j].negative()]);
                 }
             }
         }
-        s.set_persistent_assumptions(vec![g.positive()]);
+        let mut s = Solver::from_cnf(&cnf);
         assert_eq!(s.solve(), SolveResult::Unsat);
-        s.set_persistent_assumptions(Vec::new());
-        s.add_clause([g.negative()]);
-        // All pigeons in the first hole: violates the retracted group only.
+        assert!(s.stats().conflicts > 0, "the refutation needs search");
+        cnf.retain_clauses(|idx| idx < at_least_one);
+        let mut s = Solver::from_cnf_with_scratch(&cnf, s.into_scratch());
         let all_first: Vec<Lit> = p.iter().map(|row| row[0].positive()).collect();
         assert_eq!(s.solve_with_assumptions(&all_first), SolveResult::Sat);
     }

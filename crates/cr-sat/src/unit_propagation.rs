@@ -10,15 +10,10 @@
 //! instead of physically rewriting clauses, giving the same
 //! `O(|Φ(Se)|)` total reduction cost the paper reports.
 //!
-//! # Retraction
-//!
-//! Clauses may carry a retractable group tag
-//! ([`UnitPropagator::add_clause_grouped`]).
-//! [`UnitPropagator::retract_groups`] marks the groups' clauses dead and
-//! resets the propagation state to the surviving clauses' units, so the
-//! next fixpoint run re-derives the surviving formula's fixpoint, order
-//! theory included. A retraction thus costs at most the from-scratch
-//! `DeduceOrder` the paper runs every round.
+//! The propagator only grows: clauses and order domains are added, never
+//! withdrawn. A caller whose formula lost clauses feeds what is left to a
+//! new propagator, or to a cleared one ([`UnitPropagator::clear`]), which
+//! reuses its allocations.
 //!
 //! # Order atoms
 //!
@@ -51,18 +46,12 @@ pub struct UnitPropagator {
     queue: Vec<Lit>,
     implied: Vec<Lit>,
     conflict: bool,
-    /// Clause group tags ([`NO_GROUP`] = permanent) and retraction flags.
-    group_of: Vec<u32>,
-    dead: Vec<bool>,
     /// The order axioms over the registered order atoms.
     order: OrderTheory,
-    /// Telemetry: [`UnitPropagator::retract_groups`] calls that withdrew
-    /// at least one group.
-    retractions: usize,
+    /// Emptied clause buffers that [`UnitPropagator::clear`] kept for the
+    /// clauses added next.
+    spare: Vec<Vec<Lit>>,
 }
-
-/// Group tag of a permanent (non-retractable) clause.
-pub const NO_GROUP: u32 = u32::MAX;
 
 impl UnitPropagator {
     /// Builds a propagator over the clauses of `cnf`.
@@ -77,10 +66,8 @@ impl UnitPropagator {
             queue: Vec::new(),
             implied: Vec::new(),
             conflict: false,
-            group_of: Vec::with_capacity(cnf.num_clauses()),
-            dead: Vec::with_capacity(cnf.num_clauses()),
             order: OrderTheory::default(),
-            retractions: 0,
+            spare: Vec::new(),
         };
         for clause in cnf.clauses() {
             up.add_clause(clause);
@@ -88,10 +75,35 @@ impl UnitPropagator {
         up
     }
 
+    /// Empties the propagator, as `UnitPropagator::new(&Cnf::new())`
+    /// would build it, but keeps its clause, occurrence and variable
+    /// buffers for the clauses and domains added next: rebuilding a
+    /// propagator for a formula that lost clauses then costs no allocation
+    /// per clause.
+    pub fn clear(&mut self) {
+        self.spare.append(&mut self.clauses);
+        for clause in &mut self.spare {
+            clause.clear();
+        }
+        for occurs in &mut self.occurs {
+            occurs.clear();
+        }
+        self.satisfied.clear();
+        self.false_count.clear();
+        self.assign.clear();
+        self.queue.clear();
+        self.implied.clear();
+        self.conflict = false;
+        self.order = OrderTheory::default();
+    }
+
     /// Grows the variable tables to hold at least `n` variables.
     pub fn ensure_vars(&mut self, n: usize) {
         if self.assign.len() < n {
             self.assign.resize(n, LBool::Undef);
+        }
+        // A cleared propagator keeps its occurrence lists.
+        if self.occurs.len() < n * 2 {
             self.occurs.resize(n * 2, Vec::new());
         }
     }
@@ -113,21 +125,12 @@ impl UnitPropagator {
     }
 
     /// Adds one clause (used for incremental extension with user input).
-    pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.add_clause_grouped(lits, NO_GROUP);
-    }
-
-    /// Adds one clause tagged with a *retractable group*. All clauses of a
-    /// group can later be withdrawn with [`UnitPropagator::retract_groups`]
-    /// — the mechanism behind the guard-literal clause groups of the
-    /// incremental resolution engine (the engine strips the guard literal
-    /// and passes the group tag instead, so the propagator's hot path never
-    /// sees guard variables).
     ///
     /// A tautology needs no special case: whichever way its variable is
     /// assigned, the clause is satisfied before it can become unit.
-    pub fn add_clause_grouped(&mut self, lits: &[Lit], group: u32) {
-        let mut clause: Vec<Lit> = lits.to_vec();
+    pub fn add_clause(&mut self, lits: &[Lit]) {
+        let mut clause = self.spare.pop().unwrap_or_default();
+        clause.extend_from_slice(lits);
         clause.sort_unstable();
         clause.dedup();
         if let Some(max_var) = clause.iter().map(|l| l.var().index()).max() {
@@ -156,45 +159,6 @@ impl UnitPropagator {
         self.clauses.push(clause);
         self.satisfied.push(sat);
         self.false_count.push(n_false);
-        self.group_of.push(group);
-        self.dead.push(false);
-    }
-
-    /// Withdraws every clause of `groups` and resets the propagation state
-    /// to the units of the surviving clauses (see the module docs): the
-    /// next [`UnitPropagator::propagate_to_fixpoint`] re-derives the
-    /// surviving formula's fixpoint, in conflict or not.
-    pub fn retract_groups(&mut self, groups: &[u32]) {
-        if groups.is_empty() {
-            return;
-        }
-        debug_assert!(
-            groups.iter().all(|&g| g != NO_GROUP),
-            "cannot retract permanent clauses"
-        );
-        self.retractions += 1;
-        for (dead, g) in self.dead.iter_mut().zip(&self.group_of) {
-            *dead |= groups.contains(g);
-        }
-        self.assign.fill(LBool::Undef);
-        self.implied.clear();
-        self.queue.clear();
-        self.conflict = false;
-        self.order.clear();
-        self.false_count.fill(0);
-        self.satisfied.copy_from_slice(&self.dead);
-        for (clause, &dead) in self.clauses.iter().zip(&self.dead) {
-            match (dead, &clause[..]) {
-                (false, []) => self.conflict = true,
-                (false, &[unit]) => self.queue.push(unit),
-                _ => {}
-            }
-        }
-    }
-
-    /// Telemetry: retractions performed since construction.
-    pub fn retractions(&self) -> usize {
-        self.retractions
     }
 
     fn value(&self, l: Lit) -> LBool {
@@ -337,83 +301,108 @@ mod tests {
         assert_eq!(fixpoint(&mut UnitPropagator::new(&cnf)), Some(vec![]));
     }
 
+    /// A formula of tagged clauses that loses every clause of a tag at
+    /// once (`Cnf::retain_clauses`). The propagator cannot follow a
+    /// deletion, so each reading builds a new one over what is left — how
+    /// the engine handles the CFD clauses an answer deletes.
+    #[derive(Default)]
+    struct Tagged {
+        cnf: Cnf,
+        tags: Vec<u32>,
+    }
+
+    impl Tagged {
+        fn add(&mut self, lits: &[Lit], tag: u32) {
+            self.cnf.add_clause(lits.iter().copied());
+            self.tags.push(tag);
+        }
+
+        fn delete(&mut self, tag: u32) {
+            let tags = &self.tags;
+            self.cnf.retain_clauses(|idx| tags[idx] != tag);
+            self.tags.retain(|&t| t != tag);
+        }
+
+        fn propagator(&self) -> UnitPropagator {
+            UnitPropagator::new(&self.cnf)
+        }
+    }
+
     #[test]
     fn retracted_groups_never_propagate() {
-        // Group 1: a → b. Permanent: a. After retraction, b must no longer
-        // be implied — including implications *already derived* before the
-        // retraction.
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        let c = cnf.new_var();
-        cnf.add_clause([a.positive()]);
-        let mut up = UnitPropagator::new(&cnf);
-        up.add_clause_grouped(&[a.negative(), b.positive()], 1);
-        up.add_clause_grouped(&[b.negative(), c.positive()], 1);
+        // Tag 1: a → b, b → c. Tag 0: a. Once tag 1's clauses are deleted,
+        // b and c must no longer be implied, though a propagator over the
+        // whole formula derived them.
+        let (a, b, c) = (Var(0), Var(1), Var(2));
+        let mut f = Tagged::default();
+        f.add(&[a.positive()], 0);
+        f.add(&[a.negative(), b.positive()], 1);
+        f.add(&[b.negative(), c.positive()], 1);
         assert_eq!(
-            fixpoint(&mut up),
+            fixpoint(&mut f.propagator()),
             Some(vec![a.positive(), b.positive(), c.positive()])
         );
-        up.retract_groups(&[1]);
+        f.delete(1);
         assert_eq!(
-            fixpoint(&mut up),
+            fixpoint(&mut f.propagator()),
             Some(vec![a.positive()]),
-            "group consequences must vanish"
+            "the deleted clauses' consequences must vanish"
         );
-        assert_eq!(up.retractions(), 1);
     }
 
     #[test]
     fn retraction_clears_group_conflicts() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        cnf.add_clause([a.positive()]);
-        let mut up = UnitPropagator::new(&cnf);
-        up.add_clause_grouped(&[a.negative()], 7);
-        assert_eq!(fixpoint(&mut up), None);
-        up.retract_groups(&[7]);
+        let a = Var(0);
+        let mut f = Tagged::default();
+        f.add(&[a.positive()], 0);
+        f.add(&[a.negative()], 7);
+        assert_eq!(fixpoint(&mut f.propagator()), None);
+        f.delete(7);
         assert_eq!(
-            fixpoint(&mut up),
+            fixpoint(&mut f.propagator()),
             Some(vec![a.positive()]),
-            "conflict must die with its group"
+            "the conflict must go with its clauses"
         );
     }
 
     #[test]
     fn clauses_added_after_retraction_propagate() {
-        let mut up = UnitPropagator::new(&Cnf::new());
-        let a = Var(0);
-        let b = Var(1);
-        up.add_clause_grouped(&[a.positive()], 1);
-        assert!(fixpoint(&mut up).is_some());
-        up.retract_groups(&[1]);
-        up.add_clause_grouped(&[a.negative()], 2);
+        // A propagator built after a deletion is incremental like any
+        // other: clauses added to it later propagate from its fixpoint.
+        let (a, b) = (Var(0), Var(1));
+        let mut f = Tagged::default();
+        f.add(&[a.positive()], 1);
+        assert!(fixpoint(&mut f.propagator()).is_some());
+        f.delete(1);
+        f.add(&[a.negative()], 2);
+        let mut up = f.propagator();
+        assert_eq!(fixpoint(&mut up), Some(vec![a.negative()]));
         up.add_clause(&[a.positive(), b.positive()]);
         assert_eq!(fixpoint(&mut up), Some(vec![a.negative(), b.positive()]));
     }
 
     #[test]
     fn rederivation_through_another_group_survives_replay() {
-        // `a` is implied by clauses of two different groups. Retracting one
-        // group must keep `a` derivable through the other; only retracting
-        // both removes it.
-        let a = Var(0);
-        let b = Var(1);
-        let mut up = UnitPropagator::new(&Cnf::new());
-        up.add_clause_grouped(&[a.positive()], 1);
-        up.add_clause_grouped(&[a.positive()], 2);
-        up.add_clause(&[a.negative(), b.positive()]); // permanent: a → b
-        assert!(fixpoint(&mut up).unwrap().contains(&b.positive()));
-        up.retract_groups(&[2]);
-        let implied = fixpoint(&mut up).unwrap();
-        assert!(implied.contains(&a.positive()), "group 1 still implies a");
+        // `a` is implied by clauses of two tags. Deleting one tag must keep
+        // `a` derivable through the other; only deleting both removes it.
+        let (a, b) = (Var(0), Var(1));
+        let mut f = Tagged::default();
+        f.add(&[a.positive()], 1);
+        f.add(&[a.positive()], 2);
+        f.add(&[a.negative(), b.positive()], 0); // a → b
+        assert!(fixpoint(&mut f.propagator())
+            .unwrap()
+            .contains(&b.positive()));
+        f.delete(2);
+        let implied = fixpoint(&mut f.propagator()).unwrap();
+        assert!(implied.contains(&a.positive()), "tag 1 still implies a");
         assert!(implied.contains(&b.positive()));
-        up.retract_groups(&[1]);
-        let implied = fixpoint(&mut up).unwrap();
-        assert!(implied.is_empty(), "both supports retracted: {implied:?}");
+        f.delete(1);
+        let implied = fixpoint(&mut f.propagator()).unwrap();
+        assert!(implied.is_empty(), "both supports deleted: {implied:?}");
     }
 
-    /// Tiny deterministic PRNG (xorshift*) — the randomized differentials
+    /// Tiny deterministic PRNG (xorshift*) — the randomized differential
     /// below must not depend on the workspace's rand shim.
     struct Xorshift(u64);
     impl Xorshift {
@@ -432,65 +421,56 @@ mod tests {
 
     #[test]
     fn randomized_replay_matches_full_rederivation() {
-        // Random clause/group mixes, retracted group by group: after every
-        // retraction the propagator's fixpoint must equal a from-scratch
-        // propagator over the surviving clauses.
-        let groups: [u32; 6] = [NO_GROUP, 1, 2, 5, 63, 66];
+        // Random clause/tag mixes, deleted tag by tag: after every deletion
+        // a propagator over the compacted formula, new or cleared and
+        // refilled, must reach the fixpoint of one built from the surviving
+        // clauses directly.
+        let tags: [u32; 6] = [0, 1, 2, 5, 63, 66];
         for seed in 1..60u64 {
             let mut r = Xorshift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-            let num_vars = 4 + r.below(16) as usize;
+            let num_vars = 4 + r.below(16) as u32;
             let num_clauses = 6 + r.below(50) as usize;
+            let mut f = Tagged::default();
             let mut clauses: Vec<(Vec<Lit>, u32)> = Vec::new();
             for _ in 0..num_clauses {
                 let len = 1 + r.below(3) as usize;
-                let mut lits: Vec<Lit> = (0..len)
-                    .map(|_| {
-                        let v = Var(r.below(num_vars as u64) as u32);
-                        if r.below(2) == 0 {
-                            v.positive()
-                        } else {
-                            v.negative()
-                        }
-                    })
+                let lits: Vec<Lit> = (0..len)
+                    .map(|_| Var(r.below(num_vars as u64) as u32).lit(r.below(2) == 0))
                     .collect();
+                let tag = tags[r.below(tags.len() as u64) as usize];
+                f.add(&lits, tag);
+                clauses.push((lits, tag));
+            }
+            let mut deleted: Vec<u32> = Vec::new();
+            let mut cleared = f.propagator();
+            let _ = fixpoint(&mut cleared);
+            let sorted = |mut lits: Vec<Lit>| {
                 lits.sort_unstable();
-                lits.dedup();
-                let group = groups[r.below(groups.len() as u64) as usize];
-                clauses.push((lits, group));
-            }
-            let mut up = UnitPropagator::new(&Cnf::new());
-            up.ensure_vars(num_vars);
-            for (lits, group) in &clauses {
-                up.add_clause_grouped(lits, *group);
-            }
-            let mut dead: Vec<u32> = Vec::new();
-            let mut retractable: Vec<u32> = clauses
-                .iter()
-                .map(|&(_, g)| g)
-                .filter(|&g| g != NO_GROUP)
-                .collect();
-            retractable.sort_unstable();
-            retractable.dedup();
-            // Interleave runs and retractions.
-            let _ = fixpoint(&mut up);
-            for g in retractable {
-                up.retract_groups(&[g]);
-                dead.push(g);
+                lits
+            };
+            for &tag in &tags[1..] {
+                f.delete(tag);
+                deleted.push(tag);
                 let mut fresh = UnitPropagator::new(&Cnf::new());
-                fresh.ensure_vars(num_vars);
-                for (lits, group) in &clauses {
-                    if !dead.contains(group) {
-                        fresh.add_clause_grouped(lits, *group);
+                for (lits, t) in &clauses {
+                    if !deleted.contains(t) {
+                        fresh.add_clause(lits);
                     }
                 }
-                let sorted = |mut lits: Vec<Lit>| {
-                    lits.sort_unstable();
-                    lits
-                };
+                let want = fixpoint(&mut fresh).map(sorted);
                 assert_eq!(
-                    fixpoint(&mut up).map(sorted),
-                    fixpoint(&mut fresh).map(sorted),
-                    "fixpoint diverged (seed {seed}, dead {dead:?})"
+                    fixpoint(&mut f.propagator()).map(sorted),
+                    want,
+                    "fixpoint diverged (seed {seed}, deleted {deleted:?})"
+                );
+                cleared.clear();
+                for clause in f.cnf.clauses() {
+                    cleared.add_clause(clause);
+                }
+                assert_eq!(
+                    fixpoint(&mut cleared).map(sorted),
+                    want,
+                    "cleared propagator diverged (seed {seed}, deleted {deleted:?})"
                 );
             }
         }

@@ -67,7 +67,10 @@ pub struct TokenBucket {
 impl TokenBucket {
     /// A bucket born full (burst available immediately) at tick `now`.
     pub fn full(cfg: &AdmissionConfig, now: u64) -> Self {
-        TokenBucket { tokens: cfg.burst, last_tick: now }
+        TokenBucket {
+            tokens: cfg.burst,
+            last_tick: now,
+        }
     }
 
     /// Refills for the ticks elapsed since the last interaction.
@@ -106,7 +109,11 @@ mod tests {
     use super::*;
 
     fn cfg() -> AdmissionConfig {
-        AdmissionConfig { refill_per_tick: 2, burst: 10, ..AdmissionConfig::default() }
+        AdmissionConfig {
+            refill_per_tick: 2,
+            burst: 10,
+            ..AdmissionConfig::default()
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod server;
 
 pub use admission::{AdmissionConfig, TokenBucket};
 pub use proto::{
-    decode_message, encode_message, Message, Reply, Request, Response, ServeError,
-    PROTO_VERSION,
+    decode_message, encode_message, Message, Reply, Request, Response, ServeError, PROTO_VERSION,
 };
 pub use server::{ServeTelemetry, Server};

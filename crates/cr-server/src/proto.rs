@@ -197,10 +197,18 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded { retry_after } => {
                 write!(f, "overloaded: retry after {retry_after} ticks")
             }
-            ServeError::DeadlineExceeded { deadline, now, queued } => write!(
+            ServeError::DeadlineExceeded {
+                deadline,
+                now,
+                queued,
+            } => write!(
                 f,
                 "deadline {deadline} exceeded at tick {now} ({})",
-                if *queued { "cancelled in queue" } else { "expired mid-request" }
+                if *queued {
+                    "cancelled in queue"
+                } else {
+                    "expired mid-request"
+                }
             ),
             ServeError::UnknownSession { session } => {
                 write!(f, "unknown session {session}")
@@ -278,7 +286,10 @@ fn get_method(d: &mut Dec<'_>) -> Result<DeductionMethod, CodecError> {
     match d.u8()? {
         0 => Ok(DeductionMethod::UnitPropagation),
         1 => Ok(DeductionMethod::NaiveSat),
-        tag => Err(CodecError::BadTag { what: "DeductionMethod", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "DeductionMethod",
+            tag,
+        }),
     }
 }
 
@@ -324,10 +335,18 @@ pub fn encode_request(e: &mut Enc, req: &Request) {
 pub fn decode_request(d: &mut Dec<'_>) -> Result<Request, CodecError> {
     match d.u8()? {
         REQ_IS_VALID => Ok(Request::IsValid),
-        REQ_DEDUCE => Ok(Request::Deduce { method: get_method(d)? }),
-        REQ_TRUE_VALUES => Ok(Request::TrueValues { method: get_method(d)? }),
-        REQ_SUGGEST => Ok(Request::Suggest { method: get_method(d)? }),
-        REQ_APPLY_INPUT => Ok(Request::ApplyInput { input: decode_input(d)? }),
+        REQ_DEDUCE => Ok(Request::Deduce {
+            method: get_method(d)?,
+        }),
+        REQ_TRUE_VALUES => Ok(Request::TrueValues {
+            method: get_method(d)?,
+        }),
+        REQ_SUGGEST => Ok(Request::Suggest {
+            method: get_method(d)?,
+        }),
+        REQ_APPLY_INPUT => Ok(Request::ApplyInput {
+            input: decode_input(d)?,
+        }),
         REQ_INGEST_CAUSAL => {
             let count = get_usize(d)?;
             let mut events = Vec::new();
@@ -345,7 +364,10 @@ pub fn decode_request(d: &mut Dec<'_>) -> Result<Request, CodecError> {
             Ok(Request::AbsorbBatch { revs })
         }
         REQ_SNAPSHOT => Ok(Request::Snapshot),
-        tag => Err(CodecError::BadTag { what: "Request", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "Request",
+            tag,
+        }),
     }
 }
 
@@ -363,7 +385,10 @@ fn get_opt_value(d: &mut Dec<'_>) -> Result<Option<Value>, CodecError> {
     match d.u8()? {
         0 => Ok(None),
         1 => Ok(Some(decode_value(d)?)),
-        tag => Err(CodecError::BadTag { what: "Option<Value>", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "Option<Value>",
+            tag,
+        }),
     }
 }
 
@@ -469,9 +494,10 @@ pub fn decode_response(d: &mut Dec<'_>) -> Result<Response, CodecError> {
             Ok(Response::Suggest { ask, derived })
         }
         RESP_APPLIED => Ok(Response::Applied { added: d.varint()? }),
-        RESP_INGESTED => {
-            Ok(Response::Ingested { effective: d.varint()?, epoch: d.varint()? })
-        }
+        RESP_INGESTED => Ok(Response::Ingested {
+            effective: d.varint()?,
+            epoch: d.varint()?,
+        }),
         RESP_ABSORBED => {
             let epoch = d.varint()?;
             let count = get_usize(d)?;
@@ -481,8 +507,13 @@ pub fn decode_response(d: &mut Dec<'_>) -> Result<Response, CodecError> {
             }
             Ok(Response::Absorbed { epoch, applied })
         }
-        RESP_SNAPSHOTTED => Ok(Response::Snapshotted { log_bytes: d.varint()? }),
-        tag => Err(CodecError::BadTag { what: "Response", tag }),
+        RESP_SNAPSHOTTED => Ok(Response::Snapshotted {
+            log_bytes: d.varint()?,
+        }),
+        tag => Err(CodecError::BadTag {
+            what: "Response",
+            tag,
+        }),
     }
 }
 
@@ -493,7 +524,11 @@ pub fn encode_serve_error(e: &mut Enc, err: &ServeError) {
             e.put_u8(ERR_OVERLOADED);
             e.put_varint(*retry_after);
         }
-        ServeError::DeadlineExceeded { deadline, now, queued } => {
+        ServeError::DeadlineExceeded {
+            deadline,
+            now,
+            queued,
+        } => {
             e.put_u8(ERR_DEADLINE);
             e.put_varint(*deadline);
             e.put_varint(*now);
@@ -513,15 +548,24 @@ pub fn encode_serve_error(e: &mut Enc, err: &ServeError) {
 /// Decodes a [`ServeError`] body.
 pub fn decode_serve_error(d: &mut Dec<'_>) -> Result<ServeError, CodecError> {
     match d.u8()? {
-        ERR_OVERLOADED => Ok(ServeError::Overloaded { retry_after: d.varint()? }),
+        ERR_OVERLOADED => Ok(ServeError::Overloaded {
+            retry_after: d.varint()?,
+        }),
         ERR_DEADLINE => Ok(ServeError::DeadlineExceeded {
             deadline: d.varint()?,
             now: d.varint()?,
             queued: get_bool(d, "ServeError::DeadlineExceeded")?,
         }),
-        ERR_UNKNOWN_SESSION => Ok(ServeError::UnknownSession { session: d.varint()? }),
-        ERR_STORE => Ok(ServeError::Store { message: d.str()?.to_string() }),
-        tag => Err(CodecError::BadTag { what: "ServeError", tag }),
+        ERR_UNKNOWN_SESSION => Ok(ServeError::UnknownSession {
+            session: d.varint()?,
+        }),
+        ERR_STORE => Ok(ServeError::Store {
+            message: d.str()?.to_string(),
+        }),
+        tag => Err(CodecError::BadTag {
+            what: "ServeError",
+            tag,
+        }),
     }
 }
 
@@ -546,9 +590,17 @@ pub fn decode_reply(d: &mut Dec<'_>) -> Result<Reply, CodecError> {
     let outcome = match d.u8()? {
         0 => Ok(decode_response(d)?),
         1 => Err(decode_serve_error(d)?),
-        tag => return Err(CodecError::BadTag { what: "Reply::outcome", tag }),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "Reply::outcome",
+                tag,
+            })
+        }
     };
-    Ok(Reply { request_id, outcome })
+    Ok(Reply {
+        request_id,
+        outcome,
+    })
 }
 
 /// Encodes a full wire [`Message`], version byte first.
@@ -575,7 +627,10 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, CodecError> {
     let mut d = Dec::new(bytes);
     let version = d.u8()?;
     if version != PROTO_VERSION {
-        return Err(CodecError::UnsupportedVersion { what: "Message", version });
+        return Err(CodecError::UnsupportedVersion {
+            what: "Message",
+            version,
+        });
     }
     let msg = match d.u8()? {
         MSG_REQUEST => {
@@ -584,7 +639,12 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, CodecError> {
             Message::Request { env, req }
         }
         MSG_REPLY => Message::Reply(decode_reply(&mut d)?),
-        tag => return Err(CodecError::BadTag { what: "Message", tag }),
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "Message",
+                tag,
+            })
+        }
     };
     d.finish()?;
     Ok(msg)

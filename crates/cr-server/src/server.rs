@@ -34,9 +34,7 @@ use cr_types::codec::{Dec, Enc};
 use cr_types::wire::Envelope;
 
 use crate::admission::{AdmissionConfig, TokenBucket};
-use crate::proto::{
-    decode_response, encode_response, Reply, Request, Response, ServeError,
-};
+use crate::proto::{decode_response, encode_response, Reply, Request, Response, ServeError};
 
 /// Serving telemetry: what admission, the queues and the dispatcher did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -162,7 +160,12 @@ impl<B: StorageBackend> Server<B> {
     pub fn submit(&mut self, now: u64, env: Envelope, req: Request) -> Option<Reply> {
         self.telemetry.submitted += 1;
         let request_id = env.request_id;
-        let reject = |outcome: ServeError| Some(Reply { request_id, outcome: Err(outcome) });
+        let reject = |outcome: ServeError| {
+            Some(Reply {
+                request_id,
+                outcome: Err(outcome),
+            })
+        };
 
         // Probe without touching: a shed request must not bump the LRU
         // clock or trigger a rehydration.
@@ -171,15 +174,19 @@ impl<B: StorageBackend> Server<B> {
             Err(StoreError::UnknownSession(id)) => {
                 return reject(ServeError::UnknownSession { session: id.0 });
             }
-            Err(e) => return reject(ServeError::Store { message: e.to_string() }),
+            Err(e) => {
+                return reject(ServeError::Store {
+                    message: e.to_string(),
+                })
+            }
         };
         let cost = self.cfg.cost + if probe.live { 0 } else { self.cfg.cold_cost };
 
         let cfg = self.cfg;
-        let tenant = self
-            .tenants
-            .entry(env.tenant.0)
-            .or_insert_with(|| Tenant { bucket: TokenBucket::full(&cfg, now), queue: VecDeque::new() });
+        let tenant = self.tenants.entry(env.tenant.0).or_insert_with(|| Tenant {
+            bucket: TokenBucket::full(&cfg, now),
+            queue: VecDeque::new(),
+        });
         if let Err(retry_after) = tenant.bucket.try_spend(&cfg, now, cost) {
             self.telemetry.shed_rate += 1;
             return reject(ServeError::Overloaded { retry_after });
@@ -192,12 +199,15 @@ impl<B: StorageBackend> Server<B> {
             self.telemetry.shed_queue += 1;
             return reject(ServeError::Overloaded { retry_after });
         }
-        let deadline =
-            env.deadline.unwrap_or_else(|| now.saturating_add(cfg.default_deadline));
+        let deadline = env
+            .deadline
+            .unwrap_or_else(|| now.saturating_add(cfg.default_deadline));
         tenant.queue.push_back(Queued { env, req, deadline });
         self.telemetry.admitted += 1;
-        self.telemetry.max_queue_depth =
-            self.telemetry.max_queue_depth.max(tenant.queue.len() as u64);
+        self.telemetry.max_queue_depth = self
+            .telemetry
+            .max_queue_depth
+            .max(tenant.queue.len() as u64);
         None
     }
 
@@ -229,8 +239,7 @@ impl<B: StorageBackend> Server<B> {
                     break;
                 }
                 let id = order[(start + i) % order.len()];
-                let Some(queued) =
-                    self.tenants.get_mut(&id).and_then(|t| t.queue.pop_front())
+                let Some(queued) = self.tenants.get_mut(&id).and_then(|t| t.queue.pop_front())
                 else {
                     continue;
                 };
@@ -252,7 +261,11 @@ impl<B: StorageBackend> Server<B> {
             self.telemetry.expired_in_queue += 1;
             return Reply {
                 request_id,
-                outcome: Err(ServeError::DeadlineExceeded { deadline, now, queued: true }),
+                outcome: Err(ServeError::DeadlineExceeded {
+                    deadline,
+                    now,
+                    queued: true,
+                }),
             };
         }
         let id = SessionId(env.session);
@@ -262,11 +275,21 @@ impl<B: StorageBackend> Server<B> {
         if req.is_mutation() {
             if let Some(key) = env.idempotency {
                 if let Some(bytes) = self.store.idempotent_reply(id, key.0) {
-                    let replay = decode_response(&mut Dec::new(bytes))
-                        .expect("ledger holds only server-encoded responses");
-                    self.telemetry.idem_hits += 1;
-                    self.telemetry.served += 1;
-                    return Reply { request_id, outcome: Ok(replay) };
+                    // The ledger holds what this server encoded, but its
+                    // bytes are the store's: a reply that no longer decodes
+                    // is a store error, not a panic.
+                    let outcome = decode_response(&mut Dec::new(bytes))
+                        .map_err(|e| store_err(StoreError::Codec(e)));
+                    if outcome.is_ok() {
+                        self.telemetry.idem_hits += 1;
+                        self.telemetry.served += 1;
+                    } else {
+                        self.telemetry.failed += 1;
+                    }
+                    return Reply {
+                        request_id,
+                        outcome,
+                    };
                 }
             }
         }
@@ -289,7 +312,10 @@ impl<B: StorageBackend> Server<B> {
             }
             Err(_) => self.telemetry.failed += 1,
         }
-        Reply { request_id, outcome }
+        Reply {
+            request_id,
+            outcome,
+        }
     }
 
     /// Runs the request against the store/engine under the phase budget.
@@ -321,19 +347,28 @@ impl<B: StorageBackend> Server<B> {
                     return Ok(Response::TrueValues { values: Vec::new() });
                 }
                 pd.enter_phase().map_err(deadline_err)?;
-                let od = session.deduce(*method).expect("valid specifications always deduce");
+                let od = session
+                    .deduce(*method)
+                    .expect("valid specifications always deduce");
                 pd.enter_phase().map_err(deadline_err)?;
                 let tv = session.true_values(&od);
-                Ok(Response::TrueValues { values: tv.as_slice().to_vec() })
+                Ok(Response::TrueValues {
+                    values: tv.as_slice().to_vec(),
+                })
             }
             Request::Suggest { method } => {
                 let session = self.store.session(id).map_err(store_err)?;
                 pd.enter_phase().map_err(deadline_err)?;
                 if !session.is_valid() {
-                    return Ok(Response::Suggest { ask: Vec::new(), derived: Vec::new() });
+                    return Ok(Response::Suggest {
+                        ask: Vec::new(),
+                        derived: Vec::new(),
+                    });
                 }
                 pd.enter_phase().map_err(deadline_err)?;
-                let od = session.deduce(*method).expect("valid specifications always deduce");
+                let od = session
+                    .deduce(*method)
+                    .expect("valid specifications always deduce");
                 pd.enter_phase().map_err(deadline_err)?;
                 let tv = session.true_values(&od);
                 pd.enter_phase().map_err(deadline_err)?;
@@ -346,20 +381,32 @@ impl<B: StorageBackend> Server<B> {
             Request::ApplyInput { input } => {
                 pd.check().map_err(deadline_err)?;
                 let added = self.store.apply_input(id, input).map_err(store_err)?;
-                Ok(Response::Applied { added: added as u64 })
+                Ok(Response::Applied {
+                    added: added as u64,
+                })
             }
             Request::IngestCausal { events } => {
                 pd.check().map_err(deadline_err)?;
-                let effective =
-                    self.store.ingest_causal(id, events.clone()).map_err(store_err)?;
+                let effective = self
+                    .store
+                    .ingest_causal(id, events.clone())
+                    .map_err(store_err)?;
                 let epoch = self.store.session(id).map_err(store_err)?.epoch().0;
-                Ok(Response::Ingested { effective: effective.len() as u64, epoch })
+                Ok(Response::Ingested {
+                    effective: effective.len() as u64,
+                    epoch,
+                })
             }
             Request::AbsorbBatch { revs } => {
                 pd.check().map_err(deadline_err)?;
-                let (report, applied) =
-                    self.store.absorb_revision_batch(id, revs).map_err(store_err)?;
-                Ok(Response::Absorbed { epoch: report.epoch.0, applied })
+                let (report, applied) = self
+                    .store
+                    .absorb_revision_batch(id, revs)
+                    .map_err(store_err)?;
+                Ok(Response::Absorbed {
+                    epoch: report.epoch.0,
+                    applied,
+                })
             }
             Request::Snapshot => {
                 pd.check().map_err(deadline_err)?;
@@ -374,10 +421,16 @@ impl<B: StorageBackend> Server<B> {
 fn store_err(e: StoreError) -> ServeError {
     match e {
         StoreError::UnknownSession(id) => ServeError::UnknownSession { session: id.0 },
-        other => ServeError::Store { message: other.to_string() },
+        other => ServeError::Store {
+            message: other.to_string(),
+        },
     }
 }
 
 fn deadline_err(e: cr_core::deadline::DeadlineExceeded) -> ServeError {
-    ServeError::DeadlineExceeded { deadline: e.deadline, now: e.now, queued: false }
+    ServeError::DeadlineExceeded {
+        deadline: e.deadline,
+        now: e.now,
+        queued: false,
+    }
 }

@@ -22,8 +22,7 @@ use cr_core::spec::UserInput;
 use cr_data::gen::scenario_from_raw;
 use cr_server::admission::AdmissionConfig;
 use cr_server::proto::{
-    decode_message, encode_message, Message, Reply, Request, Response, ServeError,
-    PROTO_VERSION,
+    decode_message, encode_message, Message, Reply, Request, Response, ServeError, PROTO_VERSION,
 };
 use cr_server::server::Server;
 use cr_store::{MemoryBackend, SessionStore, StoreConfig};
@@ -47,7 +46,9 @@ fn source() -> BoxedStrategy<SourceId> {
 }
 
 fn hlc() -> BoxedStrategy<Hlc> {
-    ((0u64..1 << 40), (0u32..16)).prop_map(|(p, l)| Hlc::new(p, l)).boxed()
+    ((0u64..1 << 40), (0u32..16))
+        .prop_map(|(p, l)| Hlc::new(p, l))
+        .boxed()
 }
 
 fn vclock() -> BoxedStrategy<VectorClock> {
@@ -64,7 +65,11 @@ fn vclock() -> BoxedStrategy<VectorClock> {
 
 fn stamp() -> BoxedStrategy<CausalStamp> {
     (source(), hlc(), vclock())
-        .prop_map(|(source, hlc, vclock)| CausalStamp { source, hlc, vclock })
+        .prop_map(|(source, hlc, vclock)| CausalStamp {
+            source,
+            hlc,
+            vclock,
+        })
         .boxed()
 }
 
@@ -79,11 +84,17 @@ fn tuple_id() -> BoxedStrategy<TupleId> {
 fn revision() -> BoxedStrategy<Revision> {
     prop_oneof![
         (0usize..1000).prop_map(|cfd| Revision::RetractCfd { cfd }),
-        (attr(), tuple_id(), tuple_id())
-            .prop_map(|(attr, lo, hi)| Revision::WithdrawOrder { attr, lo, hi }),
+        (attr(), tuple_id(), tuple_id()).prop_map(|(attr, lo, hi)| Revision::WithdrawOrder {
+            attr,
+            lo,
+            hi
+        }),
         (attr(), tuple_id()).prop_map(|(attr, tuple)| Revision::WithdrawAnswer { attr, tuple }),
-        (tuple_id(), attr(), value())
-            .prop_map(|(tuple, attr, value)| Revision::ReplaceValue { tuple, attr, value }),
+        (tuple_id(), attr(), value()).prop_map(|(tuple, attr, value)| Revision::ReplaceValue {
+            tuple,
+            attr,
+            value
+        }),
     ]
     .boxed()
 }
@@ -101,7 +112,11 @@ fn user_input() -> BoxedStrategy<UserInput> {
 }
 
 fn method() -> BoxedStrategy<DeductionMethod> {
-    prop_oneof![Just(DeductionMethod::UnitPropagation), Just(DeductionMethod::NaiveSat)].boxed()
+    prop_oneof![
+        Just(DeductionMethod::UnitPropagation),
+        Just(DeductionMethod::NaiveSat)
+    ]
+    .boxed()
 }
 
 /// Every `Request` variant.
@@ -135,8 +150,7 @@ fn response() -> BoxedStrategy<Response> {
             found: found == 1,
             order_pairs,
         }),
-        prop::collection::vec(opt_value(), 0..5)
-            .prop_map(|values| Response::TrueValues { values }),
+        prop::collection::vec(opt_value(), 0..5).prop_map(|values| Response::TrueValues { values }),
         (
             prop::collection::vec((attr(), prop::collection::vec(value(), 0..3)), 0..3),
             prop::collection::vec(attr(), 0..3),
@@ -145,7 +159,10 @@ fn response() -> BoxedStrategy<Response> {
         (0u64..10_000).prop_map(|added| Response::Applied { added }),
         ((0u64..10_000), (0u64..10_000))
             .prop_map(|(effective, epoch)| Response::Ingested { effective, epoch }),
-        ((0u64..10_000), prop::collection::vec((0u8..2).prop_map(|b| b == 1), 0..5))
+        (
+            (0u64..10_000),
+            prop::collection::vec((0u8..2).prop_map(|b| b == 1), 0..5)
+        )
             .prop_map(|(epoch, applied)| Response::Absorbed { epoch, applied }),
         (0u64..1 << 40).prop_map(|log_bytes| Response::Snapshotted { log_bytes }),
     ]
@@ -157,7 +174,11 @@ fn serve_error() -> BoxedStrategy<ServeError> {
     prop_oneof![
         (0u64..1000).prop_map(|retry_after| ServeError::Overloaded { retry_after }),
         ((0u64..1 << 40), (0u64..1 << 40), (0u8..2)).prop_map(|(deadline, now, q)| {
-            ServeError::DeadlineExceeded { deadline, now, queued: q == 1 }
+            ServeError::DeadlineExceeded {
+                deadline,
+                now,
+                queued: q == 1,
+            }
         }),
         (0u64..1000).prop_map(|session| ServeError::UnknownSession { session }),
         "[a-z0-9 :_]{0,24}".prop_map(|message| ServeError::Store { message }),
@@ -188,7 +209,10 @@ fn reply() -> BoxedStrategy<Reply> {
         (0u64..1 << 40),
         prop_oneof![response().prop_map(Ok), serve_error().prop_map(Err)],
     )
-        .prop_map(|(rid, outcome)| Reply { request_id: RequestId(rid), outcome })
+        .prop_map(|(rid, outcome)| Reply {
+            request_id: RequestId(rid),
+            outcome,
+        })
         .boxed()
 }
 
@@ -319,7 +343,11 @@ fn request_header() -> Vec<u8> {
         deadline: None,
         idempotency: None,
     };
-    encode_message(&Message::Request { env, req: Request::IsValid })[..2].to_vec()
+    encode_message(&Message::Request {
+        env,
+        req: Request::IsValid,
+    })[..2]
+        .to_vec()
 }
 
 /// A valid request for session 0 or 1 (the fuzz server's) or 2 (unknown).
@@ -340,7 +368,11 @@ fn fuzzed_bytes() -> BoxedStrategy<Vec<u8>> {
     prop_oneof![
         request_message().prop_map(|msg| encode_message(&msg)),
         ((0u8..2), prop::collection::vec(0u8..=255, 0..48)).prop_map(|(headed, tail)| {
-            let mut bytes = if headed == 1 { request_header() } else { Vec::new() };
+            let mut bytes = if headed == 1 {
+                request_header()
+            } else {
+                Vec::new()
+            };
             bytes.extend(tail);
             bytes
         }),
@@ -350,14 +382,18 @@ fn fuzzed_bytes() -> BoxedStrategy<Vec<u8>> {
             bytes[at] ^= mask;
             bytes
         }),
-        (request_message(), request_message(), 0usize..4096, 0usize..4096).prop_map(
-            |(head, tail, i, j)| {
+        (
+            request_message(),
+            request_message(),
+            0usize..4096,
+            0usize..4096
+        )
+            .prop_map(|(head, tail, i, j)| {
                 let (head, tail) = (encode_message(&head), encode_message(&tail));
                 let mut bytes = head[..i % (head.len() + 1)].to_vec();
                 bytes.extend_from_slice(&tail[j % (tail.len() + 1)..]);
                 bytes
-            }
-        ),
+            }),
     ]
     .boxed()
 }
@@ -368,7 +404,10 @@ fn fuzzed_bytes() -> BoxedStrategy<Vec<u8>> {
 /// submission must end in exactly one reply for its request id — a typed
 /// response or a typed `ServeError`, either at submit or at dispatch.
 fn serve_fuzzed(inputs: &[Vec<u8>]) -> Result<(), TestCaseError> {
-    let config = StoreConfig { snapshot_every: 4, ..StoreConfig::default() };
+    let config = StoreConfig {
+        snapshot_every: 4,
+        ..StoreConfig::default()
+    };
     let store = SessionStore::new(MemoryBackend::new(), config).unwrap();
     let mut server = Server::new(store, AdmissionConfig::default());
     for s in 0..2 {
@@ -392,7 +431,11 @@ fn serve_fuzzed(inputs: &[Vec<u8>]) -> Result<(), TestCaseError> {
     }
     submitted.sort();
     replied.sort();
-    prop_assert_eq!(submitted, replied, "a submission ended without exactly one reply");
+    prop_assert_eq!(
+        submitted,
+        replied,
+        "a submission ended without exactly one reply"
+    );
     Ok(())
 }
 

@@ -48,24 +48,36 @@ fn ok_response(reply: &Reply) -> &Response {
 
 #[test]
 fn serves_reads_and_mutations_end_to_end() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
     assert!(server.submit(0, env(0, 0, 1), Request::IsValid).is_none());
     assert!(server
-        .submit(0, env(0, 0, 2), Request::TrueValues { method: DeductionMethod::UnitPropagation })
+        .submit(
+            0,
+            env(0, 0, 2),
+            Request::TrueValues {
+                method: DeductionMethod::UnitPropagation
+            }
+        )
         .is_none());
     let mut input = UserInput::empty();
     let scenario = scenario_from_raw(11, 4, 3, 60, false);
-    input.values.insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
+    input
+        .values
+        .insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
     let mut menv = env(0, 0, 3);
     menv.idempotency = Some(IdemKey(1));
-    assert!(server.submit(0, menv, Request::ApplyInput { input }).is_none());
+    assert!(server
+        .submit(0, menv, Request::ApplyInput { input })
+        .is_none());
 
     let replies = server.dispatch(1);
     assert_eq!(replies.len(), 3);
     assert_eq!(replies[0].request_id, RequestId(1));
     assert!(matches!(ok_response(&replies[0]), Response::Valid(_)));
-    assert!(matches!(ok_response(&replies[1]), Response::TrueValues { .. }));
+    assert!(matches!(
+        ok_response(&replies[1]),
+        Response::TrueValues { .. }
+    ));
     assert!(matches!(ok_response(&replies[2]), Response::Applied { .. }));
     let t = server.telemetry();
     assert_eq!(t.admitted, 3);
@@ -77,11 +89,15 @@ fn serves_reads_and_mutations_end_to_end() {
 
 #[test]
 fn unknown_session_is_rejected_at_submit() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 3);
-    let reply = server.submit(0, env(0, 99, 7), Request::IsValid).expect("immediate reject");
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 3);
+    let reply = server
+        .submit(0, env(0, 99, 7), Request::IsValid)
+        .expect("immediate reject");
     assert_eq!(reply.request_id, RequestId(7));
-    assert_eq!(reply.outcome, Err(ServeError::UnknownSession { session: 99 }));
+    assert_eq!(
+        reply.outcome,
+        Err(ServeError::UnknownSession { session: 99 })
+    );
 }
 
 #[test]
@@ -96,7 +112,9 @@ fn empty_token_bucket_sheds_with_honest_retry_after() {
     let mut server = server_with(admission, StoreConfig::default(), 1, 5);
     assert!(server.submit(0, env(0, 0, 1), Request::IsValid).is_none());
     assert!(server.submit(0, env(0, 0, 2), Request::IsValid).is_none());
-    let reply = server.submit(0, env(0, 0, 3), Request::IsValid).expect("shed");
+    let reply = server
+        .submit(0, env(0, 0, 3), Request::IsValid)
+        .expect("shed");
     match reply.outcome {
         Err(ServeError::Overloaded { retry_after }) => assert_eq!(retry_after, 1),
         other => panic!("expected Overloaded, got {other:?}"),
@@ -120,8 +138,12 @@ fn full_queue_sheds_instead_of_growing() {
     for rid in 0..3 {
         assert!(server.submit(0, env(0, 0, rid), Request::IsValid).is_none());
     }
-    let reply = server.submit(0, env(0, 0, 9), Request::IsValid).expect("shed");
-    assert!(matches!(reply.outcome, Err(ServeError::Overloaded { retry_after }) if retry_after > 0));
+    let reply = server
+        .submit(0, env(0, 0, 9), Request::IsValid)
+        .expect("shed");
+    assert!(
+        matches!(reply.outcome, Err(ServeError::Overloaded { retry_after }) if retry_after > 0)
+    );
     assert_eq!(server.telemetry().shed_queue, 1);
     assert_eq!(server.queued(), 3);
 }
@@ -153,8 +175,7 @@ fn round_robin_keeps_a_trickle_tenant_ahead_of_a_flooder() {
 
 #[test]
 fn deadline_cancellation_at_dequeue_time() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 5);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 5);
     let mut e = env(0, 0, 1);
     e.deadline = Some(3);
     assert!(server.submit(0, e, Request::IsValid).is_none());
@@ -164,7 +185,11 @@ fn deadline_cancellation_at_dequeue_time() {
     assert_eq!(replies.len(), 1);
     assert_eq!(
         replies[0].outcome,
-        Err(ServeError::DeadlineExceeded { deadline: 3, now: 10, queued: true })
+        Err(ServeError::DeadlineExceeded {
+            deadline: 3,
+            now: 10,
+            queued: true
+        })
     );
     let t = server.telemetry();
     assert_eq!(t.expired_in_queue, 1);
@@ -175,35 +200,57 @@ fn deadline_cancellation_at_dequeue_time() {
 
 #[test]
 fn multi_phase_read_expires_mid_request() {
-    let admission = AdmissionConfig { cost_per_phase: 10, ..AdmissionConfig::default() };
+    let admission = AdmissionConfig {
+        cost_per_phase: 10,
+        ..AdmissionConfig::default()
+    };
     let mut server = server_with(admission, StoreConfig::default(), 1, 5);
     // Suggest spends 4 phases at 10 ticks each; a deadline of 15 admits
     // phases starting at ticks 0 and 10, then expires at 20 — mid-request.
     let mut e = env(0, 0, 1);
     e.deadline = Some(15);
     assert!(server
-        .submit(0, e, Request::Suggest { method: DeductionMethod::UnitPropagation })
+        .submit(
+            0,
+            e,
+            Request::Suggest {
+                method: DeductionMethod::UnitPropagation
+            }
+        )
         .is_none());
     let replies = server.dispatch(0);
     assert_eq!(replies.len(), 1);
     assert_eq!(
         replies[0].outcome,
-        Err(ServeError::DeadlineExceeded { deadline: 15, now: 20, queued: false })
+        Err(ServeError::DeadlineExceeded {
+            deadline: 15,
+            now: 20,
+            queued: false
+        })
     );
     assert_eq!(server.telemetry().expired_mid_request, 1);
 }
 
 #[test]
 fn idempotent_retry_replays_instead_of_reapplying() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
     let scenario = scenario_from_raw(11, 4, 3, 60, false);
     let mut input = UserInput::empty();
-    input.values.insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
+    input
+        .values
+        .insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
 
     let mut e = env(0, 0, 1);
     e.idempotency = Some(IdemKey(42));
-    assert!(server.submit(0, e.clone(), Request::ApplyInput { input: input.clone() }).is_none());
+    assert!(server
+        .submit(
+            0,
+            e.clone(),
+            Request::ApplyInput {
+                input: input.clone()
+            }
+        )
+        .is_none());
     let first = server.dispatch(1);
     assert_eq!(first.len(), 1);
     let first_resp = ok_response(&first[0]).clone();
@@ -218,23 +265,71 @@ fn idempotent_retry_replays_instead_of_reapplying() {
     assert_eq!(ok_response(&second[0]), &first_resp);
     // Nothing was re-applied: the durable log did not grow and the ledger
     // answered the retry.
-    assert_eq!(server.store().log_len(SessionId(0)).unwrap(), log_after_first);
+    assert_eq!(
+        server.store().log_len(SessionId(0)).unwrap(),
+        log_after_first
+    );
     assert_eq!(server.telemetry().idem_hits, 1);
+}
+
+/// A ledger entry that no longer decodes (the store's bytes went bad) is
+/// answered with a typed store error, never a panic, and nothing is
+/// re-applied.
+#[test]
+fn undecodable_ledger_reply_is_a_store_error() {
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let scenario = scenario_from_raw(11, 4, 3, 60, false);
+    let mut input = UserInput::empty();
+    input
+        .values
+        .insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
+    server
+        .store_mut()
+        .record_reply(SessionId(0), 9, vec![0xFF, 0x00, 0x13])
+        .unwrap();
+    let log_before = server.store().log_len(SessionId(0)).unwrap();
+
+    let mut e = env(0, 0, 1);
+    e.idempotency = Some(IdemKey(9));
+    assert!(server.submit(0, e, Request::ApplyInput { input }).is_none());
+    let replies = server.dispatch(1);
+    assert_eq!(replies.len(), 1);
+    match &replies[0].outcome {
+        Err(ServeError::Store { message }) => {
+            assert!(
+                message.contains("corrupt"),
+                "names the decode failure: {message}"
+            )
+        }
+        other => panic!("expected a store error, got {other:?}"),
+    }
+    assert_eq!(server.store().log_len(SessionId(0)).unwrap(), log_before);
+    assert_eq!(server.telemetry().idem_hits, 0);
+    assert_eq!(server.telemetry().failed, 1);
 }
 
 /// The idempotency ledger is store-level, not engine state: a retry
 /// arriving after the session was evicted still deduplicates.
 #[test]
 fn idempotent_retry_survives_eviction() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
     let scenario = scenario_from_raw(11, 4, 3, 60, false);
     let mut input = UserInput::empty();
-    input.values.insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
+    input
+        .values
+        .insert(AttrId(1), scenario.truth.get(AttrId(1)).clone());
 
     let mut e = env(0, 0, 1);
     e.idempotency = Some(IdemKey(7));
-    assert!(server.submit(0, e.clone(), Request::ApplyInput { input: input.clone() }).is_none());
+    assert!(server
+        .submit(
+            0,
+            e.clone(),
+            Request::ApplyInput {
+                input: input.clone()
+            }
+        )
+        .is_none());
     let first = server.dispatch(1);
     let first_resp = ok_response(&first[0]).clone();
     let log_after_first = server.store().log_len(SessionId(0)).unwrap();
@@ -244,7 +339,10 @@ fn idempotent_retry_survives_eviction() {
     assert!(server.submit(2, e, Request::ApplyInput { input }).is_none());
     let second = server.dispatch(3);
     assert_eq!(ok_response(&second[0]), &first_resp);
-    assert_eq!(server.store().log_len(SessionId(0)).unwrap(), log_after_first);
+    assert_eq!(
+        server.store().log_len(SessionId(0)).unwrap(),
+        log_after_first
+    );
     assert_eq!(server.telemetry().idem_hits, 1);
 }
 
@@ -253,7 +351,10 @@ fn idempotent_retry_survives_eviction() {
 /// the client sees a normal reply, never an error.
 #[test]
 fn eviction_racing_admission_rehydrates_transparently() {
-    let store_cfg = StoreConfig { max_live: 1, ..StoreConfig::default() };
+    let store_cfg = StoreConfig {
+        max_live: 1,
+        ..StoreConfig::default()
+    };
     let mut server = server_with(AdmissionConfig::default(), store_cfg, 2, 23);
 
     // Warm session 0, then warm session 1 — the live cap evicts 0.
@@ -261,7 +362,10 @@ fn eviction_racing_admission_rehydrates_transparently() {
     assert_eq!(server.dispatch(1).len(), 1);
     assert!(server.submit(2, env(0, 1, 2), Request::IsValid).is_none());
     assert_eq!(server.dispatch(3).len(), 1);
-    assert!(!server.store().is_live(SessionId(0)), "live cap should have evicted session 0");
+    assert!(
+        !server.store().is_live(SessionId(0)),
+        "live cap should have evicted session 0"
+    );
     assert!(server.store().is_live(SessionId(1)));
     let evictions_before = server.store().recovery().evictions;
     let rehydrations_before = server.store().recovery().rehydrations;
@@ -273,7 +377,10 @@ fn eviction_racing_admission_rehydrates_transparently() {
     let replies = server.dispatch(5);
     assert_eq!(replies.len(), 1);
     assert!(matches!(ok_response(&replies[0]), Response::Valid(_)));
-    assert_eq!(server.store().recovery().rehydrations, rehydrations_before + 1);
+    assert_eq!(
+        server.store().recovery().rehydrations,
+        rehydrations_before + 1
+    );
     assert!(server.store().is_live(SessionId(0)));
     assert_eq!(server.telemetry().failed, 0);
 }
@@ -292,8 +399,13 @@ fn cold_sessions_cost_more_to_admit() {
     let mut server = server_with(admission, StoreConfig::default(), 1, 5);
     // Session 0 is cold: cost 3 > burst 1 → shed, retry_after covers the
     // 2-token deficit at 1 token/tick.
-    let reply = server.submit(0, env(0, 0, 1), Request::IsValid).expect("shed");
-    assert_eq!(reply.outcome, Err(ServeError::Overloaded { retry_after: 2 }));
+    let reply = server
+        .submit(0, env(0, 0, 1), Request::IsValid)
+        .expect("shed");
+    assert_eq!(
+        reply.outcome,
+        Err(ServeError::Overloaded { retry_after: 2 })
+    );
 }
 
 /// Regression: an `ApplyInput` naming an attribute past the schema's arity
@@ -303,14 +415,18 @@ fn cold_sessions_cost_more_to_admit() {
 /// serving — also after eviction and rehydration.
 #[test]
 fn out_of_range_apply_input_is_refused_before_logging() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
     assert!(server.submit(0, env(0, 0, 1), Request::IsValid).is_none());
-    assert!(matches!(ok_response(&server.dispatch(1)[0]), Response::Valid(_)));
+    assert!(matches!(
+        ok_response(&server.dispatch(1)[0]),
+        Response::Valid(_)
+    ));
     let log_before = server.store().log_len(SessionId(0)).unwrap();
 
     let input = UserInput::single(AttrId(999), Value::int(1));
-    assert!(server.submit(2, env(0, 0, 2), Request::ApplyInput { input }).is_none());
+    assert!(server
+        .submit(2, env(0, 0, 2), Request::ApplyInput { input })
+        .is_none());
     let replies = server.dispatch(3);
     assert_eq!(replies.len(), 1);
     match &replies[0].outcome {
@@ -319,16 +435,26 @@ fn out_of_range_apply_input_is_refused_before_logging() {
         }
         other => panic!("expected a typed store error, got {other:?}"),
     }
-    assert_eq!(server.store().log_len(SessionId(0)).unwrap(), log_before, "nothing logged");
+    assert_eq!(
+        server.store().log_len(SessionId(0)).unwrap(),
+        log_before,
+        "nothing logged"
+    );
     assert_eq!(server.telemetry().failed, 1);
 
     assert!(server.submit(4, env(0, 0, 3), Request::IsValid).is_none());
-    assert!(matches!(ok_response(&server.dispatch(5)[0]), Response::Valid(_)));
+    assert!(matches!(
+        ok_response(&server.dispatch(5)[0]),
+        Response::Valid(_)
+    ));
 
     let rehydrations = server.store().recovery().rehydrations;
     assert!(server.store_mut().evict(SessionId(0)).unwrap());
     assert!(server.submit(6, env(0, 0, 4), Request::IsValid).is_none());
-    assert!(matches!(ok_response(&server.dispatch(7)[0]), Response::Valid(_)));
+    assert!(matches!(
+        ok_response(&server.dispatch(7)[0]),
+        Response::Valid(_)
+    ));
     assert_eq!(server.store().recovery().rehydrations, rehydrations + 1);
 }
 
@@ -337,21 +463,39 @@ fn out_of_range_apply_input_is_refused_before_logging() {
 /// the encoding) as it was.
 #[test]
 fn empty_apply_input_logs_nothing_and_keeps_the_entity() {
-    let mut server =
-        server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
+    let mut server = server_with(AdmissionConfig::default(), StoreConfig::default(), 1, 11);
     let id = SessionId(0);
     let log_before = server.store().log_len(id).unwrap();
-    let tuples_before = server.store_mut().session(id).unwrap().current().entity().len();
+    let tuples_before = server
+        .store_mut()
+        .session(id)
+        .unwrap()
+        .current()
+        .entity()
+        .len();
 
     let input = UserInput::empty();
-    assert!(server.submit(0, env(0, 0, 1), Request::ApplyInput { input }).is_none());
+    assert!(server
+        .submit(0, env(0, 0, 1), Request::ApplyInput { input })
+        .is_none());
     let replies = server.dispatch(1);
     assert_eq!(replies.len(), 1);
-    assert!(matches!(ok_response(&replies[0]), Response::Applied { added: 0 }));
+    assert!(matches!(
+        ok_response(&replies[0]),
+        Response::Applied { added: 0 }
+    ));
 
-    assert_eq!(server.store().log_len(id).unwrap(), log_before, "nothing logged");
+    assert_eq!(
+        server.store().log_len(id).unwrap(),
+        log_before,
+        "nothing logged"
+    );
     let session = server.store_mut().session(id).unwrap();
-    assert_eq!(session.current().entity().len(), tuples_before, "no tuple pushed");
+    assert_eq!(
+        session.current().entity().len(),
+        tuples_before,
+        "no tuple pushed"
+    );
 }
 
 mod hostile {
@@ -393,25 +537,31 @@ mod hostile {
     fn revision() -> BoxedStrategy<Revision> {
         prop_oneof![
             cfd().prop_map(|cfd| Revision::RetractCfd { cfd }),
-            (attr(), tuple_id(), tuple_id())
-                .prop_map(|(attr, lo, hi)| Revision::WithdrawOrder { attr, lo, hi }),
-            (attr(), tuple_id())
-                .prop_map(|(attr, tuple)| Revision::WithdrawAnswer { attr, tuple }),
-            (tuple_id(), attr(), value())
-                .prop_map(|(tuple, attr, value)| Revision::ReplaceValue { tuple, attr, value }),
+            (attr(), tuple_id(), tuple_id()).prop_map(|(attr, lo, hi)| Revision::WithdrawOrder {
+                attr,
+                lo,
+                hi
+            }),
+            (attr(), tuple_id()).prop_map(|(attr, tuple)| Revision::WithdrawAnswer { attr, tuple }),
+            (tuple_id(), attr(), value()).prop_map(|(tuple, attr, value)| Revision::ReplaceValue {
+                tuple,
+                attr,
+                value
+            }),
         ]
         .boxed()
     }
 
     fn stamp() -> BoxedStrategy<CausalStamp> {
-        let vclock = prop::collection::vec(((0u32..4).prop_map(SourceId), 0u64..6), 0..3)
-            .prop_map(|entries| {
+        let vclock = prop::collection::vec(((0u32..4).prop_map(SourceId), 0u64..6), 0..3).prop_map(
+            |entries| {
                 let mut vc = VectorClock::new();
                 for (s, n) in entries {
                     vc.observe(s, n);
                 }
                 vc
-            });
+            },
+        );
         ((0u32..4).prop_map(SourceId), (0u64..8, 0u32..2), vclock)
             .prop_map(|(source, (p, l), vclock)| CausalStamp {
                 source,
@@ -422,8 +572,11 @@ mod hostile {
     }
 
     fn method() -> BoxedStrategy<DeductionMethod> {
-        prop_oneof![Just(DeductionMethod::UnitPropagation), Just(DeductionMethod::NaiveSat)]
-            .boxed()
+        prop_oneof![
+            Just(DeductionMethod::UnitPropagation),
+            Just(DeductionMethod::NaiveSat)
+        ]
+        .boxed()
     }
 
     fn request() -> BoxedStrategy<Request> {
@@ -442,8 +595,7 @@ mod hostile {
                 0..3,
             )
             .prop_map(|events| Request::IngestCausal { events }),
-            prop::collection::vec(revision(), 0..3)
-                .prop_map(|revs| Request::AbsorbBatch { revs }),
+            prop::collection::vec(revision(), 0..3).prop_map(|revs| Request::AbsorbBatch { revs }),
             Just(Request::Snapshot),
         ]
         .boxed()

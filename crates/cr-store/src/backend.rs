@@ -154,7 +154,10 @@ impl FileBackend {
     ) -> Result<Self, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err("create backend root", &root, e))?;
-        Ok(FileBackend { root, segment_bytes: segment_bytes.max(1) })
+        Ok(FileBackend {
+            root,
+            segment_bytes: segment_bytes.max(1),
+        })
     }
 
     /// The backend's root directory.
@@ -229,7 +232,8 @@ impl StorageBackend for FileBackend {
             .append(true)
             .open(&path)
             .map_err(|e| io_err("open segment", &path, e))?;
-        file.write_all(frame).map_err(|e| io_err("append segment", &path, e))?;
+        file.write_all(frame)
+            .map_err(|e| io_err("append segment", &path, e))?;
         Ok(())
     }
 
@@ -261,8 +265,10 @@ impl StorageBackend for FileBackend {
                     .write(true)
                     .open(&path)
                     .map_err(|e| io_err("open segment", &path, e))?;
-                file.set_len(keep).map_err(|e| io_err("truncate segment", &path, e))?;
-                file.sync_all().map_err(|e| io_err("sync segment", &path, e))?;
+                file.set_len(keep)
+                    .map_err(|e| io_err("truncate segment", &path, e))?;
+                file.sync_all()
+                    .map_err(|e| io_err("sync segment", &path, e))?;
             }
             offset += seg_len;
         }

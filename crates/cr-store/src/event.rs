@@ -138,15 +138,19 @@ pub fn decode_revision(d: &mut Dec<'_>) -> Result<Revision, CodecError> {
             lo: get_tuple(d)?,
             hi: get_tuple(d)?,
         }),
-        REV_WITHDRAW_ANSWER => {
-            Ok(Revision::WithdrawAnswer { attr: get_attr(d)?, tuple: get_tuple(d)? })
-        }
+        REV_WITHDRAW_ANSWER => Ok(Revision::WithdrawAnswer {
+            attr: get_attr(d)?,
+            tuple: get_tuple(d)?,
+        }),
         REV_REPLACE_VALUE => Ok(Revision::ReplaceValue {
             tuple: get_tuple(d)?,
             attr: get_attr(d)?,
             value: decode_value(d)?,
         }),
-        tag => Err(CodecError::BadTag { what: "Revision", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "Revision",
+            tag,
+        }),
     }
 }
 
@@ -293,22 +297,28 @@ pub fn encode_revision_error(e: &mut Enc, err: &RevisionError) {
 /// Decodes a [`RevisionError`] body.
 pub fn decode_revision_error(d: &mut Dec<'_>) -> Result<RevisionError, CodecError> {
     match d.u8()? {
-        ERR_UNKNOWN_CFD => {
-            Ok(RevisionError::UnknownCfd { cfd: get_usize(d)?, gamma_len: get_usize(d)? })
-        }
+        ERR_UNKNOWN_CFD => Ok(RevisionError::UnknownCfd {
+            cfd: get_usize(d)?,
+            gamma_len: get_usize(d)?,
+        }),
         ERR_STALE_CFD => Ok(RevisionError::StaleCfd { cfd: get_usize(d)? }),
-        ERR_UNKNOWN_ATTR => {
-            Ok(RevisionError::UnknownAttr { attr: get_attr(d)?, arity: get_usize(d)? })
-        }
-        ERR_UNKNOWN_TUPLE => {
-            Ok(RevisionError::UnknownTuple { tuple: get_tuple(d)?, len: get_usize(d)? })
-        }
+        ERR_UNKNOWN_ATTR => Ok(RevisionError::UnknownAttr {
+            attr: get_attr(d)?,
+            arity: get_usize(d)?,
+        }),
+        ERR_UNKNOWN_TUPLE => Ok(RevisionError::UnknownTuple {
+            tuple: get_tuple(d)?,
+            len: get_usize(d)?,
+        }),
         ERR_UNKNOWN_ORDER => Ok(RevisionError::UnknownOrder {
             attr: get_attr(d)?,
             lo: get_tuple(d)?,
             hi: get_tuple(d)?,
         }),
-        tag => Err(CodecError::BadTag { what: "RevisionError", tag }),
+        tag => Err(CodecError::BadTag {
+            what: "RevisionError",
+            tag,
+        }),
     }
 }
 
@@ -337,7 +347,12 @@ fn decode_competing(d: &mut Dec<'_>) -> Result<CompetingCell, CodecError> {
         let value = decode_value(d)?;
         candidates.push((source, value));
     }
-    Ok(CompetingCell { tuple, attr, reopened, candidates })
+    Ok(CompetingCell {
+        tuple,
+        attr,
+        reopened,
+        candidates,
+    })
 }
 
 /// Encodes a [`SessionState`] body.
@@ -404,7 +419,12 @@ pub fn decode_session_state(d: &mut Dec<'_>) -> Result<SessionState, CodecError>
         let tuple = get_tuple(d)?;
         let value = decode_value(d)?;
         let deps = decode_vclock(d)?;
-        s.answers.push(AnswerState { attr, tuple, value, deps });
+        s.answers.push(AnswerState {
+            attr,
+            tuple,
+            value,
+            deps,
+        });
     }
     s.frontier = decode_frontier(d)?;
     s.telemetry = decode_telemetry(d)?;
@@ -459,7 +479,10 @@ impl LogRecord {
         let mut d = Dec::new(payload);
         let version = d.u8()?;
         if version != FORMAT_VERSION {
-            return Err(CodecError::UnsupportedVersion { what: "LogRecord", version });
+            return Err(CodecError::UnsupportedVersion {
+                what: "LogRecord",
+                version,
+            });
         }
         let rec = match d.u8()? {
             TAG_INPUT => LogRecord::Input(decode_input(&mut d)?),
@@ -473,9 +496,17 @@ impl LogRecord {
             TAG_SNAPSHOT => {
                 let events_covered = d.varint()?;
                 let state = decode_session_state(&mut d)?;
-                LogRecord::Snapshot(Box::new(SnapshotRecord { events_covered, state }))
+                LogRecord::Snapshot(Box::new(SnapshotRecord {
+                    events_covered,
+                    state,
+                }))
             }
-            tag => return Err(CodecError::BadTag { what: "LogRecord", tag }),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "LogRecord",
+                    tag,
+                })
+            }
         };
         d.finish()?;
         Ok(rec)
@@ -489,7 +520,11 @@ impl LogRecord {
 /// corruption that stopped the scan (`None` on a clean log).
 pub fn decode_log(bytes: &[u8]) -> (Vec<LogRecord>, usize, Option<CodecError>) {
     let (records, valid_len, error) = decode_log_offsets(bytes);
-    (records.into_iter().map(|(rec, _)| rec).collect(), valid_len, error)
+    (
+        records.into_iter().map(|(rec, _)| rec).collect(),
+        valid_len,
+        error,
+    )
 }
 
 /// Like [`decode_log`], but each record rides with the byte offset just
@@ -572,7 +607,11 @@ pub(crate) fn plan_replay_owned(records: impl IntoIterator<Item = LogRecord>) ->
     // (marker, input or snapshot) arrives: everything after the last
     // committing record is one uncommitted suffix, dropped as a unit, so a
     // second recovery of the truncated log reaches the same state.
-    fn flush(staged: &mut Vec<ReplayStep>, causal: &mut Vec<CausalRevision>, revs: &mut Vec<Revision>) {
+    fn flush(
+        staged: &mut Vec<ReplayStep>,
+        causal: &mut Vec<CausalRevision>,
+        revs: &mut Vec<Revision>,
+    ) {
         if !causal.is_empty() {
             staged.push(ReplayStep::CausalBatch(std::mem::take(causal)));
         }

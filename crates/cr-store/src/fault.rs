@@ -83,7 +83,14 @@ impl<B: StorageBackend> FaultyBackend<B> {
         let mut tracked = BTreeMap::new();
         for id in inner.sessions()? {
             let len = inner.log_len(id)?;
-            tracked.insert(id.0, Tracked { len, synced: len, last_append: None });
+            tracked.insert(
+                id.0,
+                Tracked {
+                    len,
+                    synced: len,
+                    last_append: None,
+                },
+            );
         }
         Ok(FaultyBackend { inner, tracked })
     }
@@ -133,9 +140,18 @@ impl<B: StorageBackend> FaultyBackend<B> {
         self.inner.sync(id)?;
         self.tracked.insert(
             id.0,
-            Tracked { len: surviving_len, synced: surviving_len, last_append: None },
+            Tracked {
+                len: surviving_len,
+                synced: surviving_len,
+                last_append: None,
+            },
         );
-        Ok(CrashReport { fault, original_len, surviving_len, flipped })
+        Ok(CrashReport {
+            fault,
+            original_len,
+            surviving_len,
+            flipped,
+        })
     }
 }
 

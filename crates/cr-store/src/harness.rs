@@ -53,7 +53,10 @@ pub struct SpecMirror {
 impl SpecMirror {
     /// A mirror starting at `spec`.
     pub fn new(spec: &Specification) -> Self {
-        SpecMirror { spec: spec.clone(), retired_cfds: BTreeSet::new() }
+        SpecMirror {
+            spec: spec.clone(),
+            retired_cfds: BTreeSet::new(),
+        }
     }
 
     /// Folds one revision into the mirror.
@@ -227,10 +230,20 @@ fn diff_logical_fields(a: &SessionState, b: &SessionState) -> Result<(), String>
 pub fn diff_logical_states(a: &SessionState, b: &SessionState) -> Result<(), String> {
     diff_logical_fields(a, b)?;
     let delivery = |t: &RevisionTelemetry| {
-        (t.events, t.duplicates_dropped, t.buffered, t.quarantined, t.reopened,
-         t.quarantine_evicted)
+        (
+            t.events,
+            t.duplicates_dropped,
+            t.buffered,
+            t.quarantined,
+            t.reopened,
+            t.quarantine_evicted,
+        )
     };
-    field("delivery telemetry", &delivery(&a.telemetry), &delivery(&b.telemetry))
+    field(
+        "delivery telemetry",
+        &delivery(&a.telemetry),
+        &delivery(&b.telemetry),
+    )
 }
 
 /// A fresh session plus the mirror of everything it absorbed — the
@@ -253,7 +266,11 @@ impl ReplayedReference {
     pub fn new(policy: RevisionPolicy, base: &Specification) -> Self {
         let mut session = ResolutionSession::new(&ResolutionConfig::default(), base);
         session.set_revision_policy(policy);
-        ReplayedReference { session, mirror: SpecMirror::new(base), error: None }
+        ReplayedReference {
+            session,
+            mirror: SpecMirror::new(base),
+            error: None,
+        }
     }
 
     /// Absorbs one round of user input into the session and the mirror.

@@ -69,8 +69,8 @@ pub mod store;
 
 pub use backend::{FileBackend, MemoryBackend, SessionId, StorageBackend};
 pub use event::{
-    decode_log, decode_log_offsets, plan_replay, LogRecord, ReplayPlan, ReplayStep,
-    SnapshotRecord, FORMAT_VERSION,
+    decode_log, decode_log_offsets, plan_replay, LogRecord, ReplayPlan, ReplayStep, SnapshotRecord,
+    FORMAT_VERSION,
 };
 pub use fault::{CrashReport, Fault, FaultyBackend};
 pub use harness::{

@@ -64,7 +64,10 @@ impl fmt::Display for StoreError {
                 write!(f, "input names unknown attribute {attr:?} (arity {arity})")
             }
             StoreError::RejectPolicy => {
-                write!(f, "RevisionPolicy::Reject is not replayable; use Quarantine")
+                write!(
+                    f,
+                    "RevisionPolicy::Reject is not replayable; use Quarantine"
+                )
             }
             StoreError::Restore(msg) => write!(f, "snapshot restore failed: {msg}"),
         }
@@ -294,8 +297,10 @@ impl<B: StorageBackend> SessionStore<B> {
     /// Drops `id`'s in-memory engine state (the log stays). Returns whether
     /// the session was live. The next touch rehydrates it.
     pub fn evict(&mut self, id: SessionId) -> Result<bool, StoreError> {
-        let entry =
-            self.entries.get_mut(&id.0).ok_or(StoreError::UnknownSession(id))?;
+        let entry = self
+            .entries
+            .get_mut(&id.0)
+            .ok_or(StoreError::UnknownSession(id))?;
         let was_live = entry.live.take().is_some();
         if was_live {
             self.recovery.evictions += 1;
@@ -343,8 +348,10 @@ impl<B: StorageBackend> SessionStore<B> {
             return Ok(());
         }
         let cap = self.config.idempotency_cap;
-        let entry =
-            self.entries.get_mut(&id.0).ok_or(StoreError::UnknownSession(id))?;
+        let entry = self
+            .entries
+            .get_mut(&id.0)
+            .ok_or(StoreError::UnknownSession(id))?;
         if entry.idem.contains_key(&key) {
             return Ok(());
         }
@@ -359,14 +366,7 @@ impl<B: StorageBackend> SessionStore<B> {
 
     /// The live session for `id`, rehydrating from the log if cold.
     pub fn session(&mut self, id: SessionId) -> Result<&mut ResolutionSession, StoreError> {
-        self.touch(id)?;
-        Ok(self
-            .entries
-            .get_mut(&id.0)
-            .expect("touch ensured the entry")
-            .live
-            .as_mut()
-            .expect("touch ensured live state"))
+        Ok(self.touch(id)?.live)
     }
 
     /// Absorbs one round of user input durably: validated against the
@@ -375,24 +375,26 @@ impl<B: StorageBackend> SessionStore<B> {
     /// information: it is answered `Ok(0)` without logging or touching the
     /// engine, as [`SessionStore::ingest_causal`] does for an empty poll.
     pub fn apply_input(&mut self, id: SessionId, input: &UserInput) -> Result<usize, StoreError> {
-        let entry = self.entries.get(&id.0).ok_or(StoreError::UnknownSession(id))?;
+        let entry = self
+            .entries
+            .get(&id.0)
+            .ok_or(StoreError::UnknownSession(id))?;
         check_input(&entry.base, input)?;
-        self.touch(id)?;
+        let mut touched = self.touch(id)?;
         if input.values.is_empty() {
             return Ok(0);
         }
-        self.log_event(id, &LogRecord::Input(input.clone()))?;
-        let entry = self.entries.get_mut(&id.0).expect("touched");
-        let added = entry.live.as_mut().expect("touched").apply_input(input);
-        self.after_event(id, 1)?;
+        touched.log_event(&LogRecord::Input(input.clone()))?;
+        let added = touched.live.apply_input(input);
+        touched.after_event(1)?;
         Ok(added)
     }
 
     /// Ingests causally-stamped corrections durably, as **one atomic
     /// batch**: every event is framed and appended, the log is synced
     /// once, the whole poll is applied through
-    /// [`ResolutionSession::ingest_causal`] (one coalesced retraction and
-    /// replay), and finally a [`LogRecord::BatchMark`] commits the batch.
+    /// [`ResolutionSession::ingest_causal`] (one re-encode at the engine's
+    /// next call), and finally a [`LogRecord::BatchMark`] commits the batch.
     /// A crash before the marker lands makes recovery drop the entire
     /// batch — rehydration always restores exactly a batch boundary.
     /// Returns the effective plain revisions.
@@ -401,29 +403,32 @@ impl<B: StorageBackend> SessionStore<B> {
         id: SessionId,
         events: Vec<CausalRevision>,
     ) -> Result<Vec<Revision>, StoreError> {
-        self.touch(id)?;
+        let mut touched = self.touch(id)?;
         if events.is_empty() {
             return Ok(Vec::new());
         }
         let count = events.len();
         for ev in &events {
-            self.append_record(id, &LogRecord::Causal(ev.clone()))?;
+            touched.append(&LogRecord::Causal(ev.clone()))?;
         }
-        self.backend.sync(id)?;
-        let entry = self.entries.get_mut(&id.0).expect("touched");
-        let live = entry.live.as_mut().expect("touched");
-        let effective =
-            live.ingest_causal(events).expect("store policy is never Reject");
-        let epoch = live.epoch().0;
-        self.commit_batch(id, epoch, count)?;
-        self.after_event(id, count)?;
+        touched.sync()?;
+        let effective = touched
+            .live
+            .ingest_causal(events)
+            .expect("store policy is never Reject");
+        let epoch = touched.live.epoch().0;
+        if let Err(e) = touched.commit_batch(epoch, count) {
+            self.discard_uncommitted(id);
+            return Err(e);
+        }
+        touched.after_event(count)?;
         Ok(effective)
     }
 
     /// Absorbs a batch of plain revisions durably and atomically: appended
     /// and synced, applied through
-    /// [`ResolutionSession::absorb_revision_batch`] (one coalesced
-    /// retraction and replay), then committed with a
+    /// [`ResolutionSession::absorb_revision_batch`] (one re-encode at the
+    /// engine's next call), then committed with a
     /// [`LogRecord::BatchMark`]. Returns the engine's batch report plus
     /// the per-event applied flags.
     pub fn absorb_revision_batch(
@@ -431,242 +436,300 @@ impl<B: StorageBackend> SessionStore<B> {
         id: SessionId,
         revs: &[Revision],
     ) -> Result<(BatchReport, Vec<bool>), StoreError> {
-        self.touch(id)?;
+        let mut touched = self.touch(id)?;
         if revs.is_empty() {
             return Ok((BatchReport::default(), Vec::new()));
         }
         for rev in revs {
-            self.append_record(id, &LogRecord::Revision(rev.clone()))?;
+            touched.append(&LogRecord::Revision(rev.clone()))?;
         }
-        self.backend.sync(id)?;
-        let entry = self.entries.get_mut(&id.0).expect("touched");
-        let live = entry.live.as_mut().expect("touched");
-        let (report, applied) =
-            live.absorb_revision_batch(revs).expect("store policy is never Reject");
-        self.commit_batch(id, report.epoch.0, revs.len())?;
-        self.after_event(id, revs.len())?;
+        touched.sync()?;
+        let (report, applied) = touched
+            .live
+            .absorb_revision_batch(revs)
+            .expect("store policy is never Reject");
+        if let Err(e) = touched.commit_batch(report.epoch.0, revs.len()) {
+            self.discard_uncommitted(id);
+            return Err(e);
+        }
+        touched.after_event(revs.len())?;
         Ok((report, applied))
     }
 
-    /// Appends + syncs the batch-commit marker. If the marker fails to
-    /// land, the batch applied in memory but is uncommitted on disk: the
-    /// live engine is dropped so the next touch rehydrates from the log,
-    /// which recovery truncates back to the previous batch boundary.
-    fn commit_batch(&mut self, id: SessionId, epoch: u64, events: usize) -> Result<(), StoreError> {
-        let mark = LogRecord::BatchMark { epoch, events: events as u64 };
-        let committed =
-            self.append_record(id, &mark).and_then(|()| self.backend.sync(id));
-        if let Err(e) = committed {
-            self.entries.get_mut(&id.0).expect("touched").live = None;
-            return Err(e);
+    /// Drops `id`'s live engine after its batch marker failed to land: the
+    /// batch applied in memory but is uncommitted on disk, so the next
+    /// touch rehydrates from the log, which recovery truncates back to the
+    /// previous batch boundary.
+    fn discard_uncommitted(&mut self, id: SessionId) {
+        if let Some(entry) = self.entries.get_mut(&id.0) {
+            entry.live = None;
         }
-        Ok(())
     }
 
     /// Appends a snapshot of `id`'s current state and resets the snapshot
     /// cadence. Also available to callers that want a snapshot at a known
     /// boundary (e.g. before shutdown).
     pub fn snapshot(&mut self, id: SessionId) -> Result<(), StoreError> {
-        self.touch(id)?;
-        let entry = self.entries.get_mut(&id.0).expect("touched");
-        let record = LogRecord::Snapshot(Box::new(SnapshotRecord {
-            events_covered: entry.events_total,
-            state: entry.live.as_ref().expect("touched").state(),
-        }));
-        self.append_record(id, &record)?;
-        self.backend.sync(id)?;
-        self.entries.get_mut(&id.0).expect("touched").events_since_snapshot = 0;
-        Ok(())
-    }
-
-    fn append_record(&mut self, id: SessionId, record: &LogRecord) -> Result<(), StoreError> {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &record.encode());
-        self.backend.append(id, &frame)
-    }
-
-    /// Write-ahead append + sync of one event record.
-    fn log_event(&mut self, id: SessionId, record: &LogRecord) -> Result<(), StoreError> {
-        self.append_record(id, record)?;
-        self.backend.sync(id)
-    }
-
-    /// Post-apply bookkeeping: the snapshot cadence.
-    fn after_event(&mut self, id: SessionId, count: usize) -> Result<(), StoreError> {
-        let entry = self.entries.get_mut(&id.0).expect("caller touched");
-        entry.events_total += count as u64;
-        entry.events_since_snapshot += count;
-        if self.config.snapshot_every > 0
-            && entry.events_since_snapshot >= self.config.snapshot_every
-        {
-            self.snapshot(id)?;
-        }
-        Ok(())
+        self.touch(id)?.snapshot()
     }
 
     /// Ensures `id` is registered and live, rehydrating from the log if
-    /// necessary, and stamps its LRU clock. A rehydration is the only way a
-    /// session becomes live, so it is also the only point where the live
-    /// cap can be exceeded and has to be enforced.
-    fn touch(&mut self, id: SessionId) -> Result<(), StoreError> {
-        let entry = self.entries.get(&id.0).ok_or(StoreError::UnknownSession(id))?;
+    /// necessary, and stamps its LRU clock. Returns the live session beside
+    /// the log it appends to, so callers never look the entry up again. A
+    /// rehydration is the only way a session becomes live, so it is also
+    /// the only point where the live cap has to be enforced.
+    fn touch(&mut self, id: SessionId) -> Result<Touched<'_, B>, StoreError> {
+        let SessionStore {
+            backend,
+            config,
+            entries,
+            clock,
+            recovery,
+        } = self;
+        let entry = entries
+            .get_mut(&id.0)
+            .ok_or(StoreError::UnknownSession(id))?;
         if let Some(e) = &entry.failed {
             return Err(e.clone());
         }
-        let cold = entry.live.is_none();
-        self.clock += 1;
-        let clock = self.clock;
-        if cold {
-            self.rehydrate(id)?;
-            self.enforce_live_cap(id);
-        }
-        self.entries.get_mut(&id.0).expect("checked").last_used = clock;
+        *clock += 1;
+        let session = match entry.live.take() {
+            Some(session) => session,
+            None => {
+                let session = rehydrate(backend, recovery, config.policy, id, entry)?;
+                make_room(entries, config.max_live, recovery);
+                session
+            }
+        };
+        // Found above; the cold path's eviction borrowed the map since.
+        let entry = entries
+            .get_mut(&id.0)
+            .ok_or(StoreError::UnknownSession(id))?;
+        entry.last_used = *clock;
+        let Entry {
+            live,
+            events_total,
+            events_since_snapshot,
+            ..
+        } = entry;
+        Ok(Touched {
+            id,
+            backend,
+            snapshot_every: config.snapshot_every,
+            live: live.insert(session),
+            events_total,
+            events_since_snapshot,
+        })
+    }
+}
+
+/// A touched session: its live engine and snapshot bookkeeping, beside the
+/// backend its log lives on ([`SessionStore::touch`]).
+struct Touched<'a, B: StorageBackend> {
+    id: SessionId,
+    backend: &'a mut B,
+    snapshot_every: usize,
+    live: &'a mut ResolutionSession,
+    events_total: &'a mut u64,
+    events_since_snapshot: &'a mut usize,
+}
+
+impl<B: StorageBackend> Touched<'_, B> {
+    /// Appends one framed record to the session's log, unsynced.
+    fn append(&mut self, record: &LogRecord) -> Result<(), StoreError> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &record.encode());
+        self.backend.append(self.id, &frame)
+    }
+
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.backend.sync(self.id)
+    }
+
+    /// Write-ahead append + sync of one record.
+    fn log_event(&mut self, record: &LogRecord) -> Result<(), StoreError> {
+        self.append(record)?;
+        self.sync()
+    }
+
+    /// Appends + syncs the batch-commit marker. On failure the caller
+    /// discards the live engine ([`SessionStore::discard_uncommitted`]).
+    fn commit_batch(&mut self, epoch: u64, events: usize) -> Result<(), StoreError> {
+        self.log_event(&LogRecord::BatchMark {
+            epoch,
+            events: events as u64,
+        })
+    }
+
+    /// Appends a snapshot of the live state and resets the snapshot
+    /// cadence.
+    fn snapshot(&mut self) -> Result<(), StoreError> {
+        let record = LogRecord::Snapshot(Box::new(SnapshotRecord {
+            events_covered: *self.events_total,
+            state: self.live.state(),
+        }));
+        self.log_event(&record)?;
+        *self.events_since_snapshot = 0;
         Ok(())
     }
 
-    /// Rebuilds `id`'s engine from its durable log: scan frames, truncate
-    /// any corrupt tail, drop (and truncate) an uncommitted trailing batch
-    /// run, restore the last usable snapshot (or start from the base
-    /// specification) and replay the committed tail **whole batch by whole
-    /// batch** through the ordinary ingestion paths.
-    fn rehydrate(&mut self, id: SessionId) -> Result<(), StoreError> {
-        let bytes = self.backend.read_log(id)?;
-        let (offsets, valid_len, error) = decode_log_offsets(&bytes);
-        if let Some(err) = error {
-            self.recovery.corrupt_truncations += 1;
-            self.recovery.truncated_bytes += (bytes.len() - valid_len) as u64;
-            if matches!(err, CodecError::BadCrc { .. }) {
-                self.recovery.checksum_failures += 1;
-            }
-            self.backend.truncate(id, valid_len as u64)?;
-            self.backend.sync(id)?;
+    /// Post-apply bookkeeping: the snapshot cadence.
+    fn after_event(&mut self, count: usize) -> Result<(), StoreError> {
+        *self.events_total += count as u64;
+        *self.events_since_snapshot += count;
+        if self.snapshot_every > 0 && *self.events_since_snapshot >= self.snapshot_every {
+            self.snapshot()?;
         }
+        Ok(())
+    }
+}
 
-        let (records, ends): (Vec<LogRecord>, Vec<usize>) = offsets.into_iter().unzip();
-        let mut plan = plan_replay_owned(records);
-        if plan.used_records < ends.len() {
-            // Events after the last commit point are an uncommitted batch
-            // (the crash hit before its marker landed). Drop them and cut
-            // the log back to the batch boundary, so every later recovery
-            // of this log reaches the same state.
-            let boundary = if plan.used_records == 0 {
-                0
-            } else {
-                ends[plan.used_records - 1]
-            };
-            self.recovery.partial_batch_truncations += 1;
-            self.recovery.truncated_bytes += (valid_len - boundary) as u64;
-            self.backend.truncate(id, boundary as u64)?;
-            self.backend.sync(id)?;
+/// Rebuilds session `id`'s engine from its durable log: scan frames,
+/// truncate any corrupt tail, drop (and truncate) an uncommitted trailing
+/// batch run, restore the last usable snapshot (or start from the base
+/// specification) and replay the committed tail **whole batch by whole
+/// batch** through the ordinary ingestion paths. Sets `entry`'s event
+/// counts (or its failure) and returns the engine, which the caller makes
+/// live.
+fn rehydrate<B: StorageBackend>(
+    backend: &mut B,
+    recovery: &mut RecoveryTelemetry,
+    policy: RevisionPolicy,
+    id: SessionId,
+    entry: &mut Entry,
+) -> Result<ResolutionSession, StoreError> {
+    let bytes = backend.read_log(id)?;
+    let (offsets, valid_len, error) = decode_log_offsets(&bytes);
+    if let Some(err) = error {
+        recovery.corrupt_truncations += 1;
+        recovery.truncated_bytes += (bytes.len() - valid_len) as u64;
+        if matches!(err, CodecError::BadCrc { .. }) {
+            recovery.checksum_failures += 1;
         }
+        backend.truncate(id, valid_len as u64)?;
+        backend.sync(id)?;
+    }
 
-        let base = &self.entries.get(&id.0).expect("caller checked").base;
-        // Restore from the last usable snapshot; an unusable one (version
-        // accepted but inconsistent with the base) falls back to the next
-        // older snapshot, ultimately to a from-scratch replay — snapshots
-        // are an optimization, never the source of truth. The tried
-        // snapshot's state moves into the restore: replay below only needs
-        // to know where the snapshots were.
-        let mut start = 0;
-        let mut session = None;
-        for (i, step) in plan.steps.iter_mut().enumerate().rev() {
-            if let ReplayStep::Snapshot(snap) = step {
-                let state = std::mem::take(&mut snap.state);
-                match ResolutionSession::restore(base, state) {
-                    Ok(s) => {
-                        session = Some(s);
-                        start = i + 1;
-                        break;
-                    }
-                    Err(_) => continue,
+    let (records, ends): (Vec<LogRecord>, Vec<usize>) = offsets.into_iter().unzip();
+    let mut plan = plan_replay_owned(records);
+    if plan.used_records < ends.len() {
+        // Events after the last commit point are an uncommitted batch
+        // (the crash hit before its marker landed). Drop them and cut
+        // the log back to the batch boundary, so every later recovery
+        // of this log reaches the same state.
+        let boundary = if plan.used_records == 0 {
+            0
+        } else {
+            ends[plan.used_records - 1]
+        };
+        recovery.partial_batch_truncations += 1;
+        recovery.truncated_bytes += (valid_len - boundary) as u64;
+        backend.truncate(id, boundary as u64)?;
+        backend.sync(id)?;
+    }
+
+    let base = &entry.base;
+    // Restore from the last usable snapshot; an unusable one (version
+    // accepted but inconsistent with the base) falls back to the next
+    // older snapshot, ultimately to a from-scratch replay — snapshots
+    // are an optimization, never the source of truth. The tried
+    // snapshot's state moves into the restore: replay below only needs
+    // to know where the snapshots were.
+    let mut start = 0;
+    let mut session = None;
+    for (i, step) in plan.steps.iter_mut().enumerate().rev() {
+        if let ReplayStep::Snapshot(snap) = step {
+            let state = std::mem::take(&mut snap.state);
+            match ResolutionSession::restore(base, state) {
+                Ok(s) => {
+                    session = Some(s);
+                    start = i + 1;
+                    break;
                 }
+                Err(_) => continue,
             }
         }
-        let from_snapshot = session.is_some();
-        let mut session = session.unwrap_or_else(|| ResolutionSession::new(&ResolutionConfig::default(), base));
-        session.set_revision_policy(self.config.policy);
+    }
+    let from_snapshot = session.is_some();
+    let mut session =
+        session.unwrap_or_else(|| ResolutionSession::new(&ResolutionConfig::default(), base));
+    session.set_revision_policy(policy);
 
-        let mut replayed = 0u64;
-        let mut since_snapshot = 0usize;
-        let mut total = 0u64;
-        let mut failed = None;
-        for (i, step) in plan.steps.into_iter().enumerate() {
-            if let ReplayStep::Snapshot(_) = step {
-                if i < start {
-                    continue;
-                }
-                // A snapshot past the restore point still resets cadence.
-                since_snapshot = 0;
-                continue;
-            }
-            let count = step.event_count();
-            total += count as u64;
+    let mut replayed = 0u64;
+    let mut since_snapshot = 0usize;
+    let mut total = 0u64;
+    let mut failed = None;
+    for (i, step) in plan.steps.into_iter().enumerate() {
+        if let ReplayStep::Snapshot(_) = step {
             if i < start {
                 continue;
             }
-            since_snapshot += count;
-            replayed += count as u64;
-            match step {
-                ReplayStep::Input(input) => {
-                    if let Err(e) = check_input(base, &input) {
-                        failed = Some(e);
-                        break;
-                    }
-                    session.apply_input(&input);
+            // A snapshot past the restore point still resets cadence.
+            since_snapshot = 0;
+            continue;
+        }
+        let count = step.event_count();
+        total += count as u64;
+        if i < start {
+            continue;
+        }
+        since_snapshot += count;
+        replayed += count as u64;
+        match step {
+            ReplayStep::Input(input) => {
+                if let Err(e) = check_input(base, &input) {
+                    failed = Some(e);
+                    break;
                 }
-                ReplayStep::CausalBatch(batch) => {
-                    session
-                        .ingest_causal(batch)
-                        .expect("store policy is never Reject");
-                }
-                ReplayStep::RevisionBatch(batch) => {
-                    session
-                        .absorb_revision_batch(&batch)
-                        .expect("store policy is never Reject");
-                }
-                ReplayStep::Snapshot(_) => unreachable!("handled above"),
+                session.apply_input(&input);
             }
+            ReplayStep::CausalBatch(batch) => {
+                session
+                    .ingest_causal(batch)
+                    .expect("store policy is never Reject");
+            }
+            ReplayStep::RevisionBatch(batch) => {
+                session
+                    .absorb_revision_batch(&batch)
+                    .expect("store policy is never Reject");
+            }
+            ReplayStep::Snapshot(_) => unreachable!("handled above"),
         }
-
-        let entry = self.entries.get_mut(&id.0).expect("caller checked");
-        if let Some(e) = failed {
-            // Cold for good: the failure is kept and counted once, and no
-            // rehydration or snapshot use is counted.
-            self.recovery.failed_rehydrations += 1;
-            entry.failed = Some(e.clone());
-            return Err(e);
-        }
-        self.recovery.rehydrations += 1;
-        self.recovery.snapshots_used += u64::from(from_snapshot);
-        self.recovery.events_replayed += replayed;
-        entry.live = Some(session);
-        entry.events_total = total;
-        entry.events_since_snapshot = since_snapshot;
-        Ok(())
     }
 
-    /// Evicts least-recently-used live sessions (never `keep`) until the
-    /// live count respects `max_live`.
-    fn enforce_live_cap(&mut self, keep: SessionId) {
-        if self.config.max_live == 0 {
-            return;
-        }
-        loop {
-            let live = self.entries.values().filter(|e| e.live.is_some()).count();
-            if live <= self.config.max_live {
-                return;
-            }
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(&k, e)| e.live.is_some() && k != keep.0)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            let Some(victim) = victim else { return };
-            let entry = self.entries.get_mut(&victim).expect("just found");
-            entry.live = None;
-            self.recovery.evictions += 1;
-        }
+    if let Some(e) = failed {
+        // Cold for good: the failure is kept and counted once, and no
+        // rehydration or snapshot use is counted.
+        recovery.failed_rehydrations += 1;
+        entry.failed = Some(e.clone());
+        return Err(e);
+    }
+    recovery.rehydrations += 1;
+    recovery.snapshots_used += u64::from(from_snapshot);
+    recovery.events_replayed += replayed;
+    entry.events_total = total;
+    entry.events_since_snapshot = since_snapshot;
+    Ok(session)
+}
+
+/// Evicts least-recently-used live sessions until one more fits under
+/// `max_live` (0: unbounded) — the session being made live is not live yet.
+fn make_room(
+    entries: &mut BTreeMap<u64, Entry>,
+    max_live: usize,
+    recovery: &mut RecoveryTelemetry,
+) {
+    if max_live == 0 {
+        return;
+    }
+    while entries.values().filter(|e| e.live.is_some()).count() >= max_live {
+        let victim = entries
+            .values_mut()
+            .filter(|e| e.live.is_some())
+            .min_by_key(|e| e.last_used);
+        let Some(victim) = victim else { return };
+        victim.live = None;
+        recovery.evictions += 1;
     }
 }
 

@@ -35,7 +35,9 @@ fn source() -> BoxedStrategy<SourceId> {
 }
 
 fn hlc() -> BoxedStrategy<Hlc> {
-    ((0u64..1 << 40), (0u32..16)).prop_map(|(p, l)| Hlc::new(p, l)).boxed()
+    ((0u64..1 << 40), (0u32..16))
+        .prop_map(|(p, l)| Hlc::new(p, l))
+        .boxed()
 }
 
 fn vclock() -> BoxedStrategy<VectorClock> {
@@ -54,7 +56,11 @@ fn vclock() -> BoxedStrategy<VectorClock> {
 
 fn stamp() -> BoxedStrategy<CausalStamp> {
     (source(), hlc(), vclock())
-        .prop_map(|(source, hlc, vclock)| CausalStamp { source, hlc, vclock })
+        .prop_map(|(source, hlc, vclock)| CausalStamp {
+            source,
+            hlc,
+            vclock,
+        })
         .boxed()
 }
 
@@ -70,11 +76,17 @@ fn tuple_id() -> BoxedStrategy<TupleId> {
 fn revision() -> BoxedStrategy<Revision> {
     prop_oneof![
         (0usize..1000).prop_map(|cfd| Revision::RetractCfd { cfd }),
-        (attr(), tuple_id(), tuple_id())
-            .prop_map(|(attr, lo, hi)| Revision::WithdrawOrder { attr, lo, hi }),
+        (attr(), tuple_id(), tuple_id()).prop_map(|(attr, lo, hi)| Revision::WithdrawOrder {
+            attr,
+            lo,
+            hi
+        }),
         (attr(), tuple_id()).prop_map(|(attr, tuple)| Revision::WithdrawAnswer { attr, tuple }),
-        (tuple_id(), attr(), value())
-            .prop_map(|(tuple, attr, value)| Revision::ReplaceValue { tuple, attr, value }),
+        (tuple_id(), attr(), value()).prop_map(|(tuple, attr, value)| Revision::ReplaceValue {
+            tuple,
+            attr,
+            value
+        }),
     ]
     .boxed()
 }
@@ -100,20 +112,26 @@ fn frontier() -> BoxedStrategy<FrontierState> {
         ),
         prop::collection::vec((source(), hlc()), 0..3),
         prop::collection::vec(
-            (tuple_id(), attr(), prop::collection::vec((stamp(), value()), 0..3)),
+            (
+                tuple_id(),
+                attr(),
+                prop::collection::vec((stamp(), value()), 0..3),
+            ),
             0..3,
         ),
         (0u64..100, 0u64..100, 0u64..100),
     )
-        .prop_map(|(delivered, buffered, seen, writes, (d, b, c))| FrontierState {
-            delivered,
-            buffered,
-            seen,
-            writes,
-            duplicates: d,
-            buffered_total: b,
-            concurrent_conflicts: c,
-        })
+        .prop_map(
+            |(delivered, buffered, seen, writes, (d, b, c))| FrontierState {
+                delivered,
+                buffered,
+                seen,
+                writes,
+                duplicates: d,
+                buffered_total: b,
+                concurrent_conflicts: c,
+            },
+        )
         .boxed()
 }
 
@@ -125,9 +143,13 @@ fn revision_error() -> BoxedStrategy<RevisionError> {
             .prop_map(|(cfd, gamma_len)| RevisionError::UnknownCfd { cfd, gamma_len }),
         (0usize..1000).prop_map(|cfd| RevisionError::StaleCfd { cfd }),
         (attr(), 0usize..64).prop_map(|(attr, arity)| RevisionError::UnknownAttr { attr, arity }),
-        (tuple_id(), 0usize..64).prop_map(|(tuple, len)| RevisionError::UnknownTuple { tuple, len }),
-        (attr(), tuple_id(), tuple_id())
-            .prop_map(|(attr, lo, hi)| RevisionError::UnknownOrder { attr, lo, hi }),
+        (tuple_id(), 0usize..64)
+            .prop_map(|(tuple, len)| RevisionError::UnknownTuple { tuple, len }),
+        (attr(), tuple_id(), tuple_id()).prop_map(|(attr, lo, hi)| RevisionError::UnknownOrder {
+            attr,
+            lo,
+            hi
+        }),
     ]
     .boxed()
 }
@@ -154,8 +176,14 @@ fn session_state() -> BoxedStrategy<SessionState> {
         prop::collection::vec((attr(), tuple_id(), tuple_id()), 0..4),
         prop::collection::vec(0usize..32, 0..3),
         prop::collection::vec(
-            (attr(), tuple_id(), value(), vclock())
-                .prop_map(|(attr, tuple, value, deps)| AnswerState { attr, tuple, value, deps }),
+            (attr(), tuple_id(), value(), vclock()).prop_map(|(attr, tuple, value, deps)| {
+                AnswerState {
+                    attr,
+                    tuple,
+                    value,
+                    deps,
+                }
+            }),
             0..3,
         ),
         frontier(),
@@ -203,7 +231,10 @@ fn log_record() -> BoxedStrategy<LogRecord> {
             .prop_map(|(stamp, rev)| LogRecord::Causal(CausalRevision { stamp, rev })),
         revision().prop_map(LogRecord::Revision),
         ((0u64..1000), session_state()).prop_map(|(events_covered, state)| {
-            LogRecord::Snapshot(Box::new(SnapshotRecord { events_covered, state }))
+            LogRecord::Snapshot(Box::new(SnapshotRecord {
+                events_covered,
+                state,
+            }))
         }),
         ((0u64..10_000), (0u64..1000))
             .prop_map(|(epoch, events)| LogRecord::BatchMark { epoch, events }),
@@ -310,7 +341,11 @@ fn zero_vclock_entries_canonicalise() {
     without.observe(SourceId(5), 7);
 
     let rec = |vc: &VectorClock| {
-        let stamp = CausalStamp { source: SourceId(5), hlc: Hlc::new(1, 0), vclock: vc.clone() };
+        let stamp = CausalStamp {
+            source: SourceId(5),
+            hlc: Hlc::new(1, 0),
+            vclock: vc.clone(),
+        };
         LogRecord::Causal(CausalRevision {
             stamp,
             rev: Revision::RetractCfd { cfd: 1 },
@@ -320,7 +355,9 @@ fn zero_vclock_entries_canonicalise() {
     assert_eq!(rec(&with_zero), rec(&without));
 
     let back = LogRecord::decode(&rec(&with_zero)).unwrap();
-    let LogRecord::Causal(ev) = back else { panic!("wrong variant") };
+    let LogRecord::Causal(ev) = back else {
+        panic!("wrong variant")
+    };
     assert_eq!(ev.stamp.vclock.get(SourceId(3)), 0);
     assert_eq!(ev.stamp.vclock.get(SourceId(5)), 7);
 }

@@ -39,8 +39,14 @@ fn two_city_spec() -> Specification {
 fn pair(
     spec: &Specification,
     snapshot_every: usize,
-) -> (SessionStore<FaultyBackend<MemoryBackend>>, SessionStore<FaultyBackend<MemoryBackend>>) {
-    let cfg = StoreConfig { snapshot_every, ..StoreConfig::default() };
+) -> (
+    SessionStore<FaultyBackend<MemoryBackend>>,
+    SessionStore<FaultyBackend<MemoryBackend>>,
+) {
+    let cfg = StoreConfig {
+        snapshot_every,
+        ..StoreConfig::default()
+    };
     let mut subject =
         SessionStore::new(FaultyBackend::new(MemoryBackend::new()).unwrap(), cfg).unwrap();
     let mut twin =
@@ -51,7 +57,11 @@ fn pair(
 }
 
 fn replace(tuple: TupleId, attr: cr_types::AttrId, value: &str) -> Revision {
-    Revision::ReplaceValue { tuple, attr, value: Value::str(value) }
+    Revision::ReplaceValue {
+        tuple,
+        attr,
+        value: Value::str(value),
+    }
 }
 
 /// Field (a): frontier-buffered out-of-order events. Evicting a session
@@ -63,13 +73,22 @@ fn eviction_preserves_frontier_buffered_events() {
     let spec = two_city_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let mut s1 = SourceClock::new(SourceId(1));
-    let e1 = CausalRevision { stamp: s1.stamp(1), rev: replace(TupleId(0), city, "SF") };
-    let e2 = CausalRevision { stamp: s1.stamp(2), rev: replace(TupleId(0), city, "Chicago") };
+    let e1 = CausalRevision {
+        stamp: s1.stamp(1),
+        rev: replace(TupleId(0), city, "SF"),
+    };
+    let e2 = CausalRevision {
+        stamp: s1.stamp(2),
+        rev: replace(TupleId(0), city, "Chicago"),
+    };
 
     for snapshot_every in [0usize, 1] {
         let (mut subject, mut twin) = pair(&spec, snapshot_every);
         // The successor arrives first and buffers at the frontier.
-        assert!(subject.ingest_causal(ID, vec![e2.clone()]).unwrap().is_empty());
+        assert!(subject
+            .ingest_causal(ID, vec![e2.clone()])
+            .unwrap()
+            .is_empty());
         assert!(twin.ingest_causal(ID, vec![e2.clone()]).unwrap().is_empty());
 
         assert!(subject.evict(ID).unwrap());
@@ -87,10 +106,19 @@ fn eviction_preserves_frontier_buffered_events() {
         // The late predecessor must still release the buffered successor.
         let got = subject.ingest_causal(ID, vec![e1.clone()]).unwrap();
         let want = twin.ingest_causal(ID, vec![e1.clone()]).unwrap();
-        assert_eq!(got, want, "the rehydrated frontier cascades like the twin's");
+        assert_eq!(
+            got, want,
+            "the rehydrated frontier cascades like the twin's"
+        );
         assert_eq!(got.len(), 2, "predecessor plus the released successor");
         assert_eq!(
-            subject.session(ID).unwrap().current().entity().tuple(TupleId(0)).get(city),
+            subject
+                .session(ID)
+                .unwrap()
+                .current()
+                .entity()
+                .tuple(TupleId(0))
+                .get(city),
             &Value::str("Chicago")
         );
     }
@@ -105,11 +133,19 @@ fn eviction_preserves_undrained_competing_cells() {
     let city = spec.schema().attr_id("city").unwrap();
     let mut s1 = SourceClock::new(SourceId(1));
     let mut s2 = SourceClock::new(SourceId(2));
-    let a = CausalRevision { stamp: s1.stamp(1), rev: replace(TupleId(0), city, "SF") };
-    let b = CausalRevision { stamp: s2.stamp(2), rev: replace(TupleId(0), city, "Boston") };
+    let a = CausalRevision {
+        stamp: s1.stamp(1),
+        rev: replace(TupleId(0), city, "SF"),
+    };
+    let b = CausalRevision {
+        stamp: s2.stamp(2),
+        rev: replace(TupleId(0), city, "Boston"),
+    };
 
     let (mut subject, mut twin) = pair(&spec, 0);
-    subject.ingest_causal(ID, vec![a.clone(), b.clone()]).unwrap();
+    subject
+        .ingest_causal(ID, vec![a.clone(), b.clone()])
+        .unwrap();
     twin.ingest_causal(ID, vec![a, b]).unwrap();
 
     assert!(subject.evict(ID).unwrap());
@@ -119,7 +155,10 @@ fn eviction_preserves_undrained_competing_cells() {
         restored_state.competing, twin_state.competing,
         "the undrained competing-cell buffer must survive eviction"
     );
-    assert!(!restored_state.competing.is_empty(), "the scenario really competes");
+    assert!(
+        !restored_state.competing.is_empty(),
+        "the scenario really competes"
+    );
     diff_logical_states(&restored_state, &twin_state).expect("full logical state matches");
 
     // Draining after rehydration yields exactly what the twin yields.
@@ -128,9 +167,16 @@ fn eviction_preserves_undrained_competing_cells() {
     assert_eq!(drained, twin_drained);
     assert_eq!(drained.len(), 1);
     assert_eq!((drained[0].tuple, drained[0].attr), (TupleId(0), city));
-    assert!(drained[0].candidates.contains(&(SourceId(1), Value::str("SF"))));
-    assert!(drained[0].candidates.contains(&(SourceId(2), Value::str("Boston"))));
-    assert!(subject.session(ID).unwrap().take_competing().is_empty(), "drained once");
+    assert!(drained[0]
+        .candidates
+        .contains(&(SourceId(1), Value::str("SF"))));
+    assert!(drained[0]
+        .candidates
+        .contains(&(SourceId(2), Value::str("Boston"))));
+    assert!(
+        subject.session(ID).unwrap().take_competing().is_empty(),
+        "drained once"
+    );
 }
 
 /// Field (c): the quarantine log. Quarantined `(revision, error)` pairs
@@ -141,11 +187,19 @@ fn eviction_preserves_quarantine_log() {
     let spec = two_city_spec();
     let mut s1 = SourceClock::new(SourceId(1));
     // No CFDs in this spec: every retraction quarantines (UnknownCfd).
-    let bad1 = CausalRevision { stamp: s1.stamp(1), rev: Revision::RetractCfd { cfd: 7 } };
-    let bad2 = CausalRevision { stamp: s1.stamp(2), rev: Revision::RetractCfd { cfd: 9 } };
+    let bad1 = CausalRevision {
+        stamp: s1.stamp(1),
+        rev: Revision::RetractCfd { cfd: 7 },
+    };
+    let bad2 = CausalRevision {
+        stamp: s1.stamp(2),
+        rev: Revision::RetractCfd { cfd: 9 },
+    };
 
     let (mut subject, mut twin) = pair(&spec, 0);
-    subject.ingest_causal(ID, vec![bad1.clone(), bad2.clone()]).unwrap();
+    subject
+        .ingest_causal(ID, vec![bad1.clone(), bad2.clone()])
+        .unwrap();
     twin.ingest_causal(ID, vec![bad1, bad2]).unwrap();
 
     assert!(subject.evict(ID).unwrap());
@@ -155,7 +209,11 @@ fn eviction_preserves_quarantine_log() {
         restored_state.quarantine, twin_state.quarantine,
         "the quarantine log must survive eviction"
     );
-    assert_eq!(restored_state.quarantine.len(), 2, "both rejects are retained");
+    assert_eq!(
+        restored_state.quarantine.len(),
+        2,
+        "both rejects are retained"
+    );
     assert_eq!(restored_state.telemetry.quarantined, 2);
     diff_logical_states(&restored_state, &twin_state).expect("full logical state matches");
 }
@@ -169,8 +227,10 @@ fn eviction_preserves_epoch_and_reopen_dedup() {
     let spec = two_city_spec();
     let city = spec.schema().attr_id("city").unwrap();
     let mut s1 = SourceClock::new(SourceId(1));
-    let correction =
-        CausalRevision { stamp: s1.stamp(1), rev: replace(TupleId(0), city, "Boston") };
+    let correction = CausalRevision {
+        stamp: s1.stamp(1),
+        rev: replace(TupleId(0), city, "Boston"),
+    };
     let mut input = UserInput::empty();
     input.values.insert(city, Value::str("Paris"));
 
@@ -183,7 +243,10 @@ fn eviction_preserves_epoch_and_reopen_dedup() {
         subject.ingest_causal(ID, vec![correction.clone()]).unwrap();
         twin.ingest_causal(ID, vec![correction.clone()]).unwrap();
         let twin_reopened = twin.session(ID).unwrap().revision_telemetry().reopened;
-        assert_eq!(twin_reopened, 1, "snapshot_every {snapshot_every}: the scenario re-opens");
+        assert_eq!(
+            twin_reopened, 1,
+            "snapshot_every {snapshot_every}: the scenario re-opens"
+        );
 
         assert!(subject.evict(ID).unwrap());
         let restored_state = subject.session(ID).unwrap().state();
@@ -198,8 +261,14 @@ fn eviction_preserves_epoch_and_reopen_dedup() {
         // Redelivering the re-opening correction after rehydration: the
         // `(source, hlc)` dedup state also survived, so nothing re-opens
         // or double-counts on either side.
-        assert!(subject.ingest_causal(ID, vec![correction.clone()]).unwrap().is_empty());
-        assert!(twin.ingest_causal(ID, vec![correction.clone()]).unwrap().is_empty());
+        assert!(subject
+            .ingest_causal(ID, vec![correction.clone()])
+            .unwrap()
+            .is_empty());
+        assert!(twin
+            .ingest_causal(ID, vec![correction.clone()])
+            .unwrap()
+            .is_empty());
         let subject_t = subject.session(ID).unwrap().revision_telemetry();
         let twin_t = twin.session(ID).unwrap().revision_telemetry();
         assert_eq!(subject_t.reopened, 1, "redelivery must not re-open again");

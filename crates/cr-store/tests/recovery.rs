@@ -19,8 +19,8 @@ use cr_core::ResolutionConfig;
 use cr_data::gen::{causal_timeline, scenario_from_raw, CausalTimelineConfig, Scenario};
 use cr_store::{
     decode_log, decode_log_offsets, plan_replay, reference_of, verify_recovery, Fault,
-    FaultyBackend, FileBackend, LogRecord, MemoryBackend, SessionId, SessionStore,
-    StorageBackend, StoreConfig, StoreError, FORMAT_VERSION,
+    FaultyBackend, FileBackend, LogRecord, MemoryBackend, SessionId, SessionStore, StorageBackend,
+    StoreConfig, StoreError, FORMAT_VERSION,
 };
 use cr_types::codec::write_frame;
 use cr_types::AttrId;
@@ -48,8 +48,10 @@ fn steps_for(spec: &Specification, truth: &cr_types::Tuple, seed: u64, events: u
             ..Default::default()
         },
     );
-    let mut steps: Vec<Step> =
-        timeline.into_iter().map(|(_, ev)| Step::Causal(ev)).collect();
+    let mut steps: Vec<Step> = timeline
+        .into_iter()
+        .map(|(_, ev)| Step::Causal(ev))
+        .collect();
     let mut input = UserInput::empty();
     input.values.insert(AttrId(1), truth.get(AttrId(1)).clone());
     steps.insert(steps.len() / 3, Step::Input(input));
@@ -57,12 +59,13 @@ fn steps_for(spec: &Specification, truth: &cr_types::Tuple, seed: u64, events: u
 }
 
 fn store_config(snapshot_every: usize) -> StoreConfig {
-    StoreConfig { snapshot_every, ..StoreConfig::default() }
+    StoreConfig {
+        snapshot_every,
+        ..StoreConfig::default()
+    }
 }
 
-fn fresh_store(
-    snapshot_every: usize,
-) -> SessionStore<FaultyBackend<MemoryBackend>> {
+fn fresh_store(snapshot_every: usize) -> SessionStore<FaultyBackend<MemoryBackend>> {
     SessionStore::new(
         FaultyBackend::new(MemoryBackend::new()).unwrap(),
         store_config(snapshot_every),
@@ -102,8 +105,11 @@ fn crash_and_verify(
     // uncommitted run: recovery must cut the log back to the last
     // committed boundary and count the partial batch.
     let plan = plan_replay(&records);
-    let boundary_len =
-        if plan.used_records == 0 { 0 } else { offsets[plan.used_records - 1].1 };
+    let boundary_len = if plan.used_records == 0 {
+        0
+    } else {
+        offsets[plan.used_records - 1].1
+    };
     let partial_bytes = (valid_len - boundary_len) as u64;
     let dropped_run = plan.used_records < records.len();
 
@@ -112,17 +118,24 @@ fn crash_and_verify(
 
     let mut store = SessionStore::new(crashed, store_config(snapshot_every)).unwrap();
     store.open(ID, spec);
-    let session = store.session(ID).unwrap_or_else(|e| panic!("{ctx}: rehydrate failed: {e}"));
-    verify_recovery(session, &mut reference)
-        .unwrap_or_else(|e| panic!("{ctx} ({fault:?}): {e}"));
+    let session = store
+        .session(ID)
+        .unwrap_or_else(|e| panic!("{ctx}: rehydrate failed: {e}"));
+    verify_recovery(session, &mut reference).unwrap_or_else(|e| panic!("{ctx} ({fault:?}): {e}"));
 
     let t = store.recovery();
     assert_eq!(t.rehydrations, 1, "{ctx}: exactly one rehydration");
     if let Some(err) = scan_error {
         assert_eq!(t.corrupt_truncations, 1, "{ctx}: {err} must be counted");
     } else {
-        assert_eq!(t.corrupt_truncations, 0, "{ctx}: clean log, no corrupt truncation");
-        assert_eq!(t.checksum_failures, 0, "{ctx}: clean log, no checksum failures");
+        assert_eq!(
+            t.corrupt_truncations, 0,
+            "{ctx}: clean log, no corrupt truncation"
+        );
+        assert_eq!(
+            t.checksum_failures, 0,
+            "{ctx}: clean log, no checksum failures"
+        );
     }
     assert_eq!(
         t.truncated_bytes,
@@ -144,7 +157,10 @@ fn crash_and_verify(
             scan_error.is_none(),
             "{ctx}: a lost fsync leaves an intact shorter log, got {scan_error:?}"
         );
-        assert_eq!(t.checksum_failures, 0, "{ctx}: lost sync is not a checksum failure");
+        assert_eq!(
+            t.checksum_failures, 0,
+            "{ctx}: lost sync is not a checksum failure"
+        );
     }
     store
 }
@@ -175,7 +191,10 @@ fn every_boundary_every_fault_mode_recovers_to_surviving_prefix() {
                 Fault::TornWrite { at: 13 },
                 Fault::TruncatedTail { bytes: 1 },
                 Fault::TruncatedTail { bytes: 7 },
-                Fault::BitFlip { byte: boundary as u64 * 31 + 7, bit: (boundary % 8) as u8 },
+                Fault::BitFlip {
+                    byte: boundary as u64 * 31 + 7,
+                    bit: (boundary % 8) as u8,
+                },
                 Fault::LostSync,
             ];
             for fault in faults {
@@ -215,11 +234,13 @@ fn torn_write_at_every_byte_of_the_final_append_recovers() {
 
     // The marker is the last record (and the last append, so TornWrite
     // tears it); its frame starts where the penultimate record ends.
-    let (offsets, valid_len, scan_error) =
-        decode_log_offsets(&checkpoint.read_log(ID).unwrap());
+    let (offsets, valid_len, scan_error) = decode_log_offsets(&checkpoint.read_log(ID).unwrap());
     assert!(scan_error.is_none());
     assert_eq!(valid_len as u64, full);
-    assert!(matches!(offsets.last().unwrap().0, LogRecord::BatchMark { .. }));
+    assert!(matches!(
+        offsets.last().unwrap().0,
+        LogRecord::BatchMark { .. }
+    ));
     let marker_start = offsets[offsets.len() - 2].1 as u64;
     let marker_len = full - marker_start;
     assert!(marker_len > 0);
@@ -274,8 +295,12 @@ fn snapshots_bound_rehydration_replay() {
     // The snapshot-restored session still matches a from-scratch replay.
     let (records, _, err) = decode_log(&store.backend().read_log(ID).unwrap());
     assert!(err.is_none());
-    let mut reference =
-        reference_of(&ResolutionConfig::default(), RevisionPolicy::Quarantine, &spec, &records);
+    let mut reference = reference_of(
+        &ResolutionConfig::default(),
+        RevisionPolicy::Quarantine,
+        &spec,
+        &records,
+    );
     verify_recovery(store.session(ID).unwrap(), &mut reference).unwrap();
 }
 
@@ -290,7 +315,11 @@ fn lru_eviction_and_on_demand_rehydration() {
 
     let mut store = SessionStore::new(
         FaultyBackend::new(MemoryBackend::new()).unwrap(),
-        StoreConfig { max_live: 1, snapshot_every: 0, ..StoreConfig::default() },
+        StoreConfig {
+            max_live: 1,
+            snapshot_every: 0,
+            ..StoreConfig::default()
+        },
     )
     .unwrap();
     store.open(a, &spec);
@@ -317,8 +346,12 @@ fn lru_eviction_and_on_demand_rehydration() {
     // Touching A rehydrates it to exactly the from-scratch state.
     let (records, _, err) = decode_log(&store.backend().read_log(a).unwrap());
     assert!(err.is_none());
-    let mut reference =
-        reference_of(&ResolutionConfig::default(), RevisionPolicy::Quarantine, &spec, &records);
+    let mut reference = reference_of(
+        &ResolutionConfig::default(),
+        RevisionPolicy::Quarantine,
+        &spec,
+        &records,
+    );
     let replayed_before = store.recovery().events_replayed;
     verify_recovery(store.session(a).unwrap(), &mut reference).unwrap();
     assert!(store.recovery().events_replayed > replayed_before);
@@ -342,8 +375,8 @@ fn unknown_version_record_is_truncated_like_corruption() {
 
     // A future-version record lands at the tail (say, after a partial
     // upgrade rollback).
-    let mut payload = LogRecord::Revision(cr_core::ingest::Revision::RetractCfd { cfd: 0 })
-        .encode();
+    let mut payload =
+        LogRecord::Revision(cr_core::ingest::Revision::RetractCfd { cfd: 0 }).encode();
     payload[0] = FORMAT_VERSION + 1;
     let mut frame = Vec::new();
     write_frame(&mut frame, &payload);
@@ -352,13 +385,20 @@ fn unknown_version_record_is_truncated_like_corruption() {
 
     assert!(store.evict(ID).unwrap());
     let (records, _, _) = decode_log(&store.backend().read_log(ID).unwrap());
-    let mut reference =
-        reference_of(&ResolutionConfig::default(), RevisionPolicy::Quarantine, &spec, &records);
+    let mut reference = reference_of(
+        &ResolutionConfig::default(),
+        RevisionPolicy::Quarantine,
+        &spec,
+        &records,
+    );
     verify_recovery(store.session(ID).unwrap(), &mut reference).unwrap();
 
     let t = store.recovery();
     assert_eq!(t.corrupt_truncations, 1);
-    assert_eq!(t.checksum_failures, 0, "the frame CRC was fine; the record version was not");
+    assert_eq!(
+        t.checksum_failures, 0,
+        "the frame CRC was fine; the record version was not"
+    );
     assert_eq!(t.truncated_bytes, frame.len() as u64);
     assert_eq!(store.log_len(ID).unwrap(), good_len);
 }
@@ -432,7 +472,10 @@ fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
             Err(other) => panic!("expected UnknownAttr, got {other:?}"),
             Ok(_) => panic!("expected UnknownAttr, got a session"),
         }
-        assert!(!store.is_live(ID), "a failed rehydration leaves the session cold");
+        assert!(
+            !store.is_live(ID),
+            "a failed rehydration leaves the session cold"
+        );
     }
 }
 
@@ -442,7 +485,10 @@ fn out_of_range_logged_input_fails_rehydration_with_a_typed_error() {
 #[test]
 fn reference_replay_of_an_out_of_range_input_is_a_typed_error() {
     let (mut store, spec, records) = poisoned_store(0, 2);
-    let expected = StoreError::UnknownAttr { attr: AttrId(999), arity: spec.schema().arity() };
+    let expected = StoreError::UnknownAttr {
+        attr: AttrId(999),
+        arity: spec.schema().arity(),
+    };
     assert_eq!(store.session(ID).err(), Some(expected.clone()));
 
     let config = store_config(0);
@@ -469,7 +515,10 @@ fn failed_replay_after_a_snapshot_counts_no_snapshot() {
     let mut reads = Vec::new();
     for _ in 0..2 {
         let before = store.backend().reads.get();
-        assert!(matches!(store.session(ID), Err(StoreError::UnknownAttr { .. })));
+        assert!(matches!(
+            store.session(ID),
+            Err(StoreError::UnknownAttr { .. })
+        ));
         reads.push(store.backend().reads.get() - before);
     }
     let t = store.recovery();
@@ -477,8 +526,16 @@ fn failed_replay_after_a_snapshot_counts_no_snapshot() {
         t.snapshots_used - t0.snapshots_used <= t.rehydrations - t0.rehydrations,
         "snapshots counted without a rehydration: {t0:?} -> {t:?}"
     );
-    assert_eq!(t.failed_rehydrations - t0.failed_rehydrations, 1, "{t0:?} -> {t:?}");
-    assert_eq!(reads, [1, 0], "the kept failure is returned without reading the log");
+    assert_eq!(
+        t.failed_rehydrations - t0.failed_rehydrations,
+        1,
+        "{t0:?} -> {t:?}"
+    );
+    assert_eq!(
+        reads,
+        [1, 0],
+        "the kept failure is returned without reading the log"
+    );
 }
 
 /// Typed error paths: a Reject policy is refused up front, and touching an
@@ -487,7 +544,10 @@ fn failed_replay_after_a_snapshot_counts_no_snapshot() {
 fn store_error_paths() {
     let err = SessionStore::new(
         MemoryBackend::new(),
-        StoreConfig { policy: RevisionPolicy::Reject, ..StoreConfig::default() },
+        StoreConfig {
+            policy: RevisionPolicy::Reject,
+            ..StoreConfig::default()
+        },
     )
     .err()
     .expect("Reject must be refused");
@@ -534,15 +594,25 @@ fn file_backend_persists_across_reopen_with_tiny_segments() {
         }
         let session_dir = root.join(format!("session-{:016x}", ID.0));
         let segments = std::fs::read_dir(&session_dir).unwrap().count();
-        assert!(segments > 1, "tiny segments must roll, got {segments} file(s)");
+        assert!(
+            segments > 1,
+            "tiny segments must roll, got {segments} file(s)"
+        );
     } // store dropped: the only durable state is the log on disk
 
     let backend = FileBackend::with_segment_bytes(&root, 64).unwrap();
     assert_eq!(backend.sessions().unwrap(), vec![ID]);
     let (records, _, err) = decode_log(&backend.read_log(ID).unwrap());
-    assert!(err.is_none(), "a cleanly closed file log scans clean: {err:?}");
-    let mut reference =
-        reference_of(&ResolutionConfig::default(), RevisionPolicy::Quarantine, &spec, &records);
+    assert!(
+        err.is_none(),
+        "a cleanly closed file log scans clean: {err:?}"
+    );
+    let mut reference = reference_of(
+        &ResolutionConfig::default(),
+        RevisionPolicy::Quarantine,
+        &spec,
+        &records,
+    );
 
     let mut store = SessionStore::new(backend, store_config(3)).unwrap();
     store.open(ID, &spec);

@@ -6,7 +6,7 @@ use conflict_resolution::types::{EntityInstance, Schema, Tuple, Value};
 
 /// A retraction-heavy population: every entity's truth carries an
 /// out-of-domain `AC` and `city`, so the oracle's answers grow both value
-/// spaces and retract the CFD guard groups over them mid-interaction. Γ
+/// spaces and delete the clauses of the CFDs over them mid-interaction. Γ
 /// differs per entity (distinct CFD constants), so each entity compiles a
 /// program of its own.
 pub fn retraction_specs(entities: usize) -> Vec<(Specification, Tuple)> {

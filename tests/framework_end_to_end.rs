@@ -163,9 +163,9 @@ fn per_round_reports_are_coherent() {
     assert_eq!(answered, outcome.user_values);
 }
 
-/// Out-of-domain `AC`/`city` answers retract CFD guard groups mid-
-/// interaction: the engine's provenance-scoped retraction replay must run,
-/// and it must resolve exactly like the from-scratch loop.
+/// Out-of-domain `AC`/`city` answers delete and re-emit CFD clauses mid-
+/// interaction: the engine must rebuild its solver and propagator, and it
+/// must resolve exactly like the from-scratch loop.
 #[test]
 fn out_of_domain_answers_replay_retractions_and_match_scratch() {
     let resolver = |incremental| {
@@ -182,7 +182,7 @@ fn out_of_domain_answers_replay_retractions_and_match_scratch() {
         assert_eq!(inc.resolved.to_tuple().as_ref(), Some(truth), "entity {i}: reaches the truth");
         assert!(
             inc.retractions > 0,
-            "entity {i}: out-of-domain answers must retract CFD groups, got {}",
+            "entity {i}: out-of-domain answers must delete CFD clauses, got {}",
             inc.retractions
         );
     }
