@@ -67,18 +67,16 @@ impl DeducedOrders {
 /// eager encoding the order axioms are clauses; on a lazy one they are the
 /// propagator's order theory over the atoms the encoding registered
 /// ([`EncodedSpec::fresh_propagator`]), whose fixpoint equals propagation
-/// over the materialised axiom clauses. Nothing is instantiated or
-/// recorded: `enc` is taken mutably only for the uniformity of the
-/// one-shot Fig. 4 functions.
+/// over the materialised axiom clauses.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
-pub fn deduce_order(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
+pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
     deduce_order_on(&mut enc.fresh_propagator(), enc)
 }
 
 /// The body of [`deduce_order`] over a propagator that holds every clause
-/// of `enc`'s CNF (recorded axioms aside) and its registered order atoms:
+/// of `enc`'s CNF and its registered order atoms:
 /// the one-shot call passes a fresh one, the session its warm propagator,
 /// which it keeps alive across all rounds and feeds the per-round clause
 /// and atom deltas, so each round only propagates the consequences of the
@@ -108,27 +106,24 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
 /// variable `x`, probe `Φ(Se) ∧ ¬x` and `Φ(Se) ∧ x` with the SAT solver;
 /// an unsatisfiable probe means the opposite literal is implied.
 ///
-/// Probes run the CEGAR loop
-/// ([`Solver::solve_lazy_with_assumptions`]) with the encoding as the
-/// axiom source: on lazy encodings an `Unsat` probe is sound (injected
-/// axioms are entailed by the eager formula) and a `Sat` probe is exact
-/// (the final model satisfies the full theory), so the deduced set equals
-/// the eager one. Axioms injected by one probe persist in the solver and
-/// sharpen all later probes; they are recorded into `enc`'s CNF too.
+/// Probes run on one solver from [`EncodedSpec::fresh_solver`], which on
+/// a lazy encoding holds the order axioms as its theory, so each probe
+/// answers as over the eager formula and the deduced set equals the eager
+/// one. Clauses learnt by one probe persist and sharpen all later probes.
 ///
 /// Returns `None` if `Φ(Se)` itself is unsatisfiable.
-pub fn naive_deduce(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
-    naive_deduce_on(&mut Solver::from_cnf(enc.cnf()), enc)
+pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
+    naive_deduce_on(&mut enc.fresh_solver(), enc)
 }
 
 /// The body of [`naive_deduce`] over a solver that holds every clause of
-/// `enc`'s CNF: the one-shot call passes a fresh one, the session its warm
-/// solver (shared with the validity check, so learnt clauses carry across
+/// `enc`'s CNF and its registered order atoms: the one-shot call passes a
+/// fresh one, the session its warm solver (shared with the validity check, so learnt clauses carry across
 /// both phases and across rounds). Any variable already fixed by
 /// root-level propagation is implied and recorded without a SAT call.
-pub(crate) fn naive_deduce_on(solver: &mut Solver, enc: &mut EncodedSpec) -> Option<DeducedOrders> {
+pub(crate) fn naive_deduce_on(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
-    if solver.solve_lazy(enc) == SolveResult::Unsat {
+    if solver.solve() == SolveResult::Unsat {
         return None;
     }
     let mut od = DeducedOrders::empty(enc.space().arity());
@@ -150,9 +145,9 @@ pub(crate) fn naive_deduce_on(solver: &mut Solver, enc: &mut EncodedSpec) -> Opt
             }
             None => {}
         }
-        if solver.solve_lazy_with_assumptions(&[var.negative()], enc) == SolveResult::Unsat {
+        if solver.solve_with_assumptions(&[var.negative()]) == SolveResult::Unsat {
             od.insert(attr, lo, hi);
-        } else if solver.solve_lazy_with_assumptions(&[var.positive()], enc) == SolveResult::Unsat {
+        } else if solver.solve_with_assumptions(&[var.positive()]) == SolveResult::Unsat {
             od.insert(attr, hi, lo);
         }
     }
@@ -179,32 +174,28 @@ fn probe_plan(enc: &EncodedSpec) -> Vec<(cr_sat::Var, OrderAtom)> {
 /// invocation per probe ("this approach … calls the SAT-solver |It|² times").
 /// [`naive_deduce`] improves on it by keeping one incremental solver (learnt
 /// clauses carry across probes); this variant exists for the Fig. 8(b)
-/// ablation quantifying that difference. On a lazy encoding each probe's
-/// injected axioms are recorded into `enc`'s CNF, so later fresh solvers
-/// start from them; the ablation runs eager encodings, which record
-/// nothing.
-pub fn naive_deduce_fresh(enc: &mut EncodedSpec) -> Option<DeducedOrders> {
-    let fresh_solve = |enc: &mut EncodedSpec, extra: Option<cr_sat::Lit>| {
-        let mut solver = Solver::from_cnf(enc.cnf());
+/// ablation quantifying that difference.
+pub fn naive_deduce_fresh(enc: &EncodedSpec) -> Option<DeducedOrders> {
+    let fresh_solve = |extra: Option<cr_sat::Lit>| {
+        let mut solver = enc.fresh_solver();
         if let Some(lit) = extra {
             solver.add_clause([lit]);
         }
-        solver.solve_lazy(enc)
+        solver.solve()
     };
-    if fresh_solve(enc, None) == SolveResult::Unsat {
+    if fresh_solve(None) == SolveResult::Unsat {
         return None;
     }
     let mut od = DeducedOrders::empty(enc.space().arity());
-    let order_vars: Vec<_> = enc.order_vars().collect();
-    for (var, OrderAtom { attr, lo, hi }) in order_vars {
+    for (var, OrderAtom { attr, lo, hi }) in enc.order_vars() {
         if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
             continue;
         }
-        if fresh_solve(enc, Some(var.negative())) == SolveResult::Unsat {
+        if fresh_solve(Some(var.negative())) == SolveResult::Unsat {
             od.insert(attr, lo, hi);
             continue;
         }
-        if fresh_solve(enc, Some(var.positive())) == SolveResult::Unsat {
+        if fresh_solve(Some(var.positive())) == SolveResult::Unsat {
             od.insert(attr, hi, lo);
         }
     }
@@ -246,8 +237,8 @@ mod tests {
     #[test]
     fn deduce_order_matches_example_9_prefix() {
         let spec = george_like();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).expect("valid spec");
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).expect("valid spec");
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let kids = spec.schema().attr_id("kids").unwrap();
@@ -267,9 +258,9 @@ mod tests {
     #[test]
     fn naive_deduce_is_a_superset_of_deduce_order() {
         let spec = george_like();
-        let mut enc = EncodedSpec::encode(&spec);
-        let up = deduce_order(&mut enc).unwrap();
-        let naive = naive_deduce(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let up = deduce_order(&enc).unwrap();
+        let naive = naive_deduce(&enc).unwrap();
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in up.pairs(attr) {
                 assert!(
@@ -284,8 +275,8 @@ mod tests {
     #[test]
     fn candidates_shrink_with_deduction() {
         let spec = george_like();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let status = spec.schema().attr_id("status").unwrap();
         let kids = spec.schema().attr_id("kids").unwrap();
         // kids: only 2 remains (0 is dominated).
@@ -323,35 +314,35 @@ mod tests {
         ]
         .concat();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode(&spec);
+        let enc = EncodedSpec::encode(&spec);
         let city = spec.schema().attr_id("city").unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
-        let naive = naive_deduce(&mut enc).unwrap();
+        let naive = naive_deduce(&enc).unwrap();
         assert!(
             naive.contains(city, ny, la),
             "complete deduction finds NY ≺ LA"
         );
         // Documented incompleteness of the heuristic:
-        let up = deduce_order(&mut enc).unwrap();
+        let up = deduce_order(&enc).unwrap();
         assert!(!up.contains(city, ny, la), "UP alone cannot branch");
 
         // Reproduction finding: with the paper-faithful encoding (no
         // totality clauses) even NaiveDeduce misses the fact, because Φ(Se)
         // then has models that are not completions.
-        let mut paper = EncodedSpec::encode_paper_faithful(&spec);
+        let paper = EncodedSpec::encode_paper_faithful(&spec);
         let ny_p = paper.value_id(city, &Value::str("NY")).unwrap();
         let la_p = paper.value_id(city, &Value::str("LA")).unwrap();
-        let naive_paper = naive_deduce(&mut paper).unwrap();
+        let naive_paper = naive_deduce(&paper).unwrap();
         assert!(!naive_paper.contains(city, ny_p, la_p));
     }
 
     #[test]
     fn fresh_and_incremental_naive_agree() {
         let spec = george_like();
-        let mut enc = EncodedSpec::encode(&spec);
-        let a = naive_deduce(&mut enc).unwrap();
-        let b = naive_deduce_fresh(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let a = naive_deduce(&enc).unwrap();
+        let b = naive_deduce_fresh(&enc).unwrap();
         assert_eq!(a.size(), b.size());
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in a.pairs(attr) {
@@ -372,8 +363,8 @@ mod tests {
         orders.add(AttrId(0), cr_types::TupleId(0), cr_types::TupleId(1));
         orders.add(AttrId(0), cr_types::TupleId(1), cr_types::TupleId(0));
         let spec = Specification::new(e, orders, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        assert!(deduce_order(&mut enc).is_none());
-        assert!(naive_deduce(&mut enc).is_none());
+        let enc = EncodedSpec::encode(&spec);
+        assert!(deduce_order(&enc).is_none());
+        assert!(naive_deduce(&enc).is_none());
     }
 }

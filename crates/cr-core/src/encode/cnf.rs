@@ -24,38 +24,28 @@
 //! propagator) is rebuilt from it; the engine does that at its next call
 //! (see the `crate::ingest` module docs).
 //!
-//! # Lazy axiom instantiation
+//! # Order axioms as a theory
 //!
-//! In the lazy kind the order axioms are not part of the CNF at all. Each
-//! consumer gets them in one way, with no delta to track:
+//! In the lazy kind the order axioms are not part of the CNF at all, and
+//! nothing adds them to it later: Φ(Se) holds exactly the instance
+//! constraints. Both consumers hold the axioms as the built-in order
+//! theory of `cr_sat::order`, over the attributes' dense `lo × hi`
+//! variable tables, which the encoding registers as order domains:
 //!
-//! * A unit propagator holds them as its built-in order theory:
-//!   [`EncodedSpec::fresh_propagator`] (and the session's warm propagator,
-//!   through `register_order_atoms`) registers every attribute's dense
-//!   `lo × hi` variable table as an order domain, and deduction is plain
-//!   `propagate_to_fixpoint` (see `cr_sat::order`). Nothing is recorded.
-//! * A solver pulls them through its one consultation driver, the CEGAR
-//!   loop `cr_sat::Solver::solve_lazy_with_assumptions`, with the encoding
-//!   as its [`cr_sat::LazyAxiomSource`]: [`EncodedSpec::violated_axioms`]
-//!   scans a total candidate model against the variable table and appends
-//!   exactly the asymmetry/totality/transitivity instances it violates to
-//!   the caller's flat clause buffer. The scan reads the model into
-//!   per-value bit rows and finds the third value of each triple by word
-//!   operations; the value-by-value scan it replaced is kept as a test
-//!   oracle with an identical output sequence.
+//! * a unit propagator from [`EncodedSpec::fresh_propagator`], whose
+//!   fixpoint is that of propagation over every axiom clause;
+//! * a CDCL solver from [`EncodedSpec::fresh_solver`], which runs the
+//!   theory inside its propagation and rebuilds an applied instance as a
+//!   reason clause only when conflict analysis asks for it, so each of
+//!   its models satisfies every axiom.
 //!
-//! Each consultation appends the violated instances to the caller's
-//! buffer **and** records them into the CNF, tagged
-//! [`ClauseKind::Axiom`]. The session's warm solver thus keeps them across
-//! rounds, the MaxSAT repair's borrowed hard base sees them, and a one-shot
-//! query leaves them behind for the next; a propagator with registered
-//! order atoms skips them in its tail sync, since its theory already
-//! covers them. An eager encoding answers every consultation with nothing
-//! and registers no atoms — its axioms are already clauses — so callers
-//! never branch on the kind. Recorded clauses carry no CFD tag: axioms
-//! hold whatever Γ says, so a deletion never touches them.
+//! The session's warm consumers register the same way, behind an atom
+//! watermark, and the MaxSAT repair registers the domains on each of its
+//! solvers (see the `crate::ingest` and `crate::suggest` docs). An eager
+//! encoding registers nothing — its axioms are already clauses — so
+//! callers never branch on the kind.
 
-use cr_sat::{Assignment, ClauseBuffer, Cnf, Lit, Var};
+use cr_sat::{Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, Value, ValueId};
 
 use super::omega::{
@@ -79,7 +69,8 @@ enum Kind {
     Eager,
     /// [`Kind::Eager`] without totality clauses (Section V-A as written).
     PaperFaithful,
-    /// Lazy axioms, extended with every answer: the engine's encoding.
+    /// No axiom clauses (the consumers hold them as their order theory),
+    /// extended with every answer: the engine's encoding.
     Lazy,
 }
 
@@ -88,8 +79,6 @@ enum Kind {
 /// derivation re-reads its Currency/BaseOrder implications straight from
 /// the flat literal arena via [`EncodedSpec::for_each_order_rule`] instead
 /// of keeping a second materialised copy of every instance constraint.
-/// The tag also marks the axiom clauses lazy instantiation recorded, which
-/// an order-theory propagator skips.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum ClauseKind {
@@ -100,9 +89,6 @@ pub enum ClauseKind {
     /// conclusion: exactly the Ω instances the paper's `TrueDer` rule
     /// derivation (Section VI) consumes.
     OrderRule = 1,
-    /// An order-axiom instance recorded by lazy instantiation (see the
-    /// module docs).
-    Axiom = 2,
 }
 
 /// Dense `attr × lo × hi → Var` index. Order-variable lookup sits on the
@@ -214,22 +200,6 @@ pub struct EncodedSpec {
     /// ([`EncodedSpec::retract_cfd`]); never re-emitted.
     cfd_retired: Vec<bool>,
     kind: Kind,
-    /// Axiom clauses recorded into the CNF by lazy instantiation (the
-    /// [`cr_sat::LazyAxiomSource`] impl); 0 for eager encodings.
-    injected_axioms: usize,
-    /// Reused buffers of [`EncodedSpec::violated_axioms`].
-    scan: ScanScratch,
-}
-
-/// The bit rows and score marks of the total-model axiom scan, kept
-/// across consultations so the CEGAR loop allocates nothing per model.
-#[derive(Default)]
-struct ScanScratch {
-    /// Truth rows, row-major, and their transpose.
-    rows: Vec<u64>,
-    cols: Vec<u64>,
-    /// Scores seen so far, for the tournament criterion.
-    score_seen: Vec<bool>,
 }
 
 impl EncodedSpec {
@@ -246,10 +216,10 @@ impl EncodedSpec {
         Self::encode_kind(spec, Kind::PaperFaithful)
     }
 
-    /// The engine's encoding of `spec`: lazy order axioms (totality
-    /// included), extensible with every user answer. A unit propagator
-    /// learns the axioms from [`EncodedSpec::fresh_propagator`]; a solver
-    /// pulls them with the encoding as its [`cr_sat::LazyAxiomSource`].
+    /// The engine's encoding of `spec`: no order-axiom clauses, extensible
+    /// with every user answer. Its consumers hold the axioms (totality
+    /// included) as their order theory: build them with
+    /// [`EncodedSpec::fresh_solver`] and [`EncodedSpec::fresh_propagator`].
     pub fn encode_lazy(spec: &Specification) -> Self {
         Self::encode_kind(spec, Kind::Lazy)
     }
@@ -270,13 +240,11 @@ impl EncodedSpec {
             clause_kinds: Vec::new(),
             cfd_retired: vec![false; spec.gamma().len()],
             kind,
-            injected_axioms: 0,
-            scan: ScanScratch::default(),
         };
 
         // Variables for every ordered pair of distinct values. Every kind
         // allocates the full dense table (`O(n²)` per attribute): the
-        // lazy kind needs it to detect violated instances, and downstream
+        // lazy kind registers it as the order theory's domains, and downstream
         // consumers (`top_assumptions`, suggestion literals) rely on every
         // pair variable existing. The table is empty here, so the atoms can
         // be bulk-allocated in row-major walk order without the per-atom
@@ -383,8 +351,8 @@ impl EncodedSpec {
     ///
     /// Answers **outside** the interned value space grow the space: the
     /// new value id appends a row to the dense attr×lo×hi variable table
-    /// and allocates its pair variables (a propagator registers the grown
-    /// attribute again, and the lazy source reads the grown table), its
+    /// and allocates its pair variables (a consumer registers the grown
+    /// attribute again as an order domain), its
     /// null-bottom unit is appended, and every CFD referencing the grown
     /// attribute loses its clauses and is re-emitted over the new space
     /// (see the module docs).
@@ -745,23 +713,42 @@ impl EncodedSpec {
     /// A root-level unit propagator over `Φ(Se)` with, for the lazy kind,
     /// every order atom registered.
     pub fn fresh_propagator(&self) -> cr_sat::UnitPropagator {
+        // Root units are only queued by `new`, so the atoms are still
+        // unassigned when they are registered.
         let mut up = cr_sat::UnitPropagator::new(&self.cnf);
-        self.register_order_atoms(&mut up, 0);
+        self.register_order_atoms(0, |d, n, var| up.register_order_domain(d, n, var));
         up
     }
 
-    /// Registers the order atoms allocated since atom `from` (allocation
-    /// order) with `up`, which then holds the order axioms over them as
-    /// its theory (see the module docs): every attribute those atoms
-    /// belong to is registered again, as one domain laid out from its own
-    /// table and width. Returns the new watermark. Eager kinds register
+    /// A CDCL solver over `Φ(Se)` with, for the lazy kind, every order atom
+    /// registered.
+    pub fn fresh_solver(&self) -> cr_sat::Solver {
+        self.load_solver(cr_sat::Solver::new())
+    }
+
+    /// Registers every order atom with the empty `solver`, then loads
+    /// `Φ(Se)` into it: [`EncodedSpec::fresh_solver`] on a solver the
+    /// caller built, such as one on recycled scratch.
+    pub(crate) fn load_solver(&self, mut solver: cr_sat::Solver) -> cr_sat::Solver {
+        self.register_order_atoms(0, |d, n, var| solver.register_order_domain(d, n, var));
+        solver.extend_from_cnf(&self.cnf, 0);
+        solver
+    }
+
+    /// The one registration routine of both consumers: hands `register`
+    /// every attribute that has order atoms allocated since atom `from`
+    /// (allocation order) as `(domain, n, var)`, one domain laid out from
+    /// the attribute's own table and width, whose atom `lo ≺ hi` is
+    /// `var(lo, hi)`. A consumer then holds the order axioms over those
+    /// atoms as its theory (see the module docs); a grown attribute is
+    /// registered again. Returns the new watermark. Eager kinds register
     /// nothing, since their axioms are clauses.
     pub(crate) fn register_order_atoms(
         &self,
-        up: &mut cr_sat::UnitPropagator,
         from: usize,
+        mut register: impl FnMut(u32, usize, &dyn Fn(usize, usize) -> Var),
     ) -> usize {
-        if self.kind != Kind::Lazy {
+        if self.kind != Kind::Lazy || from == self.atoms.len() {
             return self.atoms.len();
         }
         let mut grown = vec![false; self.space.arity()];
@@ -770,14 +757,9 @@ impl EncodedSpec {
         }
         for (ai, _) in grown.iter().enumerate().filter(|(_, &g)| g) {
             let (n, table) = (self.vars.width[ai], &self.vars.per_attr[ai]);
-            up.register_order_domain(ai as u32, n, |lo, hi| Var(table[lo * n + hi]));
+            register(ai as u32, n, &|lo, hi| Var(table[lo * n + hi]));
         }
         self.atoms.len()
-    }
-
-    /// The [`ClauseKind`] of CNF clause `idx`.
-    pub(crate) fn clause_kind(&self, idx: usize) -> ClauseKind {
-        self.clause_kinds[idx]
     }
 
     /// Interned id of `value` in `attr`'s space.
@@ -806,246 +788,12 @@ impl EncodedSpec {
         }
         Some(lits)
     }
-
-    /// Axiom clauses recorded into the CNF by lazy instantiation so far
-    /// (monotone; 0 for eager encodings).
-    pub fn injected_axioms(&self) -> usize {
-        self.injected_axioms
-    }
-
-    /// The order-axiom instances a total candidate model violates — the
-    /// detection half of [`cr_sat::LazyAxiomSource`] for the lazy kind —
-    /// appended to `out`. Unassigned slots of a lifted model read as false.
-    ///
-    /// Per attribute the scan checks the pair axioms in `O(n²)`, then
-    /// transitivity by the tournament score-sequence criterion (a total
-    /// asymmetric relation is transitive iff its score sequence is a
-    /// permutation), so only a genuinely intransitive relation pays the
-    /// triple walk. It copies the model into per-value bit rows and finds
-    /// the third value of each triple by word operations, visiting it in
-    /// ascending order — so the emitted clause sequence is the one a
-    /// value-by-value walk produces. The rows are reused across calls.
-    ///
-    /// Appended clauses are **not** recorded; the
-    /// [`cr_sat::LazyAxiomSource`] impl records them (see the module docs).
-    pub fn violated_axioms(&mut self, assignment: Assignment<'_>, out: &mut ClauseBuffer) {
-        debug_assert_eq!(self.kind, Kind::Lazy);
-        let ScanScratch {
-            rows: m,
-            cols: col,
-            score_seen,
-        } = &mut self.scan;
-        for attr in (0..self.space.arity() as u16).map(AttrId) {
-            let n = self.vars.width[attr.index()];
-            if n < 2 {
-                continue;
-            }
-            let table = &self.vars.per_attr[attr.index()];
-            let var = |x: usize, y: usize| Var(table[x * n + y]);
-            // Truth rows, `m` row-major and `col` its transpose (unassigned
-            // model slots read as false, matching `Solver::model` semantics
-            // for unconstrained variables).
-            let words = n.div_ceil(64);
-            m.clear();
-            m.resize(n * words, 0);
-            col.clear();
-            col.resize(n * words, 0);
-            for x in 0..n {
-                let row = &table[x * n..(x + 1) * n];
-                for y in 0..n {
-                    if x != y && assignment.value(Var(row[y])) == Some(true) {
-                        m[x * words + y / 64] |= 1 << (y % 64);
-                        col[y * words + x / 64] |= 1 << (x % 64);
-                    }
-                }
-            }
-            let row = |x: usize| &m[x * words..(x + 1) * words];
-            let above = |x: usize, w: usize| -> u64 {
-                // Positions y with x < y < n, in word w.
-                let lo = (x + 1).saturating_sub(w * 64).min(64);
-                let hi = n.saturating_sub(w * 64).min(64);
-                let upto = |k: usize| if k >= 64 { u64::MAX } else { (1u64 << k) - 1 };
-                upto(hi) & !upto(lo)
-            };
-            let mut tournament = true;
-            for x in 0..n {
-                let (rx, cx) = (row(x), &col[x * words..(x + 1) * words]);
-                for w in x / 64..words {
-                    let both = rx[w] & cx[w];
-                    let mut viol = (both | !(rx[w] | cx[w])) & above(x, w);
-                    while viol != 0 {
-                        let bit = viol & viol.wrapping_neg();
-                        viol ^= bit;
-                        let y = w * 64 + bit.trailing_zeros() as usize;
-                        tournament = false;
-                        if both & bit != 0 {
-                            out.push(&[var(x, y).negative(), var(y, x).negative()]);
-                        } else {
-                            out.push(&[var(x, y).positive(), var(y, x).positive()]);
-                        }
-                    }
-                }
-            }
-            if tournament {
-                // A tournament is transitive iff its score sequence is a
-                // permutation of 0..n.
-                score_seen.clear();
-                score_seen.resize(n, false);
-                let mut transitive = true;
-                for x in 0..n {
-                    let s: usize = row(x).iter().map(|w| w.count_ones() as usize).sum();
-                    if score_seen[s] {
-                        transitive = false;
-                        break;
-                    }
-                    score_seen[s] = true;
-                }
-                if transitive {
-                    continue;
-                }
-            }
-            for x in 0..n {
-                let rx = row(x);
-                for wy in 0..words {
-                    let mut ys = rx[wy];
-                    while ys != 0 {
-                        let ybit = ys & ys.wrapping_neg();
-                        ys ^= ybit;
-                        let y = wy * 64 + ybit.trailing_zeros() as usize;
-                        let ry = row(y);
-                        for wz in 0..words {
-                            // z ≠ y holds already (no diagonal bits).
-                            let mut zs = ry[wz] & !rx[wz];
-                            if x / 64 == wz {
-                                zs &= !(1u64 << (x % 64));
-                            }
-                            while zs != 0 {
-                                let zbit = zs & zs.wrapping_neg();
-                                zs ^= zbit;
-                                let z = wz * 64 + zbit.trailing_zeros() as usize;
-                                out.push(&[
-                                    var(x, y).negative(),
-                                    var(y, z).negative(),
-                                    var(x, z).positive(),
-                                ]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The value-by-value axiom scan [`EncodedSpec::violated_axioms`] replaced:
-/// every probe goes through a closure and every instance is its own
-/// vector. Kept as the oracle the bit-row scan is proven against
-/// (clause-sequence equality, see the tests below).
-#[cfg(test)]
-impl EncodedSpec {
-    /// Total-model scan: per attribute, check pair axioms in `O(n²)`, then
-    /// transitivity via the tournament score-sequence criterion — only a
-    /// genuinely intransitive relation pays the `O(n³)` triple walk.
-    fn violated_axioms_reference(&self, value: &dyn Fn(Var) -> Option<bool>) -> Vec<Vec<Lit>> {
-        debug_assert_eq!(self.kind, Kind::Lazy);
-        let mut out = Vec::new();
-        for attr in (0..self.space.arity() as u16).map(AttrId) {
-            let n = self.space.attr(attr).len();
-            if n < 2 {
-                continue;
-            }
-            let var = |x: usize, y: usize| {
-                self.vars
-                    .get(attr, ValueId(x as u32), ValueId(y as u32))
-                    .expect("dense table")
-            };
-            // Truth matrix (unassigned model slots read as false, matching
-            // `Solver::model` semantics for unconstrained variables).
-            let mut m = vec![false; n * n];
-            for x in 0..n {
-                for y in 0..n {
-                    if x != y {
-                        m[x * n + y] = value(var(x, y)) == Some(true);
-                    }
-                }
-            }
-            let mut tournament = true;
-            for x in 0..n {
-                for y in x + 1..n {
-                    let xy = m[x * n + y];
-                    let yx = m[y * n + x];
-                    if xy && yx {
-                        out.push(vec![var(x, y).negative(), var(y, x).negative()]);
-                        tournament = false;
-                    } else if !xy && !yx {
-                        tournament = false;
-                        out.push(vec![var(x, y).positive(), var(y, x).positive()]);
-                    }
-                }
-            }
-            if tournament {
-                // A tournament is transitive iff its score sequence is a
-                // permutation of 0..n.
-                let mut score_seen = vec![false; n];
-                let mut transitive = true;
-                for x in 0..n {
-                    let s = (0..n).filter(|&y| y != x && m[x * n + y]).count();
-                    if score_seen[s] {
-                        transitive = false;
-                        break;
-                    }
-                    score_seen[s] = true;
-                }
-                if transitive {
-                    continue;
-                }
-            }
-            for x in 0..n {
-                for y in 0..n {
-                    if y == x || !m[x * n + y] {
-                        continue;
-                    }
-                    for z in 0..n {
-                        if z != x && z != y && m[y * n + z] && !m[x * n + z] {
-                            out.push(vec![
-                                var(x, y).negative(),
-                                var(y, z).negative(),
-                                var(x, z).positive(),
-                            ]);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The encoding as its own axiom source (see the module docs): violated
-/// instances go to the consulting solver **and** into the CNF as permanent
-/// [`ClauseKind::Axiom`] clauses. An eager encoding already holds every
-/// axiom and returns at once.
-impl cr_sat::LazyAxiomSource for EncodedSpec {
-    fn instantiate(&mut self, assignment: Assignment<'_>, out: &mut ClauseBuffer) {
-        if self.kind != Kind::Lazy {
-            return;
-        }
-        let from = out.len();
-        self.violated_axioms(assignment, out);
-        for clause in out.iter_from(from) {
-            self.cnf.add_clause_prealloc(clause.iter().copied());
-            self.clause_cfds.push(NO_CFD);
-            self.clause_kinds.push(ClauseKind::Axiom);
-        }
-        self.injected_axioms += out.len() - from;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
-    use cr_sat::lit::LBool;
     use cr_sat::{SolveResult, Solver};
     use cr_types::{EntityInstance, Schema, Tuple};
 
@@ -1168,13 +916,13 @@ mod tests {
     fn lazy_encoding_matches_eager_on_validity() {
         let spec = tiny_spec();
         let eager = EncodedSpec::encode(&spec);
-        let mut lazy = EncodedSpec::encode_lazy(&spec);
+        let lazy = EncodedSpec::encode_lazy(&spec);
         // Same variables, strictly fewer clauses (no axioms materialised).
         assert_eq!(lazy.num_order_vars(), eager.num_order_vars());
         assert!(lazy.cnf().num_clauses() < eager.cnf().num_clauses());
         let mut s1 = Solver::from_cnf(eager.cnf());
-        let mut s2 = Solver::from_cnf(lazy.cnf());
-        assert_eq!(s1.solve(), s2.solve_lazy(&mut lazy));
+        let mut s2 = lazy.fresh_solver();
+        assert_eq!(s1.solve(), s2.solve());
     }
 
     #[test]
@@ -1182,10 +930,10 @@ mod tests {
         // The φ-chain of `tiny_spec` must propagate identically whether the
         // axioms are materialised or pulled on demand.
         let spec = tiny_spec();
-        let mut eager = EncodedSpec::encode(&spec);
-        let mut lazy = EncodedSpec::encode_lazy(&spec);
-        let od_eager = crate::deduce::deduce_order(&mut eager).unwrap();
-        let od_lazy = crate::deduce::deduce_order(&mut lazy).unwrap();
+        let eager = EncodedSpec::encode(&spec);
+        let lazy = EncodedSpec::encode_lazy(&spec);
+        let od_eager = crate::deduce::deduce_order(&eager).unwrap();
+        let od_lazy = crate::deduce::deduce_order(&lazy).unwrap();
         assert_eq!(od_eager.size(), od_lazy.size());
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in od_eager.pairs(attr) {
@@ -1195,35 +943,30 @@ mod tests {
     }
 
     #[test]
-    fn recording_source_appends_to_the_cnf() {
+    fn lazy_queries_leave_the_cnf_unchanged() {
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_lazy(&spec);
-        let before = enc.cnf().num_clauses();
-        assert_eq!(enc.injected_axioms(), 0);
+        let enc = EncodedSpec::encode_lazy(&spec);
+        let before = enc.cnf().clauses().map(<[Lit]>::to_vec).collect::<Vec<_>>();
         let status = spec.schema().attr_id("status").unwrap();
         let sid = |v: &str| enc.value_id(status, &Value::str(v)).unwrap();
         // Σ forces working ≺ retired; assuming retired ≺ working as well
-        // is refuted only by the asymmetry axiom, which the CEGAR loop
-        // must inject.
+        // is refuted only by the asymmetry axiom, which no clause holds:
+        // the solver's order theory applies it.
         let back = enc.var_of(status, sid("retired"), sid("working")).unwrap();
-        let mut solver = Solver::from_cnf(enc.cnf());
-        assert_eq!(
-            solver.solve_lazy_with_assumptions(&[back.positive()], &mut enc),
-            SolveResult::Unsat
-        );
-        assert!(
-            enc.injected_axioms() > 0,
-            "the probe forces axiom injection"
-        );
-        assert_eq!(enc.cnf().num_clauses(), before + enc.injected_axioms());
-        assert!((before..enc.cnf().num_clauses()).all(|i| enc.clause_kind(i) == ClauseKind::Axiom));
-        // Recorded clauses are permanent: a fresh solver over the CNF sees
-        // them without any lazy cooperation.
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         assert_eq!(
             solver.solve_with_assumptions(&[back.positive()]),
             SolveResult::Unsat
         );
+        assert_eq!(solver.solve(), SolveResult::Sat);
+        // A bare solver over the CNF knows no axiom.
+        let mut bare = Solver::from_cnf(enc.cnf());
+        assert_eq!(
+            bare.solve_with_assumptions(&[back.positive()]),
+            SolveResult::Sat
+        );
+        let after = enc.cnf().clauses().map(<[Lit]>::to_vec).collect::<Vec<_>>();
+        assert_eq!(before, after, "a query adds nothing to Φ(Se)");
     }
 
     #[test]
@@ -1287,7 +1030,7 @@ mod tests {
         ];
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, sigma, gamma);
-        let mut lazy = EncodedSpec::encode_lazy(&spec);
+        let lazy = EncodedSpec::encode_lazy(&spec);
         let eager = EncodedSpec::encode(&spec);
         assert!(!cfd_clauses(&lazy, 0).is_empty());
         assert_eq!(cfd_clauses(&lazy, 0), cfd_clauses(&eager, 0));
@@ -1295,12 +1038,12 @@ mod tests {
         let ny = lazy.value_id(city, &Value::str("NY")).unwrap();
         let la = lazy.value_id(city, &Value::str("LA")).unwrap();
         let x = lazy.var_of(city, ny, la).unwrap();
-        let mut solver = Solver::from_cnf(lazy.cnf());
+        let mut solver = lazy.fresh_solver();
         assert_eq!(
-            solver.solve_lazy_with_assumptions(&[x.negative()], &mut lazy),
+            solver.solve_with_assumptions(&[x.negative()]),
             SolveResult::Unsat
         );
-        assert_eq!(solver.solve_lazy(&mut lazy), SolveResult::Sat);
+        assert_eq!(solver.solve(), SolveResult::Sat);
         // Every variable is an order atom.
         assert_eq!(lazy.num_order_vars(), lazy.cnf().num_vars() as usize);
         assert_eq!(
@@ -1337,9 +1080,9 @@ mod tests {
 
         let mut extended = spec.clone();
         extended.apply_user_input(&input);
-        let mut scratch = EncodedSpec::encode(&extended);
-        let od_inc = crate::deduce::deduce_order(&mut enc).unwrap();
-        let od_scr = crate::deduce::deduce_order(&mut scratch).unwrap();
+        let scratch = EncodedSpec::encode(&extended);
+        let od_inc = crate::deduce::deduce_order(&enc).unwrap();
+        let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(od_inc.contains(city, ny, la));
@@ -1357,7 +1100,7 @@ mod tests {
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
         assert!(!enc.extend_with_input(&spec, &input));
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
     }
@@ -1375,14 +1118,14 @@ mod tests {
         let deceased = enc
             .value_id(status, &Value::str("deceased"))
             .expect("interned");
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         for old in ["working", "retired"] {
             let oid = enc.value_id(status, &Value::str(old)).unwrap();
             assert!(od.contains(status, oid, deceased), "{old} must sit below");
         }
-        // The grown space stays internally consistent: the lazy source
-        // covers the new pairs' asymmetry and transitivity.
-        assert!(crate::isvalid::is_valid_encoded(&mut enc).valid);
+        // The grown space stays internally consistent: a fresh solver's
+        // order theory covers the new pairs' asymmetry and transitivity.
+        assert!(crate::isvalid::is_valid_encoded(&enc).valid);
     }
 
     #[test]
@@ -1434,7 +1177,7 @@ mod tests {
                 })),
             "re-emitted ωX must mention the new value"
         );
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(
@@ -1445,8 +1188,8 @@ mod tests {
         // And the scratch re-encode agrees.
         let mut extended = spec.clone();
         extended.apply_user_input(&input);
-        let mut scratch = EncodedSpec::encode(&extended);
-        let od_scr = crate::deduce::deduce_order(&mut scratch).unwrap();
+        let scratch = EncodedSpec::encode(&extended);
+        let od_scr = crate::deduce::deduce_order(&scratch).unwrap();
         let ny_s = scratch.value_id(city, &Value::str("NY")).unwrap();
         let la_s = scratch.value_id(city, &Value::str("LA")).unwrap();
         assert!(!od_scr.contains(city, ny_s, la_s));
@@ -1481,7 +1224,7 @@ mod tests {
         assert!(!cfd_clauses(&enc, 0).is_empty(), "the CFD now has clauses");
 
         let city = spec.schema().attr_id("city").unwrap();
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         assert!(od.contains(city, ny, la), "revived CFD must fire");
@@ -1491,13 +1234,13 @@ mod tests {
     fn lazy_extension_is_a_pure_extension_too() {
         // In-domain answers extend the encoding with Σ instances;
         // out-of-domain answers grow the table without emitting axiom
-        // clauses (the lazy source covers the grown space).
+        // clauses (the consumers' order theory covers the grown space).
         let spec = tiny_spec();
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         assert!(!enc.extend_with_input(&spec, &UserInput::single(status, Value::str("retired"))));
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         let jid = |v: &str| enc.value_id(job, &Value::str(v)).unwrap();
         assert!(od.contains(job, jid("nurse"), jid("n/a")));
 
@@ -1517,7 +1260,7 @@ mod tests {
         let deceased = enc
             .value_id(status, &Value::str("deceased"))
             .expect("interned");
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         for old in ["working", "retired"] {
             let oid = enc.value_id(status, &Value::str(old)).unwrap();
             assert!(od.contains(status, oid, deceased), "{old} must sit below");
@@ -1550,7 +1293,7 @@ mod tests {
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         // The CFD fires (AC base order implies 1 ≺ 2): NY ≺ LA implied.
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(od.contains(city, ny, la));
         assert!(!cfd_clauses(&enc, 0).is_empty());
         let clauses = enc.cnf().num_clauses();
@@ -1564,7 +1307,7 @@ mod tests {
         assert_eq!(enc.cnf().num_clauses(), enc.clause_kinds.len());
         assert_eq!(enc.cnf().num_clauses(), enc.clause_cfds.len());
         assert!(enc.cnf().num_clauses() < clauses);
-        let od = crate::deduce::deduce_order(&mut enc).unwrap();
+        let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(
             !od.contains(city, ny, la),
             "the domination dies with the CFD"
@@ -1577,112 +1320,5 @@ mod tests {
             cfd_clauses(&enc, 0).is_empty(),
             "a retired CFD is never re-emitted"
         );
-    }
-
-    /// A lazy encoding whose attribute `i` has exactly `widths[i]`
-    /// distinct non-null values (plus null when `with_null`), and no Σ/Γ:
-    /// the order-variable table is all the axiom scans read.
-    fn lazy_wide_encoding(widths: &[usize], with_null: bool) -> EncodedSpec {
-        let names: Vec<String> = (0..widths.len()).map(|i| format!("a{i}")).collect();
-        let s = Schema::new("w", names.iter().map(String::as_str)).unwrap();
-        let rows = widths.iter().copied().max().unwrap_or(0) + usize::from(with_null);
-        let tuples = (0..rows)
-            .map(|r| {
-                Tuple::of(widths.iter().map(|&w| {
-                    if r < w {
-                        Value::int(r as i64)
-                    } else if with_null {
-                        Value::Null
-                    } else {
-                        Value::int(0)
-                    }
-                }))
-            })
-            .collect();
-        let entity = EntityInstance::new(s, tuples).unwrap();
-        let spec = Specification::without_orders(entity, vec![], vec![]);
-        EncodedSpec::encode_lazy(&spec)
-    }
-
-    /// SplitMix64 step — the axiom proptest derives every random choice
-    /// from one drawn seed.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn buffer_clauses(buf: &ClauseBuffer) -> Vec<Vec<Lit>> {
-        buf.iter().map(<[Lit]>::to_vec).collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
-
-        /// The bit-row axiom scan emits exactly the clause sequence of the
-        /// value-by-value reference scan — same instances, same order — on
-        /// random total models (transitive, intransitive-tournament and
-        /// arbitrary), lifted or not, and across multi-word rows.
-        #[test]
-        fn bit_row_axiom_scans_match_the_reference(
-            widths in proptest::collection::vec(0usize..10, 1..4),
-            wide in 0usize..4,
-            with_null in 0u8..2,
-            seed in 0u64..u64::MAX,
-        ) {
-            let mut widths = widths;
-            // One attribute in four spans two bit-row words.
-            if wide == 0 {
-                widths[0] = 60 + (seed % 12) as usize;
-            }
-            let mut rng = seed;
-            let mut enc = lazy_wide_encoding(&widths, with_null == 1);
-            let num_vars = enc.cnf().num_vars() as usize;
-            let mut buf = ClauseBuffer::new();
-
-            // Total models: a random linear order per attribute, then a few
-            // flipped pairs (an intransitive tournament) or noise.
-            let mode = splitmix(&mut rng) % 3;
-            let mut model = vec![false; num_vars];
-            for (var, atom) in enc.order_vars().collect::<Vec<_>>() {
-                let rank = |x: ValueId| (u64::from(x.0) * 0x9E37_79B9).wrapping_add(seed) % 1009;
-                model[var.index()] = (rank(atom.lo), atom.lo) < (rank(atom.hi), atom.hi);
-            }
-            let order_vars: Vec<(Var, OrderAtom)> = enc.order_vars().collect();
-            if !order_vars.is_empty() {
-                for _ in 0..mode * 3 {
-                    let pick = (splitmix(&mut rng) % order_vars.len() as u64) as usize;
-                    let (var, atom) = order_vars[pick];
-                    if mode == 1 {
-                        // Flip the pair: still a tournament.
-                        let back = enc.var_of(atom.attr, atom.hi, atom.lo).unwrap();
-                        model[var.index()] = !model[var.index()];
-                        model[back.index()] = !model[back.index()];
-                    } else {
-                        model[var.index()] = splitmix(&mut rng).is_multiple_of(2);
-                    }
-                }
-            }
-            let lookup = |v: Var| model.get(v.index()).copied();
-            buf.clear();
-            enc.violated_axioms(Assignment::Total(&model), &mut buf);
-            let reference = enc.violated_axioms_reference(&lookup);
-            proptest::prop_assert_eq!(buffer_clauses(&buf), reference);
-            // The same model as a lifted assignment with unassigned slots.
-            let lifted: Vec<LBool> = model
-                .iter()
-                .map(|&b| match splitmix(&mut rng).is_multiple_of(5) {
-                    true => LBool::Undef,
-                    false => LBool::from_bool(b),
-                })
-                .collect();
-            let lookup = |v: Var| lifted.get(v.index()).and_then(|b| b.to_option());
-            buf.clear();
-            enc.violated_axioms(Assignment::Lifted(&lifted), &mut buf);
-            let reference = enc.violated_axioms_reference(&lookup);
-            proptest::prop_assert_eq!(buffer_clauses(&buf), reference);
-        }
     }
 }

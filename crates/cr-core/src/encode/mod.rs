@@ -37,21 +37,18 @@
 //!   completions, so every other kind includes it.
 //! * **Lazy** ([`EncodedSpec::encode_lazy`], the engine's encoding): the
 //!   dense `attr × lo × hi` variable table is still fully allocated
-//!   (`O(n²)`), but **no** axiom clauses are emitted. A unit propagator
-//!   gets the axioms as its order theory over the registered atoms
-//!   ([`EncodedSpec::fresh_propagator`]). A solver gets them from the
-//!   encoding itself, its [`cr_sat::LazyAxiomSource`]:
-//!   [`EncodedSpec::violated_axioms`] inspects a candidate model via the
-//!   dense table and appends exactly the axiom instances it violates,
-//!   which the solver injects and re-checks until the theory is
-//!   satisfied; the encoding records each injected instance into its own
-//!   CNF, so every later solver starts from it. A session extends this
-//!   kind with every user answer; an out-of-domain answer deletes the
+//!   (`O(n²)`), but **no** axiom clauses are emitted, then or later.
+//!   Both consumers hold the axioms as the order theory over the
+//!   registered atoms: a unit propagator from
+//!   [`EncodedSpec::fresh_propagator`], a CDCL solver from
+//!   [`EncodedSpec::fresh_solver`], which applies them inside its
+//!   propagation and rebuilds an instance as a reason clause only when
+//!   conflict analysis asks. A session extends
+//!   this kind with every user answer; an out-of-domain answer deletes the
 //!   clauses of the CFDs over the grown attribute and re-emits them (see
 //!   the `cnf` module docs), and the solver and propagator, which are
 //!   views of Φ(Se), are rebuilt from it at the engine's next call
-//!   (`framework`'s module docs). Lazily injected axiom clauses carry no
-//!   CFD tag, so a deletion never touches them. Resolution outcomes are
+//!   (`framework`'s module docs). Resolution outcomes are
 //!   **identical** to an eager encoding of the same specification
 //!   (differentially tested, see below); round-0 encode cost drops from
 //!   `O(n³)` to `O(n²)`. Upstream corrections ([`crate::ingest`]) never

@@ -41,8 +41,7 @@
 //! * A deletion shifts clause indices, so the consumers cannot follow it
 //!   by their tail sync: at its next call the engine rebuilds the solver,
 //!   on the old one's recycled allocations, and the propagator from the
-//!   CNF. The rebuilt solver keeps every axiom the CEGAR loop recorded
-//!   into the CNF and loses its learnt clauses.
+//!   encoding. The rebuilt solver loses its learnt clauses.
 //! * Every other answer only appends, and the warm consumers take the
 //!   tail.
 //!
@@ -56,30 +55,24 @@
 //! database (`cr_sat::Solver::compact_learnts`), bounding memory over
 //! arbitrarily long interactions.
 //!
-//! # Lazy axiom instantiation
+//! # Order axioms as a theory
 //!
 //! The engine always encodes with a lazy kind: the
-//! `O(n³)`-per-attribute order axioms are never materialised at encode
-//! time. Deduction is plain root propagation
-//! (`cr_sat::UnitPropagator::propagate_to_fixpoint`): the encoding
-//! registers its order atoms with the propagator, which holds the axioms
-//! as a built-in order theory and instantiates nothing. The solver has
-//! the one consultation driver, the CEGAR loop
-//! (`cr_sat::Solver::solve_lazy_with_assumptions`), which consults the
-//! encoding itself as its axiom source; the encoding records every
-//! handed-out axiom clause into `Φ(Se)`, so the warm solver keeps them
-//! across rounds and the MaxSAT repair's borrowed hard base sees them for
-//! free. The session's steps run the same bodies as the one-shot `is_valid_encoded`,
-//! `deduce_order`, `naive_deduce` and `suggest`, over warm consumers
-//! instead of fresh ones. The suggestion step records too: the clique
-//! probe's CEGAR injections and the MaxSAT repair's discoveries all land
-//! in the CNF, so later probes start from the full already-injected theory
-//! and the tail sync can never re-feed the warm solver a duplicate
-//! instance.
-//! [`ResolutionOutcome::injected_axioms`] counts the recorded clauses; see
-//! the "Encoding kinds" section of the encode module docs for the fixed
-//! engine encodings, the one-shot eager encoding and the differential-test
-//! coverage.
+//! `O(n³)`-per-attribute order axioms are never clauses of `Φ(Se)`. The
+//! encoding registers its order atoms with both consumers, which hold the
+//! axioms as the built-in order theory of `cr_sat::order`: deduction is
+//! plain root propagation
+//! (`cr_sat::UnitPropagator::propagate_to_fixpoint`), and the CDCL solver
+//! applies the theory inside its own propagation, rebuilding an axiom
+//! instance as a reason clause only when conflict analysis asks for it.
+//! The MaxSAT repair registers the same domains on each of its solvers.
+//! One mechanism enforces the axioms everywhere, and no query adds a
+//! clause to `Φ(Se)`. The session's steps run the same bodies as the
+//! one-shot `is_valid_encoded`, `deduce_order`, `naive_deduce` and
+//! `suggest`, over warm consumers instead of fresh ones (`fresh_solver`,
+//! `fresh_propagator`). See the "Encoding kinds" section of the encode
+//! module docs for the fixed engine encodings, the one-shot eager encoding
+//! and the differential-test coverage.
 //!
 //! # The from-scratch oracle
 //!
@@ -228,11 +221,9 @@ pub struct ResolutionOutcome {
     pub user_values: usize,
     /// Total size of the order extension `|Ot|` accumulated from input.
     pub ot_size: usize,
-    /// Axiom clauses lazily instantiated *and recorded* into `Φ(Se)` over
-    /// the whole resolution. Suggestion probes and MaxSAT repair
-    /// rounds record their injections too, so every instantiated axiom is
-    /// counted exactly once per session (the from-scratch loop sums its
-    /// per-round sessions).
+    /// Always 0: the order axioms are the consumers' theory, so no query
+    /// adds a clause to `Φ(Se)`. Kept only because the benchmark reads it
+    /// (`perfbench/src/drive.rs`), like `RevisionTelemetry::cone_union`.
     pub injected_axioms: usize,
     /// Engine rebuilds that answers caused: out-of-domain answers whose
     /// extension deleted CFD clauses (0 on the scratch path).
@@ -408,14 +399,12 @@ impl Resolver {
         let mut user_values = 0;
         let mut ot_size = 0;
         // From scratch: the extended specification the next round re-opens
-        // on, and the axioms recorded by the sessions already discarded.
+        // on.
         let mut reopen: Option<Specification> = None;
-        let mut discarded_axioms = 0;
         let arity = spec.schema().arity();
         let mut last_values = TrueValues::new(vec![None; arity]);
 
         let outcome = |session: &ResolutionSession,
-                       discarded_axioms: usize,
                        resolved: TrueValues,
                        valid: bool,
                        complete: bool,
@@ -430,7 +419,7 @@ impl Resolver {
                 interactions,
                 user_values,
                 ot_size,
-                injected_axioms: discarded_axioms + session.injected_axioms(),
+                injected_axioms: session.injected_axioms(),
                 retractions: session.replays().0,
                 revisions: session.revision_telemetry(),
                 rounds,
@@ -470,7 +459,6 @@ impl Resolver {
             // re-encodes and constructs fresh solvers here.
             let t0 = Instant::now();
             if let Some(next) = reopen.take() {
-                discarded_axioms += session.injected_axioms();
                 session = ResolutionSession::with_scratch(&next, None);
             }
             let valid = session.is_valid();
@@ -481,7 +469,6 @@ impl Resolver {
                 rounds.push(report);
                 let o = outcome(
                     &session,
-                    discarded_axioms,
                     last_values,
                     false,
                     false,
@@ -510,7 +497,6 @@ impl Resolver {
                 rounds.push(report);
                 let o = outcome(
                     &session,
-                    discarded_axioms,
                     values,
                     true,
                     true,
@@ -529,13 +515,7 @@ impl Resolver {
                 break;
             }
 
-            // (4) Generate a suggestion and ask the user. The warm solver
-            // must hold every CNF clause first (an earlier MaxSAT repair may
-            // have recorded axioms the solver has not seen yet). The probe and
-            // the MaxSAT repair record their axiom injections into the CNF,
-            // so later rounds start from the full already-injected theory
-            // and the tail sync never re-feeds the solver an instance it
-            // already holds.
+            // (4) Generate a suggestion and ask the user.
             let t2 = Instant::now();
             let sug = session.suggest(&od, &values);
             let suggest_time = t2.elapsed();
@@ -564,7 +544,6 @@ impl Resolver {
 
         let o = outcome(
             &session,
-            discarded_axioms,
             last_values.clone(),
             true,
             last_values.complete(),

@@ -110,7 +110,7 @@ use crate::causal::{CausalFrontier, CausalRevision, FrontierState};
 use crate::orders::PartialOrders;
 
 use crate::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
-use crate::encode::{ClauseKind, EncodedSpec};
+use crate::encode::EncodedSpec;
 use crate::framework::{DeductionMethod, ResolutionConfig};
 use crate::spec::{Specification, UserInput};
 use crate::suggest::{suggest_on, Suggestion};
@@ -427,15 +427,14 @@ struct BatchState {
 /// stepwise-drivable session so push-based correction ingestion (and its
 /// differential harness) can interleave revisions with interaction rounds.
 ///
-/// The solver and the propagator consume the CNF at different points, so
-/// each carries its own watermark. The propagator also registers the
-/// encoding's order atoms behind an atom watermark and holds the order
-/// axioms as its theory; the axioms the solver's CEGAR loop records into
-/// the CNF (the encoding is its axiom source) reach only later solves, and
-/// the propagator's tail sync skips them. Both are views of the CNF: a
-/// correction re-encodes the specification, an answer may delete CFD
-/// clauses from the CNF, and either way the next engine call rebuilds
-/// them from it.
+/// The solver and the propagator consume the encoding at different
+/// points, so each carries its own watermark: the CNF's clauses and the
+/// order atoms. Each registers the atoms behind its atom watermark (an
+/// attribute an answer grew is registered again) and holds the order
+/// axioms as its theory, so nothing is ever added to the CNF at query
+/// time. Both are views of the encoding: a correction re-encodes the
+/// specification, an answer may delete CFD clauses from the CNF, and
+/// either way the next engine call rebuilds them from it.
 pub struct ResolutionSession {
     current: Specification,
     /// CFDs withdrawn upstream, as indices into the original Γ: `current`
@@ -444,19 +443,16 @@ pub struct ResolutionSession {
     enc: EncodedSpec,
     solver: cr_sat::Solver,
     up: cr_sat::UnitPropagator,
-    /// Clauses of `enc.cnf()` already in `solver`.
-    synced_solver: usize,
+    /// Clauses and order atoms of `enc` already in `solver`.
+    synced_solver: Synced,
     /// Clauses and order atoms of `enc` already in `up`.
-    synced_up: PropagatorSync,
+    synced_up: Synced,
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
     /// `enc` deleted clauses since `solver` and `up` were built from it:
     /// the next engine call rebuilds them.
     rebuild: bool,
-    /// Axioms recorded by the encodings that re-encodes replaced, so
-    /// [`ResolutionSession::injected_axioms`] stays monotone.
-    replaced_axioms: usize,
     /// Answers whose extension deleted CFD clauses, each costing one
     /// rebuild ([`ResolutionSession::replays`]).
     answer_rebuilds: usize,
@@ -495,12 +491,23 @@ struct AcceptedAnswer {
     deps: VectorClock,
 }
 
-/// How far a unit propagator has consumed an encoding: the clauses of its
-/// CNF and its order atoms (allocation order).
+/// How far a consumer (the solver or the unit propagator) has taken in an
+/// encoding: the clauses of its CNF and its order atoms (allocation
+/// order).
 #[derive(Clone, Copy, Debug, Default)]
-struct PropagatorSync {
+struct Synced {
     clauses: usize,
     atoms: usize,
+}
+
+impl Synced {
+    /// The end of `enc`: everything taken in.
+    fn end_of(enc: &EncodedSpec) -> Self {
+        Synced {
+            clauses: enc.cnf().num_clauses(),
+            atoms: enc.num_order_vars(),
+        }
+    }
 }
 
 /// The engine's encoding of `spec`: its lazy encoding with the `retired`
@@ -551,11 +558,10 @@ impl ResolutionSession {
             retired,
             solver: cr_sat::Solver::new(),
             up: cr_sat::UnitPropagator::new(&cr_sat::Cnf::new()),
-            synced_solver: 0,
-            synced_up: PropagatorSync::default(),
+            synced_solver: Synced::default(),
+            synced_up: Synced::default(),
             stale: false,
             rebuild: false,
-            replaced_axioms: 0,
             answer_rebuilds: 0,
             revisions: RevisionTelemetry::default(),
             policy: RevisionPolicy::default(),
@@ -576,7 +582,6 @@ impl ResolutionSession {
     /// them too. A no-op while neither happened since the last call.
     fn refresh(&mut self) {
         if std::mem::take(&mut self.stale) {
-            self.replaced_axioms += self.enc.injected_axioms();
             self.enc = encode_engine(&self.current, &self.retired);
             self.rebuild = true;
         }
@@ -587,13 +592,13 @@ impl ResolutionSession {
     }
 
     /// Builds the solver, on `scratch`'s recycled allocations, and the unit
-    /// propagator, on its own, over the whole CNF, and sets both watermarks
-    /// to its end.
+    /// propagator, on its own, over the whole encoding, and sets both
+    /// watermarks to its end.
     fn rebuild_consumers(&mut self, scratch: cr_sat::SolverScratch) {
-        self.solver = cr_sat::Solver::from_cnf_with_scratch(self.enc.cnf(), scratch);
-        self.synced_solver = self.enc.cnf().num_clauses();
+        self.solver = self.enc.load_solver(cr_sat::Solver::from_scratch(scratch));
+        self.synced_solver = Synced::end_of(&self.enc);
         self.up.clear();
-        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, PropagatorSync::default());
+        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, Synced::default());
     }
 
     /// Tears the session down into reusable solver scratch (cleared
@@ -673,50 +678,45 @@ impl ResolutionSession {
 
     /// Brings `up` up to date with `enc` from the watermark `from`: first
     /// registers the order atoms allocated since (their attributes are
-    /// laid out again as order domains), then feeds the CNF tail. Recorded
-    /// axiom clauses are skipped: the propagator's order theory covers
-    /// them. Returns the new watermark.
-    fn sync_propagator(
-        up: &mut cr_sat::UnitPropagator,
-        enc: &EncodedSpec,
-        from: PropagatorSync,
-    ) -> PropagatorSync {
+    /// laid out again as order domains), then feeds the CNF tail. Returns
+    /// the new watermark.
+    fn sync_propagator(up: &mut cr_sat::UnitPropagator, enc: &EncodedSpec, from: Synced) -> Synced {
         up.ensure_vars(enc.cnf().num_vars() as usize);
-        let atoms = if from.atoms < enc.num_order_vars() {
-            enc.register_order_atoms(up, from.atoms)
-        } else {
-            from.atoms
-        };
-        for (i, clause) in enc.cnf().clauses_from(from.clauses).enumerate() {
-            if enc.clause_kind(from.clauses + i) != ClauseKind::Axiom {
-                up.add_clause(clause);
-            }
+        enc.register_order_atoms(from.atoms, |d, n, var| up.register_order_domain(d, n, var));
+        for clause in enc.cnf().clauses_from(from.clauses) {
+            up.add_clause(clause);
         }
-        PropagatorSync {
-            clauses: enc.cnf().num_clauses(),
-            atoms,
-        }
+        Synced::end_of(enc)
     }
 
-    /// Brings the warm solver up to date with the CNF's tail (axioms
-    /// recorded by one-shot probes such as the suggestion's MaxSAT repair,
-    /// extension deltas). The variable count is compared too, so the
+    /// Brings the warm solver up to date with the encoding, like
+    /// [`ResolutionSession::sync_propagator`]: first registers the order
+    /// atoms allocated since its atom watermark (at decision level zero,
+    /// before any clause can assign them), then feeds the CNF's tail
+    /// (extension deltas). The variable count is compared too, so the
     /// solver knows every variable an assumption can name even if no
     /// synced clause mentions it.
     pub(crate) fn sync_solver(&mut self) {
-        if self.synced_solver < self.enc.cnf().num_clauses()
-            || self.solver.num_vars() < self.enc.cnf().num_vars()
-        {
-            self.solver
-                .extend_from_cnf(self.enc.cnf(), self.synced_solver);
-            self.synced_solver = self.enc.cnf().num_clauses();
+        let ResolutionSession {
+            enc,
+            solver,
+            synced_solver: synced,
+            ..
+        } = self;
+        enc.register_order_atoms(synced.atoms, |d, n, var| {
+            solver.register_order_domain(d, n, var)
+        });
+        if synced.clauses < enc.cnf().num_clauses() || solver.num_vars() < enc.cnf().num_vars() {
+            solver.extend_from_cnf(enc.cnf(), synced.clauses);
         }
+        *synced = Synced::end_of(enc);
     }
 
-    /// Total lazily recorded axioms, over every encoding the session has
-    /// built.
+    /// Always 0: the order axioms are the consumers' theory, so no query
+    /// adds a clause to Φ(Se). Kept only because the benchmark reads it
+    /// (`perfbench/src/drive.rs`), like [`RevisionTelemetry::cone_union`].
     pub fn injected_axioms(&self) -> usize {
-        self.replaced_axioms + self.enc.injected_axioms()
+        0
     }
 
     /// Rebuild telemetry: `(rebuilds, 0, 0)`, where `rebuilds` counts the
@@ -1088,12 +1088,7 @@ impl ResolutionSession {
     pub fn is_valid(&mut self) -> bool {
         self.refresh();
         self.sync_solver();
-        let ResolutionSession { enc, solver, .. } = self;
-        let sat = solver.solve_lazy(enc);
-        // Everything recorded during the lazy solve is already in the
-        // solver (the CEGAR loop adds each handed-out clause).
-        self.synced_solver = self.enc.cnf().num_clauses();
-        sat == cr_sat::SolveResult::Sat
+        self.solver.solve() == cr_sat::SolveResult::Sat
     }
 
     /// Step (2) of Fig. 4: deduce implied value orders on the warm engine.
@@ -1106,10 +1101,7 @@ impl ResolutionSession {
             }
             DeductionMethod::NaiveSat => {
                 self.sync_solver();
-                let ResolutionSession { enc, solver, .. } = self;
-                let od = naive_deduce_on(solver, enc);
-                self.synced_solver = self.enc.cnf().num_clauses();
-                od
+                naive_deduce_on(&mut self.solver, &self.enc)
             }
         }
     }
@@ -1120,22 +1112,11 @@ impl ResolutionSession {
         true_values_from_orders(&self.enc, od)
     }
 
-    /// Step (4) of Fig. 4: a suggestion against the warm solver, recording
-    /// probe/repair axiom injections into the shared CNF.
+    /// Step (4) of Fig. 4: a suggestion against the warm solver.
     pub fn suggest(&mut self, od: &DeducedOrders, known: &TrueValues) -> Suggestion {
         self.refresh();
         self.sync_solver();
-        let (sug, solver_synced) = {
-            let ResolutionSession {
-                current,
-                enc,
-                solver,
-                ..
-            } = self;
-            suggest_on(current, enc, od, known, solver)
-        };
-        self.synced_solver = solver_synced;
-        sug
+        suggest_on(&self.current, &self.enc, od, known, &mut self.solver)
     }
 
     /// Snapshots the session's *logical* state as plain data — everything
@@ -1357,6 +1338,41 @@ mod tests {
         let warm = order_fixpoint(&mut session.up, enc).unwrap();
         assert!(warm.contains(&enc.var_of(city, sf, ny).unwrap().negative()));
         assert_eq!(Some(warm), order_fixpoint(&mut enc.fresh_propagator(), enc));
+    }
+
+    #[test]
+    fn warm_solver_registers_grown_domains() {
+        // Σ says SF ≺ NY, but SF is no value of the entity. The answer
+        // city = SF appends it, with its atoms, and puts every old value
+        // below it, which closes the cycle NY ≺ SF ≺ NY. No CFD clause is
+        // deleted, so the warm solver takes the delta: it must register
+        // the grown attribute again, or its order theory never sees the
+        // new atoms and the cycle passes as valid.
+        let s = Schema::new("p", ["name", "city"]).unwrap();
+        let e = EntityInstance::new(
+            s.clone(),
+            vec![
+                Tuple::of([Value::str("X"), Value::str("NY")]),
+                Tuple::of([Value::str("X"), Value::str("LA")]),
+            ],
+        )
+        .unwrap();
+        let sigma = vec![cr_constraints::parser::parse_currency_constraint(
+            &s,
+            r#"t1[city] = "SF" && t2[city] = "NY" -> t1 <[city] t2"#,
+        )
+        .unwrap()];
+        let spec = Specification::without_orders(e, sigma, vec![]);
+        let config = ResolutionConfig::default();
+        let mut session = ResolutionSession::new(&config, &spec);
+        assert!(session.is_valid());
+        let input = UserInput::single(AttrId(1), Value::str("SF"));
+        session.apply_input(&input);
+        assert_eq!(session.replays().0, 0, "the warm solver took the delta");
+        let mut answered = spec.clone();
+        answered.apply_user_input(&input);
+        assert!(!ResolutionSession::new(&config, &answered).is_valid());
+        assert!(!session.is_valid(), "the answer closes an order cycle");
     }
 
     /// Deduced order pairs `lo ≺ hi` on `attr`, as values.

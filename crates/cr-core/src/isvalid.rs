@@ -19,18 +19,16 @@ pub struct Validity {
 /// Checks whether `spec` is valid: encodes it to `Φ(Se)` and runs the CDCL
 /// solver (Lemma 5: `Se` is valid iff `Φ(Se)` is satisfiable).
 pub fn is_valid(spec: &Specification) -> Validity {
-    is_valid_encoded(&mut EncodedSpec::encode(spec))
+    is_valid_encoded(&EncodedSpec::encode(spec))
 }
 
 /// Validity of an already encoded specification (avoids re-encoding when the
-/// caller also needs the encoding for deduction). The solver runs the CEGAR
-/// loop with the encoding as the axiom source — on lazy encodings `Unsat`
-/// is sound (injected axioms are entailed by the eager formula) and `Sat`
-/// is exact (the final model satisfies the full theory); the injected
-/// axioms are recorded into `enc`'s CNF.
-pub fn is_valid_encoded(enc: &mut EncodedSpec) -> Validity {
-    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
-    let valid = solver.solve_lazy(enc) == SolveResult::Sat;
+/// caller also needs the encoding for deduction). The solver comes from
+/// [`EncodedSpec::fresh_solver`], so on a lazy encoding it holds the order
+/// axioms as its theory and its answer is that of the eager formula.
+pub fn is_valid_encoded(enc: &EncodedSpec) -> Validity {
+    let mut solver = enc.fresh_solver();
+    let valid = solver.solve() == SolveResult::Sat;
     Validity {
         valid,
         conflicts: solver.stats().conflicts,

@@ -9,7 +9,8 @@
 use std::collections::BTreeMap;
 
 use cr_clique::find_max_clique;
-use cr_maxsat::{solve as maxsat_solve, MaxSatInstance};
+use cr_maxsat::exact::solve_exact_with;
+use cr_maxsat::MaxSatInstance;
 use cr_types::{AttrId, Value, ValueId};
 
 use crate::compat::compatibility_graph;
@@ -46,49 +47,35 @@ impl Suggestion {
 }
 
 /// Computes a suggestion for `spec` given the deduced orders `od` and the
-/// validated/deduced true values `known` (the `VB` of the paper). Axioms
-/// the consistency probe and the MaxSAT repair instantiate on a lazy
-/// encoding are recorded into `enc`'s CNF.
+/// validated/deduced true values `known` (the `VB` of the paper).
 pub fn suggest(
     spec: &Specification,
-    enc: &mut EncodedSpec,
+    enc: &EncodedSpec,
     od: &DeducedOrders,
     known: &TrueValues,
 ) -> Suggestion {
-    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
-    suggest_on(spec, enc, od, known, &mut solver).0
+    suggest_on(spec, enc, od, known, &mut enc.fresh_solver())
 }
 
 /// The body of [`suggest`] over a solver that holds every clause of `enc`'s
-/// CNF: the one-shot call passes a fresh one, the session its warm solver
-/// (it syncs before suggesting). `DeriveVR` + `TrueDer` + `CompGraph` +
-/// `MaxClique`, then `GetSug`. The common case of `GetSug` — the whole
-/// clique is consistent — costs one assumption probe instead of copying
-/// `Φ(Se)` into a fresh MaxSAT instance. The clique probe and the MaxSAT
-/// repair's CEGAR rounds record their lazily instantiated axioms into the
-/// encoding's CNF, so a warm solver starts every later probe from the full
-/// already-injected theory and the clause-tail sync never re-feeds it an
-/// instance it already holds.
-///
-/// Returns the suggestion plus the solver's new sync watermark: clauses
-/// recorded by the probe already reached the solver through its CEGAR
-/// loop, clauses recorded by the MaxSAT repair did not and stay above the
-/// watermark for the next ordinary tail sync.
+/// CNF and its registered order atoms: the one-shot call passes a fresh
+/// one, the session its warm solver (it syncs before suggesting).
+/// `DeriveVR` + `TrueDer` + `CompGraph` + `MaxClique`, then `GetSug`. The
+/// common case of `GetSug` — the whole clique is consistent — costs one
+/// assumption probe instead of copying `Φ(Se)` into a fresh MaxSAT
+/// instance.
 pub(crate) fn suggest_on(
     spec: &Specification,
-    enc: &mut EncodedSpec,
+    enc: &EncodedSpec,
     od: &DeducedOrders,
     known: &TrueValues,
     solver: &mut cr_sat::Solver,
-) -> (Suggestion, usize) {
+) -> Suggestion {
     let rules = true_der(spec, enc, od, known);
     let graph = compatibility_graph(&rules);
     let clique = find_max_clique(&graph);
-    let (selected, synced) = max_consistent_subset(enc, &rules, &clique, solver);
-    (
-        assemble_suggestion(spec, enc, od, known, rules, selected),
-        synced,
-    )
+    let selected = max_consistent_subset(enc, &rules, &clique, solver);
+    assemble_suggestion(spec, enc, od, known, rules, selected)
 }
 
 /// The post-selection half of `GetSug`: compute `A'` (derivable
@@ -162,8 +149,7 @@ fn assemble_suggestion(
 /// MaxSAT repair: hard clauses are `Φ(Se)`; each clique rule gets a selector
 /// implying "all its asserted values are tops of their attributes"; soft
 /// unit clauses maximise the number of selected rules. Returns the indices
-/// (into `rules`) of the retained clique members and the solver's
-/// clause-sync watermark.
+/// (into `rules`) of the retained clique members.
 ///
 /// Fast path: when the clique's combined assertions are jointly satisfiable
 /// with `Φ(Se)` — one incremental probe on `solver`, assembled into a
@@ -174,57 +160,32 @@ fn assemble_suggestion(
 /// ([`MaxSatInstance::with_hard_base`]) instead of copying it, so even the
 /// fallback is `O(clique)` in construction cost.
 ///
-/// The probe runs the CEGAR loop with the encoding as the axiom source,
-/// so axioms it instantiates land in the CNF **and** the solver at once.
-/// The repair is CEGAR-wrapped too: a repair assignment violating an
-/// uninstantiated axiom records it into the CNF — the next round's borrowed
-/// hard base sees it — and re-solves, so the optimum equals the eager
-/// repair. On an eager encoding neither loop finds anything to add.
+/// The repair is solved exactly, and each solver of its search registers
+/// the encoding's order domains before loading a clause, so on a lazy
+/// encoding the hard base holds the order axioms like `solver` does and
+/// the optimum equals the eager repair.
 fn max_consistent_subset(
-    enc: &mut EncodedSpec,
+    enc: &EncodedSpec,
     rules: &[DerivationRule],
     clique: &[usize],
     solver: &mut cr_sat::Solver,
-) -> (Vec<usize>, usize) {
+) -> Vec<usize> {
     if clique.is_empty() {
-        return (Vec::new(), enc.cnf().num_clauses());
+        return Vec::new();
     }
     let assumptions = clique_assumptions(enc, rules, clique);
-    let sat = solver.solve_lazy_with_assumptions(&assumptions, enc);
-    // Everything the probe handed to the solver was recorded into the CNF
-    // in the same step: the solver is in sync up to here.
-    let synced = enc.cnf().num_clauses();
-    if sat == cr_sat::SolveResult::Sat {
-        return (clique.to_vec(), synced);
+    if solver.solve_with_assumptions(&assumptions) == cr_sat::SolveResult::Sat {
+        return clique.to_vec();
     }
-    let mut scratch: Vec<cr_sat::Lit> = Vec::new();
-    let mut violated = cr_sat::ClauseBuffer::new();
-    loop {
-        let (inst, selectors) = build_repair_instance(enc, rules, clique, &mut scratch);
-        match maxsat_solve(&inst) {
-            Some(result) => {
-                violated.clear();
-                // Recorded into the CNF: the next iteration's borrowed hard
-                // base (and all later consumers via the tail sync) see
-                // them; `synced` stays below so the engine feeds them to
-                // the solver ordinarily.
-                cr_sat::LazyAxiomSource::instantiate(
-                    enc,
-                    cr_sat::Assignment::Total(&result.assignment),
-                    &mut violated,
-                );
-                if !violated.is_empty() {
-                    continue;
-                }
-                return (
-                    retained_clique(clique, &selectors, &result.assignment),
-                    synced,
-                );
-            }
-            // Hard clauses unsatisfiable: the specification itself is
-            // invalid; callers check IsValid first, so this is defensive.
-            None => return (Vec::new(), synced),
-        }
+    let (inst, selectors) = build_repair_instance(enc, rules, clique);
+    let register = |s: &mut cr_sat::Solver| {
+        enc.register_order_atoms(0, |d, n, var| s.register_order_domain(d, n, var));
+    };
+    match solve_exact_with(&inst, register) {
+        Some(result) => retained_clique(clique, &selectors, &result.assignment),
+        // Hard clauses unsatisfiable: the specification itself is
+        // invalid; callers check IsValid first, so this is defensive.
+        None => Vec::new(),
     }
 }
 
@@ -247,7 +208,7 @@ fn clique_assumptions(
     assumptions
 }
 
-/// Builds one MaxSAT repair instance: the borrowed `Φ(Se)` hard base, one
+/// Builds the MaxSAT repair instance: the borrowed `Φ(Se)` hard base, one
 /// selector variable per clique rule implying "all its asserted values are
 /// tops", and unit-weight soft selectors. Returns the instance and the
 /// selector variables (parallel to `clique`).
@@ -255,18 +216,18 @@ fn build_repair_instance<'a>(
     enc: &'a EncodedSpec,
     rules: &[DerivationRule],
     clique: &[usize],
-    scratch: &mut Vec<cr_sat::Lit>,
 ) -> (MaxSatInstance<'a>, Vec<cr_sat::Var>) {
     let mut inst = MaxSatInstance::with_hard_base(enc.cnf());
+    let mut tops = Vec::new();
     let mut selectors = Vec::with_capacity(clique.len());
     for (offset, &ri) in clique.iter().enumerate() {
         let sel = cr_sat::Var(enc.cnf().num_vars() + offset as u32);
         selectors.push(sel);
         let rule = &rules[ri];
         for &(attr, v) in rule.lhs.iter().chain(std::iter::once(&rule.rhs)) {
-            scratch.clear();
-            push_top_literals(enc, attr, v, scratch);
-            for &lit in scratch.iter() {
+            tops.clear();
+            push_top_literals(enc, attr, v, &mut tops);
+            for &lit in &tops {
                 inst.add_hard([sel.negative(), lit]);
             }
         }
@@ -380,8 +341,8 @@ mod tests {
     #[test]
     fn george_suggestion_is_status_only() {
         let spec = george();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         // Example 3: only name and kids are deducible automatically.
         let s = spec.schema();
@@ -392,7 +353,7 @@ mod tests {
         assert_eq!(known.get(s.attr_id("kids").unwrap()), Some(&Value::int(2)));
         assert_eq!(known.known_count(), 2);
 
-        let sug = suggest(&spec, &mut enc, &od, &known);
+        let sug = suggest(&spec, &enc, &od, &known);
         let ask_names: Vec<&str> = sug.ask.keys().map(|a| s.attr_name(*a)).collect();
         assert_eq!(
             ask_names,
@@ -415,10 +376,10 @@ mod tests {
     #[test]
     fn suggestion_rules_are_mutually_consistent_with_spec() {
         let spec = george();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
-        let sug = suggest(&spec, &mut enc, &od, &known);
+        let sug = suggest(&spec, &enc, &od, &known);
         // Selected rules must not assert two different values of the same
         // attribute (clique property) and must be jointly satisfiable with
         // Φ(Se) (MaxSAT hard constraints) — check the first property here.
@@ -438,11 +399,11 @@ mod tests {
         let s = Schema::new("p", ["a"]).unwrap();
         let e = EntityInstance::new(s, vec![Tuple::of([Value::int(1)])]).unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
         assert!(known.complete());
-        let sug = suggest(&spec, &mut enc, &od, &known);
+        let sug = suggest(&spec, &enc, &od, &known);
         assert!(sug.is_empty());
         assert!(sug.derived.is_empty());
     }
@@ -459,10 +420,10 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let known = true_values_from_orders(&enc, &od);
-        let sug = suggest(&spec, &mut enc, &od, &known);
+        let sug = suggest(&spec, &enc, &od, &known);
         assert_eq!(sug.len(), 2);
         for cands in sug.ask.values() {
             assert_eq!(cands.len(), 2);

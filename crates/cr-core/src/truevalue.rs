@@ -102,13 +102,13 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
 ///
 /// This is the complete counterpart of the candidate sets `V(A)` that
 /// `DeriveVR` obtains heuristically from `Od`; it decides the (coNP-hard)
-/// true-value problem exactly on the encoded instance. Probes run the
-/// CEGAR loop with the encoding as the axiom source: axioms injected by
-/// one probe persist in the solver, sharpen the rest, and are recorded
-/// into `enc`'s CNF.
-pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<ValueId> {
-    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
-    if solver.solve_lazy(enc) == SolveResult::Unsat {
+/// true-value problem exactly on the encoded instance. Probes run on one
+/// solver from [`EncodedSpec::fresh_solver`] (on a lazy encoding it holds
+/// the order axioms as its theory); clauses learnt by one probe sharpen
+/// the rest.
+pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> {
+    let mut solver = enc.fresh_solver();
+    if solver.solve() == SolveResult::Unsat {
         return Vec::new();
     }
     let mut possible = Vec::new();
@@ -116,7 +116,7 @@ pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<Value
         let Some(assumptions) = enc.top_assumptions(attr, v) else {
             continue;
         };
-        if solver.solve_lazy_with_assumptions(&assumptions, enc) == SolveResult::Sat {
+        if solver.solve_with_assumptions(&assumptions) == SolveResult::Sat {
             possible.push(v);
         }
     }
@@ -124,7 +124,7 @@ pub fn possible_current_values(enc: &mut EncodedSpec, attr: AttrId) -> Vec<Value
 }
 
 /// Exact true values for every attribute via [`possible_current_values`].
-pub fn exact_true_values(enc: &mut EncodedSpec) -> TrueValues {
+pub fn exact_true_values(enc: &EncodedSpec) -> TrueValues {
     let arity = enc.space().arity();
     let mut out = Vec::with_capacity(arity);
     for attr in (0..arity as u16).map(AttrId) {
@@ -173,8 +173,8 @@ mod tests {
     #[test]
     fn chain_gives_complete_true_values() {
         let spec = chain_spec();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert!(tv.complete());
         let t = tv.to_tuple().unwrap();
@@ -190,24 +190,24 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert!(!tv.complete());
         assert_eq!(tv.known_count(), 0);
         assert_eq!(tv.unknown_attrs(), vec![AttrId(0)]);
         // Exact analysis agrees: both cities are possible tops.
-        assert_eq!(possible_current_values(&mut enc, AttrId(0)).len(), 2);
-        assert!(!exact_true_values(&mut enc).complete());
+        assert_eq!(possible_current_values(&enc, AttrId(0)).len(), 2);
+        assert!(!exact_true_values(&enc).complete());
     }
 
     #[test]
     fn exact_agrees_with_up_on_chains() {
         let spec = chain_spec();
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let heuristic = true_values_from_orders(&enc, &od);
-        let exact = exact_true_values(&mut enc);
+        let exact = exact_true_values(&enc);
         assert_eq!(heuristic, exact);
     }
 
@@ -223,8 +223,8 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert_eq!(tv.get(AttrId(0)), Some(&Value::str("Edith")));
         assert_eq!(tv.get(AttrId(1)), None);
@@ -239,8 +239,8 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).unwrap();
+        let enc = EncodedSpec::encode(&spec);
+        let od = deduce_order(&enc).unwrap();
         let tv = true_values_from_orders(&enc, &od);
         assert_eq!(tv.get(AttrId(0)), Some(&Value::int(3)));
     }

@@ -1,6 +1,12 @@
 //! Property tests: the SAT encoding against the brute-force reference
 //! semantics on randomly generated small specifications.
 //!
+//! Every property runs on both encodings the engine relies on: the eager
+//! one, whose CNF holds the order axioms, and the engine's lazy one, whose
+//! consumers hold them as their order theory (`fresh_solver`,
+//! `fresh_propagator`). So the oracle checks the theory-driven path
+//! directly, not only through lazy ≡ eager.
+//!
 //! * `IsValid` must agree with "at least one valid completion exists".
 //! * `DeduceOrder` results must hold in every valid completion (soundness).
 //! * `NaiveDeduce` must derive exactly the brute-force implied orders
@@ -12,7 +18,7 @@ use proptest::prelude::*;
 
 use cr_constraints::{CompOp, CurrencyConstraint, Predicate, TupleRef};
 use cr_core::encode::EncodedSpec;
-use cr_core::{deduce_order, is_valid, naive_deduce, true_values_from_orders, Specification};
+use cr_core::{deduce_order, naive_deduce, true_values_from_orders, Specification};
 use cr_oracle::bruteforce::{
     brute_force_implied_orders, brute_force_true_values, brute_force_valid,
 };
@@ -172,6 +178,14 @@ fn seed_strategy() -> impl Strategy<Value = SpecSeed> {
 
 const LIMIT: usize = 1_000_000;
 
+/// The eager and the lazy (engine) encoding of `spec`, named.
+fn encodings(spec: &Specification) -> [(&'static str, EncodedSpec); 2] {
+    [
+        ("eager", EncodedSpec::encode(spec)),
+        ("lazy", EncodedSpec::encode_lazy(spec)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -179,8 +193,10 @@ proptest! {
     fn isvalid_matches_bruteforce(seed in seed_strategy()) {
         let Some(spec) = build_spec(&seed) else { return Ok(()); };
         let expected = brute_force_valid(&spec, LIMIT);
-        let got = is_valid(&spec).valid;
-        prop_assert_eq!(got, expected, "IsValid disagreed with brute force");
+        for (kind, enc) in encodings(&spec) {
+            let got = enc.fresh_solver().solve() == cr_sat::SolveResult::Sat;
+            prop_assert_eq!(got, expected, "IsValid ({}) disagreed with brute force", kind);
+        }
     }
 
     #[test]
@@ -189,20 +205,21 @@ proptest! {
         if !brute_force_valid(&spec, LIMIT) {
             return Ok(());
         }
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = deduce_order(&mut enc).expect("valid spec propagates without conflict");
         let implied = brute_force_implied_orders(&spec, LIMIT);
-        for attr in spec.schema().attr_ids() {
-            for (lo, hi) in od.pairs(attr) {
-                let vlo = enc.value(attr, lo).clone();
-                let vhi = enc.value(attr, hi).clone();
-                if vlo.is_null() || vhi.is_null() {
-                    continue; // null-bottom axioms are true by the semantics
+        for (kind, enc) in encodings(&spec) {
+            let od = deduce_order(&enc).expect("valid spec propagates without conflict");
+            for attr in spec.schema().attr_ids() {
+                for (lo, hi) in od.pairs(attr) {
+                    let vlo = enc.value(attr, lo).clone();
+                    let vhi = enc.value(attr, hi).clone();
+                    if vlo.is_null() || vhi.is_null() {
+                        continue; // null-bottom axioms are true by the semantics
+                    }
+                    prop_assert!(
+                        implied.iter().any(|(a, x, y)| *a == attr && *x == vlo && *y == vhi),
+                        "DeduceOrder ({kind}) derived {vlo:?} ≺ {vhi:?} on {attr:?}, not implied semantically"
+                    );
                 }
-                prop_assert!(
-                    implied.iter().any(|(a, x, y)| *a == attr && *x == vlo && *y == vhi),
-                    "DeduceOrder derived {vlo:?} ≺ {vhi:?} on {attr:?}, not implied semantically"
-                );
             }
         }
     }
@@ -213,30 +230,31 @@ proptest! {
         if !brute_force_valid(&spec, LIMIT) {
             return Ok(());
         }
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = naive_deduce(&mut enc).expect("valid");
         let implied = brute_force_implied_orders(&spec, LIMIT);
-        // Completeness: every semantically implied pair is found.
-        for (attr, vlo, vhi) in &implied {
-            let lo = enc.value_id(*attr, vlo).unwrap();
-            let hi = enc.value_id(*attr, vhi).unwrap();
-            prop_assert!(
-                od.contains(*attr, lo, hi),
-                "NaiveDeduce missed implied order {vlo:?} ≺ {vhi:?}"
-            );
-        }
-        // Soundness: every found non-null pair is semantically implied.
-        for attr in spec.schema().attr_ids() {
-            for (lo, hi) in od.pairs(attr) {
-                let vlo = enc.value(attr, lo).clone();
-                let vhi = enc.value(attr, hi).clone();
-                if vlo.is_null() || vhi.is_null() {
-                    continue;
-                }
+        for (kind, enc) in encodings(&spec) {
+            let od = naive_deduce(&enc).expect("valid");
+            // Completeness: every semantically implied pair is found.
+            for (attr, vlo, vhi) in &implied {
+                let lo = enc.value_id(*attr, vlo).unwrap();
+                let hi = enc.value_id(*attr, vhi).unwrap();
                 prop_assert!(
-                    implied.iter().any(|(a, x, y)| *a == attr && *x == vlo && *y == vhi),
-                    "NaiveDeduce over-derived {vlo:?} ≺ {vhi:?}"
+                    od.contains(*attr, lo, hi),
+                    "NaiveDeduce ({kind}) missed implied order {vlo:?} ≺ {vhi:?}"
                 );
+            }
+            // Soundness: every found non-null pair is semantically implied.
+            for attr in spec.schema().attr_ids() {
+                for (lo, hi) in od.pairs(attr) {
+                    let vlo = enc.value(attr, lo).clone();
+                    let vhi = enc.value(attr, hi).clone();
+                    if vlo.is_null() || vhi.is_null() {
+                        continue;
+                    }
+                    prop_assert!(
+                        implied.iter().any(|(a, x, y)| *a == attr && *x == vlo && *y == vhi),
+                        "NaiveDeduce ({kind}) over-derived {vlo:?} ≺ {vhi:?}"
+                    );
+                }
             }
         }
     }
@@ -248,17 +266,18 @@ proptest! {
         if !bf_valid {
             return Ok(());
         }
-        let mut enc = EncodedSpec::encode(&spec);
-        let od = naive_deduce(&mut enc).expect("valid");
-        let tv = true_values_from_orders(&enc, &od);
-        for attr in spec.schema().attr_ids() {
-            // Complete deduction must match the consensus exactly.
-            let got = tv.get(attr);
-            let expected = bf_truth[attr.index()].as_ref();
-            prop_assert_eq!(
-                got, expected,
-                "true value mismatch on {:?}", attr
-            );
+        for (kind, enc) in encodings(&spec) {
+            let od = naive_deduce(&enc).expect("valid");
+            let tv = true_values_from_orders(&enc, &od);
+            for attr in spec.schema().attr_ids() {
+                // Complete deduction must match the consensus exactly.
+                let got = tv.get(attr);
+                let expected = bf_truth[attr.index()].as_ref();
+                prop_assert_eq!(
+                    got, expected,
+                    "true value mismatch ({}) on {:?}", kind, attr
+                );
+            }
         }
     }
 }

@@ -4,6 +4,11 @@
 //! sequential-counter encoding of `Σ s_i ≥ k` is added, and `k` is searched
 //! downward from the soft-clause count. The first satisfiable `k` is the
 //! optimum. Weighted instances fall back to the WalkSAT search.
+//!
+//! [`solve_exact_with`] hands every CDCL solver it builds to a caller's
+//! hook before the solver loads a clause, so a caller whose hard clauses
+//! rely on a solver theory (the conflict-resolution encoding's order
+//! domains, see `cr_sat::order`) registers it there.
 
 use cr_sat::{Cnf, Lit, SolveResult, Solver, Var};
 
@@ -16,7 +21,27 @@ pub fn solve_exact(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
     if !instance.has_unit_weights() {
         return walksat::solve_walksat(instance, 500_000, 0xFA11BACC);
     }
+    solve_exact_with(instance, |_| {})
+}
+
+/// [`solve_exact`] for a unit-weight instance, calling `prepare` on every
+/// empty CDCL solver before it loads the instance's clauses (see the
+/// module docs). Panics on a weighted instance, which has no exact path.
+pub fn solve_exact_with(
+    instance: &MaxSatInstance<'_>,
+    prepare: impl Fn(&mut Solver),
+) -> Option<MaxSatResult> {
+    assert!(
+        instance.has_unit_weights(),
+        "solve_exact_with needs unit weights"
+    );
     let m = instance.soft_len();
+    let load = |cnf: &Cnf| {
+        let mut solver = Solver::new();
+        prepare(&mut solver);
+        solver.extend_from_cnf(cnf, 0);
+        solver
+    };
 
     // Base formula: hard clauses + selector implications.
     let mut base = Cnf::new();
@@ -32,7 +57,7 @@ pub fn solve_exact(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
     }
 
     // Feasibility check (k = 0).
-    let mut solver = Solver::from_cnf(&base);
+    let mut solver = load(&base);
     if solver.solve() == SolveResult::Unsat {
         return None;
     }
@@ -42,7 +67,7 @@ pub fn solve_exact(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
         let mut cnf = base.clone();
         let sel_lits: Vec<Lit> = selectors.iter().map(|v| v.positive()).collect();
         encode_at_least_k(&mut cnf, &sel_lits, k);
-        let mut solver = Solver::from_cnf(&cnf);
+        let mut solver = load(&cnf);
         if solver.solve() == SolveResult::Sat {
             best_model = solver.model();
             break;
@@ -207,6 +232,23 @@ mod tests {
         inst.add_hard([Var(0).positive()]);
         inst.add_hard([Var(0).negative()]);
         assert!(solve_exact(&inst).is_none());
+    }
+
+    #[test]
+    fn prepared_solvers_enforce_the_order_theory() {
+        // Atoms x_ab of a 3-value order domain, no hard clause; the softs
+        // ask for the cycle 0 ≺ 1 ≺ 2 ≺ 0. Only with the domain registered
+        // on every solver does the cycle cost a soft clause.
+        let n = 3;
+        let var = |a: usize, b: usize| Var((a * n + b) as u32);
+        let mut inst = MaxSatInstance::new((n * n) as u32);
+        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
+            inst.add_soft([var(a, b).positive()], 1);
+        }
+        assert_eq!(solve_exact(&inst).unwrap().total_weight, 3);
+        let res = solve_exact_with(&inst, |s| s.register_order_domain(0, n, var)).unwrap();
+        assert_eq!(res.total_weight, 2);
+        assert!(res.optimal);
     }
 
     #[test]

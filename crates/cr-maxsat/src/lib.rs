@@ -12,7 +12,9 @@
 //!   CDCL solver from `cr-sat` with a sequential-counter cardinality
 //!   encoding, searching downward on the number of satisfied soft clauses.
 //!
-//! [`solve`] picks exact for small instances and local search otherwise.
+//! [`solve`] picks exact for small instances and local search otherwise;
+//! [`exact::solve_exact_with`] solves exactly over solvers a caller
+//! prepares (for example with a registered order theory).
 
 pub mod exact;
 pub mod instance;

@@ -14,19 +14,18 @@
 //! * append-only consumers of a formula: the solver and the unit
 //!   propagator ingest a [`Cnf`]'s clause tail and never withdraw a
 //!   clause, so a formula that loses clauses ([`Cnf::retain_clauses`]) is
-//!   given to new ones ([`Solver::from_cnf_with_scratch`] recycles the old
-//!   solver's allocations),
-//! * *lazy axiom instantiation* for the solver ([`LazyAxiomSource`],
-//!   [`lazy`]): large axiom schemes stay unmaterialised, and the one
-//!   consultation driver, the CEGAR loop
-//!   [`Solver::solve_lazy_with_assumptions`], pulls the instances a
-//!   candidate model violates on demand,
+//!   given to new ones ([`Solver::from_scratch`] recycles the old solver's
+//!   allocations),
+//! * a built-in strict-total-order theory ([`order`]) over registered
+//!   order atoms, shared by both consumers: the solver runs it inside
+//!   propagation with reasons rebuilt on demand
+//!   ([`Solver::register_order_domain`]), the unit propagator inside its
+//!   fixpoint ([`UnitPropagator::register_order_domain`]), so the `O(n³)`
+//!   order axioms of the conflict-resolution encoding are never clauses,
 //! * a caller-driven learnt-database sweep ([`Solver::compact_learnts`])
 //!   keyed to interaction-round boundaries, and
 //! * a standalone root-level unit-propagation engine mirroring the
-//!   clause-reduction loop of `DeduceOrder` (Fig. 5 of the paper), with
-//!   the strict-total-order axioms as a built-in theory over registered
-//!   order atoms ([`UnitPropagator::register_order_domain`], [`order`]).
+//!   clause-reduction loop of `DeduceOrder` (Fig. 5 of the paper).
 //!
 //! # Example
 //! ```
@@ -46,7 +45,6 @@
 
 pub mod cnf;
 pub mod dimacs;
-pub mod lazy;
 pub mod lit;
 pub mod order;
 pub mod solver;
@@ -54,7 +52,6 @@ pub mod stats;
 pub mod unit_propagation;
 
 pub use cnf::Cnf;
-pub use lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverScratch};
 pub use stats::SolverStats;

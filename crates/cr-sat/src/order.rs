@@ -1,18 +1,20 @@
-//! A strict-total-order theory for the root unit propagator.
+//! A strict-total-order theory for the unit propagator and the CDCL
+//! solver.
 //!
 //! The conflict-resolution encoding orders each attribute's values with
 //! one atom `x_ab` ("`a ≺ b`") per ordered pair of distinct values, under
 //! the `O(n³)` order axioms: asymmetry `¬x_ab ∨ ¬x_ba`, totality
 //! `x_ab ∨ x_ba` and transitivity `¬x_ab ∨ ¬x_bc ∨ x_ac`. Instead of
-//! holding them as clauses, a [`UnitPropagator`](crate::UnitPropagator)
-//! registers the atoms of each *domain* (`n` values) with
-//! [`register_order_domain`](crate::UnitPropagator::register_order_domain)
+//! holding them as clauses, a consumer registers the atoms of each
+//! *domain* (`n` values) with
+//! [`UnitPropagator::register_order_domain`](crate::UnitPropagator::register_order_domain)
+//! or [`Solver::register_order_domain`](crate::Solver::register_order_domain)
 //! and this theory derives their consequences as literals are assigned.
 //!
-//! Each value `x` keeps two persistent bit rows, one bit per value `c`:
-//! *out* (`x ≺ c` is true) and *in* (`c ≺ x` is true). On an assigned
-//! order literal the theory updates the rows and pushes the implied
-//! literals straight onto the propagator's queue:
+//! Each value `x` keeps two bit rows, one bit per value `c`: *out*
+//! (`x ≺ c` is true) and *in* (`c ≺ x` is true). On an assigned order
+//! literal the theory updates the rows and pushes the implied literals
+//! onto the consumer's queue:
 //!
 //! * `¬x_ab` implies `x_ba` (totality);
 //! * `x_ab` implies `¬x_ba` (asymmetry), `x_ac` for every `c` with `x_bc`
@@ -23,11 +25,16 @@
 //! every transitivity instance of the pair; whichever premise of an
 //! instance is assigned last sees the other in its rows. So the fixpoint,
 //! or the conflict, is that of unit propagation over every axiom clause.
-//! Conflicts surface when the propagator pops a literal whose negation
-//! holds; at the root no reason clause is needed. The theory keeps no
-//! provenance: the propagator never unassigns a literal, so the rows only
-//! gain bits, and a formula that lost clauses gets a new propagator.
-
+//! Conflicts surface when the consumer meets an implied literal whose
+//! negation holds.
+//!
+//! The root propagator never unassigns a literal, so there its rows only
+//! gain bits. The CDCL solver does unassign: it clears a true atom's bits
+//! when it backtracks over it (`OrderTheory::on_unassign`), and when
+//! conflict analysis asks why a literal holds it rebuilds the axiom
+//! instance from the literal and the one trigger literal it stored
+//! (`OrderTheory::explain`). No clause is ever allocated.
+//!
 use crate::lit::{LBool, Lit, Var};
 
 /// Domain of a variable that is no order atom.
@@ -125,6 +132,52 @@ impl OrderTheory {
         atoms.len()
     }
 
+    /// Clears the bits `lit` set when it was assigned
+    /// ([`OrderTheory::on_assign`]): a backtracking solver calls this for
+    /// every literal it unassigns. Only a true atom sets bits, and
+    /// clearing bits that were never set is harmless.
+    #[inline]
+    pub(crate) fn on_unassign(&mut self, lit: Lit) {
+        if !lit.is_positive() {
+            return;
+        }
+        let Some(&(domain, lo, hi)) = self.atoms.get(lit.var().index()) else {
+            return;
+        };
+        if domain == NO_DOMAIN {
+            return;
+        }
+        let d = &mut self.domains[domain as usize];
+        let (a, b) = (lo as usize, hi as usize);
+        d.rows[2 * a * d.words + b / 64] &= !(1 << (b % 64));
+        d.rows[(2 * b + 1) * d.words + a / 64] &= !(1 << (a % 64));
+    }
+
+    /// Appends the axiom instance that made [`OrderTheory::on_assign`]
+    /// push `implied` on the assignment of `trigger` to `out`, as a clause
+    /// with `implied` first: `implied ∨ ¬trigger` for asymmetry and
+    /// totality, plus the negated second premise for transitivity. The
+    /// premise is recovered from the two atoms' values: forward
+    /// `x_ab ∧ x_bc → x_ac` shares `lo` and its premise is `x_bc`;
+    /// backward `x_ca ∧ x_ab → x_cb` shares `hi` and its premise is `x_ca`.
+    pub(crate) fn explain(&self, implied: Lit, trigger: Lit, out: &mut Vec<Lit>) {
+        let (domain, t_lo, t_hi) = self.atoms[trigger.var().index()];
+        let (_, i_lo, i_hi) = self.atoms[implied.var().index()];
+        out.push(implied);
+        out.push(trigger.negate());
+        if i_lo == t_hi && i_hi == t_lo {
+            return;
+        }
+        let d = &self.domains[domain as usize];
+        let (lo, hi) = if i_lo == t_lo {
+            (t_hi, i_hi)
+        } else {
+            debug_assert_eq!(i_hi, t_hi, "a transitivity instance shares lo or hi");
+            (i_lo, t_lo)
+        };
+        out.push(Var(d.vars[lo as usize * d.n + hi as usize]).negative());
+    }
+
     /// Records the assignment of `lit` (already made in `assign`) and
     /// pushes the literals the order axioms imply onto `queue` (see the
     /// module docs). Variables that are no order atom are ignored.
@@ -185,6 +238,7 @@ impl OrderTheory {
 mod tests {
     use crate::cnf::Cnf;
     use crate::lit::{Lit, Var};
+    use crate::solver::{SolveResult, Solver};
     use crate::unit_propagation::UnitPropagator;
 
     /// SplitMix64: every random choice of a case derives from one seed.
@@ -238,6 +292,13 @@ mod tests {
         /// next index), allocating their atoms and one extra variable, and
         /// registers the grown domain with `up`.
         fn grow(&mut self, up: &mut UnitPropagator, d: usize, k: usize, rng: &mut Rng) {
+            self.grow_values(d, k, rng);
+            let vars = &self.domains[d];
+            up.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
+        }
+
+        /// [`Instance::grow`] without the registration.
+        fn grow_values(&mut self, d: usize, k: usize, rng: &mut Rng) {
             if d == self.domains.len() {
                 self.domains.push(Vec::new());
                 self.rankings.push(Vec::new());
@@ -257,8 +318,6 @@ mod tests {
             }
             let extra = self.new_var();
             self.extras.push(extra);
-            let vars = &self.domains[d];
-            up.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
         }
 
         /// "`p ≺ q`" for two values of domain `d` close in its ranking:
@@ -299,24 +358,20 @@ mod tests {
             }
         }
 
-        /// A fresh propagator over the clauses plus every asymmetry,
-        /// totality and transitivity clause of every domain.
-        fn eager(&self) -> UnitPropagator {
-            let mut up = UnitPropagator::new(&Cnf::new());
-            up.ensure_vars(self.num_vars as usize);
-            for (lits, _) in &self.clauses {
-                up.add_clause(lits);
-            }
+        /// Every asymmetry, totality and transitivity clause of every
+        /// domain.
+        fn axioms(&self) -> Vec<Vec<Lit>> {
+            let mut axioms = Vec::new();
             for x in &self.domains {
                 let n = x.len();
                 for a in 0..n {
                     for b in (0..n).filter(|&b| b != a) {
                         if a < b {
-                            up.add_clause(&[x[a][b].negative(), x[b][a].negative()]);
-                            up.add_clause(&[x[a][b].positive(), x[b][a].positive()]);
+                            axioms.push(vec![x[a][b].negative(), x[b][a].negative()]);
+                            axioms.push(vec![x[a][b].positive(), x[b][a].positive()]);
                         }
                         for c in (0..n).filter(|&c| c != a && c != b) {
-                            up.add_clause(&[
+                            axioms.push(vec![
                                 x[a][b].negative(),
                                 x[b][c].negative(),
                                 x[a][c].positive(),
@@ -325,7 +380,83 @@ mod tests {
                     }
                 }
             }
+            axioms
+        }
+
+        /// A fresh propagator over the clauses plus every axiom clause.
+        fn eager(&self) -> UnitPropagator {
+            let mut up = UnitPropagator::new(&Cnf::new());
+            up.ensure_vars(self.num_vars as usize);
+            for lits in self
+                .clauses
+                .iter()
+                .map(|(lits, _)| lits)
+                .chain(&self.axioms())
+            {
+                up.add_clause(lits);
+            }
             up
+        }
+
+        /// A fresh solver over the clauses plus every axiom clause.
+        fn eager_solver(&self) -> Solver {
+            let mut solver = Solver::new();
+            while solver.num_vars() < self.num_vars {
+                solver.new_var();
+            }
+            for lits in self
+                .clauses
+                .iter()
+                .map(|(lits, _)| lits)
+                .chain(&self.axioms())
+            {
+                solver.add_clause(lits.iter().copied());
+            }
+            solver
+        }
+
+        /// A random clause of one to three literals over the atoms and
+        /// the extra variables; units mostly agree with the rankings.
+        fn random_clause(&self, rng: &mut Rng) -> Vec<Lit> {
+            let num_domains = self.domains.len();
+            let len = 1 + rng.below(3).min(rng.below(3));
+            let mut lits = Vec::with_capacity(len);
+            for _ in 0..len {
+                let d = rng.below(num_domains);
+                if self.domains[d].len() < 2 || rng.one_in(8) {
+                    let e = self.extras[rng.below(self.extras.len())];
+                    lits.push(e.lit(rng.one_in(2)));
+                } else {
+                    let consistent = if len == 1 {
+                        !rng.one_in(8)
+                    } else {
+                        rng.one_in(2)
+                    };
+                    lits.push(self.ranked_lit(d, consistent, rng));
+                }
+            }
+            lits
+        }
+
+        /// A clause of two or three literals of either sign over atoms of
+        /// any domain (one literal in eight an extra variable): unlike
+        /// [`Instance::random_clause`], it leans on no ranking, so many
+        /// solves need search through transitivity conflicts.
+        fn any_clause(&self, rng: &mut Rng) -> Vec<Lit> {
+            let len = 2 + rng.below(2);
+            let mut lits = Vec::with_capacity(len);
+            for _ in 0..len {
+                let d = rng.below(self.domains.len());
+                let n = self.domains[d].len();
+                let var = if rng.one_in(8) {
+                    self.extras[rng.below(self.extras.len())]
+                } else {
+                    let a = rng.below(n);
+                    self.domains[d][a][(a + 1 + rng.below(n - 1)) % n]
+                };
+                lits.push(var.lit(rng.one_in(2)));
+            }
+            lits
         }
     }
 
@@ -414,27 +545,74 @@ mod tests {
                         inst.add(&mut up, vec![inst.domains[d][p][q].positive()], tag);
                     }
                 }
-                // A clause of one to three literals; units mostly agree
-                // with the rankings.
                 _ => {
-                    let len = 1 + rng.below(3).min(rng.below(3));
-                    let mut lits = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let d = rng.below(num_domains);
-                        if inst.domains[d].len() < 2 || rng.one_in(8) {
-                            let e = inst.extras[rng.below(inst.extras.len())];
-                            lits.push(e.lit(rng.one_in(2)));
-                        } else {
-                            let consistent = if len == 1 {
-                                !rng.one_in(8)
-                            } else {
-                                rng.one_in(2)
-                            };
-                            lits.push(inst.ranked_lit(d, consistent, rng));
-                        }
-                    }
+                    let lits = inst.random_clause(rng);
                     inst.add(&mut up, lits, tag);
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `model` (one value per variable) satisfies every clause,
+    /// every axiom instance and every assumption of the case; an `Err`
+    /// names the first one it falsifies.
+    fn check_model(inst: &Instance, model: &[bool], assumptions: &[Lit]) -> Result<(), String> {
+        let holds = |l: &Lit| model[l.var().index()] == l.is_positive();
+        let clauses = inst.clauses.iter().map(|(lits, _)| lits.clone());
+        for clause in clauses.chain(inst.axioms()) {
+            if !clause.iter().any(holds) {
+                return Err(format!("the model falsifies {clause:?}"));
+            }
+        }
+        match assumptions.iter().find(|l| !holds(l)) {
+            Some(l) => Err(format!("the model falsifies assumption {l:?}")),
+            None => Ok(()),
+        }
+    }
+
+    /// One random case of `solver_theory_matches_eager_axiom_clauses`; an
+    /// `Err` names the solve whose answers differ or whose model breaks a
+    /// clause.
+    fn run_solver_case(num_domains: usize, rng: &mut Rng) -> Result<(), String> {
+        let mut inst = Instance::default();
+        let mut solver = Solver::new();
+        let register = |solver: &mut Solver, inst: &Instance, d: usize| {
+            let vars = &inst.domains[d];
+            solver.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
+        };
+        for d in 0..num_domains {
+            inst.grow_values(d, 5 + rng.below(8), rng);
+            register(&mut solver, &inst, d);
+        }
+        let solves = 5 + rng.below(4);
+        for solve in 0..solves {
+            // A domain grows between solves, before clauses mention its
+            // new atoms.
+            if solve > 0 && rng.one_in(3) {
+                let d = rng.below(num_domains);
+                inst.grow_values(d, 1 + rng.below(3), rng);
+                register(&mut solver, &inst, d);
+            }
+            for _ in 0..8 + rng.below(16) {
+                let lits = inst.any_clause(rng);
+                solver.add_clause(lits.iter().copied());
+                inst.clauses.push((lits, 0));
+            }
+            let mut assumptions = Vec::new();
+            for _ in 0..rng.below(4) {
+                let d = rng.below(num_domains);
+                assumptions.push(inst.ranked_lit(d, rng.one_in(2), rng));
+            }
+            let got = solver.solve_with_assumptions(&assumptions);
+            let want = inst.eager_solver().solve_with_assumptions(&assumptions);
+            if got != want {
+                return Err(format!("solve {solve}: theory {got:?}, eager {want:?}"));
+            }
+            if got == SolveResult::Sat {
+                let model = solver.model();
+                check_model(&inst, &model, &assumptions)
+                    .map_err(|e| format!("solve {solve}: {e}"))?;
             }
         }
         Ok(())
@@ -456,6 +634,21 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let result = run_case(num_domains, wide == 0, &mut Rng(seed));
+            proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
+        }
+
+        /// A solver with the theory registered answers like a solver over
+        /// every axiom clause, and each of its models satisfies every
+        /// axiom instance, on random order instances: 1–3 domains, random
+        /// clauses over atoms and other variables, random assumptions,
+        /// several solves on one warm solver and domains grown between
+        /// solves.
+        #[test]
+        fn solver_theory_matches_eager_axiom_clauses(
+            num_domains in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let result = run_solver_case(num_domains, &mut Rng(seed));
             proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }

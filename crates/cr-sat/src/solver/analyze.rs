@@ -1,6 +1,10 @@
 //! First-UIP conflict analysis with recursive clause minimisation.
+//!
+//! Both read what implied a literal through [`Solver::reason_lits`], so a
+//! clause reason and an order-axiom reason rebuilt by the theory are
+//! handled alike.
 
-use super::{ClauseRef, Solver};
+use super::{Conflict, Reason, Solver};
 use crate::lit::Lit;
 
 impl Solver {
@@ -10,19 +14,23 @@ impl Solver {
     /// Standard first-UIP scheme: walk the implication graph backwards from
     /// the conflict, keeping literals from lower levels and resolving away
     /// current-level literals until exactly one remains.
-    pub(crate) fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
+    pub(crate) fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32) {
         let current_level = self.decision_level();
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 = asserting literal
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut confl = conflict;
+        let (mut reason, mut implied) = conflict;
+        let mut lits = std::mem::take(&mut self.reason_buf);
 
         loop {
-            self.bump_clause_activity(confl);
+            if let Reason::Clause(cref) = reason {
+                self.bump_clause_activity(cref);
+            }
+            self.reason_lits(reason, implied, &mut lits);
+            // A reason's first literal is the one it implied: `p`.
             let start = usize::from(p.is_some());
-            for k in start..self.clauses[confl as usize].lits.len() {
-                let q = self.clauses[confl as usize].lits[k];
+            for &q in &lits[start..] {
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -48,9 +56,15 @@ impl Solver {
             if path_count == 0 {
                 break;
             }
-            confl = self.reason[lit.var().index()]
-                .expect("non-decision literal on conflict path must have a reason");
+            reason = self.reason[lit.var().index()];
+            implied = lit;
+            debug_assert_ne!(
+                reason,
+                Reason::None,
+                "non-decision literal on conflict path must have a reason"
+            );
         }
+        self.reason_buf = lits;
         learnt[0] = p.expect("conflict at level > 0 has a UIP").negate();
 
         // Minimise: drop literals implied by the rest of the clause.
@@ -89,52 +103,47 @@ impl Solver {
         (learnt, bt_level)
     }
 
-    /// True iff `lit` is implied by the other (marked) literals of the learnt
-    /// clause — i.e. every path from `lit`'s reason bottoms out in marked or
-    /// level-0 literals. Iterative DFS over the implication graph.
+    /// True iff `lit` (a false literal of the learnt clause) is implied by
+    /// the other (marked) literals of the clause — i.e. every path from
+    /// its variable's reason bottoms out in marked or level-0 literals.
+    /// Iterative DFS over the implication graph.
     fn literal_redundant(&mut self, lit: Lit) -> bool {
-        let Some(reason0) = self.reason[lit.var().index()] else {
+        let reason = self.reason[lit.var().index()];
+        if reason == Reason::None {
             return false; // decision literal, not removable
-        };
-        // DFS stack of (clause, next literal index). Track which vars we mark
-        // so failures can roll back.
-        let mut stack: Vec<(ClauseRef, usize)> = vec![(reason0, 1)];
+        }
+        let mut lits = std::mem::take(&mut self.reason_buf);
+        // The reason's literals other than the one it implied (¬lit) are
+        // the DFS frontier; track which vars we mark so they can be
+        // cleared.
+        self.reason_lits(reason, lit.negate(), &mut lits);
+        let mut stack: Vec<Lit> = lits[1..].to_vec();
         let mut marked: Vec<u32> = Vec::new();
-        while let Some(&mut (cref, ref mut next)) = stack.last_mut() {
-            if *next >= self.clauses[cref as usize].lits.len() {
-                stack.pop();
-                continue;
-            }
-            let q = self.clauses[cref as usize].lits[*next];
-            *next += 1;
+        let mut redundant = true;
+        while let Some(q) = stack.pop() {
             let v = q.var();
             if self.seen[v.index()] || self.level[v.index()] == 0 {
                 continue; // already known to be covered
             }
-            match self.reason[v.index()] {
-                None => {
-                    // Reached an unmarked decision: `lit` is not redundant.
-                    for m in marked {
-                        self.seen[m as usize] = false;
-                    }
-                    return false;
-                }
-                Some(r) => {
-                    // Tentatively mark and recurse into its reason.
-                    self.seen[v.index()] = true;
-                    marked.push(v.0);
-                    stack.push((r, 1));
-                }
+            let r = self.reason[v.index()];
+            if r == Reason::None {
+                // Reached an unmarked decision: `lit` is not redundant.
+                redundant = false;
+                break;
             }
+            // Tentatively mark and recurse into its reason.
+            self.seen[v.index()] = true;
+            marked.push(v.0);
+            self.reason_lits(r, q.negate(), &mut lits);
+            stack.extend_from_slice(&lits[1..]);
         }
-        // All paths covered; keep the tentative marks (they are genuinely
-        // implied and speed up sibling checks), remembering nothing to undo:
-        // analyze() clears `seen` only for kept literals, so clear the
-        // temporary marks here.
+        self.reason_buf = lits;
+        // analyze() clears `seen` only for the clause's literals, so clear
+        // the temporary marks here.
         for m in marked {
             self.seen[m as usize] = false;
         }
-        true
+        redundant
     }
 }
 

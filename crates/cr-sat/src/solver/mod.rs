@@ -1,9 +1,9 @@
 //! The CDCL solver: state, clause arena, public API and the main search loop.
 //!
 //! Submodules hold the algorithmic pieces: `propagate` (two-watched-literal
-//! BCP), `analyze` (1UIP learning and minimisation), `decide` (VSIDS
-//! order heap), `reduce` (learnt-clause DB management) and `restart`
-//! (Luby sequence).
+//! BCP and the order theory), `analyze` (1UIP learning and minimisation),
+//! `decide` (VSIDS order heap), `reduce` (learnt-clause DB management) and
+//! `restart` (Luby sequence).
 
 mod analyze;
 mod decide;
@@ -12,8 +12,8 @@ mod reduce;
 mod restart;
 
 use crate::cnf::Cnf;
-use crate::lazy::{Assignment, ClauseBuffer, LazyAxiomSource};
 use crate::lit::{LBool, Lit, Var};
+use crate::order::OrderTheory;
 use crate::stats::SolverStats;
 use decide::VarOrder;
 
@@ -28,6 +28,24 @@ pub(crate) struct Clause {
     pub(crate) learnt: bool,
     pub(crate) deleted: bool,
 }
+
+/// Why a literal is assigned: the one way conflict analysis learns what
+/// implied it ([`Solver::reason_lits`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Reason {
+    /// A decision, an assumption or a learnt unit.
+    None,
+    /// The clause that became unit; the literal it implied is its first.
+    Clause(ClauseRef),
+    /// The order-axiom instance the theory applied when this trigger
+    /// literal was assigned; [`OrderTheory::explain`] rebuilds it.
+    Order(Lit),
+}
+
+/// A falsified constraint, given as the reason that implies a literal
+/// which is already false: a clause (all of whose literals are false), or
+/// an order-axiom instance with its implied literal.
+pub(crate) type Conflict = (Reason, Lit);
 
 /// A watcher entry: the clause plus a *blocker* literal whose truth lets the
 /// propagator skip the clause without touching its memory.
@@ -57,7 +75,7 @@ pub struct Solver {
     // Assignment trail.
     pub(crate) assigns: Vec<LBool>,
     pub(crate) polarity: Vec<bool>,
-    pub(crate) reason: Vec<Option<ClauseRef>>,
+    pub(crate) reason: Vec<Reason>,
     pub(crate) level: Vec<u32>,
     pub(crate) trail: Vec<Lit>,
     pub(crate) trail_lim: Vec<usize>,
@@ -76,6 +94,15 @@ pub struct Solver {
 
     // Analyze scratch space.
     pub(crate) seen: Vec<bool>,
+    /// Literals of the reason analysis is reading ([`Solver::reason_lits`]).
+    pub(crate) reason_buf: Vec<Lit>,
+
+    /// The order axioms over the registered order atoms, run inside
+    /// `propagate` after each literal's watches.
+    pub(crate) theory: OrderTheory,
+    /// The literals the order theory implied from the literal being
+    /// propagated.
+    pub(crate) theory_buf: Vec<Lit>,
 
     /// False once a top-level conflict has been derived: the formula is
     /// unsatisfiable regardless of assumptions.
@@ -90,20 +117,15 @@ pub struct Solver {
     /// many short-lived solvers run back to back (shard-local entity
     /// resolutions), so the pool keeps them alive across instances.
     pub(crate) spare_lits: Vec<Vec<Lit>>,
-
-    /// Reused clause buffer of the lazy-axiom loop
-    /// ([`Solver::solve_lazy_with_assumptions`]).
-    lazy_buf: ClauseBuffer,
 }
 
 /// Recycled allocation capacity of a torn-down [`Solver`]: every buffer is
-/// logically empty but keeps its heap reservation, so the next
-/// [`Solver::from_cnf_with_scratch`] loads a formula of similar size with
-/// near-zero allocator traffic. Obtained from [`Solver::into_scratch`];
-/// behaviourally inert — a solver built from scratch capacity is
-/// state-identical to one built by [`Solver::from_cnf`] (capacities never
-/// influence search), which is what keeps pooled and unpooled resolutions
-/// outcome-equal.
+/// logically empty but keeps its heap reservation, so the next solver
+/// built with [`Solver::from_scratch`] loads a formula of similar size
+/// with near-zero allocator traffic. Obtained from [`Solver::into_scratch`];
+/// behaviourally inert — [`Solver::from_scratch`] is state-identical to
+/// [`Solver::new`] (capacities never influence search), which is what
+/// keeps pooled and unpooled resolutions outcome-equal.
 pub struct SolverScratch {
     solver: Solver,
 }
@@ -156,11 +178,13 @@ impl Solver {
             cla_decay: 0.999,
             max_learnts: 0.0,
             seen: Vec::new(),
+            reason_buf: Vec::new(),
+            theory: OrderTheory::default(),
+            theory_buf: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
             spare_lits: Vec::new(),
-            lazy_buf: ClauseBuffer::new(),
         }
     }
 
@@ -171,18 +195,18 @@ impl Solver {
         s
     }
 
-    /// [`Solver::from_cnf`] reusing the recycled buffers of a previous
-    /// solver (see [`SolverScratch`]). State-identical to `from_cnf`.
-    pub fn from_cnf_with_scratch(cnf: &Cnf, scratch: SolverScratch) -> Self {
-        let mut s = scratch.solver;
-        s.extend_from_cnf(cnf, 0);
-        s
+    /// An empty solver on the recycled buffers of a previous one (see
+    /// [`SolverScratch`]): state-identical to [`Solver::new`]. Register its
+    /// order domains, then load the formula with
+    /// [`Solver::extend_from_cnf`].
+    pub fn from_scratch(scratch: SolverScratch) -> Self {
+        scratch.solver
     }
 
     /// Tears the solver down to recyclable allocation capacity: all state
     /// is reset exactly as [`Solver::new`] leaves it, but every buffer —
     /// including the per-clause literal `Vec`s of the arena — keeps its
-    /// heap reservation for the next [`Solver::from_cnf_with_scratch`].
+    /// heap reservation for the next [`Solver::from_scratch`].
     pub fn into_scratch(mut self) -> SolverScratch {
         // Harvest clause literal buffers (original and learnt alike).
         let mut spare = std::mem::take(&mut self.spare_lits);
@@ -215,6 +239,7 @@ impl Solver {
         self.cla_inc = 1.0;
         self.max_learnts = 0.0;
         self.seen.clear();
+        self.theory = OrderTheory::default();
         self.ok = true;
         self.model.clear();
         self.stats = SolverStats::default();
@@ -240,6 +265,28 @@ impl Solver {
             self.add_clause(clause.iter().copied());
         }
         self.ok
+    }
+
+    /// Registers order domain `domain`: `n` values whose atom `lo ≺ hi`
+    /// is `var(lo, hi)` for every `lo ≠ hi`. From then on propagation
+    /// applies the asymmetry, totality and transitivity axioms over these
+    /// atoms (see [`crate::order`]), and every model satisfies them.
+    ///
+    /// Call it at decision level zero (between solves), before any clause
+    /// that can assign the domain's atoms: [`Solver::add_clause`]
+    /// propagates root units at once. Registering the domain again with
+    /// more values grows it; the new atoms must still be unassigned.
+    pub fn register_order_domain(
+        &mut self,
+        domain: u32,
+        n: usize,
+        var: impl Fn(usize, usize) -> Var,
+    ) {
+        debug_assert_eq!(self.decision_level(), 0);
+        let num_vars = self.theory.register_domain(domain, n, var, &self.assigns);
+        while (self.num_vars() as usize) < num_vars {
+            self.new_var();
+        }
     }
 
     /// Root-level value of `v`: `Some(b)` iff the variable is already fixed
@@ -275,7 +322,7 @@ impl Solver {
         let v = Var(self.assigns.len() as u32);
         self.assigns.push(LBool::Undef);
         self.polarity.push(false);
-        self.reason.push(None);
+        self.reason.push(Reason::None);
         self.level.push(0);
         self.activity.push(0.0);
         // Recycled solvers keep their (cleared) watcher slots; only grow
@@ -371,7 +418,7 @@ impl Solver {
             1 => {
                 let unit = clause[0];
                 self.return_spare_lits(clause);
-                self.unchecked_enqueue(unit, None);
+                self.unchecked_enqueue(unit, Reason::None);
                 // Propagate eagerly so later add_clause calls see the
                 // consequences.
                 if self.propagate().is_some() {
@@ -434,8 +481,8 @@ impl Solver {
         self.clauses[cref as usize].deleted = true;
     }
 
-    /// Asserts `lit` with the given reason clause, pushing it on the trail.
-    pub(crate) fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
+    /// Asserts `lit` with the given reason, pushing it on the trail.
+    pub(crate) fn unchecked_enqueue(&mut self, lit: Lit, reason: Reason) {
         debug_assert_eq!(self.value_lit(lit), LBool::Undef);
         let v = lit.var();
         self.assigns[v.index()] = LBool::from_bool(lit.is_positive());
@@ -449,6 +496,19 @@ impl Solver {
         self.trail_lim.push(self.trail.len());
     }
 
+    /// Writes the literals of `reason` into `out` (cleared first), the
+    /// literal it implies first: a clause is copied from the arena, an
+    /// order-axiom instance is rebuilt from its trigger. `implied` is the
+    /// implied literal (for a clause, its first literal anyway).
+    pub(crate) fn reason_lits(&self, reason: Reason, implied: Lit, out: &mut Vec<Lit>) {
+        out.clear();
+        match reason {
+            Reason::None => {}
+            Reason::Clause(cref) => out.extend_from_slice(&self.clauses[cref as usize].lits),
+            Reason::Order(trigger) => self.theory.explain(implied, trigger, out),
+        }
+    }
+
     /// Backtracks to `target` decision level, unassigning and saving phases.
     pub(crate) fn cancel_until(&mut self, target: u32) {
         if self.decision_level() <= target {
@@ -460,8 +520,9 @@ impl Solver {
             let v = lit.var();
             self.polarity[v.index()] = lit.is_positive();
             self.assigns[v.index()] = LBool::Undef;
-            self.reason[v.index()] = None;
+            self.reason[v.index()] = Reason::None;
             self.order.insert(v, &self.activity);
+            self.theory.on_unassign(lit);
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(target as usize);
@@ -505,46 +566,6 @@ impl Solver {
         result
     }
 
-    /// [`Solver::solve_lazy_with_assumptions`] with no assumptions.
-    pub fn solve_lazy(&mut self, source: &mut dyn LazyAxiomSource) -> SolveResult {
-        self.solve_lazy_with_assumptions(&[], source)
-    }
-
-    /// Solves under lazily instantiated axioms: the counterexample-guided
-    /// loop of the [`lazy`](crate::lazy) module. Each satisfying candidate
-    /// model is shown to `source`; the axiom clauses it returns are added
-    /// (as permanent problem clauses) and the solve repeats, until the model
-    /// satisfies the full theory or the formula becomes unsatisfiable.
-    ///
-    /// `Unsat` is sound because injected clauses are theory-valid; `Sat` is
-    /// exact because the final model provoked no further instantiation.
-    /// Injected clauses persist, so later calls (with any assumptions)
-    /// converge faster — `NaiveDeduce`'s probe loop relies on this.
-    pub fn solve_lazy_with_assumptions(
-        &mut self,
-        assumptions: &[Lit],
-        source: &mut dyn LazyAxiomSource,
-    ) -> SolveResult {
-        // The buffer is moved out and back so clauses can be added to
-        // `self` while it is read.
-        let mut clauses = std::mem::take(&mut self.lazy_buf);
-        let result = loop {
-            if self.solve_with_assumptions(assumptions) == SolveResult::Unsat {
-                break SolveResult::Unsat;
-            }
-            clauses.clear();
-            source.instantiate(Assignment::Lifted(&self.model), &mut clauses);
-            if clauses.is_empty() {
-                break SolveResult::Sat;
-            }
-            for clause in clauses.iter() {
-                self.add_clause(clause.iter().copied());
-            }
-        };
-        self.lazy_buf = clauses;
-        result
-    }
-
     /// Runs CDCL search until a result is known or `conflict_budget`
     /// conflicts have occurred (then returns `None` to signal a restart).
     fn search(&mut self, conflict_budget: u64, assumptions: &[Lit]) -> Option<SolveResult> {
@@ -560,12 +581,12 @@ impl Solver {
                 let (learnt, bt_level) = self.analyze(confl);
                 self.cancel_until(bt_level);
                 match learnt.len() {
-                    1 => self.unchecked_enqueue(learnt[0], None),
+                    1 => self.unchecked_enqueue(learnt[0], Reason::None),
                     _ => {
                         let asserting = learnt[0];
                         let cref = self.attach_new_clause(learnt, true);
                         self.bump_clause_activity(cref);
-                        self.unchecked_enqueue(asserting, Some(cref));
+                        self.unchecked_enqueue(asserting, Reason::Clause(cref));
                     }
                 }
                 self.decay_var_activity();
@@ -587,7 +608,7 @@ impl Solver {
                         LBool::False => return Some(SolveResult::Unsat),
                         LBool::Undef => {
                             self.new_decision_level();
-                            self.unchecked_enqueue(a, None);
+                            self.unchecked_enqueue(a, Reason::None);
                         }
                     }
                 } else {
@@ -596,7 +617,7 @@ impl Solver {
                         Some(lit) => {
                             self.stats.decisions += 1;
                             self.new_decision_level();
-                            self.unchecked_enqueue(lit, None);
+                            self.unchecked_enqueue(lit, Reason::None);
                         }
                     }
                 }
@@ -805,7 +826,8 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats().conflicts > 0, "the refutation needs search");
         cnf.retain_clauses(|idx| idx < at_least_one);
-        let mut s = Solver::from_cnf_with_scratch(&cnf, s.into_scratch());
+        let mut s = Solver::from_scratch(s.into_scratch());
+        s.extend_from_cnf(&cnf, 0);
         let all_first: Vec<Lit> = p.iter().map(|row| row[0].positive()).collect();
         assert_eq!(s.solve_with_assumptions(&all_first), SolveResult::Sat);
     }

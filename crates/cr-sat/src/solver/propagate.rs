@@ -1,16 +1,22 @@
-//! Two-watched-literal Boolean constraint propagation.
+//! Two-watched-literal Boolean constraint propagation, then the order
+//! theory.
 
-use super::{ClauseRef, Solver, Watcher};
+use super::{Conflict, Reason, Solver, Watcher};
 use crate::lit::LBool;
 
 impl Solver {
-    /// Propagates all enqueued facts. Returns the conflicting clause if a
-    /// clause became empty, `None` when a fixpoint is reached.
+    /// Propagates all enqueued facts. Returns the falsified constraint if a
+    /// clause became empty or the order theory implied a false literal,
+    /// `None` when a fixpoint is reached.
+    ///
+    /// Each literal taken from the trail first visits its watches, then
+    /// the order theory (see [`crate::order`]), which enqueues what the
+    /// order axioms imply with the trigger literal as their reason.
     ///
     /// Invariant maintained: for every alive clause, `lits[0]` and `lits[1]`
     /// are its watched literals and appear in the watcher lists of those
     /// literals.
-    pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
+    pub(crate) fn propagate(&mut self) -> Option<Conflict> {
         let mut conflict = None;
         while conflict.is_none() && self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -70,13 +76,32 @@ impl Solver {
                         idx += 1;
                     }
                     self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
+                    conflict = Some((Reason::Clause(w.cref), first));
                 } else {
-                    self.unchecked_enqueue(first, Some(w.cref));
+                    self.unchecked_enqueue(first, Reason::Clause(w.cref));
                 }
             }
             watchers.truncate(keep);
             self.watches[false_lit.index()] = watchers;
+            if conflict.is_some() {
+                break;
+            }
+
+            let mut implied = std::mem::take(&mut self.theory_buf);
+            self.theory.on_assign(p, &self.assigns, &mut implied);
+            for &lit in &implied {
+                match self.value_lit(lit) {
+                    LBool::True => {}
+                    LBool::Undef => self.unchecked_enqueue(lit, Reason::Order(p)),
+                    LBool::False => {
+                        self.qhead = self.trail.len();
+                        conflict = Some((Reason::Order(p), lit));
+                        break;
+                    }
+                }
+            }
+            implied.clear();
+            self.theory_buf = implied;
         }
         conflict
     }
@@ -85,7 +110,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use crate::lit::LBool;
-    use crate::solver::Solver;
+    use crate::solver::{Reason, Solver};
 
     #[test]
     fn propagation_derives_unit_chain() {
@@ -122,10 +147,10 @@ mod tests {
         s.add_clause([a.positive(), b.positive(), c.positive()]);
         // Kill the first two watched literals one at a time.
         s.new_decision_level();
-        s.unchecked_enqueue(a.negative(), None);
+        s.unchecked_enqueue(a.negative(), Reason::None);
         assert!(s.propagate().is_none());
         s.new_decision_level();
-        s.unchecked_enqueue(b.negative(), None);
+        s.unchecked_enqueue(b.negative(), Reason::None);
         assert!(s.propagate().is_none());
         // Clause is now unit: c must have been enqueued true.
         assert_eq!(s.value(c), LBool::True);

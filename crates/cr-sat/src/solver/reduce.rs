@@ -1,6 +1,6 @@
 //! Learnt-clause database reduction.
 
-use super::{ClauseRef, Solver};
+use super::{ClauseRef, Reason, Solver};
 use crate::lit::LBool;
 
 const CLA_RESCALE_LIMIT: f32 = 1e20;
@@ -31,7 +31,8 @@ impl Solver {
     /// therefore must not be deleted.
     fn locked(&self, cref: ClauseRef) -> bool {
         let first = self.clauses[cref as usize].lits[0];
-        self.value_lit(first) == LBool::True && self.reason[first.var().index()] == Some(cref)
+        self.value_lit(first) == LBool::True
+            && self.reason[first.var().index()] == Reason::Clause(cref)
     }
 
     /// Deletes the least active half of the learnt clauses (keeping binary

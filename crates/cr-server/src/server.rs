@@ -347,6 +347,9 @@ impl<B: StorageBackend> Server<B> {
                     return Ok(Response::TrueValues { values: Vec::new() });
                 }
                 pd.enter_phase().map_err(deadline_err)?;
+                // Cannot fire: `is_valid` just returned true on this same
+                // session, and unit propagation or the solver probes only
+                // fail on an invalid specification.
                 let od = session
                     .deduce(*method)
                     .expect("valid specifications always deduce");
@@ -366,6 +369,9 @@ impl<B: StorageBackend> Server<B> {
                     });
                 }
                 pd.enter_phase().map_err(deadline_err)?;
+                // Cannot fire: `is_valid` just returned true on this same
+                // session, and unit propagation or the solver probes only
+                // fail on an invalid specification.
                 let od = session
                     .deduce(*method)
                     .expect("valid specifications always deduce");

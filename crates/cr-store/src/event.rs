@@ -445,19 +445,26 @@ impl LogRecord {
     /// (`[version][tag][body]`).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
+        self.encode_into(&mut e);
+        e.into_bytes()
+    }
+
+    /// [`LogRecord::encode`] appending to `e`, so a writer can reuse one
+    /// buffer across records.
+    pub fn encode_into(&self, e: &mut Enc) {
         e.put_u8(FORMAT_VERSION);
         match self {
             LogRecord::Input(input) => {
                 e.put_u8(TAG_INPUT);
-                encode_input(&mut e, input);
+                encode_input(e, input);
             }
             LogRecord::Causal(ev) => {
                 e.put_u8(TAG_CAUSAL);
-                encode_causal(&mut e, ev);
+                encode_causal(e, ev);
             }
             LogRecord::Revision(rev) => {
                 e.put_u8(TAG_REVISION);
-                encode_revision(&mut e, rev);
+                encode_revision(e, rev);
             }
             LogRecord::BatchMark { epoch, events } => {
                 e.put_u8(TAG_BATCH);
@@ -467,10 +474,9 @@ impl LogRecord {
             LogRecord::Snapshot(snap) => {
                 e.put_u8(TAG_SNAPSHOT);
                 e.put_varint(snap.events_covered);
-                encode_session_state(&mut e, &snap.state);
+                encode_session_state(e, &snap.state);
             }
         }
-        e.into_bytes()
     }
 
     /// Decodes one frame payload. Rejects unknown versions and tags, short

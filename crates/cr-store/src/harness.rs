@@ -152,12 +152,11 @@ struct Scratch(Option<(ValuePairs, TrueValues)>);
 
 impl Scratch {
     fn of(mirror: &SpecMirror) -> Result<Self, String> {
-        let mut scratch = EncodedSpec::encode(&mirror.materialise());
-        if !is_valid_encoded(&mut scratch).valid {
+        let scratch = EncodedSpec::encode(&mirror.materialise());
+        if !is_valid_encoded(&scratch).valid {
             return Ok(Scratch(None));
         }
-        let od =
-            deduce_order(&mut scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
+        let od = deduce_order(&scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
         Ok(Scratch(Some((
             value_pairs(&scratch, &od),
             true_values_from_orders(&scratch, &od),

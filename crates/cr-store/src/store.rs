@@ -19,7 +19,7 @@ use cr_core::causal::CausalRevision;
 use cr_core::ingest::{BatchReport, ResolutionSession, Revision, RevisionPolicy};
 use cr_core::spec::{Specification, UserInput};
 use cr_core::ResolutionConfig;
-use cr_types::codec::{write_frame, CodecError};
+use cr_types::codec::{write_frame, CodecError, Enc};
 use cr_types::AttrId;
 
 use crate::backend::{SessionId, StorageBackend};
@@ -215,6 +215,16 @@ pub struct SessionStore<B: StorageBackend> {
     entries: BTreeMap<u64, Entry>,
     clock: u64,
     recovery: RecoveryTelemetry,
+    /// The buffers every appended record is encoded and framed in.
+    bufs: FrameBufs,
+}
+
+/// A record's payload and its frame, kept across appends so an append
+/// allocates nothing once they have grown to the largest record.
+#[derive(Default)]
+struct FrameBufs {
+    payload: Enc,
+    frame: Vec<u8>,
 }
 
 impl<B: StorageBackend> SessionStore<B> {
@@ -230,6 +240,7 @@ impl<B: StorageBackend> SessionStore<B> {
             entries: BTreeMap::new(),
             clock: 0,
             recovery: RecoveryTelemetry::default(),
+            bufs: FrameBufs::default(),
         })
     }
 
@@ -412,6 +423,8 @@ impl<B: StorageBackend> SessionStore<B> {
             touched.append(&LogRecord::Causal(ev.clone()))?;
         }
         touched.sync()?;
+        // Cannot fire: `touch` set the store's policy, and
+        // `SessionStore::new` refuses `Reject`, the only policy that errs.
         let effective = touched
             .live
             .ingest_causal(events)
@@ -444,6 +457,8 @@ impl<B: StorageBackend> SessionStore<B> {
             touched.append(&LogRecord::Revision(rev.clone()))?;
         }
         touched.sync()?;
+        // Cannot fire: `touch` set the store's policy, and
+        // `SessionStore::new` refuses `Reject`, the only policy that errs.
         let (report, applied) = touched
             .live
             .absorb_revision_batch(revs)
@@ -485,6 +500,7 @@ impl<B: StorageBackend> SessionStore<B> {
             entries,
             clock,
             recovery,
+            bufs,
         } = self;
         let entry = entries
             .get_mut(&id.0)
@@ -493,7 +509,7 @@ impl<B: StorageBackend> SessionStore<B> {
             return Err(e.clone());
         }
         *clock += 1;
-        let session = match entry.live.take() {
+        let mut session = match entry.live.take() {
             Some(session) => session,
             None => {
                 let session = rehydrate(backend, recovery, config.policy, id, entry)?;
@@ -501,6 +517,9 @@ impl<B: StorageBackend> SessionStore<B> {
                 session
             }
         };
+        // Whatever a caller set through `SessionStore::session`, every
+        // session the store hands out runs under the store's policy.
+        session.set_revision_policy(config.policy);
         // Found above; the cold path's eviction borrowed the map since.
         let entry = entries
             .get_mut(&id.0)
@@ -515,6 +534,7 @@ impl<B: StorageBackend> SessionStore<B> {
         Ok(Touched {
             id,
             backend,
+            bufs,
             snapshot_every: config.snapshot_every,
             live: live.insert(session),
             events_total,
@@ -528,6 +548,7 @@ impl<B: StorageBackend> SessionStore<B> {
 struct Touched<'a, B: StorageBackend> {
     id: SessionId,
     backend: &'a mut B,
+    bufs: &'a mut FrameBufs,
     snapshot_every: usize,
     live: &'a mut ResolutionSession,
     events_total: &'a mut u64,
@@ -537,9 +558,12 @@ struct Touched<'a, B: StorageBackend> {
 impl<B: StorageBackend> Touched<'_, B> {
     /// Appends one framed record to the session's log, unsynced.
     fn append(&mut self, record: &LogRecord) -> Result<(), StoreError> {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &record.encode());
-        self.backend.append(self.id, &frame)
+        let FrameBufs { payload, frame } = &mut *self.bufs;
+        payload.clear();
+        record.encode_into(payload);
+        frame.clear();
+        write_frame(frame, payload.as_bytes());
+        self.backend.append(self.id, frame)
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
@@ -660,14 +684,7 @@ fn rehydrate<B: StorageBackend>(
     let mut total = 0u64;
     let mut failed = None;
     for (i, step) in plan.steps.into_iter().enumerate() {
-        if let ReplayStep::Snapshot(_) = step {
-            if i < start {
-                continue;
-            }
-            // A snapshot past the restore point still resets cadence.
-            since_snapshot = 0;
-            continue;
-        }
+        // A snapshot counts no event.
         let count = step.event_count();
         total += count as u64;
         if i < start {
@@ -676,6 +693,8 @@ fn rehydrate<B: StorageBackend>(
         since_snapshot += count;
         replayed += count as u64;
         match step {
+            // A snapshot past the restore point still resets cadence.
+            ReplayStep::Snapshot(_) => since_snapshot = 0,
             ReplayStep::Input(input) => {
                 if let Err(e) = check_input(base, &input) {
                     failed = Some(e);
@@ -683,17 +702,19 @@ fn rehydrate<B: StorageBackend>(
                 }
                 session.apply_input(&input);
             }
+            // Cannot fire: `policy` is the store's, set above, and
+            // `SessionStore::new` refuses `Reject`, the only policy that errs.
             ReplayStep::CausalBatch(batch) => {
                 session
                     .ingest_causal(batch)
                     .expect("store policy is never Reject");
             }
+            // Cannot fire, as above: the policy is never `Reject`.
             ReplayStep::RevisionBatch(batch) => {
                 session
                     .absorb_revision_batch(&batch)
                     .expect("store policy is never Reject");
             }
-            ReplayStep::Snapshot(_) => unreachable!("handled above"),
         }
     }
 

@@ -214,7 +214,11 @@ pub struct SourceClock {
 impl SourceClock {
     /// A fresh clock for `source`.
     pub fn new(source: SourceId) -> Self {
-        SourceClock { source, hlc: Hlc::default(), vclock: VectorClock::new() }
+        SourceClock {
+            source,
+            hlc: Hlc::default(),
+            vclock: VectorClock::new(),
+        }
     }
 
     /// The source this clock stamps for.
@@ -242,7 +246,11 @@ impl SourceClock {
             Hlc::new(self.hlc.physical, self.hlc.logical + 1)
         };
         self.vclock.bump(self.source);
-        CausalStamp { source: self.source, hlc: self.hlc, vclock: self.vclock.clone() }
+        CausalStamp {
+            source: self.source,
+            hlc: self.hlc,
+            vclock: self.vclock.clone(),
+        }
     }
 }
 

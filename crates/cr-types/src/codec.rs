@@ -88,7 +88,10 @@ impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CodecError::Truncated { needed, remaining } => {
-                write!(f, "input truncated: needed {needed} bytes, {remaining} remain")
+                write!(
+                    f,
+                    "input truncated: needed {needed} bytes, {remaining} remain"
+                )
             }
             CodecError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag:#04x}"),
             CodecError::UnsupportedVersion { what, version } => {
@@ -123,7 +126,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -167,6 +174,11 @@ impl Enc {
     /// Consumes the encoder, returning the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Empties the encoder, keeping its allocation for the next bytes.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Appends one byte.
@@ -245,13 +257,18 @@ impl<'a> Dec<'a> {
         if self.is_empty() {
             Ok(())
         } else {
-            Err(CodecError::TrailingBytes { remaining: self.remaining() })
+            Err(CodecError::TrailingBytes {
+                remaining: self.remaining(),
+            })
         }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
-            return Err(CodecError::Truncated { needed: n, remaining: self.remaining() });
+            return Err(CodecError::Truncated {
+                needed: n,
+                remaining: self.remaining(),
+            });
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -272,7 +289,9 @@ impl<'a> Dec<'a> {
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        Ok(u64::from_le_bytes([
+            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+        ]))
     }
 
     /// Reads a LEB128 varint (max 10 bytes).
@@ -351,7 +370,11 @@ pub struct FrameScanner<'a> {
 impl<'a> FrameScanner<'a> {
     /// A scanner over the raw log bytes.
     pub fn new(buf: &'a [u8]) -> Self {
-        FrameScanner { buf, pos: 0, frames: 0 }
+        FrameScanner {
+            buf,
+            pos: 0,
+            frames: 0,
+        }
     }
 
     /// The next intact frame payload, `Ok(None)` at clean end-of-log, or a
@@ -364,7 +387,10 @@ impl<'a> FrameScanner<'a> {
             return Ok(None);
         }
         if rest.len() < 4 {
-            return Err(CodecError::Truncated { needed: 4, remaining: rest.len() });
+            return Err(CodecError::Truncated {
+                needed: 4,
+                remaining: rest.len(),
+            });
         }
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
         if len > MAX_FRAME_LEN {
@@ -372,7 +398,10 @@ impl<'a> FrameScanner<'a> {
         }
         let total = 4 + len + 4;
         if rest.len() < total {
-            return Err(CodecError::Truncated { needed: total, remaining: rest.len() });
+            return Err(CodecError::Truncated {
+                needed: total,
+                remaining: rest.len(),
+            });
         }
         let payload = &rest[4..4 + len];
         let stored =
@@ -407,7 +436,9 @@ pub fn put_attr(e: &mut Enc, attr: AttrId) {
 
 /// Decodes an [`AttrId`]; a varint past `u16` is [`CodecError::BadVarint`].
 pub fn get_attr(d: &mut Dec<'_>) -> Result<AttrId, CodecError> {
-    u16::try_from(d.varint()?).map(AttrId).map_err(|_| CodecError::BadVarint)
+    u16::try_from(d.varint()?)
+        .map(AttrId)
+        .map_err(|_| CodecError::BadVarint)
 }
 
 /// Encodes a [`TupleId`].
@@ -417,7 +448,9 @@ pub fn put_tuple(e: &mut Enc, t: TupleId) {
 
 /// Decodes a [`TupleId`]; a varint past `u32` is [`CodecError::BadVarint`].
 pub fn get_tuple(d: &mut Dec<'_>) -> Result<TupleId, CodecError> {
-    u32::try_from(d.varint()?).map(TupleId).map_err(|_| CodecError::BadVarint)
+    u32::try_from(d.varint()?)
+        .map(TupleId)
+        .map_err(|_| CodecError::BadVarint)
 }
 
 /// Decodes a count or index written with [`Enc::put_varint`].
@@ -455,7 +488,9 @@ pub fn decode_value(d: &mut Dec<'_>) -> Result<Value, CodecError> {
         1 => Ok(Value::Int(d.i64()?)),
         2 => {
             let f = f64::from_bits(d.u64()?);
-            OrderedF64::new(f).map(Value::Float).ok_or(CodecError::BadFloat)
+            OrderedF64::new(f)
+                .map(Value::Float)
+                .ok_or(CodecError::BadFloat)
         }
         3 => Ok(Value::str(d.str()?)),
         tag => Err(CodecError::BadTag { what: "Value", tag }),
@@ -482,7 +517,9 @@ pub fn encode_source(e: &mut Enc, s: SourceId) {
 
 /// Decodes a [`SourceId`].
 pub fn decode_source(d: &mut Dec<'_>) -> Result<SourceId, CodecError> {
-    Ok(SourceId(u32::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?))
+    Ok(SourceId(
+        u32::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?,
+    ))
 }
 
 /// Encodes a [`VectorClock`] as `count` + `(source, seq)` pairs. Zero
@@ -523,7 +560,11 @@ pub fn decode_stamp(d: &mut Dec<'_>) -> Result<CausalStamp, CodecError> {
     let source = decode_source(d)?;
     let hlc = decode_hlc(d)?;
     let vclock = decode_vclock(d)?;
-    Ok(CausalStamp { source, hlc, vclock })
+    Ok(CausalStamp {
+        source,
+        hlc,
+        vclock,
+    })
 }
 
 #[cfg(test)]
@@ -609,7 +650,10 @@ mod tests {
         e.put_u8(2);
         e.put_u64(f64::NAN.to_bits());
         let bytes = e.into_bytes();
-        assert_eq!(decode_value(&mut Dec::new(&bytes)), Err(CodecError::BadFloat));
+        assert_eq!(
+            decode_value(&mut Dec::new(&bytes)),
+            Err(CodecError::BadFloat)
+        );
     }
 
     #[test]

@@ -116,7 +116,11 @@ mod tests {
             schema,
             vec![
                 Tuple::of([Value::str("Shain, Edith"), Value::int(3), Value::Null]),
-                Tuple::of([Value::str("quote\"d"), Value::float(1.5), Value::str("multi\nline")]),
+                Tuple::of([
+                    Value::str("quote\"d"),
+                    Value::float(1.5),
+                    Value::str("multi\nline"),
+                ]),
             ],
         )
         .unwrap();
@@ -127,10 +131,22 @@ mod tests {
         let csv = csv.replace("multi\nline", "multi line");
         let back = read_entity("p", &csv).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(back.tuple(crate::TupleId(0)).get(crate::AttrId(0)), &Value::str("Shain, Edith"));
-        assert_eq!(back.tuple(crate::TupleId(0)).get(crate::AttrId(1)), &Value::int(3));
-        assert!(back.tuple(crate::TupleId(0)).get(crate::AttrId(2)).is_null());
-        assert_eq!(back.tuple(crate::TupleId(1)).get(crate::AttrId(0)), &Value::str("quote\"d"));
+        assert_eq!(
+            back.tuple(crate::TupleId(0)).get(crate::AttrId(0)),
+            &Value::str("Shain, Edith")
+        );
+        assert_eq!(
+            back.tuple(crate::TupleId(0)).get(crate::AttrId(1)),
+            &Value::int(3)
+        );
+        assert!(back
+            .tuple(crate::TupleId(0))
+            .get(crate::AttrId(2))
+            .is_null());
+        assert_eq!(
+            back.tuple(crate::TupleId(1)).get(crate::AttrId(0)),
+            &Value::str("quote\"d")
+        );
     }
 
     #[test]

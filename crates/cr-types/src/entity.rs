@@ -338,7 +338,12 @@ impl EntityInstance {
 
 impl fmt::Debug for EntityInstance {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "EntityInstance over {} ({} tuples):", self.schema, self.tuples.len())?;
+        writeln!(
+            f,
+            "EntityInstance over {} ({} tuples):",
+            self.schema,
+            self.tuples.len()
+        )?;
         for (id, t) in self.iter() {
             writeln!(f, "  r{}: {}", id.0, t.display(&self.schema))?;
         }
@@ -384,7 +389,11 @@ mod tests {
     fn push_appends_with_fresh_id() {
         let mut e = instance();
         let id = e
-            .push(Tuple::of([Value::str("Edith"), Value::str("deceased"), Value::int(3)]))
+            .push(Tuple::of([
+                Value::str("Edith"),
+                Value::str("deceased"),
+                Value::int(3),
+            ]))
             .unwrap();
         assert_eq!(id, TupleId(3));
         assert_eq!(e.len(), 4);
@@ -426,17 +435,26 @@ mod tests {
         table.intern(&Value::str("shared"));
         let mut e = EntityInstance::with_table(
             schema,
-            vec![Tuple::of([Value::str("shared")]), Tuple::of([Value::int(2)])],
+            vec![
+                Tuple::of([Value::str("shared")]),
+                Tuple::of([Value::int(2)]),
+            ],
             &table,
         )
         .unwrap();
         // A value missing from the table still round-trips fine.
-        assert_eq!(e.dense_value(e.dense_id(TupleId(1), AttrId(0))), &Value::int(2));
+        assert_eq!(
+            e.dense_value(e.dense_id(TupleId(1), AttrId(0))),
+            &Value::int(2)
+        );
         // Pushing a repeat of an existing value reuses its id.
         let before = e.dense_id_bound();
         e.push(Tuple::of([Value::int(2)])).unwrap();
         assert_eq!(e.dense_id_bound(), before);
-        assert_eq!(e.dense_id(TupleId(2), AttrId(0)), e.dense_id(TupleId(1), AttrId(0)));
+        assert_eq!(
+            e.dense_id(TupleId(2), AttrId(0)),
+            e.dense_id(TupleId(1), AttrId(0))
+        );
         // A genuinely new pushed value gets a fresh id.
         e.push(Tuple::of([Value::int(3)])).unwrap();
         assert_eq!(e.dense_id_bound(), before + 1);

@@ -34,7 +34,10 @@ impl fmt::Display for TypesError {
             TypesError::TooManyAttributes(n) => write!(f, "schema has {n} attributes (max 65535)"),
             TypesError::UnknownAttribute(a) => write!(f, "unknown attribute `{a}`"),
             TypesError::ArityMismatch { expected, got } => {
-                write!(f, "tuple arity mismatch: schema has {expected} attributes, got {got}")
+                write!(
+                    f,
+                    "tuple arity mismatch: schema has {expected} attributes, got {got}"
+                )
             }
             TypesError::SchemaMismatch => write!(f, "tuples belong to different schemas"),
             TypesError::Csv(msg) => write!(f, "csv error: {msg}"),

@@ -188,7 +188,9 @@ pub struct AttrValueSpace {
 impl AttrValueSpace {
     /// Builds an empty space for a schema with `arity` attributes.
     pub fn new(arity: usize) -> Self {
-        AttrValueSpace { per_attr: vec![ValueInterner::new(); arity] }
+        AttrValueSpace {
+            per_attr: vec![ValueInterner::new(); arity],
+        }
     }
 
     /// The interner for `attr`.

@@ -22,7 +22,6 @@ pub mod wire;
 
 pub use causal::{CausalStamp, Epoch, Hlc, SourceClock, SourceId, VectorClock};
 pub use codec::{CodecError, Dec, Enc, FrameScanner};
-pub use wire::{Envelope, IdemKey, RequestId, TenantId};
 pub use entity::{EntityInstance, TupleId, NO_GLOBAL_VALUE};
 pub use error::TypesError;
 pub use interner::{
@@ -31,3 +30,4 @@ pub use interner::{
 pub use schema::{AttrId, Attribute, Schema};
 pub use tuple::Tuple;
 pub use value::Value;
+pub use wire::{Envelope, IdemKey, RequestId, TenantId};

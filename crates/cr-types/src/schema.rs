@@ -54,7 +54,10 @@ impl Schema {
         name: impl Into<String>,
         attrs: I,
     ) -> Result<Arc<Self>, TypesError> {
-        let attrs: Vec<Attribute> = attrs.into_iter().map(|a| Attribute::new(a.into())).collect();
+        let attrs: Vec<Attribute> = attrs
+            .into_iter()
+            .map(|a| Attribute::new(a.into()))
+            .collect();
         if attrs.is_empty() {
             return Err(TypesError::EmptySchema);
         }
@@ -66,7 +69,10 @@ impl Schema {
         if attrs.len() > u16::MAX as usize {
             return Err(TypesError::TooManyAttributes(attrs.len()));
         }
-        Ok(Arc::new(Schema { name: name.into(), attrs }))
+        Ok(Arc::new(Schema {
+            name: name.into(),
+            attrs,
+        }))
     }
 
     /// The relation name.

@@ -26,13 +26,17 @@ impl Tuple {
                 got: values.len(),
             });
         }
-        Ok(Tuple { values: values.into_boxed_slice() })
+        Ok(Tuple {
+            values: values.into_boxed_slice(),
+        })
     }
 
     /// Builds a tuple without a schema check (for internal generators that
     /// construct values positionally from the same schema).
     pub fn from_values(values: Vec<Value>) -> Self {
-        Tuple { values: values.into_boxed_slice() }
+        Tuple {
+            values: values.into_boxed_slice(),
+        }
     }
 
     /// Convenience constructor from anything convertible to [`Value`].
@@ -68,7 +72,10 @@ impl Tuple {
     /// Renders the tuple with attribute names, e.g.
     /// `(status: retired, kids: 3)`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> TupleDisplay<'a> {
-        TupleDisplay { tuple: self, schema }
+        TupleDisplay {
+            tuple: self,
+            schema,
+        }
     }
 
     /// True iff the two tuples agree on every attribute in `attrs`.

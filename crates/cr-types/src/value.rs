@@ -66,7 +66,9 @@ impl PartialOrd for OrderedF64 {
 impl Ord for OrderedF64 {
     fn cmp(&self, other: &Self) -> Ordering {
         // Safe: NaN excluded by construction.
-        self.0.partial_cmp(&other.0).expect("OrderedF64 is never NaN")
+        self.0
+            .partial_cmp(&other.0)
+            .expect("OrderedF64 is never NaN")
     }
 }
 
@@ -142,7 +144,9 @@ impl Value {
         } else if let Ok(i) = t.parse::<i64>() {
             Value::Int(i)
         } else if let Ok(f) = t.parse::<f64>() {
-            OrderedF64::new(f).map(Value::Float).unwrap_or_else(|| Value::str(t))
+            OrderedF64::new(f)
+                .map(Value::Float)
+                .unwrap_or_else(|| Value::str(t))
         } else {
             Value::str(t)
         }
@@ -257,16 +261,34 @@ mod tests {
 
     #[test]
     fn null_is_bottom() {
-        assert_eq!(Value::Null.semantic_cmp(&Value::Null), Some(Ordering::Equal));
-        assert_eq!(Value::Null.semantic_cmp(&Value::int(0)), Some(Ordering::Less));
-        assert_eq!(Value::Null.semantic_cmp(&Value::str("a")), Some(Ordering::Less));
-        assert_eq!(Value::int(-5).semantic_cmp(&Value::Null), Some(Ordering::Greater));
+        assert_eq!(
+            Value::Null.semantic_cmp(&Value::Null),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(
+            Value::Null.semantic_cmp(&Value::int(0)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Null.semantic_cmp(&Value::str("a")),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::int(-5).semantic_cmp(&Value::Null),
+            Some(Ordering::Greater)
+        );
     }
 
     #[test]
     fn numeric_cross_type_comparisons() {
-        assert_eq!(Value::int(3).semantic_cmp(&Value::float(3.5)), Some(Ordering::Less));
-        assert_eq!(Value::float(4.0).semantic_cmp(&Value::int(4)), Some(Ordering::Equal));
+        assert_eq!(
+            Value::int(3).semantic_cmp(&Value::float(3.5)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::float(4.0).semantic_cmp(&Value::int(4)),
+            Some(Ordering::Equal)
+        );
         assert!(Value::int(4).semantic_eq(&Value::float(4.0)));
         assert!(!Value::int(4).semantic_eq(&Value::float(4.1)));
     }
@@ -306,7 +328,12 @@ mod tests {
 
     #[test]
     fn token_round_trip() {
-        for v in [Value::Null, Value::int(42), Value::float(2.5), Value::str("NY")] {
+        for v in [
+            Value::Null,
+            Value::int(42),
+            Value::float(2.5),
+            Value::str("NY"),
+        ] {
             assert_eq!(Value::parse_token(&v.to_token()), v);
         }
     }

@@ -96,12 +96,17 @@ fn get_opt_varint(d: &mut Dec<'_>, what: &'static str) -> Result<Option<u64>, Co
 /// Decodes an [`Envelope`] body.
 pub fn decode_envelope(d: &mut Dec<'_>) -> Result<Envelope, CodecError> {
     let request_id = RequestId(d.varint()?);
-    let tenant =
-        TenantId(u32::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?);
+    let tenant = TenantId(u32::try_from(d.varint()?).map_err(|_| CodecError::BadVarint)?);
     let session = d.varint()?;
     let deadline = get_opt_varint(d, "Envelope::deadline")?;
     let idempotency = get_opt_varint(d, "Envelope::idempotency")?.map(IdemKey);
-    Ok(Envelope { request_id, tenant, session, deadline, idempotency })
+    Ok(Envelope {
+        request_id,
+        tenant,
+        session,
+        deadline,
+        idempotency,
+    })
 }
 
 #[cfg(test)]
@@ -167,7 +172,10 @@ mod tests {
         let bytes = e.into_bytes();
         assert!(matches!(
             decode_envelope(&mut Dec::new(&bytes)),
-            Err(CodecError::BadTag { what: "Envelope::deadline", .. })
+            Err(CodecError::BadTag {
+                what: "Envelope::deadline",
+                ..
+            })
         ));
     }
 }

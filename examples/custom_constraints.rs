@@ -64,8 +64,8 @@ fn main() {
     let validity = is_valid(&spec);
     println!("specification valid: {}", validity.valid);
 
-    let mut enc = EncodedSpec::encode(&spec);
-    let od = deduce_order(&mut enc).expect("valid");
+    let enc = EncodedSpec::encode(&spec);
+    let od = deduce_order(&enc).expect("valid");
     let values = true_values_from_orders(&enc, &od);
     println!("resolved: {}", render_resolved(&schema, &values));
     assert!(values.complete());

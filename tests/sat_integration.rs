@@ -58,9 +58,9 @@ fn unit_propagation_agrees_with_cdcl_on_implied_literals() {
 fn deduction_algorithms_agree_on_real_entities() {
     let ds = nba::generate(nba::NbaConfig { entities: 8, seed: 5, ..Default::default() });
     for i in 0..ds.len() {
-        let mut enc = EncodedSpec::encode(&ds.spec(i));
-        let up = deduce_order(&mut enc).expect("valid");
-        let naive = naive_deduce(&mut enc).expect("valid");
+        let enc = EncodedSpec::encode(&ds.spec(i));
+        let up = deduce_order(&enc).expect("valid");
+        let naive = naive_deduce(&enc).expect("valid");
         // DeduceOrder ⊆ NaiveDeduce, and in practice they find the same
         // orders on these instances (the paper's observation in Exp-2).
         for attr in ds.schema.attr_ids() {
