@@ -3,7 +3,7 @@
 
 use std::collections::HashSet;
 
-use cr_sat::{SolveResult, Solver, UnitPropagator};
+use cr_sat::{SolveResult, Solver};
 use cr_types::{AttrId, ValueId};
 
 use crate::encode::{EncodedSpec, OrderAtom};
@@ -63,26 +63,30 @@ impl DeducedOrders {
 /// `x^A_{a1,a2}` yields `a1 ≺v a2`; a negative one yields `a2 ≺v a1`
 /// (sound because valid completions induce *total* value orders).
 ///
-/// Propagation is plain [`UnitPropagator::propagate_to_fixpoint`]. On an
-/// eager encoding the order axioms are clauses; on a lazy one they are the
-/// propagator's order theory over the atoms the encoding registered
-/// ([`EncodedSpec::fresh_propagator`]), whose fixpoint equals propagation
-/// over the materialised axiom clauses.
+/// Propagation is the root trail of a solver from
+/// [`EncodedSpec::fresh_solver`], which propagates every root unit as it
+/// loads the formula and is never searched, so its trail is exactly the
+/// unit-propagation fixpoint ([`Solver::root_trail`]). On an eager
+/// encoding the order axioms are clauses; on a lazy one they are the
+/// solver's order theory over the atoms the encoding registered, whose
+/// fixpoint equals propagation over the materialised axiom clauses.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
 pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
-    deduce_order_on(&mut enc.fresh_propagator(), enc)
+    deduce_order_on(&enc.fresh_solver(), enc)
 }
 
-/// The body of [`deduce_order`] over a propagator that holds every clause
-/// of `enc`'s CNF and its registered order atoms:
-/// the one-shot call passes a fresh one, the session its warm propagator,
-/// which it keeps alive across all rounds and feeds the per-round clause
-/// and atom deltas, so each round only propagates the consequences of the
-/// new clauses.
-pub(crate) fn deduce_order_on(up: &mut UnitPropagator, enc: &EncodedSpec) -> Option<DeducedOrders> {
-    let implied = up.propagate_to_fixpoint()?;
+/// The body of [`deduce_order`] over a solver that holds every clause of
+/// `enc`'s CNF and its registered order atoms and was never searched: the
+/// one-shot call passes a fresh one, the session its deducer, which it
+/// keeps alive across all rounds and feeds the per-round clause and atom
+/// deltas, so each round only propagates the consequences of the new
+/// clauses. A searched solver's root trail also holds learnt units, which
+/// would make `DeduceOrder` stronger than unit propagation.
+pub(crate) fn deduce_order_on(solver: &Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
+    debug_assert_eq!(solver.stats().conflicts, 0, "the deducer never searches");
+    let implied = solver.root_trail()?;
     Some(orders_from_implied(enc, implied))
 }
 

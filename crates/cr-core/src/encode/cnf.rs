@@ -20,30 +20,27 @@
 //!
 //! Both go through one deletion primitive, which keeps the clause arena
 //! and the per-clause tags parallel. A deletion shifts clause indices, so
-//! a consumer that ingested the CNF by clause index (a solver, a unit
-//! propagator) is rebuilt from it; the engine does that at its next call
-//! (see the `crate::ingest` module docs).
+//! a solver that ingested the CNF by clause index is rebuilt from it; the
+//! engine does that at its next call (see the `crate::ingest` module
+//! docs).
 //!
 //! # Order axioms as a theory
 //!
 //! In the lazy kind the order axioms are not part of the CNF at all, and
 //! nothing adds them to it later: Φ(Se) holds exactly the instance
-//! constraints. Both consumers hold the axioms as the built-in order
-//! theory of `cr_sat::order`, over the attributes' dense `lo × hi`
-//! variable tables, which the encoding registers as order domains:
+//! constraints. A CDCL solver from [`EncodedSpec::fresh_solver`] holds
+//! the axioms as the built-in order theory of `cr_sat::order`, over the
+//! attributes' dense `lo × hi` variable tables, which the encoding
+//! registers as order domains. The solver runs the theory inside its
+//! propagation, so its root trail before any search is the fixpoint of
+//! propagation over every axiom clause (`DeduceOrder`), and it rebuilds
+//! an applied instance as a reason clause only when conflict analysis
+//! asks for it, so each of its models satisfies every axiom.
 //!
-//! * a unit propagator from [`EncodedSpec::fresh_propagator`], whose
-//!   fixpoint is that of propagation over every axiom clause;
-//! * a CDCL solver from [`EncodedSpec::fresh_solver`], which runs the
-//!   theory inside its propagation and rebuilds an applied instance as a
-//!   reason clause only when conflict analysis asks for it, so each of
-//!   its models satisfies every axiom.
-//!
-//! The session's warm consumers register the same way, behind an atom
-//! watermark, and the MaxSAT repair registers the domains on each of its
-//! solvers (see the `crate::ingest` and `crate::suggest` docs). An eager
-//! encoding registers nothing — its axioms are already clauses — so
-//! callers never branch on the kind.
+//! The session's two solvers register the same way, and the MaxSAT
+//! repair registers the domains on its solver (see the `crate::ingest`
+//! and `crate::suggest` docs). An eager encoding registers nothing — its
+//! axioms are already clauses — so callers never branch on the kind.
 
 use cr_sat::{Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, Value, ValueId};
@@ -69,7 +66,7 @@ enum Kind {
     Eager,
     /// [`Kind::Eager`] without totality clauses (Section V-A as written).
     PaperFaithful,
-    /// No axiom clauses (the consumers hold them as their order theory),
+    /// No axiom clauses (the solvers hold them as their order theory),
     /// extended with every answer: the engine's encoding.
     Lazy,
 }
@@ -217,9 +214,9 @@ impl EncodedSpec {
     }
 
     /// The engine's encoding of `spec`: no order-axiom clauses, extensible
-    /// with every user answer. Its consumers hold the axioms (totality
+    /// with every user answer. Its solvers hold the axioms (totality
     /// included) as their order theory: build them with
-    /// [`EncodedSpec::fresh_solver`] and [`EncodedSpec::fresh_propagator`].
+    /// [`EncodedSpec::fresh_solver`].
     pub fn encode_lazy(spec: &Specification) -> Self {
         Self::encode_kind(spec, Kind::Lazy)
     }
@@ -351,7 +348,7 @@ impl EncodedSpec {
     ///
     /// Answers **outside** the interned value space grow the space: the
     /// new value id appends a row to the dense attr×lo×hi variable table
-    /// and allocates its pair variables (a consumer registers the grown
+    /// and allocates its pair variables (a solver registers the grown
     /// attribute again as an order domain), its
     /// null-bottom unit is appended, and every CFD referencing the grown
     /// attribute loses its clauses and is re-emitted over the new space
@@ -359,7 +356,7 @@ impl EncodedSpec {
     ///
     /// `spec` must be the specification this encoding currently represents
     /// (i.e. *before* the input is applied). Returns whether clauses were
-    /// deleted: a consumer synced by clause index must then be rebuilt
+    /// deleted: a solver synced by clause index must then be rebuilt
     /// from the CNF instead of fed its tail.
     pub(crate) fn extend_with_input(&mut self, spec: &Specification, input: &UserInput) -> bool {
         let mut answered: Vec<(AttrId, ValueId)> = Vec::new();
@@ -492,8 +489,8 @@ impl EncodedSpec {
     /// Appends a brand-new value to `attr`'s space: interns it, regrows the
     /// variable table, allocates the order variables of every pair
     /// involving it and emits its null-bottom unit. The order axioms of
-    /// the new pairs stay unmaterialised: the grown table is what a
-    /// propagator registers and the lazy source scans. Only lazy encodings
+    /// the new pairs stay unmaterialised: the grown table is what a solver
+    /// registers again. Only lazy encodings
     /// grow — an eager one would need its axioms appended here. Null is
     /// never appended: user answers are non-null.
     fn append_value(&mut self, attr: AttrId, v: &Value) -> ValueId {
@@ -539,8 +536,8 @@ impl EncodedSpec {
     /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's
     /// clauses are deleted and the CFD is marked retired so no later
     /// extension re-emits it. Requires a lazy encoding; a session calls it
-    /// on each fresh encoding of its specification, before any solver or
-    /// propagator reads the CNF.
+    /// on each fresh encoding of its specification, before any solver reads
+    /// the CNF.
     pub(crate) fn retract_cfd(&mut self, gi: usize) {
         debug_assert_eq!(
             self.kind,
@@ -710,18 +707,10 @@ impl EncodedSpec {
         self.atoms.len()
     }
 
-    /// A root-level unit propagator over `Φ(Se)` with, for the lazy kind,
-    /// every order atom registered.
-    pub fn fresh_propagator(&self) -> cr_sat::UnitPropagator {
-        // Root units are only queued by `new`, so the atoms are still
-        // unassigned when they are registered.
-        let mut up = cr_sat::UnitPropagator::new(&self.cnf);
-        self.register_order_atoms(0, |d, n, var| up.register_order_domain(d, n, var));
-        up
-    }
-
     /// A CDCL solver over `Φ(Se)` with, for the lazy kind, every order atom
-    /// registered.
+    /// registered. Until it is searched, its root trail
+    /// ([`cr_sat::Solver::root_trail`]) is the unit-propagation fixpoint
+    /// `DeduceOrder` reads.
     pub fn fresh_solver(&self) -> cr_sat::Solver {
         self.load_solver(cr_sat::Solver::new())
     }
@@ -735,21 +724,21 @@ impl EncodedSpec {
         solver
     }
 
-    /// The one registration routine of both consumers: hands `register`
+    /// The one registration routine of every solver: hands `register`
     /// every attribute that has order atoms allocated since atom `from`
     /// (allocation order) as `(domain, n, var)`, one domain laid out from
     /// the attribute's own table and width, whose atom `lo ≺ hi` is
-    /// `var(lo, hi)`. A consumer then holds the order axioms over those
+    /// `var(lo, hi)`. The solver then holds the order axioms over those
     /// atoms as its theory (see the module docs); a grown attribute is
-    /// registered again. Returns the new watermark. Eager kinds register
-    /// nothing, since their axioms are clauses.
+    /// registered again. Eager kinds register nothing, since their axioms
+    /// are clauses.
     pub(crate) fn register_order_atoms(
         &self,
         from: usize,
         mut register: impl FnMut(u32, usize, &dyn Fn(usize, usize) -> Var),
-    ) -> usize {
+    ) {
         if self.kind != Kind::Lazy || from == self.atoms.len() {
-            return self.atoms.len();
+            return;
         }
         let mut grown = vec![false; self.space.arity()];
         for atom in &self.atoms[from..] {
@@ -759,7 +748,6 @@ impl EncodedSpec {
             let (n, table) = (self.vars.width[ai], &self.vars.per_attr[ai]);
             register(ai as u32, n, &|lo, hi| Var(table[lo * n + hi]));
         }
-        self.atoms.len()
     }
 
     /// Interned id of `value` in `attr`'s space.
@@ -854,8 +842,8 @@ mod tests {
     fn unit_propagation_derives_the_chain() {
         let spec = tiny_spec();
         let enc = EncodedSpec::encode(&spec);
-        let mut up = cr_sat::UnitPropagator::new(enc.cnf());
-        let implied = up.propagate_to_fixpoint().expect("valid spec").to_vec();
+        let solver = Solver::from_cnf(enc.cnf());
+        let implied = solver.root_trail().expect("valid spec");
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let sid = |v: &str| enc.value_id(status, &Value::str(v)).unwrap();
@@ -1234,7 +1222,7 @@ mod tests {
     fn lazy_extension_is_a_pure_extension_too() {
         // In-domain answers extend the encoding with Σ instances;
         // out-of-domain answers grow the table without emitting axiom
-        // clauses (the consumers' order theory covers the grown space).
+        // clauses (the solvers' order theory covers the grown space).
         let spec = tiny_spec();
         let mut enc = EncodedSpec::encode_lazy(&spec);
         let status = spec.schema().attr_id("status").unwrap();

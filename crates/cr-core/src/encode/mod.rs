@@ -16,16 +16,15 @@
 //!
 //! * **Eager** ([`EncodedSpec::encode`]): every asymmetry, totality and
 //!   transitivity instance is materialised at encode time and CFD clauses
-//!   are plain. `Φ(Se)` is then self-contained: any SAT solver or unit
-//!   propagator over [`EncodedSpec::cnf`] is complete without further
-//!   cooperation, and the encoding answers every axiom consultation with
+//!   are plain. `Φ(Se)` is then self-contained: any SAT solver over
+//!   [`EncodedSpec::cnf`] is complete without further cooperation, and the encoding answers every axiom consultation with
 //!   nothing — the Fig. 4 steps run one body over every kind, and this
 //!   module is the only one that reads the kind. It is one-shot — encoded
 //!   once, queried, never extended — and serves standalone consumers
 //!   (`implication`, the Fig. 8 ablations) and the oracles of the
 //!   `cr-oracle` crate and `cr-store`'s harness (exhaustive-completion
 //!   comparisons, the per-round session ≡ scratch check, which checks the
-//!   engine's extended and rebuilt consumers against a fresh encoding).
+//!   engine's extended and rebuilt solvers against a fresh encoding).
 //! * **Paper-faithful** ([`EncodedSpec::encode_paper_faithful`]): eager,
 //!   without the totality clauses `x^A_{a,b} ∨ x^A_{b,a}` — Section V-A as
 //!   written. **Reproduction finding:** without totality, satisfying
@@ -38,16 +37,15 @@
 //! * **Lazy** ([`EncodedSpec::encode_lazy`], the engine's encoding): the
 //!   dense `attr × lo × hi` variable table is still fully allocated
 //!   (`O(n²)`), but **no** axiom clauses are emitted, then or later.
-//!   Both consumers hold the axioms as the order theory over the
-//!   registered atoms: a unit propagator from
-//!   [`EncodedSpec::fresh_propagator`], a CDCL solver from
-//!   [`EncodedSpec::fresh_solver`], which applies them inside its
-//!   propagation and rebuilds an instance as a reason clause only when
-//!   conflict analysis asks. A session extends
-//!   this kind with every user answer; an out-of-domain answer deletes the
-//!   clauses of the CFDs over the grown attribute and re-emits them (see
-//!   the `cnf` module docs), and the solver and propagator, which are
-//!   views of Φ(Se), are rebuilt from it at the engine's next call
+//!   A CDCL solver from [`EncodedSpec::fresh_solver`] holds the axioms as
+//!   the order theory over the registered atoms: it applies them inside
+//!   its propagation, so its root trail before any search is
+//!   `DeduceOrder`'s fixpoint, and rebuilds an instance as a reason
+//!   clause only when conflict analysis asks. A session extends this kind
+//!   with every user answer; an out-of-domain answer deletes the clauses
+//!   of the CFDs over the grown attribute and re-emits them (see the `cnf`
+//!   module docs), and the session's two solvers, which are views of
+//!   Φ(Se), are rebuilt from it at the engine's next call
 //!   (`framework`'s module docs). Resolution outcomes are
 //!   **identical** to an eager encoding of the same specification
 //!   (differentially tested, see below); round-0 encode cost drops from

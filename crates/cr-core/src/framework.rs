@@ -24,26 +24,27 @@
 //! * one CDCL [`cr_sat::Solver`] shared by the validity check and (for
 //!   [`DeductionMethod::NaiveSat`]) the deduction probes — clauses learnt
 //!   in any phase of any round prune the search in all later ones;
-//! * one root-level [`cr_sat::UnitPropagator`] that resumes from its
-//!   previous fixpoint when the per-round clause delta arrives, so
-//!   `DeduceOrder` does work proportional to the delta's consequences.
+//! * one *deducer*, a second solver loaded the same way but never
+//!   searched: its root trail ([`cr_sat::Solver::root_trail`]) is the
+//!   unit-propagation fixpoint, which resumes when the per-round clause
+//!   delta arrives, so `DeduceOrder` does work proportional to the
+//!   delta's consequences.
 //!
 //! # Consumers are views of Φ(Se)
 //!
 //! Answers outside the interned space ("new values" in the paper's
 //! terminology) change the value spaces and the Γ instantiation. The
 //! engine keeps one rule for them: the encoding is the one source of
-//! truth, and the solver and the unit propagator are views of its CNF.
+//! truth, and the two solvers are views of its CNF.
 //!
 //! * A new value appends its order variables and units to the encoding,
 //!   and every CFD referencing the grown attribute loses its clauses and
 //!   is re-emitted over the grown space (`EncodedSpec::extend_with_input`).
-//! * A deletion shifts clause indices, so the consumers cannot follow it
-//!   by their tail sync: at its next call the engine rebuilds the solver,
-//!   on the old one's recycled allocations, and the propagator from the
-//!   encoding. The rebuilt solver loses its learnt clauses.
-//! * Every other answer only appends, and the warm consumers take the
-//!   tail.
+//! * A deletion shifts clause indices, so the solvers cannot follow it by
+//!   their tail sync: at its next call the engine rebuilds both from the
+//!   encoding, each on its old allocations. The rebuilt warm solver loses
+//!   its learnt clauses.
+//! * Every other answer only appends, and both solvers take the tail.
 //!
 //! Few answers pay for a rebuild. In the repository benchmark at seed 11,
 //! 96 of 5,314 `interactive` answers (1.8%) deleted CFD clauses, and none
@@ -59,18 +60,17 @@
 //!
 //! The engine always encodes with a lazy kind: the
 //! `O(n³)`-per-attribute order axioms are never clauses of `Φ(Se)`. The
-//! encoding registers its order atoms with both consumers, which hold the
-//! axioms as the built-in order theory of `cr_sat::order`: deduction is
-//! plain root propagation
-//! (`cr_sat::UnitPropagator::propagate_to_fixpoint`), and the CDCL solver
-//! applies the theory inside its own propagation, rebuilding an axiom
-//! instance as a reason clause only when conflict analysis asks for it.
-//! The MaxSAT repair registers the same domains on each of its solvers.
-//! One mechanism enforces the axioms everywhere, and no query adds a
-//! clause to `Φ(Se)`. The session's steps run the same bodies as the
-//! one-shot `is_valid_encoded`, `deduce_order`, `naive_deduce` and
-//! `suggest`, over warm consumers instead of fresh ones (`fresh_solver`,
-//! `fresh_propagator`). See the "Encoding kinds" section of the encode
+//! encoding registers its order atoms with every solver, which holds the
+//! axioms as the built-in order theory of `cr_sat::order` and applies it
+//! inside its own propagation, rebuilding an axiom instance as a reason
+//! clause only when conflict analysis asks for it. Deduction reads the
+//! root trail of the never-searched deducer, so one propagation engine
+//! serves `DeduceOrder` and CDCL alike. The MaxSAT repair registers the
+//! same domains on its solver. No query adds a clause to `Φ(Se)`. The
+//! session's steps run the same bodies as the one-shot
+//! `is_valid_encoded`, `deduce_order`, `naive_deduce` and `suggest`, over
+//! warm solvers instead of fresh ones (`fresh_solver`). See the
+//! "Encoding kinds" section of the encode
 //! module docs for the fixed engine encodings, the one-shot eager encoding
 //! and the differential-test coverage.
 //!
@@ -85,7 +85,7 @@
 //! extension and the rebuilds that deletions cause are checked against
 //! re-encoding. This is the differential-testing baseline
 //! (`tests/incremental_differential.rs`) and the paper-faithful baseline
-//! for benchmarks. The extended and rebuilt consumers are checked against
+//! for benchmarks. The extended and rebuilt solvers are checked against
 //! a fresh eager encoding by the per-round oracle
 //! (`check_session_against_scratch` in `cr-store`'s harness, run by
 //! `tests/lazy_differential.rs` and every replay and recovery
@@ -131,7 +131,7 @@ pub struct ResolutionConfig {
     pub max_rounds: usize,
     /// Deduction algorithm.
     pub deduction: DeductionMethod,
-    /// Reuse the encoding, solver and unit propagator across rounds (see
+    /// Reuse the encoding and both solvers across rounds (see
     /// the module docs). `false` opens a fresh session on the extended
     /// specification every round, re-deriving everything exactly as the
     /// paper describes the loop.
@@ -221,7 +221,7 @@ pub struct ResolutionOutcome {
     pub user_values: usize,
     /// Total size of the order extension `|Ot|` accumulated from input.
     pub ot_size: usize,
-    /// Always 0: the order axioms are the consumers' theory, so no query
+    /// Always 0: the order axioms are the solvers' theory, so no query
     /// adds a clause to `Φ(Se)`. Kept only because the benchmark reads it
     /// (`perfbench/src/drive.rs`), like `RevisionTelemetry::cone_union`.
     pub injected_axioms: usize,

@@ -14,7 +14,7 @@
 //! * [`RevisionSource`] — a push stream of revisions polled between
 //!   interaction rounds ([`ScriptedRevisions`] replays a fixed timeline);
 //! * [`ResolutionSession`] — the round-persistent resolution engine
-//!   (encoding + warm CDCL solver + root unit propagator), stepwise
+//!   (encoding + warm CDCL solver + never-searched deducer), stepwise
 //!   drivable. A correction edits only the session's specification and
 //!   its retired-CFD set; the engine re-encodes the specification at its
 //!   next call (see "Re-encoding" below).
@@ -38,7 +38,7 @@
 //! [`ResolutionSession::suggest`] or [`ResolutionSession::apply_input`])
 //! re-encodes `current` with [`EncodedSpec::encode_lazy`], deletes the
 //! retired CFDs' clauses (`EncodedSpec::retract_cfd`) and rebuilds its
-//! solver and unit propagator from the new CNF (see "Consumers are views
+//! two solvers from the new CNF (see "Consumers are views
 //! of Φ(Se)" in [`crate::framework`]). A revised session is therefore the
 //! from-scratch encoding of its specification by construction. However
 //! many events and batches arrive between two engine calls, they cost one
@@ -421,19 +421,23 @@ struct BatchState {
 
 /// Round-persistent state of the incremental resolution path: the
 /// session's specification plus the engine over it — the extended
-/// encoding, the warm CDCL solver and the root unit propagator kept in sync
-/// with its CNF. It is the engine behind
-/// [`Resolver::resolve`](crate::framework::Resolver::resolve), exposed as a
-/// stepwise-drivable session so push-based correction ingestion (and its
-/// differential harness) can interleave revisions with interaction rounds.
+/// encoding and two CDCL solvers kept in sync with its CNF. It is the
+/// engine behind [`Resolver::resolve`](crate::framework::Resolver::resolve),
+/// exposed as a stepwise-drivable session so push-based correction
+/// ingestion (and its differential harness) can interleave revisions with
+/// interaction rounds.
 ///
-/// The solver and the propagator consume the encoding at different
-/// points, so each carries its own watermark: the CNF's clauses and the
-/// order atoms. Each registers the atoms behind its atom watermark (an
-/// attribute an answer grew is registered again) and holds the order
-/// axioms as its theory, so nothing is ever added to the CNF at query
-/// time. Both are views of the encoding: a correction re-encodes the
-/// specification, an answer may delete CFD clauses from the CNF, and
+/// Both solvers are loaded the same way (`EncodedSpec::load_solver`):
+/// each registers the order atoms and holds the order axioms as its
+/// theory, so nothing is ever added to the CNF at query time. The warm
+/// solver answers `IsValid`, `NaiveDeduce` and `Suggest` and keeps what
+/// it learns across rounds. The *deducer* is never searched, so its root
+/// trail is exactly the unit-propagation fixpoint `DeduceOrder` reads.
+/// The encoding grows only in [`ResolutionSession::apply_input`], which
+/// feeds both solvers the delta (an attribute an answer grew is
+/// registered again), so they sit at the end of the encoding at every
+/// engine call. Both are views of the encoding: a correction re-encodes
+/// the specification, an answer may delete CFD clauses from the CNF, and
 /// either way the next engine call rebuilds them from it.
 pub struct ResolutionSession {
     current: Specification,
@@ -441,17 +445,16 @@ pub struct ResolutionSession {
     /// keeps Γ intact and every fresh encoding deletes their clauses.
     retired: BTreeSet<usize>,
     enc: EncodedSpec,
+    /// The warm solver of `IsValid`, `NaiveDeduce` and `Suggest`.
     solver: cr_sat::Solver,
-    up: cr_sat::UnitPropagator,
-    /// Clauses and order atoms of `enc` already in `solver`.
-    synced_solver: Synced,
-    /// Clauses and order atoms of `enc` already in `up`.
-    synced_up: Synced,
+    /// The solver `DeduceOrder` reads: loaded like `solver`, never
+    /// searched.
+    deducer: cr_sat::Solver,
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
-    /// `enc` deleted clauses since `solver` and `up` were built from it:
-    /// the next engine call rebuilds them.
+    /// `enc` deleted clauses since `solver` and `deducer` were built from
+    /// it: the next engine call rebuilds them.
     rebuild: bool,
     /// Answers whose extension deleted CFD clauses, each costing one
     /// rebuild ([`ResolutionSession::replays`]).
@@ -491,10 +494,9 @@ struct AcceptedAnswer {
     deps: VectorClock,
 }
 
-/// How far a consumer (the solver or the unit propagator) has taken in an
-/// encoding: the clauses of its CNF and its order atoms (allocation
-/// order).
-#[derive(Clone, Copy, Debug, Default)]
+/// How far a solver has taken in an encoding: the clauses of its CNF and
+/// its order atoms (allocation order).
+#[derive(Clone, Copy, Debug)]
 struct Synced {
     clauses: usize,
     atoms: usize,
@@ -507,6 +509,18 @@ impl Synced {
             clauses: enc.cnf().num_clauses(),
             atoms: enc.num_order_vars(),
         }
+    }
+
+    /// Feeds `solver`, which holds `enc` up to this mark, the rest: first
+    /// the order atoms allocated since (their attributes are registered
+    /// again, at decision level zero, before any clause can assign the new
+    /// atoms), then the CNF's tail, which also allocates every variable an
+    /// assumption can name.
+    fn feed(self, enc: &EncodedSpec, solver: &mut cr_sat::Solver) {
+        enc.register_order_atoms(self.atoms, |d, n, var| {
+            solver.register_order_domain(d, n, var)
+        });
+        solver.extend_from_cnf(enc.cnf(), self.clauses);
     }
 }
 
@@ -533,12 +547,12 @@ impl ResolutionSession {
         Self::with_scratch(spec, None)
     }
 
-    /// [`ResolutionSession::new`] with its solver built from `scratch`.
-    /// The scheduler's workers pass the scratch of their previous
-    /// resolution to recycle its solver allocations; a scratch-built solver
-    /// is state-identical to a fresh one
-    /// (`cr_sat::Solver::from_cnf_with_scratch`). The from-scratch loop
-    /// opens one per round and never extends it.
+    /// [`ResolutionSession::new`] with its warm solver built from
+    /// `scratch`. The scheduler's workers pass the scratch of their
+    /// previous resolution to recycle its solver allocations; a
+    /// scratch-built solver is state-identical to a fresh one
+    /// (`cr_sat::Solver::from_scratch`). The from-scratch loop opens one
+    /// per round and never extends it.
     pub(crate) fn with_scratch(
         spec: &Specification,
         scratch: Option<cr_sat::SolverScratch>,
@@ -556,10 +570,8 @@ impl ResolutionSession {
             enc: encode_engine(&current, &retired),
             current,
             retired,
-            solver: cr_sat::Solver::new(),
-            up: cr_sat::UnitPropagator::new(&cr_sat::Cnf::new()),
-            synced_solver: Synced::default(),
-            synced_up: Synced::default(),
+            solver: cr_sat::Solver::from_scratch(scratch),
+            deducer: cr_sat::Solver::new(),
             stale: false,
             rebuild: false,
             answer_rebuilds: 0,
@@ -571,34 +583,32 @@ impl ResolutionSession {
             answers: BTreeMap::new(),
             epoch: Epoch::ZERO,
         };
-        session.rebuild_consumers(scratch);
+        session.rebuild_solvers();
         session
     }
 
     /// Brings the engine up to date by one rule: a specification change
-    /// re-encodes `current` (module docs), a deletion from the encoding
-    /// rebuilds the solver and the propagator from Φ(Se), and both reset
-    /// the watermarks. A re-encode replaces the whole CNF, so it rebuilds
-    /// them too. A no-op while neither happened since the last call.
+    /// re-encodes `current` (module docs), and a deletion from the encoding
+    /// rebuilds both solvers from Φ(Se). A re-encode replaces the whole
+    /// CNF, so it rebuilds them too. A no-op while neither happened since
+    /// the last call.
     fn refresh(&mut self) {
         if std::mem::take(&mut self.stale) {
             self.enc = encode_engine(&self.current, &self.retired);
             self.rebuild = true;
         }
         if std::mem::take(&mut self.rebuild) {
-            let scratch = std::mem::take(&mut self.solver).into_scratch();
-            self.rebuild_consumers(scratch);
+            self.rebuild_solvers();
         }
     }
 
-    /// Builds the solver, on `scratch`'s recycled allocations, and the unit
-    /// propagator, on its own, over the whole encoding, and sets both
-    /// watermarks to its end.
-    fn rebuild_consumers(&mut self, scratch: cr_sat::SolverScratch) {
-        self.solver = self.enc.load_solver(cr_sat::Solver::from_scratch(scratch));
-        self.synced_solver = Synced::end_of(&self.enc);
-        self.up.clear();
-        self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, Synced::default());
+    /// Rebuilds both solvers over the whole encoding, each on its own
+    /// recycled allocations.
+    fn rebuild_solvers(&mut self) {
+        for solver in [&mut self.solver, &mut self.deducer] {
+            let scratch = std::mem::take(solver).into_scratch();
+            *solver = self.enc.load_solver(cr_sat::Solver::from_scratch(scratch));
+        }
     }
 
     /// Tears the session down into reusable solver scratch (cleared
@@ -676,43 +686,7 @@ impl ResolutionSession {
         self.revisions
     }
 
-    /// Brings `up` up to date with `enc` from the watermark `from`: first
-    /// registers the order atoms allocated since (their attributes are
-    /// laid out again as order domains), then feeds the CNF tail. Returns
-    /// the new watermark.
-    fn sync_propagator(up: &mut cr_sat::UnitPropagator, enc: &EncodedSpec, from: Synced) -> Synced {
-        up.ensure_vars(enc.cnf().num_vars() as usize);
-        enc.register_order_atoms(from.atoms, |d, n, var| up.register_order_domain(d, n, var));
-        for clause in enc.cnf().clauses_from(from.clauses) {
-            up.add_clause(clause);
-        }
-        Synced::end_of(enc)
-    }
-
-    /// Brings the warm solver up to date with the encoding, like
-    /// [`ResolutionSession::sync_propagator`]: first registers the order
-    /// atoms allocated since its atom watermark (at decision level zero,
-    /// before any clause can assign them), then feeds the CNF's tail
-    /// (extension deltas). The variable count is compared too, so the
-    /// solver knows every variable an assumption can name even if no
-    /// synced clause mentions it.
-    pub(crate) fn sync_solver(&mut self) {
-        let ResolutionSession {
-            enc,
-            solver,
-            synced_solver: synced,
-            ..
-        } = self;
-        enc.register_order_atoms(synced.atoms, |d, n, var| {
-            solver.register_order_domain(d, n, var)
-        });
-        if synced.clauses < enc.cnf().num_clauses() || solver.num_vars() < enc.cnf().num_vars() {
-            solver.extend_from_cnf(enc.cnf(), synced.clauses);
-        }
-        *synced = Synced::end_of(enc);
-    }
-
-    /// Always 0: the order axioms are the consumers' theory, so no query
+    /// Always 0: the order axioms are the solvers' theory, so no query
     /// adds a clause to Φ(Se). Kept only because the benchmark reads it
     /// (`perfbench/src/drive.rs`), like [`RevisionTelemetry::cone_union`].
     pub fn injected_axioms(&self) -> usize {
@@ -721,7 +695,7 @@ impl ResolutionSession {
 
     /// Rebuild telemetry: `(rebuilds, 0, 0)`, where `rebuilds` counts the
     /// answers whose extension deleted CFD clauses, each of which costs the
-    /// engine a solver and propagator rebuild at its next call. The last
+    /// engine a rebuild of its two solvers at its next call. The last
     /// two fields are always 0 and kept only because the benchmark reads
     /// this triple, as it does [`RevisionTelemetry::cone_union`].
     pub fn replays(&self) -> (usize, usize, usize) {
@@ -730,12 +704,14 @@ impl ResolutionSession {
 
     /// Absorbs one round of user input: extends the encoding by the delta
     /// clauses (bringing the engine up to date first), then `current` in
-    /// place by the induced tuple/orders, and feeds the delta to the warm
-    /// consumers — unless the extension deleted CFD clauses, which leaves
-    /// their rebuild to the next engine call. Returns the size of the
-    /// induced order extension `|Ot|` added.
+    /// place by the induced tuple/orders, and feeds the delta to both
+    /// solvers — unless the extension deleted CFD clauses, which leaves
+    /// their rebuild to the next engine call. This is the one place the
+    /// encoding grows. Returns the size of the induced order extension
+    /// `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
         self.refresh();
+        let synced = Synced::end_of(&self.enc);
         // The encoder derives the delta from the pre-input specification.
         if self.enc.extend_with_input(&self.current, input) {
             self.rebuild = true;
@@ -760,8 +736,9 @@ impl ResolutionSession {
             }
         }
         if !self.rebuild {
-            self.sync_solver();
-            self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
+            for solver in [&mut self.solver, &mut self.deducer] {
+                synced.feed(&self.enc, solver);
+            }
             // Round-boundary sweep: learnt clauses accumulate over a
             // resolve(); keep the database proportional to the formula.
             let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
@@ -1087,7 +1064,6 @@ impl ResolutionSession {
     /// valid?
     pub fn is_valid(&mut self) -> bool {
         self.refresh();
-        self.sync_solver();
         self.solver.solve() == cr_sat::SolveResult::Sat
     }
 
@@ -1095,14 +1071,8 @@ impl ResolutionSession {
     pub fn deduce(&mut self, method: DeductionMethod) -> Option<DeducedOrders> {
         self.refresh();
         match method {
-            DeductionMethod::UnitPropagation => {
-                self.synced_up = Self::sync_propagator(&mut self.up, &self.enc, self.synced_up);
-                deduce_order_on(&mut self.up, &self.enc)
-            }
-            DeductionMethod::NaiveSat => {
-                self.sync_solver();
-                naive_deduce_on(&mut self.solver, &self.enc)
-            }
+            DeductionMethod::UnitPropagation => deduce_order_on(&self.deducer, &self.enc),
+            DeductionMethod::NaiveSat => naive_deduce_on(&mut self.solver, &self.enc),
         }
     }
 
@@ -1115,7 +1085,6 @@ impl ResolutionSession {
     /// Step (4) of Fig. 4: a suggestion against the warm solver.
     pub fn suggest(&mut self, od: &DeducedOrders, known: &TrueValues) -> Suggestion {
         self.refresh();
-        self.sync_solver();
         suggest_on(&self.current, &self.enc, od, known, &mut self.solver)
     }
 
@@ -1126,7 +1095,7 @@ impl ResolutionSession {
     /// indices, accepted answers with their causal dependency vectors, the
     /// full delivery frontier, the undrained competing-cell buffer, the
     /// quarantine log, the session epoch, and the revision telemetry.
-    /// Engine internals (CNF, solver, propagator) are *derived* state and
+    /// Engine internals (CNF, solvers) are *derived* state and
     /// deliberately excluded.
     pub fn state(&self) -> SessionState {
         let orders = self
@@ -1296,13 +1265,11 @@ mod tests {
     use super::*;
     use cr_types::Schema;
 
-    /// The order-atom literals of a fixpoint, sorted (`None` on conflict).
-    fn order_fixpoint(
-        up: &mut cr_sat::UnitPropagator,
-        enc: &EncodedSpec,
-    ) -> Option<Vec<cr_sat::Lit>> {
-        let mut lits: Vec<cr_sat::Lit> = up
-            .propagate_to_fixpoint()?
+    /// The order-atom literals of a solver's root trail, sorted (`None` on
+    /// conflict).
+    fn order_fixpoint(solver: &cr_sat::Solver, enc: &EncodedSpec) -> Option<Vec<cr_sat::Lit>> {
+        let mut lits: Vec<cr_sat::Lit> = solver
+            .root_trail()?
             .iter()
             .copied()
             .filter(|l| enc.order_atom(l.var()).is_some())
@@ -1314,8 +1281,8 @@ mod tests {
     #[test]
     fn warm_propagator_registers_grown_domains() {
         // An out-of-domain answer appends a value, and its atoms, to
-        // `city`. The warm propagator must register the grown attribute
-        // again: its fixpoint then equals a fresh propagator's over the
+        // `city`. The session's deducer must register the grown attribute
+        // again: its root trail then equals a fresh solver's over the
         // grown encoding, including the asymmetry consequences ¬(SF ≺ w)
         // of the answer's base-order units w ≺ SF.
         let s = Schema::new("p", ["name", "city"]).unwrap();
@@ -1335,9 +1302,9 @@ mod tests {
         let enc = &session.enc;
         let sf = enc.value_id(city, &Value::str("SF")).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
-        let warm = order_fixpoint(&mut session.up, enc).unwrap();
+        let warm = order_fixpoint(&session.deducer, enc).unwrap();
         assert!(warm.contains(&enc.var_of(city, sf, ny).unwrap().negative()));
-        assert_eq!(Some(warm), order_fixpoint(&mut enc.fresh_propagator(), enc));
+        assert_eq!(Some(warm), order_fixpoint(&enc.fresh_solver(), enc));
     }
 
     #[test]
@@ -1409,7 +1376,7 @@ mod tests {
         // CFD: AC = 2 → city = "LA" fires: the base order puts AC 1 ≺ 2,
         // so 2 tops AC and NY ≺ LA is deduced. The answer AC = 9 then tops
         // AC, so the CFD must stop firing: its clauses over the old space
-        // are deleted, and the warm solver and propagator, which hold them,
+        // are deleted, and the warm solver and the deducer, which hold them,
         // must be rebuilt before the next deduction.
         let s = Schema::new("p", ["AC", "city"]).unwrap();
         let e = EntityInstance::new(

@@ -160,8 +160,8 @@ fn assemble_suggestion(
 /// ([`MaxSatInstance::with_hard_base`]) instead of copying it, so even the
 /// fallback is `O(clique)` in construction cost.
 ///
-/// The repair is solved exactly, and each solver of its search registers
-/// the encoding's order domains before loading a clause, so on a lazy
+/// The repair is solved exactly, on one solver that registers the
+/// encoding's order domains before loading a clause, so on a lazy
 /// encoding the hard base holds the order axioms like `solver` does and
 /// the optimum equals the eager repair.
 fn max_consistent_subset(

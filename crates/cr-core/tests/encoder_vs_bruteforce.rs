@@ -3,9 +3,9 @@
 //!
 //! Every property runs on both encodings the engine relies on: the eager
 //! one, whose CNF holds the order axioms, and the engine's lazy one, whose
-//! consumers hold them as their order theory (`fresh_solver`,
-//! `fresh_propagator`). So the oracle checks the theory-driven path
-//! directly, not only through lazy ≡ eager.
+//! solvers hold them as their order theory (`fresh_solver`; `DeduceOrder`
+//! reads such a solver's root trail). So the oracle checks the
+//! theory-driven path directly, not only through lazy ≡ eager.
 //!
 //! * `IsValid` must agree with "at least one valid completion exists".
 //! * `DeduceOrder` results must hold in every valid completion (soundness).

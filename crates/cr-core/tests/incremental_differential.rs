@@ -4,7 +4,7 @@
 //! interaction counts, same order-extension sizes, same per-round progress
 //! — on every workload, including rounds where user answers fall outside
 //! the interned value space (which the engine absorbs by deleting and
-//! re-emitting CFD clauses and rebuilding its solver and propagator, and
+//! re-emitting CFD clauses and rebuilding its two solvers, and
 //! the oracle by re-encoding).
 
 use cr_core::framework::{

@@ -419,6 +419,33 @@ fn naive_sat_deduction_agrees_across_modes() {
     assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::NaiveSat);
 }
 
+#[test]
+fn session_deduce_order_stays_unit_propagation_after_search() {
+    // On this scenario NaiveDeduce finds one pair more than unit
+    // propagation. The session's warm solver learns it while probing, so
+    // a `DeduceOrder` that read the searched solver's root trail would
+    // return it too; the session's never-searched deducer must not.
+    let s = cr_data::gen::scenario(&ScenarioConfig {
+        seed: 179,
+        ..Default::default()
+    });
+    let enc = EncodedSpec::encode_lazy(&s.spec);
+    let want = deduce_order(&enc).expect("a valid specification");
+    assert_eq!(want.size(), 25);
+    assert_eq!(naive_deduce(&enc).expect("valid").size(), 26);
+
+    let mut session = ResolutionSession::new(&ResolutionConfig::default(), &s.spec);
+    assert!(session.is_valid());
+    session.deduce(DeductionMethod::NaiveSat).expect("valid");
+    let got = session
+        .deduce(DeductionMethod::UnitPropagation)
+        .expect("valid");
+    assert_eq!(got.size(), want.size(), "DeduceOrder grew after a search");
+    for attr in s.spec.schema().attr_ids() {
+        assert!(want.pairs(attr).all(|(lo, hi)| got.contains(attr, lo, hi)));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -1,16 +1,19 @@
 //! Complete partial-MaxSAT for unit weights via CDCL + cardinality bounds.
 //!
-//! Each soft clause `C_i` gets a selector `s_i` with `s_i → C_i`; a
-//! sequential-counter encoding of `Σ s_i ≥ k` is added, and `k` is searched
-//! downward from the soft-clause count. The first satisfiable `k` is the
-//! optimum. Weighted instances fall back to the WalkSAT search.
+//! Everything runs on one CDCL solver. Each soft clause `C_i` gets a
+//! selector `s_i` with `s_i → C_i`, and one sequential counter over the
+//! dropped selectors `¬s_i` yields a register per bound `d`: assuming its
+//! negation allows at most `d` dropped soft clauses. The bound is searched
+//! upward from `d = 0`, one assumption per solve, so clauses learnt under
+//! one bound prune the next; the first satisfiable bound is the optimum.
+//! Weighted instances fall back to the WalkSAT search.
 //!
-//! [`solve_exact_with`] hands every CDCL solver it builds to a caller's
-//! hook before the solver loads a clause, so a caller whose hard clauses
-//! rely on a solver theory (the conflict-resolution encoding's order
-//! domains, see `cr_sat::order`) registers it there.
+//! [`solve_exact_with`] hands the solver to a caller's hook before it
+//! loads a clause, so a caller whose hard clauses rely on a solver theory
+//! (the conflict-resolution encoding's order domains, see
+//! `cr_sat::order`) registers it there.
 
-use cr_sat::{Cnf, Lit, SolveResult, Solver, Var};
+use cr_sat::{Lit, SolveResult, Solver};
 
 use crate::instance::{MaxSatInstance, MaxSatResult};
 use crate::walksat;
@@ -24,139 +27,101 @@ pub fn solve_exact(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
     solve_exact_with(instance, |_| {})
 }
 
-/// [`solve_exact`] for a unit-weight instance, calling `prepare` on every
+/// [`solve_exact`] for a unit-weight instance, calling `prepare` on the
 /// empty CDCL solver before it loads the instance's clauses (see the
 /// module docs). Panics on a weighted instance, which has no exact path.
 pub fn solve_exact_with(
     instance: &MaxSatInstance<'_>,
-    prepare: impl Fn(&mut Solver),
+    prepare: impl FnOnce(&mut Solver),
 ) -> Option<MaxSatResult> {
     assert!(
         instance.has_unit_weights(),
         "solve_exact_with needs unit weights"
     );
-    let m = instance.soft_len();
-    let load = |cnf: &Cnf| {
-        let mut solver = Solver::new();
-        prepare(&mut solver);
-        solver.extend_from_cnf(cnf, 0);
-        solver
-    };
-
-    // Base formula: hard clauses + selector implications.
-    let mut base = Cnf::new();
-    base.ensure_vars(instance.num_vars());
-    for c in instance.hard_iter() {
-        base.add_clause(c.iter().copied());
+    let mut solver = Solver::new();
+    prepare(&mut solver);
+    while solver.num_vars() < instance.num_vars() {
+        solver.new_var();
     }
-    let selectors: Vec<Var> = (0..m).map(|_| base.new_var()).collect();
-    for (i, s) in instance.soft().iter().enumerate() {
-        let mut clause = s.lits.clone();
-        clause.push(selectors[i].negative());
-        base.add_clause(clause);
+    for clause in instance.hard_iter() {
+        solver.add_clause(clause.iter().copied());
     }
+    let dropped: Vec<Lit> = instance
+        .soft()
+        .iter()
+        .map(|soft| {
+            let dropped = solver.new_var().negative();
+            solver.add_clause(soft.lits.iter().copied().chain([dropped]));
+            dropped
+        })
+        .collect();
 
-    // Feasibility check (k = 0).
-    let mut solver = load(&base);
+    // Feasibility: every soft clause may be dropped.
     if solver.solve() == SolveResult::Unsat {
         return None;
     }
     let mut best_model = solver.model();
-
-    for k in (1..=m).rev() {
-        let mut cnf = base.clone();
-        let sel_lits: Vec<Lit> = selectors.iter().map(|v| v.positive()).collect();
-        encode_at_least_k(&mut cnf, &sel_lits, k);
-        let mut solver = load(&cnf);
-        if solver.solve() == SolveResult::Sat {
+    for bound in at_least_registers(&mut solver, &dropped) {
+        if solver.solve_with_assumptions(&[bound.negate()]) == SolveResult::Sat {
             best_model = solver.model();
             break;
         }
     }
-    best_model.resize(instance.num_vars() as usize, false);
     best_model.truncate(instance.num_vars() as usize);
     Some(MaxSatResult::from_assignment(instance, best_model, true))
 }
 
-/// Adds clauses enforcing "at least `k` of `lits` are true" using the
-/// complement sequential counter: at most `n - k` of the negations are true.
-pub fn encode_at_least_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
-    let n = lits.len();
-    if k == 0 {
-        return;
-    }
-    if k > n {
-        cnf.add_clause([]); // impossible
-        return;
-    }
-    let negs: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-    encode_at_most_k(cnf, &negs, n - k);
-}
-
-/// Adds clauses enforcing "at most `k` of `lits` are true" with the
-/// sequential counter (Sinz 2005): registers `r[i][j]` = "at least j+1 of
-/// the first i+1 literals are true".
-pub fn encode_at_most_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
-    let n = lits.len();
-    if n == 0 || k >= n {
-        return;
-    }
-    if k == 0 {
-        for &l in lits {
-            cnf.add_clause([l.negate()]);
+/// Adds a sequential counter (Sinz 2005) over `lits` to `solver` and
+/// returns its last row: the register at index `d` is forced true whenever
+/// at least `d + 1` of `lits` are true, so assuming its negation enforces
+/// "at most `d` of `lits`" for every `d < lits.len()`. Register `r[i][j]`
+/// means "at least `j + 1` of the first `i + 1` literals", implied by
+/// `r[i-1][j]` (carry) and by `lits[i] ∧ r[i-1][j-1]` (increment).
+fn at_least_registers(solver: &mut Solver, lits: &[Lit]) -> Vec<Lit> {
+    let mut row: Vec<Lit> = Vec::new();
+    for &lit in lits {
+        let next: Vec<Lit> = (0..=row.len())
+            .map(|_| solver.new_var().positive())
+            .collect();
+        for (j, &reg) in next.iter().enumerate() {
+            if let Some(&carry) = row.get(j) {
+                solver.add_clause([carry.negate(), reg]);
+            }
+            match j.checked_sub(1).map(|below| row[below]) {
+                None => solver.add_clause([lit.negate(), reg]),
+                Some(below) => solver.add_clause([lit.negate(), below.negate(), reg]),
+            };
         }
-        return;
+        row = next;
     }
-    // r[i][j], i in 0..n-1, j in 0..k.
-    let regs: Vec<Vec<Var>> = (0..n - 1)
-        .map(|_| (0..k).map(|_| cnf.new_var()).collect())
-        .collect();
-    // First literal seeds the counter.
-    cnf.add_clause([lits[0].negate(), regs[0][0].positive()]);
-    for reg in &regs[0][1..] {
-        cnf.add_clause([reg.negative()]);
-    }
-    for i in 1..n - 1 {
-        // Carry: r[i][j] ← r[i-1][j].
-        for (prev, cur) in regs[i - 1].iter().zip(&regs[i]) {
-            cnf.add_clause([prev.negative(), cur.positive()]);
-        }
-        // Increment: r[i][0] ← lits[i]; r[i][j] ← lits[i] ∧ r[i-1][j-1].
-        cnf.add_clause([lits[i].negate(), regs[i][0].positive()]);
-        for j in 1..k {
-            cnf.add_clause([
-                lits[i].negate(),
-                regs[i - 1][j - 1].negative(),
-                regs[i][j].positive(),
-            ]);
-        }
-        // Overflow forbidden: lits[i] ∧ r[i-1][k-1] → ⊥.
-        cnf.add_clause([lits[i].negate(), regs[i - 1][k - 1].negative()]);
-    }
-    cnf.add_clause([lits[n - 1].negate(), regs[n - 2][k - 1].negative()]);
+    row
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instance::MaxSatInstance;
+    use cr_sat::Var;
 
+    /// Assignments of `n` variables that have at most `k` true variables
+    /// (`at_most`) or at least `k` (otherwise) under the counter, counted
+    /// by solving under each assignment; the counter's registers are
+    /// existentially quantified.
     fn count_models_with_bound(n: usize, k: usize, at_most: bool) -> usize {
-        let mut cnf = Cnf::new();
-        let vars: Vec<Var> = (0..n).map(|_| cnf.new_var()).collect();
-        let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-        if at_most {
-            encode_at_most_k(&mut cnf, &lits, k);
+        let mut solver = Solver::new();
+        let vars: Vec<Var> = (0..n).map(|_| solver.new_var()).collect();
+        // At least k true is at most n - k false.
+        let (lits, bound): (Vec<Lit>, usize) = if at_most {
+            (vars.iter().map(|v| v.positive()).collect(), k)
         } else {
-            encode_at_least_k(&mut cnf, &lits, k);
-        }
-        // Enumerate assignments of the original n vars; auxiliary vars are
-        // existentially quantified, so count assignments extendable to a
-        // model: check with the solver per assignment.
+            (vars.iter().map(|v| v.negative()).collect(), n - k)
+        };
+        let registers = at_least_registers(&mut solver, &lits);
         let mut count = 0;
         for mask in 0u32..(1 << n) {
-            let mut solver = Solver::from_cnf(&cnf);
-            let assumptions: Vec<Lit> = (0..n).map(|i| vars[i].lit(mask >> i & 1 == 1)).collect();
+            let mut assumptions: Vec<Lit> =
+                (0..n).map(|i| vars[i].lit(mask >> i & 1 == 1)).collect();
+            assumptions.extend(registers.get(bound).map(|r| r.negate()));
             if solver.solve_with_assumptions(&assumptions) == SolveResult::Sat {
                 count += 1;
             }
@@ -238,7 +203,7 @@ mod tests {
     fn prepared_solvers_enforce_the_order_theory() {
         // Atoms x_ab of a 3-value order domain, no hard clause; the softs
         // ask for the cycle 0 ≺ 1 ≺ 2 ≺ 0. Only with the domain registered
-        // on every solver does the cycle cost a soft clause.
+        // on the solver does the cycle cost a soft clause.
         let n = 3;
         let var = |a: usize, b: usize| Var((a * n + b) as u32);
         let mut inst = MaxSatInstance::new((n * n) as u32);

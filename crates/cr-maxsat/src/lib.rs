@@ -5,41 +5,22 @@
 //! (WalkSAT) to find a maximum subset of clique-selected derivation rules
 //! that has no conflicts with the specification `Se`. This crate supplies:
 //!
+//! * [`exact`] — the solver the resolution engine uses: complete for
+//!   unit-weight instances, it runs the CDCL solver from `cr-sat` with a
+//!   sequential-counter cardinality encoding and one assumption per bound
+//!   on the number of dropped soft clauses; [`exact::solve_exact_with`]
+//!   lets a caller prepare that solver (for example with a registered
+//!   order theory), and
 //! * [`walksat`] — a WalkSAT/SKC-style stochastic local search that treats
 //!   hard clauses as infinitely heavy and tracks the best *feasible*
-//!   assignment seen, and
-//! * [`exact`] — a complete solver for unit-weight instances that wraps the
-//!   CDCL solver from `cr-sat` with a sequential-counter cardinality
-//!   encoding, searching downward on the number of satisfied soft clauses.
-//!
-//! [`solve`] picks exact for small instances and local search otherwise;
-//! [`exact::solve_exact_with`] solves exactly over solvers a caller
-//! prepares (for example with a registered order theory).
+//!   assignment seen; [`exact::solve_exact`] falls back to it for weighted
+//!   instances.
 
 pub mod exact;
 pub mod instance;
 pub mod walksat;
 
 pub use instance::{MaxSatInstance, MaxSatResult};
-
-/// Largest unit-weight soft-clause count [`solve`] still solves exactly.
-const EXACT_SOFT_LIMIT: usize = 96;
-/// WalkSAT flip budget of [`solve`] beyond the exact limit.
-const WALKSAT_FLIPS: u64 = 200_000;
-/// WalkSAT seed of [`solve`].
-const WALKSAT_SEED: u64 = 0x5EED;
-
-/// Solves a partial MaxSAT instance: exactly when it has at most 96 soft
-/// clauses, all of unit weight, and otherwise by WalkSAT local search
-/// (200,000 flips, seed `0x5EED`). Returns `None` when the hard clauses alone are
-/// unsatisfiable.
-pub fn solve(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
-    if instance.soft_len() <= EXACT_SOFT_LIMIT && instance.has_unit_weights() {
-        exact::solve_exact(instance)
-    } else {
-        walksat::solve_walksat(instance, WALKSAT_FLIPS, WALKSAT_SEED)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -58,12 +39,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_exact_and_walksat_agree_on_optimum() {
+    fn exact_and_walksat_agree_on_optimum() {
         let inst = small_instance();
         for (name, res) in [
             ("exact", exact::solve_exact(&inst)),
             ("walksat", walksat::solve_walksat(&inst, 10_000, 1)),
-            ("solve", solve(&inst)),
         ] {
             let res = res.expect("hard clauses satisfiable");
             assert_eq!(res.total_weight, 2, "{name}");
@@ -77,7 +57,6 @@ mod tests {
         inst.add_hard([Var(0).positive()]);
         inst.add_hard([Var(0).negative()]);
         inst.add_soft([Var(0).positive()], 1);
-        assert!(solve(&inst).is_none());
         assert!(exact::solve_exact(&inst).is_none());
         assert!(walksat::solve_walksat(&inst, 1000, 3).is_none());
     }
@@ -86,7 +65,7 @@ mod tests {
     fn no_soft_clauses_is_plain_sat() {
         let mut inst = MaxSatInstance::new(1);
         inst.add_hard([Var(0).positive()]);
-        let res = solve(&inst).unwrap();
+        let res = exact::solve_exact(&inst).unwrap();
         assert_eq!(res.total_weight, 0);
         assert!(res.assignment[0]);
     }

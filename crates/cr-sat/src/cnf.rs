@@ -5,9 +5,9 @@ use crate::lit::{Lit, Var};
 /// A CNF formula under construction: a variable counter plus a clause list.
 ///
 /// `Cnf` is the interchange format between the encoder (`cr-core`), the CDCL
-/// [`crate::Solver`], the root-level [`crate::UnitPropagator`] and the MaxSAT
-/// solvers. Clauses are stored exactly as added; normalisation (duplicate and
-/// tautology removal) happens when a solver ingests the formula.
+/// [`crate::Solver`] and the MaxSAT solvers. Clauses are stored exactly as
+/// added; normalisation (duplicate and tautology removal) happens when a
+/// solver ingests the formula.
 ///
 /// Clauses live in one **flat literal arena** (`lits` plus a bounds index):
 /// appending a clause is an arena extend instead of a per-clause `Vec`
@@ -173,7 +173,7 @@ impl Cnf {
     }
 
     /// Iterates the clauses starting at index `from` — the tail-sync
-    /// primitive of the incremental consumers (solver, unit propagator).
+    /// primitive of an incremental solver ([`crate::Solver::extend_from_cnf`]).
     pub fn clauses_from(&self, from: usize) -> impl Iterator<Item = &[Lit]> + '_ {
         self.bounds[from..]
             .windows(2)

@@ -11,21 +11,21 @@
 //! * Luby restarts and activity-based learnt-clause database reduction,
 //! * incremental solving under assumptions (used by `NaiveDeduce` and the
 //!   exact true-value queries),
-//! * append-only consumers of a formula: the solver and the unit
-//!   propagator ingest a [`Cnf`]'s clause tail and never withdraw a
-//!   clause, so a formula that loses clauses ([`Cnf::retain_clauses`]) is
-//!   given to new ones ([`Solver::from_scratch`] recycles the old solver's
+//! * an append-only formula: a solver ingests a [`Cnf`]'s clause tail
+//!   ([`Solver::extend_from_cnf`]) and never withdraws a clause, so a
+//!   formula that loses clauses ([`Cnf::retain_clauses`]) is given to a
+//!   new solver ([`Solver::from_scratch`] recycles the old one's
 //!   allocations),
 //! * a built-in strict-total-order theory ([`order`]) over registered
-//!   order atoms, shared by both consumers: the solver runs it inside
-//!   propagation with reasons rebuilt on demand
-//!   ([`Solver::register_order_domain`]), the unit propagator inside its
-//!   fixpoint ([`UnitPropagator::register_order_domain`]), so the `O(n³)`
-//!   order axioms of the conflict-resolution encoding are never clauses,
+//!   order atoms ([`Solver::register_order_domain`]), run inside
+//!   propagation with reasons rebuilt on demand, so the `O(n³)` order
+//!   axioms of the conflict-resolution encoding are never clauses,
 //! * a caller-driven learnt-database sweep ([`Solver::compact_learnts`])
 //!   keyed to interaction-round boundaries, and
-//! * a standalone root-level unit-propagation engine mirroring the
-//!   clause-reduction loop of `DeduceOrder` (Fig. 5 of the paper).
+//! * the root-level fixpoint of a solver that was loaded but never
+//!   searched ([`Solver::root_trail`]): the clause-reduction loop of
+//!   `DeduceOrder` (Fig. 5 of the paper), run by the same `propagate()`
+//!   that drives the search.
 //!
 //! # Example
 //! ```
@@ -49,10 +49,15 @@ pub mod lit;
 pub mod order;
 pub mod solver;
 pub mod stats;
-pub mod unit_propagation;
 
 pub use cnf::Cnf;
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverScratch};
 pub use stats::SolverStats;
-pub use unit_propagation::UnitPropagator;
+
+/// Root-level unit propagation, the engine of `DeduceOrder`, is
+/// [`Solver::root_trail`]; these tests pin its fixpoint.
+#[cfg(test)]
+mod unit_propagation {
+    mod tests;
+}

@@ -1,20 +1,18 @@
-//! A strict-total-order theory for the unit propagator and the CDCL
-//! solver.
+//! A strict-total-order theory for the CDCL solver.
 //!
 //! The conflict-resolution encoding orders each attribute's values with
 //! one atom `x_ab` ("`a ≺ b`") per ordered pair of distinct values, under
 //! the `O(n³)` order axioms: asymmetry `¬x_ab ∨ ¬x_ba`, totality
 //! `x_ab ∨ x_ba` and transitivity `¬x_ab ∨ ¬x_bc ∨ x_ac`. Instead of
-//! holding them as clauses, a consumer registers the atoms of each
-//! *domain* (`n` values) with
-//! [`UnitPropagator::register_order_domain`](crate::UnitPropagator::register_order_domain)
-//! or [`Solver::register_order_domain`](crate::Solver::register_order_domain)
+//! holding them as clauses, a solver registers the atoms of each *domain*
+//! (`n` values) with
+//! [`Solver::register_order_domain`](crate::Solver::register_order_domain)
 //! and this theory derives their consequences as literals are assigned.
 //!
 //! Each value `x` keeps two bit rows, one bit per value `c`: *out*
 //! (`x ≺ c` is true) and *in* (`c ≺ x` is true). On an assigned order
 //! literal the theory updates the rows and pushes the implied literals
-//! onto the consumer's queue:
+//! onto the solver's queue:
 //!
 //! * `¬x_ab` implies `x_ba` (totality);
 //! * `x_ab` implies `¬x_ba` (asymmetry), `x_ac` for every `c` with `x_bc`
@@ -25,16 +23,15 @@
 //! every transitivity instance of the pair; whichever premise of an
 //! instance is assigned last sees the other in its rows. So the fixpoint,
 //! or the conflict, is that of unit propagation over every axiom clause.
-//! Conflicts surface when the consumer meets an implied literal whose
+//! Conflicts surface when the solver meets an implied literal whose
 //! negation holds.
 //!
-//! The root propagator never unassigns a literal, so there its rows only
-//! gain bits. The CDCL solver does unassign: it clears a true atom's bits
-//! when it backtracks over it (`OrderTheory::on_unassign`), and when
-//! conflict analysis asks why a literal holds it rebuilds the axiom
-//! instance from the literal and the one trigger literal it stored
+//! The solver unassigns literals when it backtracks: it clears a true
+//! atom's bits then (`OrderTheory::on_unassign`), and when conflict
+//! analysis asks why a literal holds it rebuilds the axiom instance from
+//! the literal and the one trigger literal it stored
 //! (`OrderTheory::explain`). No clause is ever allocated.
-//!
+
 use crate::lit::{LBool, Lit, Var};
 
 /// Domain of a variable that is no order atom.
@@ -236,10 +233,8 @@ impl OrderTheory {
 
 #[cfg(test)]
 mod tests {
-    use crate::cnf::Cnf;
     use crate::lit::{Lit, Var};
     use crate::solver::{SolveResult, Solver};
-    use crate::unit_propagation::UnitPropagator;
 
     /// SplitMix64: every random choice of a case derives from one seed.
     struct Rng(u64);
@@ -266,11 +261,11 @@ mod tests {
 
     /// A random order instance, built step by step: domains whose atoms
     /// are ordinary variables, extra variables that are no atom, and
-    /// tagged clauses over both; deleting a tag's clauses clears the
-    /// propagator and refills it with the survivors, as the engine does
-    /// when an answer deletes a CFD's clauses. Each domain has a hidden ranking that
-    /// most generated units agree with, so many cases reach a large
-    /// consistent fixpoint.
+    /// tagged clauses over both; deleting a tag's clauses rebuilds the
+    /// solver on its recycled scratch and refills it with the survivors,
+    /// as the engine does when an answer deletes a CFD's clauses. Each
+    /// domain has a hidden ranking that most generated units agree with,
+    /// so many cases reach a large consistent root fixpoint.
     #[derive(Default)]
     struct Instance {
         num_vars: u32,
@@ -290,11 +285,11 @@ mod tests {
 
         /// Appends `k` values to domain `d` (a new domain if `d` is the
         /// next index), allocating their atoms and one extra variable, and
-        /// registers the grown domain with `up`.
-        fn grow(&mut self, up: &mut UnitPropagator, d: usize, k: usize, rng: &mut Rng) {
+        /// registers the grown domain with `solver`.
+        fn grow(&mut self, solver: &mut Solver, d: usize, k: usize, rng: &mut Rng) {
             self.grow_values(d, k, rng);
             let vars = &self.domains[d];
-            up.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
+            solver.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
         }
 
         /// [`Instance::grow`] without the registration.
@@ -340,21 +335,22 @@ mod tests {
             }
         }
 
-        fn add(&mut self, up: &mut UnitPropagator, lits: Vec<Lit>, tag: u32) {
-            up.add_clause(&lits);
+        fn add(&mut self, solver: &mut Solver, lits: Vec<Lit>, tag: u32) {
+            solver.add_clause(lits.iter().copied());
             self.clauses.push((lits, tag));
         }
 
-        /// Deletes the clauses tagged `tag`, then clears `up` and refills
-        /// it with every domain and the surviving clauses.
-        fn delete(&mut self, up: &mut UnitPropagator, tag: u32) {
+        /// Deletes the clauses tagged `tag`, then rebuilds `solver` on its
+        /// scratch and refills it with every domain and the surviving
+        /// clauses.
+        fn delete(&mut self, solver: &mut Solver, tag: u32) {
             self.clauses.retain(|&(_, t)| t != tag);
-            up.clear();
+            *solver = Solver::from_scratch(std::mem::take(solver).into_scratch());
             for (d, vars) in self.domains.iter().enumerate() {
-                up.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
+                solver.register_order_domain(d as u32, vars.len(), |lo, hi| vars[lo][hi]);
             }
             for (lits, _) in &self.clauses {
-                up.add_clause(lits);
+                solver.add_clause(lits.iter().copied());
             }
         }
 
@@ -381,21 +377,6 @@ mod tests {
                 }
             }
             axioms
-        }
-
-        /// A fresh propagator over the clauses plus every axiom clause.
-        fn eager(&self) -> UnitPropagator {
-            let mut up = UnitPropagator::new(&Cnf::new());
-            up.ensure_vars(self.num_vars as usize);
-            for lits in self
-                .clauses
-                .iter()
-                .map(|(lits, _)| lits)
-                .chain(&self.axioms())
-            {
-                up.add_clause(lits);
-            }
-            up
         }
 
         /// A fresh solver over the clauses plus every axiom clause.
@@ -460,46 +441,47 @@ mod tests {
         }
     }
 
-    fn sorted(lits: &[Lit]) -> Vec<Lit> {
-        let mut lits = lits.to_vec();
+    /// The root trail of `solver`, sorted (`None` on a root conflict).
+    fn root_fixpoint(solver: &Solver) -> Option<Vec<Lit>> {
+        let mut lits = solver.root_trail()?.to_vec();
         lits.sort_unstable();
-        lits
+        Some(lits)
     }
 
     #[test]
     fn chain_closes_and_cycle_conflicts() {
         let mut inst = Instance::default();
-        let mut up = UnitPropagator::new(&Cnf::new());
-        inst.grow(&mut up, 0, 4, &mut Rng(1));
+        let mut solver = Solver::new();
+        inst.grow(&mut solver, 0, 4, &mut Rng(1));
         let x = inst.domains[0].clone();
-        inst.add(&mut up, vec![x[0][1].positive()], 0);
-        inst.add(&mut up, vec![x[2][1].negative()], 0); // 1 ≺ 2, by totality
-        inst.add(&mut up, vec![x[2][3].positive()], 1);
-        let implied = up.propagate_to_fixpoint().unwrap().to_vec();
+        inst.add(&mut solver, vec![x[0][1].positive()], 0);
+        inst.add(&mut solver, vec![x[2][1].negative()], 0); // 1 ≺ 2, by totality
+        inst.add(&mut solver, vec![x[2][3].positive()], 1);
+        let implied = root_fixpoint(&solver).unwrap();
         for (a, b) in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)] {
             assert!(implied.contains(&x[a][b].positive()), "{a} ≺ {b}");
             assert!(implied.contains(&x[b][a].negative()), "not {b} ≺ {a}");
         }
-        inst.add(&mut up, vec![x[3][0].positive()], 0);
-        assert!(up.propagate_to_fixpoint().is_none(), "3 ≺ 0 closes a cycle");
-        inst.delete(&mut up, 1);
-        let implied = sorted(up.propagate_to_fixpoint().expect("the cycle lost 2 ≺ 3"));
+        inst.add(&mut solver, vec![x[3][0].positive()], 0);
+        assert!(solver.root_trail().is_none(), "3 ≺ 0 closes a cycle");
+        inst.delete(&mut solver, 1);
+        let implied = root_fixpoint(&solver).expect("the cycle lost 2 ≺ 3");
         assert!(implied.contains(&x[3][1].positive()));
         assert!(!implied.contains(&x[2][3].positive()));
     }
 
     /// One random case of `order_theory_matches_eager_axiom_clauses`; an
-    /// `Err` names the step whose fixpoints differ.
+    /// `Err` names the step whose root fixpoints differ.
     fn run_case(num_domains: usize, wide: bool, rng: &mut Rng) -> Result<(), String> {
         let mut inst = Instance::default();
-        let mut up = UnitPropagator::new(&Cnf::new());
+        let mut solver = Solver::new();
         for d in 0..num_domains {
             let n = if wide && d == 0 {
                 60 + rng.below(6)
             } else {
                 rng.below(7)
             };
-            inst.grow(&mut up, d, n, rng);
+            inst.grow(&mut solver, d, n, rng);
         }
         // Tag 0 is never deleted.
         let mut open_tags: Vec<u32> = vec![1];
@@ -515,14 +497,11 @@ mod tests {
             let n = inst.domains[d].len();
             match if step == steps { 2 } else { rng.below(12) } {
                 // Grow a domain after propagation.
-                0 => {
-                    let _ = up.propagate_to_fixpoint();
-                    inst.grow(&mut up, d, 1 + rng.below(4), rng);
-                }
+                0 => inst.grow(&mut solver, d, 1 + rng.below(4), rng),
                 // Delete a tag's clauses and rebuild; open another tag.
                 1 => {
                     if let Some(t) = open_tags.pop() {
-                        inst.delete(&mut up, t);
+                        inst.delete(&mut solver, t);
                     }
                     open_tags.push(next_tag);
                     next_tag += 1;
@@ -530,8 +509,8 @@ mod tests {
                 // Compare with the eager clause set (a wide case's is
                 // large: only at the end).
                 2 | 3 if !wide || step == steps => {
-                    let got = up.propagate_to_fixpoint().map(sorted);
-                    let want = inst.eager().propagate_to_fixpoint().map(sorted);
+                    let got = root_fixpoint(&solver);
+                    let want = root_fixpoint(&inst.eager_solver());
                     if got != want {
                         return Err(format!("step {step}: theory {got:?}, eager {want:?}"));
                     }
@@ -542,12 +521,12 @@ mod tests {
                     let end = (start + 2 + rng.below(n.min(24))).min(n);
                     for i in start + 1..end {
                         let (p, q) = (inst.rankings[d][i - 1], inst.rankings[d][i]);
-                        inst.add(&mut up, vec![inst.domains[d][p][q].positive()], tag);
+                        inst.add(&mut solver, vec![inst.domains[d][p][q].positive()], tag);
                     }
                 }
                 _ => {
                     let lits = inst.random_clause(rng);
-                    inst.add(&mut up, lits, tag);
+                    inst.add(&mut solver, lits, tag);
                 }
             }
         }
@@ -621,12 +600,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
 
-        /// The theory's fixpoint (or conflict) equals that of a fresh
-        /// propagator holding every axiom clause, on random order
-        /// instances whose clause additions, domain growth (atoms
-        /// registered after propagation) and clause deletions (each
-        /// rebuilding the propagator) interleave. One case in six has a domain of 60–70 values,
-        /// whose rows span two words.
+        /// The root fixpoint (or conflict) of a solver holding the theory
+        /// equals that of a fresh solver holding every axiom clause, on
+        /// random order instances whose clause additions, domain growth
+        /// (atoms registered after propagation) and clause deletions (each
+        /// rebuilding the solver) interleave. One case in six has a domain
+        /// of 60–70 values, whose rows span two words.
         #[test]
         fn order_theory_matches_eager_axiom_clauses(
             num_domains in 1usize..4,

@@ -299,6 +299,18 @@ impl Solver {
         self.assigns[v.index()].to_option()
     }
 
+    /// The literals fixed at decision level zero, in the order they were
+    /// assigned, or `None` once the formula is refuted at the root.
+    /// [`Solver::add_clause`] propagates root units, order theory
+    /// included, so on a solver that was loaded but never searched this is
+    /// exactly the unit-propagation fixpoint of its clauses (the paper's
+    /// `DeduceOrder`, Fig. 5); a searched solver's trail also holds
+    /// learnt units and their consequences. Only meaningful between solves.
+    pub fn root_trail(&self) -> Option<&[Lit]> {
+        debug_assert_eq!(self.decision_level(), 0);
+        self.ok.then_some(&self.trail[..])
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> u32 {
         self.assigns.len() as u32

@@ -2,7 +2,7 @@
 //! on small random k-SAT instances, and reported models must satisfy the
 //! formula.
 
-use cr_sat::{Cnf, SolveResult, Solver, UnitPropagator};
+use cr_sat::{Cnf, SolveResult, Solver};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -87,15 +87,15 @@ fn assumptions_agree_with_clause_addition() {
 
 #[test]
 fn unit_propagation_literals_are_implied() {
-    // Every literal DeduceOrder-style propagation derives must hold in every
-    // model of the formula.
+    // Every literal DeduceOrder-style propagation derives (the root trail of
+    // a solver that never searched) must hold in every model of the formula.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     for _ in 0..150 {
         let num_vars = rng.gen_range(3..=8);
         let num_clauses = rng.gen_range(1..=num_vars as usize * 4);
         let cnf = random_cnf(&mut rng, num_vars, num_clauses, 3);
-        let mut up = UnitPropagator::new(&cnf);
-        match up.propagate_to_fixpoint() {
+        let solver = Solver::from_cnf(&cnf);
+        match solver.root_trail() {
             None => {
                 assert!(!brute_force_sat(&cnf), "UP conflict on satisfiable formula");
             }

@@ -9,15 +9,21 @@
 //!
 //! Run: `cargo run --release --example career_profiles`
 
-use conflict_resolution::core::framework::{Resolver, SilentOracle};
 use conflict_resolution::core::framework::render_resolved;
+use conflict_resolution::core::framework::{Resolver, SilentOracle};
 use conflict_resolution::core::Accuracy;
 use conflict_resolution::data::career::{self, CareerConfig};
 
 fn main() {
-    let ds = career::generate(CareerConfig { entities: 30, seed: 11, ..Default::default() });
+    let ds = career::generate(CareerConfig {
+        entities: 30,
+        seed: 11,
+        ..Default::default()
+    });
     println!("dataset: {}", ds.stats());
-    println!("(paper: 65 researchers, 2–175 papers each, 503 citation constraints, 347 CFD patterns)\n");
+    println!(
+        "(paper: 65 researchers, 2–175 papers each, 503 citation constraints, 347 CFD patterns)\n"
+    );
 
     let resolver = Resolver::default_config();
     let mut acc = Accuracy::new();

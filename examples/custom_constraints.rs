@@ -10,20 +10,37 @@
 use conflict_resolution::constraints::parser::{parse_cfd_file, parse_currency_file};
 use conflict_resolution::constraints::{CompOp, CurrencyConstraintBuilder};
 use conflict_resolution::core::framework::render_resolved;
-use conflict_resolution::core::{deduce_order, is_valid, true_values_from_orders, EncodedSpec, Specification};
+use conflict_resolution::core::{
+    deduce_order, is_valid, true_values_from_orders, EncodedSpec, Specification,
+};
 use conflict_resolution::types::{EntityInstance, Schema, Tuple, Value};
 
 fn main() {
-    let schema = Schema::new("device", ["serial", "firmware", "ports", "config_format"])
-        .expect("schema");
+    let schema =
+        Schema::new("device", ["serial", "firmware", "ports", "config_format"]).expect("schema");
 
     // Three observations of the same switch from different scans.
     let entity = EntityInstance::new(
         schema.clone(),
         vec![
-            Tuple::of([Value::str("SW-001"), Value::str("v1"), Value::int(24), Value::str("ini")]),
-            Tuple::of([Value::str("SW-001"), Value::str("v2"), Value::int(48), Value::str("ini")]),
-            Tuple::of([Value::str("SW-001"), Value::str("v3"), Value::int(48), Value::str("yaml")]),
+            Tuple::of([
+                Value::str("SW-001"),
+                Value::str("v1"),
+                Value::int(24),
+                Value::str("ini"),
+            ]),
+            Tuple::of([
+                Value::str("SW-001"),
+                Value::str("v2"),
+                Value::int(48),
+                Value::str("ini"),
+            ]),
+            Tuple::of([
+                Value::str("SW-001"),
+                Value::str("v3"),
+                Value::int(48),
+                Value::str("yaml"),
+            ]),
         ],
     )
     .expect("entity");
@@ -72,16 +89,22 @@ fn main() {
 
     // Now poison the constraint set with a contradictory rule: v3 → v1.
     let mut bad_sigma = spec.sigma().to_vec();
-    bad_sigma.extend(parse_currency_file(
-        &schema,
-        r#"back: t1[firmware] = "v3" && t2[firmware] = "v1" -> t1 <[firmware] t2"#,
-    )
-    .expect("parse"));
-    let bad = Specification::without_orders(spec.entity().clone(), bad_sigma, spec.gamma().to_vec());
+    bad_sigma.extend(
+        parse_currency_file(
+            &schema,
+            r#"back: t1[firmware] = "v3" && t2[firmware] = "v1" -> t1 <[firmware] t2"#,
+        )
+        .expect("parse"),
+    );
+    let bad =
+        Specification::without_orders(spec.entity().clone(), bad_sigma, spec.gamma().to_vec());
     let bad_validity = is_valid(&bad);
     println!(
         "with the contradictory rule the specification is valid: {} (conflicts seen by SAT: {})",
         bad_validity.valid, bad_validity.conflicts
     );
-    assert!(!bad_validity.valid, "cycle v1 -> v2 -> v3 -> v1 must be detected");
+    assert!(
+        !bad_validity.valid,
+        "cycle v1 -> v2 -> v3 -> v1 must be detected"
+    );
 }

@@ -21,7 +21,10 @@ fn show_deduction(spec: &Specification) -> (EncodedSpec, bool) {
     let enc = EncodedSpec::encode(spec);
     let od = deduce_order(&enc).expect("valid specification");
     let known = true_values_from_orders(&enc, &od);
-    println!("  deduced so far: {}", render_resolved(spec.schema(), &known));
+    println!(
+        "  deduced so far: {}",
+        render_resolved(spec.schema(), &known)
+    );
     (enc, known.complete())
 }
 
@@ -51,8 +54,13 @@ fn main() {
             cands.join(", ")
         );
     }
-    println!("Derivable once answered: {:?}",
-        sug.derived.iter().map(|a| spec.schema().attr_name(*a)).collect::<Vec<_>>());
+    println!(
+        "Derivable once answered: {:?}",
+        sug.derived
+            .iter()
+            .map(|a| spec.schema().attr_name(*a))
+            .collect::<Vec<_>>()
+    );
     println!("Selected derivation rules:");
     for rule in &sug.rules {
         println!("  {}", rule.display(&enc, spec.schema()));

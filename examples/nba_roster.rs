@@ -6,16 +6,23 @@
 //!
 //! Run: `cargo run --release --example nba_roster`
 
-use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use conflict_resolution::core::framework::render_resolved;
+use conflict_resolution::core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use conflict_resolution::core::{pick_baseline, Accuracy};
 use conflict_resolution::data::nba::{self, NbaConfig};
 
 fn main() {
-    let ds = nba::generate(NbaConfig { entities: 25, seed: 42, ..Default::default() });
+    let ds = nba::generate(NbaConfig {
+        entities: 25,
+        seed: 42,
+        ..Default::default()
+    });
     println!("dataset: {}", ds.stats());
 
-    let resolver = Resolver::new(ResolutionConfig { max_rounds: 2, ..Default::default() });
+    let resolver = Resolver::new(ResolutionConfig {
+        max_rounds: 2,
+        ..Default::default()
+    });
     let mut unified = Accuracy::new();
     let mut pick = Accuracy::new();
 
@@ -25,7 +32,11 @@ fn main() {
         let mut oracle = GroundTruthOracle::with_cap(truth.clone(), 1);
         let outcome = resolver.resolve(&spec, &mut oracle);
         unified.add_entity(&ds.entities[i].0, truth, &outcome.resolved);
-        pick.add_entity(&ds.entities[i].0, truth, &pick_baseline(&spec, 42 + i as u64));
+        pick.add_entity(
+            &ds.entities[i].0,
+            truth,
+            &pick_baseline(&spec, 42 + i as u64),
+        );
 
         if i < 3 {
             println!(
@@ -33,14 +44,20 @@ fn main() {
                 ds.entities[i].0.len(),
                 outcome.interactions
             );
-            println!("  resolved: {}", render_resolved(&ds.schema, &outcome.resolved));
+            println!(
+                "  resolved: {}",
+                render_resolved(&ds.schema, &outcome.resolved)
+            );
             println!("  truth:    {}", truth.display(&ds.schema));
         }
     }
 
     let fu = unified.f_measure();
     let fp = pick.f_measure();
-    println!("\n== accuracy over {} players (≤2 interaction rounds) ==", ds.len());
+    println!(
+        "\n== accuracy over {} players (≤2 interaction rounds) ==",
+        ds.len()
+    );
     println!(
         "unified currency+consistency: P={:.3} R={:.3} F={:.3}",
         fu.precision, fu.recall, fu.f_measure

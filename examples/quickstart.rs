@@ -7,8 +7,8 @@
 //!
 //! Run: `cargo run --example quickstart`
 
-use conflict_resolution::core::framework::{Resolver, SilentOracle};
 use conflict_resolution::core::framework::render_resolved;
+use conflict_resolution::core::framework::{Resolver, SilentOracle};
 use conflict_resolution::data::vjday;
 
 fn main() {
@@ -31,8 +31,14 @@ fn main() {
     let outcome = Resolver::default_config().resolve(&spec, &mut SilentOracle);
 
     println!("\nvalid: {}", outcome.valid);
-    println!("complete: {} (rounds of user interaction: {})", outcome.complete, outcome.interactions);
-    println!("resolved tuple:\n  {}", render_resolved(spec.schema(), &outcome.resolved));
+    println!(
+        "complete: {} (rounds of user interaction: {})",
+        outcome.complete, outcome.interactions
+    );
+    println!(
+        "resolved tuple:\n  {}",
+        render_resolved(spec.schema(), &outcome.resolved)
+    );
 
     let truth = vjday::edith_truth();
     assert_eq!(

@@ -7,7 +7,11 @@ use conflict_resolution::data::{career, nba, person};
 
 #[test]
 fn nba_shape_matches_published_statistics() {
-    let ds = nba::generate(nba::NbaConfig { entities: 120, seed: 1, ..Default::default() });
+    let ds = nba::generate(nba::NbaConfig {
+        entities: 120,
+        seed: 1,
+        ..Default::default()
+    });
     let stats = ds.stats();
     assert_eq!(stats.sigma, 54, "54 currency constraints");
     assert_eq!(stats.gamma, 58, "58 constant CFDs");
@@ -32,7 +36,10 @@ fn career_shape_matches_published_statistics() {
 
 #[test]
 fn person_shape_matches_published_statistics() {
-    let ds = person::generate(person::PersonConfig { entities: 20, ..Default::default() });
+    let ds = person::generate(person::PersonConfig {
+        entities: 20,
+        ..Default::default()
+    });
     let stats = ds.stats();
     assert_eq!(stats.sigma, 983, "983 currency constraints");
     assert_eq!(stats.gamma, 1000, "1000 CFD patterns");
@@ -41,9 +48,16 @@ fn person_shape_matches_published_statistics() {
 
 #[test]
 fn all_generated_specs_are_valid() {
-    let nba = nba::generate(nba::NbaConfig { entities: 10, seed: 77, ..Default::default() });
-    let career =
-        career::generate(career::CareerConfig { entities: 10, seed: 77, ..Default::default() });
+    let nba = nba::generate(nba::NbaConfig {
+        entities: 10,
+        seed: 77,
+        ..Default::default()
+    });
+    let career = career::generate(career::CareerConfig {
+        entities: 10,
+        seed: 77,
+        ..Default::default()
+    });
     let person = person::generate(person::PersonConfig {
         entities: 10,
         min_tuples: 2,
@@ -63,8 +77,14 @@ fn all_generated_specs_are_valid() {
 
 #[test]
 fn generation_is_deterministic_per_seed() {
-    let a = person::generate(person::PersonConfig { entities: 5, ..Default::default() });
-    let b = person::generate(person::PersonConfig { entities: 5, ..Default::default() });
+    let a = person::generate(person::PersonConfig {
+        entities: 5,
+        ..Default::default()
+    });
+    let b = person::generate(person::PersonConfig {
+        entities: 5,
+        ..Default::default()
+    });
     for i in 0..a.len() {
         assert_eq!(a.entities[i].0.tuples(), b.entities[i].0.tuples());
         assert_eq!(a.entities[i].1, b.entities[i].1);
@@ -78,8 +98,16 @@ fn generation_is_deterministic_per_seed() {
 fn unified_method_beats_pick_on_every_dataset() {
     let seed = 0xBEA7;
     let datasets = [
-        nba::generate(nba::NbaConfig { entities: 20, seed, ..Default::default() }),
-        career::generate(career::CareerConfig { entities: 20, seed, ..Default::default() }),
+        nba::generate(nba::NbaConfig {
+            entities: 20,
+            seed,
+            ..Default::default()
+        }),
+        career::generate(career::CareerConfig {
+            entities: 20,
+            seed,
+            ..Default::default()
+        }),
         person::generate(person::PersonConfig {
             entities: 20,
             min_tuples: 4,
@@ -87,7 +115,10 @@ fn unified_method_beats_pick_on_every_dataset() {
             seed,
         }),
     ];
-    let resolver = Resolver::new(ResolutionConfig { max_rounds: 3, ..Default::default() });
+    let resolver = Resolver::new(ResolutionConfig {
+        max_rounds: 3,
+        ..Default::default()
+    });
     for ds in &datasets {
         let mut unified = Accuracy::new();
         let mut pick = Accuracy::new();
@@ -110,7 +141,11 @@ fn unified_method_beats_pick_on_every_dataset() {
 
 #[test]
 fn csv_round_trip_of_generated_entities() {
-    let ds = nba::generate(nba::NbaConfig { entities: 3, seed: 4, ..Default::default() });
+    let ds = nba::generate(nba::NbaConfig {
+        entities: 3,
+        seed: 4,
+        ..Default::default()
+    });
     for (entity, _) in &ds.entities {
         let csv = conflict_resolution::types::csv::write_entity(entity);
         let back = conflict_resolution::types::csv::read_entity("nba", &csv).unwrap();

@@ -21,7 +21,10 @@ fn more_rounds_never_hurt() {
     });
     let mut prev = -1.0f64;
     for k in 0..=3 {
-        let resolver = Resolver::new(ResolutionConfig { max_rounds: k, ..Default::default() });
+        let resolver = Resolver::new(ResolutionConfig {
+            max_rounds: k,
+            ..Default::default()
+        });
         let mut acc = Accuracy::new();
         for i in 0..ds.len() {
             let mut oracle = GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
@@ -40,7 +43,11 @@ fn more_rounds_never_hurt() {
 
 #[test]
 fn naive_deduction_resolves_at_least_as_much_as_up() {
-    let ds = nba::generate(nba::NbaConfig { entities: 6, seed: 9, ..Default::default() });
+    let ds = nba::generate(nba::NbaConfig {
+        entities: 6,
+        seed: 9,
+        ..Default::default()
+    });
     for i in 0..ds.len() {
         let spec = ds.spec(i);
         let up = Resolver::new(ResolutionConfig {
@@ -70,7 +77,11 @@ fn naive_deduction_resolves_at_least_as_much_as_up() {
 
 #[test]
 fn career_mostly_resolves_without_interaction() {
-    let ds = career::generate(career::CareerConfig { entities: 30, seed: 3, ..Default::default() });
+    let ds = career::generate(career::CareerConfig {
+        entities: 30,
+        seed: 3,
+        ..Default::default()
+    });
     let resolver = Resolver::default_config();
     let mut complete = 0;
     for i in 0..ds.len() {
@@ -118,10 +129,16 @@ fn adversarial_answers_terminate_cleanly() {
 #[test]
 fn resolved_fraction_reports_progress() {
     let spec = vjday::george_spec();
-    let outcome = Resolver::new(ResolutionConfig { max_rounds: 0, ..Default::default() })
-        .resolve(&spec, &mut SilentOracle);
+    let outcome = Resolver::new(ResolutionConfig {
+        max_rounds: 0,
+        ..Default::default()
+    })
+    .resolve(&spec, &mut SilentOracle);
     let frac = resolved_fraction(&outcome, spec.schema());
-    assert!((frac - 2.0 / 8.0).abs() < 1e-9, "George: 2 of 8 attrs at round 0");
+    assert!(
+        (frac - 2.0 / 8.0).abs() < 1e-9,
+        "George: 2 of 8 attrs at round 0"
+    );
 }
 
 #[test]
@@ -164,22 +181,39 @@ fn per_round_reports_are_coherent() {
 }
 
 /// Out-of-domain `AC`/`city` answers delete and re-emit CFD clauses mid-
-/// interaction: the engine must rebuild its solver and propagator, and it
+/// interaction: the engine must rebuild its two solvers, and it
 /// must resolve exactly like the from-scratch loop.
 #[test]
 fn out_of_domain_answers_replay_retractions_and_match_scratch() {
     let resolver = |incremental| {
-        Resolver::new(ResolutionConfig { max_rounds: 10, incremental, ..Default::default() })
+        Resolver::new(ResolutionConfig {
+            max_rounds: 10,
+            incremental,
+            ..Default::default()
+        })
     };
     let (engine, scratch) = (resolver(true), resolver(false));
     for (i, (spec, truth)) in common::retraction_specs(4).iter().enumerate() {
         let oracle = || GroundTruthOracle::with_cap(truth.clone(), 1);
         let inc = engine.resolve(spec, &mut oracle());
         let reference = scratch.resolve(spec, &mut oracle());
-        assert_eq!(inc.resolved, reference.resolved, "entity {i}: resolution diverged");
-        assert_eq!(inc.interactions, reference.interactions, "entity {i}: interactions diverged");
-        assert_eq!(inc.user_values, reference.user_values, "entity {i}: answers diverged");
-        assert_eq!(inc.resolved.to_tuple().as_ref(), Some(truth), "entity {i}: reaches the truth");
+        assert_eq!(
+            inc.resolved, reference.resolved,
+            "entity {i}: resolution diverged"
+        );
+        assert_eq!(
+            inc.interactions, reference.interactions,
+            "entity {i}: interactions diverged"
+        );
+        assert_eq!(
+            inc.user_values, reference.user_values,
+            "entity {i}: answers diverged"
+        );
+        assert_eq!(
+            inc.resolved.to_tuple().as_ref(),
+            Some(truth),
+            "entity {i}: reaches the truth"
+        );
         assert!(
             inc.retractions > 0,
             "entity {i}: out-of-domain answers must delete CFD clauses, got {}",

@@ -126,13 +126,16 @@ fn batched_ingestion_matches(
 ) -> Result<RevisionTelemetry, TestCaseError> {
     let Scenario { spec, .. } = scenario_from_raw(seed, tuples, domain, density, false);
     let rounds = 4usize;
-    let mut source = revision_timeline(&spec, &RevisionTimelineConfig {
-        seed: seed.wrapping_mul(61).wrapping_add(29),
-        events,
-        rounds,
-        burst,
-        ..Default::default()
-    });
+    let mut source = revision_timeline(
+        &spec,
+        &RevisionTimelineConfig {
+            seed: seed.wrapping_mul(61).wrapping_add(29),
+            events,
+            rounds,
+            burst,
+            ..Default::default()
+        },
+    );
     let config = ResolutionConfig::default();
     let mut batched = ResolutionSession::new(&config, &spec);
     let mut sequential = ResolutionSession::new(&config, &spec);
@@ -163,8 +166,9 @@ fn batched_ingestion_matches(
             }
         }
 
-        diff_logical_states(&batched.state(), &sequential.state())
-            .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ sequential: {e}")))?;
+        diff_logical_states(&batched.state(), &sequential.state()).map_err(|e| {
+            TestCaseError::fail(format!("round {round}: batched ≠ sequential: {e}"))
+        })?;
         check_session_against_scratch(&mut batched, &mirror)
             .map_err(|e| TestCaseError::fail(format!("round {round}: batched ≠ scratch: {e}")))?;
     }
@@ -178,8 +182,16 @@ fn batched_ingestion_matches(
     prop_assert_eq!(s.replays_saved, 0);
     prop_assert_eq!(b.events, s.events, "same applied event set");
     prop_assert_eq!(b.replays_saved, expected_saved);
-    prop_assert_eq!(batched.epoch().0 as usize, applied_batches, "one epoch per applied batch");
-    prop_assert_eq!(sequential.epoch().0 as usize, s.events, "one epoch per applied event");
+    prop_assert_eq!(
+        batched.epoch().0 as usize,
+        applied_batches,
+        "one epoch per applied batch"
+    );
+    prop_assert_eq!(
+        sequential.epoch().0 as usize,
+        s.events,
+        "one epoch per applied event"
+    );
     Ok(b)
 }
 
@@ -188,6 +200,9 @@ fn batched_ingestion_matches(
 #[test]
 fn multi_event_rounds_coalesce_into_one_replay() {
     let b = batched_ingestion_matches(5, 8, 4, 60, 6, 3).expect("batched ≡ sequential ≡ scratch");
-    assert!(b.events_coalesced >= 2, "no multi-event batch was coalesced: {b:?}");
+    assert!(
+        b.events_coalesced >= 2,
+        "no multi-event batch was coalesced: {b:?}"
+    );
     assert!(b.replays_saved >= 1, "coalescing saved no replay: {b:?}");
 }

@@ -3,7 +3,7 @@
 
 use conflict_resolution::core::{deduce_order, naive_deduce, EncodedSpec};
 use conflict_resolution::data::{nba, person, vjday};
-use conflict_resolution::sat::{dimacs, SolveResult, Solver, UnitPropagator};
+use conflict_resolution::sat::{dimacs, SolveResult, Solver};
 
 #[test]
 fn encoded_specs_round_trip_through_dimacs() {
@@ -20,7 +20,11 @@ fn encoded_specs_round_trip_through_dimacs() {
 
 #[test]
 fn solver_models_satisfy_dataset_cnfs() {
-    let ds = nba::generate(nba::NbaConfig { entities: 5, seed: 21, ..Default::default() });
+    let ds = nba::generate(nba::NbaConfig {
+        entities: 5,
+        seed: 21,
+        ..Default::default()
+    });
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
         let mut solver = Solver::from_cnf(enc.cnf());
@@ -40,11 +44,10 @@ fn unit_propagation_agrees_with_cdcl_on_implied_literals() {
     });
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
-        let mut up = UnitPropagator::new(enc.cnf());
-        let implied = up.propagate_to_fixpoint().expect("valid spec");
         let mut solver = Solver::from_cnf(enc.cnf());
+        let implied = solver.root_trail().expect("valid spec").to_vec();
         assert_eq!(solver.solve(), SolveResult::Sat);
-        for &lit in implied {
+        for lit in implied {
             assert_eq!(
                 solver.solve_with_assumptions(&[lit.negate()]),
                 SolveResult::Unsat,
@@ -56,7 +59,11 @@ fn unit_propagation_agrees_with_cdcl_on_implied_literals() {
 
 #[test]
 fn deduction_algorithms_agree_on_real_entities() {
-    let ds = nba::generate(nba::NbaConfig { entities: 8, seed: 5, ..Default::default() });
+    let ds = nba::generate(nba::NbaConfig {
+        entities: 8,
+        seed: 5,
+        ..Default::default()
+    });
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
         let up = deduce_order(&enc).expect("valid");
