@@ -86,8 +86,14 @@ fn main() {
         // event-at-a-time, 2/3 chunk polls mid-stream. Delivered state
         // must never depend on the partition.
         let max_batch = (seed / 11 % 4) as usize;
-        let interactive = CausalReplayConfig { max_batch, ..CausalReplayConfig::default() };
-        let per_event = CausalReplayConfig { max_batch: 1, ..CausalReplayConfig::default() };
+        let interactive = CausalReplayConfig {
+            max_batch,
+            ..CausalReplayConfig::default()
+        };
+        let per_event = CausalReplayConfig {
+            max_batch: 1,
+            ..CausalReplayConfig::default()
+        };
         let drain_first = CausalReplayConfig {
             policy: RevisionPolicy::Reject,
             interact_while_streaming: false,
@@ -138,9 +144,17 @@ fn main() {
         };
 
         // 1+2: canonical vs schedule-preserving chaos, fully interactive.
-        let base = run(ScriptedCausalRevisions::new(timeline.clone()), &interactive, "canonical");
+        let base = run(
+            ScriptedCausalRevisions::new(timeline.clone()),
+            &interactive,
+            "canonical",
+        );
         let sp = run(
-            chaos(&timeline, &spec, &ChaosConfig::schedule_preserving(seed ^ 0xA5)),
+            chaos(
+                &timeline,
+                &spec,
+                &ChaosConfig::schedule_preserving(seed ^ 0xA5),
+            ),
             &interactive,
             "schedule-preserving",
         );
@@ -176,8 +190,11 @@ fn main() {
         }
 
         // 3: adversarial delays, drain-first both sides.
-        let base_df =
-            run(ScriptedCausalRevisions::new(timeline.clone()), &drain_first, "drain-first");
+        let base_df = run(
+            ScriptedCausalRevisions::new(timeline.clone()),
+            &drain_first,
+            "drain-first",
+        );
         let adv = run(
             chaos(&timeline, &spec, &ChaosConfig::adversarial(seed ^ 0x5A)),
             &drain_first,
@@ -198,7 +215,10 @@ fn main() {
             chaos(
                 &timeline,
                 &spec,
-                &ChaosConfig { corrupt, ..ChaosConfig::adversarial(seed ^ 0xC0) },
+                &ChaosConfig {
+                    corrupt,
+                    ..ChaosConfig::adversarial(seed ^ 0xC0)
+                },
             ),
             &quarantine,
             "corrupt",

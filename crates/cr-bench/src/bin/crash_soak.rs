@@ -108,19 +108,25 @@ fn main() {
         // consecutive events into one atomic store batch. Interleaved
         // across seeds so recovery sees both granularities.
         let chunk = 1 + (seed / 13 % 3) as usize;
-        let events_only: Vec<CausalRevision> =
-            timeline.into_iter().map(|(_, ev)| ev).collect();
-        let mut steps: Vec<Step> =
-            events_only.chunks(chunk).map(|c| Step::Causal(c.to_vec())).collect();
+        let events_only: Vec<CausalRevision> = timeline.into_iter().map(|(_, ev)| ev).collect();
+        let mut steps: Vec<Step> = events_only
+            .chunks(chunk)
+            .map(|c| Step::Causal(c.to_vec()))
+            .collect();
         let mut input = UserInput::empty();
         input.values.insert(AttrId(1), truth.get(AttrId(1)).clone());
         steps.insert(steps.len() / 3, Step::Input(input));
 
         // Drive the workload once, checkpointing at every boundary.
-        let store_config = StoreConfig { snapshot_every, ..StoreConfig::default() };
-        let mut store =
-            SessionStore::new(FaultyBackend::new(MemoryBackend::new()).unwrap(), store_config)
-                .unwrap();
+        let store_config = StoreConfig {
+            snapshot_every,
+            ..StoreConfig::default()
+        };
+        let mut store = SessionStore::new(
+            FaultyBackend::new(MemoryBackend::new()).unwrap(),
+            store_config,
+        )
+        .unwrap();
         store.open(ID, &spec);
         store.session(ID).unwrap();
         let mut checkpoints = vec![store.backend().clone()];
@@ -139,8 +145,12 @@ fn main() {
         for (boundary, checkpoint) in checkpoints.iter().enumerate() {
             let faults = [
                 Fault::TruncatedTail { bytes: 0 }, // clean cut
-                Fault::TornWrite { at: (seed.wrapping_add(boundary as u64 * 3)) % 23 },
-                Fault::TruncatedTail { bytes: 1 + seed % 11 },
+                Fault::TornWrite {
+                    at: (seed.wrapping_add(boundary as u64 * 3)) % 23,
+                },
+                Fault::TruncatedTail {
+                    bytes: 1 + seed % 11,
+                },
                 Fault::BitFlip {
                     byte: seed.wrapping_add(boundary as u64 * 31),
                     bit: (boundary % 8) as u8,
@@ -152,8 +162,7 @@ fn main() {
                 crashed.crash(ID, fault).unwrap();
                 let bytes = crashed.read_log(ID).unwrap();
                 let (offsets, valid_len, scan_error) = decode_log_offsets(&bytes);
-                let records: Vec<LogRecord> =
-                    offsets.iter().map(|(rec, _)| rec.clone()).collect();
+                let records: Vec<LogRecord> = offsets.iter().map(|(rec, _)| rec.clone()).collect();
                 let lost = (bytes.len() - valid_len) as u64;
                 // The batch boundary recovery must restore the log to: the
                 // end of the last record a marker (or input/snapshot)
@@ -197,9 +206,7 @@ fn main() {
                 };
                 match scan_error {
                     Some(_) => {
-                        if t.corrupt_truncations != 1
-                            || t.truncated_bytes != lost + partial_bytes
-                        {
+                        if t.corrupt_truncations != 1 || t.truncated_bytes != lost + partial_bytes {
                             fail("corrupt tail not truncated/counted honestly");
                         }
                     }

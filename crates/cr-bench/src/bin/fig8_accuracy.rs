@@ -34,9 +34,21 @@ fn main() {
     let n = arg_entities(40);
     let seed = arg_seed(0xACC);
     let datasets = [
-        (cr_bench::quick::nba(n, seed), vec![0usize, 1, 2], ["(f)", "(g)", "(h)"]),
-        (cr_bench::quick::career(n.min(65), seed), vec![0, 1, 2], ["(j)", "(k)", "(l)"]),
-        (cr_bench::quick::person(n, seed), vec![0, 1, 2, 3], ["(n)", "(o)", "(p)"]),
+        (
+            cr_bench::quick::nba(n, seed),
+            vec![0usize, 1, 2],
+            ["(f)", "(g)", "(h)"],
+        ),
+        (
+            cr_bench::quick::career(n.min(65), seed),
+            vec![0, 1, 2],
+            ["(j)", "(k)", "(l)"],
+        ),
+        (
+            cr_bench::quick::person(n, seed),
+            vec![0, 1, 2, 3],
+            ["(n)", "(o)", "(p)"],
+        ),
     ];
 
     for (ds, rounds, panels) in &datasets {
@@ -48,17 +60,26 @@ fn main() {
         let mut both_header = header.clone();
         both_header.push("Pick");
         print_table(
-            &format!("Fig. 8{} — {}: F-measure varying |Σ|+|Γ|", panels[0], ds.name),
+            &format!(
+                "Fig. 8{} — {}: F-measure varying |Σ|+|Γ|",
+                panels[0], ds.name
+            ),
             &both_header,
             &sweep(ds, ConstraintMode::Both, rounds, seed),
         );
         print_table(
-            &format!("Fig. 8{} — {}: F-measure varying |Σ| (Γ = ∅)", panels[1], ds.name),
+            &format!(
+                "Fig. 8{} — {}: F-measure varying |Σ| (Γ = ∅)",
+                panels[1], ds.name
+            ),
             &header,
             &sweep(ds, ConstraintMode::SigmaOnly, rounds, seed),
         );
         print_table(
-            &format!("Fig. 8{} — {}: F-measure varying |Γ| (Σ = ∅)", panels[2], ds.name),
+            &format!(
+                "Fig. 8{} — {}: F-measure varying |Γ| (Σ = ∅)",
+                panels[2], ds.name
+            ),
             &header,
             &sweep(ds, ConstraintMode::GammaOnly, rounds, seed),
         );

@@ -32,7 +32,12 @@ fn main() {
     }
     print_table(
         "Fig. 8(e)/(i)/(m) — true values found vs interaction rounds (Σ+Γ)",
-        &["dataset", "rounds", "% true values", "% entities fully resolved"],
+        &[
+            "dataset",
+            "rounds",
+            "% true values",
+            "% entities fully resolved",
+        ],
         &rows,
     );
     println!("\npaper reference: 0-interaction 35% (NBA) / 78% (CAREER) / 22% (Person);");

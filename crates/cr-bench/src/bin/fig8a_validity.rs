@@ -8,7 +8,9 @@
 //!
 //! Run: `cargo run --release -p cr-bench --bin fig8a_validity [--full]`.
 
-use cr_bench::{arg_flag, arg_seed, bin_sizes, ms, nba_bins, person_bins, print_table, time_phases};
+use cr_bench::{
+    arg_flag, arg_seed, bin_sizes, ms, nba_bins, person_bins, print_table, time_phases,
+};
 use cr_data::{nba, person};
 
 fn main() {

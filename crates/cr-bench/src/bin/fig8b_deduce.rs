@@ -8,7 +8,9 @@
 //!
 //! Run: `cargo run --release -p cr-bench --bin fig8b_deduce [--full]`.
 
-use cr_bench::{arg_flag, arg_seed, bin_sizes, ms, nba_bins, person_bins, print_table, time_deduction};
+use cr_bench::{
+    arg_flag, arg_seed, bin_sizes, ms, nba_bins, person_bins, print_table, time_deduction,
+};
 use cr_data::{nba, person};
 
 fn main() {
@@ -17,7 +19,10 @@ fn main() {
     let reps = 3;
 
     let mut rows = Vec::new();
-    let run_bins = |name: &str, bins: Vec<(String, usize, usize)>, person: bool, rows: &mut Vec<Vec<String>>| {
+    let run_bins = |name: &str,
+                    bins: Vec<(String, usize, usize)>,
+                    person: bool,
+                    rows: &mut Vec<Vec<String>>| {
         for (label, lo, hi) in bins {
             let sizes = bin_sizes(if person { lo } else { lo.max(2) }, hi, reps);
             let ds = if person {
@@ -37,7 +42,13 @@ fn main() {
                 fresh += f;
             }
             let n = ds.len() as u32;
-            rows.push(vec![name.into(), label, ms(up / n), ms(naive / n), ms(fresh / n)]);
+            rows.push(vec![
+                name.into(),
+                label,
+                ms(up / n),
+                ms(naive / n),
+                ms(fresh / n),
+            ]);
         }
     };
     run_bins("NBA", nba_bins(), false, &mut rows);

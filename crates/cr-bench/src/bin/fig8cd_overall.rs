@@ -14,7 +14,10 @@ use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use cr_data::{nba, person, Dataset};
 
 fn measure(ds: &Dataset) -> (Duration, Duration, Duration) {
-    let resolver = Resolver::new(ResolutionConfig { max_rounds: 3, ..Default::default() });
+    let resolver = Resolver::new(ResolutionConfig {
+        max_rounds: 3,
+        ..Default::default()
+    });
     let (mut v, mut d, mut s) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     for i in 0..ds.len() {
         let mut oracle = GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
@@ -38,16 +41,37 @@ fn main() {
     for (label, lo, hi) in nba_bins() {
         let ds = nba::generate_with_sizes(&bin_sizes(lo.max(2), hi, reps), seed);
         let (v, d, s) = measure(&ds);
-        rows.push(vec!["NBA".into(), label, ms(v), ms(d), ms(s), ms(v + d + s)]);
+        rows.push(vec![
+            "NBA".into(),
+            label,
+            ms(v),
+            ms(d),
+            ms(s),
+            ms(v + d + s),
+        ]);
     }
     for (label, lo, hi) in person_bins(full) {
         let ds = person::generate_with_sizes(&bin_sizes(lo, hi, reps), seed);
         let (v, d, s) = measure(&ds);
-        rows.push(vec!["Person".into(), label, ms(v), ms(d), ms(s), ms(v + d + s)]);
+        rows.push(vec![
+            "Person".into(),
+            label,
+            ms(v),
+            ms(d),
+            ms(s),
+            ms(v + d + s),
+        ]);
     }
     print_table(
         "Fig. 8(c)/(d) — overall time per entity (all interaction rounds)",
-        &["dataset", "bin", "validity (ms)", "deduce (ms)", "suggest (ms)", "total (ms)"],
+        &[
+            "dataset",
+            "bin",
+            "validity (ms)",
+            "deduce (ms)",
+            "suggest (ms)",
+            "total (ms)",
+        ],
         &rows,
     );
     println!("\npaper shape: validity dominates, deduce is the cheapest phase");

@@ -87,7 +87,10 @@ fn main() {
         let label = match profile {
             0 => "clean",
             1 => {
-                cfg.faults = ChannelFaults { drop: 0.15, ..ChannelFaults::clean() };
+                cfg.faults = ChannelFaults {
+                    drop: 0.15,
+                    ..ChannelFaults::clean()
+                };
                 "drop"
             }
             2 => {
@@ -99,8 +102,11 @@ fn main() {
                 "duplicate"
             }
             3 => {
-                cfg.faults =
-                    ChannelFaults { delay: 0.5, max_delay: 8, ..ChannelFaults::clean() };
+                cfg.faults = ChannelFaults {
+                    delay: 0.5,
+                    max_delay: 8,
+                    ..ChannelFaults::clean()
+                };
                 "delay"
             }
             4 => {
@@ -145,8 +151,7 @@ fn main() {
                 totals.disconnects += report.disconnects;
                 totals.shed += report.serve.shed_rate + report.serve.shed_queue;
                 totals.idem_replays += report.serve.idem_hits;
-                totals.expired +=
-                    report.serve.expired_in_queue + report.serve.expired_mid_request;
+                totals.expired += report.serve.expired_in_queue + report.serve.expired_mid_request;
                 totals.ticks += report.ticks;
             }
             Err(e) => {

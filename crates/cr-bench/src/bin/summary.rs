@@ -56,7 +56,14 @@ fn main() {
     }
     print_table(
         "Section VI summary (F-measure, 100% constraints, ground-truth oracle)",
-        &["dataset", "Sigma+Gamma", "Sigma only", "Gamma only", "Pick", "max rounds"],
+        &[
+            "dataset",
+            "Sigma+Gamma",
+            "Sigma only",
+            "Gamma only",
+            "Pick",
+            "max rounds",
+        ],
         &rows,
     );
 

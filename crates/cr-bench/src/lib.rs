@@ -30,11 +30,15 @@ pub fn parse_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, 
     let Some(i) = args.iter().position(|a| *a == flag) else {
         return Ok(None);
     };
-    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
-    value
-        .parse()
-        .map(Some)
-        .map_err(|_| format!("{flag} takes a {}, got {value:?}", std::any::type_name::<T>()))
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map(Some).map_err(|_| {
+        format!(
+            "{flag} takes a {}, got {value:?}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// Parses `--name` from the command line, defaulting to `default` when the
@@ -119,11 +123,13 @@ pub struct PhaseTimes {
 pub fn time_phases(spec: &Specification) -> PhaseTimes {
     let t0 = Instant::now();
     let enc = EncodedSpec::encode(spec);
-    let mut solver = cr_sat::Solver::from_cnf(enc.cnf());
-    let valid = solver.solve() == cr_sat::SolveResult::Sat;
+    let valid = enc.fresh_solver().solve() == cr_sat::SolveResult::Sat;
     let validity = t0.elapsed();
     if !valid {
-        return PhaseTimes { validity, ..Default::default() };
+        return PhaseTimes {
+            validity,
+            ..Default::default()
+        };
     }
     let t1 = Instant::now();
     let od = deduce_order(&enc).expect("valid spec");
@@ -134,7 +140,11 @@ pub fn time_phases(spec: &Specification) -> PhaseTimes {
         let _ = cr_core::suggest(spec, &enc, &od, &known);
     }
     let suggest = t2.elapsed();
-    PhaseTimes { validity, deduce, suggest }
+    PhaseTimes {
+        validity,
+        deduce,
+        suggest,
+    }
 }
 
 /// Times `DeduceOrder` vs `NaiveDeduce` on one spec (Fig. 8(b)): returns
@@ -222,7 +232,6 @@ pub fn run_dataset(
     (acc, max_used)
 }
 
-
 /// Runs the `Pick` baseline over every entity.
 pub fn run_pick(dataset: &Dataset, seed: u64) -> Accuracy {
     let mut acc = Accuracy::new();
@@ -258,7 +267,10 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
+    println!(
+        "{}",
+        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }
@@ -273,12 +285,20 @@ pub mod quick {
 
     /// NBA at reduced entity count for fast runs.
     pub fn nba(entities: usize, seed: u64) -> Dataset {
-        nba::generate(NbaConfig { entities, seed, ..Default::default() })
+        nba::generate(NbaConfig {
+            entities,
+            seed,
+            ..Default::default()
+        })
     }
 
     /// CAREER at its natural size (65 entities).
     pub fn career(entities: usize, seed: u64) -> Dataset {
-        career::generate(CareerConfig { entities, seed, ..Default::default() })
+        career::generate(CareerConfig {
+            entities,
+            seed,
+            ..Default::default()
+        })
     }
 
     /// Person with moderate instances.
@@ -306,7 +326,10 @@ mod tests {
         assert_eq!(parse_flag::<f64>(&cmd, "seconds"), Ok(Some(4.5)));
         assert_eq!(parse_flag::<u64>(&cmd, "rounds"), Ok(None));
         let malformed = parse_flag::<u64>(&cmd, "seed").unwrap_err();
-        assert!(malformed.contains("--seed") && malformed.contains("4O"), "{malformed}");
+        assert!(
+            malformed.contains("--seed") && malformed.contains("4O"),
+            "{malformed}"
+        );
         let missing = parse_flag::<usize>(&cmd, "entities").unwrap_err();
         assert!(missing.contains("needs a value"), "{missing}");
     }

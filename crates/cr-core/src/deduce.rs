@@ -66,10 +66,9 @@ impl DeducedOrders {
 /// Propagation is the root trail of a solver from
 /// [`EncodedSpec::fresh_solver`], which propagates every root unit as it
 /// loads the formula and is never searched, so its trail is exactly the
-/// unit-propagation fixpoint ([`Solver::root_trail`]). On an eager
-/// encoding the order axioms are clauses; on a lazy one they are the
-/// solver's order theory over the atoms the encoding registered, whose
-/// fixpoint equals propagation over the materialised axiom clauses.
+/// unit-propagation fixpoint ([`Solver::root_trail`]). The order axioms
+/// are the solver's order theory over the atoms the encoding registered,
+/// whose fixpoint equals propagation over the materialised axiom clauses.
 ///
 /// Returns `None` if propagation derives a conflict (the specification is
 /// invalid — callers should have checked `IsValid` first).
@@ -78,13 +77,14 @@ pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
 }
 
 /// The body of [`deduce_order`] over a solver that holds every clause of
-/// `enc`'s CNF and its registered order atoms and was never searched: the
-/// one-shot call passes a fresh one, the session its deducer, which it
-/// keeps alive across all rounds and feeds the per-round clause and atom
-/// deltas, so each round only propagates the consequences of the new
-/// clauses. A searched solver's root trail also holds learnt units, which
-/// would make `DeduceOrder` stronger than unit propagation.
-pub(crate) fn deduce_order_on(solver: &Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
+/// `enc`'s CNF and the order axioms and was never searched: the one-shot
+/// call passes a fresh one, the session its deducer, which it keeps alive
+/// across all rounds and feeds the per-round clause and atom deltas, so
+/// each round only propagates the consequences of the new clauses. The
+/// oracles pass a solver over their reference CNF, which holds the axioms
+/// as clauses. A searched solver's root trail also holds learnt units,
+/// which would make `DeduceOrder` stronger than unit propagation.
+pub fn deduce_order_on(solver: &Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
     debug_assert_eq!(solver.stats().conflicts, 0, "the deducer never searches");
     let implied = solver.root_trail()?;
     Some(orders_from_implied(enc, implied))
@@ -110,10 +110,10 @@ fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrd
 /// variable `x`, probe `Φ(Se) ∧ ¬x` and `Φ(Se) ∧ x` with the SAT solver;
 /// an unsatisfiable probe means the opposite literal is implied.
 ///
-/// Probes run on one solver from [`EncodedSpec::fresh_solver`], which on
-/// a lazy encoding holds the order axioms as its theory, so each probe
-/// answers as over the eager formula and the deduced set equals the eager
-/// one. Clauses learnt by one probe persist and sharpen all later probes.
+/// Probes run on one solver from [`EncodedSpec::fresh_solver`], which
+/// holds the order axioms as its theory, so each probe answers as over the
+/// formula with every axiom clause. Clauses learnt by one probe persist and
+/// sharpen all later probes.
 ///
 /// Returns `None` if `Φ(Se)` itself is unsatisfiable.
 pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
@@ -121,11 +121,12 @@ pub fn naive_deduce(enc: &EncodedSpec) -> Option<DeducedOrders> {
 }
 
 /// The body of [`naive_deduce`] over a solver that holds every clause of
-/// `enc`'s CNF and its registered order atoms: the one-shot call passes a
-/// fresh one, the session its warm solver (shared with the validity check, so learnt clauses carry across
-/// both phases and across rounds). Any variable already fixed by
-/// root-level propagation is implied and recorded without a SAT call.
-pub(crate) fn naive_deduce_on(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
+/// `enc`'s CNF and the order axioms: the one-shot call passes a fresh one,
+/// the session its warm solver (shared with the validity check, so learnt
+/// clauses carry across both phases and across rounds), the oracles one
+/// over their reference CNF. Any variable already fixed by root-level
+/// propagation is implied and recorded without a SAT call.
+pub fn naive_deduce_on(solver: &mut Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
     let plan = probe_plan(enc);
     if solver.solve() == SolveResult::Unsat {
         return None;
@@ -330,15 +331,8 @@ mod tests {
         // Documented incompleteness of the heuristic:
         let up = deduce_order(&enc).unwrap();
         assert!(!up.contains(city, ny, la), "UP alone cannot branch");
-
-        // Reproduction finding: with the paper-faithful encoding (no
-        // totality clauses) even NaiveDeduce misses the fact, because Φ(Se)
-        // then has models that are not completions.
-        let paper = EncodedSpec::encode_paper_faithful(&spec);
-        let ny_p = paper.value_id(city, &Value::str("NY")).unwrap();
-        let la_p = paper.value_id(city, &Value::str("LA")).unwrap();
-        let naive_paper = naive_deduce(&paper).unwrap();
-        assert!(!naive_paper.contains(city, ny_p, la_p));
+        // Without totality clauses even NaiveDeduce misses the fact:
+        // `encoding_gaps::paper_encoding_misses_disjunctive_facts`.
     }
 
     #[test]

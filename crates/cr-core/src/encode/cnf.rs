@@ -2,11 +2,10 @@
 //!
 //! # CFD clauses and their deletion
 //!
-//! Every kind emits a CFD's instance constraints as plain clauses, each
-//! tagged with the CFD's index. Only CFD instances can go stale, and only
-//! in the lazy kind: Σ instances, base orders, null-bottom units and the
-//! order axioms are never invalidated by user input; new values only
-//! *add* to them.
+//! A CFD's instance constraints are plain clauses, each tagged with the
+//! CFD's index. Only CFD instances can go stale: Σ instances, base orders
+//! and null-bottom units are never invalidated by user input; new values
+//! only *add* to them.
 //!
 //! * *Extension* — when a user answer introduces a new value on an
 //!   attribute a CFD ranges over, the CFD's ωX premise (and possibly its
@@ -26,67 +25,44 @@
 //!
 //! # Order axioms as a theory
 //!
-//! In the lazy kind the order axioms are not part of the CNF at all, and
-//! nothing adds them to it later: Φ(Se) holds exactly the instance
-//! constraints. A CDCL solver from [`EncodedSpec::fresh_solver`] holds
-//! the axioms as the built-in order theory of `cr_sat::order`, over the
-//! attributes' dense `lo × hi` variable tables, which the encoding
-//! registers as order domains. The solver runs the theory inside its
-//! propagation, so its root trail before any search is the fixpoint of
-//! propagation over every axiom clause (`DeduceOrder`), and it rebuilds
-//! an applied instance as a reason clause only when conflict analysis
-//! asks for it, so each of its models satisfies every axiom.
+//! The order axioms are not part of the CNF, and nothing adds them to it
+//! later: Φ(Se) holds exactly the instance constraints. A CDCL solver
+//! from [`EncodedSpec::fresh_solver`] holds the axioms as the built-in
+//! order theory of `cr_sat::order`, over the attributes' dense `lo × hi`
+//! variable tables, which the encoding registers as order domains. The
+//! solver runs the theory inside its propagation, so its root trail
+//! before any search is the fixpoint of propagation over every axiom
+//! clause (`DeduceOrder`), and it rebuilds an applied instance as a
+//! reason clause only when conflict analysis asks for it, so each of its
+//! models satisfies every axiom.
 //!
-//! The session's two solvers register the same way, and the MaxSAT
-//! repair registers the domains on its solver (see the `crate::ingest`
-//! and `crate::suggest` docs). An eager encoding registers nothing — its
-//! axioms are already clauses — so callers never branch on the kind.
+//! Every solver over an encoding is loaded this way: the one-shot steps
+//! and the MaxSAT repair through [`EncodedSpec::fresh_solver`], the
+//! session's two solvers through `EncodedSpec::load_solver` (see the
+//! `crate::ingest` and `crate::suggest` docs). A bare
+//! `cr_sat::Solver::from_cnf(enc.cnf())` knows no order axiom.
 
 use cr_sat::{Cnf, Lit, Var};
 use cr_types::{AttrId, AttrValueSpace, Value, ValueId};
 
 use super::omega::{
-    build_spaces, cfd_instances, emit_base, emit_sigma_gamma, instantiate_pair, Conclusion,
-    InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
+    build_spaces, compiled_cfd_instances, emit_base, emit_sigma_gamma, instantiate_pair,
+    Conclusion, InstanceConstraint, OmegaSink, OrderAtom, Premise, ProjectionCache,
 };
 use crate::spec::{Specification, UserInput};
 
 /// Sentinel for an unallocated slot in [`VarTable`].
 const NO_VAR: u32 = u32::MAX;
 
-/// CFD tag of a clause that is no CFD instance.
-const NO_CFD: u32 = u32::MAX;
+/// Tag of a clause that is neither a CFD instance nor an order rule (a
+/// null-bottom unit): rule derivation ignores it.
+const GENERAL: u32 = u32::MAX;
 
-/// Which of the three encodings an [`EncodedSpec`] is — see the "Encoding
-/// kinds" section of the encode module docs. Only the lazy kind is
-/// extended, totality comes with every kind but the paper-faithful one.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kind {
-    /// Every axiom materialised; one-shot.
-    Eager,
-    /// [`Kind::Eager`] without totality clauses (Section V-A as written).
-    PaperFaithful,
-    /// No axiom clauses (the solvers hold them as their order theory),
-    /// extended with every answer: the engine's encoding.
-    Lazy,
-}
-
-/// Classification of one CNF clause, parallel to the clause list. One byte
-/// per clause is what lets the encoding keep no Ω(Se) instance list: rule
-/// derivation re-reads its Currency/BaseOrder implications straight from
-/// the flat literal arena via [`EncodedSpec::for_each_order_rule`] instead
-/// of keeping a second materialised copy of every instance constraint.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum ClauseKind {
-    /// Eager axioms, CFD instances, null-bottom units — everything rule
-    /// derivation ignores.
-    General = 0,
-    /// A Σ-currency or base-order implication with an order-atom
-    /// conclusion: exactly the Ω instances the paper's `TrueDer` rule
-    /// derivation (Section VI) consumes.
-    OrderRule = 1,
-}
+/// Tag of a Σ-currency or base-order implication with an order-atom
+/// conclusion: exactly the Ω instances the paper's `TrueDer` rule
+/// derivation (Section VI) consumes, re-read from the clause arena by
+/// [`EncodedSpec::for_each_order_rule`].
+const ORDER_RULE: u32 = u32::MAX - 1;
 
 /// Dense `attr × lo × hi → Var` index. Order-variable lookup sits on the
 /// hot path of clause generation, deduction and suggestion; a flat
@@ -158,8 +134,7 @@ impl OmegaSink for EncoderSink<'_> {
         // storage 2–3× and pushes every encode into fresh large mappings.
         // Cap the hint and let amortised growth cover dense constraints.
         let capped = additional.min(4096);
-        self.enc.clause_cfds.reserve(capped);
-        self.enc.clause_kinds.reserve(capped);
+        self.enc.clause_tags.reserve(capped);
         self.enc.cnf.reserve_clauses(capped);
     }
     fn emit(&mut self, c: InstanceConstraint) {
@@ -180,48 +155,28 @@ impl OmegaSink for EncoderSink<'_> {
 /// *every* input, including answers outside the interned value space: the
 /// new value's order variables are appended, and the CFDs over a grown
 /// attribute lose their clauses and are re-emitted (see the module docs).
-/// Only lazy encodings are extended; an eager one is one-shot.
 pub struct EncodedSpec {
     space: AttrValueSpace,
     vars: VarTable,
     /// The order atom of every variable: variable `i` is atom `i`.
     atoms: Vec<OrderAtom>,
     cnf: Cnf,
-    /// The CFD (index into Γ) each CNF clause instantiates, or [`NO_CFD`];
-    /// parallel to `cnf.clauses()`.
-    clause_cfds: Vec<u32>,
-    /// [`ClauseKind`] per CNF clause, parallel to `clause_cfds` — the
-    /// one-byte tag behind the Ω-free rule scan.
-    clause_kinds: Vec<ClauseKind>,
+    /// One tag per CNF clause, parallel to `cnf.clauses()`: the CFD (index
+    /// into Γ) the clause instantiates, [`ORDER_RULE`] or [`GENERAL`]. The
+    /// tag is what lets the encoding keep no Ω(Se) instance list: rule
+    /// derivation re-reads its order rules straight from the clause arena.
+    clause_tags: Vec<u32>,
     /// Per CFD index: withdrawn by an upstream correction
     /// ([`EncodedSpec::retract_cfd`]); never re-emitted.
     cfd_retired: Vec<bool>,
-    kind: Kind,
 }
 
 impl EncodedSpec {
-    /// The eager encoding of `spec`: every order axiom (totality included)
-    /// materialised, CFD clauses plain — self-contained and one-shot.
+    /// The encoding of `spec`: Φ(Se) holds exactly the instance
+    /// constraints, extensible with every user answer. Its solvers hold the
+    /// order axioms (totality included) as their order theory: build them
+    /// with [`EncodedSpec::fresh_solver`].
     pub fn encode(spec: &Specification) -> Self {
-        Self::encode_kind(spec, Kind::Eager)
-    }
-
-    /// The paper-faithful encoding of `spec`: eager, without totality
-    /// clauses — Section V-A exactly (see the encode module docs for what
-    /// the missing totality breaks).
-    pub fn encode_paper_faithful(spec: &Specification) -> Self {
-        Self::encode_kind(spec, Kind::PaperFaithful)
-    }
-
-    /// The engine's encoding of `spec`: no order-axiom clauses, extensible
-    /// with every user answer. Its solvers hold the axioms (totality
-    /// included) as their order theory: build them with
-    /// [`EncodedSpec::fresh_solver`].
-    pub fn encode_lazy(spec: &Specification) -> Self {
-        Self::encode_kind(spec, Kind::Lazy)
-    }
-
-    fn encode_kind(spec: &Specification, kind: Kind) -> Self {
         let (space, g2l) = build_spaces(spec);
         let widths: Vec<usize> = (0..space.arity())
             .map(|i| space.attr(AttrId(i as u16)).len())
@@ -233,19 +188,16 @@ impl EncodedSpec {
             space: AttrValueSpace::new(0),
             atoms: Vec::new(),
             cnf: Cnf::new(),
-            clause_cfds: Vec::new(),
-            clause_kinds: Vec::new(),
+            clause_tags: Vec::new(),
             cfd_retired: vec![false; spec.gamma().len()],
-            kind,
         };
 
-        // Variables for every ordered pair of distinct values. Every kind
-        // allocates the full dense table (`O(n²)` per attribute): the
-        // lazy kind registers it as the order theory's domains, and downstream
-        // consumers (`top_assumptions`, suggestion literals) rely on every
-        // pair variable existing. The table is empty here, so the atoms can
-        // be bulk-allocated in row-major walk order without the per-atom
-        // existence check `var()` pays.
+        // Variables for every ordered pair of distinct values: the full
+        // dense table (`O(n²)` per attribute), which the solvers register
+        // as the order theory's domains and on which `top_literals` relies.
+        // The table is empty here, so the atoms can be bulk-allocated in
+        // row-major walk order without the per-atom existence check `var()`
+        // pays.
         let total: usize = widths.iter().map(|&n| n * n.saturating_sub(1)).sum();
         enc.atoms.reserve(total);
         let mut idx: u32 = 0;
@@ -280,59 +232,6 @@ impl EncodedSpec {
             emit_sigma_gamma(spec, &program, &space, &g2l, &mut sink);
         }
         enc.space = space;
-
-        // Transitivity and asymmetry per attribute, over the realised
-        // variable set. The lazy kind emits nothing here (see the module
-        // docs).
-        if kind == Kind::Lazy {
-            return enc;
-        }
-        let mut per_attr: Vec<Vec<ValueId>> = vec![Vec::new(); enc.space.arity()];
-        for atom in &enc.atoms {
-            per_attr[atom.attr.index()].push(atom.lo);
-            per_attr[atom.attr.index()].push(atom.hi);
-        }
-        for (ai, vals) in per_attr.iter_mut().enumerate() {
-            vals.sort_unstable();
-            vals.dedup();
-            let attr = AttrId(ai as u16);
-            // Asymmetry: ¬x_ab ∨ ¬x_ba for unordered pairs; totality
-            // x_ab ∨ x_ba unless paper-faithful (see the encode module docs).
-            for (i, &a) in vals.iter().enumerate() {
-                for &b in &vals[i + 1..] {
-                    if let (Some(xab), Some(xba)) =
-                        (enc.vars.get(attr, a, b), enc.vars.get(attr, b, a))
-                    {
-                        enc.push_clause([xab.negative(), xba.negative()]);
-                        if kind != Kind::PaperFaithful {
-                            enc.push_clause([xab.positive(), xba.positive()]);
-                        }
-                    }
-                }
-            }
-            // Transitivity over realised triples.
-            for &a in vals.iter() {
-                for &b in vals.iter() {
-                    if a == b {
-                        continue;
-                    }
-                    let Some(xab) = enc.vars.get(attr, a, b) else {
-                        continue;
-                    };
-                    for &c in vals.iter() {
-                        if c == a || c == b {
-                            continue;
-                        }
-                        let (Some(xbc), Some(xac)) =
-                            (enc.vars.get(attr, b, c), enc.vars.get(attr, a, c))
-                        else {
-                            continue;
-                        };
-                        enc.push_clause([xab.negative(), xbc.negative(), xac.positive()]);
-                    }
-                }
-            }
-        }
         enc
     }
 
@@ -376,6 +275,7 @@ impl EncodedSpec {
         // attribute, so ωX premises and domination sets quantify over the
         // current space.
         let mut deleted = false;
+        let program = spec.compiled_program().clone();
         for (attr, v) in &input.values {
             if !v.is_null() && self.space.get(*attr, v).is_none() {
                 let vid = self.append_value(*attr, v);
@@ -400,9 +300,9 @@ impl EncodedSpec {
                 })
                 .collect();
             deleted = self.delete_cfd_clauses(|gi| stale[gi]);
-            for (gi, cfd) in spec.gamma().iter().enumerate() {
+            for (gi, cfd) in program.gamma.iter().enumerate() {
                 if stale[gi] {
-                    for c in cfd_instances(&self.space, gi, cfd) {
+                    for c in compiled_cfd_instances(&self.space, None, gi, cfd) {
                         self.add_omega_constraint(c);
                     }
                 }
@@ -439,7 +339,6 @@ impl EncodedSpec {
         }
         let to = cr_types::Tuple::from_values(values);
         let answered_attr = |attr: AttrId| answered.iter().any(|&(a, _)| a == attr);
-        let program = spec.compiled_program().clone();
         let projections = ProjectionCache::new(&program);
         for (ci, cc) in program.sigma.iter().enumerate() {
             // A pair involving `to` instantiates only if the conclusion is
@@ -490,15 +389,8 @@ impl EncodedSpec {
     /// variable table, allocates the order variables of every pair
     /// involving it and emits its null-bottom unit. The order axioms of
     /// the new pairs stay unmaterialised: the grown table is what a solver
-    /// registers again. Only lazy encodings
-    /// grow — an eager one would need its axioms appended here. Null is
-    /// never appended: user answers are non-null.
+    /// registers again. Null is never appended: user answers are non-null.
     fn append_value(&mut self, attr: AttrId, v: &Value) -> ValueId {
-        debug_assert_eq!(
-            self.kind,
-            Kind::Lazy,
-            "eager encodings are one-shot and never grow"
-        );
         debug_assert!(!v.is_null() && self.space.get(attr, v).is_none());
         let vid = self.space.intern(attr, v);
         let n = self.space.attr(attr).len();
@@ -535,15 +427,9 @@ impl EncodedSpec {
     /// Withdraws CFD `gamma[gi]` permanently — the encoding-level half of an
     /// upstream **CFD retraction** (see [`crate::ingest`]). The CFD's
     /// clauses are deleted and the CFD is marked retired so no later
-    /// extension re-emits it. Requires a lazy encoding; a session calls it
-    /// on each fresh encoding of its specification, before any solver reads
-    /// the CNF.
+    /// extension re-emits it. A session calls it on each fresh encoding of
+    /// its specification, before any solver reads the CNF.
     pub(crate) fn retract_cfd(&mut self, gi: usize) {
-        debug_assert_eq!(
-            self.kind,
-            Kind::Lazy,
-            "CFD retraction needs a lazy encoding"
-        );
         self.cfd_retired[gi] = true;
         self.delete_cfd_clauses(|c| c == gi);
     }
@@ -553,16 +439,13 @@ impl EncodedSpec {
     /// deletion of the encoding (see the module docs). Returns whether a
     /// clause went.
     fn delete_cfd_clauses(&mut self, stale: impl Fn(usize) -> bool) -> bool {
-        let stale_tag = |tag: u32| tag != NO_CFD && stale(tag as usize);
-        if !self.clause_cfds.iter().any(|&tag| stale_tag(tag)) {
+        let stale_tag = |tag: u32| tag < ORDER_RULE && stale(tag as usize);
+        if !self.clause_tags.iter().any(|&tag| stale_tag(tag)) {
             return false;
         }
-        let tags = &self.clause_cfds;
+        let tags = &self.clause_tags;
         self.cnf.retain_clauses(|idx| !stale_tag(tags[idx]));
-        let mut tags = tags.iter();
-        self.clause_kinds
-            .retain(|_| tags.next().is_some_and(|&tag| !stale_tag(tag)));
-        self.clause_cfds.retain(|&tag| !stale_tag(tag));
+        self.clause_tags.retain(|&tag| !stale_tag(tag));
         true
     }
 
@@ -573,7 +456,7 @@ impl EncodedSpec {
     }
 
     /// Adds the clause of an instance constraint to the CNF, tagged with
-    /// its [`ClauseKind`] and, for a CFD instance, its CFD. Literals go
+    /// its CFD, [`ORDER_RULE`] or [`GENERAL`]. Literals go
     /// straight into the CNF's flat arena — no per-clause allocation, no
     /// intermediate buffer — and the clause is the instance's sole
     /// representation.
@@ -589,32 +472,17 @@ impl EncodedSpec {
             let lit = self.var(*a).negative();
             self.cnf.push_clause_lit(lit);
         }
-        let mut kind = ClauseKind::General;
+        let is_atom = matches!(c.conclusion, Conclusion::Atom(_));
         if let Conclusion::Atom(atom) = c.conclusion {
             let concl = self.var(atom).positive();
             self.cnf.push_clause_lit(concl);
-            if matches!(
-                c.origin,
-                super::Origin::Currency(_) | super::Origin::BaseOrder
-            ) {
-                kind = ClauseKind::OrderRule;
-            }
         }
         self.cnf.finish_clause();
-        self.clause_cfds.push(match c.origin {
+        self.clause_tags.push(match c.origin {
             super::Origin::Cfd(gi) => gi as u32,
-            _ => NO_CFD,
+            super::Origin::Currency(_) | super::Origin::BaseOrder if is_atom => ORDER_RULE,
+            _ => GENERAL,
         });
-        self.clause_kinds.push(kind);
-    }
-
-    /// Appends one untagged clause to the CNF. Every caller allocates its
-    /// variables through [`EncodedSpec::var`] first, so the CNF skips its
-    /// per-literal variable scan.
-    fn push_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        self.cnf.add_clause_prealloc(lits);
-        self.clause_cfds.push(NO_CFD);
-        self.clause_kinds.push(ClauseKind::General);
     }
 
     /// Allocates (or returns) the variable for an order atom.
@@ -629,7 +497,12 @@ impl EncodedSpec {
         v
     }
 
-    /// The CNF `Φ(Se)`.
+    /// The instance clauses of `Φ(Se)`: the encoded Ω(Se), base orders and
+    /// CFD groups, without the asymmetry, totality and transitivity axioms
+    /// (the engine's solvers hold those as their order theory). A solver
+    /// over this CNF alone is not complete: build one with
+    /// [`fresh_solver`](Self::fresh_solver), or take the axioms as clauses
+    /// from `cr_store::reference_cnf`.
     pub fn cnf(&self) -> &Cnf {
         &self.cnf
     }
@@ -644,8 +517,8 @@ impl EncodedSpec {
     /// out whatever must outlive the callback.
     pub fn for_each_order_rule<F: FnMut(&[OrderAtom], OrderAtom)>(&self, mut f: F) {
         let mut premise: Vec<OrderAtom> = Vec::new();
-        for idx in 0..self.clause_kinds.len() {
-            if self.clause_kinds[idx] != ClauseKind::OrderRule {
+        for idx in 0..self.clause_tags.len() {
+            if self.clause_tags[idx] != ORDER_RULE {
                 continue;
             }
             premise.clear();
@@ -658,13 +531,13 @@ impl EncodedSpec {
                     premise.push(atom);
                 }
             }
-            let concl = conclusion.expect("OrderRule clauses have an atom conclusion");
+            let concl = conclusion.expect("order-rule clauses have an atom conclusion");
             f(&premise, concl);
         }
     }
 
     /// Approximate heap footprint of the encoding in bytes: the CNF arena,
-    /// the per-clause CFD/kind tags, the dense variable table and the
+    /// the per-clause tags, the dense variable table and the
     /// atom table. Feeds the bytes-per-entity accounting of the
     /// benchmarks.
     pub fn approx_bytes(&self) -> usize {
@@ -675,8 +548,7 @@ impl EncodedSpec {
             .map(|t| t.capacity() * std::mem::size_of::<u32>())
             .sum();
         self.cnf.approx_bytes()
-            + self.clause_cfds.capacity() * std::mem::size_of::<u32>()
-            + self.clause_kinds.capacity() * std::mem::size_of::<ClauseKind>()
+            + self.clause_tags.capacity() * std::mem::size_of::<u32>()
             + vars
             + self.atoms.capacity() * std::mem::size_of::<OrderAtom>()
     }
@@ -707,8 +579,9 @@ impl EncodedSpec {
         self.atoms.len()
     }
 
-    /// A CDCL solver over `Φ(Se)` with, for the lazy kind, every order atom
-    /// registered. Until it is searched, its root trail
+    /// A CDCL solver over `Φ(Se)` with every order atom registered: the one
+    /// way to build a complete solver over the encoding. Until it is
+    /// searched, its root trail
     /// ([`cr_sat::Solver::root_trail`]) is the unit-propagation fixpoint
     /// `DeduceOrder` reads.
     pub fn fresh_solver(&self) -> cr_sat::Solver {
@@ -730,14 +603,13 @@ impl EncodedSpec {
     /// the attribute's own table and width, whose atom `lo ≺ hi` is
     /// `var(lo, hi)`. The solver then holds the order axioms over those
     /// atoms as its theory (see the module docs); a grown attribute is
-    /// registered again. Eager kinds register nothing, since their axioms
-    /// are clauses.
+    /// registered again.
     pub(crate) fn register_order_atoms(
         &self,
         from: usize,
         mut register: impl FnMut(u32, usize, &dyn Fn(usize, usize) -> Var),
     ) {
-        if self.kind != Kind::Lazy || from == self.atoms.len() {
+        if from == self.atoms.len() {
             return;
         }
         let mut grown = vec![false; self.space.arity()];
@@ -760,21 +632,20 @@ impl EncodedSpec {
         self.space.value(attr, id)
     }
 
-    /// Assumption literals asserting "`v` is the most current value of
-    /// `attr`": every other value of the space sits strictly below `v`.
-    /// (The dense variable table is fully allocated in every kind, so
-    /// the lookup always succeeds for interned ids; `None` is kept for
-    /// defensive callers.)
-    pub fn top_assumptions(&self, attr: AttrId, v: ValueId) -> Option<Vec<Lit>> {
-        let interner = self.space.attr(attr);
-        let mut lits = Vec::with_capacity(interner.len().saturating_sub(1));
-        for o in interner.ids() {
-            if o == v {
-                continue;
-            }
-            lits.push(self.var_of(attr, o, v)?.positive());
-        }
-        Some(lits)
+    /// The literals asserting "`v` is the most current value of `attr`":
+    /// every other value of the space sits strictly below `v`. The dense
+    /// variable table is fully allocated, so every pair has its variable.
+    pub fn top_literals(&self, attr: AttrId, v: ValueId) -> impl Iterator<Item = Lit> + '_ {
+        self.space
+            .attr(attr)
+            .ids()
+            .filter(move |&o| o != v)
+            .map(move |o| {
+                self.vars
+                    .get(attr, o, v)
+                    .expect("dense variable table")
+                    .positive()
+            })
     }
 }
 
@@ -810,7 +681,7 @@ mod tests {
     /// (premise atoms, conclusion atom).
     fn cfd_clauses(enc: &EncodedSpec, gi: usize) -> Vec<(Vec<OrderAtom>, Option<OrderAtom>)> {
         (0..enc.cnf().num_clauses())
-            .filter(|&idx| enc.clause_cfds[idx] == gi as u32)
+            .filter(|&idx| enc.clause_tags[idx] == gi as u32)
             .map(|idx| {
                 let mut premise = Vec::new();
                 let mut conclusion = None;
@@ -834,7 +705,7 @@ mod tests {
         // Two attributes, two values each → 2·2·1 = 4 order vars.
         assert_eq!(enc.num_order_vars(), 4);
         // Sat: the chain working≺retired, nurse≺n/a is consistent.
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         assert_eq!(solver.solve(), SolveResult::Sat);
     }
 
@@ -842,7 +713,7 @@ mod tests {
     fn unit_propagation_derives_the_chain() {
         let spec = tiny_spec();
         let enc = EncodedSpec::encode(&spec);
-        let solver = Solver::from_cnf(enc.cnf());
+        let solver = enc.fresh_solver();
         let implied = solver.root_trail().expect("valid spec");
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
@@ -867,8 +738,9 @@ mod tests {
         orders.add(AttrId(0), cr_types::TupleId(1), cr_types::TupleId(0));
         let spec = Specification::new(e, orders, vec![], vec![]);
         let enc = EncodedSpec::encode(&spec);
-        let mut solver = Solver::from_cnf(enc.cnf());
-        assert_eq!(solver.solve(), SolveResult::Unsat);
+        // Both units hold in Φ(Se); only the asymmetry axiom refutes them.
+        assert_eq!(Solver::from_cnf(enc.cnf()).solve(), SolveResult::Sat);
+        assert_eq!(enc.fresh_solver().solve(), SolveResult::Unsat);
     }
 
     #[test]
@@ -892,7 +764,7 @@ mod tests {
         let a = AttrId(0);
         let id = |v: i64| enc.value_id(a, &Value::int(v)).unwrap();
         let x_ac = enc.var_of(a, id(1), id(3)).unwrap();
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         assert_eq!(
             solver.solve_with_assumptions(&[x_ac.negative()]),
             SolveResult::Unsat
@@ -901,39 +773,9 @@ mod tests {
     }
 
     #[test]
-    fn lazy_encoding_matches_eager_on_validity() {
-        let spec = tiny_spec();
-        let eager = EncodedSpec::encode(&spec);
-        let lazy = EncodedSpec::encode_lazy(&spec);
-        // Same variables, strictly fewer clauses (no axioms materialised).
-        assert_eq!(lazy.num_order_vars(), eager.num_order_vars());
-        assert!(lazy.cnf().num_clauses() < eager.cnf().num_clauses());
-        let mut s1 = Solver::from_cnf(eager.cnf());
-        let mut s2 = lazy.fresh_solver();
-        assert_eq!(s1.solve(), s2.solve());
-    }
-
-    #[test]
-    fn lazy_up_deduction_matches_eager() {
-        // The φ-chain of `tiny_spec` must propagate identically whether the
-        // axioms are materialised or pulled on demand.
-        let spec = tiny_spec();
-        let eager = EncodedSpec::encode(&spec);
-        let lazy = EncodedSpec::encode_lazy(&spec);
-        let od_eager = crate::deduce::deduce_order(&eager).unwrap();
-        let od_lazy = crate::deduce::deduce_order(&lazy).unwrap();
-        assert_eq!(od_eager.size(), od_lazy.size());
-        for attr in spec.schema().attr_ids() {
-            for (lo, hi) in od_eager.pairs(attr) {
-                assert!(od_lazy.contains(attr, lo, hi));
-            }
-        }
-    }
-
-    #[test]
     fn lazy_queries_leave_the_cnf_unchanged() {
         let spec = tiny_spec();
-        let enc = EncodedSpec::encode_lazy(&spec);
+        let enc = EncodedSpec::encode(&spec);
         let before = enc.cnf().clauses().map(<[Lit]>::to_vec).collect::<Vec<_>>();
         let status = spec.schema().attr_id("status").unwrap();
         let sid = |v: &str| enc.value_id(status, &Value::str(v)).unwrap();
@@ -986,7 +828,7 @@ mod tests {
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
         let x = enc.var_of(city, ny, la).unwrap();
         // NY ≺ LA must be implied.
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         assert_eq!(
             solver.solve_with_assumptions(&[x.negative()]),
             SolveResult::Unsat
@@ -995,10 +837,9 @@ mod tests {
     }
 
     #[test]
-    fn lazy_cfd_clauses_match_eager() {
-        // Same spec as above, encoded lazily and eagerly: both kinds emit
-        // the CFD as the same plain clauses, and a solver over the lazy
-        // CNF forces the CFD like the eager one.
+    fn cfd_clauses_are_tagged_and_force_their_conclusion() {
+        // Same spec as above: the CFD's clauses carry its tag, and a
+        // solver over the CNF forces the CFD.
         let s = Schema::new("p", ["status", "AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),
@@ -1018,24 +859,36 @@ mod tests {
         ];
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, sigma, gamma);
-        let lazy = EncodedSpec::encode_lazy(&spec);
-        let eager = EncodedSpec::encode(&spec);
-        assert!(!cfd_clauses(&lazy, 0).is_empty());
-        assert_eq!(cfd_clauses(&lazy, 0), cfd_clauses(&eager, 0));
+        let enc = EncodedSpec::encode(&spec);
         let city = spec.schema().attr_id("city").unwrap();
-        let ny = lazy.value_id(city, &Value::str("NY")).unwrap();
-        let la = lazy.value_id(city, &Value::str("LA")).unwrap();
-        let x = lazy.var_of(city, ny, la).unwrap();
-        let mut solver = lazy.fresh_solver();
+        let ny = enc.value_id(city, &Value::str("NY")).unwrap();
+        let la = enc.value_id(city, &Value::str("LA")).unwrap();
+        let ac = spec.schema().attr_id("AC").unwrap();
+        let ac212 = enc.value_id(ac, &Value::int(212)).unwrap();
+        let ac213 = enc.value_id(ac, &Value::int(213)).unwrap();
+        let domination = |lo, hi| OrderAtom { attr: city, lo, hi };
+        assert_eq!(
+            cfd_clauses(&enc, 0),
+            vec![(
+                vec![OrderAtom {
+                    attr: ac,
+                    lo: ac212,
+                    hi: ac213
+                }],
+                Some(domination(ny, la))
+            )]
+        );
+        let x = enc.var_of(city, ny, la).unwrap();
+        let mut solver = enc.fresh_solver();
         assert_eq!(
             solver.solve_with_assumptions(&[x.negative()]),
             SolveResult::Unsat
         );
         assert_eq!(solver.solve(), SolveResult::Sat);
         // Every variable is an order atom.
-        assert_eq!(lazy.num_order_vars(), lazy.cnf().num_vars() as usize);
+        assert_eq!(enc.num_order_vars(), enc.cnf().num_vars() as usize);
         assert_eq!(
-            lazy.order_atom(x),
+            enc.order_atom(x),
             Some(OrderAtom {
                 attr: city,
                 lo: ny,
@@ -1058,7 +911,7 @@ mod tests {
         )
         .unwrap();
         let spec = Specification::without_orders(e, vec![], vec![]);
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let city = spec.schema().attr_id("city").unwrap();
         let input = UserInput::single(city, Value::str("LA"));
 
@@ -1083,7 +936,7 @@ mod tests {
         // creates the pair (t_working, to) whose instance forces the job
         // order too.
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         let input = UserInput::single(status, Value::str("retired"));
@@ -1098,7 +951,7 @@ mod tests {
         // The answered value is new: the space grows, the new value tops
         // the attribute, and deduction still works on the extended CNF.
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let input = UserInput::single(status, Value::str("deceased"));
         // No CFDs → nothing to delete, but the extension must succeed.
@@ -1132,7 +985,7 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 213 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let ac = spec.schema().attr_id("AC").unwrap();
         let city = spec.schema().attr_id("city").unwrap();
         let stale = cfd_clauses(&enc, 0);
@@ -1200,7 +1053,7 @@ mod tests {
         .unwrap();
         let gamma = parse_cfds(&s, "AC = 999 -> city = \"LA\"").unwrap();
         let spec = Specification::without_orders(e, vec![], gamma);
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         assert!(cfd_clauses(&enc, 0).is_empty());
 
         let ac = spec.schema().attr_id("AC").unwrap();
@@ -1224,7 +1077,7 @@ mod tests {
         // out-of-domain answers grow the table without emitting axiom
         // clauses (the solvers' order theory covers the grown space).
         let spec = tiny_spec();
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let status = spec.schema().attr_id("status").unwrap();
         let job = spec.schema().attr_id("job").unwrap();
         assert!(!enc.extend_with_input(&spec, &UserInput::single(status, Value::str("retired"))));
@@ -1276,7 +1129,7 @@ mod tests {
     #[test]
     fn retract_cfd_deletes_its_clauses_and_blocks_reemission() {
         let spec = fired_cfd_spec();
-        let mut enc = EncodedSpec::encode_lazy(&spec);
+        let mut enc = EncodedSpec::encode(&spec);
         let city = AttrId(1);
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
         let la = enc.value_id(city, &Value::str("LA")).unwrap();
@@ -1292,8 +1145,7 @@ mod tests {
             cfd_clauses(&enc, 0).is_empty(),
             "retired CFD clauses are deleted"
         );
-        assert_eq!(enc.cnf().num_clauses(), enc.clause_kinds.len());
-        assert_eq!(enc.cnf().num_clauses(), enc.clause_cfds.len());
+        assert_eq!(enc.cnf().num_clauses(), enc.clause_tags.len());
         assert!(enc.cnf().num_clauses() < clauses);
         let od = crate::deduce::deduce_order(&enc).unwrap();
         assert!(

@@ -7,59 +7,54 @@
 //! implication to a clause, adding transitivity and asymmetry axioms so that
 //! satisfying assignments correspond to valid completions (Lemma 5).
 //!
-//! ## Encoding kinds
+//! ## One encoding, and the oracle's reference CNF
 //!
-//! The axioms are the bulk of `Φ(Se)` — `O(n³)` transitivity clauses per
-//! attribute over `n` realised values, versus `O(|Ω|)` instance clauses.
-//! An [`EncodedSpec`] is one of three kinds, each with its own constructor;
-//! no other mix of axiom generation, totality and clause grouping exists:
+//! The axioms are the bulk of the formula Section V-A writes out —
+//! `O(n³)` transitivity clauses per attribute over `n` realised values,
+//! versus `O(|Ω|)` instance clauses. [`EncodedSpec::encode`] writes none
+//! of them: the dense `attr × lo × hi` variable table is fully allocated
+//! (`O(n²)`), and Φ(Se) holds exactly the instance constraints. Every
+//! solver over an encoding comes from [`EncodedSpec::fresh_solver`] (or,
+//! inside the session, the same loader on recycled scratch), which
+//! registers the tables as order domains, so the solver holds asymmetry,
+//! totality and transitivity as its order theory (`cr_sat::order`): it
+//! applies them inside its propagation, so its root trail before any
+//! search is `DeduceOrder`'s fixpoint, and it rebuilds an axiom instance
+//! as a reason clause only when conflict analysis asks. A bare
+//! `Solver::from_cnf(enc.cnf())` knows no axiom.
 //!
-//! * **Eager** ([`EncodedSpec::encode`]): every asymmetry, totality and
-//!   transitivity instance is materialised at encode time and CFD clauses
-//!   are plain. `Φ(Se)` is then self-contained: any SAT solver over
-//!   [`EncodedSpec::cnf`] is complete without further cooperation, and the encoding answers every axiom consultation with
-//!   nothing — the Fig. 4 steps run one body over every kind, and this
-//!   module is the only one that reads the kind. It is one-shot — encoded
-//!   once, queried, never extended — and serves standalone consumers
-//!   (`implication`, the Fig. 8 ablations) and the oracles of the
-//!   `cr-oracle` crate and `cr-store`'s harness (exhaustive-completion
-//!   comparisons, the per-round session ≡ scratch check, which checks the
-//!   engine's extended and rebuilt solvers against a fresh encoding).
-//! * **Paper-faithful** ([`EncodedSpec::encode_paper_faithful`]): eager,
-//!   without the totality clauses `x^A_{a,b} ∨ x^A_{b,a}` — Section V-A as
-//!   written. **Reproduction finding:** without totality, satisfying
-//!   assignments of `Φ(Se)` are partial orders that may not extend to a
-//!   valid completion, and literals can hold in every valid completion
-//!   without being implied by `Φ(Se)` (Lemmas 5/6 break on corner cases —
-//!   see `encoding_gaps::paper_encoding_misses_disjunctive_facts`). With
-//!   totality the models of `Φ(Se)` are exactly the value-level
-//!   completions, so every other kind includes it.
-//! * **Lazy** ([`EncodedSpec::encode_lazy`], the engine's encoding): the
-//!   dense `attr × lo × hi` variable table is still fully allocated
-//!   (`O(n²)`), but **no** axiom clauses are emitted, then or later.
-//!   A CDCL solver from [`EncodedSpec::fresh_solver`] holds the axioms as
-//!   the order theory over the registered atoms: it applies them inside
-//!   its propagation, so its root trail before any search is
-//!   `DeduceOrder`'s fixpoint, and rebuilds an instance as a reason
-//!   clause only when conflict analysis asks. A session extends this kind
-//!   with every user answer; an out-of-domain answer deletes the clauses
-//!   of the CFDs over the grown attribute and re-emits them (see the `cnf`
-//!   module docs), and the session's two solvers, which are views of
-//!   Φ(Se), are rebuilt from it at the engine's next call
-//!   (`framework`'s module docs). Resolution outcomes are
-//!   **identical** to an eager encoding of the same specification
-//!   (differentially tested, see below); round-0 encode cost drops from
-//!   `O(n³)` to `O(n²)`. Upstream corrections ([`crate::ingest`]) never
-//!   edit an encoding: they edit the session's specification, which the
-//!   session then re-encodes with this kind, deleting withdrawn CFDs'
-//!   clauses (`EncodedSpec::retract_cfd`).
+//! A session extends its encoding with every user answer; an
+//! out-of-domain answer deletes the clauses of the CFDs over the grown
+//! attribute and re-emits them (see the `cnf` module docs), and the
+//! session's two solvers, which are views of Φ(Se), are rebuilt from it
+//! at the engine's next call (`framework`'s module docs). Upstream
+//! corrections ([`crate::ingest`]) never edit an encoding: they edit the
+//! session's specification, which the session then re-encodes, deleting
+//! withdrawn CFDs' clauses (`EncodedSpec::retract_cfd`). Round-0 encode
+//! cost is `O(n²)`.
 //!
-//! So "totality" means "not paper-faithful". Only the lazy kind is
-//! extended with user input.
+//! The axioms survive as clauses only in the oracles' **reference CNF**
+//! (`cr_store::harness::reference_cnf`): Φ(Se) plus every asymmetry,
+//! totality and transitivity clause, built over this module's public API
+//! and solved on a solver that registers no order domain, so the oracle
+//! stays independent of `cr_sat::order`. The per-round session ≡ scratch
+//! check and the encoder ≡ brute-force properties compare the engine
+//! with it.
+//!
+//! **Reproduction finding:** Section V-A as written has no totality
+//! clauses `x^A_{a,b} ∨ x^A_{b,a}`. Without them, satisfying assignments
+//! of the formula are partial orders that may not extend to a valid
+//! completion, and literals can hold in every valid completion without
+//! being implied by it (Lemmas 5/6 break on corner cases — see
+//! `tests/encoding_gaps.rs`, which drops the totality clauses from the
+//! reference CNF, and
+//! `deduce::tests::naive_deduce_catches_disjunctive_inference_up_misses`).
+//! With totality the models are exactly the value-level completions, so
+//! the order theory includes it.
 //!
 //! ## Compiled constraint programs
 //!
-//! Every encode — any mode — projects the entity through a dataset-level
+//! Every encode projects the entity through a dataset-level
 //! [`CompiledProgram`]. The lifecycle is **build once per dataset →
 //! project per entity → extend per round**:
 //!
@@ -103,24 +98,14 @@
 //! baseline (`tests/lazy_differential.rs` proves `omega_compiled` ≡
 //! reference Ω(Se) exactly on the seed datasets and randomized scenarios).
 //!
-//! **Which kind where.** [`EncodedSpec::encode`] is eager so that
-//! standalone `EncodedSpec::encode` + `Solver::from_cnf` pipelines stay
-//! complete with zero cooperation. The engine's encoding is fixed: every
-//! session — interactive, scheduled, store-hosted, restored or revised,
-//! and every round of the from-scratch loop
-//! (`ResolutionConfig::incremental` off) — encodes lazily, and the
-//! per-round oracle eagerly. The paper-faithful kind serves only
-//! `tests/encoding_gaps.rs` and one unit test. Every encode runs the compiled projection —
-//! the program is orthogonal to the kind.
-//!
 //! **Differential testing.** The incremental engine is checked against
-//! its from-scratch loop (a fresh lazy session per round, re-encoded and
-//! never extended) on the four seed datasets
+//! its from-scratch loop (a fresh session per round, re-encoded and never
+//! extended) on the four seed datasets
 //! (`tests/incremental_differential.rs`, the workspace's
-//! `tests/compile_once.rs`) and, after every answer, against an eager self-contained encode of the
-//! current specification on the seed datasets and on randomized scenarios
-//! from `cr_data::gen` (`tests/lazy_differential.rs`), including
-//! out-of-domain and CFD-LHS user answers.
+//! `tests/compile_once.rs`) and, after every answer, against the
+//! reference CNF of the current specification on the seed datasets and
+//! on randomized scenarios from `cr_data::gen` (`tests/lazy_differential.rs`),
+//! including out-of-domain and CFD-LHS user answers.
 //!
 //! ## Semantics notes
 //!
@@ -140,7 +125,7 @@ mod cnf;
 mod omega;
 mod program;
 
-pub use cnf::{ClauseKind, EncodedSpec};
+pub use cnf::EncodedSpec;
 pub use omega::{Conclusion, InstanceConstraint, OrderAtom, Origin, Premise};
 pub use program::{compile_count, CompiledProgram};
 

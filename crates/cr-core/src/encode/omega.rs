@@ -803,7 +803,7 @@ pub(crate) fn emit_sigma_gamma(
 
     // 5. Constant CFDs, patterns resolved through dense global ids.
     for (gi, cfd) in program.gamma.iter().enumerate() {
-        for c in compiled_cfd_instances(space, g2l, entity, gi, cfd, use_gids) {
+        for c in compiled_cfd_instances(space, use_gids.then_some((g2l, entity)), gi, cfd) {
             sink.emit(c);
         }
     }
@@ -987,7 +987,7 @@ fn emit_sigma_gamma_reference(
 
     // 5. Constant CFDs, patterns resolved through dense global ids.
     for (gi, cfd) in program.gamma.iter().enumerate() {
-        for c in compiled_cfd_instances(space, g2l, entity, gi, cfd, use_gids) {
+        for c in compiled_cfd_instances(space, use_gids.then_some((g2l, entity)), gi, cfd) {
             sink.emit(c);
         }
     }
@@ -995,52 +995,34 @@ fn emit_sigma_gamma_reference(
 
 /// The instance constraints of one constant CFD over the given value
 /// spaces — the ωX-premise/domination emission of `Instantiation(Se)` step
-/// 5, factored out so [`EncodedSpec::extend_with_input`] can *re-emit* a
+/// 5, which [`EncodedSpec::extend_with_input`] also calls to *re-emit* a
 /// CFD, whose stale clauses it deleted, after a new value grows a
-/// referenced attribute's space. Pattern constants are resolved by `Value` lookup;
-/// the encode-time path resolves through dense global ids instead
-/// ([`compiled_cfd_instances`]).
+/// referenced attribute's space.
+///
+/// With `gids` (the encode-time projection, when the program and the
+/// entity share a value table) a pattern constant resolves through the
+/// compiled program's dense global ids: an integer lookup instead of a
+/// `Value` hash. Without it (re-emission), and on a global-id miss, it
+/// resolves by `Value` lookup.
 ///
 /// Returns an empty vector when an LHS pattern constant is outside the
 /// active domain (the CFD can never fire); a missing RHS constant yields
 /// the single `Conclusion::False` instance.
-pub(crate) fn cfd_instances(
+pub(crate) fn compiled_cfd_instances(
     space: &AttrValueSpace,
-    gi: usize,
-    cfd: &cr_constraints::ConstantCfd,
-) -> Vec<InstanceConstraint> {
-    let mut lhs_ids = Vec::with_capacity(cfd.lhs().len());
-    for (attr, c) in cfd.lhs() {
-        let Some(cid) = space.get(*attr, c) else {
-            return Vec::new();
-        };
-        lhs_ids.push((*attr, cid));
-    }
-    let (battr, bval) = cfd.rhs();
-    cfd_instances_ids(space, gi, &lhs_ids, *battr, space.get(*battr, bval))
-}
-
-/// [`cfd_instances`] after pattern resolution through the compiled
-/// program's dense global ids: an integer lookup per constant instead of a
-/// `Value` hash (falling back to `Value` lookup when the program was
-/// compiled without a table or the id universes differ).
-fn compiled_cfd_instances(
-    space: &AttrValueSpace,
-    g2l: &GlobalToLocal,
-    entity: &cr_types::EntityInstance,
+    gids: Option<(&GlobalToLocal, &cr_types::EntityInstance)>,
     gi: usize,
     cfd: &CompiledCfd,
-    use_gids: bool,
 ) -> Vec<InstanceConstraint> {
     let resolve = |attr: cr_types::AttrId, v: &Value, gid: Option<u32>| -> Option<ValueId> {
-        match gid {
+        match (gid, gids) {
             // Global-id fast path: a table-resolved constant that occurs in
             // the entity leads to the attribute's space slot by integer
             // lookups. A miss is NOT conclusive — a value equal to the
             // constant may have entered the entity *outside* the table
             // (user input pushes rows without table interning), so fall
             // back to the `Value` lookup before declaring absence.
-            Some(g) if use_gids => entity
+            (Some(g), Some((g2l, entity))) => entity
                 .local_of_global(g)
                 .and_then(|local| g2l.get(attr, local))
                 .or_else(|| space.get(attr, v)),
@@ -1058,8 +1040,8 @@ fn compiled_cfd_instances(
     cfd_instances_ids(space, gi, &lhs_ids, *battr, resolve(*battr, bval, *bgid))
 }
 
-/// Shared emission core: ωX premise plus domination conclusions, from
-/// already-resolved pattern ids. `rhs_id == None` means the pattern's
+/// The emission core of [`compiled_cfd_instances`]: ωX premise plus
+/// domination conclusions, from already-resolved pattern ids. `rhs_id == None` means the pattern's
 /// B-value is outside the active domain (the premise must fail).
 fn cfd_instances_ids(
     space: &AttrValueSpace,

@@ -50,6 +50,14 @@ pub fn compile_count() -> usize {
     COMPILE_COUNT.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`COMPILE_COUNT`] of the current thread alone: unit tests run on
+    /// parallel threads that compile too, so a delta of the global count
+    /// races.
+    static THREAD_COMPILE_COUNT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// A constant comparison `ti[attr] op c`, with the constant pre-resolved to
 /// its dataset-wide global id when the program was compiled with a table
 /// (equality against a table value then needs no `Value` compare at all).
@@ -173,8 +181,8 @@ pub(crate) struct CompiledCfd {
 }
 
 /// The compiled form of a dataset's Σ/Γ — built once, projected onto every
-/// entity (see the module docs and the "Encoding modes" section of
-/// [`crate::encode`]).
+/// entity (see the module docs and the "Compiled constraint programs"
+/// section of [`crate::encode`]).
 #[derive(Debug)]
 pub struct CompiledProgram {
     pub(crate) sigma: Vec<CompiledConstraint>,
@@ -202,6 +210,8 @@ impl CompiledProgram {
         table: Option<&ValueTable>,
     ) -> Self {
         COMPILE_COUNT.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        THREAD_COMPILE_COUNT.with(|n| n.set(n.get() + 1));
         let resolve = |v: &Value| table.and_then(|t| t.get(v));
         // Σ has few classes (hundreds of generated Person constraints fall
         // into two), so a linear scan finds a constraint's class.
@@ -316,9 +326,10 @@ mod tests {
         )
         .unwrap();
         let gamma = parse_cfds(&s, "status = \"working\" -> job = \"nurse\"").unwrap();
-        let before = compile_count();
+        let compiled = || THREAD_COMPILE_COUNT.with(std::cell::Cell::get);
+        let before = compiled();
         let p = CompiledProgram::compile(&[c], &gamma, Some(&table));
-        assert_eq!(compile_count(), before + 1);
+        assert_eq!(compiled(), before + 1);
         assert_eq!(p.sizes(), (1, 1));
         assert_eq!(p.table_token(), Some(table.token()));
         let cc = &p.sigma[0];

@@ -46,9 +46,12 @@
 //!   its learnt clauses.
 //! * Every other answer only appends, and both solvers take the tail.
 //!
-//! Few answers pay for a rebuild. In the repository benchmark at seed 11,
-//! 96 of 5,314 `interactive` answers (1.8%) deleted CFD clauses, and none
-//! of the `batch` or `serve` answers did.
+//! Few answers pay for a rebuild. A count of the extensions in 4 s runs
+//! of the repository benchmark at seed 11 (2 cores): in `interactive`,
+//! 1,965 of 26,570 answers (7.4%) carried an out-of-domain value and 480
+//! (1.8%) deleted CFD clauses; in `serve` (its setup-check replays
+//! included), 584 of 35,578 grew the space and 44 (0.12%) deleted; in
+//! `batch`, none of 95,922 did either.
 //! [`ResolutionOutcome::retractions`] counts these rebuilds per
 //! resolution.
 //!
@@ -58,8 +61,7 @@
 //!
 //! # Order axioms as a theory
 //!
-//! The engine always encodes with a lazy kind: the
-//! `O(n³)`-per-attribute order axioms are never clauses of `Φ(Se)`. The
+//! The `O(n³)`-per-attribute order axioms are never clauses of `Φ(Se)`. The
 //! encoding registers its order atoms with every solver, which holds the
 //! axioms as the built-in order theory of `cr_sat::order` and applies it
 //! inside its own propagation, rebuilding an axiom instance as a reason
@@ -69,16 +71,16 @@
 //! same domains on its solver. No query adds a clause to `Φ(Se)`. The
 //! session's steps run the same bodies as the one-shot
 //! `is_valid_encoded`, `deduce_order`, `naive_deduce` and `suggest`, over
-//! warm solvers instead of fresh ones (`fresh_solver`). See the
-//! "Encoding kinds" section of the encode
-//! module docs for the fixed engine encodings, the one-shot eager encoding
-//! and the differential-test coverage.
+//! warm solvers instead of fresh ones (`fresh_solver`). See the "One
+//! encoding, and the oracle's reference CNF" section of the encode module
+//! docs for the encoding, the oracles' reference CNF and the
+//! differential-test coverage.
 //!
 //! # The from-scratch oracle
 //!
 //! With `incremental: false` the same loop body runs on a **fresh
 //! [`ResolutionSession`] per round**: the session is opened on the
-//! extended specification with the engine's lazy encoding, answered
+//! extended specification with the engine's encoding, answered
 //! against, and discarded — an answer extends a copy of the
 //! specification, never the session. Every round therefore re-encodes
 //! and constructs fresh solvers, as the paper describes the loop, so
@@ -86,7 +88,7 @@
 //! re-encoding. This is the differential-testing baseline
 //! (`tests/incremental_differential.rs`) and the paper-faithful baseline
 //! for benchmarks. The extended and rebuilt solvers are checked against
-//! a fresh eager encoding by the per-round oracle
+//! the reference CNF of a fresh encoding by the per-round oracle
 //! (`check_session_against_scratch` in `cr-store`'s harness, run by
 //! `tests/lazy_differential.rs` and every replay and recovery
 //! differential).

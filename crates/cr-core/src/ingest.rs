@@ -24,8 +24,7 @@
 //! revision stream and, after every revision batch, proves the engine
 //! state equivalent to a **from-scratch re-resolution of the
 //! post-revision specification** (validity, deduced value orders and true
-//! values compared on a fresh eager encoding of `cr_store`'s
-//! `SpecMirror`).
+//! values compared with the reference CNF of `cr_store`'s `SpecMirror`).
 //!
 //! # Re-encoding
 //!
@@ -36,7 +35,7 @@
 //! batch that applied an event marks the engine *stale*; the next engine
 //! call ([`ResolutionSession::is_valid`], [`ResolutionSession::deduce`],
 //! [`ResolutionSession::suggest`] or [`ResolutionSession::apply_input`])
-//! re-encodes `current` with [`EncodedSpec::encode_lazy`], deletes the
+//! re-encodes `current` with [`EncodedSpec::encode`], deletes the
 //! retired CFDs' clauses (`EncodedSpec::retract_cfd`) and rebuilds its
 //! two solvers from the new CNF (see "Consumers are views
 //! of Φ(Se)" in [`crate::framework`]). A revised session is therefore the
@@ -524,10 +523,10 @@ impl Synced {
     }
 }
 
-/// The engine's encoding of `spec`: its lazy encoding with the `retired`
-/// CFDs' clauses deleted.
+/// The engine's encoding of `spec`: its encoding with the `retired` CFDs'
+/// clauses deleted.
 fn encode_engine(spec: &Specification, retired: &BTreeSet<usize>) -> EncodedSpec {
-    let mut enc = EncodedSpec::encode_lazy(spec);
+    let mut enc = EncodedSpec::encode(spec);
     for &gi in retired {
         enc.retract_cfd(gi);
     }
@@ -535,8 +534,8 @@ fn encode_engine(spec: &Specification, retired: &BTreeSet<usize>) -> EncodedSpec
 }
 
 impl ResolutionSession {
-    /// Opens a session on `spec`: the lazy encoding
-    /// ([`EncodedSpec::encode_lazy`]), which
+    /// Opens a session on `spec`: its encoding
+    /// ([`EncodedSpec::encode`]), which
     /// [`ResolutionSession::apply_input`] extends with every user answer —
     /// in the interned value space or not — and whose specification every
     /// correction edits (module docs).

@@ -24,8 +24,8 @@ pub fn is_valid(spec: &Specification) -> Validity {
 
 /// Validity of an already encoded specification (avoids re-encoding when the
 /// caller also needs the encoding for deduction). The solver comes from
-/// [`EncodedSpec::fresh_solver`], so on a lazy encoding it holds the order
-/// axioms as its theory and its answer is that of the eager formula.
+/// [`EncodedSpec::fresh_solver`], so it holds the order axioms as its
+/// theory.
 pub fn is_valid_encoded(enc: &EncodedSpec) -> Validity {
     let mut solver = enc.fresh_solver();
     let valid = solver.solve() == SolveResult::Sat;

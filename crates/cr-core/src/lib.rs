@@ -49,6 +49,11 @@ pub mod spec;
 pub mod suggest;
 pub mod truevalue;
 
+/// The SAT layer whose types this crate's API hands out
+/// ([`EncodedSpec::cnf`], [`EncodedSpec::fresh_solver`]), for crates that
+/// depend on this one alone.
+pub use cr_sat as sat;
+
 pub use causal::{
     CausalFrontier, CausalRevision, CausalRevisionSource, FrontierState, ScriptedCausalRevisions,
 };

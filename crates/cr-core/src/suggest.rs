@@ -9,9 +9,8 @@
 use std::collections::BTreeMap;
 
 use cr_clique::find_max_clique;
-use cr_maxsat::exact::solve_exact_with;
-use cr_maxsat::MaxSatInstance;
-use cr_types::{AttrId, Value, ValueId};
+use cr_maxsat::exact::maximize;
+use cr_types::{AttrId, Value};
 
 use crate::compat::compatibility_graph;
 use crate::deduce::DeducedOrders;
@@ -62,8 +61,7 @@ pub fn suggest(
 /// one, the session its warm solver (it syncs before suggesting).
 /// `DeriveVR` + `TrueDer` + `CompGraph` + `MaxClique`, then `GetSug`. The
 /// common case of `GetSug` — the whole clique is consistent — costs one
-/// assumption probe instead of copying `Φ(Se)` into a fresh MaxSAT
-/// instance.
+/// assumption probe instead of a repair solver.
 pub(crate) fn suggest_on(
     spec: &Specification,
     enc: &EncodedSpec,
@@ -152,18 +150,16 @@ fn assemble_suggestion(
 /// (into `rules`) of the retained clique members.
 ///
 /// Fast path: when the clique's combined assertions are jointly satisfiable
-/// with `Φ(Se)` — one incremental probe on `solver`, assembled into a
-/// single reused literal buffer with no per-rule allocation — the MaxSAT
-/// optimum keeps every clique member, so no instance is ever constructed.
-/// Real suggestions overwhelmingly hit this case. When the clique genuinely
-/// over-asserts, the repair instance *borrows* `Φ(Se)`'s clause arena
-/// ([`MaxSatInstance::with_hard_base`]) instead of copying it, so even the
-/// fallback is `O(clique)` in construction cost.
+/// with `Φ(Se)` — one incremental probe on `solver` — the MaxSAT optimum
+/// keeps every clique member, so no repair solver is ever built. Real
+/// suggestions overwhelmingly hit this case.
 ///
-/// The repair is solved exactly, on one solver that registers the
-/// encoding's order domains before loading a clause, so on a lazy
-/// encoding the hard base holds the order axioms like `solver` does and
-/// the optimum equals the eager repair.
+/// The repair runs on its own solver from [`EncodedSpec::fresh_solver`],
+/// which holds the order axioms as its theory, with the selector clauses
+/// added, and is solved exactly by [`maximize`]. It does not reuse the
+/// session's warm solver: selector and counter variables added there would
+/// occupy the indices that a later out-of-domain answer's order variables
+/// take when the session feeds the solver the grown encoding.
 fn max_consistent_subset(
     enc: &EncodedSpec,
     rules: &[DerivationRule],
@@ -177,12 +173,24 @@ fn max_consistent_subset(
     if solver.solve_with_assumptions(&assumptions) == cr_sat::SolveResult::Sat {
         return clique.to_vec();
     }
-    let (inst, selectors) = build_repair_instance(enc, rules, clique);
-    let register = |s: &mut cr_sat::Solver| {
-        enc.register_order_atoms(0, |d, n, var| s.register_order_domain(d, n, var));
-    };
-    match solve_exact_with(&inst, register) {
-        Some(result) => retained_clique(clique, &selectors, &result.assignment),
+    let mut repair = enc.fresh_solver();
+    let selectors: Vec<cr_sat::Var> = clique.iter().map(|_| repair.new_var()).collect();
+    for (&ri, sel) in clique.iter().zip(&selectors) {
+        let rule = &rules[ri];
+        for &(attr, v) in rule.lhs.iter().chain(std::iter::once(&rule.rhs)) {
+            for lit in enc.top_literals(attr, v) {
+                repair.add_clause([sel.negative(), lit]);
+            }
+        }
+    }
+    let soft: Vec<[cr_sat::Lit; 1]> = selectors.iter().map(|sel| [sel.positive()]).collect();
+    match maximize(&mut repair, soft.iter().map(|s| &s[..])) {
+        Some(model) => clique
+            .iter()
+            .zip(&selectors)
+            .filter(|(_, sel)| model[sel.index()])
+            .map(|(&ri, _)| ri)
+            .collect(),
         // Hard clauses unsatisfiable: the specification itself is
         // invalid; callers check IsValid first, so this is defensive.
         None => Vec::new(),
@@ -196,66 +204,14 @@ fn clique_assumptions(
     rules: &[DerivationRule],
     clique: &[usize],
 ) -> Vec<cr_sat::Lit> {
-    let mut assumptions: Vec<cr_sat::Lit> = Vec::new();
-    for &ri in clique {
-        let rule = &rules[ri];
-        for &(attr, v) in rule.lhs.iter().chain(std::iter::once(&rule.rhs)) {
-            push_top_literals(enc, attr, v, &mut assumptions);
-        }
-    }
+    let mut assumptions: Vec<cr_sat::Lit> = clique
+        .iter()
+        .flat_map(|&ri| rules[ri].lhs.iter().chain(std::iter::once(&rules[ri].rhs)))
+        .flat_map(|&(attr, v)| enc.top_literals(attr, v))
+        .collect();
     assumptions.sort_unstable();
     assumptions.dedup();
     assumptions
-}
-
-/// Builds the MaxSAT repair instance: the borrowed `Φ(Se)` hard base, one
-/// selector variable per clique rule implying "all its asserted values are
-/// tops", and unit-weight soft selectors. Returns the instance and the
-/// selector variables (parallel to `clique`).
-fn build_repair_instance<'a>(
-    enc: &'a EncodedSpec,
-    rules: &[DerivationRule],
-    clique: &[usize],
-) -> (MaxSatInstance<'a>, Vec<cr_sat::Var>) {
-    let mut inst = MaxSatInstance::with_hard_base(enc.cnf());
-    let mut tops = Vec::new();
-    let mut selectors = Vec::with_capacity(clique.len());
-    for (offset, &ri) in clique.iter().enumerate() {
-        let sel = cr_sat::Var(enc.cnf().num_vars() + offset as u32);
-        selectors.push(sel);
-        let rule = &rules[ri];
-        for &(attr, v) in rule.lhs.iter().chain(std::iter::once(&rule.rhs)) {
-            tops.clear();
-            push_top_literals(enc, attr, v, &mut tops);
-            for &lit in &tops {
-                inst.add_hard([sel.negative(), lit]);
-            }
-        }
-        inst.add_soft([sel.positive()], 1);
-    }
-    (inst, selectors)
-}
-
-/// The clique members a repair result retained.
-fn retained_clique(clique: &[usize], selectors: &[cr_sat::Var], assignment: &[bool]) -> Vec<usize> {
-    clique
-        .iter()
-        .zip(selectors)
-        .filter(|(_, sel)| assignment[sel.index()])
-        .map(|(&ri, _)| ri)
-        .collect()
-}
-
-/// Appends the literals asserting "`v` is the top of `attr`" to `out` —
-/// every other value sits below `v`.
-fn push_top_literals(enc: &EncodedSpec, attr: AttrId, v: ValueId, out: &mut Vec<cr_sat::Lit>) {
-    out.extend(
-        enc.space()
-            .attr(attr)
-            .ids()
-            .filter(|&o| o != v)
-            .filter_map(|o| enc.var_of(attr, o, v).map(|var| var.positive())),
-    );
 }
 
 #[cfg(test)]

@@ -103,9 +103,8 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
 /// This is the complete counterpart of the candidate sets `V(A)` that
 /// `DeriveVR` obtains heuristically from `Od`; it decides the (coNP-hard)
 /// true-value problem exactly on the encoded instance. Probes run on one
-/// solver from [`EncodedSpec::fresh_solver`] (on a lazy encoding it holds
-/// the order axioms as its theory); clauses learnt by one probe sharpen
-/// the rest.
+/// solver from [`EncodedSpec::fresh_solver`] (it holds the order axioms
+/// as its theory); clauses learnt by one probe sharpen the rest.
 pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> {
     let mut solver = enc.fresh_solver();
     if solver.solve() == SolveResult::Unsat {
@@ -113,9 +112,7 @@ pub fn possible_current_values(enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> 
     }
     let mut possible = Vec::new();
     for v in enc.space().attr(attr).ids() {
-        let Some(assumptions) = enc.top_assumptions(attr, v) else {
-            continue;
-        };
+        let assumptions: Vec<_> = enc.top_literals(attr, v).collect();
         if solver.solve_with_assumptions(&assumptions) == SolveResult::Sat {
             possible.push(v);
         }

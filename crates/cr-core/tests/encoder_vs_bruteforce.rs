@@ -1,11 +1,13 @@
 //! Property tests: the SAT encoding against the brute-force reference
 //! semantics on randomly generated small specifications.
 //!
-//! Every property runs on both encodings the engine relies on: the eager
-//! one, whose CNF holds the order axioms, and the engine's lazy one, whose
-//! solvers hold them as their order theory (`fresh_solver`; `DeduceOrder`
-//! reads such a solver's root trail). So the oracle checks the
-//! theory-driven path directly, not only through lazy ≡ eager.
+//! Every property runs on two solvers over the encoding: the engine's
+//! (`fresh_solver`), which holds the order axioms as its theory, and a
+//! bare solver over the reference CNF (`cr_store::reference_cnf`), which
+//! holds them as clauses; `DeduceOrder` reads either one's root trail. So
+//! the brute-force oracle checks the theory-driven path directly, not only
+//! through theory ≡ reference. The last test plants a defect in the
+//! reference and checks that theory ≡ reference names it.
 //!
 //! * `IsValid` must agree with "at least one valid completion exists".
 //! * `DeduceOrder` results must hold in every valid completion (soundness).
@@ -17,12 +19,16 @@
 use proptest::prelude::*;
 
 use cr_constraints::{CompOp, CurrencyConstraint, Predicate, TupleRef};
+use cr_core::deduce::{deduce_order_on, naive_deduce_on};
 use cr_core::encode::EncodedSpec;
-use cr_core::{deduce_order, naive_deduce, true_values_from_orders, Specification};
+use cr_core::orders::PartialOrders;
+use cr_core::{true_values_from_orders, Specification};
 use cr_oracle::bruteforce::{
     brute_force_implied_orders, brute_force_true_values, brute_force_valid,
 };
-use cr_types::{AttrId, EntityInstance, Schema, Tuple, Value};
+use cr_sat::{SolveResult, Solver};
+use cr_store::{check_theory_against_reference, reference_cnf};
+use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value};
 
 const ATTRS: usize = 3;
 const VALUES_PER_ATTR: i64 = 3;
@@ -178,11 +184,12 @@ fn seed_strategy() -> impl Strategy<Value = SpecSeed> {
 
 const LIMIT: usize = 1_000_000;
 
-/// The eager and the lazy (engine) encoding of `spec`, named.
-fn encodings(spec: &Specification) -> [(&'static str, EncodedSpec); 2] {
+/// The two solvers over `enc`, named: the engine's, with the order theory,
+/// and a bare one over the reference CNF.
+fn solvers(enc: &EncodedSpec) -> [(&'static str, Solver); 2] {
     [
-        ("eager", EncodedSpec::encode(spec)),
-        ("lazy", EncodedSpec::encode_lazy(spec)),
+        ("theory", enc.fresh_solver()),
+        ("reference", Solver::from_cnf(&reference_cnf(enc))),
     ]
 }
 
@@ -193,8 +200,9 @@ proptest! {
     fn isvalid_matches_bruteforce(seed in seed_strategy()) {
         let Some(spec) = build_spec(&seed) else { return Ok(()); };
         let expected = brute_force_valid(&spec, LIMIT);
-        for (kind, enc) in encodings(&spec) {
-            let got = enc.fresh_solver().solve() == cr_sat::SolveResult::Sat;
+        let enc = EncodedSpec::encode(&spec);
+        for (kind, mut solver) in solvers(&enc) {
+            let got = solver.solve() == SolveResult::Sat;
             prop_assert_eq!(got, expected, "IsValid ({}) disagreed with brute force", kind);
         }
     }
@@ -206,8 +214,9 @@ proptest! {
             return Ok(());
         }
         let implied = brute_force_implied_orders(&spec, LIMIT);
-        for (kind, enc) in encodings(&spec) {
-            let od = deduce_order(&enc).expect("valid spec propagates without conflict");
+        let enc = EncodedSpec::encode(&spec);
+        for (kind, solver) in solvers(&enc) {
+            let od = deduce_order_on(&solver, &enc).expect("valid spec propagates without conflict");
             for attr in spec.schema().attr_ids() {
                 for (lo, hi) in od.pairs(attr) {
                     let vlo = enc.value(attr, lo).clone();
@@ -231,8 +240,9 @@ proptest! {
             return Ok(());
         }
         let implied = brute_force_implied_orders(&spec, LIMIT);
-        for (kind, enc) in encodings(&spec) {
-            let od = naive_deduce(&enc).expect("valid");
+        let enc = EncodedSpec::encode(&spec);
+        for (kind, mut solver) in solvers(&enc) {
+            let od = naive_deduce_on(&mut solver, &enc).expect("valid");
             // Completeness: every semantically implied pair is found.
             for (attr, vlo, vhi) in &implied {
                 let lo = enc.value_id(*attr, vlo).unwrap();
@@ -266,8 +276,9 @@ proptest! {
         if !bf_valid {
             return Ok(());
         }
-        for (kind, enc) in encodings(&spec) {
-            let od = naive_deduce(&enc).expect("valid");
+        let enc = EncodedSpec::encode(&spec);
+        for (kind, mut solver) in solvers(&enc) {
+            let od = naive_deduce_on(&mut solver, &enc).expect("valid");
             let tv = true_values_from_orders(&enc, &od);
             for attr in spec.schema().attr_ids() {
                 // Complete deduction must match the consensus exactly.
@@ -280,4 +291,60 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn a_reference_missing_a_transitivity_instance_is_caught_and_named() {
+    // One attribute over a, b, c with the base orders a ≺ b ≺ c: the order
+    // theory and the reference CNF both propagate a ≺ c.
+    let s = Schema::new("p", ["x"]).unwrap();
+    let e = EntityInstance::new(s, (1..=3).map(|v| Tuple::of([Value::int(v)])).collect()).unwrap();
+    let mut orders = PartialOrders::empty(1);
+    orders.add(AttrId(0), TupleId(0), TupleId(1));
+    orders.add(AttrId(0), TupleId(1), TupleId(2));
+    let spec = Specification::new(e, orders, vec![], vec![]);
+    let enc = EncodedSpec::encode(&spec);
+    let reference = reference_cnf(&enc);
+    assert_eq!(check_theory_against_reference(&enc, &reference), Ok(()));
+
+    let x = AttrId(0);
+    let [a, b, c] = [1, 2, 3].map(|v| enc.value_id(x, &Value::int(v)).unwrap());
+    let atom = |lo, hi| enc.var_of(x, lo, hi).unwrap();
+    let without = |cycle: &[[cr_sat::Lit; 3]]| {
+        let mut cnf = reference.clone();
+        let keep: Vec<bool> = cnf
+            .clauses()
+            .map(|cl| !cycle.iter().any(|t| t == cl))
+            .collect();
+        cnf.retain_clauses(|idx| keep[idx]);
+        assert_eq!(cnf.num_clauses() + cycle.len(), reference.num_clauses());
+        cnf
+    };
+    let transitivity = |p, q, r| {
+        [
+            atom(p, q).negative(),
+            atom(q, r).negative(),
+            atom(p, r).positive(),
+        ]
+    };
+
+    // A single transitivity clause is redundant: under asymmetry and
+    // totality its two rotations imply it, for propagation and models
+    // alike, so no comparison can see it missing.
+    let one = without(&[transitivity(a, b, c)]);
+    assert_eq!(check_theory_against_reference(&enc, &one), Ok(()));
+
+    // The whole instance that forbids the cycle a ≺ b ≺ c ≺ a — the clause
+    // and its two rotations — is not: the reference then admits the cycle
+    // and stops deducing a ≺ c.
+    let cycle = without(&[
+        transitivity(a, b, c),
+        transitivity(b, c, a),
+        transitivity(c, a, b),
+    ]);
+    let err = check_theory_against_reference(&enc, &cycle).expect_err("planted defect");
+    assert_eq!(
+        err,
+        format!("DeduceOrder diverged: only theory [({x:?}, {a:?}, {c:?})], only reference []")
+    );
 }

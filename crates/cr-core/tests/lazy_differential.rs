@@ -1,34 +1,38 @@
-//! Differential tests for the lazy encoding, whose consumers hold the order
-//! axioms as their theory: the lazy engine must
-//! resolve exactly like its from-scratch loop, and after every answer its
-//! session must agree with an eager, self-contained encode of the current
+//! Differential tests for the encoding, whose solvers hold the order
+//! axioms as their theory: the engine must resolve exactly like its
+//! from-scratch loop, and after every answer its session must agree with
+//! the reference CNF (every axiom written out as a clause) of the current
 //! specification — on curated specs, the seed datasets, and randomized
 //! scenarios from `cr_data::gen` (including out-of-domain and CFD-LHS user
 //! answers).
 //!
-//! Component-level equalities (validity, deduction, exact true values) are
-//! checked too: they are what the outcome equality rests on.
+//! Component-level equalities (validity, deduction, possible current
+//! values) are checked too: they are what the outcome equality rests on.
 
 use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
 use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, UserOracle,
 };
+use cr_core::rules::true_der;
+use cr_core::sat::{Cnf, Lit, Solver, Var};
 use cr_core::{
-    deduce_order, exact_true_values, is_valid_encoded, naive_deduce, suggest,
-    true_values_from_orders, CompiledProgram, EncodedSpec, ResolutionOutcome, ResolutionSession,
-    Specification,
+    deduce_order, naive_deduce, true_values_from_orders, CompiledProgram, EncodedSpec,
+    ResolutionOutcome, ResolutionSession, Specification,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
+use cr_maxsat::exact::maximize;
 use cr_oracle::omega_reference;
-use cr_store::{check_session_against_scratch, SpecMirror};
-use cr_types::{EntityInstance, Schema, Tuple, Value};
+use cr_store::{
+    check_session_against_scratch, check_theory_against_reference, reference_cnf, SpecMirror,
+};
+use cr_types::{AttrId, EntityInstance, Schema, Tuple, Value, ValueId};
 use proptest::prelude::*;
 
-/// Resolves `spec` on the engine (lazy, incremental) and on the
-/// from-scratch loop, asserts they agree, and re-runs the engine loop
-/// round by round against the eager per-round oracle
-/// ([`assert_rounds_match_eager`]). Returns the engine's outcome.
+/// Resolves `spec` on the engine (incremental) and on the from-scratch
+/// loop, asserts they agree, and re-runs the engine loop round by round
+/// against the per-round oracle
+/// ([`assert_rounds_match_reference`]). Returns the engine's outcome.
 fn assert_paths_agree(
     spec: &Specification,
     truth: &Tuple,
@@ -64,17 +68,17 @@ fn assert_paths_agree(
         "answer count diverged vs scratch"
     );
     assert_eq!(engine.ot_size, scratch.ot_size, "|Ot| diverged vs scratch");
-    assert_rounds_match_eager(spec, truth, cap, deduction);
+    assert_rounds_match_reference(spec, truth, cap, deduction);
     engine
 }
 
-/// Drives a lazy [`ResolutionSession`] through the Fig. 4 loop one public
+/// Drives a [`ResolutionSession`] through the Fig. 4 loop one public
 /// call at a time (`is_valid` → `deduce` → `true_values` → `suggest` →
 /// `apply_input`) and, before the first round and after every answer,
 /// checks it with [`check_session_against_scratch`]: validity, deduced
-/// value orders and true values must equal those of an eager,
-/// self-contained encode of the session's current specification.
-fn assert_rounds_match_eager(
+/// value orders and true values must equal those read from the reference
+/// CNF of the session's current specification.
+fn assert_rounds_match_reference(
     spec: &Specification,
     truth: &Tuple,
     cap: usize,
@@ -89,7 +93,7 @@ fn assert_rounds_match_eager(
     let check = |session: &mut ResolutionSession, answers: usize| {
         let mirror = SpecMirror::new(session.current());
         if let Err(e) = check_session_against_scratch(session, &mirror) {
-            panic!("session diverged from the eager oracle after {answers} answer rounds: {e}");
+            panic!("session diverged from the reference after {answers} answer rounds: {e}");
         }
     };
     check(&mut session, 0);
@@ -112,77 +116,66 @@ fn assert_rounds_match_eager(
     }
 }
 
-/// Component-level differential: validity, UP deduction, complete (NaiveSat)
-/// deduction, the exact true values and the suggestion must agree between
-/// a lazy encoding, whose consumers hold the order axioms as their theory,
-/// and an eager encoding of the same spec, whose CNF holds them.
+/// Component-level differential: validity, UP deduction, complete
+/// (NaiveSat) deduction, the possible current values of every attribute
+/// and the MaxSAT repair must agree between the engine's solvers, which
+/// hold the order axioms as their theory, and bare solvers over the
+/// reference CNF, which holds them as clauses.
 fn assert_components_agree(spec: &Specification) {
-    let eager = EncodedSpec::encode(spec);
-    let lazy = EncodedSpec::encode_lazy(spec);
-    assert!(
-        lazy.cnf().num_clauses() <= eager.cnf().num_clauses(),
-        "lazy must not materialise more clauses than eager"
-    );
-    let v_eager = is_valid_encoded(&eager).valid;
-    let v_lazy = is_valid_encoded(&lazy).valid;
-    assert_eq!(v_eager, v_lazy, "validity diverged");
-    if v_eager {
-        assert_valid_components_agree(spec, &eager, &lazy);
+    let enc = EncodedSpec::encode(spec);
+    let reference = reference_cnf(&enc);
+    if let Err(e) = check_theory_against_reference(&enc, &reference) {
+        panic!("theory and reference diverged: {e}");
     }
+    assert_repairs_agree(spec, &enc, &reference);
 }
 
-/// The steps after a successful validity check, for
-/// [`assert_components_agree`].
-fn assert_valid_components_agree(spec: &Specification, eager: &EncodedSpec, lazy: &EncodedSpec) {
-    // DeduceOrder (unit propagation; the lazy side's order theory).
-    let od_eager = deduce_order(eager).expect("valid");
-    let od_lazy = deduce_order(lazy).expect("valid");
-    assert_eq!(
-        od_eager.size(),
-        od_lazy.size(),
-        "UP deduction sizes diverged"
-    );
-    for attr in spec.schema().attr_ids() {
-        for (lo, hi) in od_eager.pairs(attr) {
-            assert!(od_lazy.contains(attr, lo, hi), "UP pair missing under lazy");
-        }
+/// `Suggest`'s repair step (one selector per soft group, each selector
+/// implying "these values are tops", then [`maximize`]) over
+/// [`EncodedSpec::fresh_solver`] and over a bare solver on `reference`:
+/// both optima must keep equally many selectors. The soft groups are one
+/// per `(attr, v)` of the value space, one per tuple ("every value of the
+/// tuple is current"; which tuples can be current together depends on Σ
+/// and Γ), and one per `TrueDer` rule of the UP deduction — the rules
+/// `suggest` repairs.
+fn assert_repairs_agree(spec: &Specification, enc: &EncodedSpec, reference: &Cnf) {
+    let mut groups: Vec<Vec<(AttrId, ValueId)>> = spec
+        .schema()
+        .attr_ids()
+        .flat_map(|attr| enc.space().attr(attr).ids().map(move |v| vec![(attr, v)]))
+        .collect();
+    groups.extend(spec.entity().tuples().iter().map(|tuple| {
+        spec.schema()
+            .attr_ids()
+            .filter_map(|attr| Some((attr, enc.value_id(attr, tuple.get(attr))?)))
+            .collect()
+    }));
+    if let Some(od) = deduce_order(enc) {
+        let known = true_values_from_orders(enc, &od);
+        groups.extend(
+            true_der(spec, enc, &od, &known)
+                .into_iter()
+                .map(|rule| rule.lhs.into_iter().chain([rule.rhs]).collect()),
+        );
     }
-    // NaiveDeduce (solver probes; the lazy side's solver runs the order
-    // theory) — complete, so sizes must match exactly.
-    let nd_eager = naive_deduce(eager).expect("valid");
-    let nd_lazy = naive_deduce(lazy).expect("valid");
-    assert_eq!(
-        nd_eager.size(),
-        nd_lazy.size(),
-        "NaiveDeduce sizes diverged"
-    );
-    for attr in spec.schema().attr_ids() {
-        for (lo, hi) in nd_eager.pairs(attr) {
-            assert!(
-                nd_lazy.contains(attr, lo, hi),
-                "NaiveDeduce pair missing under lazy"
-            );
+    let kept = |mut solver: Solver| {
+        let selectors: Vec<Var> = groups.iter().map(|_| solver.new_var()).collect();
+        for (group, sel) in groups.iter().zip(&selectors) {
+            for &(attr, v) in group {
+                for lit in enc.top_literals(attr, v) {
+                    solver.add_clause([sel.negative(), lit]);
+                }
+            }
         }
-    }
-    // Exact true values (possible-current-value probes).
+        let soft: Vec<[Lit; 1]> = selectors.iter().map(|sel| [sel.positive()]).collect();
+        maximize(&mut solver, soft.iter().map(|s| &s[..]))
+            .map(|model| selectors.iter().filter(|sel| model[sel.index()]).count())
+    };
     assert_eq!(
-        exact_true_values(eager),
-        exact_true_values(lazy),
-        "exact true values diverged"
-    );
-    // Suggest (clique probe + MaxSAT repair) from the UP deduction.
-    let known = true_values_from_orders(eager, &od_eager);
-    assert_eq!(
-        known,
-        true_values_from_orders(lazy, &od_lazy),
-        "true values diverged"
-    );
-    let sug_eager = suggest(spec, eager, &od_eager, &known);
-    let sug_lazy = suggest(spec, lazy, &od_lazy, &known);
-    assert_eq!(sug_eager.ask, sug_lazy.ask, "suggested attributes diverged");
-    assert_eq!(
-        sug_eager.derived, sug_lazy.derived,
-        "derivable attributes diverged"
+        kept(enc.fresh_solver()),
+        kept(Solver::from_cnf(reference)),
+        "repair optima diverged ({} soft groups)",
+        groups.len()
     );
 }
 
@@ -310,8 +303,8 @@ fn compiled_eq_comparisons_honour_semantic_numeric_equality() {
 
 #[test]
 fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
-    // The acceptance bar: engine ≡ scratch ≡ per-round eager oracle on all
-    // four seed datasets.
+    // The acceptance bar: engine ≡ scratch ≡ per-round reference oracle on
+    // all four seed datasets.
     let vjday = [
         (cr_data::vjday::edith_spec(), cr_data::vjday::edith_truth()),
         (
@@ -359,9 +352,9 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
 
 #[test]
 fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
-    // Wide-domain scenario: the axioms dominate the eager encoding, and the
-    // lazy engine resolves identically while adding none of them to its
-    // CNF — its consumers hold them as their order theory.
+    // Wide-domain scenario: the axioms dominate the reference CNF, and the
+    // engine resolves like it while adding none of them to its CNF — its
+    // solvers hold them as their order theory.
     let s = cr_data::gen::scenario(&ScenarioConfig {
         seed: 11,
         attrs: 4,
@@ -373,27 +366,26 @@ fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
         gamma: 2,
         ..Default::default()
     });
-    let eager = EncodedSpec::encode(&s.spec);
-    let lazy = EncodedSpec::encode_lazy(&s.spec);
-    let axiom_clauses = eager.cnf().num_clauses() - lazy.cnf().num_clauses();
+    let enc = EncodedSpec::encode(&s.spec);
+    let axiom_clauses = reference_cnf(&enc).num_clauses() - enc.cnf().num_clauses();
     assert!(
-        axiom_clauses > 10 * lazy.cnf().num_clauses(),
-        "axioms must dominate the eager encoding on wide domains \
+        axiom_clauses > 10 * enc.cnf().num_clauses(),
+        "axioms must dominate the reference CNF on wide domains \
          (axioms {axiom_clauses}, instance clauses {})",
-        lazy.cnf().num_clauses()
+        enc.cnf().num_clauses()
     );
-    let lazy_inc = assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::UnitPropagation);
+    let engine = assert_paths_agree(&s.spec, &s.truth, 1, DeductionMethod::UnitPropagation);
     assert_eq!(
-        lazy_inc.injected_axioms, 0,
-        "no query adds an axiom clause to the lazy encoding"
+        engine.injected_axioms, 0,
+        "no query adds an axiom clause to the encoding"
     );
 }
 
 #[test]
 fn wide_domain_components_agree() {
     // The same wide conflicting domain, step by step: every one-shot step
-    // over the lazy encoding's theory-holding consumers answers like the
-    // eager axiom clauses.
+    // over the encoding's theory-holding solvers answers like the reference
+    // CNF's axiom clauses.
     let s = cr_data::gen::scenario(&ScenarioConfig {
         seed: 11,
         attrs: 4,
@@ -411,7 +403,7 @@ fn wide_domain_components_agree() {
 #[test]
 fn naive_sat_deduction_agrees_across_modes() {
     // NaiveSat engine ≡ NaiveSat scratch, and the NaiveSat-driven session
-    // matches the eager oracle after every answer.
+    // matches the reference oracle after every answer.
     let s = cr_data::gen::scenario(&ScenarioConfig {
         seed: 3,
         ..Default::default()
@@ -429,7 +421,7 @@ fn session_deduce_order_stays_unit_propagation_after_search() {
         seed: 179,
         ..Default::default()
     });
-    let enc = EncodedSpec::encode_lazy(&s.spec);
+    let enc = EncodedSpec::encode(&s.spec);
     let want = deduce_order(&enc).expect("a valid specification");
     assert_eq!(want.size(), 25);
     assert_eq!(naive_deduce(&enc).expect("valid").size(), 26);
@@ -450,7 +442,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized scenarios (in-domain answers): engine ≡ scratch ≡ the
-    /// per-round eager oracle.
+    /// per-round reference oracle.
     #[test]
     fn random_scenarios_agree(
         seed in 0u64..10_000,

@@ -10,12 +10,12 @@ use cr_core::{EncodedSpec, Specification};
 use cr_data::gen::{scenario_from_raw, PowerLawConfig, PowerLawDataset};
 use proptest::prelude::*;
 
-/// A fresh lazy encode of `spec` and the Ω(Se) slice it was emitted
+/// A fresh encode of `spec` and the Ω(Se) slice it was emitted
 /// from, after asserting the two coincide clause for clause: the encode's
 /// CNF is exactly the slice's instances converted in order (premise atoms
 /// negated, then the conclusion atom, if any).
 fn encode_with_omega(spec: &Specification) -> (EncodedSpec, Vec<InstanceConstraint>) {
-    let enc = EncodedSpec::encode_lazy(spec);
+    let enc = EncodedSpec::encode(spec);
     let omega = omega_compiled(spec);
     assert_eq!(
         enc.cnf().num_clauses(),

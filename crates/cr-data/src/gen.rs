@@ -6,8 +6,8 @@
 //! knobs — attribute count, instance width, value-space width, conflict
 //! density, base-order density, constraint/CFD counts, nulls, and whether
 //! the ground truth carries values outside the active domain ("new
-//! values") — for property tests that compare resolution paths (lazy vs
-//! eager axiom instantiation, incremental vs from-scratch) on inputs no
+//! values") — for property tests that compare resolution paths (order
+//! theory vs axiom clauses, incremental vs from-scratch) on inputs no
 //! curated dataset would cover.
 //!
 //! Generation follows the paper's history model: every entity evolves along

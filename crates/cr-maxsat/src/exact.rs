@@ -8,10 +8,10 @@
 //! one bound prune the next; the first satisfiable bound is the optimum.
 //! Weighted instances fall back to the WalkSAT search.
 //!
-//! [`solve_exact_with`] hands the solver to a caller's hook before it
-//! loads a clause, so a caller whose hard clauses rely on a solver theory
+//! [`maximize`] runs that search on a solver the caller loaded with the
+//! hard clauses, so a caller whose hard clauses rely on a solver theory
 //! (the conflict-resolution encoding's order domains, see
-//! `cr_sat::order`) registers it there.
+//! `cr_sat::order`) hands over a solver that holds it.
 
 use cr_sat::{Lit, SolveResult, Solver};
 
@@ -20,38 +20,36 @@ use crate::walksat;
 
 /// Solves exactly when all weights are 1; otherwise delegates to WalkSAT
 /// with a generous budget (documented fallback).
-pub fn solve_exact(instance: &MaxSatInstance<'_>) -> Option<MaxSatResult> {
+pub fn solve_exact(instance: &MaxSatInstance) -> Option<MaxSatResult> {
     if !instance.has_unit_weights() {
         return walksat::solve_walksat(instance, 500_000, 0xFA11BACC);
     }
-    solve_exact_with(instance, |_| {})
-}
-
-/// [`solve_exact`] for a unit-weight instance, calling `prepare` on the
-/// empty CDCL solver before it loads the instance's clauses (see the
-/// module docs). Panics on a weighted instance, which has no exact path.
-pub fn solve_exact_with(
-    instance: &MaxSatInstance<'_>,
-    prepare: impl FnOnce(&mut Solver),
-) -> Option<MaxSatResult> {
-    assert!(
-        instance.has_unit_weights(),
-        "solve_exact_with needs unit weights"
-    );
     let mut solver = Solver::new();
-    prepare(&mut solver);
     while solver.num_vars() < instance.num_vars() {
         solver.new_var();
     }
     for clause in instance.hard_iter() {
         solver.add_clause(clause.iter().copied());
     }
-    let dropped: Vec<Lit> = instance
-        .soft()
-        .iter()
-        .map(|soft| {
+    let mut model = maximize(&mut solver, instance.soft().iter().map(|s| &s.lits[..]))?;
+    model.truncate(instance.num_vars() as usize);
+    Some(MaxSatResult::from_assignment(instance, model, true))
+}
+
+/// Maximises the number of satisfied `soft` clauses (unit weights) over
+/// `solver`, which holds the hard clauses: adds a selector per soft clause
+/// and the cardinality counter (see the module docs), then searches the
+/// bound. Returns a model of every variable of the solver, `None` when the
+/// hard clauses are unsatisfiable.
+pub fn maximize<'s>(
+    solver: &mut Solver,
+    soft: impl IntoIterator<Item = &'s [Lit]>,
+) -> Option<Vec<bool>> {
+    let dropped: Vec<Lit> = soft
+        .into_iter()
+        .map(|lits| {
             let dropped = solver.new_var().negative();
-            solver.add_clause(soft.lits.iter().copied().chain([dropped]));
+            solver.add_clause(lits.iter().copied().chain([dropped]));
             dropped
         })
         .collect();
@@ -61,14 +59,13 @@ pub fn solve_exact_with(
         return None;
     }
     let mut best_model = solver.model();
-    for bound in at_least_registers(&mut solver, &dropped) {
+    for bound in at_least_registers(solver, &dropped) {
         if solver.solve_with_assumptions(&[bound.negate()]) == SolveResult::Sat {
             best_model = solver.model();
             break;
         }
     }
-    best_model.truncate(instance.num_vars() as usize);
-    Some(MaxSatResult::from_assignment(instance, best_model, true))
+    Some(best_model)
 }
 
 /// Adds a sequential counter (Sinz 2005) over `lits` to `solver` and
@@ -211,9 +208,12 @@ mod tests {
             inst.add_soft([var(a, b).positive()], 1);
         }
         assert_eq!(solve_exact(&inst).unwrap().total_weight, 3);
-        let res = solve_exact_with(&inst, |s| s.register_order_domain(0, n, var)).unwrap();
+        let mut solver = Solver::new();
+        solver.register_order_domain(0, n, var);
+        let soft = inst.soft().iter().map(|s| &s.lits[..]);
+        let model = maximize(&mut solver, soft).unwrap();
+        let res = MaxSatResult::from_assignment(&inst, model, true);
         assert_eq!(res.total_weight, 2);
-        assert!(res.optimal);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Partial MaxSAT instances and results.
 
-use cr_sat::{Cnf, Lit};
+use cr_sat::Lit;
 
 /// A soft clause with a positive weight.
 #[derive(Clone, Debug)]
@@ -13,46 +13,18 @@ pub struct SoftClause {
 
 /// A partial MaxSAT instance: hard clauses that must hold plus weighted soft
 /// clauses to maximise.
-///
-/// The hard clauses come in two parts: an optional **borrowed base** — a
-/// clause arena owned by someone else, typically the resolution engine's
-/// already-encoded `Φ(Se)` — plus instance-owned extras. The `GetSug`
-/// MaxSAT repair used to copy the whole of `Φ(Se)` into every instance; the
-/// borrowed base makes instance construction `O(1)` in `|Φ(Se)|`, so the
-/// repair can be re-issued on every suggestion round of a resolve without
-/// re-copying the formula.
-#[derive(Clone, Debug)]
-pub struct MaxSatInstance<'a> {
+#[derive(Clone, Debug, Default)]
+pub struct MaxSatInstance {
     num_vars: u32,
-    base: Option<&'a Cnf>,
     hard: Vec<Vec<Lit>>,
     soft: Vec<SoftClause>,
 }
 
-impl Default for MaxSatInstance<'_> {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
-impl<'a> MaxSatInstance<'a> {
+impl MaxSatInstance {
     /// An instance over `num_vars` variables (more are added on demand).
     pub fn new(num_vars: u32) -> Self {
         MaxSatInstance {
             num_vars,
-            base: None,
-            hard: Vec::new(),
-            soft: Vec::new(),
-        }
-    }
-
-    /// An instance whose hard clauses start as a **borrowed** formula (not
-    /// copied); further `add_hard` clauses are owned extras on top. The
-    /// instance starts with the formula's variable count.
-    pub fn with_hard_base(base: &'a Cnf) -> Self {
-        MaxSatInstance {
-            num_vars: base.num_vars(),
-            base: Some(base),
             hard: Vec::new(),
             soft: Vec::new(),
         }
@@ -63,17 +35,9 @@ impl<'a> MaxSatInstance<'a> {
         self.num_vars
     }
 
-    /// All hard clauses: the borrowed base followed by the owned extras.
+    /// The hard clauses.
     pub fn hard_iter(&self) -> impl Iterator<Item = &[Lit]> {
-        self.base
-            .into_iter()
-            .flat_map(Cnf::clauses)
-            .chain(self.hard.iter().map(Vec::as_slice))
-    }
-
-    /// Number of hard clauses.
-    pub fn hard_len(&self) -> usize {
-        self.base.map_or(0, Cnf::num_clauses) + self.hard.len()
+        self.hard.iter().map(Vec::as_slice)
     }
 
     /// Soft clauses.
@@ -155,7 +119,7 @@ pub struct MaxSatResult {
 impl MaxSatResult {
     /// Builds a result by evaluating `assignment` against `instance`.
     pub fn from_assignment(
-        instance: &MaxSatInstance<'_>,
+        instance: &MaxSatInstance,
         assignment: Vec<bool>,
         optimal: bool,
     ) -> Self {
@@ -208,20 +172,16 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_hard_base_is_not_copied_but_counts() {
-        let mut base = Cnf::new();
-        base.add_clause([Var(0).positive(), Var(1).positive()]);
-        base.add_clause([Var(0).negative(), Var(1).negative()]);
-        let mut inst = MaxSatInstance::with_hard_base(&base);
-        assert_eq!(inst.num_vars(), 2);
-        assert_eq!(inst.hard_len(), 2);
+    fn hard_clauses_bind_both_solvers() {
+        let mut inst = MaxSatInstance::new(0);
+        inst.add_hard([Var(0).positive(), Var(1).positive()]);
+        inst.add_hard([Var(0).negative(), Var(1).negative()]);
         inst.add_hard([Var(2).positive()]);
         inst.add_soft([Var(0).positive()], 1);
-        assert_eq!(inst.hard_len(), 3);
+        assert_eq!(inst.num_vars(), 3);
         assert_eq!(inst.hard_iter().count(), 3);
         assert!(inst.hard_satisfied(&[true, false, true]));
         assert!(!inst.hard_satisfied(&[true, true, true]));
-        // Both solvers honour the borrowed base.
         let res = crate::exact::solve_exact(&inst).unwrap();
         assert_eq!(res.total_weight, 1);
         assert!(inst.hard_satisfied(&res.assignment));

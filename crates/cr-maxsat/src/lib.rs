@@ -8,9 +8,9 @@
 //! * [`exact`] — the solver the resolution engine uses: complete for
 //!   unit-weight instances, it runs the CDCL solver from `cr-sat` with a
 //!   sequential-counter cardinality encoding and one assumption per bound
-//!   on the number of dropped soft clauses; [`exact::solve_exact_with`]
-//!   lets a caller prepare that solver (for example with a registered
-//!   order theory), and
+//!   on the number of dropped soft clauses; [`exact::maximize`] runs the
+//!   search on a caller's solver that already holds the hard clauses (for
+//!   example one with a registered order theory), and
 //! * [`walksat`] — a WalkSAT/SKC-style stochastic local search that treats
 //!   hard clauses as infinitely heavy and tracks the best *feasible*
 //!   assignment seen; [`exact::solve_exact`] falls back to it for weighted
@@ -28,7 +28,7 @@ mod tests {
     use cr_sat::Var;
 
     /// Hard: x0 ⊕ x1 (as CNF); soft: x0, x1, ¬x0. Optimum satisfies 2 of 3.
-    fn small_instance() -> MaxSatInstance<'static> {
+    fn small_instance() -> MaxSatInstance {
         let mut inst = MaxSatInstance::new(2);
         inst.add_hard([Var(0).positive(), Var(1).positive()]);
         inst.add_hard([Var(0).negative(), Var(1).negative()]);

@@ -17,11 +17,7 @@ const NOISE: f64 = 0.3;
 
 /// Runs WalkSAT for at most `max_flips` flips. Returns `None` when the hard
 /// clauses alone are unsatisfiable.
-pub fn solve_walksat(
-    instance: &MaxSatInstance<'_>,
-    max_flips: u64,
-    seed: u64,
-) -> Option<MaxSatResult> {
+pub fn solve_walksat(instance: &MaxSatInstance, max_flips: u64, seed: u64) -> Option<MaxSatResult> {
     let n = instance.num_vars() as usize;
 
     // Hard feasibility and the starting point come from CDCL.

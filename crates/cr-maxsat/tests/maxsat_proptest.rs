@@ -15,7 +15,7 @@ struct Inst {
     soft: Vec<Vec<i32>>,
 }
 
-fn to_instance(inst: &Inst) -> MaxSatInstance<'static> {
+fn to_instance(inst: &Inst) -> MaxSatInstance {
     let mut out = MaxSatInstance::new(inst.num_vars);
     for c in &inst.hard {
         out.add_hard(c.iter().map(|&l| lit(l, inst.num_vars)));

@@ -43,7 +43,8 @@ pub struct CheckedReplay {
 /// against a from-scratch re-resolution of the post-revision
 /// specification: validity, deduced value orders (compared at the value
 /// level) and extracted true values must all
-/// coincide with a fresh eager encoding of the mirror. Returns an error
+/// coincide with the reference CNF of a fresh encoding of the mirror
+/// (`cr_store::check_session_against_scratch`). Returns an error
 /// describing the first divergence, if any.
 ///
 /// The primary session absorbs each poll as one batch

@@ -89,20 +89,6 @@ impl Cnf {
         self.bounds.push(self.lits.len() as u32);
     }
 
-    /// [`Cnf::add_clause`] for clauses whose variables are already
-    /// allocated: skips the per-literal variable-count scan. The encoder's
-    /// bulk clause conversion (tens of thousands of clauses over a
-    /// pre-allocated dense variable table) goes through here.
-    pub fn add_clause_prealloc(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        let start = self.lits.len();
-        self.lits.extend(lits);
-        debug_assert!(
-            self.lits[start..].iter().all(|l| l.var().0 < self.num_vars),
-            "add_clause_prealloc requires pre-allocated variables"
-        );
-        self.bounds.push(self.lits.len() as u32);
-    }
-
     /// Reserves capacity for `n` additional clauses.
     pub fn reserve_clauses(&mut self, n: usize) {
         self.bounds.reserve(n);

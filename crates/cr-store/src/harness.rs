@@ -3,10 +3,16 @@
 //!
 //! * [`SpecMirror`] folds the revisions and inputs a session absorbed into
 //!   a plain [`Specification`];
-//! * [`check_session_against_scratch`] compares a session with a fresh
-//!   eager encoding of that mirror (validity, deduced value orders, true
-//!   values); [`check_sessions_against_scratch`] compares several sessions
-//!   with one such encoding;
+//! * [`reference_cnf`] writes out Φ(Se) of an encoding plus every order
+//!   axiom as a clause — the oracle's formula, solved on a solver that
+//!   registers no order domain, so the oracle does not rely on the order
+//!   theory (`cr_sat::order`) it checks;
+//! * [`check_theory_against_reference`] compares the engine's solvers over
+//!   an encoding with solvers over such a reference (theory ≡ reference);
+//! * [`check_session_against_scratch`] compares a session with the
+//!   reference CNF of a fresh encoding of that mirror (validity, deduced
+//!   value orders, true values); [`check_sessions_against_scratch`]
+//!   compares several sessions with one such reference;
 //! * [`diff_logical_states`] compares two sessions' logical
 //!   [`SessionState`]s.
 //!
@@ -28,15 +34,16 @@
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 
-use cr_core::deduce::DeducedOrders;
+use cr_core::deduce::{deduce_order_on, naive_deduce_on, DeducedOrders};
 use cr_core::framework::DeductionMethod;
 use cr_core::ingest::{
     ResolutionSession, Revision, RevisionPolicy, RevisionTelemetry, SessionState,
 };
+use cr_core::sat::{Cnf, Lit, SolveResult, Solver};
 use cr_core::spec::{Specification, UserInput};
-use cr_core::{deduce_order, is_valid_encoded, true_values_from_orders};
+use cr_core::true_values_from_orders;
 use cr_core::{EncodedSpec, ResolutionConfig, TrueValues};
-use cr_types::{AttrId, Value};
+use cr_types::{AttrId, Value, ValueId};
 
 use crate::event::{plan_replay, LogRecord, ReplayStep};
 use crate::store::{check_input, StoreError};
@@ -96,10 +103,110 @@ impl SpecMirror {
     }
 }
 
+/// The oracle's formula for `enc`: Φ(Se) plus, per attribute, every
+/// asymmetry clause `¬x_ab ∨ ¬x_ba`, totality clause `x_ab ∨ x_ba` and
+/// transitivity clause `¬x_ab ∨ ¬x_bc ∨ x_ac` over the interned values —
+/// the `O(n³)` axioms Section V-A writes out and the engine's solvers hold
+/// as their order theory instead. Any solver over it is complete without
+/// a registered order domain. A totality clause is the only clause with
+/// two positive literals (an instance clause has at most one).
+pub fn reference_cnf(enc: &EncodedSpec) -> Cnf {
+    let mut cnf = enc.cnf().clone();
+    for ai in 0..enc.space().arity() as u16 {
+        let attr = AttrId(ai);
+        let ids: Vec<ValueId> = enc.space().attr(attr).ids().collect();
+        let x = |lo: ValueId, hi: ValueId| enc.var_of(attr, lo, hi).expect("dense variable table");
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                cnf.add_clause([x(a, b).negative(), x(b, a).negative()]);
+                cnf.add_clause([x(a, b).positive(), x(b, a).positive()]);
+            }
+        }
+        for &a in &ids {
+            for &b in ids.iter().filter(|&&b| b != a) {
+                for &c in ids.iter().filter(|&&c| c != a && c != b) {
+                    cnf.add_clause([x(a, b).negative(), x(b, c).negative(), x(a, c).positive()]);
+                }
+            }
+        }
+    }
+    cnf
+}
+
+/// Theory ≡ reference: the solvers the engine builds over `enc`
+/// ([`EncodedSpec::fresh_solver`], holding the order axioms as their
+/// theory) against bare solvers over `reference` (normally
+/// [`reference_cnf`]`(enc)`, holding them as clauses). Compares validity,
+/// `DeduceOrder`, `NaiveDeduce` and every attribute's possible current
+/// values; the error names the first step that diverged and the facts
+/// only one side has.
+pub fn check_theory_against_reference(enc: &EncodedSpec, reference: &Cnf) -> Result<(), String> {
+    let mut theory = enc.fresh_solver();
+    let mut clauses = Solver::from_cnf(reference);
+    let up = |solver: &Solver| deduce_order_on(solver, enc).map(|od| order_ids(enc, &od));
+    diverged("DeduceOrder", up(&theory), up(&clauses))?;
+    let (valid, reference_valid) = (
+        theory.solve() == SolveResult::Sat,
+        clauses.solve() == SolveResult::Sat,
+    );
+    if valid != reference_valid {
+        return Err(format!(
+            "validity diverged: theory {valid}, reference {reference_valid}"
+        ));
+    }
+    let naive = |solver: &mut Solver| naive_deduce_on(solver, enc).map(|od| order_ids(enc, &od));
+    diverged("NaiveDeduce", naive(&mut theory), naive(&mut clauses))?;
+    for ai in 0..enc.space().arity() as u16 {
+        let attr = AttrId(ai);
+        let possible = |solver: &mut Solver| {
+            let ids = enc.space().attr(attr).ids();
+            Some(BTreeSet::from_iter(ids.filter(|&v| {
+                let top: Vec<Lit> = enc.top_literals(attr, v).collect();
+                solver.solve_with_assumptions(&top) == SolveResult::Sat
+            })))
+        };
+        diverged(
+            &format!("possible current values of {attr:?}"),
+            possible(&mut theory),
+            possible(&mut clauses),
+        )?;
+    }
+    Ok(())
+}
+
+/// Deduced orders as a set of `(attr, lo, hi)` over one encoding's ids.
+fn order_ids(enc: &EncodedSpec, od: &DeducedOrders) -> BTreeSet<(AttrId, ValueId, ValueId)> {
+    (0..enc.space().arity() as u16)
+        .map(AttrId)
+        .flat_map(|attr| od.pairs(attr).map(move |(lo, hi)| (attr, lo, hi)))
+        .collect()
+}
+
+/// One step of [`check_theory_against_reference`] must agree: the same
+/// facts, or a conflict (`None`) on both sides.
+fn diverged<T: Ord + Debug>(
+    step: &str,
+    theory: Option<BTreeSet<T>>,
+    reference: Option<BTreeSet<T>>,
+) -> Result<(), String> {
+    match (theory, reference) {
+        (Some(t), Some(r)) if t != r => Err(format!(
+            "{step} diverged: only theory {:?}, only reference {:?}",
+            t.difference(&r).collect::<Vec<_>>(),
+            r.difference(&t).collect::<Vec<_>>()
+        )),
+        (t, r) if t.is_some() != r.is_some() => Err(format!(
+            "{step} diverged: conflict on the {} side only",
+            if t.is_none() { "theory" } else { "reference" }
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// One engine-vs-scratch equivalence check: encode the mirror's
-/// materialised specification from scratch (eager, self-contained) and
-/// compare validity, deduced value orders and true values against the
-/// session. Public so custom callers (tests, benches) can interleave their
+/// materialised specification from scratch, solve its [`reference_cnf`]
+/// on a solver with no order domain, and compare validity, deduced value
+/// orders and true values against the session. Public so custom callers (tests, benches) can interleave their
 /// own revision/input schedules with verification.
 pub fn check_session_against_scratch(
     session: &mut ResolutionSession,
@@ -147,16 +254,19 @@ fn value_pairs(enc: &EncodedSpec, od: &DeducedOrders) -> ValuePairs {
 
 /// The scratch side of a session ≡ scratch check, built once per mirror
 /// state: `None` when the materialised specification is invalid, else its
-/// deduced value pairs and true values.
+/// deduced value pairs and true values, all read from one solver over the
+/// reference CNF.
 struct Scratch(Option<(ValuePairs, TrueValues)>);
 
 impl Scratch {
     fn of(mirror: &SpecMirror) -> Result<Self, String> {
         let scratch = EncodedSpec::encode(&mirror.materialise());
-        if !is_valid_encoded(&scratch).valid {
+        let mut solver = Solver::from_cnf(&reference_cnf(&scratch));
+        let od = deduce_order_on(&solver, &scratch);
+        if solver.solve() == SolveResult::Unsat {
             return Ok(Scratch(None));
         }
-        let od = deduce_order(&scratch).ok_or_else(|| "scratch deduced a conflict".to_string())?;
+        let od = od.ok_or_else(|| "scratch deduced a conflict".to_string())?;
         Ok(Scratch(Some((
             value_pairs(&scratch, &od),
             true_values_from_orders(&scratch, &od),

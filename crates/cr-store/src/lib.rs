@@ -74,7 +74,8 @@ pub use event::{
 };
 pub use fault::{CrashReport, Fault, FaultyBackend};
 pub use harness::{
-    check_session_against_scratch, check_sessions_against_scratch, diff_logical_states,
-    reference_of, verify_recovery, ReplayedReference, SpecMirror,
+    check_session_against_scratch, check_sessions_against_scratch, check_theory_against_reference,
+    diff_logical_states, reference_cnf, reference_of, verify_recovery, ReplayedReference,
+    SpecMirror,
 };
 pub use store::{AdmissionProbe, RecoveryTelemetry, SessionStore, StoreConfig, StoreError};

@@ -13,6 +13,7 @@ fn encoded_specs_round_trip_through_dimacs() {
     let parsed = dimacs::parse(&text).expect("well-formed DIMACS");
     assert_eq!(parsed.num_vars(), enc.cnf().num_vars());
     assert_eq!(parsed.num_clauses(), enc.cnf().num_clauses());
+    // DIMACS carries the clauses alone: two bare solvers, no order theory.
     let mut a = Solver::from_cnf(enc.cnf());
     let mut b = Solver::from_cnf(&parsed);
     assert_eq!(a.solve(), b.solve());
@@ -27,7 +28,7 @@ fn solver_models_satisfy_dataset_cnfs() {
     });
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         assert_eq!(solver.solve(), SolveResult::Sat);
         let model = solver.model();
         assert!(enc.cnf().eval(&model), "model must satisfy Φ(Se)");
@@ -44,7 +45,7 @@ fn unit_propagation_agrees_with_cdcl_on_implied_literals() {
     });
     for i in 0..ds.len() {
         let enc = EncodedSpec::encode(&ds.spec(i));
-        let mut solver = Solver::from_cnf(enc.cnf());
+        let mut solver = enc.fresh_solver();
         let implied = solver.root_trail().expect("valid spec").to_vec();
         assert_eq!(solver.solve(), SolveResult::Sat);
         for lit in implied {
@@ -83,7 +84,7 @@ fn deduction_algorithms_agree_on_real_entities() {
 fn solver_statistics_accumulate() {
     let spec = vjday::george_spec();
     let enc = EncodedSpec::encode(&spec);
-    let mut solver = Solver::from_cnf(enc.cnf());
+    let mut solver = enc.fresh_solver();
     assert_eq!(solver.solve(), SolveResult::Sat);
     let stats = *solver.stats();
     assert!(stats.propagations > 0);
