@@ -24,8 +24,9 @@ fail; if it passes, the gate cannot detect a regression and exits non-zero.
 
 After the verdict, the script runs traced runs (`--trace 1`) per workload
 at SEEDS[0] and SECONDS, two in the base tree and one in the head tree,
-and prints every per-layer metric whose unit is `count`. A count on which
-the two base runs disagree depends on thread timing (such as
+and prints every per-layer metric whose unit is `count` or `B` (bytes,
+such as `encode.bytes_per_entity` and `store.append_bytes`). A count on
+which the two base runs disagree depends on thread timing (such as
 `sched.backpressure_stalls`); it is listed apart as timing-dependent and
 never marked. Every other count repeats for a given seed, so a head value
 that differs from it is marked MOVED: the change moved engine, store or
@@ -132,11 +133,12 @@ def print_rows(title, rows, stats=None):
 
 
 def print_counts(spec, base_dir, head_dir):
-    """Prints traced count metrics per workload: two base runs beside one
-    head run, with counts the base runs disagree on listed apart."""
-    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
-    print(f"count metrics (two traced base runs, one traced head run, seed {SEEDS[0]}, "
-          f"{SECONDS} s; not part of the verdict)")
+    """Prints traced count and byte metrics per workload: two base runs
+    beside one head run, with counts the base runs disagree on listed
+    apart."""
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] in ("count", "B")]
+    print(f"count and byte metrics (two traced base runs, one traced head run, "
+          f"seed {SEEDS[0]}, {SECONDS} s; not part of the verdict)")
     for workload in (w["name"] for w in spec["workloads"]):
         traced = {}
         for side, tree in (("base", base_dir), ("base2", base_dir), ("head", head_dir)):

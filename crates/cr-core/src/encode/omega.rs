@@ -47,10 +47,9 @@
 //!   evaluated path.
 //!
 //! Both change which projections are *visited*, not what is emitted: each
-//! side's candidates stay in tuple-id order and every constraint still
-//! hints its pair bound to the sink, so the instance stream — hence the
-//! CNF, clause for clause — equals the per-constraint emission, which is
-//! kept as a test oracle.
+//! side's candidates stay in tuple-id order, so the instance stream —
+//! hence the CNF, clause for clause — equals `omega_reference`'s, instance
+//! for instance and in order (`tests/lazy_differential.rs`).
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -409,8 +408,7 @@ pub(crate) fn build_spaces(spec: &Specification) -> (AttrValueSpace, GlobalToLoc
 }
 
 /// Steps 2–3 of `Instantiation(Se)` — null-bottom axioms and base currency
-/// orders, streamed into `sink`. Shared verbatim by the compiled and
-/// reference walks.
+/// orders, streamed into `sink`.
 pub(crate) fn emit_base(
     spec: &Specification,
     space: &AttrValueSpace,
@@ -542,7 +540,7 @@ fn group_projections(
             })
             .collect();
         // Sorting by (key, tid) keeps the smallest — i.e. first-occurring —
-        // tuple id of each projection, matching the reference grouping.
+        // tuple id of each projection.
         keyed.sort_unstable();
         keyed.dedup_by_key(|&mut (key, _)| key);
         (keyed.iter().map(|&(_, tid)| tid).collect::<Vec<_>>(), keyed)
@@ -743,190 +741,6 @@ pub(crate) fn emit_sigma_gamma(
             let row1 = entity.dense_row(r1);
             'pair: for &r2 in &t2_cands {
                 if r1 == r2 {
-                    continue;
-                }
-                let row2 = entity.dense_row(r2);
-                // Binary comparison conjuncts: null operands fail
-                // (eval_comparison semantics). Equal dense ids mean equal
-                // values, but distinct ids are *not* conclusive — the
-                // semantic ordering equates e.g. `Int(3)` and `Float(3.0)`
-                // — so only id equality short-circuits.
-                for &(attr, op) in &cc.tuple_cmps {
-                    let g1 = row1[attr.index()];
-                    let g2 = row2[attr.index()];
-                    if g1 == NULL_VALUE_ID || g2 == NULL_VALUE_ID {
-                        continue 'pair;
-                    }
-                    let holds = if g1 == g2 {
-                        op.eval_ordering(std::cmp::Ordering::Equal)
-                    } else {
-                        op.eval(entity.dense_value(g1), entity.dense_value(g2))
-                    };
-                    if !holds {
-                        continue 'pair;
-                    }
-                }
-                // Order premises and conclusion on dense ids; equal or null
-                // sides make the atom vacuous and drop the instance
-                // ([`instantiate_pair`] semantics).
-                let pair = |attr: cr_types::AttrId| -> Option<(ValueId, ValueId)> {
-                    let g1 = row1[attr.index()];
-                    let g2 = row2[attr.index()];
-                    if g1 == g2 || g1 == NULL_VALUE_ID || g2 == NULL_VALUE_ID {
-                        return None;
-                    }
-                    Some((g2l.local(attr, g1), g2l.local(attr, g2)))
-                };
-                let mut premise = Premise::with_capacity(cc.order_premises.len());
-                for &attr in &cc.order_premises {
-                    match pair(attr) {
-                        Some((lo, hi)) => premise.push(OrderAtom { attr, lo, hi }),
-                        None => continue 'pair,
-                    }
-                }
-                let Some((lo, hi)) = pair(cc.conclusion_attr) else {
-                    continue;
-                };
-                premise.canonicalize();
-                sink.emit(InstanceConstraint {
-                    premise,
-                    conclusion: Conclusion::Atom(OrderAtom {
-                        attr: cc.conclusion_attr,
-                        lo,
-                        hi,
-                    }),
-                    origin: Origin::Currency(ci),
-                });
-            }
-        }
-    }
-
-    // 5. Constant CFDs, patterns resolved through dense global ids.
-    for (gi, cfd) in program.gamma.iter().enumerate() {
-        for c in compiled_cfd_instances(space, use_gids.then_some((g2l, entity)), gi, cfd) {
-            sink.emit(c);
-        }
-    }
-}
-
-/// The per-constraint Σ emission [`emit_sigma_gamma`] replaced: it
-/// regroups the entity's tuples for every constraint and evaluates every
-/// side's constants on every projection. Kept as the oracle the
-/// class-cached, pinned emission is proven against (event-sequence
-/// equality, see the tests below).
-#[cfg(test)]
-fn emit_sigma_gamma_reference(
-    spec: &Specification,
-    program: &CompiledProgram,
-    space: &AttrValueSpace,
-    g2l: &GlobalToLocal,
-    sink: &mut impl OmegaSink,
-) {
-    let entity = spec.entity();
-    if let (Some(pt), Some(et)) = (program.table_token(), entity.table_token()) {
-        debug_assert_eq!(
-            pt, et,
-            "CompiledProgram built from one ValueTable used with an entity \
-             interned against another"
-        );
-    }
-    // Dense global-id shortcuts are sound only when the program's constants
-    // and the entity's cells reference the same id universe.
-    let use_gids = program.table_token().is_some() && program.table_token() == entity.table_token();
-
-    // 4. Currency constraints, instantiated over distinct *projections*.
-    //
-    // Every predicate of ω references only the values of t1/t2 on the
-    // constraint's attributes, so tuples sharing a projection on those
-    // attributes produce identical instance constraints. Grouping tuples by
-    // projection turns the paper's O(|Σ||It|²) instantiation into
-    // O(Σ_ϕ #proj²) — the worst case is unchanged, but real entity
-    // instances have few distinct projections (many near-duplicate tuples).
-    let mut t1_ok: Vec<bool> = Vec::new();
-    let mut t2_ok: Vec<bool> = Vec::new();
-    for (ci, cc) in program.sigma.iter().enumerate() {
-        let reps = group_projections(entity, &cc.referenced_attrs).reps;
-        sink.hint(reps.len() * reps.len().saturating_sub(1));
-
-        // Fast path for the dominant Σ shape — a pure propagation
-        // constraint `t1 ≺[p] t2 → t1 ≺[c] t2` with distinct attributes:
-        // pre-translate both columns to space-local ids once, then the
-        // pair loop is integer compares and emission only.
-        if cc.tuple_cmps.is_empty()
-            && cc.t1_consts.is_empty()
-            && cc.t2_consts.is_empty()
-            && cc.order_premises.len() == 1
-            && cc.order_premises[0] != cc.conclusion_attr
-        {
-            const VACUOUS: u32 = u32::MAX;
-            let (ap, ac) = (cc.order_premises[0], cc.conclusion_attr);
-            let (g2l_p, g2l_c) = (g2l.row(ap), g2l.row(ac));
-            let translate = |attr: cr_types::AttrId, row: &[u32]| -> Vec<u32> {
-                reps.iter()
-                    .map(|&r| {
-                        let g = entity.dense_id(r, attr);
-                        if g == NULL_VALUE_ID {
-                            VACUOUS
-                        } else {
-                            row[g as usize]
-                        }
-                    })
-                    .collect()
-            };
-            let col_p = translate(ap, g2l_p);
-            let col_c = translate(ac, g2l_c);
-            for i in 0..reps.len() {
-                let (p1, c1) = (col_p[i], col_c[i]);
-                if p1 == VACUOUS || c1 == VACUOUS {
-                    continue;
-                }
-                for j in 0..reps.len() {
-                    let (p2, c2) = (col_p[j], col_c[j]);
-                    if i == j || p2 == p1 || p2 == VACUOUS || c2 == c1 || c2 == VACUOUS {
-                        continue;
-                    }
-                    let mut premise = Premise::new();
-                    premise.push(OrderAtom {
-                        attr: ap,
-                        lo: ValueId(p1),
-                        hi: ValueId(p2),
-                    });
-                    sink.emit(InstanceConstraint {
-                        premise,
-                        conclusion: Conclusion::Atom(OrderAtom {
-                            attr: ac,
-                            lo: ValueId(c1),
-                            hi: ValueId(c2),
-                        }),
-                        origin: Origin::Currency(ci),
-                    });
-                }
-            }
-            continue;
-        }
-
-        // Unary conjuncts hold or fail per *projection*, not per pair:
-        // evaluate each side once per representative.
-        t1_ok.clear();
-        t1_ok.extend(reps.iter().map(|&r| {
-            cc.t1_consts
-                .iter()
-                .all(|c| c.eval_gated(entity, r, use_gids))
-        }));
-        t2_ok.clear();
-        t2_ok.extend(reps.iter().map(|&r| {
-            cc.t2_consts
-                .iter()
-                .all(|c| c.eval_gated(entity, r, use_gids))
-        }));
-
-        for (i, &r1) in reps.iter().enumerate() {
-            if !t1_ok[i] {
-                continue;
-            }
-            let row1 = entity.dense_row(r1);
-            'pair: for (j, &r2) in reps.iter().enumerate() {
-                if i == j || !t2_ok[j] {
                     continue;
                 }
                 let row2 = entity.dense_row(r2);
@@ -1299,149 +1113,5 @@ mod tests {
         // Two non-LA cities, each must sit below LA when AC=213 tops.
         assert_eq!(cfd.len(), 2);
         assert!(cfd.iter().all(|c| c.premise.len() == 2)); // 212≺213, 415≺213
-    }
-
-    /// Records the sink protocol — hints and instances in call order — so
-    /// the Σ proptest compares capacities as well as clauses.
-    #[derive(Debug, PartialEq)]
-    enum SinkEvent {
-        Hint(usize),
-        Emit(InstanceConstraint),
-    }
-
-    impl OmegaSink for Vec<SinkEvent> {
-        fn hint(&mut self, additional: usize) {
-            self.push(SinkEvent::Hint(additional));
-        }
-        fn emit(&mut self, c: InstanceConstraint) {
-            self.push(SinkEvent::Emit(c));
-        }
-    }
-
-    /// Cell and constant pool of the Σ proptest: nulls, strings, and
-    /// numerically equal `Int`/`Float` pairs. Indices from 8 on never
-    /// occur in generated cells (out-of-domain constants).
-    fn pool(i: u8) -> Value {
-        match i {
-            0 => Value::Null,
-            1 => Value::str("s0"),
-            2 => Value::str("s1"),
-            3 => Value::str("s2"),
-            4 => Value::int(1),
-            5 => Value::float(1.0),
-            6 => Value::int(2),
-            7 => Value::float(2.0),
-            8 => Value::str("s9"),
-            _ => Value::int(9),
-        }
-    }
-
-    /// `pool(i)` as a constraint-language literal.
-    fn literal(i: u8) -> String {
-        match pool(i) {
-            Value::Str(s) => format!("{s:?}"),
-            Value::Float(f) => format!("{:.1}", f.get()),
-            v => v.to_string(),
-        }
-    }
-
-    const SIGMA_ARITY: usize = 3;
-
-    /// One generated currency constraint: `kind` picks the shape, `a`/`b`
-    /// the attributes, `c`/`d` the constants and `op` a comparison.
-    fn sigma_constraint(
-        s: &std::sync::Arc<Schema>,
-        (kind, a, b, c, d, op): (u8, usize, usize, u8, u8, u8),
-    ) -> cr_constraints::CurrencyConstraint {
-        let (a, b) = (format!("a{a}"), format!("a{b}"));
-        let (c, d) = (literal(c), literal(d));
-        let op = ["=", "!=", "<", "<="][op as usize % 4];
-        let text = match kind {
-            // Both sides pinned (one attribute).
-            0 => format!("t1[{a}] = {c} && t2[{a}] = {d} -> t1 <[{a}] t2"),
-            // Both sides pinned over two attributes.
-            1 => format!(
-                "t1[{a}] = {c} && t1[{b}] = {d} && t2[{a}] = {d} && t2[{b}] = {c} -> t1 <[{b}] t2"
-            ),
-            // Propagation (the fast path when a ≠ b).
-            2 => format!("t1 <[{a}] t2 -> t1 <[{b}] t2"),
-            // Binary comparison.
-            3 => format!("t1[{a}] {op} t2[{a}] -> t1 <[{b}] t2"),
-            // t1 pinned, t2 free.
-            4 => format!("t1[{a}] = {c} && t1[{b}] = {d} -> t1 <[{a}] t2"),
-            // t1 pinned, t2 filtered by a non-Eq constant.
-            5 => format!("t1[{a}] = {c} && t2[{a}] {op} {d} -> t1 <[{a}] t2"),
-            // Constants plus an order premise.
-            6 => format!("t1[{a}] = {c} && t2[{a}] = {d} && t1 <[{b}] t2 -> t1 <[{a}] t2"),
-            // Two Eq constants on one attribute of one side.
-            _ => format!("t1[{a}] = {c} && t1[{a}] = {d} && t2[{a}] = {c} -> t1 <[{a}] t2"),
-        };
-        parse_currency_constraint(s, &text).unwrap_or_else(|e| panic!("{text}: {e}"))
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
-
-        /// Σ emission with projection classes and pinned lookup produces
-        /// exactly the event sequence (hints and instances, in order) of
-        /// the per-constraint reference, before and after a value revision
-        /// (the entity a session re-encodes after a correction). Covers
-        /// nulls, duplicate projections, numerically equal `Int`/`Float`
-        /// cells against string and numeric constants, out-of-domain
-        /// constants, constants missing from the table, entities without a
-        /// table and entities with pushed (table-less) values.
-        #[test]
-        fn class_cached_sigma_emission_matches_the_reference(
-            rows in proptest::collection::vec(proptest::collection::vec(0u8..8, SIGMA_ARITY), 1..9),
-            constraints in proptest::collection::vec(
-                (0u8..8, 0usize..SIGMA_ARITY, 0usize..SIGMA_ARITY, 1u8..10, 1u8..10, 0u8..4),
-                1..14,
-            ),
-            in_table in proptest::collection::vec(0u8..2, 10),
-            table_mode in 0u8..3,
-            pushed in proptest::collection::vec(0u8..10, SIGMA_ARITY),
-            revision in (0usize..8, 0usize..SIGMA_ARITY, 0u8..10),
-        ) {
-            let s = Schema::new("p", ["a0", "a1", "a2"]).unwrap();
-            let tuples: Vec<Tuple> =
-                rows.iter().map(|r| Tuple::of(r.iter().map(|&i| pool(i)))).collect();
-            let sigma: Vec<_> = constraints.iter().map(|&c| sigma_constraint(&s, c)).collect();
-            let mut table = cr_types::ValueTable::new();
-            table.intern_tuples(tuples.iter());
-            // Some pool constants join the table without occurring in the
-            // entity; the others stay out of it.
-            for (i, &keep) in in_table.iter().enumerate() {
-                if keep == 1 {
-                    table.intern(&pool(i as u8));
-                }
-            }
-            let mut entity = if table_mode == 0 {
-                EntityInstance::new(s.clone(), tuples).unwrap()
-            } else {
-                EntityInstance::with_table(s.clone(), tuples, &table).unwrap()
-            };
-            if table_mode == 2 {
-                entity.push(Tuple::of(pushed.iter().map(|&i| pool(i)))).unwrap();
-            }
-            let spec = Specification::without_orders(entity, sigma, vec![]);
-            let program = std::sync::Arc::new(super::super::program::CompiledProgram::compile(
-                spec.sigma(),
-                spec.gamma(),
-                (table_mode != 0).then_some(&table),
-            ));
-            spec.set_compiled_program(program.clone());
-            let mut revised = spec.clone();
-            let (tuple, attr, value) = revision;
-            let tuple = TupleId((tuple % revised.entity().len()) as u32);
-            revised.replace_value(tuple, cr_types::AttrId(attr as u16), pool(value));
-            for sp in [&spec, &revised] {
-                let (space, g2l) = build_spaces(sp);
-                let mut production: Vec<SinkEvent> = Vec::new();
-                emit_sigma_gamma(sp, &program, &space, &g2l, &mut production);
-                let mut reference: Vec<SinkEvent> = Vec::new();
-                emit_sigma_gamma_reference(sp, &program, &space, &g2l, &mut reference);
-                proptest::prop_assert_eq!(&production, &reference);
-            }
-        }
     }
 }

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use cr_clique::find_max_clique;
-use cr_maxsat::exact::maximize;
+use cr_maxsat::maximize;
 use cr_types::{AttrId, Value};
 
 use crate::compat::compatibility_graph;

@@ -21,12 +21,12 @@ use cr_core::{
     ResolutionOutcome, ResolutionSession, Specification,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
-use cr_maxsat::exact::maximize;
+use cr_maxsat::maximize;
 use cr_oracle::omega_reference;
 use cr_store::{
     check_session_against_scratch, check_theory_against_reference, reference_cnf, SpecMirror,
 };
-use cr_types::{AttrId, EntityInstance, Schema, Tuple, Value, ValueId};
+use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value, ValueId, ValueTable};
 use proptest::prelude::*;
 
 /// Resolves `spec` on the engine (incremental) and on the from-scratch
@@ -512,6 +512,127 @@ proptest! {
             let mut extended = spec.clone();
             extended.apply_user_input(&input);
             assert_omega_matches_reference(&extended);
+        }
+    }
+}
+
+/// Cell and constant pool of the Σ proptest: nulls, strings, and
+/// numerically equal `Int`/`Float` pairs. Indices from 8 on never occur in
+/// generated cells (out-of-domain constants).
+fn pool(i: u8) -> Value {
+    match i {
+        0 => Value::Null,
+        1 => Value::str("s0"),
+        2 => Value::str("s1"),
+        3 => Value::str("s2"),
+        4 => Value::int(1),
+        5 => Value::float(1.0),
+        6 => Value::int(2),
+        7 => Value::float(2.0),
+        8 => Value::str("s9"),
+        _ => Value::int(9),
+    }
+}
+
+/// `pool(i)` as a constraint-language literal.
+fn literal(i: u8) -> String {
+    match pool(i) {
+        Value::Str(s) => format!("{s:?}"),
+        Value::Float(f) => format!("{:.1}", f.get()),
+        v => v.to_string(),
+    }
+}
+
+const SIGMA_ARITY: usize = 3;
+
+/// One generated currency constraint: `kind` picks the shape, `a`/`b` the
+/// attributes, `c`/`d` the constants and `op` a comparison.
+fn sigma_constraint(
+    s: &std::sync::Arc<Schema>,
+    (kind, a, b, c, d, op): (u8, usize, usize, u8, u8, u8),
+) -> cr_constraints::CurrencyConstraint {
+    let (a, b) = (format!("a{a}"), format!("a{b}"));
+    let (c, d) = (literal(c), literal(d));
+    let op = ["=", "!=", "<", "<="][op as usize % 4];
+    let text = match kind {
+        // Both sides pinned (one attribute).
+        0 => format!("t1[{a}] = {c} && t2[{a}] = {d} -> t1 <[{a}] t2"),
+        // Both sides pinned over two attributes.
+        1 => format!(
+            "t1[{a}] = {c} && t1[{b}] = {d} && t2[{a}] = {d} && t2[{b}] = {c} -> t1 <[{b}] t2"
+        ),
+        // Propagation (the fast path when a ≠ b).
+        2 => format!("t1 <[{a}] t2 -> t1 <[{b}] t2"),
+        // Binary comparison.
+        3 => format!("t1[{a}] {op} t2[{a}] -> t1 <[{b}] t2"),
+        // t1 pinned, t2 free.
+        4 => format!("t1[{a}] = {c} && t1[{b}] = {d} -> t1 <[{a}] t2"),
+        // t1 pinned, t2 filtered by a non-Eq constant.
+        5 => format!("t1[{a}] = {c} && t2[{a}] {op} {d} -> t1 <[{a}] t2"),
+        // Constants plus an order premise.
+        6 => format!("t1[{a}] = {c} && t2[{a}] = {d} && t1 <[{b}] t2 -> t1 <[{a}] t2"),
+        // Two Eq constants on one attribute of one side.
+        _ => format!("t1[{a}] = {c} && t1[{a}] = {d} && t2[{a}] = {c} -> t1 <[{a}] t2"),
+    };
+    parse_currency_constraint(s, &text).unwrap_or_else(|e| panic!("{text}: {e}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Σ emission with projection classes and pinned lookup produces
+    /// exactly the reference Ω(Se), instance for instance and in order,
+    /// before and after a value revision (the entity a session re-encodes
+    /// after a correction). Covers nulls, duplicate projections,
+    /// numerically equal `Int`/`Float` cells against string and numeric
+    /// constants, out-of-domain constants, constants missing from the
+    /// table, entities without a table and entities with pushed
+    /// (table-less) values.
+    #[test]
+    fn class_cached_sigma_emission_matches_the_reference(
+        rows in proptest::collection::vec(proptest::collection::vec(0u8..8, SIGMA_ARITY), 1..9),
+        constraints in proptest::collection::vec(
+            (0u8..8, 0usize..SIGMA_ARITY, 0usize..SIGMA_ARITY, 1u8..10, 1u8..10, 0u8..4),
+            1..14,
+        ),
+        in_table in proptest::collection::vec(0u8..2, 10),
+        table_mode in 0u8..3,
+        pushed in proptest::collection::vec(0u8..10, SIGMA_ARITY),
+        revision in (0usize..8, 0usize..SIGMA_ARITY, 0u8..10),
+    ) {
+        let s = Schema::new("p", ["a0", "a1", "a2"]).unwrap();
+        let tuples: Vec<Tuple> =
+            rows.iter().map(|r| Tuple::of(r.iter().map(|&i| pool(i)))).collect();
+        let sigma: Vec<_> = constraints.iter().map(|&c| sigma_constraint(&s, c)).collect();
+        let mut table = ValueTable::new();
+        table.intern_tuples(tuples.iter());
+        // Some pool constants join the table without occurring in the
+        // entity; the others stay out of it.
+        for (i, &keep) in in_table.iter().enumerate() {
+            if keep == 1 {
+                table.intern(&pool(i as u8));
+            }
+        }
+        let mut entity = if table_mode == 0 {
+            EntityInstance::new(s.clone(), tuples).unwrap()
+        } else {
+            EntityInstance::with_table(s.clone(), tuples, &table).unwrap()
+        };
+        if table_mode == 2 {
+            entity.push(Tuple::of(pushed.iter().map(|&i| pool(i)))).unwrap();
+        }
+        let spec = Specification::without_orders(entity, sigma, vec![]);
+        spec.set_compiled_program(std::sync::Arc::new(CompiledProgram::compile(
+            spec.sigma(),
+            spec.gamma(),
+            (table_mode != 0).then_some(&table),
+        )));
+        let mut revised = spec.clone();
+        let (tuple, attr, value) = revision;
+        let tuple = TupleId((tuple % revised.entity().len()) as u32);
+        revised.replace_value(tuple, AttrId(attr as u16), pool(value));
+        for sp in [&spec, &revised] {
+            prop_assert_eq!(omega_compiled(sp), omega_reference(sp));
         }
     }
 }

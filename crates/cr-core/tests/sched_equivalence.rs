@@ -5,7 +5,7 @@
 
 use cr_core::framework::{GroundTruthOracle, ResolutionConfig, Resolver};
 use cr_core::sched::{resolve_batch, resolve_stream, SchedulerConfig};
-use cr_core::{ResolutionOutcome, Specification};
+use cr_core::{ResolutionOutcome, Specification, TrueValues};
 use cr_data::gen::{PowerLawConfig, PowerLawDataset};
 use proptest::prelude::*;
 use std::borrow::Borrow;
@@ -36,24 +36,33 @@ fn serial_outcomes(
         .collect()
 }
 
-fn assert_outcomes_equal(label: &str, serial: &[ResolutionOutcome], other: &[ResolutionOutcome]) {
-    assert_eq!(serial.len(), other.len(), "{label}: length");
-    for (i, (s, o)) in serial.iter().zip(other).enumerate() {
-        assert_eq!(s.valid, o.valid, "{label}: entity {i} validity diverged");
-        assert_eq!(
-            s.resolved, o.resolved,
-            "{label}: entity {i} resolution diverged"
-        );
-        assert_eq!(
-            s.interactions, o.interactions,
-            "{label}: entity {i} interaction count diverged"
-        );
-        assert_eq!(
-            s.rounds.len(),
-            o.rounds.len(),
-            "{label}: entity {i} round count diverged"
-        );
+/// Serial ≡ parallel, entity by entity: the first entity whose validity,
+/// resolved values, interaction count or round count differs, named with
+/// the field.
+fn diff_outcomes(
+    label: &str,
+    serial: &[ResolutionOutcome],
+    other: &[ResolutionOutcome],
+) -> Result<(), String> {
+    if serial.len() != other.len() {
+        return Err(format!(
+            "{label}: {} outcomes vs {}",
+            serial.len(),
+            other.len()
+        ));
     }
+    for (i, (s, o)) in serial.iter().zip(other).enumerate() {
+        let fields = [
+            ("validity", s.valid != o.valid),
+            ("resolved values", s.resolved != o.resolved),
+            ("interaction count", s.interactions != o.interactions),
+            ("round count", s.rounds.len() != o.rounds.len()),
+        ];
+        if let Some((field, _)) = fields.iter().find(|(_, differs)| *differs) {
+            return Err(format!("{label}: entity {i} {field} diverged"));
+        }
+    }
+    Ok(())
 }
 
 /// Collects a [`resolve_stream`] run over `n` entities into input order,
@@ -98,7 +107,7 @@ proptest! {
             let config = SchedulerConfig::with_workers(workers);
             let (outcomes, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
             let label = format!("workers={workers} incremental={incremental}");
-            assert_outcomes_equal(&label, &serial, &outcomes);
+            diff_outcomes(&label, &serial, &outcomes).expect("serial ≡ parallel");
             prop_assert_eq!(telemetry.workers, workers.min(specs.len()));
             prop_assert_eq!(telemetry.tasks, specs.len());
         }
@@ -125,11 +134,11 @@ fn batch_and_stream_match_serial_at_every_width() {
             let config = SchedulerConfig::with_workers(workers);
             let label = format!("workers={workers} incremental={incremental}");
             let (batch, telemetry) = resolve_batch(&resolver, &specs, &make_oracle, &config);
-            assert_outcomes_equal(&format!("batch {label}"), &serial, &batch);
+            diff_outcomes(&format!("batch {label}"), &serial, &batch).expect("serial ≡ batch");
             assert_eq!(telemetry.workers, workers.clamp(1, specs.len()), "{label}");
             let (stream, telemetry) =
                 stream_outcomes(&resolver, specs.len(), specs.iter(), &make_oracle, &config);
-            assert_outcomes_equal(&format!("stream {label}"), &serial, &stream);
+            diff_outcomes(&format!("stream {label}"), &serial, &stream).expect("serial ≡ stream");
             assert_eq!(telemetry.tasks, specs.len(), "{label}");
         }
     }
@@ -152,11 +161,12 @@ fn stream_matches_serial_and_respects_queue_cap() {
         };
         let (outcomes, telemetry) =
             stream_outcomes(&resolver, specs.len(), ds.stream(), &make_oracle, &config);
-        assert_outcomes_equal(
+        diff_outcomes(
             &format!("stream workers={workers} cap={cap}"),
             &serial,
             &outcomes,
-        );
+        )
+        .expect("serial ≡ stream");
         assert_eq!(telemetry.tasks, specs.len());
         assert!(
             telemetry.queue_high_water <= cap,
@@ -183,7 +193,8 @@ fn public_parallel_entry_point_is_width_invariant() {
             &oracle,
             &SchedulerConfig::with_workers(workers),
         );
-        assert_outcomes_equal(&format!("workers={workers}"), &serial, &outcomes);
+        diff_outcomes(&format!("workers={workers}"), &serial, &outcomes)
+            .expect("serial ≡ parallel");
     }
     let empty: Vec<Specification> = Vec::new();
     let (outcomes, telemetry) = resolve_batch(
@@ -213,5 +224,31 @@ fn never_full_stream_records_no_stalls() {
     assert_eq!(
         telemetry.backpressure_stalls, 0,
         "a never-full queue cannot stall"
+    );
+}
+
+/// The serial ≡ parallel comparison can fail: a real 2-worker outcome list
+/// with one entity's resolved values changed is caught, and the error
+/// names that entity and the field.
+#[test]
+fn a_parallel_outcome_with_changed_values_is_caught_and_named() {
+    let ds = dataset(29, 12, 0);
+    let specs = ds.specs();
+    let resolver = Resolver::new(ResolutionConfig::default());
+    let serial = serial_outcomes(&resolver, &ds, &specs);
+    let oracle = |i: usize| GroundTruthOracle::with_cap(ds.truth(i).clone(), 1);
+    let config = SchedulerConfig::with_workers(2);
+    let (mut parallel, _) = resolve_batch(&resolver, &specs, &oracle, &config);
+    diff_outcomes("workers=2", &serial, &parallel).expect("unplanted run agrees");
+
+    let planted = 5;
+    let mut values = parallel[planted].resolved.as_slice().to_vec();
+    values[0] = Some(cr_types::Value::str("planted"));
+    parallel[planted].resolved = TrueValues::new(values);
+    assert_eq!(
+        diff_outcomes("workers=2", &serial, &parallel),
+        Err(format!(
+            "workers=2: entity {planted} resolved values diverged"
+        ))
     );
 }

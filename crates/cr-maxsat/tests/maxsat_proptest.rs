@@ -1,12 +1,10 @@
-//! Property tests: exact MaxSAT vs brute force; WalkSAT feasibility and
-//! bound.
+//! Property test: [`maximize`] on a solver loaded with random hard clauses
+//! against brute force over the raw clause lists.
 
 use proptest::prelude::*;
 
-use cr_maxsat::exact::solve_exact;
-use cr_maxsat::walksat::solve_walksat;
-use cr_maxsat::MaxSatInstance;
-use cr_sat::Var;
+use cr_maxsat::maximize;
+use cr_sat::{Lit, Solver, Var};
 
 #[derive(Clone, Debug)]
 struct Inst {
@@ -15,34 +13,36 @@ struct Inst {
     soft: Vec<Vec<i32>>,
 }
 
-fn to_instance(inst: &Inst) -> MaxSatInstance {
-    let mut out = MaxSatInstance::new(inst.num_vars);
-    for c in &inst.hard {
-        out.add_hard(c.iter().map(|&l| lit(l, inst.num_vars)));
-    }
-    for c in &inst.soft {
-        out.add_soft(c.iter().map(|&l| lit(l, inst.num_vars)), 1);
-    }
-    out
-}
-
-fn lit(code: i32, num_vars: u32) -> cr_sat::Lit {
+fn lit(code: i32, num_vars: u32) -> Lit {
     let var = Var((code.unsigned_abs() - 1) % num_vars);
     var.lit(code > 0)
 }
 
-/// Brute-force optimum: `None` if hard clauses are unsatisfiable.
-fn brute_force(inst: &MaxSatInstance) -> Option<u64> {
-    let n = inst.num_vars();
-    let mut best: Option<u64> = None;
-    for mask in 0u64..(1 << n) {
-        let assignment: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
-        if inst.hard_satisfied(&assignment) {
-            let w = inst.soft_weight(&assignment);
-            best = Some(best.map_or(w, |b: u64| b.max(w)));
-        }
-    }
-    best
+fn clauses(inst: &Inst, raw: &[Vec<i32>]) -> Vec<Vec<Lit>> {
+    raw.iter()
+        .map(|c| c.iter().map(|&l| lit(l, inst.num_vars)).collect())
+        .collect()
+}
+
+fn satisfied(clause: &[Lit], assignment: &[bool]) -> bool {
+    clause
+        .iter()
+        .any(|l| assignment[l.var().index()] == l.is_positive())
+}
+
+/// Brute-force optimum: the most soft clauses any assignment satisfying
+/// every hard clause satisfies; `None` if the hard clauses are
+/// unsatisfiable.
+fn brute_force(num_vars: u32, hard: &[Vec<Lit>], soft: &[Vec<Lit>]) -> Option<usize> {
+    (0u64..1 << num_vars)
+        .map(|mask| {
+            (0..num_vars)
+                .map(|i| mask >> i & 1 == 1)
+                .collect::<Vec<_>>()
+        })
+        .filter(|a| hard.iter().all(|c| satisfied(c, a)))
+        .map(|a| soft.iter().filter(|c| satisfied(c, &a)).count())
+        .max()
 }
 
 fn inst_strategy() -> impl Strategy<Value = Inst> {
@@ -65,38 +65,26 @@ fn inst_strategy() -> impl Strategy<Value = Inst> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// The model `maximize` returns satisfies every hard clause and as many
+    /// soft clauses as the brute-force optimum; it is `None` exactly when
+    /// no assignment satisfies the hard clauses.
     #[test]
     fn exact_matches_brute_force(inst in inst_strategy()) {
-        let instance = to_instance(&inst);
-        let expected = brute_force(&instance);
-        match solve_exact(&instance) {
-            None => prop_assert_eq!(expected, None),
-            Some(result) => {
-                prop_assert!(result.optimal);
-                prop_assert!(instance.hard_satisfied(&result.assignment));
-                prop_assert_eq!(Some(result.total_weight), expected);
-                // satisfied_soft flags are consistent with the weight.
-                let recount: u64 = instance
-                    .soft()
-                    .iter()
-                    .zip(&result.satisfied_soft)
-                    .filter(|(_, s)| **s)
-                    .map(|(c, _)| c.weight)
-                    .sum();
-                prop_assert_eq!(recount, result.total_weight);
-            }
+        let (hard, soft) = (clauses(&inst, &inst.hard), clauses(&inst, &inst.soft));
+        let mut solver = Solver::new();
+        while solver.num_vars() < inst.num_vars {
+            solver.new_var();
         }
-    }
-
-    #[test]
-    fn walksat_is_feasible_and_bounded(inst in inst_strategy()) {
-        let instance = to_instance(&inst);
-        let expected = brute_force(&instance);
-        match solve_walksat(&instance, 3000, 7) {
+        for clause in &hard {
+            solver.add_clause(clause.iter().copied());
+        }
+        let expected = brute_force(inst.num_vars, &hard, &soft);
+        match maximize(&mut solver, soft.iter().map(|c| &c[..])) {
             None => prop_assert_eq!(expected, None),
-            Some(result) => {
-                prop_assert!(instance.hard_satisfied(&result.assignment));
-                prop_assert!(Some(result.total_weight) <= expected);
+            Some(model) => {
+                prop_assert!(hard.iter().all(|c| satisfied(c, &model)));
+                let kept = soft.iter().filter(|c| satisfied(c, &model)).count();
+                prop_assert_eq!(Some(kept), expected);
             }
         }
     }

@@ -635,3 +635,46 @@ fn file_backend_persists_across_reopen_with_tiny_segments() {
     assert!(backend.sessions().unwrap().is_empty());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The recovery comparison can fail: a rehydrated session whose log lacks
+/// the last acknowledged mutation (the user answer, moved to the end of
+/// the workload) is checked against the reference replay of the full log,
+/// and `verify_recovery` names the divergence.
+#[test]
+fn a_rehydration_missing_the_last_acknowledged_mutation_is_caught_and_named() {
+    let Scenario { spec, truth } = scenario_from_raw(13, 4, 3, 50, false);
+    let mut steps = steps_for(&spec, &truth, 13, 3);
+    let answer = steps.iter().position(|s| matches!(s, Step::Input(_)));
+    let answer = steps.remove(answer.unwrap());
+    steps.push(answer);
+    let run = |steps: &[Step]| {
+        let mut store = fresh_store(0);
+        store.open(ID, &spec);
+        for step in steps {
+            apply_step(&mut store, step);
+        }
+        assert!(store.evict(ID).unwrap());
+        store
+    };
+    let mut full = run(&steps);
+    let (records, _, err) = decode_log(&full.backend().read_log(ID).unwrap());
+    assert!(err.is_none());
+    let reference = || {
+        reference_of(
+            &ResolutionConfig::default(),
+            RevisionPolicy::Quarantine,
+            &spec,
+            &records,
+        )
+    };
+    verify_recovery(full.session(ID).unwrap(), &mut reference()).unwrap();
+
+    let mut lagging = run(&steps[..steps.len() - 1]);
+    let err = verify_recovery(lagging.session(ID).unwrap(), &mut reference()).unwrap_err();
+    // The rows differ by the answer's tuple, which only the reference has.
+    assert!(
+        err.starts_with("rehydrated vs scratch: entity rows diverged: "),
+        "{err}"
+    );
+    assert!(err.ends_with(r#", [null, "a1_v1", null, null]]"#), "{err}");
+}
