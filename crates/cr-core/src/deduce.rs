@@ -65,7 +65,7 @@ impl DeducedOrders {
 ///
 /// Propagation is the root trail of a solver from
 /// [`EncodedSpec::fresh_solver`], which propagates every root unit as it
-/// loads the formula and is never searched, so its trail is exactly the
+/// loads the formula and has had no conflict, so its trail is exactly the
 /// unit-propagation fixpoint ([`Solver::root_trail`]). The order axioms
 /// are the solver's order theory over the atoms the encoding registered,
 /// whose fixpoint equals propagation over the materialised axiom clauses.
@@ -77,15 +77,22 @@ pub fn deduce_order(enc: &EncodedSpec) -> Option<DeducedOrders> {
 }
 
 /// The body of [`deduce_order`] over a solver that holds every clause of
-/// `enc`'s CNF and the order axioms and was never searched: the one-shot
-/// call passes a fresh one, the session its deducer, which it keeps alive
-/// across all rounds and feeds the per-round clause and atom deltas, so
+/// `enc`'s CNF and the order axioms and has had no conflict: the one-shot
+/// call passes a fresh one, the session its warm solver, which it keeps
+/// alive across rounds and feeds the per-round clause and atom deltas, so
 /// each round only propagates the consequences of the new clauses. The
 /// oracles pass a solver over their reference CNF, which holds the axioms
-/// as clauses. A searched solver's root trail also holds learnt units,
-/// which would make `DeduceOrder` stronger than unit propagation.
+/// as clauses. The rule is: no conflict ⇒ no learnt clause ⇒ the root
+/// trail is the unit-propagation fixpoint. A solver that has had a
+/// conflict may hold learnt units on its root trail, which would make
+/// `DeduceOrder` stronger than unit propagation; the session rebuilds
+/// such a solver from Φ(Se) before it calls this.
 pub fn deduce_order_on(solver: &Solver, enc: &EncodedSpec) -> Option<DeducedOrders> {
-    debug_assert_eq!(solver.stats().conflicts, 0, "the deducer never searches");
+    debug_assert_eq!(
+        solver.stats().conflicts,
+        0,
+        "no conflict ⇒ no learnt clause ⇒ root trail = unit-propagation fixpoint"
+    );
     let implied = solver.root_trail()?;
     Some(orders_from_implied(enc, implied))
 }

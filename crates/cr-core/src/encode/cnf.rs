@@ -38,7 +38,7 @@
 //!
 //! Every solver over an encoding is loaded this way: the one-shot steps
 //! and the MaxSAT repair through [`EncodedSpec::fresh_solver`], the
-//! session's two solvers through `EncodedSpec::load_solver` (see the
+//! session's solver through `EncodedSpec::load_solver` (see the
 //! `crate::ingest` and `crate::suggest` docs). A bare
 //! `cr_sat::Solver::from_cnf(enc.cnf())` knows no order axiom.
 
@@ -580,10 +580,9 @@ impl EncodedSpec {
     }
 
     /// A CDCL solver over `Φ(Se)` with every order atom registered: the one
-    /// way to build a complete solver over the encoding. Until it is
-    /// searched, its root trail
-    /// ([`cr_sat::Solver::root_trail`]) is the unit-propagation fixpoint
-    /// `DeduceOrder` reads.
+    /// way to build a complete solver over the encoding. Until it has a
+    /// conflict, its root trail ([`cr_sat::Solver::root_trail`]) is the
+    /// unit-propagation fixpoint `DeduceOrder` reads.
     pub fn fresh_solver(&self) -> cr_sat::Solver {
         self.load_solver(cr_sat::Solver::new())
     }

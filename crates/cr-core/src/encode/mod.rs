@@ -26,8 +26,8 @@
 //! A session extends its encoding with every user answer; an
 //! out-of-domain answer deletes the clauses of the CFDs over the grown
 //! attribute and re-emits them (see the `cnf` module docs), and the
-//! session's two solvers, which are views of Φ(Se), are rebuilt from it
-//! at the engine's next call (`framework`'s module docs). Upstream
+//! session's solver, a view of Φ(Se), is rebuilt from it at the engine's
+//! next call (`framework`'s module docs). Upstream
 //! corrections ([`crate::ingest`]) never edit an encoding: they edit the
 //! session's specification, which the session then re-encodes, deleting
 //! withdrawn CFDs' clauses (`EncodedSpec::retract_cfd`). Round-0 encode

@@ -6,8 +6,8 @@
 //! decomposition and CFD pattern lookups from scratch for every entity. A
 //! [`CompiledProgram`] performs that derivation **once per dataset**:
 //!
-//! * per currency constraint, the sorted referenced-attribute projection
-//!   key, the order premises, and the comparison predicates split into
+//! * per currency constraint, its projection class (below), the order
+//!   premises, and the comparison predicates split into
 //!   unary (constant, per-side) and binary (tuple) conjuncts — so pair
 //!   instantiation can pre-evaluate the unary conjuncts once per distinct
 //!   projection instead of once per ordered pair;
@@ -145,16 +145,14 @@ fn push_pin(
 /// module docs). Field order mirrors evaluation order in the encoder.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledConstraint {
-    /// Sorted, deduplicated premise ∪ conclusion attributes — the
-    /// projection-grouping key of `Instantiation(Se)` step 4.
-    pub referenced_attrs: Vec<AttrId>,
     /// The constraint's projection class: index into
-    /// [`CompiledProgram::classes`], shared by every constraint with the
-    /// same `referenced_attrs`.
+    /// [`CompiledProgram::classes`], whose entry is the constraint's
+    /// sorted, deduplicated premise ∪ conclusion attributes — the
+    /// projection-grouping key of `Instantiation(Se)` step 4.
     pub class: usize,
     /// Per side, where the table ids that *pin* the side's projection (see
     /// the module docs) start in [`CompiledProgram::pins`] — one id per
-    /// referenced attribute, in `referenced_attrs` order — when the side's
+    /// attribute of the class, in class order — when the side's
     /// string `Eq` constants fix every referenced attribute; `None`
     /// otherwise.
     pub t1_pin: Option<u32>,
@@ -224,12 +222,11 @@ impl CompiledProgram {
                 let class = match classes.iter().position(|k| *k == referenced_attrs) {
                     Some(class) => class,
                     None => {
-                        classes.push(referenced_attrs.clone());
+                        classes.push(referenced_attrs);
                         classes.len() - 1
                     }
                 };
                 let mut cc = CompiledConstraint {
-                    referenced_attrs,
                     class,
                     t1_pin: None,
                     t2_pin: None,
@@ -262,8 +259,8 @@ impl CompiledProgram {
                         }
                     }
                 }
-                cc.t1_pin = push_pin(&cc.referenced_attrs, &cc.t1_consts, &mut pins);
-                cc.t2_pin = push_pin(&cc.referenced_attrs, &cc.t2_consts, &mut pins);
+                cc.t1_pin = push_pin(&classes[class], &cc.t1_consts, &mut pins);
+                cc.t2_pin = push_pin(&classes[class], &cc.t2_consts, &mut pins);
                 cc
             })
             .collect();
@@ -294,7 +291,7 @@ impl CompiledProgram {
     /// [`CompiledConstraint`]'s `t1_pin`/`t2_pin`).
     pub(crate) fn pin(&self, cc: &CompiledConstraint, start: u32) -> &[GlobalValueId] {
         let start = start as usize;
-        &self.pins[start..start + cc.referenced_attrs.len()]
+        &self.pins[start..start + self.classes[cc.class].len()]
     }
 
     /// Token of the [`ValueTable`] the constants were resolved against.
@@ -336,7 +333,7 @@ mod tests {
         let status = s.attr_id("status").unwrap();
         let job = s.attr_id("job").unwrap();
         let kids = s.attr_id("kids").unwrap();
-        assert_eq!(cc.referenced_attrs, vec![status, job, kids]);
+        assert_eq!(p.classes[cc.class], vec![status, job, kids]);
         assert_eq!(cc.order_premises, vec![status]);
         assert_eq!(cc.tuple_cmps, vec![(kids, CompOp::Lt)]);
         assert_eq!(cc.t1_consts.len(), 1);

@@ -12,7 +12,7 @@
 //! The Fig. 4 loop is the system's hot path: every user interaction
 //! re-enters validity checking and deduction on a specification that grew
 //! by one tuple. With [`ResolutionConfig::incremental`] (the default) the
-//! loop runs on an engine that keeps three pieces of state alive across
+//! loop runs on an engine that keeps two pieces of state alive across
 //! rounds instead of rebuilding them:
 //!
 //! * the [`EncodedSpec`](crate::encode::EncodedSpec) — user answers
@@ -21,30 +21,30 @@
 //!   and Σ instances induced by the fresh user-input tuple (value spaces
 //!   and the Ω(Se) instantiation of the original tuples are invariant
 //!   under such input);
-//! * one CDCL [`cr_sat::Solver`] shared by the validity check and (for
-//!   [`DeductionMethod::NaiveSat`]) the deduction probes — clauses learnt
-//!   in any phase of any round prune the search in all later ones;
-//! * one *deducer*, a second solver loaded the same way but never
-//!   searched: its root trail ([`cr_sat::Solver::root_trail`]) is the
-//!   unit-propagation fixpoint, which resumes when the per-round clause
-//!   delta arrives, so `DeduceOrder` does work proportional to the
-//!   delta's consequences.
+//! * one CDCL [`cr_sat::Solver`] shared by every step — clauses learnt in
+//!   any phase of any round prune the search in all later ones. While it
+//!   has had no conflict it has learnt nothing, so its root trail
+//!   ([`cr_sat::Solver::root_trail`]) is the unit-propagation fixpoint,
+//!   which resumes when the per-round clause delta arrives: `DeduceOrder`
+//!   does work proportional to the delta's consequences. A solver that
+//!   has had a conflict is rebuilt from the encoding before `DeduceOrder`
+//!   reads it.
 //!
 //! # Consumers are views of Φ(Se)
 //!
 //! Answers outside the interned space ("new values" in the paper's
 //! terminology) change the value spaces and the Γ instantiation. The
 //! engine keeps one rule for them: the encoding is the one source of
-//! truth, and the two solvers are views of its CNF.
+//! truth, and the solver is a view of its CNF.
 //!
 //! * A new value appends its order variables and units to the encoding,
 //!   and every CFD referencing the grown attribute loses its clauses and
 //!   is re-emitted over the grown space (`EncodedSpec::extend_with_input`).
-//! * A deletion shifts clause indices, so the solvers cannot follow it by
-//!   their tail sync: at its next call the engine rebuilds both from the
-//!   encoding, each on its old allocations. The rebuilt warm solver loses
-//!   its learnt clauses.
-//! * Every other answer only appends, and both solvers take the tail.
+//! * A deletion shifts clause indices, so the solver cannot follow it by
+//!   its tail sync: at its next call the engine rebuilds it from the
+//!   encoding, on its old allocations. The rebuilt solver loses its learnt
+//!   clauses.
+//! * Every other answer only appends, and the solver takes the tail.
 //!
 //! Few answers pay for a rebuild. A count of the extensions in 4 s runs
 //! of the repository benchmark at seed 11 (2 cores): in `interactive`,
@@ -53,7 +53,8 @@
 //! included), 584 of 35,578 grew the space and 44 (0.12%) deleted; in
 //! `batch`, none of 95,922 did either.
 //! [`ResolutionOutcome::retractions`] counts these rebuilds per
-//! resolution.
+//! resolution; the rebuild of a solver that has had a conflict, before
+//! `DeduceOrder` reads it, is not one of them.
 //!
 //! At each round boundary the engine also compacts the solver's learnt
 //! database (`cr_sat::Solver::compact_learnts`), bounding memory over
@@ -65,13 +66,13 @@
 //! encoding registers its order atoms with every solver, which holds the
 //! axioms as the built-in order theory of `cr_sat::order` and applies it
 //! inside its own propagation, rebuilding an axiom instance as a reason
-//! clause only when conflict analysis asks for it. Deduction reads the
-//! root trail of the never-searched deducer, so one propagation engine
-//! serves `DeduceOrder` and CDCL alike. The MaxSAT repair registers the
-//! same domains on its solver. No query adds a clause to `Φ(Se)`. The
-//! session's steps run the same bodies as the one-shot
+//! clause only when conflict analysis asks for it. Deduction reads the root
+//! trail of the same solver, rebuilt if it has had a conflict, so one
+//! propagation engine serves `DeduceOrder` and CDCL alike. The MaxSAT
+//! repair registers the same domains on its solver. No query adds a clause
+//! to `Φ(Se)`. The session's steps run the same bodies as the one-shot
 //! `is_valid_encoded`, `deduce_order`, `naive_deduce` and `suggest`, over
-//! warm solvers instead of fresh ones (`fresh_solver`). See the "One
+//! the warm solver instead of fresh ones (`fresh_solver`). See the "One
 //! encoding, and the oracle's reference CNF" section of the encode module
 //! docs for the encoding, the oracles' reference CNF and the
 //! differential-test coverage.
@@ -133,8 +134,8 @@ pub struct ResolutionConfig {
     pub max_rounds: usize,
     /// Deduction algorithm.
     pub deduction: DeductionMethod,
-    /// Reuse the encoding and both solvers across rounds (see
-    /// the module docs). `false` opens a fresh session on the extended
+    /// Reuse the encoding and the solver across rounds (see the module
+    /// docs). `false` opens a fresh session on the extended
     /// specification every round, re-deriving everything exactly as the
     /// paper describes the loop.
     pub incremental: bool,

@@ -14,10 +14,10 @@
 //! * [`RevisionSource`] — a push stream of revisions polled between
 //!   interaction rounds ([`ScriptedRevisions`] replays a fixed timeline);
 //! * [`ResolutionSession`] — the round-persistent resolution engine
-//!   (encoding + warm CDCL solver + never-searched deducer), stepwise
-//!   drivable. A correction edits only the session's specification and
-//!   its retired-CFD set; the engine re-encodes the specification at its
-//!   next call (see "Re-encoding" below).
+//!   (encoding + one warm CDCL solver), stepwise drivable. A correction
+//!   edits only the session's specification and its retired-CFD set; the
+//!   engine re-encodes the specification at its next call (see
+//!   "Re-encoding" below).
 //!
 //! The differential harness lives outside this crate:
 //! `cr_oracle::resolve_with_revisions_checked` drives a session against a
@@ -37,8 +37,8 @@
 //! [`ResolutionSession::suggest`] or [`ResolutionSession::apply_input`])
 //! re-encodes `current` with [`EncodedSpec::encode`], deletes the
 //! retired CFDs' clauses (`EncodedSpec::retract_cfd`) and rebuilds its
-//! two solvers from the new CNF (see "Consumers are views
-//! of Φ(Se)" in [`crate::framework`]). A revised session is therefore the
+//! solver from the new CNF (see "Consumers are views of Φ(Se)" in
+//! [`crate::framework`]). A revised session is therefore the
 //! from-scratch encoding of its specification by construction. However
 //! many events and batches arrive between two engine calls, they cost one
 //! re-encode.
@@ -420,40 +420,39 @@ struct BatchState {
 
 /// Round-persistent state of the incremental resolution path: the
 /// session's specification plus the engine over it — the extended
-/// encoding and two CDCL solvers kept in sync with its CNF. It is the
+/// encoding and one CDCL solver kept in sync with its CNF. It is the
 /// engine behind [`Resolver::resolve`](crate::framework::Resolver::resolve),
 /// exposed as a stepwise-drivable session so push-based correction
 /// ingestion (and its differential harness) can interleave revisions with
 /// interaction rounds.
 ///
-/// Both solvers are loaded the same way (`EncodedSpec::load_solver`):
-/// each registers the order atoms and holds the order axioms as its
-/// theory, so nothing is ever added to the CNF at query time. The warm
-/// solver answers `IsValid`, `NaiveDeduce` and `Suggest` and keeps what
-/// it learns across rounds. The *deducer* is never searched, so its root
-/// trail is exactly the unit-propagation fixpoint `DeduceOrder` reads.
-/// The encoding grows only in [`ResolutionSession::apply_input`], which
-/// feeds both solvers the delta (an attribute an answer grew is
-/// registered again), so they sit at the end of the encoding at every
-/// engine call. Both are views of the encoding: a correction re-encodes
-/// the specification, an answer may delete CFD clauses from the CNF, and
-/// either way the next engine call rebuilds them from it.
+/// The solver is loaded with `EncodedSpec::load_solver`: it registers
+/// the order atoms and holds the order axioms as its theory, so nothing
+/// is ever added to the CNF at query time. It answers `IsValid`,
+/// `NaiveDeduce` and `Suggest` and keeps what it learns across rounds.
+/// `DeduceOrder` reads its root trail, which is the unit-propagation
+/// fixpoint while the solver has had no conflict (it has learnt nothing);
+/// one that has is first rebuilt from Φ(Se). The encoding grows only in
+/// [`ResolutionSession::apply_input`], which feeds the solver the delta
+/// (an attribute an answer grew is registered again), so it sits at the
+/// end of the encoding at every engine call. The solver is a view of the
+/// encoding: a correction re-encodes the specification, an answer may
+/// delete CFD clauses from the CNF, and either way the next engine call
+/// rebuilds it from it.
 pub struct ResolutionSession {
     current: Specification,
     /// CFDs withdrawn upstream, as indices into the original Γ: `current`
     /// keeps Γ intact and every fresh encoding deletes their clauses.
     retired: BTreeSet<usize>,
     enc: EncodedSpec,
-    /// The warm solver of `IsValid`, `NaiveDeduce` and `Suggest`.
+    /// The warm solver of every step.
     solver: cr_sat::Solver,
-    /// The solver `DeduceOrder` reads: loaded like `solver`, never
-    /// searched.
-    deducer: cr_sat::Solver,
     /// A revision batch applied an event since `enc` was encoded: the
     /// next engine call re-encodes `current`.
     stale: bool,
-    /// `enc` deleted clauses since `solver` and `deducer` were built from
-    /// it: the next engine call rebuilds them.
+    /// `solver` must be rebuilt from `enc` at the next engine call: `enc`
+    /// deleted clauses since it was built, or `DeduceOrder` needs a solver
+    /// without learnt clauses.
     rebuild: bool,
     /// Answers whose extension deleted CFD clauses, each costing one
     /// rebuild ([`ResolutionSession::replays`]).
@@ -491,36 +490,6 @@ struct AcceptedAnswer {
     /// sequence number beyond this vector is causally concurrent with the
     /// answer.
     deps: VectorClock,
-}
-
-/// How far a solver has taken in an encoding: the clauses of its CNF and
-/// its order atoms (allocation order).
-#[derive(Clone, Copy, Debug)]
-struct Synced {
-    clauses: usize,
-    atoms: usize,
-}
-
-impl Synced {
-    /// The end of `enc`: everything taken in.
-    fn end_of(enc: &EncodedSpec) -> Self {
-        Synced {
-            clauses: enc.cnf().num_clauses(),
-            atoms: enc.num_order_vars(),
-        }
-    }
-
-    /// Feeds `solver`, which holds `enc` up to this mark, the rest: first
-    /// the order atoms allocated since (their attributes are registered
-    /// again, at decision level zero, before any clause can assign the new
-    /// atoms), then the CNF's tail, which also allocates every variable an
-    /// assumption can name.
-    fn feed(self, enc: &EncodedSpec, solver: &mut cr_sat::Solver) {
-        enc.register_order_atoms(self.atoms, |d, n, var| {
-            solver.register_order_domain(d, n, var)
-        });
-        solver.extend_from_cnf(enc.cnf(), self.clauses);
-    }
 }
 
 /// The engine's encoding of `spec`: its encoding with the `retired` CFDs'
@@ -570,7 +539,6 @@ impl ResolutionSession {
             current,
             retired,
             solver: cr_sat::Solver::from_scratch(scratch),
-            deducer: cr_sat::Solver::new(),
             stale: false,
             rebuild: false,
             answer_rebuilds: 0,
@@ -582,14 +550,14 @@ impl ResolutionSession {
             answers: BTreeMap::new(),
             epoch: Epoch::ZERO,
         };
-        session.rebuild_solvers();
+        session.rebuild_solver();
         session
     }
 
     /// Brings the engine up to date by one rule: a specification change
     /// re-encodes `current` (module docs), and a deletion from the encoding
-    /// rebuilds both solvers from Φ(Se). A re-encode replaces the whole
-    /// CNF, so it rebuilds them too. A no-op while neither happened since
+    /// rebuilds the solver from Φ(Se). A re-encode replaces the whole CNF,
+    /// so it rebuilds the solver too. A no-op while neither happened since
     /// the last call.
     fn refresh(&mut self) {
         if std::mem::take(&mut self.stale) {
@@ -597,17 +565,15 @@ impl ResolutionSession {
             self.rebuild = true;
         }
         if std::mem::take(&mut self.rebuild) {
-            self.rebuild_solvers();
+            self.rebuild_solver();
         }
     }
 
-    /// Rebuilds both solvers over the whole encoding, each on its own
-    /// recycled allocations.
-    fn rebuild_solvers(&mut self) {
-        for solver in [&mut self.solver, &mut self.deducer] {
-            let scratch = std::mem::take(solver).into_scratch();
-            *solver = self.enc.load_solver(cr_sat::Solver::from_scratch(scratch));
-        }
+    /// Rebuilds the solver over the whole encoding on its own recycled
+    /// allocations.
+    fn rebuild_solver(&mut self) {
+        let scratch = std::mem::take(&mut self.solver).into_scratch();
+        self.solver = self.enc.load_solver(cr_sat::Solver::from_scratch(scratch));
     }
 
     /// Tears the session down into reusable solver scratch (cleared
@@ -694,23 +660,24 @@ impl ResolutionSession {
 
     /// Rebuild telemetry: `(rebuilds, 0, 0)`, where `rebuilds` counts the
     /// answers whose extension deleted CFD clauses, each of which costs the
-    /// engine a rebuild of its two solvers at its next call. The last
-    /// two fields are always 0 and kept only because the benchmark reads
-    /// this triple, as it does [`RevisionTelemetry::cone_union`].
+    /// engine a rebuild of its solver at its next call (the rebuild before
+    /// `DeduceOrder` of a solver that has had a conflict is not counted).
+    /// The last two fields are always 0 and kept only because the
+    /// benchmark reads this triple, as it does
+    /// [`RevisionTelemetry::cone_union`].
     pub fn replays(&self) -> (usize, usize, usize) {
         (self.answer_rebuilds, 0, 0)
     }
 
     /// Absorbs one round of user input: extends the encoding by the delta
     /// clauses (bringing the engine up to date first), then `current` in
-    /// place by the induced tuple/orders, and feeds the delta to both
-    /// solvers — unless the extension deleted CFD clauses, which leaves
-    /// their rebuild to the next engine call. This is the one place the
-    /// encoding grows. Returns the size of the induced order extension
-    /// `|Ot|` added.
+    /// place by the induced tuple/orders, and feeds the delta to the
+    /// solver — unless the extension deleted CFD clauses, which leaves its
+    /// rebuild to the next engine call. This is the one place the encoding
+    /// grows. Returns the size of the induced order extension `|Ot|` added.
     pub fn apply_input(&mut self, input: &UserInput) -> usize {
         self.refresh();
-        let synced = Synced::end_of(&self.enc);
+        let (clauses, atoms) = (self.enc.cnf().num_clauses(), self.enc.num_order_vars());
         // The encoder derives the delta from the pre-input specification.
         if self.enc.extend_with_input(&self.current, input) {
             self.rebuild = true;
@@ -735,9 +702,15 @@ impl ResolutionSession {
             }
         }
         if !self.rebuild {
-            for solver in [&mut self.solver, &mut self.deducer] {
-                synced.feed(&self.enc, solver);
-            }
+            // Feed the solver the delta: first the order atoms allocated
+            // since (their attributes are registered again, at decision
+            // level zero, before any clause can assign the new atoms), then
+            // the CNF's tail, which also allocates every variable an
+            // assumption can name.
+            let solver = &mut self.solver;
+            self.enc
+                .register_order_atoms(atoms, |d, n, var| solver.register_order_domain(d, n, var));
+            solver.extend_from_cnf(self.enc.cnf(), clauses);
             // Round-boundary sweep: learnt clauses accumulate over a
             // resolve(); keep the database proportional to the formula.
             let cap = (self.enc.cnf().num_clauses() / 2).max(2_000);
@@ -1067,10 +1040,16 @@ impl ResolutionSession {
     }
 
     /// Step (2) of Fig. 4: deduce implied value orders on the warm engine.
+    /// `DeduceOrder` reads the solver's root trail; a solver that has had a
+    /// conflict may hold learnt units there, so it is rebuilt from Φ(Se)
+    /// first (not counted by [`ResolutionSession::replays`]).
     pub fn deduce(&mut self, method: DeductionMethod) -> Option<DeducedOrders> {
+        if method == DeductionMethod::UnitPropagation && self.solver.stats().conflicts > 0 {
+            self.rebuild = true;
+        }
         self.refresh();
         match method {
-            DeductionMethod::UnitPropagation => deduce_order_on(&self.deducer, &self.enc),
+            DeductionMethod::UnitPropagation => deduce_order_on(&self.solver, &self.enc),
             DeductionMethod::NaiveSat => naive_deduce_on(&mut self.solver, &self.enc),
         }
     }
@@ -1280,7 +1259,7 @@ mod tests {
     #[test]
     fn warm_propagator_registers_grown_domains() {
         // An out-of-domain answer appends a value, and its atoms, to
-        // `city`. The session's deducer must register the grown attribute
+        // `city`. The session's solver must register the grown attribute
         // again: its root trail then equals a fresh solver's over the
         // grown encoding, including the asymmetry consequences ¬(SF ≺ w)
         // of the answer's base-order units w ≺ SF.
@@ -1301,7 +1280,7 @@ mod tests {
         let enc = &session.enc;
         let sf = enc.value_id(city, &Value::str("SF")).unwrap();
         let ny = enc.value_id(city, &Value::str("NY")).unwrap();
-        let warm = order_fixpoint(&session.deducer, enc).unwrap();
+        let warm = order_fixpoint(&session.solver, enc).unwrap();
         assert!(warm.contains(&enc.var_of(city, sf, ny).unwrap().negative()));
         assert_eq!(Some(warm), order_fixpoint(&enc.fresh_solver(), enc));
     }
@@ -1375,8 +1354,8 @@ mod tests {
         // CFD: AC = 2 → city = "LA" fires: the base order puts AC 1 ≺ 2,
         // so 2 tops AC and NY ≺ LA is deduced. The answer AC = 9 then tops
         // AC, so the CFD must stop firing: its clauses over the old space
-        // are deleted, and the warm solver and the deducer, which hold them,
-        // must be rebuilt before the next deduction.
+        // are deleted, and the warm solver, which holds them, must be
+        // rebuilt before the next deduction.
         let s = Schema::new("p", ["AC", "city"]).unwrap();
         let e = EntityInstance::new(
             s.clone(),

@@ -56,7 +56,13 @@ pub struct CareerConfig {
 
 impl Default for CareerConfig {
     fn default() -> Self {
-        CareerConfig { entities: 65, min_tuples: 2, max_tuples: 175, mean_tuples: 32, seed: 0xCA3EE3 }
+        CareerConfig {
+            entities: 65,
+            min_tuples: 2,
+            max_tuples: 175,
+            mean_tuples: 32,
+            seed: 0xCA3EE3,
+        }
     }
 }
 
@@ -89,7 +95,11 @@ pub fn gamma(schema: &Arc<Schema>) -> Vec<ConstantCfd> {
     let mut out = Vec::with_capacity(2 * PATTERNED - 1);
     for i in 0..PATTERNED {
         let text = if i == PATTERNED - 1 {
-            format!("affiliation = \"{}\" -> city = \"{}\"", aff_label(i), aff_city(i))
+            format!(
+                "affiliation = \"{}\" -> city = \"{}\"",
+                aff_label(i),
+                aff_city(i)
+            )
         } else {
             format!(
                 "affiliation = \"{}\" -> city = \"{}\", country = \"{}\"",
@@ -126,7 +136,12 @@ pub fn generate(config: CareerConfig) -> Dataset {
             affs.insert(r.gen_range(0..AFFILIATIONS));
         }
         let affs: Vec<usize> = affs.into_iter().collect(); // increasing
-        let n_papers = skewed_size(&mut r, config.min_tuples, config.max_tuples, config.mean_tuples);
+        let n_papers = skewed_size(
+            &mut r,
+            config.min_tuples,
+            config.max_tuples,
+            config.mean_tuples,
+        );
         // Split papers across affiliation periods; guarantee at least one
         // paper in the first and last period so conflicts and a resolvable
         // truth both exist.
@@ -281,7 +296,11 @@ mod tests {
 
     #[test]
     fn generated_specs_are_valid() {
-        let ds = generate(CareerConfig { entities: 10, seed: 5, ..Default::default() });
+        let ds = generate(CareerConfig {
+            entities: 10,
+            seed: 5,
+            ..Default::default()
+        });
         for i in 0..ds.len() {
             assert!(is_valid(&ds.spec(i)).valid, "person {i} must be valid");
         }
@@ -299,12 +318,15 @@ mod tests {
 
     #[test]
     fn truth_is_the_latest_affiliation() {
-        let ds = generate(CareerConfig { entities: 8, seed: 2, ..Default::default() });
+        let ds = generate(CareerConfig {
+            entities: 8,
+            seed: 2,
+            ..Default::default()
+        });
         let aff = ds.schema.attr_id("affiliation").unwrap();
         for (e, truth) in &ds.entities {
-            let idx = |v: &Value| -> usize {
-                v.to_token().rsplit('_').next().unwrap().parse().unwrap()
-            };
+            let idx =
+                |v: &Value| -> usize { v.to_token().rsplit('_').next().unwrap().parse().unwrap() };
             let t = idx(truth.get(aff));
             for tuple in e.tuples() {
                 assert!(idx(tuple.get(aff)) <= t);

@@ -69,7 +69,10 @@ impl ChaosConfig {
     /// interleaved interaction (answers between deliveries, re-opens)
     /// converges with canonical delivery.
     pub fn schedule_preserving(seed: u64) -> Self {
-        ChaosConfig { seed, ..Default::default() }
+        ChaosConfig {
+            seed,
+            ..Default::default()
+        }
     }
 
     /// A fully adversarial profile: reorder, duplicates and cross-round
@@ -78,7 +81,11 @@ impl ChaosConfig {
     /// (`cr_oracle::CausalReplayConfig { interact_while_streaming: false, .. }`),
     /// where the post-drain state is a pure function of the event set.
     pub fn adversarial(seed: u64) -> Self {
-        ChaosConfig { seed, delay_density: 0.6, ..Default::default() }
+        ChaosConfig {
+            seed,
+            delay_density: 0.6,
+            ..Default::default()
+        }
     }
 }
 
@@ -122,7 +129,11 @@ pub fn chaos(
         let source = SourceId(900 + k as u32);
         let mut vclock = VectorClock::new();
         vclock.observe(source, 1);
-        let stamp = CausalStamp { source, hlc: Hlc::new(1, k as u32), vclock };
+        let stamp = CausalStamp {
+            source,
+            hlc: Hlc::new(1, k as u32),
+            vclock,
+        };
         let rev = match k % 4 {
             0 => Revision::RetractCfd { cfd: gamma_len + 7 },
             1 => Revision::ReplaceValue {
@@ -135,9 +146,15 @@ pub fn chaos(
                 lo: TupleId(0),
                 hi: TupleId(0),
             },
-            _ => Revision::WithdrawAnswer { attr: AttrId(0), tuple: TupleId((len + 4) as u32) },
+            _ => Revision::WithdrawAnswer {
+                attr: AttrId(0),
+                tuple: TupleId((len + 4) as u32),
+            },
         };
-        out.push((r.gen_range(0..=max_round.max(1)), CausalRevision { stamp, rev }));
+        out.push((
+            r.gen_range(0..=max_round.max(1)),
+            CausalRevision { stamp, rev },
+        ));
     }
 
     // Reorder within each round's batch (stable sort by round in
@@ -182,10 +199,18 @@ mod tests {
     fn chaos_preserves_the_event_multiset_modulo_faults() {
         let Scenario { spec, .. } = scenario_from_raw(3, 8, 5, 40, false);
         let timeline = causal_timeline(&spec, &CausalTimelineConfig::default());
-        let cfg = ChaosConfig { seed: 9, duplicates: 3, corrupt: 2, ..ChaosConfig::adversarial(9) };
+        let cfg = ChaosConfig {
+            seed: 9,
+            duplicates: 3,
+            corrupt: 2,
+            ..ChaosConfig::adversarial(9)
+        };
         let mut chaotic = chaos(&timeline, &spec, &cfg);
         let delivered = drain(&mut chaotic, &spec);
-        assert_eq!(delivered.len(), timeline.len() + cfg.duplicates + cfg.corrupt);
+        assert_eq!(
+            delivered.len(),
+            timeline.len() + cfg.duplicates + cfg.corrupt
+        );
         // Every original event survives (by stamp identity).
         for (_, ev) in &timeline {
             assert!(
@@ -215,7 +240,10 @@ mod tests {
             round += 1;
         }
         for (canonical_round, ev) in &timeline {
-            assert_eq!(first_arrival.get(&ev.stamp.dedup_key()), Some(canonical_round));
+            assert_eq!(
+                first_arrival.get(&ev.stamp.dedup_key()),
+                Some(canonical_round)
+            );
         }
     }
 }

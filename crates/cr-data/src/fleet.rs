@@ -152,7 +152,10 @@ impl Default for FleetConfig {
             max_attempts: 16,
             faults: ChannelFaults::clean(),
             admission: AdmissionConfig::default(),
-            store: StoreConfig { idempotency_cap: 1024, ..StoreConfig::default() },
+            store: StoreConfig {
+                idempotency_cap: 1024,
+                ..StoreConfig::default()
+            },
         }
     }
 }
@@ -315,7 +318,12 @@ impl Wire {
 
     fn push(&mut self, at: u64, client: usize, bytes: Vec<u8>) {
         self.seq += 1;
-        self.queue.push(Entry { at, seq: self.seq, client, bytes });
+        self.queue.push(Entry {
+            at,
+            seq: self.seq,
+            client,
+            bytes,
+        });
     }
 
     /// Removes and returns every message due at `now`, in arrival order.
@@ -364,20 +372,30 @@ fn script(
 ) -> Vec<Op> {
     let reads = [
         Request::IsValid,
-        Request::Deduce { method: DeductionMethod::UnitPropagation },
-        Request::TrueValues { method: DeductionMethod::UnitPropagation },
-        Request::Suggest { method: DeductionMethod::UnitPropagation },
+        Request::Deduce {
+            method: DeductionMethod::UnitPropagation,
+        },
+        Request::TrueValues {
+            method: DeductionMethod::UnitPropagation,
+        },
+        Request::Suggest {
+            method: DeductionMethod::UnitPropagation,
+        },
     ];
     // Pools drained in-order per category, interleaved at random.
-    let mut pools: Vec<Vec<(Request, Expected)>> =
-        (0..4).map(|_| Vec::new()).collect();
+    let mut pools: Vec<Vec<(Request, Expected)>> = (0..4).map(|_| Vec::new()).collect();
     let mut rest = causal;
     while !rest.is_empty() {
         let take = r.gen_range(1..=3usize.min(rest.len()));
         let (batch, tail) = rest.split_at(take);
         rest = tail;
         let keys = batch.iter().map(|ev| ev.stamp.dedup_key()).collect();
-        pools[0].push((Request::IngestCausal { events: batch.to_vec() }, Expected::Causal(keys)));
+        pools[0].push((
+            Request::IngestCausal {
+                events: batch.to_vec(),
+            },
+            Expected::Causal(keys),
+        ));
     }
     for k in 0..cfg.inputs_per_client {
         let mut input = UserInput::empty();
@@ -385,7 +403,12 @@ fn script(
         // label makes every input content-unique for the log check.
         let attr = AttrId((1 + k % (arity - 1)) as u16);
         input.values.insert(attr, Value::str(format!("f{c}_{k}")));
-        pools[1].push((Request::ApplyInput { input: input.clone() }, Expected::Input(input)));
+        pools[1].push((
+            Request::ApplyInput {
+                input: input.clone(),
+            },
+            Expected::Input(input),
+        ));
     }
     for k in 0..cfg.batches_per_client {
         let rev = Revision::ReplaceValue {
@@ -394,7 +417,9 @@ fn script(
             value: Value::str(format!("r{c}_{k}")),
         };
         pools[2].push((
-            Request::AbsorbBatch { revs: vec![rev.clone()] },
+            Request::AbsorbBatch {
+                revs: vec![rev.clone()],
+            },
             Expected::Revs(vec![rev]),
         ));
     }
@@ -404,8 +429,7 @@ fn script(
 
     let mut ops = Vec::new();
     while pools.iter().any(|p| !p.is_empty()) {
-        let live: Vec<usize> =
-            (0..pools.len()).filter(|&i| !pools[i].is_empty()).collect();
+        let live: Vec<usize> = (0..pools.len()).filter(|&i| !pools[i].is_empty()).collect();
         let pool = live[r.gen_range(0..live.len())];
         let (req, expect) = pools[pool].remove(0);
         ops.push((req, expect));
@@ -490,8 +514,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let mut script_rng = rng(cfg.seed ^ 0x5C12_19B7);
     let mut clients: Vec<Client> = (0..clients_n)
         .map(|c| {
-            let tenant =
-                if cfg.tenants == 0 { c as u32 } else { (c % cfg.tenants) as u32 };
+            let tenant = if cfg.tenants == 0 {
+                c as u32
+            } else {
+                (c % cfg.tenants) as u32
+            };
             let slice: Vec<_> = timeline
                 .iter()
                 .filter(|(_, ev)| ev.stamp.source == SourceId(c as u32 + 1))
@@ -521,7 +548,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let mut up = Wire::default();
     let mut down = Wire::default();
     let telemetry_rows = |server: &Server<MemoryBackend>, report: &FleetReport| {
-        format!("\n  {report}\n  {}\n  {}", server.telemetry(), server.store().recovery())
+        format!(
+            "\n  {report}\n  {}\n  {}",
+            server.telemetry(),
+            server.store().recovery()
+        )
     };
 
     let mut now = 0u64;
@@ -599,8 +630,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         }
         now += 1;
         if now >= cfg.max_ticks {
-            let stuck: Vec<u32> =
-                clients.iter().filter(|c| !c.done()).map(|c| c.tenant).collect();
+            let stuck: Vec<u32> = clients
+                .iter()
+                .filter(|c| !c.done())
+                .map(|c| c.tenant)
+                .collect();
             return Err(format!(
                 "fleet did not converge within {} ticks (stuck tenants {stuck:?}){}",
                 cfg.max_ticks,
@@ -649,7 +683,10 @@ fn on_reply(
             c.resend_at = now + backoff(c.attempts) + c.jitter();
         }
         Err(e) => {
-            return Err(format!("client of tenant {} got a fatal serve error: {e}", c.tenant));
+            return Err(format!(
+                "client of tenant {} got a fatal serve error: {e}",
+                c.tenant
+            ));
         }
     }
     Ok(())
@@ -727,14 +764,14 @@ fn verify_teardown(
     exactly_once("plain revisions", &want_revs, &got_revs)?;
 
     let store_cfg = *server.store().config();
-    let mut reference =
-        reference_of(&store_cfg.resolution, store_cfg.policy, spec, &records);
+    let mut reference = reference_of(&store_cfg.resolution, store_cfg.policy, spec, &records);
     let session = server
         .store_mut()
         .session(SessionId(SESSION))
         .map_err(|e| format!("touching the served session failed: {e}"))?;
-    verify_recovery(session, &mut reference)
-        .map_err(|e| format!("final state diverged from the canonical single-client replay: {e}"))?;
+    verify_recovery(session, &mut reference).map_err(|e| {
+        format!("final state diverged from the canonical single-client replay: {e}")
+    })?;
     report.recovery = server.store().recovery();
     Ok(())
 }
@@ -751,8 +788,32 @@ mod tests {
     }
 
     #[test]
+    fn exactly_once_names_a_duplicated_or_a_changed_input() {
+        let acked = ["a", "b", "c"];
+        assert_eq!(exactly_once("inputs", &acked, &["c", "a", "b"]), Ok(()));
+        // The logs have the acknowledged length, so only the comparison
+        // can catch them: `b` logged twice (and `c` lost), and `b` logged
+        // as `x`.
+        assert_eq!(
+            exactly_once("inputs", &acked, &["a", "b", "b"]),
+            Err(r#"inputs: "b" logged 2 times, want exactly once"#.to_string())
+        );
+        assert_eq!(
+            exactly_once("inputs", &acked, &["a", "x", "c"]),
+            Err(r#"inputs: "b" logged 0 times, want exactly once"#.to_string())
+        );
+        assert_eq!(
+            exactly_once("inputs", &acked, &["a", "b", "c", "b"]),
+            Err("inputs: 3 acknowledged but 4 durably logged".to_string())
+        );
+    }
+
+    #[test]
     fn fleet_runs_are_deterministic() {
-        let cfg = FleetConfig { faults: ChannelFaults::faulty(), ..FleetConfig::default() };
+        let cfg = FleetConfig {
+            faults: ChannelFaults::faulty(),
+            ..FleetConfig::default()
+        };
         let a = run_fleet(&cfg).expect("fleet converges");
         let b = run_fleet(&cfg).expect("fleet converges");
         assert_eq!(a.ticks, b.ticks);

@@ -26,7 +26,9 @@ use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
 use cr_core::causal::CausalRevision;
 use cr_core::ingest::{Revision, RevisionSource, ScriptedRevisions};
 use cr_core::{PartialOrders, Specification};
-use cr_types::{AttrId, CausalStamp, EntityInstance, Schema, SourceClock, SourceId, Tuple, TupleId, Value};
+use cr_types::{
+    AttrId, CausalStamp, EntityInstance, Schema, SourceClock, SourceId, Tuple, TupleId, Value,
+};
 use rand::prelude::*;
 
 use crate::gen_util::rng;
@@ -114,7 +116,9 @@ pub fn scenario(cfg: &ScenarioConfig) -> Scenario {
         if tuples <= 1 {
             states[attr] - 1
         } else {
-            states[attr].saturating_sub(1).min(states[attr] * t / tuples)
+            states[attr]
+                .saturating_sub(1)
+                .min(states[attr] * t / tuples)
         }
     };
     let value_of = |attr: usize, rank: usize| -> Value {
@@ -352,10 +356,7 @@ impl RevisionSource for GeneratedRevisions {
 /// attribute and rotate its value to a *shared* value (another tuple's),
 /// a *brand-new* one, or null — covering revival, domain growth and
 /// retirement of interned values.
-pub fn revision_timeline(
-    spec: &Specification,
-    cfg: &RevisionTimelineConfig,
-) -> GeneratedRevisions {
+pub fn revision_timeline(spec: &Specification, cfg: &RevisionTimelineConfig) -> GeneratedRevisions {
     let mut r = rng(cfg.seed ^ 0xC0FF_EE00_D00D_F00Du64);
     let entity = spec.entity();
     let arity = spec.schema().arity();
@@ -380,7 +381,11 @@ pub fn revision_timeline(
     for _ in 0..cfg.events {
         if run_left == 0 {
             run_round = r.gen_range(0..rounds);
-            run_left = if burst > 1 { 1 + r.gen_range(0..burst) } else { 1 };
+            run_left = if burst > 1 {
+                1 + r.gen_range(0..burst)
+            } else {
+                1
+            };
         }
         run_left -= 1;
         let round = run_round;
@@ -388,9 +393,9 @@ pub fn revision_timeline(
         // always available on non-empty entities.
         let kind = r.gen_range(0..3u32);
         let rev = match kind {
-            0 if cfg.retract_cfds && !cfds.is_empty() => {
-                Revision::RetractCfd { cfd: cfds.pop().expect("non-empty") }
-            }
+            0 if cfg.retract_cfds && !cfds.is_empty() => Revision::RetractCfd {
+                cfd: cfds.pop().expect("non-empty"),
+            },
             1 if cfg.withdraw_orders && !orders.is_empty() => {
                 let (attr, lo, hi) = orders.pop().expect("non-empty");
                 Revision::WithdrawOrder { attr, lo, hi }
@@ -512,8 +517,9 @@ pub fn causal_timeline(
     orders.shuffle(&mut r);
 
     // Emitter clocks plus each source's latest stamp (sync targets).
-    let mut clocks: Vec<SourceClock> =
-        (1..=sources).map(|s| SourceClock::new(SourceId(s as u32))).collect();
+    let mut clocks: Vec<SourceClock> = (1..=sources)
+        .map(|s| SourceClock::new(SourceId(s as u32)))
+        .collect();
     let mut latest: Vec<Option<CausalStamp>> = vec![None; sources];
 
     // Canonical rounds: draw then sort, so generation order (= causal
@@ -525,7 +531,11 @@ pub fn causal_timeline(
     let mut slots: Vec<usize> = Vec::with_capacity(cfg.events);
     while slots.len() < cfg.events {
         let round = r.gen_range(0..rounds);
-        let run = if burst > 1 { 1 + r.gen_range(0..burst) } else { 1 };
+        let run = if burst > 1 {
+            1 + r.gen_range(0..burst)
+        } else {
+            1
+        };
         for _ in 0..run.min(cfg.events - slots.len()) {
             slots.push(round);
         }
@@ -537,9 +547,9 @@ pub fn causal_timeline(
     for tick in 0..cfg.events {
         let kind = r.gen_range(0..3u32);
         let rev = match kind {
-            0 if cfg.retract_cfds && !cfds.is_empty() => {
-                Revision::RetractCfd { cfd: cfds.pop().expect("non-empty") }
-            }
+            0 if cfg.retract_cfds && !cfds.is_empty() => Revision::RetractCfd {
+                cfd: cfds.pop().expect("non-empty"),
+            },
             1 if cfg.withdraw_orders && !orders.is_empty() => {
                 let (attr, lo, hi) = orders.pop().expect("non-empty");
                 Revision::WithdrawOrder { attr, lo, hi }
@@ -702,9 +712,8 @@ impl PowerLawDataset {
         // and propagation constraints over the string attributes.
         let mut r = rng(cfg.seed ^ 0x5151_5151_0000_0001u64);
         let mut sigma = Vec::with_capacity(cfg.sigma.max(1));
-        sigma.push(
-            parse_currency_constraint(&schema, "t1[seq] < t2[seq] -> t1 <[seq] t2").unwrap(),
-        );
+        sigma
+            .push(parse_currency_constraint(&schema, "t1[seq] < t2[seq] -> t1 <[seq] t2").unwrap());
         while sigma.len() < cfg.sigma.max(1) {
             let text = if r.gen_bool(0.5) && attrs > 1 {
                 let a = r.gen_range(1..attrs);
@@ -733,7 +742,10 @@ impl PowerLawDataset {
             let a = r.gen_range(1..attrs);
             let b = 1 + ((a - 1 + 1 + r.gen_range(0..attrs - 2)) % (attrs - 1));
             let k = r.gen_range(0..states);
-            let text = format!("{} = \"a{a}_v{k}\" -> {} = \"a{b}_v{k}\"", names[a], names[b]);
+            let text = format!(
+                "{} = \"a{a}_v{k}\" -> {} = \"a{b}_v{k}\"",
+                names[a], names[b]
+            );
             gamma.extend(parse_cfds(&schema, &text).unwrap());
         }
 
@@ -794,7 +806,10 @@ impl PowerLawDataset {
     /// shared Σ/Γ clones and the shared compiled program.
     pub fn spec(&self, i: usize) -> Specification {
         let n = self.sizes[i];
-        let mut r = rng(self.seed ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95).wrapping_add(1));
+        let mut r = rng(self.seed
+            ^ (i as u64)
+                .wrapping_mul(0xD134_2543_DE82_EF95)
+                .wrapping_add(1));
         let mut stamps: Vec<usize> = (0..n).collect();
         stamps.shuffle(&mut r);
         let rows: Vec<Tuple> = stamps
@@ -888,7 +903,10 @@ mod tests {
 
     #[test]
     fn scenarios_are_deterministic() {
-        let cfg = ScenarioConfig { seed: 42, ..Default::default() };
+        let cfg = ScenarioConfig {
+            seed: 42,
+            ..Default::default()
+        };
         let a = scenario(&cfg);
         let b = scenario(&cfg);
         assert_eq!(a.truth.values(), b.truth.values());
@@ -904,14 +922,17 @@ mod tests {
         let mut valid = 0;
         let mut with_conflicts = 0;
         for seed in 0..40 {
-            let s = scenario(&ScenarioConfig { seed, gamma: 0, ..Default::default() });
+            let s = scenario(&ScenarioConfig {
+                seed,
+                gamma: 0,
+                ..Default::default()
+            });
             if is_valid(&s.spec).valid {
                 valid += 1;
             }
             // At least one attribute realises ≥ 2 values.
             let e = s.spec.entity();
-            if s
-                .spec
+            if s.spec
                 .schema()
                 .attr_ids()
                 .any(|a| e.active_domain(a).len() >= 2)
@@ -919,7 +940,10 @@ mod tests {
                 with_conflicts += 1;
             }
         }
-        assert!(valid >= 38, "CFD-free timeline scenarios must be valid ({valid}/40)");
+        assert!(
+            valid >= 38,
+            "CFD-free timeline scenarios must be valid ({valid}/40)"
+        );
         assert_eq!(with_conflicts, 40, "every scenario must have conflicts");
     }
 
@@ -946,8 +970,18 @@ mod tests {
 
     #[test]
     fn revision_timelines_are_deterministic_and_well_targeted() {
-        let s = scenario(&ScenarioConfig { seed: 11, gamma: 3, order_density: 0.3, ..Default::default() });
-        let cfg = RevisionTimelineConfig { seed: 5, events: 8, rounds: 3, ..Default::default() };
+        let s = scenario(&ScenarioConfig {
+            seed: 11,
+            gamma: 3,
+            order_density: 0.3,
+            ..Default::default()
+        });
+        let cfg = RevisionTimelineConfig {
+            seed: 5,
+            events: 8,
+            rounds: 3,
+            ..Default::default()
+        };
         let drain = |mut src: GeneratedRevisions| -> Vec<Revision> {
             (0..4).flat_map(|r| src.poll(r, &s.spec)).collect()
         };
@@ -959,7 +993,10 @@ mod tests {
             match rev {
                 Revision::RetractCfd { cfd } => assert!(*cfd < s.spec.gamma().len()),
                 Revision::WithdrawOrder { attr, lo, hi } => {
-                    assert!(s.spec.orders().contains(*attr, *lo, *hi), "withdraws real pairs");
+                    assert!(
+                        s.spec.orders().contains(*attr, *lo, *hi),
+                        "withdraws real pairs"
+                    );
                 }
                 Revision::ReplaceValue { tuple, .. } => {
                     assert!(tuple.index() < s.spec.entity().len());
@@ -1056,7 +1093,10 @@ mod tests {
             .map(|a| e.active_domain(a).len())
             .max()
             .unwrap();
-        assert!(max_width >= 10, "wide config must realise wide domains, got {max_width}");
+        assert!(
+            max_width >= 10,
+            "wide config must realise wide domains, got {max_width}"
+        );
         let narrow = scenario(&ScenarioConfig {
             seed: 7,
             tuples: 30,
@@ -1073,6 +1113,9 @@ mod tests {
             .map(|a| e.active_domain(a).len())
             .max()
             .unwrap();
-        assert!(narrow_width <= 3, "narrow config stays narrow, got {narrow_width}");
+        assert!(
+            narrow_width <= 3,
+            "narrow config stays narrow, got {narrow_width}"
+        );
     }
 }

@@ -35,9 +35,7 @@ pub fn split_budget(total: usize, parts: usize) -> Vec<usize> {
     }
     let base = total / parts;
     let extra = total % parts;
-    (0..parts)
-        .map(|i| base + usize::from(i < extra))
-        .collect()
+    (0..parts).map(|i| base + usize::from(i < extra)).collect()
 }
 
 #[cfg(test)]

@@ -144,7 +144,11 @@ impl Dataset {
         DatasetStats {
             entities: self.entities.len(),
             min_tuples: sizes.iter().copied().min().unwrap_or(0),
-            avg_tuples: if sizes.is_empty() { 0.0 } else { total as f64 / sizes.len() as f64 },
+            avg_tuples: if sizes.is_empty() {
+                0.0
+            } else {
+                total as f64 / sizes.len() as f64
+            },
             max_tuples: sizes.iter().copied().max().unwrap_or(0),
             total_tuples: total,
             sigma: self.sigma.len(),

@@ -52,7 +52,13 @@ pub struct NbaConfig {
 
 impl Default for NbaConfig {
     fn default() -> Self {
-        NbaConfig { entities: 760, min_tuples: 2, max_tuples: 136, mean_tuples: 27, seed: 0x2005 }
+        NbaConfig {
+            entities: 760,
+            min_tuples: 2,
+            max_tuples: 136,
+            mean_tuples: 27,
+            seed: 0x2005,
+        }
     }
 }
 
@@ -61,8 +67,20 @@ pub fn schema() -> Arc<Schema> {
     Schema::new(
         "nba",
         [
-            "pid", "name", "true_name", "team", "league", "tname", "points", "poss",
-            "allpoints", "min", "arena", "opened", "capacity", "city",
+            "pid",
+            "name",
+            "true_name",
+            "team",
+            "league",
+            "tname",
+            "points",
+            "poss",
+            "allpoints",
+            "min",
+            "arena",
+            "opened",
+            "capacity",
+            "city",
         ],
     )
     .expect("static schema")
@@ -137,7 +155,11 @@ fn build_league(seed: u64) -> League {
         team_arenas.push(chain);
     }
     let _ = r.gen::<u64>(); // keep the RNG stream position stable for future use
-    League { team_tnames, team_arenas, arena_info }
+    League {
+        team_tnames,
+        team_arenas,
+        arena_info,
+    }
 }
 
 /// Builds the 54 currency constraints.
@@ -222,7 +244,14 @@ pub fn generate(config: NbaConfig) -> Dataset {
     let sizes: Vec<usize> = {
         let mut r = rng(config.seed);
         (0..config.entities)
-            .map(|_| skewed_size(&mut r, config.min_tuples, config.max_tuples, config.mean_tuples))
+            .map(|_| {
+                skewed_size(
+                    &mut r,
+                    config.min_tuples,
+                    config.max_tuples,
+                    config.mean_tuples,
+                )
+            })
             .collect()
     };
     generate_with_sizes(&sizes, config.seed)
@@ -317,46 +346,47 @@ fn generate_player(
         });
     }
 
-    let to_tuple = |row: &SeasonRow, variant: bool, allow_null: bool, r: &mut rand_chacha::ChaCha8Rng| {
-        let (opened, capacity, city) = &league.arena_info[row.arena];
-        let mut vals = vec![
-            Value::int(pid as i64),
-            Value::str(&name),
-            Value::str(format!("Player {pid}")),
-            Value::str(format!("TEAM_{}", row.team)),
-            Value::str("NBA"),
-            Value::str(&row.tname),
-            Value::int(row.points),
-            Value::int(row.poss),
-            Value::int(row.allpoints),
-            Value::int(row.min),
-            Value::str(format!("arena_{}", row.arena)),
-            Value::int(*opened),
-            Value::int(*capacity),
-            Value::str(city),
-        ];
-        if variant {
-            // Source variation, as in the paper's three overlapping
-            // scrapes: occasionally a stat is missing or disagrees by a
-            // little. Jitter stays within the ±4 band around the base value
-            // (bases are spaced 10 apart per season), and `allpoints` is
-            // untouched, so the ϕ3 rules cannot cycle; same-season variants
-            // share `allpoints` and are therefore simply *unordered* —
-            // genuine ambiguity only user input settles.
-            for slot in [7usize, 9] {
-                if r.gen_bool(0.08) {
-                    if let Value::Int(v) = vals[slot] {
-                        vals[slot] = Value::int(v + [-2i64, 2, 4][r.gen_range(0..3usize)]);
+    let to_tuple =
+        |row: &SeasonRow, variant: bool, allow_null: bool, r: &mut rand_chacha::ChaCha8Rng| {
+            let (opened, capacity, city) = &league.arena_info[row.arena];
+            let mut vals = vec![
+                Value::int(pid as i64),
+                Value::str(&name),
+                Value::str(format!("Player {pid}")),
+                Value::str(format!("TEAM_{}", row.team)),
+                Value::str("NBA"),
+                Value::str(&row.tname),
+                Value::int(row.points),
+                Value::int(row.poss),
+                Value::int(row.allpoints),
+                Value::int(row.min),
+                Value::str(format!("arena_{}", row.arena)),
+                Value::int(*opened),
+                Value::int(*capacity),
+                Value::str(city),
+            ];
+            if variant {
+                // Source variation, as in the paper's three overlapping
+                // scrapes: occasionally a stat is missing or disagrees by a
+                // little. Jitter stays within the ±4 band around the base value
+                // (bases are spaced 10 apart per season), and `allpoints` is
+                // untouched, so the ϕ3 rules cannot cycle; same-season variants
+                // share `allpoints` and are therefore simply *unordered* —
+                // genuine ambiguity only user input settles.
+                for slot in [7usize, 9] {
+                    if r.gen_bool(0.08) {
+                        if let Value::Int(v) = vals[slot] {
+                            vals[slot] = Value::int(v + [-2i64, 2, 4][r.gen_range(0..3usize)]);
+                        }
                     }
                 }
+                if allow_null && r.gen_bool(0.3) {
+                    let slot = [7usize, 9, 11, 12][r.gen_range(0..4usize)];
+                    vals[slot] = Value::Null;
+                }
             }
-            if allow_null && r.gen_bool(0.3) {
-                let slot = [7usize, 9, 11, 12][r.gen_range(0..4usize)];
-                vals[slot] = Value::Null;
-            }
-        }
-        Tuple::from_values(vals)
-    };
+            Tuple::from_values(vals)
+        };
 
     let truth = to_tuple(rows.last().expect("season"), false, false, r);
 
@@ -406,7 +436,11 @@ mod tests {
 
     #[test]
     fn generated_specs_are_valid() {
-        let ds = generate(NbaConfig { entities: 15, seed: 3, ..Default::default() });
+        let ds = generate(NbaConfig {
+            entities: 15,
+            seed: 3,
+            ..Default::default()
+        });
         for i in 0..ds.len() {
             assert!(is_valid(&ds.spec(i)).valid, "player {i} must be valid");
         }
@@ -430,7 +464,11 @@ mod tests {
 
     #[test]
     fn allpoints_is_monotone_with_seasons() {
-        let ds = generate(NbaConfig { entities: 5, seed: 1, ..Default::default() });
+        let ds = generate(NbaConfig {
+            entities: 5,
+            seed: 1,
+            ..Default::default()
+        });
         let ap = ds.schema.attr_id("allpoints").unwrap();
         let pts = ds.schema.attr_id("points").unwrap();
         for (e, truth) in &ds.entities {

@@ -62,7 +62,12 @@ pub struct PersonConfig {
 
 impl Default for PersonConfig {
     fn default() -> Self {
-        PersonConfig { entities: 100, min_tuples: 2, max_tuples: 40, seed: 0xBEEF }
+        PersonConfig {
+            entities: 100,
+            min_tuples: 2,
+            max_tuples: 40,
+            seed: 0xBEEF,
+        }
     }
 }
 
@@ -70,7 +75,9 @@ impl Default for PersonConfig {
 pub fn schema() -> Arc<Schema> {
     Schema::new(
         "person",
-        ["name", "status", "job", "kids", "city", "AC", "zip", "county"],
+        [
+            "name", "status", "job", "kids", "city", "AC", "zip", "county",
+        ],
     )
     .expect("static schema")
 }
@@ -280,7 +287,12 @@ mod tests {
 
     #[test]
     fn generated_specs_are_valid() {
-        let ds = generate(PersonConfig { entities: 12, min_tuples: 2, max_tuples: 30, seed: 7 });
+        let ds = generate(PersonConfig {
+            entities: 12,
+            min_tuples: 2,
+            max_tuples: 30,
+            seed: 7,
+        });
         for i in 0..ds.len() {
             assert!(is_valid(&ds.spec(i)).valid, "entity {i} must be valid");
         }
@@ -288,7 +300,12 @@ mod tests {
 
     #[test]
     fn instances_have_conflicts() {
-        let ds = generate(PersonConfig { entities: 10, min_tuples: 4, max_tuples: 20, seed: 9 });
+        let ds = generate(PersonConfig {
+            entities: 10,
+            min_tuples: 4,
+            max_tuples: 20,
+            seed: 9,
+        });
         let conflicting = ds
             .entities
             .iter()
@@ -299,20 +316,19 @@ mod tests {
 
     #[test]
     fn truth_is_the_latest_state() {
-        let ds = generate(PersonConfig { entities: 5, min_tuples: 6, max_tuples: 12, seed: 3 });
+        let ds = generate(PersonConfig {
+            entities: 5,
+            min_tuples: 6,
+            max_tuples: 12,
+            seed: 3,
+        });
         for i in 0..ds.len() {
             let (e, truth) = &ds.entities[i];
             let status_attr = ds.schema.attr_id("status").unwrap();
             // The truth status is >= every status in the instance (chain
             // indices are comparable through the label suffix).
-            let idx = |v: &Value| -> usize {
-                v.to_token()
-                    .rsplit('_')
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .unwrap()
-            };
+            let idx =
+                |v: &Value| -> usize { v.to_token().rsplit('_').next().unwrap().parse().unwrap() };
             let truth_status = idx(truth.get(status_attr));
             for t in e.tuples() {
                 assert!(idx(t.get(status_attr)) <= truth_status);

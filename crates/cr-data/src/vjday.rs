@@ -16,7 +16,9 @@ use cr_types::{EntityInstance, Schema, Tuple, Value};
 pub fn schema() -> Arc<Schema> {
     Schema::new(
         "person",
-        ["name", "status", "job", "kids", "city", "AC", "zip", "county"],
+        [
+            "name", "status", "job", "kids", "city", "AC", "zip", "county",
+        ],
     )
     .expect("static schema")
 }

@@ -12,7 +12,10 @@ use cr_data::fleet::{run_fleet, ChannelFaults, FleetConfig};
 use cr_server::admission::AdmissionConfig;
 
 fn base(seed: u64) -> FleetConfig {
-    FleetConfig { seed, ..FleetConfig::default() }
+    FleetConfig {
+        seed,
+        ..FleetConfig::default()
+    }
 }
 
 #[test]
@@ -21,7 +24,10 @@ fn clean_wire_fleet_converges_without_retries() {
         let report = run_fleet(&base(seed)).expect("clean fleet converges");
         assert_eq!(report.acked, report.ops);
         assert_eq!(report.dropped + report.duplicated + report.delayed, 0);
-        assert_eq!(report.retries, 0, "a clean wire needs no retries (seed {seed})");
+        assert_eq!(
+            report.retries, 0,
+            "a clean wire needs no retries (seed {seed})"
+        );
         assert_eq!(report.serve.idem_hits, 0);
         assert!(report.mutations_acked > 0);
     }
@@ -32,7 +38,10 @@ fn dropped_messages_are_recovered_by_retry() {
     let mut saw_drop = false;
     for seed in 0..6 {
         let cfg = FleetConfig {
-            faults: ChannelFaults { drop: 0.2, ..ChannelFaults::clean() },
+            faults: ChannelFaults {
+                drop: 0.2,
+                ..ChannelFaults::clean()
+            },
             ..base(seed)
         };
         let report = run_fleet(&cfg).expect("drop-only fleet converges");
@@ -42,7 +51,10 @@ fn dropped_messages_are_recovered_by_retry() {
             assert!(report.retries > 0, "drops must force retries (seed {seed})");
         }
     }
-    assert!(saw_drop, "a 20% drop rate must strike at least once across seeds");
+    assert!(
+        saw_drop,
+        "a 20% drop rate must strike at least once across seeds"
+    );
 }
 
 #[test]
@@ -50,7 +62,11 @@ fn duplicated_messages_are_absorbed_by_the_ledger() {
     let mut saw_replay = false;
     for seed in 0..6 {
         let cfg = FleetConfig {
-            faults: ChannelFaults { duplicate: 0.35, max_delay: 4, ..ChannelFaults::clean() },
+            faults: ChannelFaults {
+                duplicate: 0.35,
+                max_delay: 4,
+                ..ChannelFaults::clean()
+            },
             ..base(seed)
         };
         let report = run_fleet(&cfg).expect("duplicate-only fleet converges");
@@ -67,12 +83,19 @@ fn duplicated_messages_are_absorbed_by_the_ledger() {
 fn delayed_and_reordered_messages_preserve_exactly_once() {
     for seed in 0..6 {
         let cfg = FleetConfig {
-            faults: ChannelFaults { delay: 0.5, max_delay: 8, ..ChannelFaults::clean() },
+            faults: ChannelFaults {
+                delay: 0.5,
+                max_delay: 8,
+                ..ChannelFaults::clean()
+            },
             ..base(seed)
         };
         let report = run_fleet(&cfg).expect("delay-only fleet converges");
         assert_eq!(report.acked, report.ops);
-        assert!(report.delayed > 0, "a 50% delay rate must strike (seed {seed})");
+        assert!(
+            report.delayed > 0,
+            "a 50% delay rate must strike (seed {seed})"
+        );
     }
 }
 
@@ -92,13 +115,19 @@ fn mid_batch_disconnects_do_not_lose_or_double_apply_corrections() {
         assert_eq!(report.acked, report.ops);
         saw_disconnect |= report.disconnects > 0;
     }
-    assert!(saw_disconnect, "a 50% disconnect rate must sever at least one batch");
+    assert!(
+        saw_disconnect,
+        "a 50% disconnect rate must sever at least one batch"
+    );
 }
 
 #[test]
 fn fully_hostile_wire_preserves_the_differential() {
     for seed in 0..6 {
-        let cfg = FleetConfig { faults: ChannelFaults::faulty(), ..base(seed) };
+        let cfg = FleetConfig {
+            faults: ChannelFaults::faulty(),
+            ..base(seed)
+        };
         let report = run_fleet(&cfg).expect("hostile-wire fleet converges");
         assert_eq!(report.acked, report.ops);
         assert!(report.latencies.len() as u64 == report.ops);
@@ -153,6 +182,9 @@ fn hostile_wire_under_overload_sheds_and_retries() {
     assert_eq!(report.acked, report.ops);
     let shed = report.serve.shed_rate + report.serve.shed_queue;
     assert!(shed > 0, "this profile must shed: {}", report.serve);
-    assert!(report.overloaded_replies <= shed, "a dropped reply never reaches the client");
+    assert!(
+        report.overloaded_replies <= shed,
+        "a dropped reply never reaches the client"
+    );
     assert!(report.retries > 0, "a hostile wire must force retries");
 }

@@ -22,10 +22,10 @@
 //!   axioms of the conflict-resolution encoding are never clauses,
 //! * a caller-driven learnt-database sweep ([`Solver::compact_learnts`])
 //!   keyed to interaction-round boundaries, and
-//! * the root-level fixpoint of a solver that was loaded but never
-//!   searched ([`Solver::root_trail`]): the clause-reduction loop of
-//!   `DeduceOrder` (Fig. 5 of the paper), run by the same `propagate()`
-//!   that drives the search.
+//! * the root-level fixpoint of a solver that has had no conflict
+//!   ([`Solver::root_trail`]): the clause-reduction loop of `DeduceOrder`
+//!   (Fig. 5 of the paper), run by the same `propagate()` that drives the
+//!   search.
 //!
 //! # Example
 //! ```

@@ -181,8 +181,8 @@ fn per_round_reports_are_coherent() {
 }
 
 /// Out-of-domain `AC`/`city` answers delete and re-emit CFD clauses mid-
-/// interaction: the engine must rebuild its two solvers, and it
-/// must resolve exactly like the from-scratch loop.
+/// interaction: the engine must rebuild its solver, and it must resolve
+/// exactly like the from-scratch loop.
 #[test]
 fn out_of_domain_answers_replay_retractions_and_match_scratch() {
     let resolver = |incremental| {
