@@ -94,7 +94,12 @@ impl CurrencyConstraintBuilder {
         constant: impl Into<Value>,
     ) -> Result<Self, ConstraintError> {
         let attr = self.resolve(attr)?;
-        self.premises.push(Predicate::ConstCmp { tuple, attr, op, constant: constant.into() });
+        self.premises.push(Predicate::ConstCmp {
+            tuple,
+            attr,
+            op,
+            constant: constant.into(),
+        });
         Ok(self)
     }
 

@@ -66,7 +66,12 @@ impl ConstantCfd {
                 ));
             }
         }
-        Ok(ConstantCfd { schema, name, lhs, rhs })
+        Ok(ConstantCfd {
+            schema,
+            name,
+            lhs,
+            rhs,
+        })
     }
 
     /// The schema the CFD is defined over.
@@ -118,12 +123,7 @@ impl fmt::Display for ConstantCfd {
     }
 }
 
-fn write_pair(
-    f: &mut fmt::Formatter<'_>,
-    schema: &Schema,
-    attr: AttrId,
-    v: &Value,
-) -> fmt::Result {
+fn write_pair(f: &mut fmt::Formatter<'_>, schema: &Schema, attr: AttrId, v: &Value) -> fmt::Result {
     write!(f, "{} = ", schema.attr_name(attr))?;
     crate::fmt_util::write_constant(f, v)
 }
@@ -180,8 +180,13 @@ mod tests {
         )
         .is_err());
         // Null pattern constant.
-        assert!(ConstantCfd::new(s.clone(), None, vec![(ac, Value::Null)], (city, Value::str("LA")))
-            .is_err());
+        assert!(ConstantCfd::new(
+            s.clone(),
+            None,
+            vec![(ac, Value::Null)],
+            (city, Value::str("LA"))
+        )
+        .is_err());
         // Out-of-range attr.
         assert!(ConstantCfd::new(s.clone(), None, vec![], (AttrId(9), Value::int(1))).is_err());
     }

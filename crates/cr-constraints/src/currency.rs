@@ -43,7 +43,12 @@ impl CurrencyConstraint {
         for p in &premises {
             check(p.attr())?;
         }
-        Ok(CurrencyConstraint { schema, name, premises, conclusion_attr })
+        Ok(CurrencyConstraint {
+            schema,
+            name,
+            premises,
+            conclusion_attr,
+        })
     }
 
     /// The schema the constraint is defined over.

@@ -27,7 +27,10 @@ pub enum ConstraintError {
 impl ConstraintError {
     /// Builds a parse error.
     pub fn parse(message: impl Into<String>, offset: usize) -> Self {
-        ConstraintError::Parse { message: message.into(), offset }
+        ConstraintError::Parse {
+            message: message.into(),
+            offset,
+        }
     }
 }
 
@@ -37,7 +40,10 @@ impl fmt::Display for ConstraintError {
             ConstraintError::AttrOutOfRange(a) => write!(f, "attribute id {a} out of range"),
             ConstraintError::UnknownAttribute(a) => write!(f, "unknown attribute `{a}`"),
             ConstraintError::CfdRhsInLhs(a) => {
-                write!(f, "CFD right-hand side attribute `{a}` also appears on the left")
+                write!(
+                    f,
+                    "CFD right-hand side attribute `{a}` also appears on the left"
+                )
             }
             ConstraintError::DuplicateCfdLhsAttr(a) => {
                 write!(f, "CFD left-hand side repeats attribute `{a}`")

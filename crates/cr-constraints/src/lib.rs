@@ -29,9 +29,9 @@
 
 pub mod builder;
 pub mod cfd;
-pub(crate) mod fmt_util;
 pub mod currency;
 pub mod error;
+pub(crate) mod fmt_util;
 pub mod op;
 pub mod parser;
 pub mod predicate;

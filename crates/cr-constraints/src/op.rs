@@ -119,15 +119,32 @@ mod tests {
     #[test]
     fn flip_is_involutive_and_correct() {
         let vals = [Value::int(1), Value::int(2)];
-        for op in [CompOp::Eq, CompOp::Neq, CompOp::Lt, CompOp::Leq, CompOp::Gt, CompOp::Geq] {
+        for op in [
+            CompOp::Eq,
+            CompOp::Neq,
+            CompOp::Lt,
+            CompOp::Leq,
+            CompOp::Gt,
+            CompOp::Geq,
+        ] {
             assert_eq!(op.flip().flip(), op);
-            assert_eq!(op.eval(&vals[0], &vals[1]), op.flip().eval(&vals[1], &vals[0]));
+            assert_eq!(
+                op.eval(&vals[0], &vals[1]),
+                op.flip().eval(&vals[1], &vals[0])
+            );
         }
     }
 
     #[test]
     fn parse_round_trip() {
-        for op in [CompOp::Eq, CompOp::Neq, CompOp::Lt, CompOp::Leq, CompOp::Gt, CompOp::Geq] {
+        for op in [
+            CompOp::Eq,
+            CompOp::Neq,
+            CompOp::Lt,
+            CompOp::Leq,
+            CompOp::Gt,
+            CompOp::Geq,
+        ] {
             assert_eq!(CompOp::parse(&op.to_string()), Some(op));
         }
         assert_eq!(CompOp::parse("~"), None);

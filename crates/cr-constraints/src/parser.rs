@@ -74,47 +74,74 @@ fn lex(input: &str) -> Result<Vec<SpannedTok>, ConstraintError> {
                 offset += advance(c);
             }
             '(' => {
-                out.push(SpannedTok { tok: Tok::LParen, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::LParen,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             ')' => {
-                out.push(SpannedTok { tok: Tok::RParen, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::RParen,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             '[' => {
-                out.push(SpannedTok { tok: Tok::LBracket, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::LBracket,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             ']' => {
-                out.push(SpannedTok { tok: Tok::RBracket, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::RBracket,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             ',' => {
-                out.push(SpannedTok { tok: Tok::Comma, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Comma,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             ':' => {
-                out.push(SpannedTok { tok: Tok::Colon, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Colon,
+                    offset: start,
+                });
                 i += 1;
                 offset += 1;
             }
             '∧' => {
-                out.push(SpannedTok { tok: Tok::And, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::And,
+                    offset: start,
+                });
                 i += 1;
                 offset += advance(c);
             }
             '→' => {
-                out.push(SpannedTok { tok: Tok::Arrow, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Arrow,
+                    offset: start,
+                });
                 i += 1;
                 offset += advance(c);
             }
             '≺' => {
-                out.push(SpannedTok { tok: Tok::Prec, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Prec,
+                    offset: start,
+                });
                 i += 1;
                 offset += advance(c);
             }
@@ -126,11 +153,17 @@ fn lex(input: &str) -> Result<Vec<SpannedTok>, ConstraintError> {
                     i += 1;
                     offset += 1;
                 }
-                out.push(SpannedTok { tok: Tok::And, offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::And,
+                    offset: start,
+                });
             }
             '-' => {
                 if bytes.get(i + 1) == Some(&'>') {
-                    out.push(SpannedTok { tok: Tok::Arrow, offset: start });
+                    out.push(SpannedTok {
+                        tok: Tok::Arrow,
+                        offset: start,
+                    });
                     i += 2;
                     offset += 2;
                 } else if bytes.get(i + 1).is_some_and(|d| d.is_ascii_digit()) {
@@ -167,7 +200,10 @@ fn lex(input: &str) -> Result<Vec<SpannedTok>, ConstraintError> {
                 if !closed {
                     return Err(ConstraintError::parse("unterminated string literal", start));
                 }
-                out.push(SpannedTok { tok: Tok::Str(s), offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Str(s),
+                    offset: start,
+                });
                 offset += consumed;
                 i = j;
             }
@@ -184,7 +220,10 @@ fn lex(input: &str) -> Result<Vec<SpannedTok>, ConstraintError> {
                 if op == "!" {
                     return Err(ConstraintError::parse("stray '!'", start));
                 }
-                out.push(SpannedTok { tok: Tok::Op(op), offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Op(op),
+                    offset: start,
+                });
             }
             d if d.is_ascii_digit() => {
                 let (tok, len) = lex_number(&bytes[i..]);
@@ -203,12 +242,18 @@ fn lex(input: &str) -> Result<Vec<SpannedTok>, ConstraintError> {
                     consumed += advance(bytes[j]);
                     j += 1;
                 }
-                out.push(SpannedTok { tok: Tok::Ident(s), offset: start });
+                out.push(SpannedTok {
+                    tok: Tok::Ident(s),
+                    offset: start,
+                });
                 i = j;
                 offset += consumed;
             }
             other => {
-                return Err(ConstraintError::parse(format!("unexpected character `{other}`"), start));
+                return Err(ConstraintError::parse(
+                    format!("unexpected character `{other}`"),
+                    start,
+                ));
             }
         }
     }
@@ -241,7 +286,11 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(schema: &'a Schema, input: &str) -> Result<Self, ConstraintError> {
-        Ok(Parser { toks: lex(input)?, pos: 0, schema })
+        Ok(Parser {
+            toks: lex(input)?,
+            pos: 0,
+            schema,
+        })
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -330,7 +379,10 @@ impl<'a> Parser<'a> {
         let who = self.tuple_ref()?;
         let off = self.offset();
         if who != TupleRef::T1 {
-            return Err(ConstraintError::parse("order predicates read `t1 < t2`", off));
+            return Err(ConstraintError::parse(
+                "order predicates read `t1 < t2`",
+                off,
+            ));
         }
         let attr = match self.bump() {
             Some(Tok::Op(op)) if op == "<" => {
@@ -370,7 +422,10 @@ impl<'a> Parser<'a> {
         };
         let off3 = self.offset();
         if self.tuple_ref()? != TupleRef::T2 {
-            return Err(ConstraintError::parse("order predicates read `t1 < t2`", off3));
+            return Err(ConstraintError::parse(
+                "order predicates read `t1 < t2`",
+                off3,
+            ));
         }
         Ok(attr)
     }
@@ -441,9 +496,10 @@ impl<'a> Parser<'a> {
                 }
                 match (tref, other) {
                     (TupleRef::T1, TupleRef::T2) => Ok(Predicate::TupleCmp { attr, op }),
-                    (TupleRef::T2, TupleRef::T1) => {
-                        Ok(Predicate::TupleCmp { attr, op: op.flip() })
-                    }
+                    (TupleRef::T2, TupleRef::T1) => Ok(Predicate::TupleCmp {
+                        attr,
+                        op: op.flip(),
+                    }),
                     _ => Err(ConstraintError::parse(
                         "tuple comparison must relate t1 and t2",
                         off2,
@@ -451,7 +507,12 @@ impl<'a> Parser<'a> {
                 }
             } else {
                 let constant = self.literal()?;
-                Ok(Predicate::ConstCmp { tuple: tref, attr, op, constant })
+                Ok(Predicate::ConstCmp {
+                    tuple: tref,
+                    attr,
+                    op,
+                    constant,
+                })
             }
         } else {
             // `literal op ti[attr]` — flip into canonical form.
@@ -481,7 +542,12 @@ impl<'a> Parser<'a> {
             };
             self.expect(&Tok::RBracket, "']' closing attribute")?;
             let attr = self.attr(&attr_name)?;
-            Ok(Predicate::ConstCmp { tuple: tref, attr, op: op.flip(), constant })
+            Ok(Predicate::ConstCmp {
+                tuple: tref,
+                attr,
+                op: op.flip(),
+                constant,
+            })
         }
     }
 }
@@ -538,10 +604,7 @@ pub fn parse_currency_constraint(
 }
 
 /// Parses one CFD line, expanding multiple RHS pairs into one CFD each.
-pub fn parse_cfds(
-    schema: &Arc<Schema>,
-    input: &str,
-) -> Result<Vec<ConstantCfd>, ConstraintError> {
+pub fn parse_cfds(schema: &Arc<Schema>, input: &str) -> Result<Vec<ConstantCfd>, ConstraintError> {
     let mut p = Parser::new(schema, input)?;
     let name = p.take_label();
     let parens = matches!(p.peek(), Some(Tok::LParen));
@@ -648,7 +711,9 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Schema::new(
             "person",
-            ["name", "status", "job", "kids", "city", "AC", "zip", "county"],
+            [
+                "name", "status", "job", "kids", "city", "AC", "zip", "county",
+            ],
         )
         .unwrap()
     }
@@ -673,7 +738,10 @@ mod tests {
         let c = parse_currency_constraint(&s, "t1[kids] < t2[kids] -> t1 <[kids] t2").unwrap();
         assert_eq!(
             c.premises(),
-            &[Predicate::TupleCmp { attr: s.attr_id("kids").unwrap(), op: CompOp::Lt }]
+            &[Predicate::TupleCmp {
+                attr: s.attr_id("kids").unwrap(),
+                op: CompOp::Lt
+            }]
         );
     }
 
@@ -683,7 +751,9 @@ mod tests {
         let c = parse_currency_constraint(&s, "t1 <[status] t2 -> t1 <[job] t2").unwrap();
         assert_eq!(
             c.premises(),
-            &[Predicate::Order { attr: s.attr_id("status").unwrap() }]
+            &[Predicate::Order {
+                attr: s.attr_id("status").unwrap()
+            }]
         );
         assert_eq!(s.attr_name(c.conclusion_attr()), "job");
         assert!(!c.is_comparison_only());
@@ -692,11 +762,9 @@ mod tests {
     #[test]
     fn parses_phi8_two_order_premises() {
         let s = schema();
-        let c = parse_currency_constraint(
-            &s,
-            "phi8: t1 <[city] t2 && t1 <[zip] t2 -> t1 <[county] t2",
-        )
-        .unwrap();
+        let c =
+            parse_currency_constraint(&s, "phi8: t1 <[city] t2 && t1 <[zip] t2 -> t1 <[county] t2")
+                .unwrap();
         assert_eq!(c.premises().len(), 2);
         assert!(c.premises().iter().all(Predicate::is_order));
     }
@@ -734,7 +802,10 @@ mod tests {
         let c = parse_currency_constraint(&s, "t2[kids] > t1[kids] -> t1 <[kids] t2").unwrap();
         assert_eq!(
             c.premises(),
-            &[Predicate::TupleCmp { attr: s.attr_id("kids").unwrap(), op: CompOp::Lt }]
+            &[Predicate::TupleCmp {
+                attr: s.attr_id("kids").unwrap(),
+                op: CompOp::Lt
+            }]
         );
     }
 
@@ -759,8 +830,11 @@ mod tests {
         let single = parse_cfds(&s, r#"psi1: (AC = 213 -> city = "LA")"#).unwrap();
         assert_eq!(single.len(), 1);
         assert_eq!(single[0].name(), Some("psi1"));
-        let multi = parse_cfds(&s, r#"city = "LA", zip = 90058 -> county = "Vermont", AC = 213"#)
-            .unwrap();
+        let multi = parse_cfds(
+            &s,
+            r#"city = "LA", zip = 90058 -> county = "Vermont", AC = 213"#,
+        )
+        .unwrap();
         assert_eq!(multi.len(), 2);
         assert_eq!(multi[0].lhs().len(), 2);
     }
@@ -782,8 +856,7 @@ mod tests {
         assert!(matches!(err, ConstraintError::Parse { .. }));
         let err = parse_currency_constraint(&s, "t1[nope] = 1 -> t1 <[job] t2").unwrap_err();
         assert!(matches!(err, ConstraintError::UnknownAttribute(a) if a == "nope"));
-        let err =
-            parse_currency_constraint(&s, "t1[kids] < t2[zip] -> t1 <[kids] t2").unwrap_err();
+        let err = parse_currency_constraint(&s, "t1[kids] < t2[zip] -> t1 <[kids] t2").unwrap_err();
         assert!(matches!(err, ConstraintError::Parse { .. }));
         let err = parse_currency_constraint(&s, "t2 <[kids] t1 -> t1 <[kids] t2").unwrap_err();
         assert!(matches!(err, ConstraintError::Parse { .. }));

@@ -83,7 +83,12 @@ impl Predicate {
                 let (a, b) = (t1.get(*attr), t2.get(*attr));
                 Some(!a.is_null() && !b.is_null() && op.eval(a, b))
             }
-            Predicate::ConstCmp { tuple, attr, op, constant } => {
+            Predicate::ConstCmp {
+                tuple,
+                attr,
+                op,
+                constant,
+            } => {
                 let a = tuple.pick(t1, t2).get(*attr);
                 Some(!a.is_null() && !constant.is_null() && op.eval(a, constant))
             }
@@ -121,7 +126,12 @@ impl fmt::Display for PredicateDisplay<'_> {
                 let a = self.schema.attr_name(*attr);
                 write!(f, "t1[{a}] {op} t2[{a}]")
             }
-            Predicate::ConstCmp { tuple, attr, op, constant } => {
+            Predicate::ConstCmp {
+                tuple,
+                attr,
+                op,
+                constant,
+            } => {
                 let t = match tuple {
                     TupleRef::T1 => "t1",
                     TupleRef::T2 => "t2",
@@ -147,7 +157,10 @@ mod tests {
     fn tuple_cmp_eval() {
         let s = schema();
         let kids = s.attr_id("kids").unwrap();
-        let p = Predicate::TupleCmp { attr: kids, op: CompOp::Lt };
+        let p = Predicate::TupleCmp {
+            attr: kids,
+            op: CompOp::Lt,
+        };
         let t1 = Tuple::of([Value::str("working"), Value::int(0)]);
         let t2 = Tuple::of([Value::str("retired"), Value::int(3)]);
         assert_eq!(p.eval_comparison(&t1, &t2), Some(true));
@@ -190,9 +203,12 @@ mod tests {
             "t1 <[status] t2"
         );
         assert_eq!(
-            Predicate::TupleCmp { attr: kids, op: CompOp::Lt }
-                .display(&s)
-                .to_string(),
+            Predicate::TupleCmp {
+                attr: kids,
+                op: CompOp::Lt
+            }
+            .display(&s)
+            .to_string(),
             "t1[kids] < t2[kids]"
         );
         assert_eq!(

@@ -36,9 +36,13 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 
 fn predicate_strategy() -> impl Strategy<Value = Predicate> {
     prop_oneof![
-        (0..ATTRS.len()).prop_map(|a| Predicate::Order { attr: AttrId(a as u16) }),
-        ((0..ATTRS.len()), op_strategy())
-            .prop_map(|(a, op)| Predicate::TupleCmp { attr: AttrId(a as u16), op }),
+        (0..ATTRS.len()).prop_map(|a| Predicate::Order {
+            attr: AttrId(a as u16)
+        }),
+        ((0..ATTRS.len()), op_strategy()).prop_map(|(a, op)| Predicate::TupleCmp {
+            attr: AttrId(a as u16),
+            op
+        }),
         (
             prop_oneof![Just(TupleRef::T1), Just(TupleRef::T2)],
             0..ATTRS.len(),

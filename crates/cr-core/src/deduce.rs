@@ -1,53 +1,96 @@
 //! `DeduceOrder` and `NaiveDeduce`: deriving implied currency orders
 //! (Section V-B, step (2) of Fig. 4).
 
-use std::collections::HashSet;
-
 use cr_sat::{SolveResult, Solver};
-use cr_types::{AttrId, ValueId};
+use cr_types::{AttrId, AttrValueSpace, ValueId};
 
 use crate::encode::{EncodedSpec, OrderAtom};
 
 /// A deduced partial order `Od` at the value level: `Se |= Od`.
-#[derive(Clone, Debug, Default)]
+///
+/// Dense: one `n × n` bit matrix per attribute over the encoding's value
+/// space, row-major (`lo * n + hi`, the layout of the encoding's variable
+/// table). [`contains`](Self::contains) is one bit test, and
+/// [`pairs`](Self::pairs) walks the set bits, so it yields an attribute's
+/// pairs in `(lo, hi)` order.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct DeducedOrders {
-    per_attr: Vec<HashSet<(ValueId, ValueId)>>,
+    /// Per attribute: the width `n` and the first word of its matrix.
+    shape: Vec<(usize, usize)>,
+    words: Vec<u64>,
+    size: usize,
 }
 
 impl DeducedOrders {
-    /// Empty orders for `arity` attributes.
-    pub fn empty(arity: usize) -> Self {
+    /// No orders, over the widths of `space`.
+    pub(crate) fn empty(space: &AttrValueSpace) -> Self {
+        let mut shape = Vec::with_capacity(space.arity());
+        let mut total = 0;
+        for i in 0..space.arity() {
+            let n = space.attr(AttrId(i as u16)).len();
+            shape.push((n, total));
+            total += (n * n).div_ceil(64);
+        }
         DeducedOrders {
-            per_attr: vec![HashSet::new(); arity],
+            shape,
+            words: vec![0; total],
+            size: 0,
         }
     }
 
+    /// The word and bit of `lo ≺v_attr hi`, if both lie in the space.
+    #[inline]
+    fn slot(&self, attr: AttrId, lo: ValueId, hi: ValueId) -> Option<(usize, u64)> {
+        let (n, start) = self.shape[attr.index()];
+        if lo.index() >= n || hi.index() >= n {
+            return None;
+        }
+        let bit = lo.index() * n + hi.index();
+        Some((start + bit / 64, 1 << (bit % 64)))
+    }
+
     /// Records `lo ≺v_attr hi`.
-    pub fn insert(&mut self, attr: AttrId, lo: ValueId, hi: ValueId) {
-        self.per_attr[attr.index()].insert((lo, hi));
+    pub(crate) fn insert(&mut self, attr: AttrId, lo: ValueId, hi: ValueId) {
+        let (word, mask) = self
+            .slot(attr, lo, hi)
+            .expect("deduced orders range over the encoding's value space");
+        if self.words[word] & mask == 0 {
+            self.words[word] |= mask;
+            self.size += 1;
+        }
     }
 
     /// True iff `lo ≺v_attr hi` was deduced.
     pub fn contains(&self, attr: AttrId, lo: ValueId, hi: ValueId) -> bool {
-        self.per_attr[attr.index()].contains(&(lo, hi))
+        self.slot(attr, lo, hi)
+            .is_some_and(|(word, mask)| self.words[word] & mask != 0)
     }
 
-    /// All pairs deduced for `attr`.
+    /// All pairs deduced for `attr`, in `(lo, hi)` order.
     pub fn pairs(&self, attr: AttrId) -> impl Iterator<Item = (ValueId, ValueId)> + '_ {
-        self.per_attr[attr.index()].iter().copied()
+        let (n, start) = self.shape[attr.index()];
+        let words = &self.words[start..start + (n * n).div_ceil(64)];
+        words.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((ValueId((bit / n) as u32), ValueId((bit % n) as u32)))
+            })
+        })
     }
 
     /// Total number of deduced pairs.
     pub fn size(&self) -> usize {
-        self.per_attr.iter().map(HashSet::len).sum()
+        self.size
     }
 
     /// Values of `attr` not dominated by any other value — the candidate
-    /// true values `V(attr)` of `DeriveVR` (Section V-C.2).
-    ///
-    /// Single pass over the deduced pairs marking dominated values in a
-    /// bitvec; the previous formulation probed the hash set `O(n²)` times
-    /// per attribute.
+    /// true values `V(attr)` of `DeriveVR` (Section V-C.2): the rows of
+    /// `attr`'s matrix without a set bit.
     pub fn candidates(&self, enc: &EncodedSpec, attr: AttrId) -> Vec<ValueId> {
         let interner = enc.space().attr(attr);
         let mut dominated = vec![false; interner.len()];
@@ -55,6 +98,16 @@ impl DeducedOrders {
             dominated[lo.index()] = true;
         }
         interner.ids().filter(|v| !dominated[v.index()]).collect()
+    }
+}
+
+/// The pairs of each attribute, not the bit words.
+impl std::fmt::Debug for DeducedOrders {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let attrs = (0..self.shape.len()).map(|a| AttrId(a as u16));
+        f.debug_list()
+            .entries(attrs.map(|a| self.pairs(a).collect::<Vec<_>>()))
+            .finish()
     }
 }
 
@@ -99,7 +152,7 @@ pub fn deduce_order_on(solver: &Solver, enc: &EncodedSpec) -> Option<DeducedOrde
 
 /// Maps implied order-atom literals to deduced value orders.
 fn orders_from_implied(enc: &EncodedSpec, implied: &[cr_sat::Lit]) -> DeducedOrders {
-    let mut od = DeducedOrders::empty(enc.space().arity());
+    let mut od = DeducedOrders::empty(enc.space());
     for &lit in implied {
         let Some(OrderAtom { attr, lo, hi }) = enc.order_atom(lit.var()) else {
             continue;
@@ -138,7 +191,7 @@ pub fn naive_deduce_on(solver: &mut Solver, enc: &EncodedSpec) -> Option<Deduced
     if solver.solve() == SolveResult::Unsat {
         return None;
     }
-    let mut od = DeducedOrders::empty(enc.space().arity());
+    let mut od = DeducedOrders::empty(enc.space());
     for (var, OrderAtom { attr, lo, hi }) in plan {
         // The symmetric variable's probes already decided this pair.
         if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
@@ -198,7 +251,7 @@ pub fn naive_deduce_fresh(enc: &EncodedSpec) -> Option<DeducedOrders> {
     if fresh_solve(None) == SolveResult::Unsat {
         return None;
     }
-    let mut od = DeducedOrders::empty(enc.space().arity());
+    let mut od = DeducedOrders::empty(enc.space());
     for (var, OrderAtom { attr, lo, hi }) in enc.order_vars() {
         if od.contains(attr, lo, hi) || od.contains(attr, hi, lo) {
             continue;
@@ -220,6 +273,7 @@ mod tests {
     use crate::spec::Specification;
     use cr_constraints::parser::{parse_cfds, parse_currency_constraint};
     use cr_types::{EntityInstance, Schema, Tuple, Value};
+    use proptest::prop_assert_eq;
 
     /// The George fragment of Example 9: DeduceOrder finds the kids and
     /// status orders plus the propagated job/AC/zip orders.
@@ -352,6 +406,81 @@ mod tests {
         for attr in spec.schema().attr_ids() {
             for (lo, hi) in a.pairs(attr) {
                 assert!(b.contains(attr, lo, hi));
+            }
+        }
+    }
+
+    /// An encoding whose attribute `i` has `widths[i]` values (ints
+    /// `0..widths[i]`), or no tuple at all (every width 0) when `widths`
+    /// is empty.
+    fn spec_of_widths(widths: &[usize], arity: usize) -> EncodedSpec {
+        let names: Vec<String> = (0..arity).map(|i| format!("a{i}")).collect();
+        let s = Schema::new("p", names.iter().map(String::as_str)).unwrap();
+        let rows = widths.iter().copied().max().unwrap_or(0);
+        let tuples = (0..rows)
+            .map(|t| Tuple::of(widths.iter().map(|&w| Value::int(t.min(w - 1) as i64))))
+            .collect();
+        let e = EntityInstance::new(s, tuples).unwrap();
+        EncodedSpec::encode(&Specification::without_orders(e, vec![], vec![]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The dense `Od` against a `BTreeSet` model: membership, pairs in
+        /// `(lo, hi)` order, size, candidates and true values agree on
+        /// random pairs over random widths (0 and 1 included).
+        #[test]
+        fn dense_orders_match_a_set_model(
+            widths in proptest::collection::vec(1usize..10, 1..4),
+            no_tuples in 0u8..6,
+            raw in proptest::collection::vec((0usize..4, 0usize..10, 0usize..10), 0..60),
+        ) {
+            let arity = widths.len();
+            let widths = if no_tuples == 0 { Vec::new() } else { widths };
+            let enc = spec_of_widths(&widths, arity);
+            let width = |a: usize| widths.get(a).copied().unwrap_or(0);
+            let mut od = DeducedOrders::empty(enc.space());
+            let mut model = std::collections::BTreeSet::new();
+            for (a, lo, hi) in raw {
+                let a = a % arity;
+                if width(a) == 0 {
+                    continue;
+                }
+                let (lo, hi) = (ValueId((lo % width(a)) as u32), ValueId((hi % width(a)) as u32));
+                od.insert(AttrId(a as u16), lo, hi);
+                model.insert((AttrId(a as u16), lo, hi));
+            }
+            prop_assert_eq!(od.size(), model.len());
+            let tv = crate::truevalue::true_values_from_orders(&enc, &od);
+            for a in 0..arity {
+                let (attr, n) = (AttrId(a as u16), width(a));
+                prop_assert_eq!(enc.space().attr(attr).len(), n);
+                let want: Vec<_> = model
+                    .iter()
+                    .filter(|p| p.0 == attr)
+                    .map(|&(_, lo, hi)| (lo, hi))
+                    .collect();
+                prop_assert_eq!(od.pairs(attr).collect::<Vec<_>>(), want.clone());
+                for lo in 0..=n as u32 {
+                    for hi in 0..=n as u32 {
+                        let (lo, hi) = (ValueId(lo), ValueId(hi));
+                        prop_assert_eq!(od.contains(attr, lo, hi), model.contains(&(attr, lo, hi)));
+                    }
+                }
+                let dominated = |v: ValueId| want.iter().any(|&(lo, _)| lo == v);
+                let cands: Vec<ValueId> = (0..n as u32).map(ValueId).filter(|&v| !dominated(v)).collect();
+                prop_assert_eq!(od.candidates(&enc, attr), cands);
+                let below = |v: ValueId| want.iter().filter(|&&(_, hi)| hi == v).count();
+                let top = if n == 0 {
+                    Some(Value::Null)
+                } else {
+                    (0..n as u32)
+                        .map(ValueId)
+                        .find(|&v| below(v) == n - 1)
+                        .map(|v| enc.value(attr, v).clone())
+                };
+                prop_assert_eq!(tv.get(attr), top.as_ref());
             }
         }
     }

@@ -507,32 +507,43 @@ impl EncodedSpec {
         &self.cnf
     }
 
-    /// Walks every order-rule clause — the Σ-currency and base-order
+    /// Walks the order-rule clauses — the Σ-currency and base-order
     /// implications with an order-atom conclusion, i.e. exactly the Ω(Se)
     /// subset the paper's rule derivation (`TrueDer`, Section VI) consumes
-    /// — reconstructing each rule's premise atoms and conclusion atom from
-    /// the flat literal arena via the var → atom table, in emission order.
+    /// — in emission order, and hands `f` the premise atoms and conclusion
+    /// atom of each clause whose conclusion `wanted` accepts.
+    ///
+    /// The conclusion is read first: `add_omega_constraint` writes it as
+    /// the clause's last literal, so a rejected clause costs one lookup in
+    /// the var → atom table, and only an accepted one has its premise
+    /// rebuilt from the flat literal arena. Pass `|_| true` to visit every
+    /// order rule.
     ///
     /// The premise slice is a scratch buffer reused across clauses; copy
     /// out whatever must outlive the callback.
-    pub fn for_each_order_rule<F: FnMut(&[OrderAtom], OrderAtom)>(&self, mut f: F) {
+    pub fn for_each_order_rule(
+        &self,
+        mut wanted: impl FnMut(OrderAtom) -> bool,
+        mut f: impl FnMut(&[OrderAtom], OrderAtom),
+    ) {
         let mut premise: Vec<OrderAtom> = Vec::new();
         for idx in 0..self.clause_tags.len() {
             if self.clause_tags[idx] != ORDER_RULE {
                 continue;
             }
-            premise.clear();
-            let mut conclusion = None;
-            for &lit in self.cnf.clause(idx) {
-                let atom = self.atoms[lit.var().index()];
-                if lit.is_positive() {
-                    conclusion = Some(atom);
-                } else {
-                    premise.push(atom);
-                }
+            let (&last, rest) = self
+                .cnf
+                .clause(idx)
+                .split_last()
+                .expect("order-rule clauses have an atom conclusion");
+            debug_assert!(last.is_positive() && rest.iter().all(|l| !l.is_positive()));
+            let conclusion = self.atoms[last.var().index()];
+            if !wanted(conclusion) {
+                continue;
             }
-            let concl = conclusion.expect("order-rule clauses have an atom conclusion");
-            f(&premise, concl);
+            premise.clear();
+            premise.extend(rest.iter().map(|lit| self.atoms[lit.var().index()]));
+            f(&premise, conclusion);
         }
     }
 

@@ -148,48 +148,63 @@ pub fn true_der(
     // order-rule subsequence of `encode::omega_compiled`
     // (`tests/omega_free_rules.rs`).
     //
-    // Index: (battr, b) → list of (premise) for constraints concluding
-    // bi ≺v b, keyed further by bi.
+    // Conclusion filter: the scan keeps only conclusions bi ≺v b with both
+    // values in V(B) of an undecided attribute B with |V(B)| ≥ 2. The
+    // filter is exact: the cover below looks up the pool (B, b, bi) only
+    // for such B, b ∈ V(B) and bi ∈ V(B) \ {b}, so no lookup reaches a rule
+    // it drops. Most order rules conclude about decided attributes or
+    // dominated values; they are dropped before their premise is rebuilt.
+    let mut in_v: Vec<Vec<bool>> = vec![Vec::new(); arity];
+    for (a, cands) in candidates.iter().enumerate().filter(|(_, c)| c.len() >= 2) {
+        in_v[a] = vec![false; enc.space().attr(AttrId(a as u16)).len()];
+        for v in cands {
+            in_v[a][v.index()] = true;
+        }
+    }
+    let in_v = |attr: AttrId, v: ValueId| in_v[attr.index()].get(v.index()) == Some(&true);
+
+    // Index: (battr, b, bi) → the premises of the constraints concluding
+    // bi ≺v b.
     type Premise = Vec<(AttrId, ValueId)>; // asserted tops, from ω atoms
-    let mut by_conclusion: HashMap<(AttrId, ValueId), HashMap<ValueId, Vec<Premise>>> =
-        HashMap::new();
+    let mut pools: HashMap<(AttrId, ValueId, ValueId), Vec<Premise>> = HashMap::new();
     // Premise atoms a1 ≺ a2 become "a2 is the top of its attribute";
     // atoms already implied by Od need no assumption at all.
-    enc.for_each_order_rule(|premise_atoms, atom| {
-        let mut premise: Premise = Vec::new();
-        let mut usable = true;
-        for p in premise_atoms {
-            if od.contains(p.attr, p.lo, p.hi) {
-                continue;
-            }
-            // Conflicting instantiation within one constraint: the same
-            // attribute asserted at two different tops.
-            if let Some((_, prev)) = premise.iter().find(|(a, _)| *a == p.attr) {
-                if *prev != p.hi {
-                    usable = false;
-                    break;
+    enc.for_each_order_rule(
+        |c| in_v(c.attr, c.lo) && in_v(c.attr, c.hi),
+        |premise_atoms, atom| {
+            let mut premise: Premise = Vec::new();
+            let mut usable = true;
+            for p in premise_atoms {
+                if od.contains(p.attr, p.lo, p.hi) {
+                    continue;
                 }
-                continue;
-            }
-            // Incompatible with a validated value.
-            if let Some(k) = known_ids[p.attr.index()] {
-                if k != p.hi {
-                    usable = false;
-                    break;
+                // Conflicting instantiation within one constraint: the same
+                // attribute asserted at two different tops.
+                if let Some((_, prev)) = premise.iter().find(|(a, _)| *a == p.attr) {
+                    if *prev != p.hi {
+                        usable = false;
+                        break;
+                    }
+                    continue;
                 }
-                continue;
+                // Incompatible with a validated value.
+                if let Some(k) = known_ids[p.attr.index()] {
+                    if k != p.hi {
+                        usable = false;
+                        break;
+                    }
+                    continue;
+                }
+                premise.push((p.attr, p.hi));
             }
-            premise.push((p.attr, p.hi));
-        }
-        if usable {
-            by_conclusion
-                .entry((atom.attr, atom.hi))
-                .or_default()
-                .entry(atom.lo)
-                .or_default()
-                .push(premise);
-        }
-    });
+            if usable {
+                pools
+                    .entry((atom.attr, atom.hi, atom.lo))
+                    .or_default()
+                    .push(premise);
+            }
+        },
+    );
 
     // Canonicalise the premise pools: shortest (weakest-assumption)
     // premises first, ties broken lexicographically, duplicates removed.
@@ -197,11 +212,9 @@ pub fn true_der(
     // Ω(Se) was produced — in particular, the incremental engine appends
     // delta instances in a different order (and with different duplicates)
     // than a from-scratch instantiation of the extended specification.
-    for pools in by_conclusion.values_mut() {
-        for premises in pools.values_mut() {
-            premises.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-            premises.dedup();
-        }
+    for premises in pools.values_mut() {
+        premises.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        premises.dedup();
     }
 
     for (battr, cands) in candidates.iter().enumerate() {
@@ -212,11 +225,9 @@ pub fn true_der(
         'target: for &b in cands {
             // U(B,b): competing candidates that must be dominated.
             let competitors: Vec<ValueId> = cands.iter().copied().filter(|&x| x != b).collect();
-            let empty = HashMap::new();
-            let pool = by_conclusion.get(&(battr, b)).unwrap_or(&empty);
             let mut accumulated: Premise = Vec::new();
             for bi in competitors {
-                let Some(premises) = pool.get(&bi) else {
+                let Some(premises) = pools.get(&(battr, b, bi)) else {
                     continue 'target; // bi not coverable: no rule for (B,b)
                 };
                 // Greedily pick the first premise compatible with what we

@@ -83,8 +83,8 @@ pub fn true_values_from_orders(enc: &EncodedSpec, od: &DeducedOrders) -> TrueVal
             continue;
         }
         // `a` is the top iff every other value is deduced below it: count
-        // distinct dominated values per candidate in one pass over the
-        // deduced pairs instead of probing the set O(n²) times.
+        // the set bits of each column of `attr`'s matrix in one pass over
+        // its deduced pairs.
         let mut below = vec![0u32; n];
         for (_, hi) in od.pairs(attr) {
             below[hi.index()] += 1;

@@ -14,11 +14,11 @@ use cr_core::encode::{omega_compiled, Conclusion, Origin};
 use cr_core::framework::{
     DeductionMethod, GroundTruthOracle, ResolutionConfig, Resolver, UserOracle,
 };
-use cr_core::rules::true_der;
+use cr_core::rules::{true_der, DerivationRule};
 use cr_core::sat::{Cnf, Lit, Solver, Var};
 use cr_core::{
     deduce_order, naive_deduce, true_values_from_orders, CompiledProgram, DeducedOrders,
-    EncodedSpec, ResolutionOutcome, ResolutionSession, Specification,
+    EncodedSpec, ResolutionOutcome, ResolutionSession, Revision, Specification, TrueValues,
 };
 use cr_data::gen::{scenario_from_raw, Scenario, ScenarioConfig};
 use cr_maxsat::maximize;
@@ -28,6 +28,7 @@ use cr_store::{
 };
 use cr_types::{AttrId, EntityInstance, Schema, Tuple, TupleId, Value, ValueId, ValueTable};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Resolves `spec` on the engine (incremental) and on the from-scratch
 /// loop, asserts they agree, and re-runs the engine loop round by round
@@ -351,6 +352,35 @@ fn seed_datasets_agree_with_scratch_and_the_eager_oracle() {
 }
 
 #[test]
+fn true_der_matches_the_unfiltered_oracle_on_seed_datasets() {
+    // The seed datasets derive rules in most rounds, where the random
+    // scenarios mostly derive none.
+    let mut compared = 0;
+    for (spec, truth) in [
+        (cr_data::vjday::edith_spec(), cr_data::vjday::edith_truth()),
+        (
+            cr_data::vjday::george_spec(),
+            cr_data::vjday::george_truth(),
+        ),
+    ] {
+        compared += check_true_der_per_round(&spec, &truth, None);
+    }
+    let nba = cr_data::nba::generate_with_sizes(&[12, 27, 40, 81], 7);
+    let person = cr_data::person::generate_with_sizes(&[20, 40, 80, 120], 7);
+    let career = cr_data::career::generate(cr_data::career::CareerConfig {
+        entities: 4,
+        seed: 7,
+        ..Default::default()
+    });
+    for ds in [&nba, &person, &career] {
+        for i in 0..ds.len() {
+            compared += check_true_der_per_round(&ds.spec(i), ds.truth(i), None);
+        }
+    }
+    assert!(compared > 0, "no rule was derived");
+}
+
+#[test]
 fn lazy_engine_injects_fewer_clauses_than_eager_materialises() {
     // Wide-domain scenario: the axioms dominate the reference CNF, and the
     // engine resolves like it while adding none of them to its CNF — its
@@ -439,15 +469,198 @@ fn session_deduce_order_stays_unit_propagation_after_search() {
     }
 }
 
-/// The value orders of `od`, per attribute, sorted.
-fn sorted_pairs(od: &DeducedOrders, arity: usize) -> Vec<Vec<(ValueId, ValueId)>> {
-    (0..arity)
-        .map(|i| {
-            let mut pairs: Vec<_> = od.pairs(AttrId(i as u16)).collect();
-            pairs.sort_unstable();
-            pairs
+/// An independent `TrueDer` (Section V-C.1) without the production
+/// shortcuts: it files **every** order rule of Φ(Se)
+/// (`for_each_order_rule(|_| true, …)`) into `BTreeMap` pools, whatever
+/// its conclusion, and reads `Od` and the candidate sets `V(A)` from a
+/// `BTreeSet` copy of `od` built from `pairs`. `rules::true_der` must
+/// return exactly its rules.
+fn true_der_oracle(
+    spec: &Specification,
+    enc: &EncodedSpec,
+    od: &DeducedOrders,
+    known: &TrueValues,
+) -> Vec<DerivationRule> {
+    type Premise = Vec<(AttrId, ValueId)>;
+    let attrs: Vec<AttrId> = spec.schema().attr_ids().collect();
+    let od: BTreeSet<(AttrId, ValueId, ValueId)> = attrs
+        .iter()
+        .flat_map(|&a| od.pairs(a).map(move |(lo, hi)| (a, lo, hi)))
+        .collect();
+    let candidates: Vec<Vec<ValueId>> = attrs
+        .iter()
+        .map(|&a| match known.get(a) {
+            Some(_) => Vec::new(),
+            None => enc
+                .space()
+                .attr(a)
+                .ids()
+                .filter(|&v| !od.iter().any(|&(x, lo, _)| x == a && lo == v))
+                .collect(),
         })
-        .collect()
+        .collect();
+    let known_ids: Vec<Option<ValueId>> = attrs
+        .iter()
+        .map(|&a| known.get(a).and_then(|v| enc.value_id(a, v)))
+        .collect();
+    let mut rules = Vec::new();
+
+    // (1) Constant CFDs compatible with the known values and candidates.
+    for (gi, cfd) in spec.gamma().iter().enumerate() {
+        let (battr, bval) = cfd.rhs();
+        if enc.is_cfd_retired(gi) || known.get(*battr).is_some() {
+            continue;
+        }
+        let Some(bid) = enc.value_id(*battr, bval) else {
+            continue;
+        };
+        if !candidates[battr.index()].contains(&bid) {
+            continue;
+        }
+        let mut lhs: Premise = Vec::new();
+        let compatible = cfd.lhs().iter().all(|(a, v)| {
+            let Some(vid) = enc.value_id(*a, v) else {
+                return false;
+            };
+            match known_ids[a.index()] {
+                Some(k) => k == vid,
+                None if candidates[a.index()].contains(&vid) => {
+                    lhs.push((*a, vid));
+                    true
+                }
+                None => false,
+            }
+        });
+        if compatible {
+            lhs.sort_unstable_by_key(|(a, _)| *a);
+            rules.push(DerivationRule {
+                lhs,
+                rhs: (*battr, bid),
+            });
+        }
+    }
+
+    // (2) Every order rule, filed by conclusion (B, b) and competitor bi.
+    let mut pools: BTreeMap<(AttrId, ValueId), BTreeMap<ValueId, Vec<Premise>>> = BTreeMap::new();
+    enc.for_each_order_rule(
+        |_| true,
+        |premise_atoms, atom| {
+            let mut premise: Premise = Vec::new();
+            for p in premise_atoms {
+                if od.contains(&(p.attr, p.lo, p.hi)) {
+                    continue;
+                }
+                let asserted = premise
+                    .iter()
+                    .find(|(a, _)| *a == p.attr)
+                    .map(|&(_, v)| v)
+                    .or(known_ids[p.attr.index()]);
+                match asserted {
+                    Some(v) if v != p.hi => return,
+                    Some(_) => {}
+                    None => premise.push((p.attr, p.hi)),
+                }
+            }
+            pools
+                .entry((atom.attr, atom.hi))
+                .or_default()
+                .entry(atom.lo)
+                .or_default()
+                .push(premise);
+        },
+    );
+    for by_competitor in pools.values_mut() {
+        for premises in by_competitor.values_mut() {
+            premises.sort_unstable_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+            premises.dedup();
+        }
+    }
+    for (&battr, cands) in attrs.iter().zip(&candidates) {
+        if cands.len() < 2 {
+            continue;
+        }
+        'target: for &b in cands {
+            let mut accumulated: Premise = Vec::new();
+            for &bi in cands.iter().filter(|&&x| x != b) {
+                let Some(premises) = pools.get(&(battr, b)).and_then(|p| p.get(&bi)) else {
+                    continue 'target;
+                };
+                let compatible = |p: &&Premise| {
+                    p.iter().all(|(a, v)| {
+                        *a != battr
+                            && accumulated
+                                .iter()
+                                .find(|(x, _)| x == a)
+                                .is_none_or(|(_, prev)| prev == v)
+                    })
+                };
+                let Some(p) = premises.iter().find(compatible) else {
+                    continue 'target;
+                };
+                for &(a, v) in p {
+                    if !accumulated.iter().any(|(x, _)| *x == a) {
+                        accumulated.push((a, v));
+                    }
+                }
+            }
+            if !accumulated.is_empty() {
+                accumulated.sort_unstable_by_key(|(a, _)| *a);
+                rules.push(DerivationRule {
+                    lhs: accumulated,
+                    rhs: (battr, b),
+                });
+            }
+        }
+    }
+    rules.sort_by(|a, b| (a.rhs, &a.lhs).cmp(&(b.rhs, &b.lhs)));
+    rules.dedup();
+    rules
+}
+
+/// Drives a session on `spec` through the Fig. 4 loop, answering from
+/// `truth`, and in every round asserts that `rules::true_der` equals
+/// [`true_der_oracle`] on the session's current specification, encoding,
+/// deduced orders and true values. With `retract`, that CFD is withdrawn
+/// upstream after the first answer, so later rounds run on a re-encoded
+/// session that flags it retired. Returns how many rules were compared.
+fn check_true_der_per_round(spec: &Specification, truth: &Tuple, retract: Option<usize>) -> usize {
+    let config = ResolutionConfig::default();
+    let mut session = ResolutionSession::new(&config, spec);
+    let mut oracle = GroundTruthOracle::with_cap(truth.clone(), 1);
+    let mut compared = 0;
+    for round in 0..=config.max_rounds {
+        if let (1, Some(cfd)) = (round, retract) {
+            let (_, applied) = session
+                .absorb_revision_batch(&[Revision::RetractCfd { cfd }])
+                .expect("the default policy degrades instead of failing");
+            assert_eq!(applied, [true], "CFD {cfd} was not retracted");
+        }
+        if !session.is_valid() {
+            break;
+        }
+        let od = session
+            .deduce(DeductionMethod::UnitPropagation)
+            .expect("a valid specification");
+        let known = session.true_values(&od);
+        let (current, enc) = (session.current(), session.encoded());
+        let got = true_der(current, enc, &od, &known);
+        assert_eq!(
+            got,
+            true_der_oracle(current, enc, &od, &known),
+            "TrueDer diverged from the unfiltered oracle at round {round}"
+        );
+        compared += got.len();
+        if known.complete() || round == config.max_rounds {
+            break;
+        }
+        let sug = session.suggest(&od, &known);
+        let input = oracle.provide(spec.schema(), &sug);
+        if input.is_empty() {
+            break;
+        }
+        session.apply_input(&input);
+    }
+    compared
 }
 
 /// Drives a session on `spec` through the Fig. 4 loop, answering from
@@ -462,15 +675,13 @@ fn check_deduce_order_per_round(spec: &Specification, truth: &Tuple, naive: u32)
     let config = ResolutionConfig::default();
     let mut session = ResolutionSession::new(&config, spec);
     let mut oracle = GroundTruthOracle::with_cap(truth.clone(), 1);
-    let arity = spec.schema().arity();
     let check = |session: &mut ResolutionSession, round: usize| {
         let got = session
             .deduce(DeductionMethod::UnitPropagation)
             .expect("a valid specification");
         let want = deduce_order(session.encoded()).expect("a valid specification");
         assert_eq!(
-            sorted_pairs(&got, arity),
-            sorted_pairs(&want, arity),
+            got, want,
             "DeduceOrder diverged from a fresh solver's at round {round}"
         );
         got
@@ -564,6 +775,45 @@ proptest! {
             new_value_answers: new_values == 1,
         });
         prop_assume!(check_deduce_order_per_round(&spec, &truth, naive | 1));
+    }
+
+    /// `TrueDer` filters order rules by conclusion before it files them;
+    /// in every round of sessions driven on random scenarios it must
+    /// return exactly what the unfiltered [`true_der_oracle`] returns. Each
+    /// case runs four scenarios: in-domain answers, out-of-domain answers
+    /// (which grow value spaces and re-emit CFDs), a small CFD-heavy one,
+    /// and the CFD-heavy one again with one CFD retracted after the first
+    /// answer.
+    #[test]
+    fn true_der_matches_the_unfiltered_oracle_in_every_round(
+        seed in 0u64..10_000,
+        tuples in 2usize..20,
+        domain in 2usize..12,
+        density in 0u32..100,
+        gamma in 8usize..17,
+    ) {
+        let mut compared = 0;
+        for new_values in [false, true] {
+            let Scenario { spec, truth } =
+                scenario_from_raw(seed, tuples, domain, density, new_values);
+            compared += check_true_der_per_round(&spec, &truth, None);
+        }
+        let Scenario { spec, truth } = cr_data::gen::scenario(&ScenarioConfig {
+            seed,
+            attrs: 4 + (seed % 2) as usize,
+            tuples: 4 + tuples % 3,
+            domain: 4 + domain % 2,
+            sigma: (seed % 3) as usize,
+            gamma,
+            order_density: f64::from(10 + density % 10) / 100.0,
+            conflict_density: 0.8,
+            null_density: 0.05,
+            new_value_answers: density % 2 == 1,
+        });
+        compared += check_true_der_per_round(&spec, &truth, None);
+        let retract = seed as usize % spec.gamma().len();
+        compared += check_true_der_per_round(&spec, &truth, Some(retract));
+        prop_assume!(compared > 0);
     }
 
     /// Component-level equality on randomized scenarios (cheaper than full

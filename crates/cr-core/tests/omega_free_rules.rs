@@ -49,12 +49,15 @@ type Rules = Vec<(Vec<String>, String)>;
 fn order_rules_both_ways(spec: &Specification) -> (Rules, Rules) {
     let (enc, omega) = encode_with_omega(spec);
     let mut scanned = Vec::new();
-    enc.for_each_order_rule(|premise, conclusion| {
-        scanned.push((
-            premise.iter().map(|a| format!("{a:?}")).collect(),
-            format!("{conclusion:?}"),
-        ));
-    });
+    enc.for_each_order_rule(
+        |_| true,
+        |premise, conclusion| {
+            scanned.push((
+                premise.iter().map(|a| format!("{a:?}")).collect(),
+                format!("{conclusion:?}"),
+            ));
+        },
+    );
     let emitted = omega
         .iter()
         .filter_map(|c| match (&c.origin, &c.conclusion) {

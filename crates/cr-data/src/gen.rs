@@ -39,7 +39,9 @@ pub struct ScenarioConfig {
     /// RNG seed; equal configs generate identical scenarios.
     pub seed: u64,
     /// Total attributes (≥ 2): attribute 0 is numeric ("seq"), the rest are
-    /// labelled string attributes.
+    /// labelled string attributes. A CFD relates two distinct string
+    /// attributes, so with fewer than 3 attributes no CFD is generated
+    /// (`gamma` is ignored).
     pub attrs: usize,
     /// Tuples in the entity instance (the history length).
     pub tuples: usize,
@@ -222,8 +224,8 @@ pub fn scenario(cfg: &ScenarioConfig) -> Scenario {
     // ones may be dead (LHS dominated) or genuinely conflicting.
     let mut gamma = Vec::with_capacity(cfg.gamma);
     for _ in 0..cfg.gamma {
-        if attrs < 2 {
-            break;
+        if attrs < 3 {
+            break; // one string attribute: LHS and RHS would coincide
         }
         let a = r.gen_range(1..attrs);
         let mut b = r.gen_range(1..attrs);
@@ -914,6 +916,26 @@ mod tests {
         assert_eq!(a.spec.sigma().len(), b.spec.sigma().len());
         for (x, y) in a.spec.sigma().iter().zip(b.spec.sigma()) {
             assert_eq!(x.to_string(), y.to_string());
+        }
+    }
+
+    /// Regression: with two attributes there is one string attribute, so
+    /// a CFD's LHS and RHS would be the same attribute and fail to parse.
+    /// No CFD is generated; three attributes get them.
+    #[test]
+    fn two_attribute_scenarios_generate_no_cfd() {
+        for seed in 0..20 {
+            let cfg = ScenarioConfig {
+                seed,
+                attrs: 2,
+                gamma: 4,
+                ..Default::default()
+            };
+            let s = scenario(&cfg);
+            assert_eq!(s.spec.schema().arity(), 2);
+            assert!(s.spec.gamma().is_empty());
+            let s = scenario(&ScenarioConfig { attrs: 3, ..cfg });
+            assert!(!s.spec.gamma().is_empty());
         }
     }
 

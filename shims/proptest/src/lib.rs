@@ -24,6 +24,18 @@ pub mod test_runner {
         }
     }
 
+    /// The message of a panic payload (`panic!` with a literal or with a
+    /// format string), or a placeholder for any other payload.
+    pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            s
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s
+        } else {
+            "(non-string panic payload)"
+        }
+    }
+
     /// Configuration accepted by `#![proptest_config(..)]`.
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
@@ -106,7 +118,10 @@ pub mod strategy {
             Self: Sized,
             F: Fn(Self::Value) -> T + 'static,
         {
-            Map { source: self, map: f }
+            Map {
+                source: self,
+                map: f,
+            }
         }
 
         /// Generates a value, then generates from the strategy `f` returns.
@@ -116,7 +131,10 @@ pub mod strategy {
             S: Strategy,
             F: Fn(Self::Value) -> S + 'static,
         {
-            FlatMap { source: self, flat_map: f }
+            FlatMap {
+                source: self,
+                flat_map: f,
+            }
         }
 
         /// Type-erases the strategy (used by `prop_oneof!`).
@@ -281,9 +299,7 @@ pub mod strategy {
                         if chars[i] == '\\' {
                             i += 1;
                             set.push(chars[i]);
-                        } else if i + 2 < chars.len()
-                            && chars[i + 1] == '-'
-                            && chars[i + 2] != ']'
+                        } else if i + 2 < chars.len() && chars[i + 1] == '-' && chars[i + 2] != ']'
                         {
                             let (a, b) = (chars[i], chars[i + 2]);
                             set.extend((a..=b).collect::<Vec<char>>());
@@ -352,19 +368,28 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(r: Range<usize>) -> Self {
             assert!(r.start < r.end, "empty size range");
-            SizeRange { lo: r.start, hi: r.end - 1 }
+            SizeRange {
+                lo: r.start,
+                hi: r.end - 1,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(r: RangeInclusive<usize>) -> Self {
-            SizeRange { lo: *r.start(), hi: *r.end() }
+            SizeRange {
+                lo: *r.start(),
+                hi: *r.end(),
+            }
         }
     }
 
     /// Generates `Vec`s of `element` with a size drawn from `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// See [`vec()`].
@@ -389,7 +414,10 @@ pub mod collection {
         S: Strategy,
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into() }
+        BTreeSetStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     /// See [`btree_set`].
@@ -473,12 +501,26 @@ macro_rules! proptest {
                     let __vals = ($($crate::strategy::Strategy::gen_value(&($strat), &mut rng),)+);
                     let __dbg = format!("{:#?}", __vals);
                     let ($($pat,)+) = __vals;
+                    // A plain `assert!` or `panic!` in the body unwinds past
+                    // the `prop_assert*` reporting: catch it, name the case,
+                    // and resume the unwind with that message.
                     let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (|| {
+                        match ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| {
                             $body
                             #[allow(unreachable_code)]
                             Ok(())
-                        })();
+                        })) {
+                            Ok(result) => result,
+                            Err(payload) => {
+                                let msg = $crate::test_runner::panic_message(&*payload);
+                                let report = format!(
+                                    "proptest {} panicked at case {}: {}\ninputs: {}",
+                                    stringify!($name), passed, msg, __dbg
+                                );
+                                eprintln!("{report}");
+                                ::std::panic::resume_unwind(Box::new(report))
+                            }
+                        };
                     match __result {
                         Ok(()) => passed += 1,
                         Err($crate::test_runner::TestCaseError::Reject(_)) => {}
@@ -553,9 +595,10 @@ macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{
         let (l, r) = (&$left, &$right);
         if *l == *r {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(
-                format!("assertion failed: `{:?}` != `{:?}`", l, r),
-            ));
+            return ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(format!(
+                "assertion failed: `{:?}` != `{:?}`",
+                l, r
+            )));
         }
     }};
 }
@@ -588,5 +631,24 @@ pub mod prelude {
     pub use crate as prop;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// A plain `assert!` failure names the case: the unwind carries
+        /// the test name, the case index and the generated inputs.
+        #[test]
+        #[should_panic(expected = "inputs:")]
+        fn a_plain_assert_names_the_failing_case(x in 0u8..4) {
+            assert!(x > 3, "x = {x}");
+        }
+    }
 }

@@ -89,7 +89,11 @@ impl SeedableRng for ChaCha8Rng {
             s[5 + 2 * i] = (k >> 32) as u32;
         }
         // counter = 0 (words 12/13), nonce = 0 (words 14/15).
-        ChaCha8Rng { state: s, buffer: [0; 16], index: 16 }
+        ChaCha8Rng {
+            state: s,
+            buffer: [0; 16],
+            index: 16,
+        }
     }
 }
 
